@@ -37,6 +37,10 @@ BENCH_PKGS    = . ./internal/rrset ./internal/sim ./internal/serve ./internal/sh
 # the non-gating delta step cheap).
 BENCH_FLAGS ?=
 
+# Every test run is bounded: a hang (tier-1 once deadlocked on ≤ 4 cores for
+# the default ten minutes) fails in two.
+TEST_TIMEOUT = -timeout 120s
+
 .PHONY: ci build vet fmt-check docs-check test race cover-gate bench bench-all bench-ci bench-compare bench-gate serve
 
 ci: vet fmt-check docs-check build test race cover-gate bench-ci
@@ -58,10 +62,10 @@ docs-check:
 	$(GO) run ./cmd/doccheck $(DOC_PKGS)
 
 test:
-	$(GO) test ./...
+	$(GO) test $(TEST_TIMEOUT) ./...
 
 race:
-	$(GO) test -race -count=1 $(RACE_PKGS)
+	$(GO) test $(TEST_TIMEOUT) -race -count=1 $(RACE_PKGS)
 
 # Fails when any COVER_FLOORS package's statement coverage (go test
 # -coverprofile, measured by `go tool cover -func`) is below its floor.
@@ -69,7 +73,7 @@ cover-gate:
 	@set -e; for spec in $(COVER_FLOORS); do \
 	    pkg="$${spec%:*}"; floor="$${spec#*:}"; \
 	    profile="$$(mktemp)"; \
-	    $(GO) test -count=1 -coverprofile="$$profile" "$$pkg" >/dev/null; \
+	    $(GO) test $(TEST_TIMEOUT) -count=1 -coverprofile="$$profile" "$$pkg" >/dev/null; \
 	    pct="$$($(GO) tool cover -func="$$profile" | awk '/^total:/ {sub("%","",$$NF); print $$NF}')"; \
 	    rm -f "$$profile"; \
 	    echo "coverage $$pkg: $$pct% (floor $$floor%)"; \

@@ -8,8 +8,9 @@
 //
 // For every benchmark present in either stream it prints ns/op, B/op, and
 // allocs/op side by side with the relative change; benchmarks missing from
-// one side are listed as added/removed. By default the tool never fails on
-// regressions (the comparison step is deliberately non-gating in CI); it
+// one side are listed as added/removed. A benchmark recorded several times
+// (`-count N`) is represented by its median-ns/op run. By default the tool
+// never fails on regressions (the comparison step is non-gating in CI); it
 // exits non-zero only for unreadable or unparseable inputs. With
 // -max-regress set, any benchmark whose ns/op regressed by more than that
 // percentage additionally fails the run with exit code 3 — the opt-in
@@ -30,9 +31,10 @@ import (
 
 // event is the subset of test2json's record shape benchdiff needs.
 type event struct {
-	Action string `json:"Action"`
-	Test   string `json:"Test"`
-	Output string `json:"Output"`
+	Action  string `json:"Action"`
+	Package string `json:"Package"`
+	Test    string `json:"Test"`
+	Output  string `json:"Output"`
 }
 
 // result holds one benchmark's parsed metrics.
@@ -48,11 +50,18 @@ type result struct {
 // name (and only that — names like ".../v1" keep their digits).
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
+// nameOnly matches the first half of a result line that test2json split in
+// two ("BenchmarkFoo-8 \t", then the numbers). The repeats of a `-count N`
+// run arrive this way with no Test field on either half.
+var nameOnly = regexp.MustCompile(`^(Benchmark\S+)$`)
+
 // benchLine matches a `testing.B` result line after test2json unescaping,
 // e.g. "BenchmarkFoo-8   120  9532 ns/op  512 B/op  12 allocs/op".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.e+]+) ns/op(.*)$`)
 
-// parseStream extracts benchmark results from one test2json file.
+// parseStream extracts benchmark results from one test2json file, one per
+// benchmark name: of a benchmark's repeated runs, the one with the median
+// ns/op (the upper median of an even count).
 func parseStream(path string) (map[string]result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -60,7 +69,8 @@ func parseStream(path string) (map[string]result, error) {
 	}
 	defer f.Close()
 
-	out := map[string]result{}
+	runs := map[string][]result{}
+	pending := map[string]string{} // package -> benchmark named by its last name-only line
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -78,6 +88,10 @@ func parseStream(path string) (map[string]result, error) {
 		// A result line can arrive split across events ("BenchmarkFoo \t" then
 		// the numbers); stitch by looking only at lines that carry "ns/op".
 		text := strings.TrimSpace(strings.ReplaceAll(ev.Output, "\t", " "))
+		if m := nameOnly.FindStringSubmatch(text); m != nil {
+			pending[ev.Package] = gomaxprocsSuffix.ReplaceAllString(m[1], "")
+			continue
+		}
 		if !strings.Contains(text, "ns/op") {
 			continue
 		}
@@ -85,7 +99,10 @@ func parseStream(path string) (map[string]result, error) {
 		m := benchLine.FindStringSubmatch(text)
 		if m == nil {
 			// Continuation line: "   120  9532 ns/op ..." with the name in
-			// ev.Test only.
+			// ev.Test or on the preceding name-only line.
+			if name == "" {
+				name = pending[ev.Package]
+			}
 			m = regexp.MustCompile(`^\d+\s+([0-9.e+]+) ns/op(.*)$`).FindStringSubmatch(text)
 			if m == nil || name == "" {
 				continue
@@ -104,7 +121,12 @@ func parseStream(path string) (map[string]result, error) {
 		if am := regexp.MustCompile(`([0-9.e+]+) allocs/op`).FindStringSubmatch(rest); am != nil {
 			r.allocs, _ = strconv.ParseFloat(am[1], 64)
 		}
-		out[name] = r
+		runs[name] = append(runs[name], r)
+	}
+	out := make(map[string]result, len(runs))
+	for name, rs := range runs {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].nsOp < rs[j].nsOp })
+		out[name] = rs[len(rs)/2]
 	}
 	return out, sc.Err()
 }

@@ -14,10 +14,7 @@
 
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "repro/internal/rrset"
 
 // BatchResult is one item's outcome in an AllocateBatch call: exactly the
 // (result, error) pair the equivalent AllocateFromIndex call would return.
@@ -34,7 +31,7 @@ type BatchResult struct {
 // items observe the same campaign set even if AddAd/RemoveAd land mid
 // batch (requests pinning a different Request.Epoch fail with
 // ErrStaleEpoch, exactly as they would alone). Items run concurrently
-// under the same scanWorkers budget that bounds per-ad parallelism, and
+// under the same rrset.ParallelFor budget that bounds per-ad set-up, and
 // each item's allocation is byte-identical to the sequential
 // AllocateFromIndex call with the same request against that epoch —
 // batching changes cost, never results.
@@ -44,30 +41,9 @@ func AllocateBatch(idx *Index, reqs []Request) []BatchResult {
 		return out
 	}
 	ep := idx.curr.Load()
-	workers := scanWorkers(len(reqs))
-	if workers <= 1 {
-		for i := range reqs {
-			res, err := allocateEpoch(idx, ep, reqs[i])
-			out[i] = BatchResult{Res: res, Err: err}
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				res, err := allocateEpoch(idx, ep, reqs[i])
-				out[i] = BatchResult{Res: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	rrset.ParallelFor(len(reqs), 0, func(i int) {
+		res, err := allocateEpoch(idx, ep, reqs[i])
+		out[i] = BatchResult{Res: res, Err: err}
+	})
 	return out
 }

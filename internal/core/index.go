@@ -570,8 +570,8 @@ func (req *Request) validate(inst *Instance) (adIDs []int, lambda float64, kappa
 // selAd is the per-advertiser selection state of Algorithm 2, run against a
 // shared index sample instead of a private one. Slots live inside a pooled
 // allocWorkspace and are recycled across requests (see selAd.reset); the
-// cand* fields carry each parallel scan's per-ad best candidate to the
-// sequential reduction.
+// cand* fields carry each round's per-ad best candidate to the cross-ad
+// reduction.
 type selAd struct {
 	j          int // index into inst.Ads
 	cpe        float64
@@ -662,8 +662,9 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 	ws.attention.reset(n, kappa)
 
 	// Phase timing accumulates on the stack and is delivered in one call at
-	// the end; every clock read is behind the nil check so an unobserved
-	// run never touches the clock.
+	// the end. The clock is read once per phase boundary — the end of one
+	// phase is the start of the next — and every read is behind the nil
+	// check, so an unobserved run never touches the clock.
 	observer := req.Observer
 	var timings PhaseTimings
 	var phaseStart time.Time
@@ -673,6 +674,11 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 		if req.Explain {
 			explain, _ = observer.(ExplainObserver)
 		}
+	}
+	endPhase := func(p AllocPhase) {
+		now := time.Now()
+		timings.Phase[p] += now.Sub(phaseStart)
+		phaseStart = now
 	}
 
 	// Initialization (Algorithm 2 lines 1–3): s_j = 1, θ_j = L(s_j, ε),
@@ -700,23 +706,21 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 		ws.ads = append(ws.ads, a)
 	}
 
-	runner := newAdRunner(len(ws.ads))
-	defer runner.stop()
-
 	// Size θ from the pilot KPT estimate first, then build the coverage
 	// state once at that size over the index's shared CSR inverted index:
 	// the collection never replays growth the index has already absorbed,
 	// which is what makes the warm path O(n) setup instead of O(members).
-	// The per-ad states are independent, so they initialize in parallel
-	// across the bounded worker group; per-ad sample counts are summed
-	// sequentially after the barrier.
+	// The per-ad states are independent and each costs O(n) — row clip,
+	// kernel mask, candidate heap — so this is the run's one fan-out;
+	// per-ad sample counts are summed sequentially after it returns.
 	soft := opts.SoftCoverage
 	wantKernel := rrset.KernelBitset // ""/"auto": bitset iff the density heuristic built the bitmap
 	if req.Kernel == "sparse" {
 		wantKernel = rrset.KernelSparse
 	}
 	forceBits := req.Kernel == "bitset"
-	runner.each(ws.ads, func(a *selAd) {
+	rrset.ParallelFor(len(ws.ads), 0, func(i int) {
+		a := ws.ads[i]
 		_, widths, fresh := a.src.prefix(opts.MinTheta)
 		a.fresh = fresh
 		a.widths = widths
@@ -736,6 +740,7 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 			a.col.soft = nil
 			a.kernel = a.col.hard.UseKernel(wantKernel)
 		}
+		a.col.syncHeap()
 	})
 	for _, a := range ws.ads {
 		idx.sampled.Add(a.fresh)
@@ -744,7 +749,7 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 		res.KernelCounts[a.kernel]++
 	}
 	if observer != nil {
-		timings.Phase[PhaseEstimate] = time.Since(phaseStart)
+		endPhase(PhaseEstimate)
 	}
 
 	// scanAd evaluates one ad's candidates — SelectBestNode (Algorithm 3):
@@ -752,10 +757,9 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 	// CandidateDepth nodes scored by regret drop (depth 1 = the paper) —
 	// and records the ad's best strictly-improving candidate. An ad with
 	// no improving candidate saturates permanently: its candidate pool
-	// only shrinks and Π only changes when it commits. Touches only the
-	// ad's own state (plus read-only attention counts), so ads scan
-	// concurrently; strict `>` comparisons make the per-ad argmax, and the
-	// in-order reduction below, byte-identical to the sequential scan.
+	// only shrinks and Π only changes when it commits. Strict `>`
+	// comparisons here and in the reduction below keep the first of equal
+	// candidates, in heap order within an ad and request order across ads.
 	scanAd := func(a *selAd) {
 		nodes, scores := a.col.topNodes(opts.CandidateDepth, ws.eligible)
 		if len(nodes) == 0 {
@@ -780,36 +784,26 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 		}
 	}
 
-	// Main loop (Algorithm 2 lines 4–19): parallel per-ad candidate scan,
-	// sequential reduction and commit.
+	// Main loop (Algorithm 2 lines 4–19): scan every unsaturated ad in
+	// request order, keep the best candidate, commit it. A scan is a heap
+	// peek — well under a microsecond — so handing it to another goroutine
+	// costs more than running it (DESIGN.md §6.6).
 	for {
-		if observer != nil {
-			phaseStart = time.Now()
-		}
-		ws.active = ws.active[:0]
-		for _, a := range ws.ads {
-			if !a.saturated {
-				ws.active = append(ws.active, a)
-			}
-		}
-		runner.each(ws.active, scanAd)
 		var best *selAd
-		for _, a := range ws.active {
-			if !a.candOK {
+		for _, a := range ws.ads {
+			if a.saturated {
 				continue
 			}
-			if best == nil || a.candDrop > best.candDrop {
+			scanAd(a)
+			if a.candOK && (best == nil || a.candDrop > best.candDrop) {
 				best = a
 			}
 		}
 		if observer != nil {
-			timings.Phase[PhaseScan] += time.Since(phaseStart)
+			endPhase(PhaseScan)
 		}
 		if best == nil {
 			break // line 14: no (user, ad) pair reduces regret
-		}
-		if observer != nil {
-			phaseStart = time.Now()
 		}
 
 		// Commit (lines 10–12): allocate, record the claimed mass, and
@@ -828,10 +822,6 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 			// The scan and commit disagree only on a bug.
 			panic("core: TIRM coverage bookkeeping out of sync")
 		}
-		if observer != nil {
-			timings.Phase[PhaseCommit] += time.Since(phaseStart)
-			timings.Rounds++
-		}
 		if explain != nil {
 			explain.ObserveCommit(CommitEvent{
 				Round:    res.Iterations,
@@ -840,6 +830,10 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 				Gain:     bestMg,
 				Residual: a.budget - a.revenue,
 			})
+		}
+		if observer != nil {
+			endPhase(PhaseCommit)
+			timings.Rounds++
 		}
 
 		if len(a.seeds) >= maxSeeds {
@@ -869,9 +863,6 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 			optLB := math.Max(kpt, achieved)
 			want := rrset.Theta(int64(n), int64(a.sTarget), opts.Eps, opts.Ell, optLB, opts.MinTheta, opts.MaxTheta)
 			if want > a.theta {
-				if observer != nil {
-					phaseStart = time.Now()
-				}
 				boundary := a.col.numSets()
 				a.grow(idx, res, want)
 				// UpdateEstimates (Algorithm 4): credit existing seeds, in
@@ -884,7 +875,7 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 					a.revenue += a.cpe * float64(n) * a.seedMass[k] / float64(a.theta)
 				}
 				if observer != nil {
-					timings.Phase[PhaseGrow] += time.Since(phaseStart)
+					endPhase(PhaseGrow)
 				}
 			}
 		}

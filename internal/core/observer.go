@@ -2,10 +2,12 @@
 // reports where an AllocateFromIndex run spent its time, phase by phase.
 // The hook is pull-free and allocation-free — the run accumulates plain
 // durations on its own stack and makes exactly one ObserveAllocation call
-// at the end — and a nil observer costs nothing: every time.Now() on the
-// hot path is guarded by the nil check, so the warm-path allocation count
-// and the allocation bytes are untouched (the golden byte-identity and
-// allocs/op benchmarks both cover this).
+// at the end, reading the clock once per phase boundary (the end of one
+// phase is the start of the next: two reads a round) — and a nil observer
+// costs nothing: every time.Now() on the hot path is guarded by the nil
+// check, so the warm-path allocation count and the allocation bytes are
+// untouched (the golden byte-identity and allocs/op benchmarks both cover
+// this).
 
 package core
 
@@ -14,7 +16,9 @@ import "time"
 // AllocPhase names one phase of the Algorithm 2 selection loop for
 // per-phase timing. The phases partition a run's wall time minus result
 // assembly: estimation (θ sizing and coverage-state setup), candidate
-// scanning, seed commits, and θ growth with seed re-crediting.
+// scanning, seed commits, and θ growth with seed re-crediting. Each phase
+// runs from the previous boundary, so the few instructions between a
+// commit and the next scan (or growth) count towards what follows.
 type AllocPhase int
 
 // The allocation phases, in the order a run first enters them.
@@ -22,11 +26,12 @@ const (
 	// PhaseEstimate covers setup: per-ad budget resolution, the pilot KPT
 	// estimate, θ sizing (Eq. 5), and coverage-state initialization.
 	PhaseEstimate AllocPhase = iota
-	// PhaseScan covers the parallel per-ad candidate scans (Algorithm 3)
-	// plus the sequential cross-ad reduction, summed over all rounds.
+	// PhaseScan covers the per-ad candidate scans (Algorithm 3) and the
+	// cross-ad reduction, summed over all rounds.
 	PhaseScan
 	// PhaseCommit covers seed commits: claimed-mass retirement, attention
-	// bookkeeping, and the scan/commit consistency check.
+	// bookkeeping, the scan/commit consistency check, and on explain runs
+	// the ObserveCommit callback.
 	PhaseCommit
 	// PhaseGrow covers θ growth past the stored prefix and the
 	// UpdateEstimates re-crediting of existing seeds (Algorithm 4).

@@ -8,17 +8,16 @@
 // run an allocWorkspace whose arrays survive across requests; the runs
 // reinitialize them with memclr-style loops and return them on exit.
 //
-// The same file hosts adRunner, the bounded worker group that fans per-ad
-// work (coverage-state initialization, the per-iteration candidate scan)
-// out across CPUs. Per-ad work touches only that ad's state, and the
-// reduction over per-ad results happens sequentially in ad order, so the
-// allocation a parallel run produces is byte-identical to the serial one
-// (pinned by TestAllocateFromIndexParallelAndPooled and the golden tests).
+// Per-ad set-up (coverage-state initialization, kernel choice, heap build)
+// is the only part of a run that fans out across CPUs, through
+// rrset.ParallelFor: it touches only that ad's state, so the allocation a
+// parallel run produces is byte-identical to the serial one (pinned by
+// TestAllocateFromIndexParallelAndPooled and the golden tests). The greedy
+// rounds themselves run on the caller's goroutine — see DESIGN.md §6.6.
 
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -73,13 +72,12 @@ func (p *WorkspacePool) put(ws *allocWorkspace) {
 
 // allocWorkspace is the recycled state of one AllocateFromIndex run: one
 // selAd slot (with its rrset.Workspace) per ad the run touches, the
-// attention tracker, and the scratch lists the main loop iterates over.
+// attention tracker, and the list of ads the main loop iterates over.
 // The eligibility closure is built once — it reads the attention tracker
 // through a stable pointer — so the hot loop never materializes closures.
 type allocWorkspace struct {
 	slots     []*selAd
 	ads       []*selAd // active ads this run, in request ad order
-	active    []*selAd // per-iteration scratch: ads still unsaturated
 	attention *Attention
 	eligible  func(int32) bool
 }
@@ -116,7 +114,6 @@ func (w *allocWorkspace) release() {
 		a.ws.Release()
 	}
 	w.ads = w.ads[:0]
-	w.active = w.active[:0]
 	w.attention.bounds = nil
 }
 
@@ -131,82 +128,6 @@ func (at *Attention) reset(n int, bounds AttentionBounds) {
 		at.counts[i] = 0
 	}
 	at.bounds = bounds
-}
-
-// scanWorkers resolves how many goroutines a run may fan per-ad work out
-// to: the package-wide rrset.SetMaxWorkers cap (so one operator knob
-// bounds both sampling and selection parallelism), GOMAXPROCS by default,
-// never more than the number of independent work units.
-func scanWorkers(limit int) int {
-	w := rrset.MaxWorkers()
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > limit {
-		w = limit
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// adRunner fans per-ad closures out to a bounded worker group that lives
-// for one allocation run. Work items are sent over an unbuffered channel
-// (no per-iteration goroutine spawning or closure garbage); each barrier
-// (`each`) returns only when every dispatched item completed, which also
-// sequences the runner's phase-function swaps. With one worker (or one
-// ad) it degrades to inline calls — no goroutines at all.
-type adRunner struct {
-	work chan *selAd
-	wg   sync.WaitGroup
-	run  func(*selAd)
-}
-
-// newAdRunner starts workers sized by scanWorkers(numAds). Callers must
-// stop() the runner (workers would otherwise block on the work channel
-// forever — a leak when the owning workspace is pooled).
-func newAdRunner(numAds int) *adRunner {
-	r := &adRunner{}
-	workers := scanWorkers(numAds)
-	if workers <= 1 {
-		return r
-	}
-	r.work = make(chan *selAd)
-	for k := 0; k < workers; k++ {
-		go func() {
-			for a := range r.work {
-				r.run(a)
-				r.wg.Done()
-			}
-		}()
-	}
-	return r
-}
-
-// each runs fn over every ad and returns when all calls completed. fn must
-// touch only the given ad's state plus read-only shared inputs; the
-// preceding barrier's wg.Wait makes the phase-function swap race-free.
-func (r *adRunner) each(ads []*selAd, fn func(*selAd)) {
-	if r.work == nil || len(ads) <= 1 {
-		for _, a := range ads {
-			fn(a)
-		}
-		return
-	}
-	r.run = fn
-	r.wg.Add(len(ads))
-	for _, a := range ads {
-		r.work <- a
-	}
-	r.wg.Wait()
-}
-
-// stop terminates the worker group.
-func (r *adRunner) stop() {
-	if r.work != nil {
-		close(r.work)
-	}
 }
 
 // covState dispatches one ad's coverage bookkeeping to the active mode:
@@ -238,6 +159,15 @@ func (cs *covState) topNodes(k int, eligible func(int32) bool) ([]int32, []float
 	}
 	cs.nodes, cs.scores = cs.soft.TopNodesInto(k, eligible, cs.nodes, cs.scores)
 	return cs.nodes, cs.scores
+}
+
+// syncHeap builds the candidate heap now instead of in the first scan.
+func (cs *covState) syncHeap() {
+	if cs.hard != nil {
+		cs.hard.SyncHeap()
+		return
+	}
+	cs.soft.SyncHeap()
 }
 
 // addFamily feeds freshly sampled sets to the coverage state.

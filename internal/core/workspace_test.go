@@ -2,7 +2,9 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/rrset"
 )
@@ -27,10 +29,10 @@ func snapshotOf(res *TIRMResult) allocSnapshot {
 	}
 }
 
-// TestAllocateFromIndexParallelAndPooled pins the tentpole invariant of the
-// workspace/parallel-scan refactor: allocations are byte-identical (seeds,
+// TestAllocateFromIndexParallelAndPooled pins the invariant of workspace
+// pooling and parallel set-up: allocations are byte-identical (seeds,
 // revenue estimates, θ, seed targets, iteration counts) across (a) serial
-// vs parallel per-ad scoring at any worker cap, (b) a cold workspace vs a
+// vs parallel per-ad set-up at any worker cap, (b) a cold workspace vs a
 // pooled one reused across many requests, and (c) soft vs hard coverage
 // modes each under all of the above.
 func TestAllocateFromIndexParallelAndPooled(t *testing.T) {
@@ -55,6 +57,7 @@ func TestAllocateFromIndexParallelAndPooled(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 0} {
 			rrset.SetMaxWorkers(workers)
 			pool := &WorkspacePool{}
+			goroutines := runtime.NumGoroutine()
 			for run := 0; run < 3; run++ {
 				res, err := AllocateFromIndex(idx, Request{Opts: o, Pool: pool})
 				if err != nil {
@@ -73,6 +76,15 @@ func TestAllocateFromIndexParallelAndPooled(t *testing.T) {
 				// The race runtime drops sync.Pool puts at random, so the
 				// exact split is only deterministic without it.
 				t.Fatalf("soft=%v workers=%d: pool stats hits=%d misses=%d, want 2/1", soft, workers, hits, misses)
+			}
+			// No worker outlives a request. A set-up worker has signalled
+			// completion a few instructions before it exits, so give the
+			// scheduler a moment to retire it.
+			for wait := 0; wait < 200 && runtime.NumGoroutine() > goroutines; wait++ {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got != goroutines {
+				t.Fatalf("soft=%v workers=%d: %d goroutines after the runs, %d before", soft, workers, got, goroutines)
 			}
 		}
 	}

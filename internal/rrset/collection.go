@@ -167,8 +167,12 @@ func (c *Collection) initHeap() {
 	c.pq.init()
 }
 
-// syncHeap performs the deferred heap rebuild, if one is pending.
-func (c *Collection) syncHeap() {
+// SyncHeap performs the deferred heap rebuild, if one is pending. Every
+// operation that needs the heap calls it, so callers never have to; a
+// caller that sets many collections up in parallel calls it there to pay
+// the O(n) build on its set-up workers rather than in its first query. The
+// heap it builds is the one that query would have built.
+func (c *Collection) SyncHeap() {
 	if c.stale {
 		c.initHeap()
 		c.stale = false
@@ -348,7 +352,7 @@ func (c *Collection) Coverage(u int32) int { return int(c.cov[u]) }
 // every node is eligible. Nodes reported ineligible are dropped permanently
 // (callers use this for exhausted attention bounds, which never recover).
 func (c *Collection) BestNode(eligible func(int32) bool) (node int32, cov int, ok bool) {
-	c.syncHeap()
+	c.SyncHeap()
 	for len(c.pq) > 0 {
 		top := c.pq[0]
 		if c.dead[top.node] {
@@ -397,8 +401,29 @@ func (c *Collection) TopNodes(k int, eligible func(int32) bool) (nodes []int32, 
 // of the convenience form (result slices plus a dedup map) would dominate a
 // warm allocation's profile. Scratch state lives on the collection;
 // returned slices alias the (possibly grown) buffers.
+//
+// k = 1 — the paper's CandidateDepth, asked for on every greedy round — is
+// BestNode plus the pop and re-push of the winner that the general loop's
+// set-aside round trip performs: the same heap operations in the same
+// order, so heap layout and tie-breaks match the general loop exactly (see
+// TestTopOneHeapEvolution), without the dedup stamps and set-aside buffer
+// that only k ≥ 2 needs.
 func (c *Collection) TopNodesInto(k int, eligible func(int32) bool, nodes []int32, covs []int) ([]int32, []int) {
-	c.syncHeap()
+	if k != 1 {
+		return c.topNodesLoop(k, eligible, nodes, covs)
+	}
+	nodes, covs = nodes[:0], covs[:0]
+	if u, cov, ok := c.BestNode(eligible); ok {
+		c.pq.push(c.pq.pop())
+		nodes, covs = append(nodes, u), append(covs, cov)
+	}
+	return nodes, covs
+}
+
+// topNodesLoop is TopNodesInto for any k: pop valid entries aside until k
+// distinct nodes are collected, then push them back.
+func (c *Collection) topNodesLoop(k int, eligible func(int32) bool, nodes []int32, covs []int) ([]int32, []int) {
+	c.SyncHeap()
 	nodes, covs = nodes[:0], covs[:0]
 	aside := c.aside[:0]
 	if len(c.seen) < c.n {
@@ -466,7 +491,7 @@ func (c *Collection) TopNodesInto(k int, eligible func(int32) bool, nodes []int3
 // so the covering sequence — and with it every downstream estimate — is
 // unchanged.
 func (c *Collection) CoverNode(u int32) int {
-	c.syncHeap()
+	c.SyncHeap()
 	covered := c.kernel().coverNode(c, u)
 	c.ncov += covered
 	if c.cov[u] != 0 {
@@ -480,7 +505,7 @@ func (c *Collection) CoverNode(u int32) int {
 // UpdateEstimates uses it to re-credit already-chosen seeds with coverage
 // in freshly appended samples without double-counting across seeds.
 func (c *Collection) CountAndCoverFrom(u int32, firstID int) int {
-	c.syncHeap()
+	c.SyncHeap()
 	covered := c.kernel().countAndCoverFrom(c, u, firstID)
 	c.ncov += covered
 	return covered

@@ -52,7 +52,7 @@ func (c *Collection) AddCounts(nodes []int32, counts []int32, addedSets int) {
 // CountAndCoverFrom do — so a counter collection's heap sees the same
 // coverage vector at the same moments as a set-backed one.
 func (c *Collection) ApplyCover(covered int, nodes []int32, decs []int32) {
-	c.syncHeap()
+	c.SyncHeap()
 	for i, u := range nodes {
 		c.cov[u] -= decs[i]
 	}

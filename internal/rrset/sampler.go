@@ -63,6 +63,48 @@ func samplingWorkers(limit int) int {
 	return w
 }
 
+// ParallelFor calls fn(i) once for every i in [0, n) and returns when all
+// calls have returned. It is the one bounded fan-out that selection shares
+// (per-request set-up in core.AllocateFromIndex, the items of
+// core.AllocateBatch and shard.Coordinator.AllocateBatch): at most
+// SetMaxWorkers goroutines (GOMAXPROCS by default), at most n, and — when
+// limit is positive — at most limit. Indexes are claimed from an atomic
+// counter, the caller's goroutine is one of the workers, and no goroutine
+// outlives the call; with one worker the calls run inline in index order.
+// fn must only write state owned by its index.
+func ParallelFor(n, limit int, fn func(i int)) {
+	workers := samplingWorkers(n)
+	if limit > 0 && workers > limit {
+		workers = limit
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	claim := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+}
+
 // Sampler draws random RR- or RRC-sets for one ad (a fixed mixed
 // probability vector and optional CTPs) over a fixed graph. Safe for
 // concurrent use; per-call scratch is handled internally.

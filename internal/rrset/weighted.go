@@ -70,8 +70,9 @@ func (c *WeightedCollection) initHeap() {
 	c.pq.init()
 }
 
-// syncHeap performs the deferred heap rebuild, if one is pending.
-func (c *WeightedCollection) syncHeap() {
+// SyncHeap performs the deferred heap rebuild, if one is pending (see
+// Collection.SyncHeap).
+func (c *WeightedCollection) SyncHeap() {
 	if c.stale {
 		c.initHeap()
 		c.stale = false
@@ -233,7 +234,7 @@ const floatSlack = 1e-9
 // permanently (monotone eligibility), stale heap entries are refreshed
 // lazily — valid because wcov only decreases between Adds.
 func (c *WeightedCollection) BestNode(eligible func(int32) bool) (node int32, wcov float64, ok bool) {
-	c.syncHeap()
+	c.SyncHeap()
 	for len(c.pq) > 0 {
 		top := c.pq[0]
 		if c.dead[top.node] {
@@ -273,9 +274,23 @@ func (c *WeightedCollection) TopNodes(k int, eligible func(int32) bool) (nodes [
 }
 
 // TopNodesInto is TopNodes appending into caller-provided buffers (which
-// may be nil) — see Collection.TopNodesInto for the contract.
+// may be nil) — see Collection.TopNodesInto for the contract, including
+// the k = 1 path.
 func (c *WeightedCollection) TopNodesInto(k int, eligible func(int32) bool, nodes []int32, wcovs []float64) ([]int32, []float64) {
-	c.syncHeap()
+	if k != 1 {
+		return c.topNodesLoop(k, eligible, nodes, wcovs)
+	}
+	nodes, wcovs = nodes[:0], wcovs[:0]
+	if u, wcov, ok := c.BestNode(eligible); ok {
+		c.pq.push(c.pq.pop())
+		nodes, wcovs = append(nodes, u), append(wcovs, wcov)
+	}
+	return nodes, wcovs
+}
+
+// topNodesLoop is TopNodesInto for any k (see Collection.topNodesLoop).
+func (c *WeightedCollection) topNodesLoop(k int, eligible func(int32) bool, nodes []int32, wcovs []float64) ([]int32, []float64) {
+	c.SyncHeap()
 	nodes, wcovs = nodes[:0], wcovs[:0]
 	aside := c.aside[:0]
 	if len(c.seen) < c.n {
@@ -344,7 +359,7 @@ func (c *WeightedCollection) commitFrom(u int32, delta float64, firstID int) flo
 	if delta < 0 || delta > 1 {
 		panic("rrset: CTP out of [0,1]")
 	}
-	c.syncHeap()
+	c.SyncHeap()
 	return c.kernel().commitFrom(c, u, delta, firstID)
 }
 

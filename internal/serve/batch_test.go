@@ -2,8 +2,10 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -118,8 +120,21 @@ func TestServerAllocateBatch(t *testing.T) {
 // TestShardedServeBatch drives /allocate/batch through a 2-shard
 // coordinator and pins every item against the single-node batch (itself
 // already pinned against lone /allocate): distributed batching changes
-// round trips, never allocations.
+// round trips, never allocations. Like shard.TestShardedBatchGolden it also
+// runs at GOMAXPROCS 1 and 2, fewer workers than items, where the
+// coordinator's old batch loop wedged the handler for good.
 func TestShardedServeBatch(t *testing.T) {
+	for _, procs := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
+			shardedServeBatch(t)
+		})
+	}
+}
+
+func shardedServeBatch(t *testing.T) {
 	params := InstanceParams{Dataset: "flixster", Seed: 1, Scale: 0.01}
 	opts := TIRMParams{Eps: 0.3, MinTheta: 1024, MaxTheta: 8192}
 	batch := AllocateBatchRequest{

@@ -15,7 +15,6 @@ package shard
 
 import (
 	"context"
-	"runtime"
 	"sort"
 
 	"repro/internal/core"
@@ -38,59 +37,21 @@ func (c *Coordinator) AllocateBatch(ctx context.Context, reqs []core.Request) []
 	inst, epoch := c.inst, c.epoch
 	c.mu.RUnlock()
 	c.primePilots(ctx, inst, epoch, reqs)
-	run := func(i int) {
+	// At most maxOpenRuns/4 items run at once, so one batch cannot starve
+	// a shard's run table. Items not yet started when ctx ends fail with
+	// its error instead of opening runs nobody waits for.
+	rrset.ParallelFor(len(reqs), maxOpenRuns/4, func(i int) {
+		if err := ctx.Err(); err != nil {
+			out[i].Err = err
+			return
+		}
 		req := reqs[i]
 		if req.Epoch == 0 {
 			req.Epoch = epoch
 		}
 		out[i].Res, out[i].Err = c.Allocate(ctx, req)
-	}
-	workers := batchWorkers(len(reqs))
-	if workers <= 1 {
-		for i := range reqs {
-			run(i)
-		}
-		return out
-	}
-	work := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range work {
-				run(i)
-				done <- struct{}{}
-			}
-		}()
-	}
-	for i := range reqs {
-		work <- i
-	}
-	close(work)
-	for range reqs {
-		<-done
-	}
+	})
 	return out
-}
-
-// batchWorkers bounds a batch's concurrent distributed runs: the same
-// operator knob that caps sampling and selection parallelism
-// (rrset.SetMaxWorkers, GOMAXPROCS by default), additionally capped well
-// below maxOpenRuns so one batch cannot starve a shard's run table.
-func batchWorkers(limit int) int {
-	w := rrset.MaxWorkers()
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > maxOpenRuns/4 {
-		w = maxOpenRuns / 4
-	}
-	if w > limit {
-		w = limit
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // primePilots warms the width cache with one pilot scatter-gather round

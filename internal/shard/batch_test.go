@@ -3,6 +3,8 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -70,8 +72,21 @@ func TestShardedKernelGolden(t *testing.T) {
 // TestShardedBatchGolden pins the distributed batch contract at K ∈ {1, 4}:
 // every item of a mixed batch must return exactly what the sequential
 // single-node AllocateFromIndex returns for the same request, bad items
-// fail alone, and the whole batch observes one epoch.
+// fail alone, and the whole batch observes one epoch. It runs at the
+// machine's GOMAXPROCS and at 1 and 2, where the batch has more items than
+// workers: the shape on which the old two-channel worker loop deadlocked.
 func TestShardedBatchGolden(t *testing.T) {
+	for _, procs := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
+			shardedBatchGolden(t)
+		})
+	}
+}
+
+func shardedBatchGolden(t *testing.T) {
 	inst := testInstance()
 	opts := testOpts()
 	const seed = 42
@@ -150,5 +165,28 @@ func TestShardedBatchStaleEpoch(t *testing.T) {
 	}
 	if out[1].Err != nil {
 		t.Errorf("current-epoch item failed: %v", out[1].Err)
+	}
+}
+
+// TestShardedBatchCancelled: once the caller's context is done the batch
+// hands out no more work — every item not yet started reports the
+// context's error and the call returns.
+func TestShardedBatchCancelled(t *testing.T) {
+	inst := testInstance()
+	opts := testOpts()
+	coord, _, err := NewLocalCluster(inst, 0, 42, 2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Warm(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out := coord.AllocateBatch(ctx, make([]core.Request, 6))
+	for i := range out {
+		if !errors.Is(out[i].Err, context.Canceled) {
+			t.Errorf("item %d: err = %v, want context.Canceled", i, out[i].Err)
+		}
 	}
 }
