@@ -41,9 +41,9 @@ BENCH_FLAGS ?=
 # the default ten minutes) fails in two.
 TEST_TIMEOUT = -timeout 120s
 
-.PHONY: ci build vet fmt-check docs-check test race cover-gate bench bench-all bench-ci bench-compare bench-gate serve
+.PHONY: ci build vet fmt-check docs-check test race cover-gate bench-module bench bench-all bench-ci bench-compare bench-gate serve
 
-ci: vet fmt-check docs-check build test race cover-gate bench-ci
+ci: vet fmt-check docs-check build test race cover-gate bench-module bench-ci
 
 build:
 	$(GO) build ./...
@@ -83,10 +83,22 @@ cover-gate:
 	    fi; \
 	done
 
+# bench/ is a module of its own (`go build ./...` and `go test ./...` at the
+# root never see it) compiled against the exported core/shard/rrset/serve
+# surface: vet and test it here, so an API break shows in the PR that makes
+# it rather than when the benchmark is next built.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test $(TEST_TIMEOUT) ./...
+
 # Index build/warm + snapshot codec benchmarks with allocation stats;
-# human-readable to stdout, test2json stream to BENCH_index.json.
+# human-readable to stdout, test2json stream to BENCH_index.json. Five
+# repeats per benchmark: cmd/benchdiff compares the median-ns/op run, so
+# one weather-struck repeat cannot move the committed baseline. Record the
+# whole file in one go on one machine — rows from different sessions are
+# not comparable.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=5 \
 	    -json $(BENCH_PKGS) > BENCH_index.json
 	@grep 'ns/op' BENCH_index.json | sed -e 's/.*"Test":"\([^"]*\)".*"Output":"/\1 /' -e 's/\\t/ /g' -e 's/\\n.*//'
 

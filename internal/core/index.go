@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,11 +12,9 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/rrset"
-	"repro/internal/topic"
 	"repro/internal/xrand"
 )
 
@@ -291,6 +290,7 @@ func (idx *Index) presample(a *adSample, opts TIRMOptions) {
 	n, m := g.N(), g.M()
 	_, widths, fresh := a.prefix(opts.MinTheta)
 	idx.sampled.Add(fresh)
+	// Through the sample's cache, so the first request finds KPT(1) there.
 	kpt := a.kptFor(widths, 1, n, m, nil)
 	want := rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
 	_, _, fresh = a.prefix(want)
@@ -567,42 +567,6 @@ func (req *Request) validate(inst *Instance) (adIDs []int, lambda float64, kappa
 	return req.Ads, lambda, kappa, nil
 }
 
-// selAd is the per-advertiser selection state of Algorithm 2, run against a
-// shared index sample instead of a private one. Slots live inside a pooled
-// allocWorkspace and are recycled across requests (see selAd.reset); the
-// cand* fields carry each round's per-ad best candidate to the cross-ad
-// reduction.
-type selAd struct {
-	j          int // index into inst.Ads
-	cpe        float64
-	budget     float64
-	ctps       topic.CTP
-	col        covState
-	ws         *rrset.Workspace
-	src        *adSample
-	widths     []int64 // pilot widths (first MinTheta sets of the stream)
-	theta      int
-	sTarget    int
-	fresh      int64 // sets drawn by this ad's parallel setup phase
-	haveBefore int
-	revenue    float64
-	seeds      []int32
-	seedMass   []float64 // δ-scaled claimed set mass per seed
-	saturated  bool
-	// kernel records which coverage kernel this ad's collection activated
-	// (summed into TIRMResult.KernelCounts after the setup barrier).
-	kernel rrset.KernelID
-	// powMemo is the per-slot scratch for kptFromWidths cache misses (the
-	// per-width Pow terms); retained across pooled runs.
-	powMemo map[int64]float64
-
-	candOK    bool // scan found a strictly regret-reducing candidate
-	candU     int32
-	candScore float64
-	candMg    float64
-	candDrop  float64
-}
-
 // AllocateFromIndex runs the greedy regret-minimization loop of Algorithm 2
 // (selection, iterative seed-set-size estimation, UpdateEstimates) against
 // a prebuilt index. Sampling only happens when the run needs a larger θ
@@ -622,7 +586,8 @@ func AllocateFromIndex(idx *Index, req Request) (*TIRMResult, error) {
 
 // allocateEpoch is AllocateFromIndex pinned to one epoch — the consistent
 // view an allocation keeps for its whole run, no matter how many campaign
-// mutations land concurrently.
+// mutations land concurrently: the one loop (loop.go) over the local
+// backend (workspace.go).
 func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error) {
 	if !idx.part.IsIdentity() {
 		return nil, fmt.Errorf("core: index holds shard %d of %d — selection over one shard's sample is meaningless; allocate through the shard coordinator",
@@ -631,303 +596,25 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 	if req.Epoch != 0 && req.Epoch != ep.version {
 		return nil, fmt.Errorf("%w: request prepared for epoch %d, index is at %d", ErrStaleEpoch, req.Epoch, ep.version)
 	}
-	inst := ep.inst
-	adIDs, lambda, kappa, err := req.validate(inst)
-	if err != nil {
-		return nil, err
-	}
-	opts := req.Opts.withDefaults()
-	g := inst.G
-	n := g.N()
-	m := g.M()
-	h := len(inst.Ads)
-	maxSeeds := opts.MaxSeedsPerAd
-	if maxSeeds <= 0 {
-		maxSeeds = n
-	}
-
-	res := &TIRMResult{
-		Alloc:           NewAllocation(h),
-		EstRevenue:      make([]float64, h),
-		FinalTheta:      make([]int, h),
-		FinalSeedTarget: make([]int, h),
-	}
-
-	pool := req.Pool
-	if pool == nil {
-		pool = &defaultWorkspacePool
-	}
+	pool := req.workspacePool()
 	ws := pool.get()
 	defer pool.put(ws)
-	ws.attention.reset(n, kappa)
-
-	// Phase timing accumulates on the stack and is delivered in one call at
-	// the end. The clock is read once per phase boundary — the end of one
-	// phase is the start of the next — and every read is behind the nil
-	// check, so an unobserved run never touches the clock.
-	observer := req.Observer
-	var timings PhaseTimings
-	var phaseStart time.Time
-	var explain ExplainObserver
-	if observer != nil {
-		phaseStart = time.Now()
-		if req.Explain {
-			explain, _ = observer.(ExplainObserver)
-		}
-	}
-	endPhase := func(p AllocPhase) {
-		now := time.Now()
-		timings.Phase[p] += now.Sub(phaseStart)
-		phaseStart = now
-	}
-
-	// Initialization (Algorithm 2 lines 1–3): s_j = 1, θ_j = L(s_j, ε),
-	// with R_j the stream prefix instead of a private sample. Ads whose
-	// residual budget is already ≤ 0 are fully served: they get empty seed
-	// sets without paying for coverage state at all.
-	ws.ads = ws.ads[:0]
-	for _, j := range adIDs {
-		spec := inst.Ads[j]
-		cpe, budget := spec.CPE, spec.Budget
-		if req.Budgets != nil {
-			budget = req.Budgets[j]
-		}
-		if req.CPEs != nil {
-			cpe = req.CPEs[j]
-		}
-		if req.SpentBudget != nil {
-			budget -= req.SpentBudget[j]
-			if budget <= 0 {
-				continue
-			}
-		}
-		a := ws.slot(len(ws.ads))
-		a.reset(j, cpe, budget, spec.Params.CTPs, ep.ads[j])
-		ws.ads = append(ws.ads, a)
-	}
-
-	// Size θ from the pilot KPT estimate first, then build the coverage
-	// state once at that size over the index's shared CSR inverted index:
-	// the collection never replays growth the index has already absorbed,
-	// which is what makes the warm path O(n) setup instead of O(members).
-	// The per-ad states are independent and each costs O(n) — row clip,
-	// kernel mask, candidate heap — so this is the run's one fan-out;
-	// per-ad sample counts are summed sequentially after it returns.
-	soft := opts.SoftCoverage
-	wantKernel := rrset.KernelBitset // ""/"auto": bitset iff the density heuristic built the bitmap
-	if req.Kernel == "sparse" {
-		wantKernel = rrset.KernelSparse
-	}
-	forceBits := req.Kernel == "bitset"
-	rrset.ParallelFor(len(ws.ads), 0, func(i int) {
-		a := ws.ads[i]
-		_, widths, fresh := a.src.prefix(opts.MinTheta)
-		a.fresh = fresh
-		a.widths = widths
-		kpt := a.src.kptFor(a.widths, 1, n, m, a.powMemo)
-		a.theta = rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
-		sets, _, inv, fresh := a.src.view(a.theta)
-		a.fresh += fresh
-		if forceBits {
-			inv.PrepareCoverBits()
-		}
-		if soft {
-			a.col.soft = a.ws.Weighted(n, sets, inv)
-			a.col.hard = nil
-			a.kernel = a.col.soft.UseKernel(wantKernel)
-		} else {
-			a.col.hard = a.ws.Collection(n, sets, inv)
-			a.col.soft = nil
-			a.kernel = a.col.hard.UseKernel(wantKernel)
-		}
-		a.col.syncHeap()
-	})
-	for _, a := range ws.ads {
-		idx.sampled.Add(a.fresh)
-		res.TotalSetsSampled += a.fresh
-		a.fresh = 0
-		res.KernelCounts[a.kernel]++
-	}
-	if observer != nil {
-		endPhase(PhaseEstimate)
-	}
-
-	// scanAd evaluates one ad's candidates — SelectBestNode (Algorithm 3):
-	// max residual coverage among eligible nodes, extended to the top
-	// CandidateDepth nodes scored by regret drop (depth 1 = the paper) —
-	// and records the ad's best strictly-improving candidate. An ad with
-	// no improving candidate saturates permanently: its candidate pool
-	// only shrinks and Π only changes when it commits. Strict `>`
-	// comparisons here and in the reduction below keep the first of equal
-	// candidates, in heap order within an ad and request order across ads.
-	scanAd := func(a *selAd) {
-		nodes, scores := a.col.topNodes(opts.CandidateDepth, ws.eligible)
-		if len(nodes) == 0 {
-			a.saturated = true
-			a.candOK = false
-			return
-		}
-		a.candOK = false
-		for c, u := range nodes {
-			mg := a.cpe * float64(n) * a.delta(u) * scores[c] / float64(a.theta)
-			d := RegretDrop(a.budget-a.revenue, mg, lambda)
-			if d <= 0 {
-				continue
-			}
-			if !a.candOK || d > a.candDrop {
-				a.candU, a.candScore, a.candMg, a.candDrop = u, scores[c], mg, d
-			}
-			a.candOK = true
-		}
-		if !a.candOK {
-			a.saturated = true
-		}
-	}
-
-	// Main loop (Algorithm 2 lines 4–19): scan every unsaturated ad in
-	// request order, keep the best candidate, commit it. A scan is a heap
-	// peek — well under a microsecond — so handing it to another goroutine
-	// costs more than running it (DESIGN.md §6.6).
-	for {
-		var best *selAd
-		for _, a := range ws.ads {
-			if a.saturated {
-				continue
-			}
-			scanAd(a)
-			if a.candOK && (best == nil || a.candDrop > best.candDrop) {
-				best = a
-			}
-		}
-		if observer != nil {
-			endPhase(PhaseScan)
-		}
-		if best == nil {
-			break // line 14: no (user, ad) pair reduces regret
-		}
-
-		// Commit (lines 10–12): allocate, record the claimed mass, and
-		// retire it (hard mode removes covered sets; soft mode decays their
-		// weights by 1−δ).
-		a := best
-		bestU, bestMg := a.candU, a.candMg
-		mass := a.col.commit(bestU, a.delta(bestU))
-		a.col.drop(bestU)
-		ws.attention.Take(bestU)
-		a.seeds = append(a.seeds, bestU)
-		a.seedMass = append(a.seedMass, mass)
-		a.revenue += bestMg
-		res.Iterations++
-		if diff := mass - a.delta(bestU)*a.candScore; diff > 1e-6*(1+mass) || diff < -1e-6*(1+mass) {
-			// The scan and commit disagree only on a bug.
-			panic("core: TIRM coverage bookkeeping out of sync")
-		}
-		if explain != nil {
-			explain.ObserveCommit(CommitEvent{
-				Round:    res.Iterations,
-				Ad:       a.j,
-				Node:     bestU,
-				Gain:     bestMg,
-				Residual: a.budget - a.revenue,
-			})
-		}
-		if observer != nil {
-			endPhase(PhaseCommit)
-			timings.Rounds++
-		}
-
-		if len(a.seeds) >= maxSeeds {
-			a.saturated = true
-			continue
-		}
-
-		// Iterative seed-set-size estimation (lines 14–18): when |S_i|
-		// reaches s_i, extend s_i by the regret still outstanding divided
-		// by the latest seed's marginal revenue — a lower bound on the
-		// seeds still needed, by submodularity — then grow θ_i to L(s_i, ε)
-		// and re-calibrate existing seeds on the enlarged sample.
-		if len(a.seeds) == a.sTarget {
-			gap := a.budget - a.revenue
-			if gap <= 0 || bestMg <= 0 {
-				continue
-			}
-			growth := int(math.Floor(gap / bestMg))
-			if growth < 1 {
-				continue
-			}
-			a.sTarget += growth
-			kpt := a.src.kptFor(a.widths, a.sTarget, n, m, a.powMemo)
-			// The achieved spread n·(covered/θ) is itself a lower bound on
-			// OPT_{s_i}; take the larger of the two (conservatively shrunk).
-			achieved := float64(n) * a.col.coveredMass() / float64(a.theta) * (1 - opts.Eps)
-			optLB := math.Max(kpt, achieved)
-			want := rrset.Theta(int64(n), int64(a.sTarget), opts.Eps, opts.Ell, optLB, opts.MinTheta, opts.MaxTheta)
-			if want > a.theta {
-				boundary := a.col.numSets()
-				a.grow(idx, res, want)
-				// UpdateEstimates (Algorithm 4): credit existing seeds, in
-				// selection order, with their coverage among the appended
-				// sets (retiring the claimed mass as we go so nothing is
-				// double-counted), then recompute Π against the new θ.
-				a.revenue = 0
-				for k, seed := range a.seeds {
-					a.seedMass[k] += a.col.creditFrom(seed, a.delta(seed), boundary)
-					a.revenue += a.cpe * float64(n) * a.seedMass[k] / float64(a.theta)
-				}
-				if observer != nil {
-					endPhase(PhaseGrow)
-				}
-			}
-		}
-	}
-
-	for _, a := range ws.ads {
-		res.Alloc.Seeds[a.j] = a.seeds
-		res.EstRevenue[a.j] = a.revenue
-		res.FinalTheta[a.j] = a.theta
-		res.FinalSeedTarget[a.j] = a.sTarget
-		res.MemBytes += a.col.memBytes()
-		reused := int64(a.theta)
-		if int64(a.haveBefore) < reused {
-			reused = int64(a.haveBefore)
-		}
-		res.SetsReused += reused
-	}
-	if observer != nil {
-		observer.ObserveAllocation(timings)
-	}
-	return res, nil
-}
-
-// grow extends the ad's view of the stream to want sets, pulling from the
-// index (which samples only past its stored prefix) and feeding the new
-// sets to the coverage state as one CSR segment.
-func (a *selAd) grow(idx *Index, res *TIRMResult, want int) {
-	v, fresh := a.src.window(a.theta, want)
-	idx.sampled.Add(fresh)
-	res.TotalSetsSampled += fresh
-	a.col.addFamily(v)
-	a.theta = want
+	ws.local = localBackend{idx: idx, ep: ep, ws: ws, soft: req.Opts.SoftCoverage, kernel: req.Kernel}
+	return ws.run(context.Background(), ep.inst, &ws.local, req)
 }
 
 // --- Snapshot encoding ---------------------------------------------------
 
 const (
 	indexMagic = uint32(0x41444958) // "ADIX"
-	// indexVersion 4 adds the stream-partition manifest (shard count and
-	// shard id) to the CRC-guarded header, so a shard's snapshot declares
-	// which slice of every block stream it holds and a load against the
-	// wrong partition fails instead of silently resuming the wrong blocks.
-	// Version 3 stored the per-ad stream ids (guarded by a CRC32 over the
-	// whole header, since family-section CRCs and the instance fingerprint
-	// cover neither) but predates sharding — an identity partition is
-	// implied. Version 2 wrote per-ad sections in the flat v2 ("RRS2")
-	// family layout with stream id == position; version 1 used v1 sections.
-	// All still load — see the version policy in rrset/snapshot.go.
-	indexVersion   = uint32(4)
-	indexVersionV3 = uint32(3)
-	indexVersionV2 = uint32(2)
-	indexVersionV1 = uint32(1)
+	// indexVersion 4: a CRC-guarded header — seed, instance fingerprint,
+	// stream-partition manifest (shard count and shard id, so a load
+	// against the wrong partition fails instead of silently resuming the
+	// wrong blocks), per-ad stream ids — then one flat "RRS2" family
+	// section per ad. It is the only version read or written: an older
+	// file is rejected and its owner rebuilds (see the version policy in
+	// rrset/snapshot.go).
+	indexVersion = uint32(4)
 )
 
 // fingerprint summarizes what the stored sample depends on — the graph's
@@ -965,7 +652,7 @@ func indexFingerprint(inst *Instance) uint64 {
 	return fh.Sum64()
 }
 
-// indexHeader is the version-4 snapshot header: everything the stream
+// indexHeader is the snapshot header: everything the stream
 // contract depends on besides the family sections themselves — including
 // the stream-partition manifest, since a shard's arena is meaningless
 // without knowing which blocks it holds. It serializes to a fixed
@@ -976,27 +663,24 @@ func indexFingerprint(inst *Instance) uint64 {
 type indexHeader struct {
 	seed        uint64
 	fingerprint uint64
-	numShards   uint32   // v4 only: partition size (1 = identity)
-	shard       uint32   // v4 only: this snapshot's slice
+	numShards   uint32   // partition size (1 = identity)
+	shard       uint32   // this snapshot's slice
 	streams     []uint64 // one per ad, in position order
 }
 
 // marshal renders the header payload for writing and CRC computation:
-// seed, fingerprint, the v4 partition manifest (unless version 3, whose
-// layout predates it), ad count, stream ids.
-func (h *indexHeader) marshal(version uint32) []byte {
+// seed, fingerprint, the partition manifest, ad count, stream ids.
+func (h *indexHeader) marshal() []byte {
 	out := make([]byte, 0, 8+8+8+4+8*len(h.streams))
 	var b8 [8]byte
 	binary.LittleEndian.PutUint64(b8[:], h.seed)
 	out = append(out, b8[:]...)
 	binary.LittleEndian.PutUint64(b8[:], h.fingerprint)
 	out = append(out, b8[:]...)
-	if version >= indexVersion {
-		binary.LittleEndian.PutUint32(b8[:4], h.numShards)
-		out = append(out, b8[:4]...)
-		binary.LittleEndian.PutUint32(b8[:4], h.shard)
-		out = append(out, b8[:4]...)
-	}
+	binary.LittleEndian.PutUint32(b8[:4], h.numShards)
+	out = append(out, b8[:4]...)
+	binary.LittleEndian.PutUint32(b8[:4], h.shard)
+	out = append(out, b8[:4]...)
 	binary.LittleEndian.PutUint32(b8[:4], uint32(len(h.streams)))
 	out = append(out, b8[:4]...)
 	for _, s := range h.streams {
@@ -1042,7 +726,7 @@ func (idx *Index) WriteSnapshot(w io.Writer) error {
 	for _, a := range ep.ads {
 		hdr.streams = append(hdr.streams, a.stream)
 	}
-	payload := hdr.marshal(indexVersion)
+	payload := hdr.marshal()
 	if _, err := bw.Write(payload); err != nil {
 		return err
 	}
@@ -1061,10 +745,8 @@ func (idx *Index) WriteSnapshot(w io.Writer) error {
 }
 
 // LoadIndexSnapshot reconstructs an index for inst from a snapshot written
-// by WriteSnapshot — the current version 4, version 3 (identity partition
-// implied), or the legacy versions 1 and 2, whose stream ids are their
-// positions (per-ad sections self-describe, so all load transparently). It
-// fails if the snapshot was taken for a different graph, ad set, or
+// by WriteSnapshot. It fails if the snapshot is of any version but the
+// current one, was taken for a different graph, ad set, or
 // probability setting (fingerprint mismatch), holds one shard's slice
 // rather than the whole stream (use LoadShardIndexSnapshot), or is
 // structurally corrupt; widths and the inverted index are recomputed from
@@ -1077,8 +759,7 @@ func LoadIndexSnapshot(inst *Instance, src io.Reader) (*Index, error) {
 // LoadShardIndexSnapshot reconstructs one shard's index from a snapshot
 // written by a BuildShardIndex index. The snapshot's partition manifest
 // must match part exactly — a shard must never resume another shard's
-// blocks (v1–v3 snapshots carry the whole stream and therefore only load
-// as the identity partition).
+// blocks.
 func LoadShardIndexSnapshot(inst *Instance, part rrset.StreamPartition, src io.Reader) (*Index, error) {
 	if err := part.Validate(); err != nil {
 		return nil, err
@@ -1117,10 +798,8 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case indexVersion, indexVersionV3, indexVersionV2, indexVersionV1:
-	default:
-		return nil, fmt.Errorf("core: unsupported index snapshot version %d", version)
+	if version != indexVersion {
+		return nil, fmt.Errorf("core: unsupported index snapshot version %d (this build reads version %d only; rebuild the index)", version, indexVersion)
 	}
 	seed, err := r64()
 	if err != nil {
@@ -1130,20 +809,17 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 	if err != nil {
 		return nil, err
 	}
-	snapPart := rrset.StreamPartition{NumShards: 1}
-	if version == indexVersion {
-		ns, err := r32()
-		if err != nil {
-			return nil, err
-		}
-		sh, err := r32()
-		if err != nil {
-			return nil, err
-		}
-		snapPart = rrset.StreamPartition{NumShards: int(ns), Shard: int(sh)}
-		if err := snapPart.Validate(); err != nil {
-			return nil, fmt.Errorf("core: index snapshot partition: %w", err)
-		}
+	ns, err := r32()
+	if err != nil {
+		return nil, err
+	}
+	sh, err := r32()
+	if err != nil {
+		return nil, err
+	}
+	snapPart := rrset.StreamPartition{NumShards: int(ns), Shard: int(sh)}
+	if err := snapPart.Validate(); err != nil {
+		return nil, fmt.Errorf("core: index snapshot partition: %w", err)
 	}
 	if snapPart.Size() != part.Size() || (!snapPart.IsIdentity() && snapPart.Shard != part.Shard) {
 		return nil, fmt.Errorf("core: index snapshot holds stream slice %d/%d, caller expects %d/%d",
@@ -1157,33 +833,27 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 		return nil, fmt.Errorf("core: index snapshot has %d ads, instance has %d", numAds, len(inst.Ads))
 	}
 	streams := make([]uint64, int(numAds))
-	if version == indexVersion || version == indexVersionV3 {
-		for j := range streams {
-			if streams[j], err = r64(); err != nil {
-				return nil, fmt.Errorf("core: index snapshot ad %d stream id: %w", j, err)
-			}
-			if streams[j] == math.MaxUint64 {
-				// The sentinel would wrap the next-stream counter below and
-				// let a later AddAd reuse a live stream id.
-				return nil, fmt.Errorf("core: index snapshot ad %d has invalid stream id", j)
-			}
+	for j := range streams {
+		if streams[j], err = r64(); err != nil {
+			return nil, fmt.Errorf("core: index snapshot ad %d stream id: %w", j, err)
 		}
-		crc, err := r32()
-		if err != nil {
-			return nil, err
+		if streams[j] == math.MaxUint64 {
+			// The sentinel would wrap the next-stream counter below and
+			// let a later AddAd reuse a live stream id.
+			return nil, fmt.Errorf("core: index snapshot ad %d has invalid stream id", j)
 		}
-		hdr := indexHeader{
-			seed: seed, fingerprint: fp,
-			numShards: uint32(snapPart.Size()), shard: uint32(snapPart.Shard),
-			streams: streams,
-		}
-		if got := crc32.ChecksumIEEE(hdr.marshal(version)); got != crc {
-			return nil, fmt.Errorf("core: index snapshot header CRC mismatch (%#x vs %#x)", got, crc)
-		}
-	} else {
-		for j := range streams { // v1/v2 layout: stream id is the position
-			streams[j] = uint64(j)
-		}
+	}
+	crc, err := r32()
+	if err != nil {
+		return nil, err
+	}
+	hdr := indexHeader{
+		seed: seed, fingerprint: fp,
+		numShards: uint32(snapPart.Size()), shard: uint32(snapPart.Shard),
+		streams: streams,
+	}
+	if got := crc32.ChecksumIEEE(hdr.marshal()); got != crc {
+		return nil, fmt.Errorf("core: index snapshot header CRC mismatch (%#x vs %#x)", got, crc)
 	}
 	if want := indexFingerprint(inst); fp != want {
 		return nil, fmt.Errorf("core: index snapshot fingerprint %#x does not match instance %#x", fp, want)

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -244,6 +247,51 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadIndexSnapshot(inst, bytes.NewReader(buf.Bytes()[:40])); err == nil {
 		t.Error("truncated snapshot accepted")
+	}
+}
+
+// TestRetiredSnapshotsFailCleanly: files written by builds before the
+// current format are refused with a plain error — a version-3 index header
+// on its version field, a retired "RRS1" family section on its magic — so
+// their owner rebuilds (serve's "snapshot unusable; rebuilding" path)
+// instead of resuming streams from misread bytes.
+func TestRetiredSnapshotsFailCleanly(t *testing.T) {
+	inst := randomInstance(90, 40, 160, 2, 1, 0)
+	idx, err := BuildIndex(inst, 21, TIRMOptions{MinTheta: 512, MaxTheta: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The version-3 layout, header to first section: magic, version, seed,
+	// fingerprint, ad count, per-ad stream ids, CRC32 of seed…stream ids,
+	// then per-ad family sections (here an RRS1 one holding node 3).
+	le := binary.LittleEndian
+	payload := le.AppendUint64(nil, idx.Seed())
+	payload = le.AppendUint64(payload, indexFingerprint(inst))
+	payload = le.AppendUint32(payload, uint32(len(inst.Ads)))
+	for j := range inst.Ads {
+		payload = le.AppendUint64(payload, uint64(j))
+	}
+	rrs1 := []byte{0x31, 0x53, 0x52, 0x52, 1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0}
+	v3 := le.AppendUint32(le.AppendUint32(nil, indexMagic), 3)
+	v3 = append(v3, payload...)
+	v3 = le.AppendUint32(v3, crc32.ChecksumIEEE(payload))
+	v3 = append(v3, rrs1...)
+	_, err = LoadIndexSnapshot(inst, bytes.NewReader(v3))
+	if err == nil || !strings.Contains(err.Error(), "unsupported index snapshot version 3") {
+		t.Fatalf("version-3 snapshot: %v, want unsupported index snapshot version", err)
+	}
+
+	// A current header in front of an RRS1 section.
+	var buf bytes.Buffer
+	if err := idx.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	hdrLen := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8*len(inst.Ads) + 4
+	mixed := append(append([]byte{}, buf.Bytes()[:hdrLen]...), rrs1...)
+	_, err = LoadIndexSnapshot(inst, bytes.NewReader(mixed))
+	if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		t.Fatalf("RRS1 section: %v, want bad snapshot magic", err)
 	}
 }
 

@@ -221,7 +221,7 @@ func TestResidualBudgets(t *testing.T) {
 }
 
 // TestLifecycleSnapshotRoundTrip: a snapshot taken after mutations carries
-// the per-ad stream ids (format v3), so the reloaded index serves
+// the per-ad stream ids, so the reloaded index serves
 // byte-identical allocations without drawing a single set.
 func TestLifecycleSnapshotRoundTrip(t *testing.T) {
 	inst := randomInstance(31, 40, 160, 3, 2, 0)
@@ -282,7 +282,7 @@ func TestLifecycleSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLifecycleSnapshotHeaderCorruption: the v3 header CRC catches a
+// TestLifecycleSnapshotHeaderCorruption: the header CRC catches a
 // corrupted stream id — family-section CRCs and the instance fingerprint
 // cover neither, and a silently wrong stream id would make post-reload
 // growth diverge from the original index undetected.
@@ -299,15 +299,15 @@ func TestLifecycleSnapshotHeaderCorruption(t *testing.T) {
 	if _, err := LoadIndexSnapshot(inst, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
-	// Header layout: magic(4) version(4) seed(8) fp(8) numAds(4) streams…
-	// Byte 30 sits inside ad 0's stream id.
+	// Header layout: magic(4) version(4) seed(8) fp(8) numShards(4)
+	// shard(4) numAds(4) streams… — byte 38 sits inside ad 0's stream id.
 	corrupt := append([]byte{}, buf.Bytes()...)
-	corrupt[30] ^= 0x01
+	corrupt[38] ^= 0x01
 	if _, err := LoadIndexSnapshot(inst, bytes.NewReader(corrupt)); err == nil {
 		t.Error("snapshot with corrupted stream id accepted")
 	}
 	// A flipped CRC byte must also fail (CRC sits right after the streams).
-	crcOff := 8 + 8 + 8 + 4 + 8*len(inst.Ads)
+	crcOff := 8 + 8 + 8 + 4 + 4 + 4 + 8*len(inst.Ads)
 	corrupt = append([]byte{}, buf.Bytes()...)
 	corrupt[crcOff] ^= 0xff
 	if _, err := LoadIndexSnapshot(inst, bytes.NewReader(corrupt)); err == nil {

@@ -7,9 +7,8 @@
 // with inverted indexes (to build coverage collections), growth windows
 // (θ increases mid-run), and warm-up. This file exports those steps; the
 // floats derived from them (KPT, marginal gains, regret drops) are computed
-// by the coordinator via KPTFromWidths and the existing exported helpers,
-// never on shards — which is what keeps the transport free of
-// float-serialization hazards.
+// on the coordinator by core's own loop (AllocateOver), never on shards —
+// which is what keeps the transport free of float-serialization hazards.
 
 package core
 
@@ -27,17 +26,6 @@ func (idx *Index) Partition() rrset.StreamPartition { return idx.part }
 // shards to refuse a cluster whose members were built from different
 // instances.
 func InstanceFingerprint(inst *Instance) uint64 { return indexFingerprint(inst) }
-
-// KPTFromWidths evaluates TIM's width statistic KPT(s) over a pilot
-// sample's widths — the exported form of the estimator behind TIRM's θ
-// sizing, for callers (the shard coordinator) that assemble the pilot from
-// per-shard slices. Widths must be in ascending global stream order:
-// floating-point summation order is part of the byte-identity contract.
-// memo is optional caller-owned scratch for the per-width terms (cleared
-// here), exactly as in the internal estimator.
-func KPTFromWidths(widths []int64, s, n int, m int64, memo map[int64]float64) float64 {
-	return kptFromWidths(widths, s, n, m, memo)
-}
 
 // WithDefaults returns the options with every unset field at its
 // documented default — the same normalization TIRM and AllocateFromIndex

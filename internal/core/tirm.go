@@ -133,6 +133,17 @@ func kptFromWidths(widths []int64, s int, n int, m int64, memo map[int64]float64
 	return math.Max(kpt, floor)
 }
 
+// InitialTheta returns θ_j as Algorithm 2's initialization sets it (s_j =
+// 1): L(1, ε) of Eq. 5 from the KPT estimate over the ad's pilot widths,
+// which must be in global stream order. It is the depth BuildIndex
+// presamples an ad to; the shard coordinator, which assembles a pilot from
+// per-shard slices, warms a cluster to the same depth with it.
+func InitialTheta(widths []int64, n int, m int64, opts TIRMOptions) int {
+	opts = opts.withDefaults()
+	kpt := kptFromWidths(widths, 1, n, m, nil)
+	return rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
+}
+
 // TIRM implements Algorithm 2: per-ad RR-set collections sized by Eq. 5,
 // greedy (user, ad) selection by maximum regret drop with marginal revenues
 // cpe(i)·n·δ(u,i)·F_R(u) (Theorem 5), iterative seed-set-size estimation
@@ -161,11 +172,37 @@ func TIRM(inst *Instance, rng *xrand.Rand, opts TIRMOptions) (*TIRMResult, error
 	return res, nil
 }
 
-// EstRegret computes total regret under TIRM's own revenue estimates.
-func (r *TIRMResult) EstRegret(inst *Instance) float64 {
+// RegretOver sums RegretTerm (Eq. 3) over the listed ads (nil or empty =
+// every ad) against the budgets a run actually used: budgets, when
+// non-nil, overrides the instance's, and spent, when non-nil, is
+// subtracted first — the residual target of an ad whose budget is fully
+// spent is 0, never negative. revenue and seeds are indexed like inst.Ads.
+// It is the one place regret is evaluated post hoc, whoever estimated the
+// revenue.
+func RegretOver(inst *Instance, ads []int, budgets, spent, revenue []float64, seeds [][]int32) float64 {
 	var total float64
-	for i, ad := range inst.Ads {
-		total += RegretTerm(ad.Budget, r.EstRevenue[i], inst.Lambda, len(r.Alloc.Seeds[i]))
+	term := func(i int) {
+		budget := inst.Ads[i].Budget
+		if budgets != nil {
+			budget = budgets[i]
+		}
+		if spent != nil {
+			budget = math.Max(0, budget-spent[i])
+		}
+		total += RegretTerm(budget, revenue[i], inst.Lambda, len(seeds[i]))
+	}
+	if len(ads) == 0 {
+		for i := range inst.Ads {
+			term(i)
+		}
+	}
+	for _, i := range ads {
+		term(i)
 	}
 	return total
+}
+
+// EstRegret computes total regret under TIRM's own revenue estimates.
+func (r *TIRMResult) EstRegret(inst *Instance) float64 {
+	return RegretOver(inst, nil, nil, nil, r.EstRevenue, r.Alloc.Seeds)
 }

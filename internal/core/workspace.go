@@ -18,11 +18,11 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/rrset"
-	"repro/internal/topic"
 )
 
 // WorkspacePool recycles the transient per-request state of
@@ -43,6 +43,14 @@ type WorkspacePool struct {
 // caller — TIRM, the sim loop, CLI one-shots — gets workspace reuse by
 // default.
 var defaultWorkspacePool WorkspacePool
+
+// workspacePool returns the pool this request recycles through.
+func (req *Request) workspacePool() *WorkspacePool {
+	if req.Pool != nil {
+		return req.Pool
+	}
+	return &defaultWorkspacePool
+}
 
 // Stats reports how many workspace acquisitions were served from the pool
 // (hits) versus freshly constructed (misses). Misses after warm-up mean
@@ -70,16 +78,24 @@ func (p *WorkspacePool) put(ws *allocWorkspace) {
 	p.pool.Put(ws)
 }
 
-// allocWorkspace is the recycled state of one AllocateFromIndex run: one
-// selAd slot (with its rrset.Workspace) per ad the run touches, the
-// attention tracker, and the list of ads the main loop iterates over.
-// The eligibility closure is built once — it reads the attention tracker
-// through a stable pointer — so the hot loop never materializes closures.
+// allocWorkspace is the recycled state of one selection run: one selAd slot
+// per ad the run touches, the attention tracker, the list of ads the main
+// loop iterates over, and the per-request scratch the backend seam passes
+// by slice. The eligibility closure is built once — it reads the attention
+// tracker through a stable pointer — so the hot loop never materializes
+// closures.
 type allocWorkspace struct {
 	slots     []*selAd
 	ads       []*selAd // active ads this run, in request ad order
+	ids       []int    // their instance positions, aligned with ads
+	pilots    []Pilot
+	thetas    []int
+	covs      []Coverage
 	attention *Attention
 	eligible  func(int32) bool
+	// local is the backend of a single-node run, kept here so that
+	// AllocateFromIndex allocates nothing for it.
+	local localBackend
 }
 
 func newAllocWorkspace() *allocWorkspace {
@@ -93,28 +109,38 @@ func newAllocWorkspace() *allocWorkspace {
 // arrays, seed-mass backing) across runs.
 func (w *allocWorkspace) slot(i int) *selAd {
 	for len(w.slots) <= i {
-		w.slots = append(w.slots, &selAd{
-			ws:      rrset.NewWorkspace(),
-			powMemo: make(map[int64]float64, 128),
-		})
+		w.slots = append(w.slots, &selAd{powMemo: make(map[int64]float64, 128)})
 	}
 	return w.slots[i]
 }
 
-// release drops index references (sample handles, CTP vectors, width
-// slices, coverage views) while keeping every workspace-owned array.
+// scratch returns the run's k-long Pilot/θ/Coverage slices, reusing their
+// backing arrays.
+func (w *allocWorkspace) scratch(k int) ([]Pilot, []int, []Coverage) {
+	if cap(w.pilots) < k {
+		w.pilots = make([]Pilot, k)
+		w.thetas = make([]int, k)
+		w.covs = make([]Coverage, k)
+	}
+	return w.pilots[:k], w.thetas[:k], w.covs[:k]
+}
+
+// release drops everything a run borrowed — backend state, sample handles,
+// CTP vectors, width slices, coverage views — while keeping every
+// workspace-owned array.
 func (w *allocWorkspace) release() {
 	for _, a := range w.slots {
-		a.src = nil
 		a.ctps = nil
-		a.widths = nil
+		a.cov = nil
+		a.pilot = Pilot{}
 		a.seeds = nil // owned by the returned result now
-		a.col.hard = nil
-		a.col.soft = nil
-		a.ws.Release()
+		a.local.release()
 	}
+	clear(w.pilots[:cap(w.pilots)])
+	clear(w.covs[:cap(w.covs)])
 	w.ads = w.ads[:0]
 	w.attention.bounds = nil
+	w.local = localBackend{}
 }
 
 // reset prepares the attention tracker for a fresh run over n users —
@@ -130,126 +156,165 @@ func (at *Attention) reset(n int, bounds AttentionBounds) {
 	at.bounds = bounds
 }
 
-// covState dispatches one ad's coverage bookkeeping to the active mode:
-// the paper's hard set removal (rrset.Collection) or the TIRM-W soft
-// weights (rrset.WeightedCollection). It replaces an interface pair so the
-// hot path pays no boxing, and it owns the candidate result buffers that
-// make the per-iteration TopNodes scan allocation-free. Scores are in "set
-// mass" units: a candidate's marginal revenue is cpe·n·δ(u)·score/θ, and
-// commit/creditFrom return the δ-scaled mass actually claimed (= δ·score
-// at commit time).
-type covState struct {
-	hard   *rrset.Collection
-	soft   *rrset.WeightedCollection
-	nodes  []int32
-	covs   []int
-	scores []float64
+// localBackend is the Backend of a single-node run: the pinned epoch's
+// per-ad samples, with coverage state in the workspace's own slots (active
+// ad i uses slot i, as the loop does).
+type localBackend struct {
+	idx    *Index
+	ep     *indexEpoch
+	ws     *allocWorkspace
+	soft   bool
+	kernel string
 }
 
-// topNodes returns up to k eligible candidates in decreasing score order,
-// reusing the state's buffers; the results are valid until the next call.
-func (cs *covState) topNodes(k int, eligible func(int32) bool) ([]int32, []float64) {
+// Pilot implements Backend over the index's stored prefixes.
+func (b *localBackend) Pilot(_ context.Context, ads []int, want int, out []Pilot) (fresh int64, err error) {
+	for i, j := range ads {
+		src := b.ep.ads[j]
+		have := src.size()
+		_, widths, f := src.prefix(want)
+		out[i] = Pilot{Widths: widths, Have: have, src: src}
+		fresh += f
+	}
+	b.idx.sampled.Add(fresh)
+	return fresh, nil
+}
+
+// Open implements Backend: one coverage state per ad over the index's
+// shared CSR inverted index, which is what makes the warm path O(n) set-up
+// instead of O(members). The per-ad states are independent and each costs
+// O(n) — row clip, kernel mask, candidate heap — so this is the run's one
+// fan-out; per-ad sample counts are summed sequentially after it returns.
+func (b *localBackend) Open(_ context.Context, ads, thetas []int, out []Coverage) (fresh int64, kernels [rrset.NumKernels]int, err error) {
+	n := b.ep.inst.G.N()
+	wantKernel := rrset.KernelBitset // ""/"auto": bitset iff the density heuristic built the bitmap
+	if b.kernel == "sparse" {
+		wantKernel = rrset.KernelSparse
+	}
+	forceBits := b.kernel == "bitset"
+	rrset.ParallelFor(len(ads), 0, func(i int) {
+		cs := &b.ws.slots[i].local
+		cs.idx, cs.src = b.idx, b.ep.ads[ads[i]]
+		sets, _, inv, f := cs.src.view(thetas[i])
+		cs.fresh = f
+		if forceBits {
+			inv.PrepareCoverBits()
+		}
+		if b.soft {
+			cs.soft = cs.scratch.Weighted(n, sets, inv)
+			cs.hard = nil
+			cs.kernel = cs.soft.UseKernel(wantKernel)
+			cs.soft.SyncHeap()
+		} else {
+			cs.hard = cs.scratch.Collection(n, sets, inv)
+			cs.soft = nil
+			cs.kernel = cs.hard.UseKernel(wantKernel)
+			cs.hard.SyncHeap()
+		}
+	})
+	for i := range ads {
+		cs := &b.ws.slots[i].local
+		fresh += cs.fresh
+		kernels[cs.kernel]++
+		out[i] = cs
+	}
+	b.idx.sampled.Add(fresh)
+	return fresh, kernels, nil
+}
+
+// covState is the local backend's Coverage for one ad. It dispatches the
+// coverage bookkeeping to the active mode: the paper's hard set removal
+// (rrset.Collection) or the TIRM-W soft weights (rrset.WeightedCollection)
+// — a branch, not an interface pair, so the hot path pays no boxing — and
+// it owns the candidate result buffers that make the per-iteration
+// TopNodes scan allocation-free.
+type covState struct {
+	hard    *rrset.Collection
+	soft    *rrset.WeightedCollection
+	scratch rrset.Workspace // backing arrays of hard/soft, kept across runs
+	idx     *Index
+	src     *adSample
+	fresh   int64          // sets drawn by Open's parallel set-up
+	kernel  rrset.KernelID // cover kernel Open activated
+	nodes   []int32
+	covs    []int
+	scores  []float64
+}
+
+// release drops the references into index-owned memory.
+func (cs *covState) release() {
+	cs.hard, cs.soft, cs.idx, cs.src = nil, nil, nil, nil
+	cs.scratch.Release()
+}
+
+// TopNodes implements Coverage.
+func (cs *covState) TopNodes(_ context.Context, k int, eligible func(int32) bool) ([]int32, []float64, error) {
 	if cs.hard != nil {
 		cs.nodes, cs.covs = cs.hard.TopNodesInto(k, eligible, cs.nodes, cs.covs)
 		cs.scores = cs.scores[:0]
 		for _, c := range cs.covs {
 			cs.scores = append(cs.scores, float64(c))
 		}
-		return cs.nodes, cs.scores
+		return cs.nodes, cs.scores, nil
 	}
 	cs.nodes, cs.scores = cs.soft.TopNodesInto(k, eligible, cs.nodes, cs.scores)
-	return cs.nodes, cs.scores
+	return cs.nodes, cs.scores, nil
 }
 
-// syncHeap builds the candidate heap now instead of in the first scan.
-func (cs *covState) syncHeap() {
+// Commit implements Coverage (hard: remove covered sets; soft: decay
+// weights by 1−δ).
+func (cs *covState) Commit(_ context.Context, u int32, delta float64) (float64, error) {
 	if cs.hard != nil {
-		cs.hard.SyncHeap()
-		return
+		mass := delta * float64(cs.hard.CoverNode(u))
+		cs.hard.Drop(u)
+		return mass, nil
 	}
-	cs.soft.SyncHeap()
+	mass := cs.soft.Commit(u, delta)
+	cs.soft.Drop(u)
+	return mass, nil
 }
 
-// addFamily feeds freshly sampled sets to the coverage state.
-func (cs *covState) addFamily(v rrset.FamilyView) {
+// Grow implements Coverage: the index samples only past its stored prefix,
+// and the new sets reach the coverage state as one CSR segment.
+func (cs *covState) Grow(_ context.Context, from, to int) (int64, error) {
+	v, fresh := cs.src.window(from, to)
+	cs.idx.sampled.Add(fresh)
 	if cs.hard != nil {
 		cs.hard.AddFamily(v)
-		return
+	} else {
+		cs.soft.AddFamily(v)
 	}
-	cs.soft.AddFamily(v)
+	return fresh, nil
 }
 
-// numSets returns the number of sets the state covers.
-func (cs *covState) numSets() int {
+// Credit implements Coverage.
+func (cs *covState) Credit(_ context.Context, seed int32, delta float64, boundary int) (float64, error) {
 	if cs.hard != nil {
-		return cs.hard.NumSets()
+		return delta * float64(cs.hard.CountAndCoverFrom(seed, boundary)), nil
 	}
-	return cs.soft.NumSets()
+	return cs.soft.CreditFrom(seed, delta, boundary), nil
 }
 
-// commit claims u's residual coverage mass (hard: remove covered sets;
-// soft: decay weights by 1−δ).
-func (cs *covState) commit(u int32, delta float64) float64 {
-	if cs.hard != nil {
-		return delta * float64(cs.hard.CoverNode(u))
-	}
-	return cs.soft.Commit(u, delta)
-}
-
-// creditFrom is commit restricted to sets with id ≥ firstID (Algorithm 4).
-func (cs *covState) creditFrom(u int32, delta float64, firstID int) float64 {
-	if cs.hard != nil {
-		return delta * float64(cs.hard.CountAndCoverFrom(u, firstID))
-	}
-	return cs.soft.CreditFrom(u, delta, firstID)
-}
-
-// coveredMass returns the total claimed set mass.
-func (cs *covState) coveredMass() float64 {
+// CoveredMass implements Coverage.
+func (cs *covState) CoveredMass() float64 {
 	if cs.hard != nil {
 		return float64(cs.hard.NumCovered())
 	}
 	return cs.soft.CoveredMass()
 }
 
-// drop permanently removes a node from candidate consideration.
-func (cs *covState) drop(u int32) {
+// NumSets implements Coverage.
+func (cs *covState) NumSets() int {
 	if cs.hard != nil {
-		cs.hard.Drop(u)
-		return
+		return cs.hard.NumSets()
 	}
-	cs.soft.Drop(u)
+	return cs.soft.NumSets()
 }
 
-// memBytes reports the coverage state's exact footprint.
-func (cs *covState) memBytes() int64 {
+// MemBytes implements Coverage.
+func (cs *covState) MemBytes() int64 {
 	if cs.hard != nil {
 		return cs.hard.MemBytes()
 	}
 	return cs.soft.MemBytes()
-}
-
-// delta returns the ad's click-through probability for u — kept as an
-// interface call on the stored topic.CTP rather than a bound-method
-// closure, which would allocate per ad per request.
-func (a *selAd) delta(u int32) float64 { return a.ctps.At(u) }
-
-// reset prepares a recycled slot for one run's ad.
-func (a *selAd) reset(j int, cpe, budget float64, ctps topic.CTP, src *adSample) {
-	a.j = j
-	a.cpe = cpe
-	a.budget = budget
-	a.ctps = ctps
-	a.src = src
-	a.haveBefore = src.size()
-	a.widths = nil
-	a.theta = 0
-	a.sTarget = 1
-	a.fresh = 0
-	a.revenue = 0
-	a.seeds = nil
-	a.seedMass = a.seedMass[:0]
-	a.saturated = false
-	a.candOK = false
-	a.kernel = rrset.KernelSparse
 }

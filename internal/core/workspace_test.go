@@ -135,11 +135,19 @@ func TestWorkspaceReleaseDropsIndexRefs(t *testing.T) {
 	}
 	ws := pool.get() // the workspace the run just parked
 	for i, a := range ws.slots {
-		if a.src != nil || a.ctps != nil || a.widths != nil || a.seeds != nil {
+		if a.local.src != nil || a.local.idx != nil || a.ctps != nil || a.pilot.Widths != nil || a.pilot.src != nil || a.seeds != nil {
 			t.Fatalf("slot %d retains index references after release", i)
 		}
-		if a.col.hard != nil || a.col.soft != nil {
+		if a.cov != nil || a.local.hard != nil || a.local.soft != nil {
 			t.Fatalf("slot %d retains coverage state after release", i)
+		}
+	}
+	if ws.local != (localBackend{}) {
+		t.Fatal("workspace retains its backend after release")
+	}
+	for i := range ws.pilots[:cap(ws.pilots)] {
+		if ws.pilots[i].Widths != nil || ws.covs[:cap(ws.covs)][i] != nil {
+			t.Fatalf("scratch %d retains a pilot or coverage after release", i)
 		}
 	}
 }

@@ -110,18 +110,18 @@ func TestBuildInverted(t *testing.T) {
 	}
 }
 
-// TestSampleRangeRRIntoMatchesSlices: the arena-producing sampler draws the
-// exact same stream as the slice-shaped surface, for any worker cap.
-func TestSampleRangeRRIntoMatchesSlices(t *testing.T) {
+// TestSampleRangeRRIntoWorkerInvariance: the sampler draws the exact same
+// stream for any worker cap and any split into grow calls.
+func TestSampleRangeRRIntoWorkerInvariance(t *testing.T) {
 	s := streamTestSampler(t)
-	want := s.SampleRangeRR(0, 4*StreamBlockSize, xrand.New(7))
+	want := sampleRange(s, 0, 4*StreamBlockSize, 7)
 	for _, cap := range []int{0, 1, 3} {
 		SetMaxWorkers(cap)
 		fam := NewSetFamily()
 		s.SampleRangeRRInto(0, 2*StreamBlockSize, xrand.New(7), fam)
 		s.SampleRangeRRInto(2*StreamBlockSize, 4*StreamBlockSize, xrand.New(7), fam)
 		if got := fam.Sets(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("arena stream diverged from slice stream at worker cap %d", cap)
+			t.Fatalf("stream diverged at worker cap %d", cap)
 		}
 	}
 	SetMaxWorkers(0)

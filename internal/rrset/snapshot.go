@@ -6,20 +6,21 @@
 // composes per-ad sections written with EncodeSetFamily into one index
 // file.
 //
-// Format-version policy: each section self-describes via its magic, and
-// DecodeSetFamily accepts every version ever shipped — snapshots written by
-// old builds must keep loading forever. Writers always emit the newest
-// version. Versions:
+// Format-version policy: current version only. A section self-describes
+// via its magic; DecodeSetFamily reads the one layout EncodeSetFamily
+// writes and rejects every other magic — including the retired
+// record-per-set "RRS1" — with "bad snapshot magic". A snapshot is a cache
+// of a deterministic sample, never the only copy: the owner of a rejected
+// file (serve's buildIndex, an adshard start-up) rebuilds from the instance
+// and seed and overwrites it.
 //
-//   - "RRS1": one length-prefixed record per set. Simple, but decoding is a
-//     read per set and the layout forces per-set slices.
-//   - "RRS2" (current): the family's flat CSR arrays (set lengths, then the
-//     member arena) written in bulk, guarded by a CRC32 (IEEE) footer over
-//     the section payload. Encoding and decoding are a handful of large
+//   - "RRS2": the family's flat CSR arrays (set lengths, then the member
+//     arena) written in bulk, guarded by a CRC32 (IEEE) footer over the
+//     section payload. Encoding and decoding are a handful of large
 //     reads/writes, and the decoded family is two allocations.
 //
-// Bump the version (never reinterpret an existing magic) when the layout
-// changes; add the new decoder beside the old ones.
+// Change the magic (never reinterpret an existing one) when the layout
+// changes, and replace the codec: the old decoder goes with the old magic.
 package rrset
 
 import (
@@ -29,48 +30,15 @@ import (
 	"io"
 )
 
-const (
-	// setsMagicV1 guards a version-1 encoded set family ("RRS1").
-	setsMagicV1 = uint32(0x52525331)
-	// setsMagicV2 guards a version-2 (flat CSR + CRC32) family ("RRS2").
-	setsMagicV2 = uint32(0x52525332)
-)
+// setsMagicV2 guards a flat CSR + CRC32 family section ("RRS2").
+const setsMagicV2 = uint32(0x52525332)
 
 // codecChunk bounds the scratch buffer of the bulk codec (in uint32
 // values): sections stream through fixed-size chunks, so a corrupt header
 // can never force a huge upfront allocation.
 const codecChunk = 1 << 14
 
-// EncodeSets writes one RR-set family to w in the legacy v1 layout: magic,
-// set count, then each set's length and members as uint32s. Retained so
-// back-compat tests (and tools that need to fabricate old snapshots) can
-// produce v1 sections; new code should write EncodeSetFamily's v2 layout.
-func EncodeSets(w io.Writer, sets [][]int32) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], setsMagicV1)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(sets)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf []byte
-	for _, set := range sets {
-		need := 4 + 4*len(set)
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		buf = buf[:need]
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(set)))
-		for i, u := range set {
-			binary.LittleEndian.PutUint32(buf[4+4*i:], uint32(u))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EncodeSetFamily writes one RR-set family section in the current (v2)
+// EncodeSetFamily writes one RR-set family section in the "RRS2"
 // layout: magic, set count, total member count, the per-set lengths, the
 // flat member arena, and a CRC32 footer over everything after the magic.
 // All arrays are emitted in large chunks straight from the CSR arena — no
@@ -131,90 +99,24 @@ func EncodeSetFamily(w io.Writer, v FamilyView) error {
 	return err
 }
 
-// DecodeSetFamily reads one family section written by EncodeSetFamily (v2)
-// or the legacy EncodeSets (v1), consuming exactly its bytes of the stream
-// (wrap the source in a bufio.Reader for performance — the decoder never
-// reads ahead, so families decode back to back from one reader). n is the
-// node-universe size; every member must lie in [0, n) and no set may
-// exceed n members, which bounds the damage a truncated or corrupt
-// snapshot can do. v2 sections additionally fail on CRC32 mismatch, so a
-// bit-flipped member is caught even when it stays in range.
+// DecodeSetFamily reads one family section written by EncodeSetFamily,
+// consuming exactly its bytes of the stream (wrap the source in a
+// bufio.Reader for performance — the decoder never reads ahead, so
+// families decode back to back from one reader). n is the node-universe
+// size; every member must lie in [0, n) and no set may exceed n members,
+// which bounds the damage a truncated or corrupt snapshot can do. Sections
+// fail on CRC32 mismatch, so a bit-flipped member is caught even when it
+// stays in range. Every read streams through bounded chunks and is
+// validated as it arrives, so corrupt counts fail at the truncated stream
+// instead of allocating their claimed size.
 func DecodeSetFamily(r io.Reader, n int) (*SetFamily, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("rrset: snapshot header: %w", err)
 	}
-	switch magic := binary.LittleEndian.Uint32(hdr[:]); magic {
-	case setsMagicV1:
-		return decodeFamilyV1(r, n)
-	case setsMagicV2:
-		return decodeFamilyV2(r, n)
-	default:
+	if magic := binary.LittleEndian.Uint32(hdr[:]); magic != setsMagicV2 {
 		return nil, fmt.Errorf("rrset: bad snapshot magic %#x", magic)
 	}
-}
-
-// DecodeSets is DecodeSetFamily materialized as [][]int32 (views into the
-// decoded arena; nil for empty sets) — the slice-shaped compatibility
-// surface.
-func DecodeSets(r io.Reader, n int) ([][]int32, error) {
-	fam, err := DecodeSetFamily(r, n)
-	if err != nil {
-		return nil, err
-	}
-	return fam.Sets(), nil
-}
-
-// decodeFamilyV1 reads the body of a v1 section (magic already consumed).
-func decodeFamilyV1(r io.Reader, n int) (*SetFamily, error) {
-	var cnt [4]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, fmt.Errorf("rrset: snapshot header: %w", err)
-	}
-	count := binary.LittleEndian.Uint32(cnt[:])
-	// Cap the preallocation and grow with the bytes actually read: a
-	// corrupt count field must fail at the truncated stream, not OOM the
-	// process up front.
-	prealloc := int(count)
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	fam := &SetFamily{offsets: make([]int64, 1, prealloc+1)}
-	var buf []byte
-	for i := 0; i < int(count); i++ {
-		var szb [4]byte
-		if _, err := io.ReadFull(r, szb[:]); err != nil {
-			return nil, fmt.Errorf("rrset: set %d length: %w", i, err)
-		}
-		sz := binary.LittleEndian.Uint32(szb[:])
-		if int(sz) > n {
-			return nil, fmt.Errorf("rrset: set %d has %d members, universe is %d", i, sz, n)
-		}
-		need := 4 * int(sz)
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		buf = buf[:need]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("rrset: set %d members: %w", i, err)
-		}
-		for k := 0; k < int(sz); k++ {
-			v := binary.LittleEndian.Uint32(buf[4*k:])
-			if int(v) >= n {
-				return nil, fmt.Errorf("rrset: set %d member %d out of range", i, v)
-			}
-			fam.members = append(fam.members, int32(v))
-		}
-		fam.offsets = append(fam.offsets, int64(len(fam.members)))
-	}
-	return fam, nil
-}
-
-// decodeFamilyV2 reads the body of a v2 section (magic already consumed):
-// bulk lengths, bulk members, CRC32 footer. Every read streams through
-// bounded chunks and is validated as it arrives, so corrupt counts fail at
-// the truncated stream instead of allocating their claimed size.
-func decodeFamilyV2(r io.Reader, n int) (*SetFamily, error) {
 	crc := crc32.NewIEEE()
 	tr := io.TeeReader(r, crc)
 

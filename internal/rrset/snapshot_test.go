@@ -3,6 +3,7 @@ package rrset
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/xrand"
@@ -56,30 +57,16 @@ func TestEncodeZeroValueView(t *testing.T) {
 	}
 }
 
-// TestDecodeAcceptsBothVersions: a v1 section (legacy writer) and a v2
-// section decode to the same family through the one entry point.
-func TestDecodeAcceptsBothVersions(t *testing.T) {
-	sets := [][]int32{{1, 2}, {3}, nil, {0, 4}}
-	var v1, v2 bytes.Buffer
-	if err := EncodeSets(&v1, sets); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeSetFamily(&v2, FamilyFromSets(sets).View()); err != nil {
-		t.Fatal(err)
-	}
-	f1, err := DecodeSetFamily(bytes.NewReader(v1.Bytes()), 5)
-	if err != nil {
-		t.Fatalf("v1: %v", err)
-	}
-	f2, err := DecodeSetFamily(bytes.NewReader(v2.Bytes()), 5)
-	if err != nil {
-		t.Fatalf("v2: %v", err)
-	}
-	if !reflect.DeepEqual(canonSets(f1.Sets()), canonSets(f2.Sets())) {
-		t.Fatal("v1 and v2 decode differently")
-	}
-	if !reflect.DeepEqual(canonSets(sets), canonSets(f1.Sets())) {
-		t.Fatal("decode does not match input")
+// TestDecodeRejectsRetiredRRS1: a section in the retired record-per-set
+// layout fails on its magic — cleanly, before any of it is interpreted —
+// so the owner of an old snapshot rebuilds instead of loading garbage.
+func TestDecodeRejectsRetiredRRS1(t *testing.T) {
+	// "RRS1", one set holding node 3 — a well-formed section of the layout
+	// this package used to read.
+	rrs1 := []byte{0x31, 0x53, 0x52, 0x52, 1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0}
+	_, err := DecodeSetFamily(bytes.NewReader(rrs1), 5)
+	if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		t.Fatalf("RRS1 section: %v, want bad snapshot magic", err)
 	}
 }
 
@@ -131,20 +118,17 @@ func TestDecodeSetFamilyV2RejectsCorruption(t *testing.T) {
 
 // FuzzDecodeSets hammers the one decode entry point with arbitrary bytes;
 // it must never panic or over-allocate, and anything it accepts must
-// re-encode to a decodable v2 section. Seeds cover clean v1 and v2
-// sections, truncations, and a CRC flip.
+// re-encode to a decodable section. Seeds cover a clean section, a retired
+// RRS1 section, truncations, and a CRC flip.
 func FuzzDecodeSets(f *testing.F) {
 	sets := [][]int32{{1, 2}, {3}, nil, {0, 4, 5}}
-	var v1, v2 bytes.Buffer
-	if err := EncodeSets(&v1, sets); err != nil {
-		f.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := EncodeSetFamily(&v2, FamilyFromSets(sets).View()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
+	f.Add([]byte{0x31, 0x53, 0x52, 0x52, 1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0})
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes()[:5])
+	f.Add(v2.Bytes()[:5])
 	f.Add(v2.Bytes()[:9])
 	crcFlip := append([]byte{}, v2.Bytes()...)
 	crcFlip[len(crcFlip)-2] ^= 0xff
@@ -200,26 +184,11 @@ func codecBenchFamily(numSets, n int) *SetFamily {
 	return fam
 }
 
-// BenchmarkSnapshotCodec compares the legacy per-set v1 codec against the
-// bulk v2 codec on a 128k-set family (encode+decode round trip per op).
+// BenchmarkSnapshotCodec measures the bulk codec on a 128k-set family
+// (encode+decode round trip per op).
 func BenchmarkSnapshotCodec(b *testing.B) {
 	const numSets, n = 128 * 1024, 30000
 	fam := codecBenchFamily(numSets, n)
-	sets := fam.Sets()
-	b.Run("v1", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := EncodeSets(&buf, sets); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := DecodeSetFamily(bytes.NewReader(buf.Bytes()), n); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(buf.Len()))
-	})
 	b.Run("v2", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf bytes.Buffer

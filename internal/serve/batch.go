@@ -81,32 +81,6 @@ type AllocateBatchResponse struct {
 	Items        []BatchItemResult `json:"items"`
 }
 
-// estRegretOver scores one successful run's regret over the ad subset the
-// request targeted, against the budgets it actually ran with (the same
-// arithmetic POST /allocate reports).
-func estRegretOver(inst *core.Instance, adIDs []int, budgets, spent []float64, res *core.TIRMResult) float64 {
-	if len(adIDs) == 0 {
-		adIDs = make([]int, len(inst.Ads))
-		for i := range adIDs {
-			adIDs[i] = i
-		}
-	}
-	var total float64
-	for _, i := range adIDs {
-		budget := inst.Ads[i].Budget
-		if budgets != nil {
-			budget = budgets[i]
-		}
-		if spent != nil {
-			if budget -= spent[i]; budget < 0 {
-				budget = 0
-			}
-		}
-		total += core.RegretTerm(budget, res.EstRevenue[i], inst.Lambda, len(res.Alloc.Seeds[i]))
-	}
-	return total
-}
-
 // itemResult folds one item's core.BatchResult into the wire shape,
 // recording the success/failure metrics a lone /allocate would have. The
 // upstream flag selects the non-stale failure mapping: 502/upstream in
@@ -143,7 +117,7 @@ func (s *Server) itemResult(item AllocateItem, coreReq core.Request, br core.Bat
 	return BatchItemResult{
 		Seeds:        res.Alloc.Seeds,
 		EstRevenue:   res.EstRevenue,
-		EstRegret:    estRegretOver(inst, item.Ads, item.Budgets, coreReq.SpentBudget, res),
+		EstRegret:    core.RegretOver(inst, item.Ads, item.Budgets, coreReq.SpentBudget, res.EstRevenue, res.Alloc.Seeds),
 		FinalTheta:   res.FinalTheta,
 		Iterations:   res.Iterations,
 		SetsSampled:  res.TotalSetsSampled,

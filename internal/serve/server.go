@@ -1071,26 +1071,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	// Regret is reported over the requested ad subset only: an excluded
 	// ad's untouched budget is not this allocation's failure. Residual
 	// runs score against the remaining budgets they targeted.
-	adIDs := req.Ads
-	if len(adIDs) == 0 {
-		adIDs = make([]int, len(inst.Ads))
-		for i := range adIDs {
-			adIDs[i] = i
-		}
-	}
-	var estRegret float64
-	for _, i := range adIDs {
-		budget := inst.Ads[i].Budget
-		if req.Budgets != nil {
-			budget = req.Budgets[i]
-		}
-		if coreReq.SpentBudget != nil {
-			if budget -= coreReq.SpentBudget[i]; budget < 0 {
-				budget = 0
-			}
-		}
-		estRegret += core.RegretTerm(budget, res.EstRevenue[i], inst.Lambda, len(res.Alloc.Seeds[i]))
-	}
+	estRegret := core.RegretOver(inst, req.Ads, req.Budgets, coreReq.SpentBudget, res.EstRevenue, res.Alloc.Seeds)
 	names := make([]string, len(inst.Ads))
 	for i, ad := range inst.Ads {
 		names[i] = ad.Name

@@ -279,26 +279,6 @@ func (s *Server) handleAllocateSharded(w http.ResponseWriter, r *http.Request, r
 		}
 	}
 	inst := instWith(curInst, req.Lambda, req.Kappa)
-	adIDs := req.Ads
-	if len(adIDs) == 0 {
-		adIDs = make([]int, len(inst.Ads))
-		for i := range adIDs {
-			adIDs[i] = i
-		}
-	}
-	var estRegret float64
-	for _, i := range adIDs {
-		budget := inst.Ads[i].Budget
-		if req.Budgets != nil {
-			budget = req.Budgets[i]
-		}
-		if coreReq.SpentBudget != nil {
-			if budget -= coreReq.SpentBudget[i]; budget < 0 {
-				budget = 0
-			}
-		}
-		estRegret += core.RegretTerm(budget, res.EstRevenue[i], inst.Lambda, len(res.Alloc.Seeds[i]))
-	}
 	names := make([]string, len(inst.Ads))
 	for i, ad := range inst.Ads {
 		names[i] = ad.Name
@@ -309,7 +289,7 @@ func (s *Server) handleAllocateSharded(w http.ResponseWriter, r *http.Request, r
 		AllocSeconds:  time.Since(started).Seconds(),
 		Seeds:         res.Alloc.Seeds,
 		EstRevenue:    res.EstRevenue,
-		EstRegret:     estRegret,
+		EstRegret:     core.RegretOver(inst, req.Ads, req.Budgets, coreReq.SpentBudget, res.EstRevenue, res.Alloc.Seeds),
 		FinalTheta:    res.FinalTheta,
 		Iterations:    res.Iterations,
 		SetsSampled:   res.TotalSetsSampled,

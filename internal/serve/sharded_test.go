@@ -129,6 +129,32 @@ func TestShardedServeMatchesSingleNode(t *testing.T) {
 	if len(res.Seeds[0]) != 0 {
 		t.Fatalf("depleted ad still got %d seeds", len(res.Seeds[0]))
 	}
+
+	// A request whose every ad is depleted still runs the (empty) loop to
+	// its end, as on a single node: it is an allocation, and its phase
+	// timings are observed like any other's.
+	all := make(map[string]float64, len(got.AdNames))
+	for _, ad := range got.AdNames {
+		all[ad] = 1e9
+	}
+	if code := postJSON(t, front.URL+"/spend", SpendRequest{InstanceParams: params, Spend: all}, nil); code != http.StatusOK {
+		t.Fatalf("spend all: %d", code)
+	}
+	if code := postJSON(t, front.URL+"/allocate", residual, &res); code != http.StatusOK {
+		t.Fatalf("all-depleted allocate: %d", code)
+	}
+	if res.Iterations != 0 {
+		t.Fatalf("all-depleted allocation ran %d rounds", res.Iterations)
+	}
+	body := scrapeMetrics(t, front.URL)
+	for _, want := range []string{
+		"adserver_allocations_total 3",
+		`adserver_alloc_phase_seconds_count{phase="estimate"} 3`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics lacks %q after an all-depleted allocation", want)
+		}
+	}
 }
 
 // TestShardedServeLifecycle exercises POST /ads and DELETE /ads/{name}

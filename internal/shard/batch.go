@@ -97,27 +97,8 @@ func (c *Coordinator) primePilots(ctx context.Context, inst *core.Instance, epoc
 			continue
 		}
 		sort.Ints(ads)
-		pilots := make([]PilotReply, len(c.clients))
-		rctx, round := c.roundStart(ctx, "pilot")
-		err := c.scatter(func(k int, cl Client) error {
-			var err error
-			pilots[k], err = cl.Pilot(rctx, PilotRequest{Epoch: epoch, Ads: ads, Want: want})
-			return err
-		})
-		c.roundDone("pilot", round)
-		if err != nil {
+		if _, err := c.pilot(ctx, epoch, ads, want, make([]core.Pilot, len(ads))); err != nil {
 			return
-		}
-		for i, j := range ads {
-			perShard := make([][]int64, len(c.clients))
-			for k := range c.clients {
-				perShard[k] = pilots[k].Widths[i]
-			}
-			merged, err := c.mergeWidths(perShard, want)
-			if err != nil {
-				continue
-			}
-			c.storeWidths(epoch, j, want, merged)
 		}
 	}
 }

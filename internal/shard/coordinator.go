@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,10 +40,11 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// Coordinator runs distributed CELF over a cluster of K shards: it owns
-// the selection loop — candidate ranking, regret drops, attention bounds,
-// seed-target estimation, every float — while shards own the RR sets and
-// answer integer coverage RPCs. Allocations are byte-identical to
+// Coordinator fronts a cluster of K shards: it runs core's selection loop
+// — candidate ranking, regret drops, attention bounds, seed-target
+// estimation, every float — over coverage it gathers from the shards,
+// which own the RR sets and answer integer coverage RPCs (see
+// clusterBackend). Allocations are byte-identical to
 // core.AllocateFromIndex over a single-node index at any K (see package
 // comment); campaign mutations broadcast to every shard in lockstep.
 //
@@ -256,43 +256,16 @@ func (c *Coordinator) roundDone(phase string, tok roundToken) {
 	tok.span.End()
 }
 
-// coordAd is the coordinator's per-advertiser selection state — the
-// distributed mirror of core's per-ad slot, with the coverage collection
-// replaced by an aggregate counter collection.
-type coordAd struct {
-	j         int
-	cpe       float64
-	budget    float64
-	ctps      topic.CTP
-	col       *rrset.Collection // counter mode: shard-summed coverage
-	widths    []int64           // global pilot widths, merged across shards
-	theta     int
-	sTarget   int
-	have      int // Σ per-shard pre-run local sets (warm baseline)
-	revenue   float64
-	seeds     []int32
-	seedMass  []float64
-	saturated bool
-	powMemo   map[int64]float64
-	nodes     []int32
-	covs      []int
-	candOK    bool
-	candU     int32
-	candScore float64
-	candMg    float64
-	candDrop  float64
-}
-
 // errDrift wraps cross-shard inconsistencies: a shard answered with state
 // that cannot belong to the same deterministic stream the others hold.
 var errDrift = errors.New("shard: cluster state drifted across shards")
 
-// Allocate runs one distributed selection — the scatter-gather form of
-// core.AllocateFromIndex, byte-identical to it for the same request at any
-// shard count. SoftCoverage is not supported (its float masses do not
-// re-associate across shards); Request.Pool is ignored (the transient
-// state lives on the coordinator). A campaign mutation racing the run
-// fails it with core.ErrStaleEpoch, like Request.Epoch pinning.
+// Allocate runs one distributed selection — core's one greedy loop over
+// the cluster backend (backend.go), byte-identical to
+// core.AllocateFromIndex for the same request at any shard count.
+// SoftCoverage is not supported (its float masses do not re-associate
+// across shards). A campaign mutation racing the run fails it with
+// core.ErrStaleEpoch, like Request.Epoch pinning.
 func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIRMResult, error) {
 	// Every distributed allocation carries a trace id: reuse the caller's
 	// (the serve middleware put it in ctx) or stamp a fresh one, so each
@@ -307,368 +280,79 @@ func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIR
 	if req.Epoch != 0 && req.Epoch != epoch {
 		return nil, fmt.Errorf("%w: request prepared for epoch %d, cluster is at %d", core.ErrStaleEpoch, req.Epoch, epoch)
 	}
-	opts := req.Opts.WithDefaults()
-	if opts.SoftCoverage {
+	if req.Opts.SoftCoverage {
 		return nil, errors.New("shard: soft coverage is not supported by sharded allocation (weighted masses do not re-associate across shards)")
 	}
-	adIDs, lambda, kappa, err := req.Resolve(inst)
-	if err != nil {
-		return nil, err
+	be := &clusterBackend{
+		c:      c,
+		n:      inst.G.N(),
+		epoch:  epoch,
+		kernel: req.Kernel,
+		runID:  fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1)),
 	}
-	g := inst.G
-	n, m, h := g.N(), g.M(), len(inst.Ads)
-	maxSeeds := opts.MaxSeedsPerAd
-	if maxSeeds <= 0 {
-		maxSeeds = n
-	}
+	defer be.end()
+	return core.AllocateOver(ctx, inst, be, req)
+}
 
-	res := &core.TIRMResult{
-		Alloc:           core.NewAllocation(h),
-		EstRevenue:      make([]float64, h),
-		FinalTheta:      make([]int, h),
-		FinalSeedTarget: make([]int, h),
-	}
-
-	// Per-ad setup mirrors core's: residual-depleted ads are fully served
-	// and never reach a shard.
-	var ads []*coordAd
-	for _, j := range adIDs {
-		spec := inst.Ads[j]
-		cpe, budget := spec.CPE, spec.Budget
-		if req.Budgets != nil {
-			budget = req.Budgets[j]
-		}
-		if req.CPEs != nil {
-			cpe = req.CPEs[j]
-		}
-		if req.SpentBudget != nil {
-			budget -= req.SpentBudget[j]
-			if budget <= 0 {
-				continue
-			}
-		}
-		ads = append(ads, &coordAd{
-			j: j, cpe: cpe, budget: budget, ctps: spec.Params.CTPs,
-			sTarget: 1, powMemo: make(map[int64]float64, 128),
-		})
-	}
-	if len(ads) == 0 {
-		return res, nil
-	}
-	activeIDs := make([]int, len(ads))
-	for i, a := range ads {
-		activeIDs[i] = a.j
-	}
-	runID := fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1))
-
-	// Per-phase timing mirrors core's: accumulated on the stack behind nil
-	// checks, delivered in one ObserveAllocation call on success.
-	observer := req.Observer
-	var timings core.PhaseTimings
-	var phaseStart time.Time
-	var explain core.ExplainObserver
-	if observer != nil {
-		phaseStart = time.Now()
-		if req.Explain {
-			explain, _ = observer.(core.ExplainObserver)
-		}
-	}
-
-	// Phase 1 — pilot scatter-gather: each shard ships its slice of every
-	// ad's pilot widths; merging them in global stream order reconstructs
-	// the exact pilot a single node would hold, so KPT and the θ targets
-	// come out bit-identical. Merged pilots are immutable per (epoch, ad,
-	// size) and cached, so steady traffic skips the width payload
-	// entirely (shards still grow pilots and report Have/Fresh, keeping
-	// the accounting identical to a cold coordinator).
-	cachedWidths := c.lookupWidths(epoch, activeIDs, opts.MinTheta)
+// pilot runs one pilot scatter-gather round and fills out[i] with ads[i]'s
+// pilot: each shard grows its slice of every listed ad's pilot and ships
+// its widths; merging them in global stream order reconstructs the exact
+// pilot a single node would hold, so KPT and the θ targets come out
+// bit-identical. Merged pilots are immutable per (epoch, ad, size) and
+// cached, so steady traffic skips the width payload entirely (shards still
+// grow pilots and report Have/Fresh, keeping the accounting identical to a
+// cold coordinator). Have sums the shards' pre-call local sets; fresh is
+// the cluster total.
+func (c *Coordinator) pilot(ctx context.Context, epoch uint64, ads []int, want int, out []core.Pilot) (fresh int64, err error) {
+	cached := c.lookupWidths(epoch, ads, want)
 	pilots := make([]PilotReply, len(c.clients))
 	rctx, round := c.roundStart(ctx, "pilot")
 	err = c.scatter(func(k int, cl Client) error {
 		var err error
-		pilots[k], err = cl.Pilot(rctx, PilotRequest{
-			Epoch: epoch, Ads: activeIDs, Want: opts.MinTheta, SkipWidths: cachedWidths != nil,
-		})
+		pilots[k], err = cl.Pilot(rctx, PilotRequest{Epoch: epoch, Ads: ads, Want: want, SkipWidths: cached != nil})
 		return err
 	})
 	c.roundDone("pilot", round)
 	if err != nil {
-		return nil, wrapEpochErr(err)
+		return 0, wrapEpochErr(err)
 	}
-	thetas := make([]int, len(ads))
-	for i, a := range ads {
-		if cachedWidths != nil {
-			a.widths = cachedWidths[i]
+	var perShard [][]int64
+	if cached == nil {
+		perShard = make([][]int64, len(c.clients))
+	}
+	for i, j := range ads {
+		out[i] = core.Pilot{}
+		if cached != nil {
+			out[i].Widths = cached[i]
 		} else {
-			perShard := make([][]int64, len(c.clients))
 			for k := range c.clients {
 				perShard[k] = pilots[k].Widths[i]
 			}
-			a.widths, err = c.mergeWidths(perShard, opts.MinTheta)
-			if err != nil {
-				return nil, fmt.Errorf("%w: ad %d pilot: %v", errDrift, a.j, err)
+			if out[i].Widths, err = c.mergeWidths(perShard, want); err != nil {
+				return 0, fmt.Errorf("%w: ad %d pilot: %v", errDrift, j, err)
 			}
-			c.storeWidths(epoch, a.j, opts.MinTheta, a.widths)
+			c.storeWidths(epoch, j, want, out[i].Widths)
 		}
 		for k := range c.clients {
-			a.have += pilots[k].Have[i]
-		}
-		kpt := core.KPTFromWidths(a.widths, 1, n, m, a.powMemo)
-		a.theta = rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
-		thetas[i] = a.theta
-	}
-	for k := range c.clients {
-		res.TotalSetsSampled += pilots[k].Fresh
-	}
-
-	// Phase 2 — start scatter-gather: shards build their local coverage
-	// collections; the coordinator sums the initial counts into one
-	// counter collection per ad. All integers, applied in shard order.
-	starts := make([]StartReply, len(c.clients))
-	rctx, round = c.roundStart(ctx, "start")
-	err = c.scatter(func(k int, cl Client) error {
-		var err error
-		starts[k], err = cl.Start(rctx, StartRequest{RunID: runID, Epoch: epoch, Ads: activeIDs, Thetas: thetas, Kernel: req.Kernel})
-		return err
-	})
-	c.roundDone("start", round)
-	if err != nil {
-		c.endRun(runID)
-		return nil, wrapEpochErr(err)
-	}
-	defer c.endRun(runID)
-	for i, a := range ads {
-		a.col = rrset.NewCounterCollection(n)
-		for k := range c.clients {
-			sc := starts[k].Cov[i]
-			a.col.AddCounts(sc.Nodes, sc.Counts, starts[k].LocalSets[i])
-		}
-		if a.col.NumSets() != a.theta {
-			return nil, fmt.Errorf("%w: ad %d shards hold %d sets for θ=%d", errDrift, a.j, a.col.NumSets(), a.theta)
-		}
-		// Distributed runs hold K local collections per ad; KernelCounts
-		// tallies each of them (so it sums to ads×K, not ads — "auto" may
-		// legitimately pick different kernels on differently dense slices).
-		for k := range c.clients {
-			if i < len(starts[k].Kernels) && int(starts[k].Kernels[i]) < rrset.NumKernels {
-				res.KernelCounts[starts[k].Kernels[i]]++
-			}
+			out[i].Have += pilots[k].Have[i]
 		}
 	}
 	for k := range c.clients {
-		res.TotalSetsSampled += starts[k].Fresh
+		fresh += pilots[k].Fresh
 	}
-	if observer != nil {
-		timings.Phase[core.PhaseEstimate] = time.Since(phaseStart)
-	}
-
-	attention := core.NewAttention(n, kappa)
-	eligible := attention.CanTake
-
-	// Main loop — Algorithm 2 lines 4–19 with the commit step distributed:
-	// scan locally over the aggregate counters, pick the winner with the
-	// existing tie-break order, broadcast the commit, and fold the
-	// gathered per-shard decrements back into the aggregates.
-	active := make([]*coordAd, 0, len(ads))
-	for {
-		if observer != nil {
-			phaseStart = time.Now()
-		}
-		active = active[:0]
-		for _, a := range ads {
-			if !a.saturated {
-				active = append(active, a)
-			}
-		}
-		for _, a := range active {
-			c.scanAd(a, n, lambda, opts.CandidateDepth, eligible)
-			if c.verify && len(a.nodes) > 0 {
-				if err := c.verifyGains(ctx, runID, a); err != nil {
-					return nil, err
-				}
-			}
-		}
-		var best *coordAd
-		for _, a := range active {
-			if !a.candOK {
-				continue
-			}
-			if best == nil || a.candDrop > best.candDrop {
-				best = a
-			}
-		}
-		if observer != nil {
-			timings.Phase[core.PhaseScan] += time.Since(phaseStart)
-		}
-		if best == nil {
-			break
-		}
-		if observer != nil {
-			phaseStart = time.Now()
-		}
-
-		a := best
-		bestU, bestMg := a.candU, a.candMg
-		rctx, round = c.roundStart(ctx, "commit")
-		covered, err := c.scatterCover(rctx, a, func(cl Client) (CommitReply, error) {
-			return cl.Commit(rctx, CommitRequest{RunID: runID, Ad: a.j, Node: bestU})
-		})
-		c.roundDone("commit", round)
-		if err != nil {
-			return nil, err
-		}
-		if a.col.Coverage(bestU) != 0 {
-			return nil, fmt.Errorf("%w: residual coverage of %d nonzero after cluster commit", errDrift, bestU)
-		}
-		delta := a.ctps.At(bestU)
-		mass := delta * float64(covered)
-		a.col.Drop(bestU)
-		attention.Take(bestU)
-		a.seeds = append(a.seeds, bestU)
-		a.seedMass = append(a.seedMass, mass)
-		a.revenue += bestMg
-		res.Iterations++
-		if diff := mass - delta*a.candScore; diff > 1e-6*(1+mass) || diff < -1e-6*(1+mass) {
-			return nil, fmt.Errorf("%w: commit mass %g disagrees with scanned score %g", errDrift, mass, delta*a.candScore)
-		}
-		if observer != nil {
-			timings.Phase[core.PhaseCommit] += time.Since(phaseStart)
-			timings.Rounds++
-		}
-		if explain != nil {
-			explain.ObserveCommit(core.CommitEvent{
-				Round:    res.Iterations,
-				Ad:       a.j,
-				Node:     bestU,
-				Gain:     bestMg,
-				Residual: a.budget - a.revenue,
-			})
-		}
-
-		if len(a.seeds) >= maxSeeds {
-			a.saturated = true
-			continue
-		}
-
-		// Iterative seed-set-size estimation (lines 14–18), θ growth, and
-		// UpdateEstimates — same math as core, with growth and credits
-		// scatter-gathered.
-		if len(a.seeds) == a.sTarget {
-			gap := a.budget - a.revenue
-			if gap <= 0 || bestMg <= 0 {
-				continue
-			}
-			growth := int(math.Floor(gap / bestMg))
-			if growth < 1 {
-				continue
-			}
-			a.sTarget += growth
-			kpt := core.KPTFromWidths(a.widths, a.sTarget, n, m, a.powMemo)
-			achieved := float64(n) * float64(a.col.NumCovered()) / float64(a.theta) * (1 - opts.Eps)
-			optLB := math.Max(kpt, achieved)
-			want := rrset.Theta(int64(n), int64(a.sTarget), opts.Eps, opts.Ell, optLB, opts.MinTheta, opts.MaxTheta)
-			if want > a.theta {
-				if observer != nil {
-					phaseStart = time.Now()
-				}
-				boundary := a.col.NumSets()
-				grows := make([]GrowReply, len(c.clients))
-				rctx, round = c.roundStart(ctx, "grow")
-				err = c.scatter(func(k int, cl Client) error {
-					var err error
-					grows[k], err = cl.Grow(rctx, GrowRequest{RunID: runID, Ad: a.j, FromGlobal: a.theta, ToGlobal: want})
-					return err
-				})
-				c.roundDone("grow", round)
-				if err != nil {
-					return nil, err
-				}
-				grown := 0
-				for k := range c.clients {
-					a.col.AddCounts(grows[k].Added.Nodes, grows[k].Added.Counts, grows[k].LocalSets)
-					grown += grows[k].LocalSets
-					res.TotalSetsSampled += grows[k].Fresh
-				}
-				if grown != want-a.theta {
-					return nil, fmt.Errorf("%w: ad %d growth appended %d sets for window %d", errDrift, a.j, grown, want-a.theta)
-				}
-				a.theta = want
-				a.revenue = 0
-				for s, seed := range a.seeds {
-					rctx, round = c.roundStart(ctx, "credit")
-					covered, err := c.scatterCover(rctx, a, func(cl Client) (CommitReply, error) {
-						return cl.Credit(rctx, CreditRequest{RunID: runID, Ad: a.j, Node: seed, FromGlobal: boundary})
-					})
-					c.roundDone("credit", round)
-					if err != nil {
-						return nil, err
-					}
-					a.seedMass[s] += a.ctps.At(seed) * float64(covered)
-					a.revenue += a.cpe * float64(n) * a.seedMass[s] / float64(a.theta)
-				}
-				if observer != nil {
-					timings.Phase[core.PhaseGrow] += time.Since(phaseStart)
-				}
-			}
-		}
-	}
-
-	for _, a := range ads {
-		res.Alloc.Seeds[a.j] = a.seeds
-		res.EstRevenue[a.j] = a.revenue
-		res.FinalTheta[a.j] = a.theta
-		res.FinalSeedTarget[a.j] = a.sTarget
-		res.MemBytes += a.col.MemBytes()
-		reused := int64(a.theta)
-		if int64(a.have) < reused {
-			reused = int64(a.have)
-		}
-		res.SetsReused += reused
-	}
-	if observer != nil {
-		observer.ObserveAllocation(timings)
-	}
-	return res, nil
-}
-
-// scanAd evaluates one ad's frontier candidates against the aggregate
-// counters — SelectBestNode over the shard-summed coverage, with scores
-// and comparisons identical to the single-node scan.
-func (c *Coordinator) scanAd(a *coordAd, n int, lambda float64, depth int, eligible func(int32) bool) {
-	a.nodes, a.covs = a.col.TopNodesInto(depth, eligible, a.nodes, a.covs)
-	if len(a.nodes) == 0 {
-		a.saturated = true
-		a.candOK = false
-		return
-	}
-	a.candOK = false
-	for ci, u := range a.nodes {
-		score := float64(a.covs[ci])
-		mg := a.cpe * float64(n) * a.ctps.At(u) * score / float64(a.theta)
-		d := core.RegretDrop(a.budget-a.revenue, mg, lambda)
-		if d <= 0 {
-			continue
-		}
-		if !a.candOK || d > a.candDrop {
-			a.candU, a.candScore, a.candMg, a.candDrop = u, score, mg, d
-		}
-		a.candOK = true
-	}
-	if !a.candOK {
-		a.saturated = true
-	}
+	return fresh, nil
 }
 
 // scatterCover broadcasts one commit-shaped RPC, folds every shard's
 // decrements into the ad's aggregate counters in shard order, and returns
 // the cluster-wide covered count.
-func (c *Coordinator) scatterCover(ctx context.Context, a *coordAd, call func(cl Client) (CommitReply, error)) (int, error) {
+func (c *Coordinator) scatterCover(col *rrset.Collection, call func(cl Client) (CommitReply, error)) (int, error) {
 	if len(c.clients) == 1 {
 		reply, err := call(c.clients[0])
 		if err != nil {
 			return 0, err
 		}
-		a.col.ApplyCover(reply.Covered, reply.Delta.Nodes, reply.Delta.Counts)
+		col.ApplyCover(reply.Covered, reply.Delta.Nodes, reply.Delta.Counts)
 		return reply.Covered, nil
 	}
 	replies := make([]CommitReply, len(c.clients))
@@ -682,42 +366,10 @@ func (c *Coordinator) scatterCover(ctx context.Context, a *coordAd, call func(cl
 	}
 	covered := 0
 	for k := range c.clients {
-		a.col.ApplyCover(replies[k].Covered, replies[k].Delta.Nodes, replies[k].Delta.Counts)
+		col.ApplyCover(replies[k].Covered, replies[k].Delta.Nodes, replies[k].Delta.Counts)
 		covered += replies[k].Covered
 	}
 	return covered, nil
-}
-
-// verifyGains scatter-gathers the frontier candidates' per-shard marginal
-// gains and checks their sums against the aggregate counters — the
-// Verify-mode drift detector.
-func (c *Coordinator) verifyGains(ctx context.Context, runID string, a *coordAd) error {
-	sums := make([]int32, len(a.nodes))
-	gains := make([]GainsReply, len(c.clients))
-	rctx, round := c.roundStart(ctx, "gains")
-	err := c.scatter(func(k int, cl Client) error {
-		var err error
-		gains[k], err = cl.Gains(rctx, GainsRequest{RunID: runID, Ad: a.j, Nodes: a.nodes})
-		return err
-	})
-	c.roundDone("gains", round)
-	if err != nil {
-		return err
-	}
-	for k := range c.clients {
-		if len(gains[k].Cov) != len(a.nodes) {
-			return fmt.Errorf("%w: shard %d scored %d of %d candidates", errDrift, k, len(gains[k].Cov), len(a.nodes))
-		}
-		for i, g := range gains[k].Cov {
-			sums[i] += g
-		}
-	}
-	for i, u := range a.nodes {
-		if int(sums[i]) != a.covs[i] {
-			return fmt.Errorf("%w: candidate %d gain sums to %d across shards, coordinator holds %d", errDrift, u, sums[i], a.covs[i])
-		}
-	}
-	return nil
 }
 
 // lookupWidths returns the cached merged pilots for every listed ad at
@@ -841,32 +493,17 @@ func (c *Coordinator) Warm(ctx context.Context, opts core.TIRMOptions) error {
 }
 
 // warmAd presamples one ad cluster-wide (the distributed mirror of core's
-// per-ad presample): global pilot → KPT at s = 1 → θ → ensure.
+// per-ad presample): global pilot → θ at s = 1 → ensure.
 func (c *Coordinator) warmAd(ctx context.Context, j int, opts core.TIRMOptions) error {
 	opts = opts.WithDefaults()
 	c.mu.RLock()
 	inst, epoch := c.inst, c.epoch
 	c.mu.RUnlock()
-	n, m := inst.G.N(), inst.G.M()
-	pilots := make([]PilotReply, len(c.clients))
-	err := c.scatter(func(k int, cl Client) error {
-		var err error
-		pilots[k], err = cl.Pilot(ctx, PilotRequest{Epoch: epoch, Ads: []int{j}, Want: opts.MinTheta})
+	var pilot [1]core.Pilot
+	if _, err := c.pilot(ctx, epoch, []int{j}, opts.MinTheta, pilot[:]); err != nil {
 		return err
-	})
-	if err != nil {
-		return wrapEpochErr(err)
 	}
-	perShard := make([][]int64, len(c.clients))
-	for k := range c.clients {
-		perShard[k] = pilots[k].Widths[0]
-	}
-	widths, err := c.mergeWidths(perShard, opts.MinTheta)
-	if err != nil {
-		return fmt.Errorf("%w: ad %d pilot: %v", errDrift, j, err)
-	}
-	kpt := core.KPTFromWidths(widths, 1, n, m, nil)
-	want := rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
+	want := core.InitialTheta(pilot[0].Widths, inst.G.N(), inst.G.M(), opts)
 	return wrapEpochErr(c.scatter(func(k int, cl Client) error {
 		_, err := cl.Ensure(ctx, EnsureRequest{Epoch: epoch, Ad: j, Want: want})
 		return err

@@ -15,22 +15,23 @@
 //     sample — and answers coverage / marginal-gain / commit RPCs over an
 //     in-process transport (LocalClient) or HTTP/JSON (HTTPClient, served
 //     by Shard.Handler via cmd/adshard).
-//   - A Coordinator runs distributed CELF: it merges per-shard pilot
-//     widths into the global pilot (sizing θ exactly as a single node
-//     would), scatter-gathers per-shard coverage into aggregate counter
-//     collections, scans candidates and picks each round's winner with the
-//     existing tie-break order, and broadcasts every commit, applying the
-//     gathered integer deltas. Campaign mutations (AddAd/RemoveAd) and the
-//     epoch counter broadcast the same way, in lockstep across the
-//     cluster.
+//   - A Coordinator runs core's one greedy loop (core.AllocateOver) over a
+//     cluster backend: it merges per-shard pilot widths into the global
+//     pilot (so the loop sizes θ exactly as on a single node), gathers
+//     per-shard coverage into aggregate counter collections the loop scans
+//     with the existing tie-break order, and broadcasts every commit,
+//     applying the gathered integer deltas. Campaign mutations
+//     (AddAd/RemoveAd) and the epoch counter broadcast the same way, in
+//     lockstep across the cluster.
 //
 // Every quantity that crosses the wire is an integer (set counts, widths,
 // coverage counts, sparse decrement vectors); all floating-point
-// arithmetic — KPT, marginal gains, regret drops — happens on the
-// coordinator. Together with the counter collection reusing the exact
-// candidate-heap code of rrset.Collection, that makes the coordinator's
-// allocation byte-identical to core.AllocateFromIndex on a single-node
-// index at any K and over either transport (pinned by the golden tests).
+// arithmetic — KPT, marginal gains, regret drops — happens in that one
+// loop, on the coordinator. Together with the counter collection reusing
+// the exact candidate-heap code of rrset.Collection, that makes the
+// coordinator's allocation byte-identical to core.AllocateFromIndex on a
+// single-node index at any K and over either transport (pinned by the
+// golden tests).
 // The one unsupported mode is SoftCoverage: its weighted masses are float
 // sums in set order, which do not re-associate exactly across shards.
 //

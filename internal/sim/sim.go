@@ -518,13 +518,20 @@ func Run(inst *core.Instance, seed uint64, cfg Config) (*Result, error) {
 		// idx), so both evaluations see identical cascades and the regret
 		// difference isolates allocation quality from Monte Carlo noise.
 		var oracleOut *eval.Outcome
+		var oalloc *core.Allocation
+		var orevs []float64
 		if bs != nil {
-			oalloc := &core.Allocation{Seeds: make([][]int32, len(curr.Ads))}
+			orevs = make([]float64, len(curr.Ads))
+			oalloc = &core.Allocation{Seeds: make([][]int32, len(curr.Ads))}
 			for j, ad := range curr.Ads {
 				oalloc.Seeds[j] = bs.oracleSeeds[ad.Name]
 			}
 			oracleOut = eval.Evaluate(curr, oalloc, cfg.EvalRuns, evalRoot.Split(uint64(r)))
 		}
+		// Per-ad realized revenue and post-round spend, for the round's
+		// regret against the residual budgets (core.RegretOver).
+		revs := make([]float64, len(curr.Ads))
+		spentNow := make([]float64, len(curr.Ads))
 		for j, ad := range curr.Ads {
 			rev := out.Ads[j].Revenue
 			if bs != nil {
@@ -546,15 +553,16 @@ func Run(inst *core.Instance, seed uint64, cfg Config) (*Result, error) {
 			}
 			rep.SpentTotal += spent[ad.Name]
 			rep.Revenue += rev
-			rep.Regret += regretTerm(residual, rev, curr.Lambda, len(alloc.Seeds[j]))
 			rep.TotalSeeds += len(alloc.Seeds[j])
+			revs[j], spentNow[j] = rev, spent[ad.Name]
 			if bs != nil {
-				orev := oracleOut.Ads[j].Revenue * trueEngagementRate(ad.Name)
-				rep.OracleRevenue += orev
-				rep.OracleRegret += regretTerm(residual, orev, curr.Lambda, len(bs.oracleSeeds[ad.Name]))
+				orevs[j] = oracleOut.Ads[j].Revenue * trueEngagementRate(ad.Name)
+				rep.OracleRevenue += orevs[j]
 			}
 		}
+		rep.Regret = core.RegretOver(curr, nil, nil, spentNow, revs, alloc.Seeds)
 		if bs != nil {
+			rep.OracleRegret = core.RegretOver(curr, nil, nil, spentNow, orevs, oalloc.Seeds)
 			bs.cum += rep.Regret - rep.OracleRegret
 			rep.BanditRegret = bs.cum
 
@@ -610,13 +618,4 @@ func Run(inst *core.Instance, seed uint64, cfg Config) (*Result, error) {
 		res.Estimator = &st
 	}
 	return res, nil
-}
-
-// regretTerm is core.RegretTerm with a clamped residual: once an ad's
-// budget is fully spent its residual target is 0, not negative.
-func regretTerm(residual, revenue, lambda float64, numSeeds int) float64 {
-	if residual < 0 {
-		residual = 0
-	}
-	return core.RegretTerm(residual, revenue, lambda, numSeeds)
 }
