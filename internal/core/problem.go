@@ -5,6 +5,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -92,6 +93,51 @@ func validateAd(g *graph.Graph, pos int, ad Ad) error {
 		return fmt.Errorf("core: ad %d (%s) CTP vector does not cover %d nodes", pos, ad.Name, g.N())
 	}
 	return nil
+}
+
+// ErrAdExists is CloneAd's refusal of a name the campaign already uses. Its
+// text completes CloneAd's message (`ad "x" already exists`); match it with
+// errors.Is.
+var ErrAdExists = errors.New("already exists")
+
+// CloneAd builds the advertiser a template clone describes: the new ad
+// shares the mixed edge probabilities of inst's ad at position template
+// (datasets are generated, so arbitrary per-edge vectors have no
+// request-sized representation) with its own name, budget and CPE, and —
+// when ctp > 0 — a uniform click-through probability in place of the
+// template's CTP vector. It is the one validation of such a request: the
+// name must be non-empty and unused (ErrAdExists otherwise), template in
+// range, ctp in [0, 1], and the result a valid ad for Index.AddAd. A
+// serving host, a coordinator's campaign mirror and every shard of a
+// cluster call it on the same instance, so all of them construct the
+// bit-identical advertiser.
+func CloneAd(inst *Instance, name string, budget, cpe, ctp float64, template int) (Ad, error) {
+	if name == "" {
+		return Ad{}, errors.New("ad name required")
+	}
+	for _, a := range inst.Ads {
+		if a.Name == name {
+			return Ad{}, fmt.Errorf("ad %q %w", name, ErrAdExists)
+		}
+	}
+	if template < 0 || template >= len(inst.Ads) {
+		return Ad{}, fmt.Errorf("template %d out of range (campaign has %d ads)", template, len(inst.Ads))
+	}
+	if ctp < 0 || ctp > 1 {
+		return Ad{}, fmt.Errorf("ctp %g must be in [0, 1]", ctp)
+	}
+	tmpl := inst.Ads[template]
+	ctps := tmpl.Params.CTPs
+	if ctp > 0 {
+		ctps = topic.ConstCTP{Nodes: inst.G.N(), P: ctp}
+	}
+	ad := Ad{
+		Name:   name,
+		Budget: budget,
+		CPE:    cpe,
+		Params: topic.ItemParams{Probs: tmpl.Params.Probs, CTPs: ctps},
+	}
+	return ad, validateAd(inst.G, len(inst.Ads), ad)
 }
 
 // TotalBudget returns Σ_i B_i, the denominator of the paper's

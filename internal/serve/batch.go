@@ -1,25 +1,24 @@
 // POST /allocate/batch: evaluate many selection requests against one
 // pinned campaign epoch in a single round trip.
 //
-// A batch is the serve-layer mirror of core.AllocateBatch (single node)
-// and shard.Coordinator.AllocateBatch (coordinator mode): the instance and
-// index are resolved once, every item is pinned to the same epoch, and the
-// items fan out under the allocator's bounded worker budget sharing the
-// entry's workspace pool. Each item returns exactly what a lone POST
-// /allocate with the same parameters would have returned (golden-pinned),
-// items fail independently, and a campaign mutation racing the batch turns
-// into per-item stale-epoch errors rather than an allocation split across
-// two campaign sets.
+// A batch is the serve-layer mirror of engine.AllocateBatch
+// (core.AllocateBatch on a local index, shard.Coordinator.AllocateBatch
+// over a cluster — there one scatter-gather pilot round primes the width
+// cache for the union of ads the batch touches): the campaign is resolved
+// once, every item is pinned to the same epoch, and the items fan out
+// under the engine's bounded worker budget. Each item returns exactly what
+// a lone POST /allocate with the same parameters would have returned
+// (golden-pinned), items fail independently, and a campaign mutation racing
+// the batch turns into per-item stale-epoch errors rather than an
+// allocation split across two campaign sets.
 
 package serve
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/shard"
 )
 
 // MaxBatchItems caps the number of selection requests one POST
@@ -82,28 +81,14 @@ type AllocateBatchResponse struct {
 }
 
 // itemResult folds one item's core.BatchResult into the wire shape,
-// recording the success/failure metrics a lone /allocate would have. The
-// upstream flag selects the non-stale failure mapping: 502/upstream in
-// coordinator mode, 400/bad_request locally (where the only errors left
-// after a successful index build are request-shape errors).
+// recording the success/failure metrics a lone /allocate would have; a
+// failed item carries failureOf's status for its error (upstream is the
+// engine's).
 func (s *Server) itemResult(item AllocateItem, coreReq core.Request, br core.BatchResult, curInst *core.Instance, upstream bool) BatchItemResult {
 	if br.Err != nil {
-		out := BatchItemResult{Error: br.Err.Error()}
-		switch {
-		case errors.Is(br.Err, core.ErrStaleEpoch):
-			s.metrics.failAlloc(failStaleEpoch)
-			out.Status = http.StatusConflict
-		case errors.Is(br.Err, shard.ErrPartitionUnavailable):
-			s.metrics.failAlloc(failUnavailable)
-			out.Status = http.StatusServiceUnavailable
-		case upstream:
-			s.metrics.failAlloc(failUpstream)
-			out.Status = http.StatusBadGateway
-		default:
-			s.metrics.failAlloc(failBadRequest)
-			out.Status = http.StatusBadRequest
-		}
-		return out
+		status, reason, _ := failureOf(br.Err, upstream)
+		s.metrics.failAlloc(reason)
+		return BatchItemResult{Error: br.Err.Error(), Status: status}
 	}
 	res := br.Res
 	s.metrics.allocations.Inc()
@@ -148,35 +133,14 @@ func (s *Server) handleAllocateBatch(w http.ResponseWriter, r *http.Request) {
 	if !checkBatchShape(w, req) {
 		return
 	}
-	if s.sharded != nil {
-		s.handleAllocateBatchSharded(w, r, req)
+	t, ok := s.resolve(w, req.InstanceParams, needIndex)
+	if !ok {
 		return
-	}
-	e, created, waitedInst, err := s.entryFor(req.InstanceParams)
-	if err != nil {
-		s.metrics.failAlloc(failBadRequest)
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	idx, cold, waitedIdx, err := s.indexFor(e)
-	if err != nil {
-		s.metrics.failAlloc(failInternal)
-		httpError(w, http.StatusInternalServerError, "index build: %v", err)
-		return
-	}
-	switch {
-	case created || cold:
-		s.cacheMisses.Add(1)
-	case waitedInst || waitedIdx:
-		s.coalesced.Add(1)
-	default:
-		s.cacheHits.Add(1)
-		e.hits.Add(1)
 	}
 	// One epoch for the whole batch: every item is shaped against (and
 	// pinned to) the same campaign set, so a mutation racing the batch
 	// fails items cleanly instead of splitting the batch across epochs.
-	epoch, curInst := idx.EpochInst()
+	epoch, curInst := t.EpochInst()
 	// The spend ledger is read once, too — all Residual items in a batch
 	// target the same remaining-budget snapshot.
 	var spent []float64
@@ -189,7 +153,6 @@ func (s *Server) handleAllocateBatch(w http.ResponseWriter, r *http.Request) {
 			CPEs:     item.CPEs,
 			Lambda:   item.Lambda,
 			Epoch:    epoch,
-			Pool:     &e.pool,
 			Observer: s.metrics,
 			Kernel:   s.kernelFor(item.Kernel),
 		}
@@ -198,93 +161,27 @@ func (s *Server) handleAllocateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if item.Residual {
 			if spent == nil {
-				spent = e.spendVector(curInst)
+				spent = t.spendVector(curInst)
 			}
 			coreReqs[i].SpentBudget = spent
 		}
 	}
 	started := time.Now()
-	results := core.AllocateBatch(idx, coreReqs)
+	results := t.AllocateBatch(r.Context(), coreReqs)
 	s.metrics.allocSeconds.Observe(time.Since(started).Seconds())
 	items := make([]BatchItemResult, len(results))
 	for i, br := range results {
-		items[i] = s.itemResult(req.Requests[i], coreReqs[i], br, curInst, false)
+		items[i] = s.itemResult(req.Requests[i], coreReqs[i], br, curInst, t.upstream())
 		if br.Err == nil {
-			e.allocs.Add(1)
+			t.allocs.Add(1)
 		}
-	}
-	names := make([]string, len(curInst.Ads))
-	for i, ad := range curInst.Ads {
-		names[i] = ad.Name
 	}
 	writeJSON(w, http.StatusOK, AllocateBatchResponse{
-		Key:          e.key,
+		Key:          t.key,
 		Epoch:        epoch,
-		ColdBuild:    cold,
+		ColdBuild:    t.cold,
 		AllocSeconds: time.Since(started).Seconds(),
-		AdNames:      names,
-		Items:        items,
-	})
-}
-
-// handleAllocateBatchSharded is /allocate/batch in coordinator mode: one
-// scatter-gather pilot round primes the width cache for the union of ads
-// the batch touches, then the items run distributed selection concurrently
-// (shard.Coordinator.AllocateBatch).
-func (s *Server) handleAllocateBatchSharded(w http.ResponseWriter, r *http.Request, req AllocateBatchRequest) {
-	if !s.checkShardedParams(w, req.InstanceParams) {
-		return
-	}
-	st := s.sharded
-	epoch, curInst := st.coord.EpochInst()
-	var spent []float64
-	coreReqs := make([]core.Request, len(req.Requests))
-	for i, item := range req.Requests {
-		coreReqs[i] = core.Request{
-			Opts:     item.Opts.toOptions(s.opts.MaxTheta),
-			Ads:      item.Ads,
-			Budgets:  item.Budgets,
-			CPEs:     item.CPEs,
-			Lambda:   item.Lambda,
-			Epoch:    epoch,
-			Kernel:   s.kernelFor(item.Kernel),
-			Observer: s.metrics,
-		}
-		if item.Kappa > 0 {
-			coreReqs[i].Kappa = core.ConstKappa(item.Kappa)
-		}
-		if item.Residual {
-			if spent == nil {
-				spent = st.spendVector(curInst)
-			}
-			coreReqs[i].SpentBudget = spent
-		}
-	}
-	started := time.Now()
-	results := st.coord.AllocateBatch(r.Context(), coreReqs)
-	s.metrics.allocSeconds.Observe(time.Since(started).Seconds())
-	items := make([]BatchItemResult, len(results))
-	var ok int
-	for i, br := range results {
-		items[i] = s.itemResult(req.Requests[i], coreReqs[i], br, curInst, true)
-		if br.Err == nil {
-			ok++
-		}
-	}
-	if ok > 0 {
-		st.mu.Lock()
-		st.allocs += int64(ok)
-		st.mu.Unlock()
-	}
-	names := make([]string, len(curInst.Ads))
-	for i, ad := range curInst.Ads {
-		names[i] = ad.Name
-	}
-	writeJSON(w, http.StatusOK, AllocateBatchResponse{
-		Key:          st.params.Key(),
-		Epoch:        epoch,
-		AllocSeconds: time.Since(started).Seconds(),
-		AdNames:      names,
+		AdNames:      adNames(curInst),
 		Items:        items,
 	})
 }

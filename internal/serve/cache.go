@@ -1,0 +1,399 @@
+// The single-node engine: a cache of instance+index entries keyed by
+// (dataset, seed, scale, ads). Everything here is what coordinator mode
+// does not have — entry creation and LRU eviction, build coalescing,
+// snapshot load/save, and the pin that keeps eviction off an entry while
+// a campaign mutation lands. Request paths reach it only through resolve
+// (campaign.go).
+
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/bandit"
+	"repro/internal/core"
+	"repro/internal/gen"
+)
+
+// entry is one cached instance plus its lazily built index — the
+// single-node engine of the campaign it embeds. The two are built in
+// separate phases so /evaluate — which only needs the instance — never pays
+// for (or triggers) index presampling. instReady is closed once inst is
+// set; idxReady is created by the first index builder and closed when
+// idx/idxErr are final, coalescing concurrent builders.
+type entry struct {
+	campaign
+	instReady chan struct{}
+	inst      *core.Instance
+
+	idxMu    sync.Mutex
+	idxReady chan struct{} // nil until an index build starts
+	idx      *core.Index
+	idxErr   error
+	fromDisk bool
+	buildSec float64
+
+	lastUsed atomic.Int64 // unix nanos, drives LRU eviction
+	hits     atomic.Int64
+
+	// pool recycles AllocateFromIndex workspaces across requests against
+	// this entry's index; attaching it here (rather than sharing one pool
+	// process-wide) keeps the recycled array shapes matched to the entry's
+	// node count and θ, and gives /stats a per-campaign hit/miss signal.
+	pool core.WorkspacePool
+
+	// mutating counts mutation handlers currently between entry resolution
+	// and completion, so eviction never races the first mutation out of
+	// existence.
+	mutating atomic.Int32
+}
+
+// EpochInst implements engine: the index's current epoch once one is built
+// (mutations swap fresh instances in), otherwise epoch 0 with the
+// as-generated base instance. Callers must have waited on instReady.
+func (e *entry) EpochInst() (uint64, *core.Instance) {
+	if e.indexBuilt() {
+		return e.idx.EpochInst()
+	}
+	return 0, e.inst
+}
+
+// Allocate implements engine on the entry's index and workspace pool.
+func (e *entry) Allocate(_ context.Context, req core.Request) (*core.TIRMResult, error) {
+	req.Pool = &e.pool
+	return core.AllocateFromIndex(e.idx, req)
+}
+
+// AllocateBatch implements engine: the items share the entry's pool.
+func (e *entry) AllocateBatch(_ context.Context, reqs []core.Request) []core.BatchResult {
+	for i := range reqs {
+		reqs[i].Pool = &e.pool
+	}
+	return core.AllocateBatch(e.idx, reqs)
+}
+
+// AddAd implements engine: only the new ad's stream is sampled.
+func (e *entry) AddAd(_ context.Context, _ NewAdSpec, ad core.Ad, opts core.TIRMOptions) (int, error) {
+	return e.idx.AddAd(ad, opts)
+}
+
+// RemoveAd implements engine.
+func (e *entry) RemoveAd(_ context.Context, pos int) error { return e.idx.RemoveAd(pos) }
+
+// SyncEstimates implements engine: the sample has no other holder.
+func (e *entry) SyncEstimates(context.Context, bandit.Estimator) (bool, error) { return false, nil }
+
+// MemBytes implements engine.
+func (e *entry) MemBytes() int64 { return e.idx.MemBytes() }
+
+// upstream implements engine: a local index fails only on the request.
+func (e *entry) upstream() bool { return false }
+
+// hasLifecycleState reports whether the entry carries campaign state that
+// exists nowhere else — a mutated ad set (epoch past the build) or a
+// non-empty spend ledger. Such entries are exempt from LRU eviction:
+// rebuilding from the generator (or the as-built snapshot) would silently
+// resurrect the pre-mutation campaign with full budgets.
+func (e *entry) hasLifecycleState() bool {
+	e.spendMu.Lock()
+	spent := len(e.spent) > 0
+	e.spendMu.Unlock()
+	if spent {
+		return true
+	}
+	return e.indexBuilt() && e.idx.Epoch() > 1
+}
+
+// buildInFlight reports whether the entry's instance generation or index
+// build is currently running (non-blocking).
+func (e *entry) buildInFlight() bool {
+	select {
+	case <-e.instReady:
+	default:
+		return true
+	}
+	e.idxMu.Lock()
+	ch := e.idxReady
+	e.idxMu.Unlock()
+	if ch == nil {
+		return false
+	}
+	select {
+	case <-ch:
+		return false
+	default:
+		return true
+	}
+}
+
+// indexBuilt reports whether the entry's index finished building
+// successfully (non-blocking).
+func (e *entry) indexBuilt() bool {
+	e.idxMu.Lock()
+	ch := e.idxReady
+	e.idxMu.Unlock()
+	if ch == nil {
+		return false
+	}
+	select {
+	case <-ch:
+		return e.idxErr == nil
+	default:
+		return false
+	}
+}
+
+// entryFor returns the cached entry for p, generating the instance if
+// needed (the index is built separately by indexFor, so instance-only
+// consumers like /evaluate never trigger sampling). created reports
+// whether this call made the entry; waited reports whether it blocked on
+// another caller's in-flight instance generation.
+func (s *Server) entryFor(p InstanceParams) (_ *entry, created, waited bool, _ error) {
+	if _, ok := findDataset(p.Dataset); !ok {
+		return nil, false, false, fmt.Errorf("unknown dataset %q", p.Dataset)
+	}
+	if p.Scale <= 0 {
+		return nil, false, false, fmt.Errorf("scale must be > 0")
+	}
+	if p.Scale > s.opts.MaxScale {
+		return nil, false, false, fmt.Errorf("scale %g exceeds server limit %g", p.Scale, s.opts.MaxScale)
+	}
+	if p.NumAds < 0 {
+		return nil, false, false, fmt.Errorf("numAds must be ≥ 0")
+	}
+	if p.NumAds > s.opts.MaxAds {
+		return nil, false, false, fmt.Errorf("numAds %d exceeds server limit %d", p.NumAds, s.opts.MaxAds)
+	}
+	key := p.Key()
+	now := time.Now().UnixNano()
+
+	s.mu.Lock()
+	if e, ok := s.entries[key]; ok {
+		s.mu.Unlock()
+		e.lastUsed.Store(now)
+		select {
+		case <-e.instReady:
+		default:
+			waited = true
+			<-e.instReady
+		}
+		return e, false, waited, nil
+	}
+	e := &entry{campaign: campaign{key: key, params: p}, instReady: make(chan struct{})}
+	e.lastUsed.Store(now)
+	s.entries[key] = e
+	s.evictLocked(e)
+	s.mu.Unlock()
+
+	spec, _ := findDataset(p.Dataset)
+	e.inst = spec.build(gen.Options{
+		Seed:   p.Seed,
+		Scale:  p.Scale,
+		NumAds: p.NumAds,
+	})
+	close(e.instReady)
+	return e, true, false, nil
+}
+
+// evictLocked drops least-recently-used entries (never keep, the one just
+// inserted; never an entry whose build is still in flight — evicting those
+// would let a re-request start a duplicate multi-hundred-MB build; and
+// never an entry holding live campaign state — mutations and the spend
+// ledger exist only in that entry, so evicting it would silently serve the
+// pre-mutation campaign on the next request) until the cache fits
+// MaxEntries; if every candidate is exempt, the cache temporarily exceeds
+// the cap. Callers holding a reference to an evicted entry keep using it
+// safely — eviction only removes it from the map — and its disk snapshot,
+// if any, survives for a cheap reload.
+func (s *Server) evictLocked(keep *entry) {
+	for len(s.entries) > s.opts.MaxEntries {
+		var oldest *entry
+		for _, e := range s.entries {
+			if e == keep || e.buildInFlight() || e.mutating.Load() != 0 || e.hasLifecycleState() {
+				continue
+			}
+			if oldest == nil || e.lastUsed.Load() < oldest.lastUsed.Load() {
+				oldest = e
+			}
+		}
+		if oldest == nil {
+			return
+		}
+		delete(s.entries, oldest.key)
+		if oldest.inst != nil {
+			for _, ad := range oldest.inst.Ads {
+				s.metrics.dropBanditEstimate(ad.Name)
+			}
+		}
+		s.opts.Logf("serve: evicted %s (LRU, cache cap %d)", oldest.key, s.opts.MaxEntries)
+	}
+}
+
+// indexFor returns the entry's index, building (or loading from snapshot)
+// it on first use. Concurrent callers for one entry share a single build.
+// cold reports whether this call did the build; waited whether it blocked
+// on another caller's build. Build errors are cached: instances are valid
+// by construction here, so an index failure is a bug, not a transient.
+func (s *Server) indexFor(e *entry) (_ *core.Index, cold, waited bool, _ error) {
+	e.idxMu.Lock()
+	if ch := e.idxReady; ch != nil {
+		e.idxMu.Unlock()
+		select {
+		case <-ch:
+		default:
+			waited = true
+			<-ch
+		}
+		return e.idx, false, waited, e.idxErr
+	}
+	ch := make(chan struct{})
+	e.idxReady = ch
+	e.idxMu.Unlock()
+
+	s.buildIndex(e)
+	close(ch)
+	return e.idx, true, false, e.idxErr
+}
+
+// buildIndex samples (or snapshot-loads) the entry's index.
+func (s *Server) buildIndex(e *entry) {
+	started := time.Now()
+	if path := s.snapshotPath(e.key); path != "" {
+		if f, err := os.Open(path); err == nil {
+			idx, err := core.LoadIndexSnapshot(e.inst, f)
+			f.Close()
+			if err == nil {
+				e.idx = idx
+				e.fromDisk = true
+				s.snapshotLoads.Add(1)
+				e.buildSec = time.Since(started).Seconds()
+				s.opts.Logf("serve: loaded index %s from snapshot (%d ads, %.1f MB) in %.2fs",
+					e.key, idx.NumAds(), float64(idx.MemBytes())/1e6, e.buildSec)
+				return
+			}
+			s.opts.Logf("serve: snapshot %s unusable (%v); rebuilding", path, err)
+		}
+	}
+
+	idx, err := core.BuildIndex(e.inst, e.params.Seed, core.TIRMOptions{MaxTheta: s.opts.MaxTheta})
+	if err != nil {
+		e.idxErr = err
+		return
+	}
+	e.idx = idx
+	e.buildSec = time.Since(started).Seconds()
+	s.opts.Logf("serve: built index %s (%d ads, %d sets, %.1f MB) in %.2fs",
+		e.key, idx.NumAds(), idx.SetsSampled(), float64(idx.MemBytes())/1e6, e.buildSec)
+	s.saveSnapshot(e)
+}
+
+func (s *Server) snapshotPath(key string) string {
+	if s.opts.SnapshotDir == "" {
+		return ""
+	}
+	safe := strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '.', r == '-', r == '_', r == '=':
+			return r
+		default:
+			return '_'
+		}
+	}, key)
+	return filepath.Join(s.opts.SnapshotDir, safe+".adix")
+}
+
+// saveSnapshot persists a freshly built index (write temp + rename, so a
+// crash never leaves a torn file). Failures are logged, never fatal.
+func (s *Server) saveSnapshot(e *entry) {
+	path := s.snapshotPath(e.key)
+	if path == "" {
+		return
+	}
+	if err := os.MkdirAll(s.opts.SnapshotDir, 0o755); err != nil {
+		s.opts.Logf("serve: snapshot dir: %v", err)
+		return
+	}
+	tmp, err := os.CreateTemp(s.opts.SnapshotDir, ".adix-*")
+	if err != nil {
+		s.opts.Logf("serve: snapshot temp: %v", err)
+		return
+	}
+	err = e.idx.WriteSnapshot(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		s.opts.Logf("serve: snapshot %s: %v", path, err)
+		return
+	}
+	s.opts.Logf("serve: wrote snapshot %s", path)
+}
+
+// errTooManyLiveCampaigns rejects a mutation that would pin yet another
+// entry against eviction once every cache slot already holds live campaign
+// state — the bound that keeps MaxEntries a real memory cap even though
+// lifecycle state exempts entries from LRU.
+var errTooManyLiveCampaigns = errors.New(
+	"every cache slot holds live campaign state; retire a campaign (DELETE /ads) or reset its spend before mutating a new one")
+
+// mutationEntry resolves the entry a campaign mutation targets and marks
+// it mutating *atomically with cache membership* (under s.mu): eviction
+// also runs under s.mu and skips mutating entries, so an entry can never
+// be recycled between resolution and the mutation landing — the race that
+// would otherwise let the server acknowledge a mutation (200) and then
+// serve the pre-mutation campaign from a replacement entry. Entries about
+// to acquire their first lifecycle state are admitted only while fewer
+// than MaxEntries entries are pinned. Callers must arrange
+// `defer e.mutating.Add(-1)`.
+func (s *Server) mutationEntry(p InstanceParams) (*entry, error) {
+	for {
+		e, _, _, err := s.entryFor(p)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		cur, ok := s.entries[e.key]
+		if !ok {
+			s.entries[e.key] = e // evicted in the resolution window; restore
+			cur = e
+		}
+		if cur != e {
+			// The key was recycled to a different entry mid-resolution;
+			// retry — entryFor now resolves to the current one.
+			s.mu.Unlock()
+			continue
+		}
+		if !e.hasLifecycleState() {
+			pinned := 0
+			for _, o := range s.entries {
+				// An in-flight first mutation (mutating set, state not yet
+				// landed) must count too, or concurrent first mutations on
+				// distinct entries would all pass the gate and pin more
+				// than MaxEntries campaigns.
+				if o != e && (o.mutating.Load() != 0 || o.hasLifecycleState()) {
+					pinned++
+				}
+			}
+			if pinned >= s.opts.MaxEntries {
+				s.mu.Unlock()
+				return nil, errTooManyLiveCampaigns
+			}
+		}
+		e.mutating.Add(1)
+		s.mu.Unlock()
+		return e, nil
+	}
+}

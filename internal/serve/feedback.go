@@ -15,10 +15,11 @@
 // concurrent batches commute and a serial replay of the same events
 // reproduces the exact estimator state regardless of arrival order.
 //
-// In coordinator mode the estimator lives on the serving host and its
-// integer snapshot is broadcast to every shard after each batch
-// (shard.Client.SyncEstimates); shards ignore snapshots that do not
-// advance the event total, so delayed rebroadcasts cannot roll them back.
+// The estimator lives on the serving host. When the sample has other
+// holders (coordinator mode), its integer snapshot is broadcast to every
+// shard after each batch (engine.SyncEstimates); shards ignore snapshots
+// that do not advance the event total, so delayed rebroadcasts cannot roll
+// them back.
 
 package serve
 
@@ -134,53 +135,15 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if s.sharded != nil {
-		s.handleFeedbackSharded(w, r, req)
-		return
-	}
 	// Feedback is a ledger on names, not the sample: like /spend it must
-	// never trigger index presampling, and mutationEntry pins the entry so
-	// eviction cannot drop the learned state mid-request.
-	e, err := s.mutationEntry(req.InstanceParams)
-	if err != nil {
-		if err == errTooManyLiveCampaigns {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-		} else {
-			httpError(w, http.StatusBadRequest, "%v", err)
-		}
+	// never trigger index presampling, and the resolve pins a cache entry
+	// so eviction cannot drop the learned state mid-request.
+	t, ok := s.resolve(w, req.InstanceParams, needLedger)
+	if !ok {
 		return
 	}
-	defer e.mutating.Add(-1)
-	e.estMu.Lock()
-	est, status, ferr := applyFeedback(e.est, req, e.params.Seed)
-	e.est = est
-	e.estMu.Unlock()
-	if ferr != nil {
-		httpError(w, status, "%v", ferr)
-		return
-	}
-	s.feedbackUpdates.Add(1)
-	resp := feedbackResponse(e.key, est, e.currentInst())
-	s.metrics.recordFeedback(len(req.Events), resp.Ads)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleFeedbackSharded is POST /feedback in coordinator mode: the
-// estimator lives on the serving host (like the spend ledger) and its
-// integer snapshot broadcasts to every shard after the batch applies.
-func (s *Server) handleFeedbackSharded(w http.ResponseWriter, r *http.Request, req FeedbackRequest) {
-	if !s.checkShardedParams(w, req.InstanceParams) {
-		return
-	}
-	st := s.sharded
-	st.estMu.Lock()
-	est, status, ferr := applyFeedback(st.est, req, st.params.Seed)
-	st.est = est
-	snap := bandit.State{}
-	if ferr == nil {
-		snap = est.Snapshot()
-	}
-	st.estMu.Unlock()
+	defer t.release()
+	est, status, ferr := t.feedback(req)
 	if ferr != nil {
 		httpError(w, status, "%v", ferr)
 		return
@@ -190,41 +153,15 @@ func (s *Server) handleFeedbackSharded(w http.ResponseWriter, r *http.Request, r
 	// feedback batch or a bandit allocation's override read. A failed
 	// broadcast degrades to host-only state and heals on the next batch
 	// (snapshots are cumulative and shards ignore non-advancing ones).
-	synced := true
-	if err := st.coord.SyncEstimates(r.Context(), snap); err != nil {
-		synced = false
+	synced, err := t.SyncEstimates(r.Context(), est)
+	if err != nil {
 		s.opts.Logf("serve: estimator broadcast failed (heals on next batch): %v", err)
 	}
-	resp := feedbackResponse(st.params.Key(), est, st.coord.Inst())
+	_, inst := t.EpochInst()
+	resp := feedbackResponse(t.key, est, inst)
 	resp.Synced = synced
 	s.metrics.recordFeedback(len(req.Events), resp.Ads)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// banditCPEs materializes the learned effective-CPE vector for inst's
-// current ads. The estimator is name-keyed, so the override lines up with
-// whatever instance the caller pinned, across epoch swaps.
-func (e *entry) banditCPEs(inst *core.Instance) ([]float64, error) {
-	e.estMu.Lock()
-	defer e.estMu.Unlock()
-	if e.est == nil {
-		return nil, fmt.Errorf("campaign has no engagement estimator; POST /feedback first")
-	}
-	return overridesFor(e.est, inst), nil
-}
-
-// banditCPEs is the coordinator-mode twin of (*entry).banditCPEs. The
-// override is computed host-side from the host's estimator — shards
-// receive the same integer snapshot, so shard-local consumers agree, and
-// the float math happens in exactly one place (the same discipline the
-// coordinator applies to all selection-time floats).
-func (st *shardedState) banditCPEs(inst *core.Instance) ([]float64, error) {
-	st.estMu.Lock()
-	defer st.estMu.Unlock()
-	if st.est == nil {
-		return nil, fmt.Errorf("campaign has no engagement estimator; POST /feedback first")
-	}
-	return overridesFor(st.est, inst), nil
 }
 
 // overridesFor scales inst's declared CPEs by est's per-ad indices.

@@ -135,72 +135,73 @@ func TestFeedbackEndToEnd(t *testing.T) {
 }
 
 // TestFeedbackPolicyLifecycle pins the estimator's create/conflict/reset
-// protocol and the request-shape rejections.
+// protocol and the request-shape rejections, in both modes.
 func TestFeedbackPolicyLifecycle(t *testing.T) {
-	ts := testServer(t, Options{})
 	params := fig1Request().InstanceParams
-	post := func(req FeedbackRequest, out any) int {
-		t.Helper()
-		req.InstanceParams = params
-		return postJSON(t, ts.URL+"/feedback", req, out)
-	}
+	bothModes(t, params, func(t *testing.T, url string, _ bool) {
+		post := func(req FeedbackRequest, out any) int {
+			t.Helper()
+			req.InstanceParams = params
+			return postJSON(t, url+"/feedback", req, out)
+		}
 
-	var fb FeedbackResponse
-	if code := post(FeedbackRequest{Policy: bandit.PolicyThompson}, &fb); code != http.StatusOK {
-		t.Fatalf("create thompson: %d", code)
-	}
-	if fb.Policy != bandit.PolicyThompson {
-		t.Fatalf("policy = %q", fb.Policy)
-	}
-	// Same policy and no policy are both fine; a different one conflicts.
-	if code := post(FeedbackRequest{Policy: bandit.PolicyThompson}, nil); code != http.StatusOK {
-		t.Errorf("same policy: %d", code)
-	}
-	if code := post(FeedbackRequest{}, nil); code != http.StatusOK {
-		t.Errorf("no policy: %d", code)
-	}
-	if code := post(FeedbackRequest{Policy: bandit.PolicyUCB}, nil); code != http.StatusConflict {
-		t.Errorf("conflicting policy: %d, want 409", code)
-	}
-	// Reset discards the learned state and switches policy.
-	if code := post(FeedbackRequest{Policy: bandit.PolicyUCB, Reset: true}, &fb); code != http.StatusOK {
-		t.Fatalf("reset to ucb: %d", code)
-	}
-	if fb.Policy != bandit.PolicyUCB || fb.Events != 0 {
-		t.Errorf("after reset: %+v", fb)
-	}
+		// A bandit allocation before any feedback has no estimator: 400.
+		noEst := fig1Request()
+		noEst.Bandit = true
+		if code := postJSON(t, url+"/allocate", noEst, nil); code != http.StatusBadRequest {
+			t.Errorf("bandit allocate without estimator: %d, want 400", code)
+		}
 
-	// Shape rejections: unknown policy, invalid event.
-	if code := post(FeedbackRequest{Policy: "epsilon-greedy", Reset: true}, nil); code != http.StatusBadRequest {
-		t.Errorf("unknown policy: %d, want 400", code)
-	}
-	if code := post(FeedbackRequest{Events: []bandit.Event{
-		{Ad: "a0", Impressions: 1, Clicks: 5},
-	}}, nil); code != http.StatusBadRequest {
-		t.Errorf("clicks > impressions: %d, want 400", code)
-	}
-	// Events for names outside the campaign are accepted: feedback is
-	// epoch-tolerant and name-keyed, so late events for a retired ad land.
-	if code := post(FeedbackRequest{Events: []bandit.Event{
-		{Ad: "long-gone", Impressions: 10, Clicks: 1},
-	}}, nil); code != http.StatusOK {
-		t.Errorf("unknown-name event: %d, want 200", code)
-	}
+		var fb FeedbackResponse
+		if code := post(FeedbackRequest{Policy: bandit.PolicyThompson}, &fb); code != http.StatusOK {
+			t.Fatalf("create thompson: %d", code)
+		}
+		if fb.Policy != bandit.PolicyThompson {
+			t.Fatalf("policy = %q", fb.Policy)
+		}
+		// Same policy and no policy are both fine; a different one conflicts.
+		if code := post(FeedbackRequest{Policy: bandit.PolicyThompson}, nil); code != http.StatusOK {
+			t.Errorf("same policy: %d", code)
+		}
+		if code := post(FeedbackRequest{}, nil); code != http.StatusOK {
+			t.Errorf("no policy: %d", code)
+		}
+		if code := post(FeedbackRequest{Policy: bandit.PolicyUCB}, nil); code != http.StatusConflict {
+			t.Errorf("conflicting policy: %d, want 409", code)
+		}
+		// Reset discards the learned state and switches policy.
+		if code := post(FeedbackRequest{Policy: bandit.PolicyUCB, Reset: true}, &fb); code != http.StatusOK {
+			t.Fatalf("reset to ucb: %d", code)
+		}
+		if fb.Policy != bandit.PolicyUCB || fb.Events != 0 {
+			t.Errorf("after reset: %+v", fb)
+		}
 
-	// Bandit allocations without an estimator, and with explicit CPEs, are
-	// both 400s (fresh server for the no-estimator case).
-	fresh := testServer(t, Options{})
-	noEst := fig1Request()
-	noEst.Bandit = true
-	if code := postJSON(t, fresh.URL+"/allocate", noEst, nil); code != http.StatusBadRequest {
-		t.Errorf("bandit allocate without estimator: %d, want 400", code)
-	}
-	both := fig1Request()
-	both.Bandit = true
-	both.CPEs = []float64{1, 1, 1, 1}
-	if code := postJSON(t, ts.URL+"/allocate", both, nil); code != http.StatusBadRequest {
-		t.Errorf("bandit with explicit cpes: %d, want 400", code)
-	}
+		// Shape rejections: unknown policy, invalid event.
+		if code := post(FeedbackRequest{Policy: "epsilon-greedy", Reset: true}, nil); code != http.StatusBadRequest {
+			t.Errorf("unknown policy: %d, want 400", code)
+		}
+		if code := post(FeedbackRequest{Events: []bandit.Event{
+			{Ad: "a0", Impressions: 1, Clicks: 5},
+		}}, nil); code != http.StatusBadRequest {
+			t.Errorf("clicks > impressions: %d, want 400", code)
+		}
+		// Events for names outside the campaign are accepted: feedback is
+		// epoch-tolerant and name-keyed, so late events for a retired ad land.
+		if code := post(FeedbackRequest{Events: []bandit.Event{
+			{Ad: "long-gone", Impressions: 10, Clicks: 1},
+		}}, nil); code != http.StatusOK {
+			t.Errorf("unknown-name event: %d, want 200", code)
+		}
+
+		// A bandit allocation with explicit CPEs is a 400 too.
+		both := fig1Request()
+		both.Bandit = true
+		both.CPEs = []float64{1, 1, 1, 1}
+		if code := postJSON(t, url+"/allocate", both, nil); code != http.StatusBadRequest {
+			t.Errorf("bandit with explicit cpes: %d, want 400", code)
+		}
+	})
 }
 
 // TestShardedFeedbackMatchesSingleNode drives /feedback and a bandit

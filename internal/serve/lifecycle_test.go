@@ -122,62 +122,109 @@ func TestServerLifecycleEndToEnd(t *testing.T) {
 	}
 }
 
+// bothModes runs fn once against a single-node server and once against a
+// coordinator over two in-process shards serving params — the same inputs
+// on either side of the engine seam.
+func bothModes(t *testing.T, params InstanceParams, fn func(t *testing.T, url string, coordinator bool)) {
+	t.Run("single-node", func(t *testing.T) { fn(t, testServer(t, Options{}).URL, false) })
+	t.Run("coordinator", func(t *testing.T) {
+		front, _ := shardedServer(t, params, 2)
+		fn(t, front.URL, true)
+	})
+}
+
 // TestServerLifecycleValidation: malformed mutations are refused with the
-// right status codes and leave the campaign untouched.
+// right status codes and leave the campaign untouched — in both modes, by
+// the one set of handlers.
 func TestServerLifecycleValidation(t *testing.T) {
-	ts := testServer(t, Options{})
 	base := fig1Request()
-	if code := postJSON(t, ts.URL+"/allocate", base, nil); code != http.StatusOK {
-		t.Fatalf("baseline allocate returned %d", code)
-	}
-
-	cases := []struct {
-		name string
-		ad   NewAdSpec
-		want int
-	}{
-		{"missing name", NewAdSpec{Budget: 1, CPE: 1}, http.StatusBadRequest},
-		{"duplicate name", NewAdSpec{Name: "a", Budget: 1, CPE: 1}, http.StatusConflict},
-		{"bad template", NewAdSpec{Name: "x", Budget: 1, CPE: 1, Template: 9}, http.StatusBadRequest},
-		{"bad ctp", NewAdSpec{Name: "x", Budget: 1, CPE: 1, CTP: 2}, http.StatusBadRequest},
-		{"bad budget", NewAdSpec{Name: "x", Budget: -1, CPE: 1}, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		req := AddAdRequest{InstanceParams: base.InstanceParams, Ad: tc.ad}
-		if code := postJSON(t, ts.URL+"/ads", req, nil); code != tc.want {
-			t.Errorf("%s: POST /ads returned %d, want %d", tc.name, code, tc.want)
+	bothModes(t, base.InstanceParams, func(t *testing.T, url string, coordinator bool) {
+		if code := postJSON(t, url+"/allocate", base, nil); code != http.StatusOK {
+			t.Fatalf("baseline allocate returned %d", code)
 		}
-	}
 
-	spendCases := []struct {
-		name  string
-		spend map[string]float64
-		want  int
-	}{
-		{"unknown ad", map[string]float64{"zz": 1}, http.StatusNotFound},
-		{"negative", map[string]float64{"a": -2}, http.StatusBadRequest},
-	}
-	for _, tc := range spendCases {
-		req := SpendRequest{InstanceParams: base.InstanceParams, Spend: tc.spend}
-		if code := postJSON(t, ts.URL+"/spend", req, nil); code != tc.want {
-			t.Errorf("%s: POST /spend returned %d, want %d", tc.name, code, tc.want)
+		cases := []struct {
+			name string
+			ad   NewAdSpec
+			want int
+		}{
+			{"missing name", NewAdSpec{Budget: 1, CPE: 1}, http.StatusBadRequest},
+			{"duplicate name", NewAdSpec{Name: "a", Budget: 1, CPE: 1}, http.StatusConflict},
+			{"bad template", NewAdSpec{Name: "x", Budget: 1, CPE: 1, Template: 9}, http.StatusBadRequest},
+			{"bad ctp", NewAdSpec{Name: "x", Budget: 1, CPE: 1, CTP: 2}, http.StatusBadRequest},
+			{"bad budget", NewAdSpec{Name: "x", Budget: -1, CPE: 1}, http.StatusBadRequest},
 		}
-	}
+		for _, tc := range cases {
+			req := AddAdRequest{InstanceParams: base.InstanceParams, Ad: tc.ad}
+			if code := postJSON(t, url+"/ads", req, nil); code != tc.want {
+				t.Errorf("%s: POST /ads returned %d, want %d", tc.name, code, tc.want)
+			}
+		}
 
-	if code := deleteReq(t, ts.URL+"/ads/a", nil); code != http.StatusBadRequest {
-		t.Errorf("DELETE without dataset returned %d, want 400", code)
-	}
-	if code := deleteReq(t, ts.URL+"/ads/?dataset=fig1&seed=1&scale=0.05", nil); code != http.StatusBadRequest {
-		t.Errorf("DELETE without name returned %d, want 400", code)
-	}
+		spendCases := []struct {
+			name  string
+			spend map[string]float64
+			want  int
+		}{
+			{"unknown ad", map[string]float64{"zz": 1}, http.StatusNotFound},
+			{"negative", map[string]float64{"a": -2}, http.StatusBadRequest},
+		}
+		for _, tc := range spendCases {
+			req := SpendRequest{InstanceParams: base.InstanceParams, Spend: tc.spend}
+			if code := postJSON(t, url+"/spend", req, nil); code != tc.want {
+				t.Errorf("%s: POST /spend returned %d, want %d", tc.name, code, tc.want)
+			}
+		}
 
-	// Campaign must still be the original four ads.
-	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatal("stats failed")
+		if code := deleteReq(t, url+"/ads/a", nil); code != http.StatusBadRequest {
+			t.Errorf("DELETE without dataset returned %d, want 400", code)
+		}
+		if code := deleteReq(t, url+"/ads/?dataset=fig1&seed=1&scale=0.05", nil); code != http.StatusBadRequest {
+			t.Errorf("DELETE without name returned %d, want 400", code)
+		}
+		if code := deleteReq(t, url+"/ads/zz?dataset=fig1&seed=1&scale=0.05", nil); code != http.StatusNotFound {
+			t.Errorf("DELETE of an unknown ad returned %d, want 404", code)
+		}
+
+		// Campaign must still be the original four ads.
+		var stats StatsResponse
+		if code := getJSON(t, url+"/stats", &stats); code != http.StatusOK {
+			t.Fatal("stats failed")
+		}
+		if coordinator {
+			sh := stats.Sharded
+			if sh == nil || sh.Epoch != 1 || sh.Shards[0].NumAds != 4 || sh.Shards[0].Epoch != 1 {
+				t.Errorf("cluster after refused mutations: %+v, want 4 ads at epoch 1", sh)
+			}
+		} else if len(stats.Entries) != 1 || stats.Entries[0].NumAds != 4 || stats.Entries[0].Epoch != 1 {
+			t.Errorf("entry after refused mutations: %+v, want 4 ads at epoch 1", stats.Entries)
+		}
+
+		// A campaign cannot lose its last ad: 400, not an engine failure.
+		for _, name := range []string{"b", "c", "d"} {
+			if code := deleteReq(t, url+"/ads/"+name+"?dataset=fig1&seed=1&scale=0.05", nil); code != http.StatusOK {
+				t.Fatalf("DELETE /ads/%s returned %d", name, code)
+			}
+		}
+		if code := deleteReq(t, url+"/ads/a?dataset=fig1&seed=1&scale=0.05", nil); code != http.StatusBadRequest {
+			t.Errorf("DELETE of the last ad returned %d, want 400", code)
+		}
+	})
+}
+
+// TestServerMaxAds: a campaign at Options.MaxAds refuses a valid POST /ads
+// with 400 in both modes.
+func TestServerMaxAds(t *testing.T) {
+	base := fig1Request()
+	add := AddAdRequest{InstanceParams: base.InstanceParams, Ad: NewAdSpec{Name: "promo", Budget: 1, CPE: 1}}
+	single := testServer(t, Options{MaxAds: 4})
+	if code := postJSON(t, single.URL+"/ads", add, nil); code != http.StatusBadRequest {
+		t.Errorf("single-node POST /ads at MaxAds returned %d, want 400", code)
 	}
-	if len(stats.Entries) != 1 || stats.Entries[0].NumAds != 4 || stats.Entries[0].Epoch != 1 {
-		t.Errorf("entry after refused mutations: %+v, want 4 ads at epoch 1", stats.Entries)
+	front, srv := shardedServer(t, base.InstanceParams, 2)
+	srv.opts.MaxAds = 4
+	if code := postJSON(t, front.URL+"/ads", add, nil); code != http.StatusBadRequest {
+		t.Errorf("coordinator POST /ads at MaxAds returned %d, want 400", code)
 	}
 }
 
@@ -256,6 +303,14 @@ func TestServerLiveCampaignCap(t *testing.T) {
 	}
 	if code := pin(2); code != http.StatusOK {
 		t.Errorf("pin after releasing the slot returned %d, want 200", code)
+	}
+	// The refusal is counted whichever endpoint hit the cap.
+	var stats StatsResponse
+	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats returned %d", code)
+	}
+	if stats.AllocFailures["cap"] != 1 {
+		t.Errorf("allocFailures = %v, want cap:1", stats.AllocFailures)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 )
 
 // Failure reasons for the adserver_alloc_failures_total counter. Bounded
-// by construction: every rejected or errored allocation maps onto exactly
-// one of these.
+// by construction: resolve's refusals and failureOf's mapping of engine
+// errors (campaign.go) are the only sources, on every request path.
 const (
 	// failStaleEpoch is a 409: a campaign mutation swapped the epoch
 	// between request shaping and the run.
@@ -93,7 +93,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		allocations: reg.Counter("adserver_allocations_total",
 			"Successful allocation runs served (single-node and coordinator mode)."),
 		allocFailures: reg.CounterVec("adserver_alloc_failures_total",
-			"Refused or errored allocation requests by reason (stale_epoch=409 epoch race, cap=503 live-campaign cap, bad_request=400, internal=500 index build, upstream=502 shard RPC).",
+			"Refused or errored requests by reason (stale_epoch=409 epoch race, cap=503 live-campaign cap, unavailable=503 partition range with no live replica, bad_request=400, internal=500 index build, upstream=502 shard RPC).",
 			"reason"),
 		allocSeconds: reg.Histogram("adserver_alloc_seconds",
 			"End-to-end selection wall time per successful /allocate, in seconds.", obs.DefBuckets),

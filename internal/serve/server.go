@@ -23,6 +23,12 @@
 // shaped for. Mutations live in memory only: a snapshot restart restores
 // the as-built index (see DESIGN.md §6.5).
 //
+// With Options.Shards set, the sample lives on a cluster of adshard
+// daemons instead (coordinator mode). That is a second engine, not a second
+// service: every request path is written once against a campaign and an
+// engine resolved per request (campaign.go), and only the cache above is
+// single-node-only.
+//
 // Endpoints:
 //
 //	POST   /allocate    — run TIRM selection against the cached index
@@ -40,27 +46,20 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime/metrics"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bandit"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/topic"
 	"repro/internal/xrand"
 )
 
@@ -171,138 +170,6 @@ type Server struct {
 	adsRemoved      atomic.Int64
 	spendUpdates    atomic.Int64
 	feedbackUpdates atomic.Int64
-}
-
-// entry is one cached instance plus its lazily built index. The two are
-// built in separate phases so /evaluate — which only needs the instance —
-// never pays for (or triggers) index presampling. instReady is closed once
-// inst is set; idxReady is created by the first index builder and closed
-// when idx/idxErr are final, coalescing concurrent builders.
-type entry struct {
-	key       string
-	params    InstanceParams
-	instReady chan struct{}
-	inst      *core.Instance
-
-	idxMu    sync.Mutex
-	idxReady chan struct{} // nil until an index build starts
-	idx      *core.Index
-	idxErr   error
-	fromDisk bool
-	buildSec float64
-
-	lastUsed atomic.Int64 // unix nanos, drives LRU eviction
-	hits     atomic.Int64
-	allocs   atomic.Int64
-
-	// pool recycles AllocateFromIndex workspaces across requests against
-	// this entry's index; attaching it here (rather than sharing one pool
-	// process-wide) keeps the recycled array shapes matched to the entry's
-	// node count and θ, and gives /stats a per-campaign hit/miss signal.
-	pool core.WorkspacePool
-	// allocObjects/allocBytes accumulate the runtime's heap-allocation
-	// deltas measured around each selection run (approximate when requests
-	// overlap — the counters are process-wide; see docs/API.md).
-	allocObjects atomic.Int64
-	allocBytes   atomic.Int64
-
-	// lifeMu serializes campaign mutations on this entry so name-uniqueness
-	// checks and the core epoch swap are atomic; allocations never take it
-	// (they pin an epoch inside core instead). spendMu guards the
-	// engagement ledger, keyed by ad name so it survives the position
-	// shifts removals cause. mutating counts mutation handlers currently
-	// between entry resolution and completion, so eviction never races the
-	// first mutation out of existence.
-	lifeMu   sync.Mutex
-	spendMu  sync.Mutex
-	spent    map[string]float64
-	mutating atomic.Int32
-
-	// estMu guards the bandit estimator (nil until the first POST
-	// /feedback). Separate from lifeMu: feedback is name-keyed and
-	// epoch-tolerant, so it never serializes against campaign mutations.
-	estMu sync.Mutex
-	est   bandit.Estimator
-}
-
-// currentInst returns the entry's latest campaign view: the index's current
-// epoch once one is built (mutations swap fresh instances in), otherwise
-// the as-generated base instance. Callers must have waited on instReady.
-func (e *entry) currentInst() *core.Instance {
-	if e.indexBuilt() {
-		return e.idx.Inst()
-	}
-	return e.inst
-}
-
-// hasLifecycleState reports whether the entry carries campaign state that
-// exists nowhere else — a mutated ad set (epoch past the build) or a
-// non-empty spend ledger. Such entries are exempt from LRU eviction:
-// rebuilding from the generator (or the as-built snapshot) would silently
-// resurrect the pre-mutation campaign with full budgets.
-func (e *entry) hasLifecycleState() bool {
-	e.spendMu.Lock()
-	spent := len(e.spent) > 0
-	e.spendMu.Unlock()
-	if spent {
-		return true
-	}
-	return e.indexBuilt() && e.idx.Epoch() > 1
-}
-
-// spendVector materializes the engagement ledger positionally for inst.
-// Ads with no recorded spend map to 0, so a fresh campaign is exactly the
-// zero vector.
-func (e *entry) spendVector(inst *core.Instance) []float64 {
-	out := make([]float64, len(inst.Ads))
-	e.spendMu.Lock()
-	defer e.spendMu.Unlock()
-	if e.spent == nil {
-		return out
-	}
-	for j, ad := range inst.Ads {
-		out[j] = e.spent[ad.Name]
-	}
-	return out
-}
-
-// buildInFlight reports whether the entry's instance generation or index
-// build is currently running (non-blocking).
-func (e *entry) buildInFlight() bool {
-	select {
-	case <-e.instReady:
-	default:
-		return true
-	}
-	e.idxMu.Lock()
-	ch := e.idxReady
-	e.idxMu.Unlock()
-	if ch == nil {
-		return false
-	}
-	select {
-	case <-ch:
-		return false
-	default:
-		return true
-	}
-}
-
-// indexBuilt reports whether the entry's index finished building
-// successfully (non-blocking).
-func (e *entry) indexBuilt() bool {
-	e.idxMu.Lock()
-	ch := e.idxReady
-	e.idxMu.Unlock()
-	if ch == nil {
-		return false
-	}
-	select {
-	case <-ch:
-		return e.idxErr == nil
-	default:
-		return false
-	}
 }
 
 // InstanceParams identifies a cached instance+index. Only sampling-time
@@ -454,197 +321,6 @@ func WarmSpec(spec string) (InstanceParams, error) {
 	return p, nil
 }
 
-// entryFor returns the cached entry for p, generating the instance if
-// needed (the index is built separately by indexFor, so instance-only
-// consumers like /evaluate never trigger sampling). created reports
-// whether this call made the entry; waited reports whether it blocked on
-// another caller's in-flight instance generation.
-func (s *Server) entryFor(p InstanceParams) (_ *entry, created, waited bool, _ error) {
-	if _, ok := findDataset(p.Dataset); !ok {
-		return nil, false, false, fmt.Errorf("unknown dataset %q", p.Dataset)
-	}
-	if p.Scale <= 0 {
-		return nil, false, false, fmt.Errorf("scale must be > 0")
-	}
-	if p.Scale > s.opts.MaxScale {
-		return nil, false, false, fmt.Errorf("scale %g exceeds server limit %g", p.Scale, s.opts.MaxScale)
-	}
-	if p.NumAds < 0 {
-		return nil, false, false, fmt.Errorf("numAds must be ≥ 0")
-	}
-	if p.NumAds > s.opts.MaxAds {
-		return nil, false, false, fmt.Errorf("numAds %d exceeds server limit %d", p.NumAds, s.opts.MaxAds)
-	}
-	key := p.Key()
-	now := time.Now().UnixNano()
-
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.mu.Unlock()
-		e.lastUsed.Store(now)
-		select {
-		case <-e.instReady:
-		default:
-			waited = true
-			<-e.instReady
-		}
-		return e, false, waited, nil
-	}
-	e := &entry{key: key, params: p, instReady: make(chan struct{})}
-	e.lastUsed.Store(now)
-	s.entries[key] = e
-	s.evictLocked(e)
-	s.mu.Unlock()
-
-	spec, _ := findDataset(p.Dataset)
-	e.inst = spec.build(gen.Options{
-		Seed:   p.Seed,
-		Scale:  p.Scale,
-		NumAds: p.NumAds,
-	})
-	close(e.instReady)
-	return e, true, false, nil
-}
-
-// evictLocked drops least-recently-used entries (never keep, the one just
-// inserted; never an entry whose build is still in flight — evicting those
-// would let a re-request start a duplicate multi-hundred-MB build; and
-// never an entry holding live campaign state — mutations and the spend
-// ledger exist only in that entry, so evicting it would silently serve the
-// pre-mutation campaign on the next request) until the cache fits
-// MaxEntries; if every candidate is exempt, the cache temporarily exceeds
-// the cap. Callers holding a reference to an evicted entry keep using it
-// safely — eviction only removes it from the map — and its disk snapshot,
-// if any, survives for a cheap reload.
-func (s *Server) evictLocked(keep *entry) {
-	for len(s.entries) > s.opts.MaxEntries {
-		var oldest *entry
-		for _, e := range s.entries {
-			if e == keep || e.buildInFlight() || e.mutating.Load() != 0 || e.hasLifecycleState() {
-				continue
-			}
-			if oldest == nil || e.lastUsed.Load() < oldest.lastUsed.Load() {
-				oldest = e
-			}
-		}
-		if oldest == nil {
-			return
-		}
-		delete(s.entries, oldest.key)
-		if oldest.inst != nil {
-			for _, ad := range oldest.inst.Ads {
-				s.metrics.dropBanditEstimate(ad.Name)
-			}
-		}
-		s.opts.Logf("serve: evicted %s (LRU, cache cap %d)", oldest.key, s.opts.MaxEntries)
-	}
-}
-
-// indexFor returns the entry's index, building (or loading from snapshot)
-// it on first use. Concurrent callers for one entry share a single build.
-// cold reports whether this call did the build; waited whether it blocked
-// on another caller's build. Build errors are cached: instances are valid
-// by construction here, so an index failure is a bug, not a transient.
-func (s *Server) indexFor(e *entry) (_ *core.Index, cold, waited bool, _ error) {
-	e.idxMu.Lock()
-	if ch := e.idxReady; ch != nil {
-		e.idxMu.Unlock()
-		select {
-		case <-ch:
-		default:
-			waited = true
-			<-ch
-		}
-		return e.idx, false, waited, e.idxErr
-	}
-	ch := make(chan struct{})
-	e.idxReady = ch
-	e.idxMu.Unlock()
-
-	s.buildIndex(e)
-	close(ch)
-	return e.idx, true, false, e.idxErr
-}
-
-// buildIndex samples (or snapshot-loads) the entry's index.
-func (s *Server) buildIndex(e *entry) {
-	started := time.Now()
-	if path := s.snapshotPath(e.key); path != "" {
-		if f, err := os.Open(path); err == nil {
-			idx, err := core.LoadIndexSnapshot(e.inst, f)
-			f.Close()
-			if err == nil {
-				e.idx = idx
-				e.fromDisk = true
-				s.snapshotLoads.Add(1)
-				e.buildSec = time.Since(started).Seconds()
-				s.opts.Logf("serve: loaded index %s from snapshot (%d ads, %.1f MB) in %.2fs",
-					e.key, idx.NumAds(), float64(idx.MemBytes())/1e6, e.buildSec)
-				return
-			}
-			s.opts.Logf("serve: snapshot %s unusable (%v); rebuilding", path, err)
-		}
-	}
-
-	idx, err := core.BuildIndex(e.inst, e.params.Seed, core.TIRMOptions{MaxTheta: s.opts.MaxTheta})
-	if err != nil {
-		e.idxErr = err
-		return
-	}
-	e.idx = idx
-	e.buildSec = time.Since(started).Seconds()
-	s.opts.Logf("serve: built index %s (%d ads, %d sets, %.1f MB) in %.2fs",
-		e.key, idx.NumAds(), idx.SetsSampled(), float64(idx.MemBytes())/1e6, e.buildSec)
-	s.saveSnapshot(e)
-}
-
-func (s *Server) snapshotPath(key string) string {
-	if s.opts.SnapshotDir == "" {
-		return ""
-	}
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_', r == '=':
-			return r
-		default:
-			return '_'
-		}
-	}, key)
-	return filepath.Join(s.opts.SnapshotDir, safe+".adix")
-}
-
-// saveSnapshot persists a freshly built index (write temp + rename, so a
-// crash never leaves a torn file). Failures are logged, never fatal.
-func (s *Server) saveSnapshot(e *entry) {
-	path := s.snapshotPath(e.key)
-	if path == "" {
-		return
-	}
-	if err := os.MkdirAll(s.opts.SnapshotDir, 0o755); err != nil {
-		s.opts.Logf("serve: snapshot dir: %v", err)
-		return
-	}
-	tmp, err := os.CreateTemp(s.opts.SnapshotDir, ".adix-*")
-	if err != nil {
-		s.opts.Logf("serve: snapshot temp: %v", err)
-		return
-	}
-	err = e.idx.WriteSnapshot(tmp)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		s.opts.Logf("serve: snapshot %s: %v", path, err)
-		return
-	}
-	s.opts.Logf("serve: wrote snapshot %s", path)
-}
-
 // heapAllocSample reads the runtime's cumulative heap-allocation counters
 // (objects, bytes). Deltas around a selection run approximate its
 // allocation cost; with overlapping requests the counters attribute
@@ -782,9 +458,9 @@ type StatsResponse struct {
 	// counters over the live cache (evicted entries drop out).
 	WorkspaceHits   int64 `json:"workspaceHits"`
 	WorkspaceMisses int64 `json:"workspaceMisses"`
-	// AllocFailures counts refused or errored allocation requests by
-	// reason (stale_epoch, cap, bad_request, internal, upstream); absent
-	// until the first failure.
+	// AllocFailures counts refused or errored requests by reason
+	// (stale_epoch, cap, unavailable, bad_request, internal, upstream);
+	// absent until the first failure.
 	AllocFailures map[string]uint64 `json:"allocFailures,omitempty"`
 	// Kernels counts per-ad coverage collections by the cover kernel they
 	// ran on ("sparse" vs "bitset"), summed over successful allocations —
@@ -798,25 +474,6 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.sharded != nil {
-		resp := StatsResponse{
-			UptimeSeconds:     time.Since(s.start).Seconds(),
-			AdsAdded:          s.adsAdded.Load(),
-			AdsRemoved:        s.adsRemoved.Load(),
-			SpendUpdates:      s.spendUpdates.Load(),
-			FeedbackUpdates:   s.feedbackUpdates.Load(),
-			IndexMemByDataset: map[string]int64{},
-			AllocFailures:     s.allocFailureCounts(),
-			Kernels:           s.kernelCounts(),
-			Entries:           []EntryStats{},
-			Sharded:           s.shardedStats(r.Context()),
-		}
-		for _, h := range resp.Sharded.Shards {
-			resp.IndexMemBytes += h.MemBytes
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
 	s.mu.Lock()
 	entries := make([]*entry, 0, len(s.entries))
 	for _, e := range s.entries {
@@ -846,13 +503,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		default:
 			continue // instance still generating; skip rather than block
 		}
-		inst := e.currentInst()
+		epoch, inst := e.EpochInst()
 		wsHits, wsMisses := e.pool.Stats()
 		es := EntryStats{
 			Key:             e.key,
 			NumAds:          len(inst.Ads),
+			Epoch:           epoch,
 			Hits:            e.hits.Load(),
 			Allocations:     e.allocs.Load(),
+			SpentTotal:      e.spentTotal(inst),
 			WorkspaceHits:   wsHits,
 			WorkspaceMisses: wsMisses,
 		}
@@ -862,13 +521,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.WorkspaceHits += wsHits
 		resp.WorkspaceMisses += wsMisses
-		e.spendMu.Lock()
-		for _, ad := range inst.Ads {
-			es.SpentTotal += e.spent[ad.Name]
-		}
-		e.spendMu.Unlock()
 		if e.indexBuilt() {
-			es.Epoch = e.idx.Epoch()
 			mem := e.idx.MemBytes()
 			resp.IndexMemBytes += mem
 			resp.IndexMemByDataset[e.params.Dataset] += mem
@@ -879,6 +532,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			es.FromSnapshot = e.fromDisk
 		}
 		resp.Entries = append(resp.Entries, es)
+	}
+	if s.sharded != nil {
+		// The cache above is empty: the sample lives on the shards.
+		resp.Sharded = s.shardedStats(r.Context())
+		for _, h := range resp.Sharded.Shards {
+			resp.IndexMemBytes += h.MemBytes
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -974,51 +634,28 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if s.sharded != nil {
-		s.handleAllocateSharded(w, r, req)
+	t, ok := s.resolve(w, req.InstanceParams, needIndex)
+	if !ok {
 		return
-	}
-	e, created, waitedInst, err := s.entryFor(req.InstanceParams)
-	if err != nil {
-		s.metrics.failAlloc(failBadRequest)
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	idx, cold, waitedIdx, err := s.indexFor(e)
-	if err != nil {
-		s.metrics.failAlloc(failInternal)
-		httpError(w, http.StatusInternalServerError, "index build: %v", err)
-		return
-	}
-	switch {
-	case created || cold:
-		s.cacheMisses.Add(1)
-	case waitedInst || waitedIdx:
-		s.coalesced.Add(1)
-	default:
-		s.cacheHits.Add(1)
-		e.hits.Add(1)
 	}
 	// Pin the run to the epoch we shape the request (and its report)
 	// against: a campaign mutation racing in turns into a clean 409, never
 	// a positionally misaligned allocation.
-	epoch, curInst := idx.EpochInst()
+	epoch, curInst := t.EpochInst()
 	reqCPEs := req.CPEs
 	if req.Bandit {
 		if req.CPEs != nil {
-			s.metrics.failAlloc(failBadRequest)
-			httpError(w, http.StatusBadRequest, "bandit and cpes are mutually exclusive")
+			s.refuse(w, http.StatusBadRequest, failBadRequest, "bandit and cpes are mutually exclusive")
 			return
 		}
-		cpes, err := e.banditCPEs(curInst)
+		cpes, err := t.banditCPEs(curInst)
 		if err != nil {
-			s.metrics.failAlloc(failBadRequest)
-			httpError(w, http.StatusBadRequest, "%v", err)
+			s.refuse(w, http.StatusBadRequest, failBadRequest, "%v", err)
 			return
 		}
 		reqCPEs = cpes
 	}
-	_, observer, explain, allocSpan := s.allocObserverFor(r.Context(), req.Explain)
+	actx, observer, explain, allocSpan := s.allocObserverFor(r.Context(), req.Explain)
 	coreReq := core.Request{
 		Opts:     req.Opts.toOptions(s.opts.MaxTheta),
 		Ads:      req.Ads,
@@ -1026,7 +663,6 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		CPEs:     reqCPEs,
 		Lambda:   req.Lambda,
 		Epoch:    epoch,
-		Pool:     &e.pool,
 		Observer: observer,
 		Explain:  explain,
 		Kernel:   s.kernelFor(req.Kernel),
@@ -1035,32 +671,26 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		coreReq.Kappa = core.ConstKappa(req.Kappa)
 	}
 	if req.Residual {
-		coreReq.SpentBudget = e.spendVector(curInst)
+		coreReq.SpentBudget = t.spendVector(curInst)
 	}
 	started := time.Now()
 	objBefore, bytesBefore := heapAllocSample()
-	res, err := core.AllocateFromIndex(idx, coreReq)
+	res, err := t.Allocate(actx, coreReq)
 	allocSpan.EndErr(err)
 	objAfter, bytesAfter := heapAllocSample()
 	allocObjects, allocBytes := objAfter-objBefore, bytesAfter-bytesBefore
 	if err != nil {
-		if errors.Is(err, core.ErrStaleEpoch) {
-			s.metrics.failAlloc(failStaleEpoch)
-			httpError(w, http.StatusConflict, "campaign set changed mid-request, retry: %v", err)
-			return
-		}
-		s.metrics.failAlloc(failBadRequest)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, err, t.upstream())
 		return
 	}
 	s.metrics.allocations.Inc()
 	s.metrics.allocSeconds.Observe(time.Since(started).Seconds())
 	s.metrics.recordKernels(res.KernelCounts)
-	e.allocs.Add(1)
-	// Accumulated only for successful runs: e.allocs is the divisor of the
+	t.allocs.Add(1)
+	// Accumulated only for successful runs: allocs is the divisor of the
 	// /stats per-request averages, so failed runs must not contribute.
-	e.allocObjects.Add(allocObjects)
-	e.allocBytes.Add(allocBytes)
+	t.allocObjects.Add(allocObjects)
+	t.allocBytes.Add(allocBytes)
 	for i, s := range res.Alloc.Seeds {
 		if s == nil {
 			res.Alloc.Seeds[i] = []int32{} // JSON: [] for empty, never null
@@ -1072,15 +702,11 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	// ad's untouched budget is not this allocation's failure. Residual
 	// runs score against the remaining budgets they targeted.
 	estRegret := core.RegretOver(inst, req.Ads, req.Budgets, coreReq.SpentBudget, res.EstRevenue, res.Alloc.Seeds)
-	names := make([]string, len(inst.Ads))
-	for i, ad := range inst.Ads {
-		names[i] = ad.Name
-	}
 	resp := AllocateResponse{
-		Key:           e.key,
+		Key:           t.key,
 		Epoch:         epoch,
-		ColdBuild:     cold,
-		FromSnapshot:  e.fromDisk,
+		ColdBuild:     t.cold,
+		FromSnapshot:  t.fromSnapshot,
 		AllocSeconds:  time.Since(started).Seconds(),
 		Seeds:         res.Alloc.Seeds,
 		EstRevenue:    res.EstRevenue,
@@ -1089,14 +715,14 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		Iterations:    res.Iterations,
 		SetsSampled:   res.TotalSetsSampled,
 		SetsReused:    res.SetsReused,
-		IndexMemBytes: idx.MemBytes(),
-		AdNames:       names,
+		IndexMemBytes: t.MemBytes(),
+		AdNames:       adNames(inst),
 		SpentBudgets:  coreReq.SpentBudget,
 		AllocObjects:  allocObjects,
 		AllocBytes:    allocBytes,
 	}
-	if cold {
-		resp.BuildSeconds = e.buildSec
+	if t.cold {
+		resp.BuildSeconds = t.buildSec
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1123,36 +749,15 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	var epoch uint64
-	var curInst *core.Instance
-	if s.sharded != nil {
-		// Coordinator mode: score against the cluster's campaign mirror —
-		// evaluation needs only the instance, never a shard RPC.
-		if !s.checkShardedParams(w, req.InstanceParams) {
-			return
-		}
-		epoch, curInst = s.sharded.coord.EpochInst()
-	} else {
-		e, created, waited, err := s.entryFor(req.InstanceParams)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		switch {
-		case created:
-			s.cacheMisses.Add(1)
-		case waited:
-			s.coalesced.Add(1)
-		default:
-			s.cacheHits.Add(1)
-			e.hits.Add(1)
-		}
-		// Capture (epoch, instance) as one consistent pair; mutations only
-		// exist once an index does, so an index-less entry is at epoch 1.
-		epoch, curInst = uint64(1), e.inst
-		if e.indexBuilt() {
-			epoch, curInst = e.idx.EpochInst()
-		}
+	// Evaluation needs only the instance: never an index build, never a
+	// shard RPC.
+	t, ok := s.resolve(w, req.InstanceParams, needInstance)
+	if !ok {
+		return
+	}
+	epoch, curInst := t.EpochInst()
+	if epoch == 0 {
+		epoch = 1 // no sample yet, so no mutation either: the as-built campaign
 	}
 	if req.Epoch != 0 && req.Epoch != epoch {
 		httpError(w, http.StatusConflict,
@@ -1197,363 +802,4 @@ func (s *Server) kernelFor(kernel string) string {
 		return kernel
 	}
 	return s.opts.DefaultKernel
-}
-
-// --- Campaign lifecycle ---------------------------------------------------
-
-// NewAdSpec describes the advertiser POST /ads creates. The new ad shares
-// the Template ad's mixed edge probabilities (its topical propagation
-// profile — datasets are generated, so arbitrary per-edge vectors have no
-// JSON-sized representation) with its own budget, CPE, and optionally a
-// uniform click-through probability; CTP 0 keeps the template's CTP vector.
-type NewAdSpec struct {
-	Name     string  `json:"name"`
-	Budget   float64 `json:"budget"`
-	CPE      float64 `json:"cpe"`
-	CTP      float64 `json:"ctp,omitempty"`
-	Template int     `json:"template,omitempty"`
-}
-
-// AddAdRequest is POST /ads: add an advertiser to the cached campaign set.
-type AddAdRequest struct {
-	InstanceParams
-	Ad NewAdSpec `json:"ad"`
-}
-
-// LifecycleResponse reports the campaign set after a POST /ads or
-// DELETE /ads/{name} mutation. Position is the added ad's index (POST
-// only); Epoch is the index version requests are now served on.
-type LifecycleResponse struct {
-	Key      string   `json:"key"`
-	Epoch    uint64   `json:"epoch"`
-	NumAds   int      `json:"numAds"`
-	Position int      `json:"position,omitempty"`
-	AdNames  []string `json:"adNames"`
-}
-
-func lifecycleResponse(e *entry, idx *core.Index, pos int) LifecycleResponse {
-	epoch, inst := idx.EpochInst()
-	names := make([]string, len(inst.Ads))
-	for i, ad := range inst.Ads {
-		names[i] = ad.Name
-	}
-	return LifecycleResponse{Key: e.key, Epoch: epoch, NumAds: len(names), Position: pos, AdNames: names}
-}
-
-// errTooManyLiveCampaigns rejects a mutation that would pin yet another
-// entry against eviction once every cache slot already holds live campaign
-// state — the bound that keeps MaxEntries a real memory cap even though
-// lifecycle state exempts entries from LRU.
-var errTooManyLiveCampaigns = errors.New(
-	"every cache slot holds live campaign state; retire a campaign (DELETE /ads) or reset its spend before mutating a new one")
-
-// mutationEntry resolves the entry a campaign mutation targets and marks
-// it mutating *atomically with cache membership* (under s.mu): eviction
-// also runs under s.mu and skips mutating entries, so an entry can never
-// be recycled between resolution and the mutation landing — the race that
-// would otherwise let the server acknowledge a mutation (200) and then
-// serve the pre-mutation campaign from a replacement entry. Entries about
-// to acquire their first lifecycle state are admitted only while fewer
-// than MaxEntries entries are pinned. Callers must arrange
-// `defer e.mutating.Add(-1)`.
-func (s *Server) mutationEntry(p InstanceParams) (*entry, error) {
-	for {
-		e, _, _, err := s.entryFor(p)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		cur, ok := s.entries[e.key]
-		if !ok {
-			s.entries[e.key] = e // evicted in the resolution window; restore
-			cur = e
-		}
-		if cur != e {
-			// The key was recycled to a different entry mid-resolution;
-			// retry — entryFor now resolves to the current one.
-			s.mu.Unlock()
-			continue
-		}
-		if !e.hasLifecycleState() {
-			pinned := 0
-			for _, o := range s.entries {
-				// An in-flight first mutation (mutating set, state not yet
-				// landed) must count too, or concurrent first mutations on
-				// distinct entries would all pass the gate and pin more
-				// than MaxEntries campaigns.
-				if o != e && (o.mutating.Load() != 0 || o.hasLifecycleState()) {
-					pinned++
-				}
-			}
-			if pinned >= s.opts.MaxEntries {
-				s.mu.Unlock()
-				return nil, errTooManyLiveCampaigns
-			}
-		}
-		e.mutating.Add(1)
-		s.mu.Unlock()
-		return e, nil
-	}
-}
-
-// lifecycleEntry is mutationEntry plus the index build the /ads mutations
-// need — the same build coalescing every read path uses. On success the
-// entry is marked mutating (callers must arrange `defer e.mutating.Add(-1)`).
-func (s *Server) lifecycleEntry(w http.ResponseWriter, p InstanceParams) (*entry, *core.Index, bool) {
-	e, err := s.mutationEntry(p)
-	if err != nil {
-		if errors.Is(err, errTooManyLiveCampaigns) {
-			s.metrics.failAlloc(failCap)
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-		} else {
-			httpError(w, http.StatusBadRequest, "%v", err)
-		}
-		return nil, nil, false
-	}
-	idx, _, _, err := s.indexFor(e)
-	if err != nil {
-		e.mutating.Add(-1)
-		httpError(w, http.StatusInternalServerError, "index build: %v", err)
-		return nil, nil, false
-	}
-	return e, idx, true
-}
-
-func (s *Server) handleAddAd(w http.ResponseWriter, r *http.Request) {
-	var req AddAdRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if s.sharded != nil {
-		s.handleAddAdSharded(w, r, req)
-		return
-	}
-	e, idx, ok := s.lifecycleEntry(w, req.InstanceParams)
-	if !ok {
-		return
-	}
-	defer e.mutating.Add(-1)
-	e.lifeMu.Lock()
-	defer e.lifeMu.Unlock()
-	inst := idx.Inst()
-	spec := req.Ad
-	if spec.Name == "" {
-		httpError(w, http.StatusBadRequest, "ad name required")
-		return
-	}
-	for _, ad := range inst.Ads {
-		if ad.Name == spec.Name {
-			httpError(w, http.StatusConflict, "ad %q already exists", spec.Name)
-			return
-		}
-	}
-	if len(inst.Ads) >= s.opts.MaxAds {
-		httpError(w, http.StatusBadRequest, "campaign set already at server limit of %d ads", s.opts.MaxAds)
-		return
-	}
-	if spec.Template < 0 || spec.Template >= len(inst.Ads) {
-		httpError(w, http.StatusBadRequest, "template %d out of range (campaign has %d ads)", spec.Template, len(inst.Ads))
-		return
-	}
-	if spec.CTP < 0 || spec.CTP > 1 {
-		httpError(w, http.StatusBadRequest, "ctp %g must be in [0, 1]", spec.CTP)
-		return
-	}
-	tmpl := inst.Ads[spec.Template]
-	ctps := tmpl.Params.CTPs
-	if spec.CTP > 0 {
-		ctps = topic.ConstCTP{Nodes: inst.G.N(), P: spec.CTP}
-	}
-	ad := core.Ad{
-		Name:   spec.Name,
-		Budget: spec.Budget,
-		CPE:    spec.CPE,
-		Params: topic.ItemParams{Probs: tmpl.Params.Probs, CTPs: ctps},
-	}
-	pos, err := idx.AddAd(ad, core.TIRMOptions{MaxTheta: s.opts.MaxTheta})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.adsAdded.Add(1)
-	s.opts.Logf("serve: %s added ad %q (template %d) at position %d, epoch %d",
-		e.key, spec.Name, spec.Template, pos, idx.Epoch())
-	writeJSON(w, http.StatusOK, lifecycleResponse(e, idx, pos))
-}
-
-// adParamsFromQuery parses the instance parameters a DELETE carries as
-// query string (dataset, seed, scale, ads) — DELETEs have no body.
-func adParamsFromQuery(r *http.Request) (InstanceParams, error) {
-	var p InstanceParams
-	q := r.URL.Query()
-	p.Dataset = q.Get("dataset")
-	if p.Dataset == "" {
-		return p, fmt.Errorf("query parameter dataset required")
-	}
-	var err error
-	if v := q.Get("seed"); v != "" {
-		if p.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return p, fmt.Errorf("bad seed %q", v)
-		}
-	}
-	if v := q.Get("scale"); v != "" {
-		if p.Scale, err = strconv.ParseFloat(v, 64); err != nil {
-			return p, fmt.Errorf("bad scale %q", v)
-		}
-	}
-	if v := q.Get("ads"); v != "" {
-		if p.NumAds, err = strconv.Atoi(v); err != nil {
-			return p, fmt.Errorf("bad ads %q", v)
-		}
-	}
-	return p, nil
-}
-
-func (s *Server) handleRemoveAd(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodDelete {
-		httpError(w, http.StatusMethodNotAllowed, "use DELETE")
-		return
-	}
-	name := strings.TrimPrefix(r.URL.Path, "/ads/")
-	if name == "" || strings.Contains(name, "/") {
-		httpError(w, http.StatusBadRequest, "path must be /ads/{name}")
-		return
-	}
-	p, err := adParamsFromQuery(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.sharded != nil {
-		s.handleRemoveAdSharded(w, r, p, name)
-		return
-	}
-	e, idx, ok := s.lifecycleEntry(w, p)
-	if !ok {
-		return
-	}
-	defer e.mutating.Add(-1)
-	e.lifeMu.Lock()
-	defer e.lifeMu.Unlock()
-	inst := idx.Inst()
-	pos := -1
-	for j, ad := range inst.Ads {
-		if ad.Name == name {
-			pos = j
-			break
-		}
-	}
-	if pos < 0 {
-		httpError(w, http.StatusNotFound, "no ad %q in campaign %s", name, e.key)
-		return
-	}
-	if err := idx.RemoveAd(pos); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	e.spendMu.Lock()
-	delete(e.spent, name)
-	e.spendMu.Unlock()
-	s.adsRemoved.Add(1)
-	s.metrics.dropBanditEstimate(name)
-	s.opts.Logf("serve: %s removed ad %q (position %d), epoch %d", e.key, name, pos, idx.Epoch())
-	writeJSON(w, http.StatusOK, lifecycleResponse(e, idx, 0))
-}
-
-// SpendRequest is POST /spend: add engagement spend to named ads (or with
-// Reset, clear the ledger first). An empty Spend map just reads back the
-// current budget status.
-type SpendRequest struct {
-	InstanceParams
-	Spend map[string]float64 `json:"spend,omitempty"`
-	Reset bool               `json:"reset,omitempty"`
-}
-
-// AdBudgetStatus is one advertiser's budget ledger line.
-type AdBudgetStatus struct {
-	Name     string  `json:"name"`
-	Budget   float64 `json:"budget"`
-	Spent    float64 `json:"spent"`
-	Residual float64 `json:"residual"`
-	Depleted bool    `json:"depleted"`
-}
-
-// SpendResponse is POST /spend's result: the full ledger after the update.
-type SpendResponse struct {
-	Key   string           `json:"key"`
-	Epoch uint64           `json:"epoch,omitempty"`
-	Ads   []AdBudgetStatus `json:"ads"`
-}
-
-func (s *Server) handleSpend(w http.ResponseWriter, r *http.Request) {
-	var req SpendRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if s.sharded != nil {
-		s.handleSpendSharded(w, r, req)
-		return
-	}
-	// Spend is a ledger on the instance, not the sample: like /evaluate it
-	// must never trigger index presampling.
-	e, err := s.mutationEntry(req.InstanceParams)
-	if err != nil {
-		if errors.Is(err, errTooManyLiveCampaigns) {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-		} else {
-			httpError(w, http.StatusBadRequest, "%v", err)
-		}
-		return
-	}
-	defer e.mutating.Add(-1)
-	// lifeMu keeps the name check and the ledger write atomic against
-	// concurrent /ads mutations: without it, a DELETE racing in between
-	// would leave an orphan ledger entry that a future ad reusing the name
-	// silently inherits.
-	e.lifeMu.Lock()
-	defer e.lifeMu.Unlock()
-	inst := e.currentInst()
-	byName := make(map[string]float64, len(inst.Ads))
-	for _, ad := range inst.Ads {
-		byName[ad.Name] = ad.Budget
-	}
-	for name, amount := range req.Spend {
-		if _, ok := byName[name]; !ok {
-			httpError(w, http.StatusNotFound, "no ad %q in campaign %s", name, e.key)
-			return
-		}
-		if amount < 0 {
-			httpError(w, http.StatusBadRequest, "spend %g for ad %q must be ≥ 0", amount, name)
-			return
-		}
-	}
-	e.spendMu.Lock()
-	if req.Reset || e.spent == nil {
-		e.spent = map[string]float64{}
-	}
-	for name, amount := range req.Spend {
-		// Zero amounts are valid no-ops but must not create ledger keys: a
-		// non-empty ledger pins the entry against LRU eviction, and an
-		// all-zero ledger carries no state worth pinning.
-		if amount > 0 {
-			e.spent[name] += amount
-		}
-	}
-	resp := SpendResponse{Key: e.key, Ads: make([]AdBudgetStatus, len(inst.Ads))}
-	for i, ad := range inst.Ads {
-		spent := e.spent[ad.Name]
-		resp.Ads[i] = AdBudgetStatus{
-			Name:     ad.Name,
-			Budget:   ad.Budget,
-			Spent:    spent,
-			Residual: math.Max(ad.Budget-spent, 0),
-			Depleted: spent >= ad.Budget,
-		}
-	}
-	e.spendMu.Unlock()
-	if e.indexBuilt() {
-		resp.Epoch = e.idx.Epoch()
-	}
-	s.spendUpdates.Add(1)
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,11 +1,12 @@
 // Coordinator mode: adserver fronting a cluster of adshard daemons. With
 // Options.Shards set, the server connects to every shard at startup
 // (ConnectShards), rebuilds the cluster's instance locally from the
-// parameters the shards self-report, and serves /allocate by distributed
-// scatter-gather selection (internal/shard) instead of a local index.
-// Campaign mutations broadcast through the coordinator, the spend ledger
-// lives on the serving host exactly as in single-node mode, and /healthz
-// and /stats carry per-shard health.
+// parameters the shards self-report, and from then on resolves every
+// request to the cluster engine below — distributed scatter-gather
+// selection and lockstep mutation broadcasts (internal/shard) in place of
+// a local index. The handlers are the single-node ones (campaign.go): the
+// spend ledger and the estimator live on the serving host either way.
+// /healthz and /stats additionally carry per-shard health.
 //
 // The request surface is unchanged — same bodies, same responses, and the
 // returned allocations are byte-identical to single-node mode, because the
@@ -19,9 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,31 +28,15 @@ import (
 	"repro/internal/shard"
 )
 
-// shardedState is the serve layer's coordinator-mode half: the cluster
-// handle, the instance mirror's cache key, and the host-side spend ledger.
+// shardedState is the serve layer's coordinator-mode half: the one
+// campaign the cluster serves and, as its engine, the cluster handle.
 type shardedState struct {
+	campaign
 	addrs    []string // slot-major: addrs[slot*replicas+rep]
 	replicas int
 	sets     []*shard.ReplicaSet
 	clients  []shard.Client
 	coord    *shard.Coordinator
-	params   InstanceParams
-
-	// lifeMu serializes campaign mutations (name lookups + the cluster
-	// broadcast); the ledger mutex below must never be held across a
-	// broadcast — a slow shard would otherwise stall every /spend and
-	// residual /allocate behind it.
-	lifeMu sync.Mutex
-
-	mu     sync.Mutex // guards spent and allocs only (never held across RPCs)
-	spent  map[string]float64
-	allocs int64
-
-	// estMu guards the host-side bandit estimator (nil until the first
-	// POST /feedback); its integer snapshot broadcasts to every shard
-	// after each batch, outside this lock.
-	estMu sync.Mutex
-	est   bandit.Estimator
 
 	// memBytes caches the cluster's summed sample footprint, refreshed by
 	// the health probes — /allocate reports it without sweeping shards.
@@ -84,7 +66,7 @@ func (s *Server) ConnectShards(ctx context.Context) error {
 		return fmt.Errorf("serve: %d shard addresses do not divide into replica groups of %d", len(s.opts.Shards), r)
 	}
 	k := len(s.opts.Shards) / r
-	st := &shardedState{addrs: s.opts.Shards, replicas: r, spent: map[string]float64{}}
+	st := &shardedState{addrs: s.opts.Shards, replicas: r}
 	// All RPC telemetry rides the server's own registry so one /metrics
 	// scrape covers the serving host and its view of the fabric. Guarded
 	// for ConnectShards retries — families register once per server.
@@ -128,9 +110,10 @@ func (s *Server) ConnectShards(ctx context.Context) error {
 		}
 	}
 	st.params = InstanceParams{Dataset: first.Name, Seed: first.Seed, Scale: first.Scale, NumAds: first.NumAds}
+	st.key = st.params.Key()
 	roster, err := BuildDataset(st.params)
 	if err != nil {
-		return fmt.Errorf("serve: rebuilding cluster instance %s: %w", st.params.Key(), err)
+		return fmt.Errorf("serve: rebuilding cluster instance %s: %w", st.key, err)
 	}
 	coord, err := shard.NewCoordinator(ctx, st.clients, shard.Config{
 		Roster:  roster,
@@ -146,7 +129,7 @@ func (s *Server) ConnectShards(ctx context.Context) error {
 		s.opts.Logf("serve: warning: cluster already degraded at connect time (ranges %v)", degraded)
 	}
 	s.startProber()
-	s.opts.Logf("serve: coordinator mode over %d ranges × %d replicas, instance %s", k, r, st.params.Key())
+	s.opts.Logf("serve: coordinator mode over %d ranges × %d replicas, instance %s", k, r, st.key)
 	return nil
 }
 
@@ -186,249 +169,49 @@ func (s *Server) Close() {
 	})
 }
 
-// checkShardedParams rejects requests for any instance other than the
-// cluster's.
-func (s *Server) checkShardedParams(w http.ResponseWriter, p InstanceParams) bool {
-	if p.Key() != s.sharded.params.Key() {
-		httpError(w, http.StatusBadRequest,
-			"coordinator serves only %s (cluster instance); got %s", s.sharded.params.Key(), p.Key())
-		return false
-	}
-	return true
+// EpochInst implements engine on the coordinator's campaign mirror.
+func (st *shardedState) EpochInst() (uint64, *core.Instance) { return st.coord.EpochInst() }
+
+// Allocate implements engine by distributed selection.
+func (st *shardedState) Allocate(ctx context.Context, req core.Request) (*core.TIRMResult, error) {
+	return st.coord.Allocate(ctx, req)
 }
 
-// spendVector materializes the coordinator-mode ledger positionally.
-func (st *shardedState) spendVector(inst *core.Instance) []float64 {
-	out := make([]float64, len(inst.Ads))
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for j, ad := range inst.Ads {
-		out[j] = st.spent[ad.Name]
-	}
-	return out
+// AllocateBatch implements engine (see shard.Coordinator.AllocateBatch).
+func (st *shardedState) AllocateBatch(ctx context.Context, reqs []core.Request) []core.BatchResult {
+	return st.coord.AllocateBatch(ctx, reqs)
 }
 
-// handleAllocateSharded is /allocate in coordinator mode: the same request
-// and response shapes, served by distributed selection.
-func (s *Server) handleAllocateSharded(w http.ResponseWriter, r *http.Request, req AllocateRequest) {
-	if !s.checkShardedParams(w, req.InstanceParams) {
-		return
-	}
-	st := s.sharded
-	epoch, curInst := st.coord.EpochInst()
-	reqCPEs := req.CPEs
-	if req.Bandit {
-		if req.CPEs != nil {
-			s.metrics.failAlloc(failBadRequest)
-			httpError(w, http.StatusBadRequest, "bandit and cpes are mutually exclusive")
-			return
-		}
-		cpes, err := st.banditCPEs(curInst)
-		if err != nil {
-			s.metrics.failAlloc(failBadRequest)
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		reqCPEs = cpes
-	}
-	coreReq := core.Request{
-		Opts:    req.Opts.toOptions(s.opts.MaxTheta),
-		Ads:     req.Ads,
-		Budgets: req.Budgets,
-		CPEs:    reqCPEs,
-		Lambda:  req.Lambda,
-		Epoch:   epoch,
-		Kernel:  s.kernelFor(req.Kernel),
-	}
-	if req.Kappa > 0 {
-		coreReq.Kappa = core.ConstKappa(req.Kappa)
-	}
-	if req.Residual {
-		coreReq.SpentBudget = st.spendVector(curInst)
-	}
-	actx, observer, explain, allocSpan := s.allocObserverFor(r.Context(), req.Explain)
-	coreReq.Observer = observer
-	coreReq.Explain = explain
-	started := time.Now()
-	res, err := st.coord.Allocate(actx, coreReq)
-	allocSpan.EndErr(err)
-	if err != nil {
-		if errors.Is(err, core.ErrStaleEpoch) {
-			s.metrics.failAlloc(failStaleEpoch)
-			httpError(w, http.StatusConflict, "campaign set changed mid-request, retry: %v", err)
-			return
-		}
-		if errors.Is(err, shard.ErrPartitionUnavailable) {
-			s.metrics.failAlloc(failUnavailable)
-			httpError(w, http.StatusServiceUnavailable, "cluster degraded: %v", err)
-			return
-		}
-		s.metrics.failAlloc(failUpstream)
-		httpError(w, http.StatusBadGateway, "sharded allocation: %v", err)
-		return
-	}
-	s.metrics.allocations.Inc()
-	s.metrics.allocSeconds.Observe(time.Since(started).Seconds())
-	s.metrics.recordKernels(res.KernelCounts)
-	st.mu.Lock()
-	st.allocs++
-	st.mu.Unlock()
-	for i, seeds := range res.Alloc.Seeds {
-		if seeds == nil {
-			res.Alloc.Seeds[i] = []int32{}
-		}
-	}
-	inst := instWith(curInst, req.Lambda, req.Kappa)
-	names := make([]string, len(inst.Ads))
-	for i, ad := range inst.Ads {
-		names[i] = ad.Name
-	}
-	writeJSON(w, http.StatusOK, AllocateResponse{
-		Key:           st.params.Key(),
-		Epoch:         epoch,
-		AllocSeconds:  time.Since(started).Seconds(),
-		Seeds:         res.Alloc.Seeds,
-		EstRevenue:    res.EstRevenue,
-		EstRegret:     core.RegretOver(inst, req.Ads, req.Budgets, coreReq.SpentBudget, res.EstRevenue, res.Alloc.Seeds),
-		FinalTheta:    res.FinalTheta,
-		Iterations:    res.Iterations,
-		SetsSampled:   res.TotalSetsSampled,
-		SetsReused:    res.SetsReused,
-		IndexMemBytes: st.memBytes.Load(),
-		AdNames:       names,
-		SpentBudgets:  coreReq.SpentBudget,
-	})
+// AddAd implements engine: the spec broadcasts to every shard, each clones
+// it as the host did, and the new ad is warmed cluster-wide.
+func (st *shardedState) AddAd(ctx context.Context, spec NewAdSpec, _ core.Ad, opts core.TIRMOptions) (int, error) {
+	return st.coord.AddAdSpec(ctx, shard.AdSpec{
+		Name:     spec.Name,
+		Budget:   spec.Budget,
+		CPE:      spec.CPE,
+		CTP:      spec.CTP,
+		Template: spec.Template,
+	}, opts)
 }
 
-// handleAddAdSharded is POST /ads in coordinator mode: the template clone
-// broadcasts to every shard and the new ad is warmed cluster-wide.
-func (s *Server) handleAddAdSharded(w http.ResponseWriter, r *http.Request, req AddAdRequest) {
-	if !s.checkShardedParams(w, req.InstanceParams) {
-		return
-	}
-	st := s.sharded
-	st.lifeMu.Lock()
-	defer st.lifeMu.Unlock()
-	if len(st.coord.Inst().Ads) >= s.opts.MaxAds {
-		httpError(w, http.StatusBadRequest, "campaign set already at server limit of %d ads", s.opts.MaxAds)
-		return
-	}
-	spec := shard.AdSpec{
-		Name:     req.Ad.Name,
-		Budget:   req.Ad.Budget,
-		CPE:      req.Ad.CPE,
-		CTP:      req.Ad.CTP,
-		Template: req.Ad.Template,
-	}
-	pos, err := st.coord.AddAdSpec(r.Context(), spec, core.TIRMOptions{MaxTheta: s.opts.MaxTheta})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.adsAdded.Add(1)
-	epoch, inst := st.coord.EpochInst()
-	names := make([]string, len(inst.Ads))
-	for i, ad := range inst.Ads {
-		names[i] = ad.Name
-	}
-	writeJSON(w, http.StatusOK, LifecycleResponse{
-		Key: st.params.Key(), Epoch: epoch, NumAds: len(names), Position: pos, AdNames: names,
-	})
+// RemoveAd implements engine by lockstep broadcast.
+func (st *shardedState) RemoveAd(ctx context.Context, pos int) error {
+	return st.coord.RemoveAd(ctx, pos)
 }
 
-// handleRemoveAdSharded is DELETE /ads/{name} in coordinator mode. The
-// lifecycle mutex (not the ledger mutex) spans the lookup + broadcast, so
-// a slow shard stalls only other mutations, never /spend or residual
-// allocations.
-func (s *Server) handleRemoveAdSharded(w http.ResponseWriter, r *http.Request, p InstanceParams, name string) {
-	if !s.checkShardedParams(w, p) {
-		return
-	}
-	st := s.sharded
-	st.lifeMu.Lock()
-	defer st.lifeMu.Unlock()
-	inst := st.coord.Inst()
-	pos := -1
-	for j, ad := range inst.Ads {
-		if ad.Name == name {
-			pos = j
-			break
-		}
-	}
-	if pos < 0 {
-		httpError(w, http.StatusNotFound, "no ad %q in campaign %s", name, st.params.Key())
-		return
-	}
-	if err := st.coord.RemoveAd(r.Context(), pos); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	st.mu.Lock()
-	delete(st.spent, name)
-	st.mu.Unlock()
-	s.adsRemoved.Add(1)
-	s.metrics.dropBanditEstimate(name)
-	epoch, cur := st.coord.EpochInst()
-	names := make([]string, len(cur.Ads))
-	for i, ad := range cur.Ads {
-		names[i] = ad.Name
-	}
-	writeJSON(w, http.StatusOK, LifecycleResponse{
-		Key: st.params.Key(), Epoch: epoch, NumAds: len(names), AdNames: names,
-	})
+// SyncEstimates implements engine: est's integer snapshot goes to every
+// shard, so shard-local consumers agree with the host.
+func (st *shardedState) SyncEstimates(ctx context.Context, est bandit.Estimator) (bool, error) {
+	err := st.coord.SyncEstimates(ctx, est.Snapshot())
+	return err == nil, err
 }
 
-// handleSpendSharded is POST /spend in coordinator mode: the ledger lives
-// on the serving host, keyed by ad name against the coordinator's mirror.
-// The lifecycle mutex keeps the name check atomic against a concurrent
-// DELETE (which would otherwise leave an orphan ledger entry for a future
-// ad reusing the name); the ledger mutex is taken only around the writes.
-func (s *Server) handleSpendSharded(w http.ResponseWriter, r *http.Request, req SpendRequest) {
-	if !s.checkShardedParams(w, req.InstanceParams) {
-		return
-	}
-	st := s.sharded
-	st.lifeMu.Lock()
-	defer st.lifeMu.Unlock()
-	inst := st.coord.Inst()
-	byName := make(map[string]bool, len(inst.Ads))
-	for _, ad := range inst.Ads {
-		byName[ad.Name] = true
-	}
-	for name, amount := range req.Spend {
-		if !byName[name] {
-			httpError(w, http.StatusNotFound, "no ad %q in campaign %s", name, st.params.Key())
-			return
-		}
-		if amount < 0 {
-			httpError(w, http.StatusBadRequest, "spend %g for ad %q must be ≥ 0", amount, name)
-			return
-		}
-	}
-	resp := SpendResponse{Key: st.params.Key(), Epoch: st.coord.Epoch(), Ads: make([]AdBudgetStatus, len(inst.Ads))}
-	st.mu.Lock()
-	if req.Reset {
-		st.spent = map[string]float64{}
-	}
-	for name, amount := range req.Spend {
-		if amount > 0 {
-			st.spent[name] += amount
-		}
-	}
-	for i, ad := range inst.Ads {
-		spent := st.spent[ad.Name]
-		resp.Ads[i] = AdBudgetStatus{
-			Name:     ad.Name,
-			Budget:   ad.Budget,
-			Spent:    spent,
-			Residual: math.Max(ad.Budget-spent, 0),
-			Depleted: spent >= ad.Budget,
-		}
-	}
-	st.mu.Unlock()
-	s.spendUpdates.Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
+// MemBytes implements engine with the health-probe-refreshed cluster sum,
+// so the request path never sweeps shards itself.
+func (st *shardedState) MemBytes() int64 { return st.memBytes.Load() }
+
+// upstream implements engine: past request shaping, what fails is a shard.
+func (st *shardedState) upstream() bool { return true }
 
 // ShardHealth is one shard replica's health line in /healthz and /stats.
 type ShardHealth struct {
@@ -523,20 +306,14 @@ type ShardedStatsSection struct {
 func (s *Server) shardedStats(ctx context.Context) *ShardedStatsSection {
 	st := s.sharded
 	health, _ := st.shardHealth(ctx)
-	st.mu.Lock()
-	var spent float64
-	for _, v := range st.spent {
-		spent += v
-	}
-	allocs := st.allocs
-	st.mu.Unlock()
+	epoch, inst := st.coord.EpochInst()
 	return &ShardedStatsSection{
-		Key:         st.params.Key(),
+		Key:         st.key,
 		NumShards:   st.coord.NumShards(),
 		Replicas:    st.replicas,
-		Epoch:       st.coord.Epoch(),
-		Allocations: allocs,
-		SpentTotal:  spent,
+		Epoch:       epoch,
+		Allocations: st.allocs.Load(),
+		SpentTotal:  st.spentTotal(inst),
 		Shards:      health,
 	}
 }

@@ -204,3 +204,39 @@ func TestShardedServeLifecycle(t *testing.T) {
 		t.Fatalf("epoch %d after add+remove, want 3", epoch)
 	}
 }
+
+// TestShardedMutationsDegraded is the fault row of the lifecycle tables:
+// with a range's only replica stopped (as in TestShardedHealthzDegraded),
+// POST /ads and DELETE /ads/{name} answer 503 like /allocate — the one
+// failure mapping — and every refusal lands in the failure counter, the
+// wrong-instance 400 included.
+func TestShardedMutationsDegraded(t *testing.T) {
+	params := InstanceParams{Dataset: "fig1", Seed: 1, Scale: 1}
+	c := newTracedCluster(t, params, 2)
+
+	foreign := SpendRequest{InstanceParams: InstanceParams{Dataset: "fig1", Seed: 9, Scale: 1}}
+	if code := postJSON(t, c.front.URL+"/spend", foreign, nil); code != http.StatusBadRequest {
+		t.Fatalf("foreign-instance spend returned %d, want 400", code)
+	}
+
+	c.shards[1].Close()
+	alloc := AllocateRequest{InstanceParams: params, Opts: TIRMParams{MinTheta: 1024, MaxTheta: 4096}}
+	if code := postJSON(t, c.front.URL+"/allocate", alloc, nil); code != http.StatusServiceUnavailable {
+		t.Errorf("allocate on a degraded cluster returned %d, want 503", code)
+	}
+	if code := deleteReq(t, c.front.URL+"/ads/a?dataset=fig1&seed=1&scale=1", nil); code != http.StatusServiceUnavailable {
+		t.Errorf("DELETE /ads on a degraded cluster returned %d, want 503", code)
+	}
+	add := AddAdRequest{InstanceParams: params, Ad: NewAdSpec{Name: "promo", Budget: 4, CPE: 1}}
+	if code := postJSON(t, c.front.URL+"/ads", add, nil); code != http.StatusServiceUnavailable {
+		t.Errorf("POST /ads on a degraded cluster returned %d, want 503", code)
+	}
+
+	var stats StatsResponse
+	if code := getJSON(t, c.front.URL+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	if got := stats.AllocFailures; got["bad_request"] != 1 || got["unavailable"] != 3 {
+		t.Errorf("allocFailures = %v, want bad_request:1 unavailable:3", got)
+	}
+}

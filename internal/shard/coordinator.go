@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rrset"
-	"repro/internal/topic"
 )
 
 // Config shapes a Coordinator.
@@ -445,37 +444,6 @@ func wrapEpochErr(err error) error {
 	return err
 }
 
-// specToAd materializes a template-cloned AdSpec against a campaign
-// instance — shared by the shard-side mutation and the coordinator's
-// campaign mirror so both construct bit-identical advertisers.
-func specToAd(inst *core.Instance, spec AdSpec) (core.Ad, error) {
-	if spec.Name == "" {
-		return core.Ad{}, errors.New("shard: ad name required")
-	}
-	for _, a := range inst.Ads {
-		if a.Name == spec.Name {
-			return core.Ad{}, fmt.Errorf("shard: ad %q already exists", spec.Name)
-		}
-	}
-	if spec.Template < 0 || spec.Template >= len(inst.Ads) {
-		return core.Ad{}, fmt.Errorf("shard: template %d out of range (campaign has %d ads)", spec.Template, len(inst.Ads))
-	}
-	if spec.CTP < 0 || spec.CTP > 1 {
-		return core.Ad{}, fmt.Errorf("shard: ctp %g must be in [0, 1]", spec.CTP)
-	}
-	tmpl := inst.Ads[spec.Template]
-	ctps := tmpl.Params.CTPs
-	if spec.CTP > 0 {
-		ctps = topic.ConstCTP{Nodes: inst.G.N(), P: spec.CTP}
-	}
-	return core.Ad{
-		Name:   spec.Name,
-		Budget: spec.Budget,
-		CPE:    spec.CPE,
-		Params: topic.ItemParams{Probs: tmpl.Params.Probs, CTPs: ctps},
-	}, nil
-}
-
 // Warm presamples the whole cluster to the depth a single-node BuildIndex
 // would: per ad, the global pilot plus the first Eq. 5 target from the
 // pilot's KPT estimate. Like its single-node counterpart it only changes
@@ -527,7 +495,7 @@ func (c *Coordinator) AddAdSpec(ctx context.Context, spec AdSpec, opts core.TIRM
 	c.mu.RLock()
 	inst := c.inst
 	c.mu.RUnlock()
-	ad, err := specToAd(inst, spec)
+	ad, err := core.CloneAd(inst, spec.Name, spec.Budget, spec.CPE, spec.CTP, spec.Template)
 	if err != nil {
 		return 0, err
 	}

@@ -177,7 +177,7 @@ func TestShardedLifecycleGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := AdSpec{Name: "clone", Budget: 7.5, CPE: 2.5, CTP: 0.05, Template: 1}
-	cloned, err := specToAd(idx.Inst(), spec)
+	cloned, err := core.CloneAd(idx.Inst(), spec.Name, spec.Budget, spec.CPE, spec.CTP, spec.Template)
 	if err != nil {
 		t.Fatal(err)
 	}

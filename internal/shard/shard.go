@@ -591,7 +591,8 @@ func (s *Shard) AddAd(req AddAdRequest) (MutateReply, error) {
 		}
 		ad = s.roster.Ads[req.Base]
 	} else {
-		if ad, err = specToAd(ep.Inst(), req.Spec); err != nil {
+		sp := req.Spec
+		if ad, err = core.CloneAd(ep.Inst(), sp.Name, sp.Budget, sp.CPE, sp.CTP, sp.Template); err != nil {
 			return MutateReply{}, err
 		}
 	}
