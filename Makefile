@@ -22,8 +22,12 @@ COVER_FLOORS = ./internal/bandit:85
 # snapshot codec — the paths the flat-arena (CSR) layout is accountable
 # for — the campaign-lifecycle simulation workload, the serve-layer
 # request path (workspace pooling + HTTP), and the sharded scatter-gather
-# allocation at K = 1..8. BENCH_index.json captures the machine-readable
-# (test2json) stream for regression tracking across PRs.
+# allocation at K = 1..8 in process plus K = 4 over the real HTTP transport
+# (BenchmarkShardedAllocateHTTP — the BenchmarkShardedAllocate pattern is a
+# prefix match and takes it in; neither reads -short, so bench-ci and a
+# -short bench-gate run the same code as the baseline). BENCH_index.json
+# captures the machine-readable (test2json) stream for regression tracking
+# across PRs.
 #
 # Bench artifacts: BENCH_index.json is the ONLY committed baseline —
 # re-baseline deliberately with `mv BENCH_head.json BENCH_index.json`

@@ -2,8 +2,9 @@
 // generates the named dataset locally (instances never cross the wire),
 // samples exactly its slice of every ad's deterministic RR block stream,
 // and answers the coordinator's coverage/marginal-gain/commit RPCs over
-// HTTP/JSON (see internal/shard). Point an adserver at the full cluster
-// with -shards to serve distributed allocations.
+// HTTP (see internal/shard: those run ops are binary, the lifecycle routes
+// JSON). Point an adserver at the full cluster with -shards to serve
+// distributed allocations.
 //
 // Usage (a 2-shard cluster plus coordinator):
 //

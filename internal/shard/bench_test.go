@@ -3,17 +3,13 @@ package shard
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// BenchmarkShardedAllocate measures a warm distributed allocation over the
-// in-process transport at K = 1, 2, 4, 8 — the scatter-gather overhead the
-// coordinator adds on top of the single-node warm path (BenchmarkIndexColdVsWarm/warm
-// is the K-free baseline). Shards are pre-warmed, so steady-state rounds
-// draw no samples; the cost is candidate scanning over aggregate counters
-// plus per-commit delta gathers.
 // BenchmarkAllocateBatch measures batched warm allocation at batch sizes
 // 1, 8, and 64 — single-node (core.AllocateBatch over one index) and
 // distributed at K = 4 (Coordinator.AllocateBatch, one pilot prime round
@@ -81,6 +77,12 @@ func BenchmarkAllocateBatch(b *testing.B) {
 	})
 }
 
+// BenchmarkShardedAllocate measures a warm distributed allocation over the
+// in-process transport at K = 1, 2, 4, 8 — the scatter-gather overhead the
+// coordinator adds on top of the single-node warm path (BenchmarkIndexColdVsWarm/warm
+// is the K-free baseline). Shards are pre-warmed, so steady-state rounds
+// draw no samples; the cost is candidate scanning over aggregate counters
+// plus per-commit delta gathers.
 func BenchmarkShardedAllocate(b *testing.B) {
 	inst := testInstance()
 	opts := testOpts()
@@ -107,4 +109,62 @@ func BenchmarkShardedAllocate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkShardedAllocateHTTP is BenchmarkShardedAllocate/K=4 over the real
+// transport: the coordinator speaks HTTPClient to four httptest shards, so
+// ns/op minus the in-process K=4 number is what the wire costs — codec,
+// net/http and loopback. rpcs/op and wireKB/op (request plus reply body
+// bytes, counted at the shard listeners) say how much wire that is.
+func BenchmarkShardedAllocateHTTP(b *testing.B) {
+	const k = 4
+	inst := testInstance()
+	opts := testOpts()
+	ctx := context.Background()
+	b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+		var rpcs, wire atomic.Int64
+		_, clients := httpShards(b, 42, k, func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				cw := &countingWriter{ResponseWriter: w}
+				h.ServeHTTP(cw, r)
+				rpcs.Add(1)
+				wire.Add(max(r.ContentLength, 0) + cw.n)
+			})
+		}, nil)
+		coord, err := NewCoordinator(ctx, clients, Config{Roster: inst})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := coord.Warm(ctx, opts); err != nil {
+			b.Fatal(err)
+		}
+		req := core.Request{Opts: opts}
+		if _, err := coord.Allocate(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+		rpcs.Store(0)
+		wire.Store(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := coord.Allocate(ctx, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(rpcs.Load())/float64(b.N), "rpcs/op")
+		b.ReportMetric(float64(wire.Load())/float64(b.N)/1e3, "wireKB/op")
+	})
+}
+
+// countingWriter counts the body bytes a handler writes.
+type countingWriter struct {
+	http.ResponseWriter
+	n int64
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.n += int64(n)
+	return n, err
 }

@@ -200,23 +200,26 @@ func (c *Coordinator) SetsSampled(ctx context.Context) (int64, error) {
 	return total, nil
 }
 
-// scatter runs fn against every shard concurrently (inline for K = 1) and
+// scatter runs fn against every shard concurrently — the last shard's call
+// on the caller's own goroutine, so a round spawns K−1, none at K = 1 — and
 // returns the first error in shard order. Replies land in caller-owned
 // per-shard slots; callers apply them sequentially in shard order, which
 // keeps every aggregate's evolution canonical.
 func (c *Coordinator) scatter(fn func(k int, cl Client) error) error {
-	if len(c.clients) == 1 {
+	last := len(c.clients) - 1
+	if last == 0 {
 		return fn(0, c.clients[0])
 	}
 	errs := make([]error, len(c.clients))
 	var wg sync.WaitGroup
-	for k, cl := range c.clients {
+	for k, cl := range c.clients[:last] {
 		wg.Add(1)
 		go func(k int, cl Client) {
 			defer wg.Done()
 			errs[k] = fn(k, cl)
 		}(k, cl)
 	}
+	errs[last] = fn(last, c.clients[last])
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -13,8 +13,9 @@
 //     single-node stream.
 //   - A Shard owns a per-range core.Index epoch — one slice of every ad's
 //     sample — and answers coverage / marginal-gain / commit RPCs over an
-//     in-process transport (LocalClient) or HTTP/JSON (HTTPClient, served
-//     by Shard.Handler via cmd/adshard).
+//     in-process transport (LocalClient) or HTTP (HTTPClient, served by
+//     Shard.Handler via cmd/adshard: the run ops in a binary integer codec,
+//     wire.go, the lifecycle ops as JSON).
 //   - A Coordinator runs core's one greedy loop (core.AllocateOver) over a
 //     cluster backend: it merges per-shard pilot widths into the global
 //     pilot (so the loop sizes θ exactly as on a single node), gathers

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -103,9 +102,9 @@ func TestShardedAllocationGolden(t *testing.T) {
 }
 
 // TestShardedAllocationHTTPGolden pins transport equivalence: a K=2
-// cluster spoken to over HTTP/JSON produces the same bytes as the
-// in-process transport (and therefore as the single node) — the protocol
-// carries only integers, so serialization cannot perturb the result.
+// cluster spoken to over HTTP produces the same bytes as the in-process
+// transport (and therefore as the single node) — the protocol carries only
+// integers, so serialization cannot perturb the result.
 func TestShardedAllocationHTTPGolden(t *testing.T) {
 	inst := testInstance()
 	opts := testOpts()
@@ -120,20 +119,7 @@ func TestShardedAllocationHTTPGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := NewPartitioner(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := make([]Client, k)
-	for i := 0; i < k; i++ {
-		s, err := NewShard(inst, 0, seed, p.Range(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		clients[i] = NewHTTPClient(ts.URL)
-	}
+	_, clients := httpShards(t, seed, k, nil, nil)
 	coord, err := NewCoordinator(context.Background(), clients, Config{Roster: inst, Verify: true})
 	if err != nil {
 		t.Fatal(err)

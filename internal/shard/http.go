@@ -1,11 +1,14 @@
-// HTTP/JSON transport for the shard protocol. Every payload field is an
-// integer (see protocol.go), so JSON round-trips are exact and a
-// coordinator over HTTP produces bit-identical allocations to one over the
-// in-process transport — pinned by the golden tests. Sentinel errors map
-// onto status codes (409 stale epoch, 404 unknown run, 412 bad sequence,
-// 503 draining) and back, and every other non-200 decodes into a typed
-// RPCError carrying the status, so retry classification is
-// transport-blind.
+// HTTP transport for the shard protocol. The six run ops the greedy loop
+// issues (pilot, start, commit, credit, grow, gains) speak the binary
+// integer codec of wire.go; the lifecycle routes speak JSON. Every run
+// payload field is an integer (see protocol.go), so either spelling
+// round-trips exactly and a coordinator over HTTP produces bit-identical
+// allocations to one over the in-process transport — pinned by the golden
+// tests. Sentinel errors map onto status codes (409 stale epoch, 404
+// unknown run, 412 bad sequence, 503 draining) and back, and every other
+// non-200 decodes into a typed RPCError carrying the status, so retry
+// classification is transport-blind; an error's body is {"error": …} on
+// every route.
 
 package shard
 
@@ -16,8 +19,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -27,13 +34,13 @@ import (
 //
 //	GET  /healthz       — liveness
 //	GET  /shard/info    — ShardInfo
-//	POST /shard/pilot   — PilotRequest  → PilotReply
+//	POST /shard/pilot   — PilotRequest  → PilotReply   (binary, wire.go)
 //	POST /shard/ensure  — EnsureRequest → EnsureReply
-//	POST /shard/start   — StartRequest  → StartReply
-//	POST /shard/commit  — CommitRequest → CommitReply
-//	POST /shard/credit  — CreditRequest → CommitReply
-//	POST /shard/grow    — GrowRequest   → GrowReply
-//	POST /shard/gains   — GainsRequest  → GainsReply
+//	POST /shard/start   — StartRequest  → StartReply   (binary)
+//	POST /shard/commit  — CommitRequest → CommitReply  (binary)
+//	POST /shard/credit  — CreditRequest → CommitReply  (binary)
+//	POST /shard/grow    — GrowRequest   → GrowReply    (binary)
+//	POST /shard/gains   — GainsRequest  → GainsReply   (binary)
 //	POST /shard/end     — {"runId": …}  → {}
 //	POST /shard/ads     — AddAdRequest  → MutateReply
 //	POST /shard/remove  — RemoveAdRequest → MutateReply
@@ -54,26 +61,26 @@ func (s *Shard) Handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		shardWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("/shard/info", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(routePaths[routeInfo], func(w http.ResponseWriter, r *http.Request) {
 		shardWriteJSON(w, http.StatusOK, s.Info())
 	})
-	mux.HandleFunc("/shard/pilot", rpc(func(req PilotRequest) (PilotReply, error) { return s.Pilot(req) }))
-	mux.HandleFunc("/shard/ensure", rpc(func(req EnsureRequest) (EnsureReply, error) { return s.Ensure(req) }))
-	mux.HandleFunc("/shard/start", rpc(func(req StartRequest) (StartReply, error) { return s.Start(req) }))
-	mux.HandleFunc("/shard/commit", rpc(func(req CommitRequest) (CommitReply, error) { return s.Commit(req) }))
-	mux.HandleFunc("/shard/credit", rpc(func(req CreditRequest) (CommitReply, error) { return s.Credit(req) }))
-	mux.HandleFunc("/shard/grow", rpc(func(req GrowRequest) (GrowReply, error) { return s.Grow(req) }))
-	mux.HandleFunc("/shard/gains", rpc(func(req GainsRequest) (GainsReply, error) { return s.Gains(req) }))
-	mux.HandleFunc("/shard/end", rpc(func(req endRequest) (struct{}, error) {
+	mux.HandleFunc(routePaths[routePilot], wireRPC(s.Pilot))
+	mux.HandleFunc(routePaths[routeEnsure], rpc(s.Ensure))
+	mux.HandleFunc(routePaths[routeStart], wireRPC(s.Start))
+	mux.HandleFunc(routePaths[routeCommit], wireRPC(s.Commit))
+	mux.HandleFunc(routePaths[routeCredit], wireRPC(s.Credit))
+	mux.HandleFunc(routePaths[routeGrow], wireRPC(s.Grow))
+	mux.HandleFunc(routePaths[routeGains], wireRPC(s.Gains))
+	mux.HandleFunc(routePaths[routeEnd], rpc(func(req endRequest) (struct{}, error) {
 		s.End(req.RunID)
 		return struct{}{}, nil
 	}))
-	mux.HandleFunc("/shard/ads", rpc(func(req AddAdRequest) (MutateReply, error) { return s.AddAd(req) }))
-	mux.HandleFunc("/shard/remove", rpc(func(req RemoveAdRequest) (MutateReply, error) { return s.RemoveAd(req) }))
-	mux.HandleFunc("/shard/estimates", rpc(func(req SyncEstimatesRequest) (struct{}, error) {
+	mux.HandleFunc(routePaths[routeAds], rpc(s.AddAd))
+	mux.HandleFunc(routePaths[routeRemove], rpc(s.RemoveAd))
+	mux.HandleFunc(routePaths[routeEstimates], rpc(func(req SyncEstimatesRequest) (struct{}, error) {
 		return struct{}{}, s.SyncEstimates(req)
 	}))
-	mux.HandleFunc("/shard/drain", rpc(func(req struct{}) (struct{}, error) {
+	mux.HandleFunc(routePaths[routeDrain], rpc(func(req struct{}) (struct{}, error) {
 		s.Drain()
 		return struct{}{}, nil
 	}))
@@ -158,7 +165,51 @@ func errOf(status int, msg string) error {
 	}
 }
 
-// rpc adapts one typed shard operation into a POST JSON handler.
+// Request body caps, per route family. A run op's request is a run id, a
+// few scalars and at most one list of ad positions or frontier nodes; a
+// lifecycle request is at most an estimator snapshot (cells per ad and
+// bucket) or an ad spec.
+const (
+	maxRunBody       = 1 << 20
+	maxLifecycleBody = 8 << 20
+	// maxPooledBody is the largest buffer bodyBufs keeps: one outsized
+	// message must not pin its buffer for the life of the process.
+	maxPooledBody = 4 << 20
+)
+
+// bodyBufs recycles the buffers whole bodies are read into and binary
+// replies are built in. Decoders copy what they keep, so a buffer goes back
+// as soon as its message is decoded or written.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// putBodyBuf returns a buffer no larger than maxPooledBody to the pool.
+func putBodyBuf(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledBody {
+		*bp = b[:0]
+		bodyBufs.Put(bp)
+	}
+}
+
+// readBody appends r to buf until EOF — io.ReadAll over a caller-owned
+// buffer. Reading an HTTP body to EOF is also what lets net/http reuse the
+// connection.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// rpc adapts one typed lifecycle operation into a POST JSON handler.
 func rpc[Req, Reply any](fn func(Req) (Reply, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -166,7 +217,7 @@ func rpc[Req, Reply any](fn func(Req) (Reply, error)) http.HandlerFunc {
 			return
 		}
 		var req Req
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLifecycleBody))
 		if err := dec.Decode(&req); err != nil {
 			shardWriteJSON(w, http.StatusBadRequest, shardErrorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 			return
@@ -180,6 +231,54 @@ func rpc[Req, Reply any](fn func(Req) (Reply, error)) http.HandlerFunc {
 	}
 }
 
+// wireRPC adapts one run op into a POST handler speaking the binary codec
+// of wire.go: the request body is read whole and decoded, the reply is
+// appended into the same pooled buffer and written with its Content-Length.
+// Errors keep the JSON body and status mapping of every other route.
+func wireRPC[Req, Reply any, PReq interface {
+	*Req
+	wireMessage
+}, PReply interface {
+	*Reply
+	wireMessage
+}](fn func(Req) (Reply, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			shardWriteJSON(w, http.StatusMethodNotAllowed, shardErrorBody{Error: "use POST"})
+			return
+		}
+		bp := bodyBufs.Get().(*[]byte)
+		buf, err := readBody(http.MaxBytesReader(w, r.Body, maxRunBody), *bp)
+		defer func() { putBodyBuf(bp, buf) }()
+		var req Req
+		if err == nil {
+			err = PReq(&req).decodeWire(buf)
+		}
+		if err != nil {
+			msg := fmt.Sprintf("bad request body: %v", err)
+			if len(buf) > 0 && buf[0] == '{' {
+				// No negotiation: a mixed-version cluster fails here, on its
+				// first pilot, and should be told why.
+				msg += " (this route speaks the binary run-op codec, not JSON: coordinator and shard must be the same version)"
+			}
+			shardWriteJSON(w, http.StatusBadRequest, shardErrorBody{Error: msg})
+			return
+		}
+		reply, err := fn(req)
+		if err != nil {
+			shardWriteJSON(w, statusOf(err), shardErrorBody{Error: err.Error()})
+			return
+		}
+		buf = PReply(&reply).appendWire(buf[:0])
+		w.Header().Set("Content-Type", wireContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+		w.Write(buf)
+	}
+}
+
+// wireContentType labels a binary run-op body.
+const wireContentType = "application/octet-stream"
+
 func shardWriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -188,10 +287,51 @@ func shardWriteJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// route indexes the daemon's /shard/ routes, for the mux and the client alike.
+type route int
+
+const (
+	routeInfo route = iota
+	routePilot
+	routeEnsure
+	routeStart
+	routeCommit
+	routeCredit
+	routeGrow
+	routeGains
+	routeEnd
+	routeAds
+	routeRemove
+	routeEstimates
+	routeDrain
+	numRoutes
+)
+
+// routePaths is each route's path under the daemon's base URL.
+var routePaths = [numRoutes]string{
+	routeInfo:      "/shard/info",
+	routePilot:     "/shard/pilot",
+	routeEnsure:    "/shard/ensure",
+	routeStart:     "/shard/start",
+	routeCommit:    "/shard/commit",
+	routeCredit:    "/shard/credit",
+	routeGrow:      "/shard/grow",
+	routeGains:     "/shard/gains",
+	routeEnd:       "/shard/end",
+	routeAds:       "/shard/ads",
+	routeRemove:    "/shard/remove",
+	routeEstimates: "/shard/estimates",
+	routeDrain:     "/shard/drain",
+}
+
 // HTTPClient speaks the shard protocol to a remote shard daemon.
 type HTTPClient struct {
-	base string
-	hc   *http.Client
+	hc *http.Client
+	// reqs holds one request per route, its URL parsed once at
+	// construction; each call sends a shallow copy (Request.WithContext).
+	reqs [numRoutes]*http.Request
+	// addrErr is why the address did not parse; every call returns it.
+	addrErr error
 
 	// CallTimeout, when > 0, bounds each RPC that arrives without a
 	// context deadline of its own. A caller-supplied deadline always wins
@@ -209,10 +349,37 @@ func NewHTTPClient(addr string) *HTTPClient {
 	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
 		addr = "http://" + addr
 	}
-	return &HTTPClient{
-		base: strings.TrimRight(addr, "/"),
-		hc:   &http.Client{},
+	c := &HTTPClient{hc: &http.Client{Transport: &http.Transport{
+		Proxy:               http.ProxyFromEnvironment,
+		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		TLSHandshakeTimeout: 10 * time.Second,
+		IdleConnTimeout:     90 * time.Second,
+		// One client talks to one daemon, and a daemon holds at most
+		// maxOpenRuns runs, each issuing its RPCs one at a time — so that
+		// many connections is what full load keeps busy. DefaultTransport's
+		// 2 per host closes the rest after every round.
+		MaxIdleConns:        maxOpenRuns,
+		MaxIdleConnsPerHost: maxOpenRuns,
+		// Run-op bodies are varints; there is nothing for gzip to win.
+		DisableCompression: true,
+	}}}
+	base, err := url.Parse(addr)
+	if err != nil {
+		// The constructor has always been infallible; a malformed address
+		// fails every call instead, starting with NewCoordinator's Info probe.
+		c.addrErr = fmt.Errorf("shard: bad daemon address %q: %w", addr, err)
+		return c
 	}
+	for rt, path := range routePaths {
+		method := http.MethodPost
+		if route(rt) == routeInfo {
+			method = http.MethodGet
+		}
+		u := *base
+		u.Path, u.RawPath = strings.TrimRight(base.Path, "/")+path, ""
+		c.reqs[rt] = &http.Request{Method: method, URL: &u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1}
+	}
+	return c
 }
 
 // withDeadline applies CallTimeout when ctx has no deadline of its own.
@@ -226,25 +393,52 @@ func (c *HTTPClient) withDeadline(ctx context.Context) (context.Context, context
 	return context.WithTimeout(ctx, c.CallTimeout)
 }
 
-// call POSTs one JSON request and decodes the reply into out, under the
-// default deadline policy.
-func (c *HTTPClient) call(ctx context.Context, path string, in, out any) error {
+// wireCall sends one run op in the binary codec of wire.go, under the
+// default deadline policy. The request is encoded into a buffer of its own,
+// not a pooled one: net/http may still be writing a request body after Do
+// returns (cancellation, a reply sent early), so it cannot be recycled here.
+func (c *HTTPClient) wireCall(ctx context.Context, rt route, in, out wireMessage) error {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
-	return c.post(ctx, path, in, out)
+	return c.do(ctx, rt, wireContentType, in.appendWire(make([]byte, 0, 64)), out.decodeWire)
 }
 
-// post POSTs one JSON request and decodes the reply into out.
-func (c *HTTPClient) post(ctx context.Context, path string, in, out any) error {
+// jsonCall sends one lifecycle op as JSON, under the default deadline
+// policy.
+func (c *HTTPClient) jsonCall(ctx context.Context, rt route, in, out any) error {
+	ctx, cancel := c.withDeadline(ctx)
+	defer cancel()
+	return c.postJSON(ctx, rt, in, out)
+}
+
+// postJSON POSTs one JSON request and decodes the reply into out.
+func (c *HTTPClient) postJSON(ctx context.Context, rt route, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
+	return c.do(ctx, rt, "application/json", body, func(reply []byte) error { return json.Unmarshal(reply, out) })
+}
+
+// do sends one request (body nil for the GET route) and hands the whole
+// reply body to decode. The body is always read to EOF before Close —
+// replies and error bodies alike — because that is what returns the
+// connection to the idle pool; a reply large enough to be chunked otherwise
+// costs a connection.
+func (c *HTTPClient) do(ctx context.Context, rt route, contentType string, body []byte, decode func([]byte) error) error {
+	if c.addrErr != nil {
+		return c.addrErr
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req := c.reqs[rt].WithContext(ctx)
+	req.Header = make(http.Header, 4)
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+		req.ContentLength = int64(len(body))
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		// GetBody lets the transport resend when an idle connection turns
+		// out to have been closed by the daemon before anything was written.
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	}
 	obs.Inject(ctx, req.Header)
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -254,100 +448,93 @@ func (c *HTTPClient) post(ctx context.Context, path string, in, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		var eb shardErrorBody
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<10))
+		io.Copy(io.Discard, resp.Body)
 		if json.Unmarshal(msg, &eb) == nil && eb.Error != "" {
 			return errOf(resp.StatusCode, eb.Error)
 		}
 		return errOf(resp.StatusCode, string(msg))
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	bp := bodyBufs.Get().(*[]byte)
+	reply, err := readBody(resp.Body, *bp)
+	defer putBodyBuf(bp, reply)
+	if err != nil {
+		return err
+	}
+	return decode(reply)
 }
 
 // Info implements Client.
 func (c *HTTPClient) Info(ctx context.Context) (ShardInfo, error) {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/shard/info", nil)
-	if err != nil {
-		return ShardInfo{}, err
-	}
-	obs.Inject(ctx, req.Header)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return ShardInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<10))
-		return ShardInfo{}, errOf(resp.StatusCode, string(msg))
-	}
 	var info ShardInfo
-	return info, json.NewDecoder(resp.Body).Decode(&info)
+	return info, c.do(ctx, routeInfo, "", nil, func(reply []byte) error { return json.Unmarshal(reply, &info) })
 }
 
 // Pilot implements Client.
 func (c *HTTPClient) Pilot(ctx context.Context, req PilotRequest) (PilotReply, error) {
 	var out PilotReply
-	return out, c.call(ctx, "/shard/pilot", req, &out)
+	return out, c.wireCall(ctx, routePilot, &req, &out)
 }
 
 // Ensure implements Client.
 func (c *HTTPClient) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
 	var out EnsureReply
-	return out, c.call(ctx, "/shard/ensure", req, &out)
+	return out, c.jsonCall(ctx, routeEnsure, req, &out)
 }
 
 // Start implements Client.
 func (c *HTTPClient) Start(ctx context.Context, req StartRequest) (StartReply, error) {
 	var out StartReply
-	return out, c.call(ctx, "/shard/start", req, &out)
+	return out, c.wireCall(ctx, routeStart, &req, &out)
 }
 
 // Commit implements Client.
 func (c *HTTPClient) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
 	var out CommitReply
-	return out, c.call(ctx, "/shard/commit", req, &out)
+	return out, c.wireCall(ctx, routeCommit, &req, &out)
 }
 
 // Credit implements Client.
 func (c *HTTPClient) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
 	var out CommitReply
-	return out, c.call(ctx, "/shard/credit", req, &out)
+	return out, c.wireCall(ctx, routeCredit, &req, &out)
 }
 
 // Grow implements Client.
 func (c *HTTPClient) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
 	var out GrowReply
-	return out, c.call(ctx, "/shard/grow", req, &out)
+	return out, c.wireCall(ctx, routeGrow, &req, &out)
 }
 
 // Gains implements Client.
 func (c *HTTPClient) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
 	var out GainsReply
-	return out, c.call(ctx, "/shard/gains", req, &out)
+	return out, c.wireCall(ctx, routeGains, &req, &out)
 }
 
 // End implements Client.
 func (c *HTTPClient) End(ctx context.Context, runID string) error {
 	var out struct{}
-	return c.call(ctx, "/shard/end", endRequest{RunID: runID}, &out)
+	return c.jsonCall(ctx, routeEnd, endRequest{RunID: runID}, &out)
 }
 
 // AddAd implements Client.
 func (c *HTTPClient) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
 	var out MutateReply
-	return out, c.call(ctx, "/shard/ads", req, &out)
+	return out, c.jsonCall(ctx, routeAds, req, &out)
 }
 
 // RemoveAd implements Client.
 func (c *HTTPClient) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
 	var out MutateReply
-	return out, c.call(ctx, "/shard/remove", req, &out)
+	return out, c.jsonCall(ctx, routeRemove, req, &out)
 }
 
 // SyncEstimates implements Client.
 func (c *HTTPClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
 	var out struct{}
-	return c.call(ctx, "/shard/estimates", req, &out)
+	return c.jsonCall(ctx, routeEstimates, req, &out)
 }
 
 // Drain asks the daemon to refuse new runs (not part of the coordinator's
@@ -356,7 +543,7 @@ func (c *HTTPClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest
 // take longer than any per-RPC deadline.
 func (c *HTTPClient) Drain(ctx context.Context) error {
 	var out struct{}
-	return c.post(ctx, "/shard/drain", struct{}{}, &out)
+	return c.postJSON(ctx, routeDrain, struct{}{}, &out)
 }
 
 // Interface compliance.

@@ -1,0 +1,338 @@
+// Tests for the HTTP transport itself (http.go): reply-for-reply
+// equivalence with the in-process transport over one scripted run, error
+// identity across both body formats, replay determinism on the wire, and
+// connection reuse.
+
+package shard
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// httpShards builds k shards of testInstance, each behind its own httptest
+// server, and returns them with one HTTPClient per shard. wrap, when
+// non-nil, decorates shard i's handler; connState, when non-nil, observes
+// shard i's connections.
+func httpShards(tb testing.TB, seed uint64, k int, wrap func(i int, h http.Handler) http.Handler, connState func(i int, st http.ConnState)) ([]*Shard, []Client) {
+	tb.Helper()
+	p, err := NewPartitioner(k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	shards := make([]*Shard, k)
+	clients := make([]Client, k)
+	for i := range shards {
+		s, err := NewShard(testInstance(), 0, seed, p.Range(i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		h := s.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		ts := httptest.NewUnstartedServer(h)
+		if connState != nil {
+			ts.Config.ConnState = func(_ net.Conn, st http.ConnState) { connState(i, st) }
+		}
+		ts.Start()
+		tb.Cleanup(ts.Close)
+		shards[i], clients[i] = s, NewHTTPClient(ts.URL)
+	}
+	return shards, clients
+}
+
+// TestHTTPTransportEquivalence replays one scripted run that hits every op
+// against twin shards — one behind LocalClient, one behind HTTPClient — and
+// requires every reply equal field for field.
+func TestHTTPTransportEquivalence(t *testing.T) {
+	const seed = 42
+	ctx := context.Background()
+	p, err := NewPartitioner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewShard(testInstance(), 0, seed, p.Range(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := Client(LocalClient{S: twin})
+	_, remotes := httpShards(t, seed, 1, nil, nil)
+	remote := remotes[0]
+
+	// same runs one op on both transports and compares the replies while
+	// the local one still owns its buffers; it returns the remote reply.
+	step := 0
+	same := func(op string, call func(cl Client) (any, error)) any {
+		t.Helper()
+		step++
+		want, err := call(local)
+		if err != nil {
+			t.Fatalf("step %d %s over LocalClient: %v", step, op, err)
+		}
+		got, err := call(remote)
+		if err != nil {
+			t.Fatalf("step %d %s over HTTPClient: %v", step, op, err)
+		}
+		if !sameMessage(want, got) {
+			t.Fatalf("step %d %s: transports diverge\n local %+v\n  http %+v", step, op, want, got)
+		}
+		return got
+	}
+
+	same("info", func(cl Client) (any, error) { return cl.Info(ctx) })
+	ads, thetas := []int{0, 1, 2}, []int{3000, 2500, 2000}
+	for _, skip := range []bool{false, true} {
+		pr := same("pilot", func(cl Client) (any, error) {
+			return cl.Pilot(ctx, PilotRequest{Epoch: 1, Ads: ads, Want: 2000, SkipWidths: skip})
+		}).(PilotReply)
+		if skip != (pr.Widths == nil) || len(pr.Have) != len(ads) {
+			t.Fatalf("pilot skip=%v: %d width runs, %d have", skip, len(pr.Widths), len(pr.Have))
+		}
+	}
+	same("ensure", func(cl Client) (any, error) { return cl.Ensure(ctx, EnsureRequest{Epoch: 1, Ad: 0, Want: 3000}) })
+
+	var start StartReply
+	for _, kernel := range []string{"bitset", "sparse", ""} {
+		start = same("start "+kernel, func(cl Client) (any, error) {
+			return cl.Start(ctx, StartRequest{RunID: "run", Epoch: 1, Ads: ads, Thetas: thetas, Kernel: kernel})
+		}).(StartReply)
+	}
+	if len(start.Cov) != len(ads) || len(start.Cov[0].Nodes) == 0 {
+		t.Fatalf("start reply carries no coverage: %+v", start)
+	}
+	cov := start.Cov[0]
+	seeds := cov.Nodes[:2]
+	gains := func() {
+		same("gains", func(cl Client) (any, error) {
+			return cl.Gains(ctx, GainsRequest{RunID: "run", Ad: 0, Nodes: cov.Nodes})
+		})
+	}
+	gains()
+	seq := int64(0)
+	for i, u := range seeds {
+		seq++
+		cr := same("commit", func(cl Client) (any, error) {
+			return cl.Commit(ctx, CommitRequest{RunID: "run", Ad: 0, Node: u, Seq: seq})
+		}).(CommitReply)
+		if i == 0 && (cr.Covered == 0 || len(cr.Delta.Nodes) == 0) {
+			t.Fatalf("commit of %d covered nothing: %+v", u, cr)
+		}
+	}
+	same("commit without seq", func(cl Client) (any, error) {
+		return cl.Commit(ctx, CommitRequest{RunID: "run", Ad: 1, Node: start.Cov[1].Nodes[0]})
+	})
+	seq++
+	same("grow", func(cl Client) (any, error) {
+		return cl.Grow(ctx, GrowRequest{RunID: "run", Ad: 0, FromGlobal: thetas[0], ToGlobal: 4500, Seq: seq})
+	})
+	for _, u := range seeds {
+		seq++
+		same("credit", func(cl Client) (any, error) {
+			return cl.Credit(ctx, CreditRequest{RunID: "run", Ad: 0, Node: u, FromGlobal: thetas[0], Seq: seq})
+		})
+	}
+	gains()
+	// A replay of the last sequenced op answers from the shard's cache.
+	same("credit replay", func(cl Client) (any, error) {
+		return cl.Credit(ctx, CreditRequest{RunID: "run", Ad: 0, Node: seeds[1], FromGlobal: thetas[0], Seq: seq})
+	})
+	same("end", func(cl Client) (any, error) { return struct{}{}, cl.End(ctx, "run") })
+	if _, err := remote.Commit(ctx, CommitRequest{RunID: "run", Ad: 0, Node: seeds[0]}); !errors.Is(err, ErrUnknownRun) {
+		t.Fatalf("commit after end over HTTP = %v, want ErrUnknownRun", err)
+	}
+	same("info after", func(cl Client) (any, error) { return cl.Info(ctx) })
+}
+
+// TestHTTPReplayBytes pins replay determinism on the wire itself: the same
+// sequenced commit POSTed twice returns the same bytes, the second time
+// from the shard's replay cache.
+func TestHTTPReplayBytes(t *testing.T) {
+	ctx := context.Background()
+	shards, clients := httpShards(t, 42, 1, nil, nil)
+	start, err := clients[0].Start(ctx, StartRequest{RunID: "run", Epoch: 1, Ads: []int{0}, Thetas: []int{3000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := (&CommitRequest{RunID: "run", Ad: 0, Node: start.Cov[0].Nodes[0], Seq: 1}).appendWire(nil)
+	url := clients[0].(*HTTPClient).reqs[routeCommit].URL.String()
+	var replies [2][]byte
+	for i := range replies {
+		resp, err := http.Post(url, wireContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies[i], err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("commit %d: status %d, err %v, body %q", i, resp.StatusCode, err, replies[i])
+		}
+		if resp.ContentLength != int64(len(replies[i])) {
+			t.Errorf("commit %d: Content-Length %d for a %d-byte body", i, resp.ContentLength, len(replies[i]))
+		}
+	}
+	var reply CommitReply
+	if err := reply.decodeWire(replies[0]); err != nil || reply.Covered == 0 {
+		t.Fatalf("first commit reply: %+v, %v", reply, err)
+	}
+	if !bytes.Equal(replies[0], replies[1]) {
+		t.Fatalf("replayed commit differs on the wire:\n first %x\n  then %x", replies[0], replies[1])
+	}
+	if got := shards[0].commits.Load(); got != 1 {
+		t.Fatalf("shard applied %d commits, want 1 (the replay must not re-apply)", got)
+	}
+}
+
+// TestHTTPErrorIdentity pins the error mapping on both body formats: each
+// sentinel, and a plain 400, crosses a binary route and a JSON route with
+// its identity and message intact.
+func TestHTTPErrorIdentity(t *testing.T) {
+	var failing atomic.Pointer[error] // what both stub routes answer with
+	fail := func() error { return *failing.Load() }
+	mux := http.NewServeMux()
+	mux.HandleFunc(routePaths[routeCommit], wireRPC(func(CommitRequest) (CommitReply, error) { return CommitReply{}, fail() }))
+	mux.HandleFunc(routePaths[routeEnsure], rpc(func(EnsureRequest) (EnsureReply, error) { return EnsureReply{}, fail() }))
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	cl := NewHTTPClient(ts.URL)
+	ctx := context.Background()
+	routes := []struct {
+		name string
+		call func() error
+	}{
+		{"binary", func() error { _, err := cl.Commit(ctx, CommitRequest{RunID: "r"}); return err }},
+		{"json", func() error { _, err := cl.Ensure(ctx, EnsureRequest{Ad: 1}); return err }},
+	}
+	for _, rt := range routes {
+		for _, sentinel := range []error{ErrStaleEpoch, ErrUnknownRun, ErrBadSeq, ErrDraining} {
+			failing.Store(&sentinel)
+			if err := rt.call(); !errors.Is(err, sentinel) {
+				t.Errorf("%s route: %v came back as %v", rt.name, sentinel, err)
+			}
+		}
+		plain := errors.New("ad 7 out of range")
+		failing.Store(&plain)
+		var rpcErr *RPCError
+		if err := rt.call(); !errors.As(err, &rpcErr) || rpcErr.Status != http.StatusBadRequest || rpcErr.Msg != "ad 7 out of range" {
+			t.Errorf("%s route: plain failure came back as %v", rt.name, err)
+		}
+		failing.Store(new(error))
+		if err := rt.call(); err != nil {
+			t.Errorf("%s route: success came back as %v", rt.name, err)
+		}
+	}
+
+	// No negotiation: a JSON body on a binary route is a 400 that says why.
+	resp, err := http.Post(ts.URL+routePaths[routeCommit], "application/json", bytes.NewReader([]byte(`{"runId":"r","ad":0,"node":5}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("same version")) {
+		t.Errorf("JSON on a binary route: status %d, body %s", resp.StatusCode, msg)
+	}
+	// An oversized run-op body is refused at the route's cap.
+	resp, err = http.Post(ts.URL+routePaths[routeCommit], wireContentType, bytes.NewReader(make([]byte, maxRunBody+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized body: status %d, want 400", resp.StatusCode)
+	}
+	if _, err := NewHTTPClient("http://bad host/").Info(ctx); err == nil {
+		t.Error("a malformed daemon address must fail its calls")
+	}
+}
+
+// TestHTTPConnectionReuse pins what reading every reply to EOF and the
+// client's own idle pool buy: a coordinator's sequential RPC stream to a
+// shard rides one connection, and concurrent allocations keep theirs
+// between waves. (Replies read short of EOF cost a connection each:
+// hundreds for the same traffic.)
+func TestHTTPConnectionReuse(t *testing.T) {
+	const k = 2
+	// Half of the ten ads: half the rounds, the same mix of RPCs and a start
+	// reply still too large for net/http to send unchunked on its own.
+	req := core.Request{Opts: testOpts(), Ads: []int{0, 1, 2, 3, 4}}
+	ctx := context.Background()
+	cluster := func() (*Coordinator, func(i int) int64) {
+		var opened [k]atomic.Int64
+		_, clients := httpShards(t, 42, k, nil, func(i int, st http.ConnState) {
+			if st == http.StateNew {
+				opened[i].Add(1)
+			}
+		})
+		coord, err := NewCoordinator(ctx, clients, Config{Roster: testInstance()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Warm(ctx, req.Opts); err != nil {
+			t.Fatal(err)
+		}
+		return coord, func(i int) int64 { return opened[i].Load() }
+	}
+
+	t.Run("sequential", func(t *testing.T) {
+		coord, opened := cluster()
+		for i := 0; i < 50; i++ {
+			if _, err := coord.Allocate(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < k; i++ {
+			if n := opened(i); n > 2 {
+				t.Errorf("shard %d accepted %d connections for 50 sequential allocations, want ≤ 2", i, n)
+			}
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		const clients = 8
+		coord, opened := cluster()
+		wave := func() {
+			var wg sync.WaitGroup
+			for g := 0; g < clients; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 3; i++ {
+						if _, err := coord.Allocate(ctx, req); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		wave()
+		var first [k]int64
+		for i := range first {
+			first[i] = opened(i)
+			// A dial that loses the race to a connection freed meanwhile
+			// still completes and joins the pool, so a cold wave may
+			// overshoot its concurrency; it may not churn.
+			if first[i] > 2*clients {
+				t.Errorf("shard %d accepted %d connections for %d concurrent clients", i, first[i], clients)
+			}
+		}
+		wave()
+		for i := range first {
+			if n := opened(i); first[i] >= clients && n != first[i] {
+				t.Errorf("shard %d accepted %d more connections on the second wave; %d were idle", i, n-first[i], first[i])
+			}
+		}
+	})
+}

@@ -1,9 +1,12 @@
 // The shard RPC protocol: the coverage / marginal-gain / commit steps of a
 // distributed selection run, plus shard lifecycle (info, epoch-synced
-// campaign mutations, drain). Every payload field is an integer — widths,
-// set counts, coverage counts, sparse decrement vectors — so a reply's
-// bytes carry no floating-point representation at all, and the in-process
-// and HTTP/JSON transports are interchangeable bit for bit.
+// campaign mutations, drain). Every payload field of a run op is an integer
+// — widths, set counts, coverage counts, sparse decrement vectors — so a
+// reply's bytes carry no floating-point representation at all, and the
+// in-process and HTTP transports are interchangeable bit for bit. Over HTTP
+// the six run ops (Pilot, Start, Commit, Credit, Grow, Gains) travel in the
+// binary integer codec of wire.go; the lifecycle ops travel as JSON, which
+// is what the json tags below spell.
 
 package shard
 
@@ -338,7 +341,8 @@ type EnsureReply struct {
 
 // Client is the coordinator's view of one shard, over any transport. The
 // in-process LocalClient calls the Shard directly; HTTPClient speaks the
-// same protocol as JSON over the shard daemon's /shard/ endpoints. Reply
+// same protocol over the shard daemon's /shard/ endpoints (run ops in the
+// binary codec of wire.go, lifecycle ops as JSON). Reply
 // buffers of Commit/Credit may be reused by the next call against the same
 // run — the coordinator consumes each reply before the next RPC.
 type Client interface {
