@@ -20,9 +20,12 @@ COVER_FLOORS = ./internal/bandit:85
 
 # Hot-path benchmarks guarded by `make bench` and CI: index build/warm, the
 # snapshot codec — the paths the flat-arena (CSR) layout is accountable
-# for — the campaign-lifecycle simulation workload, the serve-layer
-# request path (workspace pooling + HTTP), and the sharded scatter-gather
-# allocation at K = 1..8 in process plus K = 4 over the real HTTP transport
+# for — the two halves of a restart at paper scale (BenchmarkGraphBuild,
+# the CSR build every generator pays; BenchmarkIndexSnapshotLoad, decode
+# plus the per-ad rebuild), the campaign-lifecycle simulation workload, the
+# serve-layer request path (workspace pooling + HTTP), and the sharded
+# scatter-gather allocation at K = 1..8 in process plus K = 4 over the real
+# HTTP transport
 # (BenchmarkShardedAllocateHTTP — the BenchmarkShardedAllocate pattern is a
 # prefix match and takes it in; neither reads -short, so bench-ci and a
 # -short bench-gate run the same code as the baseline). BENCH_index.json
@@ -34,8 +37,8 @@ COVER_FLOORS = ./internal/bandit:85
 # after a reviewed perf change. BENCH_head.json is the throwaway stream
 # `make bench-compare` writes for the current HEAD; it is .gitignore'd and
 # must never be committed.
-BENCH_PATTERN = BenchmarkIndexBuild|BenchmarkIndexColdVsWarm|BenchmarkWarmWorkspaceReuse|BenchmarkSnapshotCodec|BenchmarkBuildInverted|BenchmarkLifecycleSim|BenchmarkServeAllocate|BenchmarkShardedAllocate|BenchmarkObsOverhead|BenchmarkKernels|BenchmarkAllocateBatch
-BENCH_PKGS    = . ./internal/rrset ./internal/sim ./internal/serve ./internal/shard
+BENCH_PATTERN = BenchmarkIndexBuild|BenchmarkIndexColdVsWarm|BenchmarkWarmWorkspaceReuse|BenchmarkSnapshotCodec|BenchmarkBuildInverted|BenchmarkLifecycleSim|BenchmarkServeAllocate|BenchmarkShardedAllocate|BenchmarkObsOverhead|BenchmarkKernels|BenchmarkAllocateBatch|BenchmarkGraphBuild|BenchmarkIndexSnapshotLoad
+BENCH_PKGS    = . ./internal/rrset ./internal/sim ./internal/serve ./internal/shard ./internal/graph
 
 # Extra flags for bench-compare (CI passes "-benchtime 1x -short" to keep
 # the non-gating delta step cheap).

@@ -8,6 +8,7 @@
 package socialads_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -588,6 +589,38 @@ func BenchmarkIndexBuild(b *testing.B) {
 		mem = idx.MemBytes()
 	}
 	b.ReportMetric(float64(mem)/1e6, "index-MB")
+}
+
+// BenchmarkIndexSnapshotLoad measures a restart at the index level, on
+// BenchmarkIndexBuild's instance: the index is built and saved once, and
+// every iteration loads the snapshot from memory — header and fingerprint
+// check, section decode, and the per-ad rebuild of widths, inverted index
+// and cover join that is most of the time (BenchmarkSnapshotCodec times
+// the section codec alone). Compare with BenchmarkIndexBuild for what a
+// snapshot saves over a cold start.
+func BenchmarkIndexSnapshotLoad(b *testing.B) {
+	inst := gen.Flixster(gen.Options{Seed: 5, Scale: 0.02})
+	opts := socialads.TIRMOptions{Eps: 0.3, MinTheta: 5000, MaxTheta: 50000}
+	idx, err := socialads.BuildIndex(inst, 42, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := socialads.SaveIndex(&snap, idx); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(snap.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loaded, err := socialads.LoadIndex(inst, bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if loaded.MemBytes() != idx.MemBytes() {
+			b.Fatalf("loaded index holds %d bytes, built one %d", loaded.MemBytes(), idx.MemBytes())
+		}
+	}
 }
 
 // BenchmarkGreedyIRIEAllocate measures a full GREEDY-IRIE run.

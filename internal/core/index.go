@@ -182,6 +182,23 @@ func (a *adSample) syncInv(want int) {
 	}
 }
 
+// restore installs a decoded arena as the ad's sample and derives the state
+// a snapshot does not carry — the widths, the inverted index and its cover
+// join — exactly as sampling the same sets would have left it. For a sample
+// no other goroutine can reach yet (the snapshot load).
+func (a *adSample) restore(fam *rrset.SetFamily) {
+	g := a.sampler.Graph()
+	a.fam = fam
+	a.streamLen = a.part.Resume(fam.Len())
+	a.widths = make([]int64, fam.Len())
+	for i := range a.widths {
+		a.widths[i] = rrset.Width(g, fam.Set(i))
+	}
+	if fam.Len() > 0 {
+		a.syncInv(fam.Len())
+	}
+}
+
 // prefix returns a view of the first want sets and their widths, extending
 // the sample if needed. The returned view is a stable snapshot: later
 // growth appends past its length or reallocates the arena, never touching
@@ -767,8 +784,14 @@ func LoadShardIndexSnapshot(inst *Instance, part rrset.StreamPartition, src io.R
 	return loadIndexSnapshot(inst, src, part)
 }
 
-// loadIndexSnapshot is the shared decoder behind LoadIndexSnapshot and
-// LoadShardIndexSnapshot.
+// loadIndexSnapshot is the shared loader behind LoadIndexSnapshot and
+// LoadShardIndexSnapshot: the header is read and checked on the caller's
+// goroutine, then the instance fingerprint check and the per-ad work —
+// section decode, and the rebuild of widths, inverted index and cover join
+// that is most of a load — share rrset's bounded fan-out (see below).
+// Errors keep a serial load's precedence: a fingerprint mismatch is
+// reported ahead of any section error, and of the sections the first
+// corrupt one in file order, by ad position.
 func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition) (*Index, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -855,39 +878,70 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 	if got := crc32.ChecksumIEEE(hdr.marshal()); got != crc {
 		return nil, fmt.Errorf("core: index snapshot header CRC mismatch (%#x vs %#x)", got, crc)
 	}
-	if want := indexFingerprint(inst); fp != want {
-		return nil, fmt.Errorf("core: index snapshot fingerprint %#x does not match instance %#x", fp, want)
+	idx := &Index{seed: seed, part: part, next: uint64(numAds)}
+	for _, stream := range streams {
+		if stream+1 > idx.next {
+			idx.next = stream + 1
+		}
 	}
-	idx := &Index{seed: seed, part: part}
+	// The rest of the load is rebuild-bound, not decode-bound (the measured
+	// shares are in rrset/snapshot.go), so the fingerprint check (job 0) and
+	// the ads (job j+1) share rrset's bounded fan-out. Only the section decodes, which read one sequential stream,
+	// take turns in file order — decoded[j] closes once every section before
+	// j is read — and a worker that has decoded its section derives the ad's
+	// state while the next section decodes. One worker runs the jobs inline
+	// in order: fingerprint, then ad by ad, as a serial load would.
 	ads := make([]*adSample, int(numAds))
-	next := uint64(numAds)
-	for j := range ads {
-		stream := streams[j]
-		if stream+1 > next {
-			next = stream + 1
-		}
-		a := idx.newAdSample(inst.G, inst.Ads[j].Params.Probs, stream)
-		fam, err := rrset.DecodeSetFamily(r, inst.G.N())
-		if err != nil {
-			return nil, fmt.Errorf("core: index snapshot ad %d: %w", j, err)
-		}
-		if fam.Len()%rrset.StreamBlockSize != 0 {
-			return nil, fmt.Errorf("core: index snapshot ad %d has %d sets, not block-aligned", j, fam.Len())
-		}
-		a.fam = fam
-		a.streamLen = part.Resume(fam.Len())
-		a.widths = make([]int64, fam.Len())
-		for i := 0; i < fam.Len(); i++ {
-			a.widths[i] = rrset.Width(inst.G, fam.Set(i))
-		}
-		if fam.Len() > 0 {
-			a.inv = rrset.BuildInverted(inst.G.N(), fam.View(), 0)
-			a.invLen = fam.Len()
-			a.inv.PrepareCover()
-		}
-		ads[j] = a
+	decoded := make([]chan struct{}, len(ads)+1)
+	for j := range decoded {
+		decoded[j] = make(chan struct{})
 	}
-	idx.next = next
+	close(decoded[0])
+	var failed atomic.Bool // set with either error: no further section is decoded
+	var fpErr, adErr error // adErr is handed down the decode turns
+	rrset.ParallelFor(len(ads)+1, 0, func(job int) {
+		if job == 0 {
+			if want := indexFingerprint(inst); fp != want {
+				fpErr = fmt.Errorf("core: index snapshot fingerprint %#x does not match instance %#x", fp, want)
+				failed.Store(true)
+			}
+			return
+		}
+		j := job - 1
+		<-decoded[j]
+		var fam *rrset.SetFamily
+		if !failed.Load() {
+			if fam, adErr = decodeAdSection(r, inst.G.N(), j); adErr != nil {
+				failed.Store(true)
+			}
+		}
+		close(decoded[j+1])
+		if fam != nil {
+			ads[j] = idx.newAdSample(inst.G, inst.Ads[j].Params.Probs, streams[j])
+			ads[j].restore(fam)
+		}
+	})
+	// A snapshot of another instance says so even when its sections are also
+	// unreadable against this one.
+	if fpErr != nil {
+		return nil, fpErr
+	}
+	if adErr != nil {
+		return nil, adErr
+	}
 	idx.curr.Store(&indexEpoch{version: 1, inst: inst, ads: ads})
 	return idx, nil
+}
+
+// decodeAdSection reads ad j's family section off the snapshot stream and
+// checks it holds whole stream blocks; its errors name the ad.
+func decodeAdSection(r io.Reader, n, j int) (*rrset.SetFamily, error) {
+	fam, err := rrset.DecodeSetFamily(r, n)
+	if err != nil {
+		return nil, fmt.Errorf("core: index snapshot ad %d: %w", j, err)
+	}
+	if fam.Len()%rrset.StreamBlockSize != 0 {
+		return nil, fmt.Errorf("core: index snapshot ad %d has %d sets, not block-aligned", j, fam.Len())
+	}
+	return fam, nil
 }

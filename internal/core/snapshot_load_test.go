@@ -1,0 +1,162 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/rrset"
+)
+
+// snapshotSections returns where each ad's family section begins in an
+// index snapshot, plus the file's length as a final entry, by walking the
+// layout: the header (magic, version, seed, fingerprint, partition, ad
+// count, stream ids, CRC), then per ad a section of magic, set count,
+// member count, lengths, members and CRC.
+func snapshotSections(t *testing.T, snap []byte, numAds int) []int {
+	t.Helper()
+	at := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8*numAds + 4
+	starts := make([]int, 0, numAds+1)
+	for j := 0; j < numAds; j++ {
+		starts = append(starts, at)
+		count := binary.LittleEndian.Uint32(snap[at+4:])
+		total := binary.LittleEndian.Uint64(snap[at+8:])
+		at += 4 + 12 + 4*int(count) + 4*int(total) + 4
+	}
+	if at != len(snap) {
+		t.Fatalf("snapshot walk ends at byte %d of %d", at, len(snap))
+	}
+	return append(starts, at)
+}
+
+// settleGoroutines waits for the goroutine count to come back to base (a
+// fan-out worker has signalled completion a few instructions before it
+// exits) and fails if it does not.
+func settleGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	for wait := 0; wait < 200 && runtime.NumGoroutine() > base; wait++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got != base {
+		t.Fatalf("%s: %d goroutines afterwards, %d before", what, got, base)
+	}
+}
+
+// TestLoadIndexSnapshotAtAnyWorkerCap: a loaded index is the index it was
+// written from — per-ad set counts, exact footprint, and a full allocation
+// down to revenue estimates and θ — whether the per-ad rebuild runs inline
+// (one worker) or fanned out, and the fan-out leaves no goroutine behind.
+func TestLoadIndexSnapshotAtAnyWorkerCap(t *testing.T) {
+	defer rrset.SetMaxWorkers(0)
+	inst := randomInstance(77, 90, 400, 5, 2, 0.01)
+	opts := TIRMOptions{Eps: 0.3, MinTheta: 2000, MaxTheta: 16000}
+	idx, err := BuildIndex(inst, 13, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := AllocateFromIndex(idx, Request{Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotOf(ref)
+	// After the allocation, so the snapshot holds whatever it grew.
+	var snap bytes.Buffer
+	if err := idx.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 2, 0} {
+		rrset.SetMaxWorkers(workers)
+		base := runtime.NumGoroutine()
+		loaded, err := LoadIndexSnapshot(inst, bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		settleGoroutines(t, base, fmt.Sprintf("workers=%d load", workers))
+		if loaded.NumAds() != idx.NumAds() || loaded.MemBytes() != idx.MemBytes() {
+			t.Fatalf("workers=%d: loaded %d ads / %d bytes, want %d / %d",
+				workers, loaded.NumAds(), loaded.MemBytes(), idx.NumAds(), idx.MemBytes())
+		}
+		for j := 0; j < idx.NumAds(); j++ {
+			if loaded.NumSets(j) != idx.NumSets(j) {
+				t.Fatalf("workers=%d: ad %d holds %d sets, want %d", workers, j, loaded.NumSets(j), idx.NumSets(j))
+			}
+		}
+		res, err := AllocateFromIndex(loaded, Request{Opts: opts})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := snapshotOf(res); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: allocation on the loaded index diverged:\n got %+v\nwant %+v", workers, got, want)
+		}
+		if res.TotalSetsSampled != 0 {
+			t.Fatalf("workers=%d: allocation on the loaded index drew %d sets", workers, res.TotalSetsSampled)
+		}
+		// Same bytes out as in: nothing the load derives leaks into the file.
+		var again bytes.Buffer
+		if err := loaded.WriteSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+			t.Fatalf("workers=%d: re-written snapshot differs from the one loaded", workers)
+		}
+	}
+}
+
+// TestLoadIndexSnapshotErrorPrecedence pins which error a bad snapshot
+// reports now that the fingerprint check and the sections are examined
+// concurrently: the first corrupt section in file order, by ad position; a
+// fingerprint mismatch ahead of any section error; and in every case no
+// worker left running.
+func TestLoadIndexSnapshotErrorPrecedence(t *testing.T) {
+	defer rrset.SetMaxWorkers(0)
+	const numAds = 5
+	inst := randomInstance(77, 90, 400, numAds, 2, 0.01)
+	other := randomInstance(78, 90, 400, numAds, 2, 0.01)
+	idx, err := BuildIndex(inst, 13, TIRMOptions{Eps: 0.3, MinTheta: 2000, MaxTheta: 16000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := idx.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	sections := snapshotSections(t, snap, numAds)
+	// corrupt flips one bit in the middle of each named ad's section, which
+	// fails it whatever the bit was (a length or range check, or the CRC).
+	corrupt := func(ads ...int) []byte {
+		bad := bytes.Clone(snap)
+		for _, j := range ads {
+			bad[(sections[j]+sections[j+1])/2] ^= 0x40
+		}
+		return bad
+	}
+
+	for _, workers := range []int{1, 2, 0} {
+		rrset.SetMaxWorkers(workers)
+		base := runtime.NumGoroutine()
+		fails := func(what string, on *Instance, snap []byte, want string) {
+			t.Helper()
+			_, err := LoadIndexSnapshot(on, bytes.NewReader(snap))
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("workers=%d %s: error %v, want one containing %q", workers, what, err, want)
+			}
+			settleGoroutines(t, base, fmt.Sprintf("workers=%d %s", workers, what))
+		}
+		for j := 0; j < numAds; j++ {
+			fails(fmt.Sprintf("corrupt ad %d", j), inst, corrupt(j), fmt.Sprintf("index snapshot ad %d:", j))
+		}
+		fails("corrupt ads 3 and 1", inst, corrupt(3, 1), "index snapshot ad 1:")
+		fails("truncated in ad 2", inst, snap[:sections[2]+40], "index snapshot ad 2:")
+		fails("other instance", other, snap, "fingerprint")
+		fails("other instance, corrupt ad 0", other, corrupt(0), "fingerprint")
+		fails("other instance, corrupt ad 4", other, corrupt(4), "fingerprint")
+		fails("other instance, truncated in ad 1", other, snap[:sections[1]+40], "fingerprint")
+	}
+}

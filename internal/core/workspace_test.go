@@ -1,10 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/rrset"
 )
@@ -68,24 +68,38 @@ func TestAllocateFromIndexParallelAndPooled(t *testing.T) {
 						soft, workers, run, got, want)
 				}
 			}
+			// Every run asks the pool exactly once, and the first finds it
+			// empty. How the other two split is sync.Pool's business — a GC
+			// or a P migration between put and get loses the parked
+			// workspace — so the split is not asserted; what pooling buys is,
+			// below.
 			hits, misses := pool.Stats()
 			if hits+misses != 3 || misses < 1 {
-				t.Fatalf("soft=%v workers=%d: pool stats hits=%d misses=%d, want 3 total", soft, workers, hits, misses)
+				t.Fatalf("soft=%v workers=%d: pool stats hits=%d misses=%d, want 3 in total and a first miss", soft, workers, hits, misses)
 			}
-			if !raceDetectorOn && (misses != 1 || hits != 2) {
-				// The race runtime drops sync.Pool puts at random, so the
-				// exact split is only deterministic without it.
-				t.Fatalf("soft=%v workers=%d: pool stats hits=%d misses=%d, want 2/1", soft, workers, hits, misses)
+			// No worker outlives a request.
+			settleGoroutines(t, goroutines, fmt.Sprintf("soft=%v workers=%d", soft, workers))
+		}
+
+		// What pooling is for: a run that finds its workspace parked
+		// allocates a fraction of what a run on a fresh pool does. An
+		// average over runs, so one lost workspace does not decide it.
+		rrset.SetMaxWorkers(1)
+		pool := &WorkspacePool{}
+		warm := testing.AllocsPerRun(20, func() {
+			if _, err := AllocateFromIndex(idx, Request{Opts: o, Pool: pool}); err != nil {
+				t.Fatal(err)
 			}
-			// No worker outlives a request. A set-up worker has signalled
-			// completion a few instructions before it exits, so give the
-			// scheduler a moment to retire it.
-			for wait := 0; wait < 200 && runtime.NumGoroutine() > goroutines; wait++ {
-				time.Sleep(time.Millisecond)
+		})
+		cold := testing.AllocsPerRun(20, func() {
+			if _, err := AllocateFromIndex(idx, Request{Opts: o, Pool: &WorkspacePool{}}); err != nil {
+				t.Fatal(err)
 			}
-			if got := runtime.NumGoroutine(); got != goroutines {
-				t.Fatalf("soft=%v workers=%d: %d goroutines after the runs, %d before", soft, workers, got, goroutines)
-			}
+		})
+		t.Logf("soft=%v: %.0f allocations per pooled run, %.0f per cold-workspace run", soft, warm, cold)
+		if !raceDetectorOn && warm*2 > cold {
+			// The race runtime drops sync.Pool puts at random.
+			t.Fatalf("soft=%v: a pooled run allocates %.0f objects, a cold-workspace run %.0f — pooling saves less than half", soft, warm, cold)
 		}
 	}
 }

@@ -230,3 +230,28 @@ func TestTopicalSeparation(t *testing.T) {
 		t.Errorf("ads 0 and 1 see nearly identical probabilities (mean |Δ| = %v)", diff/float64(len(a)))
 	}
 }
+
+// TestGeneratorFingerprintsPinned makes generator output a checked
+// contract: core.InstanceFingerprint (graph wiring in EdgeID order plus
+// every ad's mixed edge probabilities) of each dataset analogue at smoke
+// scale equals the constant recorded before graph.Builder's linear-time
+// CSR build replaced its comparison sort. A change that moves one of these
+// changes every sample, snapshot and golden downstream — re-record only
+// for a deliberate generator change, never for a build- or gen-path
+// optimisation.
+func TestGeneratorFingerprintsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		inst *core.Instance
+		want uint64
+	}{
+		{"flixster", Flixster(Options{Seed: 1, Scale: 0.02}), 0x2feb212388901f88},
+		{"epinions", Epinions(Options{Seed: 2, Scale: 0.02}), 0x4d63436f426be310},
+		{"dblp", DBLP(Options{Seed: 3, Scale: 0.02}), 0xc6c8dbd553e21d17},
+		{"livejournal", LiveJournal(Options{Seed: 4, Scale: 0.001}), 0xbc2d06229b75966a},
+	} {
+		if got := core.InstanceFingerprint(tc.inst); got != tc.want {
+			t.Errorf("%s: instance fingerprint %#x, pinned %#x", tc.name, got, tc.want)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates directed edges and produces an immutable Graph.
@@ -46,9 +46,24 @@ func (b *Builder) AddUndirected(u, v NodeID) {
 	b.AddEdge(v, u)
 }
 
-// Build validates, deduplicates, sorts, and freezes the graph.
+// Build validates, deduplicates, sorts, and freezes the graph in O(n + m)
+// time: the (source, target) order that defines EdgeIDs comes from
+// transposing the edge list twice — group the raw edges by target, then
+// walk the targets in ascending order dropping each into its source's row —
+// which is a stable two-key counting sort with no comparisons at all, so a
+// hub row of any length costs what its length says. Duplicates land side by
+// side and are squeezed out as the rows are compacted; a third transpose of
+// the finished out-CSR is the in-CSR with its EdgeID back-references.
+// Transient memory is two int32 arrays over the raw edges (one edge array's
+// worth); the builder's own edge list is left as it was.
 func (b *Builder) Build() (*Graph, error) {
 	n := int32(b.n)
+	// Every transpose below uses one counting-sort layout: group sizes are
+	// counted two slots up, so after the prefix sums x[w+1] is where node w's
+	// group begins, and a scatter that advances x[w+1] once per element
+	// leaves w's group at [x[w], x[w+1]) — bounds without a cursor array.
+	byTarget := make([]int64, n+2)
+	bySource := make([]int64, n+2)
 	for _, e := range b.edges {
 		if e.u < 0 || e.u >= n || e.v < 0 || e.v >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.u, e.v, n)
@@ -56,56 +71,68 @@ func (b *Builder) Build() (*Graph, error) {
 		if e.u == e.v {
 			return nil, fmt.Errorf("graph: self-loop at node %d", e.u)
 		}
+		byTarget[e.v+2]++
+		bySource[e.u+2]++
 	}
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
-		}
-		return b.edges[i].v < b.edges[j].v
-	})
-	// Deduplicate in place.
-	dedup := b.edges[:0]
-	for i, e := range b.edges {
-		if i == 0 || e != b.edges[i-1] {
-			dedup = append(dedup, e)
+	for w := int32(0); w < n; w++ {
+		byTarget[w+2] += byTarget[w+1]
+		bySource[w+2] += bySource[w+1]
+	}
+	// Raw edges grouped by target, holding the source.
+	sources := make([]int32, len(b.edges))
+	for _, e := range b.edges {
+		sources[byTarget[e.v+1]] = e.u
+		byTarget[e.v+1]++
+	}
+	// Regrouped by source in ascending target order: every row comes out
+	// sorted, with duplicate edges adjacent.
+	targets := make([]int32, len(b.edges))
+	for v := int32(0); v < n; v++ {
+		for _, u := range sources[byTarget[v]:byTarget[v+1]] {
+			targets[bySource[u+1]] = v
+			bySource[u+1]++
 		}
 	}
-	m := int64(len(dedup))
-
+	// Out CSR: compact the rows over their duplicates, in place (the write
+	// position never passes the read position). EdgeID = final position.
+	outStart := make([]int64, n+1)
+	inStart := make([]int64, n+2)
+	var m int64
+	for u := int32(0); u < n; u++ {
+		outStart[u] = m
+		prev := int32(-1)
+		for _, v := range targets[bySource[u]:bySource[u+1]] {
+			if v != prev {
+				targets[m] = v
+				m++
+				inStart[v+2]++
+				prev = v
+			}
+		}
+	}
+	outStart[n] = m
 	g := &Graph{
 		n:        n,
 		m:        m,
-		outStart: make([]int64, n+1),
-		outTo:    make([]int32, m),
-		inStart:  make([]int64, n+1),
+		outStart: outStart,
+		outTo:    slices.Clone(targets[:m]),
 		inFrom:   make([]int32, m),
 		inEID:    make([]int64, m),
 	}
-	// Out CSR: edges are already sorted by (u, v), so EdgeID = index.
-	for _, e := range dedup {
-		g.outStart[e.u+1]++
+	// In CSR with EdgeID back-references: sources ascend within a row
+	// because the out rows are walked in source order.
+	for w := int32(0); w < n; w++ {
+		inStart[w+2] += inStart[w+1]
 	}
-	for i := int32(0); i < n; i++ {
-		g.outStart[i+1] += g.outStart[i]
+	for u := int32(0); u < n; u++ {
+		for j := outStart[u]; j < outStart[u+1]; j++ {
+			v := g.outTo[j]
+			g.inFrom[inStart[v+1]] = u
+			g.inEID[inStart[v+1]] = j
+			inStart[v+1]++
+		}
 	}
-	for j, e := range dedup {
-		g.outTo[j] = e.v
-	}
-	// In CSR with EdgeID back-references.
-	for _, e := range dedup {
-		g.inStart[e.v+1]++
-	}
-	for i := int32(0); i < n; i++ {
-		g.inStart[i+1] += g.inStart[i]
-	}
-	cursor := make([]int64, n)
-	copy(cursor, g.inStart[:n])
-	for j, e := range dedup {
-		k := cursor[e.v]
-		g.inFrom[k] = e.u
-		g.inEID[k] = int64(j)
-		cursor[e.v]++
-	}
+	g.inStart = inStart[:n+1]
 	return g, nil
 }
 

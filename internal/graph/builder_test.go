@@ -1,0 +1,183 @@
+package graph
+
+import (
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/xrand"
+)
+
+// referenceCSR is what Build must produce, derived the way Build used to:
+// one comparison sort of the edge list by (source, target), duplicates
+// dropped, EdgeID = position, in-rows filled in EdgeID order.
+type referenceCSR struct {
+	out    [][]int32 // out[u] = targets of u, ascending
+	first  []int64   // first[u] = EdgeID of u's first out-edge
+	inFrom [][]int32 // inFrom[v] = sources of v, ascending
+	inEID  [][]int64 // inEID[v][i] = EdgeID of inFrom[v][i] -> v
+	m      int64
+}
+
+func referenceBuild(n int, edges []edge) referenceCSR {
+	es := slices.Clone(edges)
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].u != es[j].u {
+			return es[i].u < es[j].u
+		}
+		return es[i].v < es[j].v
+	})
+	ref := referenceCSR{
+		out:    make([][]int32, n),
+		first:  make([]int64, n),
+		inFrom: make([][]int32, n),
+		inEID:  make([][]int64, n),
+	}
+	for i, e := range es {
+		if i > 0 && e == es[i-1] {
+			continue
+		}
+		ref.out[e.u] = append(ref.out[e.u], e.v)
+		ref.inFrom[e.v] = append(ref.inFrom[e.v], e.u)
+		ref.inEID[e.v] = append(ref.inEID[e.v], ref.m)
+		ref.m++
+	}
+	var next int64
+	for u := range ref.out {
+		ref.first[u] = next
+		next += int64(len(ref.out[u]))
+	}
+	return ref
+}
+
+// checkAgainstReference compares Build's graph with the reference node by
+// node: out-rows and their first EdgeIDs, in-rows' sources and EdgeIDs.
+func checkAgainstReference(t *testing.T, name string, n int, edges []edge) *Graph {
+	t.Helper()
+	b := NewBuilder(n)
+	b.edges = slices.Clone(edges)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("%s: Build: %v", name, err)
+	}
+	if !slices.Equal(b.edges, edges) {
+		t.Fatalf("%s: Build reordered the builder's edge list", name)
+	}
+	ref := referenceBuild(n, edges)
+	if g.N() != n || g.M() != ref.m {
+		t.Fatalf("%s: size %d/%d, want %d/%d", name, g.N(), g.M(), n, ref.m)
+	}
+	for w := int32(0); w < int32(n); w++ {
+		targets, first := g.OutEdges(w)
+		if !slices.Equal(targets, ref.out[w]) || first != ref.first[w] {
+			t.Fatalf("%s: out-row %d = %v from EdgeID %d, want %v from %d",
+				name, w, targets, first, ref.out[w], ref.first[w])
+		}
+		sources, eids := g.InEdges(w)
+		if !slices.Equal(sources, ref.inFrom[w]) || !slices.Equal(eids, ref.inEID[w]) {
+			t.Fatalf("%s: in-row %d = %v / %v, want %v / %v",
+				name, w, sources, eids, ref.inFrom[w], ref.inEID[w])
+		}
+	}
+	return g
+}
+
+// TestBuildMatchesSortedReference is the property the linear-time build is
+// held to: on any edge multiset it yields bit for bit the graph the old
+// sort-and-dedup construction did.
+func TestBuildMatchesSortedReference(t *testing.T) {
+	checkAgainstReference(t, "empty graph", 0, nil)
+	checkAgainstReference(t, "one node", 1, nil)
+	checkAgainstReference(t, "isolated nodes only", 50, nil)
+	checkAgainstReference(t, "one edge", 2, []edge{{1, 0}})
+
+	r := xrand.New(2024)
+	for trial := 0; trial < 60; trial++ {
+		// Few nodes against many draws forces duplicates; drawing endpoints
+		// from the lower half only leaves the upper half isolated.
+		n := 2 + r.IntN(60)
+		live := n
+		if trial%3 == 0 {
+			live = 2 + r.IntN(n-1)
+		}
+		var edges []edge
+		for i, draws := 0, r.IntN(6*n); i < draws; i++ {
+			u, v := int32(r.IntN(live)), int32(r.IntN(live))
+			if u == v {
+				continue
+			}
+			edges = append(edges, edge{u, v})
+			if r.IntN(4) == 0 {
+				edges = append(edges, edge{u, v}) // an immediate repeat
+			}
+		}
+		checkAgainstReference(t, "random multigraph", n, edges)
+	}
+
+	// One hub with 12 000 distinct targets and as many sources, every hub
+	// edge drawn ~1.5 times, in shuffled order, over a sparse background.
+	const n, hub = 20000, 7
+	var edges []edge
+	for i := 0; i < 18000; i++ {
+		w := int32(1000 + r.IntN(12000))
+		edges = append(edges, edge{hub, w}, edge{w, hub})
+	}
+	for w := int32(1000); w < 13000; w++ {
+		edges = append(edges, edge{hub, w}, edge{w, hub})
+	}
+	for i := 0; i < 30000; i++ {
+		u, v := int32(r.IntN(n)), int32(r.IntN(n))
+		if u != v {
+			edges = append(edges, edge{u, v})
+		}
+	}
+	for i, p := range r.Perm(len(edges)) {
+		edges[i], edges[p] = edges[p], edges[i]
+	}
+	if g := checkAgainstReference(t, "hub rows", n, edges); g.OutDegree(hub) < 10000 || g.InDegree(hub) < 10000 {
+		t.Fatalf("hub degrees %d/%d, the case needs >= 10^4", g.OutDegree(hub), g.InDegree(hub))
+	}
+}
+
+// communityEdgeList draws the raw edge list of gen's community-structured
+// DBLP analogue (20-node communities, 97 % of links inside one, both
+// directions added) without building it: the input Build sees on a cold
+// start at paper scale, duplicates included.
+func communityEdgeList(n, undirected int, r *xrand.Rand) []edge {
+	const commSize = 20
+	numComm := (n + commSize - 1) / commSize
+	edges := make([]edge, 0, 2*undirected)
+	for len(edges) < 2*undirected {
+		var u, v int32
+		if r.Bernoulli(0.97) {
+			lo := r.IntN(numComm) * commSize
+			hi := min(lo+commSize, n)
+			u, v = int32(lo+r.IntN(hi-lo)), int32(lo+r.IntN(hi-lo))
+		} else {
+			u, v = int32(r.IntN(n)), int32(r.IntN(n))
+		}
+		if u != v {
+			edges = append(edges, edge{u, v}, edge{v, u})
+		}
+	}
+	return edges
+}
+
+// BenchmarkGraphBuild measures Builder.Build on a 2 M-edge community edge
+// list over 300 K nodes — the DBLP analogue's shape, and what every
+// generator, ReadEdgeList and cold start pays before the first RR set is
+// drawn. Each iteration builds from a fresh copy of the list (a memcpy, a
+// few percent of the build).
+func BenchmarkGraphBuild(b *testing.B) {
+	const n = 300000
+	edges := communityEdgeList(n, 1000000, xrand.New(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m int64
+	for i := 0; i < b.N; i++ {
+		bld := NewBuilder(n)
+		bld.edges = slices.Clone(edges)
+		m = bld.MustBuild().M()
+	}
+	b.ReportMetric(float64(m), "edges")
+}
