@@ -26,7 +26,11 @@ type clusterBackend struct {
 	runID  string
 	kernel string
 	opened bool // a Start was sent: some shard may hold the run
-	ads    []clusterAd
+	// seq numbers the run's Commit/Credit/Grow rounds from 1, the same
+	// number to every shard of a round (CommitRequest.Seq): the loop issues
+	// them one at a time, so here is where their order is known.
+	seq int64
+	ads []clusterAd
 }
 
 // clusterAd is one ad's core.Coverage over the cluster.
@@ -118,9 +122,11 @@ func (a *clusterAd) TopNodes(ctx context.Context, k int, eligible func(int32) bo
 // Commit implements core.Coverage with one commit round.
 func (a *clusterAd) Commit(ctx context.Context, u int32, delta float64) (float64, error) {
 	c := a.b.c
+	a.b.seq++
+	req := CommitRequest{RunID: a.b.runID, Ad: a.j, Node: u, Seq: a.b.seq}
 	rctx, round := c.roundStart(ctx, "commit")
 	covered, err := c.scatterCover(a.col, func(cl Client) (CommitReply, error) {
-		return cl.Commit(rctx, CommitRequest{RunID: a.b.runID, Ad: a.j, Node: u})
+		return cl.Commit(rctx, req)
 	})
 	c.roundDone("commit", round)
 	if err != nil {
@@ -137,10 +143,12 @@ func (a *clusterAd) Commit(ctx context.Context, u int32, delta float64) (float64
 func (a *clusterAd) Grow(ctx context.Context, from, to int) (fresh int64, err error) {
 	c := a.b.c
 	grows := make([]GrowReply, len(c.clients))
+	a.b.seq++
+	req := GrowRequest{RunID: a.b.runID, Ad: a.j, FromGlobal: from, ToGlobal: to, Seq: a.b.seq}
 	rctx, round := c.roundStart(ctx, "grow")
 	err = c.scatter(func(k int, cl Client) error {
 		var err error
-		grows[k], err = cl.Grow(rctx, GrowRequest{RunID: a.b.runID, Ad: a.j, FromGlobal: from, ToGlobal: to})
+		grows[k], err = cl.Grow(rctx, req)
 		return err
 	})
 	c.roundDone("grow", round)
@@ -162,9 +170,11 @@ func (a *clusterAd) Grow(ctx context.Context, from, to int) (fresh int64, err er
 // Credit implements core.Coverage with one credit round.
 func (a *clusterAd) Credit(ctx context.Context, seed int32, delta float64, boundary int) (float64, error) {
 	c := a.b.c
+	a.b.seq++
+	req := CreditRequest{RunID: a.b.runID, Ad: a.j, Node: seed, FromGlobal: boundary, Seq: a.b.seq}
 	rctx, round := c.roundStart(ctx, "credit")
 	covered, err := c.scatterCover(a.col, func(cl Client) (CommitReply, error) {
-		return cl.Credit(rctx, CreditRequest{RunID: a.b.runID, Ad: a.j, Node: seed, FromGlobal: boundary})
+		return cl.Credit(rctx, req)
 	})
 	c.roundDone("credit", round)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // BenchmarkAllocateBatch measures batched warm allocation at batch sizes
@@ -77,6 +78,26 @@ func BenchmarkAllocateBatch(b *testing.B) {
 	})
 }
 
+// benchWarmAllocate times warm allocations of the default request on coord.
+func benchWarmAllocate(b *testing.B, coord *Coordinator) {
+	ctx := context.Background()
+	opts := testOpts()
+	if err := coord.Warm(ctx, opts); err != nil {
+		b.Fatal(err)
+	}
+	req := core.Request{Opts: opts}
+	if _, err := coord.Allocate(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coord.Allocate(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkShardedAllocate measures a warm distributed allocation over the
 // in-process transport at K = 1, 2, 4, 8 — the scatter-gather overhead the
 // coordinator adds on top of the single-node warm path (BenchmarkIndexColdVsWarm/warm
@@ -85,30 +106,31 @@ func BenchmarkAllocateBatch(b *testing.B) {
 // plus per-commit delta gathers.
 func BenchmarkShardedAllocate(b *testing.B) {
 	inst := testInstance()
-	opts := testOpts()
-	ctx := context.Background()
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			coord, _, err := NewLocalCluster(inst, 0, 42, k, Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := coord.Warm(ctx, opts); err != nil {
-				b.Fatal(err)
-			}
-			req := core.Request{Opts: opts}
-			if _, err := coord.Allocate(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := coord.Allocate(ctx, req); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchWarmAllocate(b, coord)
 		})
 	}
+}
+
+// BenchmarkShardedAllocateStack is BenchmarkShardedAllocate/K=1 under the
+// production client stack, ReplicaSet(RetryClient(InstrumentClient(·))) as
+// serve.ConnectShards builds it, still over the in-process transport: its
+// ns/op and allocs/op minus the bare K=1 row are what the decorators
+// themselves cost an allocation (the HTTP benchmark below is all network).
+func BenchmarkShardedAllocateStack(b *testing.B) {
+	m := NewMetrics(obs.NewRegistry(), "bench")
+	coord, _, _, err := NewReplicaCluster(testInstance(), 0, 42, 1, 1, Config{Metrics: m}, func(slot, rep int, cl Client) Client {
+		return NewRetryClient(InstrumentClient(cl, slot, m), RetryPolicy{Seed: uint64(slot + rep + 1), Label: fmt.Sprintf("%d/%d", slot, rep)}, m)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchWarmAllocate(b, coord)
 }
 
 // BenchmarkShardedAllocateHTTP is BenchmarkShardedAllocate/K=4 over the real

@@ -21,7 +21,11 @@
 //     pilot (so the loop sizes θ exactly as on a single node), gathers
 //     per-shard coverage into aggregate counter collections the loop scans
 //     with the existing tie-break order, and broadcasts every commit,
-//     applying the gathered integer deltas. Campaign mutations
+//     applying the gathered integer deltas. It numbers each run's
+//     Commit/Credit/Grow rounds from 1 (CommitRequest.Seq, required:
+//     a shard refuses anything but the next number or an exact replay
+//     of the last with ErrBadSeq, 412 over HTTP), which is what makes a
+//     retried op safe under any client stack. Campaign mutations
 //     (AddAd/RemoveAd) and the epoch counter broadcast the same way, in
 //     lockstep across the cluster.
 //

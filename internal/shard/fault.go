@@ -12,6 +12,8 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,7 +47,8 @@ const (
 // FaultRule is one entry of a fault plan.
 type FaultRule struct {
 	// Op names the RPC the rule applies to ("commit", "pilot", …, the
-	// InstrumentClient op labels); "*" matches every op.
+	// InstrumentClient op labels); "*" matches every op. Any other value
+	// panics in NewFaultClient.
 	Op string
 	// From is the 0-based per-op call index the rule arms at (calls are
 	// counted per op name across the client's lifetime; "*" rules count
@@ -67,24 +70,32 @@ type FaultRule struct {
 // concurrent use; rule matching and the coin-flip stream are serialized,
 // so a fixed (seed, call order) reproduces the same faults.
 type FaultClient struct {
-	cl Client
+	intercepted // forwards every op through apply
 
 	mu    sync.Mutex
 	rng   *xrand.Rand
 	rules []FaultRule
-	fired []int          // per-rule firing counts
-	calls map[string]int // per-op call counts
+	fired []int       // per-rule firing counts
+	calls [numOps]int // per-op call counts
+	total int         // calls of any op, what "*" rules count against
 }
 
-// NewFaultClient wraps cl with a plan. seed drives the Prob coin flips.
+// NewFaultClient wraps cl with a plan. seed drives the Prob coin flips. A
+// rule whose Op is neither "*" nor an op name could never fire and would
+// script a fault-free run, so it panics: a plan is test and chaos code.
 func NewFaultClient(cl Client, seed uint64, rules ...FaultRule) *FaultClient {
-	return &FaultClient{
-		cl:    cl,
+	for _, r := range rules {
+		if r.Op != "*" && !slices.ContainsFunc(opTable[:], func(row opRow) bool { return row.name == r.Op }) {
+			panic(fmt.Sprintf("shard: fault rule names unknown op %q", r.Op))
+		}
+	}
+	c := &FaultClient{
 		rng:   xrand.New(seed),
 		rules: rules,
 		fired: make([]int, len(rules)),
-		calls: map[string]int{},
 	}
+	c.intercepted = intercepted{next: cl, around: c.apply}
+	return c
 }
 
 // Fired returns how many times each rule has fired, aligned with the
@@ -96,20 +107,19 @@ func (c *FaultClient) Fired() []int {
 	return append([]int(nil), c.fired...)
 }
 
-// match books one call against op and returns the first armed matching
-// rule, if any.
-func (c *FaultClient) match(op string) (FaultRule, bool) {
+// match books one call of o and returns the first armed matching rule, if
+// any.
+func (c *FaultClient) match(o op) (FaultRule, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx := c.calls[op]
-	c.calls[op]++
-	total := c.calls["*"]
-	c.calls["*"]++
+	idx, total := c.calls[o], c.total
+	c.calls[o]++
+	c.total++
 	for i, r := range c.rules {
 		at := idx
 		if r.Op == "*" {
 			at = total
-		} else if r.Op != op {
+		} else if r.Op != o.String() {
 			continue
 		}
 		if at < r.From {
@@ -127,11 +137,11 @@ func (c *FaultClient) match(op string) (FaultRule, bool) {
 	return FaultRule{}, false
 }
 
-// apply runs one call under the plan. fn invokes the underlying client.
-func (c *FaultClient) apply(ctx context.Context, op string, fn func() error) error {
-	r, ok := c.match(op)
+// apply runs one call under the plan.
+func (c *FaultClient) apply(ctx context.Context, o op, call rpcCall) error {
+	r, ok := c.match(o)
 	if !ok {
-		return fn()
+		return call.invoke(ctx)
 	}
 	switch r.Kind {
 	case FaultError:
@@ -140,7 +150,7 @@ func (c *FaultClient) apply(ctx context.Context, op string, fn func() error) err
 		if !faultSleep(ctx, r.Delay) {
 			return ctx.Err()
 		}
-		return fn()
+		return call.invoke(ctx)
 	case FaultTimeout:
 		if r.Delay > 0 {
 			if !faultSleep(ctx, r.Delay) {
@@ -151,7 +161,7 @@ func (c *FaultClient) apply(ctx context.Context, op string, fn func() error) err
 		<-ctx.Done()
 		return ctx.Err()
 	case FaultDropAfterSend:
-		fn()
+		call.invoke(ctx)
 		return ErrInjected
 	default:
 		return ErrInjected
@@ -172,130 +182,3 @@ func faultSleep(ctx context.Context, d time.Duration) bool {
 		return false
 	}
 }
-
-// Info implements Client.
-func (c *FaultClient) Info(ctx context.Context) (ShardInfo, error) {
-	var out ShardInfo
-	err := c.apply(ctx, "info", func() error {
-		var err error
-		out, err = c.cl.Info(ctx)
-		return err
-	})
-	return out, err
-}
-
-// Pilot implements Client.
-func (c *FaultClient) Pilot(ctx context.Context, req PilotRequest) (PilotReply, error) {
-	var out PilotReply
-	err := c.apply(ctx, "pilot", func() error {
-		var err error
-		out, err = c.cl.Pilot(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Ensure implements Client.
-func (c *FaultClient) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
-	var out EnsureReply
-	err := c.apply(ctx, "ensure", func() error {
-		var err error
-		out, err = c.cl.Ensure(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Start implements Client.
-func (c *FaultClient) Start(ctx context.Context, req StartRequest) (StartReply, error) {
-	var out StartReply
-	err := c.apply(ctx, "start", func() error {
-		var err error
-		out, err = c.cl.Start(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Commit implements Client.
-func (c *FaultClient) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
-	var out CommitReply
-	err := c.apply(ctx, "commit", func() error {
-		var err error
-		out, err = c.cl.Commit(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Credit implements Client.
-func (c *FaultClient) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
-	var out CommitReply
-	err := c.apply(ctx, "credit", func() error {
-		var err error
-		out, err = c.cl.Credit(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Grow implements Client.
-func (c *FaultClient) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
-	var out GrowReply
-	err := c.apply(ctx, "grow", func() error {
-		var err error
-		out, err = c.cl.Grow(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Gains implements Client.
-func (c *FaultClient) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
-	var out GainsReply
-	err := c.apply(ctx, "gains", func() error {
-		var err error
-		out, err = c.cl.Gains(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// End implements Client.
-func (c *FaultClient) End(ctx context.Context, runID string) error {
-	return c.apply(ctx, "end", func() error {
-		return c.cl.End(ctx, runID)
-	})
-}
-
-// AddAd implements Client.
-func (c *FaultClient) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
-	var out MutateReply
-	err := c.apply(ctx, "addAd", func() error {
-		var err error
-		out, err = c.cl.AddAd(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// RemoveAd implements Client.
-func (c *FaultClient) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
-	var out MutateReply
-	err := c.apply(ctx, "removeAd", func() error {
-		var err error
-		out, err = c.cl.RemoveAd(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// SyncEstimates implements Client.
-func (c *FaultClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
-	return c.apply(ctx, "syncEstimates", func() error {
-		return c.cl.SyncEstimates(ctx, req)
-	})
-}
-
-// Interface compliance.
-var _ Client = (*FaultClient)(nil)

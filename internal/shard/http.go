@@ -61,26 +61,26 @@ func (s *Shard) Handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		shardWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc(routePaths[routeInfo], func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(opTable[opInfo].path, func(w http.ResponseWriter, r *http.Request) {
 		shardWriteJSON(w, http.StatusOK, s.Info())
 	})
-	mux.HandleFunc(routePaths[routePilot], wireRPC(s.Pilot))
-	mux.HandleFunc(routePaths[routeEnsure], rpc(s.Ensure))
-	mux.HandleFunc(routePaths[routeStart], wireRPC(s.Start))
-	mux.HandleFunc(routePaths[routeCommit], wireRPC(s.Commit))
-	mux.HandleFunc(routePaths[routeCredit], wireRPC(s.Credit))
-	mux.HandleFunc(routePaths[routeGrow], wireRPC(s.Grow))
-	mux.HandleFunc(routePaths[routeGains], wireRPC(s.Gains))
-	mux.HandleFunc(routePaths[routeEnd], rpc(func(req endRequest) (struct{}, error) {
+	mux.HandleFunc(opTable[opPilot].path, wireRPC(s.Pilot))
+	mux.HandleFunc(opTable[opEnsure].path, rpc(s.Ensure))
+	mux.HandleFunc(opTable[opStart].path, wireRPC(s.Start))
+	mux.HandleFunc(opTable[opCommit].path, wireRPC(s.Commit))
+	mux.HandleFunc(opTable[opCredit].path, wireRPC(s.Credit))
+	mux.HandleFunc(opTable[opGrow].path, wireRPC(s.Grow))
+	mux.HandleFunc(opTable[opGains].path, wireRPC(s.Gains))
+	mux.HandleFunc(opTable[opEnd].path, rpc(func(req endRequest) (struct{}, error) {
 		s.End(req.RunID)
 		return struct{}{}, nil
 	}))
-	mux.HandleFunc(routePaths[routeAds], rpc(s.AddAd))
-	mux.HandleFunc(routePaths[routeRemove], rpc(s.RemoveAd))
-	mux.HandleFunc(routePaths[routeEstimates], rpc(func(req SyncEstimatesRequest) (struct{}, error) {
+	mux.HandleFunc(opTable[opAddAd].path, rpc(s.AddAd))
+	mux.HandleFunc(opTable[opRemoveAd].path, rpc(s.RemoveAd))
+	mux.HandleFunc(opTable[opSyncEstimates].path, rpc(func(req SyncEstimatesRequest) (struct{}, error) {
 		return struct{}{}, s.SyncEstimates(req)
 	}))
-	mux.HandleFunc(routePaths[routeDrain], rpc(func(req struct{}) (struct{}, error) {
+	mux.HandleFunc(drainPath, rpc(func(req struct{}) (struct{}, error) {
 		s.Drain()
 		return struct{}{}, nil
 	}))
@@ -287,49 +287,18 @@ func shardWriteJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// route indexes the daemon's /shard/ routes, for the mux and the client alike.
-type route int
-
-const (
-	routeInfo route = iota
-	routePilot
-	routeEnsure
-	routeStart
-	routeCommit
-	routeCredit
-	routeGrow
-	routeGains
-	routeEnd
-	routeAds
-	routeRemove
-	routeEstimates
-	routeDrain
-	numRoutes
-)
-
-// routePaths is each route's path under the daemon's base URL.
-var routePaths = [numRoutes]string{
-	routeInfo:      "/shard/info",
-	routePilot:     "/shard/pilot",
-	routeEnsure:    "/shard/ensure",
-	routeStart:     "/shard/start",
-	routeCommit:    "/shard/commit",
-	routeCredit:    "/shard/credit",
-	routeGrow:      "/shard/grow",
-	routeGains:     "/shard/gains",
-	routeEnd:       "/shard/end",
-	routeAds:       "/shard/ads",
-	routeRemove:    "/shard/remove",
-	routeEstimates: "/shard/estimates",
-	routeDrain:     "/shard/drain",
-}
+// drainPath is the one /shard/ route that is not a Client op (those are in
+// opTable): an operator action.
+const drainPath = "/shard/drain"
 
 // HTTPClient speaks the shard protocol to a remote shard daemon.
 type HTTPClient struct {
 	hc *http.Client
-	// reqs holds one request per route, its URL parsed once at
-	// construction; each call sends a shallow copy (Request.WithContext).
-	reqs [numRoutes]*http.Request
+	// reqs holds one request per op, and drain the drain route's, their
+	// URLs parsed once at construction; each call sends a shallow copy
+	// (Request.WithContext).
+	reqs  [numOps]*http.Request
+	drain *http.Request
 	// addrErr is why the address did not parse; every call returns it.
 	addrErr error
 
@@ -370,15 +339,16 @@ func NewHTTPClient(addr string) *HTTPClient {
 		c.addrErr = fmt.Errorf("shard: bad daemon address %q: %w", addr, err)
 		return c
 	}
-	for rt, path := range routePaths {
-		method := http.MethodPost
-		if route(rt) == routeInfo {
-			method = http.MethodGet
-		}
+	template := func(method, path string) *http.Request {
 		u := *base
 		u.Path, u.RawPath = strings.TrimRight(base.Path, "/")+path, ""
-		c.reqs[rt] = &http.Request{Method: method, URL: &u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1}
+		return &http.Request{Method: method, URL: &u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1}
 	}
+	for o, row := range opTable {
+		c.reqs[o] = template(http.MethodPost, row.path)
+	}
+	c.reqs[opInfo].Method = http.MethodGet
+	c.drain = template(http.MethodPost, drainPath)
 	return c
 }
 
@@ -397,39 +367,39 @@ func (c *HTTPClient) withDeadline(ctx context.Context) (context.Context, context
 // default deadline policy. The request is encoded into a buffer of its own,
 // not a pooled one: net/http may still be writing a request body after Do
 // returns (cancellation, a reply sent early), so it cannot be recycled here.
-func (c *HTTPClient) wireCall(ctx context.Context, rt route, in, out wireMessage) error {
+func (c *HTTPClient) wireCall(ctx context.Context, o op, in, out wireMessage) error {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
-	return c.do(ctx, rt, wireContentType, in.appendWire(make([]byte, 0, 64)), out.decodeWire)
+	return c.do(ctx, c.reqs[o], wireContentType, in.appendWire(make([]byte, 0, 64)), out.decodeWire)
 }
 
 // jsonCall sends one lifecycle op as JSON, under the default deadline
 // policy.
-func (c *HTTPClient) jsonCall(ctx context.Context, rt route, in, out any) error {
+func (c *HTTPClient) jsonCall(ctx context.Context, o op, in, out any) error {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
-	return c.postJSON(ctx, rt, in, out)
+	return c.postJSON(ctx, c.reqs[o], in, out)
 }
 
 // postJSON POSTs one JSON request and decodes the reply into out.
-func (c *HTTPClient) postJSON(ctx context.Context, rt route, in, out any) error {
+func (c *HTTPClient) postJSON(ctx context.Context, tmpl *http.Request, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, rt, "application/json", body, func(reply []byte) error { return json.Unmarshal(reply, out) })
+	return c.do(ctx, tmpl, "application/json", body, func(reply []byte) error { return json.Unmarshal(reply, out) })
 }
 
-// do sends one request (body nil for the GET route) and hands the whole
-// reply body to decode. The body is always read to EOF before Close —
-// replies and error bodies alike — because that is what returns the
-// connection to the idle pool; a reply large enough to be chunked otherwise
-// costs a connection.
-func (c *HTTPClient) do(ctx context.Context, rt route, contentType string, body []byte, decode func([]byte) error) error {
+// do sends one request, a copy of tmpl (body nil for the GET route), and
+// hands the whole reply body to decode. The body is always read to EOF
+// before Close — replies and error bodies alike — because that is what
+// returns the connection to the idle pool; a reply large enough to be
+// chunked otherwise costs a connection.
+func (c *HTTPClient) do(ctx context.Context, tmpl *http.Request, contentType string, body []byte, decode func([]byte) error) error {
 	if c.addrErr != nil {
 		return c.addrErr
 	}
-	req := c.reqs[rt].WithContext(ctx)
+	req := tmpl.WithContext(ctx)
 	req.Header = make(http.Header, 4)
 	if body != nil {
 		req.Header.Set("Content-Type", contentType)
@@ -468,73 +438,73 @@ func (c *HTTPClient) Info(ctx context.Context) (ShardInfo, error) {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
 	var info ShardInfo
-	return info, c.do(ctx, routeInfo, "", nil, func(reply []byte) error { return json.Unmarshal(reply, &info) })
+	return info, c.do(ctx, c.reqs[opInfo], "", nil, func(reply []byte) error { return json.Unmarshal(reply, &info) })
 }
 
 // Pilot implements Client.
 func (c *HTTPClient) Pilot(ctx context.Context, req PilotRequest) (PilotReply, error) {
 	var out PilotReply
-	return out, c.wireCall(ctx, routePilot, &req, &out)
+	return out, c.wireCall(ctx, opPilot, &req, &out)
 }
 
 // Ensure implements Client.
 func (c *HTTPClient) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
 	var out EnsureReply
-	return out, c.jsonCall(ctx, routeEnsure, req, &out)
+	return out, c.jsonCall(ctx, opEnsure, req, &out)
 }
 
 // Start implements Client.
 func (c *HTTPClient) Start(ctx context.Context, req StartRequest) (StartReply, error) {
 	var out StartReply
-	return out, c.wireCall(ctx, routeStart, &req, &out)
+	return out, c.wireCall(ctx, opStart, &req, &out)
 }
 
 // Commit implements Client.
 func (c *HTTPClient) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
 	var out CommitReply
-	return out, c.wireCall(ctx, routeCommit, &req, &out)
+	return out, c.wireCall(ctx, opCommit, &req, &out)
 }
 
 // Credit implements Client.
 func (c *HTTPClient) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
 	var out CommitReply
-	return out, c.wireCall(ctx, routeCredit, &req, &out)
+	return out, c.wireCall(ctx, opCredit, &req, &out)
 }
 
 // Grow implements Client.
 func (c *HTTPClient) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
 	var out GrowReply
-	return out, c.wireCall(ctx, routeGrow, &req, &out)
+	return out, c.wireCall(ctx, opGrow, &req, &out)
 }
 
 // Gains implements Client.
 func (c *HTTPClient) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
 	var out GainsReply
-	return out, c.wireCall(ctx, routeGains, &req, &out)
+	return out, c.wireCall(ctx, opGains, &req, &out)
 }
 
 // End implements Client.
 func (c *HTTPClient) End(ctx context.Context, runID string) error {
 	var out struct{}
-	return c.jsonCall(ctx, routeEnd, endRequest{RunID: runID}, &out)
+	return c.jsonCall(ctx, opEnd, endRequest{RunID: runID}, &out)
 }
 
 // AddAd implements Client.
 func (c *HTTPClient) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
 	var out MutateReply
-	return out, c.jsonCall(ctx, routeAds, req, &out)
+	return out, c.jsonCall(ctx, opAddAd, req, &out)
 }
 
 // RemoveAd implements Client.
 func (c *HTTPClient) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
 	var out MutateReply
-	return out, c.jsonCall(ctx, routeRemove, req, &out)
+	return out, c.jsonCall(ctx, opRemoveAd, req, &out)
 }
 
 // SyncEstimates implements Client.
 func (c *HTTPClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
 	var out struct{}
-	return c.jsonCall(ctx, routeEstimates, req, &out)
+	return c.jsonCall(ctx, opSyncEstimates, req, &out)
 }
 
 // Drain asks the daemon to refuse new runs (not part of the coordinator's
@@ -543,7 +513,7 @@ func (c *HTTPClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest
 // take longer than any per-RPC deadline.
 func (c *HTTPClient) Drain(ctx context.Context) error {
 	var out struct{}
-	return c.postJSON(ctx, routeDrain, struct{}{}, &out)
+	return c.postJSON(ctx, c.drain, struct{}{}, &out)
 }
 
 // Interface compliance.

@@ -129,9 +129,16 @@ func TestHTTPTransportEquivalence(t *testing.T) {
 			t.Fatalf("commit of %d covered nothing: %+v", u, cr)
 		}
 	}
-	same("commit without seq", func(cl Client) (any, error) {
-		return cl.Commit(ctx, CommitRequest{RunID: "run", Ad: 1, Node: start.Cov[1].Nodes[0]})
-	})
+	// A sequenced op without a sequence number is refused, not applied: the
+	// same sentinel over either transport (412 on the wire).
+	step++
+	for _, cl := range []Client{local, remote} {
+		for _, bad := range []int64{0, -3} {
+			if _, err := cl.Commit(ctx, CommitRequest{RunID: "run", Ad: 1, Node: start.Cov[1].Nodes[0], Seq: bad}); !errors.Is(err, ErrBadSeq) {
+				t.Fatalf("step %d commit with seq %d over %T = %v, want ErrBadSeq", step, bad, cl, err)
+			}
+		}
+	}
 	seq++
 	same("grow", func(cl Client) (any, error) {
 		return cl.Grow(ctx, GrowRequest{RunID: "run", Ad: 0, FromGlobal: thetas[0], ToGlobal: 4500, Seq: seq})
@@ -165,7 +172,7 @@ func TestHTTPReplayBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := (&CommitRequest{RunID: "run", Ad: 0, Node: start.Cov[0].Nodes[0], Seq: 1}).appendWire(nil)
-	url := clients[0].(*HTTPClient).reqs[routeCommit].URL.String()
+	url := clients[0].(*HTTPClient).reqs[opCommit].URL.String()
 	var replies [2][]byte
 	for i := range replies {
 		resp, err := http.Post(url, wireContentType, bytes.NewReader(body))
@@ -200,8 +207,8 @@ func TestHTTPErrorIdentity(t *testing.T) {
 	var failing atomic.Pointer[error] // what both stub routes answer with
 	fail := func() error { return *failing.Load() }
 	mux := http.NewServeMux()
-	mux.HandleFunc(routePaths[routeCommit], wireRPC(func(CommitRequest) (CommitReply, error) { return CommitReply{}, fail() }))
-	mux.HandleFunc(routePaths[routeEnsure], rpc(func(EnsureRequest) (EnsureReply, error) { return EnsureReply{}, fail() }))
+	mux.HandleFunc(opTable[opCommit].path, wireRPC(func(CommitRequest) (CommitReply, error) { return CommitReply{}, fail() }))
+	mux.HandleFunc(opTable[opEnsure].path, rpc(func(EnsureRequest) (EnsureReply, error) { return EnsureReply{}, fail() }))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	cl := NewHTTPClient(ts.URL)
@@ -233,7 +240,7 @@ func TestHTTPErrorIdentity(t *testing.T) {
 	}
 
 	// No negotiation: a JSON body on a binary route is a 400 that says why.
-	resp, err := http.Post(ts.URL+routePaths[routeCommit], "application/json", bytes.NewReader([]byte(`{"runId":"r","ad":0,"node":5}`)))
+	resp, err := http.Post(ts.URL+opTable[opCommit].path, "application/json", bytes.NewReader([]byte(`{"runId":"r","ad":0,"node":5}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +250,7 @@ func TestHTTPErrorIdentity(t *testing.T) {
 		t.Errorf("JSON on a binary route: status %d, body %s", resp.StatusCode, msg)
 	}
 	// An oversized run-op body is refused at the route's cap.
-	resp, err = http.Post(ts.URL+routePaths[routeCommit], wireContentType, bytes.NewReader(make([]byte, maxRunBody+1)))
+	resp, err = http.Post(ts.URL+opTable[opCommit].path, wireContentType, bytes.NewReader(make([]byte, maxRunBody+1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,111 +71,11 @@ func InstrumentClient(cl Client, shard int, m *Metrics) Client {
 	if m == nil {
 		return cl
 	}
-	return &instrumentedClient{cl: cl, shard: strconv.Itoa(shard), m: m}
+	slot := strconv.Itoa(shard)
+	return &intercepted{next: cl, around: func(ctx context.Context, o op, call rpcCall) error {
+		start := time.Now()
+		err := call.invoke(ctx)
+		m.record(o.String(), slot, start, err)
+		return err
+	}}
 }
-
-// instrumentedClient decorates a Client with per-RPC telemetry.
-type instrumentedClient struct {
-	cl    Client
-	shard string
-	m     *Metrics
-}
-
-// Info implements Client.
-func (c *instrumentedClient) Info(ctx context.Context) (ShardInfo, error) {
-	start := time.Now()
-	out, err := c.cl.Info(ctx)
-	c.m.record("info", c.shard, start, err)
-	return out, err
-}
-
-// Pilot implements Client.
-func (c *instrumentedClient) Pilot(ctx context.Context, req PilotRequest) (PilotReply, error) {
-	start := time.Now()
-	out, err := c.cl.Pilot(ctx, req)
-	c.m.record("pilot", c.shard, start, err)
-	return out, err
-}
-
-// Ensure implements Client.
-func (c *instrumentedClient) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
-	start := time.Now()
-	out, err := c.cl.Ensure(ctx, req)
-	c.m.record("ensure", c.shard, start, err)
-	return out, err
-}
-
-// Start implements Client.
-func (c *instrumentedClient) Start(ctx context.Context, req StartRequest) (StartReply, error) {
-	start := time.Now()
-	out, err := c.cl.Start(ctx, req)
-	c.m.record("start", c.shard, start, err)
-	return out, err
-}
-
-// Commit implements Client.
-func (c *instrumentedClient) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
-	start := time.Now()
-	out, err := c.cl.Commit(ctx, req)
-	c.m.record("commit", c.shard, start, err)
-	return out, err
-}
-
-// Credit implements Client.
-func (c *instrumentedClient) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
-	start := time.Now()
-	out, err := c.cl.Credit(ctx, req)
-	c.m.record("credit", c.shard, start, err)
-	return out, err
-}
-
-// Grow implements Client.
-func (c *instrumentedClient) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
-	start := time.Now()
-	out, err := c.cl.Grow(ctx, req)
-	c.m.record("grow", c.shard, start, err)
-	return out, err
-}
-
-// Gains implements Client.
-func (c *instrumentedClient) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
-	start := time.Now()
-	out, err := c.cl.Gains(ctx, req)
-	c.m.record("gains", c.shard, start, err)
-	return out, err
-}
-
-// End implements Client.
-func (c *instrumentedClient) End(ctx context.Context, runID string) error {
-	start := time.Now()
-	err := c.cl.End(ctx, runID)
-	c.m.record("end", c.shard, start, err)
-	return err
-}
-
-// AddAd implements Client.
-func (c *instrumentedClient) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
-	start := time.Now()
-	out, err := c.cl.AddAd(ctx, req)
-	c.m.record("addAd", c.shard, start, err)
-	return out, err
-}
-
-// RemoveAd implements Client.
-func (c *instrumentedClient) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
-	start := time.Now()
-	out, err := c.cl.RemoveAd(ctx, req)
-	c.m.record("removeAd", c.shard, start, err)
-	return out, err
-}
-
-// SyncEstimates implements Client.
-func (c *instrumentedClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
-	start := time.Now()
-	err := c.cl.SyncEstimates(ctx, req)
-	c.m.record("syncEstimates", c.shard, start, err)
-	return err
-}
-
-// Interface compliance.
-var _ Client = (*instrumentedClient)(nil)

@@ -31,10 +31,62 @@ var (
 	ErrDraining = errors.New("shard: draining, not accepting new runs")
 	// ErrBadSeq reports a sequenced run op (Commit/Credit/Grow) whose Seq
 	// is neither the next expected value nor an exact replay of the last
-	// applied one — the shard's run state has diverged from the caller's
-	// op log and must be rebuilt (End + Start + replay) before continuing.
+	// applied one (or is not a sequence number at all: Seq ≤ 0) — the
+	// shard's run state has diverged from the caller's op log and must be
+	// rebuilt (End + Start + replay) before continuing.
 	ErrBadSeq = errors.New("shard: run op out of sequence")
 )
+
+// op indexes the Client method set; opTable below is the one place an op's
+// name, deadline class and route are written down.
+type op uint8
+
+const (
+	opInfo op = iota
+	opPilot
+	opEnsure
+	opStart
+	opCommit
+	opCredit
+	opGrow
+	opGains
+	opEnd
+	opAddAd
+	opRemoveAd
+	opSyncEstimates
+	numOps
+)
+
+// opRow is one op's entry in opTable.
+type opRow struct {
+	name     string
+	sampling bool
+	path     string
+}
+
+// opTable holds one row per Client method. name is the op's label wherever
+// one is needed: the op value of the RPC metrics, the "rpc.<name>" span and
+// FaultRule.Op. sampling marks the ops that may draw fresh RR sets, whose
+// cost scales with θ: they run under RetryPolicy.SamplingTimeout, the rest
+// under RetryPolicy.Timeout. path is the op's route on a shard daemon, under
+// its base URL (http.go).
+var opTable = [numOps]opRow{
+	opInfo:          {name: "info", path: "/shard/info"},
+	opPilot:         {name: "pilot", sampling: true, path: "/shard/pilot"},
+	opEnsure:        {name: "ensure", sampling: true, path: "/shard/ensure"},
+	opStart:         {name: "start", sampling: true, path: "/shard/start"},
+	opCommit:        {name: "commit", path: "/shard/commit"},
+	opCredit:        {name: "credit", path: "/shard/credit"},
+	opGrow:          {name: "grow", sampling: true, path: "/shard/grow"},
+	opGains:         {name: "gains", path: "/shard/gains"},
+	opEnd:           {name: "end", path: "/shard/end"},
+	opAddAd:         {name: "addAd", sampling: true, path: "/shard/ads"},
+	opRemoveAd:      {name: "removeAd", path: "/shard/remove"},
+	opSyncEstimates: {name: "syncEstimates", path: "/shard/estimates"},
+}
+
+// String returns the op's table name.
+func (o op) String() string { return opTable[o].name }
 
 // SparseCounts is a sparse per-node integer vector: node Nodes[i] carries
 // Counts[i]. It ships initial coverage, growth credits, and commit
@@ -175,11 +227,13 @@ type CommitRequest struct {
 	Ad int `json:"ad"`
 	// Node is the committed seed.
 	Node int32 `json:"node"`
-	// Seq, when > 0, makes the op level-triggered: the shard applies it
-	// only if Seq is exactly one past the run's last applied sequence
-	// number, answers an exact replay (Seq equal to the last applied) with
-	// the cached reply without re-applying, and rejects anything else with
-	// ErrBadSeq. 0 disables the guard (single-attempt callers).
+	// Seq numbers the run's sequenced ops (Commit, Credit and Grow share
+	// one count) from 1 and is required: it is what makes the op
+	// level-triggered. The shard applies the op only if Seq is exactly one
+	// past the run's last applied number, answers an exact replay (Seq equal
+	// to the last applied) with the cached reply without re-applying, and
+	// rejects anything else — a gap, a rewind, Seq ≤ 0 — with ErrBadSeq
+	// (412 over HTTP). The coordinator's backend does the numbering.
 	Seq int64 `json:"seq,omitempty"`
 }
 
@@ -344,7 +398,8 @@ type EnsureReply struct {
 // same protocol over the shard daemon's /shard/ endpoints (run ops in the
 // binary codec of wire.go, lifecycle ops as JSON). Reply
 // buffers of Commit/Credit may be reused by the next call against the same
-// run — the coordinator consumes each reply before the next RPC.
+// run — the coordinator consumes each reply before the next RPC. Every
+// method has a row in opTable.
 type Client interface {
 	// Info reports the shard's identity and state.
 	Info(ctx context.Context) (ShardInfo, error)

@@ -76,16 +76,29 @@ type ReplicaSet struct {
 type replicaRun struct {
 	owner int // replica currently holding the run's coverage state
 	start StartRequest
-	seq   int64
 	ops   []repOp
 }
 
-// repOp is one logged sequenced run op.
+// repOp is one logged sequenced run op: kind says which request is set.
 type repOp struct {
-	kind   uint8
+	kind   op
 	commit CommitRequest
 	credit CreditRequest
 	grow   GrowRequest
+}
+
+// replay re-issues the logged op against cl; the reply is of no interest.
+func (o repOp) replay(ctx context.Context, cl Client) error {
+	var err error
+	switch o.kind {
+	case opCommit:
+		_, err = cl.Commit(ctx, o.commit)
+	case opCredit:
+		_, err = cl.Credit(ctx, o.credit)
+	default:
+		_, err = cl.Grow(ctx, o.grow)
+	}
+	return err
 }
 
 // replicaMutation is one logged campaign mutation, kept so a revived
@@ -183,22 +196,24 @@ func (r *ReplicaSet) HealthyCount() int {
 // candidates returns replica indices in routing order: healthy ascending
 // (index 0 is the preferred replica), then unhealthy ascending — a down
 // replica is the last resort, never skipped outright, so the range only
-// reports unavailable after every replica actually failed this op.
-func (r *ReplicaSet) candidates() []int {
+// reports unavailable after every replica actually failed this op. healthy
+// is how many of them lead the order.
+func (r *ReplicaSet) candidates() (order []int, healthy int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]int, 0, len(r.replicas))
+	order = make([]int, 0, len(r.replicas))
 	for i, h := range r.healthy {
 		if h {
-			out = append(out, i)
+			order = append(order, i)
 		}
 	}
+	healthy = len(order)
 	for i, h := range r.healthy {
 		if !h {
-			out = append(out, i)
+			order = append(order, i)
 		}
 	}
-	return out
+	return order, healthy
 }
 
 // markSuccess resets a replica's failure streak and restores it to
@@ -281,11 +296,9 @@ func (r *ReplicaSet) unavailable(last error) error {
 // the replica); other failures mark the replica and move on.
 func (r *ReplicaSet) sweep(ctx context.Context, fn func(i int, cl Client) error) error {
 	var lastErr error
-	first := -1
-	for _, i := range r.candidates() {
-		if first < 0 {
-			first = i
-		}
+	order, _ := r.candidates()
+	first := order[0]
+	for _, i := range order {
 		err := fn(i, r.replicas[i])
 		if err == nil {
 			r.markSuccess(i)
@@ -331,15 +344,22 @@ func (r *ReplicaSet) Pilot(ctx context.Context, req PilotRequest) (PilotReply, e
 // Ensure implements Client. Warm-up is best spread to every healthy
 // replica — a failover target that presampled serves its first run
 // without a cold sampling burst — but only the canonical (first
-// answering) reply's accounting is reported.
+// answering) reply's accounting is reported. Once that reply is in hand
+// another replica's failure is that replica's own, and the unhealthy ones
+// (a replica that missed a mutation answers ErrStaleEpoch until Probe
+// revives it) are asked only when no healthy replica answered.
 func (r *ReplicaSet) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
 	var out EnsureReply
 	got := false
 	var lastErr error
-	for _, i := range r.candidates() {
+	order, healthy := r.candidates()
+	for n, i := range order {
+		if got && n >= healthy {
+			break
+		}
 		reply, err := r.replicas[i].Ensure(ctx, req)
 		if err != nil {
-			if Classify(err) == ClassTerminal {
+			if !got && Classify(err) == ClassTerminal {
 				return EnsureReply{}, err
 			}
 			r.markFailure(i, err)
@@ -380,67 +400,47 @@ func (r *ReplicaSet) Start(ctx context.Context, req StartRequest) (StartReply, e
 	return out, nil
 }
 
-// lookupRun resolves a run's op log.
-func (r *ReplicaSet) lookupRun(runID string) (*replicaRun, error) {
+// adopt rebuilds a run on cl — End (clear any stale state), Start from the
+// logged request, replay the logged ops in order. The deterministic stream
+// makes the rebuilt state byte-identical to the lost one, and the sequence
+// guard makes any op the replica had already applied a cached no-op.
+func adopt(ctx context.Context, cl Client, start StartRequest, ops []repOp) error {
+	cl.End(ctx, start.RunID)
+	if _, err := cl.Start(ctx, start); err != nil {
+		return err
+	}
+	for _, o := range ops {
+		if err := o.replay(ctx, cl); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runOp is the failover routine of every op that needs a run's state. A
+// sequenced op (logged non-nil) joins the run's log first. do then runs on
+// the owner; if that fails, each candidate in routing order adopts the run
+// — everything logged before this op — and runs do itself, and the first
+// to succeed becomes the owner.
+func (r *ReplicaSet) runOp(ctx context.Context, runID string, logged *repOp, do func(cl Client) error) error {
 	r.mu.Lock()
 	run, ok := r.runs[runID]
 	r.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRun, runID)
+		return fmt.Errorf("%w: %q", ErrUnknownRun, runID)
 	}
-	return run, nil
-}
-
-// applyOp issues one logged op against a client.
-func applyOp(ctx context.Context, cl Client, op repOp) (CommitReply, GrowReply, error) {
-	switch op.kind {
-	case opCommit:
-		cr, err := cl.Commit(ctx, op.commit)
-		return cr, GrowReply{}, err
-	case opCredit:
-		cr, err := cl.Credit(ctx, op.credit)
-		return cr, GrowReply{}, err
-	default:
-		gr, err := cl.Grow(ctx, op.grow)
-		return CommitReply{}, gr, err
+	prior := run.ops
+	if logged != nil {
+		run.ops = append(run.ops, *logged)
 	}
-}
-
-// adopt rebuilds a run on replica i — End (clear any stale state), Start
-// from the logged request, replay every logged op in order — and returns
-// the final op's reply. The deterministic stream makes the rebuilt state
-// byte-identical to the lost one, and the sequence guard makes any op the
-// replica had already applied a cached no-op.
-func (r *ReplicaSet) adopt(ctx context.Context, i int, run *replicaRun) (CommitReply, GrowReply, error) {
-	cl := r.replicas[i]
-	cl.End(ctx, run.start.RunID)
-	if _, err := cl.Start(ctx, run.start); err != nil {
-		return CommitReply{}, GrowReply{}, err
-	}
-	var cr CommitReply
-	var gr GrowReply
-	for _, op := range run.ops {
-		var err error
-		cr, gr, err = applyOp(ctx, cl, op)
-		if err != nil {
-			return CommitReply{}, GrowReply{}, err
-		}
-	}
-	return cr, gr, nil
-}
-
-// runOp executes the run's latest logged op: fast path on the owner,
-// failover by adoption anywhere else.
-func (r *ReplicaSet) runOp(ctx context.Context, run *replicaRun) (CommitReply, GrowReply, error) {
-	op := run.ops[len(run.ops)-1]
 	owner := run.owner
-	cr, gr, err := applyOp(ctx, r.replicas[owner], op)
+	err := do(r.replicas[owner])
 	if err == nil {
 		r.markSuccess(owner)
-		return cr, gr, nil
+		return nil
 	}
 	if Classify(err) == ClassTerminal {
-		return CommitReply{}, GrowReply{}, err
+		return err
 	}
 	ownerRetryable := Classify(err) == ClassRetryable
 	if ownerRetryable {
@@ -451,118 +451,71 @@ func (r *ReplicaSet) runOp(ctx context.Context, run *replicaRun) (CommitReply, G
 		r.markFailure(owner, err)
 	}
 	lastErr := err
-	for _, i := range r.candidates() {
+	order, _ := r.candidates()
+	for _, i := range order {
 		if i == owner && ownerRetryable {
 			continue
 		}
-		cr, gr, err := r.adopt(ctx, i, run)
+		err := adopt(ctx, r.replicas[i], run.start, prior)
+		if err == nil {
+			err = do(r.replicas[i])
+		}
 		if err == nil {
 			r.markSuccess(i)
 			if i != owner {
 				r.notifyFailover(ctx, owner, i)
 				run.owner = i
 			}
-			return cr, gr, nil
+			return nil
 		}
 		if Classify(err) == ClassTerminal {
-			return CommitReply{}, GrowReply{}, err
+			return err
 		}
 		r.markFailure(i, err)
 		lastErr = err
 	}
-	return CommitReply{}, GrowReply{}, r.unavailable(lastErr)
+	return r.unavailable(lastErr)
 }
 
-// Commit implements Client: the op is sequenced, logged, and executed with
-// failover.
+// Commit implements Client: the op is logged under the sequence number the
+// caller gave it and executed with failover.
 func (r *ReplicaSet) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
-	run, err := r.lookupRun(req.RunID)
-	if err != nil {
-		return CommitReply{}, err
-	}
-	run.seq++
-	req.Seq = run.seq
-	run.ops = append(run.ops, repOp{kind: opCommit, commit: req})
-	cr, _, err := r.runOp(ctx, run)
-	return cr, err
+	var out CommitReply
+	err := r.runOp(ctx, req.RunID, &repOp{kind: opCommit, commit: req}, func(cl Client) (err error) {
+		out, err = cl.Commit(ctx, req)
+		return err
+	})
+	return out, err
 }
 
 // Credit implements Client.
 func (r *ReplicaSet) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
-	run, err := r.lookupRun(req.RunID)
-	if err != nil {
-		return CommitReply{}, err
-	}
-	run.seq++
-	req.Seq = run.seq
-	run.ops = append(run.ops, repOp{kind: opCredit, credit: req})
-	cr, _, err := r.runOp(ctx, run)
-	return cr, err
+	var out CommitReply
+	err := r.runOp(ctx, req.RunID, &repOp{kind: opCredit, credit: req}, func(cl Client) (err error) {
+		out, err = cl.Credit(ctx, req)
+		return err
+	})
+	return out, err
 }
 
 // Grow implements Client.
 func (r *ReplicaSet) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
-	run, err := r.lookupRun(req.RunID)
-	if err != nil {
-		return GrowReply{}, err
-	}
-	run.seq++
-	req.Seq = run.seq
-	run.ops = append(run.ops, repOp{kind: opGrow, grow: req})
-	_, gr, err := r.runOp(ctx, run)
-	return gr, err
+	var out GrowReply
+	err := r.runOp(ctx, req.RunID, &repOp{kind: opGrow, grow: req}, func(cl Client) (err error) {
+		out, err = cl.Grow(ctx, req)
+		return err
+	})
+	return out, err
 }
 
-// Gains implements Client: read-only, so it routes to the owner and, on
-// failure, adopts the run elsewhere before reading.
+// Gains implements Client: read-only, so nothing is logged.
 func (r *ReplicaSet) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
-	run, err := r.lookupRun(req.RunID)
-	if err != nil {
-		return GainsReply{}, err
-	}
-	out, err := r.replicas[run.owner].Gains(ctx, req)
-	if err == nil {
-		r.markSuccess(run.owner)
-		return out, nil
-	}
-	if Classify(err) == ClassTerminal {
-		return GainsReply{}, err
-	}
-	owner := run.owner
-	ownerRetryable := Classify(err) == ClassRetryable
-	if ownerRetryable {
-		r.markFailure(owner, err)
-	}
-	lastErr := err
-	for _, i := range r.candidates() {
-		if i == owner && ownerRetryable {
-			continue
-		}
-		if _, _, err := r.adopt(ctx, i, run); err != nil {
-			if Classify(err) == ClassTerminal {
-				return GainsReply{}, err
-			}
-			r.markFailure(i, err)
-			lastErr = err
-			continue
-		}
-		out, err := r.replicas[i].Gains(ctx, req)
-		if err != nil {
-			if Classify(err) == ClassTerminal {
-				return GainsReply{}, err
-			}
-			r.markFailure(i, err)
-			lastErr = err
-			continue
-		}
-		r.markSuccess(i)
-		if i != owner {
-			r.notifyFailover(ctx, owner, i)
-			run.owner = i
-		}
-		return out, nil
-	}
-	return GainsReply{}, r.unavailable(lastErr)
+	var out GainsReply
+	err := r.runOp(ctx, req.RunID, nil, func(cl Client) (err error) {
+		out, err = cl.Gains(ctx, req)
+		return err
+	})
+	return out, err
 }
 
 // End implements Client: the op log is dropped and the run closed on every
@@ -601,7 +554,8 @@ func (r *ReplicaSet) broadcastMutation(ctx context.Context, mut replicaMutation,
 	var reply MutateReply
 	applied := false
 	var lastErr error
-	for _, i := range r.candidates() {
+	order, _ := r.candidates()
+	for _, i := range order {
 		rep, err := call(r.replicas[i])
 		if err != nil {
 			r.markFailure(i, err)

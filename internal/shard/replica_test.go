@@ -10,11 +10,14 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/xrand"
 )
 
 // mustEqualSemantic is mustEqualResults minus the sampling accounting:
@@ -222,32 +225,108 @@ func TestReplicaDropAfterSendWithRetry(t *testing.T) {
 	}
 }
 
+// TestBareStackDropAfterSendWithRetry is the same lost-reply plan with no
+// ReplicaSet in the stack: the coordinator speaks to
+// RetryClient(FaultClient(LocalClient)) directly. The sequence numbers come
+// from the coordinator's backend, so a retried commit, credit or grow is
+// still answered from the shard's cache — a stack that sent unnumbered ops
+// double-applied it and the run failed with a drift error. The second
+// instance is dense enough, under a θ range wide enough, that θ grows
+// mid-run and seeds are re-credited.
+func TestBareStackDropAfterSendWithRetry(t *testing.T) {
+	const k = 2
+	ctx := context.Background()
+	cases := []struct {
+		name  string
+		inst  *core.Instance
+		seed  uint64
+		opts  core.TIRMOptions
+		grows bool
+	}{
+		{"flixster", testInstance(), 42, testOpts(), false},
+		{"random", randomInstance(xrand.New(1000), 60, 480, 3, 2, 0.01), 7, core.TIRMOptions{Eps: 1, MinTheta: 256, MaxTheta: 20000}, true},
+	}
+	for _, tc := range cases {
+		idx, err := core.BuildIndex(tc.inst, tc.seed, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.AllocateFromIndex(idx, core.Request{Opts: tc.opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		p, err := NewPartitioner(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drops := make([]*FaultClient, k)
+		clients := make([]Client, k)
+		for slot := range clients {
+			s, err := NewShard(tc.inst, 0, tc.seed, p.Range(slot))
+			if err != nil {
+				t.Fatal(err)
+			}
+			drops[slot] = NewFaultClient(LocalClient{S: s}, uint64(slot+1),
+				FaultRule{Op: "commit", From: 1, Count: 2, Kind: FaultDropAfterSend},
+				FaultRule{Op: "credit", From: 0, Count: 1, Kind: FaultDropAfterSend},
+				FaultRule{Op: "grow", From: 0, Count: 1, Kind: FaultDropAfterSend},
+			)
+			clients[slot] = NewRetryClient(drops[slot], RetryPolicy{
+				MaxAttempts: 3,
+				BaseBackoff: time.Microsecond,
+				MaxBackoff:  time.Microsecond,
+			}, nil)
+		}
+		coord, err := NewCoordinator(ctx, clients, Config{Roster: tc.inst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Warm(ctx, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		got, err := coord.Allocate(ctx, core.Request{Opts: tc.opts})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mustEqualResults(t, tc.name+": bare stack, drop-after-send with retry", want, got)
+		for slot, fc := range drops {
+			fired := fc.Fired()
+			if fired[0] != 2 || tc.grows && (fired[1] != 1 || fired[2] != 1) {
+				t.Fatalf("%s slot %d: commit, credit and grow drops fired %v times — the plan did not exercise what it scripts", tc.name, slot, fired)
+			}
+		}
+	}
+}
+
 // TestShardSeqGuard unit-tests the level-triggered sequence window on a
 // run's op log: first-time seqs apply, an exact replay of the last applied
 // (same kind) answers without re-applying, a replay with a different op
-// kind and any gap or rewind are ErrBadSeq, and seq 0 disables the guard.
+// kind and any gap or rewind are ErrBadSeq — and so is a Seq that is not a
+// sequence number (≤ 0), before and after the run has applied anything.
 func TestShardSeqGuard(t *testing.T) {
 	r := &shardRun{}
-	check := func(seq int64, kind uint8, wantReplay bool, wantErr bool) {
+	check := func(seq int64, kind op, wantReplay bool, wantErr bool) {
 		t.Helper()
 		replay, err := r.checkSeq(seq, kind)
 		if (err != nil) != wantErr {
-			t.Fatalf("checkSeq(%d, %d): err = %v, wantErr %v", seq, kind, err, wantErr)
+			t.Fatalf("checkSeq(%d, %s): err = %v, wantErr %v", seq, kind, err, wantErr)
 		}
 		if err != nil && !errors.Is(err, ErrBadSeq) {
-			t.Fatalf("checkSeq(%d, %d): err %v is not ErrBadSeq", seq, kind, err)
+			t.Fatalf("checkSeq(%d, %s): err %v is not ErrBadSeq", seq, kind, err)
 		}
 		if replay != wantReplay {
-			t.Fatalf("checkSeq(%d, %d): replay = %v, want %v", seq, kind, replay, wantReplay)
+			t.Fatalf("checkSeq(%d, %s): replay = %v, want %v", seq, kind, replay, wantReplay)
 		}
 	}
-	check(0, opCommit, false, false) // guard disabled
+	check(0, opCommit, false, true)  // unnumbered: no way past the guard
+	check(-1, opCommit, false, true) // nor a negative one
 	check(1, opCommit, false, false) // next in sequence
 	r.storeCommit(1, opCommit, CommitReply{Covered: 7})
 	check(1, opCommit, true, false)  // exact replay
 	check(1, opCredit, false, true)  // replay with wrong kind
 	check(3, opCommit, false, true)  // gap
-	check(0, opGrow, false, false)   // unsequenced op rides along
+	check(0, opGrow, false, true)    // unnumbered mid-run
 	check(2, opCredit, false, false) // next applies
 	r.lastSeq, r.lastKind = 2, opCredit
 	check(1, opCommit, false, true) // rewind
@@ -385,7 +464,9 @@ func TestReplicaMutationRevive(t *testing.T) {
 		}
 		return cl
 	}
-	coord, sets, _, err := NewReplicaCluster(inst, 6, seed, k, 2, Config{}, wrap)
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	coord, sets, _, err := NewReplicaCluster(inst, 6, seed, k, 2, Config{Logf: logf}, wrap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,6 +481,16 @@ func TestReplicaMutationRevive(t *testing.T) {
 	}
 	if n := dropper.Fired()[0]; n != 1 {
 		t.Fatalf("addAd fault fired %d times, want 1", n)
+	}
+	// The lagging replica is out of the rotation, so it has no say in the
+	// range's warm-up: neither the new ad's nor a cluster-wide one.
+	for _, line := range logged {
+		if strings.Contains(line, "warm-up") {
+			t.Fatalf("warm-up failed while a healthy replica was serving: %s", line)
+		}
+	}
+	if err := coord.Warm(ctx, opts); err != nil {
+		t.Fatalf("Warm with replica 1 of range 0 still at the old epoch: %v", err)
 	}
 
 	// Probe replays the missed mutation and revives the replica.

@@ -141,14 +141,18 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 // stack is ReplicaSet(RetryClient(InstrumentClient(transport))): the
 // instrument layer then meters every attempt individually.
 func NewRetryClient(cl Client, p RetryPolicy, m *Metrics) Client {
-	return &retryClient{cl: cl, p: p.WithDefaults(), m: m, rng: xrand.New(p.WithDefaults().Seed)}
+	p = p.WithDefaults()
+	c := &retryClient{p: p, m: m, rng: xrand.New(p.Seed)}
+	c.intercepted = intercepted{next: cl, around: c.do}
+	return c
 }
 
-// retryClient decorates a Client with deadlines, retries, and backoff.
+// retryClient decorates a Client with deadlines, retries, and backoff: do
+// is the around of its embedded forwarding client.
 type retryClient struct {
-	cl Client
-	p  RetryPolicy
-	m  *Metrics
+	intercepted
+	p RetryPolicy
+	m *Metrics
 
 	mu  sync.Mutex // guards rng: concurrent RPCs share the jitter stream
 	rng *xrand.Rand
@@ -167,24 +171,24 @@ func (c *retryClient) backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// do runs one RPC under the retry loop. sampling selects the deadline
-// class. One span ("rpc.<op>") covers the whole attempt loop — retries
-// land on it as "retry.<reason>" events (and flag the trace for
-// tail-retention), so a retry storm is visible inside the very trace it
+// do runs one RPC under the retry loop, each attempt under the deadline of
+// the op's class (opTable). One span ("rpc.<op>") covers the whole attempt
+// loop — retries land on it as "retry.<reason>" events (and flag the trace
+// for tail-retention), so a retry storm is visible inside the very trace it
 // slowed down.
-func (c *retryClient) do(ctx context.Context, op string, sampling bool, fn func(ctx context.Context) error) error {
+func (c *retryClient) do(ctx context.Context, o op, call rpcCall) error {
 	timeout := c.p.Timeout
-	if sampling {
+	if opTable[o].sampling {
 		timeout = c.p.SamplingTimeout
 	}
-	ctx, span := obs.StartSpan(ctx, "rpc."+op)
+	ctx, span := obs.StartSpan(ctx, "rpc."+o.String())
 	if span != nil && c.p.Label != "" {
 		span.SetStr("replica", c.p.Label)
 	}
 	var err error
 	for attempt := 1; ; attempt++ {
 		actx, cancel := context.WithTimeout(ctx, timeout)
-		err = fn(actx)
+		err = call.invoke(actx)
 		cancel()
 		if err == nil {
 			span.End()
@@ -202,7 +206,7 @@ func (c *retryClient) do(ctx context.Context, op string, sampling bool, fn func(
 		}
 		reason := retryReason(err)
 		if c.m != nil {
-			c.m.retries.With(op, reason).Inc()
+			c.m.retries.With(o.String(), reason).Inc()
 		}
 		span.Event("retry."+reason, obs.Int("attempt", int64(attempt)))
 		span.Retain(obs.RetainRetry)
@@ -214,130 +218,3 @@ func (c *retryClient) do(ctx context.Context, op string, sampling bool, fn func(
 		}
 	}
 }
-
-// Info implements Client.
-func (c *retryClient) Info(ctx context.Context) (ShardInfo, error) {
-	var out ShardInfo
-	err := c.do(ctx, "info", false, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.Info(ctx)
-		return err
-	})
-	return out, err
-}
-
-// Pilot implements Client.
-func (c *retryClient) Pilot(ctx context.Context, req PilotRequest) (PilotReply, error) {
-	var out PilotReply
-	err := c.do(ctx, "pilot", true, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.Pilot(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Ensure implements Client.
-func (c *retryClient) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
-	var out EnsureReply
-	err := c.do(ctx, "ensure", true, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.Ensure(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Start implements Client.
-func (c *retryClient) Start(ctx context.Context, req StartRequest) (StartReply, error) {
-	var out StartReply
-	err := c.do(ctx, "start", true, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.Start(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Commit implements Client.
-func (c *retryClient) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
-	var out CommitReply
-	err := c.do(ctx, "commit", false, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.Commit(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Credit implements Client.
-func (c *retryClient) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
-	var out CommitReply
-	err := c.do(ctx, "credit", false, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.Credit(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Grow implements Client.
-func (c *retryClient) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
-	var out GrowReply
-	err := c.do(ctx, "grow", true, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.Grow(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Gains implements Client.
-func (c *retryClient) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
-	var out GainsReply
-	err := c.do(ctx, "gains", false, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.Gains(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// End implements Client.
-func (c *retryClient) End(ctx context.Context, runID string) error {
-	return c.do(ctx, "end", false, func(ctx context.Context) error {
-		return c.cl.End(ctx, runID)
-	})
-}
-
-// AddAd implements Client.
-func (c *retryClient) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
-	var out MutateReply
-	err := c.do(ctx, "addAd", true, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.AddAd(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// RemoveAd implements Client.
-func (c *retryClient) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
-	var out MutateReply
-	err := c.do(ctx, "removeAd", false, func(ctx context.Context) error {
-		var err error
-		out, err = c.cl.RemoveAd(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// SyncEstimates implements Client.
-func (c *retryClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
-	return c.do(ctx, "syncEstimates", false, func(ctx context.Context) error {
-		return c.cl.SyncEstimates(ctx, req)
-	})
-}
-
-// Interface compliance.
-var _ Client = (*retryClient)(nil)

@@ -79,13 +79,6 @@ type Shard struct {
 	obsTracer *obs.Tracer
 }
 
-// Run op kinds for the sequence guard's replay cache.
-const (
-	opCommit = iota + 1
-	opCredit
-	opGrow
-)
-
 // shardRun is one distributed selection run's shard-local state.
 type shardRun struct {
 	ep       core.EpochView
@@ -104,7 +97,7 @@ type shardRun struct {
 	// exact replay returns the copy without touching coverage state, so a
 	// retried commit whose first reply was lost is a no-op.
 	lastSeq    int64
-	lastKind   uint8
+	lastKind   op
 	lastCommit CommitReply
 	lastGrow   GrowReply
 
@@ -119,15 +112,14 @@ type shardRun struct {
 }
 
 // checkSeq gates one sequenced op: proceed (apply it), replay (answer from
-// cache), or fail with ErrBadSeq. Caller holds opMu. Seq 0 disables the
-// guard.
-func (r *shardRun) checkSeq(seq int64, kind uint8) (replay bool, err error) {
+// cache), or fail with ErrBadSeq. Caller holds opMu.
+func (r *shardRun) checkSeq(seq int64, kind op) (replay bool, err error) {
 	switch {
-	case seq == 0:
-		return false, nil
+	case seq <= 0:
+		return false, fmt.Errorf("%w: got seq %d, a run's ops are numbered from 1", ErrBadSeq, seq)
 	case seq == r.lastSeq:
 		if r.lastKind != kind {
-			return false, fmt.Errorf("%w: replay of seq %d with op kind %d, applied kind was %d", ErrBadSeq, seq, kind, r.lastKind)
+			return false, fmt.Errorf("%w: replay of seq %d as %s, the applied op was %s", ErrBadSeq, seq, kind, r.lastKind)
 		}
 		return true, nil
 	case seq == r.lastSeq+1:
@@ -140,19 +132,13 @@ func (r *shardRun) checkSeq(seq int64, kind uint8) (replay bool, err error) {
 // storeCommit records an applied Commit/Credit under the sequence guard,
 // deep-copying the reply (the live one aliases the run's reusable scratch
 // buffers). Caller holds opMu.
-func (r *shardRun) storeCommit(seq int64, kind uint8, reply CommitReply) {
-	if seq == 0 {
-		return
-	}
+func (r *shardRun) storeCommit(seq int64, kind op, reply CommitReply) {
 	r.lastSeq, r.lastKind = seq, kind
 	r.lastCommit = CommitReply{Covered: reply.Covered, Delta: copySparse(reply.Delta, r.lastCommit.Delta)}
 }
 
 // storeGrow is storeCommit for Grow replies. Caller holds opMu.
 func (r *shardRun) storeGrow(seq int64, reply GrowReply) {
-	if seq == 0 {
-		return
-	}
 	r.lastSeq, r.lastKind = seq, opGrow
 	r.lastGrow = GrowReply{
 		Added:     copySparse(reply.Added, r.lastGrow.Added),
