@@ -361,14 +361,37 @@ func BenchmarkDiffusionMC(b *testing.B) {
 	}
 }
 
-// BenchmarkRRSampling measures RR-set sampling throughput.
-func BenchmarkRRSampling(b *testing.B) {
-	inst := gen.Flixster(gen.Options{Seed: 4, Scale: 0.05})
-	s := rrset.NewSampler(inst.G, inst.Ads[0].Params.Probs, nil)
-	rng := xrand.New(10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SampleBatchRR(50000, rng, uint64(i))
+// BenchmarkSampleRange measures the reverse-BFS sampler where it is
+// memory-bound: the full-scale FLIXSTER (30K nodes, 401K arcs, topical
+// probabilities, in-degree 13) and DBLP (317K nodes, 1.9M arcs, weighted
+// cascade) analogues, whose in-CSR rows, probabilities and visit marks do
+// not fit in L2 — the sizes flix_warm and dblp_cold build their indexes at
+// (a 1 500-node graph samples out of cache and shows none of it). One
+// iteration is one SampleRangeRRInto of 64 blocks of ad 0's stream, the call
+// BuildIndex, Grow and POST /ads all bottom out in. The instance, and the
+// sampler's lazily built in-order probability vector, are set up outside the
+// timer. Run with -cpu 1,2: the blocks fan out over GOMAXPROCS workers.
+func BenchmarkSampleRange(b *testing.B) {
+	const sets = 64 * rrset.StreamBlockSize
+	for _, ds := range []struct {
+		name  string
+		build func(gen.Options) *core.Instance
+	}{{"flixster", gen.Flixster}, {"dblp", gen.DBLP}} {
+		var s *rrset.Sampler
+		b.Run(ds.name, func(b *testing.B) {
+			rng := xrand.New(10)
+			if s == nil {
+				inst := ds.build(gen.Options{Seed: 1, Scale: 1})
+				s = rrset.NewSampler(inst.G, inst.Ads[0].Params.Probs, nil)
+				s.SampleRangeRRInto(0, rrset.StreamBlockSize, rng, rrset.NewSetFamily())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.SampleRangeRRInto(i*sets, (i+1)*sets, rng, rrset.NewSetFamily())
+			}
+			b.ReportMetric(float64(b.N)*sets/b.Elapsed().Seconds(), "sets/s")
+		})
 	}
 }
 

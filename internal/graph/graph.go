@@ -76,6 +76,17 @@ func (g *Graph) InEdges(v NodeID) (sources []int32, eids []int64) {
 	return g.inFrom[s:e], g.inEID[s:e]
 }
 
+// InRow returns the sources of v's in-edges and the position of the first
+// one in in-CSR order: rows are laid end to end by ascending node, so the
+// i-th source sits at position first+i of [0, M). A caller that keeps
+// per-edge data in that order (rrset.Sampler's probabilities) reads it in
+// lockstep with sources, with no EdgeID hop. The returned slice aliases
+// internal storage and must not be modified.
+func (g *Graph) InRow(v NodeID) (sources []int32, first int64) {
+	s, e := g.inStart[v], g.inStart[v+1]
+	return g.inFrom[s:e], s
+}
+
 // EdgeEndpoints returns the (source, target) of a canonical edge. It is
 // O(log n) (binary search over outStart) and intended for tests and
 // diagnostics, not inner loops.

@@ -108,10 +108,21 @@ func ParallelFor(n, limit int, fn func(i int)) {
 // Sampler draws random RR- or RRC-sets for one ad (a fixed mixed
 // probability vector and optional CTPs) over a fixed graph. Safe for
 // concurrent use; per-call scratch is handled internally.
+//
+// The first sample transposes the probability vector to in-CSR order, once
+// (4 bytes per edge, held for the sampler's lifetime), so that the reverse
+// BFS reads a visited node's sources and their probabilities as two
+// sequential rows at the same positions instead of hopping through each
+// in-edge's EdgeID. A sampler that never samples — one rebuilt from a
+// snapshot and not yet grown — never pays for it. It is this sampler's
+// view of probs, not sample data, and is counted in no MemBytes.
 type Sampler struct {
 	g     *graph.Graph
 	probs []float32
 	ctps  topic.CTP // may be nil if only RR-sets are drawn
+
+	inOnce  sync.Once
+	inProbs []float32 // inProbs[k] = probs[EdgeID of the k-th in-edge], see graph.InRow
 }
 
 // NewSampler builds a sampler. probs must have one entry per edge. ctps may
@@ -129,25 +140,55 @@ func NewSampler(g *graph.Graph, probs []float32, ctps topic.CTP) *Sampler {
 // Graph returns the sampler's graph.
 func (s *Sampler) Graph() *graph.Graph { return s.g }
 
-// scratch is reusable per-goroutine BFS state.
+// buildInProbs gathers probs through each in-edge's canonical EdgeID, once,
+// so that the sample loop never makes that hop.
+func (s *Sampler) buildInProbs() {
+	in := make([]float32, len(s.probs))
+	k := 0
+	for v := int32(0); v < int32(s.g.N()); v++ {
+		_, eids := s.g.InEdges(v)
+		for _, e := range eids {
+			in[k] = s.probs[e]
+			k++
+		}
+	}
+	s.inProbs = in
+}
+
+// forEach calls fn(sc, i) once for every i in [0, n) and returns when all
+// calls have — the one fan-out behind every batch and stream entry point:
+// samplingWorkers(n) workers on ParallelFor, a scratch each, units claimed
+// from an atomic counter. Which worker draws unit i never matters: fn
+// derives i's rng from i alone and writes only slot i.
+func (s *Sampler) forEach(n int, fn func(sc *scratch, i int)) {
+	var next atomic.Int64
+	ParallelFor(samplingWorkers(n), 0, func(int) {
+		sc := s.newScratch()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(sc, i)
+		}
+	})
+}
+
+// scratch is reusable per-goroutine BFS state. The visit marks are a bitset
+// (n/8 bytes, so they stay in cache at sizes where a stamp per node does
+// not); a sample leaves its marks set, and the next one clears them.
 type scratch struct {
-	mark  []uint32
-	round uint32
-	queue []int32
-	out   []int32 // last sampled set (valid until the next sample)
+	mark  []uint64 // visit bitset, one bit per node; set bits ⊆ queue
+	queue []int32  // the nodes reached by the last sample, in BFS order
+	out   []int32  // last sampled set (valid until the next sample)
 }
 
 func (s *Sampler) newScratch() *scratch {
-	return &scratch{mark: make([]uint32, s.g.N()), queue: make([]int32, 0, 64)}
+	return &scratch{mark: make([]uint64, (s.g.N()+63)/64), queue: make([]int32, 0, 64)}
 }
 
+// reset clears the previous sample's marks by walking its queue, which
+// holds exactly the marked nodes (zeroing a whole word drops only bits of
+// other queue members).
 func (sc *scratch) reset() {
-	sc.round++
-	if sc.round == 0 {
-		for i := range sc.mark {
-			sc.mark[i] = 0
-		}
-		sc.round = 1
+	for _, v := range sc.queue {
+		sc.mark[v>>6] = 0
 	}
 	sc.queue = sc.queue[:0]
 	sc.out = sc.out[:0]
@@ -159,25 +200,32 @@ func (sc *scratch) reset() {
 // coins gate membership but not propagation). RNG consumption depends only
 // on the graph walk, never on where the output lands, so every caller-side
 // storage strategy (fresh slices, flat arenas) yields identical streams.
+// An in-edge whose source is already marked is skipped before its coin is
+// flipped: which draws a sample takes is part of the stream's definition
+// (referenceSample in the tests is the loop this one must match draw for
+// draw), so the mark test and the coin must not trade places.
 func (s *Sampler) sampleScratch(sc *scratch, rng *xrand.Rand, withCTP bool) []int32 {
+	s.inOnce.Do(s.buildInProbs)
 	sc.reset()
 	root := int32(rng.IntN(s.g.N()))
-	sc.mark[root] = sc.round
+	sc.mark[root>>6] |= 1 << (root & 63)
 	sc.queue = append(sc.queue, root)
 	if !withCTP || rng.Bernoulli(s.ctps.At(root)) {
 		sc.out = append(sc.out, root)
 	}
 	for qi := 0; qi < len(sc.queue); qi++ {
 		u := sc.queue[qi]
-		sources, eids := s.g.InEdges(u)
+		sources, first := s.g.InRow(u)
+		ps := s.inProbs[first:]
 		for i, v := range sources {
-			if sc.mark[v] == sc.round {
+			word, bit := &sc.mark[v>>6], uint64(1)<<(v&63)
+			if *word&bit != 0 {
 				continue
 			}
-			if !rng.Bernoulli32(s.probs[eids[i]]) {
+			if !rng.Bernoulli32(ps[i]) {
 				continue
 			}
-			sc.mark[v] = sc.round
+			*word |= bit
 			sc.queue = append(sc.queue, v)
 			if !withCTP || rng.Bernoulli(s.ctps.At(v)) {
 				sc.out = append(sc.out, v)
@@ -240,35 +288,19 @@ func (s *Sampler) SampleBatchRRFamily(count int, rng *xrand.Rand, salt uint64) *
 		return fam
 	}
 	starts := batchStarts(count)
-	chunks := len(starts) - 1
-	parts := make([]*SetFamily, chunks)
-	workers := samplingWorkers(chunks)
-	next := make(chan int, chunks)
-	for c := 0; c < chunks; c++ {
-		next <- c
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := s.newScratch()
-			for c := range next {
-				sz := starts[c+1] - starts[c]
-				pf := &SetFamily{
-					offsets: make([]int64, 1, sz+1),
-					members: make([]int32, 0, 4*sz),
-				}
-				crng := rng.Split(salt + uint64(c)*0x9e37)
-				for i := 0; i < sz; i++ {
-					pf.Append(s.sampleScratch(sc, crng, false))
-				}
-				parts[c] = pf
-			}
-		}()
-	}
-	wg.Wait()
+	parts := make([]*SetFamily, len(starts)-1)
+	s.forEach(len(parts), func(sc *scratch, c int) {
+		sz := starts[c+1] - starts[c]
+		pf := &SetFamily{
+			offsets: make([]int64, 1, sz+1),
+			members: make([]int32, 0, 4*sz),
+		}
+		crng := rng.Split(salt + uint64(c)*0x9e37)
+		for i := 0; i < sz; i++ {
+			pf.Append(s.sampleScratch(sc, crng, false))
+		}
+		parts[c] = pf
+	})
 	var total int64
 	for _, pf := range parts {
 		total += pf.NumMembers()
@@ -314,28 +346,12 @@ func (s *Sampler) sampleBatch(count int, rng *xrand.Rand, salt uint64, withCTP b
 	}
 	out := make([][]int32, count)
 	starts := batchStarts(count)
-	chunks := len(starts) - 1
-	workers := samplingWorkers(chunks)
-	next := make(chan int, chunks)
-	for c := 0; c < chunks; c++ {
-		next <- c
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := s.newScratch()
-			for c := range next {
-				crng := rng.Split(salt + uint64(c)*0x9e37)
-				for i := starts[c]; i < starts[c+1]; i++ {
-					out[i] = s.sampleInto(sc, crng, withCTP)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	s.forEach(len(starts)-1, func(sc *scratch, c int) {
+		crng := rng.Split(salt + uint64(c)*0x9e37)
+		for i := starts[c]; i < starts[c+1]; i++ {
+			out[i] = s.sampleInto(sc, crng, withCTP)
+		}
+	})
 	return out
 }
 

@@ -2,7 +2,6 @@ package rrset
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/xrand"
 )
@@ -85,32 +84,17 @@ func (s *Sampler) sampleBlocksInto(blockIDs []int, rng *xrand.Rand, fam *SetFami
 		return
 	}
 	blocks := make([]*SetFamily, numBlocks)
-	workers := samplingWorkers(numBlocks)
-	next := make(chan int, numBlocks)
-	for b := 0; b < numBlocks; b++ {
-		next <- b
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := s.newScratch()
-			for b := range next {
-				bf := &SetFamily{
-					offsets: make([]int64, 1, StreamBlockSize+1),
-					members: make([]int32, 0, 4*StreamBlockSize),
-				}
-				brng := rng.Split(uint64(blockIDs[b]))
-				for i := 0; i < StreamBlockSize; i++ {
-					bf.Append(s.sampleScratch(sc, brng, false))
-				}
-				blocks[b] = bf
-			}
-		}()
-	}
-	wg.Wait()
+	s.forEach(numBlocks, func(sc *scratch, b int) {
+		bf := &SetFamily{
+			offsets: make([]int64, 1, StreamBlockSize+1),
+			members: make([]int32, 0, 4*StreamBlockSize),
+		}
+		brng := rng.Split(uint64(blockIDs[b]))
+		for i := 0; i < StreamBlockSize; i++ {
+			bf.Append(s.sampleScratch(sc, brng, false))
+		}
+		blocks[b] = bf
+	})
 	var total int64
 	for _, bf := range blocks {
 		total += bf.NumMembers()

@@ -47,8 +47,12 @@ type entry struct {
 	// pool recycles AllocateFromIndex workspaces across requests against
 	// this entry's index; attaching it here (rather than sharing one pool
 	// process-wide) keeps the recycled array shapes matched to the entry's
-	// node count and θ, and gives /stats a per-campaign hit/miss signal.
-	pool core.WorkspacePool
+	// node count and θ, and gives /stats a per-campaign hit/miss signal. A
+	// pointer, never a value: the runtime lists every sync.Pool it has seen
+	// a Put on and keeps the listing for one GC cycle past the pool's last
+	// use, and a pool inside the entry would be listed by interior pointer
+	// — holding the whole evicted entry, index and all, for that cycle.
+	pool *core.WorkspacePool
 
 	// mutating counts mutation handlers currently between entry resolution
 	// and completion, so eviction never races the first mutation out of
@@ -68,14 +72,14 @@ func (e *entry) EpochInst() (uint64, *core.Instance) {
 
 // Allocate implements engine on the entry's index and workspace pool.
 func (e *entry) Allocate(_ context.Context, req core.Request) (*core.TIRMResult, error) {
-	req.Pool = &e.pool
+	req.Pool = e.pool
 	return core.AllocateFromIndex(e.idx, req)
 }
 
 // AllocateBatch implements engine: the items share the entry's pool.
 func (e *entry) AllocateBatch(_ context.Context, reqs []core.Request) []core.BatchResult {
 	for i := range reqs {
-		reqs[i].Pool = &e.pool
+		reqs[i].Pool = e.pool
 	}
 	return core.AllocateBatch(e.idx, reqs)
 }
@@ -187,7 +191,11 @@ func (s *Server) entryFor(p InstanceParams) (_ *entry, created, waited bool, _ e
 		}
 		return e, false, waited, nil
 	}
-	e := &entry{campaign: campaign{key: key, params: p}, instReady: make(chan struct{})}
+	e := &entry{
+		campaign:  campaign{key: key, params: p},
+		instReady: make(chan struct{}),
+		pool:      &core.WorkspacePool{},
+	}
 	e.lastUsed.Store(now)
 	s.entries[key] = e
 	s.evictLocked(e)

@@ -158,8 +158,13 @@ func (s *Server) startProber() {
 	}()
 }
 
-// Close stops the background prober, if any. Safe to call repeatedly and
-// on servers that never started one.
+// Close stops the background prober, if any, and empties the cache, so a
+// closed server holds no index however long the *Server itself stays
+// reachable (a net/http connection goroutine can still be unwinding, with
+// the handler on its stack, after the listener's own Close has returned).
+// Safe to call repeatedly and on servers that never started a prober. It
+// does not wait for requests: one that races Close keeps the entry it
+// resolved, and a later one builds, or loads from snapshot, afresh.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.proberStop != nil {
@@ -167,6 +172,9 @@ func (s *Server) Close() {
 			<-s.proberDone
 		}
 	})
+	s.mu.Lock()
+	clear(s.entries)
+	s.mu.Unlock()
 }
 
 // EpochInst implements engine on the coordinator's campaign mirror.

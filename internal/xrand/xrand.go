@@ -15,15 +15,33 @@ import (
 
 // Rand is a deterministic pseudo-random stream. It wraps math/rand/v2's PCG
 // generator and adds the distribution helpers the repository needs.
+//
+// The generator is reachable two ways: through the embedded *rand.Rand
+// (IntN, Shuffle, Perm and the rest of math/rand/v2's methods, each of which
+// calls the generator through the rand.Source interface) and directly
+// through pcg, which Float64 — and so Bernoulli and Bernoulli32, the coins of
+// the RR-set and diffusion inner loops — steps without the interface call,
+// so they inline down to the generator. v2's Rand keeps no state of its own
+// (it buffers nothing), so both views advance the one PCG and any
+// interleaving of calls reads the same sequence math/rand/v2 would give.
 type Rand struct {
 	*rand.Rand
+	pcg  *rand.PCG
 	seed uint64
 }
 
 // New returns a stream seeded with seed. Two streams with the same seed
 // produce identical sequences.
 func New(seed uint64) *Rand {
-	return &Rand{Rand: rand.New(rand.NewPCG(seed, splitmix64(seed))), seed: seed}
+	pcg := rand.NewPCG(seed, splitmix64(seed))
+	return &Rand{Rand: rand.New(pcg), pcg: pcg, seed: seed}
+}
+
+// Float64 returns a uniform sample from [0, 1): math/rand/v2's own
+// expression (the low 53 bits of one Uint64), bit for bit, on the concrete
+// generator.
+func (r *Rand) Float64() float64 {
+	return float64(r.pcg.Uint64()<<11>>11) / (1 << 53)
 }
 
 // Seed returns the seed the stream was created with.

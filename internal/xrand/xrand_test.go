@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +53,40 @@ func TestSplitDoesNotConsumeParentState(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("Split consumed parent state")
+		}
+	}
+}
+
+// TestMatchesMathRandV2 pins the stream to math/rand/v2 bit for bit: Float64
+// and the two coins step the PCG directly, IntN goes through the embedded
+// rand.Rand over the same generator, and a million interleaved calls must
+// read what the same calls read from a plain rand.New(rand.NewPCG(...)) —
+// on a root stream and on a Split child.
+func TestMatchesMathRandV2(t *testing.T) {
+	root := New(2024)
+	for _, r := range []*Rand{root, root.Split(17)} {
+		ref := rand.New(rand.NewPCG(r.Seed(), splitmix64(r.Seed())))
+		pick := New(5) // which call comes next, and with what argument
+		for i := 0; i < 1_000_000; i++ {
+			p := [...]float64{0, 1, 0.5, 1e-9, 1 - 1e-9, pick.Rand.Float64()}[pick.Rand.IntN(6)]
+			var got, want any
+			switch pick.Rand.IntN(4) {
+			case 0:
+				got, want = r.Float64(), ref.Float64()
+			case 1:
+				got, want = r.Bernoulli32(float32(p)), float32(p) >= 1 || float32(p) > 0 && float32(ref.Float64()) < float32(p)
+			case 2:
+				got, want = r.Bernoulli(p), p >= 1 || p > 0 && ref.Float64() < p
+			case 3:
+				n := 1 + pick.Rand.IntN(1<<20)
+				got, want = r.IntN(n), ref.IntN(n)
+			}
+			if got != want {
+				t.Fatalf("seed %d, call %d: got %v, math/rand/v2 gives %v", r.Seed(), i, got, want)
+			}
+		}
+		if r.Uint64() != ref.Uint64() {
+			t.Fatalf("seed %d: stream position differs after the run", r.Seed())
 		}
 	}
 }
