@@ -57,22 +57,16 @@ func main() {
 		replicas  = flag.Int("replicas", 1, "replication factor R in coordinator mode: every partition range is served by R adshard replicas with automatic failover")
 		rpcTO     = flag.Duration("rpc-timeout", 30*time.Second, "per-attempt deadline for fast shard RPCs in coordinator mode (sampling-heavy ops get 10x)")
 		probeIvl  = flag.Duration("probe-interval", 15*time.Second, "background replica health probe period in coordinator mode (0 = probe only on /healthz)")
-		kernel    = flag.String("kernel", "", "coverage kernel for requests that don't pick their own: auto (density heuristic, the default), sparse, or bitset — changes sweep cost, never allocations")
 		traceCap  = flag.Int("trace-capacity", 0, "retained-trace ring size for /debug/traces (0 = default 256)")
 		traceLat  = flag.Duration("trace-latency", 0, "tail-retention threshold: traces at least this slow are always kept (0 = default 250ms)")
 		traceNth  = flag.Int("trace-sample", 0, "head-sample 1 in N of the traces no tail rule claims (0 = default 16)")
 	)
 	flag.Parse()
 	rrset.SetMaxWorkers(*workers)
-	if err := checkKernelFlag(*kernel); err != nil {
-		fmt.Fprintln(os.Stderr, "adserver:", err)
-		os.Exit(2)
-	}
 	opts := serve.Options{
 		SnapshotDir:   *snapshots,
 		MaxScale:      *maxScale,
 		MaxTheta:      *maxTheta,
-		DefaultKernel: *kernel,
 		Replicas:      *replicas,
 		RPCTimeout:    *rpcTO,
 		ProbeInterval: *probeIvl,
@@ -86,16 +80,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "adserver:", err)
 		os.Exit(1)
 	}
-}
-
-// checkKernelFlag rejects bad -kernel values at startup rather than per
-// request (the names mirror core.Request.Kernel).
-func checkKernelFlag(kernel string) error {
-	switch kernel {
-	case "", "auto", "sparse", "bitset":
-		return nil
-	}
-	return fmt.Errorf("unknown -kernel %q (want auto, sparse, or bitset)", kernel)
 }
 
 func run(addr, preload string, pprofOn bool, shards string, opts serve.Options) error {

@@ -54,7 +54,6 @@ func main() {
 		snapshots = flag.String("snapshots", "", "directory for shard snapshots (empty = in-memory only)")
 		workers   = flag.Int("workers", 0, "cap on RR-sampling worker goroutines (0 = GOMAXPROCS)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU, heap, allocs, goroutine profiles; see EXPERIMENTS.md for a hot-path profiling walkthrough)")
-		kernel    = flag.String("kernel", "", "coverage kernel for runs whose StartRequest leaves the choice open: auto (density heuristic, the default), sparse, or bitset — changes local sweep cost, never the reply integers")
 		rpcTO     = flag.Duration("rpc-timeout", 0, "server-side bound on a single RPC handler (http.Server write timeout; 0 = unbounded — sampling-heavy ops can legitimately run long, coordinators bound their side with per-attempt deadlines)")
 		traceCap  = flag.Int("trace-capacity", 0, "retained-trace ring size for /debug/traces (0 = default 256)")
 		traceLat  = flag.Duration("trace-latency", 0, "tail-retention threshold: traces at least this slow are always kept (0 = default 250ms)")
@@ -62,24 +61,18 @@ func main() {
 	)
 	flag.Parse()
 	rrset.SetMaxWorkers(*workers)
-	switch *kernel {
-	case "", "auto", "sparse", "bitset":
-	default:
-		fmt.Fprintf(os.Stderr, "adshard: unknown -kernel %q (want auto, sparse, or bitset)\n", *kernel)
-		os.Exit(2)
-	}
 	tracing := obs.TracerConfig{
 		Capacity:         *traceCap,
 		LatencyThreshold: *traceLat,
 		SampleEvery:      *traceNth,
 	}
-	if err := run(*addr, *dataset, *seed, *scale, *ads, *shardID, *numShards, *snapshots, *pprofOn, *kernel, *rpcTO, tracing); err != nil {
+	if err := run(*addr, *dataset, *seed, *scale, *ads, *shardID, *numShards, *snapshots, *pprofOn, *rpcTO, tracing); err != nil {
 		fmt.Fprintln(os.Stderr, "adshard:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShards int, snapshots string, pprofOn bool, kernel string, rpcTimeout time.Duration, tracing obs.TracerConfig) error {
+func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShards int, snapshots string, pprofOn bool, rpcTimeout time.Duration, tracing obs.TracerConfig) error {
 	p, err := shard.NewPartitioner(numShards)
 	if err != nil {
 		return err
@@ -123,7 +116,6 @@ func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShar
 	}
 	s.Dataset = shard.DatasetParams{Name: dataset, Seed: seed, Scale: scale, NumAds: ads}
 	s.Logf = log.Printf
-	s.DefaultKernel = kernel
 	s.Tracing = tracing
 
 	handler := s.Handler()

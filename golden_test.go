@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	socialads "repro"
+	"repro/internal/rrset"
 )
 
 // goldenOpts is the configuration the pinned allocations below were
@@ -86,5 +87,38 @@ func TestAllocationPinnedAcrossRepresentations(t *testing.T) {
 				t.Fatal("warm allocation diverged from the pinned output")
 			}
 		})
+	}
+}
+
+// TestShippedDatasetsSelectSparse pins the traffic the cover-kernel rule
+// (rrset.Inverted.PrepareCover: bitset iff 64·memberships ≥ n·θ) actually
+// sees: RR sets under the paper's probability models are tiny, so no
+// shipped dataset puts a single ad on the bitset kernel, while the Fig. 1
+// toy (n ≤ 64, where any set holds ≥ n/64 members) puts all of them there.
+// A generator or rule change that starts selecting bitset on a real
+// dataset fails here — it needs a benchmark workload on the dense side
+// before it ships (ROADMAP item 0).
+func TestShippedDatasetsSelectSparse(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		inst  *socialads.Instance
+		dense bool
+	}{
+		{"flixster", socialads.NewFlixster(socialads.DatasetOptions{Seed: 1, Scale: 0.02}), false},
+		{"epinions", socialads.NewEpinions(socialads.DatasetOptions{Seed: 2, Scale: 0.02}), false},
+		{"dblp", socialads.NewDBLP(socialads.DatasetOptions{Seed: 3, Scale: 0.02}), false},
+		{"fig1", socialads.Fig1Instance(0), true},
+	} {
+		res, err := socialads.AllocateTIRM(tc.inst, 42, goldenOpts(false))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h, want := len(tc.inst.Ads), 0
+		if tc.dense {
+			want = h
+		}
+		if got := res.KernelCounts[rrset.KernelBitset]; got != want {
+			t.Errorf("%s (n=%d, h=%d): %d ads on the bitset kernel, want %d", tc.name, tc.inst.G.N(), h, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -26,10 +27,30 @@ func sameTIRMResult(t *testing.T, a, b *TIRMResult) {
 	}
 }
 
+// sparseBackend is the local backend with every collection moved onto the
+// sparse kernel after Open — the reference run the data-chosen kernels are
+// compared against.
+type sparseBackend struct{ localBackend }
+
+func (b *sparseBackend) Open(ctx context.Context, ads, thetas []int, out []Coverage) (fresh int64, kernels [rrset.NumKernels]int, err error) {
+	fresh, _, err = b.localBackend.Open(ctx, ads, thetas, out)
+	for i := range ads {
+		cs := out[i].(*covState)
+		if cs.hard != nil {
+			kernels[cs.hard.UseKernel(rrset.KernelSparse)]++
+		} else {
+			kernels[cs.soft.UseKernel(rrset.KernelSparse)]++
+		}
+	}
+	return fresh, kernels, err
+}
+
 // TestKernelRequestGolden pins the cross-kernel determinism contract at the
-// request level: the same request forced onto the sparse kernel, forced onto
-// the bitset kernel, and left on auto-selection must produce byte-identical
-// allocations and estimates — the kernel changes cost, never results.
+// request level. The instance is dense enough (n ≤ 64, so every set holds
+// at least n/64 members) that the density rule puts every ad on the bitset
+// kernel; the same request with every collection held on sparse must
+// produce byte-identical allocations and estimates — the kernel changes
+// cost, never results.
 func TestKernelRequestGolden(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
@@ -44,53 +65,32 @@ func TestKernelRequestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := AllocateFromIndex(idx, Request{Opts: cfg.opts, Kernel: "sparse"})
+			req := Request{Opts: cfg.opts}
+			chosen, err := AllocateFromIndex(idx, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := base.KernelCounts[rrset.KernelSparse]; got != len(inst.Ads) {
-				t.Errorf("sparse run: KernelCounts[sparse] = %d, want %d", got, len(inst.Ads))
+			if got := chosen.KernelCounts[rrset.KernelBitset]; got != len(inst.Ads) {
+				t.Errorf("dense instance: KernelCounts[bitset] = %d, want %d", got, len(inst.Ads))
 			}
-			forced, err := AllocateFromIndex(idx, Request{Opts: cfg.opts, Kernel: "bitset"})
+			pool := req.workspacePool()
+			ws := pool.get()
+			defer pool.put(ws)
+			be := &sparseBackend{localBackend{idx: idx, ep: idx.curr.Load(), ws: ws, soft: cfg.opts.SoftCoverage}}
+			sparse, err := ws.run(context.Background(), inst, be, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := forced.KernelCounts[rrset.KernelBitset]; got != len(inst.Ads) {
-				t.Errorf("bitset run: KernelCounts[bitset] = %d, want %d (forced builds must activate)", got, len(inst.Ads))
+			if got := sparse.KernelCounts[rrset.KernelSparse]; got != len(inst.Ads) {
+				t.Errorf("reference run: KernelCounts[sparse] = %d, want %d", got, len(inst.Ads))
 			}
-			sameTIRMResult(t, base, forced)
-			for _, kernel := range []string{"", "auto"} {
-				auto, err := AllocateFromIndex(idx, Request{Opts: cfg.opts, Kernel: kernel})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameTIRMResult(t, base, auto)
-				var total int
-				for _, c := range auto.KernelCounts {
-					total += c
-				}
-				if total != len(inst.Ads) {
-					t.Errorf("kernel %q: KernelCounts sums to %d, want %d", kernel, total, len(inst.Ads))
-				}
-			}
+			sameTIRMResult(t, sparse, chosen)
 		})
 	}
 }
 
-// TestKernelRequestValidation: unknown kernel names are rejected up front.
-func TestKernelRequestValidation(t *testing.T) {
-	inst := fig1Instance(t, 0)
-	idx, err := BuildIndex(inst, 7, TIRMOptions{MinTheta: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AllocateFromIndex(idx, Request{Opts: TIRMOptions{MinTheta: 5000}, Kernel: "dense"}); err == nil {
-		t.Fatal("unknown kernel name accepted")
-	}
-}
-
 // TestAllocateBatchMatchesSequential pins the batch contract: every item of
-// a mixed batch — different budgets, ad subsets, kernels, options, and one
+// a mixed batch — different budgets, ad subsets, options, and one
 // deliberately bad request — must return exactly what the sequential
 // AllocateFromIndex call with the same request returns, and the bad item
 // must fail alone without poisoning its siblings.
@@ -104,10 +104,9 @@ func TestAllocateBatchMatchesSequential(t *testing.T) {
 	lambda := 0.02
 	reqs := []Request{
 		{Opts: opts},
-		{Opts: opts, Kernel: "bitset"},
-		{Opts: opts, Kernel: "sparse", Budgets: []float64{1, 2, 3}},
+		{Opts: opts, Budgets: []float64{1, 2, 3}},
 		{Opts: opts, Ads: []int{0, 2}},
-		{Opts: opts, Kernel: "no-such-kernel"}, // must fail alone
+		{Opts: opts, Ads: []int{0, 3}}, // ad index out of range: must fail alone
 		{Opts: opts, Lambda: &lambda},
 		{Opts: TIRMOptions{MinTheta: 6000, MaxTheta: 40000, SoftCoverage: true}},
 		{Opts: opts, Kappa: ConstKappa(1)},
@@ -130,11 +129,11 @@ func TestAllocateBatchMatchesSequential(t *testing.T) {
 		}
 		sameTIRMResult(t, want[i].Res, got[i].Res)
 	}
-	if got[4].Err == nil {
-		t.Error("bad request in slot 4 did not fail")
+	if got[3].Err == nil {
+		t.Error("bad request in slot 3 did not fail")
 	}
 	for i, r := range got {
-		if i != 4 && r.Err != nil {
+		if i != 3 && r.Err != nil {
 			t.Errorf("sibling item %d poisoned by bad request: %v", i, r.Err)
 		}
 	}

@@ -506,26 +506,12 @@ type Request struct {
 	// default because a run can commit thousands of seeds; explain never
 	// changes the allocation, only reports it.
 	Explain bool
-	// Kernel selects the coverage kernel for this run's per-ad cover
-	// sweeps: "" or "auto" lets each ad use the bitset kernel exactly when
-	// the index's density heuristic built its membership bitmap (see
-	// rrset.Inverted.PrepareCover); "sparse" forces the cover-join scan;
-	// "bitset" forces the dense kernel, paying the one-time bitmap build
-	// for ads the heuristic skipped. Kernels never change the allocation —
-	// selections are byte-identical either way (golden-pinned); only the
-	// sweep cost differs. TIRMResult.KernelCounts reports what ran.
-	Kernel string
 }
 
 // validate resolves the request against the instance, returning the ad
 // subset and effective λ/κ.
 func (req *Request) validate(inst *Instance) (adIDs []int, lambda float64, kappa AttentionBounds, err error) {
 	h := len(inst.Ads)
-	switch req.Kernel {
-	case "", "auto", "sparse", "bitset":
-	default:
-		return nil, 0, nil, fmt.Errorf("core: unknown coverage kernel %q (want auto, sparse, or bitset)", req.Kernel)
-	}
 	if req.Budgets != nil && len(req.Budgets) != h {
 		return nil, 0, nil, fmt.Errorf("core: request overrides %d budgets, instance has %d ads", len(req.Budgets), h)
 	}
@@ -616,7 +602,7 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 	pool := req.workspacePool()
 	ws := pool.get()
 	defer pool.put(ws)
-	ws.local = localBackend{idx: idx, ep: ep, ws: ws, soft: req.Opts.SoftCoverage, kernel: req.Kernel}
+	ws.local = localBackend{idx: idx, ep: ep, ws: ws, soft: req.Opts.SoftCoverage}
 	return ws.run(context.Background(), ep.inst, &ws.local, req)
 }
 

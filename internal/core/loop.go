@@ -38,7 +38,9 @@ type Backend interface {
 	Pilot(ctx context.Context, ads []int, want int, out []Pilot) (fresh int64, err error)
 	// Open fills out[i] with coverage state over ad ads[i]'s stream prefix
 	// [0, thetas[i]). It returns the sets freshly drawn and, by
-	// rrset.KernelID, how many underlying collections run on each kernel.
+	// rrset.KernelID, how many underlying collections run on each kernel —
+	// a report of the choice each collection made from its sample's
+	// density, never an input.
 	Open(ctx context.Context, ads, thetas []int, out []Coverage) (fresh int64, kernels [rrset.NumKernels]int, err error)
 }
 

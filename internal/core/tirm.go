@@ -79,9 +79,9 @@ type TIRMResult struct {
 	MemBytes   int64
 	Iterations int
 	// KernelCounts tallies, by rrset.KernelID, how many per-ad coverage
-	// collections ran on each cover kernel this run (sparse vs bitset —
-	// see Request.Kernel). A fixed array, not a map, so the warm path
-	// stays allocation-free.
+	// collections ran on each cover kernel this run (sparse vs bitset,
+	// chosen per ad by rrset.Inverted.PrepareCover's density rule). A
+	// fixed array, not a map, so the warm path stays allocation-free.
 	KernelCounts [rrset.NumKernels]int
 }
 

@@ -160,11 +160,10 @@ func (at *Attention) reset(n int, bounds AttentionBounds) {
 // per-ad samples, with coverage state in the workspace's own slots (active
 // ad i uses slot i, as the loop does).
 type localBackend struct {
-	idx    *Index
-	ep     *indexEpoch
-	ws     *allocWorkspace
-	soft   bool
-	kernel string
+	idx  *Index
+	ep   *indexEpoch
+	ws   *allocWorkspace
+	soft bool
 }
 
 // Pilot implements Backend over the index's stored prefixes.
@@ -185,30 +184,24 @@ func (b *localBackend) Pilot(_ context.Context, ads []int, want int, out []Pilot
 // instead of O(members). The per-ad states are independent and each costs
 // O(n) — row clip, kernel mask, candidate heap — so this is the run's one
 // fan-out; per-ad sample counts are summed sequentially after it returns.
+// Each collection picks its own cover kernel from the ad's inverted index
+// (rrset.Inverted.PrepareCover's density rule); Open only counts them.
 func (b *localBackend) Open(_ context.Context, ads, thetas []int, out []Coverage) (fresh int64, kernels [rrset.NumKernels]int, err error) {
 	n := b.ep.inst.G.N()
-	wantKernel := rrset.KernelBitset // ""/"auto": bitset iff the density heuristic built the bitmap
-	if b.kernel == "sparse" {
-		wantKernel = rrset.KernelSparse
-	}
-	forceBits := b.kernel == "bitset"
 	rrset.ParallelFor(len(ads), 0, func(i int) {
 		cs := &b.ws.slots[i].local
 		cs.idx, cs.src = b.idx, b.ep.ads[ads[i]]
 		sets, _, inv, f := cs.src.view(thetas[i])
 		cs.fresh = f
-		if forceBits {
-			inv.PrepareCoverBits()
-		}
 		if b.soft {
 			cs.soft = cs.scratch.Weighted(n, sets, inv)
 			cs.hard = nil
-			cs.kernel = cs.soft.UseKernel(wantKernel)
+			cs.kernel = cs.soft.Kernel()
 			cs.soft.SyncHeap()
 		} else {
 			cs.hard = cs.scratch.Collection(n, sets, inv)
 			cs.soft = nil
-			cs.kernel = cs.hard.UseKernel(wantKernel)
+			cs.kernel = cs.hard.Kernel()
 			cs.hard.SyncHeap()
 		}
 	})
@@ -235,7 +228,7 @@ type covState struct {
 	idx     *Index
 	src     *adSample
 	fresh   int64          // sets drawn by Open's parallel set-up
-	kernel  rrset.KernelID // cover kernel Open activated
+	kernel  rrset.KernelID // cover kernel the collection chose
 	nodes   []int32
 	covs    []int
 	scores  []float64

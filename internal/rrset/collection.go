@@ -116,6 +116,11 @@ func grownBools(buf []bool, n int) []bool {
 // tie-breaking among equal-coverage nodes, byte-identical to the historical
 // rebuild-on-add behavior). A collection that is built and thrown away
 // unqueried pays nothing for its heap.
+//
+// A warm-start collection (Reset, NewCollectionFromFamily) sweeps its first
+// segment with the bitset kernel exactly when the shared inverted index
+// carries a membership bitmap (Inverted.PrepareCover decides), and with the
+// sparse walk otherwise — see kernel.go; Kernel reports which.
 type Collection struct {
 	n       int
 	segs    []covSegment
@@ -133,17 +138,8 @@ type Collection struct {
 	seenGen uint64
 	dpos    []int32 // delta-cover per-node output positions (counter.go)
 
-	kern CoverKernel // active cover kernel; nil means sparse
-	bits *coverBits  // first segment's membership bitmap (bitset kernel)
-	covw []uint64    // covered-set mask over the first segment (bitset kernel)
-
-	// dsink is the delta-capture sink reused across CoverNodeDelta /
-	// CountAndCoverFromDelta calls. Living on the (already heap-resident)
-	// collection, its address can cross the CoverKernel interface without
-	// forcing a fresh heap escape per cover — the sharded commit path
-	// stays allocation-free. Its buffer fields are caller-owned and niled
-	// after every call, so the collection never pins them.
-	dsink deltaSink
+	bits *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
+	covw []uint64   // covered-set mask over the first segment (bitset kernel)
 }
 
 // NewCollection creates an empty index over n nodes.
@@ -193,11 +189,15 @@ func (c *Collection) MemBytes() int64 {
 	for i := range c.segs {
 		total += c.segs[i].memBytes()
 	}
-	return total +
-		int64(len(c.covered)) + // covered flags
+	total += int64(len(c.covered)) + // covered flags
 		int64(c.n)*5 + // cov counters + dead flags
-		int64(len(c.pq))*8 +
-		int64(len(c.covw))*8 // bitset kernel's covered-word mask
+		int64(len(c.pq))*8
+	if c.bits != nil {
+		// The mask is workspace-owned and outlives a run: it counts only
+		// while the bitset kernel sweeps it.
+		total += int64(len(c.covw)) * 8
+	}
+	return total
 }
 
 // NumSets returns the total number of sets ever added.
@@ -267,39 +267,35 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 	c.segs = append(c.segs[:0], covSegment{base: 0, view: v, inv: inv, cut: c.cut})
 	c.pq = c.pq[:0]
 	c.stale = true
-	c.kern = nil
+	// A fresh single-segment collection meets every UseKernel
+	// precondition, so this activates the bitset kernel exactly when inv
+	// carries a bitmap covering the view.
 	c.bits = nil
+	c.UseKernel(KernelBitset)
 }
 
 // Kernel returns the identifier of the collection's active cover kernel.
 func (c *Collection) Kernel() KernelID {
-	if c.kern != nil {
-		return c.kern.ID()
+	if c.bits != nil {
+		return KernelBitset
 	}
 	return KernelSparse
 }
 
-// kernel resolves the active kernel implementation (sparse by default).
-func (c *Collection) kernel() CoverKernel {
-	if c.kern != nil {
-		return c.kern
-	}
-	return Kernels[KernelSparse]
-}
-
-// UseKernel selects the cover kernel for this collection and returns the
-// kernel actually activated. Requesting KernelBitset succeeds only when
-// the collection is a fresh warm-start over one shared base-0 segment
-// whose inverted index has its membership bitmap prepared (PrepareCover's
-// density heuristic or PrepareCoverBits) and no set has been covered yet;
-// otherwise — counter collections, hand-grown collections, unprepared
-// indexes, mid-run switches — the sparse kernel stays active. Call it
+// UseKernel overrides the kernel Reset chose and returns the kernel
+// actually active afterwards — the hook the kernel-equivalence tests and
+// the benchmark's sweep rung use to run both kernels over one sample;
+// production code never calls it. Requesting KernelBitset succeeds only
+// when the collection is a fresh warm-start over one shared base-0 segment
+// whose inverted index has its membership bitmap built (PrepareCover's
+// density rule or PrepareCoverBits) and no set has been covered yet;
+// otherwise — counter collections, hand-grown collections, indexes
+// without a bitmap, mid-run switches — the active kernel stays. Call it
 // right after Reset / NewCollectionFromFamily, before any cover
 // operation. The covered-word mask recycles its backing array across
 // Reset cycles, so steady-state activation allocates nothing.
 func (c *Collection) UseKernel(id KernelID) KernelID {
 	if id != KernelBitset {
-		c.kern = nil
 		c.bits = nil
 		return KernelSparse
 	}
@@ -324,7 +320,6 @@ func (c *Collection) UseKernel(id KernelID) KernelID {
 	if r := uint(k) & 63; r != 0 {
 		c.covw[kw-1] = ^uint64(0) << r
 	}
-	c.kern = Kernels[KernelBitset]
 	c.bits = cb
 	return KernelBitset
 }
@@ -480,9 +475,9 @@ func (c *Collection) topNodesLoop(k int, eligible func(int32) bool, nodes []int3
 // exactly.
 //
 // This is the single hottest loop of a warm allocation — every committed
-// seed retires its covered sets here — so the walk itself is delegated to
-// the collection's active cover kernel (see CoverKernel): the sparse
-// kernel prefers the inverted index's cover join (one sequential record
+// seed retires its covered sets here — so the walk itself is the
+// collection's active cover kernel (see kernel.go): the sparse kernel
+// prefers the inverted index's cover join (one sequential record
 // stream per node, members inlined; see coverJoin), falling back to the
 // arena hop for spilled sets and for segments whose join was never
 // prepared — per-request θ-growth segments and hand-built collections,
@@ -492,7 +487,11 @@ func (c *Collection) topNodesLoop(k int, eligible func(int32) bool, nodes []int3
 // unchanged.
 func (c *Collection) CoverNode(u int32) int {
 	c.SyncHeap()
-	covered := c.kernel().coverNode(c, u)
+	covered, segs := 0, c.segs
+	if c.bits != nil {
+		covered, segs = c.bitsetCover(u), segs[1:]
+	}
+	covered += sparseCoverSegs(c, u, segs)
 	c.ncov += covered
 	if c.cov[u] != 0 {
 		panic(fmt.Sprintf("rrset: residual coverage of %d nonzero after CoverNode", u))
@@ -506,7 +505,11 @@ func (c *Collection) CoverNode(u int32) int {
 // in freshly appended samples without double-counting across seeds.
 func (c *Collection) CountAndCoverFrom(u int32, firstID int) int {
 	c.SyncHeap()
-	covered := c.kernel().countAndCoverFrom(c, u, firstID)
+	covered, segs := 0, c.segs
+	if c.bits != nil {
+		covered, segs = c.bitsetCountFrom(u, firstID), segs[1:]
+	}
+	covered += sparseCountFromSegs(c, u, firstID, segs)
 	c.ncov += covered
 	return covered
 }

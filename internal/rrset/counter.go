@@ -68,6 +68,16 @@ func (c *Collection) deltaScratch() []int32 {
 	return c.dpos
 }
 
+// coverDelta is the delta-capturing cover of the sets with id ≥ firstID
+// containing u, on the collection's active kernel.
+func (c *Collection) coverDelta(u int32, firstID int, s *deltaSink) int {
+	covered, segs := 0, c.segs
+	if c.bits != nil {
+		covered, segs = c.bitsetDeltaFrom(u, firstID, s), segs[1:]
+	}
+	return covered + sparseDeltaSegs(c, u, firstID, segs, s)
+}
+
 // CoverNodeDelta is CoverNode that additionally records the cover's effect
 // as a sparse decrement vector: appended to nodes/decs (reused, returned
 // re-sliced), node outNodes[i] lost outDecs[i] residual coverage. Summed
@@ -79,14 +89,12 @@ func (c *Collection) deltaScratch() []int32 {
 // deferred until someone actually queries it.
 func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (covered int, outNodes []int32, outDecs []int32) {
 	s := c.newDeltaSink(nodes, decs)
-	covered = c.kernel().coverDelta(c, u, 0, s)
+	covered = c.coverDelta(u, 0, &s)
 	c.ncov += covered
 	if c.cov[u] != 0 {
 		panic(fmt.Sprintf("rrset: residual coverage of %d nonzero after CoverNodeDelta", u))
 	}
-	outNodes, outDecs = s.nodes, s.decs
-	s.nodes, s.decs = nil, nil // buffers are caller-owned; do not pin them
-	return covered, outNodes, outDecs
+	return covered, s.nodes, s.decs
 }
 
 // CountAndCoverFromDelta is CountAndCoverFrom with the same sparse delta
@@ -94,9 +102,7 @@ func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (cover
 // with id ≥ firstID (local ids of this collection).
 func (c *Collection) CountAndCoverFromDelta(u int32, firstID int, nodes []int32, decs []int32) (covered int, outNodes []int32, outDecs []int32) {
 	s := c.newDeltaSink(nodes, decs)
-	covered = c.kernel().coverDelta(c, u, firstID, s)
+	covered = c.coverDelta(u, firstID, &s)
 	c.ncov += covered
-	outNodes, outDecs = s.nodes, s.decs
-	s.nodes, s.decs = nil, nil // buffers are caller-owned; do not pin them
-	return covered, outNodes, outDecs
+	return covered, s.nodes, s.decs
 }

@@ -285,14 +285,16 @@ func (j *coverJoin) memBytes() int64 {
 // short-lived to amortize the build.
 //
 // On dense samples it additionally builds the packed membership bitmap the
-// bitset coverage kernel sweeps (see coverBits). The density heuristic
-// compares the average inverted-row length to the set count: the bitmap
-// costs n·⌈k/64⌉ words, so it is built exactly when 64·memberships ≥ n·k —
-// i.e. when the bitmap is at most twice the size of the id rows it
-// shadows, which is also the regime where AND-NOT word sweeps beat
-// per-membership scans. Sparse samples skip the build and collections fall
-// back to the sparse kernel; PrepareCoverBits forces the build regardless
-// (the Request-level kernel override).
+// bitset coverage kernel sweeps (see coverBits) — this is the one place
+// the cover kernel is chosen: a collection Reset over this index runs
+// bitset exactly when the bitmap exists. The density rule compares the
+// average inverted-row length to the set count: the bitmap costs
+// n·⌈k/64⌉ words, so it is built exactly when 64·memberships ≥ n·k — i.e.
+// when the bitmap is at most twice the size of the id rows it shadows,
+// which is also the regime where AND-NOT word sweeps beat per-membership
+// scans. Sparse samples — every shipped dataset at 600 nodes and up, see
+// DESIGN.md §6.7 — skip the build and their collections run the sparse
+// kernel.
 func (ix *Inverted) PrepareCover() {
 	ix.coverJoin()
 	n := ix.NumNodes()
@@ -302,10 +304,11 @@ func (ix *Inverted) PrepareCover() {
 	}
 }
 
-// PrepareCoverBits builds the packed membership bitmap unconditionally —
-// the hook behind a "bitset" kernel override, paying the dense
-// representation even where the density heuristic would not. Idempotent
-// and safe for concurrent use.
+// PrepareCoverBits builds the packed membership bitmap unconditionally,
+// paying the dense representation even where the density rule would not —
+// with Collection.UseKernel, the override the kernel-equivalence tests and
+// the benchmark's sweep rung use; production code never calls it.
+// Idempotent and safe for concurrent use.
 func (ix *Inverted) PrepareCoverBits() { ix.coverBits() }
 
 // HasCoverBits reports whether the membership bitmap has been built (a

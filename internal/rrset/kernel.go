@@ -1,19 +1,26 @@
-// Coverage kernels: pluggable implementations of the count-and-cover
-// sweeps at the heart of the greedy allocation loop. Every committed seed
-// must discover the not-yet-covered sets containing it and decrement the
+// Coverage kernels: the two implementations of the count-and-cover sweeps
+// at the heart of the greedy allocation loop. Every committed seed must
+// discover the not-yet-covered sets containing it and decrement the
 // residual coverage of their members; that inner loop dominates a warm
-// allocation's profile. Two implementations share one contract:
+// allocation's profile.
 //
-//   - sparse: the historical cover-join / inverted-row scan — one record
-//     stream (or id row + arena hop) per node, cost proportional to the
-//     node's membership count. Right for sparse instances, growth
-//     segments, and hand-built collections.
+//   - sparse: the cover-join / inverted-row scan — one record stream (or
+//     id row + arena hop) per node, cost proportional to the node's
+//     membership count. Right for sparse instances, growth segments, and
+//     hand-built collections.
 //   - bitset: per-node RR-set membership packed as uint64 words (see
 //     coverBits), so discovering newly covered sets is a word-wise
 //     AND-NOT + popcount sweep with an unrolled 4-words-per-iteration
 //     inner loop and no data-dependent branches until a word actually
 //     holds new sets. Right for dense instances where inverted rows
 //     approach the set count.
+//
+// Which one a collection runs is decided by the data, in one place:
+// Inverted.PrepareCover builds the membership bitmap exactly when the
+// sample is dense enough, and a collection Reset over an index that has a
+// bitmap sweeps it for its first segment (growth segments always take the
+// sparse walk). The cover operations branch on that; nothing above this
+// package names a kernel except to count Kernel().
 //
 // Kernels differ only in how covered sets are *discovered*; sets are then
 // retired in ascending id order with identical per-member updates either
@@ -35,128 +42,22 @@ const (
 	// collections.
 	KernelSparse KernelID = iota
 	// KernelBitset is the dense branch-free kernel over packed per-node
-	// membership words (requires PrepareCoverBits on the inverted index).
+	// membership words (requires the inverted index's membership bitmap).
 	KernelBitset
 	// NumKernels counts the kernel implementations (array-sizing aid for
 	// per-kernel tallies).
 	NumKernels int = iota
 )
 
-// kernelNames maps KernelID to its registry name.
+// kernelNames maps KernelID to the name String reports.
 var kernelNames = [NumKernels]string{"sparse", "bitset"}
 
-// String returns the kernel's registry name ("sparse", "bitset").
+// String returns the kernel's name ("sparse", "bitset").
 func (k KernelID) String() string {
 	if int(k) < len(kernelNames) {
 		return kernelNames[k]
 	}
 	return "unknown"
-}
-
-// KernelByName resolves a registry name to its KernelID.
-func KernelByName(name string) (KernelID, bool) {
-	for id, n := range kernelNames {
-		if n == name {
-			return KernelID(id), true
-		}
-	}
-	return 0, false
-}
-
-// CoverKernel is one coverage-kernel implementation. The exported surface
-// is the identity pair (Name/ID); the sweep operations are internal —
-// callers select a kernel per collection with UseKernel and keep using the
-// ordinary Collection / WeightedCollection methods, which dispatch here.
-type CoverKernel interface {
-	// Name returns the kernel's registry name.
-	Name() string
-	// ID returns the kernel's identifier.
-	ID() KernelID
-
-	// coverNode discovers and retires every uncovered set containing u,
-	// returning the count (CoverNode minus heap sync and bookkeeping).
-	coverNode(c *Collection, u int32) int
-	// countAndCoverFrom is coverNode restricted to sets with id ≥ firstID.
-	countAndCoverFrom(c *Collection, u int32, firstID int) int
-	// coverDelta is countAndCoverFrom capturing per-node decrements into
-	// the sink (firstID 0 reproduces CoverNodeDelta).
-	coverDelta(c *Collection, u int32, firstID int, s *deltaSink) int
-	// commitFrom applies a weighted commit over sets with id ≥ firstID.
-	commitFrom(c *WeightedCollection, u int32, delta float64, firstID int) float64
-}
-
-// Kernels holds the kernel implementations indexed by KernelID.
-var Kernels = [NumKernels]CoverKernel{sparseKernel{}, bitsetKernel{}}
-
-// sparseKernel walks cover-join record streams (or inverted rows + arena
-// hops) — the historical implementation, factored behind the interface.
-type sparseKernel struct{}
-
-// Name returns "sparse".
-func (sparseKernel) Name() string { return kernelNames[KernelSparse] }
-
-// ID returns KernelSparse.
-func (sparseKernel) ID() KernelID { return KernelSparse }
-
-func (sparseKernel) coverNode(c *Collection, u int32) int {
-	return sparseCoverSegs(c, u, c.segs)
-}
-
-func (sparseKernel) countAndCoverFrom(c *Collection, u int32, firstID int) int {
-	return sparseCountFromSegs(c, u, firstID, c.segs)
-}
-
-func (sparseKernel) coverDelta(c *Collection, u int32, firstID int, s *deltaSink) int {
-	return sparseDeltaSegs(c, u, firstID, c.segs, s)
-}
-
-func (sparseKernel) commitFrom(c *WeightedCollection, u int32, delta float64, firstID int) float64 {
-	return sparseCommitSegs(c, u, delta, firstID, c.segs)
-}
-
-// bitsetKernel sweeps packed membership words for the collection's first
-// (shared, base-0) segment and falls back to the sparse walk for growth
-// segments, whose id ranges start past the bitmap. Segment id ranges are
-// disjoint and ascending, so the combined covering order is still
-// ascending by id — identical to the sparse kernel's.
-type bitsetKernel struct{}
-
-// Name returns "bitset".
-func (bitsetKernel) Name() string { return kernelNames[KernelBitset] }
-
-// ID returns KernelBitset.
-func (bitsetKernel) ID() KernelID { return KernelBitset }
-
-func (bitsetKernel) coverNode(c *Collection, u int32) int {
-	covered := c.bitsetCover(u)
-	if len(c.segs) > 1 {
-		covered += sparseCoverSegs(c, u, c.segs[1:])
-	}
-	return covered
-}
-
-func (bitsetKernel) countAndCoverFrom(c *Collection, u int32, firstID int) int {
-	covered := c.bitsetCountFrom(u, firstID)
-	if len(c.segs) > 1 {
-		covered += sparseCountFromSegs(c, u, firstID, c.segs[1:])
-	}
-	return covered
-}
-
-func (bitsetKernel) coverDelta(c *Collection, u int32, firstID int, s *deltaSink) int {
-	covered := c.bitsetDeltaFrom(u, firstID, s)
-	if len(c.segs) > 1 {
-		covered += sparseDeltaSegs(c, u, firstID, c.segs[1:], s)
-	}
-	return covered
-}
-
-func (bitsetKernel) commitFrom(c *WeightedCollection, u int32, delta float64, firstID int) float64 {
-	total := c.bitsetCommitFrom(u, delta, firstID)
-	if len(c.segs) > 1 {
-		total += sparseCommitSegs(c, u, delta, firstID, c.segs[1:])
-	}
-	return total
 }
 
 // sparseCoverSegs is the sparse CoverNode walk over the given segments:
@@ -351,8 +252,8 @@ func sparseCommitSegs(c *WeightedCollection, u int32, delta float64, firstID int
 // bitsetCover is the dense CoverNode sweep over the first segment: new
 // sets are row AND-NOT covered-words, four words per iteration; only a
 // word actually holding new sets takes the extraction branch. covw's
-// excess tail bits are pre-set by UseKernel, so no per-word masking is
-// needed.
+// excess tail bits are pre-set on activation (UseKernel), so no per-word
+// masking is needed.
 func (c *Collection) bitsetCover(u int32) int {
 	row := c.bits.row(u)
 	covw := c.covw
@@ -578,16 +479,15 @@ type deltaSink struct {
 }
 
 // newDeltaSink prepares the collection's per-call dedup stamps and wraps
-// the (re-sliced) output buffers in the collection-resident sink (see the
-// dsink field: returning &c.dsink keeps the interface call escape-free).
-func (c *Collection) newDeltaSink(nodes, decs []int32) *deltaSink {
+// the (re-sliced) output buffers in a sink. The sink never escapes the
+// cover call, so it lives on the caller's stack.
+func (c *Collection) newDeltaSink(nodes, decs []int32) deltaSink {
 	if len(c.seen) < c.n {
 		c.seen = make([]uint64, c.n)
 	}
 	c.deltaScratch()
 	c.seenGen++
-	c.dsink = deltaSink{c: c, gen: c.seenGen, nodes: nodes[:0], decs: decs[:0]}
-	return &c.dsink
+	return deltaSink{c: c, gen: c.seenGen, nodes: nodes[:0], decs: decs[:0]}
 }
 
 // record notes one residual-coverage decrement of node w.

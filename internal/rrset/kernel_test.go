@@ -45,11 +45,11 @@ func kernelPair(t testing.TB, n int, f *SetFamily) (sp, bt *Collection) {
 	inv.PrepareCoverBits()
 	sp = NewCollectionFromFamily(n, v, inv)
 	bt = NewCollectionFromFamily(n, v, inv)
-	if got := bt.UseKernel(KernelBitset); got != KernelBitset {
-		t.Fatalf("UseKernel(bitset) = %v, want bitset", got)
+	if got := bt.Kernel(); got != KernelBitset {
+		t.Fatalf("kernel over a bitmap-prepared index = %v, want bitset", got)
 	}
-	if got := sp.Kernel(); got != KernelSparse {
-		t.Fatalf("default kernel = %v, want sparse", got)
+	if got := sp.UseKernel(KernelSparse); got != KernelSparse || sp.Kernel() != KernelSparse {
+		t.Fatalf("UseKernel(sparse) = %v, Kernel() = %v, want sparse", got, sp.Kernel())
 	}
 	return sp, bt
 }
@@ -205,6 +205,7 @@ func TestKernelEquivalenceWeighted(t *testing.T) {
 	if got := bt.UseKernel(KernelBitset); got != KernelBitset {
 		t.Fatalf("UseKernel(bitset) = %v, want bitset", got)
 	}
+	sp.UseKernel(KernelSparse)
 
 	deltas := []float64{1, 0.5, 0.25, 0.75, 1, 0.1}
 	for it, delta := range deltas {
@@ -251,8 +252,9 @@ func TestKernelEquivalenceWeighted(t *testing.T) {
 }
 
 // TestKernelDensityHeuristic checks that PrepareCover builds the bitmap
-// exactly when 64·memberships ≥ n·k, and that UseKernel degrades to sparse
-// when the bitmap is absent or the collection shape disqualifies it.
+// exactly when 64·memberships ≥ n·k, that a fresh collection runs bitset
+// exactly when the bitmap is there, and that UseKernel refuses bitset when
+// the bitmap is absent or the collection shape disqualifies it.
 func TestKernelDensityHeuristic(t *testing.T) {
 	rng := xrand.New(5)
 
@@ -274,6 +276,9 @@ func TestKernelDensityHeuristic(t *testing.T) {
 		t.Fatal("sparse sample: PrepareCover built the bitmap against the density gate")
 	}
 	c := NewCollectionFromFamily(2048, sv, sinv)
+	if got := c.Kernel(); got != KernelSparse {
+		t.Fatalf("kernel without bitmap = %v, want sparse", got)
+	}
 	if got := c.UseKernel(KernelBitset); got != KernelSparse {
 		t.Fatalf("UseKernel without bitmap = %v, want sparse fallback", got)
 	}
@@ -284,23 +289,52 @@ func TestKernelDensityHeuristic(t *testing.T) {
 		t.Fatalf("counter UseKernel = %v, want sparse", got)
 	}
 
-	// Mid-run switches are refused: coverage already happened.
+	// The dense sample's collections start on bitset, hard and soft.
 	mid := NewCollectionFromFamily(32, dv, dinv)
+	if h, s := mid.Kernel(), NewWeightedCollectionFromFamily(32, dv, dinv).Kernel(); h != KernelBitset || s != KernelBitset {
+		t.Fatalf("kernels over the dense sample = %v (hard), %v (soft), want bitset", h, s)
+	}
+
+	// Mid-run switches to bitset are refused: coverage already happened.
+	mid.UseKernel(KernelSparse)
 	u, _, _ := mid.BestNode(nil)
 	mid.CoverNode(u)
 	if got := mid.UseKernel(KernelBitset); got != KernelSparse {
 		t.Fatalf("mid-run UseKernel = %v, want sparse", got)
 	}
+}
 
-	// KernelByName round-trips the registry.
-	for id := 0; id < NumKernels; id++ {
-		got, ok := KernelByName(KernelID(id).String())
-		if !ok || got != KernelID(id) {
-			t.Fatalf("KernelByName(%q) = %v,%v", KernelID(id).String(), got, ok)
-		}
+// TestMemBytesIgnoresPooledKernelMasks pins that a reported footprint does
+// not depend on pool history: the covered / zero-weight word masks are
+// workspace-owned and survive Release, but belong to a collection only
+// while the bitset kernel sweeps them. A sparse collection recycled from a
+// workspace that last ran bitset must report what a fresh one does.
+func TestMemBytesIgnoresPooledKernelMasks(t *testing.T) {
+	rng := xrand.New(3)
+	dense := randomKernelFamily(rng, 32, 200, 12)
+	dinv := BuildInverted(32, dense.View(), 0)
+	dinv.PrepareCover()
+	sparse := randomKernelFamily(rng, 2048, 4096, 2)
+	sv := sparse.View()
+	sinv := BuildInverted(2048, sv, 0)
+	sinv.PrepareCover()
+
+	ws := NewWorkspace()
+	if k := ws.Collection(32, dense.View(), dinv).UseKernel(KernelBitset); k != KernelBitset {
+		t.Fatalf("dense hard run on %v, want bitset", k)
 	}
-	if _, ok := KernelByName("dense"); ok {
-		t.Fatal("KernelByName accepted an unknown name")
+	if k := ws.Weighted(32, dense.View(), dinv).UseKernel(KernelBitset); k != KernelBitset {
+		t.Fatalf("dense soft run on %v, want bitset", k)
+	}
+	ws.Release()
+
+	hard := ws.Collection(2048, sv, sinv)
+	if got, want := hard.MemBytes(), NewCollectionFromFamily(2048, sv, sinv).MemBytes(); hard.Kernel() != KernelSparse || got != want {
+		t.Errorf("recycled hard collection (%v): MemBytes %d, fresh %d", hard.Kernel(), got, want)
+	}
+	soft := ws.Weighted(2048, sv, sinv)
+	if got, want := soft.MemBytes(), NewWeightedCollectionFromFamily(2048, sv, sinv).MemBytes(); soft.Kernel() != KernelSparse || got != want {
+		t.Errorf("recycled soft collection (%v): MemBytes %d, fresh %d", soft.Kernel(), got, want)
 	}
 }
 
@@ -336,6 +370,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if wbt.UseKernel(KernelBitset) != KernelBitset {
 			t.Skip("bitset kernel unavailable")
 		}
+		sp.UseKernel(KernelSparse)
+		wsp.UseKernel(KernelSparse)
 		var sn, sd, bn, bd []int32
 		for it := 0; it < 8; it++ {
 			u := int32(rng.IntN(n))

@@ -44,9 +44,8 @@ type WeightedCollection struct {
 	seen    []uint64    // TopNodes per-call dedup stamps
 	seenGen uint64
 
-	kern  CoverKernel // active cover kernel; nil means sparse
-	bits  *coverBits  // first segment's membership bitmap (bitset kernel)
-	zerow []uint64    // zero-weight-set mask over the first segment (bitset kernel)
+	bits  *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
+	zerow []uint64   // zero-weight-set mask over the first segment (bitset kernel)
 }
 
 // NewWeightedCollection creates an empty weighted index over n nodes.
@@ -154,35 +153,26 @@ func (c *WeightedCollection) Reset(n int, v FamilyView, inv *Inverted) {
 	c.segs = append(c.segs[:0], covSegment{base: 0, view: v, inv: inv, cut: c.cut})
 	c.pq = c.pq[:0]
 	c.stale = true
-	c.kern = nil
 	c.bits = nil
+	c.UseKernel(KernelBitset) // as in Collection.Reset
 }
 
 // Kernel returns the identifier of the collection's active cover kernel.
 func (c *WeightedCollection) Kernel() KernelID {
-	if c.kern != nil {
-		return c.kern.ID()
+	if c.bits != nil {
+		return KernelBitset
 	}
 	return KernelSparse
 }
 
-// kernel resolves the active kernel implementation (sparse by default).
-func (c *WeightedCollection) kernel() CoverKernel {
-	if c.kern != nil {
-		return c.kern
-	}
-	return Kernels[KernelSparse]
-}
-
-// UseKernel selects the cover kernel, mirroring Collection.UseKernel's
-// contract for the soft-coverage mode: KernelBitset activates only on a
-// fresh warm-start collection (one base-0 segment, prepared bitmap, no
-// mass claimed yet) and the zero-weight-word mask recycles its backing
-// array; anything else keeps the sparse kernel. Returns the kernel
-// actually activated.
+// UseKernel overrides the kernel Reset chose, mirroring
+// Collection.UseKernel's contract for the soft-coverage mode: KernelBitset
+// activates only on a fresh warm-start collection (one base-0 segment,
+// bitmap built, no mass claimed yet) and the zero-weight-word mask
+// recycles its backing array; anything else keeps the active kernel.
+// Returns the kernel active afterwards.
 func (c *WeightedCollection) UseKernel(id KernelID) KernelID {
 	if id != KernelBitset {
-		c.kern = nil
 		c.bits = nil
 		return KernelSparse
 	}
@@ -207,7 +197,6 @@ func (c *WeightedCollection) UseKernel(id KernelID) KernelID {
 	if r := uint(k) & 63; r != 0 {
 		c.zerow[kw-1] = ^uint64(0) << r
 	}
-	c.kern = Kernels[KernelBitset]
 	c.bits = cb
 	return KernelBitset
 }
@@ -360,7 +349,12 @@ func (c *WeightedCollection) commitFrom(u int32, delta float64, firstID int) flo
 		panic("rrset: CTP out of [0,1]")
 	}
 	c.SyncHeap()
-	return c.kernel().commitFrom(c, u, delta, firstID)
+	var total float64
+	segs := c.segs
+	if c.bits != nil {
+		total, segs = c.bitsetCommitFrom(u, delta, firstID), segs[1:]
+	}
+	return total + sparseCommitSegs(c, u, delta, firstID, segs)
 }
 
 // MemBytes mirrors Collection.MemBytes for Table 4 instrumentation: the
@@ -371,11 +365,13 @@ func (c *WeightedCollection) MemBytes() int64 {
 	for i := range c.segs {
 		total += c.segs[i].memBytes()
 	}
-	return total +
-		int64(len(c.weight))*8 +
+	total += int64(len(c.weight))*8 +
 		int64(c.n)*9 + // wcov + dead
-		int64(len(c.pq))*16 +
-		int64(len(c.zerow))*8 // bitset kernel's zero-weight mask
+		int64(len(c.pq))*16
+	if c.bits != nil {
+		total += int64(len(c.zerow)) * 8 // zero-weight mask, see Collection.MemBytes
+	}
+	return total
 }
 
 type wcovEntry struct {

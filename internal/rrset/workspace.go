@@ -64,8 +64,7 @@ func (w *Workspace) Release() {
 	// Kernel state: the membership bitmap belongs to the index and must
 	// not be pinned by a parked workspace; the covered/zero-weight word
 	// masks are workspace-owned and stay for reuse.
-	w.col.kern, w.col.bits = nil, nil
-	w.wcol.kern, w.wcol.bits = nil, nil
+	w.col.bits, w.wcol.bits = nil, nil
 }
 
 // releaseSegs zeroes segment slots so the retained backing array holds no

@@ -31,16 +31,13 @@ const MaxBatchItems = 64
 // of AllocateRequest without the instance coordinates (the batch names its
 // instance once). Field semantics match POST /allocate exactly.
 type AllocateItem struct {
-	Kappa    int       `json:"kappa,omitempty"`
-	Lambda   *float64  `json:"lambda,omitempty"`
-	Ads      []int     `json:"ads,omitempty"`
-	Budgets  []float64 `json:"budgets,omitempty"`
-	CPEs     []float64 `json:"cpes,omitempty"`
-	Residual bool      `json:"residual,omitempty"`
-	// Kernel selects the coverage kernel ("auto"/"sparse"/"bitset", see
-	// core.Request.Kernel); it changes sweep cost, never the allocation.
-	Kernel string     `json:"kernel,omitempty"`
-	Opts   TIRMParams `json:"opts,omitempty"`
+	Kappa    int        `json:"kappa,omitempty"`
+	Lambda   *float64   `json:"lambda,omitempty"`
+	Ads      []int      `json:"ads,omitempty"`
+	Budgets  []float64  `json:"budgets,omitempty"`
+	CPEs     []float64  `json:"cpes,omitempty"`
+	Residual bool       `json:"residual,omitempty"`
+	Opts     TIRMParams `json:"opts,omitempty"`
 }
 
 // AllocateBatchRequest is POST /allocate/batch: one instance, up to
@@ -154,7 +151,6 @@ func (s *Server) handleAllocateBatch(w http.ResponseWriter, r *http.Request) {
 			Lambda:   item.Lambda,
 			Epoch:    epoch,
 			Observer: s.metrics,
-			Kernel:   s.kernelFor(item.Kernel),
 		}
 		if item.Kappa > 0 {
 			coreReqs[i].Kappa = core.ConstKappa(item.Kappa)

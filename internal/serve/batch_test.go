@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -13,9 +14,9 @@ import (
 )
 
 // TestServerAllocateBatch pins the batch endpoint's contract on a single
-// node: every item matches the lone /allocate for the same parameters
-// (across kernels), bad items fail alone with per-item status codes, the
-// kernel tallies surface in /stats, and shape violations are rejected.
+// node: every item matches the lone /allocate for the same parameters,
+// bad items fail alone with per-item status codes, batch items count into
+// adserver_kernel_selected_total, and shape violations are rejected.
 func TestServerAllocateBatch(t *testing.T) {
 	ts := testServer(t, Options{})
 	params := fig1Request().InstanceParams
@@ -31,7 +32,6 @@ func TestServerAllocateBatch(t *testing.T) {
 			Lambda:         item.Lambda,
 			Ads:            item.Ads,
 			Budgets:        item.Budgets,
-			Kernel:         item.Kernel,
 			Opts:           item.Opts,
 		}, &out)
 		if code != http.StatusOK {
@@ -43,14 +43,12 @@ func TestServerAllocateBatch(t *testing.T) {
 	lambda := 0.5
 	items := []AllocateItem{
 		{Opts: opts},
-		{Opts: opts, Kernel: "bitset"},
-		{Opts: opts, Kernel: "sparse"},
-		{Opts: opts, Kernel: "definitely-not-a-kernel"}, // fails alone
+		{Opts: opts, Ads: []int{0, 99}}, // ad index out of range: fails alone
 		{Opts: opts, Ads: []int{0, 2}, Lambda: &lambda},
 	}
 	want := make([]AllocateResponse, len(items))
 	for i, item := range items {
-		if i == 3 {
+		if i == 1 {
 			continue
 		}
 		want[i] = lone(item)
@@ -67,9 +65,9 @@ func TestServerAllocateBatch(t *testing.T) {
 		t.Fatalf("batch returned %d items for %d requests", len(got.Items), len(items))
 	}
 	for i, item := range got.Items {
-		if i == 3 {
+		if i == 1 {
 			if item.Error == "" || item.Status != http.StatusBadRequest {
-				t.Errorf("bad item 3 = %+v, want error with status 400", item)
+				t.Errorf("bad item 1 = %+v, want error with status 400", item)
 			}
 			continue
 		}
@@ -90,21 +88,10 @@ func TestServerAllocateBatch(t *testing.T) {
 		}
 	}
 
-	// Kernel tallies reach /stats: 4 lone + 4 batch successes over 4 ads,
-	// at least one forced run per kernel.
-	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats returned %d", code)
-	}
-	var total uint64
-	for _, c := range stats.Kernels {
-		total += c
-	}
-	if stats.Kernels["bitset"] == 0 || stats.Kernels["sparse"] == 0 {
-		t.Errorf("stats kernels = %v, want both kernels tallied", stats.Kernels)
-	}
-	if total == 0 {
-		t.Errorf("stats kernels empty after successful allocations")
+	// Kernel tallies count lone and batch successes alike: 4 + 2 ads each
+	// way, all on bitset (the Fig. 1 toy is dense).
+	if want, body := `adserver_kernel_selected_total{kernel="bitset"} 12`, scrapeMetrics(t, ts.URL); !strings.Contains(body, want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 
 	// Shape violations: empty and oversized batches.
@@ -141,8 +128,7 @@ func shardedServeBatch(t *testing.T) {
 		InstanceParams: params,
 		Requests: []AllocateItem{
 			{Opts: opts},
-			{Opts: opts, Kernel: "bitset"},
-			{Opts: opts, Kernel: "not-a-kernel"}, // fails alone
+			{Opts: opts, Budgets: []float64{-1}}, // one budget for ten ads: fails alone
 			{Opts: opts, Ads: []int{0, 3}},
 		},
 	}
@@ -162,9 +148,9 @@ func shardedServeBatch(t *testing.T) {
 		t.Fatalf("sharded batch returned %d items", len(got.Items))
 	}
 	for i := range got.Items {
-		if i == 2 {
+		if i == 1 {
 			if got.Items[i].Error == "" {
-				t.Errorf("bad item 2 succeeded in coordinator mode")
+				t.Errorf("bad item 1 succeeded in coordinator mode")
 			}
 			continue
 		}

@@ -54,10 +54,9 @@ type serverMetrics struct {
 	// callback never touches the vec's map.
 	phaseSeconds [core.NumAllocPhases]*obs.Histogram
 	allocRounds  *obs.Histogram
-	// kernelVec is adserver_kernel_selected_total{kernel}; kernelSelected
-	// holds its children resolved once, indexed by rrset.KernelID so the
-	// per-request record path never touches the vec's map.
-	kernelVec      *obs.CounterVec
+	// kernelSelected holds adserver_kernel_selected_total{kernel}'s
+	// children resolved once, indexed by rrset.KernelID so the per-request
+	// record path never touches the vec's map.
 	kernelSelected [rrset.NumKernels]*obs.Counter
 
 	// Bandit-layer telemetry: events applied via POST /feedback, the
@@ -119,11 +118,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.banditExploration = reg.Histogram("adserver_bandit_exploration",
 		"Exploration share of each campaign ad's bandit index (index minus smoothed mean, clamped at 0) observed per feedback batch.",
 		explorationBuckets)
-	m.kernelVec = reg.CounterVec("adserver_kernel_selected_total",
+	kernelVec := reg.CounterVec("adserver_kernel_selected_total",
 		"Per-ad coverage collections run on each cover kernel (sparse cover-join scan vs packed-bitset sweep), summed over successful allocations; in coordinator mode each shard-local collection counts.",
 		"kernel")
 	for id := rrset.KernelID(0); int(id) < rrset.NumKernels; id++ {
-		m.kernelSelected[id] = m.kernelVec.With(id.String())
+		m.kernelSelected[id] = kernelVec.With(id.String())
 	}
 
 	reg.CounterFunc("adserver_cache_hits_total",
@@ -212,21 +211,6 @@ func (m *serverMetrics) recordKernels(counts [rrset.NumKernels]int) {
 			m.kernelSelected[id].Add(uint64(c))
 		}
 	}
-}
-
-// kernelCounts snapshots the kernel counter for /stats; nil until the
-// first successful allocation (so the JSON field stays absent).
-func (s *Server) kernelCounts() map[string]uint64 {
-	snap := s.metrics.kernelVec.Snapshot()
-	for k, v := range snap {
-		if v == 0 {
-			delete(snap, k)
-		}
-	}
-	if len(snap) == 0 {
-		return nil
-	}
-	return snap
 }
 
 // allocFailureCounts snapshots the failure counter for /stats; nil when no

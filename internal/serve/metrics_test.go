@@ -64,6 +64,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`adserver_alloc_failures_total{reason="bad_request"} 1`,
 		"adserver_alloc_seconds_count 1",
 		"adserver_alloc_rounds_count 1",
+		`adserver_kernel_selected_total{kernel="bitset"} 4`, // the Fig. 1 toy is dense: all 4 ads
 		`adserver_alloc_phase_seconds_count{phase="scan"} 1`,
 		`adserver_alloc_phase_seconds_count{phase="commit"} 1`,
 		`adserver_http_requests_total{endpoint="allocate",code="200"} 1`,

@@ -102,11 +102,6 @@ type Options struct {
 	// MaxAds rejects requests asking for more advertisers than this
 	// (default DefaultMaxAds).
 	MaxAds int
-	// DefaultKernel, when non-empty, is the coverage kernel requests run
-	// on unless they pick their own ("auto", "sparse", or "bitset"; see
-	// core.Request.Kernel). Empty means auto-selection by density. Kernels
-	// change sweep cost, never any allocation's content.
-	DefaultKernel string
 	// Shards, when non-empty, switches the server into coordinator mode:
 	// /allocate runs distributed scatter-gather selection over these
 	// adshard daemons ("host:port") instead of a local index. The list is
@@ -462,12 +457,7 @@ type StatsResponse struct {
 	// (stale_epoch, cap, unavailable, bad_request, internal, upstream);
 	// absent until the first failure.
 	AllocFailures map[string]uint64 `json:"allocFailures,omitempty"`
-	// Kernels counts per-ad coverage collections by the cover kernel they
-	// ran on ("sparse" vs "bitset"), summed over successful allocations —
-	// the /stats view of adserver_kernel_selected_total. Absent until the
-	// first successful allocation.
-	Kernels map[string]uint64 `json:"kernels,omitempty"`
-	Entries []EntryStats      `json:"entries"`
+	Entries       []EntryStats      `json:"entries"`
 	// Sharded is present only in coordinator mode: the cluster's identity,
 	// per-shard health, and distributed-allocation counters.
 	Sharded *ShardedStatsSection `json:"sharded,omitempty"`
@@ -494,7 +484,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		FeedbackUpdates:   s.feedbackUpdates.Load(),
 		IndexMemByDataset: map[string]int64{},
 		AllocFailures:     s.allocFailureCounts(),
-		Kernels:           s.kernelCounts(),
 		Entries:           make([]EntryStats, 0, len(entries)),
 	}
 	for _, e := range entries {
@@ -560,9 +549,6 @@ type AllocateRequest struct {
 	// Mutually exclusive with explicit CPEs; 400 when no feedback has been
 	// recorded yet.
 	Bandit bool `json:"bandit,omitempty"`
-	// Kernel selects the coverage kernel ("auto"/"sparse"/"bitset", see
-	// core.Request.Kernel); it changes sweep cost, never the allocation.
-	Kernel string `json:"kernel,omitempty"`
 	// Explain records the run's per-round decisions (chosen ad, seed
 	// node, marginal gain, residual budget) as events on the request's
 	// trace — retrieve them via GET /debug/traces/{id} with the request's
@@ -665,7 +651,6 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		Epoch:    epoch,
 		Observer: observer,
 		Explain:  explain,
-		Kernel:   s.kernelFor(req.Kernel),
 	}
 	if req.Kappa > 0 {
 		coreReq.Kappa = core.ConstKappa(req.Kappa)
@@ -793,13 +778,4 @@ func instWith(inst *core.Instance, lambda *float64, kappa int) *core.Instance {
 		cp.Kappa = core.ConstKappa(kappa)
 	}
 	return &cp
-}
-
-// kernelFor resolves one request's coverage-kernel choice against the
-// server-wide default (Options.DefaultKernel): explicit request values win.
-func (s *Server) kernelFor(kernel string) string {
-	if kernel != "" {
-		return kernel
-	}
-	return s.opts.DefaultKernel
 }

@@ -332,9 +332,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/allocate", nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /allocate returned %d, want 405", code)
 	}
-	// Unknown field.
+	// Unknown field — the retired "kernel" option is one like any other.
 	resp, err := http.Post(ts.URL+"/allocate", "application/json",
-		bytes.NewReader([]byte(`{"dataset":"fig1","seed":1,"scale":0.05,"bogus":true}`)))
+		bytes.NewReader([]byte(`{"dataset":"fig1","seed":1,"scale":0.05,"kernel":"auto"}`)))
 	if err != nil {
 		t.Fatal(err)
 	}

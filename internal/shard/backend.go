@@ -24,7 +24,6 @@ type clusterBackend struct {
 	n      int // users in the instance's graph
 	epoch  uint64
 	runID  string
-	kernel string
 	opened bool // a Start was sent: some shard may hold the run
 	// seq numbers the run's Commit/Credit/Grow rounds from 1, the same
 	// number to every shard of a round (CommitRequest.Seq): the loop issues
@@ -64,7 +63,7 @@ func (b *clusterBackend) Open(ctx context.Context, ads, thetas []int, out []core
 	b.opened = true
 	// A ReplicaSet keeps the request for failover replays, so it must not
 	// alias the loop's scratch.
-	req := StartRequest{RunID: b.runID, Epoch: b.epoch, Ads: slices.Clone(ads), Thetas: slices.Clone(thetas), Kernel: b.kernel}
+	req := StartRequest{RunID: b.runID, Epoch: b.epoch, Ads: slices.Clone(ads), Thetas: slices.Clone(thetas)}
 	rctx, round := c.roundStart(ctx, "start")
 	err = c.scatter(func(k int, cl Client) error {
 		var err error
@@ -83,8 +82,8 @@ func (b *clusterBackend) Open(ctx context.Context, ads, thetas []int, out []core
 			sc := starts[k].Cov[i]
 			a.col.AddCounts(sc.Nodes, sc.Counts, starts[k].LocalSets[i])
 			// A distributed run holds K local collections per ad, and the
-			// tally counts each of them (it sums to ads×K, not ads — "auto"
-			// may legitimately pick different kernels on differently dense
+			// tally counts each of them (it sums to ads×K, not ads — the
+			// density rule may pick different kernels on differently dense
 			// slices).
 			if i < len(starts[k].Kernels) && int(starts[k].Kernels[i]) < rrset.NumKernels {
 				kernels[starts[k].Kernels[i]]++

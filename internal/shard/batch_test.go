@@ -8,16 +8,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/rrset"
 )
 
 // TestShardedKernelGolden pins cross-kernel determinism through the
-// distributed path: for K ∈ {1, 4}, forcing the sparse or bitset kernel on
-// every shard's local collections (or leaving auto-selection on) must
-// reproduce the single-node allocation byte for byte — kernels change only
-// local sweep cost, and the protocol's integers are kernel-independent.
+// distributed path. On the Fig. 1 toy (n ≤ 64, so the density rule puts
+// every slice of every ad on the bitset kernel) the coordinator at
+// K ∈ {1, 4}, whose shards commit through the bitset delta sweep, must
+// reproduce the single-node allocation byte for byte — which core's
+// TestKernelRequestGolden in turn pins to the all-sparse run. Kernels
+// change only local sweep cost; the protocol's integers are
+// kernel-independent.
 func TestShardedKernelGolden(t *testing.T) {
-	inst := testInstance()
+	inst := gen.Fig1Instance(0)
 	opts := testOpts()
 	const seed = 42
 	ctx := context.Background()
@@ -30,6 +34,9 @@ func TestShardedKernelGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := want.KernelCounts[rrset.KernelBitset]; got != len(inst.Ads) {
+		t.Fatalf("single node on the dense toy: KernelCounts = %v, want every ad on bitset", want.KernelCounts)
+	}
 
 	for _, k := range []int{1, 4} {
 		coord, _, err := NewLocalCluster(inst, 0, seed, k, Config{Verify: true})
@@ -39,32 +46,14 @@ func TestShardedKernelGolden(t *testing.T) {
 		if err := coord.Warm(ctx, opts); err != nil {
 			t.Fatal(err)
 		}
-		for _, kernel := range []string{"sparse", "bitset", "auto", ""} {
-			got, err := coord.Allocate(ctx, core.Request{Opts: opts, Kernel: kernel})
-			if err != nil {
-				t.Fatalf("K=%d kernel=%q: %v", k, kernel, err)
-			}
-			mustEqualResults(t, "kernel "+kernel, want, got)
-			var total int
-			for _, c := range got.KernelCounts {
-				total += c
-			}
-			if total != len(inst.Ads)*k {
-				t.Errorf("K=%d kernel=%q: KernelCounts sums to %d, want %d (ads×K)", k, kernel, total, len(inst.Ads)*k)
-			}
-			switch kernel {
-			case "bitset":
-				if got.KernelCounts[rrset.KernelBitset] != len(inst.Ads)*k {
-					t.Errorf("K=%d forced bitset: KernelCounts = %v", k, got.KernelCounts)
-				}
-			case "sparse":
-				if got.KernelCounts[rrset.KernelSparse] != len(inst.Ads)*k {
-					t.Errorf("K=%d forced sparse: KernelCounts = %v", k, got.KernelCounts)
-				}
-			}
+		got, err := coord.Allocate(ctx, core.Request{Opts: opts})
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
 		}
-		if _, err := coord.Allocate(ctx, core.Request{Opts: opts, Kernel: "no-such"}); err == nil {
-			t.Errorf("K=%d: unknown kernel name accepted", k)
+		mustEqualResults(t, fmt.Sprintf("K=%d", k), want, got)
+		// A distributed run holds K local collections per ad.
+		if got.KernelCounts[rrset.KernelBitset] != len(inst.Ads)*k {
+			t.Errorf("K=%d: KernelCounts = %v, want all %d (ads×K) on bitset", k, got.KernelCounts, len(inst.Ads)*k)
 		}
 	}
 }
@@ -99,9 +88,8 @@ func shardedBatchGolden(t *testing.T) {
 	lambda := 0.25
 	reqs := []core.Request{
 		{Opts: opts},
-		{Opts: opts, Kernel: "bitset"},
 		{Opts: opts, Ads: []int{0, 2, 4, 6, 8}},
-		{Opts: opts, Kernel: "no-such-kernel"}, // must fail alone
+		{Opts: opts, Ads: []int{0, 10}}, // ad index out of range: must fail alone
 		{Opts: opts, Budgets: []float64{9, 8, 7, 6, 5, 9, 8, 7, 6, 5}, Lambda: &lambda},
 	}
 	want := make([]core.BatchResult, len(reqs))
@@ -130,8 +118,8 @@ func shardedBatchGolden(t *testing.T) {
 			}
 			mustEqualResults(t, "batch item", want[i].Res, got[i].Res)
 		}
-		if got[3].Err == nil {
-			t.Errorf("K=%d: bad request in slot 3 did not fail", k)
+		if got[2].Err == nil {
+			t.Errorf("K=%d: bad request in slot 2 did not fail", k)
 		}
 		if out := coord.AllocateBatch(ctx, nil); len(out) != 0 {
 			t.Errorf("K=%d: empty batch returned %d results", k, len(out))

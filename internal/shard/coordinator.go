@@ -286,11 +286,10 @@ func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIR
 		return nil, errors.New("shard: soft coverage is not supported by sharded allocation (weighted masses do not re-associate across shards)")
 	}
 	be := &clusterBackend{
-		c:      c,
-		n:      inst.G.N(),
-		epoch:  epoch,
-		kernel: req.Kernel,
-		runID:  fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1)),
+		c:     c,
+		n:     inst.G.N(),
+		epoch: epoch,
+		runID: fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1)),
 	}
 	defer be.end()
 	return core.AllocateOver(ctx, inst, be, req)

@@ -47,13 +47,13 @@ func randomInstance(r *xrand.Rand, n, edges, h, kappa int, lambda float64) *core
 
 // randomRequest draws one request shape over an h-ad instance: candidate
 // depth, seed cap, budget / CPE / spend vectors (some ads fully spent), an
-// ad subset in shuffled order, λ and κ overrides, and the cover kernel.
+// ad subset in shuffled order, and λ and κ overrides.
 func randomRequest(r *xrand.Rand, h int, opts core.TIRMOptions) core.Request {
 	opts.CandidateDepth = 1 + r.IntN(3)
 	if r.IntN(3) == 0 {
 		opts.MaxSeedsPerAd = 1 + r.IntN(4)
 	}
-	req := core.Request{Opts: opts, Kernel: []string{"", "sparse", "bitset"}[r.IntN(3)]}
+	req := core.Request{Opts: opts}
 	vec := func(lo, hi float64) []float64 {
 		v := make([]float64, h)
 		for j := range v {

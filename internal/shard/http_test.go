@@ -102,12 +102,9 @@ func TestHTTPTransportEquivalence(t *testing.T) {
 	}
 	same("ensure", func(cl Client) (any, error) { return cl.Ensure(ctx, EnsureRequest{Epoch: 1, Ad: 0, Want: 3000}) })
 
-	var start StartReply
-	for _, kernel := range []string{"bitset", "sparse", ""} {
-		start = same("start "+kernel, func(cl Client) (any, error) {
-			return cl.Start(ctx, StartRequest{RunID: "run", Epoch: 1, Ads: ads, Thetas: thetas, Kernel: kernel})
-		}).(StartReply)
-	}
+	start := same("start", func(cl Client) (any, error) {
+		return cl.Start(ctx, StartRequest{RunID: "run", Epoch: 1, Ads: ads, Thetas: thetas})
+	}).(StartReply)
 	if len(start.Cov) != len(ads) || len(start.Cov[0].Nodes) == 0 {
 		t.Fatalf("start reply carries no coverage: %+v", start)
 	}

@@ -187,6 +187,9 @@ type PilotReply struct {
 // [0, Thetas[i]). Start is level-triggered on RunID — re-opening an
 // already-open run id rebuilds it from scratch (deterministic streams make
 // the rebuilt state identical), so a retried or replayed Start is safe.
+// Each collection sweeps with the cover kernel its slice's density selects
+// (rrset.Inverted.PrepareCover); the request cannot choose one, and every
+// reply integer is kernel-independent.
 type StartRequest struct {
 	// RunID names the run for subsequent Commit/Credit/Grow/Gains/End.
 	RunID string `json:"runId"`
@@ -196,11 +199,6 @@ type StartRequest struct {
 	Ads []int `json:"ads"`
 	// Thetas holds each ad's global θ, aligned with Ads.
 	Thetas []int `json:"thetas"`
-	// Kernel selects the coverage kernel the shard's local collections run
-	// on, with core.Request.Kernel semantics: "" or "auto" auto-selects per
-	// ad by the density heuristic, "sparse"/"bitset" force. Kernels change
-	// only local sweep cost — every reply integer is kernel-independent.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // StartReply reports each ad's initial local coverage.
@@ -211,8 +209,7 @@ type StartReply struct {
 	// LocalSets[i] is how many local sets back request ad i's collection.
 	LocalSets []int `json:"localSets"`
 	// Kernels[i] is the rrset.KernelID request ad i's local collection
-	// actually activated (a forced "bitset" always activates; "auto"
-	// follows each shard slice's own density).
+	// runs on, which follows each shard slice's own density.
 	Kernels []uint8 `json:"kernels,omitempty"`
 	// Fresh is the total local sets this call drew.
 	Fresh int64 `json:"fresh"`

@@ -43,12 +43,6 @@ type Shard struct {
 	// path, status, duration). Nil disables request logging; metrics and
 	// trace propagation run either way. cmd/adshard sets it to log.Printf.
 	Logf func(format string, args ...any)
-	// DefaultKernel, when non-empty, is the coverage kernel this shard's
-	// local collections run on when a StartRequest leaves the choice open
-	// ("auto", "sparse", or "bitset"); explicit request values win. Kernels
-	// change only local sweep cost — every reply integer is
-	// kernel-independent, so shards of one cluster may safely differ.
-	DefaultKernel string
 	// Tracing shapes the daemon's span tracer (ring capacity, latency
 	// threshold, head-sample rate); set before Handler is first called.
 	// The zero value uses the obs defaults — tracing is always on for the
@@ -353,20 +347,6 @@ func (s *Shard) Start(req StartRequest) (StartReply, error) {
 	if len(req.Thetas) != len(req.Ads) {
 		return StartReply{}, fmt.Errorf("shard: %d thetas for %d ads", len(req.Thetas), len(req.Ads))
 	}
-	kernel := req.Kernel
-	if kernel == "" {
-		kernel = s.DefaultKernel
-	}
-	wantKernel, forceBits := rrset.KernelBitset, false
-	switch kernel {
-	case "", "auto":
-	case "sparse":
-		wantKernel = rrset.KernelSparse
-	case "bitset":
-		forceBits = true
-	default:
-		return StartReply{}, fmt.Errorf("shard: unknown coverage kernel %q (want auto, sparse, or bitset)", kernel)
-	}
 	run := &shardRun{ep: ep, ads: make(map[int]*shardRunAd, len(req.Ads))}
 	run.lastUsed.Store(time.Now().UnixNano())
 
@@ -392,11 +372,8 @@ func (s *Shard) Start(req StartRequest) (StartReply, error) {
 	for i, j := range req.Ads {
 		v, inv, fresh := ep.AdView(j, req.Thetas[i])
 		reply.Fresh += fresh
-		if forceBits {
-			inv.PrepareCoverBits()
-		}
 		col := rrset.NewCollectionFromFamily(n, v, inv)
-		reply.Kernels[i] = uint8(col.UseKernel(wantKernel))
+		reply.Kernels[i] = uint8(col.Kernel())
 		run.ads[j] = &shardRunAd{col: col, theta: req.Thetas[i]}
 		var sc SparseCounts
 		for u := 0; u < n; u++ {

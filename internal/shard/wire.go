@@ -226,13 +226,12 @@ func (m *StartRequest) appendWire(b []byte) []byte {
 	b = appendBytes(b, m.RunID)
 	b = binary.AppendUvarint(b, m.Epoch)
 	b = appendInts(b, m.Ads)
-	b = appendInts(b, m.Thetas)
-	return appendBytes(b, m.Kernel)
+	return appendInts(b, m.Thetas)
 }
 
 func (m *StartRequest) decodeWire(b []byte) error {
 	r := wireReader{b: b}
-	*m = StartRequest{RunID: string(r.bytes()), Epoch: r.uvarint(), Ads: readInts[int](&r), Thetas: readInts[int](&r), Kernel: string(r.bytes())}
+	*m = StartRequest{RunID: string(r.bytes()), Epoch: r.uvarint(), Ads: readInts[int](&r), Thetas: readInts[int](&r)}
 	return r.done()
 }
 

@@ -186,7 +186,7 @@ func TestWireRoundTripEdges(t *testing.T) {
 		&PilotReply{},
 		&PilotReply{Widths: [][]int64{wide, nil, {}, {7}}, Have: []int{0, 2000}, Fresh: math.MinInt64},
 		&StartRequest{},
-		&StartRequest{RunID: "run-17f3a-1", Epoch: 3, Ads: []int{0, 1}, Thetas: []int{2000, 20000}, Kernel: "bitset"},
+		&StartRequest{RunID: "run-17f3a-1", Epoch: 3, Ads: []int{0, 1}, Thetas: []int{2000, 20000}},
 		&StartReply{},
 		&StartReply{Cov: []SparseCounts{{Nodes: nodes, Counts: counts}, {}, {Nodes: []int32{}, Counts: []int32{}}},
 			LocalSets: []int{500, 0, 0}, Kernels: []uint8{0, 1, 255}, Fresh: math.MaxInt64},

@@ -56,11 +56,6 @@ type Config struct {
 	// Opts are the TIRM options for index presampling and every
 	// re-allocation.
 	Opts core.TIRMOptions
-	// Kernel selects the coverage kernel every re-allocation runs on
-	// (core.Request.Kernel semantics: "" or "auto" picks by density,
-	// "sparse"/"bitset" force). The trace is kernel-independent — kernels
-	// change sweep cost, never an allocation's content.
-	Kernel string
 	// Shards, when ≥ 2, runs the whole lifecycle against an in-process
 	// sharded cluster (internal/shard): K shard indexes behind a
 	// scatter-gather coordinator, with campaign churn broadcast in
@@ -476,7 +471,6 @@ func Run(inst *core.Instance, seed uint64, cfg Config) (*Result, error) {
 					CPEs:        trueCPEs(curr),
 					SpentBudget: spentVec,
 					Epoch:       epoch,
-					Kernel:      cfg.Kernel,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("sim: round %d oracle allocation: %w", r, err)
@@ -492,7 +486,6 @@ func Run(inst *core.Instance, seed uint64, cfg Config) (*Result, error) {
 				CPEs:        cpes,
 				SpentBudget: spentVec,
 				Epoch:       epoch,
-				Kernel:      cfg.Kernel,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("sim: round %d re-allocation: %w", r, err)

@@ -53,21 +53,6 @@ func TestLifecycleDeterminism(t *testing.T) {
 	if reflect.DeepEqual(a.Trace, c.Trace) {
 		t.Fatal("different seeds produced identical traces")
 	}
-
-	// Forcing either coverage kernel replays the identical trace: kernels
-	// change re-allocation sweep cost, never the allocations the
-	// lifecycle's spend and regret accounting are built from.
-	for _, kernel := range []string{"sparse", "bitset"} {
-		cfg := fastCfg()
-		cfg.Kernel = kernel
-		k, err := Run(flixsterTiny(), 11, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Trace, k.Trace) {
-			t.Fatalf("kernel %q diverged the lifecycle trace", kernel)
-		}
-	}
 }
 
 // TestLifecycleChurn: with certain arrivals every queued ad joins, each
