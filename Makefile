@@ -51,7 +51,7 @@ BENCH_FLAGS ?=
 # the default ten minutes) fails in two.
 TEST_TIMEOUT = -timeout 120s
 
-.PHONY: ci build vet fmt-check docs-check test race cover-gate bench-module bench bench-all bench-ci bench-compare bench-gate serve
+.PHONY: ci build vet fmt-check docs-check test race cover-gate bench-module bench bench-all bench-ci bench-compare bench-gate serve loc
 
 ci: vet fmt-check docs-check build test race cover-gate bench-module bench-ci
 
@@ -138,6 +138,13 @@ bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 \
 	    $(BENCH_FLAGS) -json $(BENCH_PKGS) > BENCH_head.json
 	$(GO) run ./cmd/benchdiff -max-regress $(MAX_REGRESS) BENCH_index.json BENCH_head.json
+
+# Non-test Go lines per package (bench/ is a module of its own and is left
+# out): the figure a simplicity PR's "-N non-test lines" is read from.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+	    | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+	    END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # The full paper-replication benchmark suite (slow).
 bench-all:

@@ -92,7 +92,7 @@ func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShar
 	snapPath := ""
 	if snapshots != "" {
 		snapPath = filepath.Join(snapshots, fmt.Sprintf("%s-of-%d-%d.adix",
-			sanitize(params.Key()), numShards, shardID))
+			serve.SnapshotName(params.Key()), numShards, shardID))
 	}
 	if snapPath != "" {
 		if f, err := os.Open(snapPath); err == nil {
@@ -154,7 +154,14 @@ func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShar
 	case sig := <-stop:
 		log.Printf("adshard: %v, draining and shutting down", sig)
 		s.Drain()
-		saveSnapshot(s, snapshots, snapPath)
+		// Persist the slice; failures are logged, never fatal.
+		if snapPath != "" {
+			if err := s.Index().WriteSnapshotFile(snapPath); err != nil {
+				log.Printf("adshard: snapshot %s: %v", snapPath, err)
+			} else {
+				log.Printf("adshard: wrote snapshot %s", snapPath)
+			}
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -162,50 +169,4 @@ func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShar
 		}
 	}
 	return nil
-}
-
-// saveSnapshot persists the shard's slice (write temp + rename, so a crash
-// never leaves a torn file). Failures are logged, never fatal.
-func saveSnapshot(s *shard.Shard, dir, path string) {
-	if path == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Printf("adshard: snapshot dir: %v", err)
-		return
-	}
-	tmp, err := os.CreateTemp(dir, ".adix-*")
-	if err != nil {
-		log.Printf("adshard: snapshot temp: %v", err)
-		return
-	}
-	err = s.Index().WriteSnapshot(tmp)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		log.Printf("adshard: snapshot %s: %v", path, err)
-		return
-	}
-	log.Printf("adshard: wrote snapshot %s", path)
-}
-
-// sanitize maps a cache key onto a filesystem-safe name (same rule as the
-// serve layer's snapshot paths).
-func sanitize(key string) string {
-	out := make([]rune, 0, len(key))
-	for _, r := range key {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_', r == '=':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }

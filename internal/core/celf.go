@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"sync"
+
+	"repro/internal/rrset"
 )
 
 // celfQueue implements lazy best-candidate selection for one ad (the CELF
@@ -23,18 +25,18 @@ import (
 // rather than the "largest marginal gain" shortcut.
 //
 // Queues recycle their O(n) arrays through a package pool (Greedy runs one
-// queue per ad per invocation), and the heap uses concrete push/pop — the
-// same sift algorithm as container/heap, without the interface{} boxing
-// that allocated on every refresh.
+// queue per ad per invocation), and the heap is the collections' boxing-free
+// rrset.MaxHeap over stale marginal revenues.
 type celfQueue struct {
-	h       mgHeap
+	h       rrset.MaxHeap[float64]
 	removed []bool
-	// freshness: value for node u is current iff freshTag[u] == commits.
+	// freshness: value for node u is current iff freshTag[u] == commits,
+	// and then freshMg[u] is both that value and u's heap entry.
 	freshTag []int
 	freshMg  []float64
 	commits  int
-	evals    int       // total estimator evaluations (ablation metric)
-	aside    []mgEntry // bestDrop scratch
+	evals    int     // total estimator evaluations (ablation metric)
+	aside    []int32 // bestDrop scratch: nodes popped this call
 }
 
 // celfPool recycles queues across Greedy invocations.
@@ -56,7 +58,7 @@ func (q *celfQueue) reset(n int) {
 		q.removed = make([]bool, n)
 		q.freshTag = make([]int, n)
 		q.freshMg = make([]float64, n)
-		q.h = make(mgHeap, 0, n)
+		q.h = make(rrset.MaxHeap[float64], 0, n)
 	}
 	q.removed = q.removed[:n]
 	q.freshTag = q.freshTag[:n]
@@ -67,9 +69,8 @@ func (q *celfQueue) reset(n int) {
 	for u := 0; u < n; u++ {
 		q.removed[u] = false
 		q.freshTag[u] = -1
-		q.h = append(q.h, mgEntry{node: int32(u), mg: math.Inf(1)})
+		q.h.Push(int32(u), math.Inf(1)) // all +Inf: nothing sifts
 	}
-	// All +Inf: already a valid heap.
 }
 
 // release parks the queue for reuse by a later run.
@@ -90,97 +91,37 @@ func (q *celfQueue) bestDrop(est AdEstimator, gap, lambda float64, eligible func
 	ubound := func(mg float64) float64 { return math.Min(mg, math.Abs(gap)) - lambda }
 	aside := q.aside[:0]
 	for len(q.h) > 0 {
-		top := q.h[0]
-		if q.removed[top.node] {
-			q.h.pop()
+		u, mg := q.h.Top()
+		if q.removed[u] {
+			q.h.Pop()
 			continue
 		}
-		if eligible != nil && !eligible(top.node) {
-			q.removed[top.node] = true
-			q.h.pop()
+		if eligible != nil && !eligible(u) {
+			q.removed[u] = true
+			q.h.Pop()
 			continue
 		}
-		if bestU >= 0 && bestDrop >= ubound(top.mg) {
+		if bestU >= 0 && bestDrop >= ubound(mg) {
 			break // nothing left can beat the incumbent
 		}
-		q.h.pop()
-		mg := top.mg
-		if q.freshTag[top.node] != q.commits {
-			mg = est.MarginalRevenue(top.node)
+		q.h.Pop()
+		if q.freshTag[u] != q.commits {
+			mg = est.MarginalRevenue(u)
 			q.evals++
-			q.freshTag[top.node] = q.commits
-			q.freshMg[top.node] = mg
+			q.freshTag[u] = q.commits
+			q.freshMg[u] = mg
 		}
 		if d := RegretDrop(gap, mg, lambda); d > bestDrop {
-			bestU, bestMg, bestDrop = top.node, mg, d
+			bestU, bestMg, bestDrop = u, mg, d
 		}
-		aside = append(aside, mgEntry{node: top.node, mg: mg})
+		aside = append(aside, u)
 	}
-	for _, e := range aside {
-		q.h.push(e)
+	for _, u := range aside {
+		q.h.Push(u, q.freshMg[u])
 	}
 	q.aside = aside[:0]
 	if bestU < 0 {
 		return 0, 0, 0, false
 	}
 	return bestU, bestMg, bestDrop, true
-}
-
-type mgEntry struct {
-	node int32
-	mg   float64
-}
-
-// mgHeap is a max-heap over stale marginal revenues with concrete push/pop
-// replicating container/heap's sift algorithm bit for bit (identical heap
-// layout, no boxing).
-type mgHeap []mgEntry
-
-func (h mgHeap) less(i, j int) bool { return h[i].mg > h[j].mg }
-
-// push appends e and sifts it up.
-func (h *mgHeap) push(e mgEntry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-// pop removes and returns the max entry.
-func (h *mgHeap) pop() mgEntry {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
-func (h mgHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h mgHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
 }

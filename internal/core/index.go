@@ -10,6 +10,8 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -745,6 +747,38 @@ func (idx *Index) WriteSnapshot(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteSnapshotFile writes the snapshot to path atomically: the bytes go to
+// a temporary file in path's directory (created if missing), which is
+// renamed over path only after a clean write and close — so a crash or a
+// failed write never leaves a torn snapshot, and a failure leaves no
+// temporary file behind.
+func (idx *Index) WriteSnapshotFile(path string) error {
+	return writeFileAtomic(path, idx.WriteSnapshot)
+}
+
+// writeFileAtomic is the temp-file-and-rename behind WriteSnapshotFile.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, ".adix-*")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name()) // best effort: the write's error is the one to report
+	}
+	return err
 }
 
 // LoadIndexSnapshot reconstructs an index for inst from a snapshot written

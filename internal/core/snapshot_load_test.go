@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -159,4 +163,46 @@ func TestLoadIndexSnapshotErrorPrecedence(t *testing.T) {
 		fails("other instance, corrupt ad 4", other, corrupt(4), "fingerprint")
 		fails("other instance, truncated in ad 1", other, snap[:sections[1]+40], "fingerprint")
 	}
+}
+
+// TestWriteSnapshotFileIsAtomic: the file a WriteSnapshotFile leaves is the
+// WriteSnapshot stream, in a directory it creates; and a write that fails
+// part-way leaves the previous file untouched and no temporary file beside
+// it.
+func TestWriteSnapshotFileIsAtomic(t *testing.T) {
+	inst := randomInstance(5, 40, 160, 3, 2, 0.02)
+	idx, err := BuildIndex(inst, 3, TIRMOptions{Eps: 0.3, MinTheta: 500, MaxTheta: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := idx.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "made", "on", "demand")
+	path := filepath.Join(dir, "x.adix")
+	if err := idx.WriteSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	onlyTarget := func(when string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: target differs from the WriteSnapshot stream (err %v)", when, err)
+		}
+		if names, _ := os.ReadDir(dir); len(names) != 1 {
+			t.Fatalf("%s: %d files in the snapshot directory, want the target alone", when, len(names))
+		}
+	}
+	onlyTarget("after a clean write")
+
+	torn := errors.New("disk full")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		w.Write(want.Bytes()[:want.Len()/2])
+		return torn
+	})
+	if !errors.Is(err, torn) {
+		t.Fatalf("failed write returned %v, want the writer's error", err)
+	}
+	onlyTarget("after a failed write")
 }

@@ -91,6 +91,116 @@ func grownBools(buf []bool, n int) []bool {
 	return buf
 }
 
+// segStore is the score-independent half of a coverage collection, shared
+// by Collection and WeightedCollection: the node universe, the CSR segments
+// and their set count, the recycled cut vector, and the first segment's
+// kernel state.
+type segStore struct {
+	n       int
+	segs    []covSegment
+	numSets int
+	cut     []int32    // reusable cut-vector backing for reset
+	bits    *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
+	mask    []uint64   // retired-set mask over the first segment (bitset kernel): covered sets, or zero-weight ones
+}
+
+// N returns the node-universe size.
+func (s *segStore) N() int { return s.n }
+
+// NumSets returns the total number of sets ever added.
+func (s *segStore) NumSets() int { return s.numSets }
+
+// Kernel returns the identifier of the collection's active cover kernel.
+func (s *segStore) Kernel() KernelID {
+	if s.bits != nil {
+		return KernelBitset
+	}
+	return KernelSparse
+}
+
+// reset points the store at one shared base-0 segment — a sample view and
+// its prebuilt inverted index, rows clipped to the view by the recycled cut
+// vector (cut[u] is then u's membership count). A fresh single-segment
+// store meets every useKernel precondition, so this activates the bitset
+// kernel exactly when inv carries a bitmap covering the view.
+func (s *segStore) reset(n int, v FamilyView, inv *Inverted) {
+	s.n, s.numSets = n, v.Len()
+	s.cut = clipInvertedInto(inv, s.numSets, s.cut)
+	s.segs = append(s.segs[:0], covSegment{base: 0, view: v, inv: inv, cut: s.cut})
+	s.bits = nil
+	s.useKernel(KernelBitset, true)
+}
+
+// grow appends a non-empty view as one owned segment and returns the
+// inverted index built over it in a single counting pass.
+func (s *segStore) grow(v FamilyView) *Inverted {
+	base := int32(s.numSets)
+	inv := BuildInverted(s.n, v, base)
+	s.segs = append(s.segs, covSegment{base: base, view: v, inv: inv})
+	s.numSets += v.Len()
+	return inv
+}
+
+// useKernel is UseKernel for both collection kinds; untouched reports that
+// no set has been retired yet. The retired-set mask recycles its backing
+// array across reset cycles, so steady-state activation allocates nothing.
+func (s *segStore) useKernel(id KernelID, untouched bool) KernelID {
+	if id != KernelBitset {
+		s.bits = nil
+		return KernelSparse
+	}
+	if len(s.segs) != 1 || s.segs[0].base != 0 || !untouched {
+		return s.Kernel()
+	}
+	cb := s.segs[0].inv.preparedBits()
+	if cb == nil || cb.sets < s.numSets {
+		return s.Kernel()
+	}
+	k := s.numSets
+	kw := (k + 63) / 64
+	if cap(s.mask) < kw {
+		s.mask = make([]uint64, kw)
+	}
+	s.mask = s.mask[:kw]
+	for i := range s.mask {
+		s.mask[i] = 0
+	}
+	// Pre-set the bits past the view's set count so the sweep needs no
+	// tail masking: ids ≥ k read as already retired.
+	if r := uint(k) & 63; r != 0 {
+		s.mask[kw-1] = ^uint64(0) << r
+	}
+	s.bits = cb
+	return KernelBitset
+}
+
+// memBytes is the exact data footprint of the segments, plus the mask
+// while the bitset kernel sweeps it (the mask is workspace-owned and
+// outlives a run, so an idle one does not count).
+func (s *segStore) memBytes() int64 {
+	var total int64
+	for i := range s.segs {
+		total += s.segs[i].memBytes()
+	}
+	if s.bits != nil {
+		total += int64(len(s.mask)) * 8
+	}
+	return total
+}
+
+// release drops every reference into index-owned memory — segment slots
+// are zeroed so the retained backing array holds no stale views or
+// inverted-index pointers, and the membership bitmap belongs to the index —
+// while keeping the store-owned cut vector and mask for reuse.
+func (s *segStore) release() {
+	for i := range s.segs {
+		s.segs[i] = covSegment{}
+	}
+	s.segs = s.segs[:0]
+	s.numSets = 0
+	s.bits = nil
+}
+
 // Collection is a mutable coverage index over a growing family of RR-sets.
 // It supports the operations TIM's phase 2 and TIRM's main loop need:
 //
@@ -109,58 +219,29 @@ func grownBools(buf []bool, n int) []bool {
 // flat arrays and the heap, so a collection over millions of sets is a
 // handful of allocations and GC-quiet.
 //
-// The candidate heap is built lazily: construction, Reset, and AddFamily
-// only mark it stale, and the rebuild happens on the first operation that
-// observes or depends on it (BestNode/TopNodes, or a coverage mutation —
-// rebuilding before mutations keeps the heap's evolution, and therefore
-// tie-breaking among equal-coverage nodes, byte-identical to the historical
-// rebuild-on-add behavior). A collection that is built and thrown away
-// unqueried pays nothing for its heap.
+// The candidate heap (see candidates) is built lazily: construction, Reset,
+// and AddFamily only mark it stale, and the rebuild happens on the first
+// operation that observes or depends on it.
 //
 // A warm-start collection (Reset, NewCollectionFromFamily) sweeps its first
 // segment with the bitset kernel exactly when the shared inverted index
 // carries a membership bitmap (Inverted.PrepareCover decides), and with the
 // sparse walk otherwise — see kernel.go; Kernel reports which.
 type Collection struct {
-	n       int
-	segs    []covSegment
-	numSets int
+	segStore
+	candidates[int32]
 	covered []bool  // set id -> already covered by a chosen seed
 	cov     []int32 // node -> residual coverage (uncovered sets containing it)
 	ncov    int     // number of covered sets
-	pq      covHeap
-	stale   bool   // heap needs a rebuild before its next use
-	dead    []bool // node -> permanently ineligible (dropped from heap)
-
-	cut     []int32    // reusable cut-vector backing for Reset
-	aside   []covEntry // TopNodes scratch
-	seen    []uint64   // TopNodes / delta-cover per-call dedup stamps
-	seenGen uint64
-	dpos    []int32 // delta-cover per-node output positions (counter.go)
-
-	bits *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
-	covw []uint64   // covered-set mask over the first segment (bitset kernel)
+	dpos    []int32 // delta-cover per-node output positions (deltaSink)
 }
 
 // NewCollection creates an empty index over n nodes.
 func NewCollection(n int) *Collection {
-	return &Collection{
-		n:    n,
-		cov:  make([]int32, n),
-		dead: make([]bool, n),
-	}
-}
-
-// initHeap rebuilds the lazy max-heap with one fresh entry per node of
-// positive residual coverage.
-func (c *Collection) initHeap() {
-	c.pq = c.pq[:0]
-	for u := 0; u < c.n; u++ {
-		if c.cov[u] > 0 && !c.dead[u] {
-			c.pq = append(c.pq, covEntry{node: int32(u), cov: c.cov[u]})
-		}
-	}
-	c.pq.init()
+	c := &Collection{cov: make([]int32, n)}
+	c.n = n
+	c.candidates.reset(n)
+	return c
 }
 
 // SyncHeap performs the deferred heap rebuild, if one is pending. Every
@@ -168,15 +249,7 @@ func (c *Collection) initHeap() {
 // caller that sets many collections up in parallel calls it there to pay
 // the O(n) build on its set-up workers rather than in its first query. The
 // heap it builds is the one that query would have built.
-func (c *Collection) SyncHeap() {
-	if c.stale {
-		c.initHeap()
-		c.stale = false
-	}
-}
-
-// N returns the node-universe size.
-func (c *Collection) N() int { return c.n }
+func (c *Collection) SyncHeap() { c.sync(c.cov) }
 
 // MemBytes reports the index's exact resident footprint: CSR member
 // arenas, CSR inverted indexes, coverage counters, per-set flags, and live
@@ -185,23 +258,11 @@ func (c *Collection) N() int { return c.n }
 // memory. Shared segments (warm starts over a core.Index) count the shared
 // arrays here too — the footprint reachable from this collection.
 func (c *Collection) MemBytes() int64 {
-	var total int64
-	for i := range c.segs {
-		total += c.segs[i].memBytes()
-	}
-	total += int64(len(c.covered)) + // covered flags
+	return c.memBytes() +
+		int64(len(c.covered)) + // covered flags
 		int64(c.n)*5 + // cov counters + dead flags
 		int64(len(c.pq))*8
-	if c.bits != nil {
-		// The mask is workspace-owned and outlives a run: it counts only
-		// while the bitset kernel sweeps it.
-		total += int64(len(c.covw)) * 8
-	}
-	return total
 }
-
-// NumSets returns the total number of sets ever added.
-func (c *Collection) NumSets() int { return c.numSets }
 
 // NumCovered returns the number of sets already covered by chosen seeds.
 func (c *Collection) NumCovered() int { return c.ncov }
@@ -233,12 +294,9 @@ func (c *Collection) AddFamily(v FamilyView) {
 	if k == 0 {
 		return
 	}
-	base := int32(c.numSets)
-	inv := BuildInverted(c.n, v, base)
-	c.segs = append(c.segs, covSegment{base: base, view: v, inv: inv})
-	c.numSets += k
+	inv := c.grow(v)
 	c.covered = append(c.covered, make([]bool, k)...)
-	for u := 0; u < c.n; u++ {
+	for u := range c.cov {
 		c.cov[u] += int32(inv.Count(int32(u)))
 	}
 	c.stale = true
@@ -252,34 +310,15 @@ func (c *Collection) AddFamily(v FamilyView) {
 // previous run, including views of a previous index, is dropped. inv must
 // satisfy the same prefix contract as in NewCollectionFromFamily.
 func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
-	k := v.Len()
-	c.n = n
-	c.numSets = k
+	c.segStore.reset(n, v, inv)
+	c.candidates.reset(n)
 	c.ncov = 0
-	c.covered = grownBools(c.covered, k)
-	c.dead = grownBools(c.dead, n)
-	c.cut = clipInvertedInto(inv, k, c.cut)
+	c.covered = grownBools(c.covered, v.Len())
 	if cap(c.cov) < n {
 		c.cov = make([]int32, n)
 	}
 	c.cov = c.cov[:n]
 	copy(c.cov, c.cut)
-	c.segs = append(c.segs[:0], covSegment{base: 0, view: v, inv: inv, cut: c.cut})
-	c.pq = c.pq[:0]
-	c.stale = true
-	// A fresh single-segment collection meets every UseKernel
-	// precondition, so this activates the bitset kernel exactly when inv
-	// carries a bitmap covering the view.
-	c.bits = nil
-	c.UseKernel(KernelBitset)
-}
-
-// Kernel returns the identifier of the collection's active cover kernel.
-func (c *Collection) Kernel() KernelID {
-	if c.bits != nil {
-		return KernelBitset
-	}
-	return KernelSparse
 }
 
 // UseKernel overrides the kernel Reset chose and returns the kernel
@@ -294,35 +333,7 @@ func (c *Collection) Kernel() KernelID {
 // right after Reset / NewCollectionFromFamily, before any cover
 // operation. The covered-word mask recycles its backing array across
 // Reset cycles, so steady-state activation allocates nothing.
-func (c *Collection) UseKernel(id KernelID) KernelID {
-	if id != KernelBitset {
-		c.bits = nil
-		return KernelSparse
-	}
-	if len(c.segs) != 1 || c.segs[0].base != 0 || c.ncov != 0 {
-		return c.Kernel()
-	}
-	cb := c.segs[0].inv.preparedBits()
-	if cb == nil || cb.sets < c.numSets {
-		return c.Kernel()
-	}
-	k := c.numSets
-	kw := (k + 63) / 64
-	if cap(c.covw) < kw {
-		c.covw = make([]uint64, kw)
-	}
-	c.covw = c.covw[:kw]
-	for i := range c.covw {
-		c.covw[i] = 0
-	}
-	// Pre-set the bits past the view's set count so the sweep needs no
-	// tail masking: ids ≥ k read as already covered.
-	if r := uint(k) & 63; r != 0 {
-		c.covw[kw-1] = ^uint64(0) << r
-	}
-	c.bits = cb
-	return KernelBitset
-}
+func (c *Collection) UseKernel(id KernelID) KernelID { return c.useKernel(id, c.ncov == 0) }
 
 // NewCollectionFromFamily builds a collection over a prebuilt sample view
 // and its prebuilt inverted index, the warm-start fast path of
@@ -347,39 +358,9 @@ func (c *Collection) Coverage(u int32) int { return int(c.cov[u]) }
 // every node is eligible. Nodes reported ineligible are dropped permanently
 // (callers use this for exhausted attention bounds, which never recover).
 func (c *Collection) BestNode(eligible func(int32) bool) (node int32, cov int, ok bool) {
-	c.SyncHeap()
-	for len(c.pq) > 0 {
-		top := c.pq[0]
-		if c.dead[top.node] {
-			c.pq.pop()
-			continue
-		}
-		cur := c.cov[top.node]
-		if top.cov != cur {
-			// Stale entry: refresh in place.
-			c.pq.pop()
-			if cur > 0 {
-				c.pq.push(covEntry{node: top.node, cov: cur})
-			}
-			continue
-		}
-		if cur == 0 {
-			c.pq.pop()
-			continue
-		}
-		if eligible != nil && !eligible(top.node) {
-			c.dead[top.node] = true
-			c.pq.pop()
-			continue
-		}
-		return top.node, int(cur), true
-	}
-	return 0, 0, false
+	u, s, ok := c.best(c.cov, 0, eligible)
+	return u, int(s), ok
 }
-
-// Drop permanently removes a node from BestNode consideration (e.g. a node
-// already chosen as a seed for this ad).
-func (c *Collection) Drop(u int32) { c.dead[u] = true }
 
 // TopNodes returns up to k eligible nodes in decreasing residual-coverage
 // order (the candidates TIRM's CandidateDepth extension scores by regret
@@ -395,76 +376,14 @@ func (c *Collection) TopNodes(k int, eligible func(int32) bool) (nodes []int32, 
 // path calls it once per ad per greedy iteration, so the per-call garbage
 // of the convenience form (result slices plus a dedup map) would dominate a
 // warm allocation's profile. Scratch state lives on the collection;
-// returned slices alias the (possibly grown) buffers.
-//
-// k = 1 — the paper's CandidateDepth, asked for on every greedy round — is
-// BestNode plus the pop and re-push of the winner that the general loop's
-// set-aside round trip performs: the same heap operations in the same
-// order, so heap layout and tie-breaks match the general loop exactly (see
-// TestTopOneHeapEvolution), without the dedup stamps and set-aside buffer
-// that only k ≥ 2 needs.
+// returned slices alias the (possibly grown) buffers. k = 1 — the paper's
+// CandidateDepth, asked for on every greedy round — takes a shorter path
+// through the same heap operations (see candidates.topInto).
 func (c *Collection) TopNodesInto(k int, eligible func(int32) bool, nodes []int32, covs []int) ([]int32, []int) {
-	if k != 1 {
-		return c.topNodesLoop(k, eligible, nodes, covs)
+	nodes, covs = c.topInto(k, c.cov, 0, eligible, nodes), covs[:0]
+	for _, u := range nodes {
+		covs = append(covs, int(c.cov[u]))
 	}
-	nodes, covs = nodes[:0], covs[:0]
-	if u, cov, ok := c.BestNode(eligible); ok {
-		c.pq.push(c.pq.pop())
-		nodes, covs = append(nodes, u), append(covs, cov)
-	}
-	return nodes, covs
-}
-
-// topNodesLoop is TopNodesInto for any k: pop valid entries aside until k
-// distinct nodes are collected, then push them back.
-func (c *Collection) topNodesLoop(k int, eligible func(int32) bool, nodes []int32, covs []int) ([]int32, []int) {
-	c.SyncHeap()
-	nodes, covs = nodes[:0], covs[:0]
-	aside := c.aside[:0]
-	if len(c.seen) < c.n {
-		c.seen = make([]uint64, c.n)
-	}
-	c.seenGen++
-	gen := c.seenGen
-	for len(c.pq) > 0 && len(nodes) < k {
-		top := c.pq[0]
-		if c.seen[top.node] == gen {
-			// Stale-refresh cycles can leave duplicate fresh entries for a
-			// node; collect each node at most once per call.
-			c.pq.pop()
-			continue
-		}
-		if c.dead[top.node] {
-			c.pq.pop()
-			continue
-		}
-		cur := c.cov[top.node]
-		if top.cov != cur {
-			c.pq.pop()
-			if cur > 0 {
-				c.pq.push(covEntry{node: top.node, cov: cur})
-			}
-			continue
-		}
-		if cur == 0 {
-			c.pq.pop()
-			continue
-		}
-		if eligible != nil && !eligible(top.node) {
-			c.dead[top.node] = true
-			c.pq.pop()
-			continue
-		}
-		c.pq.pop()
-		aside = append(aside, top)
-		c.seen[top.node] = gen
-		nodes = append(nodes, top.node)
-		covs = append(covs, int(cur))
-	}
-	for _, e := range aside {
-		c.pq.push(e)
-	}
-	c.aside = aside[:0]
 	return nodes, covs
 }
 
@@ -505,82 +424,7 @@ func (c *Collection) CoverNode(u int32) int {
 // in freshly appended samples without double-counting across seeds.
 func (c *Collection) CountAndCoverFrom(u int32, firstID int) int {
 	c.SyncHeap()
-	covered, segs := 0, c.segs
-	if c.bits != nil {
-		covered, segs = c.bitsetCountFrom(u, firstID), segs[1:]
-	}
-	covered += sparseCountFromSegs(c, u, firstID, segs)
+	covered := c.coverDelta(u, firstID, nil)
 	c.ncov += covered
 	return covered
-}
-
-// covEntry is a (possibly stale) heap record.
-type covEntry struct {
-	node int32
-	cov  int32
-}
-
-// covHeap is a max-heap of coverage entries with concrete push/pop — the
-// same sift algorithm as container/heap (so heap layout, and therefore
-// tie-breaking among equal-coverage nodes, is bit-compatible with the
-// historical container/heap implementation) without the interface{}
-// boxing that allocated on every stale-entry refresh.
-type covHeap []covEntry
-
-func (h covHeap) less(i, j int) bool { return h[i].cov > h[j].cov }
-
-// init establishes the heap invariant over the full slice (container/heap
-// Init).
-func (h covHeap) init() {
-	n := len(h)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
-	}
-}
-
-// push appends e and sifts it up (container/heap Push).
-func (h *covHeap) push(e covEntry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-// pop removes and returns the max entry (container/heap Pop).
-func (h *covHeap) pop() covEntry {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
-func (h covHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h covHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
 }

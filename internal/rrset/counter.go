@@ -9,11 +9,12 @@
 // Collection whose counters are maintained purely by applying those summed
 // integer deltas (NewCounterCollection / AddCounts / ApplyCover).
 //
-// The counter collection reuses the exact heap code of the ordinary
-// Collection, and every mutation syncs the lazily rebuilt heap at the same
-// points CoverNode/CountAndCoverFrom/AddFamily do — so candidate ordering,
-// including tie-breaking among equal-coverage nodes, evolves bit-for-bit as
-// it would on a single node holding the union of all shards' sets. That,
+// The counter collection runs the same candidate heap as the ordinary
+// Collection (candidates), and every mutation syncs the lazily rebuilt heap
+// at the points CoverNode/CountAndCoverFrom/AddFamily do — so candidate
+// ordering, including tie-breaking among equal-coverage nodes, evolves
+// bit-for-bit as it would on a single node holding the union of all shards'
+// sets. That,
 // plus the fact that every shipped quantity is an integer (float math never
 // leaves the coordinator), is the determinism argument for sharded
 // allocation (DESIGN.md §7).
@@ -27,11 +28,7 @@ import "fmt"
 // BestNode and TopNodes exactly like a set-backed Collection, but its
 // counters change only through AddCounts and ApplyCover. Calling CoverNode
 // or CountAndCoverFrom on a counter collection is a bug (it holds no sets).
-func NewCounterCollection(n int) *Collection {
-	c := NewCollection(n)
-	c.stale = true
-	return c
-}
+func NewCounterCollection(n int) *Collection { return NewCollection(n) }
 
 // AddCounts credits freshly appended sets to the counters: nodes[i] gains
 // counts[i] residual coverage, and the collection's set count grows by
@@ -59,17 +56,9 @@ func (c *Collection) ApplyCover(covered int, nodes []int32, decs []int32) {
 	c.ncov += covered
 }
 
-// deltaScratch grows the per-node delta position index used by the
-// delta-capturing covers.
-func (c *Collection) deltaScratch() []int32 {
-	if len(c.dpos) < c.n {
-		c.dpos = make([]int32, c.n)
-	}
-	return c.dpos
-}
-
-// coverDelta is the delta-capturing cover of the sets with id ≥ firstID
-// containing u, on the collection's active kernel.
+// coverDelta is the count-and-cover walk over the sets with id ≥ firstID
+// containing u, on the collection's active kernel; a non-nil sink captures
+// the per-node decrements.
 func (c *Collection) coverDelta(u int32, firstID int, s *deltaSink) int {
 	covered, segs := 0, c.segs
 	if c.bits != nil {

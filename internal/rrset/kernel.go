@@ -117,36 +117,10 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 	return covered
 }
 
-// sparseCountFromSegs is the sparse CountAndCoverFrom walk over the given
+// sparseDeltaSegs is the sparse CountAndCoverFrom walk over the given
 // segments (inverted rows + arena hops; the credit path is rare enough
-// that the join adds nothing).
-func sparseCountFromSegs(c *Collection, u int32, firstID int, segs []covSegment) int {
-	covered := 0
-	cov, cvd := c.cov, c.covered
-	for si := range segs {
-		seg := &segs[si]
-		if seg.end() <= firstID {
-			continue
-		}
-		base := seg.base
-		offs, mem := seg.view.offsets, seg.view.members
-		for _, id := range seg.idsOf(u) {
-			if int(id) < firstID || cvd[id] {
-				continue
-			}
-			cvd[id] = true
-			covered++
-			i := int(id - base)
-			for _, w := range mem[offs[i]:offs[i+1]] {
-				cov[w]--
-			}
-		}
-	}
-	return covered
-}
-
-// sparseDeltaSegs is sparseCountFromSegs additionally recording every
-// per-member decrement into the sink (the sharded delta-capture path).
+// that the join adds nothing), recording every per-member decrement into
+// the sink when there is one (the sharded delta-capture path).
 func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *deltaSink) int {
 	covered := 0
 	cov, cvd := c.cov, c.covered
@@ -166,7 +140,9 @@ func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *
 			i := int(id - base)
 			for _, w := range mem[offs[i]:offs[i+1]] {
 				cov[w]--
-				s.record(w)
+				if s != nil {
+					s.record(w)
+				}
 			}
 		}
 	}
@@ -256,7 +232,7 @@ func sparseCommitSegs(c *WeightedCollection, u int32, delta float64, firstID int
 // masking is needed.
 func (c *Collection) bitsetCover(u int32) int {
 	row := c.bits.row(u)
-	covw := c.covw
+	covw := c.mask
 	seg := &c.segs[0]
 	offs, mem := seg.view.offsets, seg.view.members
 	covered := 0
@@ -271,21 +247,47 @@ func (c *Collection) bitsetCover(u int32) int {
 			continue
 		}
 		if n0 != 0 {
-			covered += c.coverWord(w, n0, offs, mem)
+			covered += c.coverWord(w, n0, offs, mem, nil)
 		}
 		if n1 != 0 {
-			covered += c.coverWord(w+1, n1, offs, mem)
+			covered += c.coverWord(w+1, n1, offs, mem, nil)
 		}
 		if n2 != 0 {
-			covered += c.coverWord(w+2, n2, offs, mem)
+			covered += c.coverWord(w+2, n2, offs, mem, nil)
 		}
 		if n3 != 0 {
-			covered += c.coverWord(w+3, n3, offs, mem)
+			covered += c.coverWord(w+3, n3, offs, mem, nil)
 		}
 	}
 	for ; w < kw; w++ {
 		if nw := row[w] &^ covw[w]; nw != 0 {
-			covered += c.coverWord(w, nw, offs, mem)
+			covered += c.coverWord(w, nw, offs, mem, nil)
+		}
+	}
+	return covered
+}
+
+// bitsetDeltaFrom is bitsetCover restricted to sets with id ≥ firstID and
+// feeding the sink, if any (firstID 0 covers the CoverNodeDelta case): the
+// start word is masked once, the rest of the sweep is the plain loop (the
+// credit path is far off the per-iteration hot loop).
+func (c *Collection) bitsetDeltaFrom(u int32, firstID int, s *deltaSink) int {
+	covw := c.mask
+	kw := len(covw)
+	fw := firstID >> 6
+	if fw >= kw {
+		return 0
+	}
+	row := c.bits.row(u)
+	seg := &c.segs[0]
+	offs, mem := seg.view.offsets, seg.view.members
+	covered := 0
+	if nw := row[fw] &^ covw[fw] & (^uint64(0) << uint(firstID&63)); nw != 0 {
+		covered += c.coverWord(fw, nw, offs, mem, s)
+	}
+	for w := fw + 1; w < kw; w++ {
+		if nw := row[w] &^ covw[w]; nw != 0 {
+			covered += c.coverWord(w, nw, offs, mem, s)
 		}
 	}
 	return covered
@@ -293,11 +295,12 @@ func (c *Collection) bitsetCover(u int32) int {
 
 // coverWord retires the sets in one word of new coverage: mark them
 // covered (bitmap and bool array both, keeping the sparse walk's view
-// truthful for growth segments and credit passes) and decrement their
-// members' residual coverage. Bits extract in ascending order, so sets
-// retire ascending by id exactly as the sparse walk would.
-func (c *Collection) coverWord(w int, nw uint64, offs []int64, mem []int32) int {
-	c.covw[w] |= nw
+// truthful for growth segments and credit passes), decrement their
+// members' residual coverage, and record each decrement into the sink when
+// there is one. Bits extract in ascending order, so sets retire ascending
+// by id exactly as the sparse walk would.
+func (c *Collection) coverWord(w int, nw uint64, offs []int64, mem []int32, s *deltaSink) int {
+	c.mask[w] |= nw
 	cov, cvd := c.cov, c.covered
 	base := int32(w << 6)
 	covered := 0
@@ -308,74 +311,9 @@ func (c *Collection) coverWord(w int, nw uint64, offs []int64, mem []int32) int 
 		covered++
 		for _, x := range mem[offs[id]:offs[id+1]] {
 			cov[x]--
-		}
-	}
-	return covered
-}
-
-// bitsetCountFrom is bitsetCover restricted to sets with id ≥ firstID:
-// the start word is masked once, the rest of the sweep is the plain loop
-// (the credit path is far off the per-iteration hot loop).
-func (c *Collection) bitsetCountFrom(u int32, firstID int) int {
-	covw := c.covw
-	kw := len(covw)
-	fw := firstID >> 6
-	if fw >= kw {
-		return 0
-	}
-	row := c.bits.row(u)
-	seg := &c.segs[0]
-	offs, mem := seg.view.offsets, seg.view.members
-	covered := 0
-	if nw := row[fw] &^ covw[fw] & (^uint64(0) << uint(firstID&63)); nw != 0 {
-		covered += c.coverWord(fw, nw, offs, mem)
-	}
-	for w := fw + 1; w < kw; w++ {
-		if nw := row[w] &^ covw[w]; nw != 0 {
-			covered += c.coverWord(w, nw, offs, mem)
-		}
-	}
-	return covered
-}
-
-// bitsetDeltaFrom is bitsetCountFrom recording per-member decrements into
-// the sink (firstID 0 covers the CoverNodeDelta case).
-func (c *Collection) bitsetDeltaFrom(u int32, firstID int, s *deltaSink) int {
-	covw := c.covw
-	kw := len(covw)
-	fw := firstID >> 6
-	if fw >= kw {
-		return 0
-	}
-	row := c.bits.row(u)
-	seg := &c.segs[0]
-	offs, mem := seg.view.offsets, seg.view.members
-	covered := 0
-	if nw := row[fw] &^ covw[fw] & (^uint64(0) << uint(firstID&63)); nw != 0 {
-		covered += c.coverWordDelta(fw, nw, offs, mem, s)
-	}
-	for w := fw + 1; w < kw; w++ {
-		if nw := row[w] &^ covw[w]; nw != 0 {
-			covered += c.coverWordDelta(w, nw, offs, mem, s)
-		}
-	}
-	return covered
-}
-
-// coverWordDelta is coverWord with sink recording.
-func (c *Collection) coverWordDelta(w int, nw uint64, offs []int64, mem []int32, s *deltaSink) int {
-	c.covw[w] |= nw
-	cov, cvd := c.cov, c.covered
-	base := int32(w << 6)
-	covered := 0
-	for nw != 0 {
-		id := base + int32(mbits.TrailingZeros64(nw))
-		nw &= nw - 1
-		cvd[id] = true
-		covered++
-		for _, x := range mem[offs[id]:offs[id+1]] {
-			cov[x]--
-			s.record(x)
+			if s != nil {
+				s.record(x)
+			}
 		}
 	}
 	return covered
@@ -387,7 +325,7 @@ func (c *Collection) coverWordDelta(w int, nw uint64, offs []int64, mem []int32,
 // mirrors), so the per-set weight math runs in the same ascending order
 // with bit-identical float accumulation.
 func (c *WeightedCollection) bitsetCommitFrom(u int32, delta float64, firstID int) float64 {
-	zerow := c.zerow
+	zerow := c.mask
 	kw := len(zerow)
 	fw := firstID >> 6
 	if fw >= kw {
@@ -456,7 +394,7 @@ func (c *WeightedCollection) commitWord(w int, lw uint64, delta float64, offs []
 		c.claimed += dec
 		*total += dec
 		if weight[id] == 0 {
-			c.zerow[w] |= 1 << uint(b)
+			c.mask[w] |= 1 << uint(b)
 		}
 		for _, x := range mem[offs[id]:offs[id+1]] {
 			wcov[x] -= dec
@@ -478,16 +416,14 @@ type deltaSink struct {
 	decs  []int32
 }
 
-// newDeltaSink prepares the collection's per-call dedup stamps and wraps
-// the (re-sliced) output buffers in a sink. The sink never escapes the
-// cover call, so it lives on the caller's stack.
+// newDeltaSink prepares the collection's per-call dedup stamps and per-node
+// output positions and wraps the (re-sliced) output buffers in a sink. The
+// sink never escapes the cover call, so it lives on the caller's stack.
 func (c *Collection) newDeltaSink(nodes, decs []int32) deltaSink {
-	if len(c.seen) < c.n {
-		c.seen = make([]uint64, c.n)
+	if len(c.dpos) < c.n {
+		c.dpos = make([]int32, c.n)
 	}
-	c.deltaScratch()
-	c.seenGen++
-	return deltaSink{c: c, gen: c.seenGen, nodes: nodes[:0], decs: decs[:0]}
+	return deltaSink{c: c, gen: c.stamps(c.n), nodes: nodes[:0], decs: decs[:0]}
 }
 
 // record notes one residual-coverage decrement of node w.

@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/xrand"
@@ -138,13 +139,22 @@ func TestKernelEquivalenceCover(t *testing.T) {
 
 // TestKernelEquivalenceDelta checks the sharded delta-capture path: both
 // kernels must emit the same covered counts and the same sparse decrement
-// vectors in the same order.
+// vectors in the same order. A second pair takes every step through
+// CountAndCoverFrom — the same walk with a nil sink — at firstID 0 and
+// mid-stream, and must end in the same cov / covered / NumCovered.
 func TestKernelEquivalenceDelta(t *testing.T) {
 	rng := xrand.New(11)
 	n := 64
 	k := 300
 	f := randomKernelFamily(rng, n, k, 6)
 	sp, bt := kernelPair(t, n, f)
+	nsp, nbt := kernelPair(t, n, f)
+	nilSink := func(u int32, firstID, want int) {
+		t.Helper()
+		if s, b := nsp.CountAndCoverFrom(u, firstID), nbt.CountAndCoverFrom(u, firstID); s != want || b != want {
+			t.Fatalf("CountAndCoverFrom(%d, %d): sparse %d, bitset %d, delta walk %d", u, firstID, s, b, want)
+		}
+	}
 
 	var sn, sd, bn, bd []int32
 	for it := 0; it < 5; it++ {
@@ -167,8 +177,10 @@ func TestKernelEquivalenceDelta(t *testing.T) {
 				t.Fatalf("CoverNodeDelta(%d)[%d]: sparse=(%d,%d) bitset=(%d,%d)", u, i, sn[i], sd[i], bn[i], bd[i])
 			}
 		}
-		sp.Drop(u)
-		bt.Drop(u)
+		nilSink(u, 0, sc)
+		for _, c := range []*Collection{sp, bt, nsp, nbt} {
+			c.Drop(u)
+		}
 	}
 
 	boundary := k / 2
@@ -183,6 +195,12 @@ func TestKernelEquivalenceDelta(t *testing.T) {
 			if sn[i] != bn[i] || sd[i] != bd[i] {
 				t.Fatalf("CountAndCoverFromDelta(%d)[%d]: sparse=(%d,%d) bitset=(%d,%d)", u, i, sn[i], sd[i], bn[i], bd[i])
 			}
+		}
+		nilSink(int32(u), boundary, sc)
+	}
+	for name, c := range map[string]*Collection{"bitset": bt, "nil-sink sparse": nsp, "nil-sink bitset": nbt} {
+		if !reflect.DeepEqual(c.cov, sp.cov) || !reflect.DeepEqual(c.covered, sp.covered) || c.NumCovered() != sp.NumCovered() {
+			t.Fatalf("%s: cov / covered / NumCovered differ from the sparse delta walk's", name)
 		}
 	}
 	compareCollections(t, sp, bt, "delta")

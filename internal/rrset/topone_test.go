@@ -9,7 +9,7 @@ import (
 )
 
 // topOneMirror is one coverage state held twice: `fast` is queried through
-// TopNodesInto(1) (the depth-1 path), `ref` through topNodesLoop(1) (the
+// TopNodesInto(1) (the depth-1 path), `ref` through candidates.topLoop(1) (the
 // general loop), and every mutation is applied to both.
 type topOneMirror interface {
 	// query asks both sides for their top eligible node and fails the test
@@ -43,7 +43,10 @@ type hardMirror struct{ fast, ref *Collection }
 func (m *hardMirror) query(t *testing.T, eligible func(int32) bool, tag string) (int32, bool) {
 	t.Helper()
 	fn, fc := m.fast.TopNodesInto(1, eligible, nil, nil)
-	rn, rc := m.ref.topNodesLoop(1, eligible, nil, nil)
+	rn, rc := m.ref.topLoop(1, m.ref.cov, 0, eligible, nil), []int(nil)
+	for _, u := range rn {
+		rc = append(rc, m.ref.Coverage(u))
+	}
 	return sameTopOne(t, tag, fn, rn, fc, rc, m.fast.pq, m.ref.pq)
 }
 func (m *hardMirror) commit(u int32) { m.fast.CoverNode(u); m.ref.CoverNode(u) }
@@ -100,7 +103,10 @@ type softMirror struct {
 func (m *softMirror) query(t *testing.T, eligible func(int32) bool, tag string) (int32, bool) {
 	t.Helper()
 	fn, fc := m.fast.TopNodesInto(1, eligible, nil, nil)
-	rn, rc := m.ref.topNodesLoop(1, eligible, nil, nil)
+	rn, rc := m.ref.topLoop(1, m.ref.wcov, floatSlack, eligible, nil), []float64(nil)
+	for _, u := range rn {
+		rc = append(rc, m.ref.WeightedCoverage(u))
+	}
 	return sameTopOne(t, tag, fn, rn, fc, rc, m.fast.pq, m.ref.pq)
 }
 func (m *softMirror) commit(u int32) {

@@ -51,26 +51,8 @@ func (w *Workspace) Weighted(n int, v FamilyView, inv *Inverted) *WeightedCollec
 // parking a workspace so an idle pool never pins a retired index's arenas
 // live.
 func (w *Workspace) Release() {
-	releaseSegs(w.col.segs)
-	releaseSegs(w.wcol.segs)
-	w.col.segs = w.col.segs[:0]
-	w.wcol.segs = w.wcol.segs[:0]
-	w.col.numSets = 0
-	w.wcol.numSets = 0
-	w.col.pq = w.col.pq[:0]
-	w.wcol.pq = w.wcol.pq[:0]
-	w.col.stale = false
-	w.wcol.stale = false
-	// Kernel state: the membership bitmap belongs to the index and must
-	// not be pinned by a parked workspace; the covered/zero-weight word
-	// masks are workspace-owned and stay for reuse.
-	w.col.bits, w.wcol.bits = nil, nil
-}
-
-// releaseSegs zeroes segment slots so the retained backing array holds no
-// stale views or inverted-index pointers.
-func releaseSegs(segs []covSegment) {
-	for i := range segs {
-		segs[i] = covSegment{}
-	}
+	w.col.segStore.release()
+	w.wcol.segStore.release()
+	w.col.pq, w.wcol.pq = w.col.pq[:0], w.wcol.pq[:0]
+	w.col.stale, w.wcol.stale = false, false
 }

@@ -300,14 +300,29 @@ func (s *Server) buildIndex(e *entry) {
 	e.buildSec = time.Since(started).Seconds()
 	s.opts.Logf("serve: built index %s (%d ads, %d sets, %.1f MB) in %.2fs",
 		e.key, idx.NumAds(), idx.SetsSampled(), float64(idx.MemBytes())/1e6, e.buildSec)
-	s.saveSnapshot(e)
+	// Persist the fresh index; failures are logged, never fatal.
+	if path := s.snapshotPath(e.key); path != "" {
+		if err := idx.WriteSnapshotFile(path); err != nil {
+			s.opts.Logf("serve: snapshot %s: %v", path, err)
+		} else {
+			s.opts.Logf("serve: wrote snapshot %s", path)
+		}
+	}
 }
 
 func (s *Server) snapshotPath(key string) string {
 	if s.opts.SnapshotDir == "" {
 		return ""
 	}
-	safe := strings.Map(func(r rune) rune {
+	return filepath.Join(s.opts.SnapshotDir, SnapshotName(key)+".adix")
+}
+
+// SnapshotName maps an instance key (InstanceParams.Key) onto the
+// filesystem-safe stem of its snapshot file: letters, digits and ".-_="
+// stay, every other rune becomes "_". adserver appends ".adix", adshard its
+// slice suffix.
+func SnapshotName(key string) string {
+	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
 			r == '.', r == '-', r == '_', r == '=':
@@ -316,38 +331,6 @@ func (s *Server) snapshotPath(key string) string {
 			return '_'
 		}
 	}, key)
-	return filepath.Join(s.opts.SnapshotDir, safe+".adix")
-}
-
-// saveSnapshot persists a freshly built index (write temp + rename, so a
-// crash never leaves a torn file). Failures are logged, never fatal.
-func (s *Server) saveSnapshot(e *entry) {
-	path := s.snapshotPath(e.key)
-	if path == "" {
-		return
-	}
-	if err := os.MkdirAll(s.opts.SnapshotDir, 0o755); err != nil {
-		s.opts.Logf("serve: snapshot dir: %v", err)
-		return
-	}
-	tmp, err := os.CreateTemp(s.opts.SnapshotDir, ".adix-*")
-	if err != nil {
-		s.opts.Logf("serve: snapshot temp: %v", err)
-		return
-	}
-	err = e.idx.WriteSnapshot(tmp)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		s.opts.Logf("serve: snapshot %s: %v", path, err)
-		return
-	}
-	s.opts.Logf("serve: wrote snapshot %s", path)
 }
 
 // errTooManyLiveCampaigns rejects a mutation that would pin yet another

@@ -51,6 +51,7 @@ import (
 	"net/http"
 	"runtime/metrics"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -302,14 +303,15 @@ func WarmSpec(spec string) (InstanceParams, error) {
 		return p, fmt.Errorf("serve: preload spec %q is not dataset:seed:scale[:ads]", spec)
 	}
 	p.Dataset = parts[0]
-	if _, err := fmt.Sscanf(parts[1], "%d", &p.Seed); err != nil {
+	var err error
+	if p.Seed, err = strconv.ParseUint(parts[1], 10, 64); err != nil {
 		return p, fmt.Errorf("serve: preload seed %q: %w", parts[1], err)
 	}
-	if _, err := fmt.Sscanf(parts[2], "%g", &p.Scale); err != nil {
+	if p.Scale, err = strconv.ParseFloat(parts[2], 64); err != nil {
 		return p, fmt.Errorf("serve: preload scale %q: %w", parts[2], err)
 	}
 	if len(parts) == 4 {
-		if _, err := fmt.Sscanf(parts[3], "%d", &p.NumAds); err != nil {
+		if p.NumAds, err = strconv.Atoi(parts[3]); err != nil {
 			return p, fmt.Errorf("serve: preload ads %q: %w", parts[3], err)
 		}
 	}

@@ -353,7 +353,9 @@ func TestWarmSpec(t *testing.T) {
 	if p != want {
 		t.Errorf("got %+v, want %+v", p, want)
 	}
-	for _, bad := range []string{"", "flixster", "flixster:x:0.02", "a:1:2:3:4"} {
+	for _, bad := range []string{"", "flixster", "flixster:x:0.02", "a:1:2:3:4",
+		// Trailing garbage must not warm a key no client will ask for.
+		"flixster:12abc:0.5", "flixster:12:0.5x", "flixster:12:0.5:5ads", "flixster:-1:0.5", "flixster:12: 0.5"} {
 		if _, err := WarmSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
