@@ -24,8 +24,10 @@ COVER_FLOORS = ./internal/bandit:85
 # the CSR build every generator pays; BenchmarkIndexSnapshotLoad, decode
 # plus the per-ad rebuild), the reverse-BFS sampler on the two full-scale
 # graphs where it is memory-bound (BenchmarkSampleRange; it generates the
-# 317K-node DBLP analogue, ~0.3 s, outside its timer), the
-# campaign-lifecycle simulation workload, the serve-layer request path
+# 317K-node DBLP analogue, ~0.3 s, outside its timer), a warm request's
+# fixed cost on the same two graphs with its θ's opening stored and not
+# (BenchmarkIndexOpen; builds both full-scale indexes at θ = 200K, ~2 s,
+# outside its timer), the campaign-lifecycle simulation workload, the serve-layer request path
 # (workspace pooling + HTTP), and the sharded
 # scatter-gather allocation at K = 1..8 in process plus K = 4 over the real
 # HTTP transport
@@ -40,7 +42,7 @@ COVER_FLOORS = ./internal/bandit:85
 # after a reviewed perf change. BENCH_head.json is the throwaway stream
 # `make bench-compare` writes for the current HEAD; it is .gitignore'd and
 # must never be committed.
-BENCH_PATTERN = BenchmarkIndexBuild|BenchmarkIndexColdVsWarm|BenchmarkWarmWorkspaceReuse|BenchmarkSnapshotCodec|BenchmarkBuildInverted|BenchmarkLifecycleSim|BenchmarkServeAllocate|BenchmarkShardedAllocate|BenchmarkObsOverhead|BenchmarkKernels|BenchmarkAllocateBatch|BenchmarkGraphBuild|BenchmarkIndexSnapshotLoad|BenchmarkSampleRange
+BENCH_PATTERN = BenchmarkIndexBuild|BenchmarkIndexColdVsWarm|BenchmarkWarmWorkspaceReuse|BenchmarkSnapshotCodec|BenchmarkBuildInverted|BenchmarkLifecycleSim|BenchmarkServeAllocate|BenchmarkShardedAllocate|BenchmarkObsOverhead|BenchmarkKernels|BenchmarkAllocateBatch|BenchmarkGraphBuild|BenchmarkIndexSnapshotLoad|BenchmarkSampleRange|BenchmarkIndexOpen
 BENCH_PKGS    = . ./internal/rrset ./internal/sim ./internal/serve ./internal/shard ./internal/graph
 
 # Extra flags for bench-compare (CI passes "-benchtime 1x -short" to keep

@@ -492,6 +492,59 @@ func BenchmarkWarmWorkspaceReuse(b *testing.B) {
 	})
 }
 
+// BenchmarkIndexOpen prices a warm request's fixed cost at the two
+// full-scale graphs: one AllocateFromIndex capped at one seed per ad — the
+// per-ad set-up (pilot KPT, coverage state, candidate heap) plus a single
+// greedy round per ad. "hit" repeats one θ, so every coverage state copies
+// the opening stored on its inverted index; "miss" rotates through one θ
+// more than an index keeps (rrset.OpeningCap), so every request builds its
+// openings — row clip and heap — as every request did before they were
+// stored. θ is moved through MaxTheta, which at these sizes is what binds
+// it. openings/op reports how many of the request's ads built theirs.
+func BenchmarkIndexOpen(b *testing.B) {
+	const maxTheta = 200000
+	for _, ds := range []struct {
+		name  string
+		build func(gen.Options) *core.Instance
+	}{{"flixster", gen.Flixster}, {"dblp", gen.DBLP}} {
+		var idx *socialads.Index
+		pool := &socialads.AllocWorkspacePool{}
+		run := func(b *testing.B, thetas int) {
+			if idx == nil {
+				var err error
+				if idx, err = socialads.BuildIndex(ds.build(gen.Options{Seed: 1, Scale: 1}), 42, socialads.TIRMOptions{MaxTheta: maxTheta}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			request := func(i int) socialads.AllocRequest {
+				theta := maxTheta - (i%thetas)*rrset.StreamBlockSize/2
+				return socialads.AllocRequest{Opts: socialads.TIRMOptions{MaxTheta: theta, MaxSeedsPerAd: 1}, Pool: pool}
+			}
+			for i := 0; i < thetas; i++ { // one lap: the workspace and, for "hit", the opening are in place
+				if _, err := socialads.AllocateFromIndex(idx, request(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			built := 0
+			for i := 0; i < b.N; i++ {
+				res, err := socialads.AllocateFromIndex(idx, request(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.TotalSetsSampled != 0 {
+					b.Fatalf("a request under the build's θ drew %d sets", res.TotalSetsSampled)
+				}
+				built += res.OpeningsBuilt
+			}
+			b.ReportMetric(float64(built)/float64(b.N), "openings/op")
+		}
+		b.Run(ds.name+"/hit", func(b *testing.B) { run(b, 1) })
+		b.Run(ds.name+"/miss", func(b *testing.B) { run(b, rrset.OpeningCap+1) })
+	}
+}
+
 // BenchmarkObsOverhead prices the observability hooks on the warm
 // allocation path: "nil-observer" is the production fast path (no observer
 // attached — no clocks are read, so allocs/op must match the pooled warm
@@ -617,9 +670,9 @@ func BenchmarkIndexBuild(b *testing.B) {
 // BenchmarkIndexSnapshotLoad measures a restart at the index level, on
 // BenchmarkIndexBuild's instance: the index is built and saved once, and
 // every iteration loads the snapshot from memory — header and fingerprint
-// check, section decode, and the per-ad rebuild of widths, inverted index
-// and cover join that is most of the time (BenchmarkSnapshotCodec times
-// the section codec alone). Compare with BenchmarkIndexBuild for what a
+// check, section decode, and the per-ad rebuild of inverted index and cover
+// join that is most of the time (BenchmarkSnapshotCodec times the section
+// codec alone). Compare with BenchmarkIndexBuild for what a
 // snapshot saves over a cold start.
 func BenchmarkIndexSnapshotLoad(b *testing.B) {
 	inst := gen.Flixster(gen.Options{Seed: 5, Scale: 0.02})
@@ -640,8 +693,9 @@ func BenchmarkIndexSnapshotLoad(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if loaded.MemBytes() != idx.MemBytes() {
-			b.Fatalf("loaded index holds %d bytes, built one %d", loaded.MemBytes(), idx.MemBytes())
+		if loaded.NumAds() != idx.NumAds() || loaded.NumSets(0) != idx.NumSets(0) {
+			b.Fatalf("loaded index holds %d ads / %d sets, built one %d / %d",
+				loaded.NumAds(), loaded.NumSets(0), idx.NumAds(), idx.NumSets(0))
 		}
 	}
 }

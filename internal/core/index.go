@@ -91,9 +91,11 @@ type adSample struct {
 	// covers: every part-owned block below it is sampled. For the identity
 	// partition it always equals fam.Len().
 	streamLen int
-	widths    []int64 // widths[i] = ω(local set i), for KPT refreshes
-	inv       *rrset.Inverted
-	invLen    int // local sets covered by inv; may lag fam until a view needs it
+	// widths[i] = ω(local set i) for the longest pilot prefix any request
+	// has asked for (KPT reads nothing else); prefix extends it on demand.
+	widths []int64
+	inv    *rrset.Inverted
+	invLen int // local sets covered by inv; may lag fam until a view needs it
 	// kptCache memoizes kptFromWidths over this ad's immutable pilot
 	// widths, keyed by (pilot size, seed target): steady serving traffic
 	// revisits the same handful of keys on every request, and each hit
@@ -142,11 +144,12 @@ func (a *adSample) kptFor(widths []int64, s, n int, m int64, memo map[int64]floa
 // ensure extends the sample so the local arena covers the global stream
 // prefix [0, want) — i.e. every part-owned set below want (growth rounds up
 // to a block boundary, so fresh can exceed the shortfall; for the identity
-// partition "covers" means "holds all of it"). The inverted index is
-// NOT touched here: prefix/window consumers never need it, so growth stays
-// O(new members) and the rebuild is deferred to syncInv. fresh counts local
-// sets drawn, which summed across a full partition equals the global
-// count. Caller holds a.mu.
+// partition "covers" means "holds all of it"). Neither the inverted index
+// nor the widths are touched here: window consumers need neither, so growth
+// stays O(new members); the index rebuild is deferred to syncInv and widths
+// are computed by prefix for the pilot only. fresh counts local sets drawn,
+// which summed across a full partition equals the global count. Caller
+// holds a.mu.
 func (a *adSample) ensure(want int) (fresh int64) {
 	to := rrset.StreamCeil(want)
 	if a.part.LocalCount(to) <= a.fam.Len() {
@@ -155,10 +158,6 @@ func (a *adSample) ensure(want int) (fresh int64) {
 	before := a.fam.Len()
 	a.sampler.SampleShardRangeRRInto(a.part, a.streamLen, to, a.rng, a.fam)
 	a.streamLen = to
-	g := a.sampler.Graph()
-	for i := before; i < a.fam.Len(); i++ {
-		a.widths = append(a.widths, rrset.Width(g, a.fam.Set(i)))
-	}
 	return int64(a.fam.Len() - before)
 }
 
@@ -185,46 +184,60 @@ func (a *adSample) syncInv(want int) {
 }
 
 // restore installs a decoded arena as the ad's sample and derives the state
-// a snapshot does not carry — the widths, the inverted index and its cover
-// join — exactly as sampling the same sets would have left it. For a sample
-// no other goroutine can reach yet (the snapshot load).
+// a snapshot does not carry and a first request should not pay for — the
+// inverted index and its cover join — exactly as sampling the same sets
+// would have left it. Pilot widths and openings are left to the first
+// request that asks, as on a fresh build. For a sample no other goroutine
+// can reach yet (the snapshot load).
 func (a *adSample) restore(fam *rrset.SetFamily) {
-	g := a.sampler.Graph()
 	a.fam = fam
 	a.streamLen = a.part.Resume(fam.Len())
-	a.widths = make([]int64, fam.Len())
-	for i := range a.widths {
-		a.widths[i] = rrset.Width(g, fam.Set(i))
-	}
 	if fam.Len() > 0 {
 		a.syncInv(fam.Len())
 	}
 }
 
-// prefix returns a view of the first want sets and their widths, extending
-// the sample if needed. The returned view is a stable snapshot: later
-// growth appends past its length or reallocates the arena, never touching
-// the viewed prefix.
-func (a *adSample) prefix(want int) (v rrset.FamilyView, widths []int64, fresh int64) {
+// prefix returns the widths of the first want sets — the pilot sample KPT
+// is estimated from — extending the sample, and the stored widths, if
+// needed. The returned slice is a stable snapshot: later growth appends
+// past its length or reallocates, never touching the returned prefix.
+func (a *adSample) prefix(want int) (widths []int64, fresh int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	fresh = a.ensure(want)
 	lw := a.part.LocalCount(want)
-	return a.fam.Prefix(lw), a.widths[:lw:lw], fresh
+	g := a.sampler.Graph()
+	for i := len(a.widths); i < lw; i++ {
+		a.widths = append(a.widths, rrset.Width(g, a.fam.Set(i)))
+	}
+	return a.widths[:lw:lw], fresh
 }
 
-// view is prefix plus the shared inverted index — the O(n log d) warm-start
-// handoff to rrset.NewCollectionFromFamily, which clips the index's rows to
-// the first want sets without copying. The returned index may cover more
-// sets than the view; it is immutable (growth swaps in a rebuilt one), so
-// concurrent allocations can keep reading it.
-func (a *adSample) view(want int) (v rrset.FamilyView, widths []int64, inv *rrset.Inverted, fresh int64) {
+// view returns the first want sets plus the shared inverted index — the
+// warm-start handoff to rrset.NewCollectionFromFamily, which clips the
+// index's rows to the view without copying. The returned view is a stable
+// snapshot (see prefix); the index may cover more sets than the view and
+// is immutable (growth swaps in a rebuilt one), so concurrent allocations
+// can keep reading it.
+func (a *adSample) view(want int) (v rrset.FamilyView, inv *rrset.Inverted, fresh int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	fresh = a.ensure(want)
 	lw := a.part.LocalCount(want)
 	a.syncInv(lw)
-	return a.fam.Prefix(lw), a.widths[:lw:lw], a.inv, fresh
+	return a.fam.Prefix(lw), a.inv, fresh
+}
+
+// warm grows the sample to cover the global prefix [0, want) and brings the
+// inverted index up to the whole arena — presampling's last step, so the
+// first allocation starts warm instead of paying the counting pass on the
+// request path.
+func (a *adSample) warm(want int) (fresh int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	fresh = a.ensure(want)
+	a.syncInv(a.fam.Len())
+	return fresh
 }
 
 // window returns the local slice of global stream sets [from, to) as a
@@ -245,8 +258,9 @@ func (a *adSample) size() int {
 }
 
 // memBytes returns the exact data footprint of the stored sample: member
-// arena, offsets, widths, and the inverted index. O(1) — flat arrays know
-// their sizes.
+// arena, offsets, the pilot widths computed so far, and the inverted index
+// with what has been derived from it (cover join, bitmap, openings). O(1) —
+// flat arrays know their sizes.
 func (a *adSample) memBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -307,16 +321,12 @@ func BuildShardIndex(inst *Instance, seed uint64, part rrset.StreamPartition) (*
 func (idx *Index) presample(a *adSample, opts TIRMOptions) {
 	g := a.sampler.Graph()
 	n, m := g.N(), g.M()
-	_, widths, fresh := a.prefix(opts.MinTheta)
+	widths, fresh := a.prefix(opts.MinTheta)
 	idx.sampled.Add(fresh)
 	// Through the sample's cache, so the first request finds KPT(1) there.
 	kpt := a.kptFor(widths, 1, n, m, nil)
 	want := rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
-	_, _, fresh = a.prefix(want)
-	idx.sampled.Add(fresh)
-	a.mu.Lock()
-	a.syncInv(a.fam.Len())
-	a.mu.Unlock()
+	idx.sampled.Add(a.warm(want))
 }
 
 // newIndexSkeleton wires samplers and per-ad streams without sampling. Ad j
@@ -328,18 +338,34 @@ func newIndexSkeleton(inst *Instance, seed uint64, part rrset.StreamPartition) *
 	idx := &Index{seed: seed, part: part, next: uint64(len(inst.Ads))}
 	ads := make([]*adSample, len(inst.Ads))
 	for j, spec := range inst.Ads {
-		ads[j] = idx.newAdSample(inst.G, spec.Params.Probs, uint64(j))
+		ads[j] = idx.newAdSample(inst.G, spec.Params.Probs, uint64(j), ads[:j])
 	}
 	idx.curr.Store(&indexEpoch{version: 1, inst: inst, ads: ads})
 	return idx
 }
 
-// newAdSample wires one ad's sampler and derived stream root.
-func (idx *Index) newAdSample(g *graph.Graph, probs []float32, stream uint64) *adSample {
+// newAdSample wires one ad's sampler and derived stream root. An ad whose
+// probability vector is the very array a peer — an ad of the same epoch —
+// samples from (all of them under weighted cascade, where topic.Model.Mix
+// hands every ad Topic(0), and every clone of a template ad) shares that
+// peer's sampler, and with it the sampler's in-CSR transpose of the vector,
+// instead of building its own. The peers are scanned, not mapped, so a
+// removed ad's sampler is dropped with its last sample.
+func (idx *Index) newAdSample(g *graph.Graph, probs []float32, stream uint64, peers []*adSample) *adSample {
+	var sampler *rrset.Sampler
+	for _, p := range peers {
+		if shared := p.sampler.Probs(); len(probs) > 0 && len(shared) == len(probs) && &shared[0] == &probs[0] {
+			sampler = p.sampler
+			break
+		}
+	}
+	if sampler == nil {
+		sampler = rrset.NewSampler(g, probs, nil)
+	}
 	return &adSample{
 		stream:  stream,
 		part:    idx.part,
-		sampler: rrset.NewSampler(g, probs, nil),
+		sampler: sampler,
 		rng:     xrand.New(idx.seed).Split(stream),
 		fam:     rrset.NewSetFamily(),
 	}
@@ -361,7 +387,7 @@ func (idx *Index) AddAd(ad Ad, opts TIRMOptions) (int, error) {
 		return 0, err
 	}
 	opts = opts.withDefaults()
-	a := idx.newAdSample(old.inst.G, ad.Params.Probs, idx.next)
+	a := idx.newAdSample(old.inst.G, ad.Params.Probs, idx.next, old.ads)
 	idx.next++
 	if idx.part.IsIdentity() {
 		// A shard cannot presample to a sensible depth on its own (the θ
@@ -445,10 +471,13 @@ func (idx *Index) NumSets(j int) int { return idx.curr.Load().ads[j].size() }
 func (idx *Index) SetsSampled() int64 { return idx.sampled.Load() }
 
 // MemBytes reports the exact data footprint of the current epoch's stored
-// samples: member arenas, offsets, widths, and inverted indexes — flat
-// arrays all, so the figure is byte-accurate and O(1) per ad (no
-// slice-header estimates). The transient per-allocation coverage state is
-// reported separately via TIRMResult.MemBytes.
+// samples: member arenas, offsets, pilot widths, and inverted indexes with
+// their derived data (cover joins, bitmaps, and the openings requests have
+// left on them — so the figure rises by at most 12 bytes per node per
+// distinct θ served, up to rrset's cap) — flat arrays all, so the figure is
+// byte-accurate and O(1) per ad (no slice-header estimates). The transient
+// per-allocation coverage state is reported separately via
+// TIRMResult.MemBytes.
 func (idx *Index) MemBytes() int64 {
 	var total int64
 	for _, a := range idx.curr.Load().ads {
@@ -605,7 +634,12 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 	ws := pool.get()
 	defer pool.put(ws)
 	ws.local = localBackend{idx: idx, ep: ep, ws: ws, soft: req.Opts.SoftCoverage}
-	return ws.run(context.Background(), ep.inst, &ws.local, req)
+	res, err := ws.run(context.Background(), ep.inst, &ws.local, req)
+	if err != nil {
+		return nil, err
+	}
+	res.OpeningsBuilt = ws.local.openingsBuilt
+	return res, nil
 }
 
 // --- Snapshot encoding ---------------------------------------------------
@@ -786,8 +820,9 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 // current one, was taken for a different graph, ad set, or
 // probability setting (fingerprint mismatch), holds one shard's slice
 // rather than the whole stream (use LoadShardIndexSnapshot), or is
-// structurally corrupt; widths and the inverted index are recomputed from
-// the decoded arenas. The loaded index starts a fresh epoch lineage at
+// structurally corrupt; the inverted index and its cover join are recomputed
+// from the decoded arenas, pilot widths and openings by the first request
+// that needs them. The loaded index starts a fresh epoch lineage at
 // version 1.
 func LoadIndexSnapshot(inst *Instance, src io.Reader) (*Index, error) {
 	return loadIndexSnapshot(inst, src, rrset.StreamPartition{})
@@ -807,8 +842,8 @@ func LoadShardIndexSnapshot(inst *Instance, part rrset.StreamPartition, src io.R
 // loadIndexSnapshot is the shared loader behind LoadIndexSnapshot and
 // LoadShardIndexSnapshot: the header is read and checked on the caller's
 // goroutine, then the instance fingerprint check and the per-ad work —
-// section decode, and the rebuild of widths, inverted index and cover join
-// that is most of a load — share rrset's bounded fan-out (see below).
+// section decode, and the rebuild of inverted index and cover join that is
+// most of a load — share rrset's bounded fan-out (see below).
 // Errors keep a serial load's precedence: a fingerprint mismatch is
 // reported ahead of any section error, and of the sections the first
 // corrupt one in file order, by ad position.
@@ -912,6 +947,9 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 	// state while the next section decodes. One worker runs the jobs inline
 	// in order: fingerprint, then ad by ad, as a serial load would.
 	ads := make([]*adSample, int(numAds))
+	for j := range ads {
+		ads[j] = idx.newAdSample(inst.G, inst.Ads[j].Params.Probs, streams[j], ads[:j])
+	}
 	decoded := make([]chan struct{}, len(ads)+1)
 	for j := range decoded {
 		decoded[j] = make(chan struct{})
@@ -937,7 +975,6 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 		}
 		close(decoded[j+1])
 		if fam != nil {
-			ads[j] = idx.newAdSample(inst.G, inst.Ads[j].Params.Probs, streams[j])
 			ads[j].restore(fam)
 		}
 	})

@@ -78,7 +78,7 @@ func (v EpochView) AdHave(j int) int { return v.ep.ads[j].size() }
 // [0, want), growing the sample if needed. The returned slice is a stable
 // snapshot (growth only appends past it) and must be treated as read-only.
 func (v EpochView) AdPilot(j, want int) (widths []int64, fresh int64) {
-	_, widths, fresh = v.ep.ads[j].prefix(want)
+	widths, fresh = v.ep.ads[j].prefix(want)
 	v.idx.sampled.Add(fresh)
 	return widths, fresh
 }
@@ -87,7 +87,7 @@ func (v EpochView) AdPilot(j, want int) (widths []int64, fresh int64) {
 // the shared inverted index over them (local ids), growing the sample and
 // syncing the index if needed — the warm handoff to a coverage collection.
 func (v EpochView) AdView(j, want int) (sets rrset.FamilyView, inv *rrset.Inverted, fresh int64) {
-	sets, _, inv, fresh = v.ep.ads[j].view(want)
+	sets, inv, fresh = v.ep.ads[j].view(want)
 	v.idx.sampled.Add(fresh)
 	return sets, inv, fresh
 }
@@ -106,11 +106,7 @@ func (v EpochView) AdWindow(j, from, to int) (sets rrset.FamilyView, fresh int64
 // BuildIndex's presampling, run once the coordinator has sized θ from
 // whole-stream pilot widths.
 func (v EpochView) AdEnsure(j, want int) (fresh int64) {
-	a := v.ep.ads[j]
-	a.mu.Lock()
-	fresh = a.ensure(want)
-	a.syncInv(a.fam.Len())
-	a.mu.Unlock()
+	fresh = v.ep.ads[j].warm(want)
 	v.idx.sampled.Add(fresh)
 	return fresh
 }

@@ -52,9 +52,12 @@ func settleGoroutines(t *testing.T, base int, what string) {
 }
 
 // TestLoadIndexSnapshotAtAnyWorkerCap: a loaded index is the index it was
-// written from — per-ad set counts, exact footprint, and a full allocation
-// down to revenue estimates and θ — whether the per-ad rebuild runs inline
-// (one worker) or fanned out, and the fan-out leaves no goroutine behind.
+// written from — per-ad set counts, a full allocation down to revenue
+// estimates and θ, and, once it has served that allocation too, the exact
+// footprint (a load derives the inverted index; pilot widths and openings
+// arrive with the first request on either index) — whether the per-ad
+// rebuild runs inline (one worker) or fanned out, and the fan-out leaves no
+// goroutine behind.
 func TestLoadIndexSnapshotAtAnyWorkerCap(t *testing.T) {
 	defer rrset.SetMaxWorkers(0)
 	inst := randomInstance(77, 90, 400, 5, 2, 0.01)
@@ -82,9 +85,12 @@ func TestLoadIndexSnapshotAtAnyWorkerCap(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		settleGoroutines(t, base, fmt.Sprintf("workers=%d load", workers))
-		if loaded.NumAds() != idx.NumAds() || loaded.MemBytes() != idx.MemBytes() {
-			t.Fatalf("workers=%d: loaded %d ads / %d bytes, want %d / %d",
-				workers, loaded.NumAds(), loaded.MemBytes(), idx.NumAds(), idx.MemBytes())
+		if loaded.NumAds() != idx.NumAds() {
+			t.Fatalf("workers=%d: loaded %d ads, want %d", workers, loaded.NumAds(), idx.NumAds())
+		}
+		if loaded.MemBytes() >= idx.MemBytes() {
+			t.Fatalf("workers=%d: loaded index holds %d bytes before serving anything, the served one %d — the load derived request-time state",
+				workers, loaded.MemBytes(), idx.MemBytes())
 		}
 		for j := 0; j < idx.NumAds(); j++ {
 			if loaded.NumSets(j) != idx.NumSets(j) {
@@ -100,6 +106,13 @@ func TestLoadIndexSnapshotAtAnyWorkerCap(t *testing.T) {
 		}
 		if res.TotalSetsSampled != 0 {
 			t.Fatalf("workers=%d: allocation on the loaded index drew %d sets", workers, res.TotalSetsSampled)
+		}
+		if res.OpeningsBuilt != idx.NumAds() {
+			t.Fatalf("workers=%d: first allocation on the loaded index built %d openings, want one per ad", workers, res.OpeningsBuilt)
+		}
+		if loaded.MemBytes() != idx.MemBytes() {
+			t.Fatalf("workers=%d: after the same allocation the loaded index holds %d bytes, the built one %d",
+				workers, loaded.MemBytes(), idx.MemBytes())
 		}
 		// Same bytes out as in: nothing the load derives leaks into the file.
 		var again bytes.Buffer

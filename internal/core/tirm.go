@@ -83,6 +83,13 @@ type TIRMResult struct {
 	// chosen per ad by rrset.Inverted.PrepareCover's density rule). A
 	// fixed array, not a map, so the warm path stays allocation-free.
 	KernelCounts [rrset.NumKernels]int
+	// OpeningsBuilt counts the run's ads whose coverage state built its
+	// opening (row clip and initial heap for this θ) on the index instead
+	// of copying a stored one — 0 on traffic that repeats θ, the number of
+	// active ads on a θ the index has not seen or has evicted. A report,
+	// never an input; single-node runs only (a cluster's shards keep their
+	// own openings).
+	OpeningsBuilt int
 }
 
 // kptFromWidths evaluates TIM's width statistic KPT(s) = n·mean(κ_s(R))/2

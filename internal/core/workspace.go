@@ -8,7 +8,7 @@
 // run an allocWorkspace whose arrays survive across requests; the runs
 // reinitialize them with memclr-style loops and return them on exit.
 //
-// Per-ad set-up (coverage-state initialization, kernel choice, heap build)
+// Per-ad set-up (coverage-state initialization, kernel choice, heap fill)
 // is the only part of a run that fans out across CPUs, through
 // rrset.ParallelFor: it touches only that ad's state, so the allocation a
 // parallel run produces is byte-identical to the serial one (pinned by
@@ -164,6 +164,9 @@ type localBackend struct {
 	ep   *indexEpoch
 	ws   *allocWorkspace
 	soft bool
+	// openingsBuilt counts the ads whose collection built its opening in
+	// Open instead of borrowing a stored one (TIRMResult.OpeningsBuilt).
+	openingsBuilt int
 }
 
 // Pilot implements Backend over the index's stored prefixes.
@@ -171,7 +174,7 @@ func (b *localBackend) Pilot(_ context.Context, ads []int, want int, out []Pilot
 	for i, j := range ads {
 		src := b.ep.ads[j]
 		have := src.size()
-		_, widths, f := src.prefix(want)
+		widths, f := src.prefix(want)
 		out[i] = Pilot{Widths: widths, Have: have, src: src}
 		fresh += f
 	}
@@ -182,26 +185,29 @@ func (b *localBackend) Pilot(_ context.Context, ads []int, want int, out []Pilot
 // Open implements Backend: one coverage state per ad over the index's
 // shared CSR inverted index, which is what makes the warm path O(n) set-up
 // instead of O(members). The per-ad states are independent and each costs
-// O(n) — row clip, kernel mask, candidate heap — so this is the run's one
-// fan-out; per-ad sample counts are summed sequentially after it returns.
-// Each collection picks its own cover kernel from the ad's inverted index
-// (rrset.Inverted.PrepareCover's density rule); Open only counts them.
+// O(n) — coverage counters and candidate heap copied from the inverted
+// index's opening for this θ (built here, row clip and heap, only the
+// first time the index is opened at it), kernel mask — so this is the
+// run's one fan-out; per-ad sample counts are summed sequentially after it
+// returns. Each collection picks its own cover kernel from the ad's
+// inverted index (rrset.Inverted.PrepareCover's density rule); Open only
+// counts them.
 func (b *localBackend) Open(_ context.Context, ads, thetas []int, out []Coverage) (fresh int64, kernels [rrset.NumKernels]int, err error) {
 	n := b.ep.inst.G.N()
 	rrset.ParallelFor(len(ads), 0, func(i int) {
 		cs := &b.ws.slots[i].local
 		cs.idx, cs.src = b.idx, b.ep.ads[ads[i]]
-		sets, _, inv, f := cs.src.view(thetas[i])
+		sets, inv, f := cs.src.view(thetas[i])
 		cs.fresh = f
 		if b.soft {
 			cs.soft = cs.scratch.Weighted(n, sets, inv)
 			cs.hard = nil
-			cs.kernel = cs.soft.Kernel()
+			cs.kernel, cs.built = cs.soft.Kernel(), cs.soft.OpeningBuilt()
 			cs.soft.SyncHeap()
 		} else {
 			cs.hard = cs.scratch.Collection(n, sets, inv)
 			cs.soft = nil
-			cs.kernel = cs.hard.Kernel()
+			cs.kernel, cs.built = cs.hard.Kernel(), cs.hard.OpeningBuilt()
 			cs.hard.SyncHeap()
 		}
 	})
@@ -209,6 +215,9 @@ func (b *localBackend) Open(_ context.Context, ads, thetas []int, out []Coverage
 		cs := &b.ws.slots[i].local
 		fresh += cs.fresh
 		kernels[cs.kernel]++
+		if cs.built {
+			b.openingsBuilt++
+		}
 		out[i] = cs
 	}
 	b.idx.sampled.Add(fresh)
@@ -229,6 +238,7 @@ type covState struct {
 	src     *adSample
 	fresh   int64          // sets drawn by Open's parallel set-up
 	kernel  rrset.KernelID // cover kernel the collection chose
+	built   bool           // the collection built its opening rather than borrowing one
 	nodes   []int32
 	covs    []int
 	scores  []float64

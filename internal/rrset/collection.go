@@ -13,7 +13,8 @@ import (
 // limits each node's inverted row to its first cut[u] ids — how a shared
 // inverted index covering more sets than the view is clipped without
 // copying (the index's rows are ascending, so a prefix is exactly "ids
-// below the view's length").
+// below the view's length"). It is borrowed from the index's opening for
+// the view's length and read-only.
 type covSegment struct {
 	base int32
 	view FamilyView
@@ -37,34 +38,23 @@ func (s *covSegment) set(id int32) []int32 { return s.view.Set(int(id - s.base))
 // end returns the first global id past this segment.
 func (s *covSegment) end() int { return int(s.base) + s.view.Len() }
 
-// memBytes is the segment's exact data footprint (view + inverted + cut).
-// For a shared segment this counts the index's arrays once per collection
-// holding them; callers wanting process-level accounting should count the
-// core.Index separately.
+// memBytes is the segment's exact data footprint: the view plus the
+// inverted index with everything derived from it (a borrowed cut vector is
+// one of the index's openings, counted there). For a shared segment this
+// counts the index's arrays once per collection holding them; callers
+// wanting process-level accounting should count the core.Index separately.
 func (s *covSegment) memBytes() int64 {
-	total := s.view.MemBytes() + s.inv.MemBytes()
-	if s.cut != nil {
-		total += 4 * int64(len(s.cut))
-	}
-	return total
+	return s.view.MemBytes() + s.inv.MemBytes()
 }
 
 // clipInverted computes the per-node prefix lengths of inv's rows that fall
 // below k — the cut vector aligning a shared inverted index with a k-set
 // view. Rows are ascending, so each cut is one binary search (skipped for
-// the common row that lies entirely below k).
+// the common row that lies entirely below k). Only an opening's builder
+// calls it (Inverted.opening).
 func clipInverted(inv *Inverted, k int) []int32 {
-	return clipInvertedInto(inv, k, nil)
-}
-
-// clipInvertedInto is clipInverted writing into a reusable buffer (grown
-// when too small — every element is overwritten, so no clearing is needed).
-func clipInvertedInto(inv *Inverted, k int, cut []int32) []int32 {
 	n := inv.NumNodes()
-	if cap(cut) < n {
-		cut = make([]int32, n)
-	}
-	cut = cut[:n]
+	cut := make([]int32, n)
 	w := int32(k)
 	for u := 0; u < n; u++ {
 		ids := inv.IDs(int32(u))
@@ -93,13 +83,12 @@ func grownBools(buf []bool, n int) []bool {
 
 // segStore is the score-independent half of a coverage collection, shared
 // by Collection and WeightedCollection: the node universe, the CSR segments
-// and their set count, the recycled cut vector, and the first segment's
-// kernel state.
+// and their set count, and the first segment's kernel state.
 type segStore struct {
 	n       int
 	segs    []covSegment
 	numSets int
-	cut     []int32    // reusable cut-vector backing for reset
+	built   bool       // the last reset built its opening instead of finding it stored
 	bits    *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
 	mask    []uint64   // retired-set mask over the first segment (bitset kernel): covered sets, or zero-weight ones
 }
@@ -118,17 +107,26 @@ func (s *segStore) Kernel() KernelID {
 	return KernelSparse
 }
 
+// OpeningBuilt reports whether the last Reset had to build its opening on
+// the inverted index (no stored one matched the view's length) rather than
+// borrow one — a report for cache-effectiveness metrics, never an input.
+func (s *segStore) OpeningBuilt() bool { return s.built }
+
 // reset points the store at one shared base-0 segment — a sample view and
-// its prebuilt inverted index, rows clipped to the view by the recycled cut
-// vector (cut[u] is then u's membership count). A fresh single-segment
-// store meets every useKernel precondition, so this activates the bitset
-// kernel exactly when inv carries a bitmap covering the view.
-func (s *segStore) reset(n int, v FamilyView, inv *Inverted) {
+// its prebuilt inverted index, rows clipped to the view by the cut vector
+// borrowed from the index's opening for the view's length — and returns
+// that opening (cut[u] is also u's membership count, the owner's initial
+// scores). A fresh single-segment store meets every useKernel
+// precondition, so this activates the bitset kernel exactly when inv
+// carries a bitmap covering the view.
+func (s *segStore) reset(n int, v FamilyView, inv *Inverted) *opening {
 	s.n, s.numSets = n, v.Len()
-	s.cut = clipInvertedInto(inv, s.numSets, s.cut)
-	s.segs = append(s.segs[:0], covSegment{base: 0, view: v, inv: inv, cut: s.cut})
+	o, built := inv.opening(s.numSets)
+	s.built = built
+	s.segs = append(s.segs[:0], covSegment{base: 0, view: v, inv: inv, cut: o.cut})
 	s.bits = nil
 	s.useKernel(KernelBitset, true)
+	return o
 }
 
 // grow appends a non-empty view as one owned segment and returns the
@@ -189,9 +187,10 @@ func (s *segStore) memBytes() int64 {
 }
 
 // release drops every reference into index-owned memory — segment slots
-// are zeroed so the retained backing array holds no stale views or
-// inverted-index pointers, and the membership bitmap belongs to the index —
-// while keeping the store-owned cut vector and mask for reuse.
+// are zeroed so the retained backing array holds no stale views,
+// inverted-index pointers or borrowed cut vectors, and the membership
+// bitmap belongs to the index — while keeping the store-owned mask for
+// reuse.
 func (s *segStore) release() {
 	for i := range s.segs {
 		s.segs[i] = covSegment{}
@@ -221,7 +220,8 @@ func (s *segStore) release() {
 //
 // The candidate heap (see candidates) is built lazily: construction, Reset,
 // and AddFamily only mark it stale, and the rebuild happens on the first
-// operation that observes or depends on it.
+// operation that observes or depends on it. After a Reset that rebuild is
+// a copy of the heap stored with the inverted index's opening.
 //
 // A warm-start collection (Reset, NewCollectionFromFamily) sweeps its first
 // segment with the bitset kernel exactly when the shared inverted index
@@ -240,7 +240,7 @@ type Collection struct {
 func NewCollection(n int) *Collection {
 	c := &Collection{cov: make([]int32, n)}
 	c.n = n
-	c.candidates.reset(n)
+	c.candidates.reset(n, nil)
 	return c
 }
 
@@ -299,26 +299,29 @@ func (c *Collection) AddFamily(v FamilyView) {
 	for u := range c.cov {
 		c.cov[u] += int32(inv.Count(int32(u)))
 	}
-	c.stale = true
+	c.invalidate()
 }
 
 // Reset reinitializes c as a warm-start collection over a shared sample
 // view and its prebuilt inverted index — the same state
 // NewCollectionFromFamily constructs, but recycling every backing array
-// (coverage counters, per-set flags, cut vector, heap and scratch
-// buffers), so a steady-state reset allocates nothing. All state from the
-// previous run, including views of a previous index, is dropped. inv must
-// satisfy the same prefix contract as in NewCollectionFromFamily.
+// (coverage counters, per-set flags, heap and scratch buffers), so a
+// steady-state reset allocates nothing. The opening state — row clip,
+// initial coverage, initial heap — comes from the index's opening for the
+// view's length (see opening): computed on the first Reset at that length,
+// borrowed and copied by every later one. All state from the previous run,
+// including views of a previous index, is dropped. inv must satisfy the
+// same prefix contract as in NewCollectionFromFamily.
 func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
-	c.segStore.reset(n, v, inv)
-	c.candidates.reset(n)
+	o := c.segStore.reset(n, v, inv)
+	c.candidates.reset(n, o)
 	c.ncov = 0
 	c.covered = grownBools(c.covered, v.Len())
 	if cap(c.cov) < n {
 		c.cov = make([]int32, n)
 	}
 	c.cov = c.cov[:n]
-	copy(c.cov, c.cut)
+	copy(c.cov, o.cut)
 }
 
 // UseKernel overrides the kernel Reset chose and returns the kernel
@@ -337,8 +340,9 @@ func (c *Collection) UseKernel(id KernelID) KernelID { return c.useKernel(id, c.
 
 // NewCollectionFromFamily builds a collection over a prebuilt sample view
 // and its prebuilt inverted index, the warm-start fast path of
-// core.AllocateFromIndex: construction touches O(n log d) state (one
-// binary-searched row clip per node) instead of every membership. inv must
+// core.AllocateFromIndex: construction touches O(n) state — O(n log d),
+// one binary-searched row clip per node, the first time inv is opened at
+// this length — instead of every membership. inv must
 // index, with global ids ascending per node, a family of which v is the
 // prefix — rows may extend past v.Len() (the shared index usually holds
 // more sets than this run's θ); the excess is clipped, not copied.

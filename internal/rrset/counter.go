@@ -40,7 +40,7 @@ func (c *Collection) AddCounts(nodes []int32, counts []int32, addedSets int) {
 		c.cov[u] += counts[i]
 	}
 	c.numSets += addedSets
-	c.stale = true
+	c.invalidate()
 }
 
 // ApplyCover applies one externally computed cover outcome: covered sets
@@ -75,8 +75,10 @@ func (c *Collection) coverDelta(u int32, firstID int, s *deltaSink) int {
 // CoverNode it does not sync the candidate heap: a sharded collection's
 // candidates are ranked by the coordinator's counter collection, never by
 // the shard's own heap, so the (still lazy, still correct) rebuild is
-// deferred until someone actually queries it.
+// deferred until someone actually queries it — and, the scores having moved
+// off the opening's, it then reads the live ones.
 func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (covered int, outNodes []int32, outDecs []int32) {
+	c.opened = nil
 	s := c.newDeltaSink(nodes, decs)
 	covered = c.coverDelta(u, 0, &s)
 	c.ncov += covered
@@ -90,6 +92,7 @@ func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (cover
 // capture (and deferred heap sync) as CoverNodeDelta, restricted to sets
 // with id ≥ firstID (local ids of this collection).
 func (c *Collection) CountAndCoverFromDelta(u int32, firstID int, nodes []int32, decs []int32) (covered int, outNodes []int32, outDecs []int32) {
+	c.opened = nil
 	s := c.newDeltaSink(nodes, decs)
 	covered = c.coverDelta(u, firstID, &s)
 	c.ncov += covered

@@ -176,8 +176,9 @@ func (v FamilyView) MemBytes() int64 {
 // Immutable once built; growth replaces the whole index (cheap next to the
 // reverse-BFS cost of sampling the new sets, and it gives concurrent
 // readers a stable snapshot for free). The optional cover join (see
-// coverJoin) is derived data built at most once behind a sync.Once, so
-// concurrent readers stay race-free.
+// coverJoin), membership bitmap (coverBits) and openings (opening) are
+// derived data, each built at most once behind a lock, so concurrent
+// readers stay race-free — and each dies with the Inverted it describes.
 type Inverted struct {
 	off  []int64 // len = n+1
 	ids  []int32 // set ids, ascending within each node's row
@@ -189,6 +190,9 @@ type Inverted struct {
 
 	bitsMu sync.Mutex // serializes the one-time bitmap build
 	bits   atomic.Pointer[coverBits]
+
+	openMu   sync.Mutex // guards openings and serializes their builds
+	openings []*opening // most recently used first, at most OpeningCap
 }
 
 // BuildInverted indexes v over an n-node universe. Set i of the view gets
@@ -229,7 +233,8 @@ func (ix *Inverted) IDs(u int32) []int32 { return ix.ids[ix.off[u]:ix.off[u+1]] 
 func (ix *Inverted) Count(u int32) int { return int(ix.off[u+1] - ix.off[u]) }
 
 // MemBytes returns the index's exact data footprint (including the cover
-// join and membership bitmap once built; this never triggers the builds).
+// join, the membership bitmap and the stored openings once built; this
+// never triggers the builds).
 func (ix *Inverted) MemBytes() int64 {
 	total := 4*int64(len(ix.ids)) + 8*int64(len(ix.off))
 	if j := ix.join.Load(); j != nil {
@@ -237,6 +242,94 @@ func (ix *Inverted) MemBytes() int64 {
 	}
 	if b := ix.bits.Load(); b != nil {
 		total += b.memBytes()
+	}
+	ix.openMu.Lock()
+	for _, o := range ix.openings {
+		total += o.memBytes()
+	}
+	ix.openMu.Unlock()
+	return total
+}
+
+// OpeningCap bounds the openings one Inverted stores. An opening is keyed
+// by view length, which a request derives from its θ options alone, so
+// steady traffic repeats one or two lengths per index; a length past the
+// cap evicts the least recently used one, and a miss costs what every
+// request paid before openings existed — one row clip and one heap build.
+// The stored openings cost at most OpeningCap·12 bytes per node
+// (TestOpeningsBounded).
+const OpeningCap = 4
+
+// opening is the state every fresh warm-start collection over the first k
+// sets of an Inverted begins from — a pure function of (index, k), so it is
+// built once and borrowed or copied by each collection instead of being
+// recomputed per request. Immutable once built; derived data of the
+// Inverted exactly like coverJoin.
+//
+// The two halves are built separately because not every collection needs
+// both: cut is needed by all of them, the heap only by those that select
+// (a shard-side collection is ranked by its coordinator and never syncs
+// its own heap), so the heap half waits for the first SyncHeap that asks.
+type opening struct {
+	k int
+	// cut[u] is how many of u's row ids fall below k (rows are ascending, so
+	// that prefix is exactly u's memberships among the first k sets): both
+	// the row clip aligning the index with a k-set view and u's initial
+	// residual coverage.
+	cut []int32
+
+	heapOnce sync.Once
+	heap     atomic.Pointer[MaxHeap[int32]]
+}
+
+// opening returns the stored opening for view length k, building and
+// storing it on a miss (built reports which). Builds hold openMu, so
+// concurrent requests for one length wait for a single build rather than
+// repeating it.
+func (ix *Inverted) opening(k int) (o *opening, built bool) {
+	ix.openMu.Lock()
+	defer ix.openMu.Unlock()
+	for i, o := range ix.openings {
+		if o.k == k {
+			copy(ix.openings[1:i+1], ix.openings[:i])
+			ix.openings[0] = o
+			return o, false
+		}
+	}
+	o = &opening{k: k, cut: clipInverted(ix, k)}
+	if len(ix.openings) < OpeningCap {
+		ix.openings = append(ix.openings, nil)
+	}
+	copy(ix.openings[1:], ix.openings)
+	ix.openings[0] = o
+	return o, true
+}
+
+// candidateHeap returns the candidate heap of a fresh collection over the
+// opening — the array candidates.sync leaves over cut with no node dropped
+// — building it on first use through that same sync, so a collection that
+// copies it holds exactly the heap it would have built itself. Read-only.
+func (o *opening) candidateHeap() MaxHeap[int32] {
+	o.heapOnce.Do(func() {
+		live := 0
+		for _, c := range o.cut {
+			if c > 0 {
+				live++
+			}
+		}
+		c := candidates[int32]{pq: make(MaxHeap[int32], 0, live), dead: make([]bool, len(o.cut)), stale: true}
+		c.sync(o.cut)
+		o.heap.Store(&c.pq)
+	})
+	return *o.heap.Load()
+}
+
+// memBytes returns the opening's exact data footprint: the cut vector plus
+// the heap once built (never triggers the build).
+func (o *opening) memBytes() int64 {
+	total := 4 * int64(len(o.cut))
+	if h := o.heap.Load(); h != nil {
+		total += 8 * int64(len(*h))
 	}
 	return total
 }

@@ -101,10 +101,17 @@ const floatSlack = 1e-9
 // heap's evolution, and therefore tie-breaking among equal-score nodes,
 // byte-identical to a rebuild-on-add). A collection that is built and thrown
 // away unqueried pays nothing for its heap.
+//
+// The rebuild pending after a warm-start Reset is over scores no request
+// has touched — the opening's cut vector, every node alive — so its result
+// is stored with the opening and sync copies it (adoptHeap) instead of
+// building it again. Anything that moves scores or eligibility before that
+// sync ran clears opened, and the rebuild reads the live scores as ever.
 type candidates[S int32 | float64] struct {
-	pq    MaxHeap[S]
-	stale bool   // heap needs a rebuild before its next use
-	dead  []bool // node -> permanently ineligible (dropped from heap)
+	pq     MaxHeap[S]
+	stale  bool     // heap needs a rebuild before its next use
+	opened *opening // non-nil: the pending rebuild is over this opening's untouched scores
+	dead   []bool   // node -> permanently ineligible (dropped from heap)
 
 	aside   []heapEntry[S] // topLoop scratch
 	seen    []uint64       // per-call dedup stamps (topLoop, delta covers)
@@ -112,24 +119,42 @@ type candidates[S int32 | float64] struct {
 }
 
 // reset empties the heap over n nodes and marks it for a rebuild, recycling
-// every backing array.
-func (c *candidates[S]) reset(n int) {
+// every backing array. o, when non-nil, is the opening whose cut vector the
+// owner's scores start as.
+func (c *candidates[S]) reset(n int, o *opening) {
 	c.dead = grownBools(c.dead, n)
 	c.pq = c.pq[:0]
 	c.stale = true
+	c.opened = o
+}
+
+// invalidate marks the heap for a rebuild from the live scores — what an
+// owner calls when scores grew.
+func (c *candidates[S]) invalidate() {
+	c.stale = true
+	c.opened = nil
 }
 
 // Drop permanently removes a node from BestNode consideration (e.g. a node
 // already chosen as a seed for this ad).
-func (c *candidates[S]) Drop(u int32) { c.dead[u] = true }
+func (c *candidates[S]) Drop(u int32) {
+	c.dead[u] = true
+	c.opened = nil // a pending rebuild must now leave u out
+}
 
 // sync performs the deferred rebuild, if one is pending: one fresh entry
-// per live node of positive score.
+// per live node of positive score — copied from the opening while the
+// scores are still its.
 func (c *candidates[S]) sync(scores []S) {
 	if !c.stale {
 		return
 	}
 	c.stale = false
+	if o := c.opened; o != nil {
+		c.opened = nil
+		c.pq = adoptHeap(c.pq, o.candidateHeap())
+		return
+	}
 	c.pq = c.pq[:0]
 	for u, s := range scores {
 		if s > 0 && !c.dead[u] {
@@ -137,6 +162,26 @@ func (c *candidates[S]) sync(scores []S) {
 		}
 	}
 	c.pq.Init()
+}
+
+// adoptHeap overwrites dst with an opening's heap, scores converted to S:
+// one copy at int32; at float64 one converting pass, which is exact and
+// order-preserving, so every comparison Init would make over the converted
+// scores comes out as it did over the counts and the array is the one Init
+// would leave.
+func adoptHeap[S int32 | float64](dst MaxHeap[S], src MaxHeap[int32]) MaxHeap[S] {
+	if cap(dst) < len(src) {
+		dst = make(MaxHeap[S], len(src))
+	}
+	dst = dst[:len(src)]
+	if same, ok := any(dst).(MaxHeap[int32]); ok {
+		copy(same, src)
+		return dst
+	}
+	for i, e := range src {
+		dst[i] = heapEntry[S]{e.node, S(e.score)}
+	}
+	return dst
 }
 
 // stamps starts a fresh dedup generation over n nodes: seen[u] == gen

@@ -137,6 +137,10 @@ func NewSampler(g *graph.Graph, probs []float32, ctps topic.CTP) *Sampler {
 	return &Sampler{g: g, probs: probs, ctps: ctps}
 }
 
+// Probs returns the probability vector the sampler was built over (the
+// caller's slice, not a copy). Read-only.
+func (s *Sampler) Probs() []float32 { return s.probs }
+
 // Graph returns the sampler's graph.
 func (s *Sampler) Graph() *graph.Graph { return s.g }
 

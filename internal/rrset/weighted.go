@@ -36,7 +36,7 @@ type WeightedCollection struct {
 func NewWeightedCollection(n int) *WeightedCollection {
 	c := &WeightedCollection{wcov: make([]float64, n)}
 	c.n = n
-	c.candidates.reset(n)
+	c.candidates.reset(n, nil)
 	return c
 }
 
@@ -80,15 +80,15 @@ func (c *WeightedCollection) AddFamily(v FamilyView) {
 	for u := range c.wcov {
 		c.wcov[u] += float64(inv.Count(int32(u)))
 	}
-	c.stale = true
+	c.invalidate()
 }
 
 // Reset mirrors Collection.Reset for the soft-coverage mode: reinitialize
 // over a shared view and inverted index recycling every backing array
 // (weights included), so a steady-state reset allocates nothing.
 func (c *WeightedCollection) Reset(n int, v FamilyView, inv *Inverted) {
-	c.segStore.reset(n, v, inv)
-	c.candidates.reset(n)
+	o := c.segStore.reset(n, v, inv)
+	c.candidates.reset(n, o)
 	c.claimed = 0
 	k := v.Len()
 	if cap(c.weight) < k {
@@ -103,7 +103,7 @@ func (c *WeightedCollection) Reset(n int, v FamilyView, inv *Inverted) {
 	}
 	c.wcov = c.wcov[:n]
 	for u := range c.wcov {
-		c.wcov[u] = float64(c.cut[u])
+		c.wcov[u] = float64(o.cut[u])
 	}
 }
 

@@ -1,7 +1,7 @@
 // Workspace: the recyclable per-ad state of a warm selection run. A warm
 // core.AllocateFromIndex builds one coverage collection per ad per request;
 // at serving rates the construction garbage (coverage counters, dead
-// bitmaps, per-set flags and weights, cut vectors, heap backing) dominates
+// bitmaps, per-set flags and weights, heap backing) dominates
 // the allocation profile even though every array has the same shape on
 // every request against the same index. A Workspace owns one Collection
 // and one WeightedCollection whose backing arrays survive across runs —
@@ -46,13 +46,14 @@ func (w *Workspace) Weighted(n int, v FamilyView, inv *Inverted) *WeightedCollec
 }
 
 // Release drops every reference the workspace holds into index-owned
-// memory (sample views, inverted indexes, growth segments) while keeping
-// the workspace-owned backing arrays for reuse. Pools call it before
-// parking a workspace so an idle pool never pins a retired index's arenas
-// live.
+// memory (sample views, inverted indexes and the openings borrowed from
+// them, growth segments) while keeping the workspace-owned backing arrays
+// for reuse. Pools call it before parking a workspace so an idle pool
+// never pins a retired index's arenas live.
 func (w *Workspace) Release() {
 	w.col.segStore.release()
 	w.wcol.segStore.release()
 	w.col.pq, w.wcol.pq = w.col.pq[:0], w.wcol.pq[:0]
 	w.col.stale, w.wcol.stale = false, false
+	w.col.opened, w.wcol.opened = nil, nil
 }

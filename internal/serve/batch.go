@@ -89,7 +89,7 @@ func (s *Server) itemResult(item AllocateItem, coreReq core.Request, br core.Bat
 	}
 	res := br.Res
 	s.metrics.allocations.Inc()
-	s.metrics.recordKernels(res.KernelCounts)
+	s.metrics.recordRun(res)
 	for i, seeds := range res.Alloc.Seeds {
 		if seeds == nil {
 			res.Alloc.Seeds[i] = []int32{} // JSON: [] for empty, never null

@@ -58,6 +58,7 @@ type serverMetrics struct {
 	// children resolved once, indexed by rrset.KernelID so the per-request
 	// record path never touches the vec's map.
 	kernelSelected [rrset.NumKernels]*obs.Counter
+	openingsBuilt  *obs.Counter
 
 	// Bandit-layer telemetry: events applied via POST /feedback, the
 	// per-ad learned estimates, and the exploration share of each ad's
@@ -124,6 +125,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	for id := rrset.KernelID(0); int(id) < rrset.NumKernels; id++ {
 		m.kernelSelected[id] = kernelVec.With(id.String())
 	}
+	m.openingsBuilt = reg.Counter("adserver_openings_built_total",
+		"Per-ad coverage states that built their opening (row clip and initial candidate heap for the request's θ) instead of copying one stored on the index, summed over successful single-node allocations; flat under traffic that repeats θ.")
 
 	reg.CounterFunc("adserver_cache_hits_total",
 		"Requests served entirely from a cached instance+index.",
@@ -203,14 +206,16 @@ func (m *serverMetrics) failAlloc(reason string) {
 	m.allocFailures.With(reason).Inc()
 }
 
-// recordKernels folds one successful run's per-kernel collection tallies
-// into adserver_kernel_selected_total.
-func (m *serverMetrics) recordKernels(counts [rrset.NumKernels]int) {
-	for id, c := range counts {
+// recordRun folds one successful run's reports into their counters: the
+// per-kernel collection tallies into adserver_kernel_selected_total, the
+// openings it had to build into adserver_openings_built_total.
+func (m *serverMetrics) recordRun(res *core.TIRMResult) {
+	for id, c := range res.KernelCounts {
 		if c > 0 {
 			m.kernelSelected[id].Add(uint64(c))
 		}
 	}
+	m.openingsBuilt.Add(uint64(res.OpeningsBuilt))
 }
 
 // allocFailureCounts snapshots the failure counter for /stats; nil when no

@@ -65,6 +65,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"adserver_alloc_seconds_count 1",
 		"adserver_alloc_rounds_count 1",
 		`adserver_kernel_selected_total{kernel="bitset"} 4`, // the Fig. 1 toy is dense: all 4 ads
+		"adserver_openings_built_total 4",                   // a θ the index had not been opened at: one per ad
 		`adserver_alloc_phase_seconds_count{phase="scan"} 1`,
 		`adserver_alloc_phase_seconds_count{phase="commit"} 1`,
 		`adserver_http_requests_total{endpoint="allocate",code="200"} 1`,
@@ -78,6 +79,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", body)
+	}
+	// The same θ again copies the stored openings: the counter stays put.
+	if code := postJSON(t, ts.URL+"/allocate", fig1Request(), nil); code != http.StatusOK {
+		t.Fatalf("repeat allocate: %d", code)
+	}
+	body = scrapeMetrics(t, ts.URL)
+	for _, want := range []string{"adserver_allocations_total 2", "adserver_openings_built_total 4"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics after a repeat request missing %q", want)
+		}
 	}
 
 	var stats StatsResponse

@@ -672,7 +672,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.allocations.Inc()
 	s.metrics.allocSeconds.Observe(time.Since(started).Seconds())
-	s.metrics.recordKernels(res.KernelCounts)
+	s.metrics.recordRun(res)
 	t.allocs.Add(1)
 	// Accumulated only for successful runs: allocs is the divisor of the
 	// /stats per-request averages, so failed runs must not contribute.

@@ -125,16 +125,20 @@ func (mo *Model) At(z int, e int64) float32 { return mo.probs[z][e] }
 func (mo *Model) Topic(z int) []float32 { return mo.probs[z] }
 
 // Mix materializes the ad-specific edge probabilities p^i_e = Σ_z γ^z p^z_e
-// (Eq. 1). The result has one entry per canonical EdgeID.
+// (Eq. 1). The result has one entry per canonical EdgeID and must be
+// treated as read-only: with more than one topic it is a fresh vector, but
+// a one-topic model has nothing to mix and returns Topic(0) itself, so
+// every ad of a weighted-cascade instance shares one vector (and, through
+// that identity, one sampler-side transpose in core.Index) instead of
+// carrying its own copy of it.
 func (mo *Model) Mix(gamma Dist) ([]float32, error) {
 	if gamma.K() != mo.k {
 		return nil, fmt.Errorf("topic: distribution has %d topics, model has %d", gamma.K(), mo.k)
 	}
-	out := make([]float32, mo.m)
 	if mo.k == 1 {
-		copy(out, mo.probs[0])
-		return out, nil
+		return mo.probs[0], nil
 	}
+	out := make([]float32, mo.m)
 	for z, gz := range gamma {
 		if gz == 0 {
 			continue

@@ -117,16 +117,24 @@ func TestMixSharedModel(t *testing.T) {
 	if mo.K() != 1 || mo.M() != 3 {
 		t.Fatalf("shared model K=%d M=%d", mo.K(), mo.M())
 	}
-	got := mo.MustMix(Dist{1})
-	for e := range probs {
-		if got[e] != probs[e] {
-			t.Fatalf("shared mix mismatch at %d", e)
-		}
+	// One topic: nothing to mix, so every ad gets the topic vector itself —
+	// the identity core.Index shares samplers by.
+	got, again := mo.MustMix(Dist{1}), mo.MustMix(Dist{1})
+	if len(got) != len(probs) || &got[0] != &mo.Topic(0)[0] || &again[0] != &got[0] {
+		t.Fatal("one-topic Mix did not return Topic(0) itself")
 	}
-	// Mix must copy: mutating the result must not affect the model.
-	got[0] = 0.99
-	if mo.At(0, 0) != 0.1 {
-		t.Fatal("Mix aliased internal storage")
+	// More than one topic: a fresh vector per call, aliasing no topic.
+	two := NewModel(2, 3)
+	for e := int64(0); e < 3; e++ {
+		two.Set(0, e, 0.2)
+		two.Set(1, e, 0.4)
+	}
+	a, b := two.MustMix(Dist{1, 0}), two.MustMix(Dist{1, 0})
+	if &a[0] == &b[0] || &a[0] == &two.Topic(0)[0] {
+		t.Fatal("multi-topic Mix returned shared storage")
+	}
+	if a[0] != 0.2 || a[2] != 0.2 {
+		t.Fatalf("multi-topic mix = %v, want topic 0's values", a)
 	}
 }
 
