@@ -27,19 +27,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/rrset"
 	"repro/internal/serve"
 )
@@ -57,9 +51,6 @@ func main() {
 		replicas  = flag.Int("replicas", 1, "replication factor R in coordinator mode: every partition range is served by R adshard replicas with automatic failover")
 		rpcTO     = flag.Duration("rpc-timeout", 30*time.Second, "per-attempt deadline for fast shard RPCs in coordinator mode (sampling-heavy ops get 10x)")
 		probeIvl  = flag.Duration("probe-interval", 15*time.Second, "background replica health probe period in coordinator mode (0 = probe only on /healthz)")
-		traceCap  = flag.Int("trace-capacity", 0, "retained-trace ring size for /debug/traces (0 = default 256)")
-		traceLat  = flag.Duration("trace-latency", 0, "tail-retention threshold: traces at least this slow are always kept (0 = default 250ms)")
-		traceNth  = flag.Int("trace-sample", 0, "head-sample 1 in N of the traces no tail rule claims (0 = default 16)")
 	)
 	flag.Parse()
 	rrset.SetMaxWorkers(*workers)
@@ -70,11 +61,6 @@ func main() {
 		Replicas:      *replicas,
 		RPCTimeout:    *rpcTO,
 		ProbeInterval: *probeIvl,
-		Tracing: obs.TracerConfig{
-			Capacity:         *traceCap,
-			LatencyThreshold: *traceLat,
-			SampleEvery:      *traceNth,
-		},
 	}
 	if err := run(*addr, *preload, *pprofOn, *shards, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "adserver:", err)
@@ -114,45 +100,5 @@ func run(addr, preload string, pprofOn bool, shards string, opts serve.Options) 
 		}
 	}
 
-	handler := srv.Handler()
-	if pprofOn {
-		// Profiling rides the serving mux behind an explicit opt-in flag:
-		// pprof exposes process internals, so an open production endpoint
-		// should not mount it by accident.
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = mux
-		log.Printf("adserver: pprof enabled at /debug/pprof/")
-	}
-
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("adserver: listening on %s", addr)
-		errc <- hs.ListenAndServe()
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-stop:
-		log.Printf("adserver: %v, shutting down", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-	}
-	return nil
+	return serve.RunDaemon(context.Background(), "adserver", addr, srv.Handler(), pprofOn, 0, nil)
 }

@@ -23,20 +23,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rrset"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -55,24 +49,16 @@ func main() {
 		workers   = flag.Int("workers", 0, "cap on RR-sampling worker goroutines (0 = GOMAXPROCS)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU, heap, allocs, goroutine profiles; see EXPERIMENTS.md for a hot-path profiling walkthrough)")
 		rpcTO     = flag.Duration("rpc-timeout", 0, "server-side bound on a single RPC handler (http.Server write timeout; 0 = unbounded — sampling-heavy ops can legitimately run long, coordinators bound their side with per-attempt deadlines)")
-		traceCap  = flag.Int("trace-capacity", 0, "retained-trace ring size for /debug/traces (0 = default 256)")
-		traceLat  = flag.Duration("trace-latency", 0, "tail-retention threshold: traces at least this slow are always kept (0 = default 250ms)")
-		traceNth  = flag.Int("trace-sample", 0, "head-sample 1 in N of the traces no tail rule claims (0 = default 16)")
 	)
 	flag.Parse()
 	rrset.SetMaxWorkers(*workers)
-	tracing := obs.TracerConfig{
-		Capacity:         *traceCap,
-		LatencyThreshold: *traceLat,
-		SampleEvery:      *traceNth,
-	}
-	if err := run(*addr, *dataset, *seed, *scale, *ads, *shardID, *numShards, *snapshots, *pprofOn, *rpcTO, tracing); err != nil {
+	if err := run(*addr, *dataset, *seed, *scale, *ads, *shardID, *numShards, *snapshots, *pprofOn, *rpcTO); err != nil {
 		fmt.Fprintln(os.Stderr, "adshard:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShards int, snapshots string, pprofOn bool, rpcTimeout time.Duration, tracing obs.TracerConfig) error {
+func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShards int, snapshots string, pprofOn bool, rpcTimeout time.Duration) error {
 	p, err := shard.NewPartitioner(numShards)
 	if err != nil {
 		return err
@@ -116,43 +102,9 @@ func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShar
 	}
 	s.Dataset = shard.DatasetParams{Name: dataset, Seed: seed, Scale: scale, NumAds: ads}
 	s.Logf = log.Printf
-	s.Tracing = tracing
 
-	handler := s.Handler()
-	if pprofOn {
-		// Profiling rides the serving mux behind an explicit opt-in flag:
-		// pprof exposes process internals, so an open production endpoint
-		// should not mount it by accident.
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = mux
-		log.Printf("adshard: pprof enabled at /debug/pprof/")
-	}
-
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout:      rpcTimeout,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("adshard: slice %d/%d of %s listening on %s", shardID, numShards, params.Key(), addr)
-		errc <- hs.ListenAndServe()
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-stop:
-		log.Printf("adshard: %v, draining and shutting down", sig)
+	log.Printf("adshard: serving slice %d/%d of %s", shardID, numShards, params.Key())
+	return serve.RunDaemon(context.Background(), "adshard", addr, s.Handler(), pprofOn, rpcTimeout, func() {
 		s.Drain()
 		// Persist the slice; failures are logged, never fatal.
 		if snapPath != "" {
@@ -162,11 +114,5 @@ func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShar
 				log.Printf("adshard: wrote snapshot %s", snapPath)
 			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-	}
-	return nil
+	})
 }

@@ -76,7 +76,7 @@ func TestKernelRequestGolden(t *testing.T) {
 			pool := req.workspacePool()
 			ws := pool.get()
 			defer pool.put(ws)
-			be := &sparseBackend{localBackend{idx: idx, ep: idx.curr.Load(), ws: ws, soft: cfg.opts.SoftCoverage}}
+			be := &sparseBackend{localBackend{ep: idx.curr.Load(), ws: ws, soft: cfg.opts.SoftCoverage}}
 			sparse, err := ws.run(context.Background(), inst, be, req)
 			if err != nil {
 				t.Fatal(err)

@@ -83,6 +83,7 @@ var ErrStaleEpoch = errors.New("core: index epoch changed since the request was 
 type adSample struct {
 	stream  uint64 // stream id: the Split index of rng under the index seed
 	part    rrset.StreamPartition
+	sampled *atomic.Int64 // the owning index's lifetime counter; ensure is its only writer
 	mu      sync.Mutex
 	sampler *rrset.Sampler
 	rng     *xrand.Rand // ad stream root; block b samples from rng.Split(b)
@@ -148,7 +149,8 @@ func (a *adSample) kptFor(widths []int64, s, n int, m int64, memo map[int64]floa
 // nor the widths are touched here: window consumers need neither, so growth
 // stays O(new members); the index rebuild is deferred to syncInv and widths
 // are computed by prefix for the pilot only. fresh counts local sets drawn,
-// which summed across a full partition equals the global count. Caller
+// which summed across a full partition equals the global count; it is added
+// to the index's SetsSampled here, the one place sets are drawn. Caller
 // holds a.mu.
 func (a *adSample) ensure(want int) (fresh int64) {
 	to := rrset.StreamCeil(want)
@@ -158,7 +160,9 @@ func (a *adSample) ensure(want int) (fresh int64) {
 	before := a.fam.Len()
 	a.sampler.SampleShardRangeRRInto(a.part, a.streamLen, to, a.rng, a.fam)
 	a.streamLen = to
-	return int64(a.fam.Len() - before)
+	fresh = int64(a.fam.Len() - before)
+	a.sampled.Add(fresh)
+	return fresh
 }
 
 // syncInv makes the inverted index cover at least the first want sets,
@@ -282,7 +286,7 @@ func BuildIndex(inst *Instance, seed uint64, opts TIRMOptions) (*Index, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	idx := newIndexSkeleton(inst, seed, rrset.StreamPartition{})
 	ep := idx.curr.Load()
 	var wg sync.WaitGroup
@@ -321,12 +325,11 @@ func BuildShardIndex(inst *Instance, seed uint64, part rrset.StreamPartition) (*
 func (idx *Index) presample(a *adSample, opts TIRMOptions) {
 	g := a.sampler.Graph()
 	n, m := g.N(), g.M()
-	widths, fresh := a.prefix(opts.MinTheta)
-	idx.sampled.Add(fresh)
+	widths, _ := a.prefix(opts.MinTheta)
 	// Through the sample's cache, so the first request finds KPT(1) there.
 	kpt := a.kptFor(widths, 1, n, m, nil)
 	want := rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
-	idx.sampled.Add(a.warm(want))
+	a.warm(want)
 }
 
 // newIndexSkeleton wires samplers and per-ad streams without sampling. Ad j
@@ -365,6 +368,7 @@ func (idx *Index) newAdSample(g *graph.Graph, probs []float32, stream uint64, pe
 	return &adSample{
 		stream:  stream,
 		part:    idx.part,
+		sampled: &idx.sampled,
 		sampler: sampler,
 		rng:     xrand.New(idx.seed).Split(stream),
 		fam:     rrset.NewSetFamily(),
@@ -386,7 +390,7 @@ func (idx *Index) AddAd(ad Ad, opts TIRMOptions) (int, error) {
 	if err := validateAd(old.inst.G, len(old.inst.Ads), ad); err != nil {
 		return 0, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	a := idx.newAdSample(old.inst.G, ad.Params.Probs, idx.next, old.ads)
 	idx.next++
 	if idx.part.IsIdentity() {
@@ -539,9 +543,12 @@ type Request struct {
 	Explain bool
 }
 
-// validate resolves the request against the instance, returning the ad
-// subset and effective λ/κ.
-func (req *Request) validate(inst *Instance) (adIDs []int, lambda float64, kappa AttentionBounds, err error) {
+// Resolve validates the request against an instance and resolves its ad
+// subset and effective λ/κ — the per-run request normalization the loop
+// applies, exported so the shard coordinator applies the identical rules
+// (including override shape checks and SpentBudget validation) before
+// distributing a run.
+func (req *Request) Resolve(inst *Instance) (adIDs []int, lambda float64, kappa AttentionBounds, err error) {
 	h := len(inst.Ads)
 	if req.Budgets != nil && len(req.Budgets) != h {
 		return nil, 0, nil, fmt.Errorf("core: request overrides %d budgets, instance has %d ads", len(req.Budgets), h)
@@ -633,7 +640,7 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 	pool := req.workspacePool()
 	ws := pool.get()
 	defer pool.put(ws)
-	ws.local = localBackend{idx: idx, ep: ep, ws: ws, soft: req.Opts.SoftCoverage}
+	ws.local = localBackend{ep: ep, ws: ws, soft: req.Opts.SoftCoverage}
 	res, err := ws.run(context.Background(), ep.inst, &ws.local, req)
 	if err != nil {
 		return nil, err
@@ -727,6 +734,63 @@ func (h *indexHeader) marshal() []byte {
 		out = append(out, b8[:]...)
 	}
 	return out
+}
+
+// readIndexHeader is marshal's inverse, for a caller that expects the slice
+// part of numAds ads: it reads the magic and version words, the payload
+// marshal renders and the CRC after it. Each field is checked before
+// anything it sizes is read, and the CRC last, over the re-marshalled
+// payload — so only a header that round-trips is accepted.
+func readIndexHeader(r io.Reader, part rrset.StreamPartition, numAds int) (*indexHeader, error) {
+	le := binary.LittleEndian
+	var b [28]byte
+	if _, err := io.ReadFull(r, b[:8]); err != nil {
+		return nil, fmt.Errorf("core: index snapshot header: %w", err)
+	}
+	if magic := le.Uint32(b[:]); magic != indexMagic {
+		return nil, fmt.Errorf("core: bad index snapshot magic %#x", magic)
+	}
+	if version := le.Uint32(b[4:]); version != indexVersion {
+		return nil, fmt.Errorf("core: unsupported index snapshot version %d (this build reads version %d only; rebuild the index)", version, indexVersion)
+	}
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return nil, err
+	}
+	snapPart := rrset.StreamPartition{NumShards: int(le.Uint32(b[16:])), Shard: int(le.Uint32(b[20:]))}
+	if err := snapPart.Validate(); err != nil {
+		return nil, fmt.Errorf("core: index snapshot partition: %w", err)
+	}
+	if snapPart.Size() != part.Size() || (!snapPart.IsIdentity() && snapPart.Shard != part.Shard) {
+		return nil, fmt.Errorf("core: index snapshot holds stream slice %d/%d, caller expects %d/%d",
+			snapPart.Shard, snapPart.Size(), part.Shard, part.Size())
+	}
+	if n := le.Uint32(b[24:]); int(n) != numAds {
+		return nil, fmt.Errorf("core: index snapshot has %d ads, instance has %d", n, numAds)
+	}
+	h := &indexHeader{
+		seed:        le.Uint64(b[:]),
+		fingerprint: le.Uint64(b[8:]),
+		numShards:   uint32(snapPart.Size()),
+		shard:       uint32(snapPart.Shard),
+		streams:     make([]uint64, numAds),
+	}
+	for j := range h.streams {
+		if _, err := io.ReadFull(r, b[:8]); err != nil {
+			return nil, fmt.Errorf("core: index snapshot ad %d stream id: %w", j, err)
+		}
+		if h.streams[j] = le.Uint64(b[:]); h.streams[j] == math.MaxUint64 {
+			// The sentinel would wrap the loader's next-stream counter and
+			// let a later AddAd reuse a live stream id.
+			return nil, fmt.Errorf("core: index snapshot ad %d has invalid stream id", j)
+		}
+	}
+	if _, err := io.ReadFull(r, b[:4]); err != nil {
+		return nil, err
+	}
+	if got, crc := crc32.ChecksumIEEE(h.marshal()), le.Uint32(b[:]); got != crc {
+		return nil, fmt.Errorf("core: index snapshot header CRC mismatch (%#x vs %#x)", got, crc)
+	}
+	return h, nil
 }
 
 // WriteSnapshot persists the index's current epoch — stream seed, the
@@ -852,88 +916,12 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 		return nil, err
 	}
 	r := bufio.NewReader(src)
-	var buf [8]byte
-	r32 := func() (uint32, error) {
-		if _, err := io.ReadFull(r, buf[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(buf[:4]), nil
-	}
-	r64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, buf[:8]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(buf[:8]), nil
-	}
-	magic, err := r32()
-	if err != nil {
-		return nil, fmt.Errorf("core: index snapshot header: %w", err)
-	}
-	if magic != indexMagic {
-		return nil, fmt.Errorf("core: bad index snapshot magic %#x", magic)
-	}
-	version, err := r32()
+	hdr, err := readIndexHeader(r, part, len(inst.Ads))
 	if err != nil {
 		return nil, err
 	}
-	if version != indexVersion {
-		return nil, fmt.Errorf("core: unsupported index snapshot version %d (this build reads version %d only; rebuild the index)", version, indexVersion)
-	}
-	seed, err := r64()
-	if err != nil {
-		return nil, err
-	}
-	fp, err := r64()
-	if err != nil {
-		return nil, err
-	}
-	ns, err := r32()
-	if err != nil {
-		return nil, err
-	}
-	sh, err := r32()
-	if err != nil {
-		return nil, err
-	}
-	snapPart := rrset.StreamPartition{NumShards: int(ns), Shard: int(sh)}
-	if err := snapPart.Validate(); err != nil {
-		return nil, fmt.Errorf("core: index snapshot partition: %w", err)
-	}
-	if snapPart.Size() != part.Size() || (!snapPart.IsIdentity() && snapPart.Shard != part.Shard) {
-		return nil, fmt.Errorf("core: index snapshot holds stream slice %d/%d, caller expects %d/%d",
-			snapPart.Shard, snapPart.Size(), part.Shard, part.Size())
-	}
-	numAds, err := r32()
-	if err != nil {
-		return nil, err
-	}
-	if int(numAds) != len(inst.Ads) {
-		return nil, fmt.Errorf("core: index snapshot has %d ads, instance has %d", numAds, len(inst.Ads))
-	}
-	streams := make([]uint64, int(numAds))
-	for j := range streams {
-		if streams[j], err = r64(); err != nil {
-			return nil, fmt.Errorf("core: index snapshot ad %d stream id: %w", j, err)
-		}
-		if streams[j] == math.MaxUint64 {
-			// The sentinel would wrap the next-stream counter below and
-			// let a later AddAd reuse a live stream id.
-			return nil, fmt.Errorf("core: index snapshot ad %d has invalid stream id", j)
-		}
-	}
-	crc, err := r32()
-	if err != nil {
-		return nil, err
-	}
-	hdr := indexHeader{
-		seed: seed, fingerprint: fp,
-		numShards: uint32(snapPart.Size()), shard: uint32(snapPart.Shard),
-		streams: streams,
-	}
-	if got := crc32.ChecksumIEEE(hdr.marshal()); got != crc {
-		return nil, fmt.Errorf("core: index snapshot header CRC mismatch (%#x vs %#x)", got, crc)
-	}
-	idx := &Index{seed: seed, part: part, next: uint64(numAds)}
+	streams, fp := hdr.streams, hdr.fingerprint
+	idx := &Index{seed: hdr.seed, part: part, next: uint64(len(streams))}
 	for _, stream := range streams {
 		if stream+1 > idx.next {
 			idx.next = stream + 1
@@ -946,7 +934,7 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 	// j is read — and a worker that has decoded its section derives the ad's
 	// state while the next section decodes. One worker runs the jobs inline
 	// in order: fingerprint, then ad by ad, as a serial load would.
-	ads := make([]*adSample, int(numAds))
+	ads := make([]*adSample, len(streams))
 	for j := range ads {
 		ads[j] = idx.newAdSample(inst.G, inst.Ads[j].Params.Probs, streams[j], ads[:j])
 	}

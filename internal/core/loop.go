@@ -163,11 +163,11 @@ func AllocateOver(ctx context.Context, inst *Instance, be Backend, req Request) 
 
 // run is the loop itself, on an acquired workspace.
 func (ws *allocWorkspace) run(ctx context.Context, inst *Instance, be Backend, req Request) (*TIRMResult, error) {
-	adIDs, lambda, kappa, err := req.validate(inst)
+	adIDs, lambda, kappa, err := req.Resolve(inst)
 	if err != nil {
 		return nil, err
 	}
-	opts := req.Opts.withDefaults()
+	opts := req.Opts.WithDefaults()
 	g := inst.G
 	n := g.N()
 	m := g.M()

@@ -100,41 +100,58 @@ func validateAd(g *graph.Graph, pos int, ad Ad) error {
 // errors.Is.
 var ErrAdExists = errors.New("already exists")
 
-// CloneAd builds the advertiser a template clone describes: the new ad
-// shares the mixed edge probabilities of inst's ad at position template
-// (datasets are generated, so arbitrary per-edge vectors have no
+// AdSpec describes an advertiser to add by template cloning — the body of
+// POST /ads, and what a coordinator broadcasts to its shards. The new ad
+// shares the mixed edge probabilities of the campaign's ad at position
+// Template (datasets are generated, so arbitrary per-edge vectors have no
 // request-sized representation) with its own name, budget and CPE, and —
-// when ctp > 0 — a uniform click-through probability in place of the
-// template's CTP vector. It is the one validation of such a request: the
-// name must be non-empty and unused (ErrAdExists otherwise), template in
-// range, ctp in [0, 1], and the result a valid ad for Index.AddAd. A
-// serving host, a coordinator's campaign mirror and every shard of a
-// cluster call it on the same instance, so all of them construct the
-// bit-identical advertiser.
-func CloneAd(inst *Instance, name string, budget, cpe, ctp float64, template int) (Ad, error) {
-	if name == "" {
+// when CTP > 0 — a uniform click-through probability in place of the
+// template's CTP vector.
+type AdSpec struct {
+	// Name labels the new ad (must be unique in the campaign).
+	Name string `json:"name"`
+	// Budget is the ad's budget B_i.
+	Budget float64 `json:"budget"`
+	// CPE is the ad's cost-per-engagement.
+	CPE float64 `json:"cpe"`
+	// CTP, when > 0, is a uniform click-through probability; 0 keeps the
+	// template's CTP vector.
+	CTP float64 `json:"ctp,omitempty"`
+	// Template is the campaign position whose propagation profile the new
+	// ad clones.
+	Template int `json:"template,omitempty"`
+}
+
+// CloneAd builds the advertiser spec describes against inst. It is the one
+// validation of such a request: the name must be non-empty and unused
+// (ErrAdExists otherwise), Template in range, CTP in [0, 1], and the result
+// a valid ad for Index.AddAd. A serving host, a coordinator's campaign
+// mirror and every shard of a cluster call it on the same instance, so all
+// of them construct the bit-identical advertiser.
+func CloneAd(inst *Instance, spec AdSpec) (Ad, error) {
+	if spec.Name == "" {
 		return Ad{}, errors.New("ad name required")
 	}
 	for _, a := range inst.Ads {
-		if a.Name == name {
-			return Ad{}, fmt.Errorf("ad %q %w", name, ErrAdExists)
+		if a.Name == spec.Name {
+			return Ad{}, fmt.Errorf("ad %q %w", spec.Name, ErrAdExists)
 		}
 	}
-	if template < 0 || template >= len(inst.Ads) {
-		return Ad{}, fmt.Errorf("template %d out of range (campaign has %d ads)", template, len(inst.Ads))
+	if spec.Template < 0 || spec.Template >= len(inst.Ads) {
+		return Ad{}, fmt.Errorf("template %d out of range (campaign has %d ads)", spec.Template, len(inst.Ads))
 	}
-	if ctp < 0 || ctp > 1 {
-		return Ad{}, fmt.Errorf("ctp %g must be in [0, 1]", ctp)
+	if spec.CTP < 0 || spec.CTP > 1 {
+		return Ad{}, fmt.Errorf("ctp %g must be in [0, 1]", spec.CTP)
 	}
-	tmpl := inst.Ads[template]
+	tmpl := inst.Ads[spec.Template]
 	ctps := tmpl.Params.CTPs
-	if ctp > 0 {
-		ctps = topic.ConstCTP{Nodes: inst.G.N(), P: ctp}
+	if spec.CTP > 0 {
+		ctps = topic.ConstCTP{Nodes: inst.G.N(), P: spec.CTP}
 	}
 	ad := Ad{
-		Name:   name,
-		Budget: budget,
-		CPE:    cpe,
+		Name:   spec.Name,
+		Budget: spec.Budget,
+		CPE:    spec.CPE,
 		Params: topic.ItemParams{Probs: tmpl.Params.Probs, CTPs: ctps},
 	}
 	return ad, validateAd(inst.G, len(inst.Ads), ad)

@@ -27,21 +27,6 @@ func (idx *Index) Partition() rrset.StreamPartition { return idx.part }
 // instances.
 func InstanceFingerprint(inst *Instance) uint64 { return indexFingerprint(inst) }
 
-// WithDefaults returns the options with every unset field at its
-// documented default — the same normalization TIRM and AllocateFromIndex
-// apply internally, exported so a distributed selection run sizes θ from
-// the identical effective options.
-func (o TIRMOptions) WithDefaults() TIRMOptions { return o.withDefaults() }
-
-// Resolve validates the request against an instance and resolves its ad
-// subset and effective λ/κ — the exported form of the per-run request
-// normalization, so the shard coordinator applies the identical rules
-// (including override shape checks and SpentBudget validation) before
-// distributing a run.
-func (req *Request) Resolve(inst *Instance) (adIDs []int, lambda float64, kappa AttentionBounds, err error) {
-	return req.validate(inst)
-}
-
 // EpochView pins one campaign epoch of an index for external sample
 // access: every method answers against the same immutable (instance,
 // per-ad samples) pair no matter how many AddAd/RemoveAd swaps land
@@ -52,13 +37,12 @@ func (req *Request) Resolve(inst *Instance) (adIDs []int, lambda float64, kappa 
 // views and widths cover the local (part-owned) subsequence, in ascending
 // global order.
 type EpochView struct {
-	idx *Index
-	ep  *indexEpoch
+	ep *indexEpoch
 }
 
 // CurrentEpoch returns a view pinned to the index's current epoch.
 func (idx *Index) CurrentEpoch() EpochView {
-	return EpochView{idx: idx, ep: idx.curr.Load()}
+	return EpochView{ep: idx.curr.Load()}
 }
 
 // Version returns the pinned epoch's version.
@@ -78,27 +62,21 @@ func (v EpochView) AdHave(j int) int { return v.ep.ads[j].size() }
 // [0, want), growing the sample if needed. The returned slice is a stable
 // snapshot (growth only appends past it) and must be treated as read-only.
 func (v EpochView) AdPilot(j, want int) (widths []int64, fresh int64) {
-	widths, fresh = v.ep.ads[j].prefix(want)
-	v.idx.sampled.Add(fresh)
-	return widths, fresh
+	return v.ep.ads[j].prefix(want)
 }
 
 // AdView returns ad j's local sets for the global prefix [0, want) plus
 // the shared inverted index over them (local ids), growing the sample and
 // syncing the index if needed — the warm handoff to a coverage collection.
 func (v EpochView) AdView(j, want int) (sets rrset.FamilyView, inv *rrset.Inverted, fresh int64) {
-	sets, inv, fresh = v.ep.ads[j].view(want)
-	v.idx.sampled.Add(fresh)
-	return sets, inv, fresh
+	return v.ep.ads[j].view(want)
 }
 
 // AdWindow returns ad j's local slice of global stream sets [from, to) as
 // a stable view, growing the sample if needed — the growth segment a
 // selection run appends to its coverage state when θ rises.
 func (v EpochView) AdWindow(j, from, to int) (sets rrset.FamilyView, fresh int64) {
-	sets, fresh = v.ep.ads[j].window(from, to)
-	v.idx.sampled.Add(fresh)
-	return sets, fresh
+	return v.ep.ads[j].window(from, to)
 }
 
 // AdEnsure grows ad j's sample to cover the global prefix [0, want) and
@@ -106,7 +84,5 @@ func (v EpochView) AdWindow(j, from, to int) (sets rrset.FamilyView, fresh int64
 // BuildIndex's presampling, run once the coordinator has sized θ from
 // whole-stream pilot widths.
 func (v EpochView) AdEnsure(j, want int) (fresh int64) {
-	fresh = v.ep.ads[j].warm(want)
-	v.idx.sampled.Add(fresh)
-	return fresh
+	return v.ep.ads[j].warm(want)
 }

@@ -41,7 +41,11 @@ type TIRMOptions struct {
 	SoftCoverage bool
 }
 
-func (o TIRMOptions) withDefaults() TIRMOptions {
+// WithDefaults returns the options with every unset field at its
+// documented default — the normalization TIRM, BuildIndex and the selection
+// loop apply, exported so a distributed selection run sizes θ from the
+// identical effective options.
+func (o TIRMOptions) WithDefaults() TIRMOptions {
 	if o.Eps <= 0 {
 		o.Eps = 0.1
 	}
@@ -146,7 +150,7 @@ func kptFromWidths(widths []int64, s int, n int, m int64, memo map[int64]float64
 // presamples an ad to; the shard coordinator, which assembles a pilot from
 // per-shard slices, warms a cluster to the same depth with it.
 func InitialTheta(widths []int64, n int, m int64, opts TIRMOptions) int {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	kpt := kptFromWidths(widths, 1, n, m, nil)
 	return rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
 }

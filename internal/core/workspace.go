@@ -160,7 +160,6 @@ func (at *Attention) reset(n int, bounds AttentionBounds) {
 // per-ad samples, with coverage state in the workspace's own slots (active
 // ad i uses slot i, as the loop does).
 type localBackend struct {
-	idx  *Index
 	ep   *indexEpoch
 	ws   *allocWorkspace
 	soft bool
@@ -178,7 +177,6 @@ func (b *localBackend) Pilot(_ context.Context, ads []int, want int, out []Pilot
 		out[i] = Pilot{Widths: widths, Have: have, src: src}
 		fresh += f
 	}
-	b.idx.sampled.Add(fresh)
 	return fresh, nil
 }
 
@@ -196,7 +194,7 @@ func (b *localBackend) Open(_ context.Context, ads, thetas []int, out []Coverage
 	n := b.ep.inst.G.N()
 	rrset.ParallelFor(len(ads), 0, func(i int) {
 		cs := &b.ws.slots[i].local
-		cs.idx, cs.src = b.idx, b.ep.ads[ads[i]]
+		cs.src = b.ep.ads[ads[i]]
 		sets, inv, f := cs.src.view(thetas[i])
 		cs.fresh = f
 		if b.soft {
@@ -220,7 +218,6 @@ func (b *localBackend) Open(_ context.Context, ads, thetas []int, out []Coverage
 		}
 		out[i] = cs
 	}
-	b.idx.sampled.Add(fresh)
 	return fresh, kernels, nil
 }
 
@@ -234,7 +231,6 @@ type covState struct {
 	hard    *rrset.Collection
 	soft    *rrset.WeightedCollection
 	scratch rrset.Workspace // backing arrays of hard/soft, kept across runs
-	idx     *Index
 	src     *adSample
 	fresh   int64          // sets drawn by Open's parallel set-up
 	kernel  rrset.KernelID // cover kernel the collection chose
@@ -246,7 +242,7 @@ type covState struct {
 
 // release drops the references into index-owned memory.
 func (cs *covState) release() {
-	cs.hard, cs.soft, cs.idx, cs.src = nil, nil, nil, nil
+	cs.hard, cs.soft, cs.src = nil, nil, nil
 	cs.scratch.Release()
 }
 
@@ -281,7 +277,6 @@ func (cs *covState) Commit(_ context.Context, u int32, delta float64) (float64, 
 // and the new sets reach the coverage state as one CSR segment.
 func (cs *covState) Grow(_ context.Context, from, to int) (int64, error) {
 	v, fresh := cs.src.window(from, to)
-	cs.idx.sampled.Add(fresh)
 	if cs.hard != nil {
 		cs.hard.AddFamily(v)
 	} else {

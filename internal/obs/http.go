@@ -120,6 +120,11 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap returns the underlying writer, which is how http.ResponseController
+// reaches the connection through the middleware (per-request deadlines,
+// hijacking).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // Flush forwards to the underlying writer when it streams.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {

@@ -141,19 +141,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return c
 }
 
-// Snapshot returns the current child values keyed by their joined label
-// values (comma-separated for multi-label vecs) — the JSON-friendly read
-// the serve layer's /stats uses.
-func (v *CounterVec) Snapshot() map[string]uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]uint64, len(v.children))
-	for key, c := range v.children {
-		out[strings.ReplaceAll(key, vecSep, ",")] = c.Value()
-	}
-	return out
-}
-
 // GaugeVec is a gauge family partitioned by a fixed set of label names.
 // Unlike CounterVec, gauge children can be bounded two ways: SetMaxChildren
 // caps how many distinct label sets the exposition will ever hold, and
@@ -209,18 +196,6 @@ func (v *GaugeVec) Delete(values ...string) {
 	v.mu.Lock()
 	delete(v.children, key)
 	v.mu.Unlock()
-}
-
-// Snapshot returns the current child values keyed by their joined label
-// values, mirroring CounterVec.Snapshot.
-func (v *GaugeVec) Snapshot() map[string]float64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]float64, len(v.children))
-	for key, g := range v.children {
-		out[strings.ReplaceAll(key, vecSep, ",")] = g.Value()
-	}
-	return out
 }
 
 // HistogramVec is a histogram family partitioned by a fixed set of label
@@ -309,9 +284,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — for monotonic state the process already tracks elsewhere (cache
-// hit atomics, lifetime sample counts), so the telemetry layer never
-// double-books it.
+// time — for monotonic state another package owns (an index's lifetime
+// sample count, a workspace pool's hits), so the telemetry layer never
+// double-books it. A count the registering code keeps itself is a Counter.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(family{name: name, help: help, typ: "counter", emit: func(w *bufio.Writer) {
 		emitSample(w, name, "", formatUint(fn()))

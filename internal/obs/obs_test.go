@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func scrape(t *testing.T, r *Registry) string {
@@ -91,9 +92,8 @@ func TestVecChildrenSortedAndEscaped(t *testing.T) {
 		!strings.Contains(out, `test_lat_seconds_bucket{endpoint="b",le="+Inf"} 1`) {
 		t.Errorf("labeled histogram buckets wrong:\n%s", out)
 	}
-	snap := v.Snapshot()
-	if snap["alpha,404"] != 1 || snap["zeta,200"] != 3 {
-		t.Errorf("snapshot %v", snap)
+	if got := v.With("alpha", "404").Value() + v.With("zeta", "200").Value(); got != 4 {
+		t.Errorf("children read back %d events, want 4", got)
 	}
 }
 
@@ -165,8 +165,12 @@ func TestInstrumentMiddleware(t *testing.T) {
 	m := NewHTTPMetrics(r, "test")
 	var lines []string
 	var gotCtxTrace string
+	var deadlineErr error
 	h := Instrument(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		gotCtxTrace = Trace(req.Context())
+		// The middleware's writer must unwrap to the connection's, or a
+		// handler cannot bound its own write.
+		deadlineErr = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Minute))
 		if req.URL.Path == "/missing" {
 			http.Error(w, "no", http.StatusNotFound)
 			return
@@ -188,6 +192,9 @@ func TestInstrumentMiddleware(t *testing.T) {
 	minted := resp.Header.Get(TraceHeader)
 	if minted == "" || minted != gotCtxTrace {
 		t.Fatalf("minted trace %q, handler saw %q", minted, gotCtxTrace)
+	}
+	if deadlineErr != nil {
+		t.Fatalf("SetWriteDeadline through the middleware: %v", deadlineErr)
 	}
 
 	// Propagated trace id: the caller's id wins and round-trips.
@@ -329,8 +336,7 @@ func TestGaugeVecExposition(t *testing.T) {
 	if alpha < 0 || zeta < 0 || alpha > zeta {
 		t.Errorf("gauge vec children missing or unsorted:\n%s", out)
 	}
-	snap := v.Snapshot()
-	if snap["alpha"] != 0.5 || snap["zeta"] != 0.75 {
-		t.Errorf("snapshot %v", snap)
+	if a, z := v.With("alpha").Value(), v.With("zeta").Value(); a != 0.5 || z != 0.75 {
+		t.Errorf("children read back %v and %v", a, z)
 	}
 }

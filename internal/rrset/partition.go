@@ -75,15 +75,6 @@ func (p StreamPartition) LocalCount(theta int) int {
 	return count
 }
 
-// GlobalID returns the global stream position of this shard's local set
-// `local` (local sets are the shard's owned blocks concatenated in
-// ascending global order).
-func (p StreamPartition) GlobalID(local int) int {
-	block := local / StreamBlockSize
-	r := local % StreamBlockSize
-	return (p.Shard+block*p.k())*StreamBlockSize + r
-}
-
 // Resume returns the canonical global block-aligned prefix position to
 // resume sampling from when this shard already holds localSets sets
 // (a multiple of StreamBlockSize): one global block past the shard's last

@@ -77,37 +77,6 @@ type AllocateBatchResponse struct {
 	Items        []BatchItemResult `json:"items"`
 }
 
-// itemResult folds one item's core.BatchResult into the wire shape,
-// recording the success/failure metrics a lone /allocate would have; a
-// failed item carries failureOf's status for its error (upstream is the
-// engine's).
-func (s *Server) itemResult(item AllocateItem, coreReq core.Request, br core.BatchResult, curInst *core.Instance, upstream bool) BatchItemResult {
-	if br.Err != nil {
-		status, reason, _ := failureOf(br.Err, upstream)
-		s.metrics.failAlloc(reason)
-		return BatchItemResult{Error: br.Err.Error(), Status: status}
-	}
-	res := br.Res
-	s.metrics.allocations.Inc()
-	s.metrics.recordRun(res)
-	for i, seeds := range res.Alloc.Seeds {
-		if seeds == nil {
-			res.Alloc.Seeds[i] = []int32{} // JSON: [] for empty, never null
-		}
-	}
-	inst := instWith(curInst, item.Lambda, item.Kappa)
-	return BatchItemResult{
-		Seeds:        res.Alloc.Seeds,
-		EstRevenue:   res.EstRevenue,
-		EstRegret:    core.RegretOver(inst, item.Ads, item.Budgets, coreReq.SpentBudget, res.EstRevenue, res.Alloc.Seeds),
-		FinalTheta:   res.FinalTheta,
-		Iterations:   res.Iterations,
-		SetsSampled:  res.TotalSetsSampled,
-		SetsReused:   res.SetsReused,
-		SpentBudgets: coreReq.SpentBudget,
-	}
-}
-
 // checkBatchShape rejects empty and oversized batches with 400.
 func checkBatchShape(w http.ResponseWriter, req AllocateBatchRequest) bool {
 	if len(req.Requests) == 0 {
@@ -134,50 +103,26 @@ func (s *Server) handleAllocateBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// One epoch for the whole batch: every item is shaped against (and
-	// pinned to) the same campaign set, so a mutation racing the batch
-	// fails items cleanly instead of splitting the batch across epochs.
-	epoch, curInst := t.EpochInst()
-	// The spend ledger is read once, too — all Residual items in a batch
-	// target the same remaining-budget snapshot.
-	var spent []float64
+	// One pin for the whole batch: every item is shaped against the same
+	// campaign set and, when residual, the same remaining-budget snapshot.
+	p := s.pin(t)
 	coreReqs := make([]core.Request, len(req.Requests))
 	for i, item := range req.Requests {
-		coreReqs[i] = core.Request{
-			Opts:     item.Opts.toOptions(s.opts.MaxTheta),
-			Ads:      item.Ads,
-			Budgets:  item.Budgets,
-			CPEs:     item.CPEs,
-			Lambda:   item.Lambda,
-			Epoch:    epoch,
-			Observer: s.metrics,
-		}
-		if item.Kappa > 0 {
-			coreReqs[i].Kappa = core.ConstKappa(item.Kappa)
-		}
-		if item.Residual {
-			if spent == nil {
-				spent = t.spendVector(curInst)
-			}
-			coreReqs[i].SpentBudget = spent
-		}
+		coreReqs[i] = p.request(item, s.metrics, false)
 	}
 	started := time.Now()
 	results := t.AllocateBatch(r.Context(), coreReqs)
 	s.metrics.allocSeconds.Observe(time.Since(started).Seconds())
 	items := make([]BatchItemResult, len(results))
 	for i, br := range results {
-		items[i] = s.itemResult(req.Requests[i], coreReqs[i], br, curInst, t.upstream())
-		if br.Err == nil {
-			t.allocs.Add(1)
-		}
+		items[i], _ = p.report(coreReqs[i], br.Res, br.Err)
 	}
 	writeJSON(w, http.StatusOK, AllocateBatchResponse{
 		Key:          t.key,
-		Epoch:        epoch,
+		Epoch:        p.epoch,
 		ColdBuild:    t.cold,
 		AllocSeconds: time.Since(started).Seconds(),
-		AdNames:      adNames(curInst),
+		AdNames:      adNames(p.inst),
 		Items:        items,
 	})
 }

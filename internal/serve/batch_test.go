@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -14,30 +13,21 @@ import (
 )
 
 // TestServerAllocateBatch pins the batch endpoint's contract on a single
-// node: every item matches the lone /allocate for the same parameters,
-// bad items fail alone with per-item status codes, batch items count into
-// adserver_kernel_selected_total, and shape violations are rejected.
+// node: every item — whichever of κ, λ, ad subset, budgets or the residual
+// ledger it overrides — reports what the lone /allocate for the same
+// parameters reports, a bad item fails alone with the status the lone
+// request gets, batch items count into adserver_kernel_selected_total, and
+// shape violations are rejected.
 func TestServerAllocateBatch(t *testing.T) {
 	ts := testServer(t, Options{})
 	params := fig1Request().InstanceParams
 	opts := fig1Request().Opts
 
-	// Reference: lone /allocate per item shape.
-	lone := func(item AllocateItem) AllocateResponse {
-		t.Helper()
-		var out AllocateResponse
-		code := postJSON(t, ts.URL+"/allocate", AllocateRequest{
-			InstanceParams: params,
-			Kappa:          item.Kappa,
-			Lambda:         item.Lambda,
-			Ads:            item.Ads,
-			Budgets:        item.Budgets,
-			Opts:           item.Opts,
-		}, &out)
-		if code != http.StatusOK {
-			t.Fatalf("lone allocate returned %d", code)
-		}
-		return out
+	// Spend first, so lone and batch residual runs read the same ledger:
+	// ad a keeps 1 of its 4, ad d is depleted.
+	spend := SpendRequest{InstanceParams: params, Spend: map[string]float64{"a": 3, "d": 5}}
+	if code := postJSON(t, ts.URL+"/spend", spend, nil); code != http.StatusOK {
+		t.Fatalf("spend returned %d", code)
 	}
 
 	lambda := 0.5
@@ -45,14 +35,28 @@ func TestServerAllocateBatch(t *testing.T) {
 		{Opts: opts},
 		{Opts: opts, Ads: []int{0, 99}}, // ad index out of range: fails alone
 		{Opts: opts, Ads: []int{0, 2}, Lambda: &lambda},
+		{Opts: opts, Kappa: 2},
+		{Opts: opts, Budgets: []float64{1, 3, 2, 2}},
+		{Opts: opts, Residual: true},
+		{Opts: opts, Residual: true, Budgets: []float64{6, 2, 2, 6}, Kappa: 2, Lambda: &lambda},
 	}
+	// Reference: the lone /allocate per item shape, and its HTTP status.
 	want := make([]AllocateResponse, len(items))
+	status := make([]int, len(items))
 	for i, item := range items {
-		if i == 1 {
-			continue
-		}
-		want[i] = lone(item)
+		status[i] = postJSON(t, ts.URL+"/allocate", AllocateRequest{
+			InstanceParams: params,
+			Kappa:          item.Kappa,
+			Lambda:         item.Lambda,
+			Ads:            item.Ads,
+			Budgets:        item.Budgets,
+			Residual:       item.Residual,
+			Opts:           item.Opts,
+		}, &want[i])
 	}
+
+	const bitset = `adserver_kernel_selected_total{kernel="bitset"}`
+	loneTally := metric(t, ts.URL, bitset)
 
 	var got AllocateBatchResponse
 	if code := postJSON(t, ts.URL+"/allocate/batch", AllocateBatchRequest{
@@ -65,9 +69,12 @@ func TestServerAllocateBatch(t *testing.T) {
 		t.Fatalf("batch returned %d items for %d requests", len(got.Items), len(items))
 	}
 	for i, item := range got.Items {
-		if i == 1 {
-			if item.Error == "" || item.Status != http.StatusBadRequest {
-				t.Errorf("bad item 1 = %+v, want error with status 400", item)
+		if status[i] != http.StatusOK {
+			if i != 1 || status[i] != http.StatusBadRequest {
+				t.Fatalf("lone allocate for item %d returned %d", i, status[i])
+			}
+			if item.Error == "" || item.Status != status[i] {
+				t.Errorf("bad item %d = %+v, want an error with the lone request's status %d", i, item, status[i])
 			}
 			continue
 		}
@@ -83,15 +90,25 @@ func TestServerAllocateBatch(t *testing.T) {
 		if item.EstRegret != want[i].EstRegret {
 			t.Errorf("item %d regret %v, lone %v", i, item.EstRegret, want[i].EstRegret)
 		}
+		if !reflect.DeepEqual(item.FinalTheta, want[i].FinalTheta) || item.Iterations != want[i].Iterations {
+			t.Errorf("item %d ran θ %v in %d rounds, lone θ %v in %d", i, item.FinalTheta, item.Iterations, want[i].FinalTheta, want[i].Iterations)
+		}
+		if !reflect.DeepEqual(item.SpentBudgets, want[i].SpentBudgets) || (item.SpentBudgets != nil) != items[i].Residual {
+			t.Errorf("item %d spentBudgets %v, lone %v (residual=%v)", i, item.SpentBudgets, want[i].SpentBudgets, items[i].Residual)
+		}
 		if got.Epoch != want[i].Epoch {
 			t.Errorf("item %d epoch %d, batch %d", i, want[i].Epoch, got.Epoch)
 		}
 	}
+	// The overrides bite: a depleted ad gets no seeds from a residual run.
+	if n := len(got.Items[5].Seeds[3]); n != 0 {
+		t.Errorf("residual item gave depleted ad d %d seeds", n)
+	}
 
-	// Kernel tallies count lone and batch successes alike: 4 + 2 ads each
-	// way, all on bitset (the Fig. 1 toy is dense).
-	if want, body := `adserver_kernel_selected_total{kernel="bitset"} 12`, scrapeMetrics(t, ts.URL); !strings.Contains(body, want) {
-		t.Errorf("/metrics missing %q", want)
+	// Kernel tallies count lone and batch successes alike — the batch adds
+	// what the same runs added alone — all on bitset (the Fig. 1 toy is dense).
+	if after := metric(t, ts.URL, bitset); loneTally == 0 || after != 2*loneTally {
+		t.Errorf("%s = %d after the batch, %d after the lone runs", bitset, after, loneTally)
 	}
 
 	// Shape violations: empty and oversized batches.
@@ -236,9 +253,9 @@ func TestBatchItemErrorIsolation(t *testing.T) {
 		}
 	}
 
-	// The wire mapping: itemResult translates each failure class to the
-	// status a lone /allocate would have returned — 409 for stale epochs on
-	// either path, 400 locally, 502 when a shard RPC failed upstream.
+	// The wire mapping: report translates each failure class to the status
+	// a lone /allocate would have returned — 409 for stale epochs on either
+	// engine, 400 locally, 502 when a shard RPC failed upstream.
 	s := New(Options{Logf: t.Logf})
 	staleRes := results[1]
 	badRes := results[2]
@@ -253,7 +270,12 @@ func TestBatchItemErrorIsolation(t *testing.T) {
 		{"bad-local", badRes, false, http.StatusBadRequest},
 		{"bad-upstream", badRes, true, http.StatusBadGateway},
 	} {
-		out := s.itemResult(AllocateItem{}, core.Request{}, c.br, inst, c.upstream)
+		var eng engine = &entry{}
+		if c.upstream {
+			eng = &shardedState{}
+		}
+		p := &pinnedCampaign{s: s, target: target{campaign: &campaign{}, engine: eng}, inst: inst}
+		out, _ := p.report(core.Request{}, c.br.Res, c.br.Err)
 		if out.Status != c.wantStatus || out.Error == "" {
 			t.Errorf("%s: status=%d error=%q, want status %d with message", c.name, out.Status, out.Error, c.wantStatus)
 		}

@@ -85,7 +85,7 @@ func (e *entry) AllocateBatch(_ context.Context, reqs []core.Request) []core.Bat
 }
 
 // AddAd implements engine: only the new ad's stream is sampled.
-func (e *entry) AddAd(_ context.Context, _ NewAdSpec, ad core.Ad, opts core.TIRMOptions) (int, error) {
+func (e *entry) AddAd(_ context.Context, _ core.AdSpec, ad core.Ad, opts core.TIRMOptions) (int, error) {
 	return e.idx.AddAd(ad, opts)
 }
 
@@ -281,7 +281,7 @@ func (s *Server) buildIndex(e *entry) {
 			if err == nil {
 				e.idx = idx
 				e.fromDisk = true
-				s.snapshotLoads.Add(1)
+				s.metrics.snapshotLoads.Inc()
 				e.buildSec = time.Since(started).Seconds()
 				s.opts.Logf("serve: loaded index %s from snapshot (%d ads, %.1f MB) in %.2fs",
 					e.key, idx.NumAds(), float64(idx.MemBytes())/1e6, e.buildSec)

@@ -167,7 +167,7 @@ type engine interface {
 	// AddAd appends ad — spec already cloned against the current instance
 	// by core.CloneAd — and returns its position. An engine whose sample
 	// lives elsewhere ships spec, and every holder clones it again.
-	AddAd(ctx context.Context, spec NewAdSpec, ad core.Ad, opts core.TIRMOptions) (int, error)
+	AddAd(ctx context.Context, spec core.AdSpec, ad core.Ad, opts core.TIRMOptions) (int, error)
 	// RemoveAd retires the ad at position pos.
 	RemoveAd(ctx context.Context, pos int) error
 	// SyncEstimates pushes est's state to every other holder of the
@@ -268,11 +268,11 @@ func (s *Server) resolve(w http.ResponseWriter, p InstanceParams, n need) (targe
 	if !pin {
 		switch {
 		case created:
-			s.cacheMisses.Add(1)
+			s.metrics.cacheMisses.Inc()
 		case waited:
-			s.coalesced.Add(1)
+			s.metrics.coalesced.Inc()
 		default:
-			s.cacheHits.Add(1)
+			s.metrics.cacheHits.Inc()
 			e.hits.Add(1)
 		}
 	}

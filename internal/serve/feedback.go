@@ -148,7 +148,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, "%v", ferr)
 		return
 	}
-	s.feedbackUpdates.Add(1)
+	s.metrics.feedbackUpdates.Inc()
 	// Broadcast outside estMu: a slow shard must never stall the next
 	// feedback batch or a bandit allocation's override read. A failed
 	// broadcast degrades to host-only state and heals on the next batch

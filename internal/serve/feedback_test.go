@@ -108,12 +108,8 @@ func TestFeedbackEndToEnd(t *testing.T) {
 			got.Seeds, want.Alloc.Seeds)
 	}
 
-	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats: %d", code)
-	}
-	if stats.FeedbackUpdates != 1 {
-		t.Errorf("feedbackUpdates = %d, want 1", stats.FeedbackUpdates)
+	if got := metric(t, ts.URL, "adserver_feedback_updates_total"); got != 1 {
+		t.Errorf("adserver_feedback_updates_total = %d, want 1", got)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

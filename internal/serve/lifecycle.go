@@ -14,18 +14,10 @@ import (
 	"repro/internal/core"
 )
 
-// NewAdSpec describes the advertiser POST /ads creates. The new ad shares
-// the Template ad's mixed edge probabilities (its topical propagation
-// profile — datasets are generated, so arbitrary per-edge vectors have no
-// JSON-sized representation) with its own budget, CPE, and optionally a
-// uniform click-through probability; CTP 0 keeps the template's CTP vector.
-type NewAdSpec struct {
-	Name     string  `json:"name"`
-	Budget   float64 `json:"budget"`
-	CPE      float64 `json:"cpe"`
-	CTP      float64 `json:"ctp,omitempty"`
-	Template int     `json:"template,omitempty"`
-}
+// NewAdSpec is core.AdSpec — the advertiser POST /ads creates, cloned from
+// a template ad of the campaign — under the name this package has always
+// exported it by.
+type NewAdSpec = core.AdSpec
 
 // AddAdRequest is POST /ads: add an advertiser to the cached campaign set.
 type AddAdRequest struct {
@@ -64,7 +56,7 @@ func (s *Server) handleAddAd(w http.ResponseWriter, r *http.Request) {
 	defer t.lifeMu.Unlock()
 	_, inst := t.EpochInst()
 	spec := req.Ad
-	ad, err := core.CloneAd(inst, spec.Name, spec.Budget, spec.CPE, spec.CTP, spec.Template)
+	ad, err := core.CloneAd(inst, spec)
 	switch {
 	case errors.Is(err, core.ErrAdExists):
 		httpError(w, http.StatusConflict, "%v", err)
@@ -83,7 +75,8 @@ func (s *Server) handleAddAd(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err, t.upstream())
 		return
 	}
-	s.adsAdded.Add(1)
+	s.metrics.adsAdded.Inc()
+	s.metrics.epochSwaps.Inc()
 	resp := lifecycleResponse(t, pos)
 	s.opts.Logf("serve: %s added ad %q (template %d) at position %d, epoch %d",
 		t.key, spec.Name, spec.Template, pos, resp.Epoch)
@@ -160,7 +153,8 @@ func (s *Server) handleRemoveAd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.forgetSpend(name)
-	s.adsRemoved.Add(1)
+	s.metrics.adsRemoved.Inc()
+	s.metrics.epochSwaps.Inc()
 	s.metrics.dropBanditEstimate(name)
 	resp := lifecycleResponse(t, 0)
 	s.opts.Logf("serve: %s removed ad %q (position %d), epoch %d", t.key, name, pos, resp.Epoch)
@@ -222,6 +216,6 @@ func (s *Server) handleSpend(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := SpendResponse{Key: t.key, Epoch: epoch, Ads: t.applySpend(inst, req)}
-	s.spendUpdates.Add(1)
+	s.metrics.spendUpdates.Inc()
 	writeJSON(w, http.StatusOK, resp)
 }

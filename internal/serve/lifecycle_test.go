@@ -113,9 +113,13 @@ func TestServerLifecycleEndToEnd(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats returned %d", code)
 	}
-	if stats.AdsAdded != 1 || stats.AdsRemoved != 1 || stats.SpendUpdates != 1 {
-		t.Errorf("lifecycle counters added=%d removed=%d spend=%d, want 1/1/1",
-			stats.AdsAdded, stats.AdsRemoved, stats.SpendUpdates)
+	for sample, want := range map[string]uint64{
+		"adserver_ads_added_total": 1, "adserver_ads_removed_total": 1,
+		"adserver_spend_updates_total": 1, "adserver_epoch_swaps_total": 2,
+	} {
+		if got := metric(t, ts.URL, sample); got != want {
+			t.Errorf("%s = %d, want %d", sample, got, want)
+		}
 	}
 	if len(stats.Entries) != 1 || stats.Entries[0].Epoch != 3 || stats.Entries[0].SpentTotal != 4 {
 		t.Errorf("entry stats %+v, want epoch 3 and spentTotal 4", stats.Entries)
@@ -305,12 +309,8 @@ func TestServerLiveCampaignCap(t *testing.T) {
 		t.Errorf("pin after releasing the slot returned %d, want 200", code)
 	}
 	// The refusal is counted whichever endpoint hit the cap.
-	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats returned %d", code)
-	}
-	if stats.AllocFailures["cap"] != 1 {
-		t.Errorf("allocFailures = %v, want cap:1", stats.AllocFailures)
+	if got := metric(t, ts.URL, `adserver_alloc_failures_total{reason="cap"}`); got != 1 {
+		t.Errorf("cap refusals = %d, want 1", got)
 	}
 }
 

@@ -1,11 +1,10 @@
 // Server telemetry: the /metrics exposition (internal/obs) for the
 // allocation service. One serverMetrics per Server owns the registry, the
-// per-endpoint HTTP metrics the Instrument middleware records, the
-// allocation outcome counters/latency histograms, and scrape-time
-// gauge/counter views over the state the server already tracks (cache
-// counters, workspace pools, index memory) — those stay single-sourced in
-// Server and are only *read* at scrape time, so /stats and /metrics can
-// never disagree.
+// per-endpoint HTTP metrics the Instrument middleware records, and every
+// count the server keeps — each one obs.Counter, incremented where the
+// event happens and read back by the few /stats fields that repeat it —
+// plus scrape-time views over state that lives elsewhere (workspace pools,
+// index memory, cache size).
 
 package serve
 
@@ -46,6 +45,12 @@ type serverMetrics struct {
 	reg  *obs.Registry
 	http *obs.HTTPMetrics
 
+	// Cache outcomes of resolve (campaign.go) and snapshot-answered builds.
+	cacheHits, cacheMisses, coalesced, snapshotLoads *obs.Counter
+	// Accepted campaign mutations and ledger updates, one per 200; an ad
+	// added or removed is also an epoch swap.
+	adsAdded, adsRemoved, epochSwaps, spendUpdates, feedbackUpdates *obs.Counter
+
 	allocations   *obs.Counter
 	allocFailures *obs.CounterVec // reason
 	allocSeconds  *obs.Histogram
@@ -82,9 +87,8 @@ var allocRoundBuckets = []float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
 var explorationBuckets = []float64{0.01, 0.025, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1}
 
 // newServerMetrics builds the registry for s. The scrape-time funcs close
-// over s and read its existing counters and cache state, so registration
-// must happen after the fields they touch exist (New constructs the
-// metrics last).
+// over s and read its cache state, so registration must happen after the
+// fields they touch exist (New constructs the metrics last).
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
@@ -128,33 +132,24 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.openingsBuilt = reg.Counter("adserver_openings_built_total",
 		"Per-ad coverage states that built their opening (row clip and initial candidate heap for the request's θ) instead of copying one stored on the index, summed over successful single-node allocations; flat under traffic that repeats θ.")
 
-	reg.CounterFunc("adserver_cache_hits_total",
-		"Requests served entirely from a cached instance+index.",
-		func() uint64 { return uint64(s.cacheHits.Load()) })
-	reg.CounterFunc("adserver_cache_misses_total",
-		"Requests that generated an instance or built an index.",
-		func() uint64 { return uint64(s.cacheMisses.Load()) })
-	reg.CounterFunc("adserver_cache_coalesced_total",
-		"Requests that waited on another caller's in-flight build.",
-		func() uint64 { return uint64(s.coalesced.Load()) })
-	reg.CounterFunc("adserver_snapshot_loads_total",
-		"Index builds answered by loading a snapshot from disk.",
-		func() uint64 { return uint64(s.snapshotLoads.Load()) })
-	reg.CounterFunc("adserver_ads_added_total",
-		"Advertisers added via POST /ads.",
-		func() uint64 { return uint64(s.adsAdded.Load()) })
-	reg.CounterFunc("adserver_ads_removed_total",
-		"Advertisers removed via DELETE /ads/{name}.",
-		func() uint64 { return uint64(s.adsRemoved.Load()) })
-	reg.CounterFunc("adserver_spend_updates_total",
-		"Engagement-ledger updates via POST /spend.",
-		func() uint64 { return uint64(s.spendUpdates.Load()) })
-	reg.CounterFunc("adserver_feedback_updates_total",
-		"Estimator batch updates via POST /feedback.",
-		func() uint64 { return uint64(s.feedbackUpdates.Load()) })
-	reg.CounterFunc("adserver_epoch_swaps_total",
-		"Campaign-epoch swaps (every successful ad add or remove swaps one).",
-		func() uint64 { return uint64(s.adsAdded.Load() + s.adsRemoved.Load()) })
+	m.cacheHits = reg.Counter("adserver_cache_hits_total",
+		"Requests served entirely from a cached instance+index.")
+	m.cacheMisses = reg.Counter("adserver_cache_misses_total",
+		"Requests that generated an instance or built an index.")
+	m.coalesced = reg.Counter("adserver_cache_coalesced_total",
+		"Requests that waited on another caller's in-flight build.")
+	m.snapshotLoads = reg.Counter("adserver_snapshot_loads_total",
+		"Index builds answered by loading a snapshot from disk.")
+	m.adsAdded = reg.Counter("adserver_ads_added_total",
+		"Advertisers added via POST /ads.")
+	m.adsRemoved = reg.Counter("adserver_ads_removed_total",
+		"Advertisers removed via DELETE /ads/{name}.")
+	m.spendUpdates = reg.Counter("adserver_spend_updates_total",
+		"Engagement-ledger updates via POST /spend.")
+	m.feedbackUpdates = reg.Counter("adserver_feedback_updates_total",
+		"Estimator batch updates via POST /feedback.")
+	m.epochSwaps = reg.Counter("adserver_epoch_swaps_total",
+		"Campaign-epoch swaps (every successful ad add or remove swaps one).")
 	reg.CounterFunc("adserver_workspace_hits_total",
 		"Allocation workspaces recycled from a pool, summed over live cache entries.",
 		func() uint64 { h, _ := s.workspaceTotals(); return uint64(h) })
@@ -218,18 +213,8 @@ func (m *serverMetrics) recordRun(res *core.TIRMResult) {
 	m.openingsBuilt.Add(uint64(res.OpeningsBuilt))
 }
 
-// allocFailureCounts snapshots the failure counter for /stats; nil when no
-// failure has been recorded yet (so the JSON field stays absent).
-func (s *Server) allocFailureCounts() map[string]uint64 {
-	snap := s.metrics.allocFailures.Snapshot()
-	if len(snap) == 0 {
-		return nil
-	}
-	return snap
-}
-
 // workspaceTotals sums the per-entry workspace-pool counters over the live
-// cache (the same aggregation /stats reports).
+// cache.
 func (s *Server) workspaceTotals() (hits, misses int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

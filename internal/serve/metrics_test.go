@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -38,12 +39,28 @@ func scrapeMetrics(t *testing.T, url string) string {
 	return string(body)
 }
 
+// metric scrapes url's /metrics and returns the value of one counter
+// sample, named as the exposition spells it (`family` or
+// `family{label="v"}`); a labelled child no event has created yet reads 0.
+func metric(t *testing.T, url, sample string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(scrapeMetrics(t, url), "\n") {
+		if v, ok := strings.CutPrefix(line, sample+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("sample %q has value %q: %v", sample, v, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
 // TestMetricsEndpoint drives one successful and one rejected allocation
 // through a single-node server and checks the /metrics surface: the
 // exposition parses (TYPE lines, monotone cumulative buckets, +Inf ==
 // _count — see obs.Lint), the allocation and failure counters carry the
-// expected values, the per-phase histograms observed the run, and the
-// failure breakdown is mirrored into /stats.
+// expected values, and the per-phase histograms observed the run.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := testServer(t, Options{})
 
@@ -90,13 +107,8 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics after a repeat request missing %q", want)
 		}
 	}
-
-	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats: %d", code)
-	}
-	if stats.AllocFailures["bad_request"] != 1 {
-		t.Fatalf("stats allocFailures = %v, want bad_request:1", stats.AllocFailures)
+	if got := metric(t, ts.URL, `adserver_alloc_failures_total{reason="bad_request"}`); got != 1 {
+		t.Fatalf("bad_request failures after the repeat = %d, want 1", got)
 	}
 }
 

@@ -39,7 +39,7 @@
 //	POST   /spend       — record engagement spend / read residual budgets
 //	POST   /feedback    — apply engagement events to the bandit estimator
 //	GET    /datasets    — registered dataset generators
-//	GET    /stats       — cache and lifecycle counters, per-index memory
+//	GET    /stats       — per-entry detail, per-index memory, the cluster section
 //	GET    /healthz     — liveness probe
 //	GET    /metrics     — Prometheus text exposition (see docs/OBSERVABILITY.md)
 package serve
@@ -54,7 +54,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -125,12 +124,6 @@ type Options struct {
 	ProbeInterval time.Duration
 	// Logf receives operational messages (default log.Printf).
 	Logf func(format string, args ...any)
-	// Tracing shapes the server's span tracer: retained-trace ring
-	// capacity, tail-retention latency threshold, and head-sample rate.
-	// The zero value uses the obs defaults (256 traces, 250ms, 1-in-16).
-	// Tracing is always on — span cost is per-request and bounded — and
-	// never changes an allocation's bytes.
-	Tracing obs.TracerConfig
 }
 
 // Server is the allocation service. Create with New; serve via Handler.
@@ -143,7 +136,9 @@ type Server struct {
 	metrics *serverMetrics
 
 	// tracer assembles per-request span trees and retains them tail-based
-	// for GET /debug/traces (see internal/obs and docs/OBSERVABILITY.md).
+	// for GET /debug/traces, under the obs defaults (256 traces, 250ms,
+	// 1-in-16; see docs/OBSERVABILITY.md). Tracing is always on — span cost
+	// is per-request and bounded — and never changes an allocation's bytes.
 	tracer *obs.Tracer
 
 	// sharded is non-nil in coordinator mode (see ConnectShards).
@@ -157,15 +152,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
-	coalesced       atomic.Int64
-	snapshotLoads   atomic.Int64
-	adsAdded        atomic.Int64
-	adsRemoved      atomic.Int64
-	spendUpdates    atomic.Int64
-	feedbackUpdates atomic.Int64
 }
 
 // InstanceParams identifies a cached instance+index. Only sampling-time
@@ -249,7 +235,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{opts: opts, start: time.Now(), entries: map[string]*entry{}}
 	s.metrics = newServerMetrics(s)
-	s.tracer = obs.NewTracer(opts.Tracing)
+	s.tracer = obs.NewTracer(obs.TracerConfig{})
 	s.tracer.EnableMetrics(s.metrics.reg, "adserver")
 	return s
 }
@@ -434,32 +420,23 @@ type EntryStats struct {
 	AllocBytesPerRequest   float64 `json:"allocBytesPerRequest,omitempty"`
 }
 
-// StatsResponse is GET /stats. IndexMemBytes figures are exact — the flat
-// CSR arenas of core.Index know their byte sizes precisely — and
-// IndexMemByDataset aggregates them per dataset name, so an operator can
-// see at a glance which dataset's samples own the process's memory across
-// seeds and scales.
+// StatsResponse is GET /stats: what /metrics cannot say — the per-entry
+// table, memory per dataset, the cluster section — plus three totals that
+// are read back from the /metrics counters and gauge of the same name
+// (adserver_cache_hits_total, adserver_cache_misses_total,
+// adserver_index_mem_bytes), so the two endpoints cannot disagree. Every
+// other count the server keeps is on /metrics only. IndexMemBytes figures
+// are exact — the flat CSR arenas of core.Index know their byte sizes
+// precisely — and IndexMemByDataset aggregates them per dataset name, so an
+// operator can see at a glance which dataset's samples own the process's
+// memory across seeds and scales.
 type StatsResponse struct {
 	UptimeSeconds     float64          `json:"uptimeSeconds"`
 	CacheHits         int64            `json:"cacheHits"`
 	CacheMisses       int64            `json:"cacheMisses"`
-	Coalesced         int64            `json:"coalesced"`
-	SnapshotLoads     int64            `json:"snapshotLoads"`
-	AdsAdded          int64            `json:"adsAdded"`
-	AdsRemoved        int64            `json:"adsRemoved"`
-	SpendUpdates      int64            `json:"spendUpdates"`
-	FeedbackUpdates   int64            `json:"feedbackUpdates"`
 	IndexMemBytes     int64            `json:"indexMemBytes"`
 	IndexMemByDataset map[string]int64 `json:"indexMemByDataset"`
-	// WorkspaceHits/WorkspaceMisses aggregate the per-entry workspace-pool
-	// counters over the live cache (evicted entries drop out).
-	WorkspaceHits   int64 `json:"workspaceHits"`
-	WorkspaceMisses int64 `json:"workspaceMisses"`
-	// AllocFailures counts refused or errored requests by reason
-	// (stale_epoch, cap, unavailable, bad_request, internal, upstream);
-	// absent until the first failure.
-	AllocFailures map[string]uint64 `json:"allocFailures,omitempty"`
-	Entries       []EntryStats      `json:"entries"`
+	Entries           []EntryStats     `json:"entries"`
 	// Sharded is present only in coordinator mode: the cluster's identity,
 	// per-shard health, and distributed-allocation counters.
 	Sharded *ShardedStatsSection `json:"sharded,omitempty"`
@@ -476,16 +453,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 	resp := StatsResponse{
 		UptimeSeconds:     time.Since(s.start).Seconds(),
-		CacheHits:         s.cacheHits.Load(),
-		CacheMisses:       s.cacheMisses.Load(),
-		Coalesced:         s.coalesced.Load(),
-		SnapshotLoads:     s.snapshotLoads.Load(),
-		AdsAdded:          s.adsAdded.Load(),
-		AdsRemoved:        s.adsRemoved.Load(),
-		SpendUpdates:      s.spendUpdates.Load(),
-		FeedbackUpdates:   s.feedbackUpdates.Load(),
+		CacheHits:         int64(s.metrics.cacheHits.Value()),
+		CacheMisses:       int64(s.metrics.cacheMisses.Value()),
 		IndexMemByDataset: map[string]int64{},
-		AllocFailures:     s.allocFailureCounts(),
 		Entries:           make([]EntryStats, 0, len(entries)),
 	}
 	for _, e := range entries {
@@ -510,11 +480,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			es.AllocObjectsPerRequest = float64(e.allocObjects.Load()) / float64(runs)
 			es.AllocBytesPerRequest = float64(e.allocBytes.Load()) / float64(runs)
 		}
-		resp.WorkspaceHits += wsHits
-		resp.WorkspaceMisses += wsMisses
 		if e.indexBuilt() {
 			mem := e.idx.MemBytes()
-			resp.IndexMemBytes += mem
 			resp.IndexMemByDataset[e.params.Dataset] += mem
 			es.IndexBuilt = true
 			es.SetsSampled = e.idx.SetsSampled()
@@ -525,12 +492,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Entries = append(resp.Entries, es)
 	}
 	if s.sharded != nil {
-		// The cache above is empty: the sample lives on the shards.
+		// The cache above is empty: the sample lives on the shards, and the
+		// health sweep behind this section refreshes its summed footprint.
 		resp.Sharded = s.shardedStats(r.Context())
-		for _, h := range resp.Sharded.Shards {
-			resp.IndexMemBytes += h.MemBytes
-		}
 	}
+	resp.IndexMemBytes = s.indexMemTotal()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -617,6 +583,102 @@ type AllocateResponse struct {
 	AllocBytes   int64 `json:"allocBytes"`
 }
 
+// item returns the request's per-run fields, the part a lone allocation
+// shares with a batch item.
+func (req *AllocateRequest) item() AllocateItem {
+	return AllocateItem{
+		Kappa:    req.Kappa,
+		Lambda:   req.Lambda,
+		Ads:      req.Ads,
+		Budgets:  req.Budgets,
+		CPEs:     req.CPEs,
+		Residual: req.Residual,
+		Opts:     req.Opts,
+	}
+}
+
+// pinnedCampaign is the campaign epoch a request is shaped against and
+// reported over, whether it carries one selection run or a batch of them.
+// Pinning every run to it turns a campaign mutation racing the request into
+// clean 409s, never a positionally misaligned allocation or a batch split
+// across two campaign sets.
+type pinnedCampaign struct {
+	s *Server
+	target
+	epoch uint64
+	inst  *core.Instance
+	// spent is the spend ledger, read once by the first residual run: every
+	// residual run of the request targets the same remaining budgets.
+	spent []float64
+}
+
+// pin captures t's current epoch for one request.
+func (s *Server) pin(t target) *pinnedCampaign {
+	epoch, inst := t.EpochInst()
+	return &pinnedCampaign{s: s, target: t, epoch: epoch, inst: inst}
+}
+
+// request shapes one selection run: options clamped to the server's
+// sampling cap, the κ override, the ledger subtracted for a residual run,
+// the epoch pin and the observer.
+func (p *pinnedCampaign) request(item AllocateItem, observer core.AllocObserver, explain bool) core.Request {
+	req := core.Request{
+		Opts:     item.Opts.toOptions(p.s.opts.MaxTheta),
+		Ads:      item.Ads,
+		Budgets:  item.Budgets,
+		CPEs:     item.CPEs,
+		Lambda:   item.Lambda,
+		Epoch:    p.epoch,
+		Observer: observer,
+		Explain:  explain,
+	}
+	if item.Kappa > 0 {
+		req.Kappa = core.ConstKappa(item.Kappa)
+	}
+	if item.Residual {
+		if p.spent == nil {
+			p.spent = p.spendVector(p.inst)
+		}
+		req.SpentBudget = p.spent
+	}
+	return req
+}
+
+// report books one run's outcome and renders the fields every run reports.
+// A failed run is counted under failureOf's reason and carries its status;
+// errPrefix is what a lone response puts before the error text. A
+// successful one is counted on the server and the campaign and reports its
+// regret over the requested ad subset only — an excluded ad's untouched
+// budget is not this allocation's failure — against the budgets it
+// targeted: overridden ones, and for a residual run what was left of them.
+func (p *pinnedCampaign) report(req core.Request, res *core.TIRMResult, err error) (out BatchItemResult, errPrefix string) {
+	m := p.s.metrics
+	if err != nil {
+		status, reason, prefix := failureOf(err, p.upstream())
+		m.failAlloc(reason)
+		return BatchItemResult{Error: err.Error(), Status: status}, prefix
+	}
+	m.allocations.Inc()
+	m.recordRun(res)
+	p.allocs.Add(1)
+	for i, seeds := range res.Alloc.Seeds {
+		if seeds == nil {
+			res.Alloc.Seeds[i] = []int32{} // JSON: [] for empty, never null
+		}
+	}
+	inst := instWith(p.inst, req.Lambda, 0)
+	return BatchItemResult{
+		Seeds:        res.Alloc.Seeds,
+		EstRevenue:   res.EstRevenue,
+		EstRegret:    core.RegretOver(inst, req.Ads, req.Budgets, req.SpentBudget, res.EstRevenue, res.Alloc.Seeds),
+		FinalTheta:   res.FinalTheta,
+		Iterations:   res.Iterations,
+		SetsSampled:  res.TotalSetsSampled,
+		SetsReused:   res.SetsReused,
+		SpentBudgets: req.SpentBudget,
+	}, ""
+}
+
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	var req AllocateRequest
 	if !decodeBody(w, r, &req) {
@@ -626,88 +688,56 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Pin the run to the epoch we shape the request (and its report)
-	// against: a campaign mutation racing in turns into a clean 409, never
-	// a positionally misaligned allocation.
-	epoch, curInst := t.EpochInst()
-	reqCPEs := req.CPEs
+	p := s.pin(t)
+	item := req.item()
 	if req.Bandit {
 		if req.CPEs != nil {
 			s.refuse(w, http.StatusBadRequest, failBadRequest, "bandit and cpes are mutually exclusive")
 			return
 		}
-		cpes, err := t.banditCPEs(curInst)
+		cpes, err := t.banditCPEs(p.inst)
 		if err != nil {
 			s.refuse(w, http.StatusBadRequest, failBadRequest, "%v", err)
 			return
 		}
-		reqCPEs = cpes
+		item.CPEs = cpes
 	}
 	actx, observer, explain, allocSpan := s.allocObserverFor(r.Context(), req.Explain)
-	coreReq := core.Request{
-		Opts:     req.Opts.toOptions(s.opts.MaxTheta),
-		Ads:      req.Ads,
-		Budgets:  req.Budgets,
-		CPEs:     reqCPEs,
-		Lambda:   req.Lambda,
-		Epoch:    epoch,
-		Observer: observer,
-		Explain:  explain,
-	}
-	if req.Kappa > 0 {
-		coreReq.Kappa = core.ConstKappa(req.Kappa)
-	}
-	if req.Residual {
-		coreReq.SpentBudget = t.spendVector(curInst)
-	}
+	coreReq := p.request(item, observer, explain)
 	started := time.Now()
 	objBefore, bytesBefore := heapAllocSample()
 	res, err := t.Allocate(actx, coreReq)
 	allocSpan.EndErr(err)
 	objAfter, bytesAfter := heapAllocSample()
-	allocObjects, allocBytes := objAfter-objBefore, bytesAfter-bytesBefore
+	run, errPrefix := p.report(coreReq, res, err)
 	if err != nil {
-		s.fail(w, err, t.upstream())
+		httpError(w, run.Status, "%s%s", errPrefix, run.Error)
 		return
 	}
-	s.metrics.allocations.Inc()
 	s.metrics.allocSeconds.Observe(time.Since(started).Seconds())
-	s.metrics.recordRun(res)
-	t.allocs.Add(1)
-	// Accumulated only for successful runs: allocs is the divisor of the
-	// /stats per-request averages, so failed runs must not contribute.
-	t.allocObjects.Add(allocObjects)
-	t.allocBytes.Add(allocBytes)
-	for i, s := range res.Alloc.Seeds {
-		if s == nil {
-			res.Alloc.Seeds[i] = []int32{} // JSON: [] for empty, never null
-		}
-	}
-
-	inst := instWith(curInst, req.Lambda, req.Kappa)
-	// Regret is reported over the requested ad subset only: an excluded
-	// ad's untouched budget is not this allocation's failure. Residual
-	// runs score against the remaining budgets they targeted.
-	estRegret := core.RegretOver(inst, req.Ads, req.Budgets, coreReq.SpentBudget, res.EstRevenue, res.Alloc.Seeds)
 	resp := AllocateResponse{
 		Key:           t.key,
-		Epoch:         epoch,
+		Epoch:         p.epoch,
 		ColdBuild:     t.cold,
 		FromSnapshot:  t.fromSnapshot,
 		AllocSeconds:  time.Since(started).Seconds(),
-		Seeds:         res.Alloc.Seeds,
-		EstRevenue:    res.EstRevenue,
-		EstRegret:     estRegret,
-		FinalTheta:    res.FinalTheta,
-		Iterations:    res.Iterations,
-		SetsSampled:   res.TotalSetsSampled,
-		SetsReused:    res.SetsReused,
+		Seeds:         run.Seeds,
+		EstRevenue:    run.EstRevenue,
+		EstRegret:     run.EstRegret,
+		FinalTheta:    run.FinalTheta,
+		Iterations:    run.Iterations,
+		SetsSampled:   run.SetsSampled,
+		SetsReused:    run.SetsReused,
 		IndexMemBytes: t.MemBytes(),
-		AdNames:       adNames(inst),
-		SpentBudgets:  coreReq.SpentBudget,
-		AllocObjects:  allocObjects,
-		AllocBytes:    allocBytes,
+		AdNames:       adNames(p.inst),
+		SpentBudgets:  run.SpentBudgets,
+		AllocObjects:  objAfter - objBefore,
+		AllocBytes:    bytesAfter - bytesBefore,
 	}
+	// Accumulated only for successful runs: allocs is the divisor of the
+	// /stats per-request averages, so failed runs must not contribute.
+	t.allocObjects.Add(resp.AllocObjects)
+	t.allocBytes.Add(resp.AllocBytes)
 	if t.cold {
 		resp.BuildSeconds = t.buildSec
 	}

@@ -171,8 +171,22 @@ func TestServerCoalescing(t *testing.T) {
 	if stats.CacheMisses != 1 {
 		t.Errorf("concurrent requests caused %d builds", stats.CacheMisses)
 	}
-	if stats.CacheHits+stats.Coalesced != workers-1 {
-		t.Errorf("hits %d + coalesced %d, want %d", stats.CacheHits, stats.Coalesced, workers-1)
+	coalesced := metric(t, ts.URL, "adserver_cache_coalesced_total")
+	if stats.CacheHits+int64(coalesced) != workers-1 {
+		t.Errorf("hits %d + coalesced %d, want %d", stats.CacheHits, coalesced, workers-1)
+	}
+	// One more request is a hit for certain; after a miss, waits on its
+	// build and hits, /stats still reads what /metrics counts.
+	if code := postJSON(t, ts.URL+"/allocate", fig1Request(), nil); code != http.StatusOK {
+		t.Fatalf("sequential allocate returned %d", code)
+	}
+	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats returned %d", code)
+	}
+	hits, misses := metric(t, ts.URL, "adserver_cache_hits_total"), metric(t, ts.URL, "adserver_cache_misses_total")
+	if uint64(stats.CacheHits) != hits || uint64(stats.CacheMisses) != misses || hits+coalesced != workers {
+		t.Errorf("/stats hits %d misses %d; /metrics hits %d misses %d coalesced %d (%d requests)",
+			stats.CacheHits, stats.CacheMisses, hits, misses, coalesced, workers+1)
 	}
 }
 
@@ -200,12 +214,8 @@ func TestServerSnapshotRestart(t *testing.T) {
 	if !reflect.DeepEqual(a.Seeds, b.Seeds) {
 		t.Errorf("allocation changed across restart: %v vs %v", a.Seeds, b.Seeds)
 	}
-	var stats StatsResponse
-	if code := getJSON(t, second.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats returned %d", code)
-	}
-	if stats.SnapshotLoads != 1 {
-		t.Errorf("snapshot loads = %d, want 1", stats.SnapshotLoads)
+	if got := metric(t, second.URL, "adserver_snapshot_loads_total"); got != 1 {
+		t.Errorf("snapshot loads = %d, want 1", got)
 	}
 }
 

@@ -192,14 +192,8 @@ func (st *shardedState) AllocateBatch(ctx context.Context, reqs []core.Request) 
 
 // AddAd implements engine: the spec broadcasts to every shard, each clones
 // it as the host did, and the new ad is warmed cluster-wide.
-func (st *shardedState) AddAd(ctx context.Context, spec NewAdSpec, _ core.Ad, opts core.TIRMOptions) (int, error) {
-	return st.coord.AddAdSpec(ctx, shard.AdSpec{
-		Name:     spec.Name,
-		Budget:   spec.Budget,
-		CPE:      spec.CPE,
-		CTP:      spec.CTP,
-		Template: spec.Template,
-	}, opts)
+func (st *shardedState) AddAd(ctx context.Context, spec core.AdSpec, _ core.Ad, opts core.TIRMOptions) (int, error) {
+	return st.coord.AddAdSpec(ctx, spec, opts)
 }
 
 // RemoveAd implements engine by lockstep broadcast.

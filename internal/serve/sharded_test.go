@@ -232,11 +232,9 @@ func TestShardedMutationsDegraded(t *testing.T) {
 		t.Errorf("POST /ads on a degraded cluster returned %d, want 503", code)
 	}
 
-	var stats StatsResponse
-	if code := getJSON(t, c.front.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats: %d", code)
-	}
-	if got := stats.AllocFailures; got["bad_request"] != 1 || got["unavailable"] != 3 {
-		t.Errorf("allocFailures = %v, want bad_request:1 unavailable:3", got)
+	bad := metric(t, c.front.URL, `adserver_alloc_failures_total{reason="bad_request"}`)
+	unavailable := metric(t, c.front.URL, `adserver_alloc_failures_total{reason="unavailable"}`)
+	if bad != 1 || unavailable != 3 {
+		t.Errorf("failures bad_request:%d unavailable:%d, want 1 and 3", bad, unavailable)
 	}
 }

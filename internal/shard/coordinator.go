@@ -497,7 +497,7 @@ func (c *Coordinator) AddAdSpec(ctx context.Context, spec AdSpec, opts core.TIRM
 	c.mu.RLock()
 	inst := c.inst
 	c.mu.RUnlock()
-	ad, err := core.CloneAd(inst, spec.Name, spec.Budget, spec.CPE, spec.CTP, spec.Template)
+	ad, err := core.CloneAd(inst, spec)
 	if err != nil {
 		return 0, err
 	}

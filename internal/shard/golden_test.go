@@ -163,7 +163,7 @@ func TestShardedLifecycleGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := AdSpec{Name: "clone", Budget: 7.5, CPE: 2.5, CTP: 0.05, Template: 1}
-	cloned, err := core.CloneAd(idx.Inst(), spec.Name, spec.Budget, spec.CPE, spec.CTP, spec.Template)
+	cloned, err := core.CloneAd(idx.Inst(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

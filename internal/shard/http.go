@@ -53,11 +53,10 @@ import (
 // its RPC fan-out together in the logs of every daemon), and — when
 // Shard.Logf is set — one structured key=value log line per request.
 func (s *Shard) Handler() http.Handler {
-	reg, httpMetrics := s.observability()
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/debug/traces", s.obsTracer.Handler())
-	mux.Handle("/debug/traces/", s.obsTracer.Handler())
+	mux.Handle("/metrics", s.reg.Handler())
+	mux.Handle("/debug/traces", s.tracer.Handler())
+	mux.Handle("/debug/traces/", s.tracer.Handler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		shardWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -84,13 +83,13 @@ func (s *Shard) Handler() http.Handler {
 		s.Drain()
 		return struct{}{}, nil
 	}))
-	return obs.Instrument(mux, httpMetrics, obs.InstrumentOptions{
+	return obs.Instrument(mux, s.httpMetrics, obs.InstrumentOptions{
 		Component: "adshard",
 		Logf:      s.Logf,
 		// RPC routes all share the "shard" first path segment; label by the
 		// full (bounded) route so per-operation latency stays visible.
 		Endpoint: shardEndpoint,
-		Tracer:   s.obsTracer,
+		Tracer:   s.tracer,
 	})
 }
 
@@ -301,19 +300,12 @@ type HTTPClient struct {
 	drain *http.Request
 	// addrErr is why the address did not parse; every call returns it.
 	addrErr error
-
-	// CallTimeout, when > 0, bounds each RPC that arrives without a
-	// context deadline of its own. A caller-supplied deadline always wins
-	// (the retry layer sets per-attempt, per-op deadlines), and Drain is
-	// exempt — draining a loaded shard may legitimately take long. It
-	// replaces the old flat 5-minute http.Client timeout, which capped
-	// every call including ones whose context asked for longer.
-	CallTimeout time.Duration
 }
 
 // NewHTTPClient creates a client for a shard daemon at addr
-// ("host:port" or a full http:// base URL). RPCs are unbounded unless the
-// caller's context carries a deadline or CallTimeout is set.
+// ("host:port" or a full http:// base URL). An RPC is bounded only by its
+// caller's context: the retry layer (NewRetryClient) sets a per-attempt,
+// per-op deadline on every call a coordinator makes.
 func NewHTTPClient(addr string) *HTTPClient {
 	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
 		addr = "http://" + addr
@@ -352,33 +344,12 @@ func NewHTTPClient(addr string) *HTTPClient {
 	return c
 }
 
-// withDeadline applies CallTimeout when ctx has no deadline of its own.
-func (c *HTTPClient) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.CallTimeout <= 0 {
-		return ctx, func() {}
-	}
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, c.CallTimeout)
-}
-
-// wireCall sends one run op in the binary codec of wire.go, under the
-// default deadline policy. The request is encoded into a buffer of its own,
-// not a pooled one: net/http may still be writing a request body after Do
-// returns (cancellation, a reply sent early), so it cannot be recycled here.
+// wireCall sends one run op in the binary codec of wire.go. The request is
+// encoded into a buffer of its own, not a pooled one: net/http may still be
+// writing a request body after Do returns (cancellation, a reply sent
+// early), so it cannot be recycled here.
 func (c *HTTPClient) wireCall(ctx context.Context, o op, in, out wireMessage) error {
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
 	return c.do(ctx, c.reqs[o], wireContentType, in.appendWire(make([]byte, 0, 64)), out.decodeWire)
-}
-
-// jsonCall sends one lifecycle op as JSON, under the default deadline
-// policy.
-func (c *HTTPClient) jsonCall(ctx context.Context, o op, in, out any) error {
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
-	return c.postJSON(ctx, c.reqs[o], in, out)
 }
 
 // postJSON POSTs one JSON request and decodes the reply into out.
@@ -435,8 +406,6 @@ func (c *HTTPClient) do(ctx context.Context, tmpl *http.Request, contentType str
 
 // Info implements Client.
 func (c *HTTPClient) Info(ctx context.Context) (ShardInfo, error) {
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
 	var info ShardInfo
 	return info, c.do(ctx, c.reqs[opInfo], "", nil, func(reply []byte) error { return json.Unmarshal(reply, &info) })
 }
@@ -450,7 +419,7 @@ func (c *HTTPClient) Pilot(ctx context.Context, req PilotRequest) (PilotReply, e
 // Ensure implements Client.
 func (c *HTTPClient) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
 	var out EnsureReply
-	return out, c.jsonCall(ctx, opEnsure, req, &out)
+	return out, c.postJSON(ctx, c.reqs[opEnsure], req, &out)
 }
 
 // Start implements Client.
@@ -486,31 +455,29 @@ func (c *HTTPClient) Gains(ctx context.Context, req GainsRequest) (GainsReply, e
 // End implements Client.
 func (c *HTTPClient) End(ctx context.Context, runID string) error {
 	var out struct{}
-	return c.jsonCall(ctx, opEnd, endRequest{RunID: runID}, &out)
+	return c.postJSON(ctx, c.reqs[opEnd], endRequest{RunID: runID}, &out)
 }
 
 // AddAd implements Client.
 func (c *HTTPClient) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
 	var out MutateReply
-	return out, c.jsonCall(ctx, opAddAd, req, &out)
+	return out, c.postJSON(ctx, c.reqs[opAddAd], req, &out)
 }
 
 // RemoveAd implements Client.
 func (c *HTTPClient) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
 	var out MutateReply
-	return out, c.jsonCall(ctx, opRemoveAd, req, &out)
+	return out, c.postJSON(ctx, c.reqs[opRemoveAd], req, &out)
 }
 
 // SyncEstimates implements Client.
 func (c *HTTPClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
 	var out struct{}
-	return c.jsonCall(ctx, opSyncEstimates, req, &out)
+	return c.postJSON(ctx, c.reqs[opSyncEstimates], req, &out)
 }
 
 // Drain asks the daemon to refuse new runs (not part of the coordinator's
-// Client surface — an operator action). Drain ignores CallTimeout — it is
-// bounded only by the caller's context, since draining a loaded shard may
-// take longer than any per-RPC deadline.
+// Client surface — an operator action).
 func (c *HTTPClient) Drain(ctx context.Context) error {
 	var out struct{}
 	return c.postJSON(ctx, c.drain, struct{}{}, &out)

@@ -192,7 +192,7 @@ func TestHTTPReplayBytes(t *testing.T) {
 	if !bytes.Equal(replies[0], replies[1]) {
 		t.Fatalf("replayed commit differs on the wire:\n first %x\n  then %x", replies[0], replies[1])
 	}
-	if got := shards[0].commits.Load(); got != 1 {
+	if got := shards[0].commits.Value(); got != 1 {
 		t.Fatalf("shard applied %d commits, want 1 (the replay must not re-apply)", got)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 
 	"repro/internal/bandit"
+	"repro/internal/core"
 )
 
 // Wire-level sentinel errors. The HTTP transport maps them onto status
@@ -308,24 +309,9 @@ type GainsReply struct {
 	Cov []int32 `json:"cov"`
 }
 
-// AdSpec describes an advertiser to add by template cloning: the new ad
-// shares the Template position's mixed edge probabilities with its own
-// budget, CPE, and optionally a uniform CTP (0 keeps the template's
-// vector) — the same shape internal/serve's POST /ads accepts, chosen
-// because arbitrary per-edge vectors have no JSON-sized representation.
-type AdSpec struct {
-	// Name labels the new ad (must be unique in the campaign).
-	Name string `json:"name"`
-	// Budget is the ad's budget B_i.
-	Budget float64 `json:"budget"`
-	// CPE is the ad's cost-per-engagement.
-	CPE float64 `json:"cpe"`
-	// CTP, when > 0, is a uniform click-through probability.
-	CTP float64 `json:"ctp,omitempty"`
-	// Template is the campaign position whose propagation profile the new
-	// ad clones.
-	Template int `json:"template,omitempty"`
-}
+// AdSpec is core.AdSpec, the template-clone form of an advertiser, under
+// the name this package has always exported it by.
+type AdSpec = core.AdSpec
 
 // AddAdRequest appends an advertiser to the shard's campaign set. Exactly
 // one of the two forms is used: Base ≥ 0 activates that position of the

@@ -41,11 +41,6 @@ type ReplicaSetConfig struct {
 	// Slot is the partition range's slot, for error text and metric
 	// labels (defaults to what the replicas report).
 	Slot int
-	// FailThreshold is how many consecutive failures mark a replica
-	// unhealthy (default 1). Unhealthy replicas are deprioritized, not
-	// abandoned: an op that exhausts the healthy replicas still sweeps
-	// them before declaring the range unavailable.
-	FailThreshold int
 	// Metrics, when non-nil, books failovers and per-replica health.
 	Metrics *Metrics
 	// Logf receives failover and revive messages (nil = silent).
@@ -58,15 +53,17 @@ type ReplicaSetConfig struct {
 type ReplicaSet struct {
 	replicas []Client
 	slot     int
-	thresh   int
 	metrics  *Metrics
 	logf     func(format string, args ...any)
 
 	mutMu sync.Mutex // serializes mutation broadcasts (log order = epoch order)
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// healthy[i] is false from replica i's first failed op until its next
+	// successful one. Unhealthy replicas are deprioritized, not abandoned:
+	// an op that exhausts the healthy replicas still sweeps them before
+	// declaring the range unavailable.
 	healthy []bool
-	fails   []int
 	runs    map[string]*replicaRun
 	muts    []replicaMutation
 	est     *SyncEstimatesRequest
@@ -118,26 +115,19 @@ func NewReplicaSet(ctx context.Context, replicas []Client, cfg ReplicaSetConfig)
 	if len(replicas) == 0 {
 		return nil, errors.New("shard: replica set needs at least one replica")
 	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 1
-	}
 	r := &ReplicaSet{
 		replicas: replicas,
 		slot:     cfg.Slot,
-		thresh:   cfg.FailThreshold,
 		metrics:  cfg.Metrics,
 		logf:     cfg.Logf,
 		healthy:  make([]bool, len(replicas)),
-		fails:    make([]int, len(replicas)),
 		runs:     map[string]*replicaRun{},
 	}
 	var ref *ShardInfo
 	for i, cl := range replicas {
 		info, err := cl.Info(ctx)
 		if err != nil {
-			r.healthy[i] = false
-			r.fails[i] = cfg.FailThreshold
-			continue
+			continue // unreachable: starts unhealthy
 		}
 		if ref == nil {
 			c := info
@@ -173,9 +163,6 @@ func replicaAgrees(ref, got ShardInfo) error {
 	}
 	return nil
 }
-
-// NumReplicas returns R.
-func (r *ReplicaSet) NumReplicas() int { return len(r.replicas) }
 
 // Slot returns the partition range this set serves.
 func (r *ReplicaSet) Slot() int { return r.slot }
@@ -216,12 +203,10 @@ func (r *ReplicaSet) candidates() (order []int, healthy int) {
 	return order, healthy
 }
 
-// markSuccess resets a replica's failure streak and restores it to
-// healthy.
+// markSuccess restores a replica to healthy.
 func (r *ReplicaSet) markSuccess(i int) {
 	r.mu.Lock()
 	changed := !r.healthy[i]
-	r.fails[i] = 0
 	r.healthy[i] = true
 	r.mu.Unlock()
 	if changed {
@@ -232,15 +217,11 @@ func (r *ReplicaSet) markSuccess(i int) {
 	}
 }
 
-// markFailure books one failure; crossing the threshold marks the replica
-// unhealthy.
+// markFailure marks a replica unhealthy: one failed op is enough.
 func (r *ReplicaSet) markFailure(i int, err error) {
 	r.mu.Lock()
-	r.fails[i]++
-	changed := r.healthy[i] && r.fails[i] >= r.thresh
-	if changed {
-		r.healthy[i] = false
-	}
+	changed := r.healthy[i]
+	r.healthy[i] = false
 	r.mu.Unlock()
 	if changed {
 		r.publishHealth()

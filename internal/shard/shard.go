@@ -43,11 +43,6 @@ type Shard struct {
 	// path, status, duration). Nil disables request logging; metrics and
 	// trace propagation run either way. cmd/adshard sets it to log.Printf.
 	Logf func(format string, args ...any)
-	// Tracing shapes the daemon's span tracer (ring capacity, latency
-	// threshold, head-sample rate); set before Handler is first called.
-	// The zero value uses the obs defaults — tracing is always on for the
-	// HTTP surface, since span cost is per-request and bounded.
-	Tracing obs.TracerConfig
 
 	lifeMu sync.Mutex // serializes campaign mutations with their epoch checks
 
@@ -62,15 +57,15 @@ type Shard struct {
 	estMu sync.Mutex
 	est   *bandit.State
 
-	runsOpened atomic.Int64
-	commits    atomic.Int64
-
-	// obsOnce guards the lazily built /metrics registry (Handler's first
-	// call); tests that never serve HTTP pay nothing for it.
-	obsOnce   sync.Once
-	obsReg    *obs.Registry
-	obsHTTP   *obs.HTTPMetrics
-	obsTracer *obs.Tracer
+	// The daemon's /metrics registry, with the request metrics and span
+	// tracer Handler's middleware records into (obs defaults: tracing is
+	// always on for the HTTP surface, span cost is per-request and bounded)
+	// and the shard's own lifetime counts, incremented where they happen.
+	reg         *obs.Registry
+	httpMetrics *obs.HTTPMetrics
+	tracer      *obs.Tracer
+	runsOpened  *obs.Counter
+	commits     *obs.Counter
 }
 
 // shardRun is one distributed selection run's shard-local state.
@@ -185,65 +180,62 @@ func NewShardFromIndex(roster *core.Instance, idx *core.Index) (*Shard, error) {
 }
 
 func newShard(roster *core.Instance, idx *core.Index) *Shard {
-	return &Shard{
+	s := &Shard{
 		part:   idx.Partition(),
 		roster: roster,
 		idx:    idx,
 		runs:   map[string]*shardRun{},
 	}
+	s.registerMetrics()
+	return s
 }
 
 // Index exposes the shard's per-range index (snapshot persistence in
 // cmd/adshard writes through it).
 func (s *Shard) Index() *core.Index { return s.idx }
 
-// observability lazily builds the daemon's /metrics registry: the HTTP
-// request metrics the Handler middleware records plus scrape-time views
-// over the shard state Info already reports (epoch, campaign size, sample
-// counts and footprint, open runs, commits, drain flag).
-func (s *Shard) observability() (*obs.Registry, *obs.HTTPMetrics) {
-	s.obsOnce.Do(func() {
-		reg := obs.NewRegistry()
-		s.obsHTTP = obs.NewHTTPMetrics(reg, "adshard")
-		s.obsTracer = obs.NewTracer(s.Tracing)
-		s.obsTracer.EnableMetrics(reg, "adshard")
-		obs.BuildInfo(reg, "adshard")
-		reg.GaugeFunc("adshard_epoch",
-			"Campaign epoch the shard currently serves.",
-			func() float64 { return float64(s.idx.CurrentEpoch().Version()) })
-		reg.GaugeFunc("adshard_campaign_ads",
-			"Advertisers in the shard's current campaign set.",
-			func() float64 { return float64(s.idx.CurrentEpoch().NumAds()) })
-		reg.CounterFunc("adshard_sets_sampled_total",
-			"Local RR sets drawn over the shard's lifetime.",
-			func() uint64 { return uint64(s.idx.SetsSampled()) })
-		reg.GaugeFunc("adshard_index_mem_bytes",
-			"Stored-sample footprint of the shard's per-range index in bytes.",
-			func() float64 { return float64(s.idx.MemBytes()) })
-		reg.GaugeFunc("adshard_open_runs",
-			"Live distributed selection runs holding state on this shard.",
-			func() float64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return float64(len(s.runs))
-			})
-		reg.CounterFunc("adshard_runs_opened_total",
-			"Selection runs opened on this shard over its lifetime.",
-			func() uint64 { return uint64(s.runsOpened.Load()) })
-		reg.CounterFunc("adshard_commits_total",
-			"Seed commits applied on this shard over its lifetime.",
-			func() uint64 { return uint64(s.commits.Load()) })
-		reg.GaugeFunc("adshard_draining",
-			"1 when the shard refuses new runs, 0 otherwise.",
-			func() float64 {
-				if s.draining.Load() {
-					return 1
-				}
-				return 0
-			})
-		s.obsReg = reg
-	})
-	return s.obsReg, s.obsHTTP
+// registerMetrics builds the daemon's /metrics registry: the HTTP request
+// and tracer metrics, the shard's two lifetime counters, and scrape-time
+// views over the state Info already reports (epoch, campaign size, sample
+// counts and footprint, open runs, drain flag).
+func (s *Shard) registerMetrics() {
+	reg := obs.NewRegistry()
+	s.reg = reg
+	s.httpMetrics = obs.NewHTTPMetrics(reg, "adshard")
+	s.tracer = obs.NewTracer(obs.TracerConfig{})
+	s.tracer.EnableMetrics(reg, "adshard")
+	obs.BuildInfo(reg, "adshard")
+	reg.GaugeFunc("adshard_epoch",
+		"Campaign epoch the shard currently serves.",
+		func() float64 { return float64(s.idx.CurrentEpoch().Version()) })
+	reg.GaugeFunc("adshard_campaign_ads",
+		"Advertisers in the shard's current campaign set.",
+		func() float64 { return float64(s.idx.CurrentEpoch().NumAds()) })
+	reg.CounterFunc("adshard_sets_sampled_total",
+		"Local RR sets drawn over the shard's lifetime.",
+		func() uint64 { return uint64(s.idx.SetsSampled()) })
+	reg.GaugeFunc("adshard_index_mem_bytes",
+		"Stored-sample footprint of the shard's per-range index in bytes.",
+		func() float64 { return float64(s.idx.MemBytes()) })
+	reg.GaugeFunc("adshard_open_runs",
+		"Live distributed selection runs holding state on this shard.",
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(len(s.runs))
+		})
+	s.runsOpened = reg.Counter("adshard_runs_opened_total",
+		"Selection runs opened on this shard over its lifetime.")
+	s.commits = reg.Counter("adshard_commits_total",
+		"Seed commits applied on this shard over its lifetime.")
+	reg.GaugeFunc("adshard_draining",
+		"1 when the shard refuses new runs, 0 otherwise.",
+		func() float64 {
+			if s.draining.Load() {
+				return 1
+			}
+			return 0
+		})
 }
 
 // Drain makes the shard refuse new runs; in-flight runs finish normally.
@@ -385,7 +377,7 @@ func (s *Shard) Start(req StartRequest) (StartReply, error) {
 		reply.Cov[i] = sc
 		reply.LocalSets[i] = v.Len()
 	}
-	s.runsOpened.Add(1)
+	s.runsOpened.Inc()
 	return reply, nil
 }
 
@@ -422,7 +414,7 @@ func (s *Shard) Commit(req CommitRequest) (CommitReply, error) {
 	}
 	covered, nodes, decs := ra.col.CoverNodeDelta(req.Node, r.nodes, r.counts)
 	r.nodes, r.counts = nodes, decs
-	s.commits.Add(1)
+	s.commits.Inc()
 	reply := CommitReply{Covered: covered, Delta: SparseCounts{Nodes: nodes, Counts: decs}}
 	r.storeCommit(req.Seq, opCommit, reply)
 	return reply, nil
@@ -554,8 +546,7 @@ func (s *Shard) AddAd(req AddAdRequest) (MutateReply, error) {
 		}
 		ad = s.roster.Ads[req.Base]
 	} else {
-		sp := req.Spec
-		if ad, err = core.CloneAd(ep.Inst(), sp.Name, sp.Budget, sp.CPE, sp.CTP, sp.Template); err != nil {
+		if ad, err = core.CloneAd(ep.Inst(), req.Spec); err != nil {
 			return MutateReply{}, err
 		}
 	}
