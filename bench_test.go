@@ -208,7 +208,7 @@ func BenchmarkTable4Memory(b *testing.B) {
 	cfg := benchCfg()
 	var m1, m5 float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table4(exp.DBLP, cfg, []int{1, 5}, []exp.Algo{exp.AlgoTIRM})
+		rows, err := exp.Fig6VaryH(exp.DBLP, cfg, []int{1, 5}, []exp.Algo{exp.AlgoTIRM})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,15 +373,13 @@ func BenchmarkDiffusionMC(b *testing.B) {
 // timer. Run with -cpu 1,2: the blocks fan out over GOMAXPROCS workers.
 func BenchmarkSampleRange(b *testing.B) {
 	const sets = 64 * rrset.StreamBlockSize
-	for _, ds := range []struct {
-		name  string
-		build func(gen.Options) *core.Instance
-	}{{"flixster", gen.Flixster}, {"dblp", gen.DBLP}} {
+	for _, name := range []string{"flixster", "dblp"} {
+		ds, _ := gen.Lookup(name)
 		var s *rrset.Sampler
-		b.Run(ds.name, func(b *testing.B) {
+		b.Run(ds.Name, func(b *testing.B) {
 			rng := xrand.New(10)
 			if s == nil {
-				inst := ds.build(gen.Options{Seed: 1, Scale: 1})
+				inst := ds.Build(gen.Options{Seed: 1, Scale: 1})
 				s = rrset.NewSampler(inst.G, inst.Ads[0].Params.Probs, nil)
 				s.SampleRangeRRInto(0, rrset.StreamBlockSize, rng, rrset.NewSetFamily())
 			}
@@ -503,16 +501,14 @@ func BenchmarkWarmWorkspaceReuse(b *testing.B) {
 // it. openings/op reports how many of the request's ads built theirs.
 func BenchmarkIndexOpen(b *testing.B) {
 	const maxTheta = 200000
-	for _, ds := range []struct {
-		name  string
-		build func(gen.Options) *core.Instance
-	}{{"flixster", gen.Flixster}, {"dblp", gen.DBLP}} {
+	for _, name := range []string{"flixster", "dblp"} {
+		ds, _ := gen.Lookup(name)
 		var idx *socialads.Index
 		pool := &socialads.AllocWorkspacePool{}
 		run := func(b *testing.B, thetas int) {
 			if idx == nil {
 				var err error
-				if idx, err = socialads.BuildIndex(ds.build(gen.Options{Seed: 1, Scale: 1}), 42, socialads.TIRMOptions{MaxTheta: maxTheta}); err != nil {
+				if idx, err = socialads.BuildIndex(ds.Build(gen.Options{Seed: 1, Scale: 1}), 42, socialads.TIRMOptions{MaxTheta: maxTheta}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -540,8 +536,8 @@ func BenchmarkIndexOpen(b *testing.B) {
 			}
 			b.ReportMetric(float64(built)/float64(b.N), "openings/op")
 		}
-		b.Run(ds.name+"/hit", func(b *testing.B) { run(b, 1) })
-		b.Run(ds.name+"/miss", func(b *testing.B) { run(b, rrset.OpeningCap+1) })
+		b.Run(ds.Name+"/hit", func(b *testing.B) { run(b, 1) })
+		b.Run(ds.Name+"/miss", func(b *testing.B) { run(b, rrset.OpeningCap+1) })
 	}
 }
 

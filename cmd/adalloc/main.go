@@ -24,8 +24,8 @@ import (
 
 func main() {
 	var (
-		dataset  = flag.String("dataset", "flixster", "dataset (flixster,epinions,dblp,livejournal,fig1)")
-		algoName = flag.String("algo", "tirm", "algorithm (tirm,greedy-irie,myopic,myopic+)")
+		dataset  = flag.String("dataset", "flixster", "dataset ("+gen.Names()+")")
+		algoName = flag.String("algo", "tirm", "algorithm (tirm,greedy-irie,myopic,myopic+,greedy-mc; aliases irie,myopicplus)")
 		scale    = flag.Float64("scale", 0.05, "dataset scale (1.0 = paper size)")
 		seed     = flag.Uint64("seed", 1, "master random seed")
 		kappa    = flag.Int("kappa", 1, "attention bound κ for every user")
@@ -50,33 +50,13 @@ func run(dataset, algoName string, scale float64, seed uint64, kappa int, lambda
 
 	opts := gen.Options{Scale: scale, Seed: seed + 1, Kappa: kappa, Lambda: lambda, NumAds: ads, BudgetOverride: budget}
 
-	var realInst *core.Instance
-	switch strings.ToLower(dataset) {
-	case "fig1":
-		realInst = gen.Fig1Instance(lambda)
-	case "flixster":
-		realInst = gen.Flixster(opts)
-	case "epinions":
-		realInst = gen.Epinions(opts)
-	case "dblp":
-		realInst = gen.DBLP(opts)
-	case "livejournal", "lj":
-		realInst = gen.LiveJournal(opts)
-	default:
+	d, ok := gen.Lookup(dataset)
+	if !ok {
 		return fmt.Errorf("unknown dataset %q", dataset)
 	}
-
-	var algo exp.Algo
-	switch strings.ToLower(algoName) {
-	case "tirm":
-		algo = exp.AlgoTIRM
-	case "greedy-irie", "irie":
-		algo = exp.AlgoGreedyIRIE
-	case "myopic":
-		algo = exp.AlgoMyopic
-	case "myopic+", "myopicplus":
-		algo = exp.AlgoMyopicPlus
-	default:
+	realInst := d.Build(opts)
+	algo, ok := exp.LookupAlgo(algoName)
+	if !ok {
 		return fmt.Errorf("unknown algorithm %q", algoName)
 	}
 

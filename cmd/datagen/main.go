@@ -14,14 +14,13 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
 func main() {
 	var (
-		dataset = flag.String("dataset", "flixster", "dataset (flixster,epinions,dblp,livejournal)")
+		dataset = flag.String("dataset", "flixster", "dataset ("+gen.Names()+")")
 		scale   = flag.Float64("scale", 0.05, "dataset scale (1.0 = paper size)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		out     = flag.String("out", "", "write the edge list to this file")
@@ -34,20 +33,11 @@ func main() {
 }
 
 func run(dataset string, scale float64, seed uint64, out string) error {
-	opts := gen.Options{Scale: scale, Seed: seed}
-	var inst *core.Instance
-	switch strings.ToLower(dataset) {
-	case "flixster":
-		inst = gen.Flixster(opts)
-	case "epinions":
-		inst = gen.Epinions(opts)
-	case "dblp":
-		inst = gen.DBLP(opts)
-	case "livejournal", "lj":
-		inst = gen.LiveJournal(opts)
-	default:
+	d, ok := gen.Lookup(dataset)
+	if !ok {
 		return fmt.Errorf("unknown dataset %q", dataset)
 	}
+	inst := d.Build(gen.Options{Scale: scale, Seed: seed})
 	st := inst.G.Stats()
 	fmt.Printf("dataset=%s scale=%.3f seed=%d\n", strings.ToUpper(dataset), scale, seed)
 	fmt.Printf("nodes=%d edges=%d avg-outdeg=%.2f max-outdeg=%d max-indeg=%d\n",

@@ -7,8 +7,11 @@
 //	exprun -exp fig3 -dataset flixster [-scale 0.05] [-seed 1] [-evalruns 2000] [-v]
 //	exprun -exp all -quick
 //
-// Experiments: table1 table2 fig1 fig3 fig4 fig5 table3 fig6h fig6b table4
-// boost all. Datasets: flixster epinions dblp livejournal (where relevant).
+// Experiments are the rows of exp.Experiments: table1 table2 fig1 fig3
+// fig4 fig5 table3 fig6h fig6b table4 boost soft, and all to run every one
+// in that order (DESIGN.md §5 lists what each regenerates and the formats
+// it renders). Datasets are gen.Catalog's names: flixster epinions dblp
+// livejournal (alias lj) fig1, for the experiments that take one.
 package main
 
 import (
@@ -18,12 +21,17 @@ import (
 	"strings"
 
 	"repro/internal/exp"
+	"repro/internal/gen"
 )
 
 func main() {
+	ids := make([]string, len(exp.Experiments))
+	for i, e := range exp.Experiments {
+		ids[i] = e.ID
+	}
 	var (
-		expName  = flag.String("exp", "all", "experiment id (table1,table2,fig1,fig3,fig4,fig5,table3,fig6h,fig6b,table4,boost,soft,all)")
-		dataset  = flag.String("dataset", "", "dataset (flixster,epinions,dblp,livejournal); default per experiment")
+		expName  = flag.String("exp", "all", "experiment id ("+strings.Join(ids, ",")+",all)")
+		dataset  = flag.String("dataset", "", "dataset ("+gen.Names()+"); default per experiment")
 		scale    = flag.Float64("scale", 0.05, "dataset scale (1.0 = paper size)")
 		seed     = flag.Uint64("seed", 1, "master random seed")
 		evalRuns = flag.Int("evalruns", 2000, "Monte Carlo evaluation cascades (paper: 10000)")
@@ -57,200 +65,35 @@ func main() {
 	}
 }
 
-func parseDataset(name string, def exp.Dataset) (exp.Dataset, error) {
-	switch name {
-	case "":
-		return def, nil
-	case "flixster":
-		return exp.Flixster, nil
-	case "epinions":
-		return exp.Epinions, nil
-	case "dblp":
-		return exp.DBLP, nil
-	case "livejournal", "lj":
-		return exp.LiveJournal, nil
+// run renders experiment id ("all" walks the catalog) in format f.
+func run(id, dataset string, cfg exp.Config, quick bool, f exp.Format) error {
+	all := id == "all"
+	exps := exp.Experiments
+	if !all {
+		e, ok := exp.LookupExperiment(id)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", id)
+		}
+		exps = []exp.Experiment{e}
 	}
-	return "", fmt.Errorf("unknown dataset %q", name)
-}
-
-func run(name, dsName string, cfg exp.Config, quick bool, format exp.Format) error {
-	w := os.Stdout
-	hs := []int{1, 5, 10, 15, 20}
-	if quick {
-		hs = []int{1, 5}
+	for _, e := range exps {
+		if err := e.CheckFormat(f); err != nil {
+			return err
+		}
 	}
-	switch name {
-	case "table1":
-		rows, err := exp.Table1(cfg)
-		if err != nil {
+	for _, e := range exps {
+		rep, err := e.Run(dataset, cfg, quick)
+		if err == nil {
+			err = rep.Write(os.Stdout, f)
+		}
+		switch {
+		case err != nil && all:
+			return fmt.Errorf("%s: %w", e.ID, err)
+		case err != nil:
 			return err
+		case all:
+			fmt.Println()
 		}
-		if format == exp.FormatJSON {
-			return exp.WriteJSON(w, "table1", rows)
-		}
-		exp.PrintTable1(w, rows)
-	case "table2":
-		rows, err := exp.Table2(cfg)
-		if err != nil {
-			return err
-		}
-		if format == exp.FormatJSON {
-			return exp.WriteJSON(w, "table2", rows)
-		}
-		exp.PrintTable2(w, rows)
-	case "fig1":
-		rows, err := exp.Fig1(cfg)
-		if err != nil {
-			return err
-		}
-		if format == exp.FormatJSON {
-			return exp.WriteJSON(w, "fig1", rows)
-		}
-		exp.PrintFig1(w, rows)
-	case "fig3", "fig4", "table3", "fig5":
-		ds, err := parseDataset(dsName, exp.Flixster)
-		if err != nil {
-			return err
-		}
-		switch name {
-		case "fig3":
-			rows, err := exp.Fig3(ds, cfg)
-			if err != nil {
-				return err
-			}
-			switch format {
-			case exp.FormatJSON:
-				return exp.WriteJSON(w, "fig3", rows)
-			case exp.FormatCSV:
-				return exp.WriteQualityCSV(w, rows)
-			}
-			exp.PrintQuality(w, fmt.Sprintf("FIG3 %s: total regret vs κ", ds), rows, exp.RegretColumn)
-		case "fig4":
-			rows, err := exp.Fig4(ds, cfg)
-			if err != nil {
-				return err
-			}
-			switch format {
-			case exp.FormatJSON:
-				return exp.WriteJSON(w, "fig4", rows)
-			case exp.FormatCSV:
-				return exp.WriteQualityCSV(w, rows)
-			}
-			exp.PrintQuality(w, fmt.Sprintf("FIG4 %s: total regret vs λ", ds), rows, exp.RegretColumn)
-		case "table3":
-			rows, err := exp.Table3(ds, cfg)
-			if err != nil {
-				return err
-			}
-			switch format {
-			case exp.FormatJSON:
-				return exp.WriteJSON(w, "table3", rows)
-			case exp.FormatCSV:
-				return exp.WriteQualityCSV(w, rows)
-			}
-			exp.PrintQuality(w, fmt.Sprintf("TABLE3 %s: distinct targeted nodes vs κ (λ=0)", ds), rows, exp.TargetedColumn)
-		case "fig5":
-			rows, err := exp.Fig5(ds, cfg)
-			if err != nil {
-				return err
-			}
-			switch format {
-			case exp.FormatJSON:
-				return exp.WriteJSON(w, "fig5", rows)
-			case exp.FormatCSV:
-				return exp.WriteFig5CSV(w, rows)
-			}
-			exp.PrintFig5(w, rows)
-		}
-	case "fig6h", "table4":
-		ds, err := parseDataset(dsName, exp.DBLP)
-		if err != nil {
-			return err
-		}
-		algos := []exp.Algo{exp.AlgoTIRM, exp.AlgoGreedyIRIE}
-		if ds == exp.LiveJournal {
-			// The paper could not finish GREEDY-IRIE on LiveJournal for h≥5.
-			algos = []exp.Algo{exp.AlgoTIRM}
-		}
-		rows, err := exp.Fig6VaryH(ds, cfg, hs, algos)
-		if err != nil {
-			return err
-		}
-		switch format {
-		case exp.FormatJSON:
-			return exp.WriteJSON(w, name, rows)
-		case exp.FormatCSV:
-			return exp.WriteScaleCSV(w, rows)
-		}
-		title := fmt.Sprintf("FIG6 %s: running time vs number of advertisers", ds)
-		if name == "table4" {
-			title = fmt.Sprintf("TABLE4 %s: memory usage vs number of advertisers", ds)
-		}
-		exp.PrintScale(w, title, rows)
-	case "fig6b":
-		ds, err := parseDataset(dsName, exp.DBLP)
-		if err != nil {
-			return err
-		}
-		algos := []exp.Algo{exp.AlgoTIRM, exp.AlgoGreedyIRIE}
-		if ds == exp.LiveJournal {
-			algos = []exp.Algo{exp.AlgoTIRM}
-		}
-		var budgets []float64
-		if quick {
-			if ds == exp.LiveJournal {
-				budgets = []float64{50000, 150000}
-			} else {
-				budgets = []float64{5000, 15000}
-			}
-		}
-		rows, err := exp.Fig6VaryBudget(ds, cfg, budgets, algos)
-		if err != nil {
-			return err
-		}
-		switch format {
-		case exp.FormatJSON:
-			return exp.WriteJSON(w, "fig6b", rows)
-		case exp.FormatCSV:
-			return exp.WriteScaleCSV(w, rows)
-		}
-		exp.PrintScale(w, fmt.Sprintf("FIG6 %s: running time vs per-ad budget (h=5)", ds), rows)
-	case "soft":
-		ds, err := parseDataset(dsName, exp.Flixster)
-		if err != nil {
-			return err
-		}
-		rows, err := exp.SoftAblation(ds, cfg)
-		if err != nil {
-			return err
-		}
-		if format == exp.FormatJSON {
-			return exp.WriteJSON(w, "soft", rows)
-		}
-		exp.PrintSoft(w, rows)
-	case "boost":
-		ds, err := parseDataset(dsName, exp.Flixster)
-		if err != nil {
-			return err
-		}
-		rows, err := exp.Boost(ds, cfg, nil)
-		if err != nil {
-			return err
-		}
-		if format == exp.FormatJSON {
-			return exp.WriteJSON(w, "boost", rows)
-		}
-		exp.PrintBoost(w, rows)
-	case "all":
-		order := []string{"table1", "table2", "fig1", "fig3", "fig4", "fig5", "table3", "fig6h", "fig6b", "table4", "boost", "soft"}
-		for _, e := range order {
-			if err := run(e, dsName, cfg, quick, format); err != nil {
-				return fmt.Errorf("%s: %w", e, err)
-			}
-			fmt.Fprintln(w)
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
 	}
 	return nil
 }

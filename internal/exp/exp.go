@@ -2,22 +2,27 @@
 // the paper's evaluation section (§6), each producing the same rows/series
 // the paper reports. cmd/exprun prints them; bench_test.go times them.
 //
-// Experiment index (see DESIGN.md §5 and EXPERIMENTS.md):
+// Experiment index — the ids of Experiments, the catalog cmd/exprun looks
+// up (see DESIGN.md §5 and EXPERIMENTS.md):
 //
-//	TABLE1  dataset statistics
-//	TABLE2  advertiser budgets and CPE values
-//	FIG1    the running toy example (allocations A and B)
-//	FIG3    total regret vs attention bound κ (λ ∈ {0, 0.5})
-//	FIG4    total regret vs λ (κ ∈ {1, 5})
-//	FIG5    distribution of individual budget-regrets (λ=0, κ=5)
-//	TABLE3  number of distinct targeted nodes vs κ (λ=0)
-//	FIG6    running time vs h and vs per-ad budget (scalability datasets)
-//	TABLE4  memory usage vs h
-//	BOOST   budget-boosting ablation (§3 Discussion, B' = (1+β)·B)
+//	table1  dataset statistics (Table 1)
+//	table2  advertiser budgets and CPE values (Table 2)
+//	fig1    the running toy example, allocations A and B (Figure 1)
+//	fig3    total regret vs attention bound κ, λ ∈ {0, 0.5}
+//	fig4    total regret vs λ, κ ∈ {1, 5}
+//	fig5    distribution of individual budget-regrets, λ = 0, κ = 5
+//	table3  number of distinct targeted nodes vs κ, λ = 0
+//	fig6h   running time vs h (Fig. 6(a)/(c), scalability datasets)
+//	fig6b   running time vs per-ad budget (Fig. 6(b)/(d))
+//	table4  memory usage vs h (Table 4)
+//	boost   budget-boosting ablation (§3 Discussion, B' = (1+β)·B)
+//	soft    ABL-SOFT: hard vs CTP-weighted soft coverage (TIRM-W)
 package exp
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/baselines"
@@ -57,11 +62,8 @@ const (
 	LiveJournal Dataset = "LIVEJOURNAL"
 )
 
-// QualityDatasets are used for §6.1, ScalabilityDatasets for §6.2.
-var (
-	QualityDatasets     = []Dataset{Flixster, Epinions}
-	ScalabilityDatasets = []Dataset{DBLP, LiveJournal}
-)
+// QualityDatasets are the datasets of §6.1 (Table 2).
+var QualityDatasets = []Dataset{Flixster, Epinions}
 
 // Config holds harness-wide knobs. The zero value is usable: it selects the
 // scaled-down defaults that run on a laptop-class machine.
@@ -69,7 +71,7 @@ type Config struct {
 	// Seed drives dataset generation and every algorithm's randomness.
 	Seed uint64
 	// Scale multiplies paper-scale dataset sizes (default 0.05 for quality
-	// runs; Fig6/Table4 further scale LiveJournal down, see ScaleFor).
+	// runs; Fig6/Table4 further scale LiveJournal down, see scaleFor).
 	Scale float64
 	// EvalRuns is the MC evaluation budget (paper: 10000; default 2000).
 	EvalRuns int
@@ -121,8 +123,13 @@ func (c Config) log(format string, args ...interface{}) {
 	}
 }
 
-// Generate builds the named dataset analogue at the config's scale.
+// Generate builds the named dataset (any gen.Catalog name or alias) at the
+// config's scale.
 func Generate(ds Dataset, cfg Config, o gen.Options) (*core.Instance, error) {
+	d, ok := gen.Lookup(string(ds))
+	if !ok {
+		return nil, fmt.Errorf("exp: unknown dataset %q", ds)
+	}
 	cfg = cfg.withDefaults()
 	if o.Scale <= 0 {
 		o.Scale = cfg.Scale
@@ -130,17 +137,7 @@ func Generate(ds Dataset, cfg Config, o gen.Options) (*core.Instance, error) {
 	if o.Seed == 0 {
 		o.Seed = cfg.Seed + 1
 	}
-	switch ds {
-	case Flixster:
-		return gen.Flixster(o), nil
-	case Epinions:
-		return gen.Epinions(o), nil
-	case DBLP:
-		return gen.DBLP(o), nil
-	case LiveJournal:
-		return gen.LiveJournal(o), nil
-	}
-	return nil, fmt.Errorf("exp: unknown dataset %q", ds)
+	return d.Build(o), nil
 }
 
 // RunStats instruments one algorithm run.
@@ -155,50 +152,75 @@ type RunStats struct {
 	Seeds       int
 }
 
-// RunAlgo executes one algorithm on an instance and returns its allocation
-// with timing/memory instrumentation. Deterministic given cfg.Seed.
-func RunAlgo(inst *core.Instance, algo Algo, cfg Config) (*core.Allocation, RunStats, error) {
-	cfg = cfg.withDefaults()
-	rng := xrand.New(cfg.Seed + 77)
-	start := time.Now()
-	var alloc *core.Allocation
-	var stats RunStats
-	switch algo {
-	case AlgoTIRM:
-		res, err := core.TIRM(inst, rng, cfg.TIRM)
-		if err != nil {
-			return nil, stats, err
-		}
-		alloc = res.Alloc
-		stats.MemBytes = res.MemBytes
-		stats.SetsSampled = res.TotalSetsSampled
-	case AlgoGreedyIRIE:
+// algoCatalog is every algorithm RunAlgo runs, with the lower-case
+// aliases LookupAlgo accepts beside its name, in AllAlgos order.
+var algoCatalog = []struct {
+	algo    Algo
+	aliases []string
+	run     func(inst *core.Instance, cfg Config, rng *xrand.Rand) (*core.Allocation, RunStats, error)
+}{
+	{AlgoMyopic, nil, func(inst *core.Instance, _ Config, _ *xrand.Rand) (*core.Allocation, RunStats, error) {
+		return baselines.Myopic(inst), RunStats{}, nil
+	}},
+	{AlgoMyopicPlus, []string{"myopicplus"}, func(inst *core.Instance, _ Config, _ *xrand.Rand) (*core.Allocation, RunStats, error) {
+		return baselines.MyopicPlus(inst), RunStats{}, nil
+	}},
+	{AlgoGreedyIRIE, []string{"irie"}, func(inst *core.Instance, cfg Config, _ *xrand.Rand) (*core.Allocation, RunStats, error) {
 		res, err := core.Greedy(inst, func(i int) core.AdEstimator {
 			ad := inst.Ads[i]
 			return irie.NewEstimator(inst.G, ad.Params.Probs, ad.Params.CTPs, ad.CPE, cfg.IRIE)
 		}, core.GreedyOptions{})
 		if err != nil {
-			return nil, stats, err
+			return nil, RunStats{}, err
 		}
-		alloc = res.Alloc
 		// Rank, AP and scratch vectors per ad: 3 float64 slices of length n.
-		stats.MemBytes = int64(len(inst.Ads)) * int64(inst.G.N()) * 24
-	case AlgoGreedyMC:
+		return res.Alloc, RunStats{MemBytes: int64(len(inst.Ads)) * int64(inst.G.N()) * 24}, nil
+	}},
+	{AlgoTIRM, nil, func(inst *core.Instance, cfg Config, rng *xrand.Rand) (*core.Allocation, RunStats, error) {
+		res, err := core.TIRM(inst, rng, cfg.TIRM)
+		if err != nil {
+			return nil, RunStats{}, err
+		}
+		return res.Alloc, RunStats{MemBytes: res.MemBytes, SetsSampled: res.TotalSetsSampled}, nil
+	}},
+	{AlgoGreedyMC, nil, func(inst *core.Instance, cfg Config, rng *xrand.Rand) (*core.Allocation, RunStats, error) {
 		res, err := core.Greedy(inst, core.NewMCFactory(inst, cfg.GreedyMCRuns, rng), core.GreedyOptions{})
+		if err != nil {
+			return nil, RunStats{}, err
+		}
+		return res.Alloc, RunStats{}, nil
+	}},
+}
+
+// LookupAlgo resolves an algorithm name ("tirm", "greedy-irie", "myopic",
+// "myopic+", "greedy-mc") or alias ("irie", "myopicplus"), ignoring case.
+func LookupAlgo(name string) (Algo, bool) {
+	for _, a := range algoCatalog {
+		if strings.EqualFold(name, string(a.algo)) || slices.Contains(a.aliases, strings.ToLower(name)) {
+			return a.algo, true
+		}
+	}
+	return "", false
+}
+
+// RunAlgo executes one algorithm on an instance and returns its allocation
+// with timing/memory instrumentation. Deterministic given cfg.Seed.
+func RunAlgo(inst *core.Instance, algo Algo, cfg Config) (*core.Allocation, RunStats, error) {
+	cfg = cfg.withDefaults()
+	for _, a := range algoCatalog {
+		if a.algo != algo {
+			continue
+		}
+		start := time.Now()
+		alloc, stats, err := a.run(inst, cfg, xrand.New(cfg.Seed+77))
 		if err != nil {
 			return nil, stats, err
 		}
-		alloc = res.Alloc
-	case AlgoMyopic:
-		alloc = baselines.Myopic(inst)
-	case AlgoMyopicPlus:
-		alloc = baselines.MyopicPlus(inst)
-	default:
-		return nil, stats, fmt.Errorf("exp: unknown algorithm %q", algo)
+		stats.Wall = time.Since(start)
+		stats.Seeds = alloc.NumSeeds()
+		return alloc, stats, nil
 	}
-	stats.Wall = time.Since(start)
-	stats.Seeds = alloc.NumSeeds()
-	return alloc, stats, nil
+	return nil, RunStats{}, fmt.Errorf("exp: unknown algorithm %q", algo)
 }
 
 // EvaluateAlloc scores an allocation with the config's MC budget.

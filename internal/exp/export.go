@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -42,67 +41,39 @@ func WriteJSON(w io.Writer, expID string, rows interface{}) error {
 	})
 }
 
-// WriteQualityCSV emits Fig3/Fig4/Table3 rows as CSV.
-func WriteQualityCSV(w io.Writer, rows []QualityRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "algo", "kappa", "lambda", "total_regret", "regret_over_budget", "seeds", "distinct_targeted", "wall_seconds"}); err != nil {
-		return err
+// The CSV renderings: each a header (an Experiment's CSVHeader) and the
+// record of one row under it.
+var (
+	qualityHeader = []string{"dataset", "algo", "kappa", "lambda", "total_regret", "regret_over_budget", "seeds", "distinct_targeted", "wall_seconds"}
+	scaleHeader   = []string{"dataset", "algo", "h", "budget", "wall_seconds", "mem_bytes", "seeds", "rr_sets"}
+	fig5Header    = []string{"dataset", "algo", "ad", "budget", "revenue", "overshoot", "seeds"}
+)
+
+func qualityRecord(r QualityRow) []string {
+	return []string{
+		string(r.Dataset), string(r.Algo),
+		strconv.Itoa(r.Kappa), fmtF(r.Lambda),
+		fmtF(r.TotalRegret), fmtF(r.RegretOverBudget),
+		strconv.Itoa(r.Seeds), strconv.Itoa(r.DistinctTargeted),
+		fmtF(r.Wall),
 	}
-	for _, r := range rows {
-		rec := []string{
-			string(r.Dataset), string(r.Algo),
-			strconv.Itoa(r.Kappa), fmtF(r.Lambda),
-			fmtF(r.TotalRegret), fmtF(r.RegretOverBudget),
-			strconv.Itoa(r.Seeds), strconv.Itoa(r.DistinctTargeted),
-			fmtF(r.Wall),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
-// WriteScaleCSV emits Fig6/Table4 rows as CSV.
-func WriteScaleCSV(w io.Writer, rows []ScaleRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "algo", "h", "budget", "wall_seconds", "mem_bytes", "seeds", "rr_sets"}); err != nil {
-		return err
+func scaleRecord(r ScaleRow) []string {
+	return []string{
+		string(r.Dataset), string(r.Algo),
+		strconv.Itoa(r.H), fmtF(r.Budget),
+		fmtF(r.WallSeconds), strconv.FormatInt(r.MemBytes, 10),
+		strconv.Itoa(r.Seeds), strconv.FormatInt(r.SetsSampled, 10),
 	}
-	for _, r := range rows {
-		rec := []string{
-			string(r.Dataset), string(r.Algo),
-			strconv.Itoa(r.H), fmtF(r.Budget),
-			fmtF(r.WallSeconds), strconv.FormatInt(r.MemBytes, 10),
-			strconv.Itoa(r.Seeds), strconv.FormatInt(r.SetsSampled, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
-// WriteFig5CSV emits per-ad overshoot rows as CSV.
-func WriteFig5CSV(w io.Writer, rows []Fig5Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "algo", "ad", "budget", "revenue", "overshoot", "seeds"}); err != nil {
-		return err
+func fig5Record(r Fig5Row) []string {
+	return []string{
+		string(r.Dataset), string(r.Algo), r.Ad,
+		fmtF(r.Budget), fmtF(r.Revenue), fmtF(r.Overshoot),
+		strconv.Itoa(r.Seeds),
 	}
-	for _, r := range rows {
-		rec := []string{
-			string(r.Dataset), string(r.Algo), r.Ad,
-			fmtF(r.Budget), fmtF(r.Revenue), fmtF(r.Overshoot),
-			strconv.Itoa(r.Seeds),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }

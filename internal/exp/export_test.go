@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -37,19 +36,28 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func TestWriteQualityCSV(t *testing.T) {
-	rows := []QualityRow{
-		{Dataset: Flixster, Algo: AlgoTIRM, Kappa: 1, Lambda: 0.5, TotalRegret: 10, RegretOverBudget: 0.25, Seeds: 42, DistinctTargeted: 40, Wall: 1.5},
-		{Dataset: Epinions, Algo: AlgoMyopic, Kappa: 5, TotalRegret: 99},
-	}
+// csvRecords renders rows as experiment id's CSV report and parses it back.
+func csvRecords[R any](t *testing.T, id string, rows []R, record func(R) []string) [][]string {
+	t.Helper()
+	rep := report(rows, nil, record)
+	rep.exp, _ = LookupExperiment(id)
 	var buf bytes.Buffer
-	if err := WriteQualityCSV(&buf, rows); err != nil {
+	if err := rep.Write(&buf, FormatCSV); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return recs
+}
+
+func TestWriteQualityCSV(t *testing.T) {
+	rows := []QualityRow{
+		{Dataset: Flixster, Algo: AlgoTIRM, Kappa: 1, Lambda: 0.5, TotalRegret: 10, RegretOverBudget: 0.25, Seeds: 42, DistinctTargeted: 40, Wall: 1.5},
+		{Dataset: Epinions, Algo: AlgoMyopic, Kappa: 5, TotalRegret: 99},
+	}
+	recs := csvRecords(t, "fig3", rows, qualityRecord)
 	if len(recs) != 3 {
 		t.Fatalf("%d records", len(recs))
 	}
@@ -60,23 +68,16 @@ func TestWriteQualityCSV(t *testing.T) {
 
 func TestWriteScaleCSV(t *testing.T) {
 	rows := []ScaleRow{{Dataset: DBLP, Algo: AlgoTIRM, H: 5, Budget: 250, WallSeconds: 1.5, MemBytes: 1 << 20, Seeds: 100, SetsSampled: 5000}}
-	var buf bytes.Buffer
-	if err := WriteScaleCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "DBLP") || !strings.Contains(out, "1048576") {
-		t.Errorf("csv content wrong:\n%s", out)
+	recs := csvRecords(t, "fig6h", rows, scaleRecord)
+	if len(recs) != 2 || recs[1][0] != "DBLP" || recs[1][5] != "1048576" {
+		t.Errorf("csv content wrong: %v", recs)
 	}
 }
 
 func TestWriteFig5CSV(t *testing.T) {
 	rows := []Fig5Row{{Dataset: Flixster, Algo: AlgoGreedyIRIE, Ad: "ad03", Budget: 10, Revenue: 12, Overshoot: 2, Seeds: 7}}
-	var buf bytes.Buffer
-	if err := WriteFig5CSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "ad03") {
-		t.Errorf("csv content wrong:\n%s", buf.String())
+	recs := csvRecords(t, "fig5", rows, fig5Record)
+	if len(recs) != 2 || recs[1][2] != "ad03" {
+		t.Errorf("csv content wrong: %v", recs)
 	}
 }

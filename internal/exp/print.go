@@ -8,11 +8,22 @@ import (
 	"text/tabwriter"
 )
 
+// printTable renders "== title ==" over an aligned table: the
+// tab-separated header, then one line per row.
+func printTable[R any](w io.Writer, title, header string, rows []R, line func(R) string) {
+	fmt.Fprintf(w, "== %s ==\n", title)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, header)
+	for _, r := range rows {
+		fmt.Fprintln(tw, line(r))
+	}
+	tw.Flush()
+}
+
 // PrintQuality renders Fig. 3 / Fig. 4 / Table 3 rows as an aligned table:
 // one line per (λ, κ) with a column per algorithm — the same series the
 // paper plots.
 func PrintQuality(w io.Writer, title string, rows []QualityRow, column func(QualityRow) string) {
-	fmt.Fprintf(w, "== %s ==\n", title)
 	algos := map[Algo]bool{}
 	type key struct {
 		lambda float64
@@ -35,26 +46,21 @@ func PrintQuality(w io.Writer, title string, rows []QualityRow, column func(Qual
 		}
 		return keys[i].kappa < keys[j].kappa
 	})
+	header := "lambda\tkappa"
 	var order []Algo
 	for _, a := range AllAlgos {
 		if algos[a] {
 			order = append(order, a)
+			header += "\t" + string(a)
 		}
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "lambda\tkappa")
-	for _, a := range order {
-		fmt.Fprintf(tw, "\t%s", a)
-	}
-	fmt.Fprintln(tw)
-	for _, k := range keys {
-		fmt.Fprintf(tw, "%.1f\t%d", k.lambda, k.kappa)
+	printTable(w, title, header, keys, func(k key) string {
+		line := fmt.Sprintf("%.1f\t%d", k.lambda, k.kappa)
 		for _, a := range order {
-			fmt.Fprintf(tw, "\t%s", cells[k][a])
+			line += "\t" + cells[k][a]
 		}
-		fmt.Fprintln(tw)
-	}
-	tw.Flush()
+		return line
+	})
 }
 
 // RegretColumn formats total regret (and % of budget) for PrintQuality.
@@ -67,14 +73,9 @@ func TargetedColumn(r QualityRow) string { return fmt.Sprintf("%d", r.DistinctTa
 
 // PrintFig5 renders the per-ad overshoot distribution.
 func PrintFig5(w io.Writer, rows []Fig5Row) {
-	fmt.Fprintln(w, "== FIG5: per-ad revenue − budget (λ=0, κ=5) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\talgo\tad\tbudget\trevenue\trev−budget\tseeds")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.1f\t%.1f\t%+.1f\t%d\n",
-			r.Dataset, r.Algo, r.Ad, r.Budget, r.Revenue, r.Overshoot, r.Seeds)
-	}
-	tw.Flush()
+	printTable(w, "FIG5: per-ad revenue − budget (λ=0, κ=5)", "dataset\talgo\tad\tbudget\trevenue\trev−budget\tseeds", rows, func(r Fig5Row) string {
+		return fmt.Sprintf("%s\t%s\t%s\t%.1f\t%.1f\t%+.1f\t%d", r.Dataset, r.Algo, r.Ad, r.Budget, r.Revenue, r.Overshoot, r.Seeds)
+	})
 	for _, algo := range []Algo{AlgoGreedyIRIE, AlgoTIRM} {
 		if s := Fig5Skew(rows, algo); !math.IsInf(s, 1) {
 			fmt.Fprintf(w, "%s max/min |rev−budget| skew: %.1f\n", algo, s)
@@ -84,64 +85,50 @@ func PrintFig5(w io.Writer, rows []Fig5Row) {
 
 // PrintTable1 renders dataset statistics.
 func PrintTable1(w io.Writer, rows []Table1Row) {
-	fmt.Fprintln(w, "== TABLE1: dataset statistics ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\t#nodes\t#edges\ttype\tmax outdeg\tavg outdeg\tgiant comp")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%d\t%.1f\t%.1f%%\n",
-			r.Dataset, r.Nodes, r.Edges, r.Type, r.Stats.MaxOutDeg, r.Stats.AvgOutDeg, 100*r.GiantFrac)
-	}
-	tw.Flush()
+	printTable(w, "TABLE1: dataset statistics", "dataset\t#nodes\t#edges\ttype\tmax outdeg\tavg outdeg\tgiant comp", rows, func(r Table1Row) string {
+		return fmt.Sprintf("%s\t%d\t%d\t%s\t%d\t%.1f\t%.1f%%", r.Dataset, r.Nodes, r.Edges, r.Type, r.Stats.MaxOutDeg, r.Stats.AvgOutDeg, 100*r.GiantFrac)
+	})
 }
 
 // PrintTable2 renders advertiser budget/CPE summaries.
 func PrintTable2(w io.Writer, rows []Table2Row) {
-	fmt.Fprintln(w, "== TABLE2: advertiser budgets and cost-per-engagement ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\tbudget mean\tmin\tmax\tcpe mean\tmin\tmax")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\n",
-			r.Dataset, r.BudgetMean, r.BudgetMin, r.BudgetMax, r.CPEMean, r.CPEMin, r.CPEMax)
-	}
-	tw.Flush()
+	printTable(w, "TABLE2: advertiser budgets and cost-per-engagement", "dataset\tbudget mean\tmin\tmax\tcpe mean\tmin\tmax", rows, func(r Table2Row) string {
+		return fmt.Sprintf("%s\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f", r.Dataset, r.BudgetMean, r.BudgetMin, r.BudgetMax, r.CPEMean, r.CPEMin, r.CPEMax)
+	})
 }
 
 // PrintScale renders Fig. 6 / Table 4 rows.
 func PrintScale(w io.Writer, title string, rows []ScaleRow) {
-	fmt.Fprintf(w, "== %s ==\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\talgo\th\tbudget\ttime (s)\tmem (MB)\tseeds\tRR-sets")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%.2f\t%.1f\t%d\t%d\n",
-			r.Dataset, r.Algo, r.H, r.Budget, r.WallSeconds,
-			float64(r.MemBytes)/1e6, r.Seeds, r.SetsSampled)
-	}
-	tw.Flush()
+	printTable(w, title, "dataset\talgo\th\tbudget\ttime (s)\tmem (MB)\tseeds\tRR-sets", rows, func(r ScaleRow) string {
+		return fmt.Sprintf("%s\t%s\t%d\t%.0f\t%.2f\t%.1f\t%d\t%d", r.Dataset, r.Algo, r.H, r.Budget, r.WallSeconds, float64(r.MemBytes)/1e6, r.Seeds, r.SetsSampled)
+	})
 }
 
 // PrintFig1 renders the toy-example rows.
 func PrintFig1(w io.Writer, rows []Fig1Row) {
-	fmt.Fprintln(w, "== FIG1/EXAMPLES 1–2: toy instance regrets ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "allocation\tlambda\tregret (MC)\tpaper")
-	for _, r := range rows {
+	printTable(w, "FIG1/EXAMPLES 1–2: toy instance regrets", "allocation\tlambda\tregret (MC)\tpaper", rows, func(r Fig1Row) string {
 		paper := "—"
-		if !math.IsNaN(r.PaperValue) {
-			paper = fmt.Sprintf("%.1f", r.PaperValue)
+		if r.PaperValue != nil {
+			paper = fmt.Sprintf("%.1f", *r.PaperValue)
 		}
-		fmt.Fprintf(tw, "%s\t%.1f\t%.3f\t%s\n", r.Allocation, r.Lambda, r.TotalRegret, paper)
-	}
-	tw.Flush()
+		return fmt.Sprintf("%s\t%.1f\t%.3f\t%s", r.Allocation, r.Lambda, r.TotalRegret, paper)
+	})
 }
 
 // PrintBoost renders the budget-boosting ablation.
 func PrintBoost(w io.Writer, rows []BoostRow) {
-	fmt.Fprintln(w, "== BOOST: B' = (1+β)·B ablation (TIRM, λ=0, κ=1) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\tbeta\trevenue\tregret\tundershoot\tovershoot\tseeds")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%+.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\n",
-			r.Dataset, r.Beta, r.TotalRevenue, r.TotalRegret, r.Undershoot, r.Overshoot, r.Seeds)
-	}
-	tw.Flush()
+	printTable(w, "BOOST: B' = (1+β)·B ablation (TIRM, λ=0, κ=1)", "dataset\tbeta\trevenue\tregret\tundershoot\tovershoot\tseeds", rows, func(r BoostRow) string {
+		return fmt.Sprintf("%s\t%+.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%d", r.Dataset, r.Beta, r.TotalRevenue, r.TotalRegret, r.Undershoot, r.Overshoot, r.Seeds)
+	})
+}
+
+// PrintSoft renders the ABL-SOFT ablation.
+func PrintSoft(w io.Writer, rows []SoftRow) {
+	printTable(w, "ABL-SOFT: hard (paper Alg. 2) vs soft CTP-weighted coverage (TIRM-W)", "dataset\tmode\test revenue\tMC revenue\t|calibration err|\tregret\t% budget\tseeds", rows, func(r SoftRow) string {
+		mode := "hard (paper)"
+		if r.Soft {
+			mode = "soft (TIRM-W)"
+		}
+		return fmt.Sprintf("%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f%%\t%d", r.Dataset, mode, r.EstRevenue, r.MCRevenue, r.CalibrationErr, r.TotalRegret, 100*r.RegretOverBudget, r.Seeds)
+	})
 }

@@ -66,22 +66,6 @@ func QualitySweep(ds Dataset, cfg Config, kappas []int, lambdas []float64, algos
 	return rows, nil
 }
 
-// Fig3 regenerates Figure 3: total regret vs κ ∈ 1..5 for λ ∈ {0, 0.5}.
-func Fig3(ds Dataset, cfg Config) ([]QualityRow, error) {
-	return QualitySweep(ds, cfg, []int{1, 2, 3, 4, 5}, []float64{0, 0.5}, nil)
-}
-
-// Fig4 regenerates Figure 4: total regret vs λ ∈ {0, 0.1, 0.5, 1} for
-// κ ∈ {1, 5}.
-func Fig4(ds Dataset, cfg Config) ([]QualityRow, error) {
-	return QualitySweep(ds, cfg, []int{1, 5}, []float64{0, 0.1, 0.5, 1}, nil)
-}
-
-// Table3 regenerates Table 3: distinct targeted nodes vs κ at λ = 0.
-func Table3(ds Dataset, cfg Config) ([]QualityRow, error) {
-	return QualitySweep(ds, cfg, []int{1, 2, 3, 4, 5}, []float64{0}, nil)
-}
-
 // Fig5Row is one bar of Figure 5: an advertiser's signed budget-regret
 // (revenue − budget) under one algorithm, at λ = 0, κ = 5.
 type Fig5Row struct {
@@ -185,8 +169,9 @@ type Fig1Row struct {
 	Allocation  string
 	Lambda      float64
 	TotalRegret float64
-	// PaperValue is the number reported in Examples 1–2 (rounded).
-	PaperValue float64
+	// PaperValue is the number reported in Examples 1–2 (rounded); nil,
+	// and absent from JSON, for the Greedy row the paper does not report.
+	PaperValue *float64 `json:",omitempty"`
 }
 
 // Fig1 reproduces the running example: exact regrets of allocations A and
@@ -194,22 +179,22 @@ type Fig1Row struct {
 // (Algorithm 1, exact oracle) finds on the same instance.
 func Fig1(cfg Config) ([]Fig1Row, error) {
 	var rows []Fig1Row
-	for _, lam := range []float64{0, 0.1} {
-		inst := gen.Fig1Instance(lam)
+	for _, ex := range []struct{ lambda, paperA, paperB float64 }{{0, 6.6, 2.7}, {0.1, 7.2, 3.3}} {
+		inst := gen.Fig1Instance(ex.lambda)
 		for _, tc := range []struct {
 			name  string
 			alloc *core.Allocation
 			paper float64
 		}{
-			{"A (myopic)", gen.Fig1AllocationA(), map[float64]float64{0: 6.6, 0.1: 7.2}[lam]},
-			{"B (virality-aware)", gen.Fig1AllocationB(), map[float64]float64{0: 2.7, 0.1: 3.3}[lam]},
+			{"A (myopic)", gen.Fig1AllocationA(), ex.paperA},
+			{"B (virality-aware)", gen.Fig1AllocationB(), ex.paperB},
 		} {
 			out := EvaluateAlloc(inst, tc.alloc, cfg.withDefaults())
 			rows = append(rows, Fig1Row{
 				Allocation:  tc.name,
-				Lambda:      lam,
+				Lambda:      ex.lambda,
 				TotalRegret: out.TotalRegret,
-				PaperValue:  tc.paper,
+				PaperValue:  &tc.paper,
 			})
 		}
 		res, err := core.Greedy(inst, core.NewExactFactory(inst), core.GreedyOptions{})
@@ -219,9 +204,8 @@ func Fig1(cfg Config) ([]Fig1Row, error) {
 		out := EvaluateAlloc(inst, res.Alloc, cfg.withDefaults())
 		rows = append(rows, Fig1Row{
 			Allocation:  "Greedy (Algorithm 1)",
-			Lambda:      lam,
+			Lambda:      ex.lambda,
 			TotalRegret: out.TotalRegret,
-			PaperValue:  math.NaN(),
 		})
 	}
 	return rows, nil

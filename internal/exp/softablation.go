@@ -1,10 +1,7 @@
 package exp
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"text/tabwriter"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -59,21 +56,4 @@ func SoftAblation(ds Dataset, cfg Config) ([]SoftRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// PrintSoft renders the ablation.
-func PrintSoft(w io.Writer, rows []SoftRow) {
-	fmt.Fprintln(w, "== ABL-SOFT: hard (paper Alg. 2) vs soft CTP-weighted coverage (TIRM-W) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\tmode\test revenue\tMC revenue\t|calibration err|\tregret\t% budget\tseeds")
-	for _, r := range rows {
-		mode := "hard (paper)"
-		if r.Soft {
-			mode = "soft (TIRM-W)"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f%%\t%d\n",
-			r.Dataset, mode, r.EstRevenue, r.MCRevenue, r.CalibrationErr,
-			r.TotalRegret, 100*r.RegretOverBudget, r.Seeds)
-	}
-	tw.Flush()
 }

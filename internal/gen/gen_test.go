@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -253,5 +254,26 @@ func TestGeneratorFingerprintsPinned(t *testing.T) {
 		if got := core.InstanceFingerprint(tc.inst); got != tc.want {
 			t.Errorf("%s: instance fingerprint %#x, pinned %#x", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestLookup resolves every catalog name and alias, in any case, to its own
+// entry, and nothing else.
+func TestLookup(t *testing.T) {
+	for _, d := range Catalog {
+		for _, name := range append([]string{d.Name, strings.ToUpper(d.Name)}, d.Aliases...) {
+			if got, ok := Lookup(name); !ok || got.Name != d.Name {
+				t.Errorf("Lookup(%q) = %q, %v; want %q", name, got.Name, ok, d.Name)
+			}
+		}
+	}
+	if got, ok := Lookup("LJ"); !ok || got.Name != "livejournal" {
+		t.Errorf("Lookup(LJ) = %q, %v", got.Name, ok)
+	}
+	if _, ok := Lookup("nope"); ok {
+		t.Error("unknown dataset resolved")
+	}
+	if fig1, _ := Lookup("fig1"); fig1.Build(Options{Lambda: 0.1}).Lambda != 0.1 {
+		t.Error("fig1 builder ignored Options.Lambda")
 	}
 }

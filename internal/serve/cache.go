@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/bandit"
 	"repro/internal/core"
-	"repro/internal/gen"
 )
 
 // entry is one cached instance plus its lazily built index — the
@@ -161,17 +160,12 @@ func (e *entry) indexBuilt() bool {
 // whether this call made the entry; waited reports whether it blocked on
 // another caller's in-flight instance generation.
 func (s *Server) entryFor(p InstanceParams) (_ *entry, created, waited bool, _ error) {
-	if _, ok := findDataset(p.Dataset); !ok {
-		return nil, false, false, fmt.Errorf("unknown dataset %q", p.Dataset)
-	}
-	if p.Scale <= 0 {
-		return nil, false, false, fmt.Errorf("scale must be > 0")
+	d, err := p.dataset()
+	if err != nil {
+		return nil, false, false, err
 	}
 	if p.Scale > s.opts.MaxScale {
 		return nil, false, false, fmt.Errorf("scale %g exceeds server limit %g", p.Scale, s.opts.MaxScale)
-	}
-	if p.NumAds < 0 {
-		return nil, false, false, fmt.Errorf("numAds must be ≥ 0")
 	}
 	if p.NumAds > s.opts.MaxAds {
 		return nil, false, false, fmt.Errorf("numAds %d exceeds server limit %d", p.NumAds, s.opts.MaxAds)
@@ -201,12 +195,7 @@ func (s *Server) entryFor(p InstanceParams) (_ *entry, created, waited bool, _ e
 	s.evictLocked(e)
 	s.mu.Unlock()
 
-	spec, _ := findDataset(p.Dataset)
-	e.inst = spec.build(gen.Options{
-		Seed:   p.Seed,
-		Scale:  p.Scale,
-		NumAds: p.NumAds,
-	})
+	e.inst = p.build(d)
 	close(e.instReady)
 	return e, true, false, nil
 }

@@ -170,50 +170,36 @@ func (p InstanceParams) Key() string {
 	return fmt.Sprintf("%s|seed=%d|scale=%g|ads=%d", p.Dataset, p.Seed, p.Scale, p.NumAds)
 }
 
-// datasetSpec is one registered generator.
-type datasetSpec struct {
-	name  string
-	desc  string
-	build func(gen.Options) *core.Instance
-}
-
-var datasetRegistry = []datasetSpec{
-	{"flixster", "FLIXSTER analogue: 30K-node power-law graph, 10 topical ads (quality setting)", gen.Flixster},
-	{"epinions", "EPINIONS analogue: 76K-node power-law graph, exponential probabilities", gen.Epinions},
-	{"dblp", "DBLP analogue: community co-authorship graph, weighted-cascade (scalability setting)", gen.DBLP},
-	{"livejournal", "LIVEJOURNAL analogue: 4.8M-node community graph — mind the scale", gen.LiveJournal},
-	{"fig1", "the paper's 6-node running example (ignores scale and ads)", func(gen.Options) *core.Instance { return gen.Fig1Instance(0) }},
-}
-
-// BuildDataset generates the instance for registered dataset parameters —
-// the exact registry and generator path /allocate uses, exported for the
-// shard daemon (cmd/adshard), which must build the identical roster the
-// coordinator validates fingerprints against.
+// BuildDataset generates the instance for catalog dataset parameters —
+// the exact generator path /allocate uses, exported for the shard daemon
+// (cmd/adshard), which must build the identical roster the coordinator
+// validates fingerprints against.
 func BuildDataset(p InstanceParams) (*core.Instance, error) {
-	spec, ok := findDataset(p.Dataset)
+	d, err := p.dataset()
+	if err != nil {
+		return nil, err
+	}
+	return p.build(d), nil
+}
+
+// dataset resolves p's generator in gen.Catalog and checks the parameters
+// every generator needs.
+func (p InstanceParams) dataset() (gen.Dataset, error) {
+	d, ok := gen.Lookup(p.Dataset)
 	if !ok {
-		return nil, fmt.Errorf("unknown dataset %q", p.Dataset)
+		return d, fmt.Errorf("unknown dataset %q", p.Dataset)
 	}
 	if p.Scale <= 0 {
-		return nil, fmt.Errorf("scale must be > 0")
+		return d, fmt.Errorf("scale must be > 0")
 	}
 	if p.NumAds < 0 {
-		return nil, fmt.Errorf("numAds must be ≥ 0")
+		return d, fmt.Errorf("numAds must be ≥ 0")
 	}
-	return spec.build(gen.Options{Seed: p.Seed, Scale: p.Scale, NumAds: p.NumAds}), nil
+	return d, nil
 }
 
-func findDataset(name string) (datasetSpec, bool) {
-	name = strings.ToLower(name)
-	if name == "lj" {
-		name = "livejournal"
-	}
-	for _, d := range datasetRegistry {
-		if d.name == name {
-			return d, true
-		}
-	}
-	return datasetSpec{}, false
+func (p InstanceParams) build(d gen.Dataset) *core.Instance {
+	return d.Build(gen.Options{Seed: p.Seed, Scale: p.Scale, NumAds: p.NumAds})
 }
 
 // New creates a server. If opts.SnapshotDir is set it is created on demand.
@@ -386,9 +372,9 @@ type DatasetInfo struct {
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	out := make([]DatasetInfo, len(datasetRegistry))
-	for i, d := range datasetRegistry {
-		out[i] = DatasetInfo{Name: d.name, Description: d.desc}
+	out := make([]DatasetInfo, len(gen.Catalog))
+	for i, d := range gen.Catalog {
+		out[i] = DatasetInfo{Name: d.Name, Description: d.Description}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
