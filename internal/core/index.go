@@ -476,9 +476,11 @@ func (idx *Index) SetsSampled() int64 { return idx.sampled.Load() }
 
 // MemBytes reports the exact data footprint of the current epoch's stored
 // samples: member arenas, offsets, pilot widths, and inverted indexes with
-// their derived data (cover joins, bitmaps, and the openings requests have
-// left on them — so the figure rises by at most 12 bytes per node per
-// distinct θ served, up to rrset's cap) — flat arrays all, so the figure is
+// their derived data. That is the cover joins (a 4-byte header per
+// membership plus the members of each set small enough to inline), the
+// bitmaps, and the openings requests have left on the indexes, so the
+// figure rises by at most 12 bytes per node per distinct θ served, up to
+// rrset's cap. All of it is flat arrays, so the figure is
 // byte-accurate and O(1) per ad (no slice-header estimates). The transient
 // per-allocation coverage state is reported separately via
 // TIRMResult.MemBytes.

@@ -180,14 +180,10 @@ func permuteWeights(w []float64, r *xrand.Rand) []float64 {
 // ad.
 func weightedCascade(g *graph.Graph) []float32 {
 	probs := make([]float32, g.M())
-	for v := int32(0); v < int32(g.N()); v++ {
-		sources, eids := g.InEdges(v)
-		if len(sources) == 0 {
-			continue
-		}
-		p := float32(1) / float32(len(sources))
-		for _, e := range eids {
-			probs[e] = p
+	for u := int32(0); u < int32(g.N()); u++ {
+		targets, first := g.OutEdges(u)
+		for i, v := range targets {
+			probs[first+int64(i)] = float32(1) / float32(g.InDegree(v))
 		}
 	}
 	return probs

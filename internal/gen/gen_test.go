@@ -152,12 +152,16 @@ func TestDBLPShape(t *testing.T) {
 	}
 	// Weighted cascade: in-edge probabilities of v are all 1/indeg(v).
 	for v := int32(0); v < int32(g.N()); v += 53 {
-		sources, eids := g.InEdges(v)
+		sources, _ := g.InRow(v)
 		if len(sources) == 0 {
 			continue
 		}
 		want := float32(1) / float32(len(sources))
-		for _, e := range eids {
+		for _, u := range sources {
+			e, ok := g.FindEdge(u, v)
+			if !ok {
+				t.Fatalf("in-edge %d->%d has no EdgeID", u, v)
+			}
 			if inst.Ads[0].Params.Probs[e] != want {
 				t.Fatalf("WC probability %v, want %v", inst.Ads[0].Params.Probs[e], want)
 			}

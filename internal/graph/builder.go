@@ -53,7 +53,8 @@ func (b *Builder) AddUndirected(u, v NodeID) {
 // which is a stable two-key counting sort with no comparisons at all, so a
 // hub row of any length costs what its length says. Duplicates land side by
 // side and are squeezed out as the rows are compacted; a third transpose of
-// the finished out-CSR is the in-CSR with its EdgeID back-references.
+// the finished out-CSR, walked in EdgeID order, is the in-CSR — so the k-th
+// in-row position of a target holds its k-th in-edge in EdgeID order.
 // Transient memory is two int32 arrays over the raw edges (one edge array's
 // worth); the builder's own edge list is left as it was.
 func (b *Builder) Build() (*Graph, error) {
@@ -117,18 +118,15 @@ func (b *Builder) Build() (*Graph, error) {
 		outStart: outStart,
 		outTo:    slices.Clone(targets[:m]),
 		inFrom:   make([]int32, m),
-		inEID:    make([]int64, m),
 	}
-	// In CSR with EdgeID back-references: sources ascend within a row
-	// because the out rows are walked in source order.
+	// In CSR: sources ascend within a row because the out rows are walked
+	// in source order.
 	for w := int32(0); w < n; w++ {
 		inStart[w+2] += inStart[w+1]
 	}
 	for u := int32(0); u < n; u++ {
-		for j := outStart[u]; j < outStart[u+1]; j++ {
-			v := g.outTo[j]
+		for _, v := range g.outTo[outStart[u]:outStart[u+1]] {
 			g.inFrom[inStart[v+1]] = u
-			g.inEID[inStart[v+1]] = j
 			inStart[v+1]++
 		}
 	}

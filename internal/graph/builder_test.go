@@ -51,7 +51,8 @@ func referenceBuild(n int, edges []edge) referenceCSR {
 }
 
 // checkAgainstReference compares Build's graph with the reference node by
-// node: out-rows and their first EdgeIDs, in-rows' sources and EdgeIDs.
+// node: out-rows and their first EdgeIDs, in-rows' sources and — found
+// through FindEdge — their EdgeIDs, and where each in-row starts.
 func checkAgainstReference(t *testing.T, name string, n int, edges []edge) *Graph {
 	t.Helper()
 	b := NewBuilder(n)
@@ -67,16 +68,24 @@ func checkAgainstReference(t *testing.T, name string, n int, edges []edge) *Grap
 	if g.N() != n || g.M() != ref.m {
 		t.Fatalf("%s: size %d/%d, want %d/%d", name, g.N(), g.M(), n, ref.m)
 	}
+	var inPos int64
 	for w := int32(0); w < int32(n); w++ {
 		targets, first := g.OutEdges(w)
 		if !slices.Equal(targets, ref.out[w]) || first != ref.first[w] {
 			t.Fatalf("%s: out-row %d = %v from EdgeID %d, want %v from %d",
 				name, w, targets, first, ref.out[w], ref.first[w])
 		}
-		sources, eids := g.InEdges(w)
-		if !slices.Equal(sources, ref.inFrom[w]) || !slices.Equal(eids, ref.inEID[w]) {
-			t.Fatalf("%s: in-row %d = %v / %v, want %v / %v",
-				name, w, sources, eids, ref.inFrom[w], ref.inEID[w])
+		sources, start := g.InRow(w)
+		if !slices.Equal(sources, ref.inFrom[w]) || start != inPos {
+			t.Fatalf("%s: in-row %d = %v at %d, want %v at %d",
+				name, w, sources, start, ref.inFrom[w], inPos)
+		}
+		inPos += int64(len(sources))
+		for i, u := range sources {
+			if e, ok := g.FindEdge(u, w); !ok || e != ref.inEID[w][i] {
+				t.Fatalf("%s: in-edge %d->%d has EdgeID %d (found %v), want %d",
+					name, u, w, e, ok, ref.inEID[w][i])
+			}
 		}
 	}
 	return g

@@ -32,7 +32,7 @@ func WeakComponents(g *Graph) (labels []int32, count int) {
 					queue = append(queue, v)
 				}
 			}
-			sources, _ := g.InEdges(u)
+			sources, _ := g.InRow(u)
 			for _, v := range sources {
 				if labels[v] < 0 {
 					labels[v] = id

@@ -9,9 +9,10 @@
 // The graph is stored in compressed sparse row (CSR) form for both
 // directions. Each directed edge has a canonical EdgeID — its position in
 // the out-edge array — which the topic model uses to attach per-topic
-// influence probabilities. The in-edge arrays carry a parallel slice mapping
-// each in-edge back to its canonical EdgeID so both traversal directions can
-// look up the same probability.
+// influence probabilities. The in-edge arrays hold sources only, with no
+// back-map to EdgeIDs: Build fills them by walking the out-rows in source
+// order, so a caller that needs per-edge data in in-CSR order scatters it
+// with the same walk (see InRow).
 package graph
 
 import (
@@ -37,11 +38,9 @@ type Graph struct {
 	outTo    []int32
 
 	// In-direction CSR. inFrom[k] lists the in-neighbors of the unique v
-	// with inStart[v] <= k < inStart[v+1]; inEID[k] is the canonical EdgeID
-	// of that edge.
+	// with inStart[v] <= k < inStart[v+1], ascending.
 	inStart []int64
 	inFrom  []int32
-	inEID   []int64
 }
 
 // N returns the number of nodes.
@@ -68,20 +67,15 @@ func (g *Graph) OutEdges(u NodeID) (targets []int32, first EdgeID) {
 	return g.outTo[s:e], s
 }
 
-// InEdges returns the sources of v's in-edges along with the canonical
-// EdgeIDs of those edges. The returned slices alias internal storage and
-// must not be modified.
-func (g *Graph) InEdges(v NodeID) (sources []int32, eids []int64) {
-	s, e := g.inStart[v], g.inStart[v+1]
-	return g.inFrom[s:e], g.inEID[s:e]
-}
-
-// InRow returns the sources of v's in-edges and the position of the first
-// one in in-CSR order: rows are laid end to end by ascending node, so the
-// i-th source sits at position first+i of [0, M). A caller that keeps
+// InRow returns the sources of v's in-edges, ascending, and the position of
+// the first one in in-CSR order: rows are laid end to end by ascending node,
+// so the i-th source sits at position first+i of [0, M). A caller that keeps
 // per-edge data in that order (rrset.Sampler's probabilities) reads it in
-// lockstep with sources, with no EdgeID hop. The returned slice aliases
-// internal storage and must not be modified.
+// lockstep with sources, with no EdgeID hop. Walking the out-rows in EdgeID
+// order meets each in-row's edges in its own order, which is how such data
+// is built: a cursor per target, started at InRow's first, takes edge j's
+// value at the target's next position. The returned slice aliases internal
+// storage and must not be modified.
 func (g *Graph) InRow(v NodeID) (sources []int32, first int64) {
 	s, e := g.inStart[v], g.inStart[v+1]
 	return g.inFrom[s:e], s

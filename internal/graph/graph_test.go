@@ -48,14 +48,17 @@ func TestBuildBasic(t *testing.T) {
 	if first != 2 {
 		t.Fatalf("first EdgeID of v3 = %d, want 2", first)
 	}
-	sources, eids := g.InEdges(5)
-	if len(sources) != 2 {
-		t.Fatalf("InEdges(v6) = %v", sources)
+	sources, start := g.InRow(5)
+	if len(sources) != 2 || sources[0] != 3 || sources[1] != 4 || start != 4 {
+		t.Fatalf("InRow(v6) = %v at %d, want [3 4] at 4", sources, start)
 	}
-	for i, s := range sources {
-		u, v := g.EdgeEndpoints(eids[i])
-		if u != s || v != 5 {
-			t.Fatalf("inEID mismatch: edge %d has endpoints (%d,%d), want (%d,5)", eids[i], u, v, s)
+	for _, s := range sources {
+		e, ok := g.FindEdge(s, 5)
+		if !ok {
+			t.Fatalf("in-edge %d->5 has no EdgeID", s)
+		}
+		if u, v := g.EdgeEndpoints(e); u != s || v != 5 {
+			t.Fatalf("FindEdge(%d,5) = %d with endpoints (%d,%d)", s, e, u, v)
 		}
 	}
 }
@@ -169,11 +172,11 @@ func randomGraph(seed uint64, n, m int) *Graph {
 }
 
 // TestInOutConsistency checks, on random graphs, that the in-CSR is exactly
-// the transpose of the out-CSR and that inEID back-references are correct.
+// the transpose of the out-CSR: in-rows ascend, lie end to end, and hold
+// every out-edge once, each found by FindEdge at its out-CSR position.
 func TestInOutConsistency(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomGraph(seed, 30, 120)
-		// Every out-edge appears exactly once as an in-edge with matching EdgeID.
 		type pair struct{ u, v int32 }
 		outSet := map[pair]EdgeID{}
 		for u := int32(0); u < int32(g.N()); u++ {
@@ -182,18 +185,23 @@ func TestInOutConsistency(t *testing.T) {
 				outSet[pair{u, v}] = first + int64(i)
 			}
 		}
-		count := 0
+		var count int64
 		for v := int32(0); v < int32(g.N()); v++ {
-			sources, eids := g.InEdges(v)
+			sources, start := g.InRow(v)
+			if start != count {
+				return false
+			}
 			for i, u := range sources {
 				want, ok := outSet[pair{u, v}]
-				if !ok || want != eids[i] {
+				e, found := g.FindEdge(u, v)
+				if !ok || !found || want != e || (i > 0 && sources[i-1] >= u) {
 					return false
 				}
+				delete(outSet, pair{u, v})
 				count++
 			}
 		}
-		return int64(count) == g.M()
+		return count == g.M() && len(outSet) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -179,6 +179,9 @@ func (v FamilyView) MemBytes() int64 {
 // coverJoin), membership bitmap (coverBits) and openings (opening) are
 // derived data, each built at most once behind a lock, so concurrent
 // readers stay race-free — and each dies with the Inverted it describes.
+// The join exists only while every set id is below joinIDLimit (2^27): an
+// index whose base+Len reaches it keeps the id rows and the arena hop, the
+// walk every unprepared index takes.
 type Inverted struct {
 	off  []int64 // len = n+1
 	ids  []int32 // set ids, ascending within each node's row
@@ -340,15 +343,25 @@ func (o *opening) memBytes() int64 {
 // where a random arena fetch per set costs more than the members
 // themselves; sets above the cap spill to the arena, where fetching is
 // amortized over many members anyway. The cap also bounds join memory at
-// (2+cap)·memberships in the worst (all-tiny) case.
+// (1+cap)·memberships in the worst (all-tiny) case.
 const joinInlineCap = 8
 
-// joinSpill marks a spilled record: the set's members stay in the arena.
-const joinSpill = int32(-1)
+// A record's header is one word, id<<joinSizeBits | size: the low bits hold
+// the inline member count (0..joinInlineCap) or joinSpill, and the set id
+// sits above them. An id must therefore stay below joinIDLimit for the
+// header to remain a non-negative int32.
+const (
+	joinSizeBits = 4
+	joinSizeMask = 1<<joinSizeBits - 1
+	// joinSpill marks a spilled record: the set's members stay in the arena.
+	joinSpill   = joinSizeMask
+	joinIDLimit = 1 << (31 - joinSizeBits)
+)
 
 // coverJoin is the inverted index joined with its sets' member lists: node
-// u's row is a flat stream of records [id, size, members...] (or
-// [id, joinSpill] past the inline cap), ascending by id. CoverNode and the
+// u's row is a flat stream of records [id<<4 | size, members...] (or the
+// lone header [id<<4 | joinSpill] past the inline cap), ascending by id — an
+// inline membership costs 1+|R| words, a spilled one 1. CoverNode and the
 // weighted commit walk it instead of hopping id → offsets → arena per
 // covered set: the hot commit loop becomes one sequential scan, which on
 // the measured serving workload is the difference between a cache miss per
@@ -375,7 +388,8 @@ func (j *coverJoin) memBytes() int64 {
 // never build the join themselves (see preparedJoin): an index that was
 // not prepared — a per-request growth segment, a hand-built collection —
 // keeps the plain arena-hop path, which is the right trade for state too
-// short-lived to amortize the build.
+// short-lived to amortize the build. So does an index with a set id at or
+// past joinIDLimit, which a record header cannot hold.
 //
 // On dense samples it additionally builds the packed membership bitmap the
 // bitset coverage kernel sweeps (see coverBits) — this is the one place
@@ -469,13 +483,13 @@ func (ix *Inverted) coverBits() *coverBits {
 func (ix *Inverted) preparedJoin() *coverJoin { return ix.join.Load() }
 
 // coverJoin returns the join, building it at most once (nil for an empty
-// index). Safe for concurrent use: readers load an atomic pointer, the
-// build is serialized by joinMu.
+// index and for one whose ids reach joinIDLimit). Safe for concurrent use:
+// readers load an atomic pointer, the build is serialized by joinMu.
 func (ix *Inverted) coverJoin() *coverJoin {
 	if j := ix.join.Load(); j != nil {
 		return j
 	}
-	if len(ix.ids) == 0 {
+	if len(ix.ids) == 0 || int64(ix.base)+int64(ix.src.Len()) > joinIDLimit {
 		return nil
 	}
 	ix.joinMu.Lock()
@@ -486,12 +500,12 @@ func (ix *Inverted) coverJoin() *coverJoin {
 	n := ix.NumNodes()
 	v := ix.src
 	k := v.Len()
-	// Counting pass: each set R adds 2+min(|R|, cap) entries (or 2 when
-	// spilled) to every member's row.
+	// Counting pass: each set R adds 1+|R| entries (1 when spilled) to every
+	// member's row.
 	rowLen := make([]int64, n+1)
 	for i := 0; i < k; i++ {
 		set := v.Set(i)
-		rec := int64(2)
+		rec := int64(1)
 		if len(set) <= joinInlineCap {
 			rec += int64(len(set))
 		}
@@ -507,19 +521,20 @@ func (ix *Inverted) coverJoin() *coverJoin {
 	copy(cur, rowLen[:n])
 	for i := 0; i < k; i++ {
 		set := v.Set(i)
-		id := ix.base + int32(i)
-		inline := len(set) <= joinInlineCap
+		head := (ix.base + int32(i)) << joinSizeBits
+		if len(set) > joinInlineCap {
+			for _, u := range set {
+				data[cur[u]] = head | joinSpill
+				cur[u]++
+			}
+			continue
+		}
+		head |= int32(len(set))
 		for _, u := range set {
 			p := cur[u]
-			data[p] = id
-			if inline {
-				data[p+1] = int32(len(set))
-				copy(data[p+2:], set)
-				cur[u] = p + 2 + int64(len(set))
-			} else {
-				data[p+1] = joinSpill
-				cur[u] = p + 2
-			}
+			data[p] = head
+			copy(data[p+1:], set)
+			cur[u] = p + 1 + int64(len(set))
 		}
 	}
 	j := &coverJoin{off: rowLen, data: data}

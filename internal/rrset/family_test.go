@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -107,6 +108,145 @@ func TestBuildInverted(t *testing.T) {
 	inv = BuildInverted(4, f.View(), 100)
 	if got := inv.IDs(2); !reflect.DeepEqual(got, []int32{100, 101, 103}) {
 		t.Fatalf("based IDs(2) = %v", got)
+	}
+}
+
+// checkCoverJoin decodes every row of inv's cover join and checks it record
+// for record against inv.IDs(u) and fam's sets: one header per id holding
+// the id above the size bits, the set's members inline right behind it when
+// it has at most joinInlineCap of them, joinSpill and nothing else when it
+// has more, and no word left over. It returns the record counts of each kind.
+func checkCoverJoin(t testing.TB, fam *SetFamily, inv *Inverted) (inline, spilled int) {
+	t.Helper()
+	j := inv.preparedJoin()
+	if j == nil {
+		t.Fatalf("base %d, %d sets: PrepareCover built no join", inv.base, fam.Len())
+	}
+	for u := int32(0); u < int32(inv.NumNodes()); u++ {
+		row, p := j.row(u), 0
+		for r, id := range inv.IDs(u) {
+			if p >= len(row) {
+				t.Fatalf("node %d: row ends after %d of %d records", u, r, inv.Count(u))
+			}
+			h := row[p]
+			if h < 0 || h>>joinSizeBits != id {
+				t.Fatalf("node %d record %d: header %#x, want id %d above the size bits", u, r, h, id)
+			}
+			set, sz := fam.Set(int(id-inv.base)), int(h&joinSizeMask)
+			if len(set) > joinInlineCap {
+				if sz != joinSpill {
+					t.Fatalf("node %d set %d: %d members recorded inline as %d", u, id, len(set), sz)
+				}
+				p++
+				spilled++
+				continue
+			}
+			if sz != len(set) || p+1+sz > len(row) || !slices.Equal(row[p+1:p+1+sz], set) {
+				t.Fatalf("node %d set %d: record size %d, want the %d members %v inline", u, id, sz, len(set), set)
+			}
+			p += 1 + sz
+			inline++
+		}
+		if p != len(row) {
+			t.Fatalf("node %d: %d words past its last record", u, len(row)-p)
+		}
+	}
+	return inline, spilled
+}
+
+// TestCoverJoinRecords: the join PrepareCover builds is the inverted index
+// with each set's header and (up to the inline cap) members, record for
+// record, at base 0 and at ids high enough to fill the header's id bits.
+// Families here (randomKernelFamily at avg 10) hold sets of 1–19 members,
+// on both sides of the inline cap.
+func TestCoverJoinRecords(t *testing.T) {
+	var inline, spilled int
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := xrand.New(seed)
+		n := 2 + rng.IntN(150)
+		fam := randomKernelFamily(rng, n, 1+rng.IntN(600), 10)
+		for _, base := range []int32{0, int32(rng.IntN(1 << 20)), joinIDLimit - int32(fam.Len())} {
+			inv := BuildInverted(n, fam.View(), base)
+			inv.PrepareCover()
+			i, s := checkCoverJoin(t, fam, inv)
+			inline, spilled = inline+i, spilled+s
+		}
+	}
+	if inline == 0 || spilled == 0 {
+		t.Fatalf("%d inline and %d spilled records: the families never exercised both", inline, spilled)
+	}
+}
+
+// FuzzCoverJoinRecords runs the same decode on fuzzed shapes and bases.
+func FuzzCoverJoinRecords(f *testing.F) {
+	f.Add(uint64(1), uint8(10), uint8(40), uint32(0))
+	f.Add(uint64(7), uint8(200), uint8(255), uint32(1<<27-1))
+	f.Add(uint64(42), uint8(1), uint8(3), uint32(12345))
+	f.Fuzz(func(t *testing.T, seed uint64, nn, kk uint8, b uint32) {
+		rng := xrand.New(seed)
+		n, k := 1+int(nn), 1+int(kk)
+		fam := randomKernelFamily(rng, n, k, 10)
+		inv := BuildInverted(n, fam.View(), int32(b%uint32(joinIDLimit-k+1)))
+		inv.PrepareCover()
+		checkCoverJoin(t, fam, inv)
+	})
+}
+
+// TestCoverJoinIDLimit: an index whose ids reach 2^27 — which a record
+// header cannot hold — gets no join, one whose last id is 2^27−1 does, and
+// a collection over the unjoined index covers, seed for seed, exactly what
+// the same sets cover at base 0 through a join.
+func TestCoverJoinIDLimit(t *testing.T) {
+	rng := xrand.New(3)
+	const n, k = 80, 500
+	fam := randomKernelFamily(rng, n, k, 10)
+	atLimit := BuildInverted(n, fam.View(), joinIDLimit-k)
+	atLimit.PrepareCover()
+	checkCoverJoin(t, fam, atLimit)
+
+	const base = joinIDLimit - k/2
+	ref := NewCollection(n)
+	ref.AddFamily(fam.View())
+	ref.segs[0].inv.PrepareCover()
+	if ref.segs[0].inv.preparedJoin() == nil {
+		t.Fatal("base 0: PrepareCover built no join")
+	}
+	// Grow a collection whose first segment starts at base: the covered
+	// flags below base are never read, and the untouched pages stay unbacked.
+	high := NewCollection(n)
+	high.numSets = base
+	high.covered = make([]bool, base, base+k)
+	high.AddFamily(fam.View())
+	inv := high.segs[0].inv
+	inv.PrepareCover()
+	if inv.base != base || inv.preparedJoin() != nil {
+		t.Fatalf("ids %d..%d: join built = %v, want none", inv.base, inv.base+k-1, inv.preparedJoin() != nil)
+	}
+	for round := 0; ; round++ {
+		u, cov, ok := ref.BestNode(nil)
+		hu, hcov, hok := high.BestNode(nil)
+		if u != hu || cov != hcov || ok != hok {
+			t.Fatalf("round %d: BestNode at base 0 = (%d, %d, %v), at base %d = (%d, %d, %v)", round, u, cov, ok, base, hu, hcov, hok)
+		}
+		if !ok {
+			break
+		}
+		if got, want := high.CoverNode(u), ref.CoverNode(u); got != want {
+			t.Fatalf("round %d: CoverNode(%d) covered %d sets at base %d, %d at base 0", round, u, got, base, want)
+		}
+		for w := 0; w < n; w++ {
+			if high.cov[w] != ref.cov[w] {
+				t.Fatalf("round %d: node %d residual coverage %d at base %d, %d at base 0", round, w, high.cov[w], base, ref.cov[w])
+			}
+		}
+		for i := 0; i < k; i++ {
+			if high.covered[base+i] != ref.covered[i] {
+				t.Fatalf("round %d: set %d covered = %v at base %d, %v at base 0", round, i, high.covered[base+i], base, ref.covered[i])
+			}
+		}
+	}
+	if ref.NumCovered() != k || high.NumCovered() != k {
+		t.Fatalf("greedy covered %d and %d of %d sets", ref.NumCovered(), high.NumCovered(), k)
 	}
 }
 

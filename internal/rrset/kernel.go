@@ -75,21 +75,21 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 			limit := int32(seg.end())
 			row := j.row(u)
 			for p := 0; p < len(row); {
-				id, sz := row[p], row[p+1]
+				id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
 				if id >= limit {
 					break
 				}
 				var members []int32
 				if sz == joinSpill {
-					p += 2
+					p++
 					if cvd[id] {
 						continue
 					}
 					i := int(id - base)
 					members = mem[offs[i]:offs[i+1]]
 				} else {
-					members = row[p+2 : p+2+int(sz)]
-					p += 2 + int(sz)
+					members = row[p+1 : p+1+sz]
+					p += 1 + sz
 					if cvd[id] {
 						continue
 					}
@@ -168,18 +168,18 @@ func sparseCommitSegs(c *WeightedCollection, u int32, delta float64, firstID int
 			first := int32(firstID)
 			row := j.row(u)
 			for p := 0; p < len(row); {
-				id, sz := row[p], row[p+1]
+				id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
 				if id >= limit {
 					break
 				}
 				var members []int32
 				if sz == joinSpill {
-					p += 2
+					p++
 					i := int(id - base)
 					members = mem[offs[i]:offs[i+1]]
 				} else {
-					members = row[p+2 : p+2+int(sz)]
-					p += 2 + int(sz)
+					members = row[p+1 : p+1+sz]
+					p += 1 + sz
 				}
 				if id < first {
 					continue

@@ -144,16 +144,22 @@ func (s *Sampler) Probs() []float32 { return s.probs }
 // Graph returns the sampler's graph.
 func (s *Sampler) Graph() *graph.Graph { return s.g }
 
-// buildInProbs gathers probs through each in-edge's canonical EdgeID, once,
-// so that the sample loop never makes that hop.
+// buildInProbs transposes probs to in-CSR order, once, so that the sample
+// loop never hops through EdgeIDs: walking the out-rows in EdgeID order
+// meets each target's in-edges in the order graph.Builder laid its in-row
+// out, so edge j's probability goes to its target's next in-row position.
 func (s *Sampler) buildInProbs() {
+	n := int32(s.g.N())
 	in := make([]float32, len(s.probs))
-	k := 0
-	for v := int32(0); v < int32(s.g.N()); v++ {
-		_, eids := s.g.InEdges(v)
-		for _, e := range eids {
-			in[k] = s.probs[e]
-			k++
+	next := make([]int64, n)
+	for v := range n {
+		_, next[v] = s.g.InRow(v)
+	}
+	for u := range n {
+		targets, first := s.g.OutEdges(u)
+		for i, v := range targets {
+			in[next[v]] = s.probs[first+int64(i)]
+			next[v]++
 		}
 	}
 	s.inProbs = in

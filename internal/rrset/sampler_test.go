@@ -21,9 +21,10 @@ type refScratch struct {
 
 // referenceSample is the sampler's reverse BFS as it stood before the
 // in-CSR-ordered probabilities and the bitset marks — probabilities read
-// through the canonical EdgeID (probs[eids[i]]), visits stamped in a uint32
-// array — kept verbatim as the definition of what sampleScratch must
-// return and of how many draws it must take from the stream.
+// through the canonical EdgeID of each in-edge (found with FindEdge now that
+// the graph keeps no EdgeID back-map), visits stamped in a uint32 array —
+// kept as the definition of what sampleScratch must return and of how many
+// draws it must take from the stream.
 func referenceSample(g *graph.Graph, probs []float32, ctps topic.CTP, sc *refScratch, rng *xrand.Rand, withCTP bool) []int32 {
 	if sc.mark == nil {
 		sc.mark = make([]uint32, g.N())
@@ -45,12 +46,12 @@ func referenceSample(g *graph.Graph, probs []float32, ctps topic.CTP, sc *refScr
 	}
 	for qi := 0; qi < len(sc.queue); qi++ {
 		u := sc.queue[qi]
-		sources, eids := g.InEdges(u)
-		for i, v := range sources {
+		sources, _ := g.InRow(u)
+		for _, v := range sources {
 			if sc.mark[v] == sc.round {
 				continue
 			}
-			if !rng.Bernoulli32(probs[eids[i]]) {
+			if e, _ := g.FindEdge(v, u); !rng.Bernoulli32(probs[e]) {
 				continue
 			}
 			sc.mark[v] = sc.round
@@ -119,6 +120,54 @@ func hubGraph(t testing.TB, seed uint64) (*graph.Graph, []float32, topic.VecCTP)
 		ctps[i] = coin(r, 1)
 	}
 	return g, probs, ctps
+}
+
+// TestInProbsMatchFindEdge: the probability vector buildInProbs scatters
+// from the out-rows holds, at every in-CSR position, the probability of the
+// edge FindEdge names for that position's (source, target) — on random
+// multigraphs with isolated nodes and on the hub graph. Each edge's
+// probability is its EdgeID, so a misplaced entry cannot pass by a tie.
+func TestInProbsMatchFindEdge(t *testing.T) {
+	graphs := []*graph.Graph{graph.NewBuilder(0).MustBuild(), graph.NewBuilder(3).MustBuild()}
+	r := xrand.New(31)
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + r.IntN(80)
+		live := 1 + r.IntN(n)
+		b := graph.NewBuilder(n)
+		for i, draws := 0, r.IntN(8*n); i < draws; i++ {
+			if u, v := int32(r.IntN(live)), int32(r.IntN(live)); u != v {
+				b.AddEdge(u, v)
+				b.AddEdge(u, v)
+			}
+		}
+		graphs = append(graphs, b.MustBuild())
+	}
+	hub, _, _ := hubGraph(t, 14)
+	graphs = append(graphs, hub)
+	for gi, g := range graphs {
+		probs := make([]float32, g.M())
+		for j := range probs {
+			probs[j] = float32(j)
+		}
+		s := NewSampler(g, probs, nil)
+		s.buildInProbs()
+		if len(s.inProbs) != len(probs) {
+			t.Fatalf("graph %d: %d in-CSR probabilities for %d edges", gi, len(s.inProbs), len(probs))
+		}
+		for v := int32(0); v < int32(g.N()); v++ {
+			sources, first := g.InRow(v)
+			for i, u := range sources {
+				e, ok := g.FindEdge(u, v)
+				if !ok {
+					t.Fatalf("graph %d: in-edge %d->%d has no EdgeID", gi, u, v)
+				}
+				if got := s.inProbs[first+int64(i)]; got != probs[e] {
+					t.Fatalf("graph %d: in-CSR position %d (%d->%d) holds %v, FindEdge gives %v",
+						gi, first+int64(i), u, v, got, probs[e])
+				}
+			}
+		}
+	}
 }
 
 // TestSampleScratchMatchesReference pins "bit-identical": from one scratch,

@@ -8,7 +8,7 @@
 // against ~55 % for the cover join (Inverted.PrepareCover), ~20 % for
 // BuildInverted, ~11 % for the instance fingerprint and ~7 % for the
 // widths. Persisting the join instead would grow the file from 52 to
-// ~340 MB, so the load derives it, one ad per worker of the bounded fan-out
+// ~300 MB, so the load derives it, one ad per worker of the bounded fan-out
 // (core/index.go). The format is little-endian and versioned; core.Index
 // composes per-ad sections written with EncodeSetFamily into one index
 // file.
