@@ -97,11 +97,21 @@ type adSample struct {
 	widths []int64
 	inv    *rrset.Inverted
 	invLen int // local sets covered by inv; may lag fam until a view needs it
-	// kptCache memoizes kptFromWidths over this ad's immutable pilot
-	// widths, keyed by (pilot size, seed target): steady serving traffic
-	// revisits the same handful of keys on every request, and each hit
-	// saves a full O(pilot) Pow pass. Guarded by mu; bounded (see kptFor).
-	kptCache map[kptKey]float64
+	// kptCache serves KPT over this ad's pilot widths to every request.
+	kptCache KPTCache
+}
+
+// KPTCache memoizes KPT over one ad's immutable pilot widths, keyed by
+// (pilot size, seed target): steady serving traffic revisits the same
+// handful of keys on every request, and each hit saves a full O(pilot) Pow
+// pass. An Index keeps one per ad sample and a shard coordinator one per
+// cached merged pilot. The zero value is ready to use; a nil *KPTCache
+// computes every value. Safe for concurrent use, and bounded: past
+// kptCacheCap keys it resets wholesale (the steady-state working set
+// re-fills in one request).
+type KPTCache struct {
+	mu    sync.Mutex
+	byKey map[kptKey]float64
 }
 
 // kptKey identifies one cached KPT evaluation: the pilot-sample size the
@@ -111,34 +121,34 @@ type kptKey struct {
 	s     int
 }
 
-// kptCacheCap bounds each ad's KPT cache; distinct (pilot, s) pairs grow
-// with traffic diversity, so past the cap the cache resets wholesale (the
-// steady-state working set re-fills in one request).
+// kptCacheCap bounds each KPTCache.
 const kptCacheCap = 256
 
-// kptFor returns kptFromWidths(widths, s, n, m) through the ad's cache.
-// widths must be the pilot prefix of this ad's stream (immutable, so the
-// cached value is a pure function of the key). memo is the caller's
-// scratch for cache misses. The value is computed outside the lock; a
-// racing duplicate computation yields the identical float, so last-write
-// is harmless.
-func (a *adSample) kptFor(widths []int64, s, n int, m int64, memo map[int64]float64) float64 {
+// at returns kptFromWidths(widths, s, n, m) through the cache. widths must
+// be a pilot prefix of the cache's one ad stream (immutable, so the cached
+// value is a pure function of the key). memo is the caller's scratch for
+// misses. The value is computed outside the lock; a racing duplicate
+// computation yields the identical float, so last-write is harmless.
+func (c *KPTCache) at(widths []int64, s, n int, m int64, memo map[int64]float64) float64 {
+	if c == nil {
+		return kptFromWidths(widths, s, n, m, memo)
+	}
 	key := kptKey{pilot: len(widths), s: s}
-	a.mu.Lock()
-	if v, ok := a.kptCache[key]; ok {
-		a.mu.Unlock()
+	c.mu.Lock()
+	v, ok := c.byKey[key]
+	c.mu.Unlock()
+	if ok {
 		return v
 	}
-	a.mu.Unlock()
-	v := kptFromWidths(widths, s, n, m, memo)
-	a.mu.Lock()
-	if a.kptCache == nil {
-		a.kptCache = make(map[kptKey]float64, 16)
-	} else if len(a.kptCache) >= kptCacheCap {
-		clear(a.kptCache)
+	v = kptFromWidths(widths, s, n, m, memo)
+	c.mu.Lock()
+	if c.byKey == nil {
+		c.byKey = make(map[kptKey]float64, 16)
+	} else if len(c.byKey) >= kptCacheCap {
+		clear(c.byKey)
 	}
-	a.kptCache[key] = v
-	a.mu.Unlock()
+	c.byKey[key] = v
+	c.mu.Unlock()
 	return v
 }
 
@@ -327,7 +337,7 @@ func (idx *Index) presample(a *adSample, opts TIRMOptions) {
 	n, m := g.N(), g.M()
 	widths, _ := a.prefix(opts.MinTheta)
 	// Through the sample's cache, so the first request finds KPT(1) there.
-	kpt := a.kptFor(widths, 1, n, m, nil)
+	kpt := a.kptCache.at(widths, 1, n, m, nil)
 	want := rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
 	a.warm(want)
 }

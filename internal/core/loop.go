@@ -53,9 +53,10 @@ type Pilot struct {
 	// Have is the number of sets the sample held before this run — the
 	// warm-start baseline behind TIRMResult.SetsReused.
 	Have int
-	// src is set by the local backend only: the sample whose KPT cache
-	// serves these widths.
-	src *adSample
+	// KPT, when non-nil, caches KPT over Widths; it must serve this ad's
+	// stream alone. The local backend hands out its sample's, the cluster
+	// backend each cached merged pilot's.
+	KPT *KPTCache
 }
 
 // Coverage is one ad's coverage state R_j for one run. Scores are in
@@ -137,13 +138,10 @@ func (a *selAd) reset(j int, cpe, budget float64, ctps topic.CTP) {
 	a.candOK = false
 }
 
-// kpt evaluates KPT(s) over the ad's pilot widths, through the sample's
-// cache when the backend has one.
+// kpt evaluates KPT(s) over the ad's pilot widths, through the pilot's
+// cache when it has one.
 func (a *selAd) kpt(s, n int, m int64) float64 {
-	if a.pilot.src != nil {
-		return a.pilot.src.kptFor(a.pilot.Widths, s, n, m, a.powMemo)
-	}
-	return kptFromWidths(a.pilot.Widths, s, n, m, a.powMemo)
+	return a.pilot.KPT.at(a.pilot.Widths, s, n, m, a.powMemo)
 }
 
 // AllocateOver runs the greedy regret-minimization loop of Algorithm 2 for
@@ -262,8 +260,12 @@ func (ws *allocWorkspace) run(ctx context.Context, inst *Instance, be Backend, r
 	// Main loop (Algorithm 2 lines 4–19): scan every unsaturated ad in
 	// request order, keep the best candidate, commit it. A scan is a heap
 	// peek — well under a microsecond — so handing it to another goroutine
-	// costs more than running it (DESIGN.md §6.6).
+	// costs more than running it (DESIGN.md §6.6). A cancelled run stops
+	// between rounds, whether or not its backend reads ctx.
 	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		var best *selAd
 		for _, a := range ws.ads {
 			if a.saturated {

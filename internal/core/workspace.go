@@ -174,7 +174,7 @@ func (b *localBackend) Pilot(_ context.Context, ads []int, want int, out []Pilot
 		src := b.ep.ads[j]
 		have := src.size()
 		widths, f := src.prefix(want)
-		out[i] = Pilot{Widths: widths, Have: have, src: src}
+		out[i] = Pilot{Widths: widths, Have: have, KPT: &src.kptCache}
 		fresh += f
 	}
 	return fresh, nil

@@ -149,7 +149,7 @@ func TestWorkspaceReleaseDropsIndexRefs(t *testing.T) {
 	}
 	ws := pool.get() // the workspace the run just parked
 	for i, a := range ws.slots {
-		if a.local.src != nil || a.ctps != nil || a.pilot.Widths != nil || a.pilot.src != nil || a.seeds != nil {
+		if a.local.src != nil || a.ctps != nil || a.pilot.Widths != nil || a.pilot.KPT != nil || a.seeds != nil {
 			t.Fatalf("slot %d retains index references after release", i)
 		}
 		if a.cov != nil || a.local.hard != nil || a.local.soft != nil {

@@ -178,3 +178,45 @@ func TestShardedBatchCancelled(t *testing.T) {
 		}
 	}
 }
+
+// cancelAtCommit cancels its context at the run's nth committed seed.
+type cancelAtCommit struct {
+	n, commits int
+	cancel     context.CancelFunc
+}
+
+func (o *cancelAtCommit) ObserveAllocation(core.PhaseTimings) {}
+func (o *cancelAtCommit) ObserveCommit(core.CommitEvent) {
+	if o.commits++; o.commits == o.n {
+		o.cancel()
+	}
+}
+
+// TestShardedAllocateCancelledMidRun: LocalClient ignores its context, so
+// it is the greedy loop that must stop a cancelled allocation — at the next
+// round — and the coordinator that closes the run on every shard.
+func TestShardedAllocateCancelledMidRun(t *testing.T) {
+	opts := testOpts()
+	coord, shards, err := NewLocalCluster(testInstance(), 0, 42, 2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Warm(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop := &cancelAtCommit{n: 3, cancel: cancel}
+	_, err = coord.Allocate(ctx, core.Request{Opts: opts, Observer: stop, Explain: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("allocation cancelled at commit %d: err = %v, want context.Canceled", stop.n, err)
+	}
+	if stop.commits != stop.n {
+		t.Fatalf("the run committed %d seeds, cancelled at the %dth", stop.commits, stop.n)
+	}
+	for i, s := range shards {
+		if open := s.Info().OpenRuns; open != 0 {
+			t.Errorf("shard %d holds %d open runs after the cancelled allocation", i, open)
+		}
+	}
+}

@@ -65,11 +65,19 @@ type Coordinator struct {
 
 	// Pilot-width cache: an ad's merged global pilot widths are immutable
 	// for a given (epoch, ad position, pilot size), and every allocation
-	// needs them, so steady traffic should not re-ship MinTheta int64s
-	// per ad per request. Cleared wholesale when the epoch moves.
+	// needs them — and KPT over them — so steady traffic should neither
+	// re-ship MinTheta int64s per ad per request nor recompute KPT. Cleared
+	// wholesale when the epoch moves.
 	widthMu    sync.Mutex
 	widthEpoch uint64
-	widthCache map[widthKey][]int64
+	widthCache map[widthKey]*cachedPilot
+}
+
+// cachedPilot is one entry of the width cache: a merged pilot and the KPT
+// values sized from it.
+type cachedPilot struct {
+	widths []int64
+	kpt    core.KPTCache
 }
 
 // widthKey identifies one cached merged pilot within an epoch.
@@ -144,7 +152,7 @@ func NewCoordinator(ctx context.Context, clients []Client, cfg Config) (*Coordin
 		inst:       &inst,
 		epoch:      first.Epoch,
 		widthEpoch: first.Epoch,
-		widthCache: map[widthKey][]int64{},
+		widthCache: map[widthKey]*cachedPilot{},
 	}, nil
 }
 
@@ -322,18 +330,20 @@ func (c *Coordinator) pilot(ctx context.Context, epoch uint64, ads []int, want i
 		perShard = make([][]int64, len(c.clients))
 	}
 	for i, j := range ads {
-		out[i] = core.Pilot{}
+		var e *cachedPilot
 		if cached != nil {
-			out[i].Widths = cached[i]
+			e = cached[i]
 		} else {
 			for k := range c.clients {
 				perShard[k] = pilots[k].Widths[i]
 			}
-			if out[i].Widths, err = c.mergeWidths(perShard, want); err != nil {
+			e = new(cachedPilot)
+			if e.widths, err = c.mergeWidths(perShard, want); err != nil {
 				return 0, fmt.Errorf("%w: ad %d pilot: %v", errDrift, j, err)
 			}
-			c.storeWidths(epoch, j, want, out[i].Widths)
+			c.storeWidths(epoch, j, want, e)
 		}
+		out[i] = core.Pilot{Widths: e.widths, KPT: &e.kpt}
 		for k := range c.clients {
 			out[i].Have += pilots[k].Have[i]
 		}
@@ -378,15 +388,15 @@ func (c *Coordinator) scatterCover(col *rrset.Collection, call func(cl Client) (
 // widths for all of them). The cache is scoped to one epoch — mutations
 // reshuffle the position↔stream mapping, so it resets when the epoch
 // moves.
-func (c *Coordinator) lookupWidths(epoch uint64, ads []int, want int) [][]int64 {
+func (c *Coordinator) lookupWidths(epoch uint64, ads []int, want int) []*cachedPilot {
 	c.widthMu.Lock()
 	defer c.widthMu.Unlock()
 	if c.widthEpoch != epoch {
 		c.widthEpoch = epoch
-		c.widthCache = map[widthKey][]int64{}
+		c.widthCache = map[widthKey]*cachedPilot{}
 		return nil
 	}
-	out := make([][]int64, len(ads))
+	out := make([]*cachedPilot, len(ads))
 	for i, j := range ads {
 		w, ok := c.widthCache[widthKey{ad: j, want: want}]
 		if !ok {
@@ -397,14 +407,14 @@ func (c *Coordinator) lookupWidths(epoch uint64, ads []int, want int) [][]int64 
 	return out
 }
 
-// storeWidths caches one ad's merged pilot (read-only from here on).
-func (c *Coordinator) storeWidths(epoch uint64, ad, want int, widths []int64) {
+// storeWidths caches one ad's merged pilot (widths read-only from here on).
+func (c *Coordinator) storeWidths(epoch uint64, ad, want int, e *cachedPilot) {
 	c.widthMu.Lock()
 	defer c.widthMu.Unlock()
 	if c.widthEpoch != epoch {
 		return
 	}
-	c.widthCache[widthKey{ad: ad, want: want}] = widths
+	c.widthCache[widthKey{ad: ad, want: want}] = e
 }
 
 // mergeWidths interleaves per-shard pilot width slices back into global

@@ -94,7 +94,7 @@ func NewFaultClient(cl Client, seed uint64, rules ...FaultRule) *FaultClient {
 		rules: rules,
 		fired: make([]int, len(rules)),
 	}
-	c.intercepted = intercepted{next: cl, around: c.apply}
+	c.wrap(cl, c.apply)
 	return c
 }
 
@@ -138,10 +138,10 @@ func (c *FaultClient) match(o op) (FaultRule, bool) {
 }
 
 // apply runs one call under the plan.
-func (c *FaultClient) apply(ctx context.Context, o op, call rpcCall) error {
-	r, ok := c.match(o)
+func (c *FaultClient) apply(ctx context.Context, rc rpcCall) error {
+	r, ok := c.match(rc.op)
 	if !ok {
-		return call.invoke(ctx)
+		return rc.invoke(ctx)
 	}
 	switch r.Kind {
 	case FaultError:
@@ -150,7 +150,7 @@ func (c *FaultClient) apply(ctx context.Context, o op, call rpcCall) error {
 		if !faultSleep(ctx, r.Delay) {
 			return ctx.Err()
 		}
-		return call.invoke(ctx)
+		return rc.invoke(ctx)
 	case FaultTimeout:
 		if r.Delay > 0 {
 			if !faultSleep(ctx, r.Delay) {
@@ -161,7 +161,7 @@ func (c *FaultClient) apply(ctx context.Context, o op, call rpcCall) error {
 		<-ctx.Done()
 		return ctx.Err()
 	case FaultDropAfterSend:
-		call.invoke(ctx)
+		rc.invoke(ctx)
 		return ErrInjected
 	default:
 		return ErrInjected

@@ -292,6 +292,8 @@ const drainPath = "/shard/drain"
 
 // HTTPClient speaks the shard protocol to a remote shard daemon.
 type HTTPClient struct {
+	typedClient // every op through roundTrip
+
 	hc *http.Client
 	// reqs holds one request per op, and drain the drain route's, their
 	// URLs parsed once at construction; each call sends a shallow copy
@@ -324,6 +326,7 @@ func NewHTTPClient(addr string) *HTTPClient {
 		// Run-op bodies are varints; there is nothing for gzip to win.
 		DisableCompression: true,
 	}}}
+	c.typedClient = typedClient{c}
 	base, err := url.Parse(addr)
 	if err != nil {
 		// The constructor has always been infallible; a malformed address
@@ -344,35 +347,39 @@ func NewHTTPClient(addr string) *HTTPClient {
 	return c
 }
 
-// wireCall sends one run op in the binary codec of wire.go. The request is
-// encoded into a buffer of its own, not a pooled one: net/http may still be
-// writing a request body after Do returns (cancellation, a reply sent
-// early), so it cannot be recycled here.
-func (c *HTTPClient) wireCall(ctx context.Context, o op, in, out wireMessage) error {
-	return c.do(ctx, c.reqs[o], wireContentType, in.appendWire(make([]byte, 0, 64)), out.decodeWire)
+// roundTrip sends one op: GET for info, the binary codec of wire.go when
+// the request is a run op, JSON otherwise.
+func (c *HTTPClient) roundTrip(ctx context.Context, o op, req, reply any) error {
+	return c.do(ctx, c.reqs[o], req, reply)
 }
 
-// postJSON POSTs one JSON request and decodes the reply into out.
-func (c *HTTPClient) postJSON(ctx context.Context, tmpl *http.Request, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, tmpl, "application/json", body, func(reply []byte) error { return json.Unmarshal(reply, out) })
-}
-
-// do sends one request, a copy of tmpl (body nil for the GET route), and
-// hands the whole reply body to decode. The body is always read to EOF
+// do sends one request, a copy of tmpl with in as its body (none when in is
+// nil, the GET route), and decodes the reply body into out in the format in
+// was sent in; a nil out is not decoded. The body is always read to EOF
 // before Close — replies and error bodies alike — because that is what
 // returns the connection to the idle pool; a reply large enough to be
 // chunked otherwise costs a connection.
-func (c *HTTPClient) do(ctx context.Context, tmpl *http.Request, contentType string, body []byte, decode func([]byte) error) error {
+func (c *HTTPClient) do(ctx context.Context, tmpl *http.Request, in, out any) error {
 	if c.addrErr != nil {
 		return c.addrErr
 	}
 	req := tmpl.WithContext(ctx)
 	req.Header = make(http.Header, 4)
-	if body != nil {
+	if in != nil {
+		// A run op is encoded into a buffer of its own, not a pooled one:
+		// net/http may still be writing a request body after Do returns
+		// (cancellation, a reply sent early), so it cannot be recycled here.
+		var body []byte
+		contentType := wireContentType
+		if m, ok := in.(wireMessage); ok {
+			body = m.appendWire(make([]byte, 0, 64))
+		} else {
+			var err error
+			if body, err = json.Marshal(in); err != nil {
+				return err
+			}
+			contentType = "application/json"
+		}
 		req.Header.Set("Content-Type", contentType)
 		req.ContentLength = int64(len(body))
 		req.Body = io.NopCloser(bytes.NewReader(body))
@@ -398,93 +405,17 @@ func (c *HTTPClient) do(ctx context.Context, tmpl *http.Request, contentType str
 	bp := bodyBufs.Get().(*[]byte)
 	reply, err := readBody(resp.Body, *bp)
 	defer putBodyBuf(bp, reply)
-	if err != nil {
+	if err != nil || out == nil {
 		return err
 	}
-	return decode(reply)
-}
-
-// Info implements Client.
-func (c *HTTPClient) Info(ctx context.Context) (ShardInfo, error) {
-	var info ShardInfo
-	return info, c.do(ctx, c.reqs[opInfo], "", nil, func(reply []byte) error { return json.Unmarshal(reply, &info) })
-}
-
-// Pilot implements Client.
-func (c *HTTPClient) Pilot(ctx context.Context, req PilotRequest) (PilotReply, error) {
-	var out PilotReply
-	return out, c.wireCall(ctx, opPilot, &req, &out)
-}
-
-// Ensure implements Client.
-func (c *HTTPClient) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
-	var out EnsureReply
-	return out, c.postJSON(ctx, c.reqs[opEnsure], req, &out)
-}
-
-// Start implements Client.
-func (c *HTTPClient) Start(ctx context.Context, req StartRequest) (StartReply, error) {
-	var out StartReply
-	return out, c.wireCall(ctx, opStart, &req, &out)
-}
-
-// Commit implements Client.
-func (c *HTTPClient) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
-	var out CommitReply
-	return out, c.wireCall(ctx, opCommit, &req, &out)
-}
-
-// Credit implements Client.
-func (c *HTTPClient) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
-	var out CommitReply
-	return out, c.wireCall(ctx, opCredit, &req, &out)
-}
-
-// Grow implements Client.
-func (c *HTTPClient) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
-	var out GrowReply
-	return out, c.wireCall(ctx, opGrow, &req, &out)
-}
-
-// Gains implements Client.
-func (c *HTTPClient) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
-	var out GainsReply
-	return out, c.wireCall(ctx, opGains, &req, &out)
-}
-
-// End implements Client.
-func (c *HTTPClient) End(ctx context.Context, runID string) error {
-	var out struct{}
-	return c.postJSON(ctx, c.reqs[opEnd], endRequest{RunID: runID}, &out)
-}
-
-// AddAd implements Client.
-func (c *HTTPClient) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
-	var out MutateReply
-	return out, c.postJSON(ctx, c.reqs[opAddAd], req, &out)
-}
-
-// RemoveAd implements Client.
-func (c *HTTPClient) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
-	var out MutateReply
-	return out, c.postJSON(ctx, c.reqs[opRemoveAd], req, &out)
-}
-
-// SyncEstimates implements Client.
-func (c *HTTPClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
-	var out struct{}
-	return c.postJSON(ctx, c.reqs[opSyncEstimates], req, &out)
+	if m, ok := out.(wireMessage); ok {
+		return m.decodeWire(reply)
+	}
+	return json.Unmarshal(reply, out)
 }
 
 // Drain asks the daemon to refuse new runs (not part of the coordinator's
 // Client surface — an operator action).
 func (c *HTTPClient) Drain(ctx context.Context) error {
-	var out struct{}
-	return c.postJSON(ctx, c.drain, struct{}{}, &out)
+	return c.do(ctx, c.drain, struct{}{}, nil)
 }
-
-// Interface compliance.
-var (
-	_ Client = LocalClient{}
-	_ Client = (*HTTPClient)(nil)
-)

@@ -197,6 +197,40 @@ func TestHTTPReplayBytes(t *testing.T) {
 	}
 }
 
+// TestHTTPNilReplyDecodesNothing pins what a replay's nil reply asks of the
+// transport: the reply body is read and left undecoded — one that cannot
+// decode passes — while the shard's error still comes back.
+func TestHTTPNilReplyDecodesNothing(t *testing.T) {
+	var failing atomic.Pointer[error] // what the stub route answers with
+	mux := http.NewServeMux()
+	mux.HandleFunc(opTable[opCommit].path, func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if err := *failing.Load(); err != nil {
+			shardWriteJSON(w, statusOf(err), shardErrorBody{Error: err.Error()})
+			return
+		}
+		w.Write([]byte{0xff}) // a varint cut short: no CommitReply decodes from it
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	cl := NewHTTPClient(ts.URL)
+	ctx := context.Background()
+	req := &CommitRequest{RunID: "run", Node: 5, Seq: 1}
+
+	failing.Store(new(error))
+	if err := cl.roundTrip(ctx, opCommit, req, &CommitReply{}); err == nil {
+		t.Fatal("the stub's reply decoded: the test would prove nothing")
+	}
+	if err := cl.roundTrip(ctx, opCommit, req, nil); err != nil {
+		t.Fatalf("commit with a nil reply = %v, want the body read and not decoded", err)
+	}
+	refused := error(ErrBadSeq)
+	failing.Store(&refused)
+	if err := cl.roundTrip(ctx, opCommit, req, nil); !errors.Is(err, ErrBadSeq) {
+		t.Fatalf("commit with a nil reply to a refusing shard = %v, want ErrBadSeq", err)
+	}
+}
+
 // TestHTTPErrorIdentity pins the error mapping on both body formats: each
 // sentinel, and a plain 400, crosses a binary route and a JSON route with
 // its identity and message intact.

@@ -1,111 +1,170 @@
-// The one forwarding Client. A decorator that treats every op alike —
-// metering (InstrumentClient), deadlines and retries (NewRetryClient), fault
-// injection (NewFaultClient) — is a function around the call, not twelve
-// methods: it supplies `around` and intercepted does the forwarding.
+// One body per client. Every Client in this package but LocalClient is a
+// roundTrip over the op — HTTPClient picks the route's format, ReplicaSet
+// the op's replica rule, intercepted hands the call to a decorator — and
+// typedClient writes the twelve typed Client methods once over it. call
+// dispatches one op to any Client: straight through when the client has a
+// roundTrip, through its typed method when it does not (LocalClient, a test
+// fake, a client from outside the package). A decorator that treats every
+// op alike — metering (InstrumentClient), deadlines and retries
+// (NewRetryClient), fault injection (NewFaultClient) — is a function around
+// the call, not twelve methods: it supplies `around` and intercepted does
+// the forwarding.
 
 package shard
 
 import "context"
 
-// rpcCall is one forwarded RPC as its interceptor sees it: invoke runs it
+// roundTripper is a Client written as one body over the op. req points at
+// the op's request type (nil for info, *endRequest for end) and reply at its
+// reply type; reply is nil for the ops without one (end, syncEstimates) and
+// whenever the caller discards it, as a replay does. The request is not
+// written after the call: a ReplicaSet logs the pointer to replay it.
+type roundTripper interface {
+	roundTrip(ctx context.Context, o op, req, reply any) error
+}
+
+// typedClient is Client written once over a roundTrip. HTTPClient,
+// ReplicaSet and intercepted embed it, rt pointing back at themselves.
+type typedClient struct{ rt roundTripper }
+
+// exchange runs one typed op through rt. Request and reply share one heap
+// object — roundTrip is a dynamic call, so both escape — and the reply is
+// read only after the call has returned. The object's reply is cleared on
+// the way out, so a request a ReplicaSet logged does not pin it.
+func exchange[Reply, Req any](ctx context.Context, rt roundTripper, o op, req Req) (reply Reply, err error) {
+	x := &struct {
+		req   Req
+		reply Reply
+	}{req: req}
+	err = rt.roundTrip(ctx, o, &x.req, &x.reply)
+	reply, x.reply = x.reply, *new(Reply)
+	return reply, err
+}
+
+func (c typedClient) Info(ctx context.Context) (info ShardInfo, err error) {
+	err = c.rt.roundTrip(ctx, opInfo, nil, &info)
+	return info, err
+}
+func (c typedClient) Pilot(ctx context.Context, req PilotRequest) (PilotReply, error) {
+	return exchange[PilotReply](ctx, c.rt, opPilot, req)
+}
+func (c typedClient) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
+	return exchange[EnsureReply](ctx, c.rt, opEnsure, req)
+}
+func (c typedClient) Start(ctx context.Context, req StartRequest) (StartReply, error) {
+	return exchange[StartReply](ctx, c.rt, opStart, req)
+}
+func (c typedClient) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
+	return exchange[CommitReply](ctx, c.rt, opCommit, req)
+}
+func (c typedClient) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
+	return exchange[CommitReply](ctx, c.rt, opCredit, req)
+}
+func (c typedClient) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
+	return exchange[GrowReply](ctx, c.rt, opGrow, req)
+}
+func (c typedClient) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
+	return exchange[GainsReply](ctx, c.rt, opGains, req)
+}
+func (c typedClient) End(ctx context.Context, runID string) error {
+	return c.rt.roundTrip(ctx, opEnd, &endRequest{RunID: runID}, nil)
+}
+func (c typedClient) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
+	return exchange[MutateReply](ctx, c.rt, opAddAd, req)
+}
+func (c typedClient) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
+	return exchange[MutateReply](ctx, c.rt, opRemoveAd, req)
+}
+func (c typedClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
+	return c.rt.roundTrip(ctx, opSyncEstimates, &req, nil)
+}
+
+// call runs op o against cl, with req and reply as roundTrip takes them.
+func call(ctx context.Context, cl Client, o op, req, reply any) error {
+	if rt, ok := cl.(roundTripper); ok {
+		return rt.roundTrip(ctx, o, req, reply)
+	}
+	switch o {
+	case opInfo:
+		v, err := cl.Info(ctx)
+		return put(reply, v, err)
+	case opPilot:
+		v, err := cl.Pilot(ctx, *req.(*PilotRequest))
+		return put(reply, v, err)
+	case opEnsure:
+		v, err := cl.Ensure(ctx, *req.(*EnsureRequest))
+		return put(reply, v, err)
+	case opStart:
+		v, err := cl.Start(ctx, *req.(*StartRequest))
+		return put(reply, v, err)
+	case opCommit:
+		v, err := cl.Commit(ctx, *req.(*CommitRequest))
+		return put(reply, v, err)
+	case opCredit:
+		v, err := cl.Credit(ctx, *req.(*CreditRequest))
+		return put(reply, v, err)
+	case opGrow:
+		v, err := cl.Grow(ctx, *req.(*GrowRequest))
+		return put(reply, v, err)
+	case opGains:
+		v, err := cl.Gains(ctx, *req.(*GainsRequest))
+		return put(reply, v, err)
+	case opEnd:
+		return cl.End(ctx, req.(*endRequest).RunID)
+	case opAddAd:
+		v, err := cl.AddAd(ctx, *req.(*AddAdRequest))
+		return put(reply, v, err)
+	case opRemoveAd:
+		v, err := cl.RemoveAd(ctx, *req.(*RemoveAdRequest))
+		return put(reply, v, err)
+	default:
+		return cl.SyncEstimates(ctx, *req.(*SyncEstimatesRequest))
+	}
+}
+
+// put stores a typed call's reply where roundTrip's caller asked for it.
+func put[T any](reply any, v T, err error) error {
+	if err == nil && reply != nil {
+		*reply.(*T) = v
+	}
+	return err
+}
+
+// rpcCall is one forwarded op as its interceptor sees it: invoke runs it
 // against the next client, any number of times (a retry) or not at all (an
-// injected fault). An interface and not a func: around is called
-// dynamically, so what it is handed lives on the heap, and a closure would
-// be a second object beside the reply it captures.
-type rpcCall interface {
-	invoke(ctx context.Context) error
+// injected fault). It travels by value, so forwarding costs no heap object.
+type rpcCall struct {
+	op         op
+	next       Client
+	req, reply any
 }
 
-// intercepted forwards every Client method to next through around, which
-// is told which op is in flight and decides whether, how often and under
-// what context the call is invoked.
+func (rc rpcCall) invoke(ctx context.Context) error {
+	return call(ctx, rc.next, rc.op, rc.req, rc.reply)
+}
+
+// intercepted forwards every op to next through around, which decides
+// whether, how often and under what context the call is invoked.
 type intercepted struct {
+	typedClient
 	next   Client
-	around func(ctx context.Context, o op, call rpcCall) error
+	around func(ctx context.Context, rc rpcCall) error
 }
 
-// forwarded is the rpcCall of one Client method (method is its method
-// expression): the request on its way down and the last invocation's reply
-// on its way back, in the one heap object a forwarded RPC costs a layer.
-type forwarded[Req, Reply any] struct {
-	next   Client
-	method func(Client, context.Context, Req) (Reply, error)
-	req    Req
-	out    Reply
+// wrap makes c forward to next through around.
+func (c *intercepted) wrap(next Client, around func(ctx context.Context, rc rpcCall) error) {
+	c.typedClient, c.next, c.around = typedClient{c}, next, around
 }
 
-func (f *forwarded[Req, Reply]) invoke(ctx context.Context) (err error) {
-	f.out, err = f.method(f.next, ctx, f.req)
-	return err
+func (c *intercepted) roundTrip(ctx context.Context, o op, req, reply any) error {
+	return c.around(ctx, rpcCall{op: o, next: c.next, req: req, reply: reply})
 }
 
-// forward runs one Client method through c.around.
-func forward[Req, Reply any](ctx context.Context, c *intercepted, o op, method func(Client, context.Context, Req) (Reply, error), req Req) (Reply, error) {
-	f := &forwarded[Req, Reply]{next: c.next, method: method, req: req}
-	err := c.around(ctx, o, f)
-	return f.out, err
-}
-
-// Info implements Client.
-func (c *intercepted) Info(ctx context.Context) (ShardInfo, error) {
-	return forward(ctx, c, opInfo, func(cl Client, ctx context.Context, _ struct{}) (ShardInfo, error) { return cl.Info(ctx) }, struct{}{})
-}
-
-// Pilot implements Client.
-func (c *intercepted) Pilot(ctx context.Context, req PilotRequest) (PilotReply, error) {
-	return forward(ctx, c, opPilot, Client.Pilot, req)
-}
-
-// Ensure implements Client.
-func (c *intercepted) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
-	return forward(ctx, c, opEnsure, Client.Ensure, req)
-}
-
-// Start implements Client.
-func (c *intercepted) Start(ctx context.Context, req StartRequest) (StartReply, error) {
-	return forward(ctx, c, opStart, Client.Start, req)
-}
-
-// Commit implements Client.
-func (c *intercepted) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
-	return forward(ctx, c, opCommit, Client.Commit, req)
-}
-
-// Credit implements Client.
-func (c *intercepted) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
-	return forward(ctx, c, opCredit, Client.Credit, req)
-}
-
-// Grow implements Client.
-func (c *intercepted) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
-	return forward(ctx, c, opGrow, Client.Grow, req)
-}
-
-// Gains implements Client.
-func (c *intercepted) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
-	return forward(ctx, c, opGains, Client.Gains, req)
-}
-
-// End implements Client.
-func (c *intercepted) End(ctx context.Context, runID string) error {
-	_, err := forward(ctx, c, opEnd, func(cl Client, ctx context.Context, id string) (struct{}, error) { return struct{}{}, cl.End(ctx, id) }, runID)
-	return err
-}
-
-// AddAd implements Client.
-func (c *intercepted) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
-	return forward(ctx, c, opAddAd, Client.AddAd, req)
-}
-
-// RemoveAd implements Client.
-func (c *intercepted) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
-	return forward(ctx, c, opRemoveAd, Client.RemoveAd, req)
-}
-
-// SyncEstimates implements Client.
-func (c *intercepted) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
-	_, err := forward(ctx, c, opSyncEstimates, func(cl Client, ctx context.Context, req SyncEstimatesRequest) (struct{}, error) {
-		return struct{}{}, cl.SyncEstimates(ctx, req)
-	}, req)
-	return err
-}
+var (
+	_ Client       = LocalClient{}
+	_ roundTripper = (*HTTPClient)(nil)
+	_ roundTripper = (*ReplicaSet)(nil)
+	_ roundTripper = (*intercepted)(nil)
+	_ roundTripper = (*retryClient)(nil)
+	_ roundTripper = (*FaultClient)(nil)
+)

@@ -1,8 +1,8 @@
-// Tests for the op table and the one forwarding client the instrument,
-// retry and fault decorators share: the table covers Client's method set
-// exactly, every op crosses every decorator once and unchanged under the
-// table's label and deadline class, and the documented label list is the
-// table's.
+// Tests for the op table and the clients written over one roundTrip: the
+// table covers Client's method set exactly, every op crosses every decorator
+// and a replica set once and unchanged under the table's label and deadline
+// class — down to a client with a roundTrip and to one with only typed
+// methods — and the documented label list is the table's.
 
 package shard
 
@@ -47,6 +47,20 @@ type recordingClient struct {
 	ops   []op
 	reqs  []any
 	until []time.Duration // time left on each call's context; 0 = no deadline
+	trips int             // calls that came through a recordingTripper
+}
+
+// recordingTripper is a recordingClient behind a roundTrip: the bottom that
+// call must pass straight through to. Its typed methods are the recorder's
+// own, which count no trip, so a call dispatched by method shows.
+type recordingTripper struct {
+	Client
+	rec *recordingClient
+}
+
+func (c *recordingTripper) roundTrip(ctx context.Context, o op, req, reply any) error {
+	c.rec.trips++
+	return call(ctx, c.rec, o, req, reply)
 }
 
 func (c *recordingClient) note(ctx context.Context, o op, req any) int64 {
@@ -98,9 +112,11 @@ func (c *recordingClient) SyncEstimates(ctx context.Context, req SyncEstimatesRe
 }
 
 // TestDecoratorsForwardEveryOp drives each of the twelve ops through each
-// decorator and requires: the underlying client called exactly once, with
-// the request it was given, its reply handed back; the metric, the span and
-// the fault plan all knowing the op by its table name; and the retry layer's
+// decorator and through a one-replica ReplicaSet, over a bottom client with
+// a roundTrip and over one with typed methods only (the dispatcher's path),
+// and requires: the underlying client called exactly once, with the request
+// it was given, its reply handed back; the metric, the span and the fault
+// plan all knowing the op by its table name; and the retry layer's
 // per-attempt deadline being SamplingTimeout exactly where the table says.
 func TestDecoratorsForwardEveryOp(t *testing.T) {
 	ctx := context.Background()
@@ -140,20 +156,33 @@ func TestDecoratorsForwardEveryOp(t *testing.T) {
 	}
 	const fast, sampling = time.Hour, 10 * time.Hour
 
-	for o := op(0); o < numOps; o++ {
+	// Every op twice: over a bottom client with typed methods only, then
+	// (bottom 1) over one with a roundTrip.
+	for i := 0; i < 2*int(numOps); i++ {
+		o, bottom := op(i)%numOps, i/int(numOps)
 		name, c := o.String(), calls[o]
-		// through sends the op through one decorator over a fresh recorder
-		// and checks what every decorator owes: one call, same request, the
-		// reply back.
+		// through sends the op through one layer over a fresh recorder and
+		// checks what every layer owes: one call, same request, the reply
+		// back.
 		through := func(layer string, ctx context.Context, wrap func(Client) Client) *recordingClient {
 			t.Helper()
 			rec := &recordingClient{}
-			got, err := c.call(ctx, wrap(rec), c.req)
+			var cl Client = rec
+			if bottom == 1 {
+				layer += " over a roundTrip"
+				cl = &recordingTripper{Client: rec, rec: rec}
+			}
+			top := wrap(cl)
+			*rec = recordingClient{} // forget what building the layer sent
+			got, err := c.call(ctx, top, c.req)
 			if err != nil {
 				t.Fatalf("%s over %s: %v", name, layer, err)
 			}
 			if len(rec.ops) != 1 || rec.ops[0] != o || !reflect.DeepEqual(rec.reqs[0], c.req) {
 				t.Fatalf("%s over %s: underlying client saw ops %v with %+v, want one %s with %+v", name, layer, rec.ops, rec.reqs, name, c.req)
+			}
+			if rec.trips != bottom {
+				t.Fatalf("%s over %s: %d calls came through the bottom's roundTrip, want %d", name, layer, rec.trips, bottom)
 			}
 			if !reflect.DeepEqual(got, c.reply) {
 				t.Fatalf("%s over %s: reply %+v, want %+v", name, layer, got, c.reply)
@@ -195,6 +224,18 @@ func TestDecoratorsForwardEveryOp(t *testing.T) {
 		if fired := fc.Fired(); fired[0] != 1 || fired[1] != 0 {
 			t.Errorf("%s: fault rules fired %v, want [1 0]", name, fired)
 		}
+
+		through("replica set", ctx, func(cl Client) Client {
+			rs, err := NewReplicaSet(ctx, []Client{cl}, ReplicaSetConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The run ops need a run the set has opened.
+			if _, err := rs.Start(ctx, calls[opStart].req.(StartRequest)); err != nil {
+				t.Fatal(err)
+			}
+			return rs
+		})
 	}
 }
 

@@ -72,10 +72,12 @@ func InstrumentClient(cl Client, shard int, m *Metrics) Client {
 		return cl
 	}
 	slot := strconv.Itoa(shard)
-	return &intercepted{next: cl, around: func(ctx context.Context, o op, call rpcCall) error {
+	c := new(intercepted)
+	c.wrap(cl, func(ctx context.Context, rc rpcCall) error {
 		start := time.Now()
-		err := call.invoke(ctx)
-		m.record(o.String(), slot, start, err)
+		err := rc.invoke(ctx)
+		m.record(rc.op.String(), slot, start, err)
 		return err
-	}}
+	})
+	return c
 }

@@ -51,6 +51,8 @@ type ReplicaSetConfig struct {
 // Safe for concurrent use under the same contract as Shard: distinct runs
 // may proceed concurrently, one run's ops are sequential.
 type ReplicaSet struct {
+	typedClient // every op through roundTrip
+
 	replicas []Client
 	slot     int
 	metrics  *Metrics
@@ -69,41 +71,25 @@ type ReplicaSet struct {
 	est     *SyncEstimatesRequest
 }
 
-// replicaRun is the op log that makes one run rebuildable on any replica.
+// replicaRun is the op log that makes one run rebuildable on any replica:
+// its Start, then every sequenced op, in order.
 type replicaRun struct {
 	owner int // replica currently holding the run's coverage state
-	start StartRequest
-	ops   []repOp
+	log   []loggedOp
 }
 
-// repOp is one logged sequenced run op: kind says which request is set.
-type repOp struct {
-	kind   op
-	commit CommitRequest
-	credit CreditRequest
-	grow   GrowRequest
+// loggedOp is one op a ReplicaSet may send again — a run op to an adopting
+// replica, a mutation to a reviving one — with the request it was sent.
+type loggedOp struct {
+	op  op
+	req any
 }
 
-// replay re-issues the logged op against cl; the reply is of no interest.
-func (o repOp) replay(ctx context.Context, cl Client) error {
-	var err error
-	switch o.kind {
-	case opCommit:
-		_, err = cl.Commit(ctx, o.commit)
-	case opCredit:
-		_, err = cl.Credit(ctx, o.credit)
-	default:
-		_, err = cl.Grow(ctx, o.grow)
-	}
-	return err
-}
-
-// replicaMutation is one logged campaign mutation, kept so a revived
-// replica can be walked forward to the current epoch.
+// replicaMutation is one logged campaign mutation and the epoch it left
+// the range at, kept so a revived replica can be walked forward.
 type replicaMutation struct {
-	add    *AddAdRequest
-	remove *RemoveAdRequest
-	epoch  uint64 // epoch after applying
+	loggedOp
+	epoch uint64
 }
 
 // NewReplicaSet validates R replicas of one range and fronts them. Every
@@ -123,6 +109,7 @@ func NewReplicaSet(ctx context.Context, replicas []Client, cfg ReplicaSetConfig)
 		healthy:  make([]bool, len(replicas)),
 		runs:     map[string]*replicaRun{},
 	}
+	r.typedClient = typedClient{r}
 	var ref *ShardInfo
 	for i, cl := range replicas {
 		info, err := cl.Info(ctx)
@@ -203,31 +190,23 @@ func (r *ReplicaSet) candidates() (order []int, healthy int) {
 	return order, healthy
 }
 
-// markSuccess restores a replica to healthy.
-func (r *ReplicaSet) markSuccess(i int) {
+// mark books one op's outcome on replica i: a success restores it to
+// healthy, a failure marks it unhealthy — one failed op is enough.
+func (r *ReplicaSet) mark(i int, err error) {
 	r.mu.Lock()
-	changed := !r.healthy[i]
-	r.healthy[i] = true
+	changed := r.healthy[i] != (err == nil)
+	r.healthy[i] = err == nil
 	r.mu.Unlock()
-	if changed {
-		r.publishHealth()
-		if r.logf != nil {
-			r.logf("shard: range %d replica %d back to healthy", r.slot, i)
-		}
+	if !changed {
+		return
 	}
-}
-
-// markFailure marks a replica unhealthy: one failed op is enough.
-func (r *ReplicaSet) markFailure(i int, err error) {
-	r.mu.Lock()
-	changed := r.healthy[i]
-	r.healthy[i] = false
-	r.mu.Unlock()
-	if changed {
-		r.publishHealth()
-		if r.logf != nil {
-			r.logf("shard: range %d replica %d marked unhealthy: %v", r.slot, i, err)
-		}
+	r.publishHealth()
+	switch {
+	case r.logf == nil:
+	case err == nil:
+		r.logf("shard: range %d replica %d back to healthy", r.slot, i)
+	default:
+		r.logf("shard: range %d replica %d marked unhealthy: %v", r.slot, i, err)
 	}
 }
 
@@ -282,7 +261,7 @@ func (r *ReplicaSet) sweep(ctx context.Context, fn func(i int, cl Client) error)
 	for _, i := range order {
 		err := fn(i, r.replicas[i])
 		if err == nil {
-			r.markSuccess(i)
+			r.mark(i, nil)
 			if i != first {
 				r.notifyFailover(ctx, first, i)
 			}
@@ -291,133 +270,171 @@ func (r *ReplicaSet) sweep(ctx context.Context, fn func(i int, cl Client) error)
 		if Classify(err) == ClassTerminal {
 			return err
 		}
-		r.markFailure(i, err)
+		r.mark(i, err)
 		lastErr = err
 	}
 	return r.unavailable(lastErr)
 }
 
-// Info implements Client: the canonical view of the range, served by the
-// first answering replica.
-func (r *ReplicaSet) Info(ctx context.Context) (ShardInfo, error) {
-	var out ShardInfo
-	err := r.sweep(ctx, func(_ int, cl Client) error {
-		var err error
-		out, err = cl.Info(ctx)
-		return err
-	})
-	return out, err
+// roundTrip routes one op by its replica rule:
+//   - info and pilot go to the first replica that answers: they are
+//     stateless and deterministic, so any replica answers identically
+//     (sampling accounting aside);
+//   - ensure, end and syncEstimates go to every healthy replica (ensure,
+//     broadcast);
+//   - start and the run ops go to the run's owner, which a failure moves
+//     by replaying the run's log (runOp);
+//   - addAd and removeAd apply to every replica in lockstep (lockstep).
+func (r *ReplicaSet) roundTrip(ctx context.Context, o op, req, reply any) error {
+	switch o {
+	case opInfo, opPilot:
+		return r.sweep(ctx, func(_ int, cl Client) error { return call(ctx, cl, o, req, reply) })
+	case opEnsure:
+		return r.ensure(ctx, req, reply)
+	case opEnd:
+		// The run's log is dropped, and health is not booked: a dead
+		// replica's copy of the run is reaped by the shard's run TTL.
+		r.mu.Lock()
+		delete(r.runs, req.(*endRequest).RunID)
+		r.mu.Unlock()
+		if ok, err := r.broadcast(ctx, o, req, false); !ok {
+			return err // nil when no replica is healthy
+		}
+		return nil
+	case opSyncEstimates:
+		// The snapshot is kept for revives. Shards ignore stale snapshots,
+		// so one accepting replica is enough; an unhealthy one may have
+		// missed a mutation and only Probe may return it to the rotation.
+		r.mu.Lock()
+		r.est = req.(*SyncEstimatesRequest)
+		r.mu.Unlock()
+		if ok, err := r.broadcast(ctx, o, req, true); !ok {
+			return r.unavailable(err)
+		}
+		return nil
+	case opAddAd, opRemoveAd:
+		return r.lockstep(ctx, o, req, reply)
+	default:
+		return r.runOp(ctx, o, req, reply)
+	}
 }
 
-// Pilot implements Client. Pilots are stateless and deterministic — any
-// replica answers identically (sampling accounting aside), growing its own
-// sample lazily as needed.
-func (r *ReplicaSet) Pilot(ctx context.Context, req PilotRequest) (PilotReply, error) {
-	var out PilotReply
-	err := r.sweep(ctx, func(_ int, cl Client) error {
-		var err error
-		out, err = cl.Pilot(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Ensure implements Client. Warm-up is best spread to every healthy
-// replica — a failover target that presampled serves its first run
-// without a cold sampling burst — but only the canonical (first
-// answering) reply's accounting is reported. Once that reply is in hand
-// another replica's failure is that replica's own, and the unhealthy ones
-// (a replica that missed a mutation answers ErrStaleEpoch until Probe
-// revives it) are asked only when no healthy replica answered.
-func (r *ReplicaSet) Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error) {
-	var out EnsureReply
-	got := false
+// ensure presamples on every healthy replica — a failover target that
+// presampled serves its first run without a cold sampling burst — and
+// reports the first reply. A terminal failure before it ends the op (the
+// request is the problem, not the replica). The unhealthy replicas (one that
+// missed a mutation answers ErrStaleEpoch until Probe revives it) are asked
+// only when no healthy replica answered.
+func (r *ReplicaSet) ensure(ctx context.Context, req, reply any) error {
+	answered := false
 	var lastErr error
 	order, healthy := r.candidates()
 	for n, i := range order {
-		if got && n >= healthy {
+		if answered && n >= healthy {
 			break
 		}
-		reply, err := r.replicas[i].Ensure(ctx, req)
-		if err != nil {
-			if !got && Classify(err) == ClassTerminal {
-				return EnsureReply{}, err
-			}
-			r.markFailure(i, err)
-			lastErr = err
-			continue
+		out := reply
+		if answered {
+			out = nil
 		}
-		r.markSuccess(i)
-		if !got {
-			out, got = reply, true
-		}
-	}
-	if !got {
-		return EnsureReply{}, r.unavailable(lastErr)
-	}
-	return out, nil
-}
-
-// Start implements Client: it opens the run on one replica (the run's
-// owner) and logs the request for failover replays.
-func (r *ReplicaSet) Start(ctx context.Context, req StartRequest) (StartReply, error) {
-	run := &replicaRun{start: req}
-	var out StartReply
-	err := r.sweep(ctx, func(i int, cl Client) error {
-		reply, err := cl.Start(ctx, req)
-		if err != nil {
+		err := call(ctx, r.replicas[i], opEnsure, req, out)
+		if err != nil && !answered && Classify(err) == ClassTerminal {
 			return err
 		}
-		out = reply
-		run.owner = i
-		return nil
-	})
-	if err != nil {
-		return StartReply{}, err
+		r.mark(i, err)
+		lastErr = err // the last failure whenever none answered
+		answered = answered || err == nil
 	}
-	r.mu.Lock()
-	r.runs[req.RunID] = run
-	r.mu.Unlock()
-	return out, nil
+	if !answered {
+		return r.unavailable(lastErr)
+	}
+	return nil
 }
 
-// adopt rebuilds a run on cl — End (clear any stale state), Start from the
-// logged request, replay the logged ops in order. The deterministic stream
-// makes the rebuilt state byte-identical to the lost one, and the sequence
-// guard makes any op the replica had already applied a cached no-op.
-func adopt(ctx context.Context, cl Client, start StartRequest, ops []repOp) error {
-	cl.End(ctx, start.RunID)
-	if _, err := cl.Start(ctx, start); err != nil {
-		return err
+// broadcast sends one reply-less op to every replica healthy at the call and
+// reports whether any accepted it and, when none did, the last failure. book
+// marks each replica's health by its outcome.
+func (r *ReplicaSet) broadcast(ctx context.Context, o op, req any, book bool) (ok bool, lastErr error) {
+	order, healthy := r.candidates()
+	for _, i := range order[:healthy] {
+		err := call(ctx, r.replicas[i], o, req, nil)
+		if book {
+			r.mark(i, err)
+		}
+		ok, lastErr = ok || err == nil, err
 	}
-	for _, o := range ops {
-		if err := o.replay(ctx, cl); err != nil {
+	return ok, lastErr
+}
+
+// runOf returns the run id a run op's request names.
+func runOf(req any) string {
+	switch req := req.(type) {
+	case *StartRequest:
+		return req.RunID
+	case *CommitRequest:
+		return req.RunID
+	case *CreditRequest:
+		return req.RunID
+	case *GrowRequest:
+		return req.RunID
+	default:
+		return req.(*GainsRequest).RunID
+	}
+}
+
+// adopt rebuilds a run on cl — End (clear any stale state), then the logged
+// ops in order, Start first, their replies discarded. The deterministic
+// stream makes the rebuilt state byte-identical to the lost one, and the
+// sequence guard makes any op the replica had already applied a cached
+// no-op.
+func adopt(ctx context.Context, cl Client, runID string, log []loggedOp) error {
+	cl.End(ctx, runID)
+	for _, l := range log {
+		if err := call(ctx, cl, l.op, l.req, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runOp is the failover routine of every op that needs a run's state. A
-// sequenced op (logged non-nil) joins the run's log first. do then runs on
-// the owner; if that fails, each candidate in routing order adopts the run
-// — everything logged before this op — and runs do itself, and the first
-// to succeed becomes the owner.
-func (r *ReplicaSet) runOp(ctx context.Context, runID string, logged *repOp, do func(cl Client) error) error {
+// runOp is the failover routine of every op on a run's state. Start opens
+// the run on the first replica that answers — the run's owner — and begins
+// its log. Any other op runs on the owner, a sequenced one (commit, credit,
+// grow, under the sequence number its caller gave it) joining the log
+// first; gains is read-only and is not logged. If the owner fails, each
+// candidate in routing order adopts the run — everything logged before this
+// op — and runs the op itself, and the first to succeed becomes the owner.
+func (r *ReplicaSet) runOp(ctx context.Context, o op, req, reply any) error {
+	do := func(cl Client) error { return call(ctx, cl, o, req, reply) }
+	runID := runOf(req)
+	if o == opStart {
+		run := &replicaRun{log: []loggedOp{{o, req}}}
+		err := r.sweep(ctx, func(i int, cl Client) error {
+			run.owner = i
+			return do(cl)
+		})
+		if err != nil {
+			return err
+		}
+		r.mu.Lock()
+		r.runs[runID] = run
+		r.mu.Unlock()
+		return nil
+	}
 	r.mu.Lock()
 	run, ok := r.runs[runID]
 	r.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRun, runID)
 	}
-	prior := run.ops
-	if logged != nil {
-		run.ops = append(run.ops, *logged)
+	prior := run.log
+	if o != opGains {
+		run.log = append(run.log, loggedOp{o, req})
 	}
 	owner := run.owner
 	err := do(r.replicas[owner])
 	if err == nil {
-		r.markSuccess(owner)
+		r.mark(owner, nil)
 		return nil
 	}
 	if Classify(err) == ClassTerminal {
@@ -429,7 +446,7 @@ func (r *ReplicaSet) runOp(ctx context.Context, runID string, logged *repOp, do 
 		// the replica is suspect. Failover-class errors (unknown run, bad
 		// seq) leave health alone — the replica is up, just out of sync,
 		// and adoption below may land right back on it.
-		r.markFailure(owner, err)
+		r.mark(owner, err)
 	}
 	lastErr := err
 	order, _ := r.candidates()
@@ -437,12 +454,12 @@ func (r *ReplicaSet) runOp(ctx context.Context, runID string, logged *repOp, do 
 		if i == owner && ownerRetryable {
 			continue
 		}
-		err := adopt(ctx, r.replicas[i], run.start, prior)
+		err := adopt(ctx, r.replicas[i], runID, prior)
 		if err == nil {
 			err = do(r.replicas[i])
 		}
 		if err == nil {
-			r.markSuccess(i)
+			r.mark(i, nil)
 			if i != owner {
 				r.notifyFailover(ctx, owner, i)
 				run.owner = i
@@ -452,162 +469,47 @@ func (r *ReplicaSet) runOp(ctx context.Context, runID string, logged *repOp, do 
 		if Classify(err) == ClassTerminal {
 			return err
 		}
-		r.markFailure(i, err)
+		r.mark(i, err)
 		lastErr = err
 	}
 	return r.unavailable(lastErr)
 }
 
-// Commit implements Client: the op is logged under the sequence number the
-// caller gave it and executed with failover.
-func (r *ReplicaSet) Commit(ctx context.Context, req CommitRequest) (CommitReply, error) {
-	var out CommitReply
-	err := r.runOp(ctx, req.RunID, &repOp{kind: opCommit, commit: req}, func(cl Client) (err error) {
-		out, err = cl.Commit(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Credit implements Client.
-func (r *ReplicaSet) Credit(ctx context.Context, req CreditRequest) (CommitReply, error) {
-	var out CommitReply
-	err := r.runOp(ctx, req.RunID, &repOp{kind: opCredit, credit: req}, func(cl Client) (err error) {
-		out, err = cl.Credit(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Grow implements Client.
-func (r *ReplicaSet) Grow(ctx context.Context, req GrowRequest) (GrowReply, error) {
-	var out GrowReply
-	err := r.runOp(ctx, req.RunID, &repOp{kind: opGrow, grow: req}, func(cl Client) (err error) {
-		out, err = cl.Grow(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// Gains implements Client: read-only, so nothing is logged.
-func (r *ReplicaSet) Gains(ctx context.Context, req GainsRequest) (GainsReply, error) {
-	var out GainsReply
-	err := r.runOp(ctx, req.RunID, nil, func(cl Client) (err error) {
-		out, err = cl.Gains(ctx, req)
-		return err
-	})
-	return out, err
-}
-
-// End implements Client: the op log is dropped and the run closed on every
-// healthy replica (a dead replica's copy is reaped by the shard's own run
-// TTL — waiting out its timeouts here would stall the caller).
-func (r *ReplicaSet) End(ctx context.Context, runID string) error {
-	r.mu.Lock()
-	delete(r.runs, runID)
-	healthy := append([]bool(nil), r.healthy...)
-	r.mu.Unlock()
-	var lastErr error
-	ok := false
-	for i, cl := range r.replicas {
-		if !healthy[i] {
-			continue
-		}
-		if err := cl.End(ctx, runID); err != nil {
-			lastErr = err
-		} else {
-			ok = true
-		}
-	}
-	if ok || lastErr == nil {
-		return nil
-	}
-	return lastErr
-}
-
-// broadcastMutation applies one campaign mutation to every healthy replica
-// in lockstep and logs it for revives. Replicas that fail (or disagree
-// with the first successful reply) are marked unhealthy and walked forward
-// by Probe; the mutation fails only when no replica accepted it.
-func (r *ReplicaSet) broadcastMutation(ctx context.Context, mut replicaMutation, call func(cl Client) (MutateReply, error)) (MutateReply, error) {
+// lockstep applies one campaign mutation to every healthy replica and logs
+// it for revives. Replicas that fail (or disagree with the first successful
+// reply) are marked unhealthy and walked forward by Probe; the mutation
+// fails only when no replica accepted it.
+func (r *ReplicaSet) lockstep(ctx context.Context, o op, req, reply any) error {
 	r.mutMu.Lock()
 	defer r.mutMu.Unlock()
-	var reply MutateReply
+	var first MutateReply
 	applied := false
 	var lastErr error
 	order, _ := r.candidates()
 	for _, i := range order {
-		rep, err := call(r.replicas[i])
-		if err != nil {
-			r.markFailure(i, err)
+		var rep MutateReply
+		if err := call(ctx, r.replicas[i], o, req, &rep); err != nil {
+			r.mark(i, err)
 			lastErr = err
 			continue
 		}
-		if !applied {
-			reply, applied = rep, true
-			r.markSuccess(i)
+		if applied && rep != first {
+			r.mark(i, fmt.Errorf("mutation reply %+v diverges from %+v", rep, first))
 			continue
 		}
-		if rep != reply {
-			r.markFailure(i, fmt.Errorf("mutation reply %+v diverges from %+v", rep, reply))
-			continue
-		}
-		r.markSuccess(i)
+		first, applied = rep, true
+		r.mark(i, nil)
 	}
 	if !applied {
 		if lastErr != nil && Classify(lastErr) == ClassTerminal {
-			return MutateReply{}, lastErr
+			return lastErr
 		}
-		return MutateReply{}, r.unavailable(lastErr)
+		return r.unavailable(lastErr)
 	}
-	mut.epoch = reply.Epoch
 	r.mu.Lock()
-	r.muts = append(r.muts, mut)
+	r.muts = append(r.muts, replicaMutation{loggedOp{o, req}, first.Epoch})
 	r.mu.Unlock()
-	return reply, nil
-}
-
-// AddAd implements Client.
-func (r *ReplicaSet) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error) {
-	return r.broadcastMutation(ctx, replicaMutation{add: &req}, func(cl Client) (MutateReply, error) {
-		return cl.AddAd(ctx, req)
-	})
-}
-
-// RemoveAd implements Client.
-func (r *ReplicaSet) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
-	return r.broadcastMutation(ctx, replicaMutation{remove: &req}, func(cl Client) (MutateReply, error) {
-		return cl.RemoveAd(ctx, req)
-	})
-}
-
-// SyncEstimates implements Client: the snapshot broadcasts to every
-// healthy replica and is kept for revives. Sync succeeds if any replica
-// accepted — the estimator is monotone (shards ignore stale Events), so a
-// replica that missed a snapshot heals on the next broadcast or revive.
-func (r *ReplicaSet) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
-	r.mu.Lock()
-	r.est = &req
-	healthy := append([]bool(nil), r.healthy...)
-	r.mu.Unlock()
-	var lastErr error
-	ok := false
-	for i, cl := range r.replicas {
-		if !healthy[i] {
-			continue
-		}
-		if err := cl.SyncEstimates(ctx, req); err != nil {
-			r.markFailure(i, err)
-			lastErr = err
-		} else {
-			r.markSuccess(i)
-			ok = true
-		}
-	}
-	if ok {
-		return nil
-	}
-	return r.unavailable(lastErr)
+	return put(reply, first, nil)
 }
 
 // ReplicaStatus is one replica's health line, as reported by Probe.
@@ -655,9 +557,9 @@ func (r *ReplicaSet) Probe(ctx context.Context) []ReplicaStatus {
 	for i := range r.replicas {
 		switch {
 		case infos[i] == nil:
-			r.markFailure(i, out[i].Err)
+			r.mark(i, out[i].Err)
 		case healthy[i]:
-			r.markSuccess(i)
+			r.mark(i, nil)
 		case ref == nil:
 			// No healthy reference to validate against; leave as is.
 		default:
@@ -693,14 +595,7 @@ func (r *ReplicaSet) revive(ctx context.Context, i int, got, ref ShardInfo) erro
 			if mut.epoch <= got.Epoch {
 				continue
 			}
-			var err error
-			switch {
-			case mut.add != nil:
-				_, err = cl.AddAd(ctx, *mut.add)
-			case mut.remove != nil:
-				_, err = cl.RemoveAd(ctx, *mut.remove)
-			}
-			if err != nil {
+			if err := call(ctx, cl, mut.op, mut.req, nil); err != nil {
 				return fmt.Errorf("shard: replaying mutation to epoch %d on replica %d: %w", mut.epoch, i, err)
 			}
 		}
@@ -720,12 +615,9 @@ func (r *ReplicaSet) revive(ctx context.Context, i int, got, ref ShardInfo) erro
 			return fmt.Errorf("shard: re-syncing estimator on replica %d: %w", i, err)
 		}
 	}
-	r.markSuccess(i)
+	r.mark(i, nil)
 	if r.logf != nil {
 		r.logf("shard: range %d replica %d revived at epoch %d", r.slot, i, got.Epoch)
 	}
 	return nil
 }
-
-// Interface compliance.
-var _ Client = (*ReplicaSet)(nil)

@@ -401,6 +401,93 @@ func TestPartitionUnavailable(t *testing.T) {
 	}
 }
 
+// TestReplicaSyncEstimatesSkipsStaleReplica pins that an estimator snapshot
+// goes to healthy replicas only. Replica 1 misses a mutation, so it sits
+// unhealthy at the older epoch; when replica 0 then fails the sync, the sync
+// reports the range unavailable rather than land on replica 1 — a success
+// there would return it to the rotation without the mutation replayed.
+func TestReplicaSyncEstimatesSkipsStaleReplica(t *testing.T) {
+	ctx := context.Background()
+	var faults [2]*FaultClient
+	_, sets, _, err := NewReplicaCluster(testInstance(), 6, 7, 1, 2, Config{}, func(_, rep int, cl Client) Client {
+		rules := []FaultRule{{Op: "syncEstimates", Kind: FaultError}}
+		if rep == 1 {
+			rules = []FaultRule{
+				{Op: "addAd", Count: 1, Kind: FaultError},
+				{Op: "syncEstimates", Kind: FaultDelay}, // counts calls, passes them through
+			}
+		}
+		faults[rep] = NewFaultClient(cl, uint64(rep+1), rules...)
+		return faults[rep]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := sets[0]
+	info, err := rs.Info(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.AddAd(ctx, AddAdRequest{Epoch: info.Epoch, Base: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if rs.HealthyCount() != 1 {
+		t.Fatalf("healthy = %d after the missed mutation, want 1", rs.HealthyCount())
+	}
+	err = rs.SyncEstimates(ctx, SyncEstimatesRequest{State: snapshotAt(t, 3)})
+	if !errors.Is(err, ErrPartitionUnavailable) {
+		t.Fatalf("err = %v, want ErrPartitionUnavailable", err)
+	}
+	if n := faults[1].Fired()[1]; n != 0 {
+		t.Fatalf("stale replica received the sync %d times, want 0", n)
+	}
+	if rs.HealthyCount() != 0 {
+		t.Fatalf("healthy = %d, want 0: the stale replica must stay out of the rotation", rs.HealthyCount())
+	}
+}
+
+// TestReplicaEndHealthyOnly pins End's contract: it reaches every healthy
+// replica past a failing one, books no health, returns nil once any replica
+// closed the run — or when no replica is healthy — and the last failure when
+// every healthy replica failed.
+func TestReplicaEndHealthyOnly(t *testing.T) {
+	ctx := context.Background()
+	var faults [2]*FaultClient
+	_, sets, _, err := NewReplicaCluster(testInstance(), 0, 7, 1, 2, Config{}, func(_, rep int, cl Client) Client {
+		kind := FaultError
+		if rep == 1 {
+			kind = FaultDelay // counts calls, passes them through
+		}
+		faults[rep] = NewFaultClient(cl, uint64(rep+1), FaultRule{Op: "end", Kind: kind})
+		return faults[rep]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := sets[0]
+	if err := rs.End(ctx, "run"); err != nil {
+		t.Fatalf("End with one healthy replica closing the run: %v", err)
+	}
+	if f0, f1 := faults[0].Fired()[0], faults[1].Fired()[0]; f0 != 1 || f1 != 1 {
+		t.Fatalf("end reached replicas %d and %d times, want 1 and 1", f0, f1)
+	}
+	if rs.HealthyCount() != 2 {
+		t.Fatalf("healthy = %d after a failed End, want 2 (End books no health)", rs.HealthyCount())
+	}
+
+	rs.mark(1, ErrInjected)
+	if err := rs.End(ctx, "run"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("End with its one healthy replica failing: err = %v, want ErrInjected", err)
+	}
+	rs.mark(0, ErrInjected)
+	if err := rs.End(ctx, "run"); err != nil {
+		t.Fatalf("End with no healthy replica: %v, want nil", err)
+	}
+	if f0, f1 := faults[0].Fired()[0], faults[1].Fired()[0]; f0 != 2 || f1 != 1 {
+		t.Fatalf("end reached replicas %d and %d times, want 2 and 1: unhealthy replicas are never asked", f0, f1)
+	}
+}
+
 // TestReplicaSetRejectsDivergentReplica pins registration validation: two
 // shards of the same range built from different seeds are different
 // deterministic universes and must be refused at construction.

@@ -143,7 +143,7 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 func NewRetryClient(cl Client, p RetryPolicy, m *Metrics) Client {
 	p = p.WithDefaults()
 	c := &retryClient{p: p, m: m, rng: xrand.New(p.Seed)}
-	c.intercepted = intercepted{next: cl, around: c.do}
+	c.wrap(cl, c.do)
 	return c
 }
 
@@ -176,19 +176,19 @@ func (c *retryClient) backoff(attempt int) time.Duration {
 // loop — retries land on it as "retry.<reason>" events (and flag the trace
 // for tail-retention), so a retry storm is visible inside the very trace it
 // slowed down.
-func (c *retryClient) do(ctx context.Context, o op, call rpcCall) error {
+func (c *retryClient) do(ctx context.Context, rc rpcCall) error {
 	timeout := c.p.Timeout
-	if opTable[o].sampling {
+	if opTable[rc.op].sampling {
 		timeout = c.p.SamplingTimeout
 	}
-	ctx, span := obs.StartSpan(ctx, "rpc."+o.String())
+	ctx, span := obs.StartSpan(ctx, "rpc."+rc.op.String())
 	if span != nil && c.p.Label != "" {
 		span.SetStr("replica", c.p.Label)
 	}
 	var err error
 	for attempt := 1; ; attempt++ {
 		actx, cancel := context.WithTimeout(ctx, timeout)
-		err = call.invoke(actx)
+		err = rc.invoke(actx)
 		cancel()
 		if err == nil {
 			span.End()
@@ -206,7 +206,7 @@ func (c *retryClient) do(ctx context.Context, o op, call rpcCall) error {
 		}
 		reason := retryReason(err)
 		if c.m != nil {
-			c.m.retries.With(o.String(), reason).Inc()
+			c.m.retries.With(rc.op.String(), reason).Inc()
 		}
 		span.Event("retry."+reason, obs.Int("attempt", int64(attempt)))
 		span.Retain(obs.RetainRetry)
