@@ -38,11 +38,14 @@ type InstrumentOptions struct {
 	// Logf receives one structured key=value line per request; nil
 	// disables request logging (metrics and trace propagation still run).
 	Logf func(format string, args ...any)
-	// Endpoint maps a request onto its metric label. It must return a
-	// bounded set of values — label cardinality is forever. Nil uses the
-	// first path segment ("/ads/banner-3" → "ads"), which is bounded for
-	// mux-routed APIs.
-	Endpoint func(r *http.Request) string
+	// Endpoint maps a request's route onto its metric label and span name.
+	// The route is the pattern that serves the request when the wrapped
+	// handler is an *http.ServeMux — a request the mux does not route is
+	// labelled "unmatched" without asking — and the request path otherwise.
+	// It must return a bounded set of values over the mux's patterns: label
+	// cardinality is forever. Nil uses the first path segment ("/ads/" →
+	// "ads").
+	Endpoint func(route string) string
 	// Tracer, when set, opens one server span ("http.<endpoint>") per
 	// request, adopting the remote parent declared by X-Span-Id /
 	// X-Trace-Flags; nil keeps the flat trace-id behaviour.
@@ -57,6 +60,13 @@ func Instrument(next http.Handler, m *HTTPMetrics, o InstrumentOptions) http.Han
 	if endpoint == nil {
 		endpoint = DefaultEndpoint
 	}
+	route := func(r *http.Request) string { return r.URL.Path }
+	if mux, ok := next.(*http.ServeMux); ok {
+		route = func(r *http.Request) string {
+			_, pattern := mux.Handler(r)
+			return pattern
+		}
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		trace := r.Header.Get(TraceHeader)
@@ -65,7 +75,10 @@ func Instrument(next http.Handler, m *HTTPMetrics, o InstrumentOptions) http.Han
 		}
 		w.Header().Set(TraceHeader, trace)
 		ctx := WithTrace(r.Context(), trace)
-		ep := endpoint(r)
+		ep := "unmatched"
+		if rt := route(r); rt != "" {
+			ep = endpoint(rt)
+		}
 		var span *Span
 		if o.Tracer != nil {
 			if sc, ok := ExtractSpanContext(r.Header); ok {
@@ -95,10 +108,10 @@ func Instrument(next http.Handler, m *HTTPMetrics, o InstrumentOptions) http.Han
 	})
 }
 
-// DefaultEndpoint is Instrument's default label mapping: the first path
-// segment, or "root" for "/".
-func DefaultEndpoint(r *http.Request) string {
-	p := strings.TrimPrefix(r.URL.Path, "/")
+// DefaultEndpoint is Instrument's default label mapping: the route's first
+// path segment, or "root" for "/".
+func DefaultEndpoint(route string) string {
+	p := strings.TrimPrefix(route, "/")
 	if i := strings.IndexByte(p, '/'); i >= 0 {
 		p = p[:i]
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -271,6 +272,29 @@ func TestShardedTracePropagation(t *testing.T) {
 			}
 		}
 	}
+
+	// The lifecycle fan-outs — ensure from POST /ads, end after every run,
+	// syncEstimates from /feedback — reach the shards but are not rounds.
+	add := AddAdRequest{InstanceParams: params, Ad: NewAdSpec{Name: "promo", Budget: 4, CPE: 1, CTP: 0.5}}
+	if code := postJSON(t, c.front.URL+"/ads", add, nil); code != http.StatusOK {
+		t.Fatalf("add ad: %d", code)
+	}
+	feedback := FeedbackRequest{InstanceParams: params, Events: feedbackEvents([]string{"a", "b", "c", "d"})}
+	if code := postJSON(t, c.front.URL+"/feedback", feedback, nil); code != http.StatusOK {
+		t.Fatalf("feedback: %d", code)
+	}
+	body = scrapeMetrics(t, c.front.URL)
+	for _, op := range []string{"ensure", "end", "syncEstimates"} {
+		if !strings.Contains(body, `adserver_shard_rpcs_total{op="`+op+`",shard="0",outcome="ok"}`) {
+			t.Errorf("coordinator sent no %s", op)
+		}
+	}
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, `adserver_coordinator_round_seconds_count{phase="`)
+		if phase, _, _ := strings.Cut(rest, `"`); ok && !slices.Contains(roundPhases, phase) {
+			t.Errorf("round phase %q: only the run ops %v are rounds", phase, roundPhases)
+		}
+	}
 }
 
 // TestShardedHealthzDegraded kills one daemon of a live cluster and checks
@@ -303,5 +327,60 @@ func TestShardedHealthzDegraded(t *testing.T) {
 	}
 	if len(health.Shards) != 2 || health.Shards[0].Reachable == false || health.Shards[1].Reachable {
 		t.Fatalf("shard health = %+v, want slot 1 unreachable only", health.Shards)
+	}
+}
+
+// TestUnroutedPathsShareOneLabel: a request neither daemon's mux routes is
+// metered and traced under endpoint="unmatched", so a scan of 100 made-up
+// paths adds at most one child to each HTTP metric family — not one per
+// path — on the coordinator and on a shard alike.
+func TestUnroutedPathsShareOneLabel(t *testing.T) {
+	params := InstanceParams{Dataset: "fig1", Seed: 1, Scale: 1}
+	c := newTracedCluster(t, params, 1)
+	daemons := []struct {
+		url, prefix string
+		send        func(i int) (*http.Response, error)
+	}{
+		{c.front.URL, "adserver", func(i int) (*http.Response, error) {
+			return http.Get(fmt.Sprintf("%s/nope%d/x", c.front.URL, i))
+		}},
+		{c.shards[0].URL, "adshard", func(i int) (*http.Response, error) {
+			return http.Post(fmt.Sprintf("%s/shard/x%d", c.shards[0].URL, i), "application/json", strings.NewReader("{}"))
+		}},
+	}
+	children := func(url, prefix string) map[string]int {
+		body := scrapeMetrics(t, url)
+		out := map[string]int{}
+		for _, family := range []string{prefix + "_http_requests_total{", prefix + "_http_request_seconds_count{"} {
+			for _, line := range strings.Split(body, "\n") {
+				if strings.HasPrefix(line, family) {
+					out[family]++
+				}
+			}
+		}
+		return out
+	}
+	for _, d := range daemons {
+		children(d.url, d.prefix) // the scrapes' own endpoint="metrics" children
+		before := children(d.url, d.prefix)
+		for i := 0; i < 100; i++ {
+			resp, err := d.send(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s: unrouted path answered %d, want 404", d.prefix, resp.StatusCode)
+			}
+		}
+		after := children(d.url, d.prefix)
+		for family, n := range after {
+			if n > before[family]+1 {
+				t.Errorf("%s: 100 unrouted paths grew %s… from %d to %d children", d.prefix, family, before[family], n)
+			}
+		}
+		if !strings.Contains(scrapeMetrics(t, d.url), d.prefix+`_http_requests_total{endpoint="unmatched",code="404"} 100`) {
+			t.Errorf("%s: the 100 unrouted requests are not counted under endpoint=\"unmatched\"", d.prefix)
+		}
 	}
 }

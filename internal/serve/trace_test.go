@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,11 +18,20 @@ import (
 // retained and retrievable by id.
 func tracedAllocate(t *testing.T, frontURL, traceID string, req AllocateRequest) AllocateResponse {
 	t.Helper()
-	raw, err := json.Marshal(req)
+	var out AllocateResponse
+	tracedPost(t, frontURL+"/allocate", traceID, req, &out)
+	return out
+}
+
+// tracedPost POSTs in as JSON under a force-sampled trace id and decodes
+// the 200 reply into out.
+func tracedPost(t *testing.T, url, traceID string, in, out any) {
+	t.Helper()
+	raw, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpReq, err := http.NewRequest(http.MethodPost, frontURL+"/allocate", bytes.NewReader(raw))
+	httpReq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +45,11 @@ func tracedAllocate(t *testing.T, frontURL, traceID string, req AllocateRequest)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("traced allocate: %d\n%s", resp.StatusCode, body)
+		t.Fatalf("traced POST %s: %d\n%s", url, resp.StatusCode, body)
 	}
-	var out AllocateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatal(err)
 	}
-	return out
 }
 
 // fetchTrace GETs /debug/traces/{id} and decodes the span tree.
@@ -158,6 +166,11 @@ func TestAllocateTraceExplain(t *testing.T) {
 	}
 }
 
+// roundPhases are the run ops, the only fan-outs the coordinator times as
+// rounds: the round.* span names and the phase labels of
+// adserver_coordinator_round_seconds.
+var roundPhases = []string{"pilot", "start", "commit", "credit", "grow", "gains"}
+
 // TestShardedTraceTree runs a force-sampled allocation through a real
 // 2-shard HTTP cluster and asserts the distributed span tree the tentpole
 // promises: one trace linking the server span → alloc → coordinator
@@ -184,8 +197,11 @@ func TestShardedTraceTree(t *testing.T) {
 	}
 	rounds, rpcs := 0, 0
 	for _, s := range td.Spans {
-		if strings.HasPrefix(s.Name, "round.") {
+		if phase, ok := strings.CutPrefix(s.Name, "round."); ok {
 			rounds++
+			if !slices.Contains(roundPhases, phase) {
+				t.Fatalf("span %s: only the run ops %v are rounds", s.Name, roundPhases)
+			}
 			parent, ok := byID[s.Parent]
 			if !ok || parent.Name != "alloc" {
 				t.Fatalf("round span %s parented under %q, want alloc", s.Name, parent.Name)
@@ -215,6 +231,20 @@ func TestShardedTraceTree(t *testing.T) {
 		}
 		if std.Spans[0].Parent == "" {
 			t.Fatalf("shard %d server span has no remote parent", i)
+		}
+	}
+
+	// A traced POST /ads warms the new ad: its pilot is a round, the ensure
+	// fan-out after it is not.
+	add := AddAdRequest{InstanceParams: params, Ad: NewAdSpec{Name: "promo", Budget: 4, CPE: 1, CTP: 0.5}}
+	tracedPost(t, c.front.URL+"/ads", "sharded-add", add, new(LifecycleResponse))
+	names = spanNames(fetchTrace(t, c.front.URL, "sharded-add"))
+	if names["rpc.ensure"] == 0 {
+		t.Fatalf("traced add sent no ensure: %v", names)
+	}
+	for name := range names {
+		if phase, ok := strings.CutPrefix(name, "round."); ok && !slices.Contains(roundPhases, phase) {
+			t.Errorf("span %s: only the run ops %v are rounds", name, roundPhases)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 // The cluster backend: core's greedy loop run over coverage that lives on
 // K shards. Each active ad is one counter-mode rrset.Collection holding the
 // shard-summed residual coverage; every core.Coverage operation that
-// changes or extends it is one scatter-gather round whose integer replies
-// are folded in shard order. The loop, and every float, stays in core —
-// what lives here is only what distribution adds: the run id and its
-// lifetime on the shards, round spans and timings, drift checks on what
-// the shards report, and the Verify-mode cross-check.
+// changes or extends it is one gather round (coordinator.go) whose integer
+// replies are folded in shard order. The loop, and every float, stays in
+// core — what lives here is only what distribution adds: the run id and its
+// lifetime on the shards, drift checks on what the shards report, and the
+// Verify-mode cross-check.
 
 package shard
 
@@ -30,6 +30,8 @@ type clusterBackend struct {
 	// them one at a time, so here is where their order is known.
 	seq int64
 	ads []clusterAd
+	// covers holds one commit or credit round's replies, one per shard.
+	covers []CommitReply
 }
 
 // clusterAd is one ad's core.Coverage over the cluster.
@@ -42,10 +44,10 @@ type clusterAd struct {
 	scores []float64
 }
 
-// end closes the run on every shard, if one was ever opened.
+// end closes the run on every shard, best-effort, if one was ever opened.
 func (b *clusterBackend) end() {
 	if b.opened {
-		b.c.endRun(b.runID)
+		gather[struct{}](context.Background(), b.c, opEnd, &endRequest{RunID: b.runID}, nil)
 	}
 }
 
@@ -63,18 +65,12 @@ func (b *clusterBackend) Open(ctx context.Context, ads, thetas []int, out []core
 	b.opened = true
 	// A ReplicaSet keeps the request for failover replays, so it must not
 	// alias the loop's scratch.
-	req := StartRequest{RunID: b.runID, Epoch: b.epoch, Ads: slices.Clone(ads), Thetas: slices.Clone(thetas)}
-	rctx, round := c.roundStart(ctx, "start")
-	err = c.scatter(func(k int, cl Client) error {
-		var err error
-		starts[k], err = cl.Start(rctx, req)
-		return err
-	})
-	c.roundDone("start", round)
-	if err != nil {
+	req := &StartRequest{RunID: b.runID, Epoch: b.epoch, Ads: slices.Clone(ads), Thetas: slices.Clone(thetas)}
+	if err := gather(ctx, c, opStart, req, starts); err != nil {
 		return 0, kernels, wrapEpochErr(err)
 	}
 	b.ads = make([]clusterAd, len(ads))
+	b.covers = make([]CommitReply, len(c.clients))
 	for i, j := range ads {
 		a := &b.ads[i]
 		a.b, a.j, a.col = b, j, rrset.NewCounterCollection(b.n)
@@ -120,14 +116,8 @@ func (a *clusterAd) TopNodes(ctx context.Context, k int, eligible func(int32) bo
 
 // Commit implements core.Coverage with one commit round.
 func (a *clusterAd) Commit(ctx context.Context, u int32, delta float64) (float64, error) {
-	c := a.b.c
 	a.b.seq++
-	req := CommitRequest{RunID: a.b.runID, Ad: a.j, Node: u, Seq: a.b.seq}
-	rctx, round := c.roundStart(ctx, "commit")
-	covered, err := c.scatterCover(a.col, func(cl Client) (CommitReply, error) {
-		return cl.Commit(rctx, req)
-	})
-	c.roundDone("commit", round)
+	covered, err := a.cover(ctx, opCommit, &CommitRequest{RunID: a.b.runID, Ad: a.j, Node: u, Seq: a.b.seq})
 	if err != nil {
 		return 0, err
 	}
@@ -140,25 +130,16 @@ func (a *clusterAd) Commit(ctx context.Context, u int32, delta float64) (float64
 
 // Grow implements core.Coverage with one grow round.
 func (a *clusterAd) Grow(ctx context.Context, from, to int) (fresh int64, err error) {
-	c := a.b.c
-	grows := make([]GrowReply, len(c.clients))
+	grows := make([]GrowReply, len(a.b.c.clients))
 	a.b.seq++
-	req := GrowRequest{RunID: a.b.runID, Ad: a.j, FromGlobal: from, ToGlobal: to, Seq: a.b.seq}
-	rctx, round := c.roundStart(ctx, "grow")
-	err = c.scatter(func(k int, cl Client) error {
-		var err error
-		grows[k], err = cl.Grow(rctx, req)
-		return err
-	})
-	c.roundDone("grow", round)
-	if err != nil {
+	if err := gather(ctx, a.b.c, opGrow, &GrowRequest{RunID: a.b.runID, Ad: a.j, FromGlobal: from, ToGlobal: to, Seq: a.b.seq}, grows); err != nil {
 		return 0, err
 	}
 	grown := 0
-	for k := range c.clients {
-		a.col.AddCounts(grows[k].Added.Nodes, grows[k].Added.Counts, grows[k].LocalSets)
-		grown += grows[k].LocalSets
-		fresh += grows[k].Fresh
+	for _, g := range grows {
+		a.col.AddCounts(g.Added.Nodes, g.Added.Counts, g.LocalSets)
+		grown += g.LocalSets
+		fresh += g.Fresh
 	}
 	if grown != to-from {
 		return 0, fmt.Errorf("%w: ad %d growth appended %d sets for window %d", errDrift, a.j, grown, to-from)
@@ -168,18 +149,27 @@ func (a *clusterAd) Grow(ctx context.Context, from, to int) (fresh int64, err er
 
 // Credit implements core.Coverage with one credit round.
 func (a *clusterAd) Credit(ctx context.Context, seed int32, delta float64, boundary int) (float64, error) {
-	c := a.b.c
 	a.b.seq++
-	req := CreditRequest{RunID: a.b.runID, Ad: a.j, Node: seed, FromGlobal: boundary, Seq: a.b.seq}
-	rctx, round := c.roundStart(ctx, "credit")
-	covered, err := c.scatterCover(a.col, func(cl Client) (CommitReply, error) {
-		return cl.Credit(rctx, req)
-	})
-	c.roundDone("credit", round)
+	covered, err := a.cover(ctx, opCredit, &CreditRequest{RunID: a.b.runID, Ad: a.j, Node: seed, FromGlobal: boundary, Seq: a.b.seq})
 	if err != nil {
 		return 0, err
 	}
 	return delta * float64(covered), nil
+}
+
+// cover runs one commit or credit round, folds every shard's decrements
+// into the ad's counters in shard order, and returns the cluster-wide
+// covered count.
+func (a *clusterAd) cover(ctx context.Context, o op, req any) (int, error) {
+	if err := gather(ctx, a.b.c, o, req, a.b.covers); err != nil {
+		return 0, err
+	}
+	covered := 0
+	for _, r := range a.b.covers {
+		a.col.ApplyCover(r.Covered, r.Delta.Nodes, r.Delta.Counts)
+		covered += r.Covered
+	}
+	return covered, nil
 }
 
 // CoveredMass implements core.Coverage.
@@ -195,20 +185,12 @@ func (a *clusterAd) MemBytes() int64 { return a.col.MemBytes() }
 // gains and checks their sums against the aggregate counters — the
 // Verify-mode drift detector.
 func (a *clusterAd) verifyGains(ctx context.Context) error {
-	c := a.b.c
 	sums := make([]int32, len(a.nodes))
-	gains := make([]GainsReply, len(c.clients))
-	rctx, round := c.roundStart(ctx, "gains")
-	err := c.scatter(func(k int, cl Client) error {
-		var err error
-		gains[k], err = cl.Gains(rctx, GainsRequest{RunID: a.b.runID, Ad: a.j, Nodes: a.nodes})
-		return err
-	})
-	c.roundDone("gains", round)
-	if err != nil {
+	gains := make([]GainsReply, len(a.b.c.clients))
+	if err := gather(ctx, a.b.c, opGains, &GainsRequest{RunID: a.b.runID, Ad: a.j, Nodes: a.nodes}, gains); err != nil {
 		return err
 	}
-	for k := range c.clients {
+	for k := range gains {
 		if len(gains[k].Cov) != len(a.nodes) {
 			return fmt.Errorf("%w: shard %d scored %d of %d candidates", errDrift, k, len(gains[k].Cov), len(a.nodes))
 		}

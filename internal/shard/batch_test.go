@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -217,6 +219,100 @@ func TestShardedAllocateCancelledMidRun(t *testing.T) {
 	for i, s := range shards {
 		if open := s.Info().OpenRuns; open != 0 {
 			t.Errorf("shard %d holds %d open runs after the cancelled allocation", i, open)
+		}
+	}
+}
+
+// settleGoroutines waits for the goroutine count to come back to base (a
+// shard call's goroutine has signalled completion a few instructions before
+// it exits) and fails if it stays above it.
+func settleGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	for wait := 0; wait < 200 && runtime.NumGoroutine() > base; wait++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%s: %d goroutines afterwards, %d before", what, got, base)
+	}
+}
+
+// holdFirst delays cl's first op o by d, deaf to its context, as a shard
+// still working on an op its caller has given up on would be.
+func holdFirst(cl Client, o op, d time.Duration) Client {
+	var held atomic.Bool
+	c := new(intercepted)
+	c.wrap(cl, func(ctx context.Context, rc rpcCall) error {
+		if rc.op == o && held.CompareAndSwap(false, true) {
+			time.Sleep(d)
+		}
+		return rc.invoke(ctx)
+	})
+	return c
+}
+
+// TestGatherLeavesNoGoroutine: a fan-out returns only once every shard has
+// answered, so an allocation that completes, one whose commit fails on
+// shard 1 while shard 0's is still in flight, and one cancelled mid-run all
+// leave the goroutine count where it was. Shard 0's first commit is held
+// longer than settleGoroutines waits: a gather that returned on shard 1's
+// error would leave its goroutine behind.
+func TestGatherLeavesNoGoroutine(t *testing.T) {
+	inst, opts := testInstance(), testOpts()
+	req := core.Request{Opts: opts}
+	for _, k := range []int{2, 4} {
+		coord, _, err := NewLocalCluster(inst, 0, 42, k, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		failing, _, _, err := NewReplicaCluster(inst, 0, 42, k, 1, Config{}, func(slot, _ int, cl Client) Client {
+			switch slot {
+			case 0:
+				return holdFirst(cl, opCommit, time.Second)
+			case 1:
+				// Failing after a beat lets shard 0's commit get under way.
+				return NewFaultClient(cl, 1, FaultRule{Op: "commit", Kind: FaultTimeout, Delay: 100 * time.Millisecond})
+			}
+			return cl
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Coordinator{coord, failing} {
+			if err := c.Warm(context.Background(), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runs := []struct {
+			name string
+			run  func() error
+		}{
+			{"completed", func() error {
+				_, err := coord.Allocate(context.Background(), req)
+				return err
+			}},
+			{"commit failed on shard 1", func() error {
+				if _, err := failing.Allocate(context.Background(), req); !errors.Is(err, ErrPartitionUnavailable) {
+					return fmt.Errorf("err = %v, want ErrPartitionUnavailable", err)
+				}
+				return nil
+			}},
+			{"cancelled", func() error {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				_, err := coord.Allocate(ctx, core.Request{Opts: opts, Observer: &cancelAtCommit{n: 3, cancel: cancel}, Explain: true})
+				if !errors.Is(err, context.Canceled) {
+					return fmt.Errorf("err = %v, want context.Canceled", err)
+				}
+				return nil
+			}},
+		}
+		for _, r := range runs {
+			what := fmt.Sprintf("K=%d %s", k, r.name)
+			base := runtime.NumGoroutine()
+			if err := r.run(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			settleGoroutines(t, base, what)
 		}
 	}
 }

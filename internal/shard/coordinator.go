@@ -182,52 +182,76 @@ func (c *Coordinator) EpochInst() (uint64, *core.Instance) {
 	return c.epoch, c.inst
 }
 
-// Infos polls every shard's Info — the health probe behind the serve
-// layer's shard-aware /healthz and /stats.
-func (c *Coordinator) Infos(ctx context.Context) ([]ShardInfo, []error) {
-	infos := make([]ShardInfo, len(c.clients))
-	errs := make([]error, len(c.clients))
-	c.scatter(func(k int, cl Client) error {
-		infos[k], errs[k] = cl.Info(ctx)
-		return nil
-	})
-	return infos, errs
-}
-
 // SetsSampled sums the shards' lifetime sample counts (the distributed
 // equivalent of Index.SetsSampled).
 func (c *Coordinator) SetsSampled(ctx context.Context) (int64, error) {
-	infos, errs := c.Infos(ctx)
+	infos := make([]ShardInfo, len(c.clients))
+	if err := gather(ctx, c, opInfo, nil, infos); err != nil {
+		return 0, fmt.Errorf("shard: shard unreachable: %w", err)
+	}
 	var total int64
-	for k, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("shard: shard %d unreachable: %w", k, err)
-		}
-		total += infos[k].SetsSampled
+	for _, info := range infos {
+		total += info.SetsSampled
 	}
 	return total, nil
 }
 
-// scatter runs fn against every shard concurrently — the last shard's call
-// on the caller's own goroutine, so a round spawns K−1, none at K = 1 — and
-// returns the first error in shard order. Replies land in caller-owned
-// per-shard slots; callers apply them sequentially in shard order, which
-// keeps every aggregate's evolution canonical.
-func (c *Coordinator) scatter(fn func(k int, cl Client) error) error {
-	last := len(c.clients) - 1
+// roundSpans holds each op's "round.<name>" span name, built once.
+var roundSpans = func() (names [numOps]string) {
+	for o, row := range opTable {
+		names[o] = "round." + row.name
+	}
+	return names
+}()
+
+// gather sends op o with req to every shard through call and leaves shard
+// k's reply in replies[k]; nil replies discards them. Callers fold the
+// replies in shard order, which keeps every aggregate's evolution
+// canonical. req is this round's own object and is not written after the
+// call: a ReplicaSet logs the pointer to replay it.
+//
+// A run op — one whose request is a wireMessage, the test that also picks
+// its binary codec — is one round of the greedy loop: a "round.<op>" span
+// parents its RPCs, and with metrics on, its wall time lands in
+// coordinator_round_seconds{phase=<op>}. The other ops (info, ensure, end,
+// syncEstimates) are lifecycle traffic — once per probe, mutation, run or
+// feedback batch — and are not rounds.
+func gather[Reply any](ctx context.Context, c *Coordinator, o op, req any, replies []Reply) error {
+	if _, round := req.(wireMessage); !round {
+		return scatter(ctx, c.clients, o, req, replies)
+	}
+	var start time.Time
+	if c.metrics != nil {
+		start = time.Now()
+	}
+	rctx, span := obs.StartSpan(ctx, roundSpans[o])
+	err := scatter(rctx, c.clients, o, req, replies)
+	if c.metrics != nil {
+		c.metrics.roundSeconds.With(o.String()).Observe(time.Since(start).Seconds())
+	}
+	span.End()
+	return err
+}
+
+// scatter is gather's fan-out: every shard's call runs concurrently — the
+// last one on the caller's own goroutine, so K = 1 spawns none and
+// allocates nothing — and it waits for all of them before returning the
+// first error in shard order.
+func scatter[Reply any](ctx context.Context, clients []Client, o op, req any, replies []Reply) error {
+	last := len(clients) - 1
 	if last == 0 {
-		return fn(0, c.clients[0])
+		return call(ctx, clients[0], o, req, replyAt(replies, 0))
 	}
-	errs := make([]error, len(c.clients))
+	errs := make([]error, len(clients))
 	var wg sync.WaitGroup
-	for k, cl := range c.clients[:last] {
-		wg.Add(1)
-		go func(k int, cl Client) {
+	wg.Add(last)
+	for k := range last {
+		go func() {
 			defer wg.Done()
-			errs[k] = fn(k, cl)
-		}(k, cl)
+			errs[k] = call(ctx, clients[k], o, req, replyAt(replies, k))
+		}()
 	}
-	errs[last] = fn(last, c.clients[last])
+	errs[last] = call(ctx, clients[last], o, req, replyAt(replies, last))
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -237,33 +261,13 @@ func (c *Coordinator) scatter(fn func(k int, cl Client) error) error {
 	return nil
 }
 
-// roundToken pairs one scatter-gather round's metric clock (read only
-// when round metrics are on) with its span (open only when the request is
-// traced); roundStart/roundDone bracket every round with it.
-type roundToken struct {
-	start time.Time
-	span  *obs.Span
-}
-
-// roundStart opens one scatter-gather round: a "round.<phase>" child span
-// when the request carries one (the returned context parents the round's
-// shard RPCs under it), plus the metric clock behind the nil check.
-func (c *Coordinator) roundStart(ctx context.Context, phase string) (context.Context, roundToken) {
-	var tok roundToken
-	if c.metrics != nil {
-		tok.start = time.Now()
+// replyAt is where shard k's reply goes: replies[k], or nowhere when
+// replies is nil.
+func replyAt[Reply any](replies []Reply, k int) any {
+	if replies == nil {
+		return nil
 	}
-	ctx, tok.span = obs.StartSpan(ctx, "round."+phase)
-	return ctx, tok
-}
-
-// roundDone books one scatter round under its phase label and ends its
-// span.
-func (c *Coordinator) roundDone(phase string, tok roundToken) {
-	if c.metrics != nil {
-		c.metrics.roundSeconds.With(phase).Observe(time.Since(tok.start).Seconds())
-	}
-	tok.span.End()
+	return &replies[k]
 }
 
 // errDrift wraps cross-shard inconsistencies: a shard answered with state
@@ -315,14 +319,8 @@ func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIR
 func (c *Coordinator) pilot(ctx context.Context, epoch uint64, ads []int, want int, out []core.Pilot) (fresh int64, err error) {
 	cached := c.lookupWidths(epoch, ads, want)
 	pilots := make([]PilotReply, len(c.clients))
-	rctx, round := c.roundStart(ctx, "pilot")
-	err = c.scatter(func(k int, cl Client) error {
-		var err error
-		pilots[k], err = cl.Pilot(rctx, PilotRequest{Epoch: epoch, Ads: ads, Want: want, SkipWidths: cached != nil})
-		return err
-	})
-	c.roundDone("pilot", round)
-	if err != nil {
+	req := &PilotRequest{Epoch: epoch, Ads: ads, Want: want, SkipWidths: cached != nil}
+	if err := gather(ctx, c, opPilot, req, pilots); err != nil {
 		return 0, wrapEpochErr(err)
 	}
 	var perShard [][]int64
@@ -352,35 +350,6 @@ func (c *Coordinator) pilot(ctx context.Context, epoch uint64, ads []int, want i
 		fresh += pilots[k].Fresh
 	}
 	return fresh, nil
-}
-
-// scatterCover broadcasts one commit-shaped RPC, folds every shard's
-// decrements into the ad's aggregate counters in shard order, and returns
-// the cluster-wide covered count.
-func (c *Coordinator) scatterCover(col *rrset.Collection, call func(cl Client) (CommitReply, error)) (int, error) {
-	if len(c.clients) == 1 {
-		reply, err := call(c.clients[0])
-		if err != nil {
-			return 0, err
-		}
-		col.ApplyCover(reply.Covered, reply.Delta.Nodes, reply.Delta.Counts)
-		return reply.Covered, nil
-	}
-	replies := make([]CommitReply, len(c.clients))
-	err := c.scatter(func(k int, cl Client) error {
-		var err error
-		replies[k], err = call(cl)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	covered := 0
-	for k := range c.clients {
-		col.ApplyCover(replies[k].Covered, replies[k].Delta.Nodes, replies[k].Delta.Counts)
-		covered += replies[k].Covered
-	}
-	return covered, nil
 }
 
 // lookupWidths returns the cached merged pilots for every listed ad at
@@ -437,15 +406,6 @@ func (c *Coordinator) mergeWidths(perShard [][]int64, want int) ([]int64, error)
 	return merged, nil
 }
 
-// endRun closes a run on every shard, best-effort.
-func (c *Coordinator) endRun(runID string) {
-	ctx := context.Background()
-	c.scatter(func(k int, cl Client) error {
-		cl.End(ctx, runID)
-		return nil
-	})
-}
-
 // wrapEpochErr translates a shard-side stale-epoch rejection into
 // core.ErrStaleEpoch so callers (serve's 409 path, epoch-pinned clients)
 // handle distributed and single-node races identically.
@@ -484,10 +444,7 @@ func (c *Coordinator) warmAd(ctx context.Context, j int, opts core.TIRMOptions) 
 		return err
 	}
 	want := core.InitialTheta(pilot[0].Widths, inst.G.N(), inst.G.M(), opts)
-	return wrapEpochErr(c.scatter(func(k int, cl Client) error {
-		_, err := cl.Ensure(ctx, EnsureRequest{Epoch: epoch, Ad: j, Want: want})
-		return err
-	}))
+	return wrapEpochErr(gather[EnsureReply](ctx, c, opEnsure, &EnsureRequest{Epoch: epoch, Ad: j, Want: want}, nil))
 }
 
 // AddAdBase activates roster position base on every shard (how simulated
@@ -519,21 +476,10 @@ func (c *Coordinator) AddAdSpec(ctx context.Context, spec AdSpec, opts core.TIRM
 func (c *Coordinator) addAd(ctx context.Context, req AddAdRequest, ad core.Ad, opts core.TIRMOptions) (int, error) {
 	c.mu.Lock()
 	req.Epoch = c.epoch
-	var pos int
-	for k, cl := range c.clients {
-		reply, err := cl.AddAd(ctx, req)
-		if err != nil {
-			c.mu.Unlock()
-			return 0, fmt.Errorf("shard: add ad on shard %d: %w (cluster epochs may have diverged; restart the cluster)", k, wrapEpochErr(err))
-		}
-		if k == 0 {
-			pos = reply.Position
-			c.epoch = reply.Epoch
-		} else if reply.Epoch != c.epoch || reply.Position != pos {
-			c.mu.Unlock()
-			return 0, fmt.Errorf("%w: shard %d reports epoch %d pos %d, shard 0 epoch %d pos %d — restart the cluster",
-				errDrift, k, reply.Epoch, reply.Position, c.epoch, pos)
-		}
+	reply, err := c.mutate(ctx, opAddAd, &req)
+	if err != nil {
+		c.mu.Unlock()
+		return 0, err
 	}
 	inst := *c.inst
 	inst.Ads = append(append([]core.Ad(nil), c.inst.Ads...), ad)
@@ -542,10 +488,10 @@ func (c *Coordinator) addAd(ctx context.Context, req AddAdRequest, ad core.Ad, o
 	// The mutation is committed cluster-wide at this point; warm-up is a
 	// prefetch that never changes allocation content, so its failure is
 	// logged rather than reported — selection simply samples on demand.
-	if err := c.warmAd(ctx, pos, opts); err != nil {
-		c.logf("shard: warm-up of new ad %d failed (selection will sample on demand): %v", pos, err)
+	if err := c.warmAd(ctx, reply.Position, opts); err != nil {
+		c.logf("shard: warm-up of new ad %d failed (selection will sample on demand): %v", reply.Position, err)
 	}
-	return pos, nil
+	return reply.Position, nil
 }
 
 // RemoveAd retires the campaign position on every shard, keeping the
@@ -556,22 +502,32 @@ func (c *Coordinator) RemoveAd(ctx context.Context, pos int) error {
 	if pos < 0 || pos >= len(c.inst.Ads) {
 		return fmt.Errorf("shard: remove ad %d, campaign has %d", pos, len(c.inst.Ads))
 	}
-	req := RemoveAdRequest{Epoch: c.epoch, Pos: pos}
-	for k, cl := range c.clients {
-		reply, err := cl.RemoveAd(ctx, req)
-		if err != nil {
-			return fmt.Errorf("shard: remove ad on shard %d: %w (cluster epochs may have diverged; restart the cluster)", k, wrapEpochErr(err))
-		}
-		if k == 0 {
-			c.epoch = reply.Epoch
-		} else if reply.Epoch != c.epoch {
-			return fmt.Errorf("%w: shard %d epoch %d after removal, shard 0 at %d — restart the cluster", errDrift, k, reply.Epoch, c.epoch)
-		}
+	if _, err := c.mutate(ctx, opRemoveAd, &RemoveAdRequest{Epoch: c.epoch, Pos: pos}); err != nil {
+		return err
 	}
 	inst := *c.inst
 	inst.Ads = append(append([]core.Ad(nil), c.inst.Ads[:pos]...), c.inst.Ads[pos+1:]...)
 	c.inst = &inst
 	return nil
+}
+
+// mutate applies one campaign mutation to every shard in turn, shard 0
+// first, and moves the coordinator's epoch to where shard 0 reports it.
+// Every other shard's reply must equal shard 0's. The caller holds c.mu.
+func (c *Coordinator) mutate(ctx context.Context, o op, req any) (MutateReply, error) {
+	var first MutateReply
+	for k, cl := range c.clients {
+		var reply MutateReply
+		if err := call(ctx, cl, o, req, &reply); err != nil {
+			return MutateReply{}, fmt.Errorf("shard: %s on shard %d: %w (cluster epochs may have diverged; restart the cluster)", o, k, wrapEpochErr(err))
+		}
+		if k == 0 {
+			first, c.epoch = reply, reply.Epoch
+		} else if reply != first {
+			return MutateReply{}, fmt.Errorf("%w: shard %d reports %+v after %s, shard 0 %+v — restart the cluster", errDrift, k, reply, o, first)
+		}
+	}
+	return first, nil
 }
 
 // SyncEstimates broadcasts a bandit estimator snapshot to every shard,
@@ -580,11 +536,8 @@ func (c *Coordinator) RemoveAd(ctx context.Context, pos int) error {
 // no epoch pin — estimator state is name-keyed and epoch-free — so a
 // failed shard can simply be retried with the next (monotone) snapshot.
 func (c *Coordinator) SyncEstimates(ctx context.Context, st bandit.State) error {
-	req := SyncEstimatesRequest{State: st}
-	return c.scatter(func(k int, cl Client) error {
-		if err := cl.SyncEstimates(ctx, req); err != nil {
-			return fmt.Errorf("shard: sync estimates on shard %d: %w", k, err)
-		}
-		return nil
-	})
+	if err := gather[struct{}](ctx, c, opSyncEstimates, &SyncEstimatesRequest{State: st}, nil); err != nil {
+		return fmt.Errorf("shard: sync estimates: %w", err)
+	}
+	return nil
 }

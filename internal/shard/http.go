@@ -63,23 +63,23 @@ func (s *Shard) Handler() http.Handler {
 	mux.HandleFunc(opTable[opInfo].path, func(w http.ResponseWriter, r *http.Request) {
 		shardWriteJSON(w, http.StatusOK, s.Info())
 	})
-	mux.HandleFunc(opTable[opPilot].path, wireRPC(s.Pilot))
-	mux.HandleFunc(opTable[opEnsure].path, rpc(s.Ensure))
-	mux.HandleFunc(opTable[opStart].path, wireRPC(s.Start))
-	mux.HandleFunc(opTable[opCommit].path, wireRPC(s.Commit))
-	mux.HandleFunc(opTable[opCredit].path, wireRPC(s.Credit))
-	mux.HandleFunc(opTable[opGrow].path, wireRPC(s.Grow))
-	mux.HandleFunc(opTable[opGains].path, wireRPC(s.Gains))
-	mux.HandleFunc(opTable[opEnd].path, rpc(func(req endRequest) (struct{}, error) {
+	mux.HandleFunc(opTable[opPilot].path, route(s.Pilot))
+	mux.HandleFunc(opTable[opEnsure].path, route(s.Ensure))
+	mux.HandleFunc(opTable[opStart].path, route(s.Start))
+	mux.HandleFunc(opTable[opCommit].path, route(s.Commit))
+	mux.HandleFunc(opTable[opCredit].path, route(s.Credit))
+	mux.HandleFunc(opTable[opGrow].path, route(s.Grow))
+	mux.HandleFunc(opTable[opGains].path, route(s.Gains))
+	mux.HandleFunc(opTable[opEnd].path, route(func(req endRequest) (struct{}, error) {
 		s.End(req.RunID)
 		return struct{}{}, nil
 	}))
-	mux.HandleFunc(opTable[opAddAd].path, rpc(s.AddAd))
-	mux.HandleFunc(opTable[opRemoveAd].path, rpc(s.RemoveAd))
-	mux.HandleFunc(opTable[opSyncEstimates].path, rpc(func(req SyncEstimatesRequest) (struct{}, error) {
+	mux.HandleFunc(opTable[opAddAd].path, route(s.AddAd))
+	mux.HandleFunc(opTable[opRemoveAd].path, route(s.RemoveAd))
+	mux.HandleFunc(opTable[opSyncEstimates].path, route(func(req SyncEstimatesRequest) (struct{}, error) {
 		return struct{}{}, s.SyncEstimates(req)
 	}))
-	mux.HandleFunc(drainPath, rpc(func(req struct{}) (struct{}, error) {
+	mux.HandleFunc(drainPath, route(func(req struct{}) (struct{}, error) {
 		s.Drain()
 		return struct{}{}, nil
 	}))
@@ -87,17 +87,17 @@ func (s *Shard) Handler() http.Handler {
 		Component: "adshard",
 		Logf:      s.Logf,
 		// RPC routes all share the "shard" first path segment; label by the
-		// full (bounded) route so per-operation latency stays visible.
+		// whole route so per-operation latency stays visible.
 		Endpoint: shardEndpoint,
 		Tracer:   s.tracer,
 	})
 }
 
-// shardEndpoint maps a daemon route onto its metric label: the full path
-// with slashes flattened ("/shard/commit" → "shard_commit"). The route set
+// shardEndpoint maps a daemon route onto its metric label: the mux pattern
+// with slashes flattened ("/shard/commit" → "shard_commit"). The pattern set
 // is fixed by the mux, so cardinality is bounded.
-func shardEndpoint(r *http.Request) string {
-	p := strings.Trim(r.URL.Path, "/")
+func shardEndpoint(route string) string {
+	p := strings.Trim(route, "/")
 	if p == "" {
 		return "root"
 	}
@@ -208,54 +208,38 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// rpc adapts one typed lifecycle operation into a POST JSON handler.
-func rpc[Req, Reply any](fn func(Req) (Reply, error)) http.HandlerFunc {
+// route adapts one shard operation into a POST handler. Its format follows
+// from the request type by the rule HTTPClient.do applies on the other end:
+// a run op — one whose request is a wireMessage — speaks the binary codec of
+// wire.go, every other op JSON. The body is read whole into a pooled buffer,
+// and a binary reply is appended into the same buffer and written with its
+// Content-Length. Errors keep one JSON body and status mapping on every
+// route.
+func route[Req, Reply any](fn func(Req) (Reply, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			shardWriteJSON(w, http.StatusMethodNotAllowed, shardErrorBody{Error: "use POST"})
 			return
 		}
 		var req Req
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLifecycleBody))
-		if err := dec.Decode(&req); err != nil {
-			shardWriteJSON(w, http.StatusBadRequest, shardErrorBody{Error: fmt.Sprintf("bad request body: %v", err)})
-			return
-		}
-		reply, err := fn(req)
-		if err != nil {
-			shardWriteJSON(w, statusOf(err), shardErrorBody{Error: err.Error()})
-			return
-		}
-		shardWriteJSON(w, http.StatusOK, reply)
-	}
-}
-
-// wireRPC adapts one run op into a POST handler speaking the binary codec
-// of wire.go: the request body is read whole and decoded, the reply is
-// appended into the same pooled buffer and written with its Content-Length.
-// Errors keep the JSON body and status mapping of every other route.
-func wireRPC[Req, Reply any, PReq interface {
-	*Req
-	wireMessage
-}, PReply interface {
-	*Reply
-	wireMessage
-}](fn func(Req) (Reply, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			shardWriteJSON(w, http.StatusMethodNotAllowed, shardErrorBody{Error: "use POST"})
-			return
+		m, wire := any(&req).(wireMessage)
+		limit := int64(maxLifecycleBody)
+		if wire {
+			limit = maxRunBody
 		}
 		bp := bodyBufs.Get().(*[]byte)
-		buf, err := readBody(http.MaxBytesReader(w, r.Body, maxRunBody), *bp)
+		buf, err := readBody(http.MaxBytesReader(w, r.Body, limit), *bp)
 		defer func() { putBodyBuf(bp, buf) }()
-		var req Req
-		if err == nil {
-			err = PReq(&req).decodeWire(buf)
+		switch {
+		case err != nil:
+		case wire:
+			err = m.decodeWire(buf)
+		default:
+			err = json.NewDecoder(bytes.NewReader(buf)).Decode(&req)
 		}
 		if err != nil {
 			msg := fmt.Sprintf("bad request body: %v", err)
-			if len(buf) > 0 && buf[0] == '{' {
+			if wire && len(buf) > 0 && buf[0] == '{' {
 				// No negotiation: a mixed-version cluster fails here, on its
 				// first pilot, and should be told why.
 				msg += " (this route speaks the binary run-op codec, not JSON: coordinator and shard must be the same version)"
@@ -268,7 +252,11 @@ func wireRPC[Req, Reply any, PReq interface {
 			shardWriteJSON(w, statusOf(err), shardErrorBody{Error: err.Error()})
 			return
 		}
-		buf = PReply(&reply).appendWire(buf[:0])
+		if !wire {
+			shardWriteJSON(w, http.StatusOK, reply)
+			return
+		}
+		buf = any(&reply).(wireMessage).appendWire(buf[:0])
 		w.Header().Set("Content-Type", wireContentType)
 		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 		w.Write(buf)
@@ -348,7 +336,8 @@ func NewHTTPClient(addr string) *HTTPClient {
 }
 
 // roundTrip sends one op: GET for info, the binary codec of wire.go when
-// the request is a run op, JSON otherwise.
+// the request is a wireMessage (the rule route applies on the daemon), JSON
+// otherwise.
 func (c *HTTPClient) roundTrip(ctx context.Context, o op, req, reply any) error {
 	return c.do(ctx, c.reqs[o], req, reply)
 }
@@ -365,13 +354,14 @@ func (c *HTTPClient) do(ctx context.Context, tmpl *http.Request, in, out any) er
 	}
 	req := tmpl.WithContext(ctx)
 	req.Header = make(http.Header, 4)
+	m, wire := in.(wireMessage)
 	if in != nil {
 		// A run op is encoded into a buffer of its own, not a pooled one:
 		// net/http may still be writing a request body after Do returns
 		// (cancellation, a reply sent early), so it cannot be recycled here.
 		var body []byte
 		contentType := wireContentType
-		if m, ok := in.(wireMessage); ok {
+		if wire {
 			body = m.appendWire(make([]byte, 0, 64))
 		} else {
 			var err error
@@ -408,8 +398,8 @@ func (c *HTTPClient) do(ctx context.Context, tmpl *http.Request, in, out any) er
 	if err != nil || out == nil {
 		return err
 	}
-	if m, ok := out.(wireMessage); ok {
-		return m.decodeWire(reply)
+	if wire {
+		return out.(wireMessage).decodeWire(reply)
 	}
 	return json.Unmarshal(reply, out)
 }

@@ -238,8 +238,8 @@ func TestHTTPErrorIdentity(t *testing.T) {
 	var failing atomic.Pointer[error] // what both stub routes answer with
 	fail := func() error { return *failing.Load() }
 	mux := http.NewServeMux()
-	mux.HandleFunc(opTable[opCommit].path, wireRPC(func(CommitRequest) (CommitReply, error) { return CommitReply{}, fail() }))
-	mux.HandleFunc(opTable[opEnsure].path, rpc(func(EnsureRequest) (EnsureReply, error) { return EnsureReply{}, fail() }))
+	mux.HandleFunc(opTable[opCommit].path, route(func(CommitRequest) (CommitReply, error) { return CommitReply{}, fail() }))
+	mux.HandleFunc(opTable[opEnsure].path, route(func(EnsureRequest) (EnsureReply, error) { return EnsureReply{}, fail() }))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	cl := NewHTTPClient(ts.URL)
