@@ -1,6 +1,7 @@
 // Command adshard runs one shard of a partitioned allocation cluster: it
 // generates the named dataset locally (instances never cross the wire),
-// samples exactly its slice of every ad's deterministic RR block stream,
+// samples the whole deterministic RR stream of every ad its slot owns (the
+// ads whose stream id is its slot mod -shards) and nothing of the others,
 // and answers the coordinator's coverage/marginal-gain/commit RPCs over
 // HTTP (see internal/shard: those run ops are binary, the lifecycle routes
 // JSON). Point an adserver at the full cluster with -shards to serve
@@ -17,8 +18,9 @@
 // (instance fingerprints, K, and slot ids are all validated).
 //
 // With -snapshots set, the shard persists its slice in the index snapshot
-// format (v4, which carries the partition manifest) and restarts warm;
-// a snapshot taken for a different slice or instance refuses to load.
+// format (v5, which carries the partition manifest and the stream ids) and
+// restarts warm; a snapshot taken for a different slot or instance, or by
+// an older version, refuses to load and the shard rebuilds.
 package main
 
 import (

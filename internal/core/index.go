@@ -42,14 +42,13 @@ import (
 // (see Epoch).
 type Index struct {
 	seed uint64
-	// part is the index's slice of every ad's block stream. The identity
-	// partition (single node) owns the whole stream; a shard index
-	// (BuildShardIndex) samples only its own blocks, stores them as a
-	// contiguous local arena in ascending global order, and answers the
-	// global-position queries of EpochView by translating through part.
-	// Selection over a non-identity index is meaningless on its own —
-	// AllocateFromIndex refuses it; the shard coordinator (internal/shard)
-	// aggregates coverage across the full partition instead.
+	// part is the index's slot of a placement of ad streams. The identity
+	// partition (single node) owns every ad; a shard index
+	// (BuildShardIndex) holds the whole sample of each ad whose stream it
+	// owns and only a placeholder — position and stream id, no sets — for
+	// the others. Selection over a non-identity index is meaningless on its
+	// own — AllocateFromIndex refuses it; the shard coordinator
+	// (internal/shard) ranks candidates across the slots instead.
 	part    rrset.StreamPartition
 	curr    atomic.Pointer[indexEpoch]
 	mu      sync.Mutex // serializes AddAd/RemoveAd epoch swaps
@@ -81,22 +80,19 @@ var ErrStaleEpoch = errors.New("core: index epoch changed since the request was 
 // whole sample a handful of allocations — GC-quiet at tens of millions of
 // sets — and snapshots serialize it in bulk.
 type adSample struct {
-	stream  uint64 // stream id: the Split index of rng under the index seed
-	part    rrset.StreamPartition
+	stream  uint64        // stream id: the Split index of rng under the index seed
 	sampled *atomic.Int64 // the owning index's lifetime counter; ensure is its only writer
 	mu      sync.Mutex
+	// sampler is nil for an ad whose stream another slot owns: the sample
+	// is then a placeholder whose family stays empty (see owned).
 	sampler *rrset.Sampler
 	rng     *xrand.Rand // ad stream root; block b samples from rng.Split(b)
 	fam     *rrset.SetFamily
-	// streamLen is the global block-aligned stream prefix the local arena
-	// covers: every part-owned block below it is sampled. For the identity
-	// partition it always equals fam.Len().
-	streamLen int
-	// widths[i] = ω(local set i) for the longest pilot prefix any request
+	// widths[i] = ω(set i) for the longest pilot prefix any request
 	// has asked for (KPT reads nothing else); prefix extends it on demand.
 	widths []int64
 	inv    *rrset.Inverted
-	invLen int // local sets covered by inv; may lag fam until a view needs it
+	invLen int // sets covered by inv; may lag fam until a view needs it
 	// kptCache serves KPT over this ad's pilot widths to every request.
 	kptCache KPTCache
 }
@@ -105,7 +101,7 @@ type adSample struct {
 // (pilot size, seed target): steady serving traffic revisits the same
 // handful of keys on every request, and each hit saves a full O(pilot) Pow
 // pass. An Index keeps one per ad sample and a shard coordinator one per
-// cached merged pilot. The zero value is ready to use; a nil *KPTCache
+// cached pilot. The zero value is ready to use; a nil *KPTCache
 // computes every value. Safe for concurrent use, and bounded: past
 // kptCacheCap keys it resets wholesale (the steady-state working set
 // re-fills in one request).
@@ -152,25 +148,23 @@ func (c *KPTCache) at(widths []int64, s, n int, m int64, memo map[int64]float64)
 	return v
 }
 
-// ensure extends the sample so the local arena covers the global stream
-// prefix [0, want) — i.e. every part-owned set below want (growth rounds up
-// to a block boundary, so fresh can exceed the shortfall; for the identity
-// partition "covers" means "holds all of it"). Neither the inverted index
-// nor the widths are touched here: window consumers need neither, so growth
-// stays O(new members); the index rebuild is deferred to syncInv and widths
-// are computed by prefix for the pilot only. fresh counts local sets drawn,
-// which summed across a full partition equals the global count; it is added
-// to the index's SetsSampled here, the one place sets are drawn. Caller
-// holds a.mu.
+// owned reports whether this index's slot holds the ad's sample.
+func (a *adSample) owned() bool { return a.sampler != nil }
+
+// ensure extends the sample to hold the stream prefix [0, want) (growth
+// rounds up to a block boundary, so fresh can exceed the shortfall).
+// Neither the inverted index nor the widths are touched here: window
+// consumers need neither, so growth stays O(new members); the index
+// rebuild is deferred to syncInv and widths are computed by prefix for the
+// pilot only. fresh is added to the index's SetsSampled here, the one
+// place sets are drawn. Caller holds a.mu.
 func (a *adSample) ensure(want int) (fresh int64) {
-	to := rrset.StreamCeil(want)
-	if a.part.LocalCount(to) <= a.fam.Len() {
+	from, to := a.fam.Len(), rrset.StreamCeil(want)
+	if to <= from {
 		return 0
 	}
-	before := a.fam.Len()
-	a.sampler.SampleShardRangeRRInto(a.part, a.streamLen, to, a.rng, a.fam)
-	a.streamLen = to
-	fresh = int64(a.fam.Len() - before)
+	a.sampler.SampleRangeRRInto(from, to, a.rng, a.fam)
+	fresh = int64(to - from)
 	a.sampled.Add(fresh)
 	return fresh
 }
@@ -205,7 +199,6 @@ func (a *adSample) syncInv(want int) {
 // can reach yet (the snapshot load).
 func (a *adSample) restore(fam *rrset.SetFamily) {
 	a.fam = fam
-	a.streamLen = a.part.Resume(fam.Len())
 	if fam.Len() > 0 {
 		a.syncInv(fam.Len())
 	}
@@ -219,12 +212,11 @@ func (a *adSample) prefix(want int) (widths []int64, fresh int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	fresh = a.ensure(want)
-	lw := a.part.LocalCount(want)
 	g := a.sampler.Graph()
-	for i := len(a.widths); i < lw; i++ {
+	for i := len(a.widths); i < want; i++ {
 		a.widths = append(a.widths, rrset.Width(g, a.fam.Set(i)))
 	}
-	return a.widths[:lw:lw], fresh
+	return a.widths[:want:want], fresh
 }
 
 // view returns the first want sets plus the shared inverted index — the
@@ -237,12 +229,11 @@ func (a *adSample) view(want int) (v rrset.FamilyView, inv *rrset.Inverted, fres
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	fresh = a.ensure(want)
-	lw := a.part.LocalCount(want)
-	a.syncInv(lw)
-	return a.fam.Prefix(lw), a.inv, fresh
+	a.syncInv(want)
+	return a.fam.Prefix(want), a.inv, fresh
 }
 
-// warm grows the sample to cover the global prefix [0, want) and brings the
+// warm grows the sample to hold the prefix [0, want) and brings the
 // inverted index up to the whole arena — presampling's last step, so the
 // first allocation starts warm instead of paying the counting pass on the
 // request path.
@@ -254,14 +245,14 @@ func (a *adSample) warm(want int) (fresh int64) {
 	return fresh
 }
 
-// window returns the local slice of global stream sets [from, to) as a
-// stable view, growing the sample if needed — the slice a selection run
-// feeds to its coverage state when θ grows mid-run.
+// window returns stream sets [from, to) as a stable view, growing the
+// sample if needed — the slice a selection run feeds to its coverage state
+// when θ grows mid-run.
 func (a *adSample) window(from, to int) (v rrset.FamilyView, fresh int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	fresh = a.ensure(to)
-	return a.fam.Window(a.part.LocalCount(from), a.part.LocalCount(to)), fresh
+	return a.fam.Window(from, to), fresh
 }
 
 // size returns the number of sets currently stored.
@@ -311,11 +302,10 @@ func BuildIndex(inst *Instance, seed uint64, opts TIRMOptions) (*Index, error) {
 	return idx, nil
 }
 
-// BuildShardIndex creates the index for one shard of a stream partition:
-// per-ad samples that hold only the part-owned blocks of every stream, in
-// ascending global order. No presampling happens here — a shard cannot
-// size θ on its own (KPT needs the pilot widths of the *whole* stream), so
-// the shard coordinator drives warm-up globally through EpochView. A
+// BuildShardIndex creates the index for one slot of a stream partition:
+// the ads whose streams part owns get samples, the others placeholders. No
+// presampling happens here — the shard coordinator sizes θ with the request
+// options it is handed and warms each ad on its owner through EpochView. A
 // sharded index refuses AllocateFromIndex; it is a sample store for
 // internal/shard.
 func BuildShardIndex(inst *Instance, seed uint64, part rrset.StreamPartition) (*Index, error) {
@@ -357,7 +347,8 @@ func newIndexSkeleton(inst *Instance, seed uint64, part rrset.StreamPartition) *
 	return idx
 }
 
-// newAdSample wires one ad's sampler and derived stream root. An ad whose
+// newAdSample wires one ad's sampler and derived stream root — or, for a
+// stream another slot owns, the placeholder that keeps its place. An ad whose
 // probability vector is the very array a peer — an ad of the same epoch —
 // samples from (all of them under weighted cascade, where topic.Model.Mix
 // hands every ad Topic(0), and every clone of a template ad) shares that
@@ -365,24 +356,24 @@ func newIndexSkeleton(inst *Instance, seed uint64, part rrset.StreamPartition) *
 // instead of building its own. The peers are scanned, not mapped, so a
 // removed ad's sampler is dropped with its last sample.
 func (idx *Index) newAdSample(g *graph.Graph, probs []float32, stream uint64, peers []*adSample) *adSample {
-	var sampler *rrset.Sampler
+	a := &adSample{stream: stream, sampled: &idx.sampled, fam: rrset.NewSetFamily()}
+	if !idx.part.Owns(stream) {
+		return a
+	}
 	for _, p := range peers {
+		if !p.owned() {
+			continue
+		}
 		if shared := p.sampler.Probs(); len(probs) > 0 && len(shared) == len(probs) && &shared[0] == &probs[0] {
-			sampler = p.sampler
+			a.sampler = p.sampler
 			break
 		}
 	}
-	if sampler == nil {
-		sampler = rrset.NewSampler(g, probs, nil)
+	if a.sampler == nil {
+		a.sampler = rrset.NewSampler(g, probs, nil)
 	}
-	return &adSample{
-		stream:  stream,
-		part:    idx.part,
-		sampled: &idx.sampled,
-		sampler: sampler,
-		rng:     xrand.New(idx.seed).Split(stream),
-		fam:     rrset.NewSetFamily(),
-	}
+	a.rng = xrand.New(idx.seed).Split(stream)
+	return a
 }
 
 // AddAd appends a new advertiser to the campaign set, sampling only the new
@@ -404,9 +395,8 @@ func (idx *Index) AddAd(ad Ad, opts TIRMOptions) (int, error) {
 	a := idx.newAdSample(old.inst.G, ad.Params.Probs, idx.next, old.ads)
 	idx.next++
 	if idx.part.IsIdentity() {
-		// A shard cannot presample to a sensible depth on its own (the θ
-		// target needs whole-stream pilot widths); the coordinator warms the
-		// new ad across the partition after the broadcast instead.
+		// A shard does not presample: the coordinator warms the new ad on its
+		// owner after the broadcast, under the options it was handed.
 		idx.presample(a, opts)
 	}
 
@@ -665,14 +655,16 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 
 const (
 	indexMagic = uint32(0x41444958) // "ADIX"
-	// indexVersion 4: a CRC-guarded header — seed, instance fingerprint,
+	// indexVersion 5: a CRC-guarded header — seed, instance fingerprint,
 	// stream-partition manifest (shard count and shard id, so a load
-	// against the wrong partition fails instead of silently resuming the
-	// wrong blocks), per-ad stream ids — then one flat "RRS2" family
-	// section per ad. It is the only version read or written: an older
-	// file is rejected and its owner rebuilds (see the version policy in
-	// rrset/snapshot.go).
-	indexVersion = uint32(4)
+	// against the wrong slot fails instead of silently serving another
+	// slot's ads), per-ad stream ids — then one flat "RRS2" family section
+	// per ad, empty for an ad whose stream the slot does not own. Version 4
+	// had the same layout but held every ad's round-robin blocks on a shard;
+	// it is refused rather than misread. Only the current version is read or
+	// written: an older file is rejected and its owner rebuilds (see the
+	// version policy in rrset/snapshot.go).
+	indexVersion = uint32(5)
 )
 
 // fingerprint summarizes what the stored sample depends on — the graph's
@@ -712,8 +704,8 @@ func indexFingerprint(inst *Instance) uint64 {
 
 // indexHeader is the snapshot header: everything the stream
 // contract depends on besides the family sections themselves — including
-// the stream-partition manifest, since a shard's arena is meaningless
-// without knowing which blocks it holds. It serializes to a fixed
+// the stream-partition manifest, since a shard's arenas are meaningless
+// without knowing which ads' streams it holds. It serializes to a fixed
 // little-endian layout whose CRC32 (IEEE) is written right after it, so a
 // corrupted seed, shard id, or stream id — which would silently diverge
 // post-reload growth, since neither the family CRCs nor the instance
@@ -807,7 +799,7 @@ func readIndexHeader(r io.Reader, part rrset.StreamPartition, numAds int) (*inde
 
 // WriteSnapshot persists the index's current epoch — stream seed, the
 // stream-partition manifest, and every ad's stream id and stored sets — in
-// a versioned binary format (currently version 4: a CRC-guarded header
+// a versioned binary format (currently version 5: a CRC-guarded header
 // carrying partition and stream ids, then flat CSR sections with CRC32
 // footers, written in bulk). A process restarted with LoadIndexSnapshot
 // (or LoadShardIndexSnapshot for a shard's slice) against the same
@@ -906,8 +898,7 @@ func LoadIndexSnapshot(inst *Instance, src io.Reader) (*Index, error) {
 
 // LoadShardIndexSnapshot reconstructs one shard's index from a snapshot
 // written by a BuildShardIndex index. The snapshot's partition manifest
-// must match part exactly — a shard must never resume another shard's
-// blocks.
+// must match part exactly — a shard must never serve another slot's ads.
 func LoadShardIndexSnapshot(inst *Instance, part rrset.StreamPartition, src io.Reader) (*Index, error) {
 	if err := part.Validate(); err != nil {
 		return nil, err
@@ -969,7 +960,7 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 		<-decoded[j]
 		var fam *rrset.SetFamily
 		if !failed.Load() {
-			if fam, adErr = decodeAdSection(r, inst.G.N(), j); adErr != nil {
+			if fam, adErr = decodeAdSection(r, inst.G.N(), j, ads[j].owned()); adErr != nil {
 				failed.Store(true)
 			}
 		}
@@ -991,14 +982,15 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 }
 
 // decodeAdSection reads ad j's family section off the snapshot stream and
-// checks it holds whole stream blocks; its errors name the ad.
-func decodeAdSection(r io.Reader, n, j int) (*rrset.SetFamily, error) {
+// checks it holds whole stream blocks, and none at all when the loading
+// slot does not own the ad's stream; its errors name the ad.
+func decodeAdSection(r io.Reader, n, j int, owned bool) (*rrset.SetFamily, error) {
 	fam, err := rrset.DecodeSetFamily(r, n)
 	if err != nil {
 		return nil, fmt.Errorf("core: index snapshot ad %d: %w", j, err)
 	}
-	if fam.Len()%rrset.StreamBlockSize != 0 {
-		return nil, fmt.Errorf("core: index snapshot ad %d has %d sets, not block-aligned", j, fam.Len())
+	if fam.Len()%rrset.StreamBlockSize != 0 || !owned && fam.Len() != 0 {
+		return nil, fmt.Errorf("core: index snapshot ad %d has %d sets, not whole blocks of a stream this slot owns", j, fam.Len())
 	}
 	return fam, nil
 }

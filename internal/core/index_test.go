@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rrset"
 	"repro/internal/topic"
 	"repro/internal/xrand"
 )
@@ -251,8 +252,9 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRetiredSnapshotsFailCleanly: files written by builds before the
-// current format are refused with a plain error — a version-3 index header
-// on its version field, a retired "RRS1" family section on its magic — so
+// current format are refused with a plain error — a version-3 or version-4
+// index header on its version field, a retired "RRS1" family section on its
+// magic — so
 // their owner rebuilds (serve's "snapshot unusable; rebuilding" path)
 // instead of resuming streams from misread bytes.
 func TestRetiredSnapshotsFailCleanly(t *testing.T) {
@@ -292,6 +294,31 @@ func TestRetiredSnapshotsFailCleanly(t *testing.T) {
 	_, err = LoadIndexSnapshot(inst, bytes.NewReader(mixed))
 	if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
 		t.Fatalf("RRS1 section: %v, want bad snapshot magic", err)
+	}
+
+	// Version 4 had today's layout, but a shard's slice held round-robin
+	// blocks of every ad, so a version-4 file of either kind — a single
+	// node's or a shard's — is refused on its version word.
+	part := rrset.StreamPartition{NumShards: 2, Shard: 1}
+	slot, err := BuildShardIndex(inst, 21, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4 := func(idx *Index) []byte {
+		var buf bytes.Buffer
+		if err := idx.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		le.PutUint32(buf.Bytes()[4:], 4)
+		return buf.Bytes()
+	}
+	for kind, load := range map[string]func() (*Index, error){
+		"single-node": func() (*Index, error) { return LoadIndexSnapshot(inst, bytes.NewReader(v4(idx))) },
+		"shard":       func() (*Index, error) { return LoadShardIndexSnapshot(inst, part, bytes.NewReader(v4(slot))) },
+	} {
+		if _, err := load(); err == nil || !strings.Contains(err.Error(), "unsupported index snapshot version 4") {
+			t.Fatalf("version-4 %s snapshot: %v, want unsupported index snapshot version", kind, err)
+		}
 	}
 }
 

@@ -7,10 +7,10 @@
 // re-credit arithmetic, result assembly, phase timing and the explain
 // hook. What a backend supplies is coverage over RR-sets and nothing else:
 // the local backend (workspace.go) answers from an Index's own sample, the
-// cluster backend (internal/shard) from integer coverage sums gathered
-// across shards. Both therefore make the same decisions by construction;
-// what remains to argue for byte-identity is only that integer sums
-// re-associate (DESIGN.md §7.2).
+// cluster backend (internal/shard) from integer coverage it mirrors from
+// the shard that owns each ad. Both therefore make the same decisions by
+// construction; what remains to argue for byte-identity is only that the
+// mirrored integers are the owner's (DESIGN.md §7.2).
 
 package core
 
@@ -32,7 +32,7 @@ import (
 // backend must not retain them past the call. A backend serves one run.
 type Backend interface {
 	// Pilot fills out[i] with ad ads[i]'s pilot sample — the widths of
-	// stream sets [0, want) in global stream order, and how many sets were
+	// stream sets [0, want) in stream order, and how many sets were
 	// held before this run touched the sample — and returns the number of
 	// sets freshly drawn to get there.
 	Pilot(ctx context.Context, ads []int, want int, out []Pilot) (fresh int64, err error)
@@ -46,7 +46,7 @@ type Backend interface {
 
 // Pilot is one ad's pilot sample as the loop sizes θ from it.
 type Pilot struct {
-	// Widths holds ω(R) for stream sets [0, want), in global stream order
+	// Widths holds ω(R) for stream sets [0, want), in stream order
 	// (KPT sums them as floats, so the order is part of byte-identity).
 	// Read-only.
 	Widths []int64
@@ -55,7 +55,7 @@ type Pilot struct {
 	Have int
 	// KPT, when non-nil, caches KPT over Widths; it must serve this ad's
 	// stream alone. The local backend hands out its sample's, the cluster
-	// backend each cached merged pilot's.
+	// backend each cached pilot's.
 	KPT *KPTCache
 }
 

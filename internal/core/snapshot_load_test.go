@@ -9,11 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/rrset"
 )
 
@@ -36,19 +35,6 @@ func snapshotSections(t *testing.T, snap []byte, numAds int) []int {
 		t.Fatalf("snapshot walk ends at byte %d of %d", at, len(snap))
 	}
 	return append(starts, at)
-}
-
-// settleGoroutines waits for the goroutine count to come back to base (a
-// fan-out worker has signalled completion a few instructions before it
-// exits) and fails if it does not.
-func settleGoroutines(t *testing.T, base int, what string) {
-	t.Helper()
-	for wait := 0; wait < 200 && runtime.NumGoroutine() > base; wait++ {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got != base {
-		t.Fatalf("%s: %d goroutines afterwards, %d before", what, got, base)
-	}
 }
 
 // TestLoadIndexSnapshotAtAnyWorkerCap: a loaded index is the index it was
@@ -79,49 +65,50 @@ func TestLoadIndexSnapshotAtAnyWorkerCap(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 0} {
 		rrset.SetMaxWorkers(workers)
-		base := runtime.NumGoroutine()
-		loaded, err := LoadIndexSnapshot(inst, bytes.NewReader(snap.Bytes()))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		settleGoroutines(t, base, fmt.Sprintf("workers=%d load", workers))
-		if loaded.NumAds() != idx.NumAds() {
-			t.Fatalf("workers=%d: loaded %d ads, want %d", workers, loaded.NumAds(), idx.NumAds())
-		}
-		if loaded.MemBytes() >= idx.MemBytes() {
-			t.Fatalf("workers=%d: loaded index holds %d bytes before serving anything, the served one %d — the load derived request-time state",
-				workers, loaded.MemBytes(), idx.MemBytes())
-		}
-		for j := 0; j < idx.NumAds(); j++ {
-			if loaded.NumSets(j) != idx.NumSets(j) {
-				t.Fatalf("workers=%d: ad %d holds %d sets, want %d", workers, j, loaded.NumSets(j), idx.NumSets(j))
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			leakcheck.Check(t)
+			loaded, err := LoadIndexSnapshot(inst, bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		res, err := AllocateFromIndex(loaded, Request{Opts: opts})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := snapshotOf(res); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: allocation on the loaded index diverged:\n got %+v\nwant %+v", workers, got, want)
-		}
-		if res.TotalSetsSampled != 0 {
-			t.Fatalf("workers=%d: allocation on the loaded index drew %d sets", workers, res.TotalSetsSampled)
-		}
-		if res.OpeningsBuilt != idx.NumAds() {
-			t.Fatalf("workers=%d: first allocation on the loaded index built %d openings, want one per ad", workers, res.OpeningsBuilt)
-		}
-		if loaded.MemBytes() != idx.MemBytes() {
-			t.Fatalf("workers=%d: after the same allocation the loaded index holds %d bytes, the built one %d",
-				workers, loaded.MemBytes(), idx.MemBytes())
-		}
-		// Same bytes out as in: nothing the load derives leaks into the file.
-		var again bytes.Buffer
-		if err := loaded.WriteSnapshot(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), snap.Bytes()) {
-			t.Fatalf("workers=%d: re-written snapshot differs from the one loaded", workers)
-		}
+			if loaded.NumAds() != idx.NumAds() {
+				t.Fatalf("loaded %d ads, want %d", loaded.NumAds(), idx.NumAds())
+			}
+			if loaded.MemBytes() >= idx.MemBytes() {
+				t.Fatalf("loaded index holds %d bytes before serving anything, the served one %d — the load derived request-time state",
+					loaded.MemBytes(), idx.MemBytes())
+			}
+			for j := 0; j < idx.NumAds(); j++ {
+				if loaded.NumSets(j) != idx.NumSets(j) {
+					t.Fatalf("ad %d holds %d sets, want %d", j, loaded.NumSets(j), idx.NumSets(j))
+				}
+			}
+			res, err := AllocateFromIndex(loaded, Request{Opts: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := snapshotOf(res); !reflect.DeepEqual(got, want) {
+				t.Fatalf("allocation on the loaded index diverged:\n got %+v\nwant %+v", got, want)
+			}
+			if res.TotalSetsSampled != 0 {
+				t.Fatalf("allocation on the loaded index drew %d sets", res.TotalSetsSampled)
+			}
+			if res.OpeningsBuilt != idx.NumAds() {
+				t.Fatalf("first allocation on the loaded index built %d openings, want one per ad", res.OpeningsBuilt)
+			}
+			if loaded.MemBytes() != idx.MemBytes() {
+				t.Fatalf("after the same allocation the loaded index holds %d bytes, the built one %d",
+					loaded.MemBytes(), idx.MemBytes())
+			}
+			// Same bytes out as in: nothing the load derives leaks into the file.
+			var again bytes.Buffer
+			if err := loaded.WriteSnapshot(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+				t.Fatal("re-written snapshot differs from the one loaded")
+			}
+		})
 	}
 }
 
@@ -157,14 +144,15 @@ func TestLoadIndexSnapshotErrorPrecedence(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 0} {
 		rrset.SetMaxWorkers(workers)
-		base := runtime.NumGoroutine()
 		fails := func(what string, on *Instance, snap []byte, want string) {
 			t.Helper()
-			_, err := LoadIndexSnapshot(on, bytes.NewReader(snap))
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("workers=%d %s: error %v, want one containing %q", workers, what, err, want)
-			}
-			settleGoroutines(t, base, fmt.Sprintf("workers=%d %s", workers, what))
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, what), func(t *testing.T) {
+				leakcheck.Check(t)
+				_, err := LoadIndexSnapshot(on, bytes.NewReader(snap))
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %v, want one containing %q", err, want)
+				}
+			})
 		}
 		for j := 0; j < numAds; j++ {
 			fails(fmt.Sprintf("corrupt ad %d", j), inst, corrupt(j), fmt.Sprintf("index snapshot ad %d:", j))

@@ -146,9 +146,9 @@ func kptFromWidths(widths []int64, s int, n int, m int64, memo map[int64]float64
 
 // InitialTheta returns θ_j as Algorithm 2's initialization sets it (s_j =
 // 1): L(1, ε) of Eq. 5 from the KPT estimate over the ad's pilot widths,
-// which must be in global stream order. It is the depth BuildIndex
-// presamples an ad to; the shard coordinator, which assembles a pilot from
-// per-shard slices, warms a cluster to the same depth with it.
+// which must be in stream order. It is the depth BuildIndex presamples an
+// ad to; the shard coordinator, which reads the pilot from the ad's owner,
+// warms a cluster to the same depth with it.
 func InitialTheta(widths []int64, n int, m int64, opts TIRMOptions) int {
 	opts = opts.WithDefaults()
 	kpt := kptFromWidths(widths, 1, n, m, nil)

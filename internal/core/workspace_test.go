@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/rrset"
 )
 
@@ -56,29 +56,30 @@ func TestAllocateFromIndexParallelAndPooled(t *testing.T) {
 
 		for _, workers := range []int{1, 2, 4, 0} {
 			rrset.SetMaxWorkers(workers)
-			pool := &WorkspacePool{}
-			goroutines := runtime.NumGoroutine()
-			for run := 0; run < 3; run++ {
-				res, err := AllocateFromIndex(idx, Request{Opts: o, Pool: pool})
-				if err != nil {
-					t.Fatalf("soft=%v workers=%d run=%d: %v", soft, workers, run, err)
-				}
-				if got := snapshotOf(res); !reflect.DeepEqual(got, want) {
-					t.Fatalf("soft=%v workers=%d run=%d diverged from serial run:\n got %+v\nwant %+v",
-						soft, workers, run, got, want)
-				}
-			}
-			// Every run asks the pool exactly once, and the first finds it
-			// empty. How the other two split is sync.Pool's business — a GC
-			// or a P migration between put and get loses the parked
-			// workspace — so the split is not asserted; what pooling buys is,
-			// below.
-			hits, misses := pool.Stats()
-			if hits+misses != 3 || misses < 1 {
-				t.Fatalf("soft=%v workers=%d: pool stats hits=%d misses=%d, want 3 in total and a first miss", soft, workers, hits, misses)
-			}
 			// No worker outlives a request.
-			settleGoroutines(t, goroutines, fmt.Sprintf("soft=%v workers=%d", soft, workers))
+			t.Run(fmt.Sprintf("soft=%v/workers=%d", soft, workers), func(t *testing.T) {
+				leakcheck.Check(t)
+				pool := &WorkspacePool{}
+				for run := 0; run < 3; run++ {
+					res, err := AllocateFromIndex(idx, Request{Opts: o, Pool: pool})
+					if err != nil {
+						t.Fatalf("soft=%v workers=%d run=%d: %v", soft, workers, run, err)
+					}
+					if got := snapshotOf(res); !reflect.DeepEqual(got, want) {
+						t.Fatalf("soft=%v workers=%d run=%d diverged from serial run:\n got %+v\nwant %+v",
+							soft, workers, run, got, want)
+					}
+				}
+				// Every run asks the pool exactly once, and the first finds it
+				// empty. How the other two split is sync.Pool's business — a GC
+				// or a P migration between put and get loses the parked
+				// workspace — so the split is not asserted; what pooling buys is,
+				// below.
+				hits, misses := pool.Stats()
+				if hits+misses != 3 || misses < 1 {
+					t.Fatalf("soft=%v workers=%d: pool stats hits=%d misses=%d, want 3 in total and a first miss", soft, workers, hits, misses)
+				}
+			})
 		}
 
 		// What pooling is for: a run that finds its workspace parked

@@ -1,13 +1,11 @@
 // Counter mode and delta-capturing covers: the two halves of sharded
-// coverage state. When RR-sets are partitioned across shards (see
-// StreamPartition), a node's global residual coverage is the sum of its
-// per-shard coverages, and committing a seed decomposes into per-shard
-// covers whose per-node decrements sum to the global effect. The shard
-// side runs ordinary Collections over its local sets and *captures* each
-// cover's sparse decrement vector (CoverNodeDelta / CountAndCoverFromDelta)
-// so it can be shipped; the coordinator side holds a segment-less "counter"
-// Collection whose counters are maintained purely by applying those summed
-// integer deltas (NewCounterCollection / AddCounts / ApplyCover).
+// coverage state. An ad's sample lives whole on the shard that owns its
+// stream (see StreamPartition), which runs an ordinary Collection over it
+// and *captures* each cover's sparse decrement vector (CoverNodeDelta /
+// CountAndCoverFromDelta) so it can be shipped; the coordinator holds a
+// segment-less "counter" Collection per ad whose counters are maintained
+// purely by applying those integer deltas (NewCounterCollection /
+// AddCounts / ApplyCover), and ranks candidates across ads from them.
 //
 // The counter collection runs the same candidate heap as the ordinary
 // Collection (candidates), and every mutation syncs the lazily rebuilt heap
@@ -69,9 +67,8 @@ func (c *Collection) coverDelta(u int32, firstID int, s *deltaSink) int {
 
 // CoverNodeDelta is CoverNode that additionally records the cover's effect
 // as a sparse decrement vector: appended to nodes/decs (reused, returned
-// re-sliced), node outNodes[i] lost outDecs[i] residual coverage. Summed
-// across the shards of a partition these deltas reproduce exactly the
-// coverage change a single-node CoverNode of the union would make. Unlike
+// re-sliced), node outNodes[i] lost outDecs[i] residual coverage — applied
+// to a counter collection, exactly the coverage change CoverNode makes. Unlike
 // CoverNode it does not sync the candidate heap: a sharded collection's
 // candidates are ranked by the coordinator's counter collection, never by
 // the shard's own heap, so the (still lazy, still correct) rebuild is

@@ -1,26 +1,27 @@
-// Sharding the deterministic RR stream. The block stream of
-// SampleRangeRRInto makes every set a pure function of (graph, probs, seed,
-// position); a StreamPartition assigns each block to exactly one of K
-// shards, so shard k can sample exactly its blocks and the union across
-// shards is byte-identical to the single-node stream. Blocks are assigned
-// round-robin (block b belongs to shard b mod K) rather than in contiguous
-// halves: the stream grows on demand as θ targets rise, and an interleaved
-// assignment keeps every shard's share balanced at every prefix length —
-// a contiguous split would put all early (always-sampled) blocks on one
-// shard and leave the rest idle until θ grows past its range.
+// Sharding by ad. The block stream of SampleRangeRRInto makes every set of
+// an ad's sample a pure function of (graph, probs, seed, stream id,
+// position), so where a stream is drawn never changes what it holds. A
+// StreamPartition places whole streams: slot k of a K-way partition owns
+// every stream whose id t has t mod K = k, holds all of each such stream —
+// the very arena a single node would hold — and nothing of the others. The
+// K slots are disjoint and their union is the single-node index. Whole
+// streams rather than slices of each, because TIRM keeps one RR collection
+// per ad (R_j of Algorithm 2): ads interact only through the attention
+// counters and the cross-ad argmax, which a coordinator holds, so every
+// coverage operation on ad j needs ad j's owner and no other slot.
 
 package rrset
 
 import "fmt"
 
-// StreamPartition identifies one shard's slice of the deterministic RR
-// block stream: of the global blocks, this shard owns those with
-// id ≡ Shard (mod NumShards). The zero value (and any NumShards ≤ 1) is
-// the identity partition that owns every block — a single-node stream.
+// StreamPartition identifies one slot of a K-way placement of ad streams:
+// the slot owns the streams t with t ≡ Shard (mod NumShards). The zero
+// value (and any NumShards ≤ 1) is the identity partition that owns every
+// stream — a single node.
 type StreamPartition struct {
-	// NumShards is K, the total number of disjoint slices.
+	// NumShards is K, the total number of disjoint slots.
 	NumShards int
-	// Shard is this slice's index in [0, NumShards).
+	// Shard is this slot's index in [0, NumShards).
 	Shard int
 }
 
@@ -33,57 +34,19 @@ func (p StreamPartition) Size() int {
 	return p.NumShards
 }
 
-// k is Size, short-form for the arithmetic below.
-func (p StreamPartition) k() int { return p.Size() }
-
-// IsIdentity reports whether the partition owns the whole stream.
-func (p StreamPartition) IsIdentity() bool { return p.k() == 1 }
+// IsIdentity reports whether the partition owns every stream.
+func (p StreamPartition) IsIdentity() bool { return p.Size() == 1 }
 
 // Validate checks the partition's shape.
 func (p StreamPartition) Validate() error {
-	if p.NumShards < 0 || p.Shard < 0 || p.Shard >= p.k() {
+	if p.NumShards < 0 || p.Shard < 0 || p.Shard >= p.Size() {
 		return fmt.Errorf("rrset: stream partition shard %d of %d is invalid", p.Shard, p.NumShards)
 	}
 	return nil
 }
 
-// Owner returns the shard that owns global block b.
-func (p StreamPartition) Owner(block int) int { return block % p.k() }
+// SlotOf returns the slot of a K-way partition that owns stream t: t mod K.
+func SlotOf(stream uint64, k int) int { return int(stream % uint64(max(k, 1))) }
 
-// ownedBlocksBelow returns how many of the global blocks [0, numBlocks)
-// this shard owns.
-func (p StreamPartition) ownedBlocksBelow(numBlocks int) int {
-	if numBlocks <= p.Shard {
-		return 0
-	}
-	return (numBlocks - p.Shard + p.k() - 1) / p.k()
-}
-
-// LocalCount returns how many of the global stream positions [0, theta)
-// this shard owns — the length of the shard-local prefix that corresponds
-// to a global prefix of theta sets. For the identity partition it is theta
-// itself.
-func (p StreamPartition) LocalCount(theta int) int {
-	if theta <= 0 {
-		return 0
-	}
-	full := theta / StreamBlockSize
-	count := p.ownedBlocksBelow(full) * StreamBlockSize
-	if rem := theta % StreamBlockSize; rem > 0 && p.Owner(full) == p.Shard {
-		count += rem
-	}
-	return count
-}
-
-// Resume returns the canonical global block-aligned prefix position to
-// resume sampling from when this shard already holds localSets sets
-// (a multiple of StreamBlockSize): one global block past the shard's last
-// sampled block. Growth from this position samples exactly the shard's
-// not-yet-drawn blocks — none twice, none skipped.
-func (p StreamPartition) Resume(localSets int) int {
-	blocks := localSets / StreamBlockSize
-	if blocks == 0 {
-		return 0
-	}
-	return (p.Shard + (blocks-1)*p.k() + 1) * StreamBlockSize
-}
+// Owns reports whether this slot owns stream t.
+func (p StreamPartition) Owns(stream uint64) bool { return SlotOf(stream, p.Size()) == p.Shard }

@@ -213,37 +213,25 @@ func TestSampleScratchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStreamArenasMatchReference rebuilds the arenas of SampleRangeRRInto
-// and SampleShardRangeRRInto block by block from the reference loop and
-// requires the same offsets and the same member array.
+// TestStreamArenasMatchReference rebuilds the arena of SampleRangeRRInto
+// block by block from the reference loop and requires the same offsets and
+// the same member array.
 func TestStreamArenasMatchReference(t *testing.T) {
 	g, probs, _ := hubGraph(t, 12)
 	s := NewSampler(g, probs, nil)
 	const from, to = 2 * StreamBlockSize, 9 * StreamBlockSize
-	for _, part := range []StreamPartition{{}, {NumShards: 3, Shard: 1}} {
-		got := NewSetFamily()
-		s.SampleShardRangeRRInto(part, from, to, xrand.New(5), got)
-		if part.IsIdentity() {
-			whole := NewSetFamily()
-			s.SampleRangeRRInto(from, to, xrand.New(5), whole)
-			if !slices.Equal(whole.offsets, got.offsets) || !slices.Equal(whole.members, got.members) {
-				t.Fatal("SampleRangeRRInto differs from the identity partition")
-			}
+	got := NewSetFamily()
+	s.SampleRangeRRInto(from, to, xrand.New(5), got)
+	want, ref, rng := NewSetFamily(), &refScratch{}, xrand.New(5)
+	for b := from / StreamBlockSize; b < to/StreamBlockSize; b++ {
+		brng := rng.Split(uint64(b))
+		for i := 0; i < StreamBlockSize; i++ {
+			want.Append(referenceSample(g, probs, nil, ref, brng, false))
 		}
-		want, ref, rng := NewSetFamily(), &refScratch{}, xrand.New(5)
-		for b := from / StreamBlockSize; b < to/StreamBlockSize; b++ {
-			if part.Owner(b) != part.Shard {
-				continue
-			}
-			brng := rng.Split(uint64(b))
-			for i := 0; i < StreamBlockSize; i++ {
-				want.Append(referenceSample(g, probs, nil, ref, brng, false))
-			}
-		}
-		if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.members, want.members) {
-			t.Fatalf("partition %+v: arena differs from the reference (%d sets / %d members, want %d / %d)",
-				part, got.Len(), got.NumMembers(), want.Len(), want.NumMembers())
-		}
+	}
+	if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.members, want.members) {
+		t.Fatalf("arena differs from the reference (%d sets / %d members, want %d / %d)",
+			got.Len(), got.NumMembers(), want.Len(), want.NumMembers())
 	}
 }
 

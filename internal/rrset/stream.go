@@ -39,47 +39,8 @@ func (s *Sampler) SampleRangeRRInto(from, to int, rng *xrand.Rand, fam *SetFamil
 	if from%StreamBlockSize != 0 || to%StreamBlockSize != 0 || from > to {
 		panic(fmt.Sprintf("rrset: SampleRangeRR range [%d,%d) not block-aligned", from, to))
 	}
-	if from == to {
-		return
-	}
 	firstBlock := from / StreamBlockSize
 	numBlocks := (to - from) / StreamBlockSize
-	blockIDs := make([]int, numBlocks)
-	for b := range blockIDs {
-		blockIDs[b] = firstBlock + b
-	}
-	s.sampleBlocksInto(blockIDs, rng, fam)
-}
-
-// SampleShardRangeRRInto draws the part-owned subset of stream sets
-// [from, to), appending them to fam in ascending global order. Block
-// ownership never changes which rng a block derives from, so the sets a
-// shard draws are bit-identical to the ones a single-node sampler would
-// place at the same global positions — the union of all shards' local
-// arenas over the same range is exactly the single-node stream. from and
-// to must be block-aligned with from ≤ to; the identity partition is
-// exactly SampleRangeRRInto.
-func (s *Sampler) SampleShardRangeRRInto(part StreamPartition, from, to int, rng *xrand.Rand, fam *SetFamily) {
-	if from%StreamBlockSize != 0 || to%StreamBlockSize != 0 || from > to {
-		panic(fmt.Sprintf("rrset: SampleShardRangeRR range [%d,%d) not block-aligned", from, to))
-	}
-	firstBlock, lastBlock := from/StreamBlockSize, to/StreamBlockSize
-	var blockIDs []int
-	for b := firstBlock; b < lastBlock; b++ {
-		if part.Owner(b) == part.Shard {
-			blockIDs = append(blockIDs, b)
-		}
-	}
-	s.sampleBlocksInto(blockIDs, rng, fam)
-}
-
-// sampleBlocksInto draws the listed global blocks in parallel into
-// per-block scratch arenas and merges them into fam in list order — the
-// shared engine of SampleRangeRRInto and SampleShardRangeRRInto. Block b
-// always samples from the derived stream rng.Split(b), independent of
-// which blocks accompany it or which worker draws it.
-func (s *Sampler) sampleBlocksInto(blockIDs []int, rng *xrand.Rand, fam *SetFamily) {
-	numBlocks := len(blockIDs)
 	if numBlocks == 0 {
 		return
 	}
@@ -89,7 +50,7 @@ func (s *Sampler) sampleBlocksInto(blockIDs []int, rng *xrand.Rand, fam *SetFami
 			offsets: make([]int64, 1, StreamBlockSize+1),
 			members: make([]int32, 0, 4*StreamBlockSize),
 		}
-		brng := rng.Split(uint64(blockIDs[b]))
+		brng := rng.Split(uint64(firstBlock + b))
 		for i := 0; i < StreamBlockSize; i++ {
 			bf.Append(s.sampleScratch(sc, brng, false))
 		}

@@ -41,7 +41,7 @@ type campaign struct {
 	// epoch swap or cluster broadcast), and /spend's name check against
 	// them; allocations never take it — they pin an epoch instead. It is
 	// never held by ledger or estimator readers, so a slow shard stalls
-	// only other mutations.
+	// other mutations and /spend, never an allocation.
 	lifeMu sync.Mutex
 
 	// spendMu guards the engagement ledger, keyed by ad name so it survives

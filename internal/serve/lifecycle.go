@@ -132,8 +132,9 @@ func (s *Server) handleRemoveAd(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.release()
 	// lifeMu (not the ledger mutex) spans the lookup and the engine call,
-	// so a slow shard stalls only other mutations, never /spend or residual
-	// allocations.
+	// so a slow shard stalls other mutations and /spend, which takes lifeMu
+	// for its name check, but never an allocation, residual ones included:
+	// those read the ledger under spendMu and pin an epoch.
 	t.lifeMu.Lock()
 	defer t.lifeMu.Unlock()
 	_, inst := t.EpochInst()

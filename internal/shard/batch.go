@@ -1,11 +1,11 @@
 // Batched distributed allocation: many selection runs against one pinned
 // cluster epoch (the scatter-gather mirror of core.AllocateBatch).
 //
-// The per-item cost a naive loop pays K times over is the pilot round:
-// every allocation needs each active ad's merged global pilot widths, and
-// a cold width cache re-ships MinTheta int64s per ad per item. AllocateBatch
-// therefore primes the cache with ONE pilot scatter-gather round covering
-// the union of ads the whole batch touches, then fans the items out under a
+// The per-item cost a naive loop pays over and over is the pilot round:
+// every allocation needs each active ad's pilot widths, and a cold width
+// cache re-ships MinTheta int64s per ad per item. AllocateBatch therefore
+// primes the cache with ONE pilot round covering the union of ads the
+// whole batch touches, then fans the items out under a
 // bounded worker budget — steady state, each item's own pilot round ships
 // no width payload at all (SkipWidths), and the batch pays one width
 // transfer total. Each item still runs the ordinary Allocate, so its
@@ -33,10 +33,8 @@ func (c *Coordinator) AllocateBatch(ctx context.Context, reqs []core.Request) []
 	if len(reqs) == 0 {
 		return out
 	}
-	c.mu.RLock()
-	inst, epoch := c.inst, c.epoch
-	c.mu.RUnlock()
-	c.primePilots(ctx, inst, epoch, reqs)
+	m := c.current()
+	c.primePilots(ctx, m, reqs)
 	// At most maxOpenRuns/4 items run at once, so one batch cannot starve
 	// a shard's run table. Items not yet started when ctx ends fail with
 	// its error instead of opening runs nobody waits for.
@@ -47,27 +45,27 @@ func (c *Coordinator) AllocateBatch(ctx context.Context, reqs []core.Request) []
 		}
 		req := reqs[i]
 		if req.Epoch == 0 {
-			req.Epoch = epoch
+			req.Epoch = m.epoch
 		}
 		out[i].Res, out[i].Err = c.Allocate(ctx, req)
 	})
 	return out
 }
 
-// primePilots warms the width cache with one pilot scatter-gather round
-// per distinct pilot size in the batch (one round total when every item
-// shares MinTheta): the union of ads the items activate, full widths,
-// merged and stored. Purely a prefetch — errors are swallowed and bad
-// requests skipped, because each item re-validates and re-fetches on its
-// own; priming never changes any allocation's content.
-func (c *Coordinator) primePilots(ctx context.Context, inst *core.Instance, epoch uint64, reqs []core.Request) {
+// primePilots warms the width cache with one pilot round per distinct
+// pilot size in the batch (one round total when every item shares
+// MinTheta): the union of ads the items activate, full widths, stored.
+// Purely a prefetch — errors are swallowed and bad requests skipped,
+// because each item re-validates and re-fetches on its own; priming never
+// changes any allocation's content.
+func (c *Coordinator) primePilots(ctx context.Context, m *mirror, reqs []core.Request) {
 	groups := map[int]map[int]bool{}
 	for i := range reqs {
 		req := reqs[i]
-		if req.Epoch != 0 && req.Epoch != epoch {
+		if req.Epoch != 0 && req.Epoch != m.epoch {
 			continue
 		}
-		adIDs, _, _, err := req.Resolve(inst)
+		adIDs, _, _, err := req.Resolve(m.inst)
 		if err != nil {
 			continue
 		}
@@ -89,7 +87,7 @@ func (c *Coordinator) primePilots(ctx context.Context, inst *core.Instance, epoc
 	for _, want := range wants {
 		ads := make([]int, 0, len(groups[want]))
 		for j := range groups[want] {
-			if !c.hasWidths(epoch, j, want) {
+			if !c.hasWidths(m.epoch, j, want) {
 				ads = append(ads, j)
 			}
 		}
@@ -97,13 +95,13 @@ func (c *Coordinator) primePilots(ctx context.Context, inst *core.Instance, epoc
 			continue
 		}
 		sort.Ints(ads)
-		if _, err := c.pilot(ctx, epoch, ads, want, make([]core.Pilot, len(ads))); err != nil {
+		if _, err := c.pilot(ctx, m, ads, want, make([]core.Pilot, len(ads))); err != nil {
 			return
 		}
 	}
 }
 
-// hasWidths reports whether one ad's merged pilot is already cached.
+// hasWidths reports whether one ad's pilot is already cached.
 func (c *Coordinator) hasWidths(epoch uint64, ad, want int) bool {
 	c.widthMu.Lock()
 	defer c.widthMu.Unlock()

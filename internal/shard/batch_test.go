@@ -11,14 +11,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/leakcheck"
 	"repro/internal/rrset"
 )
 
 // TestShardedKernelGolden pins cross-kernel determinism through the
 // distributed path. On the Fig. 1 toy (n ≤ 64, so the density rule puts
-// every slice of every ad on the bitset kernel) the coordinator at
-// K ∈ {1, 4}, whose shards commit through the bitset delta sweep, must
-// reproduce the single-node allocation byte for byte — which core's
+// every ad on the bitset kernel) the coordinator at K ∈ {1, 4}, whose
+// shards commit through the bitset delta sweep, must reproduce the
+// single-node allocation byte for byte — which core's
 // TestKernelRequestGolden in turn pins to the all-sparse run. Kernels
 // change only local sweep cost; the protocol's integers are
 // kernel-independent.
@@ -53,9 +54,9 @@ func TestShardedKernelGolden(t *testing.T) {
 			t.Fatalf("K=%d: %v", k, err)
 		}
 		mustEqualResults(t, fmt.Sprintf("K=%d", k), want, got)
-		// A distributed run holds K local collections per ad.
-		if got.KernelCounts[rrset.KernelBitset] != len(inst.Ads)*k {
-			t.Errorf("K=%d: KernelCounts = %v, want all %d (ads×K) on bitset", k, got.KernelCounts, len(inst.Ads)*k)
+		// Each ad is one collection, on its owner, as on the single node.
+		if got.KernelCounts != want.KernelCounts {
+			t.Errorf("K=%d: KernelCounts = %v, single node %v", k, got.KernelCounts, want.KernelCounts)
 		}
 	}
 }
@@ -223,19 +224,6 @@ func TestShardedAllocateCancelledMidRun(t *testing.T) {
 	}
 }
 
-// settleGoroutines waits for the goroutine count to come back to base (a
-// shard call's goroutine has signalled completion a few instructions before
-// it exits) and fails if it stays above it.
-func settleGoroutines(t *testing.T, base int, what string) {
-	t.Helper()
-	for wait := 0; wait < 200 && runtime.NumGoroutine() > base; wait++ {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("%s: %d goroutines afterwards, %d before", what, got, base)
-	}
-}
-
 // holdFirst delays cl's first op o by d, deaf to its context, as a shard
 // still working on an op its caller has given up on would be.
 func holdFirst(cl Client, o op, d time.Duration) Client {
@@ -251,11 +239,11 @@ func holdFirst(cl Client, o op, d time.Duration) Client {
 }
 
 // TestGatherLeavesNoGoroutine: a fan-out returns only once every shard has
-// answered, so an allocation that completes, one whose commit fails on
+// answered, so an allocation that completes, one whose start fails on
 // shard 1 while shard 0's is still in flight, and one cancelled mid-run all
-// leave the goroutine count where it was. Shard 0's first commit is held
-// longer than settleGoroutines waits: a gather that returned on shard 1's
-// error would leave its goroutine behind.
+// leave the goroutine count where it was. Shard 0's first start is held
+// longer than leakcheck waits: a gather that returned on shard 1's error
+// would leave its goroutine behind.
 func TestGatherLeavesNoGoroutine(t *testing.T) {
 	inst, opts := testInstance(), testOpts()
 	req := core.Request{Opts: opts}
@@ -267,10 +255,10 @@ func TestGatherLeavesNoGoroutine(t *testing.T) {
 		failing, _, _, err := NewReplicaCluster(inst, 0, 42, k, 1, Config{}, func(slot, _ int, cl Client) Client {
 			switch slot {
 			case 0:
-				return holdFirst(cl, opCommit, time.Second)
+				return holdFirst(cl, opStart, time.Second)
 			case 1:
-				// Failing after a beat lets shard 0's commit get under way.
-				return NewFaultClient(cl, 1, FaultRule{Op: "commit", Kind: FaultTimeout, Delay: 100 * time.Millisecond})
+				// Failing after a beat lets shard 0's start get under way.
+				return NewFaultClient(cl, 1, FaultRule{Op: "start", Kind: FaultTimeout, Delay: 100 * time.Millisecond})
 			}
 			return cl
 		})
@@ -290,7 +278,7 @@ func TestGatherLeavesNoGoroutine(t *testing.T) {
 				_, err := coord.Allocate(context.Background(), req)
 				return err
 			}},
-			{"commit failed on shard 1", func() error {
+			{"start failed on shard 1", func() error {
 				if _, err := failing.Allocate(context.Background(), req); !errors.Is(err, ErrPartitionUnavailable) {
 					return fmt.Errorf("err = %v, want ErrPartitionUnavailable", err)
 				}
@@ -307,12 +295,12 @@ func TestGatherLeavesNoGoroutine(t *testing.T) {
 			}},
 		}
 		for _, r := range runs {
-			what := fmt.Sprintf("K=%d %s", k, r.name)
-			base := runtime.NumGoroutine()
-			if err := r.run(); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			settleGoroutines(t, base, what)
+			t.Run(fmt.Sprintf("K=%d/%s", k, r.name), func(t *testing.T) {
+				leakcheck.Check(t)
+				if err := r.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }

@@ -133,50 +133,53 @@ func BenchmarkShardedAllocateStack(b *testing.B) {
 	benchWarmAllocate(b, coord)
 }
 
-// BenchmarkShardedAllocateHTTP is BenchmarkShardedAllocate/K=4 over the real
-// transport: the coordinator speaks HTTPClient to four httptest shards, so
-// ns/op minus the in-process K=4 number is what the wire costs — codec,
-// net/http and loopback. rpcs/op and wireKB/op (request plus reply body
-// bytes, counted at the shard listeners) say how much wire that is.
+// BenchmarkShardedAllocateHTTP is BenchmarkShardedAllocate at K = 1 and 4
+// over the real transport: the coordinator speaks HTTPClient to httptest
+// shards, so ns/op minus the in-process number is what the wire costs —
+// codec, net/http and loopback. rpcs/op and wireKB/op (request plus reply
+// body bytes, counted at the shard listeners) say how much wire that is;
+// with every ad on one owner, K = 4 sends each per-ad round where K = 1
+// does, so the two rows differ by the run-wide rounds only.
 func BenchmarkShardedAllocateHTTP(b *testing.B) {
-	const k = 4
 	inst := testInstance()
 	opts := testOpts()
 	ctx := context.Background()
-	b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-		var rpcs, wire atomic.Int64
-		_, clients := httpShards(b, 42, k, func(_ int, h http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				cw := &countingWriter{ResponseWriter: w}
-				h.ServeHTTP(cw, r)
-				rpcs.Add(1)
-				wire.Add(max(r.ContentLength, 0) + cw.n)
-			})
-		}, nil)
-		coord, err := NewCoordinator(ctx, clients, Config{Roster: inst})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := coord.Warm(ctx, opts); err != nil {
-			b.Fatal(err)
-		}
-		req := core.Request{Opts: opts}
-		if _, err := coord.Allocate(ctx, req); err != nil {
-			b.Fatal(err)
-		}
-		rpcs.Store(0)
-		wire.Store(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	for _, k := range []int{1, 4} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			var rpcs, wire atomic.Int64
+			_, clients := httpShards(b, 42, k, func(_ int, h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					cw := &countingWriter{ResponseWriter: w}
+					h.ServeHTTP(cw, r)
+					rpcs.Add(1)
+					wire.Add(max(r.ContentLength, 0) + cw.n)
+				})
+			}, nil)
+			coord, err := NewCoordinator(ctx, clients, Config{Roster: inst})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := coord.Warm(ctx, opts); err != nil {
+				b.Fatal(err)
+			}
+			req := core.Request{Opts: opts}
 			if _, err := coord.Allocate(ctx, req); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(rpcs.Load())/float64(b.N), "rpcs/op")
-		b.ReportMetric(float64(wire.Load())/float64(b.N)/1e3, "wireKB/op")
-	})
+			rpcs.Store(0)
+			wire.Store(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := coord.Allocate(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(rpcs.Load())/float64(b.N), "rpcs/op")
+			b.ReportMetric(float64(wire.Load())/float64(b.N)/1e3, "wireKB/op")
+		})
+	}
 }
 
 // countingWriter counts the body bytes a handler writes.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +44,8 @@ type Config struct {
 // — candidate ranking, regret drops, attention bounds, seed-target
 // estimation, every float — over coverage it gathers from the shards,
 // which own the RR sets and answer integer coverage RPCs (see
-// clusterBackend). Allocations are byte-identical to
+// clusterBackend). Each ad's sample lives whole on one shard, its owner,
+// and every per-ad op goes there alone. Allocations are byte-identical to
 // core.AllocateFromIndex over a single-node index at any K (see package
 // comment); campaign mutations broadcast to every shard in lockstep.
 //
@@ -51,7 +53,6 @@ type Config struct {
 // mutations serialize against them only at the epoch snapshot.
 type Coordinator struct {
 	clients []Client
-	part    Partitioner
 	verify  bool
 	roster  *core.Instance
 	logf    func(format string, args ...any)
@@ -59,41 +60,61 @@ type Coordinator struct {
 	id      string
 	runSeq  atomic.Uint64
 
-	mu    sync.RWMutex // guards inst/epoch (mutations swap them)
-	inst  *core.Instance
-	epoch uint64
+	mu  sync.RWMutex // guards cur (mutations swap it)
+	cur *mirror
 
-	// Pilot-width cache: an ad's merged global pilot widths are immutable
-	// for a given (epoch, ad position, pilot size), and every allocation
-	// needs them — and KPT over them — so steady traffic should neither
-	// re-ship MinTheta int64s per ad per request nor recompute KPT. Cleared
-	// wholesale when the epoch moves.
+	// Pilot-width cache: an ad's pilot widths are immutable for a given
+	// (epoch, ad position, pilot size), and every allocation needs them —
+	// and KPT over them — so steady traffic should neither re-ship MinTheta
+	// int64s per ad per request nor recompute KPT. Cleared wholesale when
+	// the epoch moves.
 	widthMu    sync.Mutex
 	widthEpoch uint64
 	widthCache map[widthKey]*cachedPilot
 }
 
-// cachedPilot is one entry of the width cache: a merged pilot and the KPT
+// mirror is the coordinator's copy of one cluster epoch: the campaign
+// instance and where each ad's sample lives. Immutable; mutations swap in a
+// new one.
+type mirror struct {
+	epoch uint64
+	inst  *core.Instance
+	// owner[j] is the slot holding position j's sample: the ad's stream id
+	// mod K, as the shards report the ids (Info, then each AddAd reply).
+	owner []int
+}
+
+// bySlot groups the indices of ads by the slot that owns each ad: at[k]
+// lists, in order, the i whose ads[i] lives on slot k.
+func (m *mirror) bySlot(ads []int, k int) (at [][]int) {
+	at = make([][]int, k)
+	for i, j := range ads {
+		at[m.owner[j]] = append(at[m.owner[j]], i)
+	}
+	return at
+}
+
+// cachedPilot is one entry of the width cache: an ad's pilot and the KPT
 // values sized from it.
 type cachedPilot struct {
 	widths []int64
 	kpt    core.KPTCache
 }
 
-// widthKey identifies one cached merged pilot within an epoch.
+// widthKey identifies one cached pilot within an epoch.
 type widthKey struct {
 	ad   int
 	want int
 }
 
 // NewCoordinator validates a cluster and fronts it: every client must
-// report the same K, seed, roster fingerprint, epoch, and campaign size,
-// and client i must hold partition slot i. The coordinator's campaign
-// mirror starts as the roster prefix the shards report; a cluster whose
-// live campaign has diverged from that prefix (in-memory mutations
-// survive on running shards across a coordinator restart) is refused via
-// the campaign fingerprint rather than silently mis-priced. ctx bounds
-// the validation probes.
+// report the same K, seed, roster fingerprint, epoch, campaign size and
+// stream ids, and client i must hold partition slot i. The coordinator's
+// campaign mirror starts as the roster prefix the shards report, each ad on
+// the slot its stream id names; a cluster whose live campaign has diverged
+// from that prefix (in-memory mutations survive on running shards across a
+// coordinator restart) is refused via the campaign fingerprint rather than
+// silently mis-priced. ctx bounds the validation probes.
 func NewCoordinator(ctx context.Context, clients []Client, cfg Config) (*Coordinator, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("shard: coordinator needs at least one shard")
@@ -103,10 +124,6 @@ func NewCoordinator(ctx context.Context, clients []Client, cfg Config) (*Coordin
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
-	}
-	part, err := NewPartitioner(len(clients))
-	if err != nil {
-		return nil, err
 	}
 	fp := core.InstanceFingerprint(cfg.Roster)
 	var first ShardInfo
@@ -127,13 +144,20 @@ func NewCoordinator(ctx context.Context, clients []Client, cfg Config) (*Coordin
 			continue
 		}
 		if info.Seed != first.Seed || info.Epoch != first.Epoch || info.NumAds != first.NumAds ||
-			info.CampaignFingerprint != first.CampaignFingerprint {
-			return nil, fmt.Errorf("shard: shard %d state (seed %d, epoch %d, %d ads) diverges from shard 0 (seed %d, epoch %d, %d ads)",
-				i, info.Seed, info.Epoch, info.NumAds, first.Seed, first.Epoch, first.NumAds)
+			info.CampaignFingerprint != first.CampaignFingerprint || !slices.Equal(info.Streams, first.Streams) {
+			return nil, fmt.Errorf("shard: shard %d state (seed %d, epoch %d, streams %v) diverges from shard 0 (seed %d, epoch %d, streams %v)",
+				i, info.Seed, info.Epoch, info.Streams, first.Seed, first.Epoch, first.Streams)
 		}
 	}
 	if first.NumAds > len(cfg.Roster.Ads) {
 		return nil, fmt.Errorf("shard: cluster campaign has %d ads, roster only %d", first.NumAds, len(cfg.Roster.Ads))
+	}
+	if len(first.Streams) != first.NumAds {
+		return nil, fmt.Errorf("shard: cluster reports %d stream ids for %d ads", len(first.Streams), first.NumAds)
+	}
+	owner := make([]int, first.NumAds)
+	for j, t := range first.Streams {
+		owner[j] = rrset.SlotOf(t, len(clients))
 	}
 	inst := *cfg.Roster
 	inst.Ads = append([]core.Ad(nil), cfg.Roster.Ads[:first.NumAds]...)
@@ -143,54 +167,50 @@ func NewCoordinator(ctx context.Context, clients []Client, cfg Config) (*Coordin
 	}
 	return &Coordinator{
 		clients:    clients,
-		part:       part,
 		verify:     cfg.Verify,
 		roster:     cfg.Roster,
 		logf:       cfg.Logf,
 		metrics:    cfg.Metrics,
 		id:         fmt.Sprintf("run-%x", time.Now().UnixNano()),
-		inst:       &inst,
-		epoch:      first.Epoch,
+		cur:        &mirror{epoch: first.Epoch, inst: &inst, owner: owner},
 		widthEpoch: first.Epoch,
 		widthCache: map[widthKey]*cachedPilot{},
 	}, nil
 }
 
 // NumShards returns the cluster's K.
-func (c *Coordinator) NumShards() int { return c.part.NumShards() }
+func (c *Coordinator) NumShards() int { return len(c.clients) }
+
+// current returns the mirror of the cluster's current epoch.
+func (c *Coordinator) current() *mirror {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.cur
+}
 
 // Inst returns the coordinator's current campaign instance (a stable
 // snapshot; mutations swap in a fresh one).
-func (c *Coordinator) Inst() *core.Instance {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.inst
-}
+func (c *Coordinator) Inst() *core.Instance { return c.current().inst }
 
 // Epoch returns the cluster's current campaign epoch.
-func (c *Coordinator) Epoch() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.epoch
-}
+func (c *Coordinator) Epoch() uint64 { return c.current().epoch }
 
 // EpochInst returns the current epoch and its instance as one consistent
 // pair.
 func (c *Coordinator) EpochInst() (uint64, *core.Instance) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.epoch, c.inst
+	m := c.current()
+	return m.epoch, m.inst
 }
 
 // SetsSampled sums the shards' lifetime sample counts (the distributed
 // equivalent of Index.SetsSampled).
 func (c *Coordinator) SetsSampled(ctx context.Context) (int64, error) {
-	infos := make([]ShardInfo, len(c.clients))
-	if err := gather(ctx, c, opInfo, nil, infos); err != nil {
-		return 0, fmt.Errorf("shard: shard unreachable: %w", err)
-	}
 	var total int64
-	for _, info := range infos {
+	for _, cl := range c.clients {
+		var info ShardInfo
+		if err := call(ctx, cl, opInfo, nil, &info); err != nil {
+			return 0, fmt.Errorf("shard: shard unreachable: %w", err)
+		}
 		total += info.SetsSampled
 	}
 	return total, nil
@@ -204,28 +224,37 @@ var roundSpans = func() (names [numOps]string) {
 	return names
 }()
 
-// gather sends op o with req to every shard through call and leaves shard
-// k's reply in replies[k]; nil replies discards them. Callers fold the
-// replies in shard order, which keeps every aggregate's evolution
-// canonical. req is this round's own object and is not written after the
-// call: a ReplicaSet logs the pointer to replay it.
+// gather sends op o to every slot k whose request reqs[k] is non-nil and
+// leaves slot k's reply in replies[k]; nil replies discards them. A per-ad
+// op has one request, at its ad's owner; a run-wide op one per slot that
+// owns any of the run's ads; a lifecycle broadcast one per slot. Callers
+// fold the replies in slot order, which keeps every aggregate's evolution
+// canonical. Each request is its round's own object and is not written
+// after the call: a ReplicaSet logs the pointer to replay it. (info, whose
+// request is nil, never comes through here.)
 //
 // A run op — one whose request is a wireMessage, the test that also picks
 // its binary codec — is one round of the greedy loop: a "round.<op>" span
 // parents its RPCs, and with metrics on, its wall time lands in
-// coordinator_round_seconds{phase=<op>}. The other ops (info, ensure, end,
-// syncEstimates) are lifecycle traffic — once per probe, mutation, run or
+// coordinator_round_seconds{phase=<op>}. The other ops (ensure, end,
+// syncEstimates) are lifecycle traffic — once per mutation, run or
 // feedback batch — and are not rounds.
-func gather[Reply any](ctx context.Context, c *Coordinator, o op, req any, replies []Reply) error {
+func gather[Reply any](ctx context.Context, c *Coordinator, o op, reqs []any, replies []Reply) error {
+	var req any
+	for _, req = range reqs {
+		if req != nil {
+			break
+		}
+	}
 	if _, round := req.(wireMessage); !round {
-		return scatter(ctx, c.clients, o, req, replies)
+		return scatter(ctx, c.clients, o, reqs, replies)
 	}
 	var start time.Time
 	if c.metrics != nil {
 		start = time.Now()
 	}
 	rctx, span := obs.StartSpan(ctx, roundSpans[o])
-	err := scatter(rctx, c.clients, o, req, replies)
+	err := scatter(rctx, c.clients, o, reqs, replies)
 	if c.metrics != nil {
 		c.metrics.roundSeconds.With(o.String()).Observe(time.Since(start).Seconds())
 	}
@@ -233,25 +262,35 @@ func gather[Reply any](ctx context.Context, c *Coordinator, o op, req any, repli
 	return err
 }
 
-// scatter is gather's fan-out: every shard's call runs concurrently — the
-// last one on the caller's own goroutine, so K = 1 spawns none and
-// allocates nothing — and it waits for all of them before returning the
-// first error in shard order.
-func scatter[Reply any](ctx context.Context, clients []Client, o op, req any, replies []Reply) error {
-	last := len(clients) - 1
-	if last == 0 {
-		return call(ctx, clients[0], o, req, replyAt(replies, 0))
+// scatter is gather's fan-out: every addressed slot's call runs
+// concurrently — the last one on the caller's own goroutine, so a round to
+// one slot spawns none and allocates nothing — and it waits for all of
+// them before returning the first error in slot order.
+func scatter[Reply any](ctx context.Context, clients []Client, o op, reqs []any, replies []Reply) error {
+	last, n := -1, 0
+	for k, req := range reqs {
+		if req != nil {
+			last, n = k, n+1
+		}
 	}
-	errs := make([]error, len(clients))
+	if n <= 1 {
+		if last < 0 {
+			return nil
+		}
+		return call(ctx, clients[last], o, reqs[last], replyAt(replies, last))
+	}
+	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
-	wg.Add(last)
-	for k := range last {
-		go func() {
-			defer wg.Done()
-			errs[k] = call(ctx, clients[k], o, req, replyAt(replies, k))
-		}()
+	for k, req := range reqs[:last] {
+		if req != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[k] = call(ctx, clients[k], o, req, replyAt(replies, k))
+			}()
+		}
 	}
-	errs[last] = call(ctx, clients[last], o, req, replyAt(replies, last))
+	errs[last] = call(ctx, clients[last], o, reqs[last], replyAt(replies, last))
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -259,6 +298,13 @@ func scatter[Reply any](ctx context.Context, clients []Client, o op, req any, re
 		}
 	}
 	return nil
+}
+
+// one addresses req to slot k alone, in a request row of K entries.
+func one(row []any, k int, req any) []any {
+	clear(row)
+	row[k] = req
+	return row
 }
 
 // replyAt is where shard k's reply goes: replies[k], or nowhere when
@@ -270,15 +316,15 @@ func replyAt[Reply any](replies []Reply, k int) any {
 	return &replies[k]
 }
 
-// errDrift wraps cross-shard inconsistencies: a shard answered with state
-// that cannot belong to the same deterministic stream the others hold.
+// errDrift wraps cluster inconsistencies: a shard answered with state that
+// cannot belong to the deterministic stream it owns.
 var errDrift = errors.New("shard: cluster state drifted across shards")
 
 // Allocate runs one distributed selection — core's one greedy loop over
 // the cluster backend (backend.go), byte-identical to
 // core.AllocateFromIndex for the same request at any shard count.
-// SoftCoverage is not supported (its float masses do not re-associate
-// across shards). A campaign mutation racing the run fails it with
+// SoftCoverage is not supported (the coordinator mirrors integer coverage
+// only). A campaign mutation racing the run fails it with
 // core.ErrStaleEpoch, like Request.Epoch pinning.
 func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIRMResult, error) {
 	// Every distributed allocation carries a trace id: reuse the caller's
@@ -288,71 +334,72 @@ func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIR
 	if obs.Trace(ctx) == "" {
 		ctx = obs.WithTrace(ctx, obs.NewTraceID())
 	}
-	c.mu.RLock()
-	inst, epoch := c.inst, c.epoch
-	c.mu.RUnlock()
-	if req.Epoch != 0 && req.Epoch != epoch {
-		return nil, fmt.Errorf("%w: request prepared for epoch %d, cluster is at %d", core.ErrStaleEpoch, req.Epoch, epoch)
+	m := c.current()
+	if req.Epoch != 0 && req.Epoch != m.epoch {
+		return nil, fmt.Errorf("%w: request prepared for epoch %d, cluster is at %d", core.ErrStaleEpoch, req.Epoch, m.epoch)
 	}
 	if req.Opts.SoftCoverage {
-		return nil, errors.New("shard: soft coverage is not supported by sharded allocation (weighted masses do not re-associate across shards)")
+		return nil, errors.New("shard: soft coverage is not supported by sharded allocation (the coordinator's counters hold integer coverage only)")
 	}
 	be := &clusterBackend{
-		c:     c,
-		n:     inst.G.N(),
-		epoch: epoch,
-		runID: fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1)),
+		c:      c,
+		m:      m,
+		runID:  fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1)),
+		reqs:   make([]any, len(c.clients)),
+		seq:    make([]int64, len(c.clients)),
+		covers: make([]CommitReply, len(c.clients)),
 	}
 	defer be.end()
-	return core.AllocateOver(ctx, inst, be, req)
+	return core.AllocateOver(ctx, m.inst, be, req)
 }
 
-// pilot runs one pilot scatter-gather round and fills out[i] with ads[i]'s
-// pilot: each shard grows its slice of every listed ad's pilot and ships
-// its widths; merging them in global stream order reconstructs the exact
-// pilot a single node would hold, so KPT and the θ targets come out
-// bit-identical. Merged pilots are immutable per (epoch, ad, size) and
-// cached, so steady traffic skips the width payload entirely (shards still
-// grow pilots and report Have/Fresh, keeping the accounting identical to a
-// cold coordinator). Have sums the shards' pre-call local sets; fresh is
-// the cluster total.
-func (c *Coordinator) pilot(ctx context.Context, epoch uint64, ads []int, want int, out []core.Pilot) (fresh int64, err error) {
-	cached := c.lookupWidths(epoch, ads, want)
+// pilot runs one pilot round and fills out[i] with ads[i]'s pilot: each
+// owner grows its ads' pilots and ships their widths — the very pilot a
+// single node holds, so KPT and the θ targets come out bit-identical.
+// Pilots are immutable per (epoch, ad, size) and cached, so steady traffic
+// skips the width payload entirely (owners still grow pilots and report
+// Have/Fresh, keeping the accounting identical to a cold coordinator).
+// Only slots that own a listed ad are asked.
+func (c *Coordinator) pilot(ctx context.Context, m *mirror, ads []int, want int, out []core.Pilot) (fresh int64, err error) {
+	cached := c.lookupWidths(m.epoch, ads, want)
+	at := m.bySlot(ads, len(c.clients))
+	reqs := make([]any, len(c.clients))
+	for k, is := range at {
+		if len(is) > 0 {
+			req := &PilotRequest{Epoch: m.epoch, Ads: make([]int, len(is)), Want: want, SkipWidths: cached != nil}
+			for x, i := range is {
+				req.Ads[x] = ads[i]
+			}
+			reqs[k] = req
+		}
+	}
 	pilots := make([]PilotReply, len(c.clients))
-	req := &PilotRequest{Epoch: epoch, Ads: ads, Want: want, SkipWidths: cached != nil}
-	if err := gather(ctx, c, opPilot, req, pilots); err != nil {
+	if err := gather(ctx, c, opPilot, reqs, pilots); err != nil {
 		return 0, wrapEpochErr(err)
 	}
-	var perShard [][]int64
-	if cached == nil {
-		perShard = make([][]int64, len(c.clients))
-	}
-	for i, j := range ads {
-		var e *cachedPilot
-		if cached != nil {
-			e = cached[i]
-		} else {
-			for k := range c.clients {
-				perShard[k] = pilots[k].Widths[i]
-			}
-			e = new(cachedPilot)
-			if e.widths, err = c.mergeWidths(perShard, want); err != nil {
-				return 0, fmt.Errorf("%w: ad %d pilot: %v", errDrift, j, err)
-			}
-			c.storeWidths(epoch, j, want, e)
+	for k, is := range at {
+		if len(pilots[k].Have) != len(is) || cached == nil && len(pilots[k].Widths) != len(is) {
+			return 0, fmt.Errorf("%w: shard %d piloted %d of %d ads", errDrift, k, len(pilots[k].Have), len(is))
 		}
-		out[i] = core.Pilot{Widths: e.widths, KPT: &e.kpt}
-		for k := range c.clients {
-			out[i].Have += pilots[k].Have[i]
+		for x, i := range is {
+			var e *cachedPilot
+			if cached != nil {
+				e = cached[i]
+			} else {
+				e = &cachedPilot{widths: pilots[k].Widths[x]}
+				if len(e.widths) != want {
+					return 0, fmt.Errorf("%w: ad %d: shard %d shipped %d pilot widths for %d", errDrift, ads[i], k, len(e.widths), want)
+				}
+				c.storeWidths(m.epoch, ads[i], want, e)
+			}
+			out[i] = core.Pilot{Widths: e.widths, KPT: &e.kpt, Have: pilots[k].Have[x]}
 		}
-	}
-	for k := range c.clients {
 		fresh += pilots[k].Fresh
 	}
 	return fresh, nil
 }
 
-// lookupWidths returns the cached merged pilots for every listed ad at
+// lookupWidths returns the cached pilots for every listed ad at
 // the given size, or nil if any is missing (the caller then requests full
 // widths for all of them). The cache is scoped to one epoch — mutations
 // reshuffle the position↔stream mapping, so it resets when the epoch
@@ -376,7 +423,7 @@ func (c *Coordinator) lookupWidths(epoch uint64, ads []int, want int) []*cachedP
 	return out
 }
 
-// storeWidths caches one ad's merged pilot (widths read-only from here on).
+// storeWidths caches one ad's pilot (widths read-only from here on).
 func (c *Coordinator) storeWidths(epoch uint64, ad, want int, e *cachedPilot) {
 	c.widthMu.Lock()
 	defer c.widthMu.Unlock()
@@ -384,26 +431,6 @@ func (c *Coordinator) storeWidths(epoch uint64, ad, want int, e *cachedPilot) {
 		return
 	}
 	c.widthCache[widthKey{ad: ad, want: want}] = e
-}
-
-// mergeWidths interleaves per-shard pilot width slices back into global
-// stream order: position g of the merged pilot comes from the shard owning
-// block g/StreamBlockSize. Integer widths merge exactly; the order matters
-// because KPT sums them as floats.
-func (c *Coordinator) mergeWidths(perShard [][]int64, want int) ([]int64, error) {
-	for k := range perShard {
-		if need := c.part.Range(k).LocalCount(want); len(perShard[k]) != need {
-			return nil, fmt.Errorf("shard %d shipped %d pilot widths, its slice of %d is %d", k, len(perShard[k]), want, need)
-		}
-	}
-	merged := make([]int64, 0, want)
-	cursors := make([]int, len(perShard))
-	for g := 0; g < want; g++ {
-		k := (g / rrset.StreamBlockSize) % c.part.NumShards()
-		merged = append(merged, perShard[k][cursors[k]])
-		cursors[k]++
-	}
-	return merged, nil
 }
 
 // wrapEpochErr translates a shard-side stale-epoch rejection into
@@ -417,14 +444,12 @@ func wrapEpochErr(err error) error {
 }
 
 // Warm presamples the whole cluster to the depth a single-node BuildIndex
-// would: per ad, the global pilot plus the first Eq. 5 target from the
-// pilot's KPT estimate. Like its single-node counterpart it only changes
-// how much is sampled ahead of traffic, never any allocation's content.
+// would: per ad, on its owner, the pilot plus the first Eq. 5 target from
+// the pilot's KPT estimate. Like its single-node counterpart it only
+// changes how much is sampled ahead of traffic, never any allocation's
+// content.
 func (c *Coordinator) Warm(ctx context.Context, opts core.TIRMOptions) error {
-	c.mu.RLock()
-	numAds := len(c.inst.Ads)
-	c.mu.RUnlock()
-	for j := 0; j < numAds; j++ {
+	for j := range c.Inst().Ads {
 		if err := c.warmAd(ctx, j, opts); err != nil {
 			return err
 		}
@@ -432,19 +457,18 @@ func (c *Coordinator) Warm(ctx context.Context, opts core.TIRMOptions) error {
 	return nil
 }
 
-// warmAd presamples one ad cluster-wide (the distributed mirror of core's
-// per-ad presample): global pilot → θ at s = 1 → ensure.
+// warmAd presamples one ad on its owner (the distributed mirror of core's
+// per-ad presample): pilot → θ at s = 1 → ensure.
 func (c *Coordinator) warmAd(ctx context.Context, j int, opts core.TIRMOptions) error {
 	opts = opts.WithDefaults()
-	c.mu.RLock()
-	inst, epoch := c.inst, c.epoch
-	c.mu.RUnlock()
+	m := c.current()
 	var pilot [1]core.Pilot
-	if _, err := c.pilot(ctx, epoch, []int{j}, opts.MinTheta, pilot[:]); err != nil {
+	if _, err := c.pilot(ctx, m, []int{j}, opts.MinTheta, pilot[:]); err != nil {
 		return err
 	}
-	want := core.InitialTheta(pilot[0].Widths, inst.G.N(), inst.G.M(), opts)
-	return wrapEpochErr(gather[EnsureReply](ctx, c, opEnsure, &EnsureRequest{Epoch: epoch, Ad: j, Want: want}, nil))
+	want := core.InitialTheta(pilot[0].Widths, m.inst.G.N(), m.inst.G.M(), opts)
+	reqs := one(make([]any, len(c.clients)), m.owner[j], &EnsureRequest{Epoch: m.epoch, Ad: j, Want: want})
+	return wrapEpochErr(gather[EnsureReply](ctx, c, opEnsure, reqs, nil))
 }
 
 // AddAdBase activates roster position base on every shard (how simulated
@@ -461,10 +485,7 @@ func (c *Coordinator) AddAdBase(ctx context.Context, base int, opts core.TIRMOpt
 // AddAdSpec adds a template-cloned advertiser on every shard — the
 // sharded form of the serve layer's POST /ads.
 func (c *Coordinator) AddAdSpec(ctx context.Context, spec AdSpec, opts core.TIRMOptions) (int, error) {
-	c.mu.RLock()
-	inst := c.inst
-	c.mu.RUnlock()
-	ad, err := core.CloneAd(inst, spec)
+	ad, err := core.CloneAd(c.Inst(), spec)
 	if err != nil {
 		return 0, err
 	}
@@ -472,18 +493,24 @@ func (c *Coordinator) AddAdSpec(ctx context.Context, spec AdSpec, opts core.TIRM
 }
 
 // addAd broadcasts one campaign addition, keeps the coordinator's mirror
-// in lockstep, and warms the new ad.
+// in lockstep — the new ad lives on the slot its reported stream id names
+// — and warms the new ad.
 func (c *Coordinator) addAd(ctx context.Context, req AddAdRequest, ad core.Ad, opts core.TIRMOptions) (int, error) {
 	c.mu.Lock()
-	req.Epoch = c.epoch
+	old := c.cur
+	req.Epoch = old.epoch
 	reply, err := c.mutate(ctx, opAddAd, &req)
 	if err != nil {
 		c.mu.Unlock()
 		return 0, err
 	}
-	inst := *c.inst
-	inst.Ads = append(append([]core.Ad(nil), c.inst.Ads...), ad)
-	c.inst = &inst
+	inst := *old.inst
+	inst.Ads = append(slices.Clip(old.inst.Ads), ad)
+	c.cur = &mirror{
+		epoch: reply.Epoch,
+		inst:  &inst,
+		owner: append(slices.Clip(old.owner), rrset.SlotOf(reply.Stream, len(c.clients))),
+	}
 	c.mu.Unlock()
 	// The mutation is committed cluster-wide at this point; warm-up is a
 	// prefetch that never changes allocation content, so its failure is
@@ -499,21 +526,25 @@ func (c *Coordinator) addAd(ctx context.Context, req AddAdRequest, ad core.Ad, o
 func (c *Coordinator) RemoveAd(ctx context.Context, pos int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if pos < 0 || pos >= len(c.inst.Ads) {
-		return fmt.Errorf("shard: remove ad %d, campaign has %d", pos, len(c.inst.Ads))
+	old := c.cur
+	if pos < 0 || pos >= len(old.inst.Ads) {
+		return fmt.Errorf("shard: remove ad %d, campaign has %d", pos, len(old.inst.Ads))
 	}
-	if _, err := c.mutate(ctx, opRemoveAd, &RemoveAdRequest{Epoch: c.epoch, Pos: pos}); err != nil {
+	reply, err := c.mutate(ctx, opRemoveAd, &RemoveAdRequest{Epoch: old.epoch, Pos: pos})
+	if err != nil {
 		return err
 	}
-	inst := *c.inst
-	inst.Ads = append(append([]core.Ad(nil), c.inst.Ads[:pos]...), c.inst.Ads[pos+1:]...)
-	c.inst = &inst
+	inst := *old.inst
+	inst.Ads = slices.Delete(slices.Clone(old.inst.Ads), pos, pos+1)
+	c.cur = &mirror{epoch: reply.Epoch, inst: &inst, owner: slices.Delete(slices.Clone(old.owner), pos, pos+1)}
 	return nil
 }
 
 // mutate applies one campaign mutation to every shard in turn, shard 0
-// first, and moves the coordinator's epoch to where shard 0 reports it.
-// Every other shard's reply must equal shard 0's. The caller holds c.mu.
+// first. Every other shard's reply must equal shard 0's, which the caller —
+// holding c.mu — builds the next mirror from. A failure part-way leaves
+// the cluster's epochs apart, so it also moves the mirror to shard 0's
+// epoch: every later run then fails its epoch pin instead of mixing epochs.
 func (c *Coordinator) mutate(ctx context.Context, o op, req any) (MutateReply, error) {
 	var first MutateReply
 	for k, cl := range c.clients {
@@ -522,7 +553,8 @@ func (c *Coordinator) mutate(ctx context.Context, o op, req any) (MutateReply, e
 			return MutateReply{}, fmt.Errorf("shard: %s on shard %d: %w (cluster epochs may have diverged; restart the cluster)", o, k, wrapEpochErr(err))
 		}
 		if k == 0 {
-			first, c.epoch = reply, reply.Epoch
+			first = reply
+			c.cur = &mirror{epoch: reply.Epoch, inst: c.cur.inst, owner: c.cur.owner}
 		} else if reply != first {
 			return MutateReply{}, fmt.Errorf("%w: shard %d reports %+v after %s, shard 0 %+v — restart the cluster", errDrift, k, reply, o, first)
 		}
@@ -536,7 +568,11 @@ func (c *Coordinator) mutate(ctx context.Context, o op, req any) (MutateReply, e
 // no epoch pin — estimator state is name-keyed and epoch-free — so a
 // failed shard can simply be retried with the next (monotone) snapshot.
 func (c *Coordinator) SyncEstimates(ctx context.Context, st bandit.State) error {
-	if err := gather[struct{}](ctx, c, opSyncEstimates, &SyncEstimatesRequest{State: st}, nil); err != nil {
+	reqs := make([]any, len(c.clients))
+	for k := range reqs {
+		reqs[k] = &SyncEstimatesRequest{State: st}
+	}
+	if err := gather[struct{}](ctx, c, opSyncEstimates, reqs, nil); err != nil {
 		return fmt.Errorf("shard: sync estimates: %w", err)
 	}
 	return nil

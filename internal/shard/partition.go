@@ -6,11 +6,10 @@ import (
 	"repro/internal/rrset"
 )
 
-// Partitioner splits the deterministic RR block stream into K disjoint
-// shard slices. Blocks are assigned round-robin (block b belongs to shard
-// b mod K — see rrset.StreamPartition), which keeps every shard's share of
-// a growing stream balanced at every prefix length; the union of the K
-// slices is byte-identical to the single-node stream at any θ.
+// Partitioner names the K slots of a cluster. Slot k owns every ad whose
+// stream id t has t mod K = k — its whole sample, nothing of the other ads
+// (see rrset.StreamPartition) — so the union of the K slots is the
+// single-node index at any θ.
 type Partitioner struct {
 	k int
 }
@@ -27,8 +26,8 @@ func NewPartitioner(k int) (Partitioner, error) {
 // NumShards returns K.
 func (p Partitioner) NumShards() int { return p.k }
 
-// Range returns shard k's slice of the stream — the partition a
-// BuildShardIndex shard samples with.
+// Range returns slot k — the partition a BuildShardIndex shard samples
+// with.
 func (p Partitioner) Range(k int) rrset.StreamPartition {
 	return rrset.StreamPartition{NumShards: p.k, Shard: k}
 }

@@ -115,7 +115,8 @@ type DatasetParams struct {
 }
 
 // ShardInfo describes one shard — identity, partition slot, campaign
-// state, and load — for cluster validation and health reporting.
+// state and placement, and load — for cluster validation and health
+// reporting.
 type ShardInfo struct {
 	// Dataset names the generated instance the daemon was launched with
 	// (zero value for in-process shards, which share the roster directly).
@@ -140,10 +141,15 @@ type ShardInfo struct {
 	Epoch uint64 `json:"epoch"`
 	// NumAds is the current campaign size.
 	NumAds int `json:"numAds"`
+	// Streams holds each campaign position's stream id, in position order.
+	// Position j lives whole on slot Streams[j] mod NumShards, which is how
+	// a coordinator routes every per-ad op; all shards of a cluster report
+	// the same list.
+	Streams []uint64 `json:"streams"`
 	// RosterAds is the size of the full base roster the shard was built
 	// from (campaign arrivals activate roster positions).
 	RosterAds int `json:"rosterAds"`
-	// SetsSampled counts local RR-sets drawn over the shard's lifetime.
+	// SetsSampled counts RR-sets drawn over the shard's lifetime.
 	SetsSampled int64 `json:"setsSampled"`
 	// MemBytes is the exact footprint of the shard's stored sample.
 	MemBytes int64 `json:"memBytes"`
@@ -153,15 +159,15 @@ type ShardInfo struct {
 	Draining bool `json:"draining"`
 }
 
-// PilotRequest asks for the shard's slices of per-ad pilot widths: for
-// each listed ad, the widths of its local sets below the global prefix
-// Want, growing samples as needed.
+// PilotRequest asks an owner for per-ad pilot widths: for each listed ad,
+// the widths of its sets below the prefix Want, growing samples as needed.
+// Every listed ad must be one the shard owns.
 type PilotRequest struct {
 	// Epoch pins the campaign epoch the ad positions refer to.
 	Epoch uint64 `json:"epoch"`
 	// Ads lists the ad positions to pilot.
 	Ads []int `json:"ads"`
-	// Want is the global pilot size (TIRMOptions.MinTheta after defaults).
+	// Want is the pilot size (TIRMOptions.MinTheta after defaults).
 	Want int `json:"want"`
 	// SkipWidths elides the width payload from the reply: the shard still
 	// grows every listed ad's sample to the pilot prefix (so Fresh/Have
@@ -171,24 +177,24 @@ type PilotRequest struct {
 	SkipWidths bool `json:"skipWidths,omitempty"`
 }
 
-// PilotReply carries per-ad local pilot widths, aligned with the request's
-// Ads. Have reports each ad's local set count before this call grew
-// anything (the warm-start baseline), Fresh the local sets drawn by it.
+// PilotReply carries per-ad pilot widths, aligned with the request's Ads.
+// Have reports each ad's set count before this call grew anything (the
+// warm-start baseline), Fresh the sets drawn by it.
 type PilotReply struct {
-	// Widths[i] are the local widths of request ad i, ascending global order.
+	// Widths[i] are the widths of request ad i's pilot, in stream order.
 	Widths [][]int64 `json:"widths"`
-	// Have[i] is request ad i's pre-call local set count.
+	// Have[i] is request ad i's pre-call set count.
 	Have []int `json:"have"`
-	// Fresh is the total local sets this call drew.
+	// Fresh is the total sets this call drew.
 	Fresh int64 `json:"fresh"`
 }
 
-// StartRequest opens a selection run: the shard builds one local coverage
-// collection per listed ad over its slice of the global prefix
+// StartRequest opens a selection run on one owner: the shard builds one
+// coverage collection per listed ad — each one it owns — over the prefix
 // [0, Thetas[i]). Start is level-triggered on RunID — re-opening an
 // already-open run id rebuilds it from scratch (deterministic streams make
 // the rebuilt state identical), so a retried or replayed Start is safe.
-// Each collection sweeps with the cover kernel its slice's density selects
+// Each collection sweeps with the cover kernel its sample's density selects
 // (rrset.Inverted.PrepareCover); the request cannot choose one, and every
 // reply integer is kernel-independent.
 type StartRequest struct {
@@ -198,26 +204,25 @@ type StartRequest struct {
 	Epoch uint64 `json:"epoch"`
 	// Ads lists the participating ad positions.
 	Ads []int `json:"ads"`
-	// Thetas holds each ad's global θ, aligned with Ads.
+	// Thetas holds each ad's θ, aligned with Ads.
 	Thetas []int `json:"thetas"`
 }
 
-// StartReply reports each ad's initial local coverage.
+// StartReply reports each ad's initial coverage.
 type StartReply struct {
-	// Cov[i] is request ad i's initial per-node local coverage (nodes with
+	// Cov[i] is request ad i's initial per-node coverage (nodes with
 	// nonzero counts only).
 	Cov []SparseCounts `json:"cov"`
-	// LocalSets[i] is how many local sets back request ad i's collection.
+	// LocalSets[i] is how many sets back request ad i's collection.
 	LocalSets []int `json:"localSets"`
-	// Kernels[i] is the rrset.KernelID request ad i's local collection
-	// runs on, which follows each shard slice's own density.
+	// Kernels[i] is the rrset.KernelID request ad i's collection runs on.
 	Kernels []uint8 `json:"kernels,omitempty"`
-	// Fresh is the total local sets this call drew.
+	// Fresh is the total sets this call drew.
 	Fresh int64 `json:"fresh"`
 }
 
-// CommitRequest retires seed Node's residual local coverage for one ad —
-// the shard half of Algorithm 2's commit step.
+// CommitRequest retires seed Node's residual coverage for one ad — the
+// owner's half of Algorithm 2's commit step.
 type CommitRequest struct {
 	// RunID names the run.
 	RunID string `json:"runId"`
@@ -235,21 +240,21 @@ type CommitRequest struct {
 	Seq int64 `json:"seq,omitempty"`
 }
 
-// CommitReply reports a commit's (or credit's) local effect: Covered newly
-// covered local sets and the sparse per-node coverage decrements. Summed
-// across the cluster these reproduce the single-node effect exactly.
+// CommitReply reports a commit's (or credit's) effect: Covered newly
+// covered sets and the sparse per-node coverage decrements, which applied
+// to the coordinator's counters reproduce the single-node effect exactly.
 // Slices may alias shard-internal buffers that are reused by the next call
 // for the same run — consume before issuing it.
 type CommitReply struct {
-	// Covered is the number of local sets newly covered.
+	// Covered is the number of sets newly covered.
 	Covered int `json:"covered"`
 	// Delta holds the per-node residual-coverage decrements.
 	Delta SparseCounts `json:"delta"`
 }
 
 // CreditRequest re-credits an existing seed with coverage among sets
-// appended at or past a global stream position (Algorithm 4's
-// UpdateEstimates, restricted to the growth window).
+// appended at or past a stream position (Algorithm 4's UpdateEstimates,
+// restricted to the growth window).
 type CreditRequest struct {
 	// RunID names the run.
 	RunID string `json:"runId"`
@@ -257,42 +262,42 @@ type CreditRequest struct {
 	Ad int `json:"ad"`
 	// Node is the already-committed seed being re-credited.
 	Node int32 `json:"node"`
-	// FromGlobal is the global stream position growth started at.
+	// FromGlobal is the stream position growth started at.
 	FromGlobal int `json:"fromGlobal"`
 	// Seq is the run op sequence number (CommitRequest.Seq semantics).
 	Seq int64 `json:"seq,omitempty"`
 }
 
-// GrowRequest extends one ad's run collection with the shard's slice of
-// global stream sets [FromGlobal, ToGlobal) — θ rose mid-run.
+// GrowRequest extends one ad's run collection with its stream sets
+// [FromGlobal, ToGlobal) — θ rose mid-run.
 type GrowRequest struct {
 	// RunID names the run.
 	RunID string `json:"runId"`
 	// Ad is the ad position within the run.
 	Ad int `json:"ad"`
-	// FromGlobal is the ad's current global θ.
+	// FromGlobal is the ad's current θ.
 	FromGlobal int `json:"fromGlobal"`
-	// ToGlobal is the new global θ.
+	// ToGlobal is the new θ.
 	ToGlobal int `json:"toGlobal"`
 	// Seq is the run op sequence number (CommitRequest.Seq semantics).
 	Seq int64 `json:"seq,omitempty"`
 }
 
-// GrowReply reports the growth's local effect.
+// GrowReply reports the growth's effect.
 type GrowReply struct {
 	// Added holds the appended sets' per-node coverage counts.
 	Added SparseCounts `json:"added"`
-	// LocalSets is how many local sets the growth appended.
+	// LocalSets is how many sets the growth appended.
 	LocalSets int `json:"localSets"`
-	// Fresh is the local sets freshly drawn (0 when the sample already
-	// held the window).
+	// Fresh is the sets freshly drawn (0 when the sample already held the
+	// window).
 	Fresh int64 `json:"fresh"`
 }
 
-// GainsRequest reads the residual local coverage of candidate nodes — the
-// per-shard marginal-gain contributions of a frontier. The coordinator's
-// optional verify mode scatter-gathers these each round and checks the
-// sums against its aggregate counters, catching shard drift in flight.
+// GainsRequest reads the residual coverage of candidate nodes — the
+// marginal gains of a frontier on the ad's owner. The coordinator's
+// optional verify mode reads these each round and checks them against its
+// mirrored counters, catching shard drift in flight.
 type GainsRequest struct {
 	// RunID names the run.
 	RunID string `json:"runId"`
@@ -302,10 +307,10 @@ type GainsRequest struct {
 	Nodes []int32 `json:"nodes"`
 }
 
-// GainsReply carries the candidates' residual local coverage, aligned with
-// the request's Nodes.
+// GainsReply carries the candidates' residual coverage, aligned with the
+// request's Nodes.
 type GainsReply struct {
-	// Cov[i] is the residual local coverage of request node i.
+	// Cov[i] is the residual coverage of request node i.
 	Cov []int32 `json:"cov"`
 }
 
@@ -342,6 +347,9 @@ type MutateReply struct {
 	Position int `json:"position"`
 	// NumAds is the campaign size after the mutation.
 	NumAds int `json:"numAds"`
+	// Stream is the added ad's stream id (AddAd only): the ad lives on slot
+	// Stream mod K.
+	Stream uint64 `json:"stream"`
 }
 
 // SyncEstimatesRequest broadcasts a full bandit estimator snapshot to a
@@ -358,7 +366,7 @@ type SyncEstimatesRequest struct {
 	State bandit.State `json:"state"`
 }
 
-// EnsureRequest grows one ad's sample to cover the global prefix
+// EnsureRequest grows one ad's sample on its owner to hold the prefix
 // [0, Want) and syncs its inverted index — coordinator-driven warm-up, the
 // distributed equivalent of BuildIndex's presampling.
 type EnsureRequest struct {
@@ -366,13 +374,13 @@ type EnsureRequest struct {
 	Epoch uint64 `json:"epoch"`
 	// Ad is the ad position to warm.
 	Ad int `json:"ad"`
-	// Want is the global prefix the sample must cover.
+	// Want is the prefix the sample must hold.
 	Want int `json:"want"`
 }
 
 // EnsureReply reports warm-up growth.
 type EnsureReply struct {
-	// Fresh is the local sets freshly drawn.
+	// Fresh is the sets freshly drawn.
 	Fresh int64 `json:"fresh"`
 }
 
@@ -386,19 +394,19 @@ type EnsureReply struct {
 type Client interface {
 	// Info reports the shard's identity and state.
 	Info(ctx context.Context) (ShardInfo, error)
-	// Pilot returns per-ad local pilot widths.
+	// Pilot returns per-ad pilot widths.
 	Pilot(ctx context.Context, req PilotRequest) (PilotReply, error)
-	// Ensure warms one ad's sample to a global prefix.
+	// Ensure warms one ad's sample on its owner to a prefix.
 	Ensure(ctx context.Context, req EnsureRequest) (EnsureReply, error)
 	// Start opens a selection run and returns initial coverage.
 	Start(ctx context.Context, req StartRequest) (StartReply, error)
-	// Commit retires a committed seed's residual local coverage.
+	// Commit retires a committed seed's residual coverage.
 	Commit(ctx context.Context, req CommitRequest) (CommitReply, error)
 	// Credit re-credits a seed within a growth window.
 	Credit(ctx context.Context, req CreditRequest) (CommitReply, error)
 	// Grow extends a run collection with a stream window.
 	Grow(ctx context.Context, req GrowRequest) (GrowReply, error)
-	// Gains reads frontier candidates' residual local coverage.
+	// Gains reads frontier candidates' residual coverage.
 	Gains(ctx context.Context, req GainsRequest) (GainsReply, error)
 	// End closes a run and frees its state.
 	End(ctx context.Context, runID string) error

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -144,9 +145,10 @@ func replicaAgrees(ref, got ShardInfo) error {
 		return fmt.Errorf("instance fingerprint %#x diverges from %#x", got.Fingerprint, ref.Fingerprint)
 	case got.Dataset != ref.Dataset:
 		return fmt.Errorf("dataset %+v diverges from %+v", got.Dataset, ref.Dataset)
-	case got.Epoch != ref.Epoch || got.NumAds != ref.NumAds || got.CampaignFingerprint != ref.CampaignFingerprint:
-		return fmt.Errorf("campaign (epoch %d, %d ads, fingerprint %#x) diverges from (epoch %d, %d ads, %#x)",
-			got.Epoch, got.NumAds, got.CampaignFingerprint, ref.Epoch, ref.NumAds, ref.CampaignFingerprint)
+	case got.Epoch != ref.Epoch || got.NumAds != ref.NumAds || got.CampaignFingerprint != ref.CampaignFingerprint ||
+		!slices.Equal(got.Streams, ref.Streams):
+		return fmt.Errorf("campaign (epoch %d, %d ads, fingerprint %#x, streams %v) diverges from (epoch %d, %d ads, %#x, %v)",
+			got.Epoch, got.NumAds, got.CampaignFingerprint, got.Streams, ref.Epoch, ref.NumAds, ref.CampaignFingerprint, ref.Streams)
 	}
 	return nil
 }

@@ -21,11 +21,12 @@ const maxOpenRuns = 64
 // backstop for a coordinator that died mid-run and never sent End.
 const runTTL = 10 * time.Minute
 
-// Shard hosts one slice of the partitioned RR-set universe: a per-range
-// core.Index epoch (samples of exactly this shard's blocks of every ad's
-// stream) plus the per-run coverage collections distributed selection runs
-// mutate. It implements the full RPC surface of Client transport-side; use
-// LocalClient for in-process access or Handler for HTTP.
+// Shard hosts one slot of the placed RR-set universe: a per-slot
+// core.Index epoch (the whole sample of every ad whose stream the slot
+// owns, placeholders for the rest) plus the per-run coverage collections
+// distributed selection runs mutate. It implements the full RPC surface of
+// Client transport-side, and refuses any op naming an ad it does not own;
+// use LocalClient for in-process access or Handler for HTTP.
 //
 // Concurrency: distinct runs may proceed concurrently (each owns its
 // collections), but the RPCs of one run must be issued sequentially — the
@@ -147,14 +148,13 @@ func copySparse(src, dst SparseCounts) SparseCounts {
 // shardRunAd is one ad's coverage state within a run.
 type shardRunAd struct {
 	col   *rrset.Collection
-	theta int // global θ the collection's local sets correspond to
+	theta int // θ the collection's sets correspond to
 }
 
 // NewShard builds a shard over roster.Ads[:initialAds] (0 = all): a
-// per-range index that samples only part's blocks. No presampling happens
-// here — the coordinator warms the cluster globally (Pilot + Ensure) so θ
-// targets are sized from whole-stream pilots exactly as a single node
-// would.
+// per-slot index that samples only the ads whose streams part owns. No
+// presampling happens here — the coordinator warms each ad on its owner
+// (Pilot + Ensure) with θ sized exactly as a single node would.
 func NewShard(roster *core.Instance, initialAds int, seed uint64, part rrset.StreamPartition) (*Shard, error) {
 	if initialAds <= 0 || initialAds > len(roster.Ads) {
 		initialAds = len(roster.Ads)
@@ -190,7 +190,7 @@ func newShard(roster *core.Instance, idx *core.Index) *Shard {
 	return s
 }
 
-// Index exposes the shard's per-range index (snapshot persistence in
+// Index exposes the shard's per-slot index (snapshot persistence in
 // cmd/adshard writes through it).
 func (s *Shard) Index() *core.Index { return s.idx }
 
@@ -215,7 +215,7 @@ func (s *Shard) registerMetrics() {
 		"Local RR sets drawn over the shard's lifetime.",
 		func() uint64 { return uint64(s.idx.SetsSampled()) })
 	reg.GaugeFunc("adshard_index_mem_bytes",
-		"Stored-sample footprint of the shard's per-range index in bytes.",
+		"Stored-sample footprint of the shard's per-slot index in bytes.",
 		func() float64 { return float64(s.idx.MemBytes()) })
 	reg.GaugeFunc("adshard_open_runs",
 		"Live distributed selection runs holding state on this shard.",
@@ -248,6 +248,10 @@ func (s *Shard) Info() ShardInfo {
 	open := len(s.runs)
 	s.mu.Unlock()
 	ep := s.idx.CurrentEpoch()
+	streams := make([]uint64, ep.NumAds())
+	for j := range streams {
+		streams[j] = ep.AdStream(j)
+	}
 	return ShardInfo{
 		Dataset:             s.Dataset,
 		Shard:               s.part.Shard,
@@ -257,6 +261,7 @@ func (s *Shard) Info() ShardInfo {
 		CampaignFingerprint: campaignFingerprint(ep.Inst()),
 		Epoch:               ep.Version(),
 		NumAds:              ep.NumAds(),
+		Streams:             streams,
 		RosterAds:           len(s.roster.Ads),
 		SetsSampled:         s.idx.SetsSampled(),
 		MemBytes:            s.idx.MemBytes(),
@@ -276,11 +281,16 @@ func (s *Shard) epochView(epoch uint64) (core.EpochView, error) {
 	return ep, nil
 }
 
-// checkAds validates ad positions against an epoch.
-func checkAds(ep core.EpochView, ads []int) error {
+// checkAds validates ad positions against an epoch: each must be in range
+// and owned by this shard's slot.
+func (s *Shard) checkAds(ep core.EpochView, ads []int) error {
 	for _, j := range ads {
 		if j < 0 || j >= ep.NumAds() {
 			return fmt.Errorf("shard: ad %d out of range (campaign has %d)", j, ep.NumAds())
+		}
+		if !ep.Owns(j) {
+			return fmt.Errorf("shard: ad %d (stream %d) lives on slot %d, this is slot %d of %d",
+				j, ep.AdStream(j), rrset.SlotOf(ep.AdStream(j), s.part.Size()), s.part.Shard, s.part.Size())
 		}
 	}
 	return nil
@@ -292,7 +302,7 @@ func (s *Shard) Pilot(req PilotRequest) (PilotReply, error) {
 	if err != nil {
 		return PilotReply{}, err
 	}
-	if err := checkAds(ep, req.Ads); err != nil {
+	if err := s.checkAds(ep, req.Ads); err != nil {
 		return PilotReply{}, err
 	}
 	reply := PilotReply{
@@ -318,7 +328,7 @@ func (s *Shard) Ensure(req EnsureRequest) (EnsureReply, error) {
 	if err != nil {
 		return EnsureReply{}, err
 	}
-	if err := checkAds(ep, []int{req.Ad}); err != nil {
+	if err := s.checkAds(ep, []int{req.Ad}); err != nil {
 		return EnsureReply{}, err
 	}
 	return EnsureReply{Fresh: ep.AdEnsure(req.Ad, req.Want)}, nil
@@ -333,7 +343,7 @@ func (s *Shard) Start(req StartRequest) (StartReply, error) {
 	if err != nil {
 		return StartReply{}, err
 	}
-	if err := checkAds(ep, req.Ads); err != nil {
+	if err := s.checkAds(ep, req.Ads); err != nil {
 		return StartReply{}, err
 	}
 	if len(req.Thetas) != len(req.Ads) {
@@ -435,8 +445,7 @@ func (s *Shard) Credit(req CreditRequest) (CommitReply, error) {
 	if replay {
 		return r.lastCommit, nil
 	}
-	localFirst := s.part.LocalCount(req.FromGlobal)
-	covered, nodes, decs := ra.col.CountAndCoverFromDelta(req.Node, localFirst, r.nodes, r.counts)
+	covered, nodes, decs := ra.col.CountAndCoverFromDelta(req.Node, req.FromGlobal, r.nodes, r.counts)
 	r.nodes, r.counts = nodes, decs
 	reply := CommitReply{Covered: covered, Delta: SparseCounts{Nodes: nodes, Counts: decs}}
 	r.storeCommit(req.Seq, opCredit, reply)
@@ -529,9 +538,10 @@ func (s *Shard) reapLocked(now time.Time) {
 
 // AddAd implements the Client surface shard-side: it appends the requested
 // advertiser (roster activation or template clone) to the campaign set,
-// advancing the epoch. The coordinator broadcasts the identical mutation
-// to every shard, so stream-id assignment — and with it every future
-// sample — stays in lockstep across the cluster.
+// advancing the epoch, and reports the new ad's stream id — which names
+// its owner. The coordinator broadcasts the identical mutation to every
+// shard, so stream-id assignment — and with it every ad's placement —
+// stays in lockstep across the cluster.
 func (s *Shard) AddAd(req AddAdRequest) (MutateReply, error) {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
@@ -554,7 +564,8 @@ func (s *Shard) AddAd(req AddAdRequest) (MutateReply, error) {
 	if err != nil {
 		return MutateReply{}, err
 	}
-	return MutateReply{Epoch: s.idx.Epoch(), Position: pos, NumAds: s.idx.NumAds()}, nil
+	ep = s.idx.CurrentEpoch()
+	return MutateReply{Epoch: ep.Version(), Position: pos, NumAds: ep.NumAds(), Stream: ep.AdStream(pos)}, nil
 }
 
 // RemoveAd implements the Client surface shard-side.
