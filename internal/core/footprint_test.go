@@ -1,0 +1,57 @@
+package core_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gen"
+)
+
+// joinInlineCap mirrors rrset's cap on the members a cover-join record
+// stores inline.
+const joinInlineCap = 8
+
+// TestIndexHoldsNoIDRows: on the 600-node FLIXSTER instance, after a build
+// and one allocation, the index's footprint is exactly each ad's family,
+// cover join, opening and pilot widths — no id rows and no id-row offsets
+// beside the join, and (the sample being sparse) no bitmap.
+func TestIndexHoldsNoIDRows(t *testing.T) {
+	inst := gen.Flixster(gen.Options{Seed: 1, Scale: 0.02})
+	opts := core.TIRMOptions{Eps: 0.3, MinTheta: 2000, MaxTheta: 16000}
+	idx, err := core.BuildIndex(inst, 7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.AllocateFromIndex(idx, core.Request{Opts: opts}); err != nil {
+		t.Fatal(err)
+	}
+	n := inst.G.N()
+	var want int64
+	for j := range inst.Ads {
+		fam, invLen, widths := core.SampleParts(idx, j)
+		// The join: a header per membership, the members of every set up to
+		// the inline cap behind each of its headers, one offset per node + 1.
+		join := 8 * int64(n+1)
+		for i := 0; i < invLen; i++ {
+			sz := int64(len(fam.Set(i)))
+			rec := int64(1)
+			if sz <= joinInlineCap {
+				rec += sz
+			}
+			join += 4 * sz * rec
+		}
+		// The run's opening: the cut vector, and the heap of every node the
+		// opened sets hold.
+		live := make(map[int32]bool)
+		for _, set := range fam.Prefix(core.OpeningTheta(idx, j, opts)).Sets() {
+			for _, u := range set {
+				live[u] = true
+			}
+		}
+		opening := 4*int64(n) + 8*int64(len(live))
+		want += fam.MemBytes() + join + opening + 8*int64(len(widths))
+	}
+	if got := idx.MemBytes(); got != want {
+		t.Fatalf("index holds %d bytes, family + join + openings + widths = %d (%+d)", got, want, got-want)
+	}
+}

@@ -74,9 +74,11 @@ type indexEpoch struct {
 var ErrStaleEpoch = errors.New("core: index epoch changed since the request was prepared")
 
 // adSample holds one ad's growable prefix of its RR stream as a flat CSR
-// arena (rrset.SetFamily), together with the CSR inverted index
-// (node → containing set ids) that coverage collections borrow, so a warm
-// selection run never rebuilds per-membership state. The arena makes the
+// arena (rrset.SetFamily), together with the inverted index that coverage
+// collections borrow, so a warm selection run never rebuilds
+// per-membership state. The index is the cover join itself — per node, one
+// record per containing set with the set's id and, when small, its members
+// — built at construction, with no id rows beside it. The arena makes the
 // whole sample a handful of allocations — GC-quiet at tens of millions of
 // sets — and snapshots serialize it in bulk.
 type adSample struct {
@@ -182,19 +184,14 @@ func (a *adSample) ensure(want int) (fresh int64) {
 // (immutable, swapped wholesale). Caller holds a.mu.
 func (a *adSample) syncInv(want int) {
 	if a.inv == nil || a.invLen < want {
-		a.inv = rrset.BuildInverted(a.sampler.Graph().N(), a.fam.View(), 0)
-		a.invLen = a.fam.Len()
-		// Build the commit-path cover join now, while we are already paying
-		// an index (re)build, so the first allocation does not construct it
-		// inline on the request path.
-		a.inv.PrepareCover()
+		a.inv, a.invLen = rrset.BuildInverted(a.sampler.Graph().N(), a.fam.View(), 0), a.fam.Len()
 	}
 }
 
 // restore installs a decoded arena as the ad's sample and derives the state
 // a snapshot does not carry and a first request should not pay for — the
-// inverted index and its cover join — exactly as sampling the same sets
-// would have left it. Pilot widths and openings are left to the first
+// inverted index, joined at construction — exactly as sampling the same
+// sets would have left it. Pilot widths and openings are left to the first
 // request that asks, as on a fresh build. For a sample no other goroutine
 // can reach yet (the snapshot load).
 func (a *adSample) restore(fam *rrset.SetFamily) {
@@ -264,8 +261,8 @@ func (a *adSample) size() int {
 
 // memBytes returns the exact data footprint of the stored sample: member
 // arena, offsets, the pilot widths computed so far, and the inverted index
-// with what has been derived from it (cover join, bitmap, openings). O(1) —
-// flat arrays know their sizes.
+// (its cover-join rows) with what has been derived from it (bitmap,
+// openings). O(1) — flat arrays know their sizes.
 func (a *adSample) memBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -476,9 +473,10 @@ func (idx *Index) SetsSampled() int64 { return idx.sampled.Load() }
 
 // MemBytes reports the exact data footprint of the current epoch's stored
 // samples: member arenas, offsets, pilot widths, and inverted indexes with
-// their derived data. That is the cover joins (a 4-byte header per
-// membership plus the members of each set small enough to inline), the
-// bitmaps, and the openings requests have left on the indexes, so the
+// their derived data. An inverted index is its cover join (a 4-byte header
+// per membership plus the members of each set small enough to inline, and
+// one row offset per node) with no id rows beside it; the derived data are
+// the bitmaps and the openings requests have left on the indexes, so the
 // figure rises by at most 12 bytes per node per distinct θ served, up to
 // rrset's cap. All of it is flat arrays, so the figure is
 // byte-accurate and O(1) per ad (no slice-header estimates). The transient
@@ -888,10 +886,9 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 // current one, was taken for a different graph, ad set, or
 // probability setting (fingerprint mismatch), holds one shard's slice
 // rather than the whole stream (use LoadShardIndexSnapshot), or is
-// structurally corrupt; the inverted index and its cover join are recomputed
-// from the decoded arenas, pilot widths and openings by the first request
-// that needs them. The loaded index starts a fresh epoch lineage at
-// version 1.
+// structurally corrupt; the inverted indexes are rebuilt from the decoded
+// arenas, pilot widths and openings by the first request that needs them.
+// The loaded index starts a fresh epoch lineage at version 1.
 func LoadIndexSnapshot(inst *Instance, src io.Reader) (*Index, error) {
 	return loadIndexSnapshot(inst, src, rrset.StreamPartition{})
 }
@@ -909,8 +906,8 @@ func LoadShardIndexSnapshot(inst *Instance, part rrset.StreamPartition, src io.R
 // loadIndexSnapshot is the shared loader behind LoadIndexSnapshot and
 // LoadShardIndexSnapshot: the header is read and checked on the caller's
 // goroutine, then the instance fingerprint check and the per-ad work —
-// section decode, and the rebuild of inverted index and cover join that is
-// most of a load — share rrset's bounded fan-out (see below).
+// section decode, and the rebuild of the inverted index that is most of a
+// load — share rrset's bounded fan-out (see below).
 // Errors keep a serial load's precedence: a fingerprint mismatch is
 // reported ahead of any section error, and of the sections the first
 // corrupt one in file order, by ad position.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -206,4 +207,64 @@ func TestWriteSnapshotFileIsAtomic(t *testing.T) {
 		t.Fatalf("failed write returned %v, want the writer's error", err)
 	}
 	onlyTarget("after a failed write")
+}
+
+// FuzzIndexHeader feeds arbitrary bytes to readIndexHeader, the first read
+// of every restore, under every caller shape: it must never panic, and an
+// input it accepts must be one it decoded completely — its prefix is
+// exactly the header it returned, rendered back with magic, version and
+// CRC, for the partition slot and ad count the caller expects. Seeds: the
+// headers a single node and a shard write, the same under version 4,
+// truncations, and a wrong magic.
+func FuzzIndexHeader(f *testing.F) {
+	inst := randomInstance(5, 40, 120, 3, 1, 0)
+	header := func(part rrset.StreamPartition) []byte {
+		idx, err := BuildShardIndex(inst, 9, part)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := idx.WriteSnapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()[:4+4+28+8*len(inst.Ads)+4]
+	}
+	single, shard := header(rrset.StreamPartition{}), header(rrset.StreamPartition{NumShards: 4, Shard: 2})
+	ads := uint8(len(inst.Ads))
+	for _, p := range []rrset.StreamPartition{{}, {NumShards: 4, Shard: 2}} {
+		if _, err := readIndexHeader(bytes.NewReader(header(p)), p, len(inst.Ads)); err != nil {
+			f.Fatalf("the header slot %d/%d wrote: %v", p.Shard, p.Size(), err)
+		}
+	}
+	f.Add(single, uint8(1), uint8(0), ads)
+	f.Add(shard, uint8(4), uint8(2), ads)
+	f.Add(shard, uint8(4), uint8(1), ads)
+	v4 := bytes.Clone(shard)
+	binary.LittleEndian.PutUint32(v4[4:], 4)
+	f.Add(v4, uint8(4), uint8(2), ads)
+	for _, n := range []int{0, 3, 8, 20, 36, len(single) - 5, len(single) - 1} {
+		f.Add(single[:n], uint8(1), uint8(0), ads)
+	}
+	magic := bytes.Clone(single)
+	magic[0] ^= 0x20
+	f.Add(magic, uint8(1), uint8(0), ads)
+	f.Fuzz(func(t *testing.T, data []byte, shards, slot, numAds uint8) {
+		part := rrset.StreamPartition{NumShards: int(shards % 9)}
+		part.Shard = int(slot) % part.Size()
+		h, err := readIndexHeader(bytes.NewReader(data), part, int(numAds%16))
+		if err != nil {
+			return
+		}
+		le := binary.LittleEndian
+		payload := h.marshal()
+		want := le.AppendUint32(le.AppendUint32(nil, indexMagic), indexVersion)
+		want = le.AppendUint32(append(want, payload...), crc32.ChecksumIEEE(payload))
+		if !bytes.HasPrefix(data, want) {
+			t.Fatalf("accepted %x, which renders back as %x", data, want)
+		}
+		if len(h.streams) != int(numAds%16) || int(h.numShards) != part.Size() || !part.IsIdentity() && int(h.shard) != part.Shard {
+			t.Fatalf("accepted a header of %d ads in slot %d/%d for a caller expecting %d ads in %d/%d",
+				len(h.streams), h.shard, h.numShards, numAds%16, part.Shard, part.Size())
+		}
+	})
 }

@@ -9,12 +9,12 @@ import (
 // a CSR view of the sets (local ids 0..view.Len()-1, global ids start at
 // base) plus a CSR inverted index over them. The first segment of a
 // warm-start collection shares its view and inverted index with the
-// long-lived core.Index; growth segments own both. cut, when non-nil,
-// limits each node's inverted row to its first cut[u] ids — how a shared
-// inverted index covering more sets than the view is clipped without
-// copying (the index's rows are ascending, so a prefix is exactly "ids
-// below the view's length"). It is borrowed from the index's opening for
-// the view's length and read-only.
+// long-lived core.Index; growth segments own both. A shared index usually
+// covers more sets than the view: a joined row is clipped by breaking at
+// the segment's end id, an id row by cut, which limits each node's row to
+// its first cut[u] ids without copying (rows are ascending, so a prefix is
+// exactly "ids below the view's length"). cut is borrowed from the index's
+// opening for the view's length and read-only.
 type covSegment struct {
 	base int32
 	view FamilyView
@@ -23,9 +23,9 @@ type covSegment struct {
 }
 
 // idsOf returns the (global, ascending) ids of this segment's sets that
-// contain u.
+// contain u. Id-row indexes only: the walks read a joined row's records.
 func (s *covSegment) idsOf(u int32) []int32 {
-	ids := s.inv.IDs(u)
+	ids := s.inv.row(u)
 	if s.cut != nil {
 		ids = ids[:s.cut[u]]
 	}
@@ -47,22 +47,31 @@ func (s *covSegment) memBytes() int64 {
 	return s.view.MemBytes() + s.inv.MemBytes()
 }
 
-// clipInverted computes the per-node prefix lengths of inv's rows that fall
-// below k — the cut vector aligning a shared inverted index with a k-set
-// view. Rows are ascending, so each cut is one binary search (skipped for
-// the common row that lies entirely below k). Only an opening's builder
-// calls it (Inverted.opening).
+// clipInverted computes, per node, how many of inv's row entries hold ids
+// among its first k sets — the cut vector aligning a shared inverted index
+// with a k-set view. An id row is ascending, so its cut is one binary
+// search (skipped for the common row that lies entirely below k); a joined
+// row is walked header by header up to the first id past k. Only an
+// opening's builder calls it (Inverted.opening).
 func clipInverted(inv *Inverted, k int) []int32 {
 	n := inv.NumNodes()
 	cut := make([]int32, n)
-	w := int32(k)
-	for u := 0; u < n; u++ {
-		ids := inv.IDs(int32(u))
-		c := len(ids)
-		if c > 0 && ids[c-1] >= w {
-			c = sort.Search(c, func(i int) bool { return ids[i] >= w })
+	w := inv.base + int32(k)
+	for u := int32(0); u < int32(n); u++ {
+		row := inv.row(u)
+		if !inv.joined {
+			c := len(row)
+			if c > 0 && row[c-1] >= w {
+				c = sort.Search(c, func(i int) bool { return row[i] >= w })
+			}
+			cut[u] = int32(c)
+			continue
 		}
-		cut[u] = int32(c)
+		c := int32(0)
+		for p := 0; p < len(row) && row[p]>>joinSizeBits < w; p = inv.next(row, p) {
+			c++
+		}
+		cut[u] = c
 	}
 	return cut
 }
@@ -130,10 +139,12 @@ func (s *segStore) reset(n int, v FamilyView, inv *Inverted) *opening {
 }
 
 // grow appends a non-empty view as one owned segment and returns the
-// inverted index built over it in a single counting pass.
+// id-row index built over it in a single counting pass: a growth segment
+// lives for one run, too short to amortize the records' member copies, and
+// never runs the bitset kernel.
 func (s *segStore) grow(v FamilyView) *Inverted {
 	base := int32(s.numSets)
-	inv := BuildInverted(s.n, v, base)
+	inv := buildInverted(s.n, v, base, false)
 	s.segs = append(s.segs, covSegment{base: base, view: v, inv: inv})
 	s.numSets += v.Len()
 	return inv
@@ -400,14 +411,13 @@ func (c *Collection) TopNodesInto(k int, eligible func(int32) bool, nodes []int3
 // This is the single hottest loop of a warm allocation — every committed
 // seed retires its covered sets here — so the walk itself is the
 // collection's active cover kernel (see kernel.go): the sparse kernel
-// prefers the inverted index's cover join (one sequential record
-// stream per node, members inlined; see coverJoin), falling back to the
-// arena hop for spilled sets and for segments whose join was never
-// prepared — per-request θ-growth segments and hand-built collections,
-// state too short-lived to amortize a join build; the bitset kernel sweeps
-// packed membership words. Either way sets retire in ascending id order,
-// so the covering sequence — and with it every downstream estimate — is
-// unchanged.
+// walks a joined index's cover-join rows (one sequential record stream per
+// node, members inlined; see joinInlineCap), hopping to the arena for
+// spilled sets and for id-row segments — per-request θ-growth segments and
+// hand-built collections, state too short-lived to amortize the records;
+// the bitset kernel sweeps packed membership words. Either way sets retire
+// in ascending id order, so the covering sequence — and with it every
+// downstream estimate — is unchanged.
 func (c *Collection) CoverNode(u int32) int {
 	c.SyncHeap()
 	covered, segs := 0, c.segs

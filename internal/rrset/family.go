@@ -171,25 +171,28 @@ func (v FamilyView) MemBytes() int64 {
 }
 
 // Inverted is a CSR inverted index over a set family: node u's row lists,
-// in ascending order, the ids of the sets containing u. Built in one
-// counting pass — no per-node append lists, two allocations total.
-// Immutable once built; growth replaces the whole index (cheap next to the
-// reverse-BFS cost of sampling the new sets, and it gives concurrent
-// readers a stable snapshot for free). The optional cover join (see
-// coverJoin), membership bitmap (coverBits) and openings (opening) are
-// derived data, each built at most once behind a lock, so concurrent
-// readers stay race-free — and each dies with the Inverted it describes.
-// The join exists only while every set id is below joinIDLimit (2^27): an
-// index whose base+Len reaches it keeps the id rows and the arena hop, the
-// walk every unprepared index takes.
+// ascending by id, the sets containing u. Built in one counting pass — no
+// per-node append lists, two allocations. Immutable once built; growth
+// replaces the whole index (cheap next to the reverse-BFS cost of sampling
+// the new sets, and it gives concurrent readers a stable snapshot for free).
+//
+// A row takes one of two forms, fixed at construction. Joined — every index
+// BuildInverted returns while each id fits a record header (below
+// joinIDLimit, 2^27) — the row is the cover join: one record per set, its id
+// and, up to joinInlineCap, its members (see the record layout below), so the
+// cover walks stream ids and members sequentially and the index keeps no
+// separate id rows. Otherwise the row is the plain ascending ids and walks
+// hop id → offsets → arena: the form of short-lived growth segments
+// (segStore.grow) and of any index whose ids reach 2^27. The optional
+// membership bitmap (coverBits) and openings (opening) are derived data,
+// each built at most once behind a lock, so concurrent readers stay
+// race-free — and each dies with the Inverted it describes.
 type Inverted struct {
-	off  []int64 // len = n+1
-	ids  []int32 // set ids, ascending within each node's row
-	src  FamilyView
-	base int32
-
-	joinMu sync.Mutex // serializes the one-time join build
-	join   atomic.Pointer[coverJoin]
+	off    []int64 // len = n+1: node u's row is rows[off[u]:off[u+1]]
+	rows   []int32 // records when joined, set ids otherwise
+	joined bool
+	src    FamilyView
+	base   int32
 
 	bitsMu sync.Mutex // serializes the one-time bitmap build
 	bits   atomic.Pointer[coverBits]
@@ -199,50 +202,122 @@ type Inverted struct {
 }
 
 // BuildInverted indexes v over an n-node universe. Set i of the view gets
-// id base+i, letting a segment's local view carry global stream ids.
+// id base+i, letting a segment's local view carry global stream ids. The
+// index is joined whenever its ids fit a record header, and it carries the
+// membership bitmap when PrepareCover's density rule asks for one.
 func BuildInverted(n int, v FamilyView, base int32) *Inverted {
+	ix := buildInverted(n, v, base, int64(base)+int64(v.Len()) <= joinIDLimit)
+	ix.PrepareCover()
+	return ix
+}
+
+// buildInverted is the one counting-pass builder of both row forms: each
+// set adds a record to every member's row — 1+|R| words when joined and
+// inline, 1 word otherwise.
+func buildInverted(n int, v FamilyView, base int32, joined bool) *Inverted {
 	off := make([]int64, n+1)
 	k := v.Len()
-	if k == 0 {
-		return &Inverted{off: off, src: v, base: base}
-	}
-	arena := v.members[v.offsets[0]:v.offsets[k]]
-	for _, u := range arena {
-		off[u+1]++
+	for i := 0; i < k; i++ {
+		set := v.Set(i)
+		rec := int64(1)
+		if joined && len(set) <= joinInlineCap {
+			rec += int64(len(set))
+		}
+		for _, u := range set {
+			off[u+1] += rec
+		}
 	}
 	for u := 0; u < n; u++ {
 		off[u+1] += off[u]
 	}
-	ids := make([]int32, len(arena))
+	rows := make([]int32, off[n])
 	cur := make([]int64, n)
 	copy(cur, off[:n])
 	for i := 0; i < k; i++ {
+		set := v.Set(i)
 		id := base + int32(i)
-		for _, u := range v.Set(i) {
-			ids[cur[u]] = id
-			cur[u]++
+		if !joined {
+			for _, u := range set {
+				rows[cur[u]] = id
+				cur[u]++
+			}
+			continue
+		}
+		head := id << joinSizeBits
+		if len(set) > joinInlineCap {
+			for _, u := range set {
+				rows[cur[u]] = head | joinSpill
+				cur[u]++
+			}
+			continue
+		}
+		head |= int32(len(set))
+		for _, u := range set {
+			p := cur[u]
+			rows[p] = head
+			copy(rows[p+1:], set)
+			cur[u] = p + 1 + int64(len(set))
 		}
 	}
-	return &Inverted{off: off, ids: ids, src: v, base: base}
+	return &Inverted{off: off, rows: rows, joined: joined, src: v, base: base}
 }
 
 // NumNodes returns the node-universe size.
 func (ix *Inverted) NumNodes() int { return len(ix.off) - 1 }
 
-// IDs returns the ids of the sets containing u, ascending. Read-only.
-func (ix *Inverted) IDs(u int32) []int32 { return ix.ids[ix.off[u]:ix.off[u+1]] }
+// row returns u's row: its record stream when joined, its ids otherwise.
+func (ix *Inverted) row(u int32) []int32 { return ix.rows[ix.off[u]:ix.off[u+1]] }
 
-// Count returns how many sets contain u.
-func (ix *Inverted) Count(u int32) int { return int(ix.off[u+1] - ix.off[u]) }
-
-// MemBytes returns the index's exact data footprint (including the cover
-// join, the membership bitmap and the stored openings once built; this
-// never triggers the builds).
-func (ix *Inverted) MemBytes() int64 {
-	total := 4*int64(len(ix.ids)) + 8*int64(len(ix.off))
-	if j := ix.join.Load(); j != nil {
-		total += j.memBytes()
+// next returns the position of the entry after the one at p in one of the
+// index's rows: the next id, or past a joined record's inline members.
+func (ix *Inverted) next(row []int32, p int) int {
+	if sz := int(row[p] & joinSizeMask); ix.joined && sz != joinSpill {
+		return p + 1 + sz
 	}
+	return p + 1
+}
+
+// id returns the set id of the row entry at p.
+func (ix *Inverted) id(row []int32, p int) int32 {
+	if ix.joined {
+		return row[p] >> joinSizeBits
+	}
+	return row[p]
+}
+
+// IDs returns the ids of the sets containing u, ascending. Read-only; on a
+// joined index a fresh slice decoded from the record headers.
+func (ix *Inverted) IDs(u int32) []int32 {
+	row := ix.row(u)
+	if !ix.joined {
+		return row
+	}
+	var ids []int32
+	for p := 0; p < len(row); p = ix.next(row, p) {
+		ids = append(ids, ix.id(row, p))
+	}
+	return ids
+}
+
+// Count returns how many sets contain u (on a joined index, by walking the
+// record headers).
+func (ix *Inverted) Count(u int32) int {
+	row := ix.row(u)
+	if !ix.joined {
+		return len(row)
+	}
+	c := 0
+	for p := 0; p < len(row); p = ix.next(row, p) {
+		c++
+	}
+	return c
+}
+
+// MemBytes returns the index's exact data footprint: its rows and row
+// offsets, plus the membership bitmap and the stored openings once built
+// (this never triggers the builds).
+func (ix *Inverted) MemBytes() int64 {
+	total := 4*int64(len(ix.rows)) + 8*int64(len(ix.off))
 	if b := ix.bits.Load(); b != nil {
 		total += b.memBytes()
 	}
@@ -267,7 +342,7 @@ const OpeningCap = 4
 // sets of an Inverted begins from — a pure function of (index, k), so it is
 // built once and borrowed or copied by each collection instead of being
 // recomputed per request. Immutable once built; derived data of the
-// Inverted exactly like coverJoin.
+// Inverted exactly like coverBits.
 //
 // The two halves are built separately because not every collection needs
 // both: cut is needed by all of them, the heap only by those that select
@@ -275,10 +350,10 @@ const OpeningCap = 4
 // its own heap), so the heap half waits for the first SyncHeap that asks.
 type opening struct {
 	k int
-	// cut[u] is how many of u's row ids fall below k (rows are ascending, so
-	// that prefix is exactly u's memberships among the first k sets): both
-	// the row clip aligning the index with a k-set view and u's initial
-	// residual coverage.
+	// cut[u] is how many of u's row entries hold ids among the index's first
+	// k sets (rows are ascending, so they are a prefix): both u's initial
+	// residual coverage and, on an id-row index, the row clip aligning the
+	// index with a k-set view.
 	cut []int32
 
 	heapOnce sync.Once
@@ -346,6 +421,17 @@ func (o *opening) memBytes() int64 {
 // (1+cap)·memberships in the worst (all-tiny) case.
 const joinInlineCap = 8
 
+// The cover join is the joined index's row layout: node u's row is a flat
+// stream of records [id<<4 | size, members...] (or the lone header
+// [id<<4 | joinSpill] past the inline cap), ascending by id — an inline
+// membership costs 1+|R| words, a spilled one 1. CoverNode and the delta and
+// weighted commit walks read it instead of hopping id → offsets → arena per
+// covered set: the hot commit loop becomes one sequential scan, which on the
+// measured serving workload is the difference between a cache miss per tiny
+// set and streaming bandwidth. Records carry global ids, and rows are
+// ascending, so a collection clips a too-long row by breaking at its
+// segment's end id — no cut vector needed.
+//
 // A record's header is one word, id<<joinSizeBits | size: the low bits hold
 // the inline member count (0..joinInlineCap) or joinSpill, and the set id
 // sits above them. An id must therefore stay below joinIDLimit for the
@@ -358,55 +444,20 @@ const (
 	joinIDLimit = 1 << (31 - joinSizeBits)
 )
 
-// coverJoin is the inverted index joined with its sets' member lists: node
-// u's row is a flat stream of records [id<<4 | size, members...] (or the
-// lone header [id<<4 | joinSpill] past the inline cap), ascending by id — an
-// inline membership costs 1+|R| words, a spilled one 1. CoverNode and the
-// weighted commit walk it instead of hopping id → offsets → arena per
-// covered set: the hot commit loop becomes one sequential scan, which on
-// the measured serving workload is the difference between a cache miss per
-// tiny set and streaming bandwidth. Records carry global ids, and rows are
-// ascending, so a collection clips a too-long row by breaking at its
-// segment's end id — no cut vector needed.
-type coverJoin struct {
-	off  []int64 // len = n+1, entry offsets into data
-	data []int32
-}
-
-// row returns u's record stream.
-func (j *coverJoin) row(u int32) []int32 { return j.data[j.off[u]:j.off[u+1]] }
-
-// memBytes returns the join's exact data footprint.
-func (j *coverJoin) memBytes() int64 {
-	return 4*int64(len(j.data)) + 8*int64(len(j.off))
-}
-
-// PrepareCover builds the inverted index's cover join ahead of time — the
-// warm-up hook core.Index uses so the first allocation against a fresh or
-// snapshot-loaded sample does not pay the one-time join construction on
-// the request path. Idempotent and safe for concurrent use. Commit loops
-// never build the join themselves (see preparedJoin): an index that was
-// not prepared — a per-request growth segment, a hand-built collection —
-// keeps the plain arena-hop path, which is the right trade for state too
-// short-lived to amortize the build. So does an index with a set id at or
-// past joinIDLimit, which a record header cannot hold.
-//
-// On dense samples it additionally builds the packed membership bitmap the
-// bitset coverage kernel sweeps (see coverBits) — this is the one place
-// the cover kernel is chosen: a collection Reset over this index runs
-// bitset exactly when the bitmap exists. The density rule compares the
-// average inverted-row length to the set count: the bitmap costs
-// n·⌈k/64⌉ words, so it is built exactly when 64·memberships ≥ n·k — i.e.
-// when the bitmap is at most twice the size of the id rows it shadows,
-// which is also the regime where AND-NOT word sweeps beat per-membership
-// scans. Sparse samples — every shipped dataset at 600 nodes and up, see
-// DESIGN.md §6.7 — skip the build and their collections run the sparse
-// kernel.
+// PrepareCover applies the density rule that chooses the cover kernel:
+// it builds the packed membership bitmap the bitset kernel sweeps (see
+// coverBits) when 64·memberships ≥ n·k, and a collection Reset over this
+// index runs bitset exactly when the bitmap exists. The bitmap costs
+// n·⌈k/64⌉ words, so the rule builds it exactly when it is at most twice
+// the size of one id per membership — which is also the regime where
+// AND-NOT word sweeps beat per-membership scans. Sparse samples — every
+// shipped dataset at 600 nodes and up, see DESIGN.md §6.7 — skip the build
+// and their collections run the sparse kernel. BuildInverted applies it to
+// every index it returns, so a later call is a no-op. Idempotent and safe
+// for concurrent use.
 func (ix *Inverted) PrepareCover() {
-	ix.coverJoin()
-	n := ix.NumNodes()
-	k := ix.src.Len()
-	if k > 0 && n > 0 && int64(len(ix.ids))*64 >= int64(n)*int64(k) {
+	n, k := ix.NumNodes(), ix.src.Len()
+	if k > 0 && n > 0 && ix.src.NumMembers()*64 >= int64(n)*int64(k) {
 		ix.coverBits()
 	}
 }
@@ -428,10 +479,9 @@ func (ix *Inverted) preparedBits() *coverBits { return ix.bits.Load() }
 
 // coverBits is per-node RR-set membership as packed words: node u's row is
 // wpr uint64 words in which bit i (local set id) is set iff set base+i
-// contains u — the dense mirror of the inverted index's id rows that the
-// bitset coverage kernel AND-NOTs against a covered-set mask instead of
-// scanning ids one at a time. Immutable once built, derived data of the
-// Inverted exactly like coverJoin.
+// contains u — the dense mirror of the index's rows that the bitset coverage
+// kernel AND-NOTs against a covered-set mask instead of scanning ids one at
+// a time. Immutable once built, derived data of the Inverted.
 type coverBits struct {
 	words []uint64 // n rows of wpr words each
 	wpr   int      // words per row = ⌈sets/64⌉
@@ -455,7 +505,7 @@ func (ix *Inverted) coverBits() *coverBits {
 		return b
 	}
 	k := ix.src.Len()
-	if k == 0 || len(ix.ids) == 0 {
+	if k == 0 || ix.src.NumMembers() == 0 {
 		return nil
 	}
 	ix.bitsMu.Lock()
@@ -466,78 +516,14 @@ func (ix *Inverted) coverBits() *coverBits {
 	n := ix.NumNodes()
 	wpr := (k + 63) / 64
 	words := make([]uint64, n*wpr)
-	for u := 0; u < n; u++ {
-		row := words[u*wpr : (u+1)*wpr]
-		for _, id := range ix.ids[ix.off[u]:ix.off[u+1]] {
-			lb := uint32(id - ix.base)
-			row[lb>>6] |= 1 << (lb & 63)
+	for u := int32(0); u < int32(n); u++ {
+		bits, row := words[int(u)*wpr:int(u+1)*wpr], ix.row(u)
+		for p := 0; p < len(row); p = ix.next(row, p) {
+			lb := uint32(ix.id(row, p) - ix.base)
+			bits[lb>>6] |= 1 << (lb & 63)
 		}
 	}
 	b := &coverBits{words: words, wpr: wpr, sets: k}
 	ix.bits.Store(b)
 	return b
-}
-
-// preparedJoin returns the cover join if PrepareCover has built it, nil
-// otherwise — a lock-free peek that never constructs.
-func (ix *Inverted) preparedJoin() *coverJoin { return ix.join.Load() }
-
-// coverJoin returns the join, building it at most once (nil for an empty
-// index and for one whose ids reach joinIDLimit). Safe for concurrent use:
-// readers load an atomic pointer, the build is serialized by joinMu.
-func (ix *Inverted) coverJoin() *coverJoin {
-	if j := ix.join.Load(); j != nil {
-		return j
-	}
-	if len(ix.ids) == 0 || int64(ix.base)+int64(ix.src.Len()) > joinIDLimit {
-		return nil
-	}
-	ix.joinMu.Lock()
-	defer ix.joinMu.Unlock()
-	if j := ix.join.Load(); j != nil {
-		return j
-	}
-	n := ix.NumNodes()
-	v := ix.src
-	k := v.Len()
-	// Counting pass: each set R adds 1+|R| entries (1 when spilled) to every
-	// member's row.
-	rowLen := make([]int64, n+1)
-	for i := 0; i < k; i++ {
-		set := v.Set(i)
-		rec := int64(1)
-		if len(set) <= joinInlineCap {
-			rec += int64(len(set))
-		}
-		for _, u := range set {
-			rowLen[u+1] += rec
-		}
-	}
-	for u := 0; u < n; u++ {
-		rowLen[u+1] += rowLen[u]
-	}
-	data := make([]int32, rowLen[n])
-	cur := make([]int64, n)
-	copy(cur, rowLen[:n])
-	for i := 0; i < k; i++ {
-		set := v.Set(i)
-		head := (ix.base + int32(i)) << joinSizeBits
-		if len(set) > joinInlineCap {
-			for _, u := range set {
-				data[cur[u]] = head | joinSpill
-				cur[u]++
-			}
-			continue
-		}
-		head |= int32(len(set))
-		for _, u := range set {
-			p := cur[u]
-			data[p] = head
-			copy(data[p+1:], set)
-			cur[u] = p + 1 + int64(len(set))
-		}
-	}
-	j := &coverJoin{off: rowLen, data: data}
-	ix.join.Store(j)
-	return j
 }

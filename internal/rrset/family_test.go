@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -111,22 +112,24 @@ func TestBuildInverted(t *testing.T) {
 	}
 }
 
-// checkCoverJoin decodes every row of inv's cover join and checks it record
-// for record against inv.IDs(u) and fam's sets: one header per id holding
-// the id above the size bits, the set's members inline right behind it when
-// it has at most joinInlineCap of them, joinSpill and nothing else when it
-// has more, and no word left over. It returns the record counts of each kind.
-func checkCoverJoin(t testing.TB, fam *SetFamily, inv *Inverted) (inline, spilled int) {
+// checkCoverJoin decodes every row of the joined index inv and checks it
+// record for record against rows — the id-row builder's index over the same
+// family and base — and fam's sets: one header per id holding the id above
+// the size bits, the set's members inline right behind it when it has at
+// most joinInlineCap of them, joinSpill and nothing else when it has more,
+// and no word left over. IDs and Count, which decode the headers, must
+// answer what the id rows do. It returns the record counts of each kind.
+func checkCoverJoin(t testing.TB, fam *SetFamily, inv, rows *Inverted) (inline, spilled int) {
 	t.Helper()
-	j := inv.preparedJoin()
-	if j == nil {
-		t.Fatalf("base %d, %d sets: PrepareCover built no join", inv.base, fam.Len())
+	if !inv.joined || rows.joined {
+		t.Fatalf("base %d, %d sets: joined = %v and %v, want an index with its join and one with id rows", inv.base, fam.Len(), inv.joined, rows.joined)
 	}
 	for u := int32(0); u < int32(inv.NumNodes()); u++ {
-		row, p := j.row(u), 0
-		for r, id := range inv.IDs(u) {
+		row, p := inv.row(u), 0
+		ids := rows.row(u)
+		for r, id := range ids {
 			if p >= len(row) {
-				t.Fatalf("node %d: row ends after %d of %d records", u, r, inv.Count(u))
+				t.Fatalf("node %d: row ends after %d of %d records", u, r, len(ids))
 			}
 			h := row[p]
 			if h < 0 || h>>joinSizeBits != id {
@@ -150,15 +153,74 @@ func checkCoverJoin(t testing.TB, fam *SetFamily, inv *Inverted) (inline, spille
 		if p != len(row) {
 			t.Fatalf("node %d: %d words past its last record", u, len(row)-p)
 		}
+		if got := inv.IDs(u); !slices.Equal(got, ids) || inv.Count(u) != len(ids) {
+			t.Fatalf("node %d: IDs %v and Count %d decoded from the headers, id rows hold %v", u, got, inv.Count(u), ids)
+		}
 	}
 	return inline, spilled
 }
 
-// TestCoverJoinRecords: the join PrepareCover builds is the inverted index
-// with each set's header and (up to the inline cap) members, record for
-// record, at base 0 and at ids high enough to fill the header's id bits.
-// Families here (randomKernelFamily at avg 10) hold sets of 1–19 members,
-// on both sides of the inline cap.
+// oneSegment returns a collection whose only segment is v indexed by inv at
+// inv.base, nothing covered — the state a grown segment at that id has,
+// without the segments below it: their covered flags are never read, and
+// the untouched pages stay unbacked.
+func oneSegment(n int, v FamilyView, inv *Inverted) *Collection {
+	c := NewCollection(n)
+	c.segs = []covSegment{{base: inv.base, view: v, inv: inv}}
+	c.numSets = int(inv.base) + v.Len()
+	c.covered = make([]bool, c.numSets)
+	for u := range c.cov {
+		c.cov[u] = int32(inv.Count(int32(u)))
+	}
+	c.invalidate()
+	return c
+}
+
+// checkJoinMatchesIDRows builds fam's index at base both ways — BuildInverted's
+// join and the id-row builder's rows — and requires the join to answer
+// every question the id rows do: the records themselves (checkCoverJoin),
+// the opening clip at view lengths 0, 1, random and all, and the sharded
+// delta walk, cover and credit at a random firstID, step for step. It
+// returns the record counts of each kind.
+func checkJoinMatchesIDRows(t testing.TB, rng *xrand.Rand, n int, fam *SetFamily, base int32) (inline, spilled int) {
+	t.Helper()
+	v := fam.View()
+	inv, rows := BuildInverted(n, v, base), buildInverted(n, v, base, false)
+	inline, spilled = checkCoverJoin(t, fam, inv, rows)
+	k := fam.Len()
+	for _, at := range []int{0, 1, rng.IntN(k + 1), k} {
+		if got, want := clipInverted(inv, at), clipInverted(rows, at); !slices.Equal(got, want) {
+			t.Fatalf("base %d: clip to %d sets over the join %v, over id rows %v", base, at, got, want)
+		}
+	}
+	joined, plain := oneSegment(n, v, inv), oneSegment(n, v, rows)
+	var jn, jd, pn, pd []int32
+	for step := 0; step < 12; step++ {
+		u := int32(rng.IntN(n))
+		var jc, pc int
+		op := fmt.Sprintf("CoverNodeDelta(%d)", u)
+		if step%2 == 0 {
+			jc, jn, jd = joined.CoverNodeDelta(u, jn, jd)
+			pc, pn, pd = plain.CoverNodeDelta(u, pn, pd)
+		} else {
+			first := int(base) + rng.IntN(k+1)
+			op = fmt.Sprintf("CountAndCoverFromDelta(%d, %d)", u, first)
+			jc, jn, jd = joined.CountAndCoverFromDelta(u, first, jn, jd)
+			pc, pn, pd = plain.CountAndCoverFromDelta(u, first, pn, pd)
+		}
+		if jc != pc || !slices.Equal(jn, pn) || !slices.Equal(jd, pd) {
+			t.Fatalf("base %d step %d: %s over the join = (%d, %v, %v), over id rows (%d, %v, %v)", base, step, op, jc, jn, jd, pc, pn, pd)
+		}
+	}
+	return inline, spilled
+}
+
+// TestCoverJoinRecords: the index BuildInverted builds is the cover join —
+// the id rows with each set's header and (up to the inline cap) members,
+// record for record — and answers the clip and the delta walk exactly as
+// the id rows do, at base 0 and at ids high enough to fill the header's id
+// bits. Families here (randomKernelFamily at avg 10) hold sets of 1–19
+// members, on both sides of the inline cap.
 func TestCoverJoinRecords(t *testing.T) {
 	var inline, spilled int
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -166,9 +228,7 @@ func TestCoverJoinRecords(t *testing.T) {
 		n := 2 + rng.IntN(150)
 		fam := randomKernelFamily(rng, n, 1+rng.IntN(600), 10)
 		for _, base := range []int32{0, int32(rng.IntN(1 << 20)), joinIDLimit - int32(fam.Len())} {
-			inv := BuildInverted(n, fam.View(), base)
-			inv.PrepareCover()
-			i, s := checkCoverJoin(t, fam, inv)
+			i, s := checkJoinMatchesIDRows(t, rng, n, fam, base)
 			inline, spilled = inline+i, spilled+s
 		}
 	}
@@ -177,7 +237,7 @@ func TestCoverJoinRecords(t *testing.T) {
 	}
 }
 
-// FuzzCoverJoinRecords runs the same decode on fuzzed shapes and bases.
+// FuzzCoverJoinRecords runs the same checks on fuzzed shapes and bases.
 func FuzzCoverJoinRecords(f *testing.F) {
 	f.Add(uint64(1), uint8(10), uint8(40), uint32(0))
 	f.Add(uint64(7), uint8(200), uint8(255), uint32(1<<27-1))
@@ -186,42 +246,31 @@ func FuzzCoverJoinRecords(f *testing.F) {
 		rng := xrand.New(seed)
 		n, k := 1+int(nn), 1+int(kk)
 		fam := randomKernelFamily(rng, n, k, 10)
-		inv := BuildInverted(n, fam.View(), int32(b%uint32(joinIDLimit-k+1)))
-		inv.PrepareCover()
-		checkCoverJoin(t, fam, inv)
+		checkJoinMatchesIDRows(t, rng, n, fam, int32(b%uint32(joinIDLimit-k+1)))
 	})
 }
 
 // TestCoverJoinIDLimit: an index whose ids reach 2^27 — which a record
-// header cannot hold — gets no join, one whose last id is 2^27−1 does, and
-// a collection over the unjoined index covers, seed for seed, exactly what
-// the same sets cover at base 0 through a join.
+// header cannot hold — keeps id rows, one whose last id is 2^27−1 is
+// joined, and a collection over the id-row index covers, seed for seed,
+// exactly what the same sets cover at base 0 through the join.
 func TestCoverJoinIDLimit(t *testing.T) {
 	rng := xrand.New(3)
 	const n, k = 80, 500
 	fam := randomKernelFamily(rng, n, k, 10)
-	atLimit := BuildInverted(n, fam.View(), joinIDLimit-k)
-	atLimit.PrepareCover()
-	checkCoverJoin(t, fam, atLimit)
+	v := fam.View()
+	checkCoverJoin(t, fam, BuildInverted(n, v, joinIDLimit-k), buildInverted(n, v, joinIDLimit-k, false))
 
 	const base = joinIDLimit - k/2
-	ref := NewCollection(n)
-	ref.AddFamily(fam.View())
-	ref.segs[0].inv.PrepareCover()
-	if ref.segs[0].inv.preparedJoin() == nil {
-		t.Fatal("base 0: PrepareCover built no join")
+	ref := NewCollectionFromFamily(n, v, BuildInverted(n, v, 0))
+	if !ref.segs[0].inv.joined || ref.UseKernel(KernelSparse) != KernelSparse {
+		t.Fatal("base 0: no sparse walk over a join")
 	}
-	// Grow a collection whose first segment starts at base: the covered
-	// flags below base are never read, and the untouched pages stay unbacked.
-	high := NewCollection(n)
-	high.numSets = base
-	high.covered = make([]bool, base, base+k)
-	high.AddFamily(fam.View())
-	inv := high.segs[0].inv
-	inv.PrepareCover()
-	if inv.base != base || inv.preparedJoin() != nil {
-		t.Fatalf("ids %d..%d: join built = %v, want none", inv.base, inv.base+k-1, inv.preparedJoin() != nil)
+	inv := BuildInverted(n, v, base)
+	if inv.joined {
+		t.Fatalf("ids %d..%d: joined, want id rows", base, base+k-1)
 	}
+	high := oneSegment(n, v, inv)
 	for round := 0; ; round++ {
 		u, cov, ok := ref.BestNode(nil)
 		hu, hcov, hok := high.BestNode(nil)

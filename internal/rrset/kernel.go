@@ -4,8 +4,8 @@
 // residual coverage of their members; that inner loop dominates a warm
 // allocation's profile.
 //
-//   - sparse: the cover-join / inverted-row scan — one record stream (or
-//     id row + arena hop) per node, cost proportional to the node's
+//   - sparse: the inverted-row scan — one cover-join record stream (or id
+//     row + arena hop) per node, cost proportional to the node's
 //     membership count. Right for sparse instances, growth segments, and
 //     hand-built collections.
 //   - bitset: per-node RR-set membership packed as uint64 words (see
@@ -60,10 +60,9 @@ func (k KernelID) String() string {
 	return "unknown"
 }
 
-// sparseCoverSegs is the sparse CoverNode walk over the given segments:
-// prefer the prepared cover join's sequential record stream, fall back to
-// the inverted row + arena hop. Record order equals id order, so the
-// covering sequence is the historical one.
+// sparseCoverSegs is the sparse CoverNode walk over the given segments: a
+// joined index's sequential record stream, or an id row + arena hop. Record
+// order equals id order, so the covering sequence is the historical one.
 func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 	covered := 0
 	cov, cvd := c.cov, c.covered
@@ -71,9 +70,9 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 		seg := &segs[si]
 		base := seg.base
 		offs, mem := seg.view.offsets, seg.view.members
-		if j := seg.inv.preparedJoin(); j != nil {
+		if seg.inv.joined {
 			limit := int32(seg.end())
-			row := j.row(u)
+			row := seg.inv.row(u)
 			for p := 0; p < len(row); {
 				id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
 				if id >= limit {
@@ -118,12 +117,15 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 }
 
 // sparseDeltaSegs is the sparse CountAndCoverFrom walk over the given
-// segments (inverted rows + arena hops; the credit path is rare enough
-// that the join adds nothing), recording every per-member decrement into
-// the sink when there is one (the sharded delta-capture path).
+// segments — the same record stream (or id row + arena hop) as
+// sparseCoverSegs, skipping ids below firstID — recording every per-member
+// decrement into the sink when there is one. It runs on every sharded
+// commit and credit (the delta-capture path), so a joined index walks its
+// records here too.
 func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *deltaSink) int {
 	covered := 0
 	cov, cvd := c.cov, c.covered
+	first := int32(firstID)
 	for si := range segs {
 		seg := &segs[si]
 		if seg.end() <= firstID {
@@ -131,8 +133,42 @@ func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *
 		}
 		base := seg.base
 		offs, mem := seg.view.offsets, seg.view.members
+		if seg.inv.joined {
+			limit := int32(seg.end())
+			row := seg.inv.row(u)
+			for p := 0; p < len(row); {
+				id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
+				if id >= limit {
+					break
+				}
+				var members []int32
+				if sz == joinSpill {
+					p++
+					if id < first || cvd[id] {
+						continue
+					}
+					i := int(id - base)
+					members = mem[offs[i]:offs[i+1]]
+				} else {
+					members = row[p+1 : p+1+sz]
+					p += 1 + sz
+					if id < first || cvd[id] {
+						continue
+					}
+				}
+				cvd[id] = true
+				covered++
+				for _, w := range members {
+					cov[w]--
+					if s != nil {
+						s.record(w)
+					}
+				}
+			}
+			continue
+		}
 		for _, id := range seg.idsOf(u) {
-			if int(id) < firstID || cvd[id] {
+			if id < first || cvd[id] {
 				continue
 			}
 			cvd[id] = true
@@ -161,12 +197,12 @@ func sparseCommitSegs(c *WeightedCollection, u int32, delta float64, firstID int
 		}
 		base := seg.base
 		offs, mem := seg.view.offsets, seg.view.members
-		if j := seg.inv.preparedJoin(); j != nil {
+		if seg.inv.joined {
 			// Sequential record-stream walk — see Collection.CoverNode for
 			// why this beats the per-set arena hop on the commit path.
 			limit := int32(seg.end())
 			first := int32(firstID)
-			row := j.row(u)
+			row := seg.inv.row(u)
 			for p := 0; p < len(row); {
 				id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
 				if id >= limit {

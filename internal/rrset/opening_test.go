@@ -95,10 +95,20 @@ func openingLengths(have int) []int {
 	return ks
 }
 
+// openingIndex indexes fam at base 0 joined for even seeds and with id rows
+// — the form an index whose ids reach 2^27 keeps — for odd ones.
+func openingIndex(n int, fam *SetFamily, seed uint64) *Inverted {
+	if seed%2 == 0 {
+		return BuildInverted(n, fam.View(), 0)
+	}
+	return buildInverted(n, fam.View(), 0, false)
+}
+
 // TestOpeningMatchesFromScratch: the state a Reset borrows and copies from
 // the inverted index's opening is the state the from-scratch construction
-// computes, over random families and every interesting view length, with
-// and without a prepared cover join and bitmap.
+// computes, over random families and every interesting view length, over
+// a joined index (with its bitmap when the density rule builds one) and
+// over the id rows of an index whose ids reach 2^27.
 func TestOpeningMatchesFromScratch(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		rng := xrand.New(seed)
@@ -108,11 +118,7 @@ func TestOpeningMatchesFromScratch(t *testing.T) {
 		for _, k := range openingLengths(have) {
 			// A fresh index per length: the cap would otherwise evict the
 			// first lengths before their second pass.
-			inv := BuildInverted(n, fam.View(), 0)
-			if seed%2 == 0 {
-				inv.PrepareCover()
-			}
-			checkOpening(t, n, fam, inv, k)
+			checkOpening(t, n, fam, openingIndex(n, fam, seed), k)
 		}
 	}
 }
@@ -131,11 +137,7 @@ func FuzzOpeningMatchesFromScratch(f *testing.F) {
 			a = n - 1
 		}
 		fam := randomKernelFamily(xrand.New(seed), n, have, a)
-		inv := BuildInverted(n, fam.View(), 0)
-		if seed%2 == 0 {
-			inv.PrepareCover()
-		}
-		checkOpening(t, n, fam, inv, int(at)%(have+1))
+		checkOpening(t, n, fam, openingIndex(n, fam, seed), int(at)%(have+1))
 	})
 }
 

@@ -4,14 +4,14 @@
 // dominates TIRM's cost, but it is not pure I/O. A snapshot stores the
 // member arenas only; everything derived from them is rebuilt on load, and
 // that rebuild is the load — at DBLP scale (317K nodes, 5 × 500K sets,
-// 52 MB file) decoding the sections is ~6 % of core.LoadIndexSnapshot,
-// against ~55 % for the cover join (Inverted.PrepareCover), ~20 % for
-// BuildInverted, ~11 % for the instance fingerprint and ~7 % for the
-// widths. Persisting the join instead would grow the file from 52 to
-// ~300 MB, so the load derives it, one ad per worker of the bounded fan-out
-// (core/index.go). The format is little-endian and versioned; core.Index
-// composes per-ad sections written with EncodeSetFamily into one index
-// file.
+// 52 MB file; CPU profile of five serial loads on one core) decoding the
+// sections is ~6 % of core.LoadIndexSnapshot, against ~83 % for
+// BuildInverted, which builds the cover join straight from the arena, and
+// ~11 % for the instance fingerprint. Persisting the join instead would
+// grow the file from 52 to ~210 MB, so the load derives it, one ad per
+// worker of the bounded fan-out (core/index.go). The format is
+// little-endian and versioned; core.Index composes per-ad sections written
+// with EncodeSetFamily into one index file.
 //
 // Format-version policy: current version only. A section self-describes
 // via its magic; DecodeSetFamily reads the one layout EncodeSetFamily

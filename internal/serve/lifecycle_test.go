@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"repro/internal/leakcheck"
 )
 
 func deleteReq(t *testing.T, url string, out any) int {
@@ -128,10 +130,11 @@ func TestServerLifecycleEndToEnd(t *testing.T) {
 
 // bothModes runs fn once against a single-node server and once against a
 // coordinator over two in-process shards serving params — the same inputs
-// on either side of the engine seam.
+// on either side of the engine seam. Both run under leakcheck.
 func bothModes(t *testing.T, params InstanceParams, fn func(t *testing.T, url string, coordinator bool)) {
 	t.Run("single-node", func(t *testing.T) { fn(t, testServer(t, Options{}).URL, false) })
 	t.Run("coordinator", func(t *testing.T) {
+		leakcheck.Check(t)
 		front, _ := shardedServer(t, params, 2)
 		fn(t, front.URL, true)
 	})

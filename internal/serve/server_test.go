@@ -11,10 +11,15 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/leakcheck"
 )
 
+// testServer starts a server over opts for the test's lifetime, under
+// leakcheck: the test fails if the server leaves a goroutine behind once
+// it is closed.
 func testServer(t *testing.T, opts Options) *httptest.Server {
 	t.Helper()
+	leakcheck.Check(t)
 	if opts.Logf == nil {
 		opts.Logf = t.Logf
 	}

@@ -18,14 +18,17 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 )
 
 // httpShards builds k shards of testInstance, each behind its own httptest
 // server, and returns them with one HTTPClient per shard. wrap, when
 // non-nil, decorates shard i's handler; connState, when non-nil, observes
-// shard i's connections.
+// shard i's connections. It runs under leakcheck: the caller fails if the
+// servers or clients leave a goroutine behind once the servers close.
 func httpShards(tb testing.TB, seed uint64, k int, wrap func(i int, h http.Handler) http.Handler, connState func(i int, st http.ConnState)) ([]*Shard, []Client) {
 	tb.Helper()
+	leakcheck.Check(tb)
 	p, err := NewPartitioner(k)
 	if err != nil {
 		tb.Fatal(err)

@@ -28,14 +28,8 @@ func banditCfg(policy string) Config {
 func TestBanditTraceDeterminism(t *testing.T) {
 	traces := map[string]*Result{}
 	for _, policy := range []string{bandit.PolicyUCB, bandit.PolicyThompson} {
-		a, err := Run(flixsterTiny(), 11, banditCfg(policy))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(flixsterTiny(), 11, banditCfg(policy))
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := run(t, 11, banditCfg(policy))
+		b := run(t, 11, banditCfg(policy))
 		if !reflect.DeepEqual(a.Trace, b.Trace) {
 			t.Fatalf("%s: traces diverged for the same seed", policy)
 		}
@@ -71,16 +65,10 @@ func TestBanditTraceDeterminism(t *testing.T) {
 // exactly as through the single-node allocator.
 func TestBanditShardedMatchesSingleNode(t *testing.T) {
 	for _, policy := range []string{bandit.PolicyUCB, bandit.PolicyThompson} {
-		single, err := Run(flixsterTiny(), 11, banditCfg(policy))
-		if err != nil {
-			t.Fatal(err)
-		}
+		single := run(t, 11, banditCfg(policy))
 		cfg := banditCfg(policy)
 		cfg.Shards = 2
-		sharded, err := Run(flixsterTiny(), 11, cfg)
-		if err != nil {
-			t.Fatalf("%s K=2: %v", policy, err)
-		}
+		sharded := run(t, 11, cfg)
 		if !reflect.DeepEqual(single.Trace, sharded.Trace) {
 			t.Fatalf("%s K=2: trace diverged from single-node run", policy)
 		}
@@ -98,14 +86,8 @@ func TestBanditShardedMatchesSingleNode(t *testing.T) {
 // engagement rates accumulates less regret against the known-CPE oracle
 // than the never-update baseline that keeps allocating by base CPE.
 func TestBanditUCBBeatsFrozenBaseline(t *testing.T) {
-	ucb, err := Run(flixsterTiny(), 11, banditCfg(bandit.PolicyUCB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen, err := Run(flixsterTiny(), 11, banditCfg(bandit.PolicyFrozen))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ucb := run(t, 11, banditCfg(bandit.PolicyUCB))
+	frozen := run(t, 11, banditCfg(bandit.PolicyFrozen))
 	if ucb.CumulativeRegret >= frozen.CumulativeRegret {
 		t.Fatalf("UCB cumulative regret %v did not beat frozen baseline %v",
 			ucb.CumulativeRegret, frozen.CumulativeRegret)
@@ -120,10 +102,7 @@ func TestBanditUCBBeatsFrozenBaseline(t *testing.T) {
 // mean for every always-live ad sits near its hidden engagement rate
 // (thousands of Bernoulli impressions pin it tightly).
 func TestBanditEstimatesConverge(t *testing.T) {
-	res, err := Run(flixsterTiny(), 11, banditCfg(bandit.PolicyUCB))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, 11, banditCfg(bandit.PolicyUCB))
 	est, err := bandit.Restore(*res.Estimator)
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +118,7 @@ func TestBanditEstimatesConverge(t *testing.T) {
 // TestBanditModeOff: the classic lifecycle carries no bandit columns and
 // no estimator — the zero-value config stays byte-compatible.
 func TestBanditModeOff(t *testing.T) {
-	res, err := Run(flixsterTiny(), 11, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, 11, fastCfg())
 	if res.Estimator != nil || res.CumulativeRegret != 0 {
 		t.Fatalf("classic run grew bandit state: %+v", res.Estimator)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 )
 
@@ -24,17 +25,24 @@ func flixsterTiny() *core.Instance {
 	return gen.Flixster(gen.Options{Seed: 3, Scale: 0.02, NumAds: 6})
 }
 
+// run is Run over flixsterTiny under leakcheck: the test fails if the
+// engine Run builds — a core.Index, or an in-process cluster with its
+// replicas and decorators — leaves a goroutine behind.
+func run(t *testing.T, seed uint64, cfg Config) *Result {
+	t.Helper()
+	leakcheck.Check(t)
+	res, err := Run(flixsterTiny(), seed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestLifecycleDeterminism pins the acceptance criterion: the full
 // regret-over-time trace is bit-identical across runs for a fixed seed.
 func TestLifecycleDeterminism(t *testing.T) {
-	a, err := Run(flixsterTiny(), 11, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(flixsterTiny(), 11, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := run(t, 11, fastCfg())
+	b := run(t, 11, fastCfg())
 	if !reflect.DeepEqual(a.Trace, b.Trace) {
 		t.Fatal("traces diverged for the same seed")
 	}
@@ -46,10 +54,7 @@ func TestLifecycleDeterminism(t *testing.T) {
 			a.FinalEpoch, b.FinalEpoch, a.TotalSetsSampled, b.TotalSetsSampled)
 	}
 
-	c, err := Run(flixsterTiny(), 12, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := run(t, 12, fastCfg())
 	if reflect.DeepEqual(a.Trace, c.Trace) {
 		t.Fatal("different seeds produced identical traces")
 	}
@@ -63,10 +68,7 @@ func TestLifecycleChurn(t *testing.T) {
 	cfg.InitialAds = 2
 	cfg.ArrivalProb = 1
 	cfg.DepartProb = -1
-	res, err := Run(flixsterTiny(), 5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, 5, cfg)
 	joins := 0
 	for _, rep := range res.Trace {
 		for _, ev := range rep.Events {
@@ -103,10 +105,7 @@ func TestLifecycleDepletion(t *testing.T) {
 	cfg.DepartProb = -1
 	cfg.InitialAds = 6
 	cfg.EngagementRate = 0.5
-	res, err := Run(flixsterTiny(), 7, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, 7, cfg)
 	prevResidual := res.Trace[0].ResidualBudget
 	prevSpent := res.Trace[0].SpentTotal
 	for _, rep := range res.Trace[1:] {
@@ -136,10 +135,7 @@ func TestLifecycleReallocationCadence(t *testing.T) {
 	cfg.ArrivalProb = -1
 	cfg.DepartProb = -1
 	cfg.InitialAds = 4
-	res, err := Run(flixsterTiny(), 9, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, 9, cfg)
 	for _, rep := range res.Trace {
 		want := (rep.Round-1)%cfg.ReallocEvery == 0
 		if rep.Reallocated != want {
@@ -176,17 +172,11 @@ func BenchmarkLifecycleSim(b *testing.B) {
 // single-node trace bit for bit — every round's epoch, allocation-derived
 // revenue, spend, regret, and growth accounting.
 func TestLifecycleShardedMatchesSingleNode(t *testing.T) {
-	single, err := Run(flixsterTiny(), 11, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := run(t, 11, fastCfg())
 	for _, k := range []int{2, 3} {
 		cfg := fastCfg()
 		cfg.Shards = k
-		sharded, err := Run(flixsterTiny(), 11, cfg)
-		if err != nil {
-			t.Fatalf("K=%d: %v", k, err)
-		}
+		sharded := run(t, 11, cfg)
 		if !reflect.DeepEqual(single.Trace, sharded.Trace) {
 			t.Fatalf("K=%d: trace diverged from single-node run", k)
 		}
@@ -211,18 +201,12 @@ func TestLifecycleShardedMatchesSingleNode(t *testing.T) {
 // (failover re-samples on the adopting replica), so SetsSampled is zeroed
 // on both sides before comparing.
 func TestLifecycleChaosMatches(t *testing.T) {
-	single, err := Run(flixsterTiny(), 11, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := run(t, 11, fastCfg())
 	cfg := fastCfg()
 	cfg.Shards = 2
 	cfg.Replicas = 2
 	cfg.ChaosSeed = 77
-	chaos, err := Run(flixsterTiny(), 11, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chaos := run(t, 11, cfg)
 	scrub := func(trace []RoundReport) []RoundReport {
 		out := append([]RoundReport(nil), trace...)
 		for i := range out {
@@ -243,10 +227,7 @@ func TestLifecycleChaosMatches(t *testing.T) {
 
 	// Chaos is itself deterministic: the same chaos seed replays the same
 	// fault schedule and the same (accounting included) result.
-	again, err := Run(flixsterTiny(), 11, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := run(t, 11, cfg)
 	if !reflect.DeepEqual(chaos.Trace, again.Trace) || chaos.TotalSetsSampled != again.TotalSetsSampled {
 		t.Fatal("chaos run is not reproducible for a fixed chaos seed")
 	}
@@ -266,10 +247,7 @@ func TestChaosRunRetainsTailTraces(t *testing.T) {
 	cfg.Shards = 2
 	cfg.Replicas = 2
 	cfg.ChaosSeed = 77
-	bare, err := Run(flixsterTiny(), 11, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := run(t, 11, cfg)
 
 	tr := obs.NewTracer(obs.TracerConfig{
 		Capacity:         64,
@@ -277,10 +255,7 @@ func TestChaosRunRetainsTailTraces(t *testing.T) {
 		SampleEvery:      1 << 30,
 	})
 	cfg.Tracer = tr
-	traced, err := Run(flixsterTiny(), 11, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traced := run(t, 11, cfg)
 	if !reflect.DeepEqual(bare.Trace, traced.Trace) || !reflect.DeepEqual(bare.Ads, traced.Ads) {
 		t.Fatal("attaching a tracer changed the lifecycle result")
 	}
@@ -340,9 +315,7 @@ func TestChaosRunRetainsTailTraces(t *testing.T) {
 	quiet := fastCfg()
 	quiet.Shards = 2
 	quiet.Tracer = quietTr
-	if _, err := Run(flixsterTiny(), 11, quiet); err != nil {
-		t.Fatal(err)
-	}
+	run(t, 11, quiet)
 	for _, sum := range quietTr.Summaries(0, false, 0) {
 		if sum.Reason != "head" {
 			t.Fatalf("fault-free run retained trace %s for %q, want head only", sum.ID, sum.Reason)
