@@ -202,7 +202,45 @@ func (a *Allocation) DistinctTargeted() int {
 // Validate checks that the allocation is valid for the instance: every
 // seed is a real node, no ad seeds the same user twice, and no user exceeds
 // her attention bound (Problem 1's validity condition).
-func (a *Allocation) Validate(inst *Instance) error {
+func (a *Allocation) Validate(inst *Instance) error { return a.validate(inst, inst.Kappa) }
+
+// CheckAllocation checks an allocation result against the request that
+// produced it, whatever ran it (a single node, a cluster, a re-run):
+//   - the allocation is valid (Validate) under the request's resolved
+//     attention bounds κ;
+//   - ads outside the request's resolved ad set hold no seeds;
+//   - EstRevenue, FinalTheta and FinalSeedTarget hold one entry per ad,
+//     every revenue finite.
+func CheckAllocation(inst *Instance, req Request, res *TIRMResult) error {
+	adIDs, _, kappa, err := req.Resolve(inst)
+	if err != nil {
+		return err
+	}
+	if err := res.Alloc.validate(inst, kappa); err != nil {
+		return err
+	}
+	h := len(inst.Ads)
+	if len(res.EstRevenue) != h || len(res.FinalTheta) != h || len(res.FinalSeedTarget) != h {
+		return fmt.Errorf("core: result has %d revenues, %d θs and %d seed targets for %d ads",
+			len(res.EstRevenue), len(res.FinalTheta), len(res.FinalSeedTarget), h)
+	}
+	active := make([]bool, h)
+	for _, j := range adIDs {
+		active[j] = true
+	}
+	for j, seeds := range res.Alloc.Seeds {
+		if !active[j] && len(seeds) > 0 {
+			return fmt.Errorf("core: ad %d is outside the request but holds %d seeds", j, len(seeds))
+		}
+		if r := res.EstRevenue[j]; math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("core: ad %d's revenue estimate is %v", j, r)
+		}
+	}
+	return nil
+}
+
+// validate is Validate under attention bounds kappa.
+func (a *Allocation) validate(inst *Instance, kappa AttentionBounds) error {
 	if len(a.Seeds) != len(inst.Ads) {
 		return fmt.Errorf("core: allocation covers %d ads, instance has %d", len(a.Seeds), len(inst.Ads))
 	}
@@ -222,8 +260,8 @@ func (a *Allocation) Validate(inst *Instance) error {
 		}
 	}
 	for u, c := range counts {
-		if c > inst.Kappa.At(u) {
-			return fmt.Errorf("core: node %d promoted %d ads, attention bound is %d", u, c, inst.Kappa.At(u))
+		if c > kappa.At(u) {
+			return fmt.Errorf("core: node %d promoted %d ads, attention bound is %d", u, c, kappa.At(u))
 		}
 	}
 	return nil

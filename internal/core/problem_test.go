@@ -224,6 +224,94 @@ func TestAllocationValidate(t *testing.T) {
 	}
 }
 
+// TestCheckAllocation runs the post-condition checker on the Figure 1 toy
+// instance. The exact optimum (BruteForce) and warm TIRM runs pass it,
+// under the instance's own request and under one narrowed to two ads at
+// κ = 2; each broken copy of a passing result fails it.
+func TestCheckAllocation(t *testing.T) {
+	inst := fig1Instance(t, 0)
+	h := len(inst.Ads)
+	opt, _, err := BruteForce(inst, BruteForceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := &TIRMResult{Alloc: opt, EstRevenue: make([]float64, h), FinalTheta: make([]int, h), FinalSeedTarget: make([]int, h)}
+	for i, seeds := range opt.Seeds {
+		exact.EstRevenue[i] = inst.Ads[i].CPE * diffusion.ExactSpread(diffusion.NewSimulator(inst.G, inst.Ads[i].Params), seeds)
+	}
+	if err := CheckAllocation(inst, Request{}, exact); err != nil {
+		t.Fatalf("exact optimum fails the check: %v", err)
+	}
+
+	opts := TIRMOptions{Eps: 0.3, MinTheta: 2000, MaxTheta: 20000}
+	idx, err := BuildIndex(inst, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := Request{Opts: opts}
+	narrow := Request{Opts: opts, Ads: []int{0, 2}, Kappa: ConstKappa(2)}
+	results := map[string]*TIRMResult{}
+	for name, req := range map[string]Request{"full": full, "narrow": narrow} {
+		res, err := AllocateFromIndex(idx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckAllocation(inst, req, res); err != nil {
+			t.Fatalf("%s TIRM result fails the check: %v", name, err)
+		}
+		results[name] = res
+	}
+
+	// broken returns a deep copy of a result with one change applied.
+	broken := func(from *TIRMResult, change func(*TIRMResult)) *TIRMResult {
+		res := *from
+		res.Alloc = &Allocation{Seeds: make([][]int32, len(from.Alloc.Seeds))}
+		for i, s := range from.Alloc.Seeds {
+			res.Alloc.Seeds[i] = append([]int32(nil), s...)
+		}
+		res.EstRevenue = append([]float64(nil), from.EstRevenue...)
+		change(&res)
+		return &res
+	}
+	seeded := 0
+	for seeded < h && len(results["full"].Alloc.Seeds[seeded]) == 0 {
+		seeded++
+	}
+	if seeded == h {
+		t.Fatal("TIRM seeded no ad on Figure 1")
+	}
+	u := results["full"].Alloc.Seeds[seeded][0]
+	cases := []struct {
+		name string
+		req  Request
+		res  *TIRMResult
+	}{
+		{"seed out of range", full, broken(results["full"], func(r *TIRMResult) { r.Alloc.Seeds[seeded][0] = int32(inst.G.N()) })},
+		{"negative seed", full, broken(results["full"], func(r *TIRMResult) { r.Alloc.Seeds[seeded][0] = -1 })},
+		{"seed twice in one ad", full, broken(results["full"], func(r *TIRMResult) { r.Alloc.Seeds[seeded] = append(r.Alloc.Seeds[seeded], u) })},
+		{"user over κ = 1", full, broken(results["full"], func(r *TIRMResult) { r.Alloc.Seeds[(seeded+1)%h] = append(r.Alloc.Seeds[(seeded+1)%h], u) })},
+		{"user over the request's κ = 2", Request{Opts: opts, Kappa: ConstKappa(2)}, broken(results["full"], func(r *TIRMResult) {
+			r.Alloc.Seeds[0], r.Alloc.Seeds[1], r.Alloc.Seeds[2] = []int32{5}, []int32{5}, []int32{5}
+		})},
+		{"seed on an ad outside the request", narrow, broken(results["narrow"], func(r *TIRMResult) { r.Alloc.Seeds[1] = []int32{4} })},
+		{"NaN revenue", full, broken(results["full"], func(r *TIRMResult) { r.EstRevenue[h-1] = math.NaN() })},
+		{"infinite revenue", full, broken(results["full"], func(r *TIRMResult) { r.EstRevenue[0] = math.Inf(1) })},
+		{"missing θ", full, broken(results["full"], func(r *TIRMResult) { r.FinalTheta = r.FinalTheta[:h-1] })},
+		{"missing seed target", full, broken(results["full"], func(r *TIRMResult) { r.FinalSeedTarget = nil })},
+		{"missing ad", full, broken(results["full"], func(r *TIRMResult) { r.Alloc.Seeds = r.Alloc.Seeds[:h-1] })},
+	}
+	for _, tc := range cases {
+		if err := CheckAllocation(inst, tc.req, tc.res); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Two ads on one user are within the narrowed request's κ = 2.
+	ok := broken(results["narrow"], func(r *TIRMResult) { r.Alloc.Seeds[0], r.Alloc.Seeds[2] = []int32{5}, []int32{5} })
+	if err := CheckAllocation(inst, narrow, ok); err != nil {
+		t.Errorf("two ads on one user under κ = 2: %v", err)
+	}
+}
+
 func TestAllocationStats(t *testing.T) {
 	a := allocationB()
 	if a.NumSeeds() != 6 {

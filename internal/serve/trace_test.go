@@ -254,7 +254,7 @@ func TestShardedTraceTree(t *testing.T) {
 // once, and the trace — retained without any sampling flag, purely by its
 // tail signals — must show the retry events against the dead replica, the
 // errored RPC span, and the failover event booked when the surviving
-// replica adopted the run.
+// replica took over the range.
 func TestFailoverTraceRetained(t *testing.T) {
 	params := InstanceParams{Dataset: "fig1", Seed: 1, Scale: 1}
 	front, _, backends := replicatedServer(t, params, 2, 2)

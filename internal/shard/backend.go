@@ -74,8 +74,6 @@ func (b *clusterBackend) Open(ctx context.Context, ads, thetas []int, out []core
 		if len(is) == 0 {
 			continue
 		}
-		// Fresh slices: a ReplicaSet keeps the request for failover replays,
-		// so it must not alias the loop's scratch.
 		req := &StartRequest{RunID: b.runID, Epoch: b.m.epoch, Ads: make([]int, len(is)), Thetas: make([]int, len(is))}
 		for x, i := range is {
 			req.Ads[x], req.Thetas[x] = ads[i], thetas[i]

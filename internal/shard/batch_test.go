@@ -53,7 +53,7 @@ func TestShardedKernelGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
-		mustEqualResults(t, fmt.Sprintf("K=%d", k), want, got)
+		mustEqualResults(t, fmt.Sprintf("K=%d", k), inst, core.Request{Opts: opts}, want, got)
 		// Each ad is one collection, on its owner, as on the single node.
 		if got.KernelCounts != want.KernelCounts {
 			t.Errorf("K=%d: KernelCounts = %v, single node %v", k, got.KernelCounts, want.KernelCounts)
@@ -119,7 +119,7 @@ func shardedBatchGolden(t *testing.T) {
 			if got[i].Err != nil {
 				continue
 			}
-			mustEqualResults(t, "batch item", want[i].Res, got[i].Res)
+			mustEqualResults(t, "batch item", inst, reqs[i], want[i].Res, got[i].Res)
 		}
 		if got[2].Err == nil {
 			t.Errorf("K=%d: bad request in slot 2 did not fail", k)

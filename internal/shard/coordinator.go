@@ -59,6 +59,7 @@ type Coordinator struct {
 	metrics *Metrics
 	id      string
 	runSeq  atomic.Uint64
+	reruns  int // R, the most replicas a slot has: Allocate's re-run budget
 
 	mu  sync.RWMutex // guards cur (mutations swap it)
 	cur *mirror
@@ -127,7 +128,11 @@ func NewCoordinator(ctx context.Context, clients []Client, cfg Config) (*Coordin
 	}
 	fp := core.InstanceFingerprint(cfg.Roster)
 	var first ShardInfo
+	reruns := 1
 	for i, cl := range clients {
+		if rs, ok := cl.(*ReplicaSet); ok {
+			reruns = max(reruns, len(rs.replicas))
+		}
 		info, err := cl.Info(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("shard: shard %d unreachable: %w", i, err)
@@ -172,6 +177,7 @@ func NewCoordinator(ctx context.Context, clients []Client, cfg Config) (*Coordin
 		logf:       cfg.Logf,
 		metrics:    cfg.Metrics,
 		id:         fmt.Sprintf("run-%x", time.Now().UnixNano()),
+		reruns:     reruns,
 		cur:        &mirror{epoch: first.Epoch, inst: &inst, owner: owner},
 		widthEpoch: first.Epoch,
 		widthCache: map[widthKey]*cachedPilot{},
@@ -229,9 +235,7 @@ var roundSpans = func() (names [numOps]string) {
 // op has one request, at its ad's owner; a run-wide op one per slot that
 // owns any of the run's ads; a lifecycle broadcast one per slot. Callers
 // fold the replies in slot order, which keeps every aggregate's evolution
-// canonical. Each request is its round's own object and is not written
-// after the call: a ReplicaSet logs the pointer to replay it. (info, whose
-// request is nil, never comes through here.)
+// canonical. (info, whose request is nil, never comes through here.)
 //
 // A run op — one whose request is a wireMessage, the test that also picks
 // its binary codec — is one round of the greedy loop: a "round.<op>" span
@@ -326,6 +330,11 @@ var errDrift = errors.New("shard: cluster state drifted across shards")
 // SoftCoverage is not supported (the coordinator mirrors integer coverage
 // only). A campaign mutation racing the run fails it with
 // core.ErrStaleEpoch, like Request.Epoch pinning.
+//
+// A run lost to any cause — a dead replica, a restarted shard, a reaped
+// run — is ended and run again from scratch under a fresh run id, at most
+// R + 1 runs in all, inside ctx: replicas agree on every stream, so a
+// re-run gives the same bytes (sampling accounting aside).
 func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIRMResult, error) {
 	// Every distributed allocation carries a trace id: reuse the caller's
 	// (the serve middleware put it in ctx) or stamp a fresh one, so each
@@ -341,16 +350,49 @@ func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIR
 	if req.Opts.SoftCoverage {
 		return nil, errors.New("shard: soft coverage is not supported by sharded allocation (the coordinator's counters hold integer coverage only)")
 	}
-	be := &clusterBackend{
-		c:      c,
-		m:      m,
-		runID:  fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1)),
-		reqs:   make([]any, len(c.clients)),
-		seq:    make([]int64, len(c.clients)),
-		covers: make([]CommitReply, len(c.clients)),
+	if ex, ok := req.Observer.(core.ExplainObserver); ok && req.Explain {
+		req.Observer = &explainOnce{ExplainObserver: ex}
 	}
-	defer be.end()
-	return core.AllocateOver(ctx, m.inst, be, req)
+	for run := 1; ; run++ {
+		be := &clusterBackend{
+			c:      c,
+			m:      m,
+			runID:  fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1)),
+			reqs:   make([]any, len(c.clients)),
+			seq:    make([]int64, len(c.clients)),
+			covers: make([]CommitReply, len(c.clients)),
+		}
+		res, err := core.AllocateOver(ctx, m.inst, be, req)
+		be.end()
+		// A loop that failed before it sent a Start (a request Resolve
+		// refused, a pilot no replica answered) lost no run.
+		if err == nil || run > c.reruns || be.ends == nil || !rerun(ctx, err) {
+			return res, err
+		}
+	}
+}
+
+// rerun reports whether a run that failed with err is run again. Not when
+// ctx is done, the failure is terminal (stale epoch, refused request,
+// cancellation), the range has no healthy replica left (serve's 503), or a
+// shard drifted (it would answer the re-run wrongly too).
+func rerun(ctx context.Context, err error) bool {
+	return ctx.Err() == nil && Classify(err) != ClassTerminal &&
+		!errors.Is(err, ErrPartitionUnavailable) && !errors.Is(err, errDrift)
+}
+
+// explainOnce passes each commit round to an explain observer once: a
+// re-run repeats the rounds of the run it replaces.
+type explainOnce struct {
+	core.ExplainObserver
+	rounds int
+}
+
+func (o *explainOnce) ObserveCommit(e core.CommitEvent) {
+	if e.Round > o.rounds {
+		o.rounds = e.Round
+		o.ExplainObserver.ObserveCommit(e)
+	}
 }
 
 // pilot runs one pilot round and fills out[i] with ads[i]'s pilot: each
@@ -435,10 +477,11 @@ func (c *Coordinator) storeWidths(epoch uint64, ad, want int, e *cachedPilot) {
 
 // wrapEpochErr translates a shard-side stale-epoch rejection into
 // core.ErrStaleEpoch so callers (serve's 409 path, epoch-pinned clients)
-// handle distributed and single-node races identically.
+// handle distributed and single-node races identically. The shard's error
+// stays in the chain, so it still classifies as terminal.
 func wrapEpochErr(err error) error {
 	if errors.Is(err, ErrStaleEpoch) {
-		return fmt.Errorf("%w: %v", core.ErrStaleEpoch, err)
+		return fmt.Errorf("%w: %w", core.ErrStaleEpoch, err)
 	}
 	return err
 }

@@ -27,10 +27,11 @@
 //     integer reply; pilot, start and end go to the slots that own one of
 //     the run's ads. It numbers each slot's Commit/Credit/Grow rounds of a
 //     run from 1 (CommitRequest.Seq, required: a shard refuses anything but
-//     the next number or an exact replay of the last with ErrBadSeq, 412
-//     over HTTP), which is what makes a retried op safe under any client
-//     stack. Campaign mutations (AddAd/RemoveAd) and the epoch counter
-//     broadcast to every shard in lockstep.
+//     the next number or an exact retry of the last with ErrBadSeq, 412
+//     over HTTP), which makes an in-place retry safe under any client
+//     stack; a run a shard loses is re-run whole under a fresh run id.
+//     Campaign mutations (AddAd/RemoveAd) and the epoch counter broadcast
+//     to every shard in lockstep.
 //
 // Every quantity that crosses the wire is an integer (set counts, widths,
 // coverage counts, sparse decrement vectors); all floating-point

@@ -148,7 +148,7 @@ func TestClusterBackendMatchesLocalRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: cluster: %v", label, err)
 				}
-				mustEqualResults(t, label, want, got)
+				mustEqualResults(t, label, roster, req, want, got)
 				if !reflect.DeepEqual(local.events, cluster.events) {
 					t.Fatalf("%s: explain traces diverged\n want %v\n  got %v", label, local.events, cluster.events)
 				}

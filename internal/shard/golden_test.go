@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -17,26 +16,13 @@ func testOpts() core.TIRMOptions {
 	return core.TIRMOptions{Eps: 0.3, MinTheta: 2000, MaxTheta: 20000}
 }
 
-// mustEqualResults asserts two allocation results agree on every
-// semantically pinned field (MemBytes differs by construction: K inverted
-// indexes over slices are not one index over the union).
-func mustEqualResults(t *testing.T, label string, want, got *core.TIRMResult) {
+// mustEqualResults asserts two allocation results for req over inst agree
+// on every semantically pinned field (MemBytes differs by construction: K
+// inverted indexes over slices are not one index over the union), and that
+// both pass core.CheckAllocation.
+func mustEqualResults(t *testing.T, label string, inst *core.Instance, req core.Request, want, got *core.TIRMResult) {
 	t.Helper()
-	if !reflect.DeepEqual(want.Alloc.Seeds, got.Alloc.Seeds) {
-		t.Fatalf("%s: seeds diverged\n want %v\n  got %v", label, want.Alloc.Seeds, got.Alloc.Seeds)
-	}
-	if !reflect.DeepEqual(want.EstRevenue, got.EstRevenue) {
-		t.Fatalf("%s: revenues diverged\n want %v\n  got %v", label, want.EstRevenue, got.EstRevenue)
-	}
-	if !reflect.DeepEqual(want.FinalTheta, got.FinalTheta) {
-		t.Fatalf("%s: θ diverged\n want %v\n  got %v", label, want.FinalTheta, got.FinalTheta)
-	}
-	if !reflect.DeepEqual(want.FinalSeedTarget, got.FinalSeedTarget) {
-		t.Fatalf("%s: seed targets diverged\n want %v\n  got %v", label, want.FinalSeedTarget, got.FinalSeedTarget)
-	}
-	if want.Iterations != got.Iterations {
-		t.Fatalf("%s: iterations %d vs %d", label, want.Iterations, got.Iterations)
-	}
+	mustEqualSemantic(t, label, inst, req, want, got)
 	if want.TotalSetsSampled != got.TotalSetsSampled {
 		t.Fatalf("%s: sets sampled %d vs %d", label, want.TotalSetsSampled, got.TotalSetsSampled)
 	}
@@ -96,7 +82,7 @@ func TestShardedAllocationGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s K=%d: %v", name, k, err)
 			}
-			mustEqualResults(t, name+": K="+string(rune('0'+k)), want, got)
+			mustEqualResults(t, name+": K="+string(rune('0'+k)), inst, req, want, got)
 		}
 	}
 }
@@ -131,7 +117,7 @@ func TestShardedAllocationHTTPGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, "http K=2", want, got)
+	mustEqualResults(t, "http K=2", inst, core.Request{Opts: opts}, want, got)
 }
 
 // TestShardedLifecycleGolden pins mutation lockstep: after broadcast
@@ -206,7 +192,7 @@ func TestShardedLifecycleGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, "lifecycle K=3", want, got)
+	mustEqualResults(t, "lifecycle K=3", idx.Inst(), core.Request{Opts: opts}, want, got)
 
 	// The coordinator's campaign mirror must match the single node's
 	// instance ad for ad (names and budgets drive serve-layer reporting).

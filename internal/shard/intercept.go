@@ -18,7 +18,7 @@ import "context"
 // the op's request type (nil for info, *endRequest for end) and reply at its
 // reply type; reply is nil for the ops without one (end, syncEstimates) and
 // whenever the caller discards it, as a replay does. The request is not
-// written after the call: a ReplicaSet logs the pointer to replay it.
+// written after the call: a ReplicaSet logs a mutation's pointer for revives.
 type roundTripper interface {
 	roundTrip(ctx context.Context, o op, req, reply any) error
 }
@@ -29,16 +29,14 @@ type typedClient struct{ rt roundTripper }
 
 // exchange runs one typed op through rt. Request and reply share one heap
 // object — roundTrip is a dynamic call, so both escape — and the reply is
-// read only after the call has returned. The object's reply is cleared on
-// the way out, so a request a ReplicaSet logged does not pin it.
-func exchange[Reply, Req any](ctx context.Context, rt roundTripper, o op, req Req) (reply Reply, err error) {
+// read only after the call has returned.
+func exchange[Reply, Req any](ctx context.Context, rt roundTripper, o op, req Req) (Reply, error) {
 	x := &struct {
 		req   Req
 		reply Reply
 	}{req: req}
-	err = rt.roundTrip(ctx, o, &x.req, &x.reply)
-	reply, x.reply = x.reply, *new(Reply)
-	return reply, err
+	err := rt.roundTrip(ctx, o, &x.req, &x.reply)
+	return x.reply, err
 }
 
 func (c typedClient) Info(ctx context.Context) (info ShardInfo, err error) {

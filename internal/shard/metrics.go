@@ -46,7 +46,7 @@ func NewMetrics(r *obs.Registry, prefix string) *Metrics {
 			"Shard RPC retries by operation and reason (timeout, draining, server, connection).",
 			"op", "reason"),
 		failovers: r.CounterVec(prefix+"_shard_failovers_total",
-			"Replica failovers by partition range: ops served by a non-preferred replica after the owner failed.",
+			"Replica failovers by partition range: an info, pilot or start a replica failed and another served, or a run op a replica failed, whose run the coordinator re-runs.",
 			"range"),
 		replicaHealthy: r.GaugeVec(prefix+"_shard_replica_healthy",
 			"Per-replica health (1 healthy, 0 unhealthy) by partition range and replica index.",

@@ -272,7 +272,7 @@ func TestShardedClusterRestoresFromSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, fmt.Sprintf("restored K=%d", k), want, got)
+	mustEqualResults(t, fmt.Sprintf("restored K=%d", k), inst, req, want, got)
 	if got.TotalSetsSampled != 0 {
 		t.Errorf("the restored cluster drew %d sets", got.TotalSetsSampled)
 	}

@@ -31,10 +31,9 @@ var (
 	// ErrDraining reports that the shard refuses new runs while it drains.
 	ErrDraining = errors.New("shard: draining, not accepting new runs")
 	// ErrBadSeq reports a sequenced run op (Commit/Credit/Grow) whose Seq
-	// is neither the next expected value nor an exact replay of the last
+	// is neither the next expected value nor an exact retry of the last
 	// applied one (or is not a sequence number at all: Seq ≤ 0) — the
-	// shard's run state has diverged from the caller's op log and must be
-	// rebuilt (End + Start + replay) before continuing.
+	// run has diverged from its caller, which ends it and re-runs it.
 	ErrBadSeq = errors.New("shard: run op out of sequence")
 )
 

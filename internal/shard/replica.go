@@ -5,14 +5,13 @@
 //
 // The correctness invariant is the partition determinism the golden tests
 // pin: replicas of the same (seed, range) derive identical RR-set streams,
-// so every integer protocol reply is replica-independent and failing over
-// mid-run cannot change an allocation's bytes. Run *state* (per-run
-// coverage collections) lives on whichever replica served Start, so the
-// set keeps a per-run op log — the StartRequest plus every sequenced
-// Commit/Credit/Grow — and rebuilds a run on a fresh replica by replaying
-// it (End + Start + ops, in order). The shard-side sequence guard
-// (CommitRequest.Seq) makes replays level-triggered: an op the replica
-// already applied answers from cache instead of double-applying.
+// so every integer protocol reply is replica-independent. Run *state*
+// (per-run coverage collections) lives on whichever replica answered Start,
+// and the set keeps none of it: every later op of the run goes to the
+// preferred replica, and a run that op cannot reach — its replica died,
+// restarted or reaped it, or the preference moved — fails. The coordinator
+// then re-runs it from scratch under a fresh run id (Coordinator.Allocate),
+// which the invariant makes byte-identical.
 //
 // Campaign mutations and estimator snapshots broadcast to every healthy
 // replica in lockstep; a replica that misses one is marked unhealthy and
@@ -62,34 +61,21 @@ type ReplicaSet struct {
 	mutMu sync.Mutex // serializes mutation broadcasts (log order = epoch order)
 
 	mu sync.Mutex
-	// healthy[i] is false from replica i's first failed op until its next
-	// successful one. Unhealthy replicas are deprioritized, not abandoned:
-	// an op that exhausts the healthy replicas still sweeps them before
-	// declaring the range unavailable.
+	// healthy[i] is false from replica i's first failed op (bar a run op's
+	// failover-class failure) until its next successful one. Unhealthy
+	// replicas are deprioritized, not abandoned: a sweep that exhausts the
+	// healthy replicas still tries them before declaring the range unavailable.
 	healthy []bool
-	runs    map[string]*replicaRun
 	muts    []replicaMutation
 	est     *SyncEstimatesRequest
 }
 
-// replicaRun is the op log that makes one run rebuildable on any replica:
-// its Start, then every sequenced op, in order.
-type replicaRun struct {
-	owner int // replica currently holding the run's coverage state
-	log   []loggedOp
-}
-
-// loggedOp is one op a ReplicaSet may send again — a run op to an adopting
-// replica, a mutation to a reviving one — with the request it was sent.
-type loggedOp struct {
-	op  op
-	req any
-}
-
-// replicaMutation is one logged campaign mutation and the epoch it left
-// the range at, kept so a revived replica can be walked forward.
+// replicaMutation is one logged campaign mutation — the op, the request it
+// was sent, and the epoch it left the range at — kept so a revived replica
+// can be walked forward.
 type replicaMutation struct {
-	loggedOp
+	op    op
+	req   any
 	epoch uint64
 }
 
@@ -108,7 +94,6 @@ func NewReplicaSet(ctx context.Context, replicas []Client, cfg ReplicaSetConfig)
 		metrics:  cfg.Metrics,
 		logf:     cfg.Logf,
 		healthy:  make([]bool, len(replicas)),
-		runs:     map[string]*replicaRun{},
 	}
 	r.typedClient = typedClient{r}
 	var ref *ShardInfo
@@ -158,15 +143,8 @@ func (r *ReplicaSet) Slot() int { return r.slot }
 
 // HealthyCount returns how many replicas are currently marked healthy.
 func (r *ReplicaSet) HealthyCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, h := range r.healthy {
-		if h {
-			n++
-		}
-	}
-	return n
+	_, healthy := r.candidates()
+	return healthy
 }
 
 // candidates returns replica indices in routing order: healthy ascending
@@ -190,6 +168,14 @@ func (r *ReplicaSet) candidates() (order []int, healthy int) {
 		}
 	}
 	return order, healthy
+}
+
+// preferred returns candidates()[0] — the first healthy replica, else
+// replica 0 — without building the order.
+func (r *ReplicaSet) preferred() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return max(slices.Index(r.healthy, true), 0)
 }
 
 // mark books one op's outcome on replica i: a success restores it to
@@ -228,10 +214,12 @@ func (r *ReplicaSet) publishHealth() {
 	}
 }
 
-// notifyFailover books one failover on the range: metric, log line, and —
-// when the request carries a span — a "failover" event that flags the
-// whole trace for tail-retention (a request that changed replicas is
-// always worth keeping).
+// notifyFailover books one failover on the range — an op replica from
+// failed, and replica to served it (to = -1: nothing did, and the
+// coordinator re-runs the op's run): metric, log line, and — when the
+// request carries a span — a "failover" event that flags the whole trace
+// for tail-retention (a request that changed replicas is always worth
+// keeping).
 func (r *ReplicaSet) notifyFailover(ctx context.Context, from, to int) {
 	if r.metrics != nil {
 		r.metrics.failovers.With(strconv.Itoa(r.slot)).Inc()
@@ -253,15 +241,15 @@ func (r *ReplicaSet) unavailable(last error) error {
 	return fmt.Errorf("%w: range %d: last error: %v", ErrPartitionUnavailable, r.slot, last)
 }
 
-// sweep runs fn against candidates in routing order until one succeeds.
+// sweep sends one op to candidates in routing order until one succeeds.
 // Terminal failures propagate immediately (the request is the problem, not
 // the replica); other failures mark the replica and move on.
-func (r *ReplicaSet) sweep(ctx context.Context, fn func(i int, cl Client) error) error {
+func (r *ReplicaSet) sweep(ctx context.Context, o op, req, reply any) error {
 	var lastErr error
 	order, _ := r.candidates()
 	first := order[0]
 	for _, i := range order {
-		err := fn(i, r.replicas[i])
+		err := call(ctx, r.replicas[i], o, req, reply)
 		if err == nil {
 			r.mark(i, nil)
 			if i != first {
@@ -279,26 +267,25 @@ func (r *ReplicaSet) sweep(ctx context.Context, fn func(i int, cl Client) error)
 }
 
 // roundTrip routes one op by its replica rule:
-//   - info and pilot go to the first replica that answers: they are
-//     stateless and deterministic, so any replica answers identically
-//     (sampling accounting aside);
+//   - info, pilot and start go to the first replica that answers (sweep):
+//     info and pilot are stateless and deterministic, so any replica
+//     answers identically (sampling accounting aside), and the replica that
+//     answers a Start holds the run — a sweep past failed replicas has
+//     marked them, so it is the preferred one now;
+//   - commit, credit, grow and gains go to the preferred replica only
+//     (runOp);
 //   - ensure, end and syncEstimates go to every healthy replica (ensure,
 //     broadcast);
-//   - start and the run ops go to the run's owner, which a failure moves
-//     by replaying the run's log (runOp);
 //   - addAd and removeAd apply to every replica in lockstep (lockstep).
 func (r *ReplicaSet) roundTrip(ctx context.Context, o op, req, reply any) error {
 	switch o {
-	case opInfo, opPilot:
-		return r.sweep(ctx, func(_ int, cl Client) error { return call(ctx, cl, o, req, reply) })
+	case opInfo, opPilot, opStart:
+		return r.sweep(ctx, o, req, reply)
 	case opEnsure:
 		return r.ensure(ctx, req, reply)
 	case opEnd:
-		// The run's log is dropped, and health is not booked: a dead
-		// replica's copy of the run is reaped by the shard's run TTL.
-		r.mu.Lock()
-		delete(r.runs, req.(*endRequest).RunID)
-		r.mu.Unlock()
+		// Health is not booked: a dead replica's copy of the run is reaped
+		// by the shard's run TTL.
 		if ok, err := r.broadcast(ctx, o, req, false); !ok {
 			return err // nil when no replica is healthy
 		}
@@ -368,113 +355,27 @@ func (r *ReplicaSet) broadcast(ctx context.Context, o op, req any, book bool) (o
 	return ok, lastErr
 }
 
-// runOf returns the run id a run op's request names.
-func runOf(req any) string {
-	switch req := req.(type) {
-	case *StartRequest:
-		return req.RunID
-	case *CommitRequest:
-		return req.RunID
-	case *CreditRequest:
-		return req.RunID
-	case *GrowRequest:
-		return req.RunID
-	default:
-		return req.(*GainsRequest).RunID
-	}
-}
-
-// adopt rebuilds a run on cl — End (clear any stale state), then the logged
-// ops in order, Start first, their replies discarded. The deterministic
-// stream makes the rebuilt state byte-identical to the lost one, and the
-// sequence guard makes any op the replica had already applied a cached
-// no-op.
-func adopt(ctx context.Context, cl Client, runID string, log []loggedOp) error {
-	cl.End(ctx, runID)
-	for _, l := range log {
-		if err := call(ctx, cl, l.op, l.req, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runOp is the failover routine of every op on a run's state. Start opens
-// the run on the first replica that answers — the run's owner — and begins
-// its log. Any other op runs on the owner, a sequenced one (commit, credit,
-// grow, under the sequence number its caller gave it) joining the log
-// first; gains is read-only and is not logged. If the owner fails, each
-// candidate in routing order adopts the run — everything logged before this
-// op — and runs the op itself, and the first to succeed becomes the owner.
+// runOp sends a run op — commit, credit, grow or gains — to the preferred
+// replica alone: the one whose Start answered, unless a failure moved the
+// preference since (the op then meets ErrUnknownRun). The set keeps no run
+// state, so a failed op fails its run and the coordinator re-runs it. A
+// retryable failure marks the replica unhealthy — and with none healthy
+// left the range is unavailable; a failover-class one (unknown run, bad
+// sequence, draining) leaves health as it is.
 func (r *ReplicaSet) runOp(ctx context.Context, o op, req, reply any) error {
-	do := func(cl Client) error { return call(ctx, cl, o, req, reply) }
-	runID := runOf(req)
-	if o == opStart {
-		run := &replicaRun{log: []loggedOp{{o, req}}}
-		err := r.sweep(ctx, func(i int, cl Client) error {
-			run.owner = i
-			return do(cl)
-		})
-		if err != nil {
-			return err
-		}
-		r.mu.Lock()
-		r.runs[runID] = run
-		r.mu.Unlock()
-		return nil
-	}
-	r.mu.Lock()
-	run, ok := r.runs[runID]
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRun, runID)
-	}
-	prior := run.log
-	if o != opGains {
-		run.log = append(run.log, loggedOp{o, req})
-	}
-	owner := run.owner
-	err := do(r.replicas[owner])
-	if err == nil {
-		r.mark(owner, nil)
-		return nil
-	}
-	if Classify(err) == ClassTerminal {
+	i := r.preferred()
+	err := call(ctx, r.replicas[i], o, req, reply)
+	if err == nil || Classify(err) == ClassTerminal {
 		return err
 	}
-	ownerRetryable := Classify(err) == ClassRetryable
-	if ownerRetryable {
-		// Connectivity-style failure (retries already exhausted below us):
-		// the replica is suspect. Failover-class errors (unknown run, bad
-		// seq) leave health alone — the replica is up, just out of sync,
-		// and adoption below may land right back on it.
-		r.mark(owner, err)
-	}
-	lastErr := err
-	order, _ := r.candidates()
-	for _, i := range order {
-		if i == owner && ownerRetryable {
-			continue
-		}
-		err := adopt(ctx, r.replicas[i], runID, prior)
-		if err == nil {
-			err = do(r.replicas[i])
-		}
-		if err == nil {
-			r.mark(i, nil)
-			if i != owner {
-				r.notifyFailover(ctx, owner, i)
-				run.owner = i
-			}
-			return nil
-		}
-		if Classify(err) == ClassTerminal {
-			return err
-		}
+	r.notifyFailover(ctx, i, -1)
+	if Classify(err) == ClassRetryable {
 		r.mark(i, err)
-		lastErr = err
+		if r.HealthyCount() == 0 {
+			return r.unavailable(err)
+		}
 	}
-	return r.unavailable(lastErr)
+	return err
 }
 
 // lockstep applies one campaign mutation to every healthy replica and logs
@@ -509,7 +410,7 @@ func (r *ReplicaSet) lockstep(ctx context.Context, o op, req, reply any) error {
 		return r.unavailable(lastErr)
 	}
 	r.mu.Lock()
-	r.muts = append(r.muts, replicaMutation{loggedOp{o, req}, first.Epoch})
+	r.muts = append(r.muts, replicaMutation{o, req, first.Epoch})
 	r.mu.Unlock()
 	return put(reply, first, nil)
 }

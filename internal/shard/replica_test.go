@@ -1,6 +1,6 @@
 // Tests for replica sets and deterministic fault injection: allocations
 // under scripted fault plans stay byte-identical to fault-free single-node
-// runs (the tentpole invariant), the sequence guard makes replayed run ops
+// runs (the tentpole invariant), the sequence guard makes retried run ops
 // level-triggered, a fully dead range surfaces ErrPartitionUnavailable
 // instead of hanging, and revived replicas are walked forward through
 // missed mutations before rejoining.
@@ -20,12 +20,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// mustEqualSemantic is mustEqualResults minus the sampling accounting:
-// failover legitimately re-samples on the adopting replica, so
+// mustEqualSemantic is mustEqualResults minus the sampling accounting: a
+// re-run legitimately re-samples on the replica that serves it, so
 // TotalSetsSampled/SetsReused are replica-local bookkeeping while seeds,
-// revenues, θ evolution, and iteration count must not move by a bit.
-func mustEqualSemantic(t *testing.T, label string, want, got *core.TIRMResult) {
+// revenues, θ evolution, and iteration count must not move by a bit. Both
+// results must pass core.CheckAllocation for req over inst.
+func mustEqualSemantic(t *testing.T, label string, inst *core.Instance, req core.Request, want, got *core.TIRMResult) {
 	t.Helper()
+	for side, res := range map[string]*core.TIRMResult{"want": want, "got": got} {
+		if err := core.CheckAllocation(inst, req, res); err != nil {
+			t.Fatalf("%s: %s fails the allocation check: %v", label, side, err)
+		}
+	}
 	if !reflect.DeepEqual(want.Alloc.Seeds, got.Alloc.Seeds) {
 		t.Fatalf("%s: seeds diverged\n want %v\n  got %v", label, want.Alloc.Seeds, got.Alloc.Seeds)
 	}
@@ -71,7 +77,7 @@ func TestReplicaClusterGoldenNoFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
-		mustEqualResults(t, "replicated no-fault", want, got)
+		mustEqualResults(t, "replicated no-fault", inst, core.Request{Opts: opts}, want, got)
 		for slot, set := range sets {
 			if set.HealthyCount() != 2 {
 				t.Fatalf("K=%d slot %d: %d healthy replicas, want 2", k, slot, set.HealthyCount())
@@ -86,8 +92,9 @@ func TestReplicaClusterGoldenNoFaults(t *testing.T) {
 // deadline blackholes on specific calls of specific replicas — produces an
 // allocation semantically byte-identical to the fault-free single-node
 // run. Replica 0 of every range is wrapped directly under the ReplicaSet
-// (failover adoption path); the plan fires on errors, drop-after-send, a
-// delay, and a bounded timeout.
+// (no retry layer: a failed run op fails its run, which the coordinator
+// re-runs); the plan fires on errors, drop-after-send, a delay, and a
+// bounded timeout.
 func TestReplicaFaultGolden(t *testing.T) {
 	inst := testInstance()
 	opts := testOpts()
@@ -114,8 +121,8 @@ func TestReplicaFaultGolden(t *testing.T) {
 			var rules []FaultRule
 			switch slot {
 			case 0:
-				// Loses a commit reply after applying it, then refuses two
-				// gains sweeps — mid-run adoption with a lost-reply replay.
+				// Loses a commit reply after applying it — the run is re-run
+				// on replica 1 — then would refuse two gains reads.
 				rules = []FaultRule{
 					{Op: "commit", From: 1, Count: 1, Kind: FaultDropAfterSend},
 					{Op: "gains", From: 3, Count: 2, Kind: FaultError},
@@ -146,7 +153,7 @@ func TestReplicaFaultGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
-		mustEqualSemantic(t, "faulted", want, got)
+		mustEqualSemantic(t, "faulted", inst, core.Request{Opts: opts}, want, got)
 		fired := 0
 		for _, fc := range faults {
 			for _, n := range fc.Fired() {
@@ -206,7 +213,7 @@ func TestReplicaDropAfterSendWithRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, "drop-after-send with retry", want, got)
+	mustEqualResults(t, "drop-after-send with retry", inst, core.Request{Opts: opts}, want, got)
 	fired := 0
 	for _, fc := range drops {
 		for _, n := range fc.Fired() {
@@ -216,8 +223,8 @@ func TestReplicaDropAfterSendWithRetry(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("no drop-after-send fault fired")
 	}
-	// Replays healed in place: the owner never changed, so every replica is
-	// still healthy.
+	// Retries healed in place: the preferred replica never changed, so every
+	// replica is still healthy.
 	for slot, set := range sets {
 		if set.HealthyCount() != 2 {
 			t.Fatalf("slot %d: %d healthy, want 2", slot, set.HealthyCount())
@@ -289,7 +296,7 @@ func TestBareStackDropAfterSendWithRetry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		mustEqualResults(t, tc.name+": bare stack, drop-after-send with retry", want, got)
+		mustEqualResults(t, tc.name+": bare stack, drop-after-send with retry", tc.inst, core.Request{Opts: tc.opts}, want, got)
 		for slot, fc := range drops {
 			fired := fc.Fired()
 			if fired[0] != 2 || tc.grows && (fired[1] != 1 || fired[2] != 1) {
@@ -592,7 +599,7 @@ func TestReplicaMutationRevive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, "post-revive", want, got)
+	mustEqualResults(t, "post-revive", idx.Inst(), core.Request{Opts: opts}, want, got)
 
 	// The revived replica can carry the range alone: kill replica 0
 	// outright and allocate again.
@@ -617,7 +624,7 @@ func TestReplicaMutationRevive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualSemantic(t, "mid-life replica death", want, got2)
+	mustEqualSemantic(t, "mid-life replica death", idx.Inst(), core.Request{Opts: opts}, want, got2)
 	_ = killed
 	if sets2[0].HealthyCount() < 1 {
 		t.Fatal("range 0 lost all replicas")

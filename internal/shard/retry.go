@@ -1,14 +1,13 @@
 // Deadline/retry/backoff decorator for shard clients. RetryClient is a
 // transport-blind sibling of InstrumentClient: every RPC gets a per-attempt
 // deadline sized to its op class (fast coverage ops vs sampling-heavy
-// ones), transient failures retry under capped exponential backoff with
-// deterministic seeded jitter, and terminal failures (stale epoch, bad
-// request, sequence gap) propagate immediately. Retrying a Commit/Credit/
-// Grow is safe because the requests carry sequence numbers and the shard's
-// run state is level-triggered (see CommitRequest.Seq): a replayed op whose
-// first attempt applied returns the cached reply instead of re-applying.
-// Pilot/Ensure/Start/Gains/Info are naturally idempotent — deterministic
-// streams make repeated sampling converge to identical state.
+// ones), transient failures retry in place under capped exponential backoff
+// with deterministic seeded jitter, and the rest propagate at once. An
+// in-place retry is the only way a run op reaches a replica twice (a run a
+// replica loses is re-run under a fresh id, never replayed), and the
+// shard's sequence guard (CommitRequest.Seq) answers a retried
+// Commit/Credit/Grow whose first attempt applied from its cached reply.
+// The other ops are idempotent: deterministic streams converge.
 
 package shard
 
@@ -29,9 +28,9 @@ const (
 	// ClassRetryable marks transient failures — timeouts, connection
 	// errors, 5xx — worth retrying against the same replica.
 	ClassRetryable ErrorClass = iota
-	// ClassFailover marks failures the same replica cannot heal (it is
-	// draining, missing the run, or out of sequence) but another replica
-	// of the range can serve, possibly after a state replay.
+	// ClassFailover marks failures the same replica cannot heal in place
+	// (it is draining, missing the run, or out of sequence): the
+	// coordinator re-runs the run, wherever the range then routes it.
 	ClassFailover
 	// ClassTerminal marks failures no retry or failover fixes: the request
 	// itself is stale or malformed (stale epoch, 4xx, cancellation).

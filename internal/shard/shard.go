@@ -359,9 +359,8 @@ func (s *Shard) Start(req StartRequest) (StartReply, error) {
 		return StartReply{}, fmt.Errorf("shard: %d runs already open", maxOpenRuns)
 	}
 	// Level-triggered: re-opening an existing run id replaces its state
-	// wholesale. The replacement is byte-identical to the original (the
-	// deterministic stream re-derives the same sets), so a retried Start —
-	// or a replica-set replay rebuilding a run after failover — is safe.
+	// wholesale with a byte-identical copy (the deterministic stream
+	// re-derives the same sets), so a retried Start is safe.
 	s.runs[req.RunID] = run
 	s.mu.Unlock()
 

@@ -197,9 +197,9 @@ func TestLifecycleShardedMatchesSingleNode(t *testing.T) {
 // replicated cluster (K = 2, R = 2) with 5% of all RPCs failing from a
 // seeded chaos stream still reproduces the fault-free single-node
 // lifecycle trace in every semantic field — epochs, allocations, revenue,
-// spend, regret, churn events. Only the sampling accounting may move
-// (failover re-samples on the adopting replica), so SetsSampled is zeroed
-// on both sides before comparing.
+// spend, regret, churn events. Only the sampling accounting may move (a
+// re-run re-samples on the replica that serves it), so SetsSampled is
+// zeroed on both sides before comparing.
 func TestLifecycleChaosMatches(t *testing.T) {
 	single := run(t, 11, fastCfg())
 	cfg := fastCfg()
