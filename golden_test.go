@@ -1,10 +1,12 @@
 package socialads_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	socialads "repro"
+	"repro/internal/core"
 	"repro/internal/rrset"
 )
 
@@ -52,40 +54,71 @@ var goldenSoftSeeds = [][]int32{
 	{100, 383, 59, 461, 130, 240, 36, 300, 94, 134, 598, 212, 497, 536, 432},
 }
 
+// goldenHardRevenueBits / goldenSoftRevenueBits are math.Float64bits of
+// each ad's EstRevenue in the same two allocations, cold (AllocateTIRM) and
+// warm (AllocateFromIndex) alike. The seeds alone would let a walk reorder
+// the float operations behind a revenue estimate and still pass; these make
+// every golden bit-exact in its revenues too.
+var goldenHardRevenueBits = []uint64{
+	0x40179143f91f4c92, 0x40062e4d1d71841b, 0x40128cd00eed99e7, 0x40106923c8d4cc0e, 0x401155ff30f00abb,
+	0x4003aea8cae665ef, 0x40113b205a9df9ba, 0x4012ce5734bb293d, 0x4001f1a7ac342664, 0x4017407aa49067b2,
+}
+
+var goldenSoftRevenueBits = []uint64{
+	0x40177fa8ad3dce4c, 0x400701b07ca85c5d, 0x40123421b550666b, 0x40108b77fd4d5ff4, 0x4010afbe6d76a608,
+	0x400391d5cb63cf92, 0x40104d8139325f47, 0x40134ac40ea96230, 0x400306f91f8063ac, 0x4016bb4ed60b1a26,
+}
+
 // TestAllocationPinnedAcrossRepresentations is the equivalence regression
 // for the arena refactor: for a fixed seed, TIRM's allocation must be
 // byte-identical to the pre-refactor representation's output, in both
-// coverage modes, and AllocateFromIndex on a prebuilt index must agree.
+// coverage modes, and AllocateFromIndex on a prebuilt index must agree —
+// seeds and revenue bits both, and each result must pass
+// core.CheckAllocation.
 func TestAllocationPinnedAcrossRepresentations(t *testing.T) {
 	inst := goldenInstance()
 	for _, tc := range []struct {
-		name string
-		soft bool
-		want [][]int32
+		name     string
+		soft     bool
+		want     [][]int32
+		wantBits []uint64
 	}{
-		{"hard", false, goldenHardSeeds},
-		{"soft", true, goldenSoftSeeds},
+		{"hard", false, goldenHardSeeds, goldenHardRevenueBits},
+		{"soft", true, goldenSoftSeeds, goldenSoftRevenueBits},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			req := socialads.AllocRequest{Opts: goldenOpts(tc.soft)}
+			check := func(run string, res *socialads.TIRMResult) {
+				t.Helper()
+				if !reflect.DeepEqual(res.Alloc.Seeds, tc.want) {
+					t.Fatalf("%s allocation diverged from the pinned pre-refactor output:\n got %v\nwant %v",
+						run, res.Alloc.Seeds, tc.want)
+				}
+				bits := make([]uint64, len(res.EstRevenue))
+				for j, r := range res.EstRevenue {
+					bits[j] = math.Float64bits(r)
+				}
+				if !reflect.DeepEqual(bits, tc.wantBits) {
+					t.Fatalf("%s revenue bits diverged from the pinned output:\n got %#x\nwant %#x", run, bits, tc.wantBits)
+				}
+				if err := core.CheckAllocation(inst, req, res); err != nil {
+					t.Fatalf("%s allocation: %v", run, err)
+				}
+			}
 			res, err := socialads.AllocateTIRM(inst, 42, goldenOpts(tc.soft))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(res.Alloc.Seeds, tc.want) {
-				t.Fatalf("allocation diverged from the pinned pre-refactor output:\n got %v\nwant %v",
-					res.Alloc.Seeds, tc.want)
-			}
+			check("cold", res)
 			idx, err := socialads.BuildIndex(inst, 42, goldenOpts(tc.soft))
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := socialads.AllocateFromIndex(idx, socialads.AllocRequest{Opts: goldenOpts(tc.soft)})
+			warm, err := socialads.AllocateFromIndex(idx, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(warm.Alloc.Seeds, tc.want) {
-				t.Fatal("warm allocation diverged from the pinned output")
-			}
+			check("warm", warm)
 		})
 	}
 }

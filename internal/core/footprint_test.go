@@ -14,7 +14,8 @@ const joinInlineCap = 8
 // TestIndexHoldsNoIDRows: on the 600-node FLIXSTER instance, after a build
 // and one allocation, the index's footprint is exactly each ad's family,
 // cover join, opening and pilot widths — no id rows and no id-row offsets
-// beside the join, and (the sample being sparse) no bitmap.
+// beside the join, no record holding its row's own node, no offset wider
+// than 4 bytes, and (the sample being sparse) no bitmap.
 func TestIndexHoldsNoIDRows(t *testing.T) {
 	inst := gen.Flixster(gen.Options{Seed: 1, Scale: 0.02})
 	opts := core.TIRMOptions{Eps: 0.3, MinTheta: 2000, MaxTheta: 16000}
@@ -29,14 +30,16 @@ func TestIndexHoldsNoIDRows(t *testing.T) {
 	var want int64
 	for j := range inst.Ads {
 		fam, invLen, widths := core.SampleParts(idx, j)
-		// The join: a header per membership, the members of every set up to
-		// the inline cap behind each of its headers, one offset per node + 1.
-		join := 8 * int64(n+1)
+		// The family: a member arena and one offset per set + 1.
+		family := 4*fam.NumMembers() + 4*int64(fam.Len()+1)
+		// The join: a header per membership, behind each header of a set up
+		// to the inline cap the set's other members, one offset per node + 1.
+		join := 4 * int64(n+1)
 		for i := 0; i < invLen; i++ {
 			sz := int64(len(fam.Set(i)))
 			rec := int64(1)
 			if sz <= joinInlineCap {
-				rec += sz
+				rec = sz
 			}
 			join += 4 * sz * rec
 		}
@@ -49,7 +52,7 @@ func TestIndexHoldsNoIDRows(t *testing.T) {
 			}
 		}
 		opening := 4*int64(n) + 8*int64(len(live))
-		want += fam.MemBytes() + join + opening + 8*int64(len(widths))
+		want += family + join + opening + 8*int64(len(widths))
 	}
 	if got := idx.MemBytes(); got != want {
 		t.Fatalf("index holds %d bytes, family + join + openings + widths = %d (%+d)", got, want, got-want)

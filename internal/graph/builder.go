@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -56,7 +57,9 @@ func (b *Builder) AddUndirected(u, v NodeID) {
 // the finished out-CSR, walked in EdgeID order, is the in-CSR — so the k-th
 // in-row position of a target holds its k-th in-edge in EdgeID order.
 // Transient memory is two int32 arrays over the raw edges (one edge array's
-// worth); the builder's own edge list is left as it was.
+// worth); the builder's own edge list is left as it was. The graph's row
+// offsets are 32-bit, so Build fails when the deduplicated edges number 2^32
+// or more.
 func (b *Builder) Build() (*Graph, error) {
 	n := int32(b.n)
 	// Every transpose below uses one counting-sort layout: group sizes are
@@ -96,11 +99,11 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	// Out CSR: compact the rows over their duplicates, in place (the write
 	// position never passes the read position). EdgeID = final position.
-	outStart := make([]int64, n+1)
-	inStart := make([]int64, n+2)
+	outStart := make([]uint32, n+1)
+	inStart := make([]uint32, n+2)
 	var m int64
 	for u := int32(0); u < n; u++ {
-		outStart[u] = m
+		outStart[u] = uint32(m)
 		prev := int32(-1)
 		for _, v := range targets[bySource[u]:bySource[u+1]] {
 			if v != prev {
@@ -111,7 +114,10 @@ func (b *Builder) Build() (*Graph, error) {
 			}
 		}
 	}
-	outStart[n] = m
+	if m > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: %d edges pass the 32-bit offset limit", m)
+	}
+	outStart[n] = uint32(m)
 	g := &Graph{
 		n:        n,
 		m:        m,

@@ -27,19 +27,20 @@ type NodeID = int32
 // ordered by (source, target).
 type EdgeID = int64
 
-// Graph is an immutable directed graph in CSR form.
+// Graph is an immutable directed graph in CSR form. Row offsets are 32-bit,
+// so a graph holds fewer than 2^32 edges (Builder.Build refuses more).
 type Graph struct {
 	n int32
 	m int64
 
 	// Out-direction CSR. Edge j (EdgeID) goes from the unique u with
 	// outStart[u] <= j < outStart[u+1] to outTo[j].
-	outStart []int64
+	outStart []uint32
 	outTo    []int32
 
 	// In-direction CSR. inFrom[k] lists the in-neighbors of the unique v
 	// with inStart[v] <= k < inStart[v+1], ascending.
-	inStart []int64
+	inStart []uint32
 	inFrom  []int32
 }
 
@@ -64,7 +65,7 @@ func (g *Graph) InDegree(v NodeID) int {
 // returned slice aliases internal storage and must not be modified.
 func (g *Graph) OutEdges(u NodeID) (targets []int32, first EdgeID) {
 	s, e := g.outStart[u], g.outStart[u+1]
-	return g.outTo[s:e], s
+	return g.outTo[s:e], EdgeID(s)
 }
 
 // InRow returns the sources of v's in-edges, ascending, and the position of
@@ -78,7 +79,7 @@ func (g *Graph) OutEdges(u NodeID) (targets []int32, first EdgeID) {
 // storage and must not be modified.
 func (g *Graph) InRow(v NodeID) (sources []int32, first int64) {
 	s, e := g.inStart[v], g.inStart[v+1]
-	return g.inFrom[s:e], s
+	return g.inFrom[s:e], int64(s)
 }
 
 // EdgeEndpoints returns the (source, target) of a canonical edge. It is
@@ -89,7 +90,7 @@ func (g *Graph) EdgeEndpoints(e EdgeID) (NodeID, NodeID) {
 		panic(fmt.Sprintf("graph: EdgeID %d out of range [0,%d)", e, g.m))
 	}
 	// Find u with outStart[u] <= e < outStart[u+1].
-	u := sort.Search(int(g.n), func(i int) bool { return g.outStart[i+1] > e })
+	u := sort.Search(int(g.n), func(i int) bool { return EdgeID(g.outStart[i+1]) > e })
 	return int32(u), g.outTo[e]
 }
 
@@ -105,7 +106,7 @@ func (g *Graph) FindEdge(u, v NodeID) (EdgeID, bool) {
 	row := g.outTo[s:e]
 	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
 	if i < len(row) && row[i] == v {
-		return s + int64(i), true
+		return EdgeID(s) + int64(i), true
 	}
 	return 0, false
 }

@@ -68,12 +68,16 @@ func (c *Collection) coverDelta(u int32, firstID int, s *deltaSink) int {
 // CoverNodeDelta is CoverNode that additionally records the cover's effect
 // as a sparse decrement vector: appended to nodes/decs (reused, returned
 // re-sliced), node outNodes[i] lost outDecs[i] residual coverage — applied
-// to a counter collection, exactly the coverage change CoverNode makes. Unlike
-// CoverNode it does not sync the candidate heap: a sharded collection's
-// candidates are ranked by the coordinator's counter collection, never by
-// the shard's own heap, so the (still lazy, still correct) rebuild is
-// deferred until someone actually queries it — and, the scores having moved
-// off the opening's, it then reads the live ones.
+// to a counter collection, exactly the coverage change CoverNode makes. Each
+// node appears once, in an unspecified order: the order follows the walk,
+// and an inline cover-join record takes the covering node's own decrement
+// ahead of its other members'. Nothing may depend on it; ApplyCover's
+// integer subtractions are order-independent. Unlike CoverNode it does not
+// sync the candidate heap: a sharded collection's candidates are ranked by
+// the coordinator's counter collection, never by the shard's own heap, so
+// the (still lazy, still correct) rebuild is deferred until someone actually
+// queries it — and, the scores having moved off the opening's, it then
+// reads the live ones.
 func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (covered int, outNodes []int32, outDecs []int32) {
 	c.opened = nil
 	s := c.newDeltaSink(nodes, decs)

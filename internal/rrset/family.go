@@ -12,13 +12,15 @@
 package rrset
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
 // SetFamily is an append-only family of int32 sets in CSR layout:
 // set i occupies members[offsets[i]:offsets[i+1]]. The zero value is not
-// usable; create with NewSetFamily or FamilyFromSets.
+// usable; create with NewSetFamily or FamilyFromSets. Offsets are 32-bit, so
+// an arena holds at most maxArena members (see checkArena).
 //
 // Appending never mutates previously written elements, so a FamilyView
 // taken before an append (Prefix/Window/View) stays valid while the family
@@ -27,13 +29,27 @@ import (
 // the property core.Index relies on to let concurrent allocations read
 // stable prefixes while the sample grows.
 type SetFamily struct {
-	offsets []int64 // len = Len()+1, offsets[0] == 0, non-decreasing
-	members []int32 // arena of all members, set after set
+	offsets []uint32 // len = Len()+1, offsets[0] == 0, non-decreasing
+	members []int32  // arena of all members, set after set
+}
+
+// maxArena is the most entries one arena — a family's members or an
+// Inverted's rows — may hold: every CSR offset is a uint32. One ad's sample
+// at that size is 16 GB of members alone, past any machine this runs on, so
+// the limit is checked where an arena grows and has no wider fallback.
+const maxArena = 1<<32 - 1
+
+// checkArena panics when n, the length an arena is about to reach, passes
+// maxArena.
+func checkArena(n int64) {
+	if n > maxArena {
+		panic(fmt.Sprintf("rrset: arena of %d entries passes the 32-bit offset limit", n))
+	}
 }
 
 // NewSetFamily creates an empty family.
 func NewSetFamily() *SetFamily {
-	return &SetFamily{offsets: make([]int64, 1, 64)}
+	return &SetFamily{offsets: make([]uint32, 1, 64)}
 }
 
 // FamilyFromSets copies a pointer-heavy [][]int32 family into a fresh
@@ -44,7 +60,7 @@ func FamilyFromSets(sets [][]int32) *SetFamily {
 		total += len(s)
 	}
 	f := &SetFamily{
-		offsets: make([]int64, 1, len(sets)+1),
+		offsets: make([]uint32, 1, len(sets)+1),
 		members: make([]int32, 0, total),
 	}
 	for _, s := range sets {
@@ -67,14 +83,17 @@ func (f *SetFamily) Set(i int) []int32 {
 
 // Append adds one set (copying its members into the arena).
 func (f *SetFamily) Append(set []int32) {
+	checkArena(int64(len(f.members)) + int64(len(set)))
 	f.members = append(f.members, set...)
-	f.offsets = append(f.offsets, int64(len(f.members)))
+	f.offsets = append(f.offsets, uint32(len(f.members)))
 }
 
 // AppendFamily bulk-appends every set of g (two memmoves plus an offset
 // rebase — how per-block scratch arenas merge into the stream arena).
 func (f *SetFamily) AppendFamily(g *SetFamily) {
-	base := int64(len(f.members)) - g.offsets[0]
+	checkArena(int64(len(f.members)) + g.NumMembers())
+	// Every base+off fits (checked above), so the uint32 sums are exact.
+	base := uint32(len(f.members)) - g.offsets[0]
 	f.members = append(f.members, g.members[g.offsets[0]:]...)
 	for _, off := range g.offsets[1:] {
 		f.offsets = append(f.offsets, base+off)
@@ -84,8 +103,9 @@ func (f *SetFamily) AppendFamily(g *SetFamily) {
 // Reserve grows capacity for sets more sets and members more members, so a
 // known-size bulk load appends without re-allocation.
 func (f *SetFamily) Reserve(sets int, members int64) {
+	checkArena(int64(len(f.members)) + members)
 	if need := len(f.offsets) + sets; need > cap(f.offsets) {
-		grown := make([]int64, len(f.offsets), need)
+		grown := make([]uint32, len(f.offsets), need)
 		copy(grown, f.offsets)
 		f.offsets = grown
 	}
@@ -118,9 +138,9 @@ func (f *SetFamily) Window(from, to int) FamilyView {
 func (f *SetFamily) Sets() [][]int32 { return f.View().Sets() }
 
 // MemBytes returns the family's exact data footprint: 4 bytes per member
-// plus 8 per offset.
+// plus 4 per offset.
 func (f *SetFamily) MemBytes() int64 {
-	return 4*int64(len(f.members)) + 8*int64(len(f.offsets))
+	return 4*int64(len(f.members)) + 4*int64(len(f.offsets))
 }
 
 // FamilyView is an immutable window over a SetFamily: sets [from, to) with
@@ -128,8 +148,8 @@ func (f *SetFamily) MemBytes() int64 {
 // up to the window's end), so taking a view is two slice headers — no
 // copying, no rebasing.
 type FamilyView struct {
-	offsets []int64 // len = Len()+1, absolute arena offsets
-	members []int32 // arena prefix covering offsets[Len()]
+	offsets []uint32 // len = Len()+1, absolute arena offsets
+	members []int32  // arena prefix covering offsets[Len()]
 }
 
 // Len returns the number of sets in the view.
@@ -145,7 +165,7 @@ func (v FamilyView) NumMembers() int64 {
 	if len(v.offsets) == 0 {
 		return 0
 	}
-	return v.offsets[len(v.offsets)-1] - v.offsets[0]
+	return int64(v.offsets[len(v.offsets)-1] - v.offsets[0])
 }
 
 // Set returns set i (local id) as a slice into the arena. Read-only.
@@ -167,7 +187,7 @@ func (v FamilyView) Sets() [][]int32 {
 
 // MemBytes returns the view's exact data footprint (members + offsets).
 func (v FamilyView) MemBytes() int64 {
-	return 4*v.NumMembers() + 8*int64(len(v.offsets))
+	return 4*v.NumMembers() + 4*int64(len(v.offsets))
 }
 
 // Inverted is a CSR inverted index over a set family: node u's row lists,
@@ -179,17 +199,18 @@ func (v FamilyView) MemBytes() int64 {
 // A row takes one of two forms, fixed at construction. Joined — every index
 // BuildInverted returns while each id fits a record header (below
 // joinIDLimit, 2^27) — the row is the cover join: one record per set, its id
-// and, up to joinInlineCap, its members (see the record layout below), so the
-// cover walks stream ids and members sequentially and the index keeps no
-// separate id rows. Otherwise the row is the plain ascending ids and walks
-// hop id → offsets → arena: the form of short-lived growth segments
-// (segStore.grow) and of any index whose ids reach 2^27. The optional
-// membership bitmap (coverBits) and openings (opening) are derived data,
-// each built at most once behind a lock, so concurrent readers stay
-// race-free — and each dies with the Inverted it describes.
+// and, up to joinInlineCap, its members other than the row's own node (see
+// the record layout below), so the cover walks stream ids and members
+// sequentially and the index keeps no separate id rows. Otherwise the row is
+// the plain ascending ids and walks hop id → offsets → arena: the form of
+// short-lived growth segments (segStore.grow) and of any index whose ids
+// reach 2^27. The optional membership bitmap (coverBits) and openings
+// (opening) are derived data, each built at most once behind a lock, so
+// concurrent readers stay race-free — and each dies with the Inverted it
+// describes.
 type Inverted struct {
-	off    []int64 // len = n+1: node u's row is rows[off[u]:off[u+1]]
-	rows   []int32 // records when joined, set ids otherwise
+	off    []uint32 // len = n+1: node u's row is rows[off[u]:off[u+1]]
+	rows   []int32  // records when joined, set ids otherwise
 	joined bool
 	src    FamilyView
 	base   int32
@@ -212,26 +233,30 @@ func BuildInverted(n int, v FamilyView, base int32) *Inverted {
 }
 
 // buildInverted is the one counting-pass builder of both row forms: each
-// set adds a record to every member's row — 1+|R| words when joined and
-// inline, 1 word otherwise.
+// set adds a record to every member's row — |R| words (header and the other
+// members) when joined and inline, 1 word otherwise. The row store, like a
+// family's arena, holds at most maxArena words.
 func buildInverted(n int, v FamilyView, base int32, joined bool) *Inverted {
-	off := make([]int64, n+1)
+	off := make([]uint32, n+1)
 	k := v.Len()
+	var words int64
 	for i := 0; i < k; i++ {
 		set := v.Set(i)
-		rec := int64(1)
+		rec := uint32(1)
 		if joined && len(set) <= joinInlineCap {
-			rec += int64(len(set))
+			rec = uint32(len(set))
 		}
 		for _, u := range set {
 			off[u+1] += rec
 		}
+		words += int64(rec) * int64(len(set))
 	}
+	checkArena(words)
 	for u := 0; u < n; u++ {
 		off[u+1] += off[u]
 	}
 	rows := make([]int32, off[n])
-	cur := make([]int64, n)
+	cur := make([]uint32, n)
 	copy(cur, off[:n])
 	for i := 0; i < k; i++ {
 		set := v.Set(i)
@@ -251,12 +276,13 @@ func buildInverted(n int, v FamilyView, base int32, joined bool) *Inverted {
 			}
 			continue
 		}
-		head |= int32(len(set))
-		for _, u := range set {
+		head |= int32(len(set) - 1)
+		for j, u := range set {
 			p := cur[u]
 			rows[p] = head
-			copy(rows[p+1:], set)
-			cur[u] = p + 1 + int64(len(set))
+			copy(rows[p+1:], set[:j])
+			copy(rows[p+1+uint32(j):], set[j+1:])
+			cur[u] = p + uint32(len(set))
 		}
 	}
 	return &Inverted{off: off, rows: rows, joined: joined, src: v, base: base}
@@ -317,7 +343,7 @@ func (ix *Inverted) Count(u int32) int {
 // offsets, plus the membership bitmap and the stored openings once built
 // (this never triggers the builds).
 func (ix *Inverted) MemBytes() int64 {
-	total := 4*int64(len(ix.rows)) + 8*int64(len(ix.off))
+	total := 4*int64(len(ix.rows)) + 4*int64(len(ix.off))
 	if b := ix.bits.Load(); b != nil {
 		total += b.memBytes()
 	}
@@ -418,24 +444,27 @@ func (o *opening) memBytes() int64 {
 // where a random arena fetch per set costs more than the members
 // themselves; sets above the cap spill to the arena, where fetching is
 // amortized over many members anyway. The cap also bounds join memory at
-// (1+cap)·memberships in the worst (all-tiny) case.
+// cap·memberships in the worst (all-tiny) case.
 const joinInlineCap = 8
 
 // The cover join is the joined index's row layout: node u's row is a flat
-// stream of records [id<<4 | size, members...] (or the lone header
+// stream of records [id<<4 | |R|−1, R∖{u} in set order] (or the lone header
 // [id<<4 | joinSpill] past the inline cap), ascending by id — an inline
-// membership costs 1+|R| words, a spilled one 1. CoverNode and the delta and
-// weighted commit walks read it instead of hopping id → offsets → arena per
-// covered set: the hot commit loop becomes one sequential scan, which on the
-// measured serving workload is the difference between a cache miss per tiny
-// set and streaming bandwidth. Records carry global ids, and rows are
-// ascending, so a collection clips a too-long row by breaking at its
+// membership costs |R| words, a spilled one 1. A record leaves out u itself:
+// the walk covering u knows u, so it takes u's own decrement once per inline
+// record (a spilled record reads the arena, which holds u). CoverNode and the
+// delta and weighted commit walks read it instead of hopping id → offsets →
+// arena per covered set: the hot commit loop becomes one sequential scan,
+// which on the measured serving workload is the difference between a cache
+// miss per tiny set and streaming bandwidth. Records carry global ids, and
+// rows are ascending, so a collection clips a too-long row by breaking at its
 // segment's end id — no cut vector needed.
 //
 // A record's header is one word, id<<joinSizeBits | size: the low bits hold
-// the inline member count (0..joinInlineCap) or joinSpill, and the set id
-// sits above them. An id must therefore stay below joinIDLimit for the
-// header to remain a non-negative int32.
+// the inline member count |R|−1 (0..joinInlineCap−1; a singleton's record is
+// its lone header) or joinSpill, and the set id sits above them. An id must
+// therefore stay below joinIDLimit for the header to remain a non-negative
+// int32.
 const (
 	joinSizeBits = 4
 	joinSizeMask = 1<<joinSizeBits - 1

@@ -2,6 +2,8 @@ package rrset
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -33,7 +35,7 @@ func TestSetFamilyBasics(t *testing.T) {
 	if sets[1] != nil {
 		t.Fatal("empty set materialized non-nil")
 	}
-	if f.MemBytes() != 3*4+4*8 {
+	if f.MemBytes() != 3*4+4*4 {
 		t.Fatalf("MemBytes = %d", f.MemBytes())
 	}
 }
@@ -115,10 +117,11 @@ func TestBuildInverted(t *testing.T) {
 // checkCoverJoin decodes every row of the joined index inv and checks it
 // record for record against rows — the id-row builder's index over the same
 // family and base — and fam's sets: one header per id holding the id above
-// the size bits, the set's members inline right behind it when it has at
-// most joinInlineCap of them, joinSpill and nothing else when it has more,
-// and no word left over. IDs and Count, which decode the headers, must
-// answer what the id rows do. It returns the record counts of each kind.
+// the size bits; when the set R has at most joinInlineCap members, the size
+// field |R|−1 and R∖{u} inline right behind it in set order, none of them the
+// row's node u; joinSpill and nothing else when it has more; and no word
+// left over. IDs and Count, which decode the headers, must answer what the
+// id rows do. It returns the record counts of each kind.
 func checkCoverJoin(t testing.TB, fam *SetFamily, inv, rows *Inverted) (inline, spilled int) {
 	t.Helper()
 	if !inv.joined || rows.joined {
@@ -144,8 +147,12 @@ func checkCoverJoin(t testing.TB, fam *SetFamily, inv, rows *Inverted) (inline, 
 				spilled++
 				continue
 			}
-			if sz != len(set) || p+1+sz > len(row) || !slices.Equal(row[p+1:p+1+sz], set) {
-				t.Fatalf("node %d set %d: record size %d, want the %d members %v inline", u, id, sz, len(set), set)
+			others := slices.DeleteFunc(slices.Clone(set), func(w int32) bool { return w == u })
+			if sz != len(set)-1 || p+1+sz > len(row) || !slices.Equal(row[p+1:p+1+sz], others) {
+				t.Fatalf("node %d set %d %v: record size %d, want %d and the members %v inline", u, id, set, sz, len(set)-1, others)
+			}
+			if slices.Contains(row[p+1:p+1+sz], u) {
+				t.Fatalf("node %d set %d: the row's own node is inline in %v", u, id, row[p+1:p+1+sz])
 			}
 			p += 1 + sz
 			inline++
@@ -208,11 +215,72 @@ func checkJoinMatchesIDRows(t testing.TB, rng *xrand.Rand, n int, fam *SetFamily
 			jc, jn, jd = joined.CountAndCoverFromDelta(u, first, jn, jd)
 			pc, pn, pd = plain.CountAndCoverFromDelta(u, first, pn, pd)
 		}
-		if jc != pc || !slices.Equal(jn, pn) || !slices.Equal(jd, pd) {
-			t.Fatalf("base %d step %d: %s over the join = (%d, %v, %v), over id rows (%d, %v, %v)", base, step, op, jc, jn, jd, pc, pn, pd)
+		if jm, pm := deltaOf(t, jn, jd), deltaOf(t, pn, pd); jc != pc || !maps.Equal(jm, pm) {
+			t.Fatalf("base %d step %d: %s over the join = (%d, %v), over id rows (%d, %v)", base, step, op, jc, jm, pc, pm)
 		}
 	}
 	return inline, spilled
+}
+
+// TestCoverJoinOwnNodeMidSet: node 7 sits mid-set in an inline record, in a
+// spilled record and, alone, in a singleton. Its row holds [id | 2, 3, 1],
+// the spilled header and the singleton's lone header, and every walk over
+// it takes 7's own decrement once per set, exactly as the id rows (and, in
+// hard mode, the bitmap) do: the same covered count and node → decrement
+// map from the delta walk, the same coverage from the plain cover, and
+// bit-identical weighted coverage and claimed mass from the soft commit.
+func TestCoverJoinOwnNodeMidSet(t *testing.T) {
+	const n, u = 12, 7
+	fam := FamilyFromSets([][]int32{
+		{3, u, 1},
+		{0, 1, 2, u, 4, 5, 6, 8, 9, 10},
+		{u},
+		{2, 3},
+	})
+	v := fam.View()
+	inv, rows := BuildInverted(n, v, 0), buildInverted(n, v, 0, false)
+	checkCoverJoin(t, fam, inv, rows)
+	want := []int32{0<<joinSizeBits | 2, 3, 1, 1<<joinSizeBits | joinSpill, 2 << joinSizeBits}
+	if got := inv.row(u); !slices.Equal(got, want) {
+		t.Fatalf("row %d = %v, want %v", u, got, want)
+	}
+
+	inv.PrepareCoverBits()
+	bits := NewCollectionFromFamily(n, v, inv)
+	if bits.UseKernel(KernelBitset) != KernelBitset {
+		t.Fatal("no bitset kernel over the prepared index")
+	}
+	wantDelta := map[int32]int32{u: 3, 3: 1, 1: 2, 0: 1, 2: 1, 4: 1, 5: 1, 6: 1, 8: 1, 9: 1, 10: 1}
+	for name, c := range map[string]*Collection{"join": oneSegment(n, v, inv), "id rows": oneSegment(n, v, rows), "bitset": bits} {
+		covered, nodes, decs := c.CoverNodeDelta(u, nil, nil)
+		if got := deltaOf(t, nodes, decs); covered != 3 || !maps.Equal(got, wantDelta) {
+			t.Errorf("%s: CoverNodeDelta(%d) = (%d, %v), want (3, %v)", name, u, covered, got, wantDelta)
+		}
+		if c.Coverage(3) != 1 || c.Coverage(2) != 1 {
+			t.Errorf("%s: set {2, 3} lost coverage: cov[2] = %d, cov[3] = %d", name, c.Coverage(2), c.Coverage(3))
+		}
+	}
+	hard := oneSegment(n, v, inv)
+	if got := hard.CoverNode(u); got != 3 || hard.Coverage(1) != 0 {
+		t.Fatalf("CoverNode(%d) over the join covered %d sets and left cov[1] = %d, want 3 and 0", u, got, hard.Coverage(1))
+	}
+
+	joined, plain := NewWeightedCollectionFromFamily(n, v, inv), NewWeightedCollection(n)
+	plain.AddFamily(v)
+	if joined.UseKernel(KernelSparse) != KernelSparse || plain.segs[0].inv.joined {
+		t.Fatal("want the sparse walk over the join and over id rows")
+	}
+	for _, delta := range []float64{0.3, 0.7} {
+		a, b := joined.Commit(u, delta), plain.Commit(u, delta)
+		if math.Float64bits(a) != math.Float64bits(b) || joined.CoveredMass() != plain.CoveredMass() {
+			t.Fatalf("Commit(%d, %g): the join claims %v, id rows %v", u, delta, a, b)
+		}
+		for w := int32(0); w < n; w++ {
+			if x, y := joined.WeightedCoverage(w), plain.WeightedCoverage(w); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("Commit(%d, %g): wcov[%d] = %v over the join, %v over id rows", u, delta, w, x, y)
+			}
+		}
+	}
 }
 
 // TestCoverJoinRecords: the index BuildInverted builds is the cover join —

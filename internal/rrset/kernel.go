@@ -62,7 +62,9 @@ func (k KernelID) String() string {
 
 // sparseCoverSegs is the sparse CoverNode walk over the given segments: a
 // joined index's sequential record stream, or an id row + arena hop. Record
-// order equals id order, so the covering sequence is the historical one.
+// order equals id order, so the covering sequence is the historical one. An
+// inline record leaves u out (see the cover join), so the walk takes u's own
+// decrement for each inline set it covers.
 func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 	covered := 0
 	cov, cvd := c.cov, c.covered
@@ -92,6 +94,7 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 					if cvd[id] {
 						continue
 					}
+					cov[u]--
 				}
 				cvd[id] = true
 				covered++
@@ -119,9 +122,10 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 // sparseDeltaSegs is the sparse CountAndCoverFrom walk over the given
 // segments — the same record stream (or id row + arena hop) as
 // sparseCoverSegs, skipping ids below firstID — recording every per-member
-// decrement into the sink when there is one. It runs on every sharded
-// commit and credit (the delta-capture path), so a joined index walks its
-// records here too.
+// decrement into the sink when there is one, u's own for an inline record
+// ahead of the record's other members. It runs on every sharded commit and
+// credit (the delta-capture path), so a joined index walks its records here
+// too.
 func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *deltaSink) int {
 	covered := 0
 	cov, cvd := c.cov, c.covered
@@ -155,6 +159,10 @@ func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *
 					if id < first || cvd[id] {
 						continue
 					}
+					cov[u]--
+					if s != nil {
+						s.record(u)
+					}
 				}
 				cvd[id] = true
 				covered++
@@ -186,7 +194,11 @@ func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *
 }
 
 // sparseCommitSegs is the sparse weighted commit walk over the given
-// segments (WeightedCollection.commitFrom's historical body).
+// segments (WeightedCollection.commitFrom's historical body). An inline
+// record leaves u out, so the walk applies u's own decrement and clamp for
+// each live inline set, at that set's place in id order: every node's
+// weighted coverage sees the same float operations in the same order as
+// when each record held its whole set.
 func sparseCommitSegs(c *WeightedCollection, u int32, delta float64, firstID int, segs []covSegment) float64 {
 	var total float64
 	wcov, weight := c.wcov, c.weight
@@ -209,13 +221,14 @@ func sparseCommitSegs(c *WeightedCollection, u int32, delta float64, firstID int
 					break
 				}
 				var members []int32
-				if sz == joinSpill {
+				inline := sz != joinSpill
+				if inline {
+					members = row[p+1 : p+1+sz]
+					p += 1 + sz
+				} else {
 					p++
 					i := int(id - base)
 					members = mem[offs[i]:offs[i+1]]
-				} else {
-					members = row[p+1 : p+1+sz]
-					p += 1 + sz
 				}
 				if id < first {
 					continue
@@ -228,6 +241,12 @@ func sparseCommitSegs(c *WeightedCollection, u int32, delta float64, firstID int
 				weight[id] = w - dec
 				c.claimed += dec
 				total += dec
+				if inline {
+					wcov[u] -= dec
+					if wcov[u] < 0 {
+						wcov[u] = 0 // clamp float drift
+					}
+				}
 				for _, x := range members {
 					wcov[x] -= dec
 					if wcov[x] < 0 {
@@ -335,7 +354,7 @@ func (c *Collection) bitsetDeltaFrom(u int32, firstID int, s *deltaSink) int {
 // members' residual coverage, and record each decrement into the sink when
 // there is one. Bits extract in ascending order, so sets retire ascending
 // by id exactly as the sparse walk would.
-func (c *Collection) coverWord(w int, nw uint64, offs []int64, mem []int32, s *deltaSink) int {
+func (c *Collection) coverWord(w int, nw uint64, offs []uint32, mem []int32, s *deltaSink) int {
 	c.mask[w] |= nw
 	cov, cvd := c.cov, c.covered
 	base := int32(w << 6)
@@ -417,7 +436,7 @@ func (c *WeightedCollection) bitsetCommitFrom(u int32, delta float64, firstID in
 // running total accumulates through the pointer so the float summation
 // stays one linear chain in set-id order — bit-identical to the sparse
 // walk's (per-word partial sums would re-associate the additions).
-func (c *WeightedCollection) commitWord(w int, lw uint64, delta float64, offs []int64, mem []int32, total *float64) {
+func (c *WeightedCollection) commitWord(w int, lw uint64, delta float64, offs []uint32, mem []int32, total *float64) {
 	wcov, weight := c.wcov, c.weight
 	base := int32(w << 6)
 	for lw != 0 {

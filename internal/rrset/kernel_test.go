@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
@@ -33,6 +34,25 @@ func randomKernelFamily(rng *xrand.Rand, n, k, avg int) *SetFamily {
 		f.Append(set)
 	}
 	return f
+}
+
+// deltaOf returns a cover's sparse decrement vector as a node → decrement
+// map. The vector's order is unspecified (the coordinator applies it with
+// integer subtractions), its content is not: a node listed twice, or runs of
+// unequal length, fail the test.
+func deltaOf(t testing.TB, nodes, decs []int32) map[int32]int32 {
+	t.Helper()
+	if len(nodes) != len(decs) {
+		t.Fatalf("delta vector with %d nodes and %d decrements", len(nodes), len(decs))
+	}
+	m := make(map[int32]int32, len(nodes))
+	for i, u := range nodes {
+		if _, dup := m[u]; dup {
+			t.Fatalf("node %d listed twice in the delta vector %v", u, nodes)
+		}
+		m[u] = decs[i]
+	}
+	return m
 }
 
 // kernelPair builds a sparse- and a bitset-kernel collection over the same
@@ -139,7 +159,7 @@ func TestKernelEquivalenceCover(t *testing.T) {
 
 // TestKernelEquivalenceDelta checks the sharded delta-capture path: both
 // kernels must emit the same covered counts and the same sparse decrement
-// vectors in the same order. A second pair takes every step through
+// vectors, as node → decrement maps. A second pair takes every step through
 // CountAndCoverFrom — the same walk with a nil sink — at firstID 0 and
 // mid-stream, and must end in the same cov / covered / NumCovered.
 func TestKernelEquivalenceDelta(t *testing.T) {
@@ -169,13 +189,8 @@ func TestKernelEquivalenceDelta(t *testing.T) {
 		var sc, bc int
 		sc, sn, sd = sp.CoverNodeDelta(u, sn, sd)
 		bc, bn, bd = bt.CoverNodeDelta(u, bn, bd)
-		if sc != bc || len(sn) != len(bn) {
-			t.Fatalf("CoverNodeDelta(%d): covered %d/%d, nodes %d/%d", u, sc, bc, len(sn), len(bn))
-		}
-		for i := range sn {
-			if sn[i] != bn[i] || sd[i] != bd[i] {
-				t.Fatalf("CoverNodeDelta(%d)[%d]: sparse=(%d,%d) bitset=(%d,%d)", u, i, sn[i], sd[i], bn[i], bd[i])
-			}
+		if sm, bm := deltaOf(t, sn, sd), deltaOf(t, bn, bd); sc != bc || !maps.Equal(sm, bm) {
+			t.Fatalf("CoverNodeDelta(%d): sparse=(%d, %v) bitset=(%d, %v)", u, sc, sm, bc, bm)
 		}
 		nilSink(u, 0, sc)
 		for _, c := range []*Collection{sp, bt, nsp, nbt} {
@@ -188,13 +203,8 @@ func TestKernelEquivalenceDelta(t *testing.T) {
 		var sc, bc int
 		sc, sn, sd = sp.CountAndCoverFromDelta(int32(u), boundary, sn, sd)
 		bc, bn, bd = bt.CountAndCoverFromDelta(int32(u), boundary, bn, bd)
-		if sc != bc || len(sn) != len(bn) {
-			t.Fatalf("CountAndCoverFromDelta(%d): covered %d/%d, nodes %d/%d", u, sc, bc, len(sn), len(bn))
-		}
-		for i := range sn {
-			if sn[i] != bn[i] || sd[i] != bd[i] {
-				t.Fatalf("CountAndCoverFromDelta(%d)[%d]: sparse=(%d,%d) bitset=(%d,%d)", u, i, sn[i], sd[i], bn[i], bd[i])
-			}
+		if sm, bm := deltaOf(t, sn, sd), deltaOf(t, bn, bd); sc != bc || !maps.Equal(sm, bm) {
+			t.Fatalf("CountAndCoverFromDelta(%d): sparse=(%d, %v) bitset=(%d, %v)", u, sc, sm, bc, bm)
 		}
 		nilSink(int32(u), boundary, sc)
 	}
@@ -359,7 +369,7 @@ func TestMemBytesIgnoresPooledKernelMasks(t *testing.T) {
 // FuzzKernelEquivalence fuzzes random families and cover/commit sequences
 // through both kernels — hard coverage, soft coverage, and counter-mode
 // deltas — requiring identical coverage counts, heap orders, and sparse
-// decrement vectors.
+// decrement vectors (as node → decrement maps).
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(16), uint8(3))
 	f.Add(uint64(99), uint8(32), uint8(200), uint8(7))
@@ -408,13 +418,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 				var sc, bc int
 				sc, sn, sd = sp.CountAndCoverFromDelta(u, boundary, sn, sd)
 				bc, bn, bd = bt.CountAndCoverFromDelta(u, boundary, bn, bd)
-				if sc != bc || len(sn) != len(bn) {
-					t.Fatalf("delta(%d,%d): covered %d/%d nodes %d/%d", u, boundary, sc, bc, len(sn), len(bn))
-				}
-				for i := range sn {
-					if sn[i] != bn[i] || sd[i] != bd[i] {
-						t.Fatalf("delta(%d)[%d] mismatch", u, i)
-					}
+				if sm, bm := deltaOf(t, sn, sd), deltaOf(t, bn, bd); sc != bc || !maps.Equal(sm, bm) {
+					t.Fatalf("delta(%d,%d): sparse=(%d, %v) bitset=(%d, %v)", u, boundary, sc, sm, bc, bm)
 				}
 			case 3:
 				delta := float64(1+rng.IntN(4)) / 4

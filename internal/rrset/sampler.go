@@ -302,7 +302,7 @@ func (s *Sampler) SampleBatchRRFamily(count int, rng *xrand.Rand, salt uint64) *
 	s.forEach(len(parts), func(sc *scratch, c int) {
 		sz := starts[c+1] - starts[c]
 		pf := &SetFamily{
-			offsets: make([]int64, 1, sz+1),
+			offsets: make([]uint32, 1, sz+1),
 			members: make([]int32, 0, 4*sz),
 		}
 		crng := rng.Split(salt + uint64(c)*0x9e37)

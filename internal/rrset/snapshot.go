@@ -110,8 +110,9 @@ func EncodeSetFamily(w io.Writer, v FamilyView) error {
 // consuming exactly its bytes of the stream (wrap the source in a
 // bufio.Reader for performance — the decoder never reads ahead, so
 // families decode back to back from one reader). n is the node-universe
-// size; every member must lie in [0, n) and no set may exceed n members,
-// which bounds the damage a truncated or corrupt snapshot can do. Sections
+// size; every member must lie in [0, n), no set may exceed n members and
+// the family may not pass maxArena members (its offsets are 32-bit), which
+// bounds the damage a truncated or corrupt snapshot can do. Sections
 // fail on CRC32 mismatch, so a bit-flipped member is caught even when it
 // stays in range. Every read streams through bounded chunks and is
 // validated as it arrives, so corrupt counts fail at the truncated stream
@@ -133,6 +134,9 @@ func DecodeSetFamily(r io.Reader, n int) (*SetFamily, error) {
 	}
 	count := int(binary.LittleEndian.Uint32(meta[:4]))
 	total := binary.LittleEndian.Uint64(meta[4:])
+	if total > maxArena {
+		return nil, fmt.Errorf("rrset: snapshot claims %d members, past the 32-bit offset limit", total)
+	}
 	if total > uint64(count)*uint64(n) {
 		return nil, fmt.Errorf("rrset: snapshot claims %d members for %d sets over universe %d", total, count, n)
 	}
@@ -146,7 +150,7 @@ func DecodeSetFamily(r io.Reader, n int) (*SetFamily, error) {
 		preMembers = 1 << 22
 	}
 	fam := &SetFamily{
-		offsets: make([]int64, 1, preSets+1),
+		offsets: make([]uint32, 1, preSets+1),
 		members: make([]int32, 0, preMembers),
 	}
 
@@ -166,7 +170,7 @@ func DecodeSetFamily(r io.Reader, n int) (*SetFamily, error) {
 				return nil, fmt.Errorf("rrset: set %d has %d members, universe is %d", i+j, sz, n)
 			}
 			sum += uint64(sz)
-			fam.offsets = append(fam.offsets, int64(sum))
+			fam.offsets = append(fam.offsets, uint32(sum))
 		}
 		i += chunk
 	}

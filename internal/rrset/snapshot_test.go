@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,6 +68,27 @@ func TestDecodeRejectsRetiredRRS1(t *testing.T) {
 	_, err := DecodeSetFamily(bytes.NewReader(rrs1), 5)
 	if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
 		t.Fatalf("RRS1 section: %v, want bad snapshot magic", err)
+	}
+}
+
+// TestDecodeRejectsPast32BitArena: a header claiming 2^32 members — which a
+// universe and set count large enough would otherwise admit — fails on the
+// 32-bit offset limit before a length is read, while one claiming 2^32−1
+// passes the limit and fails only on its missing lengths.
+func TestDecodeRejectsPast32BitArena(t *testing.T) {
+	section := func(total uint64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, setsMagicV2)
+		b = binary.LittleEndian.AppendUint32(b, 1<<20)
+		return binary.LittleEndian.AppendUint64(b, total)
+	}
+	const n = 1 << 13 // 2^20 sets × 2^13 nodes admit 2^33 members
+	_, err := DecodeSetFamily(bytes.NewReader(section(1<<32)), n)
+	if err == nil || !strings.Contains(err.Error(), "32-bit offset limit") {
+		t.Fatalf("2^32 members: %v, want the 32-bit offset limit", err)
+	}
+	_, err = DecodeSetFamily(bytes.NewReader(section(1<<32-1)), n)
+	if err == nil || !strings.Contains(err.Error(), "set lengths at 0") {
+		t.Fatalf("2^32−1 members: %v, want a failure on the missing lengths", err)
 	}
 }
 

@@ -47,7 +47,7 @@ func (s *Sampler) SampleRangeRRInto(from, to int, rng *xrand.Rand, fam *SetFamil
 	blocks := make([]*SetFamily, numBlocks)
 	s.forEach(numBlocks, func(sc *scratch, b int) {
 		bf := &SetFamily{
-			offsets: make([]int64, 1, StreamBlockSize+1),
+			offsets: make([]uint32, 1, StreamBlockSize+1),
 			members: make([]int32, 0, 4*StreamBlockSize),
 		}
 		brng := rng.Split(uint64(firstBlock + b))

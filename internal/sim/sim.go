@@ -273,6 +273,20 @@ func (e *shardEngine) SetsSampled() (int64, error) {
 	return e.coord.SetsSampled(context.Background())
 }
 
+// allocate runs one selection on the engine and checks its result against
+// the request (core.CheckAllocation), so every allocation step of a run —
+// at any shard count, under chaos or not — is a checked one.
+func allocate(e engine, inst *core.Instance, req core.Request) (*core.TIRMResult, error) {
+	res, err := e.Allocate(req)
+	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckAllocation(inst, req, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // chaosWrap builds the replica-client decorator for chaos mode: a
 // deterministic fault injector (5% of RPCs fail, from a per-replica
 // stream split off chaosSeed) under a fast retry layer, so the lifecycle
@@ -466,7 +480,7 @@ func Run(inst *core.Instance, seed uint64, cfg Config) (*Result, error) {
 				// against. It runs through the same engine (and so grows
 				// the index identically at any shard count) but never
 				// becomes the standing allocation.
-				oracle, err := idx.Allocate(core.Request{
+				oracle, err := allocate(idx, curr, core.Request{
 					Opts:        cfg.Opts,
 					CPEs:        trueCPEs(curr),
 					SpentBudget: spentVec,
@@ -481,7 +495,7 @@ func Run(inst *core.Instance, seed uint64, cfg Config) (*Result, error) {
 				rep.SetsSampled += oracle.TotalSetsSampled
 				cpes = bs.learnedCPEs(curr)
 			}
-			out, err := idx.Allocate(core.Request{
+			out, err := allocate(idx, curr, core.Request{
 				Opts:        cfg.Opts,
 				CPEs:        cpes,
 				SpentBudget: spentVec,
