@@ -28,6 +28,21 @@ import "fmt"
 // or CountAndCoverFrom on a counter collection is a bug (it holds no sets).
 func NewCounterCollection(n int) *Collection { return NewCollection(n) }
 
+// resetCounter reinitializes c as NewCollection(n) builds it — no segments,
+// every counter zero, the heap pending a rebuild — recycling every backing
+// array (Workspace.Counter).
+func (c *Collection) resetCounter(n int) {
+	c.segStore.release()
+	c.n, c.built = n, false
+	c.candidates.reset(n, nil)
+	c.covered, c.ncov = c.covered[:0], 0
+	if cap(c.cov) < n {
+		c.cov = make([]int32, n)
+	}
+	c.cov = c.cov[:n]
+	clear(c.cov)
+}
+
 // AddCounts credits freshly appended sets to the counters: nodes[i] gains
 // counts[i] residual coverage, and the collection's set count grows by
 // addedSets. Like AddFamily it marks the candidate heap for a deferred

@@ -151,6 +151,30 @@ func TestTopOneHeapEvolution(t *testing.T) {
 			m.grow(f)
 			return m
 		},
+		// The coordinator's recycled mirror: fast is a workspace's counter,
+		// its arrays dirtied first by a selecting set-backed run over more
+		// nodes and by a counter run, so anything a reset leaves behind
+		// (counters, dead marks, heap entries) shows up as a diverged heap.
+		"hard/counter-recycled": func(f *SetFamily) topOneMirror {
+			ws := NewWorkspace()
+			used := ws.Collection(2*n, f.View(), BuildInverted(2*n, f.View(), 0))
+			for u := int32(0); u < 2*n; u += 3 {
+				used.TopNodes(2, nil)
+				used.CoverNode(u)
+				used.Drop(u + 1)
+			}
+			ws.Release()
+			used = ws.Counter(n + 7)
+			used.AddCounts([]int32{1, 5, n + 3}, []int32{4, 9, 2}, 3)
+			used.TopNodes(3, nil)
+			used.Drop(5)
+			m := &counterMirror{
+				hardMirror: hardMirror{fast: ws.Counter(n), ref: NewCounterCollection(n)},
+				shadow:     NewCollection(n),
+			}
+			m.grow(f)
+			return m
+		},
 		"soft/warm-start": func(f *SetFamily) topOneMirror {
 			inv := BuildInverted(n, f.View(), 0)
 			inv.PrepareCover()

@@ -38,6 +38,17 @@ func (w *Workspace) Collection(n int, v FamilyView, inv *Inverted) *Collection {
 	return &w.col
 }
 
+// Counter resets and returns the workspace's hard-coverage collection as a
+// counter collection over n nodes — equivalent to NewCounterCollection(n)
+// (no sets, every counter zero) but allocation-free once the workspace has
+// warmed up; the coordinator's per-ad mirrors recycle through it. The
+// returned collection is valid until the next Collection, Counter or
+// Release call on this workspace.
+func (w *Workspace) Counter(n int) *Collection {
+	w.col.resetCounter(n)
+	return &w.col
+}
+
 // Weighted resets and returns the workspace's soft-coverage collection —
 // the WeightedCollection counterpart of Collection.
 func (w *Workspace) Weighted(n int, v FamilyView, inv *Inverted) *WeightedCollection {

@@ -6,7 +6,9 @@
 // reply is folded into the mirror. The loop, and every float, stays in
 // core — what lives here is only what distribution adds: the run id and its
 // lifetime on the shards, drift checks on what the shards report, and the
-// Verify-mode cross-check.
+// Verify-mode cross-check. A run's state — the mirrors' arrays, the request
+// and reply rows, every reply's buffers — is recycled through the
+// coordinator's pool, so a warm run allocates no per-run coverage state.
 
 package shard
 
@@ -18,23 +20,54 @@ import (
 	"repro/internal/rrset"
 )
 
-// clusterBackend is the core.Backend of one Coordinator.Allocate call.
+// clusterBackend is the core.Backend of one run of Coordinator.Allocate.
+// It comes from the coordinator's pool (newBackend) and goes back to it in
+// end; everything below runID is kept across runs for its buffers.
 type clusterBackend struct {
 	c     *Coordinator
 	m     *mirror // the epoch the run is pinned to
 	runID string
-	// ends is the run's end round: a request for every slot a Start went
-	// to, nil until one did.
-	ends []any
+	// started is set once a Start went out: the run then has an end round,
+	// ends, which addresses endReq to every slot a Start went to.
+	started bool
+	ends    []any
+	endReq  endRequest
 	// seq numbers each slot's Commit/Credit/Grow rounds of the run from 1
 	// (CommitRequest.Seq): the loop issues them one at a time, so here is
 	// where their order is known.
 	seq []int64
 	ads []clusterAd
-	// reqs is the request row of the run's per-ad rounds (see one), covers
-	// their commit and credit replies, each at the ad's owner.
-	reqs   []any
-	covers []CommitReply
+	ws  []*rrset.Workspace // ws[i] holds ads[i]'s mirror
+	// reqs is the request row of the run's rounds (see one); the rows
+	// below it hold their replies, slot by slot, filled in place round after
+	// round (see roundTripper). A round's request is built in the run's own
+	// request value: no layer keeps a run op's request past its round.
+	reqs      []any
+	at        [][]int
+	startReqs []StartRequest
+	starts    []StartReply
+	covers    []CommitReply
+	grows     []GrowReply
+	commitReq CommitRequest
+	creditReq CreditRequest
+	growReq   GrowRequest
+}
+
+// newBackend takes a run's backend from the coordinator's pool, pinned to
+// m under a fresh run id.
+func (c *Coordinator) newBackend(m *mirror) *clusterBackend {
+	b := c.backends.Get().(*clusterBackend)
+	k := len(c.clients)
+	b.c, b.m, b.started = c, m, false
+	b.runID = fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1))
+	b.endReq.RunID = b.runID
+	b.ends, b.seq, b.reqs = resized(b.ends, k), resized(b.seq, k), resized(b.reqs, k)
+	clear(b.ends)
+	clear(b.seq)
+	clear(b.reqs)
+	b.at, b.startReqs = resized(b.at, k), resized(b.startReqs, k)
+	b.starts, b.covers, b.grows = resized(b.starts, k), resized(b.covers, k), resized(b.grows, k)
+	return b
 }
 
 // clusterAd is one ad's core.Coverage over the cluster.
@@ -48,11 +81,16 @@ type clusterAd struct {
 	scores []float64
 }
 
-// end closes the run, best-effort, on every slot a Start went to.
+// end closes the run, best-effort, on every slot a Start went to, and
+// puts the backend back in the pool. What it keeps points only into
+// itself, so with c and m dropped it holds nothing of the cluster.
 func (b *clusterBackend) end() {
-	if b.ends != nil {
-		gather[struct{}](context.Background(), b.c, opEnd, b.ends, nil)
+	c := b.c
+	if b.started {
+		gather[struct{}](context.Background(), c, opEnd, b.ends, nil)
 	}
+	b.c, b.m = nil, nil
+	c.backends.Put(b)
 }
 
 // Pilot implements core.Backend with one pilot round.
@@ -66,32 +104,38 @@ func (b *clusterBackend) Pilot(ctx context.Context, ads []int, want int, out []c
 // integers.
 func (b *clusterBackend) Open(ctx context.Context, ads, thetas []int, out []core.Coverage) (fresh int64, kernels [rrset.NumKernels]int, err error) {
 	c := b.c
-	at := b.m.bySlot(ads, len(c.clients))
-	reqs := make([]any, len(c.clients))
-	b.ends = make([]any, len(c.clients))
-	end := &endRequest{RunID: b.runID}
+	at := b.m.bySlot(ads, b.at)
 	for k, is := range at {
 		if len(is) == 0 {
 			continue
 		}
-		req := &StartRequest{RunID: b.runID, Epoch: b.m.epoch, Ads: make([]int, len(is)), Thetas: make([]int, len(is))}
-		for x, i := range is {
-			req.Ads[x], req.Thetas[x] = ads[i], thetas[i]
+		req := &b.startReqs[k]
+		req.RunID, req.Epoch = b.runID, b.m.epoch
+		req.Ads, req.Thetas = req.Ads[:0], req.Thetas[:0]
+		for _, i := range is {
+			req.Ads, req.Thetas = append(req.Ads, ads[i]), append(req.Thetas, thetas[i])
 		}
-		reqs[k], b.ends[k] = req, end
+		b.reqs[k], b.ends[k] = req, &b.endReq
 	}
-	starts := make([]StartReply, len(c.clients))
-	if err := gather(ctx, c, opStart, reqs, starts); err != nil {
+	b.started = true
+	starts := b.starts
+	if err := gather(ctx, c, opStart, b.reqs, starts); err != nil {
 		return 0, kernels, wrapEpochErr(err)
 	}
-	b.ads = make([]clusterAd, len(ads))
+	b.ads = resized(b.ads, len(ads))
+	for len(b.ws) < len(ads) {
+		b.ws = append(b.ws, rrset.NewWorkspace())
+	}
 	for k, is := range at {
+		if len(is) == 0 {
+			continue // no Start went there: starts[k] is a past run's
+		}
 		if len(starts[k].Cov) != len(is) || len(starts[k].LocalSets) != len(is) {
 			return 0, kernels, fmt.Errorf("%w: shard %d started %d of %d ads", errDrift, k, min(len(starts[k].Cov), len(starts[k].LocalSets)), len(is))
 		}
 		for x, i := range is {
 			a := &b.ads[i]
-			a.b, a.j, a.slot, a.col = b, ads[i], k, rrset.NewCounterCollection(b.m.inst.G.N())
+			a.b, a.j, a.slot, a.col = b, ads[i], k, b.ws[i].Counter(b.m.inst.G.N())
 			sc := starts[k].Cov[x]
 			a.col.AddCounts(sc.Nodes, sc.Counts, starts[k].LocalSets[x])
 			if x < len(starts[k].Kernels) && int(starts[k].Kernels[x]) < rrset.NumKernels {
@@ -133,7 +177,9 @@ func (a *clusterAd) next() int64 {
 
 // Commit implements core.Coverage with one commit round.
 func (a *clusterAd) Commit(ctx context.Context, u int32, delta float64) (float64, error) {
-	covered, err := a.cover(ctx, opCommit, &CommitRequest{RunID: a.b.runID, Ad: a.j, Node: u, Seq: a.next()})
+	req := &a.b.commitReq
+	*req = CommitRequest{RunID: a.b.runID, Ad: a.j, Node: u, Seq: a.next()}
+	covered, err := a.cover(ctx, opCommit, req)
 	if err != nil {
 		return 0, err
 	}
@@ -146,12 +192,12 @@ func (a *clusterAd) Commit(ctx context.Context, u int32, delta float64) (float64
 
 // Grow implements core.Coverage with one grow round.
 func (a *clusterAd) Grow(ctx context.Context, from, to int) (fresh int64, err error) {
-	grows := make([]GrowReply, len(a.b.c.clients))
-	req := &GrowRequest{RunID: a.b.runID, Ad: a.j, FromGlobal: from, ToGlobal: to, Seq: a.next()}
-	if err := gather(ctx, a.b.c, opGrow, one(a.b.reqs, a.slot, req), grows); err != nil {
+	req := &a.b.growReq
+	*req = GrowRequest{RunID: a.b.runID, Ad: a.j, FromGlobal: from, ToGlobal: to, Seq: a.next()}
+	if err := gather(ctx, a.b.c, opGrow, one(a.b.reqs, a.slot, req), a.b.grows); err != nil {
 		return 0, err
 	}
-	g := grows[a.slot]
+	g := &a.b.grows[a.slot]
 	if g.LocalSets != to-from {
 		return 0, fmt.Errorf("%w: ad %d growth appended %d sets for window %d", errDrift, a.j, g.LocalSets, to-from)
 	}
@@ -161,7 +207,9 @@ func (a *clusterAd) Grow(ctx context.Context, from, to int) (fresh int64, err er
 
 // Credit implements core.Coverage with one credit round.
 func (a *clusterAd) Credit(ctx context.Context, seed int32, delta float64, boundary int) (float64, error) {
-	covered, err := a.cover(ctx, opCredit, &CreditRequest{RunID: a.b.runID, Ad: a.j, Node: seed, FromGlobal: boundary, Seq: a.next()})
+	req := &a.b.creditReq
+	*req = CreditRequest{RunID: a.b.runID, Ad: a.j, Node: seed, FromGlobal: boundary, Seq: a.next()}
+	covered, err := a.cover(ctx, opCredit, req)
 	if err != nil {
 		return 0, err
 	}
@@ -174,7 +222,7 @@ func (a *clusterAd) cover(ctx context.Context, o op, req any) (int, error) {
 	if err := gather(ctx, a.b.c, o, one(a.b.reqs, a.slot, req), a.b.covers); err != nil {
 		return 0, err
 	}
-	r := a.b.covers[a.slot]
+	r := &a.b.covers[a.slot]
 	a.col.ApplyCover(r.Covered, r.Delta.Nodes, r.Delta.Counts)
 	return r.Covered, nil
 }

@@ -60,6 +60,9 @@ type Coordinator struct {
 	id      string
 	runSeq  atomic.Uint64
 	reruns  int // R, the most replicas a slot has: Allocate's re-run budget
+	// backends recycles the runs' state (clusterBackend): counter mirrors,
+	// request and reply rows. A pointer, for the reason Shard.states is.
+	backends *sync.Pool
 
 	mu  sync.RWMutex // guards cur (mutations swap it)
 	cur *mirror
@@ -85,10 +88,13 @@ type mirror struct {
 	owner []int
 }
 
-// bySlot groups the indices of ads by the slot that owns each ad: at[k]
-// lists, in order, the i whose ads[i] lives on slot k.
-func (m *mirror) bySlot(ads []int, k int) (at [][]int) {
-	at = make([][]int, k)
+// bySlot groups the indices of ads by the slot that owns each ad into at,
+// one row per slot (rows reused): at[k] lists, in order, the i whose ads[i]
+// lives on slot k.
+func (m *mirror) bySlot(ads []int, at [][]int) [][]int {
+	for k := range at {
+		at[k] = at[k][:0]
+	}
 	for i, j := range ads {
 		at[m.owner[j]] = append(at[m.owner[j]], i)
 	}
@@ -178,6 +184,7 @@ func NewCoordinator(ctx context.Context, clients []Client, cfg Config) (*Coordin
 		metrics:    cfg.Metrics,
 		id:         fmt.Sprintf("run-%x", time.Now().UnixNano()),
 		reruns:     reruns,
+		backends:   &sync.Pool{New: func() any { return new(clusterBackend) }},
 		cur:        &mirror{epoch: first.Epoch, inst: &inst, owner: owner},
 		widthEpoch: first.Epoch,
 		widthCache: map[widthKey]*cachedPilot{},
@@ -354,19 +361,13 @@ func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIR
 		req.Observer = &explainOnce{ExplainObserver: ex}
 	}
 	for run := 1; ; run++ {
-		be := &clusterBackend{
-			c:      c,
-			m:      m,
-			runID:  fmt.Sprintf("%s-%d", c.id, c.runSeq.Add(1)),
-			reqs:   make([]any, len(c.clients)),
-			seq:    make([]int64, len(c.clients)),
-			covers: make([]CommitReply, len(c.clients)),
-		}
+		be := c.newBackend(m)
 		res, err := core.AllocateOver(ctx, m.inst, be, req)
-		be.end()
 		// A loop that failed before it sent a Start (a request Resolve
 		// refused, a pilot no replica answered) lost no run.
-		if err == nil || run > c.reruns || be.ends == nil || !rerun(ctx, err) {
+		started := be.started
+		be.end()
+		if err == nil || run > c.reruns || !started || !rerun(ctx, err) {
 			return res, err
 		}
 	}
@@ -404,7 +405,7 @@ func (o *explainOnce) ObserveCommit(e core.CommitEvent) {
 // Only slots that own a listed ad are asked.
 func (c *Coordinator) pilot(ctx context.Context, m *mirror, ads []int, want int, out []core.Pilot) (fresh int64, err error) {
 	cached := c.lookupWidths(m.epoch, ads, want)
-	at := m.bySlot(ads, len(c.clients))
+	at := m.bySlot(ads, make([][]int, len(c.clients)))
 	reqs := make([]any, len(c.clients))
 	for k, is := range at {
 		if len(is) > 0 {

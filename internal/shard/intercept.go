@@ -19,6 +19,10 @@ import "context"
 // reply type; reply is nil for the ops without one (end, syncEstimates) and
 // whenever the caller discards it, as a replay does. The request is not
 // written after the call: a ReplicaSet logs a mutation's pointer for revives.
+// A Start, Commit/Credit or Grow reply is the caller's to keep across its
+// run's calls: every client fills its slices in place — HTTPClient decodes
+// into them, call copies a typed method's value into them — so the reply
+// never aliases memory a shard recycles, and steady calls allocate nothing.
 type roundTripper interface {
 	roundTrip(ctx context.Context, o op, req, reply any) error
 }
@@ -120,12 +124,47 @@ func call(ctx context.Context, cl Client, o op, req, reply any) error {
 	}
 }
 
-// put stores a typed call's reply where roundTrip's caller asked for it.
+// put stores a typed call's reply where roundTrip's caller asked for it:
+// into the buffers a filler reply already holds, by assignment otherwise.
 func put[T any](reply any, v T, err error) error {
 	if err == nil && reply != nil {
-		*reply.(*T) = v
+		if f, ok := reply.(filler[T]); ok {
+			f.fill(v)
+		} else {
+			*reply.(*T) = v
+		}
 	}
 	return err
+}
+
+// filler is a reply the caller keeps across its run's calls (see
+// roundTripper): fill copies v into the reply's own buffers.
+type filler[T any] interface{ fill(v T) }
+
+func (m *StartReply) fill(v StartReply) {
+	m.Cov = resized(m.Cov, len(v.Cov))
+	for i, sc := range v.Cov {
+		m.Cov[i] = copySparse(sc, m.Cov[i])
+	}
+	m.LocalSets = append(m.LocalSets[:0], v.LocalSets...)
+	m.Kernels = append(m.Kernels[:0], v.Kernels...)
+	m.Fresh = v.Fresh
+}
+
+func (m *CommitReply) fill(v CommitReply) {
+	m.Covered, m.Delta = v.Covered, copySparse(v.Delta, m.Delta)
+}
+
+func (m *GrowReply) fill(v GrowReply) {
+	m.Added, m.LocalSets, m.Fresh = copySparse(v.Added, m.Added), v.LocalSets, v.Fresh
+}
+
+// copySparse copies src into dst's backing arrays (grown as needed).
+func copySparse(src, dst SparseCounts) SparseCounts {
+	return SparseCounts{
+		Nodes:  append(dst.Nodes[:0], src.Nodes...),
+		Counts: append(dst.Counts[:0], src.Counts...),
+	}
 }
 
 // rpcCall is one forwarded op as its interceptor sees it: invoke runs it

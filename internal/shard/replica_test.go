@@ -312,7 +312,7 @@ func TestBareStackDropAfterSendWithRetry(t *testing.T) {
 // kind and any gap or rewind are ErrBadSeq — and so is a Seq that is not a
 // sequence number (≤ 0), before and after the run has applied anything.
 func TestShardSeqGuard(t *testing.T) {
-	r := &shardRun{}
+	r := &shardRun{st: new(runState)}
 	check := func(seq int64, kind op, wantReplay bool, wantErr bool) {
 		t.Helper()
 		replay, err := r.checkSeq(seq, kind)
@@ -338,13 +338,20 @@ func TestShardSeqGuard(t *testing.T) {
 	r.lastSeq, r.lastKind = 2, opCredit
 	check(1, opCommit, false, true) // rewind
 
-	// The cached reply must be a deep copy: mutating the stored source
-	// after the fact must not corrupt the replay answer.
-	src := CommitReply{Covered: 9, Delta: SparseCounts{Nodes: []int32{1, 2}, Counts: []int32{3, 4}}}
-	r.storeCommit(3, opCommit, src)
-	src.Delta.Nodes[0] = 99
-	if r.lastCommit.Delta.Nodes[0] != 1 {
-		t.Fatal("cached commit reply aliases the caller's buffers")
+	// The cached reply is not a copy: it stays in the reply buffer its op
+	// wrote, and the ops after it write the other one, so writing the next
+	// reply must not corrupt the replay answer.
+	for seq := int64(3); seq <= 5; seq++ {
+		buf := r.st.reply()
+		if seq == 5 {
+			buf.Nodes = append(buf.Nodes, 99)
+			break
+		}
+		buf.Nodes, buf.Counts = append(buf.Nodes, int32(seq), 2), append(buf.Counts, 3, 4)
+		r.storeCommit(seq, opCommit, CommitReply{Covered: 9, Delta: buf})
+	}
+	if r.lastCommit.Delta.Nodes[0] != 4 {
+		t.Fatalf("cached commit reply %v was overwritten by the next op's reply", r.lastCommit.Delta)
 	}
 }
 

@@ -50,6 +50,15 @@ type Shard struct {
 	mu       sync.Mutex
 	runs     map[string]*shardRun
 	draining atomic.Bool
+	// states recycles the runs' coverage state (runState). A pointer, never
+	// a value: the runtime lists every sync.Pool it has seen a Put on for one
+	// GC cycle past its last use, and a pool inside the shard would be listed
+	// by interior pointer — holding the shard, index and all, that long.
+	states *sync.Pool
+	// opHook, when set (tests only), runs in every run op between finding
+	// the run and taking its opMu: the window in which the run can be
+	// retired under the op.
+	opHook func()
 
 	// estMu guards est, the latest bandit estimator snapshot broadcast by
 	// the coordinator (see SyncEstimates). Separate from mu: estimator
@@ -72,33 +81,97 @@ type Shard struct {
 // shardRun is one distributed selection run's shard-local state.
 type shardRun struct {
 	ep       core.EpochView
-	ads      map[int]*shardRunAd
 	lastUsed atomic.Int64 // unix nanos; written by run ops, read by the reaper
 
-	// opMu serializes the run's state-mutating ops. The coordinator is
-	// sequential per run by contract, but a retried RPC whose first
-	// attempt timed out client-side may still be executing here when the
-	// retry arrives — the lock makes the late duplicate queue behind it,
+	// opMu serializes the run's ops, its build and its retirement. The
+	// coordinator is sequential per run by contract, but a retried RPC whose
+	// first attempt timed out client-side may still be executing here when
+	// the retry arrives — the lock makes the late duplicate queue behind it,
 	// where the sequence guard then answers it from cache.
 	opMu sync.Mutex
+	// closed marks a retired run — ended, replaced by a retried Start, or
+	// reaped — and is set under opMu before st goes back to the pool: an op
+	// that found the run before it left the table fails with ErrUnknownRun
+	// instead of touching recycled state.
+	closed bool
+	st     *runState
 
 	// Sequence guard (CommitRequest.Seq semantics): the last applied
-	// sequence number, its op kind, and a deep copy of its reply — an
-	// exact replay returns the copy without touching coverage state, so a
-	// retried commit whose first reply was lost is a no-op.
+	// sequence number, its op kind and its reply — an exact replay returns
+	// the reply without touching coverage state, so a retried commit whose
+	// first reply was lost is a no-op. The reply stays in the st.replies
+	// buffer it was written to; the next op writes the other one.
 	lastSeq    int64
 	lastKind   op
 	lastCommit CommitReply
 	lastGrow   GrowReply
+}
+
+// runState is the recyclable part of a run: one rrset.Workspace per ad,
+// the per-call scratch and the reply buffers. Start takes one from the
+// shard's pool; retire releases it — it then holds nothing of any index —
+// and puts it back, so a warm shard builds no per-run coverage state.
+type runState struct {
+	ads  []*shardRunAd // ads[:live] are the run's, the rest parked
+	live int
 
 	// Per-call scratch, shared across the run's ads (run RPCs are
-	// sequential): stamp/pos drive sparse-count accumulation, nodes/counts
-	// back the replies.
+	// sequential): stamp/pos drive sparse-count accumulation.
 	stamp    []uint64
 	stampGen uint64
 	pos      []int32
-	nodes    []int32
-	counts   []int32
+	// replies holds two buffer pairs that Commit, Credit and Grow write
+	// their sparse replies into by turns, replies[next] being the one the
+	// coming op writes: the sequence guard keeps the last reply in the other
+	// one without copying it.
+	replies [2]SparseCounts
+	next    int
+	start   StartReply // Start's reply buffers
+	gains   []int32    // Gains' reply buffer
+}
+
+// open adds ad j at θ to the run, on a parked ad slot when there is one.
+func (st *runState) open(j, theta int) *shardRunAd {
+	if st.live == len(st.ads) {
+		st.ads = append(st.ads, new(shardRunAd))
+	}
+	ra := st.ads[st.live]
+	st.live++
+	ra.j, ra.theta = j, theta
+	return ra
+}
+
+// ad returns the run's state of ad j, or nil when the run has no such ad.
+func (st *runState) ad(j int) *shardRunAd {
+	for _, ra := range st.ads[:st.live] {
+		if ra.j == j {
+			return ra
+		}
+	}
+	return nil
+}
+
+// release parks every ad slot, dropping all references into index memory
+// and keeping the buffers.
+func (st *runState) release() {
+	for _, ra := range st.ads[:st.live] {
+		ra.ws.Release()
+		ra.col = nil
+	}
+	st.live = 0
+}
+
+// reply returns the buffer pair the coming sequenced op writes into, empty.
+func (st *runState) reply() SparseCounts {
+	b := st.replies[st.next]
+	return SparseCounts{Nodes: b.Nodes[:0], Counts: b.Counts[:0]}
+}
+
+// keep hands the pair an op filled (grown as the op needed) to the
+// sequence guard; the next op writes the other one.
+func (st *runState) keep(sc SparseCounts) {
+	st.replies[st.next] = sc
+	st.next ^= 1
 }
 
 // checkSeq gates one sequenced op: proceed (apply it), replay (answer from
@@ -119,35 +192,24 @@ func (r *shardRun) checkSeq(seq int64, kind op) (replay bool, err error) {
 	}
 }
 
-// storeCommit records an applied Commit/Credit under the sequence guard,
-// deep-copying the reply (the live one aliases the run's reusable scratch
-// buffers). Caller holds opMu.
+// storeCommit records an applied Commit/Credit under the sequence guard;
+// its delta was written into st.reply(). Caller holds opMu.
 func (r *shardRun) storeCommit(seq int64, kind op, reply CommitReply) {
-	r.lastSeq, r.lastKind = seq, kind
-	r.lastCommit = CommitReply{Covered: reply.Covered, Delta: copySparse(reply.Delta, r.lastCommit.Delta)}
+	r.lastSeq, r.lastKind, r.lastCommit = seq, kind, reply
+	r.st.keep(reply.Delta)
 }
 
 // storeGrow is storeCommit for Grow replies. Caller holds opMu.
 func (r *shardRun) storeGrow(seq int64, reply GrowReply) {
-	r.lastSeq, r.lastKind = seq, opGrow
-	r.lastGrow = GrowReply{
-		Added:     copySparse(reply.Added, r.lastGrow.Added),
-		LocalSets: reply.LocalSets,
-		Fresh:     reply.Fresh,
-	}
-}
-
-// copySparse deep-copies src into dst's backing arrays (grown as needed).
-func copySparse(src, dst SparseCounts) SparseCounts {
-	return SparseCounts{
-		Nodes:  append(dst.Nodes[:0], src.Nodes...),
-		Counts: append(dst.Counts[:0], src.Counts...),
-	}
+	r.lastSeq, r.lastKind, r.lastGrow = seq, opGrow, reply
+	r.st.keep(reply.Added)
 }
 
 // shardRunAd is one ad's coverage state within a run.
 type shardRunAd struct {
+	ws    rrset.Workspace // col's backing arrays, recycled with the run state
 	col   *rrset.Collection
+	j     int // the ad's campaign position
 	theta int // θ the collection's sets correspond to
 }
 
@@ -185,6 +247,7 @@ func newShard(roster *core.Instance, idx *core.Index) *Shard {
 		roster: roster,
 		idx:    idx,
 		runs:   map[string]*shardRun{},
+		states: &sync.Pool{New: func() any { return new(runState) }},
 	}
 	s.registerMetrics()
 	return s
@@ -349,36 +412,52 @@ func (s *Shard) Start(req StartRequest) (StartReply, error) {
 	if len(req.Thetas) != len(req.Ads) {
 		return StartReply{}, fmt.Errorf("shard: %d thetas for %d ads", len(req.Thetas), len(req.Ads))
 	}
-	run := &shardRun{ep: ep, ads: make(map[int]*shardRunAd, len(req.Ads))}
-	run.lastUsed.Store(time.Now().UnixNano())
+	now := time.Now()
+	run := &shardRun{ep: ep}
+	run.lastUsed.Store(now.UnixNano())
+	// The run enters the table locked, so an op that finds it waits until
+	// it is built.
+	run.opMu.Lock()
+	defer run.opMu.Unlock()
 
 	s.mu.Lock()
-	s.reapLocked(time.Now())
-	if _, dup := s.runs[req.RunID]; !dup && len(s.runs) >= maxOpenRuns {
-		s.mu.Unlock()
+	retired := s.reapLocked(now)
+	old, dup := s.runs[req.RunID]
+	full := !dup && len(s.runs) >= maxOpenRuns
+	if !full {
+		// Level-triggered: re-opening an existing run id replaces its state
+		// wholesale with a byte-identical copy (the deterministic stream
+		// re-derives the same sets), so a retried Start is safe.
+		s.runs[req.RunID] = run
+		if dup {
+			retired = append(retired, old)
+		}
+	}
+	s.mu.Unlock()
+	for _, r := range retired {
+		s.retire(r)
+	}
+	if full {
 		return StartReply{}, fmt.Errorf("shard: %d runs already open", maxOpenRuns)
 	}
-	// Level-triggered: re-opening an existing run id replaces its state
-	// wholesale with a byte-identical copy (the deterministic stream
-	// re-derives the same sets), so a retried Start is safe.
-	s.runs[req.RunID] = run
-	s.mu.Unlock()
 
+	st := s.states.Get().(*runState)
+	run.st = st
 	n := ep.Inst().G.N()
-	reply := StartReply{
-		Cov:       make([]SparseCounts, len(req.Ads)),
-		LocalSets: make([]int, len(req.Ads)),
-		Kernels:   make([]uint8, len(req.Ads)),
-	}
+	reply := &st.start
+	reply.Cov = resized(reply.Cov, len(req.Ads))
+	reply.LocalSets = resized(reply.LocalSets, len(req.Ads))
+	reply.Kernels = resized(reply.Kernels, len(req.Ads))
+	reply.Fresh = 0
 	for i, j := range req.Ads {
 		v, inv, fresh := ep.AdView(j, req.Thetas[i])
 		reply.Fresh += fresh
-		col := rrset.NewCollectionFromFamily(n, v, inv)
-		reply.Kernels[i] = uint8(col.Kernel())
-		run.ads[j] = &shardRunAd{col: col, theta: req.Thetas[i]}
-		var sc SparseCounts
+		ra := st.open(j, req.Thetas[i])
+		ra.col = ra.ws.Collection(n, v, inv)
+		reply.Kernels[i] = uint8(ra.col.Kernel())
+		sc := SparseCounts{Nodes: reply.Cov[i].Nodes[:0], Counts: reply.Cov[i].Counts[:0]}
 		for u := 0; u < n; u++ {
-			if c := col.Coverage(int32(u)); c > 0 {
+			if c := ra.col.Coverage(int32(u)); c > 0 {
 				sc.Nodes = append(sc.Nodes, int32(u))
 				sc.Counts = append(sc.Counts, int32(c))
 			}
@@ -387,11 +466,13 @@ func (s *Shard) Start(req StartRequest) (StartReply, error) {
 		reply.LocalSets[i] = v.Len()
 	}
 	s.runsOpened.Inc()
-	return reply, nil
+	return *reply, nil
 }
 
-// run resolves a run and one of its ads.
-func (s *Shard) run(runID string, ad int) (*shardRun, *shardRunAd, error) {
+// lock resolves a run and one of its ads and takes the run's opMu, which
+// the caller releases. A run retired while the op waited for opMu is
+// unknown by the time the op gets it.
+func (s *Shard) lock(runID string, ad int) (*shardRun, *shardRunAd, error) {
 	s.mu.Lock()
 	r, ok := s.runs[runID]
 	s.mu.Unlock()
@@ -399,8 +480,17 @@ func (s *Shard) run(runID string, ad int) (*shardRun, *shardRunAd, error) {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownRun, runID)
 	}
 	r.lastUsed.Store(time.Now().UnixNano())
-	ra, ok := r.ads[ad]
-	if !ok {
+	if s.opHook != nil {
+		s.opHook()
+	}
+	r.opMu.Lock()
+	if r.closed {
+		r.opMu.Unlock()
+		return nil, nil, fmt.Errorf("%w: %q ended while the op waited", ErrUnknownRun, runID)
+	}
+	ra := r.st.ad(ad)
+	if ra == nil {
+		r.opMu.Unlock()
 		return nil, nil, fmt.Errorf("shard: run %q has no ad %d", runID, ad)
 	}
 	return r, ra, nil
@@ -408,11 +498,10 @@ func (s *Shard) run(runID string, ad int) (*shardRun, *shardRunAd, error) {
 
 // Commit implements the Client surface shard-side.
 func (s *Shard) Commit(req CommitRequest) (CommitReply, error) {
-	r, ra, err := s.run(req.RunID, req.Ad)
+	r, ra, err := s.lock(req.RunID, req.Ad)
 	if err != nil {
 		return CommitReply{}, err
 	}
-	r.opMu.Lock()
 	defer r.opMu.Unlock()
 	replay, err := r.checkSeq(req.Seq, opCommit)
 	if err != nil {
@@ -421,8 +510,8 @@ func (s *Shard) Commit(req CommitRequest) (CommitReply, error) {
 	if replay {
 		return r.lastCommit, nil
 	}
-	covered, nodes, decs := ra.col.CoverNodeDelta(req.Node, r.nodes, r.counts)
-	r.nodes, r.counts = nodes, decs
+	buf := r.st.reply()
+	covered, nodes, decs := ra.col.CoverNodeDelta(req.Node, buf.Nodes, buf.Counts)
 	s.commits.Inc()
 	reply := CommitReply{Covered: covered, Delta: SparseCounts{Nodes: nodes, Counts: decs}}
 	r.storeCommit(req.Seq, opCommit, reply)
@@ -431,11 +520,10 @@ func (s *Shard) Commit(req CommitRequest) (CommitReply, error) {
 
 // Credit implements the Client surface shard-side.
 func (s *Shard) Credit(req CreditRequest) (CommitReply, error) {
-	r, ra, err := s.run(req.RunID, req.Ad)
+	r, ra, err := s.lock(req.RunID, req.Ad)
 	if err != nil {
 		return CommitReply{}, err
 	}
-	r.opMu.Lock()
 	defer r.opMu.Unlock()
 	replay, err := r.checkSeq(req.Seq, opCredit)
 	if err != nil {
@@ -444,8 +532,8 @@ func (s *Shard) Credit(req CreditRequest) (CommitReply, error) {
 	if replay {
 		return r.lastCommit, nil
 	}
-	covered, nodes, decs := ra.col.CountAndCoverFromDelta(req.Node, req.FromGlobal, r.nodes, r.counts)
-	r.nodes, r.counts = nodes, decs
+	buf := r.st.reply()
+	covered, nodes, decs := ra.col.CountAndCoverFromDelta(req.Node, req.FromGlobal, buf.Nodes, buf.Counts)
 	reply := CommitReply{Covered: covered, Delta: SparseCounts{Nodes: nodes, Counts: decs}}
 	r.storeCommit(req.Seq, opCredit, reply)
 	return reply, nil
@@ -453,11 +541,10 @@ func (s *Shard) Credit(req CreditRequest) (CommitReply, error) {
 
 // Grow implements the Client surface shard-side.
 func (s *Shard) Grow(req GrowRequest) (GrowReply, error) {
-	r, ra, err := s.run(req.RunID, req.Ad)
+	r, ra, err := s.lock(req.RunID, req.Ad)
 	if err != nil {
 		return GrowReply{}, err
 	}
-	r.opMu.Lock()
 	defer r.opMu.Unlock()
 	replay, err := r.checkSeq(req.Seq, opGrow)
 	if err != nil {
@@ -470,7 +557,7 @@ func (s *Shard) Grow(req GrowRequest) (GrowReply, error) {
 		return GrowReply{}, fmt.Errorf("shard: grow from θ=%d, run ad is at %d", req.FromGlobal, ra.theta)
 	}
 	v, fresh := r.ep.AdWindow(req.Ad, req.FromGlobal, req.ToGlobal)
-	added := r.sparseFromView(r.ep.Inst().G.N(), v)
+	added := r.st.sparseFromView(r.ep.Inst().G.N(), v)
 	ra.col.AddFamily(v)
 	ra.theta = req.ToGlobal
 	reply := GrowReply{Added: added, LocalSets: v.Len(), Fresh: fresh}
@@ -479,39 +566,39 @@ func (s *Shard) Grow(req GrowRequest) (GrowReply, error) {
 }
 
 // sparseFromView accumulates a view's per-node membership counts into the
-// run's reusable sparse buffers.
-func (r *shardRun) sparseFromView(n int, v rrset.FamilyView) SparseCounts {
-	if len(r.stamp) < n {
-		r.stamp = make([]uint64, n)
-		r.pos = make([]int32, n)
+// reply buffer the coming sequenced op writes.
+func (st *runState) sparseFromView(n int, v rrset.FamilyView) SparseCounts {
+	if len(st.stamp) < n {
+		st.stamp = make([]uint64, n)
+		st.pos = make([]int32, n)
 	}
-	r.stampGen++
-	gen := r.stampGen
-	r.nodes, r.counts = r.nodes[:0], r.counts[:0]
+	st.stampGen++
+	gen := st.stampGen
+	sc := st.reply()
 	for i := 0; i < v.Len(); i++ {
 		for _, u := range v.Set(i) {
-			if r.stamp[u] == gen {
-				r.counts[r.pos[u]]++
+			if st.stamp[u] == gen {
+				sc.Counts[st.pos[u]]++
 				continue
 			}
-			r.stamp[u] = gen
-			r.pos[u] = int32(len(r.nodes))
-			r.nodes = append(r.nodes, u)
-			r.counts = append(r.counts, 1)
+			st.stamp[u] = gen
+			st.pos[u] = int32(len(sc.Nodes))
+			sc.Nodes = append(sc.Nodes, u)
+			sc.Counts = append(sc.Counts, 1)
 		}
 	}
-	return SparseCounts{Nodes: r.nodes, Counts: r.counts}
+	return sc
 }
 
 // Gains implements the Client surface shard-side.
 func (s *Shard) Gains(req GainsRequest) (GainsReply, error) {
-	r, ra, err := s.run(req.RunID, req.Ad)
+	r, ra, err := s.lock(req.RunID, req.Ad)
 	if err != nil {
 		return GainsReply{}, err
 	}
-	r.opMu.Lock()
 	defer r.opMu.Unlock()
-	out := make([]int32, len(req.Nodes))
+	out := resized(r.st.gains, len(req.Nodes))
+	r.st.gains = out
 	for i, u := range req.Nodes {
 		out[i] = int32(ra.col.Coverage(u))
 	}
@@ -522,17 +609,38 @@ func (s *Shard) Gains(req GainsRequest) (GainsReply, error) {
 // no-op (the coordinator ends best-effort on error paths).
 func (s *Shard) End(runID string) {
 	s.mu.Lock()
+	r := s.runs[runID]
 	delete(s.runs, runID)
 	s.mu.Unlock()
+	if r != nil {
+		s.retire(r)
+	}
 }
 
-// reapLocked drops runs idle past runTTL. Caller holds s.mu.
-func (s *Shard) reapLocked(now time.Time) {
+// reapLocked takes the runs idle past runTTL out of the table and returns
+// them, for the caller to retire once it has released s.mu.
+func (s *Shard) reapLocked(now time.Time) (idle []*shardRun) {
 	for id, r := range s.runs {
 		if now.UnixNano()-r.lastUsed.Load() > int64(runTTL) {
 			delete(s.runs, id)
+			idle = append(idle, r)
 		}
 	}
+	return idle
+}
+
+// retire finishes a run already taken out of the run table: it waits for
+// the op in flight, if any, marks the run closed, so an op that found it
+// before it left the table fails, and parks its state in the pool. The
+// only bytes it can change under a caller are those of a reply still
+// being written to a client that gave up on it — which no one reads.
+func (s *Shard) retire(r *shardRun) {
+	r.opMu.Lock()
+	defer r.opMu.Unlock()
+	r.closed = true
+	r.st.release()
+	s.states.Put(r.st)
+	r.st = nil
 }
 
 // AddAd implements the Client surface shard-side: it appends the requested

@@ -18,7 +18,11 @@
 // Decoders treat their input as untrusted: every length is checked against
 // the bytes that remain before anything is allocated (an element is at
 // least one byte), values must fit their field, and trailing bytes are an
-// error. A zero-length run decodes to a nil slice.
+// error. The Start, Commit/Credit and Grow replies decode into the slices
+// the message already holds when they are large enough: a coordinator run
+// passes the same reply to every call of its op, so steady decoding
+// allocates nothing. A zero-length run decodes to an empty slice, nil in a
+// fresh message.
 
 package shard
 
@@ -126,12 +130,8 @@ func (r *wireReader) bool() bool {
 	return v == 1
 }
 
-func (r *wireReader) uint8s() []uint8 {
-	if s := r.bytes(); len(s) > 0 {
-		return append([]uint8(nil), s...)
-	}
-	return nil
-}
+// uint8s reads a byte run into dst's backing array.
+func (r *wireReader) uint8s(dst []uint8) []uint8 { return append(dst[:0], r.bytes()...) }
 
 // readInt reads one signed field, rejecting values outside T.
 func readInt[T wireInt](r *wireReader) T {
@@ -149,32 +149,37 @@ func fillInts[T wireInt](r *wireReader, dst []T) {
 	}
 }
 
-func readInts[T wireInt](r *wireReader) []T {
-	n := r.length(1)
-	if n == 0 {
-		return nil
+// resized returns s at length n: s itself when its backing array holds n
+// elements, a new slice otherwise.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	s := make([]T, n)
+	return s[:n]
+}
+
+// readInts reads a run into dst's backing array (nil: a new one).
+func readInts[T wireInt](r *wireReader, dst []T) []T {
+	s := resized(dst, r.length(1))
 	fillInts(r, s)
 	return s
 }
 
-// sparse reads Nodes and Counts into one allocation.
-func (r *wireReader) sparse() SparseCounts {
+// sparse reads Nodes and Counts into dst's backing arrays, or into one new
+// allocation when either is too small.
+func (r *wireReader) sparse(dst SparseCounts) SparseCounts {
 	n := r.length(1)
-	if n == 0 {
-		if m := r.length(1); m != 0 {
-			r.fail("0 nodes for %d counts", m)
-		}
-		return SparseCounts{}
+	if cap(dst.Nodes) < n || cap(dst.Counts) < n {
+		buf := make([]int32, 2*n)
+		dst = SparseCounts{Nodes: buf[:0:n], Counts: buf[n:n]}
 	}
-	buf := make([]int32, 2*n)
-	sc := SparseCounts{Nodes: buf[:n:n], Counts: buf[n:]}
+	sc := SparseCounts{Nodes: dst.Nodes[:n]}
 	fillInts(r, sc.Nodes)
 	if m := r.length(1); m != n {
 		r.fail("%d nodes for %d counts", n, m)
 		return SparseCounts{}
 	}
+	sc.Counts = dst.Counts[:n]
 	fillInts(r, sc.Counts)
 	return sc
 }
@@ -196,7 +201,7 @@ func (m *PilotRequest) appendWire(b []byte) []byte {
 
 func (m *PilotRequest) decodeWire(b []byte) error {
 	r := wireReader{b: b}
-	*m = PilotRequest{Epoch: r.uvarint(), Ads: readInts[int](&r), Want: readInt[int](&r), SkipWidths: r.bool()}
+	*m = PilotRequest{Epoch: r.uvarint(), Ads: readInts[int](&r, nil), Want: readInt[int](&r), SkipWidths: r.bool()}
 	return r.done()
 }
 
@@ -215,10 +220,10 @@ func (m *PilotReply) decodeWire(b []byte) error {
 	if n := r.length(1); n > 0 {
 		m.Widths = make([][]int64, n)
 		for i := range m.Widths {
-			m.Widths[i] = readInts[int64](&r)
+			m.Widths[i] = readInts[int64](&r, nil)
 		}
 	}
-	m.Have, m.Fresh = readInts[int](&r), r.varint()
+	m.Have, m.Fresh = readInts[int](&r, nil), r.varint()
 	return r.done()
 }
 
@@ -231,7 +236,7 @@ func (m *StartRequest) appendWire(b []byte) []byte {
 
 func (m *StartRequest) decodeWire(b []byte) error {
 	r := wireReader{b: b}
-	*m = StartRequest{RunID: string(r.bytes()), Epoch: r.uvarint(), Ads: readInts[int](&r), Thetas: readInts[int](&r)}
+	*m = StartRequest{RunID: string(r.bytes()), Epoch: r.uvarint(), Ads: readInts[int](&r, nil), Thetas: readInts[int](&r, nil)}
 	return r.done()
 }
 
@@ -247,14 +252,11 @@ func (m *StartReply) appendWire(b []byte) []byte {
 
 func (m *StartReply) decodeWire(b []byte) error {
 	r := wireReader{b: b}
-	*m = StartReply{}
-	if n := r.length(2); n > 0 { // a SparseCounts is two lengths at the least
-		m.Cov = make([]SparseCounts, n)
-		for i := range m.Cov {
-			m.Cov[i] = r.sparse()
-		}
+	m.Cov = resized(m.Cov, r.length(2)) // a SparseCounts is two lengths at the least
+	for i := range m.Cov {
+		m.Cov[i] = r.sparse(m.Cov[i])
 	}
-	m.LocalSets, m.Kernels, m.Fresh = readInts[int](&r), r.uint8s(), r.varint()
+	m.LocalSets, m.Kernels, m.Fresh = readInts(&r, m.LocalSets), r.uint8s(m.Kernels), r.varint()
 	return r.done()
 }
 
@@ -277,7 +279,8 @@ func (m *CommitReply) appendWire(b []byte) []byte {
 
 func (m *CommitReply) decodeWire(b []byte) error {
 	r := wireReader{b: b}
-	*m = CommitReply{Covered: readInt[int](&r), Delta: r.sparse()}
+	m.Covered = readInt[int](&r)
+	m.Delta = r.sparse(m.Delta)
 	return r.done()
 }
 
@@ -317,7 +320,8 @@ func (m *GrowReply) appendWire(b []byte) []byte {
 
 func (m *GrowReply) decodeWire(b []byte) error {
 	r := wireReader{b: b}
-	*m = GrowReply{Added: r.sparse(), LocalSets: readInt[int](&r), Fresh: r.varint()}
+	m.Added = r.sparse(m.Added)
+	m.LocalSets, m.Fresh = readInt[int](&r), r.varint()
 	return r.done()
 }
 
@@ -329,7 +333,7 @@ func (m *GainsRequest) appendWire(b []byte) []byte {
 
 func (m *GainsRequest) decodeWire(b []byte) error {
 	r := wireReader{b: b}
-	*m = GainsRequest{RunID: string(r.bytes()), Ad: readInt[int](&r), Nodes: readInts[int32](&r)}
+	*m = GainsRequest{RunID: string(r.bytes()), Ad: readInt[int](&r), Nodes: readInts[int32](&r, nil)}
 	return r.done()
 }
 
@@ -337,6 +341,6 @@ func (m *GainsReply) appendWire(b []byte) []byte { return appendInts(b, m.Cov) }
 
 func (m *GainsReply) decodeWire(b []byte) error {
 	r := wireReader{b: b}
-	*m = GainsReply{Cov: readInts[int32](&r)}
+	*m = GainsReply{Cov: readInts[int32](&r, nil)}
 	return r.done()
 }

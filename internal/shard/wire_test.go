@@ -170,6 +170,10 @@ func mustRoundTrip(t *testing.T, name string, x, fresh wireMessage) {
 	if !sameMessage(x, fresh) {
 		t.Fatalf("%s: round trip changed the message\n sent %+v\n  got %+v", name, x, fresh)
 	}
+	// A run decodes every reply of an op into the same message.
+	if err := fresh.decodeWire(enc); err != nil || !sameMessage(x, fresh) {
+		t.Fatalf("%s: decoding again into the decoded message gave %+v (err %v), sent %+v", name, fresh, err, x)
+	}
 	// Appending after a prefix must not disturb it: handlers reuse buffers.
 	if with := x.appendWire([]byte{0xAA}); with[0] != 0xAA || string(with[1:]) != string(enc) {
 		t.Fatalf("%s: appendWire does not append", name)
@@ -268,7 +272,15 @@ func FuzzWireDecode(f *testing.F) {
 		m := wireMessages[int(which)%len(wireMessages)]
 
 		got := m.new()
-		if err := got.decodeWire(data); err == nil {
+		err := got.decodeWire(data)
+		// Into a message already holding other values — a reply reused
+		// across a run's calls — the same bytes decode the same.
+		used := m.new()
+		(&entropy{b: data}).fill(reflect.ValueOf(used).Elem())
+		if uerr := used.decodeWire(data); (uerr == nil) != (err == nil) || err == nil && !sameMessage(used, got) {
+			t.Fatalf("%s: decode into a used message gave %+v (err %v), into a fresh one %+v (err %v)", m.name, used, uerr, got, err)
+		}
+		if err == nil {
 			if n := countElems(reflect.ValueOf(got)); n > len(data) {
 				t.Fatalf("%s: decoded %d elements from %d bytes", m.name, n, len(data))
 			}
