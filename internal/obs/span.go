@@ -220,20 +220,21 @@ func Remote(ctx context.Context) (SpanContext, bool) {
 	return sc, ok
 }
 
-// Inject writes the active span context (or, lacking a span, the bare
-// trace id) into outgoing request headers — the client half of
-// propagation, called by shard.HTTPClient on every RPC.
-func Inject(ctx context.Context, h http.Header) {
+// Inject hands set the outgoing request headers that carry the active span
+// context (or, lacking a span, the bare trace id) — the client half of
+// propagation, called by shard.HTTPClient on every RPC as it writes the
+// request head. An http.Header's Set method is a set.
+func Inject(ctx context.Context, set func(key, value string)) {
 	if s := ContextSpan(ctx); s != nil {
-		h.Set(TraceHeader, s.TraceID())
-		h.Set(SpanHeader, s.ID())
+		set(TraceHeader, s.TraceID())
+		set(SpanHeader, s.ID())
 		if s.flags != 0 {
-			h.Set(FlagsHeader, strconv.Itoa(int(s.flags)))
+			set(FlagsHeader, strconv.Itoa(int(s.flags)))
 		}
 		return
 	}
 	if trace := Trace(ctx); trace != "" {
-		h.Set(TraceHeader, trace)
+		set(TraceHeader, trace)
 	}
 }
 

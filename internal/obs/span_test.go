@@ -243,7 +243,7 @@ func TestInjectExtractRoundTrip(t *testing.T) {
 	ctx := sampled(WithTrace(context.Background(), "wire-trace"))
 	ctx, span := tr.StartSpan(ctx, "client")
 	h := http.Header{}
-	Inject(ctx, h)
+	Inject(ctx, h.Set)
 	if h.Get(TraceHeader) != "wire-trace" || h.Get(SpanHeader) != span.ID() || h.Get(FlagsHeader) != "1" {
 		t.Fatalf("bad injected headers: %v", h)
 	}

@@ -229,14 +229,6 @@ func (c *Coordinator) SetsSampled(ctx context.Context) (int64, error) {
 	return total, nil
 }
 
-// roundSpans holds each op's "round.<name>" span name, built once.
-var roundSpans = func() (names [numOps]string) {
-	for o, row := range opTable {
-		names[o] = "round." + row.name
-	}
-	return names
-}()
-
 // gather sends op o to every slot k whose request reqs[k] is non-nil and
 // leaves slot k's reply in replies[k]; nil replies discards them. A per-ad
 // op has one request, at its ad's owner; a run-wide op one per slot that

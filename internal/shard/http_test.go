@@ -1,21 +1,26 @@
 // Tests for the HTTP transport itself (http.go): reply-for-reply
 // equivalence with the in-process transport over one scripted run, error
-// identity across both body formats, replay determinism on the wire, and
-// connection reuse.
+// identity across both body formats, replay determinism on the wire,
+// connection reuse, the resend rule, deadlines and cancellation, and TLS.
 
 package shard
 
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
+	"crypto/x509"
 	"errors"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/leakcheck"
@@ -172,7 +177,8 @@ func TestHTTPReplayBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := (&CommitRequest{RunID: "run", Ad: 0, Node: start.Cov[0].Nodes[0], Seq: 1}).appendWire(nil)
-	url := clients[0].(*HTTPClient).reqs[opCommit].URL.String()
+	cl := clients[0].(*HTTPClient)
+	url := cl.base + cl.paths[opCommit]
 	var replies [2][]byte
 	for i := range replies {
 		resp, err := http.Post(url, wireContentType, bytes.NewReader(body))
@@ -376,4 +382,266 @@ func TestHTTPConnectionReuse(t *testing.T) {
 			}
 		}
 	})
+}
+
+// countingServer serves h on a started httptest server that counts the
+// connections it accepts. The server closes at cleanup.
+func countingServer(t *testing.T, h http.Handler) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts, &opened
+}
+
+// TestHTTPResendOnClosedIdleConnection pins what the resend rule is for: a
+// held connection the daemon closed while it sat idle fails the next
+// request before any reply byte, and the client sends that request again
+// once, on a fresh dial — so the commit succeeds, and the shard applies it
+// exactly once.
+func TestHTTPResendOnClosedIdleConnection(t *testing.T) {
+	leakcheck.Check(t)
+	ctx := context.Background()
+	p, err := NewPartitioner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewShard(testInstance(), 0, 42, p.Range(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, opened := countingServer(t, s.Handler())
+	cl := NewHTTPClient(ts.URL)
+	start, err := cl.Start(ctx, StartRequest{RunID: "run", Epoch: 1, Ads: []int{0}, Thetas: []int{3000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := start.Cov[0].Nodes
+	if _, err := cl.Commit(ctx, CommitRequest{RunID: "run", Ad: 0, Node: nodes[0], Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ts.CloseClientConnections()
+	if _, err := cl.Commit(ctx, CommitRequest{RunID: "run", Ad: 0, Node: nodes[len(nodes)-1], Seq: 2}); err != nil {
+		t.Fatalf("commit after the daemon closed the held connection: %v", err)
+	}
+	if got := s.commits.Value(); got != 2 {
+		t.Errorf("shard applied %d commits, want 2", got)
+	}
+	if got := opened.Load(); got != 2 {
+		t.Errorf("daemon accepted %d connections, want 2 (the held one, then one redial)", got)
+	}
+}
+
+// TestHTTPResendRule pins what is never sent again: a request whose reply
+// had begun when the connection broke, and one that failed on a connection
+// dialled for it. A request that failed before any reply byte on a reused
+// connection is sent again exactly once. The stub counts how often its
+// handler ran.
+func TestHTTPResendRule(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		answer = iota // a valid empty CommitReply
+		drop          // close the connection without a byte
+		cut           // close it a byte into the reply body
+	)
+	var mode atomic.Int32
+	var calls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc(opTable[opCommit].path, func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		io.Copy(io.Discard, r.Body)
+		m := mode.Load()
+		if m == answer {
+			w.Write((&CommitReply{}).appendWire(nil))
+			return
+		}
+		conn, bw, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if m == cut {
+			bw.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 64\r\n\r\n\x01")
+			bw.Flush()
+		}
+		conn.Close()
+	})
+	ts, _ := countingServer(t, mux)
+	ctx := context.Background()
+	commit := func(cl *HTTPClient) error {
+		_, err := cl.Commit(ctx, CommitRequest{RunID: "run", Node: 1, Seq: 1})
+		return err
+	}
+	for _, tc := range []struct {
+		name  string
+		warm  bool // one answered call first, so the failing one reuses its connection
+		mode  int32
+		calls int64
+	}{
+		{"dropped on a fresh connection", false, drop, 1},
+		{"cut mid-reply on a reused connection", true, cut, 1},
+		{"dropped on a reused connection", true, drop, 2},
+	} {
+		cl := NewHTTPClient(ts.URL)
+		if tc.warm {
+			mode.Store(answer)
+			if err := commit(cl); err != nil {
+				t.Fatalf("%s: warming call: %v", tc.name, err)
+			}
+		}
+		mode.Store(tc.mode)
+		calls.Store(0)
+		if err := commit(cl); err == nil {
+			t.Errorf("%s: the call succeeded", tc.name)
+		}
+		if got := calls.Load(); got != tc.calls {
+			t.Errorf("%s: the handler ran %d times, want %d", tc.name, got, tc.calls)
+		}
+		if n := len(cl.idle); n != 0 {
+			t.Errorf("%s: %d broken connections went back to the pool", tc.name, n)
+		}
+	}
+}
+
+// TestHTTPDeadlineAndCancel pins how a call to a daemon that never answers
+// ends: at its ctx's deadline with context.DeadlineExceeded, which the
+// retry layer retries, or at its cancellation with context.Canceled, which
+// it does not. Neither connection goes back to the pool, and the next call
+// succeeds on a fresh one.
+func TestHTTPDeadlineAndCancel(t *testing.T) {
+	leakcheck.Check(t)
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc(opTable[opInfo].path, func(w http.ResponseWriter, r *http.Request) {
+		shardWriteJSON(w, http.StatusOK, ShardInfo{NumShards: 1})
+	})
+	mux.HandleFunc(opTable[opCommit].path, func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	})
+	ts, opened := countingServer(t, mux)
+	t.Cleanup(func() { close(release) }) // before the server closes
+	cl := NewHTTPClient(ts.URL)
+	ctx := context.Background()
+	if _, err := cl.Info(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	hang := func(ctx context.Context) error {
+		t.Helper()
+		begin := time.Now()
+		_, err := cl.Commit(ctx, CommitRequest{RunID: "run", Node: 1, Seq: 1})
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("a call to a silent daemon took %v under a 50 ms bound", took)
+		}
+		return err
+	}
+	dctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if err := hang(dctx); !errors.Is(err, context.DeadlineExceeded) || Classify(err) != ClassRetryable {
+		t.Errorf("past its deadline: %v (class %d), want DeadlineExceeded, retryable", err, Classify(err))
+	}
+	// The 5 s backstop ends the call should the cancellation not reach it.
+	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	cctx, cancel = context.WithCancel(cctx)
+	defer time.AfterFunc(50*time.Millisecond, cancel).Stop()
+	if err := hang(cctx); !errors.Is(err, context.Canceled) || Classify(err) != ClassTerminal {
+		t.Errorf("cancelled: %v (class %d), want Canceled, terminal", err, Classify(err))
+	}
+
+	if n := len(cl.idle); n != 0 {
+		t.Errorf("%d expired connections went back to the pool", n)
+	}
+	before := opened.Load()
+	if _, err := cl.Info(ctx); err != nil {
+		t.Fatalf("call after the expired ones: %v", err)
+	}
+	if got := opened.Load() - before; got != 1 {
+		t.Errorf("the next call opened %d connections, want 1", got)
+	}
+}
+
+// TestHTTPSParity serves K = 2 shards over TLS and over plain HTTP. An
+// https:// client that trusts the test certificate reads the same Info and
+// allocates the same bytes; one on the default roots is refused.
+func TestHTTPSParity(t *testing.T) {
+	leakcheck.Check(t)
+	const seed, k = 42, 2
+	ctx := context.Background()
+	p, err := NewPartitioner(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain, secure []Client
+	var untrusted *HTTPClient
+	for i := 0; i < k; i++ {
+		for _, overTLS := range []bool{false, true} {
+			s, err := NewShard(testInstance(), 0, seed, p.Range(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewUnstartedServer(s.Handler())
+			if !overTLS {
+				ts.Start()
+				t.Cleanup(ts.Close)
+				plain = append(plain, NewHTTPClient(ts.URL))
+				continue
+			}
+			ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the refused handshake below
+			ts.StartTLS()
+			t.Cleanup(ts.Close)
+			roots := x509.NewCertPool()
+			roots.AddCert(ts.Certificate())
+			cl := NewHTTPClient(ts.URL)
+			cl.tlsConfig = &tls.Config{RootCAs: roots}
+			secure = append(secure, cl)
+			untrusted = NewHTTPClient(ts.URL)
+		}
+	}
+	if !untrusted.tls {
+		t.Fatalf("%s did not select TLS", untrusted.base)
+	}
+	for i := range plain {
+		want, err := plain[i].Info(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := secure[i].Info(ctx)
+		if err != nil {
+			t.Fatalf("info over TLS: %v", err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("shard %d info: http %+v, https %+v", i, want, got)
+		}
+	}
+	if _, err := untrusted.Info(ctx); err == nil {
+		t.Error("a client on the default roots trusted the test certificate")
+	}
+
+	inst, req := testInstance(), core.Request{Opts: testOpts()}
+	allocate := func(clients []Client) *core.TIRMResult {
+		t.Helper()
+		coord, err := NewCoordinator(ctx, clients, Config{Roster: inst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Warm(ctx, req.Opts); err != nil {
+			t.Fatal(err)
+		}
+		res, err := coord.Allocate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	mustEqualResults(t, "https K=2", inst, req, allocate(plain), allocate(secure))
 }

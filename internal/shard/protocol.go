@@ -88,6 +88,18 @@ var opTable = [numOps]opRow{
 // String returns the op's table name.
 func (o op) String() string { return opTable[o].name }
 
+// roundSpans and rpcSpans hold each op's span names, built once: the
+// coordinator's "round.<name>" (gather) and the retry layer's "rpc.<name>".
+var roundSpans, rpcSpans = spanNames("round."), spanNames("rpc.")
+
+// spanNames returns prefix+name for every op in opTable.
+func spanNames(prefix string) (names [numOps]string) {
+	for o, row := range opTable {
+		names[o] = prefix + row.name
+	}
+	return names
+}
+
 // SparseCounts is a sparse per-node integer vector: node Nodes[i] carries
 // Counts[i]. It ships initial coverage, growth credits, and commit
 // decrements.

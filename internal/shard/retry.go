@@ -180,7 +180,7 @@ func (c *retryClient) do(ctx context.Context, rc rpcCall) error {
 	if opTable[rc.op].sampling {
 		timeout = c.p.SamplingTimeout
 	}
-	ctx, span := obs.StartSpan(ctx, "rpc."+rc.op.String())
+	ctx, span := obs.StartSpan(ctx, rpcSpans[rc.op])
 	if span != nil && c.p.Label != "" {
 		span.SetStr("replica", c.p.Label)
 	}
