@@ -696,6 +696,28 @@ func BenchmarkIndexSnapshotLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkInstanceFingerprint prices core.InstanceFingerprint on the two
+// full-scale graphs a restart binds a snapshot to: a snapshot's Bind runs
+// it after the instance generates and WriteSnapshot before a cold start's
+// first answer, so both pay it on the critical path. The instance is
+// generated outside the timer.
+func BenchmarkInstanceFingerprint(b *testing.B) {
+	for _, name := range []string{"flixster", "dblp"} {
+		ds, _ := gen.Lookup(name)
+		var inst *core.Instance
+		b.Run(ds.Name, func(b *testing.B) {
+			if inst == nil {
+				inst = ds.Build(gen.Options{Seed: 1, Scale: 1})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.InstanceFingerprint(inst)
+			}
+		})
+	}
+}
+
 // BenchmarkGreedyIRIEAllocate measures a full GREEDY-IRIE run.
 func BenchmarkGreedyIRIEAllocate(b *testing.B) {
 	inst := gen.Flixster(gen.Options{Seed: 6, Scale: 0.02})

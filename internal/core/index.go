@@ -7,13 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/rrset"
@@ -188,16 +189,15 @@ func (a *adSample) syncInv(want int) {
 	}
 }
 
-// restore installs a decoded arena as the ad's sample and derives the state
-// a snapshot does not carry and a first request should not pay for — the
-// inverted index, joined at construction — exactly as sampling the same
-// sets would have left it. Pilot widths and openings are left to the first
-// request that asks, as on a fresh build. For a sample no other goroutine
-// can reach yet (the snapshot load).
-func (a *adSample) restore(fam *rrset.SetFamily) {
+// restore installs a decoded arena and the cover join built over it (nil
+// for an empty arena) as the ad's sample — exactly the state sampling the
+// same sets and a syncInv would have left. Pilot widths and openings are
+// left to the first request that asks, as on a fresh build. For a sample no
+// other goroutine can reach yet (the snapshot's Bind).
+func (a *adSample) restore(fam *rrset.SetFamily, inv *rrset.Inverted) {
 	a.fam = fam
-	if fam.Len() > 0 {
-		a.syncInv(fam.Len())
+	if inv != nil {
+		a.inv, a.invLen = inv, fam.Len()
 	}
 }
 
@@ -653,51 +653,145 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 
 const (
 	indexMagic = uint32(0x41444958) // "ADIX"
-	// indexVersion 5: a CRC-guarded header — seed, instance fingerprint,
-	// stream-partition manifest (shard count and shard id, so a load
-	// against the wrong slot fails instead of silently serving another
-	// slot's ads), per-ad stream ids — then one flat "RRS2" family section
-	// per ad, empty for an ad whose stream the slot does not own. Version 4
-	// had the same layout but held every ad's round-robin blocks on a shard;
-	// it is refused rather than misread. Only the current version is read or
-	// written: an older file is rejected and its owner rebuilds (see the
-	// version policy in rrset/snapshot.go).
-	indexVersion = uint32(5)
+	// indexVersion 6: a CRC-guarded header — seed, instance fingerprint,
+	// node count (so a snapshot is read, and its cover joins built, before
+	// the instance exists), stream-partition manifest (shard count and shard
+	// id, so a load against the wrong slot fails instead of silently serving
+	// another slot's ads), per-ad stream ids — then one flat "RRS2" family
+	// section per ad, empty for an ad whose stream the slot does not own.
+	// Version 5 had no node count and an FNV-1a fingerprint; version 4 held
+	// every ad's round-robin blocks on a shard. Both are refused rather than
+	// misread. Only the current version is read or written: an older file is
+	// rejected and its owner rebuilds (see the version policy in
+	// rrset/snapshot.go).
+	indexVersion = uint32(6)
 )
 
-// fingerprint summarizes what the stored sample depends on — the graph's
-// topology and every ad's mixed edge probabilities — so a snapshot is
-// rejected when loaded against a different instance (budgets, CPEs, CTPs,
-// κ, λ are selection-time inputs and deliberately excluded). Counts alone
-// are not enough: two graphs with identical n, m, and probability values
-// but different wiring must not share a fingerprint.
+// fingerprintChunk is the most bytes the instance fingerprint feeds its
+// CRCs at a time, so that both read a chunk while it is in cache.
+const fingerprintChunk = 64 << 10
+
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the CPU's
+// CRC instructions where they exist, as it does IEEE with carry-less
+// multiplication.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// nativeLittleEndian reports whether a word in memory is already its
+// little-endian encoding.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// crcPair is two CRC-32s, IEEE and Castagnoli, over one little-endian byte
+// stream, fed a chunk at a time. Its sum concatenates them into 64 bits.
+type crcPair struct {
+	buf        []byte // encodes what is not in memory as little-endian bytes; made on first use
+	n          int
+	ieee, cast uint32
+}
+
+// update feeds b to both CRCs.
+func (c *crcPair) update(b []byte) {
+	c.ieee = crc32.Update(c.ieee, crc32.IEEETable, b)
+	c.cast = crc32.Update(c.cast, castagnoli, b)
+}
+
+func (c *crcPair) flush() {
+	c.update(c.buf[:c.n])
+	c.n = 0
+}
+
+// room flushes unless 8 bytes fit, and returns how many 4-byte words fit.
+func (c *crcPair) room() int {
+	if c.buf == nil {
+		c.buf = make([]byte, fingerprintChunk)
+	}
+	if c.n+8 > len(c.buf) {
+		c.flush()
+	}
+	return (len(c.buf) - c.n) / 4
+}
+
+func (c *crcPair) u64(v uint64) {
+	c.room()
+	binary.LittleEndian.PutUint64(c.buf[c.n:], v)
+	c.n += 8
+}
+
+// u32s writes k words, the i-th f(i), little-endian.
+func (c *crcPair) u32s(k int, f func(i int) uint32) {
+	for i := 0; i < k; {
+		m := min(k-i, c.room())
+		b := c.buf[c.n : c.n+4*m]
+		for j := 0; j < m; j++ {
+			binary.LittleEndian.PutUint32(b[4*j:], f(i+j))
+		}
+		c.n, i = c.n+4*m, i+m
+	}
+}
+
+// words writes vs as little-endian words: straight from memory, a chunk at
+// a time, on a little-endian host; through the buffer otherwise.
+func words[T int32 | float32](c *crcPair, vs []T) {
+	if !nativeLittleEndian {
+		raw := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs))
+		c.u32s(len(raw), func(i int) uint32 { return raw[i] })
+		return
+	}
+	c.flush()
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 4*len(vs))
+	for len(b) > 0 {
+		k := min(len(b), fingerprintChunk)
+		c.update(b[:k])
+		b = b[k:]
+	}
+}
+
+func (c *crcPair) sum() uint64 {
+	c.flush()
+	return uint64(c.ieee)<<32 | uint64(c.cast)
+}
+
+// indexFingerprint summarizes what the stored sample depends on — the
+// graph's topology and every ad's mixed edge probabilities — so a snapshot
+// is rejected when loaded against a different instance (budgets, CPEs,
+// CTPs, κ, λ are selection-time inputs and deliberately excluded). Counts
+// alone are not enough: two graphs with identical n, m, and probability
+// values but different wiring must not share a fingerprint.
+//
+// The value is a crcPair over n, m and the ad count, every node's
+// out-degree, every edge's target in EdgeID order, then per ad in position
+// order its probability count and the crcPair digest of its probabilities.
+// A probability array is hashed once however many ads sample from it
+// (every weighted-cascade ad does, see newAdSample), and the value depends
+// on content alone, never on which ads share an array. It is a
+// deterministic function of the instance — never seeded per process —
+// because shards and coordinators compare it across processes.
 func indexFingerprint(inst *Instance) uint64 {
-	fh := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		fh.Write(buf[:])
+	c := &crcPair{}
+	g := inst.G
+	c.u64(uint64(g.N()))
+	c.u64(uint64(g.M()))
+	c.u64(uint64(len(inst.Ads)))
+	c.u32s(g.N(), func(u int) uint32 { return uint32(g.OutDegree(int32(u))) })
+	words(c, g.OutTargets())
+	type digest struct {
+		probs []float32
+		sum   uint64
 	}
-	w32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(buf[:4], v)
-		fh.Write(buf[:4])
-	}
-	w64(uint64(inst.G.N()))
-	w64(uint64(inst.G.M()))
-	w64(uint64(len(inst.Ads)))
-	for u := int32(0); u < int32(inst.G.N()); u++ {
-		targets, _ := inst.G.OutEdges(u)
-		w32(uint32(len(targets)))
-		for _, v := range targets {
-			w32(uint32(v))
-		}
-	}
+	var seen []digest
 	for _, ad := range inst.Ads {
-		for _, p := range ad.Params.Probs {
-			w32(math.Float32bits(p))
+		probs := ad.Params.Probs
+		d := slices.IndexFunc(seen, func(s digest) bool {
+			return len(s.probs) == len(probs) && len(probs) > 0 && &s.probs[0] == &probs[0]
+		})
+		if d < 0 {
+			var p crcPair
+			words(&p, probs)
+			d, seen = len(seen), append(seen, digest{probs: probs, sum: p.sum()})
 		}
+		c.u64(uint64(len(probs)))
+		c.u64(seen[d].sum)
 	}
-	return fh.Sum64()
+	return c.sum()
 }
 
 // indexHeader is the snapshot header: everything the stream
@@ -705,47 +799,46 @@ func indexFingerprint(inst *Instance) uint64 {
 // the stream-partition manifest, since a shard's arenas are meaningless
 // without knowing which ads' streams it holds. It serializes to a fixed
 // little-endian layout whose CRC32 (IEEE) is written right after it, so a
-// corrupted seed, shard id, or stream id — which would silently diverge
-// post-reload growth, since neither the family CRCs nor the instance
-// fingerprint cover them — fails the load instead.
+// corrupted seed, node count, shard id, or stream id — which would silently
+// diverge post-reload growth, since neither the family CRCs nor the
+// instance fingerprint cover them — fails the load instead.
 type indexHeader struct {
 	seed        uint64
 	fingerprint uint64
+	nodes       uint32   // the instance's node count: every member is below it
 	numShards   uint32   // partition size (1 = identity)
 	shard       uint32   // this snapshot's slice
 	streams     []uint64 // one per ad, in position order
 }
 
 // marshal renders the header payload for writing and CRC computation:
-// seed, fingerprint, the partition manifest, ad count, stream ids.
+// seed, fingerprint, node count, the partition manifest, ad count, stream
+// ids.
 func (h *indexHeader) marshal() []byte {
-	out := make([]byte, 0, 8+8+8+4+8*len(h.streams))
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], h.seed)
-	out = append(out, b8[:]...)
-	binary.LittleEndian.PutUint64(b8[:], h.fingerprint)
-	out = append(out, b8[:]...)
-	binary.LittleEndian.PutUint32(b8[:4], h.numShards)
-	out = append(out, b8[:4]...)
-	binary.LittleEndian.PutUint32(b8[:4], h.shard)
-	out = append(out, b8[:4]...)
-	binary.LittleEndian.PutUint32(b8[:4], uint32(len(h.streams)))
-	out = append(out, b8[:4]...)
+	le := binary.LittleEndian
+	out := make([]byte, 0, 8+8+4+4+4+4+8*len(h.streams))
+	out = le.AppendUint64(out, h.seed)
+	out = le.AppendUint64(out, h.fingerprint)
+	out = le.AppendUint32(out, h.nodes)
+	out = le.AppendUint32(out, h.numShards)
+	out = le.AppendUint32(out, h.shard)
+	out = le.AppendUint32(out, uint32(len(h.streams)))
 	for _, s := range h.streams {
-		binary.LittleEndian.PutUint64(b8[:], s)
-		out = append(out, b8[:]...)
+		out = le.AppendUint64(out, s)
 	}
 	return out
 }
 
 // readIndexHeader is marshal's inverse, for a caller that expects the slice
-// part of numAds ads: it reads the magic and version words, the payload
-// marshal renders and the CRC after it. Each field is checked before
-// anything it sizes is read, and the CRC last, over the re-marshalled
-// payload — so only a header that round-trips is accepted.
-func readIndexHeader(r io.Reader, part rrset.StreamPartition, numAds int) (*indexHeader, error) {
+// part: it reads the magic and version words, the payload marshal renders
+// and the CRC after it. Each field is checked before anything it sizes is
+// read, and the CRC last, over the re-marshalled payload — so only a header
+// that round-trips is accepted. The ad count is the file's: stream ids are
+// read one by one, so a corrupt count costs no more than the bytes there
+// are.
+func readIndexHeader(r io.Reader, part rrset.StreamPartition) (*indexHeader, error) {
 	le := binary.LittleEndian
-	var b [28]byte
+	var b [32]byte
 	if _, err := io.ReadFull(r, b[:8]); err != nil {
 		return nil, fmt.Errorf("core: index snapshot header: %w", err)
 	}
@@ -758,7 +851,11 @@ func readIndexHeader(r io.Reader, part rrset.StreamPartition, numAds int) (*inde
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return nil, err
 	}
-	snapPart := rrset.StreamPartition{NumShards: int(le.Uint32(b[16:])), Shard: int(le.Uint32(b[20:]))}
+	nodes := le.Uint32(b[16:])
+	if nodes > math.MaxInt32 {
+		return nil, fmt.Errorf("core: index snapshot has %d nodes, past the int32 node ids", nodes)
+	}
+	snapPart := rrset.StreamPartition{NumShards: int(le.Uint32(b[20:])), Shard: int(le.Uint32(b[24:]))}
 	if err := snapPart.Validate(); err != nil {
 		return nil, fmt.Errorf("core: index snapshot partition: %w", err)
 	}
@@ -766,25 +863,26 @@ func readIndexHeader(r io.Reader, part rrset.StreamPartition, numAds int) (*inde
 		return nil, fmt.Errorf("core: index snapshot holds stream slice %d/%d, caller expects %d/%d",
 			snapPart.Shard, snapPart.Size(), part.Shard, part.Size())
 	}
-	if n := le.Uint32(b[24:]); int(n) != numAds {
-		return nil, fmt.Errorf("core: index snapshot has %d ads, instance has %d", n, numAds)
-	}
+	numAds := int(le.Uint32(b[28:]))
 	h := &indexHeader{
 		seed:        le.Uint64(b[:]),
 		fingerprint: le.Uint64(b[8:]),
+		nodes:       nodes,
 		numShards:   uint32(snapPart.Size()),
 		shard:       uint32(snapPart.Shard),
-		streams:     make([]uint64, numAds),
+		streams:     make([]uint64, 0, min(numAds, 1024)),
 	}
-	for j := range h.streams {
+	for j := 0; j < numAds; j++ {
 		if _, err := io.ReadFull(r, b[:8]); err != nil {
 			return nil, fmt.Errorf("core: index snapshot ad %d stream id: %w", j, err)
 		}
-		if h.streams[j] = le.Uint64(b[:]); h.streams[j] == math.MaxUint64 {
+		stream := le.Uint64(b[:])
+		if stream == math.MaxUint64 {
 			// The sentinel would wrap the loader's next-stream counter and
 			// let a later AddAd reuse a live stream id.
 			return nil, fmt.Errorf("core: index snapshot ad %d has invalid stream id", j)
 		}
+		h.streams = append(h.streams, stream)
 	}
 	if _, err := io.ReadFull(r, b[:4]); err != nil {
 		return nil, err
@@ -795,15 +893,15 @@ func readIndexHeader(r io.Reader, part rrset.StreamPartition, numAds int) (*inde
 	return h, nil
 }
 
-// WriteSnapshot persists the index's current epoch — stream seed, the
-// stream-partition manifest, and every ad's stream id and stored sets — in
-// a versioned binary format (currently version 5: a CRC-guarded header
-// carrying partition and stream ids, then flat CSR sections with CRC32
-// footers, written in bulk). A process restarted with LoadIndexSnapshot
-// (or LoadShardIndexSnapshot for a shard's slice) against the same
-// instance resumes the identical streams: allocations after a reload match
-// allocations on the original index exactly, even when the campaign set
-// was mutated before the snapshot was taken.
+// WriteSnapshot persists the index's current epoch — stream seed, node
+// count, the stream-partition manifest, and every ad's stream id and stored
+// sets — in a versioned binary format (currently version 6: a CRC-guarded
+// header carrying the node count, partition and stream ids, then flat CSR
+// sections with CRC32 footers, written in bulk). A process restarted with
+// LoadIndexSnapshot (or LoadShardIndexSnapshot for a shard's slice) against
+// the same instance resumes the identical streams: allocations after a
+// reload match allocations on the original index exactly, even when the
+// campaign set was mutated before the snapshot was taken.
 func (idx *Index) WriteSnapshot(w io.Writer) error {
 	ep := idx.curr.Load()
 	bw := bufio.NewWriter(w)
@@ -822,6 +920,7 @@ func (idx *Index) WriteSnapshot(w io.Writer) error {
 	hdr := indexHeader{
 		seed:        idx.seed,
 		fingerprint: indexFingerprint(ep.inst),
+		nodes:       uint32(ep.inst.G.N()),
 		numShards:   uint32(idx.part.NumShards),
 		shard:       uint32(idx.part.Shard),
 	}
@@ -849,11 +948,14 @@ func (idx *Index) WriteSnapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteSnapshotFile writes the snapshot to path atomically: the bytes go to
-// a temporary file in path's directory (created if missing), which is
-// renamed over path only after a clean write and close — so a crash or a
-// failed write never leaves a torn snapshot, and a failure leaves no
-// temporary file behind.
+// WriteSnapshotFile writes the snapshot to path by temp file and rename:
+// the bytes go to a temporary file in path's directory (created if
+// missing), which is renamed over path only after a clean write and close,
+// and a failed write leaves no temporary file behind. Nothing is synced to
+// disk first, so what holds is this: a process that dies mid-write leaves
+// the old file or the new one, never a mix; a power loss can leave a torn
+// file under path, which the header and section CRCs then refuse, and its
+// owner rebuilds (a snapshot is a cache, see rrset/snapshot.go).
 func (idx *Index) WriteSnapshotFile(path string) error {
 	return writeFileAtomic(path, idx.WriteSnapshot)
 }
@@ -882,13 +984,14 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 }
 
 // LoadIndexSnapshot reconstructs an index for inst from a snapshot written
-// by WriteSnapshot. It fails if the snapshot is of any version but the
-// current one, was taken for a different graph, ad set, or
-// probability setting (fingerprint mismatch), holds one shard's slice
-// rather than the whole stream (use LoadShardIndexSnapshot), or is
-// structurally corrupt; the inverted indexes are rebuilt from the decoded
-// arenas, pilot widths and openings by the first request that needs them.
-// The loaded index starts a fresh epoch lineage at version 1.
+// by WriteSnapshot: ReadIndexSnapshot, then Bind. It fails if the snapshot
+// is of any version but the current one, was taken for a different graph,
+// ad set, or probability setting (node count or fingerprint mismatch),
+// holds one shard's slice rather than the whole stream (use
+// LoadShardIndexSnapshot), or is structurally corrupt; the inverted indexes
+// are rebuilt from the decoded arenas, pilot widths and openings by the
+// first request that needs them. The loaded index starts a fresh epoch
+// lineage at version 1.
 func LoadIndexSnapshot(inst *Instance, src io.Reader) (*Index, error) {
 	return loadIndexSnapshot(inst, src, rrset.StreamPartition{})
 }
@@ -904,76 +1007,124 @@ func LoadShardIndexSnapshot(inst *Instance, part rrset.StreamPartition, src io.R
 }
 
 // loadIndexSnapshot is the shared loader behind LoadIndexSnapshot and
-// LoadShardIndexSnapshot: the header is read and checked on the caller's
-// goroutine, then the instance fingerprint check and the per-ad work —
-// section decode, and the rebuild of the inverted index that is most of a
-// load — share rrset's bounded fan-out (see below).
-// Errors keep a serial load's precedence: a fingerprint mismatch is
-// reported ahead of any section error, and of the sections the first
-// corrupt one in file order, by ad position.
+// LoadShardIndexSnapshot: an invalid instance is reported first, as before
+// any byte is read, then Read's header errors, then Bind's.
 func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition) (*Index, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	r := bufio.NewReader(src)
-	hdr, err := readIndexHeader(r, part, len(inst.Ads))
+	snap, err := ReadIndexSnapshot(src, part)
 	if err != nil {
 		return nil, err
 	}
-	streams, fp := hdr.streams, hdr.fingerprint
-	idx := &Index{seed: hdr.seed, part: part, next: uint64(len(streams))}
-	for _, stream := range streams {
-		if stream+1 > idx.next {
-			idx.next = stream + 1
-		}
+	return snap.Bind(inst)
+}
+
+// IndexSnapshot is the half of a snapshot load that needs only the file:
+// the header, every ad's decoded sample and the cover join built over it.
+// ReadIndexSnapshot makes one; Bind checks it against an instance and turns
+// it into an Index. The split lets a host read a snapshot while it
+// generates the instance (internal/serve does).
+type IndexSnapshot struct {
+	hdr   *indexHeader
+	part  rrset.StreamPartition
+	fams  []*rrset.SetFamily // per ad, nil past a corrupt section
+	invs  []*rrset.Inverted  // per ad, nil for an empty sample
+	err   error              // the first corrupt section, which Bind reports
+	bound bool
+}
+
+// ReadIndexSnapshot reads a snapshot written by WriteSnapshot for the slot
+// part of a stream placement (the zero partition for a single node). It
+// returns an error for a header that is unreadable, of another version, or
+// of another slot. A corrupt section is not an error here: decoding stops
+// at it and Bind reports it — after its own checks, so a snapshot of
+// another instance says so even when its sections are also unreadable
+// against this one.
+//
+// The header is read on the caller's goroutine, then the ads share rrset's
+// bounded fan-out: the section decodes, which read one sequential stream,
+// take turns in file order — decoded[j] closes once every section before j
+// is read — and a worker that has decoded its section builds the ad's cover
+// join (most of a load; the measured shares are in rrset/snapshot.go) while
+// the next section decodes. One worker runs the ads inline in order.
+func ReadIndexSnapshot(src io.Reader, part rrset.StreamPartition) (*IndexSnapshot, error) {
+	if err := part.Validate(); err != nil {
+		return nil, err
 	}
-	// The rest of the load is rebuild-bound, not decode-bound (the measured
-	// shares are in rrset/snapshot.go), so the fingerprint check (job 0) and
-	// the ads (job j+1) share rrset's bounded fan-out. Only the section decodes, which read one sequential stream,
-	// take turns in file order — decoded[j] closes once every section before
-	// j is read — and a worker that has decoded its section derives the ad's
-	// state while the next section decodes. One worker runs the jobs inline
-	// in order: fingerprint, then ad by ad, as a serial load would.
-	ads := make([]*adSample, len(streams))
-	for j := range ads {
-		ads[j] = idx.newAdSample(inst.G, inst.Ads[j].Params.Probs, streams[j], ads[:j])
+	r := bufio.NewReader(src)
+	hdr, err := readIndexHeader(r, part)
+	if err != nil {
+		return nil, err
 	}
-	decoded := make([]chan struct{}, len(ads)+1)
+	n := len(hdr.streams)
+	s := &IndexSnapshot{hdr: hdr, part: part, fams: make([]*rrset.SetFamily, n), invs: make([]*rrset.Inverted, n)}
+	decoded := make([]chan struct{}, n+1)
 	for j := range decoded {
 		decoded[j] = make(chan struct{})
 	}
 	close(decoded[0])
-	var failed atomic.Bool // set with either error: no further section is decoded
-	var fpErr, adErr error // adErr is handed down the decode turns
-	rrset.ParallelFor(len(ads)+1, 0, func(job int) {
-		if job == 0 {
-			if want := indexFingerprint(inst); fp != want {
-				fpErr = fmt.Errorf("core: index snapshot fingerprint %#x does not match instance %#x", fp, want)
-				failed.Store(true)
-			}
-			return
-		}
-		j := job - 1
+	var failed atomic.Bool // set with the section error: no further section is decoded
+	rrset.ParallelFor(n, 0, func(j int) {
 		<-decoded[j]
 		var fam *rrset.SetFamily
 		if !failed.Load() {
-			if fam, adErr = decodeAdSection(r, inst.G.N(), j, ads[j].owned()); adErr != nil {
+			var err error
+			if fam, err = decodeAdSection(r, int(hdr.nodes), j, part.Owns(hdr.streams[j])); err != nil {
+				s.err = err // handed down the decode turns
 				failed.Store(true)
 			}
 		}
 		close(decoded[j+1])
 		if fam != nil {
-			ads[j].restore(fam)
+			s.fams[j] = fam
+			if fam.Len() > 0 {
+				s.invs[j] = rrset.BuildInverted(int(hdr.nodes), fam.View(), 0)
+			}
 		}
 	})
-	// A snapshot of another instance says so even when its sections are also
-	// unreadable against this one.
-	if fpErr != nil {
-		return nil, fpErr
+	return s, nil
+}
+
+// Bind checks the snapshot against inst — the instance is valid, has the
+// snapshot's ad and node counts and its fingerprint — then reports the
+// first corrupt section, if Read met one; these errors come in that order,
+// so a snapshot of another instance says so first. On success it wires
+// each ad's sampler to the instance and returns the loaded index, which
+// starts a fresh epoch lineage at version 1 and owns the snapshot's
+// samples: a snapshot binds at most once.
+func (s *IndexSnapshot) Bind(inst *Instance) (*Index, error) {
+	if err := inst.Validate(); err != nil {
+		return nil, err
 	}
-	if adErr != nil {
-		return nil, adErr
+	if s.bound {
+		return nil, errors.New("core: index snapshot already bound")
 	}
+	hdr := s.hdr
+	if len(hdr.streams) != len(inst.Ads) {
+		return nil, fmt.Errorf("core: index snapshot has %d ads, instance has %d", len(hdr.streams), len(inst.Ads))
+	}
+	if int(hdr.nodes) != inst.G.N() {
+		return nil, fmt.Errorf("core: index snapshot has %d nodes, instance has %d", hdr.nodes, inst.G.N())
+	}
+	if want := indexFingerprint(inst); hdr.fingerprint != want {
+		return nil, fmt.Errorf("core: index snapshot fingerprint %#x does not match instance %#x", hdr.fingerprint, want)
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	idx := &Index{seed: hdr.seed, part: s.part, next: uint64(len(hdr.streams))}
+	for _, stream := range hdr.streams {
+		if stream+1 > idx.next {
+			idx.next = stream + 1
+		}
+	}
+	ads := make([]*adSample, len(hdr.streams))
+	for j, stream := range hdr.streams {
+		ads[j] = idx.newAdSample(inst.G, inst.Ads[j].Params.Probs, stream, ads[:j])
+		ads[j].restore(s.fams[j], s.invs[j])
+	}
+	s.bound, s.fams, s.invs = true, nil, nil
 	idx.curr.Store(&indexEpoch{version: 1, inst: inst, ads: ads})
 	return idx, nil
 }

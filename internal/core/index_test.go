@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -289,7 +291,7 @@ func TestRetiredSnapshotsFailCleanly(t *testing.T) {
 	if err := idx.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	hdrLen := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8*len(inst.Ads) + 4
+	hdrLen := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 8*len(inst.Ads) + 4
 	mixed := append(append([]byte{}, buf.Bytes()[:hdrLen]...), rrs1...)
 	_, err = LoadIndexSnapshot(inst, bytes.NewReader(mixed))
 	if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
@@ -365,6 +367,86 @@ func TestSnapshotFingerprintSeesTopology(t *testing.T) {
 	}
 	if _, err := LoadIndexSnapshot(a, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Errorf("snapshot rejected for its own instance: %v", err)
+	}
+}
+
+// TestInstanceFingerprintProperties: the fingerprint depends on content
+// alone — a fresh copy of a probability array the ads share hashes as the
+// shared array does — and sees every change a sample depends on: one edge
+// rewired to another target, one probability bit flipped in one ad, or two
+// ads with different probabilities swapped.
+func TestInstanceFingerprintProperties(t *testing.T) {
+	withAds := func(inst *Instance, ads []Ad) *Instance {
+		out := *inst
+		out.Ads = ads
+		return &out
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := xrand.New(seed)
+		inst := randomInstance(seed, 60, 300, 3, 1, 0)
+		base := indexFingerprint(inst)
+
+		copied := slices.Clone(inst.Ads)
+		copied[1].Params.Probs = slices.Clone(copied[1].Params.Probs)
+		if got := indexFingerprint(withAds(inst, copied)); got != base {
+			t.Fatalf("seed %d: a fresh copy of the shared probabilities moved the fingerprint %#x → %#x", seed, base, got)
+		}
+		for j := range copied {
+			copied[j].Params.Probs = slices.Clone(copied[j].Params.Probs)
+		}
+		if got := indexFingerprint(withAds(inst, copied)); got != base {
+			t.Fatalf("seed %d: a private copy per ad moved the fingerprint %#x → %#x", seed, base, got)
+		}
+
+		flipped := slices.Clone(inst.Ads)
+		j, e := rng.IntN(len(flipped)), rng.IntN(int(inst.G.M()))
+		flipped[j].Params.Probs = slices.Clone(flipped[j].Params.Probs)
+		flipped[j].Params.Probs[e] = math.Float32frombits(math.Float32bits(flipped[j].Params.Probs[e]) ^ 1<<rng.IntN(32))
+		if got := indexFingerprint(withAds(inst, flipped)); got == base {
+			t.Fatalf("seed %d: flipping a bit of ad %d's edge %d left the fingerprint at %#x", seed, j, e, base)
+		}
+		swapped := slices.Clone(flipped)
+		other := (j + 1) % len(swapped)
+		swapped[j], swapped[other] = swapped[other], swapped[j]
+		if a, b := indexFingerprint(withAds(inst, flipped)), indexFingerprint(withAds(inst, swapped)); a == b {
+			t.Fatalf("seed %d: swapping ads %d and %d left the fingerprint at %#x", seed, j, other, a)
+		}
+
+		rewired := rewireOneEdge(t, rng, inst.G)
+		if rewired.M() != inst.G.M() {
+			t.Fatalf("seed %d: rewiring changed the edge count %d → %d", seed, inst.G.M(), rewired.M())
+		}
+		moved := *inst
+		moved.G = rewired
+		if got := indexFingerprint(&moved); got == base {
+			t.Fatalf("seed %d: rewiring one edge left the fingerprint at %#x", seed, base)
+		}
+	}
+}
+
+// rewireOneEdge returns g with one edge (u, v) replaced by an edge (u, w)
+// g does not have.
+func rewireOneEdge(t *testing.T, rng *xrand.Rand, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	n := int32(g.N())
+	for {
+		e := int64(rng.IntN(int(g.M())))
+		u, _ := g.EdgeEndpoints(e)
+		w := int32(rng.IntN(int(n)))
+		if w == u || g.HasEdge(u, w) {
+			continue
+		}
+		b := graph.NewBuilderHint(int(n), int(g.M()))
+		for x := int32(0); x < n; x++ {
+			targets, first := g.OutEdges(x)
+			for i, y := range targets {
+				if first+int64(i) == e {
+					y = w
+				}
+				b.AddEdge(x, y)
+			}
+		}
+		return b.MustBuild()
 	}
 }
 

@@ -19,12 +19,12 @@ import (
 
 // snapshotSections returns where each ad's family section begins in an
 // index snapshot, plus the file's length as a final entry, by walking the
-// layout: the header (magic, version, seed, fingerprint, partition, ad
-// count, stream ids, CRC), then per ad a section of magic, set count,
-// member count, lengths, members and CRC.
+// layout: the header (magic, version, seed, fingerprint, node count,
+// partition, ad count, stream ids, CRC), then per ad a section of magic,
+// set count, member count, lengths, members and CRC.
 func snapshotSections(t *testing.T, snap []byte, numAds int) []int {
 	t.Helper()
-	at := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8*numAds + 4
+	at := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 8*numAds + 4
 	starts := make([]int, 0, numAds+1)
 	for j := 0; j < numAds; j++ {
 		starts = append(starts, at)
@@ -167,6 +167,65 @@ func TestLoadIndexSnapshotErrorPrecedence(t *testing.T) {
 	}
 }
 
+// TestReadThenBind: a snapshot read with no instance at hand binds to its
+// own instance as LoadIndexSnapshot loads it, and only once; Bind refuses an
+// instance with another ad count or node count by name, ahead of the
+// fingerprint.
+func TestReadThenBind(t *testing.T) {
+	inst := randomInstance(77, 90, 400, 3, 2, 0.01)
+	opts := TIRMOptions{Eps: 0.3, MinTheta: 2000, MaxTheta: 16000}
+	idx, err := BuildIndex(inst, 13, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := idx.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	read := func() *IndexSnapshot {
+		t.Helper()
+		s, err := ReadIndexSnapshot(bytes.NewReader(snap.Bytes()), rrset.StreamPartition{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	s := read()
+	bound, err := s.Bind(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadIndexSnapshot(inst, bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AllocateFromIndex(bound, Request{Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := AllocateFromIndex(loaded, Request{Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snapshotOf(a), snapshotOf(b)) || a.TotalSetsSampled != 0 {
+		t.Fatalf("Read then Bind allocates %+v (%d sets drawn), LoadIndexSnapshot %+v", snapshotOf(a), a.TotalSetsSampled, snapshotOf(b))
+	}
+	if _, err := s.Bind(inst); err == nil || !strings.Contains(err.Error(), "already bound") {
+		t.Fatalf("second Bind: %v, want a refusal", err)
+	}
+
+	fewer := *inst
+	fewer.Ads = inst.Ads[:2]
+	if _, err := read().Bind(&fewer); err == nil || !strings.Contains(err.Error(), "has 3 ads, instance has 2") {
+		t.Fatalf("Bind to two ads: %v, want the ad-count error", err)
+	}
+	bigger := randomInstance(77, 91, 400, 3, 2, 0.01)
+	if _, err := read().Bind(bigger); err == nil || !strings.Contains(err.Error(), "has 90 nodes, instance has 91") {
+		t.Fatalf("Bind to 91 nodes: %v, want the node-count error", err)
+	}
+}
+
 // TestWriteSnapshotFileIsAtomic: the file a WriteSnapshotFile leaves is the
 // WriteSnapshot stream, in a directory it creates; and a write that fails
 // part-way leaves the previous file untouched and no temporary file beside
@@ -213,9 +272,9 @@ func TestWriteSnapshotFileIsAtomic(t *testing.T) {
 // of every restore, under every caller shape: it must never panic, and an
 // input it accepts must be one it decoded completely — its prefix is
 // exactly the header it returned, rendered back with magic, version and
-// CRC, for the partition slot and ad count the caller expects. Seeds: the
-// headers a single node and a shard write, the same under version 4,
-// truncations, and a wrong magic.
+// CRC, for the partition slot the caller expects. Seeds: the headers a
+// single node and a shard write, the same under version 5, truncations,
+// and a wrong magic.
 func FuzzIndexHeader(f *testing.F) {
 	inst := randomInstance(5, 40, 120, 3, 1, 0)
 	header := func(part rrset.StreamPartition) []byte {
@@ -227,31 +286,35 @@ func FuzzIndexHeader(f *testing.F) {
 		if err := idx.WriteSnapshot(&buf); err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()[:4+4+28+8*len(inst.Ads)+4]
+		return buf.Bytes()[:4+4+32+8*len(inst.Ads)+4]
 	}
 	single, shard := header(rrset.StreamPartition{}), header(rrset.StreamPartition{NumShards: 4, Shard: 2})
-	ads := uint8(len(inst.Ads))
 	for _, p := range []rrset.StreamPartition{{}, {NumShards: 4, Shard: 2}} {
-		if _, err := readIndexHeader(bytes.NewReader(header(p)), p, len(inst.Ads)); err != nil {
+		h, err := readIndexHeader(bytes.NewReader(header(p)), p)
+		if err != nil {
 			f.Fatalf("the header slot %d/%d wrote: %v", p.Shard, p.Size(), err)
 		}
+		if len(h.streams) != len(inst.Ads) || int(h.nodes) != inst.G.N() {
+			f.Fatalf("the header slot %d/%d wrote reads back %d ads over %d nodes, want %d over %d",
+				p.Shard, p.Size(), len(h.streams), h.nodes, len(inst.Ads), inst.G.N())
+		}
 	}
-	f.Add(single, uint8(1), uint8(0), ads)
-	f.Add(shard, uint8(4), uint8(2), ads)
-	f.Add(shard, uint8(4), uint8(1), ads)
-	v4 := bytes.Clone(shard)
-	binary.LittleEndian.PutUint32(v4[4:], 4)
-	f.Add(v4, uint8(4), uint8(2), ads)
-	for _, n := range []int{0, 3, 8, 20, 36, len(single) - 5, len(single) - 1} {
-		f.Add(single[:n], uint8(1), uint8(0), ads)
+	f.Add(single, uint8(1), uint8(0))
+	f.Add(shard, uint8(4), uint8(2))
+	f.Add(shard, uint8(4), uint8(1))
+	v5 := bytes.Clone(shard)
+	binary.LittleEndian.PutUint32(v5[4:], 5)
+	f.Add(v5, uint8(4), uint8(2))
+	for _, n := range []int{0, 3, 8, 20, 40, len(single) - 5, len(single) - 1} {
+		f.Add(single[:n], uint8(1), uint8(0))
 	}
 	magic := bytes.Clone(single)
 	magic[0] ^= 0x20
-	f.Add(magic, uint8(1), uint8(0), ads)
-	f.Fuzz(func(t *testing.T, data []byte, shards, slot, numAds uint8) {
+	f.Add(magic, uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, shards, slot uint8) {
 		part := rrset.StreamPartition{NumShards: int(shards % 9)}
 		part.Shard = int(slot) % part.Size()
-		h, err := readIndexHeader(bytes.NewReader(data), part, int(numAds%16))
+		h, err := readIndexHeader(bytes.NewReader(data), part)
 		if err != nil {
 			return
 		}
@@ -262,9 +325,9 @@ func FuzzIndexHeader(f *testing.F) {
 		if !bytes.HasPrefix(data, want) {
 			t.Fatalf("accepted %x, which renders back as %x", data, want)
 		}
-		if len(h.streams) != int(numAds%16) || int(h.numShards) != part.Size() || !part.IsIdentity() && int(h.shard) != part.Shard {
-			t.Fatalf("accepted a header of %d ads in slot %d/%d for a caller expecting %d ads in %d/%d",
-				len(h.streams), h.shard, h.numShards, numAds%16, part.Shard, part.Size())
+		if int(h.numShards) != part.Size() || !part.IsIdentity() && int(h.shard) != part.Shard {
+			t.Fatalf("accepted a header of slot %d/%d for a caller expecting %d/%d",
+				h.shard, h.numShards, part.Shard, part.Size())
 		}
 	})
 }

@@ -68,6 +68,12 @@ func (g *Graph) OutEdges(u NodeID) (targets []int32, first EdgeID) {
 	return g.outTo[s:e], EdgeID(s)
 }
 
+// OutTargets returns every edge's target in EdgeID order — the out-rows
+// end to end, OutEdges(u) being the slice from u's first EdgeID to the
+// next node's. The returned slice aliases internal storage and must not be
+// modified.
+func (g *Graph) OutTargets() []int32 { return g.outTo }
+
 // InRow returns the sources of v's in-edges, ascending, and the position of
 // the first one in in-CSR order: rows are laid end to end by ascending node,
 // so the i-th source sits at position first+i of [0, M). A caller that keeps

@@ -1,9 +1,6 @@
 package rrset
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // covSegment is one contiguous run of sets inside a coverage collection:
 // a CSR view of the sets (local ids 0..view.Len()-1, global ids start at
@@ -49,29 +46,17 @@ func (s *covSegment) memBytes() int64 {
 
 // clipInverted computes, per node, how many of inv's row entries hold ids
 // among its first k sets — the cut vector aligning a shared inverted index
-// with a k-set view. An id row is ascending, so its cut is one binary
-// search (skipped for the common row that lies entirely below k); a joined
-// row is walked header by header up to the first id past k. Only an
-// opening's builder calls it (Inverted.opening).
+// with a k-set view, and each node's initial coverage. Each set adds one
+// entry to each member's row, so the cut is a count over the members of
+// inv.src's first k sets: one sequential pass over them, the same vector
+// for a joined index and an id-row one. Only an opening's builder calls it
+// (Inverted.opening).
 func clipInverted(inv *Inverted, k int) []int32 {
-	n := inv.NumNodes()
-	cut := make([]int32, n)
-	w := inv.base + int32(k)
-	for u := int32(0); u < int32(n); u++ {
-		row := inv.row(u)
-		if !inv.joined {
-			c := len(row)
-			if c > 0 && row[c-1] >= w {
-				c = sort.Search(c, func(i int) bool { return row[i] >= w })
-			}
-			cut[u] = int32(c)
-			continue
+	cut := make([]int32, inv.NumNodes())
+	if k = min(k, inv.src.Len()); k > 0 {
+		for _, u := range inv.src.members[inv.src.offsets[0]:inv.src.offsets[k]] {
+			cut[u]++
 		}
-		c := int32(0)
-		for p := 0; p < len(row) && row[p]>>joinSizeBits < w; p = inv.next(row, p) {
-			c++
-		}
-		cut[u] = c
 	}
 	return cut
 }
@@ -351,9 +336,10 @@ func (c *Collection) UseKernel(id KernelID) KernelID { return c.useKernel(id, c.
 
 // NewCollectionFromFamily builds a collection over a prebuilt sample view
 // and its prebuilt inverted index, the warm-start fast path of
-// core.AllocateFromIndex: construction touches O(n) state — O(n log d),
-// one binary-searched row clip per node, the first time inv is opened at
-// this length — instead of every membership. inv must
+// core.AllocateFromIndex: construction copies O(n) state from inv's
+// opening for the view's length — built, the first time inv is opened at
+// that length, by one counting pass over the view's members — instead of
+// building per-membership state. inv must
 // index, with global ids ascending per node, a family of which v is the
 // prefix — rows may extend past v.Len() (the shared index usually holds
 // more sets than this run's θ); the excess is clipped, not copied.

@@ -232,33 +232,86 @@ func BuildInverted(n int, v FamilyView, base int32) *Inverted {
 	return ix
 }
 
+// joinRangeBlocks is the fewest stream blocks per set range buildInverted
+// splits a view into: below it the build is one range, which keeps growth
+// segments and small indexes on the caller's goroutine.
+const joinRangeBlocks = 64
+
 // buildInverted is the one counting-pass builder of both row forms: each
 // set adds a record to every member's row — |R| words (header and the other
 // members) when joined and inline, 1 word otherwise. The row store, like a
-// family's arena, holds at most maxArena words.
+// family's arena, holds at most maxArena words. A view of many blocks is
+// built as one contiguous set range per worker (see buildInvertedRanges).
 func buildInverted(n int, v FamilyView, base int32, joined bool) *Inverted {
-	off := make([]uint32, n+1)
+	return buildInvertedRanges(n, v, base, joined, samplingWorkers(v.Len()/(joinRangeBlocks*StreamBlockSize)))
+}
+
+// buildInvertedRanges builds the index over ranges contiguous set ranges
+// through ParallelFor. Each range counts its own words per node into its
+// own array; the row offsets are prefix sums over (node, range), so within
+// a row every range's records follow those of the ranges before it, in id
+// order; then each range scatters its sets from its own cursors. off and
+// rows are therefore the same bytes for any range count.
+func buildInvertedRanges(n int, v FamilyView, base int32, joined bool, ranges int) *Inverted {
 	k := v.Len()
+	span := func(r int) (from, to int) { return k * r / ranges, k * (r + 1) / ranges }
+	// rs[r].cur[u] counts range r's words in u's row, then is its cursor
+	// there; words is the range's total, summed wide so the limit check sees
+	// what a 32-bit count would wrap.
+	type rangeRows struct {
+		cur   []uint32
+		words int64
+	}
+	rs := make([]rangeRows, ranges)
+	ParallelFor(ranges, 0, func(r int) {
+		from, to := span(r)
+		cnt := make([]uint32, n)
+		rs[r] = rangeRows{cur: cnt, words: countRange(cnt, v, from, to, joined)}
+	})
+	var total int64
+	for _, r := range rs {
+		total += r.words
+	}
+	checkArena(total)
+	off := make([]uint32, n+1)
+	var at uint32
+	for u := 0; u < n; u++ {
+		off[u] = at
+		for _, r := range rs {
+			r.cur[u], at = at, at+r.cur[u]
+		}
+	}
+	off[n] = at
+	rows := make([]int32, at)
+	ParallelFor(ranges, 0, func(r int) {
+		from, to := span(r)
+		scatterRange(rows, rs[r].cur, v, from, to, base, joined)
+	})
+	return &Inverted{off: off, rows: rows, joined: joined, src: v, base: base}
+}
+
+// countRange adds the words each of v's sets [from, to) puts in its
+// members' rows to cnt, and returns their total.
+func countRange(cnt []uint32, v FamilyView, from, to int, joined bool) int64 {
 	var words int64
-	for i := 0; i < k; i++ {
+	for i := from; i < to; i++ {
 		set := v.Set(i)
 		rec := uint32(1)
 		if joined && len(set) <= joinInlineCap {
 			rec = uint32(len(set))
 		}
 		for _, u := range set {
-			off[u+1] += rec
+			cnt[u] += rec
 		}
 		words += int64(rec) * int64(len(set))
 	}
-	checkArena(words)
-	for u := 0; u < n; u++ {
-		off[u+1] += off[u]
-	}
-	rows := make([]int32, off[n])
-	cur := make([]uint32, n)
-	copy(cur, off[:n])
-	for i := 0; i < k; i++ {
+	return words
+}
+
+// scatterRange writes the records of v's sets [from, to) — global ids base
+// onward — into rows at each member's cursor, advancing the cursors.
+func scatterRange(rows []int32, cur []uint32, v FamilyView, from, to int, base int32, joined bool) {
+	for i := from; i < to; i++ {
 		set := v.Set(i)
 		id := base + int32(i)
 		if !joined {
@@ -285,7 +338,6 @@ func buildInverted(n int, v FamilyView, base int32, joined bool) *Inverted {
 			cur[u] = p + uint32(len(set))
 		}
 	}
-	return &Inverted{off: off, rows: rows, joined: joined, src: v, base: base}
 }
 
 // NumNodes returns the node-universe size.
@@ -359,7 +411,8 @@ func (ix *Inverted) MemBytes() int64 {
 // by view length, which a request derives from its θ options alone, so
 // steady traffic repeats one or two lengths per index; a length past the
 // cap evicts the least recently used one, and a miss costs what every
-// request paid before openings existed — one row clip and one heap build.
+// request paid before openings existed — one counting pass over the view's
+// members and one heap build.
 // The stored openings cost at most OpeningCap·12 bytes per node
 // (TestOpeningsBounded).
 const OpeningCap = 4
@@ -376,10 +429,10 @@ const OpeningCap = 4
 // its own heap), so the heap half waits for the first SyncHeap that asks.
 type opening struct {
 	k int
-	// cut[u] is how many of u's row entries hold ids among the index's first
-	// k sets (rows are ascending, so they are a prefix): both u's initial
-	// residual coverage and, on an id-row index, the row clip aligning the
-	// index with a k-set view.
+	// cut[u] is how many of the index's first k sets contain u — how many of
+	// u's row entries hold their ids (rows are ascending, so those entries
+	// are a prefix): both u's initial residual coverage and, on an id-row
+	// index, the row clip aligning the index with a k-set view.
 	cut []int32
 
 	heapOnce sync.Once
@@ -387,7 +440,9 @@ type opening struct {
 }
 
 // opening returns the stored opening for view length k, building and
-// storing it on a miss (built reports which). Builds hold openMu, so
+// storing it on a miss (built reports which). A build counts the members of
+// the first k sets (clipInverted) — one sequential pass that reads no row —
+// and leaves the heap for later (candidateHeap). Builds hold openMu, so
 // concurrent requests for one length wait for a single build rather than
 // repeating it.
 func (ix *Inverted) opening(k int) (o *opening, built bool) {

@@ -305,16 +305,72 @@ func TestCoverJoinRecords(t *testing.T) {
 	}
 }
 
-// FuzzCoverJoinRecords runs the same checks on fuzzed shapes and bases.
+// checkRangeCount fails unless building v over ranges set ranges gives the
+// one-range build's offsets and rows, word for word.
+func checkRangeCount(t *testing.T, n int, v FamilyView, base int32, joined bool, ranges int) {
+	t.Helper()
+	want := buildInvertedRanges(n, v, base, joined, 1)
+	got := buildInvertedRanges(n, v, base, joined, ranges)
+	if !slices.Equal(got.off, want.off) || !slices.Equal(got.rows, want.rows) {
+		t.Fatalf("%d sets, base %d, joined %v: %d ranges built off %v rows %v, one range off %v rows %v",
+			v.Len(), base, joined, ranges, got.off, got.rows, want.off, want.rows)
+	}
+}
+
+// TestBuildInvertedAnyRangeCount: the cover join and the id rows come out
+// the same bytes however many set ranges build them, and however many
+// workers run the ranges — over sets both sides of the inline cap,
+// singletons, a base past zero, and an empty view.
+func TestBuildInvertedAnyRangeCount(t *testing.T) {
+	defer SetMaxWorkers(0)
+	rng := xrand.New(11)
+	const n = 90
+	fam := randomKernelFamily(rng, n, 700, 10)
+	fam.Append([]int32{5})
+	fam.Append([]int32{5})
+	fam.Append([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	var singles, spilled int
+	for i := 0; i < fam.Len(); i++ {
+		switch sz := len(fam.Set(i)); {
+		case sz == 1:
+			singles++
+		case sz > joinInlineCap:
+			spilled++
+		}
+	}
+	if singles == 0 || spilled == 0 {
+		t.Fatalf("%d singletons and %d spilled sets: the family misses a shape", singles, spilled)
+	}
+	views := []FamilyView{fam.View(), fam.Window(100, 103), NewSetFamily().View()}
+	for _, workers := range []int{1, 2, 0} {
+		SetMaxWorkers(workers)
+		for _, v := range views {
+			for _, base := range []int32{0, 12345} {
+				for _, joined := range []bool{true, false} {
+					for _, ranges := range []int{1, 2, 3, 7} {
+						checkRangeCount(t, n, v, base, joined, ranges)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzCoverJoinRecords runs the same checks on fuzzed shapes and bases, and
+// builds each view over a fuzzed number of set ranges (TestBuildInvertedAnyRangeCount).
 func FuzzCoverJoinRecords(f *testing.F) {
-	f.Add(uint64(1), uint8(10), uint8(40), uint32(0))
-	f.Add(uint64(7), uint8(200), uint8(255), uint32(1<<27-1))
-	f.Add(uint64(42), uint8(1), uint8(3), uint32(12345))
-	f.Fuzz(func(t *testing.T, seed uint64, nn, kk uint8, b uint32) {
+	f.Add(uint64(1), uint8(10), uint8(40), uint32(0), uint8(1))
+	f.Add(uint64(7), uint8(200), uint8(255), uint32(1<<27-1), uint8(3))
+	f.Add(uint64(42), uint8(1), uint8(3), uint32(12345), uint8(7))
+	f.Fuzz(func(t *testing.T, seed uint64, nn, kk uint8, b uint32, rr uint8) {
 		rng := xrand.New(seed)
 		n, k := 1+int(nn), 1+int(kk)
 		fam := randomKernelFamily(rng, n, k, 10)
-		checkJoinMatchesIDRows(t, rng, n, fam, int32(b%uint32(joinIDLimit-k+1)))
+		base := int32(b % uint32(joinIDLimit-k+1))
+		checkJoinMatchesIDRows(t, rng, n, fam, base)
+		for _, joined := range []bool{true, false} {
+			checkRangeCount(t, n, fam.View(), base, joined, 1+int(rr%16))
+		}
 	})
 }
 

@@ -3,15 +3,16 @@
 // restarted process starts warm: a load skips the reverse-BFS sampling that
 // dominates TIRM's cost, but it is not pure I/O. A snapshot stores the
 // member arenas only; everything derived from them is rebuilt on load, and
-// that rebuild is the load — at DBLP scale (317K nodes, 5 × 500K sets,
-// 52 MB file; CPU profile of five serial loads on one core) decoding the
-// sections is ~6 % of core.LoadIndexSnapshot, against ~83 % for
-// BuildInverted, which builds the cover join straight from the arena, and
-// ~11 % for the instance fingerprint. Persisting the join instead would
-// grow the file from 52 to ~210 MB, so the load derives it, one ad per
-// worker of the bounded fan-out (core/index.go). The format is
-// little-endian and versioned; core.Index composes per-ad sections written
-// with EncodeSetFamily into one index file.
+// that rebuild is most of the load. At DBLP scale (317K nodes, 5 × 500K
+// sets, 52 MB file; CPU profile of one core.ReadIndexSnapshot on 2 cores)
+// BuildInverted, which builds the cover join straight from the arena, is
+// ~90 % — its scatter 78 %, its counting pass 12 % — and decoding the
+// sections ~6 %. Persisting the join instead would grow the file from 52
+// to ~210 MB, so the load derives it: one ad per worker of the bounded
+// fan-out (core/index.go), each join over one set range per worker, so the
+// last ad to decode does not build alone. The format is little-endian and
+// versioned; core.Index composes per-ad sections written with
+// EncodeSetFamily into one index file.
 //
 // Format-version policy: current version only. A section self-describes
 // via its magic; DecodeSetFamily reads the one layout EncodeSetFamily

@@ -118,8 +118,8 @@ func (c *WeightedCollection) UseKernel(id KernelID) KernelID {
 }
 
 // NewWeightedCollectionFromFamily mirrors rrset.NewCollectionFromFamily for
-// the soft-coverage mode: O(n log d) construction over a shared sample view
-// and inverted index (same row-clipping contract).
+// the soft-coverage mode: O(n) construction from the opening of a shared
+// sample view's inverted index (same row-clipping contract).
 func NewWeightedCollectionFromFamily(n int, v FamilyView, inv *Inverted) *WeightedCollection {
 	c := &WeightedCollection{}
 	c.Reset(n, v, inv)

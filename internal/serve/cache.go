@@ -20,18 +20,23 @@ import (
 
 	"repro/internal/bandit"
 	"repro/internal/core"
+	"repro/internal/rrset"
 )
 
 // entry is one cached instance plus its lazily built index — the
 // single-node engine of the campaign it embeds. The two are built in
 // separate phases so /evaluate — which only needs the instance — never pays
-// for (or triggers) index presampling. instReady is closed once inst is
-// set; idxReady is created by the first index builder and closed when
-// idx/idxErr are final, coalescing concurrent builders.
+// for (or triggers) index presampling or a snapshot read. instReady is
+// closed once inst is set; idxReady is created by the first index builder
+// and closed when idx/idxErr are final, coalescing concurrent builders.
 type entry struct {
 	campaign
 	instReady chan struct{}
 	inst      *core.Instance
+	// read is the snapshot read entryFor started beside the instance's
+	// generation, nil when it started none; the index builder binds it and
+	// clears it.
+	read *snapshotRead
 
 	idxMu    sync.Mutex
 	idxReady chan struct{} // nil until an index build starts
@@ -154,12 +159,24 @@ func (e *entry) indexBuilt() bool {
 	}
 }
 
+// snapshotRead is a core.ReadIndexSnapshot running on a goroutine of its
+// own; done closes when snap and err are final.
+type snapshotRead struct {
+	done chan struct{}
+	snap *core.IndexSnapshot
+	err  error
+}
+
 // entryFor returns the cached entry for p, generating the instance if
 // needed (the index is built separately by indexFor, so instance-only
-// consumers like /evaluate never trigger sampling). created reports
-// whether this call made the entry; waited reports whether it blocked on
-// another caller's in-flight instance generation.
-func (s *Server) entryFor(p InstanceParams) (_ *entry, created, waited bool, _ error) {
+// consumers like /evaluate never trigger sampling). When this call creates
+// the entry for a request that needs the index (n is needIndex or
+// needMutation) and a snapshot file exists, the file is read while the
+// instance generates — the read needs only the file — and indexFor's build
+// binds the result. created reports whether this call made the entry;
+// waited reports whether it blocked on another caller's in-flight instance
+// generation.
+func (s *Server) entryFor(p InstanceParams, n need) (_ *entry, created, waited bool, _ error) {
 	d, err := p.dataset()
 	if err != nil {
 		return nil, false, false, err
@@ -195,9 +212,34 @@ func (s *Server) entryFor(p InstanceParams) (_ *entry, created, waited bool, _ e
 	s.evictLocked(e)
 	s.mu.Unlock()
 
+	if n == needIndex || n == needMutation {
+		e.read = s.startSnapshotRead(key)
+	}
 	e.inst = p.build(d)
 	close(e.instReady)
 	return e, true, false, nil
+}
+
+// startSnapshotRead starts reading key's snapshot file on its own goroutine,
+// which Close waits for; nil when there is no file to read.
+func (s *Server) startSnapshotRead(key string) *snapshotRead {
+	path := s.snapshotPath(key)
+	if path == "" {
+		return nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil
+	}
+	rd := &snapshotRead{done: make(chan struct{})}
+	s.reads.Add(1)
+	go func() {
+		defer s.reads.Done()
+		defer close(rd.done)
+		defer f.Close()
+		rd.snap, rd.err = core.ReadIndexSnapshot(f, rrset.StreamPartition{})
+	}()
+	return rd
 }
 
 // evictLocked drops least-recently-used entries (never keep, the one just
@@ -264,18 +306,17 @@ func (s *Server) indexFor(e *entry) (_ *core.Index, cold, waited bool, _ error) 
 func (s *Server) buildIndex(e *entry) {
 	started := time.Now()
 	if path := s.snapshotPath(e.key); path != "" {
-		if f, err := os.Open(path); err == nil {
-			idx, err := core.LoadIndexSnapshot(e.inst, f)
-			f.Close()
-			if err == nil {
-				e.idx = idx
-				e.fromDisk = true
-				s.metrics.snapshotLoads.Inc()
-				e.buildSec = time.Since(started).Seconds()
-				s.opts.Logf("serve: loaded index %s from snapshot (%d ads, %.1f MB) in %.2fs",
-					e.key, idx.NumAds(), float64(idx.MemBytes())/1e6, e.buildSec)
-				return
-			}
+		idx, err := s.loadSnapshot(e)
+		if idx != nil {
+			e.idx = idx
+			e.fromDisk = true
+			s.metrics.snapshotLoads.Inc()
+			e.buildSec = time.Since(started).Seconds()
+			s.opts.Logf("serve: loaded index %s from snapshot (%d ads, %.1f MB) in %.2fs",
+				e.key, idx.NumAds(), float64(idx.MemBytes())/1e6, e.buildSec)
+			return
+		}
+		if err != nil {
 			s.opts.Logf("serve: snapshot %s unusable (%v); rebuilding", path, err)
 		}
 	}
@@ -297,6 +338,25 @@ func (s *Server) buildIndex(e *entry) {
 			s.opts.Logf("serve: wrote snapshot %s", path)
 		}
 	}
+}
+
+// loadSnapshot binds the entry's snapshot to its instance: the read
+// entryFor started beside generation or, when it started none, one started
+// now. It returns (nil, nil) when there is no snapshot file. Only the index
+// builder calls it.
+func (s *Server) loadSnapshot(e *entry) (*core.Index, error) {
+	rd := e.read
+	e.read = nil
+	if rd == nil {
+		if rd = s.startSnapshotRead(e.key); rd == nil {
+			return nil, nil
+		}
+	}
+	<-rd.done
+	if rd.err != nil {
+		return nil, rd.err
+	}
+	return rd.snap.Bind(e.inst)
 }
 
 func (s *Server) snapshotPath(key string) string {
@@ -338,9 +398,9 @@ var errTooManyLiveCampaigns = errors.New(
 // to acquire their first lifecycle state are admitted only while fewer
 // than MaxEntries entries are pinned. Callers must arrange
 // `defer e.mutating.Add(-1)`.
-func (s *Server) mutationEntry(p InstanceParams) (*entry, error) {
+func (s *Server) mutationEntry(p InstanceParams, n need) (*entry, error) {
 	for {
-		e, _, _, err := s.entryFor(p)
+		e, _, _, err := s.entryFor(p, n)
 		if err != nil {
 			return nil, err
 		}

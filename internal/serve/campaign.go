@@ -241,10 +241,10 @@ func (s *Server) resolve(w http.ResponseWriter, p InstanceParams, n need) (targe
 	)
 	pin := n == needLedger || n == needMutation
 	if pin {
-		e, err = s.mutationEntry(p)
+		e, err = s.mutationEntry(p, n)
 		t.pinned = e
 	} else {
-		e, created, waited, err = s.entryFor(p)
+		e, created, waited, err = s.entryFor(p, n)
 	}
 	switch {
 	case errors.Is(err, errTooManyLiveCampaigns):

@@ -149,6 +149,9 @@ type Server struct {
 	proberStop chan struct{}
 	proberDone chan struct{}
 	closeOnce  sync.Once
+	// reads counts the snapshot reads in flight (startSnapshotRead); Close
+	// waits for them.
+	reads sync.WaitGroup
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -259,7 +262,7 @@ func (s *Server) Handler() http.Handler {
 // Warm builds (or loads) the instance and index for the given parameters
 // ahead of traffic — cmd/adserver's -preload flag.
 func (s *Server) Warm(p InstanceParams) error {
-	e, _, _, err := s.entryFor(p)
+	e, _, _, err := s.entryFor(p, needIndex)
 	if err != nil {
 		return err
 	}

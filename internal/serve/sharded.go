@@ -163,8 +163,9 @@ func (s *Server) startProber() {
 // reachable (a net/http connection goroutine can still be unwinding, with
 // the handler on its stack, after the listener's own Close has returned).
 // Safe to call repeatedly and on servers that never started a prober. It
-// does not wait for requests: one that races Close keeps the entry it
-// resolved, and a later one builds, or loads from snapshot, afresh.
+// waits for the snapshot reads in flight (see entryFor), not for requests:
+// one that races Close keeps the entry it resolved, and a later one builds,
+// or loads from snapshot, afresh.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.proberStop != nil {
@@ -175,6 +176,7 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	clear(s.entries)
 	s.mu.Unlock()
+	s.reads.Wait()
 }
 
 // EpochInst implements engine on the coordinator's campaign mirror.
