@@ -100,5 +100,5 @@ func run(addr, preload string, pprofOn bool, shards string, opts serve.Options) 
 		}
 	}
 
-	return serve.RunDaemon(context.Background(), "adserver", addr, srv.Handler(), pprofOn, 0, nil)
+	return serve.RunDaemon(context.Background(), "adserver", addr, srv.Handler(), pprofOn, 0, nil, nil)
 }

@@ -4,8 +4,11 @@
 // ads whose stream id is its slot mod -shards) and nothing of the others,
 // and answers the coordinator's coverage/marginal-gain/commit RPCs over
 // HTTP (see internal/shard: those run ops are binary, the lifecycle routes
-// JSON). Point an adserver at the full cluster with -shards to serve
-// distributed allocations.
+// JSON) — or, on each connection a coordinator upgrades, as one frame per
+// op. Point an adserver at the full cluster with -shards to serve
+// distributed allocations. On SIGTERM the shard drains, writes its
+// snapshot, and closes its upgraded connections between frames
+// (Shard.Close) while HTTP requests finish.
 //
 // Usage (a 2-shard cluster plus coordinator):
 //
@@ -116,5 +119,5 @@ func run(addr, dataset string, seed uint64, scale float64, ads, shardID, numShar
 				log.Printf("adshard: wrote snapshot %s", snapPath)
 			}
 		}
-	})
+	}, s.Close)
 }

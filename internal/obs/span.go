@@ -220,21 +220,31 @@ func Remote(ctx context.Context) (SpanContext, bool) {
 	return sc, ok
 }
 
-// Inject hands set the outgoing request headers that carry the active span
-// context (or, lacking a span, the bare trace id) — the client half of
-// propagation, called by shard.HTTPClient on every RPC as it writes the
-// request head. An http.Header's Set method is a set.
-func Inject(ctx context.Context, set func(key, value string)) {
+// Outgoing returns the span context an RPC sent under ctx carries: the
+// active span's trace id, span id and flags or, lacking a span, the bare
+// trace id ("" when ctx has none). It is what Inject writes as headers and
+// what shard's framed transport writes into each frame.
+func Outgoing(ctx context.Context) SpanContext {
 	if s := ContextSpan(ctx); s != nil {
-		set(TraceHeader, s.TraceID())
-		set(SpanHeader, s.ID())
-		if s.flags != 0 {
-			set(FlagsHeader, strconv.Itoa(int(s.flags)))
-		}
-		return
+		return SpanContext{TraceID: s.TraceID(), SpanID: s.ID(), Flags: s.flags}
 	}
-	if trace := Trace(ctx); trace != "" {
-		set(TraceHeader, trace)
+	return SpanContext{TraceID: Trace(ctx)}
+}
+
+// Inject hands set the outgoing request headers that carry ctx's span
+// context (Outgoing) — the client half of propagation, called by
+// shard.HTTPClient on every HTTP RPC as it writes the request head. An
+// http.Header's Set method is a set.
+func Inject(ctx context.Context, set func(key, value string)) {
+	sc := Outgoing(ctx)
+	if sc.TraceID != "" {
+		set(TraceHeader, sc.TraceID)
+	}
+	if sc.SpanID != "" {
+		set(SpanHeader, sc.SpanID)
+	}
+	if sc.Flags != 0 {
+		set(FlagsHeader, strconv.Itoa(int(sc.Flags)))
 	}
 }
 

@@ -20,22 +20,26 @@ import (
 // RunDaemon serves h on addr until SIGINT, SIGTERM or the end of ctx, then
 // shuts down gracefully: stop (when non-nil) runs first, while the listener
 // still answers — adshard drains and writes its snapshot there — and
-// in-flight requests then get ten seconds to finish. name prefixes the log
-// lines. pprofOn mounts net/http/pprof under /debug/pprof/ beside h: an
-// explicit opt-in, because profiles expose process internals and an open
-// endpoint must not serve them by accident. writeTimeout bounds one
-// response (http.Server.WriteTimeout; 0 = unbounded). A listener failure is
-// returned; a clean shutdown returns nil.
-func RunDaemon(ctx context.Context, name, addr string, h http.Handler, pprofOn bool, writeTimeout time.Duration, stop func()) error {
+// in-flight requests then get ten seconds to finish. release (when non-nil)
+// runs as that shutdown begins (http.Server.RegisterOnShutdown), for the
+// connections h hijacked, which Shutdown neither tracks nor waits for —
+// adshard closes its upgraded ones there — and RunDaemon waits for it
+// within the same ten seconds. name prefixes the log lines. pprofOn mounts
+// net/http/pprof under /debug/pprof/ beside h: an explicit opt-in, because
+// profiles expose process internals and an open endpoint must not serve
+// them by accident. writeTimeout bounds one response
+// (http.Server.WriteTimeout; 0 = unbounded), and so one framed reply. A
+// listener failure is returned; a clean shutdown returns nil.
+func RunDaemon(ctx context.Context, name, addr string, h http.Handler, pprofOn bool, writeTimeout time.Duration, stop, release func()) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return serveDaemon(ctx, name, ln, h, pprofOn, writeTimeout, stop)
+	return serveDaemon(ctx, name, ln, h, pprofOn, writeTimeout, stop, release)
 }
 
 // serveDaemon is RunDaemon on a listener the caller opened.
-func serveDaemon(ctx context.Context, name string, ln net.Listener, h http.Handler, pprofOn bool, writeTimeout time.Duration, stop func()) error {
+func serveDaemon(ctx context.Context, name string, ln net.Listener, h http.Handler, pprofOn bool, writeTimeout time.Duration, stop, release func()) error {
 	if pprofOn {
 		mux := http.NewServeMux()
 		mux.Handle("/", h)
@@ -48,6 +52,15 @@ func serveDaemon(ctx context.Context, name string, ln net.Listener, h http.Handl
 		log.Printf("%s: pprof enabled at /debug/pprof/", name)
 	}
 	hs := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, WriteTimeout: writeTimeout}
+	released := make(chan struct{})
+	if release == nil {
+		close(released)
+	} else {
+		hs.RegisterOnShutdown(func() {
+			defer close(released)
+			release()
+		})
+	}
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("%s: listening on %s", name, ln.Addr())
@@ -69,6 +82,11 @@ func serveDaemon(ctx context.Context, name string, ln net.Listener, h http.Handl
 	defer cancelShutdown()
 	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
+	}
+	select {
+	case <-released:
+	case <-sctx.Done():
+		return sctx.Err()
 	}
 	return nil
 }

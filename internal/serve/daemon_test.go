@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"testing"
 )
 
@@ -23,7 +24,9 @@ func getStatus(url string) int {
 // TestDaemonShell pins the shell both daemons boot through: the profiling
 // routes exist only when asked for, the stop hook runs while the listener
 // still answers (adshard snapshots there, with coordinators still talking to
-// it), and a requested stop returns nil with the listener closed.
+// it), the release hook has run by the time the shell returns (adshard
+// closes its upgraded connections there), and a requested stop returns nil
+// with the listener closed.
 func TestDaemonShell(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/healthz" {
@@ -40,9 +43,12 @@ func TestDaemonShell(t *testing.T) {
 		base := "http://" + ln.Addr().String()
 		ctx, cancel := context.WithCancel(context.Background())
 		duringStop := 0
+		var released atomic.Bool
 		done := make(chan error, 1)
 		go func() {
-			done <- serveDaemon(ctx, "testd", ln, inner, pprofOn, 0, func() { duringStop = getStatus(base + "/healthz") })
+			done <- serveDaemon(ctx, "testd", ln, inner, pprofOn, 0,
+				func() { duringStop = getStatus(base + "/healthz") },
+				func() { released.Store(true) })
 		}()
 
 		if got := getStatus(base + "/healthz"); got != http.StatusOK {
@@ -61,6 +67,9 @@ func TestDaemonShell(t *testing.T) {
 		cancel()
 		if err := <-done; err != nil {
 			t.Errorf("pprof=%v: requested stop returned %v", pprofOn, err)
+		}
+		if !released.Load() {
+			t.Errorf("pprof=%v: the shell returned before its release hook ran", pprofOn)
 		}
 		if duringStop != http.StatusOK {
 			t.Errorf("pprof=%v: the stop hook's own request got %d: it ran after the listener closed", pprofOn, duringStop)

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -148,7 +149,7 @@ func TestTraceHeaderEcho(t *testing.T) {
 // daemon's structured request log.
 type tracedCluster struct {
 	front  *httptest.Server
-	shards []*httptest.Server
+	shards []*shardDaemon
 
 	mu   sync.Mutex
 	logs []string
@@ -173,6 +174,7 @@ func (c *tracedCluster) logged(substr string) bool {
 
 func newTracedCluster(t *testing.T, params InstanceParams, k int) *tracedCluster {
 	t.Helper()
+	leakcheck.Check(t)
 	roster, err := BuildDataset(params)
 	if err != nil {
 		t.Fatal(err)
@@ -190,15 +192,15 @@ func newTracedCluster(t *testing.T, params InstanceParams, k int) *tracedCluster
 		}
 		sh.Dataset = shard.DatasetParams{Name: params.Dataset, Seed: params.Seed, Scale: params.Scale, NumAds: params.NumAds}
 		sh.Logf = c.logf
-		ts := httptest.NewServer(sh.Handler())
-		t.Cleanup(ts.Close)
-		c.shards = append(c.shards, ts)
-		addrs[i] = strings.TrimPrefix(ts.URL, "http://")
+		d := startShardDaemon(t, sh)
+		c.shards = append(c.shards, d)
+		addrs[i] = strings.TrimPrefix(d.URL, "http://")
 	}
 	srv := New(Options{Shards: addrs, Logf: t.Logf})
 	if err := srv.ConnectShards(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(srv.Close)
 	c.front = httptest.NewServer(srv.Handler())
 	t.Cleanup(c.front.Close)
 	return c

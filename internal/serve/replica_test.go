@@ -9,14 +9,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/shard"
 )
 
 // replicatedServer spins k×r adshard-equivalent HTTP shards (slot-major)
 // and a serve.Server in coordinator mode over them, returning the backend
-// test servers so callers can kill replicas mid-test.
-func replicatedServer(t *testing.T, params InstanceParams, k, r int) (*httptest.Server, *Server, []*httptest.Server) {
+// daemons so callers can kill replicas mid-test. It runs under leakcheck.
+func replicatedServer(t *testing.T, params InstanceParams, k, r int) (*httptest.Server, *Server, []*shardDaemon) {
 	t.Helper()
+	leakcheck.Check(t)
 	roster, err := BuildDataset(params)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +27,7 @@ func replicatedServer(t *testing.T, params InstanceParams, k, r int) (*httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := make([]*httptest.Server, k*r)
+	backends := make([]*shardDaemon, k*r)
 	addrs := make([]string, k*r)
 	for slot := 0; slot < k; slot++ {
 		for rep := 0; rep < r; rep++ {
@@ -34,10 +36,9 @@ func replicatedServer(t *testing.T, params InstanceParams, k, r int) (*httptest.
 				t.Fatal(err)
 			}
 			sh.Dataset = shard.DatasetParams{Name: params.Dataset, Seed: params.Seed, Scale: params.Scale, NumAds: params.NumAds}
-			ts := httptest.NewServer(sh.Handler())
-			t.Cleanup(ts.Close)
-			backends[slot*r+rep] = ts
-			addrs[slot*r+rep] = strings.TrimPrefix(ts.URL, "http://")
+			d := startShardDaemon(t, sh)
+			backends[slot*r+rep] = d
+			addrs[slot*r+rep] = strings.TrimPrefix(d.URL, "http://")
 		}
 	}
 	srv := New(Options{Shards: addrs, Replicas: r, Logf: t.Logf})

@@ -34,9 +34,11 @@ type shardedState struct {
 	campaign
 	addrs    []string // slot-major: addrs[slot*replicas+rep]
 	replicas int
-	sets     []*shard.ReplicaSet
-	clients  []shard.Client
-	coord    *shard.Coordinator
+	// conns holds one transport per address, closed by Server.Close.
+	conns   []*shard.HTTPClient
+	sets    []*shard.ReplicaSet
+	clients []shard.Client
+	coord   *shard.Coordinator
 
 	// memBytes caches the cluster's summed sample footprint, refreshed by
 	// the health probes — /allocate reports it without sweeping shards.
@@ -53,8 +55,10 @@ type shardedState struct {
 // connect. Every per-replica client is wrapped in the retry layer
 // (Options.RPCTimeout), so transient RPC failures — including estimator
 // syncs from /feedback — heal without surfacing. Call once at startup,
-// before serving; pair with Close when Options.ProbeInterval is set.
-func (s *Server) ConnectShards(ctx context.Context) error {
+// before serving; Close releases the shard connections (and stops the
+// prober, when Options.ProbeInterval started one). A failed connect closes
+// what it opened.
+func (s *Server) ConnectShards(ctx context.Context) (err error) {
 	if len(s.opts.Shards) == 0 {
 		return errors.New("serve: no shard addresses configured")
 	}
@@ -73,13 +77,19 @@ func (s *Server) ConnectShards(ctx context.Context) error {
 	if s.metrics.shard == nil {
 		s.metrics.shard = shard.NewMetrics(s.metrics.reg, "adserver")
 	}
+	defer func() {
+		if err != nil {
+			st.close()
+		}
+	}()
 	st.sets = make([]*shard.ReplicaSet, k)
 	st.clients = make([]shard.Client, k)
 	for slot := 0; slot < k; slot++ {
 		reps := make([]shard.Client, r)
 		for rep := 0; rep < r; rep++ {
-			addr := st.addrs[slot*r+rep]
-			cl := shard.InstrumentClient(shard.NewHTTPClient(addr), slot, s.metrics.shard)
+			conn := shard.NewHTTPClient(st.addrs[slot*r+rep])
+			st.conns = append(st.conns, conn)
+			cl := shard.InstrumentClient(conn, slot, s.metrics.shard)
 			reps[rep] = shard.NewRetryClient(cl, shard.RetryPolicy{
 				Timeout: s.opts.RPCTimeout,
 				Seed:    uint64(slot*r + rep + 1),
@@ -158,25 +168,37 @@ func (s *Server) startProber() {
 	}()
 }
 
-// Close stops the background prober, if any, and empties the cache, so a
-// closed server holds no index however long the *Server itself stays
-// reachable (a net/http connection goroutine can still be unwinding, with
-// the handler on its stack, after the listener's own Close has returned).
-// Safe to call repeatedly and on servers that never started a prober. It
-// waits for the snapshot reads in flight (see entryFor), not for requests:
-// one that races Close keeps the entry it resolved, and a later one builds,
-// or loads from snapshot, afresh.
+// Close stops the background prober, if any, closes the shard connections
+// ConnectShards opened, and empties the cache, so a closed server holds no
+// index and no connection however long the *Server itself stays reachable
+// (a net/http connection goroutine can still be unwinding, with the handler
+// on its stack, after the listener's own Close has returned). Safe to call
+// repeatedly and on servers that never started a prober. It waits for the
+// snapshot reads in flight (see entryFor), not for requests: one that races
+// Close keeps the entry it resolved, and a later one builds, or loads from
+// snapshot, afresh; a shard call that races it closes its connection when
+// it ends.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.proberStop != nil {
 			close(s.proberStop)
 			<-s.proberDone
 		}
+		if s.sharded != nil {
+			s.sharded.close()
+		}
 	})
 	s.mu.Lock()
 	clear(s.entries)
 	s.mu.Unlock()
 	s.reads.Wait()
+}
+
+// close closes every shard connection.
+func (st *shardedState) close() {
+	for _, c := range st.conns {
+		c.Close()
+	}
 }
 
 // EpochInst implements engine on the coordinator's campaign mirror.

@@ -2,19 +2,49 @@ package serve
 
 import (
 	"context"
+	"maps"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/shard"
 )
 
+// shardDaemon is an adshard-equivalent daemon: a shard's handler behind a
+// test server. Close takes it down as cmd/adshard's shutdown does — the
+// shard closes the connections its coordinators upgraded, which the server
+// stops tracking once they are hijacked, and the server closes the rest.
+type shardDaemon struct {
+	*httptest.Server
+	sh *shard.Shard
+}
+
+// Close shuts the daemon down; safe to call more than once.
+func (d *shardDaemon) Close() {
+	d.sh.Close()
+	d.Server.Close()
+}
+
+// startShardDaemon serves sh until the test ends, or until the test closes
+// the daemon.
+func startShardDaemon(t *testing.T, sh *shard.Shard) *shardDaemon {
+	d := &shardDaemon{Server: httptest.NewServer(sh.Handler()), sh: sh}
+	t.Cleanup(d.Close)
+	return d
+}
+
 // shardedServer spins k adshard-equivalent HTTP shards for params and a
-// serve.Server in coordinator mode over them.
+// serve.Server in coordinator mode over them, all closed at cleanup, under
+// leakcheck.
 func shardedServer(t *testing.T, params InstanceParams, k int) (*httptest.Server, *Server) {
 	t.Helper()
+	leakcheck.Check(t)
 	roster, err := BuildDataset(params)
 	if err != nil {
 		t.Fatal(err)
@@ -30,14 +60,13 @@ func shardedServer(t *testing.T, params InstanceParams, k int) (*httptest.Server
 			t.Fatal(err)
 		}
 		sh.Dataset = shard.DatasetParams{Name: params.Dataset, Seed: params.Seed, Scale: params.Scale, NumAds: params.NumAds}
-		ts := httptest.NewServer(sh.Handler())
-		t.Cleanup(ts.Close)
-		addrs[i] = strings.TrimPrefix(ts.URL, "http://")
+		addrs[i] = strings.TrimPrefix(startShardDaemon(t, sh).URL, "http://")
 	}
 	srv := New(Options{Shards: addrs, Logf: t.Logf})
 	if err := srv.ConnectShards(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(srv.Close)
 	front := httptest.NewServer(srv.Handler())
 	t.Cleanup(front.Close)
 	return front, srv
@@ -236,5 +265,94 @@ func TestShardedMutationsDegraded(t *testing.T) {
 	unavailable := metric(t, c.front.URL, `adserver_alloc_failures_total{reason="unavailable"}`)
 	if bad != 1 || unavailable != 3 {
 		t.Errorf("failures bad_request:%d unavailable:%d, want 1 and 3", bad, unavailable)
+	}
+}
+
+// TestServerCloseReleasesShardConnections pins that Server.Close releases
+// the connections ConnectShards opened. Over HTTP — daemons behind a
+// wrapper that cannot hijack — every daemon connection reaches
+// http.StateClosed within a second. Upgraded, each daemon's frame loops end
+// (leakcheck) and its adshard_frame_connections gauge falls to 0.
+func TestServerCloseReleasesShardConnections(t *testing.T) {
+	params := InstanceParams{Dataset: "fig1", Seed: 1, Scale: 1}
+	req := AllocateRequest{InstanceParams: params}
+	for _, framed := range []bool{false, true} {
+		name := "http"
+		if framed {
+			name = "frames"
+		}
+		t.Run(name, func(t *testing.T) {
+			leakcheck.Check(t)
+			roster, err := BuildDataset(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := shard.NewPartitioner(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			states := map[net.Conn]http.ConnState{}
+			var addrs, daemons []string
+			for i := 0; i < 2; i++ {
+				sh, err := shard.NewShard(roster, 0, params.Seed, p.Range(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sh.Dataset = shard.DatasetParams{Name: params.Dataset, Seed: params.Seed, Scale: params.Scale}
+				h := sh.Handler()
+				if !framed {
+					inner := h
+					h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						inner.ServeHTTP(struct{ http.ResponseWriter }{w}, r)
+					})
+				}
+				ts := httptest.NewUnstartedServer(h)
+				ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+					mu.Lock()
+					states[c] = st
+					mu.Unlock()
+				}
+				ts.Start()
+				t.Cleanup(ts.Close)
+				t.Cleanup(sh.Close)
+				addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
+				daemons = append(daemons, ts.URL)
+			}
+			srv := New(Options{Shards: addrs, Logf: t.Logf})
+			if err := srv.ConnectShards(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			front := httptest.NewServer(srv.Handler())
+			t.Cleanup(front.Close)
+			if code := postJSON(t, front.URL+"/allocate", req, nil); code != http.StatusOK {
+				t.Fatalf("allocate: %d", code)
+			}
+			// The coordinator's connections; the scrapes below open their own.
+			mu.Lock()
+			coordinator := maps.Clone(states)
+			mu.Unlock()
+			srv.Close()
+			open := func() (n int) {
+				mu.Lock()
+				for c := range coordinator {
+					if st := states[c]; st != http.StateClosed && st != http.StateHijacked {
+						n++
+					}
+				}
+				mu.Unlock()
+				for _, d := range daemons {
+					n += int(metric(t, d, "adshard_frame_connections"))
+				}
+				return n
+			}
+			deadline := time.Now().Add(time.Second)
+			for open() > 0 && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := open(); n > 0 {
+				t.Errorf("%d daemon connections still open a second after Server.Close", n)
+			}
+		})
 	}
 }

@@ -135,11 +135,13 @@ func BenchmarkShardedAllocateStack(b *testing.B) {
 
 // BenchmarkShardedAllocateHTTP is BenchmarkShardedAllocate at K = 1 and 4
 // over the real transport: the coordinator speaks HTTPClient to httptest
-// shards, so ns/op minus the in-process number is what the wire costs —
-// codec, net/http and loopback. rpcs/op and wireKB/op (request plus reply
-// body bytes, counted at the shard listeners) say how much wire that is;
-// with every ad on one owner, K = 4 sends each per-ad round where K = 1
-// does, so the two rows differ by the run-wide rounds only.
+// shards, which upgrade its connections to frames, so ns/op minus the
+// in-process number is what the wire costs — codec, framing and loopback.
+// rpcs/op and wireKB/op (request plus reply body bytes, counted per frame
+// at the shards — the same bytes an HTTP request and reply carry) say how
+// much wire that is; with every ad on one owner, K = 4 sends each per-ad
+// round where K = 1 does, so the two rows differ by the run-wide rounds
+// only.
 func BenchmarkShardedAllocateHTTP(b *testing.B) {
 	inst := testInstance()
 	opts := testOpts()
@@ -147,14 +149,22 @@ func BenchmarkShardedAllocateHTTP(b *testing.B) {
 	for _, k := range []int{1, 4} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			var rpcs, wire atomic.Int64
-			_, clients := httpShards(b, 42, k, func(_ int, h http.Handler) http.Handler {
+			count := func(req, reply int) {
+				rpcs.Add(1)
+				wire.Add(int64(req + reply))
+			}
+			shards, clients := httpShards(b, 42, k, func(_ int, h http.Handler) http.Handler {
 				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					cw := &countingWriter{ResponseWriter: w}
 					h.ServeHTTP(cw, r)
-					rpcs.Add(1)
-					wire.Add(max(r.ContentLength, 0) + cw.n)
+					if r.URL.Path != framesPath { // frames count themselves
+						count(int(max(r.ContentLength, 0)), int(cw.n))
+					}
 				})
 			}, nil)
+			for _, s := range shards {
+				s.frameHook = count
+			}
 			coord, err := NewCoordinator(ctx, clients, Config{Roster: inst})
 			if err != nil {
 				b.Fatal(err)
@@ -182,7 +192,40 @@ func BenchmarkShardedAllocateHTTP(b *testing.B) {
 	}
 }
 
-// countingWriter counts the body bytes a handler writes.
+// BenchmarkRPCPingPong is one RPC's round trip to one daemon, per envelope:
+// a commit the shard answers from its replay cache, so the op itself costs
+// next to nothing and ns/op is the transport's — an HTTP request and reply
+// (the daemon behind hideHijack), or one frame each way.
+func BenchmarkRPCPingPong(b *testing.B) {
+	ctx := context.Background()
+	for _, env := range []struct {
+		name string
+		wrap func(int, http.Handler) http.Handler
+	}{{"http", hideHijack}, {"frame", nil}} {
+		b.Run(env.name, func(b *testing.B) {
+			_, clients := httpShards(b, 42, 1, env.wrap, nil)
+			cl := clients[0]
+			start, err := cl.Start(ctx, StartRequest{RunID: "run", Epoch: 1, Ads: []int{0}, Thetas: []int{3000}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			commit := CommitRequest{RunID: "run", Ad: 0, Node: start.Cov[0].Nodes[0], Seq: 1}
+			if _, err := cl.Commit(ctx, commit); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cl.Commit(ctx, commit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// countingWriter counts the body bytes a handler writes. Its Unwrap lets
+// the daemon reach the connection through it and upgrade.
 type countingWriter struct {
 	http.ResponseWriter
 	n int64
@@ -193,3 +236,6 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	w.n += int64(n)
 	return n, err
 }
+
+// Unwrap returns the wrapped writer (http.ResponseController).
+func (w *countingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

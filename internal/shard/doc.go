@@ -17,7 +17,8 @@
 //     any op naming an ad it does not own — over an in-process transport
 //     (LocalClient) or HTTP (HTTPClient, served by Shard.Handler via
 //     cmd/adshard: the run ops in a binary integer codec, wire.go, the
-//     lifecycle ops as JSON).
+//     lifecycle ops as JSON — one frame per op, frames.go, on every
+//     connection the daemon upgrades).
 //   - A Coordinator runs core's one greedy loop (core.AllocateOver) over a
 //     cluster backend. It learns each campaign position's stream id from
 //     the shards (Info at connect, then every AddAd reply), mirrors each

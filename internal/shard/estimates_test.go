@@ -47,6 +47,7 @@ func TestSyncEstimatesTransports(t *testing.T) {
 	}
 	ts := httptest.NewServer(shards[1].Handler())
 	defer ts.Close()
+	defer shards[1].Close()
 	clients := []Client{LocalClient{S: shards[0]}, NewHTTPClient(ts.URL)}
 
 	st := snapshotAt(t, 3)

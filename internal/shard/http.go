@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -51,13 +52,18 @@ import (
 //	POST /shard/remove  — RemoveAdRequest → MutateReply
 //	POST /shard/estimates — SyncEstimatesRequest → {}
 //	POST /shard/drain   — {} (refuse new runs from now on)
+//	GET  /shard/frames  — upgrade to framed ops (frames.go)
 //	GET  /metrics       — Prometheus text exposition
 //
-// Every route is wrapped in the obs middleware: per-endpoint request
-// metrics, X-Trace-Id extraction/echo (so a coordinator's trace id ties
-// its RPC fan-out together in the logs of every daemon), and — when
-// Shard.Logf is set — one structured key=value log line per request.
+// Every route but /shard/frames is wrapped in the obs middleware:
+// per-endpoint request metrics, X-Trace-Id extraction/echo (so a
+// coordinator's trace id ties its RPC fan-out together in the logs of every
+// daemon), and — when Shard.Logf is set — one structured key=value log line
+// per request. The upgrade sits beside the middleware, which would otherwise
+// time a whole connection as one request; its frames are metered one by
+// one into the same families, under the same labels.
 func (s *Shard) Handler() http.Handler {
+	ops := s.handlers()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", s.reg.Handler())
 	mux.Handle("/debug/traces", s.tracer.Handler())
@@ -65,30 +71,14 @@ func (s *Shard) Handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		shardWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc(opTable[opInfo].path, func(w http.ResponseWriter, r *http.Request) {
-		shardWriteJSON(w, http.StatusOK, s.Info())
-	})
-	mux.HandleFunc(opTable[opPilot].path, route(s.Pilot))
-	mux.HandleFunc(opTable[opEnsure].path, route(s.Ensure))
-	mux.HandleFunc(opTable[opStart].path, route(s.Start))
-	mux.HandleFunc(opTable[opCommit].path, route(s.Commit))
-	mux.HandleFunc(opTable[opCredit].path, route(s.Credit))
-	mux.HandleFunc(opTable[opGrow].path, route(s.Grow))
-	mux.HandleFunc(opTable[opGains].path, route(s.Gains))
-	mux.HandleFunc(opTable[opEnd].path, route(func(req endRequest) (struct{}, error) {
-		s.End(req.RunID)
-		return struct{}{}, nil
-	}))
-	mux.HandleFunc(opTable[opAddAd].path, route(s.AddAd))
-	mux.HandleFunc(opTable[opRemoveAd].path, route(s.RemoveAd))
-	mux.HandleFunc(opTable[opSyncEstimates].path, route(func(req SyncEstimatesRequest) (struct{}, error) {
-		return struct{}{}, s.SyncEstimates(req)
-	}))
-	mux.HandleFunc(drainPath, route(func(req struct{}) (struct{}, error) {
+	for o, h := range ops {
+		mux.HandleFunc(opTable[o].path, route(h))
+	}
+	mux.HandleFunc(drainPath, route(handle(func(struct{}) (struct{}, error) {
 		s.Drain()
 		return struct{}{}, nil
-	}))
-	return obs.Instrument(mux, s.httpMetrics, obs.InstrumentOptions{
+	})))
+	instrumented := obs.Instrument(mux, s.httpMetrics, obs.InstrumentOptions{
 		Component: "adshard",
 		Logf:      s.Logf,
 		// RPC routes all share the "shard" first path segment; label by the
@@ -96,6 +86,40 @@ func (s *Shard) Handler() http.Handler {
 		Endpoint: shardEndpoint,
 		Tracer:   s.tracer,
 	})
+	frames := s.newFrameServer(ops)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == framesPath {
+			frames.upgrade(w, r)
+			return
+		}
+		instrumented.ServeHTTP(w, r)
+	})
+}
+
+// handlers returns the shard's op handlers, one per opTable row: the one
+// body of each op, which the HTTP routes and the frame loop both call.
+func (s *Shard) handlers() [numOps]opHandler {
+	return [numOps]opHandler{
+		opInfo: {serve: func(_, dst []byte) (int, []byte) {
+			return http.StatusOK, appendJSON(dst, s.Info())
+		}},
+		opPilot:  handle(s.Pilot),
+		opEnsure: handle(s.Ensure),
+		opStart:  handle(s.Start),
+		opCommit: handle(s.Commit),
+		opCredit: handle(s.Credit),
+		opGrow:   handle(s.Grow),
+		opGains:  handle(s.Gains),
+		opEnd: handle(func(req endRequest) (struct{}, error) {
+			s.End(req.RunID)
+			return struct{}{}, nil
+		}),
+		opAddAd:    handle(s.AddAd),
+		opRemoveAd: handle(s.RemoveAd),
+		opSyncEstimates: handle(func(req SyncEstimatesRequest) (struct{}, error) {
+			return struct{}{}, s.SyncEstimates(req)
+		}),
+	}
 }
 
 // shardEndpoint maps a daemon route onto its metric label: the mux pattern
@@ -213,57 +237,87 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// route adapts one shard operation into a POST handler. Its format follows
-// from the request type by the rule HTTPClient.do applies on the other end:
-// a run op — one whose request is a wireMessage — speaks the binary codec of
-// wire.go, every other op JSON. The body is read whole into a pooled buffer,
-// and a binary reply is appended into the same buffer and written with its
-// Content-Length. Errors keep one JSON body and status mapping on every
-// route.
-func route[Req, Reply any](fn func(Req) (Reply, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			shardWriteJSON(w, http.StatusMethodNotAllowed, shardErrorBody{Error: "use POST"})
-			return
-		}
+// opHandler is one op's daemon half, whichever envelope carried it: serve
+// decodes a request body, runs the op and appends the reply body to dst,
+// returning its status. dst may share body's array: a request is decoded
+// whole (decoders copy what they keep) before any reply byte is written.
+// limit caps the request body; 0 marks the op that takes none (info, a GET
+// over HTTP). wire says the op speaks the binary codec of wire.go.
+type opHandler struct {
+	limit int64
+	wire  bool
+	serve func(body, dst []byte) (status int, reply []byte)
+}
+
+// handle makes fn an opHandler. Its format follows from the request type by
+// the rule HTTPClient applies on the other end: a run op — one whose request
+// is a wireMessage — speaks the binary codec of wire.go, every other op
+// JSON. A failure's body is {"error": …} in either case, under statusOf's
+// status.
+func handle[Req, Reply any](fn func(Req) (Reply, error)) opHandler {
+	var probe Req
+	_, wire := any(&probe).(wireMessage)
+	limit := int64(maxLifecycleBody)
+	if wire {
+		limit = maxRunBody
+	}
+	return opHandler{limit: limit, wire: wire, serve: func(body, dst []byte) (int, []byte) {
 		var req Req
-		m, wire := any(&req).(wireMessage)
-		limit := int64(maxLifecycleBody)
-		if wire {
-			limit = maxRunBody
-		}
-		bp := bodyBufs.Get().(*[]byte)
-		buf, err := readBody(http.MaxBytesReader(w, r.Body, limit), *bp)
-		defer func() { putBodyBuf(bp, buf) }()
-		switch {
-		case err != nil:
-		case wire:
-			err = m.decodeWire(buf)
-		default:
-			err = json.NewDecoder(bytes.NewReader(buf)).Decode(&req)
+		var err error
+		if m, ok := any(&req).(wireMessage); ok {
+			err = m.decodeWire(body)
+		} else {
+			err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
 		}
 		if err != nil {
 			msg := fmt.Sprintf("bad request body: %v", err)
-			if wire && len(buf) > 0 && buf[0] == '{' {
+			if wire && len(body) > 0 && body[0] == '{' {
 				// No negotiation: a mixed-version cluster fails here, on its
 				// first pilot, and should be told why.
 				msg += " (this route speaks the binary run-op codec, not JSON: coordinator and shard must be the same version)"
 			}
-			shardWriteJSON(w, http.StatusBadRequest, shardErrorBody{Error: msg})
-			return
+			return http.StatusBadRequest, appendJSON(dst, shardErrorBody{Error: msg})
 		}
 		reply, err := fn(req)
 		if err != nil {
-			shardWriteJSON(w, statusOf(err), shardErrorBody{Error: err.Error()})
-			return
+			return statusOf(err), appendJSON(dst, shardErrorBody{Error: err.Error()})
 		}
-		if !wire {
-			shardWriteJSON(w, http.StatusOK, reply)
-			return
+		if wire {
+			return http.StatusOK, any(&reply).(wireMessage).appendWire(dst)
 		}
-		buf = any(&reply).(wireMessage).appendWire(buf[:0])
-		w.Header().Set("Content-Type", wireContentType)
+		return http.StatusOK, appendJSON(dst, reply)
+	}}
+}
+
+// route serves one op over HTTP: a POST whose body is read whole into a
+// pooled buffer (any method for the bodiless info), answered from the same
+// buffer with its Content-Length.
+func route(h opHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		bp := bodyBufs.Get().(*[]byte)
+		buf := (*bp)[:0]
+		defer func() { putBodyBuf(bp, buf) }()
+		status := http.StatusOK
+		switch {
+		case h.limit == 0:
+			status, buf = h.serve(nil, buf)
+		case r.Method != http.MethodPost:
+			status, buf = http.StatusMethodNotAllowed, appendJSON(buf, shardErrorBody{Error: "use POST"})
+		default:
+			var err error
+			if buf, err = readBody(http.MaxBytesReader(w, r.Body, h.limit), buf); err != nil {
+				status, buf = http.StatusBadRequest, appendJSON(buf[:0], shardErrorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+			} else {
+				status, buf = h.serve(buf, buf[:0])
+			}
+		}
+		contentType := "application/json"
+		if h.wire && status == http.StatusOK {
+			contentType = wireContentType
+		}
+		w.Header().Set("Content-Type", contentType)
 		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+		w.WriteHeader(status)
 		w.Write(buf)
 	}
 }
@@ -274,9 +328,17 @@ const wireContentType = "application/octet-stream"
 func shardWriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	w.Write(appendJSON(nil, v))
+}
+
+// appendJSON appends v's JSON encoding and a newline to dst, HTML left
+// unescaped.
+func appendJSON(dst []byte, v any) []byte {
+	b := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(b)
 	enc.SetEscapeHTML(false)
 	enc.Encode(v)
+	return b.Bytes()
 }
 
 // drainPath is the one /shard/ route that is not a Client op (those are in
@@ -287,17 +349,23 @@ const drainPath = "/shard/drain"
 // HTTP/1.1 client of its own: an RPC takes a held connection (or dials
 // one), writes its whole request with one Write and reads the reply on the
 // caller's goroutine, so a call hands nothing to another goroutine and
-// builds no request, header or body-reader values. Shard daemons are
-// dialled directly; no proxy is consulted.
+// builds no request, header or body-reader values. Each connection it dials
+// asks the daemon to upgrade it to framed ops (frames.go); from then on
+// every op on it is one frame each way. A daemon that answers the upgrade
+// with anything but 101 — an older build, or one behind a wrapper that
+// cannot hand over its connections — is spoken to over HTTP from then on,
+// without asking again. Shard daemons are dialled directly; no proxy is
+// consulted.
 type HTTPClient struct {
 	typedClient // every op through roundTrip
 
 	// base is the daemon's "scheme://host" (for messages), addr its dial
 	// address, host its Host header, and paths each op's request target
-	// (drain the drain route's), all fixed at construction.
+	// (paths[opDrain] the drain route's, frames the upgrade's), all fixed at
+	// construction.
 	base, addr, host string
-	paths            [numOps]string
-	drain            string
+	paths            [numOps + 1]string
+	frames           string
 	// tls marks an https:// daemon, dialled under tlsConfig; nil is the
 	// default configuration, which trusts the system roots.
 	tls       bool
@@ -305,13 +373,34 @@ type HTTPClient struct {
 	// addrErr is why the address did not parse; every call returns it.
 	addrErr error
 
+	// envelope is what the daemon answered the upgrade: envelopeUnknown
+	// until a dial has asked, then envelopeFrames or, for good,
+	// envelopeHTTP. probe is held by the dial that asks, so a client asks
+	// one daemon that refuses only once.
+	envelope atomic.Uint32
+	probe    sync.Mutex
+
 	mu sync.Mutex
 	// idle holds the connections no call is using, the most recently used
 	// last. One client talks to one daemon, and a daemon holds at most
 	// maxOpenRuns runs, each issuing its RPCs one at a time — so that many
 	// is what full load keeps busy, and what the pool keeps.
 	idle []*httpConn
+	// closed is set by Close: a connection a call gives back is closed,
+	// not held.
+	closed bool
 }
+
+// The envelope a client speaks to its daemon.
+const (
+	envelopeUnknown = iota
+	envelopeFrames
+	envelopeHTTP
+)
+
+// opDrain is Drain's index into HTTPClient.paths: the drain route is not a
+// Client op, and it always travels over HTTP.
+const opDrain = numOps
 
 const (
 	// maxIdleTime is how long a held connection may sit idle; a checkout
@@ -319,12 +408,16 @@ const (
 	maxIdleTime = 90 * time.Second
 	// maxErrorBody is how much of an error reply's body is kept.
 	maxErrorBody = 16 << 10
+	// closeWait bounds how long Close waits for daemons to close their end
+	// of its upgraded connections.
+	closeWait = time.Second
 )
 
 // NewHTTPClient creates a client for a shard daemon at addr
 // ("host:port" or a full http:// or https:// base URL). An RPC is bounded
 // only by its caller's context: the retry layer (NewRetryClient) sets a
-// per-attempt, per-op deadline on every call a coordinator makes.
+// per-attempt, per-op deadline on every call a coordinator makes. Close
+// releases the connections it holds.
 func NewHTTPClient(addr string) *HTTPClient {
 	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
 		addr = "http://" + addr
@@ -351,29 +444,59 @@ func NewHTTPClient(addr string) *HTTPClient {
 	for o, row := range opTable {
 		c.paths[o] = prefix + row.path
 	}
-	c.drain = prefix + drainPath
+	c.paths[opDrain] = prefix + drainPath
+	c.frames = prefix + framesPath
 	return c
 }
 
-// roundTrip sends one op: GET for info, the binary codec of wire.go when
-// the request is a wireMessage (the rule route applies on the daemon), JSON
-// otherwise.
+// Close closes every connection the client holds. An upgraded connection
+// is half-closed first and closes once the daemon has closed its end, within
+// closeWait: the daemon's frame loop for it, which keeps the daemon's shard
+// reachable, is then on its way out rather than waiting for its next
+// frame. A call still
+// running closes its connection when it ends instead of handing it back; a
+// later call dials afresh, and closes that connection too.
+func (c *HTTPClient) Close() error {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	until := time.Now().Add(closeWait)
+	var ending []*httpConn
+	for _, cn := range idle {
+		if hc, ok := cn.Conn.(interface{ CloseWrite() error }); ok && cn.framed && hc.CloseWrite() == nil {
+			cn.SetReadDeadline(until)
+			ending = append(ending, cn)
+			continue
+		}
+		cn.Close()
+	}
+	for _, cn := range ending {
+		cn.br.WriteTo(io.Discard) // to the daemon's close, or the deadline
+		cn.Close()
+	}
+	return nil
+}
+
+// roundTrip sends one op: the binary codec of wire.go when the request is
+// a wireMessage (the rule handle applies on the daemon), JSON otherwise.
 func (c *HTTPClient) roundTrip(ctx context.Context, o op, req, reply any) error {
-	return c.do(ctx, c.paths[o], req, reply)
+	return c.do(ctx, o, req, reply)
 }
 
 // Drain asks the daemon to refuse new runs (not part of the coordinator's
-// Client surface — an operator action).
+// Client surface — an operator action). It goes over HTTP, on a connection
+// of its own.
 func (c *HTTPClient) Drain(ctx context.Context) error {
-	return c.do(ctx, c.drain, struct{}{}, nil)
+	return c.do(ctx, opDrain, struct{}{}, nil)
 }
 
-// do sends one request to path with in as its body — a GET with none when
-// in is nil (the info route), a POST otherwise — and decodes the reply body
-// into out in the format in was sent in; a nil out is not decoded. The body
-// is encoded into a pooled buffer and copied behind the request head; the
+// do sends op o with in as its body — none when in is nil (info, a GET over
+// HTTP) — and decodes the reply body into out in the format in was sent in;
+// a nil out is not decoded. The body is encoded into a pooled buffer and
+// copied into the connection's envelope, a frame or an HTTP request; the
 // reply is then read into the same buffer and decoded from it.
-func (c *HTTPClient) do(ctx context.Context, path string, in, out any) error {
+func (c *HTTPClient) do(ctx context.Context, o op, in, out any) error {
 	if c.addrErr != nil {
 		return c.addrErr
 	}
@@ -392,14 +515,20 @@ func (c *HTTPClient) do(ctx context.Context, path string, in, out any) error {
 		}
 		buf, contentType = append(buf[:0], body...), "application/json"
 	}
-	cn, reused, err := c.conn(ctx)
-	if err != nil {
-		return c.fail(ctx, path, err)
+	var cn *httpConn
+	var reused bool
+	var err error
+	if o == opDrain {
+		cn, err = c.dial(ctx)
+	} else {
+		cn, reused, err = c.conn(ctx)
 	}
-	cn.wbuf = c.appendRequest(ctx, cn.wbuf[:0], path, contentType, buf)
-	status, buf, err := c.send(ctx, cn, reused, buf[:0])
 	if err != nil {
-		return c.fail(ctx, path, err)
+		return c.fail(ctx, o, err)
+	}
+	status, buf, err := c.send(ctx, cn, reused, o, contentType, buf)
+	if err != nil {
+		return c.fail(ctx, o, err)
 	}
 	if status != http.StatusOK {
 		var eb shardErrorBody
@@ -415,6 +544,17 @@ func (c *HTTPClient) do(ctx context.Context, path string, in, out any) error {
 		return out.(wireMessage).decodeWire(buf)
 	}
 	return json.Unmarshal(buf, out)
+}
+
+// wrap puts op o's body into cn's request buffer in cn's envelope: a frame
+// on an upgraded connection, an HTTP request (GET when contentType is
+// empty) on any other.
+func (c *HTTPClient) wrap(ctx context.Context, cn *httpConn, o op, contentType string, body []byte) {
+	if cn.framed {
+		cn.wbuf = appendFrame(ctx, cn.wbuf[:0], o, body)
+		return
+	}
+	cn.wbuf = c.appendRequest(ctx, cn.wbuf[:0], c.paths[o], contentType, body)
 }
 
 // appendRequest appends one request to b: the request line (GET when there
@@ -444,10 +584,8 @@ func (c *HTTPClient) appendRequest(ctx context.Context, b []byte, path, contentT
 // control character would end the head early, so it is left out: trace
 // propagation is best effort and never fails an RPC.
 func appendHeader(b []byte, key, value string) []byte {
-	for i := 0; i < len(value); i++ {
-		if ch := value[i]; ch < ' ' && ch != '\t' || ch == 0x7f {
-			return b
-		}
+	if !printable(value) {
+		return b
 	}
 	b = append(b, key...)
 	b = append(b, ": "...)
@@ -455,17 +593,27 @@ func appendHeader(b []byte, key, value string) []byte {
 	return append(b, "\r\n"...)
 }
 
+// printable reports whether s holds no control character.
+func printable(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if ch := s[i]; ch < ' ' && ch != '\t' || ch == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
 // fail names the route an exchange failed on. Once ctx is done, or the
 // deadline it set on the connection has passed, the error is ctx's, so
 // Classify buckets it as a timeout (retryable) or a cancellation
 // (terminal) whatever the connection reported.
-func (c *HTTPClient) fail(ctx context.Context, path string, err error) error {
+func (c *HTTPClient) fail(ctx context.Context, o op, err error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		err = cerr
 	} else if errors.Is(err, os.ErrDeadlineExceeded) {
 		err = context.DeadlineExceeded
 	}
-	return fmt.Errorf("shard: %s%s: %w", c.base, path, err)
+	return fmt.Errorf("shard: %s%s: %w", c.base, c.paths[o], err)
 }
 
 // httpConn is one held connection: its reader, the buffer its requests
@@ -475,15 +623,18 @@ type httpConn struct {
 	br     *bufio.Reader
 	wbuf   []byte
 	idleAt time.Time
+	// framed marks a connection the daemon upgraded: its ops travel as
+	// frames (frames.go), not HTTP requests.
+	framed bool
 	// expire sets a deadline in the past, failing any read or write in
 	// flight; context.AfterFunc runs it when a call's ctx is cancelled.
 	expire func()
 }
 
-// conn checks out the most recently used idle connection, or dials one when
-// none is idle; reused reports which. The pool is LIFO, so when its top
-// connection has idled past maxIdleTime every one under it has too, and
-// all of them are closed.
+// conn checks out the most recently used idle connection, or connects one
+// when none is idle; reused reports which. The pool is LIFO, so when its
+// top connection has idled past maxIdleTime every one under it has too,
+// and all of them are closed.
 func (c *HTTPClient) conn(ctx context.Context) (cn *httpConn, reused bool, err error) {
 	var stale []*httpConn
 	c.mu.Lock()
@@ -503,8 +654,44 @@ func (c *HTTPClient) conn(ctx context.Context) (cn *httpConn, reused bool, err e
 	if cn != nil {
 		return cn, true, nil
 	}
-	cn, err = c.dial(ctx)
+	cn, err = c.connect(ctx)
 	return cn, false, err
+}
+
+// connect dials a connection and, unless the daemon has refused before,
+// upgrades it (frames.go). A 101 makes it framed. Any other answer makes
+// this client speak HTTP from then on: the connection carries on as an HTTP
+// one when the answer left it usable, else a fresh one is dialled. A failed
+// handshake is a failed dial.
+func (c *HTTPClient) connect(ctx context.Context) (*httpConn, error) {
+	cn, err := c.dial(ctx)
+	if err != nil || c.envelope.Load() == envelopeHTTP {
+		return cn, err
+	}
+	if c.envelope.Load() == envelopeUnknown {
+		c.probe.Lock()
+		defer c.probe.Unlock()
+		if c.envelope.Load() == envelopeHTTP {
+			return cn, nil
+		}
+	}
+	cn.wbuf = c.appendUpgrade(cn.wbuf[:0])
+	status, _, _, reusable, err := cn.exchange(ctx, nil)
+	if err != nil {
+		cn.Close()
+		return nil, err
+	}
+	if status == http.StatusSwitchingProtocols {
+		cn.framed = true
+		c.envelope.Store(envelopeFrames)
+		return cn, nil
+	}
+	c.envelope.Store(envelopeHTTP)
+	if reusable {
+		return cn, nil
+	}
+	cn.Close()
+	return c.dial(ctx)
 }
 
 // dial opens a connection to the daemon, through TLS for an https:// one.
@@ -525,15 +712,16 @@ func (c *HTTPClient) dial(ctx context.Context) (*httpConn, error) {
 }
 
 // put returns a connection whose last exchange completed to the pool, or
-// closes it when the pool already holds maxOpenRuns. As with bodyBufs, an
-// outsized request does not pin its buffer for the connection's life.
+// closes it when the pool already holds maxOpenRuns or the client is
+// closed. As with bodyBufs, an outsized request does not pin its buffer for
+// the connection's life.
 func (c *HTTPClient) put(cn *httpConn) {
 	if cap(cn.wbuf) > maxPooledBody {
 		cn.wbuf = nil
 	}
 	cn.idleAt = time.Now()
 	c.mu.Lock()
-	held := len(c.idle) < maxOpenRuns
+	held := !c.closed && len(c.idle) < maxOpenRuns
 	if held {
 		c.idle = append(c.idle, cn)
 	}
@@ -543,42 +731,44 @@ func (c *HTTPClient) put(cn *httpConn) {
 	}
 }
 
-// send runs the request in cn's buffer, reads the reply body into dst, and
-// then pools cn or closes it. It resends at most once, on a fresh dial, and
-// only a request that went out on a reused connection and failed before the
-// first reply byte: that is how a connection the daemon closed while it sat
-// idle (a restart, Shutdown) shows itself, since nothing watches a held
-// connection. A failure after a reply began, on a fresh connection, or once
-// ctx has ended is returned as it is. DESIGN.md §7.3 says why no op can
-// apply twice under this rule.
-func (c *HTTPClient) send(ctx context.Context, cn *httpConn, reused bool, dst []byte) (int, []byte, error) {
-	status, body, replied, reusable, err := cn.exchange(ctx, dst)
+// send runs op o on cn with body, reads the reply body into body's own
+// array, and then pools cn or closes it (a drain's always). It resends at
+// most once, on a fresh connection, and only a request that went out on a
+// reused connection and failed before the first reply byte: that is how a
+// connection the daemon closed while it sat idle (a restart, Shutdown,
+// Shard.Close) shows itself, since nothing watches a held connection. No
+// reply byte means body is still intact. A failure after a reply began, on
+// a fresh connection, or once ctx has ended is returned as it is. DESIGN.md
+// §7.3 says why no op can apply twice under this rule.
+func (c *HTTPClient) send(ctx context.Context, cn *httpConn, reused bool, o op, contentType string, body []byte) (int, []byte, error) {
+	c.wrap(ctx, cn, o, contentType, body)
+	status, reply, replied, reusable, err := cn.exchange(ctx, body[:0])
 	if err != nil && !replied && reused && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-		next, derr := c.dial(ctx)
-		if derr != nil {
-			cn.Close()
-			return 0, body, derr
-		}
-		// The request moves to the fresh connection with its buffer.
-		next.wbuf, cn.wbuf = cn.wbuf, next.wbuf
+		next, derr := c.connect(ctx)
 		cn.Close()
+		if derr != nil {
+			return 0, reply, derr
+		}
 		cn = next
-		status, body, _, reusable, err = cn.exchange(ctx, dst)
+		c.wrap(ctx, cn, o, contentType, body)
+		status, reply, _, reusable, err = cn.exchange(ctx, body[:0])
 	}
-	if reusable {
+	if reusable && o != opDrain {
 		c.put(cn)
 	} else {
 		cn.Close()
 	}
-	return status, body, err
+	return status, reply, err
 }
 
 // exchange writes the request in cn.wbuf and reads the reply to its end,
 // appending the body to dst (only its first maxErrorBody bytes when the
-// status is not 200). ctx's deadline is the connection's, and ctx's
-// cancellation expires the connection at once. replied reports whether any
-// reply byte arrived, reusable whether the connection may carry another
-// request: not after a failure, a cancellation, or a reply that ends it.
+// status is not 200). A 101 ends the reply at its head: the connection
+// speaks frames from the next byte. ctx's deadline is the connection's,
+// and ctx's cancellation expires the connection at once. replied reports
+// whether any reply byte arrived, reusable whether the connection may carry
+// another request: not after a failure, a cancellation, or a reply that
+// ends it.
 func (cn *httpConn) exchange(ctx context.Context, dst []byte) (status int, body []byte, replied, reusable bool, err error) {
 	deadline, _ := ctx.Deadline()
 	cn.SetDeadline(deadline)
@@ -596,9 +786,16 @@ func (cn *httpConn) exchange(ctx context.Context, dst []byte) (status int, body 
 	if _, err = cn.br.Peek(1); err != nil {
 		return 0, dst, false, false, err
 	}
+	if cn.framed {
+		status, body, err = cn.readFrameReply(dst)
+		return status, body, true, err == nil, err
+	}
 	h, err := cn.readHead()
 	if err != nil {
 		return 0, dst, true, false, err
+	}
+	if h.status == http.StatusSwitchingProtocols {
+		return h.status, dst, true, true, nil
 	}
 	keep := math.MaxInt
 	if h.status != http.StatusOK {
@@ -623,7 +820,7 @@ type replyHead struct {
 var errMalformed = errors.New("shard: malformed HTTP reply")
 
 // readHead reads a reply's status line and header, skipping interim (1xx)
-// replies. Only the framing headers are read; the others are skipped.
+// replies other than 101, which ends an upgrade's. Only the framing headers are read; the others are skipped.
 func (cn *httpConn) readHead() (replyHead, error) {
 	for {
 		line, err := cn.line()
@@ -665,7 +862,7 @@ func (cn *httpConn) readHead() (replyHead, error) {
 				h.close = h.close || headerIs(value, "close")
 			}
 		}
-		if h.status < 200 {
+		if h.status < 200 && h.status != http.StatusSwitchingProtocols {
 			continue
 		}
 		if h.status == http.StatusNoContent || h.status == http.StatusNotModified {
@@ -728,6 +925,13 @@ func (cn *httpConn) readBody(h replyHead, dst []byte, keep int) ([]byte, error) 
 // fewer than keep and discarding the rest. It returns io.EOF if the
 // connection ends first.
 func (cn *httpConn) take(dst []byte, n int64, keep int) ([]byte, error) {
+	return take(cn.br, dst, n, keep)
+}
+
+// take reads the next n bytes of br, appending them to dst while it holds
+// fewer than keep and discarding the rest. dst grows as bytes arrive, never
+// ahead of them.
+func take(br *bufio.Reader, dst []byte, n int64, keep int) ([]byte, error) {
 	for n > 0 && len(dst) < keep {
 		if len(dst) == cap(dst) {
 			dst = append(dst, 0)[:len(dst)]
@@ -736,14 +940,14 @@ func (cn *httpConn) take(dst []byte, n int64, keep int) ([]byte, error) {
 		if int64(len(room)) > n {
 			room = room[:n]
 		}
-		r, err := cn.br.Read(room)
+		r, err := br.Read(room)
 		dst, n = dst[:len(dst)+r], n-int64(r)
 		if err != nil {
 			return dst, err
 		}
 	}
 	for n > 0 {
-		d, err := cn.br.Discard(int(min(n, 64<<10)))
+		d, err := br.Discard(int(min(n, 64<<10)))
 		n -= int64(d)
 		if err != nil {
 			return dst, err

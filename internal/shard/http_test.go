@@ -2,6 +2,8 @@
 // equivalence with the in-process transport over one scripted run, error
 // identity across both body formats, replay determinism on the wire,
 // connection reuse, the resend rule, deadlines and cancellation, and TLS.
+// Each runs over the HTTP envelope; its framed twin is here when it shares
+// the body, in frames_test.go when it needs a daemon of its own.
 
 package shard
 
@@ -28,9 +30,11 @@ import (
 
 // httpShards builds k shards of testInstance, each behind its own httptest
 // server, and returns them with one HTTPClient per shard. wrap, when
-// non-nil, decorates shard i's handler; connState, when non-nil, observes
-// shard i's connections. It runs under leakcheck: the caller fails if the
-// servers or clients leave a goroutine behind once the servers close.
+// non-nil, decorates shard i's handler (hideHijack keeps its clients on
+// HTTP; unwrapped, they upgrade to frames); connState, when non-nil,
+// observes shard i's connections. It runs under leakcheck: the caller fails
+// if the servers or clients leave a goroutine behind once the servers and
+// shards close.
 func httpShards(tb testing.TB, seed uint64, k int, wrap func(i int, h http.Handler) http.Handler, connState func(i int, st http.ConnState)) ([]*Shard, []Client) {
 	tb.Helper()
 	leakcheck.Check(tb)
@@ -55,15 +59,33 @@ func httpShards(tb testing.TB, seed uint64, k int, wrap func(i int, h http.Handl
 		}
 		ts.Start()
 		tb.Cleanup(ts.Close)
+		tb.Cleanup(s.Close)
 		shards[i], clients[i] = s, NewHTTPClient(ts.URL)
 	}
 	return shards, clients
 }
 
+// hideHijack serves h behind a ResponseWriter with neither Hijack nor
+// Unwrap — the shape of a byte-counting wrapper — so the daemon cannot
+// upgrade a connection and its clients speak HTTP.
+func hideHijack(_ int, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(struct{ http.ResponseWriter }{w}, r)
+	})
+}
+
 // TestHTTPTransportEquivalence replays one scripted run that hits every op
-// against twin shards — one behind LocalClient, one behind HTTPClient — and
-// requires every reply equal field for field.
-func TestHTTPTransportEquivalence(t *testing.T) {
+// against twin shards — one behind LocalClient, one behind HTTPClient over
+// HTTP — and requires every reply equal field for field.
+func TestHTTPTransportEquivalence(t *testing.T) { testTransportEquivalence(t, hideHijack) }
+
+// TestFrameTransportEquivalence is TestHTTPTransportEquivalence over an
+// upgraded connection: every op, and every error, as a frame.
+func TestFrameTransportEquivalence(t *testing.T) { testTransportEquivalence(t, nil) }
+
+// testTransportEquivalence runs the scripted run against a daemon behind
+// wrap (httpShards).
+func testTransportEquivalence(t *testing.T, wrap func(int, http.Handler) http.Handler) {
 	const seed = 42
 	ctx := context.Background()
 	p, err := NewPartitioner(1)
@@ -75,7 +97,7 @@ func TestHTTPTransportEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := Client(LocalClient{S: twin})
-	_, remotes := httpShards(t, seed, 1, nil, nil)
+	_, remotes := httpShards(t, seed, 1, wrap, nil)
 	remote := remotes[0]
 
 	// same runs one op on both transports and compares the replies while
@@ -247,8 +269,8 @@ func TestHTTPErrorIdentity(t *testing.T) {
 	var failing atomic.Pointer[error] // what both stub routes answer with
 	fail := func() error { return *failing.Load() }
 	mux := http.NewServeMux()
-	mux.HandleFunc(opTable[opCommit].path, route(func(CommitRequest) (CommitReply, error) { return CommitReply{}, fail() }))
-	mux.HandleFunc(opTable[opEnsure].path, route(func(EnsureRequest) (EnsureReply, error) { return EnsureReply{}, fail() }))
+	mux.HandleFunc(opTable[opCommit].path, route(handle(func(CommitRequest) (CommitReply, error) { return CommitReply{}, fail() })))
+	mux.HandleFunc(opTable[opEnsure].path, route(handle(func(EnsureRequest) (EnsureReply, error) { return EnsureReply{}, fail() })))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	cl := NewHTTPClient(ts.URL)
@@ -309,7 +331,16 @@ func TestHTTPErrorIdentity(t *testing.T) {
 // shard rides one connection, and concurrent allocations keep theirs
 // between waves. (Replies read short of EOF cost a connection each:
 // hundreds for the same traffic.)
-func TestHTTPConnectionReuse(t *testing.T) {
+func TestHTTPConnectionReuse(t *testing.T) { testConnectionReuse(t, hideHijack) }
+
+// TestFrameConnectionReuse is TestHTTPConnectionReuse over upgraded
+// connections: the upgrade is the connection's first exchange, so the
+// counts are the same.
+func TestFrameConnectionReuse(t *testing.T) { testConnectionReuse(t, nil) }
+
+// testConnectionReuse runs the connection-reuse checks against daemons
+// behind wrap (httpShards).
+func testConnectionReuse(t *testing.T, wrap func(int, http.Handler) http.Handler) {
 	const k = 2
 	// Half of the ten ads: half the rounds, the same mix of RPCs and a start
 	// reply still too large for net/http to send unchunked on its own.
@@ -317,7 +348,7 @@ func TestHTTPConnectionReuse(t *testing.T) {
 	ctx := context.Background()
 	cluster := func() (*Coordinator, func(i int) int64) {
 		var opened [k]atomic.Int64
-		_, clients := httpShards(t, 42, k, nil, func(i int, st http.ConnState) {
+		_, clients := httpShards(t, 42, k, wrap, func(i int, st http.ConnState) {
 			if st == http.StateNew {
 				opened[i].Add(1)
 			}
@@ -406,6 +437,26 @@ func countingServer(t *testing.T, h http.Handler) (*httptest.Server, *atomic.Int
 // once, on a fresh dial — so the commit succeeds, and the shard applies it
 // exactly once.
 func TestHTTPResendOnClosedIdleConnection(t *testing.T) {
+	testResendOnClosedIdle(t, true, func(ts *httptest.Server, _ *Shard) { ts.CloseClientConnections() })
+}
+
+// TestFrameResendOnClosedIdleConnection is its framed twin: the daemon
+// closes its upgraded connection between frames, the client sends the
+// commit again on a fresh dial, which upgrades again.
+func TestFrameResendOnClosedIdleConnection(t *testing.T) {
+	testResendOnClosedIdle(t, false, func(_ *httptest.Server, s *Shard) {
+		s.frames.mu.Lock()
+		defer s.frames.mu.Unlock()
+		for c := range s.frames.busyOf {
+			c.Close()
+		}
+	})
+}
+
+// testResendOnClosedIdle runs the resend-on-closed-idle check against a
+// shard behind hideHijack (overHTTP) or upgrading; closeHeld closes the
+// daemon's side of the connection the client holds.
+func testResendOnClosedIdle(t *testing.T, overHTTP bool, closeHeld func(*httptest.Server, *Shard)) {
 	leakcheck.Check(t)
 	ctx := context.Background()
 	p, err := NewPartitioner(1)
@@ -416,7 +467,12 @@ func TestHTTPResendOnClosedIdleConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, opened := countingServer(t, s.Handler())
+	h := s.Handler()
+	if overHTTP {
+		h = hideHijack(0, h)
+	}
+	ts, opened := countingServer(t, h)
+	t.Cleanup(s.Close)
 	cl := NewHTTPClient(ts.URL)
 	start, err := cl.Start(ctx, StartRequest{RunID: "run", Epoch: 1, Ads: []int{0}, Thetas: []int{3000}})
 	if err != nil {
@@ -426,7 +482,7 @@ func TestHTTPResendOnClosedIdleConnection(t *testing.T) {
 	if _, err := cl.Commit(ctx, CommitRequest{RunID: "run", Ad: 0, Node: nodes[0], Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	ts.CloseClientConnections()
+	closeHeld(ts, s)
 	if _, err := cl.Commit(ctx, CommitRequest{RunID: "run", Ad: 0, Node: nodes[len(nodes)-1], Seq: 2}); err != nil {
 		t.Fatalf("commit after the daemon closed the held connection: %v", err)
 	}
@@ -435,6 +491,13 @@ func TestHTTPResendOnClosedIdleConnection(t *testing.T) {
 	}
 	if got := opened.Load(); got != 2 {
 		t.Errorf("daemon accepted %d connections, want 2 (the held one, then one redial)", got)
+	}
+	want := uint32(envelopeFrames)
+	if overHTTP {
+		want = envelopeHTTP
+	}
+	if got := cl.envelope.Load(); got != want {
+		t.Errorf("client envelope %d, want %d", got, want)
 	}
 }
 
@@ -573,7 +636,14 @@ func TestHTTPDeadlineAndCancel(t *testing.T) {
 // TestHTTPSParity serves K = 2 shards over TLS and over plain HTTP. An
 // https:// client that trusts the test certificate reads the same Info and
 // allocates the same bytes; one on the default roots is refused.
-func TestHTTPSParity(t *testing.T) {
+func TestHTTPSParity(t *testing.T) { testTLSParity(t, hideHijack) }
+
+// TestFramesOverTLS is TestHTTPSParity over upgraded connections: Hijack
+// hands the daemon the tls.Conn, and frames travel inside TLS.
+func TestFramesOverTLS(t *testing.T) { testTLSParity(t, nil) }
+
+// testTLSParity runs the TLS parity check against daemons behind wrap.
+func testTLSParity(t *testing.T, wrap func(int, http.Handler) http.Handler) {
 	leakcheck.Check(t)
 	const seed, k = 42, 2
 	ctx := context.Background()
@@ -589,7 +659,12 @@ func TestHTTPSParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewUnstartedServer(s.Handler())
+			t.Cleanup(s.Close)
+			h := s.Handler()
+			if wrap != nil {
+				h = wrap(i, h)
+			}
+			ts := httptest.NewUnstartedServer(h)
 			if !overTLS {
 				ts.Start()
 				t.Cleanup(ts.Close)
@@ -644,4 +719,13 @@ func TestHTTPSParity(t *testing.T) {
 		return res
 	}
 	mustEqualResults(t, "https K=2", inst, req, allocate(plain), allocate(secure))
+	want := uint32(envelopeFrames)
+	if wrap != nil {
+		want = envelopeHTTP
+	}
+	for _, cl := range append(plain, secure...) {
+		if got := cl.(*HTTPClient).envelope.Load(); got != want {
+			t.Errorf("%s: envelope %d, want %d", cl.(*HTTPClient).base, got, want)
+		}
+	}
 }

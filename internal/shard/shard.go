@@ -59,6 +59,11 @@ type Shard struct {
 	// the run and taking its opMu: the window in which the run can be
 	// retired under the op.
 	opHook func()
+	// frames tracks the connections Handler upgraded to framed ops
+	// (frames.go); Close ends them. frameHook, when set (tests only), sees
+	// each frame's request and reply body sizes.
+	frames    frameConns
+	frameHook func(req, reply int)
 
 	// estMu guards est, the latest bandit estimator snapshot broadcast by
 	// the coordinator (see SyncEstimates). Separate from mu: estimator
@@ -287,6 +292,9 @@ func (s *Shard) registerMetrics() {
 			defer s.mu.Unlock()
 			return float64(len(s.runs))
 		})
+	reg.GaugeFunc("adshard_frame_connections",
+		"Coordinator connections upgraded to framed ops and not yet closed.",
+		func() float64 { return float64(s.frames.open()) })
 	s.runsOpened = reg.Counter("adshard_runs_opened_total",
 		"Selection runs opened on this shard over its lifetime.")
 	s.commits = reg.Counter("adshard_commits_total",
