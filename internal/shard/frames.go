@@ -116,7 +116,7 @@ func (cn *httpConn) readFrameReply(dst []byte) (int, []byte, error) {
 	if status != http.StatusOK {
 		keep = maxErrorBody
 	}
-	dst, err = cn.take(dst, int64(n)-2, keep)
+	dst, err = take(cn.br, dst, int64(n)-2, keep)
 	return status, dst, unexpectedEOF(err)
 }
 

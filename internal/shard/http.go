@@ -8,8 +8,11 @@
 // unknown run, 412 bad sequence, 503 draining) and back, and every other
 // non-200 decodes into a typed RPCError carrying the status, so retry
 // classification is transport-blind; an error's body is {"error": …} on
-// every route. The daemon serves with net/http; the coordinator's client
-// (HTTPClient) writes and reads HTTP/1.1 itself on connections it holds.
+// every route. The daemon serves with net/http. The coordinator's client
+// (HTTPClient) holds its own connections, writes each request on one of
+// them itself and reads the reply with net/http's parser. Each connection
+// it dials asks to upgrade to frames (frames.go), so HTTP carries its ops
+// only to a daemon that cannot hand over its connections.
 
 package shard
 
@@ -219,8 +222,8 @@ func putBodyBuf(bp *[]byte, b []byte) {
 }
 
 // readBody appends r to buf until EOF — io.ReadAll over a caller-owned
-// buffer. Reading a request body to EOF is also what lets net/http's
-// server reuse the connection.
+// buffer. Reading a body to EOF is also what lets either end reuse the
+// connection.
 func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
@@ -345,13 +348,13 @@ func appendJSON(dst []byte, v any) []byte {
 // opTable): an operator action.
 const drainPath = "/shard/drain"
 
-// HTTPClient speaks the shard protocol to a remote shard daemon. It is an
-// HTTP/1.1 client of its own: an RPC takes a held connection (or dials
-// one), writes its whole request with one Write and reads the reply on the
+// HTTPClient speaks the shard protocol to a remote shard daemon. It holds
+// its own connections: an RPC takes a held connection (or dials one),
+// writes its whole request with one Write and reads the reply on the
 // caller's goroutine, so a call hands nothing to another goroutine and
-// builds no request, header or body-reader values. Each connection it dials
-// asks the daemon to upgrade it to framed ops (frames.go); from then on
-// every op on it is one frame each way. A daemon that answers the upgrade
+// builds no request value. Each connection it dials asks the daemon to
+// upgrade it to framed ops (frames.go); from then on every op on it is one
+// frame each way. A daemon that answers the upgrade
 // with anything but 101 — an older build, or one behind a wrapper that
 // cannot hand over its connections — is spoken to over HTTP from then on,
 // without asking again. Shard daemons are dialled directly; no proxy is
@@ -361,10 +364,9 @@ type HTTPClient struct {
 
 	// base is the daemon's "scheme://host" (for messages), addr its dial
 	// address, host its Host header, and paths each op's request target
-	// (paths[opDrain] the drain route's, frames the upgrade's), all fixed at
-	// construction.
+	// (frames the upgrade's), all fixed at construction.
 	base, addr, host string
-	paths            [numOps + 1]string
+	paths            [numOps]string
 	frames           string
 	// tls marks an https:// daemon, dialled under tlsConfig; nil is the
 	// default configuration, which trusts the system roots.
@@ -398,16 +400,16 @@ const (
 	envelopeHTTP
 )
 
-// opDrain is Drain's index into HTTPClient.paths: the drain route is not a
-// Client op, and it always travels over HTTP.
-const opDrain = numOps
-
 const (
 	// maxIdleTime is how long a held connection may sit idle; a checkout
 	// closes an older one instead of using it.
 	maxIdleTime = 90 * time.Second
 	// maxErrorBody is how much of an error reply's body is kept.
 	maxErrorBody = 16 << 10
+	// maxReplyHead bounds what a daemon can make the client read for one
+	// HTTP reply's head — its status line, header and any interim replies —
+	// beyond the reader's first fill.
+	maxReplyHead = 64 << 10
 	// closeWait bounds how long Close waits for daemons to close their end
 	// of its upgraded connections.
 	closeWait = time.Second
@@ -444,7 +446,6 @@ func NewHTTPClient(addr string) *HTTPClient {
 	for o, row := range opTable {
 		c.paths[o] = prefix + row.path
 	}
-	c.paths[opDrain] = prefix + drainPath
 	c.frames = prefix + framesPath
 	return c
 }
@@ -484,13 +485,6 @@ func (c *HTTPClient) roundTrip(ctx context.Context, o op, req, reply any) error 
 	return c.do(ctx, o, req, reply)
 }
 
-// Drain asks the daemon to refuse new runs (not part of the coordinator's
-// Client surface — an operator action). It goes over HTTP, on a connection
-// of its own.
-func (c *HTTPClient) Drain(ctx context.Context) error {
-	return c.do(ctx, opDrain, struct{}{}, nil)
-}
-
 // do sends op o with in as its body — none when in is nil (info, a GET over
 // HTTP) — and decodes the reply body into out in the format in was sent in;
 // a nil out is not decoded. The body is encoded into a pooled buffer and
@@ -515,14 +509,7 @@ func (c *HTTPClient) do(ctx context.Context, o op, in, out any) error {
 		}
 		buf, contentType = append(buf[:0], body...), "application/json"
 	}
-	var cn *httpConn
-	var reused bool
-	var err error
-	if o == opDrain {
-		cn, err = c.dial(ctx)
-	} else {
-		cn, reused, err = c.conn(ctx)
-	}
+	cn, reused, err := c.conn(ctx)
 	if err != nil {
 		return c.fail(ctx, o, err)
 	}
@@ -620,7 +607,10 @@ func (c *HTTPClient) fail(ctx context.Context, o op, err error) error {
 // are assembled in, and when it last went idle.
 type httpConn struct {
 	net.Conn
-	br     *bufio.Reader
+	br *bufio.Reader
+	// head is the reader under br. It passes any number of bytes, except
+	// while an HTTP reply's head is read, when it passes maxReplyHead.
+	head   io.LimitedReader
 	wbuf   []byte
 	idleAt time.Time
 	// framed marks a connection the daemon upgraded: its ops travel as
@@ -708,7 +698,9 @@ func (c *HTTPClient) dial(ctx context.Context) (*httpConn, error) {
 		return nil, err
 	}
 	past := time.Unix(1, 0)
-	return &httpConn{Conn: nc, br: bufio.NewReader(nc), expire: func() { nc.SetDeadline(past) }}, nil
+	cn := &httpConn{Conn: nc, head: io.LimitedReader{R: nc, N: math.MaxInt64}, expire: func() { nc.SetDeadline(past) }}
+	cn.br = bufio.NewReader(&cn.head)
+	return cn, nil
 }
 
 // put returns a connection whose last exchange completed to the pool, or
@@ -732,9 +724,9 @@ func (c *HTTPClient) put(cn *httpConn) {
 }
 
 // send runs op o on cn with body, reads the reply body into body's own
-// array, and then pools cn or closes it (a drain's always). It resends at
-// most once, on a fresh connection, and only a request that went out on a
-// reused connection and failed before the first reply byte: that is how a
+// array, and then pools cn or closes it. It resends at most once, on a
+// fresh connection, and only a request that went out on a reused
+// connection and failed before the first reply byte: that is how a
 // connection the daemon closed while it sat idle (a restart, Shutdown,
 // Shard.Close) shows itself, since nothing watches a held connection. No
 // reply byte means body is still intact. A failure after a reply began, on
@@ -753,7 +745,7 @@ func (c *HTTPClient) send(ctx context.Context, cn *httpConn, reused bool, o op, 
 		c.wrap(ctx, cn, o, contentType, body)
 		status, reply, _, reusable, err = cn.exchange(ctx, body[:0])
 	}
-	if reusable && o != opDrain {
+	if reusable {
 		c.put(cn)
 	} else {
 		cn.Close()
@@ -790,142 +782,45 @@ func (cn *httpConn) exchange(ctx context.Context, dst []byte) (status int, body 
 		status, body, err = cn.readFrameReply(dst)
 		return status, body, true, err == nil, err
 	}
-	h, err := cn.readHead()
+	resp, err := cn.readResponse()
 	if err != nil {
 		return 0, dst, true, false, err
 	}
-	if h.status == http.StatusSwitchingProtocols {
-		return h.status, dst, true, true, nil
+	if resp.StatusCode == http.StatusSwitchingProtocols {
+		return resp.StatusCode, dst, true, true, nil
 	}
-	keep := math.MaxInt
-	if h.status != http.StatusOK {
+	keep := int64(math.MaxInt64)
+	if resp.StatusCode != http.StatusOK {
 		keep = maxErrorBody
 	}
-	body, err = cn.readBody(h, dst, keep)
-	return h.status, body, true, err == nil && !h.close, err
+	body, err = readBody(io.LimitReader(resp.Body, keep), dst)
+	// Close reads the rest of the body, so the next reply starts in place.
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	return resp.StatusCode, body, true, err == nil && !resp.Close, err
 }
 
-// replyHead is what a reply's status line and header say about it.
-type replyHead struct {
-	status int
-	// length is the body's Content-Length, -1 when the header gives none.
-	length  int64
-	chunked bool
-	// close says the connection ends with this reply: the daemon said so,
-	// spoke HTTP/1.0, or framed the body by closing the connection.
-	close bool
-}
+// errLongHead reports a reply head past maxReplyHead.
+var errLongHead = errors.New("shard: reply head too long")
 
-// errMalformed reports a reply this client cannot read as HTTP/1.x.
-var errMalformed = errors.New("shard: malformed HTTP reply")
-
-// readHead reads a reply's status line and header, skipping interim (1xx)
-// replies other than 101, which ends an upgrade's. Only the framing headers are read; the others are skipped.
-func (cn *httpConn) readHead() (replyHead, error) {
+// readResponse reads a reply's status line and header under maxReplyHead,
+// skipping interim (1xx) replies other than 101, which ends an upgrade's.
+func (cn *httpConn) readResponse() (*http.Response, error) {
+	cn.head.N = maxReplyHead
+	defer func() { cn.head.N = math.MaxInt64 }()
 	for {
-		line, err := cn.line()
+		resp, err := http.ReadResponse(cn.br, nil)
 		if err != nil {
-			return replyHead{}, err
-		}
-		// "HTTP/1.x NNN reason"
-		if len(line) < 12 || string(line[:7]) != "HTTP/1." || line[8] != ' ' || len(line) > 12 && line[12] != ' ' {
-			return replyHead{}, errMalformed
-		}
-		status, ok := parseUint(line[9:12], 10)
-		if !ok {
-			return replyHead{}, errMalformed
-		}
-		h := replyHead{status: int(status), length: -1, close: line[7] == '0'}
-		for {
-			if line, err = cn.line(); err != nil {
-				return h, err
+			if cn.head.N <= 0 {
+				err = errLongHead
 			}
-			if len(line) == 0 {
-				break
-			}
-			i := bytes.IndexByte(line, ':')
-			if i < 0 {
-				return h, errMalformed
-			}
-			name, value := line[:i], bytes.TrimSpace(line[i+1:])
-			switch {
-			case headerIs(name, "Content-Length"):
-				if h.length, ok = parseUint(value, 10); !ok {
-					return h, errMalformed
-				}
-			case headerIs(name, "Transfer-Encoding"):
-				if !headerIs(value, "chunked") {
-					return h, errMalformed
-				}
-				h.chunked = true
-			case headerIs(name, "Connection"):
-				h.close = h.close || headerIs(value, "close")
-			}
+			return nil, err
 		}
-		if h.status < 200 && h.status != http.StatusSwitchingProtocols {
-			continue
-		}
-		if h.status == http.StatusNoContent || h.status == http.StatusNotModified {
-			h.length, h.chunked = 0, false
-		}
-		h.close = h.close || !h.chunked && h.length < 0
-		return h, nil
-	}
-}
-
-// readBody reads the body h frames to its end, appending up to keep bytes
-// of it to dst and discarding the rest.
-func (cn *httpConn) readBody(h replyHead, dst []byte, keep int) ([]byte, error) {
-	switch {
-	case h.length >= 0 && !h.chunked:
-		dst, err := cn.take(dst, h.length, keep)
-		return dst, unexpectedEOF(err)
-	case !h.chunked:
-		// No length: the body ends with the connection.
-		dst, err := cn.take(dst, math.MaxInt64, keep)
-		if err == io.EOF {
-			err = nil
-		}
-		return dst, err
-	}
-	for {
-		line, err := cn.line()
-		if err != nil {
-			return dst, err
-		}
-		if i := bytes.IndexByte(line, ';'); i >= 0 {
-			line = line[:i] // a chunk extension
-		}
-		size, ok := parseUint(bytes.TrimSpace(line), 16)
-		if !ok {
-			return dst, errMalformed
-		}
-		if size == 0 {
-			break
-		}
-		if dst, err = cn.take(dst, size, keep); err != nil {
-			return dst, unexpectedEOF(err)
-		}
-		if line, err = cn.line(); err != nil {
-			return dst, err
-		}
-		if len(line) != 0 {
-			return dst, errMalformed
+		if resp.StatusCode >= http.StatusOK || resp.StatusCode == http.StatusSwitchingProtocols {
+			return resp, nil
 		}
 	}
-	for { // the trailer, up to its empty line
-		line, err := cn.line()
-		if err != nil || len(line) == 0 {
-			return dst, err
-		}
-	}
-}
-
-// take reads the next n body bytes, appending them to dst while it holds
-// fewer than keep and discarding the rest. It returns io.EOF if the
-// connection ends first.
-func (cn *httpConn) take(dst []byte, n int64, keep int) ([]byte, error) {
-	return take(cn.br, dst, n, keep)
 }
 
 // take reads the next n bytes of br, appending them to dst while it holds
@@ -956,23 +851,6 @@ func take(br *bufio.Reader, dst []byte, n int64, keep int) ([]byte, error) {
 	return dst, nil
 }
 
-// line reads one header or chunk line without its line ending. It aliases
-// the reader's buffer until the next read.
-func (cn *httpConn) line() ([]byte, error) {
-	line, err := cn.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		return nil, errMalformed
-	}
-	if err != nil {
-		return nil, unexpectedEOF(err)
-	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
-
 // unexpectedEOF is err, except that a connection ending mid-reply is
 // io.ErrUnexpectedEOF.
 func unexpectedEOF(err error) error {
@@ -980,16 +858,4 @@ func unexpectedEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// headerIs reports whether b is s, ignoring ASCII case.
-func headerIs(b []byte, s string) bool {
-	return len(b) == len(s) && strings.EqualFold(string(b), s)
-}
-
-// parseUint parses a status code or a Content-Length (base 10) or a chunk
-// size (base 16) into an int64.
-func parseUint(b []byte, base int) (int64, bool) {
-	n, err := strconv.ParseUint(string(b), base, 63)
-	return int64(n), err == nil
 }

@@ -13,12 +13,14 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,8 +344,7 @@ func TestFrameConnectionReuse(t *testing.T) { testConnectionReuse(t, nil) }
 // behind wrap (httpShards).
 func testConnectionReuse(t *testing.T, wrap func(int, http.Handler) http.Handler) {
 	const k = 2
-	// Half of the ten ads: half the rounds, the same mix of RPCs and a start
-	// reply still too large for net/http to send unchunked on its own.
+	// Half of the ten ads: half the rounds and the same mix of RPCs.
 	req := core.Request{Opts: testOpts(), Ads: []int{0, 1, 2, 3, 4}}
 	ctx := context.Background()
 	cluster := func() (*Coordinator, func(i int) int64) {
@@ -569,6 +570,93 @@ func TestHTTPResendRule(t *testing.T) {
 		if n := len(cl.idle); n != 0 {
 			t.Errorf("%s: %d broken connections went back to the pool", tc.name, n)
 		}
+	}
+}
+
+// TestHTTPReplyFraming pins how the client reads an HTTP reply framed in
+// any way HTTP/1.1 allows, which the daemon's own routes (always a
+// Content-Length) never show it: a chunked body, one ended by the
+// connection's close, one behind an interim 100 Continue, and an error body
+// past maxErrorBody, cut to it. A connection goes back to the pool only if
+// its reply left it open, and a head past the client's budget fails the
+// call. Every client first asks to upgrade and is refused with Connection:
+// close, so it dials again and speaks HTTP. The stub writes each reply raw.
+func TestHTTPReplyFraming(t *testing.T) {
+	leakcheck.Check(t)
+	var reply atomic.Value // the string the stub answers Info with
+	answer := func(w http.ResponseWriter, raw string) {
+		conn, bw, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		bw.WriteString(raw)
+		bw.Flush()
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc(framesPath, func(w http.ResponseWriter, _ *http.Request) {
+		answer(w, "HTTP/1.1 404 Not Found\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")
+	})
+	mux.HandleFunc(opTable[opInfo].path, func(w http.ResponseWriter, _ *http.Request) {
+		answer(w, reply.Load().(string))
+	})
+	ts, opened := countingServer(t, mux)
+
+	const info = `{"shard":1,"numShards":3}`
+	sized := func(head, body string) string {
+		return fmt.Sprintf("%sContent-Length: %d\r\n\r\n%s", head, len(body), body)
+	}
+	decodes := func(t *testing.T, got ShardInfo, err error) {
+		if err != nil || got.Shard != 1 || got.NumShards != 3 {
+			t.Errorf("Info = %+v, %v; want shard 1 of 3", got, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		raw    string
+		pooled bool
+		check  func(t *testing.T, got ShardInfo, err error)
+	}{
+		{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +
+			fmt.Sprintf("%x\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n", 10, info[:10], len(info)-10, info[10:]),
+			true, decodes},
+		{"HTTP/1.0 close-delimited", "HTTP/1.0 200 OK\r\n\r\n" + info, false, decodes},
+		{"Connection: close", sized("HTTP/1.1 200 OK\r\nConnection: close\r\n", info), false, decodes},
+		{"interim 100 Continue", "HTTP/1.1 100 Continue\r\n\r\n" + sized("HTTP/1.1 200 OK\r\n", info), true, decodes},
+		{"502 past maxErrorBody", sized("HTTP/1.1 502 Bad Gateway\r\n", `{"error":"`+strings.Repeat("x", 20<<10)+`"}`), true,
+			func(t *testing.T, _ ShardInfo, err error) {
+				var re *RPCError
+				if !errors.As(err, &re) || re.Status != http.StatusBadGateway || len(re.Msg) != maxErrorBody {
+					t.Errorf("err = %v; want an RPCError 502 with a %d-byte message", err, maxErrorBody)
+				}
+			}},
+		{"1 MB header line", sized("HTTP/1.1 200 OK\r\nX-Pad: "+strings.Repeat("a", 1<<20)+"\r\n", info), false,
+			func(t *testing.T, got ShardInfo, err error) {
+				if err == nil {
+					t.Errorf("Info = %+v; want the call failed", got)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			reply.Store(tc.raw)
+			before := opened.Load()
+			cl := NewHTTPClient(ts.URL)
+			defer cl.Close()
+			got, err := cl.Info(ctx)
+			tc.check(t, got, err)
+			if pooled := len(cl.idle) == 1; pooled != tc.pooled {
+				t.Errorf("connection pooled: %v, want %v", pooled, tc.pooled)
+			}
+			if n := opened.Load() - before; n != 2 {
+				t.Errorf("daemon accepted %d connections, want 2 (the refused upgrade, then one redial)", n)
+			}
+			if got := cl.envelope.Load(); got != envelopeHTTP {
+				t.Errorf("client envelope %d, want %d (HTTP)", got, envelopeHTTP)
+			}
+		})
 	}
 }
 
