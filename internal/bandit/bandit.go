@@ -95,10 +95,9 @@ type Cell struct {
 	Clicks int64 `json:"clicks"`
 }
 
-// State is a complete, integer-only estimator snapshot. It is the wire
-// format the coordinator broadcasts to shards and the payload
-// Snapshot/Restore round-trip exactly: counts and the fixed-point
-// exploration constant carry no floats, so two replicas restoring the
+// State is a complete, integer-only estimator snapshot: the payload
+// Snapshot/Restore round-trip exactly. Counts and the fixed-point
+// exploration constant carry no floats, so two estimators restoring the
 // same State produce bit-identical indexes forever after.
 type State struct {
 	// Policy is the index policy ("ucb", "thompson", or "frozen").

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bandit"
 	"repro/internal/core"
 	"repro/internal/rrset"
 )
@@ -95,9 +94,6 @@ func (e *entry) AddAd(_ context.Context, _ core.AdSpec, ad core.Ad, opts core.TI
 
 // RemoveAd implements engine.
 func (e *entry) RemoveAd(_ context.Context, pos int) error { return e.idx.RemoveAd(pos) }
-
-// SyncEstimates implements engine: the sample has no other holder.
-func (e *entry) SyncEstimates(context.Context, bandit.Estimator) (bool, error) { return false, nil }
 
 // MemBytes implements engine.
 func (e *entry) MemBytes() int64 { return e.idx.MemBytes() }

@@ -170,9 +170,6 @@ type engine interface {
 	AddAd(ctx context.Context, spec core.AdSpec, ad core.Ad, opts core.TIRMOptions) (int, error)
 	// RemoveAd retires the ad at position pos.
 	RemoveAd(ctx context.Context, pos int) error
-	// SyncEstimates pushes est's state to every other holder of the
-	// sample; synced reports that there are such holders and all took it.
-	SyncEstimates(ctx context.Context, est bandit.Estimator) (synced bool, err error)
 	// MemBytes is the stored sample's footprint.
 	MemBytes() int64
 	// upstream reports whether the engine's errors, stale epochs aside,

@@ -15,11 +15,9 @@
 // concurrent batches commute and a serial replay of the same events
 // reproduces the exact estimator state regardless of arrival order.
 //
-// The estimator lives on the serving host. When the sample has other
-// holders (coordinator mode), its integer snapshot is broadcast to every
-// shard after each batch (engine.SyncEstimates); shards ignore snapshots
-// that do not advance the event total, so delayed rebroadcasts cannot roll
-// them back.
+// The estimator lives on the serving host and nowhere else: revenue, the
+// one thing the CPEs feed, is computed here in both modes, so /feedback
+// makes no shard RPC and answers alike in both.
 
 package serve
 
@@ -66,14 +64,10 @@ type AdEstimate struct {
 
 // FeedbackResponse is POST /feedback's result: the estimator's policy and
 // lifetime event total, plus one estimate line per current campaign ad.
-// Synced appears only in coordinator mode and reports whether the
-// post-batch snapshot broadcast reached every shard (a false heals on the
-// next batch — snapshots carry cumulative counts).
 type FeedbackResponse struct {
 	Key    string       `json:"key"`
 	Policy string       `json:"policy"`
 	Events int64        `json:"events"`
-	Synced bool         `json:"synced,omitempty"`
 	Ads    []AdEstimate `json:"ads"`
 }
 
@@ -149,17 +143,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.feedbackUpdates.Inc()
-	// Broadcast outside estMu: a slow shard must never stall the next
-	// feedback batch or a bandit allocation's override read. A failed
-	// broadcast degrades to host-only state and heals on the next batch
-	// (snapshots are cumulative and shards ignore non-advancing ones).
-	synced, err := t.SyncEstimates(r.Context(), est)
-	if err != nil {
-		s.opts.Logf("serve: estimator broadcast failed (heals on next batch): %v", err)
-	}
 	_, inst := t.EpochInst()
 	resp := feedbackResponse(t.key, est, inst)
-	resp.Synced = synced
 	s.metrics.recordFeedback(len(req.Events), resp.Ads)
 	writeJSON(w, http.StatusOK, resp)
 }

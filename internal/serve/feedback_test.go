@@ -201,9 +201,9 @@ func TestFeedbackPolicyLifecycle(t *testing.T) {
 }
 
 // TestShardedFeedbackMatchesSingleNode drives /feedback and a bandit
-// /allocate through a 2-shard coordinator: the learned allocation is
-// byte-identical to single-node serving of the same events, and the
-// post-batch snapshot broadcast lands the estimator on every shard.
+// /allocate through a 2-shard coordinator: the feedback reply is the
+// single node's to the field, and the learned allocation is byte-identical
+// to single-node serving of the same events.
 func TestShardedFeedbackMatchesSingleNode(t *testing.T) {
 	params := InstanceParams{Dataset: "fig1", Seed: 1, Scale: 0.05}
 	req := AllocateRequest{
@@ -214,9 +214,10 @@ func TestShardedFeedbackMatchesSingleNode(t *testing.T) {
 	events := feedbackEvents([]string{"a", "b", "c", "d"})
 
 	single := testServer(t, Options{})
+	var wantFB FeedbackResponse
 	if code := postJSON(t, single.URL+"/feedback", FeedbackRequest{
 		InstanceParams: params, Events: events,
-	}, nil); code != http.StatusOK {
+	}, &wantFB); code != http.StatusOK {
 		t.Fatalf("single-node feedback: %d", code)
 	}
 	var want AllocateResponse
@@ -231,8 +232,8 @@ func TestShardedFeedbackMatchesSingleNode(t *testing.T) {
 	}, &fb); code != http.StatusOK {
 		t.Fatalf("sharded feedback: %d", code)
 	}
-	if !fb.Synced {
-		t.Error("feedback reply reports failed shard broadcast")
+	if !reflect.DeepEqual(wantFB, fb) {
+		t.Errorf("sharded feedback reply diverged\n want %+v\n  got %+v", wantFB, fb)
 	}
 	var got AllocateResponse
 	if code := postJSON(t, front.URL+"/allocate", req, &got); code != http.StatusOK {
@@ -242,7 +243,7 @@ func TestShardedFeedbackMatchesSingleNode(t *testing.T) {
 		t.Errorf("sharded bandit allocation diverged\n want %v\n  got %v", want.Seeds, got.Seeds)
 	}
 
-	// The broadcast snapshot is on the host estimator's exact state.
+	// The estimator on the host holds every event.
 	srv.sharded.estMu.Lock()
 	hostSnap := srv.sharded.est.Snapshot()
 	srv.sharded.estMu.Unlock()

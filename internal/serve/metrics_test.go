@@ -58,6 +58,24 @@ func metric(t *testing.T, url, sample string) uint64 {
 	return 0
 }
 
+// sumSamples returns the sum of every labelled sample of one counter family
+// in an exposition body.
+func sumSamples(t *testing.T, body, family string) (sum uint64) {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if !strings.HasPrefix(line, family+"{") {
+			continue
+		}
+		_, v, _ := strings.Cut(line, "} ")
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		sum += n
+	}
+	return sum
+}
+
 // TestMetricsEndpoint drives one successful and one rejected allocation
 // through a single-node server and checks the /metrics surface: the
 // exposition parses (TYPE lines, monotone cumulative buckets, +Inf ==
@@ -275,21 +293,26 @@ func TestShardedTracePropagation(t *testing.T) {
 		}
 	}
 
-	// The lifecycle fan-outs — ensure from POST /ads, end after every run,
-	// syncEstimates from /feedback — reach the shards but are not rounds.
+	// The lifecycle fan-outs — ensure from POST /ads, end after every run —
+	// reach the shards but are not rounds. /feedback reaches none: the
+	// estimator lives on the serving host alone.
 	add := AddAdRequest{InstanceParams: params, Ad: NewAdSpec{Name: "promo", Budget: 4, CPE: 1, CTP: 0.5}}
 	if code := postJSON(t, c.front.URL+"/ads", add, nil); code != http.StatusOK {
 		t.Fatalf("add ad: %d", code)
 	}
+	body = scrapeMetrics(t, c.front.URL)
+	for _, op := range []string{"ensure", "end"} {
+		if !strings.Contains(body, `adserver_shard_rpcs_total{op="`+op+`",shard="0",outcome="ok"}`) {
+			t.Errorf("coordinator sent no %s", op)
+		}
+	}
+	rpcs := sumSamples(t, body, "adserver_shard_rpcs_total")
 	feedback := FeedbackRequest{InstanceParams: params, Events: feedbackEvents([]string{"a", "b", "c", "d"})}
 	if code := postJSON(t, c.front.URL+"/feedback", feedback, nil); code != http.StatusOK {
 		t.Fatalf("feedback: %d", code)
 	}
-	body = scrapeMetrics(t, c.front.URL)
-	for _, op := range []string{"ensure", "end", "syncEstimates"} {
-		if !strings.Contains(body, `adserver_shard_rpcs_total{op="`+op+`",shard="0",outcome="ok"}`) {
-			t.Errorf("coordinator sent no %s", op)
-		}
+	if n := sumSamples(t, scrapeMetrics(t, c.front.URL), "adserver_shard_rpcs_total") - rpcs; n != 0 {
+		t.Errorf("/feedback sent %d shard RPCs, want 0", n)
 	}
 	for _, line := range strings.Split(body, "\n") {
 		rest, ok := strings.CutPrefix(line, `adserver_coordinator_round_seconds_count{phase="`)

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bandit"
 	"repro/internal/core"
 	"repro/internal/shard"
 )
@@ -223,13 +222,6 @@ func (st *shardedState) AddAd(ctx context.Context, spec core.AdSpec, _ core.Ad, 
 // RemoveAd implements engine by lockstep broadcast.
 func (st *shardedState) RemoveAd(ctx context.Context, pos int) error {
 	return st.coord.RemoveAd(ctx, pos)
-}
-
-// SyncEstimates implements engine: est's integer snapshot goes to every
-// shard, so shard-local consumers agree with the host.
-func (st *shardedState) SyncEstimates(ctx context.Context, est bandit.Estimator) (bool, error) {
-	err := st.coord.SyncEstimates(ctx, est.Snapshot())
-	return err == nil, err
 }
 
 // MemBytes implements engine with the health-probe-refreshed cluster sum,

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bandit"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rrset"
@@ -239,9 +238,8 @@ func (c *Coordinator) SetsSampled(ctx context.Context) (int64, error) {
 // A run op — one whose request is a wireMessage, the test that also picks
 // its binary codec — is one round of the greedy loop: a "round.<op>" span
 // parents its RPCs, and with metrics on, its wall time lands in
-// coordinator_round_seconds{phase=<op>}. The other ops (ensure, end,
-// syncEstimates) are lifecycle traffic — once per mutation, run or
-// feedback batch — and are not rounds.
+// coordinator_round_seconds{phase=<op>}. The other ops (ensure, end) are
+// lifecycle traffic — once per warm-up or run — and are not rounds.
 func gather[Reply any](ctx context.Context, c *Coordinator, o op, reqs []any, replies []Reply) error {
 	var req any
 	for _, req = range reqs {
@@ -596,20 +594,4 @@ func (c *Coordinator) mutate(ctx context.Context, o op, req any) (MutateReply, e
 		}
 	}
 	return first, nil
-}
-
-// SyncEstimates broadcasts a bandit estimator snapshot to every shard,
-// concurrently, so sharded allocation and any shard-local consumer see
-// the same integer estimate table. Unlike campaign mutations it carries
-// no epoch pin — estimator state is name-keyed and epoch-free — so a
-// failed shard can simply be retried with the next (monotone) snapshot.
-func (c *Coordinator) SyncEstimates(ctx context.Context, st bandit.State) error {
-	reqs := make([]any, len(c.clients))
-	for k := range reqs {
-		reqs[k] = &SyncEstimatesRequest{State: st}
-	}
-	if err := gather[struct{}](ctx, c, opSyncEstimates, reqs, nil); err != nil {
-		return fmt.Errorf("shard: sync estimates: %w", err)
-	}
-	return nil
 }

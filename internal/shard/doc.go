@@ -37,11 +37,13 @@
 // Every quantity that crosses the wire is an integer (set counts, widths,
 // coverage counts, sparse decrement vectors); all floating-point
 // arithmetic — KPT, marginal gains, regret drops — happens in that one
-// loop, on the coordinator. Together with the counter collection reusing
-// the exact candidate-heap code of rrset.Collection, that makes the
-// coordinator's allocation byte-identical to core.AllocateFromIndex on a
-// single-node index at any K and over either transport (pinned by the
-// golden tests).
+// loop, on the coordinator. Revenue, the one thing an ad's CPE feeds, is
+// computed there too, so a shard holds no bandit state: the online CPE
+// estimator (internal/bandit) lives on the serving host alone. Together
+// with the counter collection reusing the exact candidate-heap code of
+// rrset.Collection, that makes the coordinator's allocation byte-identical
+// to core.AllocateFromIndex on a single-node index at any K and over
+// either transport (pinned by the golden tests).
 // The one unsupported mode is SoftCoverage: its weighted masses are
 // floats, and the coordinator's mirror holds integer counts only.
 //

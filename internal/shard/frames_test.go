@@ -48,7 +48,6 @@ func stubOps(fail func() error) [numOps]opHandler {
 		opRemoveAd: handle(func(RemoveAdRequest) (MutateReply, error) {
 			return MutateReply{}, fail()
 		}),
-		opSyncEstimates: handle(func(SyncEstimatesRequest) (struct{}, error) { return struct{}{}, fail() }),
 	}
 }
 

@@ -53,7 +53,6 @@ import (
 //	POST /shard/end     — {"runId": …}  → {}
 //	POST /shard/ads     — AddAdRequest  → MutateReply
 //	POST /shard/remove  — RemoveAdRequest → MutateReply
-//	POST /shard/estimates — SyncEstimatesRequest → {}
 //	POST /shard/drain   — {} (refuse new runs from now on)
 //	GET  /shard/frames  — upgrade to framed ops (frames.go)
 //	GET  /metrics       — Prometheus text exposition
@@ -119,9 +118,6 @@ func (s *Shard) handlers() [numOps]opHandler {
 		}),
 		opAddAd:    handle(s.AddAd),
 		opRemoveAd: handle(s.RemoveAd),
-		opSyncEstimates: handle(func(req SyncEstimatesRequest) (struct{}, error) {
-			return struct{}{}, s.SyncEstimates(req)
-		}),
 	}
 }
 
@@ -198,8 +194,7 @@ func errOf(status int, msg string) error {
 
 // Request body caps, per route family. A run op's request is a run id, a
 // few scalars and at most one list of ad positions or frontier nodes; a
-// lifecycle request is at most an estimator snapshot (cells per ad and
-// bucket) or an ad spec.
+// lifecycle request is at most an ad spec.
 const (
 	maxRunBody       = 1 << 20
 	maxLifecycleBody = 8 << 20

@@ -817,3 +817,39 @@ func testTLSParity(t *testing.T, wrap func(int, http.Handler) http.Handler) {
 		}
 	}
 }
+
+// TestDaemonHasNoEstimatesRoute pins the version-skew behaviour of the
+// retired estimator push: a shard holds no bandit state, so an older
+// coordinator's POST /shard/estimates meets a 404, and the deprecated
+// Client.SyncEstimates opens no connection at all.
+func TestDaemonHasNoEstimatesRoute(t *testing.T) {
+	p, err := NewPartitioner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewShard(testInstance(), 0, 7, p.Range(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts, opened := countingServer(t, s.Handler())
+	resp, err := http.Post(ts.URL+"/shard/estimates", "application/json", strings.NewReader(`{"state":{"events":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /shard/estimates = %d, want 404", resp.StatusCode)
+	}
+
+	cl := NewHTTPClient(ts.URL)
+	defer cl.Close()
+	before := opened.Load()
+	if err := cl.SyncEstimates(context.Background(), SyncEstimatesRequest{}); err != nil {
+		t.Fatalf("SyncEstimates = %v, want nil", err)
+	}
+	if n := opened.Load() - before; n != 0 {
+		t.Fatalf("SyncEstimates opened %d connections, want 0", n)
+	}
+}

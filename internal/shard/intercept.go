@@ -1,13 +1,13 @@
 // One body per client. Every Client in this package but LocalClient is a
 // roundTrip over the op — HTTPClient picks the route's format, ReplicaSet
 // the op's replica rule, intercepted hands the call to a decorator — and
-// typedClient writes the twelve typed Client methods once over it. call
+// typedClient writes the eleven typed Client methods once over it. call
 // dispatches one op to any Client: straight through when the client has a
 // roundTrip, through its typed method when it does not (LocalClient, a test
 // fake, a client from outside the package). A decorator that treats every
 // op alike — metering (InstrumentClient), deadlines and retries
 // (NewRetryClient), fault injection (NewFaultClient) — is a function around
-// the call, not twelve methods: it supplies `around` and intercepted does
+// the call, not eleven methods: it supplies `around` and intercepted does
 // the forwarding.
 
 package shard
@@ -16,7 +16,7 @@ import "context"
 
 // roundTripper is a Client written as one body over the op. req points at
 // the op's request type (nil for info, *endRequest for end) and reply at its
-// reply type; reply is nil for the ops without one (end, syncEstimates) and
+// reply type; reply is nil for the op without one (end) and
 // whenever the caller discards it, as a replay does. The request is not
 // written after the call: a ReplicaSet logs a mutation's pointer for revives.
 // A Start, Commit/Credit or Grow reply is the caller's to keep across its
@@ -77,9 +77,7 @@ func (c typedClient) AddAd(ctx context.Context, req AddAdRequest) (MutateReply, 
 func (c typedClient) RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error) {
 	return exchange[MutateReply](ctx, c.rt, opRemoveAd, req)
 }
-func (c typedClient) SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error {
-	return c.rt.roundTrip(ctx, opSyncEstimates, &req, nil)
-}
+func (typedClient) SyncEstimates(context.Context, SyncEstimatesRequest) error { return nil }
 
 // call runs op o against cl, with req and reply as roundTrip takes them.
 func call(ctx context.Context, cl Client, o op, req, reply any) error {
@@ -116,11 +114,9 @@ func call(ctx context.Context, cl Client, o op, req, reply any) error {
 	case opAddAd:
 		v, err := cl.AddAd(ctx, *req.(*AddAdRequest))
 		return put(reply, v, err)
-	case opRemoveAd:
+	default:
 		v, err := cl.RemoveAd(ctx, *req.(*RemoveAdRequest))
 		return put(reply, v, err)
-	default:
-		return cl.SyncEstimates(ctx, *req.(*SyncEstimatesRequest))
 	}
 }
 

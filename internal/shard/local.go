@@ -68,10 +68,8 @@ func (c LocalClient) RemoveAd(_ context.Context, req RemoveAdRequest) (MutateRep
 	return c.S.RemoveAd(req)
 }
 
-// SyncEstimates implements Client.
-func (c LocalClient) SyncEstimates(_ context.Context, req SyncEstimatesRequest) error {
-	return c.S.SyncEstimates(req)
-}
+// SyncEstimates implements Client: it does nothing.
+func (LocalClient) SyncEstimates(context.Context, SyncEstimatesRequest) error { return nil }
 
 // NewLocalCluster builds K in-process shards over roster.Ads[:initialAds]
 // (0 = all) and a coordinator fronting them — the single-process form of

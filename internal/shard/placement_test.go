@@ -32,7 +32,7 @@ type routed struct {
 }
 
 // adsOf returns the ad positions a request names (nil for an op that names
-// none: info, end, the mutations, syncEstimates).
+// none: info, end, the mutations).
 func adsOf(req any) []int {
 	switch req := req.(type) {
 	case *PilotRequest:

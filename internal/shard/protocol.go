@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 
-	"repro/internal/bandit"
 	"repro/internal/core"
 )
 
@@ -53,7 +52,6 @@ const (
 	opEnd
 	opAddAd
 	opRemoveAd
-	opSyncEstimates
 	numOps
 )
 
@@ -71,18 +69,17 @@ type opRow struct {
 // under RetryPolicy.Timeout. path is the op's route on a shard daemon, under
 // its base URL (http.go).
 var opTable = [numOps]opRow{
-	opInfo:          {name: "info", path: "/shard/info"},
-	opPilot:         {name: "pilot", sampling: true, path: "/shard/pilot"},
-	opEnsure:        {name: "ensure", sampling: true, path: "/shard/ensure"},
-	opStart:         {name: "start", sampling: true, path: "/shard/start"},
-	opCommit:        {name: "commit", path: "/shard/commit"},
-	opCredit:        {name: "credit", path: "/shard/credit"},
-	opGrow:          {name: "grow", sampling: true, path: "/shard/grow"},
-	opGains:         {name: "gains", path: "/shard/gains"},
-	opEnd:           {name: "end", path: "/shard/end"},
-	opAddAd:         {name: "addAd", sampling: true, path: "/shard/ads"},
-	opRemoveAd:      {name: "removeAd", path: "/shard/remove"},
-	opSyncEstimates: {name: "syncEstimates", path: "/shard/estimates"},
+	opInfo:     {name: "info", path: "/shard/info"},
+	opPilot:    {name: "pilot", sampling: true, path: "/shard/pilot"},
+	opEnsure:   {name: "ensure", sampling: true, path: "/shard/ensure"},
+	opStart:    {name: "start", sampling: true, path: "/shard/start"},
+	opCommit:   {name: "commit", path: "/shard/commit"},
+	opCredit:   {name: "credit", path: "/shard/credit"},
+	opGrow:     {name: "grow", sampling: true, path: "/shard/grow"},
+	opGains:    {name: "gains", path: "/shard/gains"},
+	opEnd:      {name: "end", path: "/shard/end"},
+	opAddAd:    {name: "addAd", sampling: true, path: "/shard/ads"},
+	opRemoveAd: {name: "removeAd", path: "/shard/remove"},
 }
 
 // String returns the op's table name.
@@ -157,9 +154,6 @@ type ShardInfo struct {
 	// a coordinator routes every per-ad op; all shards of a cluster report
 	// the same list.
 	Streams []uint64 `json:"streams"`
-	// RosterAds is the size of the full base roster the shard was built
-	// from (campaign arrivals activate roster positions).
-	RosterAds int `json:"rosterAds"`
 	// SetsSampled counts RR-sets drawn over the shard's lifetime.
 	SetsSampled int64 `json:"setsSampled"`
 	// MemBytes is the exact footprint of the shard's stored sample.
@@ -363,19 +357,10 @@ type MutateReply struct {
 	Stream uint64 `json:"stream"`
 }
 
-// SyncEstimatesRequest broadcasts a full bandit estimator snapshot to a
-// shard. The payload is bandit.State — impression/click counts, an event
-// counter, and the UCB exploration constant in 16.16 fixed point, all
-// integers — so the snapshot survives the JSON transport bit for bit and
-// every replica that restores it computes identical effective-CPE
-// overrides. The coordinator pushes a fresh snapshot after each feedback
-// batch; shards keep only the latest (Events is monotone, so stale
-// rebroadcasts are ignored).
-type SyncEstimatesRequest struct {
-	// State is the integer-only estimator snapshot, cells sorted by
-	// (Ad, Bucket).
-	State bandit.State `json:"state"`
-}
+// SyncEstimatesRequest is the argument of the retired Client.SyncEstimates.
+//
+// Deprecated: a shard holds no bandit state, so there is nothing to send.
+type SyncEstimatesRequest struct{}
 
 // EnsureRequest grows one ad's sample on its owner to hold the prefix
 // [0, Want) and syncs its inverted index — coordinator-driven warm-up, the
@@ -401,7 +386,7 @@ type EnsureReply struct {
 // binary codec of wire.go, lifecycle ops as JSON). Reply
 // buffers of Commit/Credit may be reused by the next call against the same
 // run — the coordinator consumes each reply before the next RPC. Every
-// method has a row in opTable.
+// method but the deprecated SyncEstimates has a row in opTable.
 type Client interface {
 	// Info reports the shard's identity and state.
 	Info(ctx context.Context) (ShardInfo, error)
@@ -425,6 +410,10 @@ type Client interface {
 	AddAd(ctx context.Context, req AddAdRequest) (MutateReply, error)
 	// RemoveAd retires the advertiser at a campaign position.
 	RemoveAd(ctx context.Context, req RemoveAdRequest) (MutateReply, error)
-	// SyncEstimates replaces the shard's bandit estimator snapshot.
+	// SyncEstimates does nothing and sends nothing: it has no opTable row.
+	//
+	// Deprecated: a shard holds no bandit state; the estimator lives on
+	// the serving host. The method stays only so that Client
+	// implementations outside this package still compile.
 	SyncEstimates(ctx context.Context, req SyncEstimatesRequest) error
 }

@@ -13,10 +13,9 @@
 // then re-runs it from scratch under a fresh run id (Coordinator.Allocate),
 // which the invariant makes byte-identical.
 //
-// Campaign mutations and estimator snapshots broadcast to every healthy
-// replica in lockstep; a replica that misses one is marked unhealthy and
-// re-warmed by Probe — epoch-bridging mutation replay plus the latest
-// estimator snapshot — before rejoining.
+// Campaign mutations broadcast to every healthy replica in lockstep; a
+// replica that misses one is marked unhealthy and walked forward by Probe —
+// epoch-bridging mutation replay — before rejoining.
 
 package shard
 
@@ -67,7 +66,6 @@ type ReplicaSet struct {
 	// healthy replicas still tries them before declaring the range unavailable.
 	healthy []bool
 	muts    []replicaMutation
-	est     *SyncEstimatesRequest
 }
 
 // replicaMutation is one logged campaign mutation — the op, the request it
@@ -274,8 +272,7 @@ func (r *ReplicaSet) sweep(ctx context.Context, o op, req, reply any) error {
 //     marked them, so it is the preferred one now;
 //   - commit, credit, grow and gains go to the preferred replica only
 //     (runOp);
-//   - ensure, end and syncEstimates go to every healthy replica (ensure,
-//     broadcast);
+//   - ensure and end go to every healthy replica (ensure, broadcast);
 //   - addAd and removeAd apply to every replica in lockstep (lockstep).
 func (r *ReplicaSet) roundTrip(ctx context.Context, o op, req, reply any) error {
 	switch o {
@@ -286,19 +283,8 @@ func (r *ReplicaSet) roundTrip(ctx context.Context, o op, req, reply any) error 
 	case opEnd:
 		// Health is not booked: a dead replica's copy of the run is reaped
 		// by the shard's run TTL.
-		if ok, err := r.broadcast(ctx, o, req, false); !ok {
+		if ok, err := r.broadcast(ctx, o, req); !ok {
 			return err // nil when no replica is healthy
-		}
-		return nil
-	case opSyncEstimates:
-		// The snapshot is kept for revives. Shards ignore stale snapshots,
-		// so one accepting replica is enough; an unhealthy one may have
-		// missed a mutation and only Probe may return it to the rotation.
-		r.mu.Lock()
-		r.est = req.(*SyncEstimatesRequest)
-		r.mu.Unlock()
-		if ok, err := r.broadcast(ctx, o, req, true); !ok {
-			return r.unavailable(err)
 		}
 		return nil
 	case opAddAd, opRemoveAd:
@@ -341,15 +327,12 @@ func (r *ReplicaSet) ensure(ctx context.Context, req, reply any) error {
 }
 
 // broadcast sends one reply-less op to every replica healthy at the call and
-// reports whether any accepted it and, when none did, the last failure. book
-// marks each replica's health by its outcome.
-func (r *ReplicaSet) broadcast(ctx context.Context, o op, req any, book bool) (ok bool, lastErr error) {
+// reports whether any accepted it and, when none did, the last failure. It
+// books no health.
+func (r *ReplicaSet) broadcast(ctx context.Context, o op, req any) (ok bool, lastErr error) {
 	order, healthy := r.candidates()
 	for _, i := range order[:healthy] {
 		err := call(ctx, r.replicas[i], o, req, nil)
-		if book {
-			r.mark(i, err)
-		}
 		ok, lastErr = ok || err == nil, err
 	}
 	return ok, lastErr
@@ -432,8 +415,8 @@ type ReplicaStatus struct {
 // Probe checks every replica's health with one Info round and revives
 // unhealthy replicas that check out: the replica must be the same process
 // identity (range, seed, instance fingerprint), is walked forward through
-// any campaign mutations it missed, gets the latest estimator snapshot,
-// and must then match a healthy reference exactly. Call it periodically
+// any campaign mutations it missed, and must then match a healthy
+// reference exactly. Call it periodically
 // (the serve layer's prober) or on demand (/healthz).
 func (r *ReplicaSet) Probe(ctx context.Context) []ReplicaStatus {
 	out := make([]ReplicaStatus, len(r.replicas))
@@ -509,14 +492,6 @@ func (r *ReplicaSet) revive(ctx context.Context, i int, got, ref ShardInfo) erro
 	}
 	if err := replicaAgrees(ref, got); err != nil {
 		return fmt.Errorf("shard: replica %d still diverges after replay: %w", i, err)
-	}
-	r.mu.Lock()
-	est := r.est
-	r.mu.Unlock()
-	if est != nil {
-		if err := cl.SyncEstimates(ctx, *est); err != nil {
-			return fmt.Errorf("shard: re-syncing estimator on replica %d: %w", i, err)
-		}
 	}
 	r.mark(i, nil)
 	if r.logf != nil {

@@ -415,20 +415,19 @@ func TestPartitionUnavailable(t *testing.T) {
 	}
 }
 
-// TestReplicaSyncEstimatesSkipsStaleReplica pins that an estimator snapshot
-// goes to healthy replicas only. Replica 1 misses a mutation, so it sits
-// unhealthy at the older epoch; when replica 0 then fails the sync, the sync
-// reports the range unavailable rather than land on replica 1 — a success
-// there would return it to the rotation without the mutation replayed.
-func TestReplicaSyncEstimatesSkipsStaleReplica(t *testing.T) {
+// TestReplicaEndSkipsStaleReplica pins that only Probe returns a stale
+// replica to the rotation. Replica 1 misses a mutation, so it sits unhealthy
+// at the older epoch. An End that replica 0 fails must not reach replica 1,
+// which stays out of the rotation until Probe walks it forward.
+func TestReplicaEndSkipsStaleReplica(t *testing.T) {
 	ctx := context.Background()
 	var faults [2]*FaultClient
 	_, sets, _, err := NewReplicaCluster(testInstance(), 6, 7, 1, 2, Config{}, func(_, rep int, cl Client) Client {
-		rules := []FaultRule{{Op: "syncEstimates", Kind: FaultError}}
+		rules := []FaultRule{{Op: "end", Kind: FaultError}}
 		if rep == 1 {
 			rules = []FaultRule{
 				{Op: "addAd", Count: 1, Kind: FaultError},
-				{Op: "syncEstimates", Kind: FaultDelay}, // counts calls, passes them through
+				{Op: "end", Kind: FaultDelay}, // counts calls, passes them through
 			}
 		}
 		faults[rep] = NewFaultClient(cl, uint64(rep+1), rules...)
@@ -448,15 +447,19 @@ func TestReplicaSyncEstimatesSkipsStaleReplica(t *testing.T) {
 	if rs.HealthyCount() != 1 {
 		t.Fatalf("healthy = %d after the missed mutation, want 1", rs.HealthyCount())
 	}
-	err = rs.SyncEstimates(ctx, SyncEstimatesRequest{State: snapshotAt(t, 3)})
-	if !errors.Is(err, ErrPartitionUnavailable) {
-		t.Fatalf("err = %v, want ErrPartitionUnavailable", err)
+	if err := rs.End(ctx, "run"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("End with its one healthy replica failing: err = %v, want ErrInjected", err)
 	}
 	if n := faults[1].Fired()[1]; n != 0 {
-		t.Fatalf("stale replica received the sync %d times, want 0", n)
+		t.Fatalf("stale replica received End %d times, want 0", n)
 	}
-	if rs.HealthyCount() != 0 {
-		t.Fatalf("healthy = %d, want 0: the stale replica must stay out of the rotation", rs.HealthyCount())
+	if rs.HealthyCount() != 1 {
+		t.Fatalf("healthy = %d after End, want 1: the stale replica must stay out of the rotation", rs.HealthyCount())
+	}
+	for _, st := range rs.Probe(ctx) {
+		if !st.Healthy {
+			t.Fatalf("replica %d still unhealthy after probe: %v", st.Replica, st.Err)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ type RetryPolicy struct {
 	// (default 3).
 	MaxAttempts int
 	// Timeout is the per-attempt deadline for fast ops — info, commit,
-	// credit, gains, end, removeAd, syncEstimates (default 30s).
+	// credit, gains, end, removeAd (default 30s).
 	Timeout time.Duration
 	// SamplingTimeout is the per-attempt deadline for ops that may draw
 	// fresh RR sets — pilot, ensure, start, grow, addAd — whose cost

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bandit"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rrset"
@@ -64,13 +63,6 @@ type Shard struct {
 	// each frame's request and reply body sizes.
 	frames    frameConns
 	frameHook func(req, reply int)
-
-	// estMu guards est, the latest bandit estimator snapshot broadcast by
-	// the coordinator (see SyncEstimates). Separate from mu: estimator
-	// syncs arrive between selection runs and must never contend with the
-	// run-table hot path.
-	estMu sync.Mutex
-	est   *bandit.State
 
 	// The daemon's /metrics registry, with the request metrics and span
 	// tracer Handler's middleware records into (obs defaults: tracing is
@@ -333,7 +325,6 @@ func (s *Shard) Info() ShardInfo {
 		Epoch:               ep.Version(),
 		NumAds:              ep.NumAds(),
 		Streams:             streams,
-		RosterAds:           len(s.roster.Ads),
 		SetsSampled:         s.idx.SetsSampled(),
 		MemBytes:            s.idx.MemBytes(),
 		OpenRuns:            open,
@@ -694,35 +685,4 @@ func (s *Shard) RemoveAd(req RemoveAdRequest) (MutateReply, error) {
 		return MutateReply{}, err
 	}
 	return MutateReply{Epoch: s.idx.Epoch(), NumAds: s.idx.NumAds()}, nil
-}
-
-// SyncEstimates implements the Client surface shard-side: it validates
-// and stores the broadcast bandit estimator snapshot. Estimator state is
-// name-keyed and epoch-free (feedback survives campaign churn), so the
-// sync carries no epoch pin. A snapshot with an Events count at or below
-// the stored one is ignored — out-of-order rebroadcasts cannot roll the
-// shard's view backwards.
-func (s *Shard) SyncEstimates(req SyncEstimatesRequest) error {
-	if _, err := bandit.Restore(req.State); err != nil {
-		return fmt.Errorf("shard: bad estimator snapshot: %w", err)
-	}
-	s.estMu.Lock()
-	defer s.estMu.Unlock()
-	if s.est != nil && req.State.Events <= s.est.Events {
-		return nil
-	}
-	st := req.State
-	s.est = &st
-	return nil
-}
-
-// Estimates returns the latest synced bandit estimator snapshot, with ok
-// reporting whether one has arrived.
-func (s *Shard) Estimates() (st bandit.State, ok bool) {
-	s.estMu.Lock()
-	defer s.estMu.Unlock()
-	if s.est == nil {
-		return bandit.State{}, false
-	}
-	return *s.est, true
 }

@@ -3,7 +3,7 @@
 // (backend.go), whose payloads are integers only (protocol.go). A canonical
 // allocation is ~900 of these RPCs, so their spelling is the transport's
 // cost; the lifecycle routes an operator or a mutation touches once (info,
-// ensure, end, ads, remove, estimates, drain) carry strings and floats and
+// ensure, end, ads, remove, drain) carry strings and floats and
 // stay JSON. Each route speaks exactly one format — there is no
 // negotiation: both ends ship together.
 //

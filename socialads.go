@@ -213,8 +213,8 @@ type (
 	EngagementEstimator = bandit.Estimator
 	// EngagementEvent is one batch of impression/click feedback for an ad.
 	EngagementEvent = bandit.Event
-	// EstimatorState is an integer-only estimator snapshot: the shard
-	// broadcast payload and the exact Snapshot/RestoreEstimator format.
+	// EstimatorState is an integer-only estimator snapshot: the exact
+	// Snapshot/RestoreEstimator format.
 	EstimatorState = bandit.State
 )
 
