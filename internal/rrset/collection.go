@@ -61,17 +61,14 @@ func clipInverted(inv *Inverted, k int) []int32 {
 	return cut
 }
 
-// grownBools returns buf resized to n with every element false, reusing the
-// backing array when it is large enough (the clearing loop compiles to a
-// memclr).
-func grownBools(buf []bool, n int) []bool {
+// cleared returns buf resized to n with every element zero, reusing the
+// backing array when it is large enough (the clear compiles to a memclr).
+func cleared[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
+	clear(buf)
 	return buf
 }
 
@@ -84,7 +81,11 @@ type segStore struct {
 	numSets int
 	built   bool       // the last reset built its opening instead of finding it stored
 	bits    *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
-	mask    []uint64   // retired-set mask over the first segment (bitset kernel): covered sets, or zero-weight ones
+	// mask is the retired-set mask over the first segment (bitset kernel):
+	// covered sets, or zero-weight ones. It is not Collection.covered: its
+	// bits past the view's set count are pre-set (see useKernel), and
+	// covered's must stay clear for the sets a growth segment appends there.
+	mask []uint64
 }
 
 // N returns the node-universe size.
@@ -152,13 +153,7 @@ func (s *segStore) useKernel(id KernelID, untouched bool) KernelID {
 	}
 	k := s.numSets
 	kw := (k + 63) / 64
-	if cap(s.mask) < kw {
-		s.mask = make([]uint64, kw)
-	}
-	s.mask = s.mask[:kw]
-	for i := range s.mask {
-		s.mask[i] = 0
-	}
+	s.mask = cleared(s.mask, kw)
 	// Pre-set the bits past the view's set count so the sweep needs no
 	// tail masking: ids ≥ k read as already retired.
 	if r := uint(k) & 63; r != 0 {
@@ -210,9 +205,11 @@ func (s *segStore) release() {
 //   - CountAndCoverFrom: credit an existing seed with sets appended after a
 //     given boundary (Algorithm 4, UpdateEstimates).
 //
-// Sets live in flat CSR segments (see covSegment): per-set state is three
-// flat arrays and the heap, so a collection over millions of sets is a
-// handful of allocations and GC-quiet.
+// Sets live in flat CSR segments (see covSegment): per-set state is one bit
+// (the covered bitmap), per-node state two flat arrays and the heap, so a
+// collection over millions of sets is a handful of allocations and
+// GC-quiet, and the cover walk's per-ad state stays small enough for the
+// cache at paper scale (θ = 200 000 sets is 25 KB of covered bits).
 //
 // The candidate heap (see candidates) is built lazily: construction, Reset,
 // and AddFamily only mark it stale, and the rebuild happens on the first
@@ -226,10 +223,9 @@ func (s *segStore) release() {
 type Collection struct {
 	segStore
 	candidates[int32]
-	covered []bool  // set id -> already covered by a chosen seed
-	cov     []int32 // node -> residual coverage (uncovered sets containing it)
-	ncov    int     // number of covered sets
-	dpos    []int32 // delta-cover per-node output positions (deltaSink)
+	covered []uint64 // bit id&63 of word id>>6 set: set id already covered by a chosen seed
+	cov     []int32  // node -> residual coverage (uncovered sets containing it)
+	ncov    int      // number of covered sets
 }
 
 // NewCollection creates an empty index over n nodes.
@@ -248,14 +244,14 @@ func NewCollection(n int) *Collection {
 func (c *Collection) SyncHeap() { c.sync(c.cov) }
 
 // MemBytes reports the index's exact resident footprint: CSR member
-// arenas, CSR inverted indexes, coverage counters, per-set flags, and live
-// heap entries. TIRM reports it for the paper's Table 4 (memory usage),
-// measuring the structure that actually dominates RR-set algorithms'
-// memory. Shared segments (warm starts over a core.Index) count the shared
+// arenas, CSR inverted indexes, coverage counters, the covered bitmap (8
+// bytes per 64 sets), and live heap entries. TIRM reports it for the
+// paper's Table 4 (memory usage), measuring the structure that actually
+// dominates RR-set algorithms' memory. Shared segments (warm starts over a core.Index) count the shared
 // arrays here too — the footprint reachable from this collection.
 func (c *Collection) MemBytes() int64 {
 	return c.memBytes() +
-		int64(len(c.covered)) + // covered flags
+		int64(len(c.covered))*8 + // covered bitmap
 		int64(c.n)*5 + // cov counters + dead flags
 		int64(len(c.pq))*8
 }
@@ -291,7 +287,7 @@ func (c *Collection) AddFamily(v FamilyView) {
 		return
 	}
 	inv := c.grow(v)
-	c.covered = append(c.covered, make([]bool, k)...)
+	c.covered = append(c.covered, make([]uint64, (c.numSets+63)/64-len(c.covered))...)
 	for u := range c.cov {
 		c.cov[u] += int32(inv.Count(int32(u)))
 	}
@@ -301,7 +297,7 @@ func (c *Collection) AddFamily(v FamilyView) {
 // Reset reinitializes c as a warm-start collection over a shared sample
 // view and its prebuilt inverted index — the same state
 // NewCollectionFromFamily constructs, but recycling every backing array
-// (coverage counters, per-set flags, heap and scratch buffers), so a
+// (coverage counters, covered bitmap, heap and scratch buffers), so a
 // steady-state reset allocates nothing. The opening state — row clip,
 // initial coverage, initial heap — comes from the index's opening for the
 // view's length (see opening): computed on the first Reset at that length,
@@ -312,7 +308,7 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 	o := c.segStore.reset(n, v, inv)
 	c.candidates.reset(n, o)
 	c.ncov = 0
-	c.covered = grownBools(c.covered, v.Len())
+	c.covered = cleared(c.covered, (v.Len()+63)/64)
 	if cap(c.cov) < n {
 		c.cov = make([]int32, n)
 	}
@@ -330,8 +326,8 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 // otherwise — counter collections, hand-grown collections, indexes
 // without a bitmap, mid-run switches — the active kernel stays. Call it
 // right after Reset / NewCollectionFromFamily, before any cover
-// operation. The covered-word mask recycles its backing array across
-// Reset cycles, so steady-state activation allocates nothing.
+// operation. The kernel's retired-set mask recycles its backing array
+// across Reset cycles, so steady-state activation allocates nothing.
 func (c *Collection) UseKernel(id KernelID) KernelID { return c.useKernel(id, c.ncov == 0) }
 
 // NewCollectionFromFamily builds a collection over a prebuilt sample view

@@ -36,11 +36,7 @@ func (c *Collection) resetCounter(n int) {
 	c.n, c.built = n, false
 	c.candidates.reset(n, nil)
 	c.covered, c.ncov = c.covered[:0], 0
-	if cap(c.cov) < n {
-		c.cov = make([]int32, n)
-	}
-	c.cov = c.cov[:n]
-	clear(c.cov)
+	c.cov = cleared(c.cov, n)
 }
 
 // AddCounts credits freshly appended sets to the counters: nodes[i] gains
@@ -83,10 +79,13 @@ func (c *Collection) coverDelta(u int32, firstID int, s *deltaSink) int {
 // CoverNodeDelta is CoverNode that additionally records the cover's effect
 // as a sparse decrement vector: appended to nodes/decs (reused, returned
 // re-sliced), node outNodes[i] lost outDecs[i] residual coverage — applied
-// to a counter collection, exactly the coverage change CoverNode makes. Each
-// node appears once, in an unspecified order: the order follows the walk,
-// and an inline cover-join record takes the covering node's own decrement
-// ahead of its other members'. Nothing may depend on it; ApplyCover's
+// to a counter collection, exactly the coverage change CoverNode makes. The
+// capture is one stamp per node (see deltaSink): a node's first touch
+// appends it with its count before the walk, and each decrement is derived
+// after the walk as that count minus the node's coverage now. Each node
+// appears once, in an unspecified order: first-touch order, which follows
+// the walk, with an inline cover-join record touching the covering node
+// ahead of its other members. Nothing may depend on it; ApplyCover's
 // integer subtractions are order-independent. Unlike CoverNode it does not
 // sync the candidate heap: a sharded collection's candidates are ranked by
 // the coordinator's counter collection, never by the shard's own heap, so
@@ -97,6 +96,7 @@ func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (cover
 	c.opened = nil
 	s := c.newDeltaSink(nodes, decs)
 	covered = c.coverDelta(u, 0, &s)
+	s.finish()
 	c.ncov += covered
 	if c.cov[u] != 0 {
 		panic(fmt.Sprintf("rrset: residual coverage of %d nonzero after CoverNodeDelta", u))
@@ -111,6 +111,7 @@ func (c *Collection) CountAndCoverFromDelta(u int32, firstID int, nodes []int32,
 	c.opened = nil
 	s := c.newDeltaSink(nodes, decs)
 	covered = c.coverDelta(u, firstID, &s)
+	s.finish()
 	c.ncov += covered
 	return covered, s.nodes, s.decs
 }

@@ -169,19 +169,22 @@ func checkCoverJoin(t testing.TB, fam *SetFamily, inv, rows *Inverted) (inline, 
 
 // oneSegment returns a collection whose only segment is v indexed by inv at
 // inv.base, nothing covered — the state a grown segment at that id has,
-// without the segments below it: their covered flags are never read, and
+// without the segments below it: their covered bits are never read, and
 // the untouched pages stay unbacked.
 func oneSegment(n int, v FamilyView, inv *Inverted) *Collection {
 	c := NewCollection(n)
 	c.segs = []covSegment{{base: inv.base, view: v, inv: inv}}
 	c.numSets = int(inv.base) + v.Len()
-	c.covered = make([]bool, c.numSets)
+	c.covered = make([]uint64, (c.numSets+63)/64)
 	for u := range c.cov {
 		c.cov[u] = int32(inv.Count(int32(u)))
 	}
 	c.invalidate()
 	return c
 }
+
+// isCovered reads set id's bit in the covered bitmap.
+func (c *Collection) isCovered(id int) bool { return c.covered[id>>6]>>(uint(id)&63)&1 != 0 }
 
 // checkJoinMatchesIDRows builds fam's index at base both ways — BuildInverted's
 // join and the id-row builder's rows — and requires the join to answer
@@ -413,8 +416,8 @@ func TestCoverJoinIDLimit(t *testing.T) {
 			}
 		}
 		for i := 0; i < k; i++ {
-			if high.covered[base+i] != ref.covered[i] {
-				t.Fatalf("round %d: set %d covered = %v at base %d, %v at base 0", round, i, high.covered[base+i], base, ref.covered[i])
+			if high.isCovered(base+i) != ref.isCovered(i) {
+				t.Fatalf("round %d: set %d covered = %v at base %d, %v at base 0", round, i, high.isCovered(base+i), base, ref.isCovered(i))
 			}
 		}
 	}

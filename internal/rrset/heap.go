@@ -122,7 +122,7 @@ type candidates[S int32 | float64] struct {
 // every backing array. o, when non-nil, is the opening whose cut vector the
 // owner's scores start as.
 func (c *candidates[S]) reset(n int, o *opening) {
-	c.dead = grownBools(c.dead, n)
+	c.dead = cleared(c.dead, n)
 	c.pq = c.pq[:0]
 	c.stale = true
 	c.opened = o

@@ -63,10 +63,11 @@ func (k KernelID) String() string {
 // sparseCoverSegs is the sparse CoverNode walk over the given segments: a
 // joined index's sequential record stream, or an id row + arena hop. Record
 // order equals id order, so the covering sequence is the historical one. An
-// inline record leaves u out (see the cover join), so the walk takes u's own
-// decrement for each inline set it covers.
+// inline record leaves u out (see the cover join), so the walk counts the
+// inline sets it covers and takes u's own decrement for all of them once,
+// after the walk: nothing in the walk reads u's coverage.
 func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
-	covered := 0
+	covered, own := 0, int32(0)
 	cov, cvd := c.cov, c.covered
 	for si := range segs {
 		seg := &segs[si]
@@ -80,10 +81,11 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 				if id >= limit {
 					break
 				}
+				bit := uint64(1) << (uint(id) & 63)
 				var members []int32
 				if sz == joinSpill {
 					p++
-					if cvd[id] {
+					if cvd[id>>6]&bit != 0 {
 						continue
 					}
 					i := int(id - base)
@@ -91,12 +93,12 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 				} else {
 					members = row[p+1 : p+1+sz]
 					p += 1 + sz
-					if cvd[id] {
+					if cvd[id>>6]&bit != 0 {
 						continue
 					}
-					cov[u]--
+					own++
 				}
-				cvd[id] = true
+				cvd[id>>6] |= bit
 				covered++
 				for _, w := range members {
 					cov[w]--
@@ -105,10 +107,11 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 			continue
 		}
 		for _, id := range seg.idsOf(u) {
-			if cvd[id] {
+			bit := uint64(1) << (uint(id) & 63)
+			if cvd[id>>6]&bit != 0 {
 				continue
 			}
-			cvd[id] = true
+			cvd[id>>6] |= bit
 			covered++
 			i := int(id - base)
 			for _, w := range mem[offs[i]:offs[i+1]] {
@@ -116,18 +119,19 @@ func sparseCoverSegs(c *Collection, u int32, segs []covSegment) int {
 			}
 		}
 	}
+	cov[u] -= own
 	return covered
 }
 
 // sparseDeltaSegs is the sparse CountAndCoverFrom walk over the given
 // segments — the same record stream (or id row + arena hop) as
-// sparseCoverSegs, skipping ids below firstID — recording every per-member
-// decrement into the sink when there is one, u's own for an inline record
-// ahead of the record's other members. It runs on every sharded commit and
-// credit (the delta-capture path), so a joined index walks its records here
-// too.
+// sparseCoverSegs, skipping ids below firstID, with u's own inline
+// decrements likewise taken once after the walk — stamping every node it
+// decrements into the sink when there is one, u at an inline record ahead
+// of the record's other members. It runs on every sharded commit and credit
+// (the delta-capture path), so a joined index walks its records here too.
 func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *deltaSink) int {
-	covered := 0
+	covered, own := 0, int32(0)
 	cov, cvd := c.cov, c.covered
 	first := int32(firstID)
 	for si := range segs {
@@ -145,10 +149,11 @@ func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *
 				if id >= limit {
 					break
 				}
+				bit := uint64(1) << (uint(id) & 63)
 				var members []int32
 				if sz == joinSpill {
 					p++
-					if id < first || cvd[id] {
+					if id < first || cvd[id>>6]&bit != 0 {
 						continue
 					}
 					i := int(id - base)
@@ -156,40 +161,42 @@ func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *
 				} else {
 					members = row[p+1 : p+1+sz]
 					p += 1 + sz
-					if id < first || cvd[id] {
+					if id < first || cvd[id>>6]&bit != 0 {
 						continue
 					}
-					cov[u]--
+					own++
 					if s != nil {
 						s.record(u)
 					}
 				}
-				cvd[id] = true
+				cvd[id>>6] |= bit
 				covered++
 				for _, w := range members {
-					cov[w]--
 					if s != nil {
 						s.record(w)
 					}
+					cov[w]--
 				}
 			}
 			continue
 		}
 		for _, id := range seg.idsOf(u) {
-			if id < first || cvd[id] {
+			bit := uint64(1) << (uint(id) & 63)
+			if id < first || cvd[id>>6]&bit != 0 {
 				continue
 			}
-			cvd[id] = true
+			cvd[id>>6] |= bit
 			covered++
 			i := int(id - base)
 			for _, w := range mem[offs[i]:offs[i+1]] {
-				cov[w]--
 				if s != nil {
 					s.record(w)
 				}
+				cov[w]--
 			}
 		}
 	}
+	cov[u] -= own
 	return covered
 }
 
@@ -349,26 +356,25 @@ func (c *Collection) bitsetDeltaFrom(u int32, firstID int, s *deltaSink) int {
 }
 
 // coverWord retires the sets in one word of new coverage: mark them
-// covered (bitmap and bool array both, keeping the sparse walk's view
-// truthful for growth segments and credit passes), decrement their
-// members' residual coverage, and record each decrement into the sink when
-// there is one. Bits extract in ascending order, so sets retire ascending
-// by id exactly as the sparse walk would.
+// covered with one OR into the kernel's mask and one into the covered
+// bitmap (keeping the sparse walk's view truthful for growth segments and
+// credit passes), decrement their members' residual coverage, and stamp
+// each member into the sink when there is one. Bits extract in ascending
+// order, so sets retire ascending by id exactly as the sparse walk would.
 func (c *Collection) coverWord(w int, nw uint64, offs []uint32, mem []int32, s *deltaSink) int {
 	c.mask[w] |= nw
-	cov, cvd := c.cov, c.covered
+	c.covered[w] |= nw
+	cov := c.cov
 	base := int32(w << 6)
-	covered := 0
+	covered := mbits.OnesCount64(nw)
 	for nw != 0 {
 		id := base + int32(mbits.TrailingZeros64(nw))
 		nw &= nw - 1
-		cvd[id] = true
-		covered++
 		for _, x := range mem[offs[id]:offs[id+1]] {
-			cov[x]--
 			if s != nil {
 				s.record(x)
 			}
+			cov[x]--
 		}
 	}
 	return covered
@@ -460,36 +466,42 @@ func (c *WeightedCollection) commitWord(w int, lw uint64, delta float64, offs []
 	}
 }
 
-// deltaSink accumulates one cover's sparse per-node decrement vector (see
-// CoverNodeDelta): first touch of a node appends it, repeats bump its
-// count in place via the dpos index. A struct, not a closure pair, so the
-// capture allocates nothing on the shard commit path.
+// deltaSink captures one cover's sparse per-node decrement vector (see
+// CoverNodeDelta) with one stamp per node: a node's first touch appends it
+// with its residual coverage before the touch, later touches find the stamp
+// and do nothing, and finish turns each captured count into the node's
+// total decrement. The walk calls record before every decrement. A struct,
+// not a closure pair, so the capture allocates nothing on the shard commit
+// path.
 type deltaSink struct {
-	c     *Collection
+	seen  []uint64
 	gen   uint64
+	cov   []int32
 	nodes []int32
 	decs  []int32
 }
 
-// newDeltaSink prepares the collection's per-call dedup stamps and per-node
-// output positions and wraps the (re-sliced) output buffers in a sink. The
-// sink never escapes the cover call, so it lives on the caller's stack.
+// newDeltaSink starts a fresh generation of the collection's dedup stamps
+// and wraps the (re-sliced) output buffers in a sink. The sink never
+// escapes the cover call, so it lives on the caller's stack.
 func (c *Collection) newDeltaSink(nodes, decs []int32) deltaSink {
-	if len(c.dpos) < c.n {
-		c.dpos = make([]int32, c.n)
-	}
-	return deltaSink{c: c, gen: c.stamps(c.n), nodes: nodes[:0], decs: decs[:0]}
+	gen := c.stamps(c.n)
+	return deltaSink{seen: c.seen, gen: gen, cov: c.cov, nodes: nodes[:0], decs: decs[:0]}
 }
 
-// record notes one residual-coverage decrement of node w.
+// record notes that node w is about to lose residual coverage.
 func (s *deltaSink) record(w int32) {
-	c := s.c
-	if c.seen[w] == s.gen {
-		s.decs[c.dpos[w]]++
-		return
+	if s.seen[w] != s.gen {
+		s.seen[w] = s.gen
+		s.nodes = append(s.nodes, w)
+		s.decs = append(s.decs, s.cov[w])
 	}
-	c.seen[w] = s.gen
-	c.dpos[w] = int32(len(s.nodes))
-	s.nodes = append(s.nodes, w)
-	s.decs = append(s.decs, 1)
+}
+
+// finish turns each captured count into the node's decrement over the
+// walk: its coverage before the first touch minus its coverage now.
+func (s *deltaSink) finish() {
+	for i, w := range s.nodes {
+		s.decs[i] -= s.cov[w]
+	}
 }

@@ -1,8 +1,10 @@
 package rrset
 
 import (
+	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -450,6 +452,112 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDeltaCapture checks every captured delta vector against the coverage
+// change it stands for, on each kind of segment a shard walks: a joined
+// index (the cover-join record stream), id-row growth segments (AddFamily),
+// and the bitset kernel (PrepareCoverBits), each later grown by one more
+// id-row segment. Every CoverNodeDelta / CountAndCoverFromDelta vector must
+// name each node once, give each node exactly its Coverage drop across the
+// call (and name no node whose coverage did not drop), and sum to the total
+// membership of the sets the call covered. The kernel-equivalence tests
+// compare captures with each other; this one compares each with the state
+// it describes, so a capture bug all walks share cannot pass.
+func FuzzDeltaCapture(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(16), uint8(3))
+	f.Add(uint64(99), uint8(32), uint8(200), uint8(7))
+	f.Add(uint64(123456), uint8(64), uint8(255), uint8(12))
+	f.Fuzz(func(t *testing.T, seed uint64, nn, kk, avg uint8) {
+		n := 4 + int(nn)%96
+		k := 8 + int(kk)
+		a := 1 + int(avg)%10
+		if a >= n {
+			a = n - 1
+		}
+		rng := xrand.New(seed)
+		fam := randomKernelFamily(rng, n, k, a)
+		v := fam.View()
+
+		joined := NewCollectionFromFamily(n, v, BuildInverted(n, v, 0))
+		if joined.UseKernel(KernelSparse) != KernelSparse || !joined.segs[0].inv.joined {
+			t.Fatal("no sparse walk over a joined index")
+		}
+		grown := NewCollection(n)
+		grown.AddFamily(fam.Window(0, k/2))
+		grown.AddFamily(fam.Window(k/2, k))
+		binv := BuildInverted(n, v, 0)
+		binv.PrepareCoverBits()
+		bitset := NewCollectionFromFamily(n, v, binv)
+		if bitset.UseKernel(KernelBitset) != KernelBitset {
+			t.Fatal("bitset kernel unavailable over a bitmap-prepared index")
+		}
+		cols := []struct {
+			name string
+			c    *Collection
+		}{{"joined", joined}, {"growth", grown}, {"bitset", bitset}}
+
+		var nodes, decs []int32
+		before := make([]int32, n)
+		for step := 0; step < 12; step++ {
+			if step == 6 {
+				g := randomKernelFamily(rng, n, 1+rng.IntN(80), a)
+				for _, col := range cols {
+					col.c.AddFamily(g.View())
+				}
+			}
+			u := int32(rng.IntN(n))
+			firstID := -1
+			if step%2 == 1 {
+				firstID = rng.IntN(joined.NumSets() + 4)
+			}
+			for _, col := range cols {
+				c := col.c
+				for w := range before {
+					before[w] = int32(c.Coverage(int32(w)))
+				}
+				was := slices.Clone(c.covered)
+				var covered int
+				op := fmt.Sprintf("%s: CoverNodeDelta(%d)", col.name, u)
+				if firstID < 0 {
+					covered, nodes, decs = c.CoverNodeDelta(u, nodes, decs)
+				} else {
+					op = fmt.Sprintf("%s: CountAndCoverFromDelta(%d, %d)", col.name, u, firstID)
+					covered, nodes, decs = c.CountAndCoverFromDelta(u, firstID, nodes, decs)
+				}
+				delta := deltaOf(t, nodes, decs)
+				var sum int
+				for w := range before {
+					drop := before[w] - int32(c.Coverage(int32(w)))
+					d, listed := delta[int32(w)]
+					if d != drop || listed != (drop != 0) {
+						t.Fatalf("step %d %s: node %d lost %d coverage, the vector says %d (listed %v)", step, op, w, drop, d, listed)
+					}
+					sum += int(d)
+				}
+				newly, membership := 0, 0
+				for id := 0; id < c.NumSets(); id++ {
+					if c.isCovered(id) && was[id>>6]>>(uint(id)&63)&1 == 0 {
+						newly++
+						membership += len(setOf(c, id))
+					}
+				}
+				if newly != covered || sum != membership {
+					t.Fatalf("step %d %s: covered %d sets, %d newly marked; decrements sum to %d, their membership is %d", step, op, covered, newly, sum, membership)
+				}
+			}
+		}
+	})
+}
+
+// setOf returns the members of the set with global id in c.
+func setOf(c *Collection, id int) []int32 {
+	for i := range c.segs {
+		if id < c.segs[i].end() {
+			return c.segs[i].set(int32(id))
+		}
+	}
+	panic(fmt.Sprintf("set %d past the collection's %d sets", id, c.NumSets()))
 }
 
 // BenchmarkKernels compares the cover kernels on a greedy commit loop

@@ -286,6 +286,35 @@ func TestCollectionGrowth(t *testing.T) {
 	}
 }
 
+// TestCollectionMemBytesPinned pins the footprint TIRM reports for Table 4
+// on a hand-sized collection: 130 two-member sets {i mod 4, (i+1) mod 4}
+// over 4 nodes, added as one id-row segment. The view holds 260 members and
+// 131 offsets (1564 bytes), the index 260 row entries and 5 row offsets
+// (1060), the covered bitmap ⌈130/64⌉ = 3 words (24), the coverage counters
+// and dead flags 5 bytes a node (20). Covering sets flips bits and never
+// grows the bitmap; a synced heap adds 8 bytes per live entry.
+func TestCollectionMemBytesPinned(t *testing.T) {
+	sets := make([][]int32, 130)
+	for i := range sets {
+		sets[i] = []int32{int32(i % 4), int32((i + 1) % 4)}
+	}
+	c := NewCollection(4)
+	c.AddBatch(sets)
+	if got, want := c.MemBytes(), int64(1564+1060+24+20); got != want {
+		t.Fatalf("MemBytes = %d, want %d", got, want)
+	}
+	c.SyncHeap()
+	if got, want := c.MemBytes(), int64(1564+1060+24+20+4*8); got != want {
+		t.Fatalf("MemBytes with the heap synced = %d, want %d", got, want)
+	}
+	if covered := c.CoverNode(0); covered != 65 {
+		t.Fatalf("CoverNode(0) covered %d sets, want 65", covered)
+	}
+	if got, want := c.MemBytes(), int64(1564+1060+24+20+len(c.pq)*8); got != want {
+		t.Fatalf("MemBytes after a cover = %d, want %d", got, want)
+	}
+}
+
 // TestCollectionMatchesBruteForce cross-checks the lazy-heap greedy against
 // a brute-force max-cover on random inputs (property test).
 func TestCollectionMatchesBruteForce(t *testing.T) {

@@ -1,11 +1,11 @@
 // Workspace: the recyclable per-ad state of a warm selection run. A warm
 // core.AllocateFromIndex builds one coverage collection per ad per request;
 // at serving rates the construction garbage (coverage counters, dead
-// bitmaps, per-set flags and weights, heap backing) dominates
-// the allocation profile even though every array has the same shape on
-// every request against the same index. A Workspace owns one Collection
-// and one WeightedCollection whose backing arrays survive across runs —
-// resetting them is a handful of memclr-style loops, and a pool of
+// flags, the covered-set bitmap and the per-set weights, heap backing)
+// dominates the allocation profile even though every array has the same
+// shape on every request against the same index. A Workspace owns one
+// Collection and one WeightedCollection whose backing arrays survive across
+// runs — resetting them is a handful of memclr-style loops, and a pool of
 // Workspaces makes the steady-state request allocation-free.
 
 package rrset
