@@ -66,7 +66,7 @@ func samplingWorkers(limit int) int {
 // ParallelFor calls fn(i) once for every i in [0, n) and returns when all
 // calls have returned. It is the one bounded fan-out that selection shares
 // (per-request set-up in core.AllocateFromIndex, the items of
-// core.AllocateBatch and shard.Coordinator.AllocateBatch): at most
+// core.AllocateBatch and of serve's POST /allocate/batch): at most
 // SetMaxWorkers goroutines (GOMAXPROCS by default), at most n, and — when
 // limit is positive — at most limit. Indexes are claimed from an atomic
 // counter, the caller's goroutine is one of the workers, and no goroutine

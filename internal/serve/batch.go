@@ -1,16 +1,15 @@
 // POST /allocate/batch: evaluate many selection requests against one
 // pinned campaign epoch in a single round trip.
 //
-// A batch is the serve-layer mirror of engine.AllocateBatch
-// (core.AllocateBatch on a local index, shard.Coordinator.AllocateBatch
-// over a cluster — there one scatter-gather pilot round primes the width
-// cache for the union of ads the batch touches): the campaign is resolved
-// once, every item is pinned to the same epoch, and the items fan out
-// under the engine's bounded worker budget. Each item returns exactly what
-// a lone POST /allocate with the same parameters would have returned
-// (golden-pinned), items fail independently, and a campaign mutation racing
-// the batch turns into per-item stale-epoch errors rather than an
-// allocation split across two campaign sets.
+// A batch is a fan-out of the engine's own Allocate, the same on either
+// engine: the campaign is resolved once, every item is shaped against one
+// pin (epoch, instance, spend ledger), and the items run under a bounded
+// worker budget. Each item returns exactly what a lone POST /allocate with
+// the same parameters would have returned (golden-pinned), items fail
+// independently, an item that starts after a racing campaign mutation
+// fails with a stale epoch (409) rather than allocating against a
+// different campaign set, and once the request's context is done the items
+// not yet started fail with its error instead of running for nobody.
 
 package serve
 
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rrset"
 )
 
 // MaxBatchItems caps the number of selection requests one POST
@@ -26,6 +26,11 @@ import (
 // rather than queued: the batch path exists to amortize per-request
 // overhead, not to become an unbounded work queue.
 const MaxBatchItems = 64
+
+// batchInFlight bounds the items of one batch that run at once: a quarter
+// of a shard's 64-run table, so one coordinator batch cannot starve a
+// shard of runs. Below 17 cores the worker budget binds first.
+const batchInFlight = 16
 
 // AllocateItem is one selection request inside a batch: the per-run fields
 // of AllocateRequest without the instance coordinates (the batch names its
@@ -110,8 +115,16 @@ func (s *Server) handleAllocateBatch(w http.ResponseWriter, r *http.Request) {
 	for i, item := range req.Requests {
 		coreReqs[i] = p.request(item, s.metrics, false)
 	}
+	ctx := r.Context()
+	results := make([]core.BatchResult, len(coreReqs))
 	started := time.Now()
-	results := t.AllocateBatch(r.Context(), coreReqs)
+	rrset.ParallelFor(len(coreReqs), batchInFlight, func(i int) {
+		if err := ctx.Err(); err != nil {
+			results[i].Err = err
+			return
+		}
+		results[i].Res, results[i].Err = t.Allocate(ctx, coreReqs[i])
+	})
 	s.metrics.allocSeconds.Observe(time.Since(started).Seconds())
 	items := make([]BatchItemResult, len(results))
 	for i, br := range results {

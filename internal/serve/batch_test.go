@@ -1,15 +1,20 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/shard"
 )
 
 // TestServerAllocateBatch pins the batch endpoint's contract on a single
@@ -124,9 +129,9 @@ func TestServerAllocateBatch(t *testing.T) {
 // TestShardedServeBatch drives /allocate/batch through a 2-shard
 // coordinator and pins every item against the single-node batch (itself
 // already pinned against lone /allocate): distributed batching changes
-// round trips, never allocations. Like shard.TestShardedBatchGolden it also
-// runs at GOMAXPROCS 1 and 2, fewer workers than items, where the
-// coordinator's old batch loop wedged the handler for good.
+// round trips, never allocations. It also runs at GOMAXPROCS 1 and 2,
+// fewer workers than items, where the coordinator's old batch loop wedged
+// the handler for good.
 func TestShardedServeBatch(t *testing.T) {
 	for _, procs := range []int{0, 1, 2} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -281,6 +286,75 @@ func TestBatchItemErrorIsolation(t *testing.T) {
 		}
 		if out.Seeds != nil {
 			t.Errorf("%s: failed item carries seeds", c.name)
+		}
+	}
+}
+
+// TestBatchCancelledRequest: a batch whose request context is already done
+// starts none of its items. In both modes every item reports 499 with the
+// context's error and is counted under reason canceled.
+func TestBatchCancelledRequest(t *testing.T) {
+	base := fig1Request()
+	bothModes(t, base.InstanceParams, func(t *testing.T, ts *httptest.Server, _ bool) {
+		items := make([]AllocateItem, 4)
+		for i := range items {
+			items[i].Opts = base.Opts
+		}
+		body, err := json.Marshal(AllocateBatchRequest{InstanceParams: base.InstanceParams, Requests: items})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequestWithContext(ctx, http.MethodPost, "/allocate/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("cancelled batch returned %d: %s", rec.Code, rec.Body)
+		}
+		var got AllocateBatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Items) != len(items) {
+			t.Fatalf("cancelled batch returned %d items for %d requests", len(got.Items), len(items))
+		}
+		for i, item := range got.Items {
+			if item.Status != statusClientClosed || item.Error != context.Canceled.Error() || item.Seeds != nil {
+				t.Errorf("item %d = %+v, want status %d with %q", i, item, statusClientClosed, context.Canceled)
+			}
+		}
+		const canceled = `adserver_alloc_failures_total{reason="canceled"}`
+		if n := metric(t, ts.URL, canceled); n != uint64(len(items)) {
+			t.Errorf("%s = %d, want %d", canceled, n, len(items))
+		}
+	})
+}
+
+// TestFailureOf pins the one mapping from an engine error to its status and
+// reason: a cancelled run is 499 on either engine, and a deadline stays
+// the engine's generic failure.
+func TestFailureOf(t *testing.T) {
+	stale := fmt.Errorf("%w: request prepared for epoch 1", core.ErrStaleEpoch)
+	for _, c := range []struct {
+		name       string
+		err        error
+		upstream   bool
+		wantStatus int
+		wantReason string
+	}{
+		{"stale-local", stale, false, http.StatusConflict, failStaleEpoch},
+		{"stale-upstream", stale, true, http.StatusConflict, failStaleEpoch},
+		{"unavailable", fmt.Errorf("slot 1: %w", shard.ErrPartitionUnavailable), true, http.StatusServiceUnavailable, failUnavailable},
+		{"canceled-local", context.Canceled, false, statusClientClosed, failCanceled},
+		{"canceled-upstream", fmt.Errorf("shard 0: %w", context.Canceled), true, statusClientClosed, failCanceled},
+		{"deadline-local", context.DeadlineExceeded, false, http.StatusBadRequest, failBadRequest},
+		{"deadline-upstream", fmt.Errorf("shard 0: %w", context.DeadlineExceeded), true, http.StatusBadGateway, failUpstream},
+		{"bad-local", errors.New("ad index 99 out of range"), false, http.StatusBadRequest, failBadRequest},
+		{"bad-upstream", errors.New("shard 0: connection reset"), true, http.StatusBadGateway, failUpstream},
+	} {
+		status, reason, _ := failureOf(c.err, c.upstream)
+		if status != c.wantStatus || reason != c.wantReason {
+			t.Errorf("%s: failureOf = %d %q, want %d %q", c.name, status, reason, c.wantStatus, c.wantReason)
 		}
 	}
 }

@@ -79,14 +79,6 @@ func (e *entry) Allocate(_ context.Context, req core.Request) (*core.TIRMResult,
 	return core.AllocateFromIndex(e.idx, req)
 }
 
-// AllocateBatch implements engine: the items share the entry's pool.
-func (e *entry) AllocateBatch(_ context.Context, reqs []core.Request) []core.BatchResult {
-	for i := range reqs {
-		reqs[i].Pool = e.pool
-	}
-	return core.AllocateBatch(e.idx, reqs)
-}
-
 // AddAd implements engine: only the new ad's stream is sampled.
 func (e *entry) AddAd(_ context.Context, _ core.AdSpec, ad core.Ad, opts core.TIRMOptions) (int, error) {
 	return e.idx.AddAd(ad, opts)

@@ -162,8 +162,6 @@ type engine interface {
 	// Allocate runs one selection; ctx carries the request's trace span
 	// and, for a remote sample, its cancellation.
 	Allocate(ctx context.Context, req core.Request) (*core.TIRMResult, error)
-	// AllocateBatch runs independent selections with per-item errors.
-	AllocateBatch(ctx context.Context, reqs []core.Request) []core.BatchResult
 	// AddAd appends ad — spec already cloned against the current instance
 	// by core.CloneAd — and returns its position. An engine whose sample
 	// lives elsewhere ships spec, and every holder clones it again.
@@ -276,18 +274,25 @@ func (s *Server) resolve(w http.ResponseWriter, p InstanceParams, n need) (targe
 	return t, true
 }
 
+// statusClientClosed is nginx's 499 "client closed request", the status of
+// a run its client cancelled; net/http names no such code.
+const statusClientClosed = 499
+
 // failureOf is the one mapping from an engine error to how a request
 // reports it — HTTP status, adserver_alloc_failures_total reason, message
 // prefix — shared by lone allocations, batch items and campaign mutations,
 // on either engine: a stale epoch is 409, a partition range with no live
-// replica 503, anything else 502 when the engine's errors are another
-// host's (upstream) and otherwise the request's own fault, 400.
+// replica 503, a cancelled request 499, anything else 502 when the engine's
+// errors are another host's (upstream) and otherwise the request's own
+// fault, 400.
 func failureOf(err error, upstream bool) (status int, reason, prefix string) {
 	switch {
 	case errors.Is(err, core.ErrStaleEpoch):
 		return http.StatusConflict, failStaleEpoch, "campaign set changed mid-request, retry: "
 	case errors.Is(err, shard.ErrPartitionUnavailable):
 		return http.StatusServiceUnavailable, failUnavailable, "cluster degraded: "
+	case errors.Is(err, context.Canceled):
+		return statusClientClosed, failCanceled, "request canceled: "
 	case upstream:
 		return http.StatusBadGateway, failUpstream, "sharded allocation: "
 	default:

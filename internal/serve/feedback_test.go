@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -134,7 +135,8 @@ func TestFeedbackEndToEnd(t *testing.T) {
 // protocol and the request-shape rejections, in both modes.
 func TestFeedbackPolicyLifecycle(t *testing.T) {
 	params := fig1Request().InstanceParams
-	bothModes(t, params, func(t *testing.T, url string, _ bool) {
+	bothModes(t, params, func(t *testing.T, ts *httptest.Server, _ bool) {
+		url := ts.URL
 		post := func(req FeedbackRequest, out any) int {
 			t.Helper()
 			req.InstanceParams = params

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -131,12 +132,12 @@ func TestServerLifecycleEndToEnd(t *testing.T) {
 // bothModes runs fn once against a single-node server and once against a
 // coordinator over two in-process shards serving params — the same inputs
 // on either side of the engine seam. Both run under leakcheck.
-func bothModes(t *testing.T, params InstanceParams, fn func(t *testing.T, url string, coordinator bool)) {
-	t.Run("single-node", func(t *testing.T) { fn(t, testServer(t, Options{}).URL, false) })
+func bothModes(t *testing.T, params InstanceParams, fn func(t *testing.T, ts *httptest.Server, coordinator bool)) {
+	t.Run("single-node", func(t *testing.T) { fn(t, testServer(t, Options{}), false) })
 	t.Run("coordinator", func(t *testing.T) {
 		leakcheck.Check(t)
 		front, _ := shardedServer(t, params, 2)
-		fn(t, front.URL, true)
+		fn(t, front, true)
 	})
 }
 
@@ -145,7 +146,8 @@ func bothModes(t *testing.T, params InstanceParams, fn func(t *testing.T, url st
 // the one set of handlers.
 func TestServerLifecycleValidation(t *testing.T) {
 	base := fig1Request()
-	bothModes(t, base.InstanceParams, func(t *testing.T, url string, coordinator bool) {
+	bothModes(t, base.InstanceParams, func(t *testing.T, ts *httptest.Server, coordinator bool) {
+		url := ts.URL
 		if code := postJSON(t, url+"/allocate", base, nil); code != http.StatusOK {
 			t.Fatalf("baseline allocate returned %d", code)
 		}

@@ -36,6 +36,9 @@ const (
 	// failUnavailable is a 503: every replica of some partition range is
 	// down (shard.ErrPartitionUnavailable) — the cluster is degraded.
 	failUnavailable = "unavailable"
+	// failCanceled is a 499: the client went away (context.Canceled)
+	// before the run finished or, for a batch item, before it started.
+	failCanceled = "canceled"
 )
 
 // serverMetrics is the server's observability surface. It implements
@@ -97,7 +100,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		allocations: reg.Counter("adserver_allocations_total",
 			"Successful allocation runs served (single-node and coordinator mode)."),
 		allocFailures: reg.CounterVec("adserver_alloc_failures_total",
-			"Refused or errored requests by reason (stale_epoch=409 epoch race, cap=503 live-campaign cap, unavailable=503 partition range with no live replica, bad_request=400, internal=500 index build, upstream=502 shard RPC).",
+			"Refused or errored requests by reason (stale_epoch=409 epoch race, cap=503 live-campaign cap, unavailable=503 partition range with no live replica, bad_request=400, internal=500 index build, upstream=502 shard RPC, canceled=499 client closed request).",
 			"reason"),
 		allocSeconds: reg.Histogram("adserver_alloc_seconds",
 			"End-to-end selection wall time per successful /allocate, in seconds.", obs.DefBuckets),

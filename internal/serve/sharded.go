@@ -208,11 +208,6 @@ func (st *shardedState) Allocate(ctx context.Context, req core.Request) (*core.T
 	return st.coord.Allocate(ctx, req)
 }
 
-// AllocateBatch implements engine (see shard.Coordinator.AllocateBatch).
-func (st *shardedState) AllocateBatch(ctx context.Context, reqs []core.Request) []core.BatchResult {
-	return st.coord.AllocateBatch(ctx, reqs)
-}
-
 // AddAd implements engine: the spec broadcasts to every shard, each clones
 // it as the host did, and the new ad is warmed cluster-wide.
 func (st *shardedState) AddAd(ctx context.Context, spec core.AdSpec, _ core.Ad, opts core.TIRMOptions) (int, error) {

@@ -62,11 +62,12 @@ func TestShardedKernelGolden(t *testing.T) {
 }
 
 // TestShardedBatchGolden pins the distributed batch contract at K ∈ {1, 4}:
-// every item of a mixed batch must return exactly what the sequential
-// single-node AllocateFromIndex returns for the same request, bad items
-// fail alone, and the whole batch observes one epoch. It runs at the
+// the items of a mixed batch, run concurrently through Coordinator.Allocate
+// under a bounded worker budget as POST /allocate/batch runs them, must
+// each return exactly what the sequential single-node AllocateFromIndex
+// returns for the same request, and a bad item fails alone. It runs at the
 // machine's GOMAXPROCS and at 1 and 2, where the batch has more items than
-// workers: the shape on which the old two-channel worker loop deadlocked.
+// workers.
 func TestShardedBatchGolden(t *testing.T) {
 	for _, procs := range []int{0, 1, 2} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -108,10 +109,10 @@ func shardedBatchGolden(t *testing.T) {
 		if err := coord.Warm(ctx, opts); err != nil {
 			t.Fatal(err)
 		}
-		got := coord.AllocateBatch(ctx, reqs)
-		if len(got) != len(reqs) {
-			t.Fatalf("K=%d: batch returned %d results for %d requests", k, len(got), len(reqs))
-		}
+		got := make([]core.BatchResult, len(reqs))
+		rrset.ParallelFor(len(reqs), 2, func(i int) {
+			got[i].Res, got[i].Err = coord.Allocate(ctx, reqs[i])
+		})
 		for i := range got {
 			if (got[i].Err != nil) != (want[i].Err != nil) {
 				t.Fatalf("K=%d item %d: batch err %v vs single-node err %v", k, i, got[i].Err, want[i].Err)
@@ -119,20 +120,18 @@ func shardedBatchGolden(t *testing.T) {
 			if got[i].Err != nil {
 				continue
 			}
-			mustEqualResults(t, "batch item", inst, reqs[i], want[i].Res, got[i].Res)
+			mustEqualResults(t, fmt.Sprintf("K=%d item %d", k, i), inst, reqs[i], want[i].Res, got[i].Res)
 		}
 		if got[2].Err == nil {
 			t.Errorf("K=%d: bad request in slot 2 did not fail", k)
 		}
-		if out := coord.AllocateBatch(ctx, nil); len(out) != 0 {
-			t.Errorf("K=%d: empty batch returned %d results", k, len(out))
-		}
 	}
 }
 
-// TestShardedBatchStaleEpoch: an item pinned to a bygone cluster epoch
-// fails with core.ErrStaleEpoch while current-epoch siblings succeed.
-func TestShardedBatchStaleEpoch(t *testing.T) {
+// TestShardedAllocateStaleEpoch: an allocation pinned to a bygone cluster
+// epoch fails with core.ErrStaleEpoch, and one at the current epoch
+// succeeds.
+func TestShardedAllocateStaleEpoch(t *testing.T) {
 	inst := testInstance()
 	opts := testOpts()
 	ctx := context.Background()
@@ -147,38 +146,11 @@ func TestShardedBatchStaleEpoch(t *testing.T) {
 	if _, err := coord.AddAdBase(ctx, 6, opts); err != nil {
 		t.Fatal(err)
 	}
-	out := coord.AllocateBatch(ctx, []core.Request{
-		{Opts: opts, Epoch: old},
-		{Opts: opts},
-	})
-	if !errors.Is(out[0].Err, core.ErrStaleEpoch) {
-		t.Errorf("stale item: err = %v, want core.ErrStaleEpoch", out[0].Err)
+	if _, err := coord.Allocate(ctx, core.Request{Opts: opts, Epoch: old}); !errors.Is(err, core.ErrStaleEpoch) {
+		t.Errorf("stale request: err = %v, want core.ErrStaleEpoch", err)
 	}
-	if out[1].Err != nil {
-		t.Errorf("current-epoch item failed: %v", out[1].Err)
-	}
-}
-
-// TestShardedBatchCancelled: once the caller's context is done the batch
-// hands out no more work — every item not yet started reports the
-// context's error and the call returns.
-func TestShardedBatchCancelled(t *testing.T) {
-	inst := testInstance()
-	opts := testOpts()
-	coord, _, err := NewLocalCluster(inst, 0, 42, 2, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Warm(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out := coord.AllocateBatch(ctx, make([]core.Request, 6))
-	for i := range out {
-		if !errors.Is(out[i].Err, context.Canceled) {
-			t.Errorf("item %d: err = %v, want context.Canceled", i, out[i].Err)
-		}
+	if _, err := coord.Allocate(ctx, core.Request{Opts: opts, Epoch: coord.Epoch()}); err != nil {
+		t.Errorf("current-epoch request failed: %v", err)
 	}
 }
 

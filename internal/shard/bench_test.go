@@ -11,16 +11,15 @@ import (
 	"repro/internal/obs"
 )
 
-// BenchmarkAllocateBatch measures batched warm allocation at batch sizes
-// 1, 8, and 64 — single-node (core.AllocateBatch over one index) and
-// distributed at K = 4 (Coordinator.AllocateBatch, one pilot prime round
-// per batch). ns/op is per BATCH, so the per-request cost at B=64 against
-// 64× the B=1 number is what batching buys: shared epoch resolution,
-// shared pilot widths, and parallel fan-out.
+// BenchmarkAllocateBatch measures batched warm allocation on a single node
+// (core.AllocateBatch over one index) at batch sizes 1, 8, and 64. ns/op
+// is per BATCH, so the per-request cost at B=64 against 64× the B=1
+// number is what batching buys: shared epoch resolution and parallel
+// fan-out. single/B=1 is the single-node reference the coordinator's
+// BenchmarkShardedAllocate/K=1 is read against.
 func BenchmarkAllocateBatch(b *testing.B) {
 	inst := testInstance()
 	opts := testOpts()
-	ctx := context.Background()
 	sizes := []int{1, 8, 64}
 	batch := func(n int) []core.Request {
 		reqs := make([]core.Request, n)
@@ -47,31 +46,6 @@ func BenchmarkAllocateBatch(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					core.AllocateBatch(idx, reqs)
-				}
-			})
-		}
-	})
-
-	b.Run("K=4", func(b *testing.B) {
-		coord, _, err := NewLocalCluster(inst, 0, 42, 4, Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := coord.Warm(ctx, opts); err != nil {
-			b.Fatal(err)
-		}
-		for _, n := range sizes {
-			b.Run(fmt.Sprintf("B=%d", n), func(b *testing.B) {
-				reqs := batch(n)
-				for _, r := range coord.AllocateBatch(ctx, reqs) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					coord.AllocateBatch(ctx, reqs)
 				}
 			})
 		}
