@@ -272,10 +272,11 @@ func BenchmarkAblationRRCvsRR(b *testing.B) {
 	b.Run("RR", func(b *testing.B) {
 		var nonEmpty int
 		for i := 0; i < b.N; i++ {
-			sets := s.SampleBatchRR(batch, xrand.New(uint64(i)), 0)
+			fam := rrset.NewSetFamily()
+			s.SampleRangeRRInto(0, rrset.StreamCeil(batch), xrand.New(uint64(i)), fam)
 			nonEmpty = 0
-			for _, set := range sets {
-				if len(set) > 0 {
+			for j := 0; j < batch; j++ {
+				if len(fam.Set(j)) > 0 {
 					nonEmpty++
 				}
 			}
@@ -285,10 +286,11 @@ func BenchmarkAblationRRCvsRR(b *testing.B) {
 	b.Run("RRC", func(b *testing.B) {
 		var nonEmpty int
 		for i := 0; i < b.N; i++ {
-			sets := s.SampleBatchRRC(batch, xrand.New(uint64(i)), 0)
+			fam := rrset.NewSetFamily()
+			s.SampleRangeRRCInto(0, rrset.StreamCeil(batch), xrand.New(uint64(i)), fam)
 			nonEmpty = 0
-			for _, set := range sets {
-				if len(set) > 0 {
+			for j := 0; j < batch; j++ {
+				if len(fam.Set(j)) > 0 {
 					nonEmpty++
 				}
 			}

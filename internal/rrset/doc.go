@@ -1,7 +1,8 @@
 // Package rrset is the reverse-reachable-set substrate the allocation
 // algorithms run on: RR-set sampling by reverse BFS (Sampler), the
 // deterministic block stream that makes samples growable and restartable
-// (SampleRangeRRInto, StreamBlockSize), flat-arena set storage and
+// and is the only way to draw RR- or RRC-sets (SampleRangeRRInto,
+// SampleRangeRRCInto, StreamBlockSize), flat-arena set storage and
 // inverted indexes in CSR form (SetFamily, FamilyView, Inverted), the
 // residual-coverage collections TIRM's greedy selection queries
 // (Collection for the paper's hard removal, WeightedCollection for the

@@ -430,32 +430,18 @@ func TestCoverJoinIDLimit(t *testing.T) {
 // stream for any worker cap and any split into grow calls.
 func TestSampleRangeRRIntoWorkerInvariance(t *testing.T) {
 	s := streamTestSampler(t)
-	want := sampleRange(s, 0, 4*StreamBlockSize, 7)
-	for _, cap := range []int{0, 1, 3} {
-		SetMaxWorkers(cap)
-		fam := NewSetFamily()
-		s.SampleRangeRRInto(0, 2*StreamBlockSize, xrand.New(7), fam)
-		s.SampleRangeRRInto(2*StreamBlockSize, 4*StreamBlockSize, xrand.New(7), fam)
-		if got := fam.Sets(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("stream diverged at worker cap %d", cap)
+	for _, form := range streamForms {
+		want := drawRange(form.draw, s, 0, 4*StreamBlockSize, 7)
+		for _, cap := range []int{0, 1, 3} {
+			SetMaxWorkers(cap)
+			fam := NewSetFamily()
+			form.draw(s, 0, 2*StreamBlockSize, xrand.New(7), fam)
+			form.draw(s, 2*StreamBlockSize, 4*StreamBlockSize, xrand.New(7), fam)
+			if got := fam.Sets(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: stream diverged at worker cap %d", form.name, cap)
+			}
 		}
-	}
-	SetMaxWorkers(0)
-}
-
-// TestSampleBatchRRFamilyMatchesSlices: the arena-shaped batch sampler
-// draws the exact sets SampleBatchRR draws (same chunking, same rng use).
-func TestSampleBatchRRFamilyMatchesSlices(t *testing.T) {
-	s := streamTestSampler(t)
-	for _, count := range []int{0, 1, 7, 1000} {
-		want := s.SampleBatchRR(count, xrand.New(9), 42)
-		fam := s.SampleBatchRRFamily(count, xrand.New(9), 42)
-		if fam.Len() != count {
-			t.Fatalf("count %d: family has %d sets", count, fam.Len())
-		}
-		if count > 0 && !reflect.DeepEqual(fam.Sets(), want) {
-			t.Fatalf("count %d: family batch diverged from slice batch", count)
-		}
+		SetMaxWorkers(0)
 	}
 }
 

@@ -33,7 +33,9 @@ func fig1(t testing.TB) (*graph.Graph, []float32) {
 func TestRRUnbiased(t *testing.T) {
 	g, probs := fig1(t)
 	s := NewSampler(g, probs, nil)
-	sets := s.SampleBatchRR(200000, xrand.New(1), 0)
+	fam := NewSetFamily()
+	s.SampleRangeRRInto(0, StreamCeil(200000), xrand.New(1), fam)
+	sets := fam.View()
 
 	sim := diffusion.NewSimulator(g, topic.ItemParams{Probs: probs, CTPs: topic.ConstCTP{Nodes: 6, P: 1}})
 	for _, seeds := range [][]int32{{2}, {0, 1}, {0, 1, 2, 3, 4, 5}, {5}} {
@@ -51,7 +53,9 @@ func TestRRCUnbiased(t *testing.T) {
 	g, probs := fig1(t)
 	ctp := topic.ConstCTP{Nodes: 6, P: 0.6}
 	s := NewSampler(g, probs, ctp)
-	sets := s.SampleBatchRRC(300000, xrand.New(2), 0)
+	fam := NewSetFamily()
+	s.SampleRangeRRCInto(0, StreamCeil(300000), xrand.New(2), fam)
+	sets := fam.View()
 
 	sim := diffusion.NewSimulator(g, topic.ItemParams{Probs: probs, CTPs: ctp})
 	for _, seeds := range [][]int32{{2}, {0, 1}, {0, 1, 2, 3, 4, 5}} {
@@ -71,8 +75,10 @@ func TestTheorem5(t *testing.T) {
 	g, probs := fig1(t)
 	ctp := topic.ConstCTP{Nodes: 6, P: 0.5}
 	s := NewSampler(g, probs, ctp)
-	rr := s.SampleBatchRR(300000, xrand.New(3), 0)
-	rrc := s.SampleBatchRRC(300000, xrand.New(4), 0)
+	rrFam, rrcFam := NewSetFamily(), NewSetFamily()
+	s.SampleRangeRRInto(0, StreamCeil(300000), xrand.New(3), rrFam)
+	s.SampleRangeRRCInto(0, StreamCeil(300000), xrand.New(4), rrcFam)
+	rr, rrc := rrFam.View(), rrcFam.View()
 
 	u := int32(2) // v3, the hub
 	// S = ∅: exact identity.
@@ -92,37 +98,6 @@ func TestTheorem5(t *testing.T) {
 	}
 }
 
-func TestSampleDeterministic(t *testing.T) {
-	g, probs := fig1(t)
-	s := NewSampler(g, probs, nil)
-	a := s.SampleBatchRR(500, xrand.New(5), 7)
-	b := s.SampleBatchRR(500, xrand.New(5), 7)
-	if len(a) != len(b) {
-		t.Fatal("batch sizes differ")
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			t.Fatalf("set %d differs in size", i)
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("set %d element %d differs", i, j)
-			}
-		}
-	}
-	// Different salts must give different batches.
-	c := s.SampleBatchRR(500, xrand.New(5), 8)
-	same := 0
-	for i := range a {
-		if len(a[i]) == len(c[i]) {
-			same++
-		}
-	}
-	if same == 500 {
-		t.Error("salted batches suspiciously identical in shape")
-	}
-}
-
 func TestSampleRRContainsRoot(t *testing.T) {
 	// With all probabilities zero every RR-set is exactly its root.
 	g, _ := fig1(t)
@@ -130,7 +105,7 @@ func TestSampleRRContainsRoot(t *testing.T) {
 	s := NewSampler(g, probs, nil)
 	r := xrand.New(6)
 	for i := 0; i < 200; i++ {
-		set := s.SampleRR(r)
+		set := s.sampleScratch(s.newScratch(), r, false)
 		if len(set) != 1 {
 			t.Fatalf("zero-prob RR-set has %d nodes", len(set))
 		}
@@ -147,7 +122,7 @@ func TestSampleRRFullProbs(t *testing.T) {
 	s := NewSampler(g, probs, nil)
 	r := xrand.New(7)
 	for i := 0; i < 200; i++ {
-		set := s.SampleRR(r)
+		set := s.sampleScratch(s.newScratch(), r, false)
 		root := set[0]
 		// Ancestors per the gadget topology.
 		wantSize := map[int32]int{0: 1, 1: 1, 2: 3, 3: 4, 4: 4, 5: 6}[root]
@@ -165,7 +140,7 @@ func TestRRCPanicsWithoutCTP(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.SampleRRC(xrand.New(1))
+	s.SampleRangeRRCInto(0, StreamBlockSize, xrand.New(1), NewSetFamily())
 }
 
 func TestNewSamplerValidation(t *testing.T) {
@@ -200,10 +175,10 @@ func TestWidth(t *testing.T) {
 }
 
 func TestFracCoveredEdges(t *testing.T) {
-	if f := FracCovered(nil, []int32{1}, 5); f != 0 {
+	if f := FracCovered(NewSetFamily().View(), []int32{1}, 5); f != 0 {
 		t.Errorf("empty family coverage %v", f)
 	}
-	sets := [][]int32{{0, 1}, {2}, {3, 4}}
+	sets := FamilyFromSets([][]int32{{0, 1}, {2}, {3, 4}}).View()
 	if f := FracCovered(sets, nil, 5); f != 0 {
 		t.Errorf("empty seed coverage %v", f)
 	}
@@ -435,6 +410,14 @@ func TestTheta(t *testing.T) {
 	}
 	if got := Theta(1000, 10, 0.01, 1, 1, 1, 500); got != 500 {
 		t.Errorf("ceiling not applied: %d", got)
+	}
+	// A bound past 2^63 saturates instead of wrapping below the floor: a
+	// tighter ε never gets a smaller sample.
+	if got := Theta(30000, 1, 1e-9, 1, 10, 4096, 200000); got != 200000 {
+		t.Errorf("ε=1e-9 under a 200000 cap: %d, want the cap", got)
+	}
+	if got := Theta(30000, 1, 1e-9, 1, 10, 4096, 0); got != math.MaxInt {
+		t.Errorf("ε=1e-9 uncapped: %d, want math.MaxInt", got)
 	}
 }
 

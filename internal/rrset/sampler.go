@@ -30,7 +30,7 @@ import (
 
 // maxSamplingWorkers caps the goroutines any one sampling call fans out to;
 // 0 means runtime.GOMAXPROCS. Worker count never changes sample content
-// (the block/chunk decomposition is deterministic), only parallelism, so
+// (the block decomposition is deterministic), only parallelism, so
 // operators can pin it (cmd flags -workers) to keep a serving process from
 // saturating every core during index builds.
 var maxSamplingWorkers atomic.Int32
@@ -126,7 +126,7 @@ type Sampler struct {
 }
 
 // NewSampler builds a sampler. probs must have one entry per edge. ctps may
-// be nil when only SampleRR/SampleBatchRR are used.
+// be nil when only RR-sets are drawn (SampleRangeRRInto).
 func NewSampler(g *graph.Graph, probs []float32, ctps topic.CTP) *Sampler {
 	if int64(len(probs)) != g.M() {
 		panic("rrset: probability vector length != edge count")
@@ -165,21 +165,6 @@ func (s *Sampler) buildInProbs() {
 	s.inProbs = in
 }
 
-// forEach calls fn(sc, i) once for every i in [0, n) and returns when all
-// calls have — the one fan-out behind every batch and stream entry point:
-// samplingWorkers(n) workers on ParallelFor, a scratch each, units claimed
-// from an atomic counter. Which worker draws unit i never matters: fn
-// derives i's rng from i alone and writes only slot i.
-func (s *Sampler) forEach(n int, fn func(sc *scratch, i int)) {
-	var next atomic.Int64
-	ParallelFor(samplingWorkers(n), 0, func(int) {
-		sc := s.newScratch()
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(sc, i)
-		}
-	})
-}
-
 // scratch is reusable per-goroutine BFS state. The visit marks are a bitset
 // (n/8 bytes, so they stay in cache at sizes where a stamp per node does
 // not); a sample leaves its marks set, and the next one clears them.
@@ -208,8 +193,8 @@ func (sc *scratch) reset() {
 // returns the resulting set in sc's reusable buffer — valid only until the
 // next sample from the same scratch. withCTP selects RRC semantics (node
 // coins gate membership but not propagation). RNG consumption depends only
-// on the graph walk, never on where the output lands, so every caller-side
-// storage strategy (fresh slices, flat arenas) yields identical streams.
+// on the graph walk, never on where the output lands: the stream copies
+// each set into its block's arena before the next sample reuses the buffer.
 // An in-edge whose source is already marked is skipped before its coin is
 // flipped: which draws a sample takes is part of the stream's definition
 // (referenceSample in the tests is the loop this one must match draw for
@@ -245,130 +230,10 @@ func (s *Sampler) sampleScratch(sc *scratch, rng *xrand.Rand, withCTP bool) []in
 	return sc.out
 }
 
-// sampleInto is sampleScratch with the set copied to a fresh slice (nil if
-// empty — only possible under RRC semantics).
-func (s *Sampler) sampleInto(sc *scratch, rng *xrand.Rand, withCTP bool) []int32 {
-	set := s.sampleScratch(sc, rng, withCTP)
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int32, len(set))
-	copy(out, set)
-	return out
-}
-
-// SampleRR draws one plain RR-set. The returned nodes are in BFS discovery
-// order from the random root.
-func (s *Sampler) SampleRR(rng *xrand.Rand) []int32 {
-	sc := s.newScratch()
-	return s.sampleInto(sc, rng, false)
-}
-
-// SampleRRC draws one RRC-set (CTP-filtered membership). The sampler must
-// have been constructed with non-nil CTPs.
-func (s *Sampler) SampleRRC(rng *xrand.Rand) []int32 {
-	if s.ctps == nil {
-		panic("rrset: SampleRRC requires CTPs")
-	}
-	sc := s.newScratch()
-	return s.sampleInto(sc, rng, true)
-}
-
-// batchChunks fixes the parallel decomposition of batch sampling so results
-// are independent of GOMAXPROCS (chunk c uses stream rng.Split(salt+c) and
-// writes to a deterministic slot range).
-const batchChunks = 64
-
-// SampleBatchRR draws `count` RR-sets in parallel. The result is
-// deterministic given (rng seed, salt, count): the i-th returned set is
-// always the same regardless of scheduling. salt distinguishes successive
-// batches drawn from the same logical stream (pass the number of sets drawn
-// so far).
-func (s *Sampler) SampleBatchRR(count int, rng *xrand.Rand, salt uint64) [][]int32 {
-	return s.sampleBatch(count, rng, salt, false)
-}
-
-// SampleBatchRRFamily is SampleBatchRR materialized as a flat arena: same
-// chunk decomposition, same rng consumption, therefore the exact same sets
-// — but stored as one SetFamily instead of count slices (TIM draws
-// millions of sets in one batch; per-set allocation dominates otherwise).
-func (s *Sampler) SampleBatchRRFamily(count int, rng *xrand.Rand, salt uint64) *SetFamily {
-	fam := NewSetFamily()
-	if count <= 0 {
-		return fam
-	}
-	starts := batchStarts(count)
-	parts := make([]*SetFamily, len(starts)-1)
-	s.forEach(len(parts), func(sc *scratch, c int) {
-		sz := starts[c+1] - starts[c]
-		pf := &SetFamily{
-			offsets: make([]uint32, 1, sz+1),
-			members: make([]int32, 0, 4*sz),
-		}
-		crng := rng.Split(salt + uint64(c)*0x9e37)
-		for i := 0; i < sz; i++ {
-			pf.Append(s.sampleScratch(sc, crng, false))
-		}
-		parts[c] = pf
-	})
-	var total int64
-	for _, pf := range parts {
-		total += pf.NumMembers()
-	}
-	fam.Reserve(count, total)
-	for _, pf := range parts {
-		fam.AppendFamily(pf)
-	}
-	return fam
-}
-
-// SampleBatchRRC is SampleBatchRR with RRC (CTP-filtered) semantics.
-func (s *Sampler) SampleBatchRRC(count int, rng *xrand.Rand, salt uint64) [][]int32 {
-	if s.ctps == nil {
-		panic("rrset: SampleBatchRRC requires CTPs")
-	}
-	return s.sampleBatch(count, rng, salt, true)
-}
-
-// batchStarts fixes the deterministic chunk decomposition of a count-set
-// batch: chunk c covers slots [starts[c], starts[c+1]).
-func batchStarts(count int) []int {
-	chunks := batchChunks
-	if count < chunks {
-		chunks = count
-	}
-	per := count / chunks
-	extra := count % chunks
-	starts := make([]int, chunks+1)
-	for c := 0; c < chunks; c++ {
-		sz := per
-		if c < extra {
-			sz++
-		}
-		starts[c+1] = starts[c] + sz
-	}
-	return starts
-}
-
-func (s *Sampler) sampleBatch(count int, rng *xrand.Rand, salt uint64, withCTP bool) [][]int32 {
-	if count <= 0 {
-		return nil
-	}
-	out := make([][]int32, count)
-	starts := batchStarts(count)
-	s.forEach(len(starts)-1, func(sc *scratch, c int) {
-		crng := rng.Split(salt + uint64(c)*0x9e37)
-		for i := starts[c]; i < starts[c+1]; i++ {
-			out[i] = s.sampleInto(sc, crng, withCTP)
-		}
-	})
-	return out
-}
-
-// FracCovered returns the fraction of the given sets that intersect S
+// FracCovered returns the fraction of the view's sets that intersect S
 // (the F_R(S) of Proposition 1 / F_Q(S) of Lemma 2).
-func FracCovered(sets [][]int32, seeds []int32, n int) float64 {
-	if len(sets) == 0 {
+func FracCovered(v FamilyView, seeds []int32, n int) float64 {
+	if v.Len() == 0 {
 		return 0
 	}
 	inS := make([]bool, n)
@@ -376,15 +241,15 @@ func FracCovered(sets [][]int32, seeds []int32, n int) float64 {
 		inS[u] = true
 	}
 	covered := 0
-	for _, set := range sets {
-		for _, u := range set {
+	for i := 0; i < v.Len(); i++ {
+		for _, u := range v.Set(i) {
 			if inS[u] {
 				covered++
 				break
 			}
 		}
 	}
-	return float64(covered) / float64(len(sets))
+	return float64(covered) / float64(v.Len())
 }
 
 // Width returns Σ_{v∈set} indeg(v), the ω(R) statistic used by TIM's KPT

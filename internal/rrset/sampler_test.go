@@ -250,7 +250,7 @@ func TestFirstSampleConcurrent(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				got := s.SampleRR(xrand.New(w))
+				got := s.sampleScratch(s.newScratch(), xrand.New(w), false)
 				want := referenceSample(g, probs, nil, &refScratch{}, xrand.New(w), false)
 				if !slices.Equal(got, want) {
 					t.Errorf("round %d worker %d: first sample has %d members, reference %d, or the same in another order",

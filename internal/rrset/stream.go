@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/xrand"
 )
@@ -36,6 +37,24 @@ func StreamCeil(count int) int {
 // stream itself. from and to must be multiples of StreamBlockSize with
 // from ≤ to; the number of appended sets is to−from.
 func (s *Sampler) SampleRangeRRInto(from, to int, rng *xrand.Rand, fam *SetFamily) {
+	s.sampleRange(from, to, rng, fam, false)
+}
+
+// SampleRangeRRCInto draws the blocks of SampleRangeRRInto as RRC-sets
+// (§5.2, Lemma 2): a reached node's CTP coin gates its membership, not the
+// walk, so a set may be empty. The sampler must have non-nil CTPs.
+func (s *Sampler) SampleRangeRRCInto(from, to int, rng *xrand.Rand, fam *SetFamily) {
+	if s.ctps == nil {
+		panic("rrset: SampleRangeRRCInto requires CTPs")
+	}
+	s.sampleRange(from, to, rng, fam, true)
+}
+
+// sampleRange is the one body behind both stream forms: samplingWorkers
+// workers on ParallelFor, a scratch each, blocks claimed from an atomic
+// counter. Which worker draws block b never matters: its rng derives from
+// b alone and it writes only blocks[b].
+func (s *Sampler) sampleRange(from, to int, rng *xrand.Rand, fam *SetFamily, withCTP bool) {
 	if from%StreamBlockSize != 0 || to%StreamBlockSize != 0 || from > to {
 		panic(fmt.Sprintf("rrset: SampleRangeRR range [%d,%d) not block-aligned", from, to))
 	}
@@ -45,16 +64,20 @@ func (s *Sampler) SampleRangeRRInto(from, to int, rng *xrand.Rand, fam *SetFamil
 		return
 	}
 	blocks := make([]*SetFamily, numBlocks)
-	s.forEach(numBlocks, func(sc *scratch, b int) {
-		bf := &SetFamily{
-			offsets: make([]uint32, 1, StreamBlockSize+1),
-			members: make([]int32, 0, 4*StreamBlockSize),
+	var next atomic.Int64
+	ParallelFor(samplingWorkers(numBlocks), 0, func(int) {
+		sc := s.newScratch()
+		for b := int(next.Add(1)) - 1; b < numBlocks; b = int(next.Add(1)) - 1 {
+			bf := &SetFamily{
+				offsets: make([]uint32, 1, StreamBlockSize+1),
+				members: make([]int32, 0, 4*StreamBlockSize),
+			}
+			brng := rng.Split(uint64(firstBlock + b))
+			for i := 0; i < StreamBlockSize; i++ {
+				bf.Append(s.sampleScratch(sc, brng, withCTP))
+			}
+			blocks[b] = bf
 		}
-		brng := rng.Split(uint64(firstBlock + b))
-		for i := 0; i < StreamBlockSize; i++ {
-			bf.Append(s.sampleScratch(sc, brng, false))
-		}
-		blocks[b] = bf
 	})
 	var total int64
 	for _, bf := range blocks {

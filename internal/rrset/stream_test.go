@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/topic"
 	"repro/internal/xrand"
 )
 
@@ -24,13 +25,28 @@ func streamTestSampler(t testing.TB) *Sampler {
 	for i := range probs {
 		probs[i] = 0.3
 	}
-	return NewSampler(g, probs, nil)
+	return NewSampler(g, probs, topic.ConstCTP{Nodes: g.N(), P: 0.5})
 }
 
-// sampleRange draws stream sets [from, to) into a fresh arena.
+// streamForms are the sampler's two stream forms; the tests that pin the
+// stream contract hold both to it.
+var streamForms = []struct {
+	name string
+	draw func(s *Sampler, from, to int, rng *xrand.Rand, fam *SetFamily)
+}{
+	{"RR", (*Sampler).SampleRangeRRInto},
+	{"RRC", (*Sampler).SampleRangeRRCInto},
+}
+
+// sampleRange draws RR stream sets [from, to) into a fresh arena.
 func sampleRange(s *Sampler, from, to int, seed uint64) [][]int32 {
+	return drawRange((*Sampler).SampleRangeRRInto, s, from, to, seed)
+}
+
+// drawRange draws sets [from, to) of one stream form into a fresh arena.
+func drawRange(draw func(*Sampler, int, int, *xrand.Rand, *SetFamily), s *Sampler, from, to int, seed uint64) [][]int32 {
 	fam := NewSetFamily()
-	s.SampleRangeRRInto(from, to, xrand.New(seed), fam)
+	draw(s, from, to, xrand.New(seed), fam)
 	return fam.Sets()
 }
 
@@ -39,15 +55,30 @@ func sampleRange(s *Sampler, from, to int, seed uint64) [][]int32 {
 // range was partitioned into grow calls.
 func TestSampleRangeRRBatchInvariance(t *testing.T) {
 	s := streamTestSampler(t)
-	whole := sampleRange(s, 0, 4*StreamBlockSize, 7)
-	first := sampleRange(s, 0, StreamBlockSize, 7)
-	rest := sampleRange(s, StreamBlockSize, 4*StreamBlockSize, 7)
-	pieced := append(append([][]int32{}, first...), rest...)
-	if !reflect.DeepEqual(whole, pieced) {
-		t.Fatal("stream content depends on growth boundaries")
+	for _, form := range streamForms {
+		whole := drawRange(form.draw, s, 0, 4*StreamBlockSize, 7)
+		first := drawRange(form.draw, s, 0, StreamBlockSize, 7)
+		rest := drawRange(form.draw, s, StreamBlockSize, 4*StreamBlockSize, 7)
+		pieced := append(append([][]int32{}, first...), rest...)
+		if !reflect.DeepEqual(whole, pieced) {
+			t.Fatalf("%s: stream content depends on growth boundaries", form.name)
+		}
+		if again := drawRange(form.draw, s, 0, 4*StreamBlockSize, 7); !reflect.DeepEqual(whole, again) {
+			t.Fatalf("%s: stream not deterministic", form.name)
+		}
 	}
-	if again := sampleRange(s, 0, 4*StreamBlockSize, 7); !reflect.DeepEqual(whole, again) {
-		t.Fatal("stream not deterministic")
+}
+
+// TestRRCStreamAtFullCTPIsRR: a CTP of 1 admits every reached node and
+// draws no coin, so the RRC stream is the RR stream set for set — the two
+// forms share blocks, rng derivation and walk.
+func TestRRCStreamAtFullCTPIsRR(t *testing.T) {
+	base := streamTestSampler(t)
+	s := NewSampler(base.Graph(), base.Probs(), topic.ConstCTP{Nodes: base.Graph().N(), P: 1})
+	rr := drawRange((*Sampler).SampleRangeRRInto, s, StreamBlockSize, 3*StreamBlockSize, 9)
+	rrc := drawRange((*Sampler).SampleRangeRRCInto, s, StreamBlockSize, 3*StreamBlockSize, 9)
+	if !reflect.DeepEqual(rr, rrc) {
+		t.Fatal("RRC stream at CTP 1 differs from the RR stream")
 	}
 }
 

@@ -40,10 +40,14 @@ func L(n int64, s int64, eps, ell, optLB float64) float64 {
 
 // Theta returns ⌈L(s,ε)⌉ clamped into [minTheta, maxTheta]. TIRM grows the
 // per-ad sample lazily, so the floor keeps tiny instances statistically
-// sane and the ceiling protects against degenerate optLB values.
+// sane and the ceiling protects against degenerate optLB values. A bound
+// past math.MaxInt (a tiny ε) saturates there instead of wrapping.
 func Theta(n int64, s int64, eps, ell, optLB float64, minTheta, maxTheta int) int {
-	v := L(n, s, eps, ell, optLB)
-	th := int(math.Ceil(v))
+	v := math.Ceil(L(n, s, eps, ell, optLB))
+	th := math.MaxInt
+	if v < float64(math.MaxInt) {
+		th = int(v)
+	}
 	if th < minTheta {
 		th = minTheta
 	}

@@ -20,10 +20,6 @@ type Config struct {
 	// Roster is the full generated instance the cluster was built from;
 	// campaign arrivals activate its positions. Required.
 	Roster *core.Instance
-	// InitialAds is how many roster positions are live at cluster start
-	// (0 = all). It must match how the shards were built; NewLocalCluster
-	// wires both sides.
-	InitialAds int
 	// Verify turns on the per-round cross-check: every frontier's
 	// marginal gains are scatter-gathered from all shards and compared
 	// against the coordinator's aggregate counters, so shard drift (a

@@ -91,7 +91,6 @@ func NewLocalCluster(roster *core.Instance, initialAds int, seed uint64, k int, 
 		clients[i] = LocalClient{S: s}
 	}
 	cfg.Roster = roster
-	cfg.InitialAds = initialAds
 	coord, err := NewCoordinator(context.Background(), clients, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -139,7 +138,6 @@ func NewReplicaCluster(roster *core.Instance, initialAds int, seed uint64, k, r 
 		clients[slot] = set
 	}
 	cfg.Roster = roster
-	cfg.InitialAds = initialAds
 	coord, err := NewCoordinator(ctx, clients, cfg)
 	if err != nil {
 		return nil, nil, nil, err

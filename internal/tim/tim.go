@@ -7,7 +7,8 @@
 // TIM returns a (1 − 1/e − ε)-approximation to OPT_s with probability
 // ≥ 1 − n^(−ℓ) (Proposition 2). The repository uses TIM both as a
 // standalone influence maximizer (tests, examples) and as the source of the
-// sample-size machinery TIRM shares.
+// sample-size machinery TIRM shares; both phases draw from the RR block
+// stream TIRM's index grows on (rrset.SampleRangeRRInto).
 package tim
 
 import (
@@ -51,7 +52,9 @@ func (o Options) withDefaults() Options {
 // draws c_i = (6ℓ·ln n + 6·ln log2 n)·2^i RR-sets, computes the width
 // statistic κ(R) = 1 − (1 − ω(R)/m)^s, and stops when the round mean
 // exceeds 2^(−i), returning n·mean/2. The result is floored at s (any
-// s-node set has IC spread ≥ s) and at 1.
+// s-node set has IC spread ≥ s) and at 1. Round i reads the first c_i sets
+// of the next block-aligned range of rng's RR stream, drawn into a fresh
+// family so memory stays one round's.
 func EstimateKPT(s *rrset.Sampler, seedSize int, rng *xrand.Rand, opts Options) float64 {
 	opts = opts.withDefaults()
 	g := s.Graph()
@@ -66,7 +69,7 @@ func EstimateKPT(s *rrset.Sampler, seedSize int, rng *xrand.Rand, opts Options) 
 		rounds = 1
 	}
 	base := 6*opts.Ell*math.Log(float64(n)) + 6*math.Log(math.Max(log2n, 1.0000001))
-	var salt uint64
+	from := 0 // stream position of the next round's first set
 	for i := 1; i <= rounds; i++ {
 		ci := int(math.Ceil(base * math.Pow(2, float64(i))))
 		if ci < 16 {
@@ -75,11 +78,12 @@ func EstimateKPT(s *rrset.Sampler, seedSize int, rng *xrand.Rand, opts Options) 
 		if opts.MaxTheta > 0 && ci > opts.MaxTheta {
 			ci = opts.MaxTheta
 		}
-		sets := s.SampleBatchRR(ci, rng, salt)
-		salt += uint64(ci)
+		fam := rrset.NewSetFamily()
+		s.SampleRangeRRInto(from, from+rrset.StreamCeil(ci), rng, fam)
+		from += fam.Len()
 		var sum float64
-		for _, set := range sets {
-			w := rrset.Width(g, set)
+		for j := 0; j < ci; j++ {
+			w := rrset.Width(g, fam.Set(j))
 			kappa := 1 - math.Pow(1-float64(w)/float64(m), float64(seedSize))
 			sum += kappa
 		}
@@ -101,7 +105,7 @@ type Result struct {
 	Seeds []int32
 	// EstSpread is n·F_R(Seeds), the RR-sample spread estimate.
 	EstSpread float64
-	// Theta is the number of RR-sets sampled in phase 2.
+	// Theta is the number of RR-sets phase 2 covers.
 	Theta int
 	// KPT is the phase-1 lower bound on OPT_s.
 	KPT float64
@@ -122,8 +126,10 @@ func Maximize(s *rrset.Sampler, k int, rng *xrand.Rand, opts Options) Result {
 	}
 	kpt := EstimateKPT(s, k, rng.Split(0x7a11), opts)
 	theta := rrset.Theta(n, int64(k), opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
+	fam := rrset.NewSetFamily()
+	s.SampleRangeRRInto(0, rrset.StreamCeil(theta), rng, fam)
 	col := rrset.NewCollection(int(n))
-	col.AddFamily(s.SampleBatchRRFamily(theta, rng, 0x5eed).View())
+	col.AddFamily(fam.Prefix(theta))
 
 	res := Result{Theta: theta, KPT: kpt}
 	for len(res.Seeds) < k {

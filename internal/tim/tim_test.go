@@ -136,12 +136,19 @@ func TestMaximizeDeterministic(t *testing.T) {
 	s := rrset.NewSampler(g, probs, nil)
 	a := Maximize(s, 2, xrand.New(9), Options{MinTheta: 20000})
 	b := Maximize(s, 2, xrand.New(9), Options{MinTheta: 20000})
-	if len(a.Seeds) != len(b.Seeds) || a.EstSpread != b.EstSpread {
-		t.Fatal("Maximize not deterministic")
-	}
-	for i := range a.Seeds {
-		if a.Seeds[i] != b.Seeds[i] {
-			t.Fatal("Maximize seed order not deterministic")
+	// The sets come from the block stream, so the worker count must not
+	// move the result either.
+	rrset.SetMaxWorkers(1)
+	defer rrset.SetMaxWorkers(0)
+	c := Maximize(s, 2, xrand.New(9), Options{MinTheta: 20000})
+	for _, other := range []Result{b, c} {
+		if len(a.Seeds) != len(other.Seeds) || a.EstSpread != other.EstSpread || a.KPT != other.KPT {
+			t.Fatal("Maximize not deterministic")
+		}
+		for i := range a.Seeds {
+			if a.Seeds[i] != other.Seeds[i] {
+				t.Fatal("Maximize seed order not deterministic")
+			}
 		}
 	}
 }
