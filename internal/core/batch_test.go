@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -29,7 +31,7 @@ func sameTIRMResult(t *testing.T, a, b *TIRMResult) {
 
 // sparseBackend is the local backend with every collection moved onto the
 // sparse kernel after Open — the reference run the data-chosen kernels are
-// compared against.
+// compared against. A soft collection runs sparse already.
 type sparseBackend struct{ localBackend }
 
 func (b *sparseBackend) Open(ctx context.Context, ads, thetas []int, out []Coverage) (fresh int64, kernels [rrset.NumKernels]int, err error) {
@@ -39,25 +41,41 @@ func (b *sparseBackend) Open(ctx context.Context, ads, thetas []int, out []Cover
 		if cs.hard != nil {
 			kernels[cs.hard.UseKernel(rrset.KernelSparse)]++
 		} else {
-			kernels[cs.soft.UseKernel(rrset.KernelSparse)]++
+			kernels[rrset.KernelSparse]++
 		}
 	}
 	return fresh, kernels, err
 }
 
+// softKernelFixture is TestKernelRequestGolden's soft run as the build with
+// a bitset weighted commit computed it: the seeds, the bits of every
+// revenue estimate, and the final θ. The soft commit has one kernel now,
+// the sparse walk, and must reproduce those bits exactly.
+var softKernelFixture = struct {
+	seeds   [][]int32
+	revenue []uint64
+	theta   []int
+}{
+	seeds:   [][]int32{{13}, {13, 43, 19, 27, 18, 0, 23}, {27, 19, 43, 18}},
+	revenue: []uint64{0x40038ec26662ca8c, 0x401c16d625bf2d70, 0x40029a826df4c022},
+	theta:   []int{40000, 40000, 40000},
+}
+
 // TestKernelRequestGolden pins the cross-kernel determinism contract at the
 // request level. The instance is dense enough (n ≤ 64, so every set holds
-// at least n/64 members) that the density rule puts every ad on the bitset
-// kernel; the same request with every collection held on sparse must
-// produce byte-identical allocations and estimates — the kernel changes
-// cost, never results.
+// at least n/64 members) that the density rule puts every hard-coverage ad
+// on the bitset kernel; the same request with every collection held on
+// sparse must produce byte-identical allocations and estimates — the
+// kernel changes cost, never results. A soft-coverage collection always
+// runs sparse, and its dense run must match softKernelFixture bit for bit.
 func TestKernelRequestGolden(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		opts TIRMOptions
+		name   string
+		opts   TIRMOptions
+		kernel rrset.KernelID // the kernel every ad runs on by default
 	}{
-		{"hard", TIRMOptions{MinTheta: 6000, MaxTheta: 40000}},
-		{"soft", TIRMOptions{MinTheta: 6000, MaxTheta: 40000, SoftCoverage: true}},
+		{"hard", TIRMOptions{MinTheta: 6000, MaxTheta: 40000}, rrset.KernelBitset},
+		{"soft", TIRMOptions{MinTheta: 6000, MaxTheta: 40000, SoftCoverage: true}, rrset.KernelSparse},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			inst := randomInstance(31, 50, 200, 3, 2, 0.01)
@@ -70,8 +88,22 @@ func TestKernelRequestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := chosen.KernelCounts[rrset.KernelBitset]; got != len(inst.Ads) {
-				t.Errorf("dense instance: KernelCounts[bitset] = %d, want %d", got, len(inst.Ads))
+			if got := chosen.KernelCounts[cfg.kernel]; got != len(inst.Ads) {
+				t.Errorf("dense instance: KernelCounts[%v] = %d, want %d", cfg.kernel, got, len(inst.Ads))
+			}
+			if cfg.opts.SoftCoverage {
+				want := softKernelFixture
+				for i := range inst.Ads {
+					if !slices.Equal(chosen.Alloc.Seeds[i], want.seeds[i]) {
+						t.Errorf("ad %d seeds %v, fixture %v", i, chosen.Alloc.Seeds[i], want.seeds[i])
+					}
+					if got := math.Float64bits(chosen.EstRevenue[i]); got != want.revenue[i] {
+						t.Errorf("ad %d est revenue bits %#x, fixture %#x", i, got, want.revenue[i])
+					}
+					if chosen.FinalTheta[i] != want.theta[i] {
+						t.Errorf("ad %d θ %d, fixture %d", i, chosen.FinalTheta[i], want.theta[i])
+					}
+				}
 			}
 			pool := req.workspacePool()
 			ws := pool.get()

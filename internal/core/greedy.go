@@ -99,9 +99,5 @@ func Greedy(inst *Instance, makeEst func(i int) AdEstimator, opts GreedyOptions)
 // estimator's own revenue estimates (Eq. 4). Neutral MC evaluation lives in
 // package eval; this is the algorithm-internal view used in logs and tests.
 func (r *GreedyResult) EstRegret(inst *Instance) float64 {
-	var total float64
-	for i, ad := range inst.Ads {
-		total += RegretTerm(ad.Budget, r.EstRevenue[i], inst.Lambda, len(r.Alloc.Seeds[i]))
-	}
-	return total
+	return RegretOver(inst, nil, nil, nil, r.EstRevenue, r.Alloc.Seeds)
 }

@@ -84,8 +84,9 @@ type TIRMResult struct {
 	Iterations int
 	// KernelCounts tallies, by rrset.KernelID, how many per-ad coverage
 	// collections ran on each cover kernel this run (sparse vs bitset,
-	// chosen per ad by rrset.Inverted.PrepareCover's density rule). A
-	// fixed array, not a map, so the warm path stays allocation-free.
+	// chosen per hard-coverage ad by rrset.Inverted.PrepareCover's density
+	// rule; a soft-coverage collection always counts as sparse). A fixed
+	// array, not a map, so the warm path stays allocation-free.
 	KernelCounts [rrset.NumKernels]int
 	// OpeningsBuilt counts the run's ads whose coverage state built its
 	// opening (row clip and initial heap for this θ) on the index instead

@@ -187,9 +187,9 @@ func (b *localBackend) Pilot(_ context.Context, ads []int, want int, out []Pilot
 // index's opening for this θ (built here, row clip and heap, only the
 // first time the index is opened at it), kernel mask — so this is the
 // run's one fan-out; per-ad sample counts are summed sequentially after it
-// returns. Each collection picks its own cover kernel from the ad's
-// inverted index (rrset.Inverted.PrepareCover's density rule); Open only
-// counts them.
+// returns. Each hard collection picks its own cover kernel from the ad's
+// inverted index (rrset.Inverted.PrepareCover's density rule), a soft one
+// always runs sparse; Open only counts them.
 func (b *localBackend) Open(_ context.Context, ads, thetas []int, out []Coverage) (fresh int64, kernels [rrset.NumKernels]int, err error) {
 	n := b.ep.inst.G.N()
 	rrset.ParallelFor(len(ads), 0, func(i int) {
@@ -200,7 +200,7 @@ func (b *localBackend) Open(_ context.Context, ads, thetas []int, out []Coverage
 		if b.soft {
 			cs.soft = cs.scratch.Weighted(n, sets, inv)
 			cs.hard = nil
-			cs.kernel, cs.built = cs.soft.Kernel(), cs.soft.OpeningBuilt()
+			cs.kernel, cs.built = rrset.KernelSparse, cs.soft.OpeningBuilt()
 			cs.soft.SyncHeap()
 		} else {
 			cs.hard = cs.scratch.Collection(n, sets, inv)

@@ -74,18 +74,12 @@ func cleared[T any](buf []T, n int) []T {
 
 // segStore is the score-independent half of a coverage collection, shared
 // by Collection and WeightedCollection: the node universe, the CSR segments
-// and their set count, and the first segment's kernel state.
+// and their set count.
 type segStore struct {
 	n       int
 	segs    []covSegment
 	numSets int
-	built   bool       // the last reset built its opening instead of finding it stored
-	bits    *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
-	// mask is the retired-set mask over the first segment (bitset kernel):
-	// covered sets, or zero-weight ones. It is not Collection.covered: its
-	// bits past the view's set count are pre-set (see useKernel), and
-	// covered's must stay clear for the sets a growth segment appends there.
-	mask []uint64
+	built   bool // the last reset built its opening instead of finding it stored
 }
 
 // N returns the node-universe size.
@@ -93,14 +87,6 @@ func (s *segStore) N() int { return s.n }
 
 // NumSets returns the total number of sets ever added.
 func (s *segStore) NumSets() int { return s.numSets }
-
-// Kernel returns the identifier of the collection's active cover kernel.
-func (s *segStore) Kernel() KernelID {
-	if s.bits != nil {
-		return KernelBitset
-	}
-	return KernelSparse
-}
 
 // OpeningBuilt reports whether the last Reset had to build its opening on
 // the inverted index (no stored one matched the view's length) rather than
@@ -111,16 +97,12 @@ func (s *segStore) OpeningBuilt() bool { return s.built }
 // its prebuilt inverted index, rows clipped to the view by the cut vector
 // borrowed from the index's opening for the view's length — and returns
 // that opening (cut[u] is also u's membership count, the owner's initial
-// scores). A fresh single-segment store meets every useKernel
-// precondition, so this activates the bitset kernel exactly when inv
-// carries a bitmap covering the view.
+// scores).
 func (s *segStore) reset(n int, v FamilyView, inv *Inverted) *opening {
 	s.n, s.numSets = n, v.Len()
 	o, built := inv.opening(s.numSets)
 	s.built = built
 	s.segs = append(s.segs[:0], covSegment{base: 0, view: v, inv: inv, cut: o.cut})
-	s.bits = nil
-	s.useKernel(KernelBitset, true)
 	return o
 }
 
@@ -136,59 +118,24 @@ func (s *segStore) grow(v FamilyView) *Inverted {
 	return inv
 }
 
-// useKernel is UseKernel for both collection kinds; untouched reports that
-// no set has been retired yet. The retired-set mask recycles its backing
-// array across reset cycles, so steady-state activation allocates nothing.
-func (s *segStore) useKernel(id KernelID, untouched bool) KernelID {
-	if id != KernelBitset {
-		s.bits = nil
-		return KernelSparse
-	}
-	if len(s.segs) != 1 || s.segs[0].base != 0 || !untouched {
-		return s.Kernel()
-	}
-	cb := s.segs[0].inv.preparedBits()
-	if cb == nil || cb.sets < s.numSets {
-		return s.Kernel()
-	}
-	k := s.numSets
-	kw := (k + 63) / 64
-	s.mask = cleared(s.mask, kw)
-	// Pre-set the bits past the view's set count so the sweep needs no
-	// tail masking: ids ≥ k read as already retired.
-	if r := uint(k) & 63; r != 0 {
-		s.mask[kw-1] = ^uint64(0) << r
-	}
-	s.bits = cb
-	return KernelBitset
-}
-
-// memBytes is the exact data footprint of the segments, plus the mask
-// while the bitset kernel sweeps it (the mask is workspace-owned and
-// outlives a run, so an idle one does not count).
+// memBytes is the exact data footprint of the segments.
 func (s *segStore) memBytes() int64 {
 	var total int64
 	for i := range s.segs {
 		total += s.segs[i].memBytes()
 	}
-	if s.bits != nil {
-		total += int64(len(s.mask)) * 8
-	}
 	return total
 }
 
-// release drops every reference into index-owned memory — segment slots
+// release drops every reference into index-owned memory: segment slots
 // are zeroed so the retained backing array holds no stale views,
-// inverted-index pointers or borrowed cut vectors, and the membership
-// bitmap belongs to the index — while keeping the store-owned mask for
-// reuse.
+// inverted-index pointers or borrowed cut vectors.
 func (s *segStore) release() {
 	for i := range s.segs {
 		s.segs[i] = covSegment{}
 	}
 	s.segs = s.segs[:0]
 	s.numSets = 0
-	s.bits = nil
 }
 
 // Collection is a mutable coverage index over a growing family of RR-sets.
@@ -223,9 +170,15 @@ func (s *segStore) release() {
 type Collection struct {
 	segStore
 	candidates[int32]
-	covered []uint64 // bit id&63 of word id>>6 set: set id already covered by a chosen seed
-	cov     []int32  // node -> residual coverage (uncovered sets containing it)
-	ncov    int      // number of covered sets
+	covered []uint64   // bit id&63 of word id>>6 set: set id already covered by a chosen seed
+	cov     []int32    // node -> residual coverage (uncovered sets containing it)
+	ncov    int        // number of covered sets
+	bits    *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
+	// mask is the bitset kernel's retired-set mask over the first segment.
+	// It is not covered: its bits past the view's set count are pre-set
+	// (see UseKernel), and covered's must stay clear for the sets a growth
+	// segment appends there.
+	mask []uint64
 }
 
 // NewCollection creates an empty index over n nodes.
@@ -249,11 +202,33 @@ func (c *Collection) SyncHeap() { c.sync(c.cov) }
 // paper's Table 4 (memory usage), measuring the structure that actually
 // dominates RR-set algorithms' memory. Shared segments (warm starts over a core.Index) count the shared
 // arrays here too — the footprint reachable from this collection.
+//
+// The bitset kernel's mask counts only while the kernel sweeps it: it is
+// workspace-owned and outlives a run, so an idle one does not count.
 func (c *Collection) MemBytes() int64 {
-	return c.memBytes() +
+	total := c.memBytes() +
 		int64(len(c.covered))*8 + // covered bitmap
 		int64(c.n)*5 + // cov counters + dead flags
 		int64(len(c.pq))*8
+	if c.bits != nil {
+		total += int64(len(c.mask)) * 8
+	}
+	return total
+}
+
+// Kernel returns the identifier of the collection's active cover kernel.
+func (c *Collection) Kernel() KernelID {
+	if c.bits != nil {
+		return KernelBitset
+	}
+	return KernelSparse
+}
+
+// release is segStore.release plus the kernel: the membership bitmap
+// belongs to the index, the mask stays for reuse.
+func (c *Collection) release() {
+	c.segStore.release()
+	c.bits = nil
 }
 
 // NumCovered returns the number of sets already covered by chosen seeds.
@@ -303,7 +278,10 @@ func (c *Collection) AddFamily(v FamilyView) {
 // view's length (see opening): computed on the first Reset at that length,
 // borrowed and copied by every later one. All state from the previous run,
 // including views of a previous index, is dropped. inv must satisfy the
-// same prefix contract as in NewCollectionFromFamily.
+// same prefix contract as in NewCollectionFromFamily. A fresh
+// single-segment collection meets every UseKernel precondition, so Reset
+// activates the bitset kernel exactly when inv carries a bitmap covering
+// the view.
 func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 	o := c.segStore.reset(n, v, inv)
 	c.candidates.reset(n, o)
@@ -314,6 +292,8 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 	}
 	c.cov = c.cov[:n]
 	copy(c.cov, o.cut)
+	c.bits = nil
+	c.UseKernel(KernelBitset)
 }
 
 // UseKernel overrides the kernel Reset chose and returns the kernel
@@ -328,7 +308,29 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 // right after Reset / NewCollectionFromFamily, before any cover
 // operation. The kernel's retired-set mask recycles its backing array
 // across Reset cycles, so steady-state activation allocates nothing.
-func (c *Collection) UseKernel(id KernelID) KernelID { return c.useKernel(id, c.ncov == 0) }
+func (c *Collection) UseKernel(id KernelID) KernelID {
+	if id != KernelBitset {
+		c.bits = nil
+		return KernelSparse
+	}
+	if len(c.segs) != 1 || c.segs[0].base != 0 || c.ncov != 0 {
+		return c.Kernel()
+	}
+	cb := c.segs[0].inv.preparedBits()
+	if cb == nil || cb.sets < c.numSets {
+		return c.Kernel()
+	}
+	k := c.numSets
+	kw := (k + 63) / 64
+	c.mask = cleared(c.mask, kw)
+	// Pre-set the bits past the view's set count so the sweep needs no
+	// tail masking: ids ≥ k read as already retired.
+	if r := uint(k) & 63; r != 0 {
+		c.mask[kw-1] = ^uint64(0) << r
+	}
+	c.bits = cb
+	return KernelBitset
+}
 
 // NewCollectionFromFamily builds a collection over a prebuilt sample view
 // and its prebuilt inverted index, the warm-start fast path of

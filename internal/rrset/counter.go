@@ -32,7 +32,7 @@ func NewCounterCollection(n int) *Collection { return NewCollection(n) }
 // every counter zero, the heap pending a rebuild — recycling every backing
 // array (Workspace.Counter).
 func (c *Collection) resetCounter(n int) {
-	c.segStore.release()
+	c.release()
 	c.n, c.built = n, false
 	c.candidates.reset(n, nil)
 	c.covered, c.ncov = c.covered[:0], 0

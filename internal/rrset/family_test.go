@@ -270,8 +270,8 @@ func TestCoverJoinOwnNodeMidSet(t *testing.T) {
 
 	joined, plain := NewWeightedCollectionFromFamily(n, v, inv), NewWeightedCollection(n)
 	plain.AddFamily(v)
-	if joined.UseKernel(KernelSparse) != KernelSparse || plain.segs[0].inv.joined {
-		t.Fatal("want the sparse walk over the join and over id rows")
+	if plain.segs[0].inv.joined {
+		t.Fatal("want the walk over id rows beside the join")
 	}
 	for _, delta := range []float64{0.3, 0.7} {
 		a, b := joined.Commit(u, delta), plain.Commit(u, delta)

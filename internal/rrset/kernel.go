@@ -2,7 +2,9 @@
 // at the heart of the greedy allocation loop. Every committed seed must
 // discover the not-yet-covered sets containing it and decrement the
 // residual coverage of their members; that inner loop dominates a warm
-// allocation's profile.
+// allocation's profile. Both kernels serve the hard Collection only; the
+// soft WeightedCollection's commit always takes the sparse walk
+// (sparseCommitSegs).
 //
 //   - sparse: the inverted-row scan — one cover-join record stream (or id
 //     row + arena hop) per node, cost proportional to the node's
@@ -15,18 +17,18 @@
 //     holds new sets. Right for dense instances where inverted rows
 //     approach the set count.
 //
-// Which one a collection runs is decided by the data, in one place:
+// Which one a Collection runs is decided by the data, in one place:
 // Inverted.PrepareCover builds the membership bitmap exactly when the
-// sample is dense enough, and a collection Reset over an index that has a
+// sample is dense enough, and a Collection Reset over an index that has a
 // bitmap sweeps it for its first segment (growth segments always take the
 // sparse walk). The cover operations branch on that; nothing above this
 // package names a kernel except to count Kernel().
 //
 // Kernels differ only in how covered sets are *discovered*; sets are then
 // retired in ascending id order with identical per-member updates either
-// way, so heap evolution, tie-breaking, float summation order — and
-// therefore the final allocation — are byte-identical across kernels
-// (pinned by FuzzKernelEquivalence and the golden tests).
+// way, so heap evolution, tie-breaking — and therefore the final
+// allocation — are byte-identical across kernels (pinned by
+// FuzzKernelEquivalence and the golden tests).
 
 package rrset
 
@@ -200,12 +202,12 @@ func sparseDeltaSegs(c *Collection, u int32, firstID int, segs []covSegment, s *
 	return covered
 }
 
-// sparseCommitSegs is the sparse weighted commit walk over the given
-// segments (WeightedCollection.commitFrom's historical body). An inline
-// record leaves u out, so the walk applies u's own decrement and clamp for
-// each live inline set, at that set's place in id order: every node's
-// weighted coverage sees the same float operations in the same order as
-// when each record held its whole set.
+// sparseCommitSegs is the weighted commit walk over the given segments,
+// WeightedCollection's one kernel. An inline record leaves u out, so the
+// walk applies u's own decrement and clamp for each live inline set, at
+// that set's place in id order: every node's weighted coverage sees the
+// same float operations in the same order as when each record held its
+// whole set.
 func sparseCommitSegs(c *WeightedCollection, u int32, delta float64, firstID int, segs []covSegment) float64 {
 	var total float64
 	wcov, weight := c.wcov, c.weight
@@ -378,92 +380,6 @@ func (c *Collection) coverWord(w int, nw uint64, offs []uint32, mem []int32, s *
 		}
 	}
 	return covered
-}
-
-// bitsetCommitFrom is the dense weighted commit over the first segment:
-// live sets are row AND-NOT zero-weight-words (a set's bit moves to zerow
-// exactly when its weight reaches 0, which the sparse walk's w == 0 skip
-// mirrors), so the per-set weight math runs in the same ascending order
-// with bit-identical float accumulation.
-func (c *WeightedCollection) bitsetCommitFrom(u int32, delta float64, firstID int) float64 {
-	zerow := c.mask
-	kw := len(zerow)
-	fw := firstID >> 6
-	if fw >= kw {
-		return 0
-	}
-	row := c.bits.row(u)
-	seg := &c.segs[0]
-	offs, mem := seg.view.offsets, seg.view.members
-	var total float64
-	if firstID == 0 {
-		w := 0
-		for ; w+4 <= kw; w += 4 {
-			l0 := row[w] &^ zerow[w]
-			l1 := row[w+1] &^ zerow[w+1]
-			l2 := row[w+2] &^ zerow[w+2]
-			l3 := row[w+3] &^ zerow[w+3]
-			if l0|l1|l2|l3 == 0 {
-				continue
-			}
-			if l0 != 0 {
-				c.commitWord(w, l0, delta, offs, mem, &total)
-			}
-			if l1 != 0 {
-				c.commitWord(w+1, l1, delta, offs, mem, &total)
-			}
-			if l2 != 0 {
-				c.commitWord(w+2, l2, delta, offs, mem, &total)
-			}
-			if l3 != 0 {
-				c.commitWord(w+3, l3, delta, offs, mem, &total)
-			}
-		}
-		for ; w < kw; w++ {
-			if lw := row[w] &^ zerow[w]; lw != 0 {
-				c.commitWord(w, lw, delta, offs, mem, &total)
-			}
-		}
-		return total
-	}
-	if lw := row[fw] &^ zerow[fw] & (^uint64(0) << uint(firstID&63)); lw != 0 {
-		c.commitWord(fw, lw, delta, offs, mem, &total)
-	}
-	for w := fw + 1; w < kw; w++ {
-		if lw := row[w] &^ zerow[w]; lw != 0 {
-			c.commitWord(w, lw, delta, offs, mem, &total)
-		}
-	}
-	return total
-}
-
-// commitWord applies the weighted commit to the live sets of one word,
-// ascending by id, moving exactly-zeroed weights into the zerow mask. The
-// running total accumulates through the pointer so the float summation
-// stays one linear chain in set-id order — bit-identical to the sparse
-// walk's (per-word partial sums would re-associate the additions).
-func (c *WeightedCollection) commitWord(w int, lw uint64, delta float64, offs []uint32, mem []int32, total *float64) {
-	wcov, weight := c.wcov, c.weight
-	base := int32(w << 6)
-	for lw != 0 {
-		b := mbits.TrailingZeros64(lw)
-		lw &= lw - 1
-		id := base + int32(b)
-		wt := weight[id]
-		dec := wt * delta
-		weight[id] = wt - dec
-		c.claimed += dec
-		*total += dec
-		if weight[id] == 0 {
-			c.mask[w] |= 1 << uint(b)
-		}
-		for _, x := range mem[offs[id]:offs[id+1]] {
-			wcov[x] -= dec
-			if wcov[x] < 0 {
-				wcov[x] = 0 // clamp float drift
-			}
-		}
-	}
 }
 
 // deltaSink captures one cover's sparse per-node decrement vector (see

@@ -218,69 +218,6 @@ func TestKernelEquivalenceDelta(t *testing.T) {
 	compareCollections(t, sp, bt, "delta")
 }
 
-// TestKernelEquivalenceWeighted checks the soft-coverage commit: claimed
-// mass, per-node weighted coverages, and candidate order must match the
-// sparse kernel bit for bit (identical float operation order).
-func TestKernelEquivalenceWeighted(t *testing.T) {
-	rng := xrand.New(23)
-	n := 56
-	k := 250
-	f := randomKernelFamily(rng, n, k, 6)
-	v := f.View()
-	inv := BuildInverted(n, v, 0)
-	inv.PrepareCover()
-	inv.PrepareCoverBits()
-	sp := NewWeightedCollectionFromFamily(n, v, inv)
-	bt := NewWeightedCollectionFromFamily(n, v, inv)
-	if got := bt.UseKernel(KernelBitset); got != KernelBitset {
-		t.Fatalf("UseKernel(bitset) = %v, want bitset", got)
-	}
-	sp.UseKernel(KernelSparse)
-
-	deltas := []float64{1, 0.5, 0.25, 0.75, 1, 0.1}
-	for it, delta := range deltas {
-		u, wc, ok := sp.BestNode(nil)
-		bu, bwc, bok := bt.BestNode(nil)
-		if u != bu || wc != bwc || ok != bok {
-			t.Fatalf("iter %d: BestNode sparse=(%d,%g,%v) bitset=(%d,%g,%v)", it, u, wc, ok, bu, bwc, bok)
-		}
-		if !ok {
-			break
-		}
-		st := sp.Commit(u, delta)
-		bb := bt.Commit(u, delta)
-		if st != bb {
-			t.Fatalf("iter %d: Commit(%d,%g) sparse=%v bitset=%v", it, u, delta, st, bb)
-		}
-		if sp.CoveredMass() != bt.CoveredMass() {
-			t.Fatalf("iter %d: CoveredMass sparse=%v bitset=%v", it, sp.CoveredMass(), bt.CoveredMass())
-		}
-		for w := 0; w < n; w++ {
-			if sp.WeightedCoverage(int32(w)) != bt.WeightedCoverage(int32(w)) {
-				t.Fatalf("iter %d: WeightedCoverage(%d) sparse=%v bitset=%v", it, w, sp.WeightedCoverage(int32(w)), bt.WeightedCoverage(int32(w)))
-			}
-		}
-		sp.Drop(u)
-		bt.Drop(u)
-	}
-
-	// Credit pass and growth mirror the hard-mode test.
-	if st, bb := sp.CreditFrom(3, 0.5, k/2), bt.CreditFrom(3, 0.5, k/2); st != bb {
-		t.Fatalf("CreditFrom sparse=%v bitset=%v", st, bb)
-	}
-	g := randomKernelFamily(rng, n, 30, 5)
-	sp.AddFamily(g.View())
-	bt.AddFamily(g.View())
-	if st, bb := sp.Commit(5, 0.5), bt.Commit(5, 0.5); st != bb {
-		t.Fatalf("post-growth Commit sparse=%v bitset=%v", st, bb)
-	}
-	for w := 0; w < n; w++ {
-		if sp.WeightedCoverage(int32(w)) != bt.WeightedCoverage(int32(w)) {
-			t.Fatalf("post-growth WeightedCoverage(%d) sparse=%v bitset=%v", w, sp.WeightedCoverage(int32(w)), bt.WeightedCoverage(int32(w)))
-		}
-	}
-}
-
 // TestKernelDensityHeuristic checks that PrepareCover builds the bitmap
 // exactly when 64·memberships ≥ n·k, that a fresh collection runs bitset
 // exactly when the bitmap is there, and that UseKernel refuses bitset when
@@ -319,10 +256,10 @@ func TestKernelDensityHeuristic(t *testing.T) {
 		t.Fatalf("counter UseKernel = %v, want sparse", got)
 	}
 
-	// The dense sample's collections start on bitset, hard and soft.
+	// The dense sample's collection starts on bitset.
 	mid := NewCollectionFromFamily(32, dv, dinv)
-	if h, s := mid.Kernel(), NewWeightedCollectionFromFamily(32, dv, dinv).Kernel(); h != KernelBitset || s != KernelBitset {
-		t.Fatalf("kernels over the dense sample = %v (hard), %v (soft), want bitset", h, s)
+	if got := mid.Kernel(); got != KernelBitset {
+		t.Fatalf("kernel over the dense sample = %v, want bitset", got)
 	}
 
 	// Mid-run switches to bitset are refused: coverage already happened.
@@ -335,10 +272,11 @@ func TestKernelDensityHeuristic(t *testing.T) {
 }
 
 // TestMemBytesIgnoresPooledKernelMasks pins that a reported footprint does
-// not depend on pool history: the covered / zero-weight word masks are
-// workspace-owned and survive Release, but belong to a collection only
-// while the bitset kernel sweeps them. A sparse collection recycled from a
-// workspace that last ran bitset must report what a fresh one does.
+// not depend on pool history: the bitset kernel's retired-set mask is
+// workspace-owned and survives Release, but belongs to a collection only
+// while the kernel sweeps it. A sparse collection recycled from a
+// workspace that last ran bitset must report what a fresh one does, and
+// so must a recycled soft collection.
 func TestMemBytesIgnoresPooledKernelMasks(t *testing.T) {
 	rng := xrand.New(3)
 	dense := randomKernelFamily(rng, 32, 200, 12)
@@ -353,9 +291,7 @@ func TestMemBytesIgnoresPooledKernelMasks(t *testing.T) {
 	if k := ws.Collection(32, dense.View(), dinv).UseKernel(KernelBitset); k != KernelBitset {
 		t.Fatalf("dense hard run on %v, want bitset", k)
 	}
-	if k := ws.Weighted(32, dense.View(), dinv).UseKernel(KernelBitset); k != KernelBitset {
-		t.Fatalf("dense soft run on %v, want bitset", k)
-	}
+	ws.Weighted(32, dense.View(), dinv)
 	ws.Release()
 
 	hard := ws.Collection(2048, sv, sinv)
@@ -363,15 +299,15 @@ func TestMemBytesIgnoresPooledKernelMasks(t *testing.T) {
 		t.Errorf("recycled hard collection (%v): MemBytes %d, fresh %d", hard.Kernel(), got, want)
 	}
 	soft := ws.Weighted(2048, sv, sinv)
-	if got, want := soft.MemBytes(), NewWeightedCollectionFromFamily(2048, sv, sinv).MemBytes(); soft.Kernel() != KernelSparse || got != want {
-		t.Errorf("recycled soft collection (%v): MemBytes %d, fresh %d", soft.Kernel(), got, want)
+	if got, want := soft.MemBytes(), NewWeightedCollectionFromFamily(2048, sv, sinv).MemBytes(); got != want {
+		t.Errorf("recycled soft collection: MemBytes %d, fresh %d", got, want)
 	}
 }
 
-// FuzzKernelEquivalence fuzzes random families and cover/commit sequences
-// through both kernels — hard coverage, soft coverage, and counter-mode
-// deltas — requiring identical coverage counts, heap orders, and sparse
-// decrement vectors (as node → decrement maps).
+// FuzzKernelEquivalence fuzzes random families and cover sequences through
+// both kernels — hard coverage and counter-mode deltas — requiring
+// identical coverage counts, heap orders, and sparse decrement vectors (as
+// node → decrement maps).
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(16), uint8(3))
 	f.Add(uint64(99), uint8(32), uint8(200), uint8(7))
@@ -395,17 +331,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if bt.UseKernel(KernelBitset) != KernelBitset {
 			t.Skip("bitset kernel unavailable")
 		}
-		wsp := NewWeightedCollectionFromFamily(n, v, inv)
-		wbt := NewWeightedCollectionFromFamily(n, v, inv)
-		if wbt.UseKernel(KernelBitset) != KernelBitset {
-			t.Skip("bitset kernel unavailable")
-		}
 		sp.UseKernel(KernelSparse)
-		wsp.UseKernel(KernelSparse)
 		var sn, sd, bn, bd []int32
 		for it := 0; it < 8; it++ {
 			u := int32(rng.IntN(n))
-			switch it % 4 {
+			switch it % 3 {
 			case 0:
 				if got, want := bt.CoverNode(u), sp.CoverNode(u); got != want {
 					t.Fatalf("CoverNode(%d) sparse=%d bitset=%d", u, want, got)
@@ -423,22 +353,14 @@ func FuzzKernelEquivalence(f *testing.F) {
 				if sm, bm := deltaOf(t, sn, sd), deltaOf(t, bn, bd); sc != bc || !maps.Equal(sm, bm) {
 					t.Fatalf("delta(%d,%d): sparse=(%d, %v) bitset=(%d, %v)", u, boundary, sc, sm, bc, bm)
 				}
-			case 3:
-				delta := float64(1+rng.IntN(4)) / 4
-				if st, bb := wsp.Commit(u, delta), wbt.Commit(u, delta); st != bb {
-					t.Fatalf("Commit(%d,%g) sparse=%v bitset=%v", u, delta, st, bb)
-				}
 			}
 		}
 		for u := 0; u < n; u++ {
 			if sp.Coverage(int32(u)) != bt.Coverage(int32(u)) {
 				t.Fatalf("Coverage(%d) sparse=%d bitset=%d", u, sp.Coverage(int32(u)), bt.Coverage(int32(u)))
 			}
-			if wsp.WeightedCoverage(int32(u)) != wbt.WeightedCoverage(int32(u)) {
-				t.Fatalf("WeightedCoverage(%d) mismatch", u)
-			}
 		}
-		if sp.NumCovered() != bt.NumCovered() || wsp.CoveredMass() != wbt.CoveredMass() {
+		if sp.NumCovered() != bt.NumCovered() {
 			t.Fatal("aggregate coverage mismatch")
 		}
 		sN, sC := sp.TopNodes(5, nil)

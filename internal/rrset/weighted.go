@@ -24,6 +24,8 @@ package rrset
 // Storage is the same flat CSR segment layout as Collection (segStore);
 // the only per-set state beyond the shared arenas is the weight vector.
 // Selection is Collection's too (candidates), scored by float64 mass.
+// Commits always take the sparse walk (sparseCommitSegs): the bitset
+// kernel serves the hard Collection only.
 type WeightedCollection struct {
 	segStore
 	candidates[float64]
@@ -107,16 +109,6 @@ func (c *WeightedCollection) Reset(n int, v FamilyView, inv *Inverted) {
 	}
 }
 
-// UseKernel overrides the kernel Reset chose, mirroring
-// Collection.UseKernel's contract for the soft-coverage mode: KernelBitset
-// activates only on a fresh warm-start collection (one base-0 segment,
-// bitmap built, no mass claimed yet) and the zero-weight-word mask
-// recycles its backing array; anything else keeps the active kernel.
-// Returns the kernel active afterwards.
-func (c *WeightedCollection) UseKernel(id KernelID) KernelID {
-	return c.useKernel(id, c.claimed == 0)
-}
-
 // NewWeightedCollectionFromFamily mirrors rrset.NewCollectionFromFamily for
 // the soft-coverage mode: O(n) construction from the opening of a shared
 // sample view's inverted index (same row-clipping contract).
@@ -175,12 +167,7 @@ func (c *WeightedCollection) commitFrom(u int32, delta float64, firstID int) flo
 		panic("rrset: CTP out of [0,1]")
 	}
 	c.SyncHeap()
-	var total float64
-	segs := c.segs
-	if c.bits != nil {
-		total, segs = c.bitsetCommitFrom(u, delta, firstID), segs[1:]
-	}
-	return total + sparseCommitSegs(c, u, delta, firstID, segs)
+	return sparseCommitSegs(c, u, delta, firstID, c.segs)
 }
 
 // MemBytes mirrors Collection.MemBytes for Table 4 instrumentation: the

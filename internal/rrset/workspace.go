@@ -62,8 +62,8 @@ func (w *Workspace) Weighted(n int, v FamilyView, inv *Inverted) *WeightedCollec
 // for reuse. Pools call it before parking a workspace so an idle pool
 // never pins a retired index's arenas live.
 func (w *Workspace) Release() {
-	w.col.segStore.release()
-	w.wcol.segStore.release()
+	w.col.release()
+	w.wcol.release()
 	w.col.pq, w.wcol.pq = w.col.pq[:0], w.wcol.pq[:0]
 	w.col.stale, w.wcol.stale = false, false
 	w.col.opened, w.wcol.opened = nil, nil

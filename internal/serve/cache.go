@@ -257,7 +257,7 @@ func (s *Server) evictLocked(keep *entry) {
 		delete(s.entries, oldest.key)
 		if oldest.inst != nil {
 			for _, ad := range oldest.inst.Ads {
-				s.metrics.dropBanditEstimate(ad.Name)
+				s.metrics.dropBanditEstimate(oldest.key, ad.Name)
 			}
 		}
 		s.opts.Logf("serve: evicted %s (LRU, cache cap %d)", oldest.key, s.opts.MaxEntries)

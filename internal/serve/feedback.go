@@ -145,7 +145,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.metrics.feedbackUpdates.Inc()
 	_, inst := t.EpochInst()
 	resp := feedbackResponse(t.key, est, inst)
-	s.metrics.recordFeedback(len(req.Events), resp.Ads)
+	s.metrics.recordFeedback(t.key, len(req.Events), resp.Ads)
 	writeJSON(w, http.StatusOK, resp)
 }
 

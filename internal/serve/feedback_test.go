@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -122,12 +123,69 @@ func TestFeedbackEndToEnd(t *testing.T) {
 	expo := string(buf[:n])
 	for _, want := range []string{
 		"adserver_feedback_events_total 4",
-		`adserver_bandit_estimate{ad="` + names[0] + `"}`,
+		`adserver_bandit_estimate{campaign="` + fig1Request().Key() + `",ad="` + names[0] + `"}`,
 		"adserver_bandit_exploration_count",
 	} {
 		if !strings.Contains(expo, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestBanditEstimatePerCampaign: generated campaigns share ad names, so the
+// learned-estimate gauge is keyed by campaign as well as ad. Feedback on one
+// campaign must leave another's series alone, and evicting a campaign must
+// delete its own series only.
+func TestBanditEstimatePerCampaign(t *testing.T) {
+	ts := testServer(t, Options{MaxEntries: 2})
+	campaign := func(seed uint64) InstanceParams {
+		p := fig1Request().InstanceParams
+		p.Seed = seed
+		return p
+	}
+	ad := gen.Fig1Instance(0).Ads[0].Name
+	estimate := func(p InstanceParams) (float64, bool) {
+		t.Helper()
+		sample := `adserver_bandit_estimate{campaign="` + p.Key() + `",ad="` + ad + `"} `
+		for _, line := range strings.Split(scrapeMetrics(t, ts.URL), "\n") {
+			if v, ok := strings.CutPrefix(line, sample); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("sample %q: %v", line, err)
+				}
+				return f, true
+			}
+		}
+		return 0, false
+	}
+	one, two := campaign(1), campaign(2)
+	for _, c := range []struct {
+		p      InstanceParams
+		clicks int64
+	}{{one, 150}, {two, 10}} {
+		req := FeedbackRequest{InstanceParams: c.p, Events: []bandit.Event{{Ad: ad, Impressions: 200, Clicks: c.clicks}}}
+		if code := postJSON(t, ts.URL+"/feedback", req, nil); code != http.StatusOK {
+			t.Fatalf("feedback on seed %d: %d", c.p.Seed, code)
+		}
+	}
+	if got, ok := estimate(one); !ok || got != 151.0/202.0 {
+		t.Errorf("seed 1 estimate after feedback on seed 2 = %v (present %v), want %v", got, ok, 151.0/202.0)
+	}
+	if got, ok := estimate(two); !ok || got != 11.0/202.0 {
+		t.Errorf("seed 2 estimate = %v (present %v), want %v", got, ok, 11.0/202.0)
+	}
+
+	// A third campaign evicts the least recently used one, seed 1.
+	third := fig1Request()
+	third.Seed = 3
+	if code := postJSON(t, ts.URL+"/allocate", third, nil); code != http.StatusOK {
+		t.Fatalf("allocate seed 3: %d", code)
+	}
+	if got, ok := estimate(one); ok {
+		t.Errorf("evicted seed 1 still exposes its estimate %v", got)
+	}
+	if got, ok := estimate(two); !ok || got != 11.0/202.0 {
+		t.Errorf("seed 2 estimate after evicting seed 1 = %v (present %v), want %v", got, ok, 11.0/202.0)
 	}
 }
 

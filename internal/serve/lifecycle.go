@@ -156,7 +156,7 @@ func (s *Server) handleRemoveAd(w http.ResponseWriter, r *http.Request) {
 	t.forgetSpend(name)
 	s.metrics.adsRemoved.Inc()
 	s.metrics.epochSwaps.Inc()
-	s.metrics.dropBanditEstimate(name)
+	s.metrics.dropBanditEstimate(t.key, name)
 	resp := lifecycleResponse(t, 0)
 	s.opts.Logf("serve: %s removed ad %q (position %d), epoch %d", t.key, name, pos, resp.Epoch)
 	writeJSON(w, http.StatusOK, resp)

@@ -72,7 +72,7 @@ type serverMetrics struct {
 	// per-ad learned estimates, and the exploration share of each ad's
 	// index observed at feedback time.
 	feedbackEvents    *obs.Counter
-	banditEstimate    *obs.GaugeVec // ad
+	banditEstimate    *obs.GaugeVec // campaign, ad
 	banditExploration *obs.Histogram
 
 	// shard is non-nil in coordinator mode: the RPC-level telemetry the
@@ -116,8 +116,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.feedbackEvents = reg.Counter("adserver_feedback_events_total",
 		"Engagement feedback events (per-ad impression/click batches) applied via POST /feedback.")
 	m.banditEstimate = reg.GaugeVec("adserver_bandit_estimate",
-		"Learned per-ad engagement estimate (Laplace-smoothed click-through mean) after the latest feedback batch.",
-		"ad")
+		"Learned per-ad engagement estimate (Laplace-smoothed click-through mean) after the latest feedback batch, per campaign (instance key).",
+		"campaign", "ad")
 	// Per-ad gauge cardinality is bounded twice over: removal/eviction
 	// deletes children explicitly, and the cap catches anything that
 	// slips past (many cached entries sharing the vec). 16× the per-entry
@@ -172,11 +172,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// dropBanditEstimate retires one ad's learned-estimate gauge child — wired
-// to DELETE /ads/{name} and cache eviction so the per-ad family tracks the
-// live campaign instead of accreting every name ever seen.
-func (m *serverMetrics) dropBanditEstimate(name string) {
-	m.banditEstimate.Delete(name)
+// dropBanditEstimate retires one campaign ad's learned-estimate gauge
+// child — wired to DELETE /ads/{name} and cache eviction so the per-ad
+// family tracks the live campaigns instead of accreting every name ever
+// seen. Generated campaigns share ad names, so the child is keyed by the
+// campaign too: dropping one campaign's ad leaves another's alone.
+func (m *serverMetrics) dropBanditEstimate(campaign, ad string) {
+	m.banditEstimate.Delete(campaign, ad)
 }
 
 // ObserveAllocation feeds one run's phase breakdown into the histograms;
@@ -188,13 +190,13 @@ func (m *serverMetrics) ObserveAllocation(t core.PhaseTimings) {
 	m.allocRounds.Observe(float64(t.Rounds))
 }
 
-// recordFeedback books one applied POST /feedback batch: the event count
-// and, per current campaign ad, the learned estimate gauge and the
-// exploration-share observation.
-func (m *serverMetrics) recordFeedback(events int, ads []AdEstimate) {
+// recordFeedback books one applied POST /feedback batch on campaign: the
+// event count and, per current campaign ad, the learned estimate gauge and
+// the exploration-share observation.
+func (m *serverMetrics) recordFeedback(campaign string, events int, ads []AdEstimate) {
 	m.feedbackEvents.Add(uint64(events))
 	for _, a := range ads {
-		m.banditEstimate.With(a.Name).Set(a.Mean)
+		m.banditEstimate.With(campaign, a.Name).Set(a.Mean)
 		m.banditExploration.Observe(a.Exploration)
 	}
 }

@@ -770,6 +770,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			"seeds were taken at campaign epoch %d, entry is at %d — re-allocate and retry", req.Epoch, epoch)
 		return
 	}
+	// λ is checked by the rule /allocate applies, so a negative λ is a 400
+	// here too rather than a negative seed regret.
+	if _, _, _, err := (&core.Request{Lambda: req.Lambda}).Resolve(curInst); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	inst := instWith(curInst, req.Lambda, req.Kappa)
 	alloc := &core.Allocation{Seeds: req.Seeds}
 	if err := alloc.Validate(inst); err != nil {

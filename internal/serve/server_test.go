@@ -331,6 +331,29 @@ func TestServerEvaluateDoesNotBuildIndex(t *testing.T) {
 	}
 }
 
+// TestServerEvaluateRejectsNegativeLambda: /evaluate checks λ by the rule
+// /allocate applies, in both modes — a negative λ is a 400, never a
+// negative seed regret.
+func TestServerEvaluateRejectsNegativeLambda(t *testing.T) {
+	base := fig1Request()
+	bothModes(t, base.InstanceParams, func(t *testing.T, ts *httptest.Server, _ bool) {
+		for _, c := range []struct {
+			lambda float64
+			want   int
+		}{{-1, http.StatusBadRequest}, {0.5, http.StatusOK}} {
+			req := EvaluateRequest{
+				InstanceParams: base.InstanceParams,
+				Seeds:          [][]int32{{0}, {1}, {2}, {3}},
+				Runs:           100,
+				Lambda:         &c.lambda,
+			}
+			if code := postJSON(t, ts.URL+"/evaluate", req, nil); code != c.want {
+				t.Errorf("evaluate λ = %v: %d, want %d", c.lambda, code, c.want)
+			}
+		}
+	})
+}
+
 func TestServerRejectsBadRequests(t *testing.T) {
 	ts := testServer(t, Options{})
 	for name, body := range map[string]AllocateRequest{

@@ -52,11 +52,10 @@ type shardedState struct {
 // consecutive addresses per partition range) and each range is fronted by
 // a failover ReplicaSet; a range only needs one reachable replica to
 // connect. Every per-replica client is wrapped in the retry layer
-// (Options.RPCTimeout), so transient RPC failures — including estimator
-// syncs from /feedback — heal without surfacing. Call once at startup,
-// before serving; Close releases the shard connections (and stops the
-// prober, when Options.ProbeInterval started one). A failed connect closes
-// what it opened.
+// (Options.RPCTimeout), so transient RPC failures heal without surfacing.
+// Call once at startup, before serving; Close releases the shard
+// connections (and stops the prober, when Options.ProbeInterval started
+// one). A failed connect closes what it opened.
 func (s *Server) ConnectShards(ctx context.Context) (err error) {
 	if len(s.opts.Shards) == 0 {
 		return errors.New("serve: no shard addresses configured")
