@@ -74,6 +74,12 @@ type indexEpoch struct {
 // between the caller capturing its view and the allocation starting.
 var ErrStaleEpoch = errors.New("core: index epoch changed since the request was prepared")
 
+// ErrInvalidRequest marks a request refused for its own content before any
+// selection work: every Request.Resolve error wraps it, and so does the
+// shard coordinator's soft-coverage refusal, so a server can answer it as
+// the client's error in single-node and coordinator mode alike.
+var ErrInvalidRequest = errors.New("core: invalid request")
+
 // adSample holds one ad's growable prefix of its RR stream as a flat CSR
 // arena (rrset.SetFamily), together with the inverted index that coverage
 // collections borrow, so a warm selection run never rebuilds
@@ -547,31 +553,31 @@ type Request struct {
 // subset and effective λ/κ — the per-run request normalization the loop
 // applies, exported so the shard coordinator applies the identical rules
 // (including override shape checks and SpentBudget validation) before
-// distributing a run.
+// distributing a run. Every error it returns wraps ErrInvalidRequest.
 func (req *Request) Resolve(inst *Instance) (adIDs []int, lambda float64, kappa AttentionBounds, err error) {
 	h := len(inst.Ads)
 	if req.Budgets != nil && len(req.Budgets) != h {
-		return nil, 0, nil, fmt.Errorf("core: request overrides %d budgets, instance has %d ads", len(req.Budgets), h)
+		return nil, 0, nil, fmt.Errorf("%w: request overrides %d budgets, instance has %d ads", ErrInvalidRequest, len(req.Budgets), h)
 	}
 	if req.CPEs != nil && len(req.CPEs) != h {
-		return nil, 0, nil, fmt.Errorf("core: request overrides %d CPEs, instance has %d ads", len(req.CPEs), h)
+		return nil, 0, nil, fmt.Errorf("%w: request overrides %d CPEs, instance has %d ads", ErrInvalidRequest, len(req.CPEs), h)
 	}
 	if req.SpentBudget != nil && len(req.SpentBudget) != h {
-		return nil, 0, nil, fmt.Errorf("core: request records %d spent budgets, instance has %d ads", len(req.SpentBudget), h)
+		return nil, 0, nil, fmt.Errorf("%w: request records %d spent budgets, instance has %d ads", ErrInvalidRequest, len(req.SpentBudget), h)
 	}
 	for j, sp := range req.SpentBudget {
 		if sp < 0 || math.IsNaN(sp) {
-			return nil, 0, nil, fmt.Errorf("core: request spent budget %v for ad %d must be ≥ 0", sp, j)
+			return nil, 0, nil, fmt.Errorf("%w: request spent budget %v for ad %d must be ≥ 0", ErrInvalidRequest, sp, j)
 		}
 	}
 	for j, b := range req.Budgets {
 		if b <= 0 || math.IsNaN(b) {
-			return nil, 0, nil, fmt.Errorf("core: request budget %v for ad %d must be > 0", b, j)
+			return nil, 0, nil, fmt.Errorf("%w: request budget %v for ad %d must be > 0", ErrInvalidRequest, b, j)
 		}
 	}
 	for j, c := range req.CPEs {
 		if c <= 0 || math.IsNaN(c) {
-			return nil, 0, nil, fmt.Errorf("core: request CPE %v for ad %d must be > 0", c, j)
+			return nil, 0, nil, fmt.Errorf("%w: request CPE %v for ad %d must be > 0", ErrInvalidRequest, c, j)
 		}
 	}
 	lambda = inst.Lambda
@@ -579,14 +585,14 @@ func (req *Request) Resolve(inst *Instance) (adIDs []int, lambda float64, kappa 
 		lambda = *req.Lambda
 	}
 	if lambda < 0 || math.IsNaN(lambda) {
-		return nil, 0, nil, fmt.Errorf("core: request λ = %v must be ≥ 0", lambda)
+		return nil, 0, nil, fmt.Errorf("%w: request λ = %v must be ≥ 0", ErrInvalidRequest, lambda)
 	}
 	kappa = inst.Kappa
 	if req.Kappa != nil {
 		kappa = req.Kappa
 	}
 	if v, ok := kappa.(VecKappa); ok && len(v) != inst.G.N() {
-		return nil, 0, nil, fmt.Errorf("core: request κ vector covers %d nodes, graph has %d", len(v), inst.G.N())
+		return nil, 0, nil, fmt.Errorf("%w: request κ vector covers %d nodes, graph has %d", ErrInvalidRequest, len(v), inst.G.N())
 	}
 	if len(req.Ads) == 0 {
 		adIDs = make([]int, h)
@@ -598,10 +604,10 @@ func (req *Request) Resolve(inst *Instance) (adIDs []int, lambda float64, kappa 
 	seen := make(map[int]bool, len(req.Ads))
 	for _, j := range req.Ads {
 		if j < 0 || j >= h {
-			return nil, 0, nil, fmt.Errorf("core: request selects ad %d, instance has %d", j, h)
+			return nil, 0, nil, fmt.Errorf("%w: request selects ad %d, instance has %d", ErrInvalidRequest, j, h)
 		}
 		if seen[j] {
-			return nil, 0, nil, fmt.Errorf("core: request selects ad %d twice", j)
+			return nil, 0, nil, fmt.Errorf("%w: request selects ad %d twice", ErrInvalidRequest, j)
 		}
 		seen[j] = true
 	}

@@ -166,19 +166,41 @@ func (s *segStore) release() {
 // A warm-start collection (Reset, NewCollectionFromFamily) sweeps its first
 // segment with the bitset kernel exactly when the shared inverted index
 // carries a membership bitmap (Inverted.PrepareCover decides), and with the
-// sparse walk otherwise — see kernel.go; Kernel reports which.
+// sparse walk otherwise — see kernel.go; Kernel reports which. On the
+// sparse kernel, over at least lazyMinNodes nodes, it starts lazy: covers
+// only mark sets, and a node's
+// residual coverage is recounted from its row when it is read (see
+// lazy.go), until growth, credit, a delta capture or the work rule turns
+// it eager for the rest of the run. Every observable count is exact either
+// way.
 type Collection struct {
 	segStore
 	candidates[int32]
-	covered []uint64   // bit id&63 of word id>>6 set: set id already covered by a chosen seed
-	cov     []int32    // node -> residual coverage (uncovered sets containing it)
-	ncov    int        // number of covered sets
-	bits    *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
+	covered []uint64 // bit id&63 of word id>>6 set: set id already covered by a chosen seed
+	// cov is node -> residual coverage (uncovered sets containing it): kept
+	// current by every cover on an eager collection, a cache of exact
+	// counts on a lazy one (see lazy.go).
+	cov  []int32
+	ncov int        // number of covered sets
+	bits *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
 	// mask is the bitset kernel's retired-set mask over the first segment.
 	// It is not covered: its bits past the view's set count are pre-set
 	// (see UseKernel), and covered's must stay clear for the sets a growth
 	// segment appends there.
 	mask []uint64
+
+	// Lazy state (candidates.lazy non-nil): counted[u] == countGen means
+	// cov[u] was recounted since the last cover; commits, words and skipped
+	// feed the work rule. Scratch, like the dedup stamps: MemBytes leaves
+	// counted out. A stamp is one byte, not four: a pooled workspace keeps
+	// its stamps between runs, and at DBLP's 317K nodes four-byte ones held
+	// 6.3 MB more per parked workspace, enough to move the GC's goal across
+	// a restart; a wrap every 255 covers clears n bytes instead.
+	counted  []uint8
+	countGen uint8
+	commits  int
+	words    int64 // row words the recounts read
+	skipped  int64 // member decrements the lazy walks skipped
 }
 
 // NewCollection creates an empty index over n nodes.
@@ -205,6 +227,9 @@ func (c *Collection) SyncHeap() { c.sync(c.cov) }
 //
 // The bitset kernel's mask counts only while the kernel sweeps it: it is
 // workspace-owned and outlives a run, so an idle one does not count.
+// Scratch stamps — the top-k dedup stamps and a lazy collection's recount
+// stamps, a byte a node — are left out, so lazy and eager runs report the
+// same footprint.
 func (c *Collection) MemBytes() int64 {
 	total := c.memBytes() +
 		int64(len(c.covered))*8 + // covered bitmap
@@ -229,6 +254,7 @@ func (c *Collection) Kernel() KernelID {
 func (c *Collection) release() {
 	c.segStore.release()
 	c.bits = nil
+	c.lazy = nil
 }
 
 // NumCovered returns the number of sets already covered by chosen seeds.
@@ -255,12 +281,14 @@ func (c *Collection) AddBatch(sets [][]int32) {
 // building its inverted index in a single counting pass and marking the
 // candidate heap for a deferred one-shot rebuild — O(members + n) per
 // growth, with no per-membership allocation and no heap work until the
-// next query needs it.
+// next query needs it. A lazy collection turns eager first (materialize):
+// growth adds to every node's count.
 func (c *Collection) AddFamily(v FamilyView) {
 	k := v.Len()
 	if k == 0 {
 		return
 	}
+	c.materialize()
 	inv := c.grow(v)
 	c.covered = append(c.covered, make([]uint64, (c.numSets+63)/64-len(c.covered))...)
 	for u := range c.cov {
@@ -281,7 +309,10 @@ func (c *Collection) AddFamily(v FamilyView) {
 // same prefix contract as in NewCollectionFromFamily. A fresh
 // single-segment collection meets every UseKernel precondition, so Reset
 // activates the bitset kernel exactly when inv carries a bitmap covering
-// the view.
+// the view; that collection copies the opening's cut into its counters, as
+// does a sparse one over fewer than lazyMinNodes nodes. A sparse collection
+// over more starts lazy and copies nothing: while no set is covered, a
+// node's count is its cut entry (see lazy.go).
 func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 	o := c.segStore.reset(n, v, inv)
 	c.candidates.reset(n, o)
@@ -291,9 +322,12 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 		c.cov = make([]int32, n)
 	}
 	c.cov = c.cov[:n]
-	copy(c.cov, o.cut)
 	c.bits = nil
-	c.UseKernel(KernelBitset)
+	if c.UseKernel(KernelBitset) == KernelBitset || n < lazyMinNodes {
+		copy(c.cov, o.cut)
+		return
+	}
+	c.startLazy()
 }
 
 // UseKernel overrides the kernel Reset chose and returns the kernel
@@ -307,8 +341,11 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 // without a bitmap, mid-run switches — the active kernel stays. Call it
 // right after Reset / NewCollectionFromFamily, before any cover
 // operation. The kernel's retired-set mask recycles its backing array
-// across Reset cycles, so steady-state activation allocates nothing.
+// across Reset cycles, so steady-state activation allocates nothing. A
+// lazy collection turns eager first (materialize): either kernel then
+// keeps every count current.
 func (c *Collection) UseKernel(id KernelID) KernelID {
+	c.materialize()
 	if id != KernelBitset {
 		c.bits = nil
 		return KernelSparse
@@ -349,8 +386,14 @@ func NewCollectionFromFamily(n int, v FamilyView, inv *Inverted) *Collection {
 
 // Coverage returns the residual coverage of u: the number of not-yet-covered
 // sets that contain u. n·cov/θ estimates u's marginal IC spread w.r.t. the
-// already-chosen seeds.
-func (c *Collection) Coverage(u int32) int { return int(c.cov[u]) }
+// already-chosen seeds. On a lazy collection it recounts u first when a
+// cover has happened since u's last count, so the value is always exact.
+func (c *Collection) Coverage(u int32) int {
+	if c.lazy != nil {
+		c.recount(u)
+	}
+	return int(c.cov[u])
+}
 
 // BestNode returns the eligible node with maximum residual coverage, or
 // ok=false if no eligible node has positive coverage. eligible==nil means
@@ -381,7 +424,7 @@ func (c *Collection) TopNodes(k int, eligible func(int32) bool) (nodes []int32, 
 func (c *Collection) TopNodesInto(k int, eligible func(int32) bool, nodes []int32, covs []int) ([]int32, []int) {
 	nodes, covs = c.topInto(k, c.cov, 0, eligible, nodes), covs[:0]
 	for _, u := range nodes {
-		covs = append(covs, int(c.cov[u]))
+		covs = append(covs, c.Coverage(u))
 	}
 	return nodes, covs
 }
@@ -390,7 +433,9 @@ func (c *Collection) TopNodesInto(k int, eligible func(int32) bool, nodes []int3
 // the coverage of their other members, and returns the number of sets newly
 // covered (u's residual coverage before the call). Segments are walked in
 // id order, so covering order matches the historical flat-list behavior
-// exactly.
+// exactly. On a lazy collection the walk only marks the sets (lazyCover):
+// the other members' counts are recounted when read, and come out as the
+// decrements would have left them.
 //
 // This is the single hottest loop of a warm allocation — every committed
 // seed retires its covered sets here — so the walk itself is the
@@ -404,6 +449,9 @@ func (c *Collection) TopNodesInto(k int, eligible func(int32) bool, nodes []int3
 // downstream estimate — is unchanged.
 func (c *Collection) CoverNode(u int32) int {
 	c.SyncHeap()
+	if c.lazy != nil {
+		return c.lazyCover(u)
+	}
 	covered, segs := 0, c.segs
 	if c.bits != nil {
 		covered, segs = c.bitsetCover(u), segs[1:]
@@ -419,8 +467,10 @@ func (c *Collection) CoverNode(u int32) int {
 // CountAndCoverFrom counts the residual sets with id >= firstID that
 // contain u, marks them covered, and returns the count. TIRM's
 // UpdateEstimates uses it to re-credit already-chosen seeds with coverage
-// in freshly appended samples without double-counting across seeds.
+// in freshly appended samples without double-counting across seeds. A
+// lazy collection turns eager first (materialize).
 func (c *Collection) CountAndCoverFrom(u int32, firstID int) int {
+	c.materialize()
 	c.SyncHeap()
 	covered := c.coverDelta(u, firstID, nil)
 	c.ncov += covered

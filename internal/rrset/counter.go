@@ -91,8 +91,10 @@ func (c *Collection) coverDelta(u int32, firstID int, s *deltaSink) int {
 // the coordinator's counter collection, never by the shard's own heap, so
 // the (still lazy, still correct) rebuild is deferred until someone actually
 // queries it — and, the scores having moved off the opening's, it then
-// reads the live ones.
+// reads the live ones. A capture reads the full coverage vector, so a lazy
+// collection turns eager first (materialize).
 func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (covered int, outNodes []int32, outDecs []int32) {
+	c.materialize()
 	c.opened = nil
 	s := c.newDeltaSink(nodes, decs)
 	covered = c.coverDelta(u, 0, &s)
@@ -105,9 +107,10 @@ func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (cover
 }
 
 // CountAndCoverFromDelta is CountAndCoverFrom with the same sparse delta
-// capture (and deferred heap sync) as CoverNodeDelta, restricted to sets
-// with id ≥ firstID (local ids of this collection).
+// capture (and deferred heap sync, and eager turn) as CoverNodeDelta,
+// restricted to sets with id ≥ firstID (local ids of this collection).
 func (c *Collection) CountAndCoverFromDelta(u int32, firstID int, nodes []int32, decs []int32) (covered int, outNodes []int32, outDecs []int32) {
+	c.materialize()
 	c.opened = nil
 	s := c.newDeltaSink(nodes, decs)
 	covered = c.coverDelta(u, firstID, &s)

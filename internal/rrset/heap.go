@@ -112,6 +112,10 @@ type candidates[S int32 | float64] struct {
 	stale  bool     // heap needs a rebuild before its next use
 	opened *opening // non-nil: the pending rebuild is over this opening's untouched scores
 	dead   []bool   // node -> permanently ineligible (dropped from heap)
+	// lazy, when non-nil, is the lazy Collection whose scores these are:
+	// a count is recounted (Collection.recount) before the heap reads it.
+	// Always nil at float64.
+	lazy *Collection
 
 	aside   []heapEntry[S] // topLoop scratch
 	seen    []uint64       // per-call dedup stamps (topLoop, delta covers)
@@ -119,13 +123,15 @@ type candidates[S int32 | float64] struct {
 }
 
 // reset empties the heap over n nodes and marks it for a rebuild, recycling
-// every backing array. o, when non-nil, is the opening whose cut vector the
-// owner's scores start as.
+// every backing array; its scores are eager until the owner says
+// otherwise. o, when non-nil, is the opening whose cut vector the owner's
+// scores start as.
 func (c *candidates[S]) reset(n int, o *opening) {
 	c.dead = cleared(c.dead, n)
 	c.pq = c.pq[:0]
 	c.stale = true
 	c.opened = o
+	c.lazy = nil
 }
 
 // invalidate marks the heap for a rebuild from the live scores — what an
@@ -144,7 +150,7 @@ func (c *candidates[S]) Drop(u int32) {
 
 // sync performs the deferred rebuild, if one is pending: one fresh entry
 // per live node of positive score — copied from the opening while the
-// scores are still its.
+// scores are still its, built over every recounted score otherwise.
 func (c *candidates[S]) sync(scores []S) {
 	if !c.stale {
 		return
@@ -154,6 +160,9 @@ func (c *candidates[S]) sync(scores []S) {
 		c.opened = nil
 		c.pq = adoptHeap(c.pq, o.candidateHeap())
 		return
+	}
+	if c.lazy != nil {
+		c.lazy.recountAll()
 	}
 	c.pq = c.pq[:0]
 	for u, s := range scores {
@@ -199,14 +208,21 @@ func (c *candidates[S]) stamps(n int) (gen uint64) {
 // reports whether one is left. Stale entries are refreshed in place, dead
 // and exhausted ones dropped, and nodes reported ineligible dropped
 // permanently. gen != 0 additionally skips nodes stamped seen this call:
-// stale-refresh cycles can leave duplicate fresh entries for a node.
+// stale-refresh cycles can leave duplicate fresh entries for a node. A
+// lazy owner recounts the live top before it is compared, so every
+// comparison reads the exact score an eager owner holds.
 func (c *candidates[S]) settle(scores []S, slack float64, eligible func(int32) bool, gen uint64) bool {
 	for len(c.pq) > 0 {
 		top := c.pq[0]
+		if gen != 0 && c.seen[top.node] == gen || c.dead[top.node] {
+			c.pq.Pop()
+			continue
+		}
+		if c.lazy != nil {
+			c.lazy.recount(top.node)
+		}
 		cur := scores[top.node]
 		switch {
-		case gen != 0 && c.seen[top.node] == gen, c.dead[top.node]:
-			c.pq.Pop()
 		case math.Abs(float64(top.score)-float64(cur)) > slack*(1+math.Abs(float64(cur))):
 			c.pq.Pop()
 			if cur > 0 {

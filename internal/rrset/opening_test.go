@@ -29,9 +29,11 @@ func sameHeap[S int32 | float64](t *testing.T, tag string, got, want MaxHeap[S])
 // borrowed and copied on the second), with hand-grown ones that never see
 // an opening: NewCollection + AddFamily counts memberships with
 // Inverted.Count over an index of the prefix alone and builds its heap in
-// candidates.sync. Residual coverage, the borrowed cut vector and — after
-// SyncHeap — the heap array must agree element for element, for both
-// collection kinds.
+// candidates.sync. Residual coverage — read through Coverage, which a
+// sparse collection made lazy answers from the cut, and again from the
+// counters after materialize — the borrowed cut vector and, after SyncHeap,
+// the heap array must agree element for element, for both collection
+// kinds.
 func checkOpening(t *testing.T, n int, fam *SetFamily, inv *Inverted, k int) {
 	t.Helper()
 	v := fam.Prefix(k)
@@ -48,13 +50,22 @@ func checkOpening(t *testing.T, n int, fam *SetFamily, inv *Inverted, k int) {
 		if hard.OpeningBuilt() != wantBuilt {
 			t.Fatalf("%s: OpeningBuilt = %v", tag, hard.OpeningBuilt())
 		}
+		if hard.Kernel() == KernelSparse {
+			hard.startLazy()
+		}
 		for u := 0; u < n; u++ {
-			if hard.cov[u] != ref.cov[u] || hard.segs[0].cut[u] != ref.cov[u] {
-				t.Fatalf("%s: node %d cov %d cut %d, from-scratch %d", tag, u, hard.cov[u], hard.segs[0].cut[u], ref.cov[u])
+			if got := hard.Coverage(int32(u)); got != ref.Coverage(int32(u)) || hard.segs[0].cut[u] != ref.cov[u] {
+				t.Fatalf("%s: node %d cov %d cut %d, from-scratch %d", tag, u, got, hard.segs[0].cut[u], ref.cov[u])
 			}
 		}
 		hard.SyncHeap()
 		sameHeap(t, tag+" hard", hard.pq, ref.pq)
+		hard.materialize()
+		for u := 0; u < n; u++ {
+			if hard.cov[u] != ref.cov[u] {
+				t.Fatalf("%s: node %d counter %d after materialize, from-scratch %d", tag, u, hard.cov[u], ref.cov[u])
+			}
+		}
 
 		soft := NewWeightedCollectionFromFamily(n, v, inv)
 		if soft.OpeningBuilt() {

@@ -259,8 +259,9 @@ func TestBatchItemErrorIsolation(t *testing.T) {
 	}
 
 	// The wire mapping: report translates each failure class to the status
-	// a lone /allocate would have returned — 409 for stale epochs on either
-	// engine, 400 locally, 502 when a shard RPC failed upstream.
+	// a lone /allocate would have returned — 409 for stale epochs and 400
+	// for a request Resolve refuses, on either engine (failureOf keeps 502
+	// for a shard RPC that failed upstream; TestFailureOf).
 	s := New(Options{Logf: t.Logf})
 	staleRes := results[1]
 	badRes := results[2]
@@ -273,7 +274,7 @@ func TestBatchItemErrorIsolation(t *testing.T) {
 		{"stale-local", staleRes, false, http.StatusConflict},
 		{"stale-upstream", staleRes, true, http.StatusConflict},
 		{"bad-local", badRes, false, http.StatusBadRequest},
-		{"bad-upstream", badRes, true, http.StatusBadGateway},
+		{"bad-upstream", badRes, true, http.StatusBadRequest},
 	} {
 		var eng engine = &entry{}
 		if c.upstream {
@@ -351,6 +352,8 @@ func TestFailureOf(t *testing.T) {
 		{"deadline-upstream", fmt.Errorf("shard 0: %w", context.DeadlineExceeded), true, http.StatusBadGateway, failUpstream},
 		{"bad-local", errors.New("ad index 99 out of range"), false, http.StatusBadRequest, failBadRequest},
 		{"bad-upstream", errors.New("shard 0: connection reset"), true, http.StatusBadGateway, failUpstream},
+		{"invalid-local", fmt.Errorf("%w: request λ = -1 must be ≥ 0", core.ErrInvalidRequest), false, http.StatusBadRequest, failBadRequest},
+		{"invalid-upstream", fmt.Errorf("%w: request selects ad 99, instance has 10", core.ErrInvalidRequest), true, http.StatusBadRequest, failBadRequest},
 	} {
 		status, reason, _ := failureOf(c.err, c.upstream)
 		if status != c.wantStatus || reason != c.wantReason {

@@ -282,7 +282,8 @@ const statusClientClosed = 499
 // reports it — HTTP status, adserver_alloc_failures_total reason, message
 // prefix — shared by lone allocations, batch items and campaign mutations,
 // on either engine: a stale epoch is 409, a partition range with no live
-// replica 503, a cancelled request 499, anything else 502 when the engine's
+// replica 503, a cancelled request 499, a request refused for its own
+// content (core.ErrInvalidRequest) 400, anything else 502 when the engine's
 // errors are another host's (upstream) and otherwise the request's own
 // fault, 400.
 func failureOf(err error, upstream bool) (status int, reason, prefix string) {
@@ -293,6 +294,8 @@ func failureOf(err error, upstream bool) (status int, reason, prefix string) {
 		return http.StatusServiceUnavailable, failUnavailable, "cluster degraded: "
 	case errors.Is(err, context.Canceled):
 		return statusClientClosed, failCanceled, "request canceled: "
+	case errors.Is(err, core.ErrInvalidRequest):
+		return http.StatusBadRequest, failBadRequest, ""
 	case upstream:
 		return http.StatusBadGateway, failUpstream, "sharded allocation: "
 	default:

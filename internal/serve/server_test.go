@@ -354,6 +354,29 @@ func TestServerEvaluateRejectsNegativeLambda(t *testing.T) {
 	})
 }
 
+// TestAllocateRefusedRequestIs400: a request core.Request.Resolve refuses —
+// a negative λ, an ad the campaign does not have — is the client's fault in
+// both modes: 400, counted under reason bad_request. The coordinator once
+// reported it as a failed shard allocation, 502.
+func TestAllocateRefusedRequestIs400(t *testing.T) {
+	base := fig1Request()
+	bothModes(t, base.InstanceParams, func(t *testing.T, ts *httptest.Server, _ bool) {
+		negative, unknown := base, base
+		lambda := -1.0
+		negative.Lambda = &lambda
+		unknown.Ads = []int{99}
+		for name, req := range map[string]AllocateRequest{"negative-lambda": negative, "unknown-ad": unknown} {
+			if code := postJSON(t, ts.URL+"/allocate", req, nil); code != http.StatusBadRequest {
+				t.Errorf("%s: POST /allocate returned %d, want 400", name, code)
+			}
+		}
+		const refused = `adserver_alloc_failures_total{reason="bad_request"}`
+		if n := metric(t, ts.URL, refused); n != 2 {
+			t.Errorf("%s = %d, want 2", refused, n)
+		}
+	})
+}
+
 func TestServerRejectsBadRequests(t *testing.T) {
 	ts := testServer(t, Options{})
 	for name, body := range map[string]AllocateRequest{

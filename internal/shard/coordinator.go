@@ -341,7 +341,7 @@ func (c *Coordinator) Allocate(ctx context.Context, req core.Request) (*core.TIR
 		return nil, fmt.Errorf("%w: request prepared for epoch %d, cluster is at %d", core.ErrStaleEpoch, req.Epoch, m.epoch)
 	}
 	if req.Opts.SoftCoverage {
-		return nil, errors.New("shard: soft coverage is not supported by sharded allocation (the coordinator's counters hold integer coverage only)")
+		return nil, fmt.Errorf("%w: soft coverage is not supported by sharded allocation (the coordinator's counters hold integer coverage only)", core.ErrInvalidRequest)
 	}
 	if ex, ok := req.Observer.(core.ExplainObserver); ok && req.Explain {
 		req.Observer = &explainOnce{ExplainObserver: ex}
