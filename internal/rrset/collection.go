@@ -167,11 +167,11 @@ func (s *segStore) release() {
 // segment with the bitset kernel exactly when the shared inverted index
 // carries a membership bitmap (Inverted.PrepareCover decides), and with the
 // sparse walk otherwise — see kernel.go; Kernel reports which. On the
-// sparse kernel, over at least lazyMinNodes nodes, it starts lazy: covers
+// sparse kernel, over at least LazyMinNodes nodes, it starts lazy: covers
 // only mark sets, and a node's
 // residual coverage is recounted from its row when it is read (see
-// lazy.go), until growth, credit, a delta capture or the work rule turns
-// it eager for the rest of the run. Every observable count is exact either
+// lazy.go), until growth, credit or a delta capture turns it eager for
+// the rest of the run. Every observable count is exact either
 // way.
 type Collection struct {
 	segStore
@@ -190,17 +190,13 @@ type Collection struct {
 	mask []uint64
 
 	// Lazy state (candidates.lazy non-nil): counted[u] == countGen means
-	// cov[u] was recounted since the last cover; commits, words and skipped
-	// feed the work rule. Scratch, like the dedup stamps: MemBytes leaves
-	// counted out. A stamp is one byte, not four: a pooled workspace keeps
+	// cov[u] was recounted since the last cover. Scratch, like the dedup
+	// stamps: MemBytes leaves counted out. A stamp is one byte, not four: a pooled workspace keeps
 	// its stamps between runs, and at DBLP's 317K nodes four-byte ones held
 	// 6.3 MB more per parked workspace, enough to move the GC's goal across
 	// a restart; a wrap every 255 covers clears n bytes instead.
 	counted  []uint8
 	countGen uint8
-	commits  int
-	words    int64 // row words the recounts read
-	skipped  int64 // member decrements the lazy walks skipped
 }
 
 // NewCollection creates an empty index over n nodes.
@@ -310,7 +306,7 @@ func (c *Collection) AddFamily(v FamilyView) {
 // single-segment collection meets every UseKernel precondition, so Reset
 // activates the bitset kernel exactly when inv carries a bitmap covering
 // the view; that collection copies the opening's cut into its counters, as
-// does a sparse one over fewer than lazyMinNodes nodes. A sparse collection
+// does a sparse one over fewer than LazyMinNodes nodes. A sparse collection
 // over more starts lazy and copies nothing: while no set is covered, a
 // node's count is its cut entry (see lazy.go).
 func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
@@ -323,7 +319,7 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 	}
 	c.cov = c.cov[:n]
 	c.bits = nil
-	if c.UseKernel(KernelBitset) == KernelBitset || n < lazyMinNodes {
+	if c.UseKernel(KernelBitset) == KernelBitset || n < LazyMinNodes {
 		copy(c.cov, o.cut)
 		return
 	}

@@ -32,7 +32,7 @@
 //
 // The walks here are the eager ones: they keep every node's residual
 // coverage current. A sparse warm-start collection over at least
-// lazyMinNodes nodes starts lazy instead (lazy.go): its cover walk only
+// LazyMinNodes nodes starts lazy instead (lazy.go): its cover walk only
 // marks sets, and counts are recounted when read. That is not a third
 // kernel — the bitset kernel is always eager — and it falls back to these
 // walks, exactly, whenever the full vector is needed.

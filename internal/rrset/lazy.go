@@ -15,53 +15,36 @@
 //
 // Laziness is not a kernel. It is the state of one run of a collection
 // that Reset opened over one shared segment on the sparse kernel, over at
-// least lazyMinNodes nodes; bitset, counter, hand-grown and smaller
-// collections are eager from the start. Anything
-// that needs the full vector turns a lazy collection eager for the rest of
-// its run, exactly, through materialize: growth (AddFamily), credit
-// (CountAndCoverFrom), the delta captures (CoverNodeDelta,
-// CountAndCoverFromDelta — so a shard owner pays one cut copy at its first
-// commit) and UseKernel.
-//
-// Recounting costs row words where decrementing costs member updates, and
-// on instances with long hub rows (FLIXSTER at full scale) the recounts
-// read more than the decrements they save. The work rule settles it once
-// per run: at its lazyRuleCommits-th lazy commit a collection compares the
-// row words its recounts read with twice the decrements its lazy walks
-// skipped, and materializes if the words are more. Checking once keeps the
-// rule cheap and never pays both modes for long; checking at every commit
-// made the 600-node instance 10–20 % slower.
+// least LazyMinNodes nodes; bitset, counter, hand-grown and smaller
+// collections are eager from the start. Anything that needs the full
+// vector turns a lazy collection eager for the rest of its run, exactly,
+// through materialize: growth (AddFamily), credit (CountAndCoverFrom), the
+// delta captures (CoverNodeDelta, CountAndCoverFromDelta — so a shard owner
+// pays one cut copy at its first commit) and UseKernel. Nothing else does:
+// no rule weighs recount words against skipped decrements, because no
+// instance that starts lazy has been measured to lose by it
+// (EXPERIMENTS.md).
 
 package rrset
 
 import mbits "math/bits"
 
-const (
-	// lazyMinNodes is the smallest node universe a collection starts lazy
-	// over. What laziness saves is the eager walk's decrements, random
-	// writes into the 4n-byte count vector; what it pays is sequential row
-	// words. Below 2^16 nodes (256 KB of counts) the vector stays in cache
-	// and a decrement costs about what a row word does, so recounting
-	// cannot win: under the work rule alone the 30 000-node FLIXSTER
-	// and its 600-node cut read slower allocation tails (EXPERIMENTS.md).
-	lazyMinNodes = 1 << 16
-	// lazyRuleCommits is the lazy commit at which the work rule runs.
-	lazyRuleCommits = 64
-	// lazySpillCost is what a spilled set counts toward the skipped
-	// decrements: a lower bound on the eager walk's work for it, at least
-	// joinInlineCap+1 member decrements plus the arena hop. The lazy walk
-	// never reads the set's size.
-	lazySpillCost = joinInlineCap + 2
-)
+// LazyMinNodes is the smallest node universe a collection starts lazy
+// over. What laziness saves is the eager walk's decrements, random writes
+// into the 4n-byte count vector; what it pays is sequential row words.
+// Below 2^16 nodes (256 KB of counts) the vector stays in cache and a
+// decrement costs about what a row word does, so recounting cannot win:
+// lazy, the 30 000-node FLIXSTER and its 600-node cut read slower
+// allocation tails (EXPERIMENTS.md).
+const LazyMinNodes = 1 << 16
 
-// lazyCoverWalk is CoverNode on a lazy collection: it walks u's row in the
-// one shared segment and marks each set it newly covers, moving no count.
-// It returns the sets covered and the member decrements the eager walk
-// would have made for them — |R| per inline record, lazySpillCost per
-// spilled one, the set's size per id-row entry.
-func lazyCoverWalk(c *Collection, u int32) (covered int, skipped int64) {
+// lazyCover is CoverNode on a lazy collection: it walks u's row in the one
+// shared segment and marks each set it newly covers, moving no count, then
+// ages every cached count. It returns the sets covered.
+func (c *Collection) lazyCover(u int32) int {
 	seg := &c.segs[0]
 	cvd := c.covered
+	covered := 0
 	if seg.inv.joined {
 		limit := int32(seg.end())
 		row := seg.inv.row(u)
@@ -70,12 +53,10 @@ func lazyCoverWalk(c *Collection, u int32) (covered int, skipped int64) {
 			if id >= limit {
 				break
 			}
-			cost := lazySpillCost
 			if sz == joinSpill {
 				p++
 			} else {
 				p += 1 + sz
-				cost = sz + 1
 			}
 			bit := uint64(1) << (uint(id) & 63)
 			if cvd[id>>6]&bit != 0 {
@@ -83,29 +64,18 @@ func lazyCoverWalk(c *Collection, u int32) (covered int, skipped int64) {
 			}
 			cvd[id>>6] |= bit
 			covered++
-			skipped += int64(cost)
 		}
-		return covered, skipped
-	}
-	offs := seg.view.offsets
-	for _, id := range seg.idsOf(u) {
-		bit := uint64(1) << (uint(id) & 63)
-		if cvd[id>>6]&bit != 0 {
-			continue
+	} else {
+		for _, id := range seg.idsOf(u) {
+			bit := uint64(1) << (uint(id) & 63)
+			if cvd[id>>6]&bit != 0 {
+				continue
+			}
+			cvd[id>>6] |= bit
+			covered++
 		}
-		cvd[id>>6] |= bit
-		covered++
-		skipped += int64(offs[id+1] - offs[id])
 	}
-	return covered, skipped
-}
-
-// lazyCover is CoverNode's lazy half: mark u's sets, age every cached
-// count, and run the work rule at the lazyRuleCommits-th commit.
-func (c *Collection) lazyCover(u int32) int {
-	covered, skipped := lazyCoverWalk(c, u)
 	c.ncov += covered
-	c.skipped += skipped
 	if covered > 0 {
 		c.nextGen()
 		if len(c.counted) < c.n {
@@ -116,19 +86,14 @@ func (c *Collection) lazyCover(u int32) int {
 		// Every set holding u is covered now.
 		c.cov[u], c.counted[u] = 0, c.countGen
 	}
-	if c.commits++; c.commits == lazyRuleCommits && c.words > 2*c.skipped {
-		c.materialize()
-	}
 	return covered
 }
 
 // startLazy makes a collection Reset has just opened on the sparse kernel
-// lazy: counts are the opening's cut until the first cover, and the work
-// rule starts from zero.
+// lazy: counts are the opening's cut until the first cover.
 func (c *Collection) startLazy() {
 	c.lazy = c
 	c.nextGen()
-	c.commits, c.words, c.skipped = 0, 0, 0
 }
 
 // nextGen moves the recount generation, so every cached count goes stale;
@@ -159,8 +124,7 @@ func (c *Collection) recount(u int32) {
 	if seg.inv.joined {
 		limit := int32(seg.end())
 		row := seg.inv.row(u)
-		p := 0
-		for p < len(row) {
+		for p := 0; p < len(row); {
 			id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
 			if id >= limit {
 				break
@@ -172,13 +136,10 @@ func (c *Collection) recount(u int32) {
 			}
 			left += int32(^cvd[id>>6] >> (uint(id) & 63) & 1)
 		}
-		c.words += int64(p)
 	} else {
-		ids := seg.idsOf(u)
-		for _, id := range ids {
+		for _, id := range seg.idsOf(u) {
 			left += int32(^cvd[id>>6] >> (uint(id) & 63) & 1)
 		}
-		c.words += int64(len(ids))
 	}
 	c.cov[u] = left
 }

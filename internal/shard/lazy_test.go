@@ -13,8 +13,8 @@ import (
 
 // TestLazyMatchesCoordinatorOnDBLP runs the benchmark's request deck —
 // budget factor × κ × λ, 24 combinations — on the DBLP analogue at a test
-// size large enough (66 600 nodes) for sparse collections to start lazy,
-// once through core.AllocateFromIndex, whose collections keep residual
+// size twice the node universe at which sparse collections start lazy
+// (133 140 nodes), once through core.AllocateFromIndex, whose collections keep residual
 // coverage lazily, and once through the coordinator over one
 // in-process shard, whose owner collections turn eager at their first
 // commit and whose counter mirrors are eager throughout. Seeds and the bits
@@ -23,7 +23,10 @@ import (
 // short rows, small sets, a weighted cascade.
 func TestLazyMatchesCoordinatorOnDBLP(t *testing.T) {
 	ctx := context.Background()
-	inst := gen.DBLP(gen.Options{Seed: 1, Scale: 0.21})
+	inst := gen.DBLP(gen.Options{Seed: 1, Scale: 0.42})
+	if n := inst.G.N(); n < 2*rrset.LazyMinNodes {
+		t.Fatalf("the DBLP analogue has %d nodes, under twice rrset.LazyMinNodes: its collections might not start lazy", n)
+	}
 	opts := core.TIRMOptions{MaxTheta: 8192}
 	idx, err := core.BuildIndex(inst, 1, opts)
 	if err != nil {
