@@ -50,7 +50,12 @@ type Index struct {
 	// the others. Selection over a non-identity index is meaningless on its
 	// own — AllocateFromIndex refuses it; the shard coordinator
 	// (internal/shard) ranks candidates across the slots instead.
-	part    rrset.StreamPartition
+	part rrset.StreamPartition
+	// shard marks one slot's sample store (BuildShardIndex,
+	// LoadShardIndexSnapshot), whatever the partition's size: AddAd never
+	// presamples there, because the coordinator warms a new ad on its
+	// owner under the options it was handed.
+	shard   bool
 	curr    atomic.Pointer[indexEpoch]
 	mu      sync.Mutex // serializes AddAd/RemoveAd epoch swaps
 	next    uint64     // next ad stream id to assign (guarded by mu)
@@ -318,7 +323,9 @@ func BuildShardIndex(inst *Instance, seed uint64, part rrset.StreamPartition) (*
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	return newIndexSkeleton(inst, seed, part), nil
+	idx := newIndexSkeleton(inst, seed, part)
+	idx.shard = true
+	return idx, nil
 }
 
 // presample extends one ad's sample to the size TIRM's initialization would
@@ -385,8 +392,10 @@ func (idx *Index) newAdSample(g *graph.Graph, probs []float32, stream uint64, pe
 // index whose history contains no removals the resulting samples — and
 // therefore every allocation — are byte-identical to a cold BuildIndex over
 // the same final ad set and seed. opts controls presampling depth only,
-// exactly as in BuildIndex. Returns the new ad's position in the updated
-// instance.
+// exactly as in BuildIndex; a shard index (BuildShardIndex,
+// LoadShardIndexSnapshot) samples nothing here at any partition size — its
+// coordinator warms the new ad on the owner. Returns the new ad's position
+// in the updated instance.
 func (idx *Index) AddAd(ad Ad, opts TIRMOptions) (int, error) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
@@ -397,9 +406,7 @@ func (idx *Index) AddAd(ad Ad, opts TIRMOptions) (int, error) {
 	opts = opts.WithDefaults()
 	a := idx.newAdSample(old.inst.G, ad.Params.Probs, idx.next, old.ads)
 	idx.next++
-	if idx.part.IsIdentity() {
-		// A shard does not presample: the coordinator warms the new ad on its
-		// owner after the broadcast, under the options it was handed.
+	if !idx.shard {
 		idx.presample(a, opts)
 	}
 
@@ -1009,7 +1016,12 @@ func LoadShardIndexSnapshot(inst *Instance, part rrset.StreamPartition, src io.R
 	if err := part.Validate(); err != nil {
 		return nil, err
 	}
-	return loadIndexSnapshot(inst, src, part)
+	idx, err := loadIndexSnapshot(inst, src, part)
+	if err != nil {
+		return nil, err
+	}
+	idx.shard = true
+	return idx, nil
 }
 
 // loadIndexSnapshot is the shared loader behind LoadIndexSnapshot and

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/rrset"
 )
 
 // lifecycleOpts keeps the lifecycle tests fast: small pilot, tight cap.
@@ -50,6 +52,50 @@ func TestAddAdMatchesColdBuild(t *testing.T) {
 		if fromCold.FinalTheta[i] != fromWarm.FinalTheta[i] {
 			t.Errorf("ad %d θ %d (cold) vs %d (warm+AddAd)", i, fromCold.FinalTheta[i], fromWarm.FinalTheta[i])
 		}
+	}
+}
+
+// TestShardIndexAddAdSamplesNothing: an index built or loaded as one slot
+// of a stream placement leaves a new ad unsampled at any partition size,
+// the one-slot identity partition included — its coordinator warms the ad
+// on the owner — while a single node's AddAd presamples it.
+func TestShardIndexAddAdSamplesNothing(t *testing.T) {
+	inst := randomInstance(7, 50, 200, 3, 2, 0.005)
+	partial := *inst
+	partial.Ads = inst.Ads[:2]
+	for _, part := range []rrset.StreamPartition{{}, {NumShards: 1}, {NumShards: 2}, {NumShards: 2, Shard: 1}} {
+		built, err := BuildShardIndex(&partial, 9, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := built.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadShardIndexSnapshot(&partial, part, &snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, idx := range map[string]*Index{"built": built, "loaded": loaded} {
+			pos, err := idx.AddAd(inst.Ads[2], lifecycleOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := idx.NumSets(pos); got != 0 {
+				t.Fatalf("%s shard index %+v: AddAd sampled %d sets", kind, part, got)
+			}
+		}
+	}
+	single, err := BuildIndex(&partial, 9, lifecycleOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, err := single.AddAd(inst.Ads[2], lifecycleOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.NumSets(pos) == 0 {
+		t.Fatal("a single node's AddAd presampled nothing")
 	}
 }
 

@@ -209,6 +209,9 @@ func (a *Allocation) Validate(inst *Instance) error { return a.validate(inst, in
 //   - the allocation is valid (Validate) under the request's resolved
 //     attention bounds κ;
 //   - ads outside the request's resolved ad set hold no seeds;
+//   - an ad whose residual budget — its budget (Request.Budgets or the
+//     instance's) minus Request.SpentBudget — is ≤ 0 holds no seeds (Eq. 3
+//     allows overshoot, so a spend above the budget is not checked);
 //   - EstRevenue, FinalTheta and FinalSeedTarget hold one entry per ad,
 //     every revenue finite.
 func CheckAllocation(inst *Instance, req Request, res *TIRMResult) error {
@@ -231,6 +234,15 @@ func CheckAllocation(inst *Instance, req Request, res *TIRMResult) error {
 	for j, seeds := range res.Alloc.Seeds {
 		if !active[j] && len(seeds) > 0 {
 			return fmt.Errorf("core: ad %d is outside the request but holds %d seeds", j, len(seeds))
+		}
+		if req.SpentBudget != nil && len(seeds) > 0 {
+			budget := inst.Ads[j].Budget
+			if req.Budgets != nil {
+				budget = req.Budgets[j]
+			}
+			if budget -= req.SpentBudget[j]; budget <= 0 {
+				return fmt.Errorf("core: ad %d's residual budget is %v but it holds %d seeds", j, budget, len(seeds))
+			}
 		}
 		if r := res.EstRevenue[j]; math.IsNaN(r) || math.IsInf(r, 0) {
 			return fmt.Errorf("core: ad %d's revenue estimate is %v", j, r)

@@ -226,8 +226,10 @@ func TestAllocationValidate(t *testing.T) {
 
 // TestCheckAllocation runs the post-condition checker on the Figure 1 toy
 // instance. The exact optimum (BruteForce) and warm TIRM runs pass it,
-// under the instance's own request and under one narrowed to two ads at
-// κ = 2; each broken copy of a passing result fails it.
+// under the instance's own request, under one narrowed to two ads at
+// κ = 2 and under one whose recorded spend exhausts an ad's budget; each
+// broken copy of a passing result fails it, as does a full result checked
+// against a request whose spend leaves a seeded ad no residual budget.
 func TestCheckAllocation(t *testing.T) {
 	inst := fig1Instance(t, 0)
 	h := len(inst.Ads)
@@ -281,6 +283,27 @@ func TestCheckAllocation(t *testing.T) {
 		t.Fatal("TIRM seeded no ad on Figure 1")
 	}
 	u := results["full"].Alloc.Seeds[seeded][0]
+	// The seeded ad's spend reaches its budget: a run under that request
+	// leaves it unseeded, and the full result, checked against it, fails.
+	spent := make([]float64, h)
+	spent[seeded] = inst.Ads[seeded].Budget
+	exhausted := Request{Opts: opts, SpentBudget: spent}
+	res, err := AllocateFromIndex(idx, exhausted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckAllocation(inst, exhausted, res); err != nil || len(res.Alloc.Seeds[seeded]) != 0 {
+		t.Fatalf("run under an exhausted budget: check %v, %d seeds on the exhausted ad", err, len(res.Alloc.Seeds[seeded]))
+	}
+	overridden := make([]float64, h)
+	for j, ad := range inst.Ads {
+		overridden[j] = ad.Budget
+	}
+	overridden[seeded] = 2 * spent[seeded]
+	if err := CheckAllocation(inst, Request{Opts: opts, SpentBudget: spent, Budgets: overridden}, results["full"]); err != nil {
+		t.Fatalf("a spend below the overridden budget fails the check: %v", err)
+	}
+	overridden[seeded] = spent[seeded] / 2
 	cases := []struct {
 		name string
 		req  Request
@@ -299,6 +322,8 @@ func TestCheckAllocation(t *testing.T) {
 		{"missing θ", full, broken(results["full"], func(r *TIRMResult) { r.FinalTheta = r.FinalTheta[:h-1] })},
 		{"missing seed target", full, broken(results["full"], func(r *TIRMResult) { r.FinalSeedTarget = nil })},
 		{"missing ad", full, broken(results["full"], func(r *TIRMResult) { r.Alloc.Seeds = r.Alloc.Seeds[:h-1] })},
+		{"seeds on an ad with no residual budget", exhausted, results["full"]},
+		{"seeds on an ad spent past its overridden budget", Request{Opts: opts, SpentBudget: spent, Budgets: overridden}, results["full"]},
 	}
 	for _, tc := range cases {
 		if err := CheckAllocation(inst, tc.req, tc.res); err == nil {

@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"testing"
-	"testing/quick"
-
-	"repro/internal/xrand"
-)
+import "testing"
 
 func TestWeakComponentsBasic(t *testing.T) {
 	// Two islands: {0,1,2} chained, {3,4} chained, 5 isolated.
@@ -50,111 +45,5 @@ func TestGiantComponentFrac(t *testing.T) {
 	}
 	if f := GiantComponentFrac(NewBuilder(0).MustBuild()); f != 0 {
 		t.Fatalf("empty graph frac %v", f)
-	}
-}
-
-func TestStrongComponentsCycleAndTail(t *testing.T) {
-	// 0->1->2->0 cycle plus tail 2->3->4.
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 0)
-	b.AddEdge(2, 3)
-	b.AddEdge(3, 4)
-	g := b.MustBuild()
-	labels, count := StrongComponents(g)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (cycle + two singletons)", count)
-	}
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Error("cycle split")
-	}
-	if labels[3] == labels[0] || labels[4] == labels[3] {
-		t.Error("tail merged")
-	}
-	// Tarjan emits SCCs in reverse topological order: the sink (node 4)
-	// gets the smallest label.
-	if labels[4] >= labels[3] || labels[3] >= labels[0] {
-		t.Errorf("labels not reverse-topological: %v", labels)
-	}
-}
-
-func TestStrongComponentsDAG(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(1, 3)
-	b.AddEdge(2, 3)
-	g := b.MustBuild()
-	if _, count := StrongComponents(g); count != 4 {
-		t.Fatalf("DAG should have n singleton SCCs, got %d", count)
-	}
-}
-
-// TestStrongComponentsEquivalence property-checks Tarjan against the
-// definition: u and v share an SCC iff both reach each other.
-func TestStrongComponentsEquivalence(t *testing.T) {
-	reaches := func(g *Graph, from, to int32) bool {
-		seen := make([]bool, g.N())
-		stack := []int32{from}
-		seen[from] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if u == to {
-				return true
-			}
-			targets, _ := g.OutEdges(u)
-			for _, v := range targets {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-		return false
-	}
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := 3 + r.IntN(8)
-		b := NewBuilder(n)
-		for i := 0; i < n*2; i++ {
-			u, v := int32(r.IntN(n)), int32(r.IntN(n))
-			if u != v {
-				b.AddEdge(u, v)
-			}
-		}
-		g := b.MustBuild()
-		labels, _ := StrongComponents(g)
-		for u := int32(0); u < int32(n); u++ {
-			for v := u + 1; v < int32(n); v++ {
-				same := labels[u] == labels[v]
-				mutual := reaches(g, u, v) && reaches(g, v, u)
-				if same != mutual {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStrongComponentsDeepChain(t *testing.T) {
-	// A 200k-long chain would blow a recursive Tarjan; the iterative one
-	// must handle it.
-	const n = 200000
-	b := NewBuilderHint(n, n-1)
-	for i := 0; i < n-1; i++ {
-		b.AddEdge(int32(i), int32(i+1))
-	}
-	g := b.MustBuild()
-	if _, count := StrongComponents(g); count != n {
-		t.Fatalf("chain SCC count %d, want %d", count, n)
-	}
-	if _, count := WeakComponents(g); count != 1 {
-		t.Fatalf("chain weak count %d, want 1", count)
 	}
 }

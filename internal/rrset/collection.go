@@ -1,6 +1,9 @@
 package rrset
 
-import "fmt"
+import (
+	"fmt"
+	mbits "math/bits"
+)
 
 // covSegment is one contiguous run of sets inside a coverage collection:
 // a CSR view of the sets (local ids 0..view.Len()-1, global ids start at
@@ -163,16 +166,16 @@ func (s *segStore) release() {
 // operation that observes or depends on it. After a Reset that rebuild is
 // a copy of the heap stored with the inverted index's opening.
 //
-// A warm-start collection (Reset, NewCollectionFromFamily) sweeps its first
-// segment with the bitset kernel exactly when the shared inverted index
-// carries a membership bitmap (Inverted.PrepareCover decides), and with the
-// sparse walk otherwise — see kernel.go; Kernel reports which. On the
-// sparse kernel, over at least LazyMinNodes nodes, it starts lazy: covers
-// only mark sets, and a node's
-// residual coverage is recounted from its row when it is read (see
-// lazy.go), until growth, credit or a delta capture turns it eager for
-// the rest of the run. Every observable count is exact either
-// way.
+// The eager sparse walk (kernel.go) serves every operation. A warm-start
+// collection (Reset, NewCollectionFromFamily) may start on one of two
+// faster cover paths, which serve CoverNode only: the bitset sweep, exactly
+// when the shared inverted index carries a membership bitmap
+// (Inverted.PrepareCover decides; Kernel reports it), or else, over a
+// cover-join index of at least LazyMinNodes nodes, lazy counts — covers
+// only mark sets, and a node's residual coverage is recounted from its row
+// when it is read (lazy.go). Growth, credit, a delta capture or UseKernel
+// first hands the collection to the eager sparse walk for the rest of its
+// run (materialize). Every observable count is exact either way.
 type Collection struct {
 	segStore
 	candidates[int32]
@@ -181,13 +184,11 @@ type Collection struct {
 	// current by every cover on an eager collection, a cache of exact
 	// counts on a lazy one (see lazy.go).
 	cov  []int32
-	ncov int        // number of covered sets
-	bits *coverBits // first segment's membership bitmap; non-nil means the bitset kernel is active
-	// mask is the bitset kernel's retired-set mask over the first segment.
-	// It is not covered: its bits past the view's set count are pre-set
-	// (see UseKernel), and covered's must stay clear for the sets a growth
-	// segment appends there.
-	mask []uint64
+	ncov int // number of covered sets
+	// bits is the first segment's membership bitmap; non-nil means CoverNode
+	// runs the bitset sweep, and covered's bits past the view's set count
+	// are pre-set (see UseKernel).
+	bits *coverBits
 
 	// Lazy state (candidates.lazy non-nil): counted[u] == countGen means
 	// cov[u] was recounted since the last cover. Scratch, like the dedup
@@ -221,20 +222,14 @@ func (c *Collection) SyncHeap() { c.sync(c.cov) }
 // dominates RR-set algorithms' memory. Shared segments (warm starts over a core.Index) count the shared
 // arrays here too — the footprint reachable from this collection.
 //
-// The bitset kernel's mask counts only while the kernel sweeps it: it is
-// workspace-owned and outlives a run, so an idle one does not count.
 // Scratch stamps — the top-k dedup stamps and a lazy collection's recount
 // stamps, a byte a node — are left out, so lazy and eager runs report the
 // same footprint.
 func (c *Collection) MemBytes() int64 {
-	total := c.memBytes() +
+	return c.memBytes() +
 		int64(len(c.covered))*8 + // covered bitmap
 		int64(c.n)*5 + // cov counters + dead flags
 		int64(len(c.pq))*8
-	if c.bits != nil {
-		total += int64(len(c.mask)) * 8
-	}
-	return total
 }
 
 // Kernel returns the identifier of the collection's active cover kernel.
@@ -246,7 +241,7 @@ func (c *Collection) Kernel() KernelID {
 }
 
 // release is segStore.release plus the kernel: the membership bitmap
-// belongs to the index, the mask stays for reuse.
+// belongs to the index.
 func (c *Collection) release() {
 	c.segStore.release()
 	c.bits = nil
@@ -304,11 +299,12 @@ func (c *Collection) AddFamily(v FamilyView) {
 // including views of a previous index, is dropped. inv must satisfy the
 // same prefix contract as in NewCollectionFromFamily. A fresh
 // single-segment collection meets every UseKernel precondition, so Reset
-// activates the bitset kernel exactly when inv carries a bitmap covering
+// activates the bitset sweep exactly when inv carries a bitmap covering
 // the view; that collection copies the opening's cut into its counters, as
-// does a sparse one over fewer than LazyMinNodes nodes. A sparse collection
-// over more starts lazy and copies nothing: while no set is covered, a
-// node's count is its cut entry (see lazy.go).
+// does a sparse one over fewer than LazyMinNodes nodes or over an id-row
+// index. A sparse collection over a cover-join index of more nodes starts
+// lazy and copies nothing: while no set is covered, a node's count is its
+// cut entry (see lazy.go).
 func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 	o := c.segStore.reset(n, v, inv)
 	c.candidates.reset(n, o)
@@ -318,8 +314,7 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 		c.cov = make([]int32, n)
 	}
 	c.cov = c.cov[:n]
-	c.bits = nil
-	if c.UseKernel(KernelBitset) == KernelBitset || n < LazyMinNodes {
+	if c.UseKernel(KernelBitset) == KernelBitset || n < LazyMinNodes || !inv.joined {
 		copy(c.cov, o.cut)
 		return
 	}
@@ -329,40 +324,68 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 // UseKernel overrides the kernel Reset chose and returns the kernel
 // actually active afterwards — the hook the kernel-equivalence tests and
 // the benchmark's sweep rung use to run both kernels over one sample;
-// production code never calls it. Requesting KernelBitset succeeds only
-// when the collection is a fresh warm-start over one shared base-0 segment
-// whose inverted index has its membership bitmap built (PrepareCover's
-// density rule or PrepareCoverBits) and no set has been covered yet;
-// otherwise — counter collections, hand-grown collections, indexes
-// without a bitmap, mid-run switches — the active kernel stays. Call it
-// right after Reset / NewCollectionFromFamily, before any cover
-// operation. The kernel's retired-set mask recycles its backing array
-// across Reset cycles, so steady-state activation allocates nothing. A
-// lazy collection turns eager first (materialize): either kernel then
-// keeps every count current.
+// production code never calls it. It first hands the collection to the
+// eager sparse walk (materialize). Requesting KernelBitset then succeeds
+// only when the collection is a fresh warm-start over one shared base-0
+// segment whose inverted index has its membership bitmap built
+// (PrepareCover's density rule or PrepareCoverBits) and no set has been
+// covered yet; otherwise — counter collections, hand-grown collections,
+// indexes without a bitmap, mid-run switches — the collection runs sparse.
+// Call it right after Reset / NewCollectionFromFamily, before any cover
+// operation. Activation allocates nothing.
 func (c *Collection) UseKernel(id KernelID) KernelID {
 	c.materialize()
-	if id != KernelBitset {
-		c.bits = nil
+	if id != KernelBitset || len(c.segs) != 1 || c.segs[0].base != 0 || c.ncov != 0 {
 		return KernelSparse
-	}
-	if len(c.segs) != 1 || c.segs[0].base != 0 || c.ncov != 0 {
-		return c.Kernel()
 	}
 	cb := c.segs[0].inv.preparedBits()
 	if cb == nil || cb.sets < c.numSets {
-		return c.Kernel()
+		return KernelSparse
 	}
-	k := c.numSets
-	kw := (k + 63) / 64
-	c.mask = cleared(c.mask, kw)
 	// Pre-set the bits past the view's set count so the sweep needs no
-	// tail masking: ids ≥ k read as already retired.
-	if r := uint(k) & 63; r != 0 {
-		c.mask[kw-1] = ^uint64(0) << r
+	// tail masking: ids ≥ numSets read as already covered until
+	// materialize clears them.
+	if r := uint(c.numSets) & 63; r != 0 {
+		c.covered[len(c.covered)-1] |= ^uint64(0) << r
 	}
 	c.bits = cb
 	return KernelBitset
+}
+
+// materialize is the one way back from the fast cover paths to the eager
+// sparse walk, for the rest of the run; a no-op on an eager sparse
+// collection. It ends the bitset sweep, clearing the bits UseKernel set
+// past the view's set count before a growth segment can land there (the
+// sweep keeps every count current, so nothing else changes). It turns a
+// lazy collection eager: cov becomes the opening's cut minus one per
+// member of every covered set, read in id order from the view's arena —
+// the vector the eager walk would have kept.
+func (c *Collection) materialize() {
+	if c.bits != nil {
+		c.bits = nil
+		if r := uint(c.numSets) & 63; r != 0 {
+			c.covered[len(c.covered)-1] &^= ^uint64(0) << r
+		}
+	}
+	if c.lazy == nil {
+		return
+	}
+	c.lazy = nil
+	seg := &c.segs[0]
+	copy(c.cov, seg.cut)
+	if c.ncov == 0 {
+		return
+	}
+	cov, offs, mem := c.cov, seg.view.offsets, seg.view.members
+	for w, word := range c.covered {
+		for word != 0 {
+			id := w<<6 + mbits.TrailingZeros64(word)
+			word &= word - 1
+			for _, x := range mem[offs[id]:offs[id+1]] {
+				cov[x]--
+			}
+		}
+	}
 }
 
 // NewCollectionFromFamily builds a collection over a prebuilt sample view
@@ -429,30 +452,32 @@ func (c *Collection) TopNodesInto(k int, eligible func(int32) bool, nodes []int3
 // the coverage of their other members, and returns the number of sets newly
 // covered (u's residual coverage before the call). Segments are walked in
 // id order, so covering order matches the historical flat-list behavior
-// exactly. On a lazy collection the walk only marks the sets (lazyCover):
-// the other members' counts are recounted when read, and come out as the
-// decrements would have left them.
+// exactly.
 //
 // This is the single hottest loop of a warm allocation — every committed
-// seed retires its covered sets here — so the walk itself is the
-// collection's active cover kernel (see kernel.go): the sparse kernel
-// walks a joined index's cover-join rows (one sequential record stream per
-// node, members inlined; see joinInlineCap), hopping to the arena for
-// spilled sets and for id-row segments — per-request θ-growth segments and
-// hand-built collections, state too short-lived to amortize the records;
-// the bitset kernel sweeps packed membership words. Either way sets retire
-// in ascending id order, so the covering sequence — and with it every
-// downstream estimate — is unchanged.
+// seed retires its covered sets here — and the one operation the fast
+// cover paths serve. The eager sparse kernel (see kernel.go) walks a
+// joined index's cover-join rows (one sequential record stream per node,
+// members inlined; see joinInlineCap), hopping to the arena for spilled
+// sets and for id-row segments — per-request θ-growth segments and
+// hand-built collections, state too short-lived to amortize the records.
+// The bitset sweep reads packed membership words over the one segment it
+// runs on. A lazy collection only marks the sets (lazyCover): the other
+// members' counts are recounted when read, and come out as the decrements
+// would have left them. Every path retires sets in ascending id order, so
+// the covering sequence — and with it every downstream estimate — is
+// unchanged.
 func (c *Collection) CoverNode(u int32) int {
 	c.SyncHeap()
 	if c.lazy != nil {
 		return c.lazyCover(u)
 	}
-	covered, segs := 0, c.segs
+	var covered int
 	if c.bits != nil {
-		covered, segs = c.bitsetCover(u), segs[1:]
+		covered = c.bitsetCover(u)
+	} else {
+		covered = sparseCoverSegs(c, u, c.segs)
 	}
-	covered += sparseCoverSegs(c, u, segs)
 	c.ncov += covered
 	if c.cov[u] != 0 {
 		panic(fmt.Sprintf("rrset: residual coverage of %d nonzero after CoverNode", u))
@@ -463,12 +488,12 @@ func (c *Collection) CoverNode(u int32) int {
 // CountAndCoverFrom counts the residual sets with id >= firstID that
 // contain u, marks them covered, and returns the count. TIRM's
 // UpdateEstimates uses it to re-credit already-chosen seeds with coverage
-// in freshly appended samples without double-counting across seeds. A
-// lazy collection turns eager first (materialize).
+// in freshly appended samples without double-counting across seeds. It
+// runs the eager sparse walk (materialize first).
 func (c *Collection) CountAndCoverFrom(u int32, firstID int) int {
 	c.materialize()
 	c.SyncHeap()
-	covered := c.coverDelta(u, firstID, nil)
+	covered := sparseDeltaSegs(c, u, firstID, c.segs, nil)
 	c.ncov += covered
 	return covered
 }

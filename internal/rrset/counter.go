@@ -65,17 +65,6 @@ func (c *Collection) ApplyCover(covered int, nodes []int32, decs []int32) {
 	c.ncov += covered
 }
 
-// coverDelta is the count-and-cover walk over the sets with id ≥ firstID
-// containing u, on the collection's active kernel; a non-nil sink captures
-// the per-node decrements.
-func (c *Collection) coverDelta(u int32, firstID int, s *deltaSink) int {
-	covered, segs := 0, c.segs
-	if c.bits != nil {
-		covered, segs = c.bitsetDeltaFrom(u, firstID, s), segs[1:]
-	}
-	return covered + sparseDeltaSegs(c, u, firstID, segs, s)
-}
-
 // CoverNodeDelta is CoverNode that additionally records the cover's effect
 // as a sparse decrement vector: appended to nodes/decs (reused, returned
 // re-sliced), node outNodes[i] lost outDecs[i] residual coverage — applied
@@ -91,13 +80,13 @@ func (c *Collection) coverDelta(u int32, firstID int, s *deltaSink) int {
 // the coordinator's counter collection, never by the shard's own heap, so
 // the (still lazy, still correct) rebuild is deferred until someone actually
 // queries it — and, the scores having moved off the opening's, it then
-// reads the live ones. A capture reads the full coverage vector, so a lazy
-// collection turns eager first (materialize).
+// reads the live ones. A capture reads the full coverage vector, so it runs
+// the eager sparse walk (materialize first).
 func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (covered int, outNodes []int32, outDecs []int32) {
 	c.materialize()
 	c.opened = nil
 	s := c.newDeltaSink(nodes, decs)
-	covered = c.coverDelta(u, 0, &s)
+	covered = sparseDeltaSegs(c, u, 0, c.segs, &s)
 	s.finish()
 	c.ncov += covered
 	if c.cov[u] != 0 {
@@ -107,13 +96,13 @@ func (c *Collection) CoverNodeDelta(u int32, nodes []int32, decs []int32) (cover
 }
 
 // CountAndCoverFromDelta is CountAndCoverFrom with the same sparse delta
-// capture (and deferred heap sync, and eager turn) as CoverNodeDelta,
+// capture (and deferred heap sync, and eager sparse walk) as CoverNodeDelta,
 // restricted to sets with id ≥ firstID (local ids of this collection).
 func (c *Collection) CountAndCoverFromDelta(u int32, firstID int, nodes []int32, decs []int32) (covered int, outNodes []int32, outDecs []int32) {
 	c.materialize()
 	c.opened = nil
 	s := c.newDeltaSink(nodes, decs)
-	covered = c.coverDelta(u, firstID, &s)
+	covered = sparseDeltaSegs(c, u, firstID, c.segs, &s)
 	s.finish()
 	c.ncov += covered
 	return covered, s.nodes, s.decs

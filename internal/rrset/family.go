@@ -553,10 +553,6 @@ func (ix *Inverted) PrepareCover() {
 // Idempotent and safe for concurrent use.
 func (ix *Inverted) PrepareCoverBits() { ix.coverBits() }
 
-// HasCoverBits reports whether the membership bitmap has been built (a
-// lock-free peek that never constructs).
-func (ix *Inverted) HasCoverBits() bool { return ix.bits.Load() != nil }
-
 // preparedBits returns the membership bitmap if a Prepare call has built
 // it, nil otherwise — never constructs.
 func (ix *Inverted) preparedBits() *coverBits { return ix.bits.Load() }

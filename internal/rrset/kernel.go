@@ -1,41 +1,35 @@
-// Coverage kernels: the two implementations of the count-and-cover sweeps
-// at the heart of the greedy allocation loop. Every committed seed must
-// discover the not-yet-covered sets containing it and decrement the
-// residual coverage of their members; that inner loop dominates a warm
-// allocation's profile. Both kernels serve the hard Collection only; the
-// soft WeightedCollection's commit always takes the sparse walk
+// Coverage kernels: the two implementations of the cover sweep at the
+// heart of the greedy allocation loop. Every committed seed must discover
+// the not-yet-covered sets containing it and decrement the residual
+// coverage of their members; that inner loop dominates a warm allocation's
+// profile. Both kernels serve the hard Collection only; the soft
+// WeightedCollection's commit always takes the sparse walk
 // (sparseCommitSegs).
 //
 //   - sparse: the inverted-row scan — one cover-join record stream (or id
 //     row + arena hop) per node, cost proportional to the node's
-//     membership count. Right for sparse instances, growth segments, and
-//     hand-built collections.
+//     membership count. It is the eager walk every operation has: cover,
+//     delta capture and credit, over any segment.
 //   - bitset: per-node RR-set membership packed as uint64 words (see
 //     coverBits), so discovering newly covered sets is a word-wise
 //     AND-NOT + popcount sweep with an unrolled 4-words-per-iteration
 //     inner loop and no data-dependent branches until a word actually
 //     holds new sets. Right for dense instances where inverted rows
-//     approach the set count.
+//     approach the set count. It serves CoverNode only.
 //
 // Which one a Collection runs is decided by the data, in one place:
 // Inverted.PrepareCover builds the membership bitmap exactly when the
 // sample is dense enough, and a Collection Reset over an index that has a
-// bitmap sweeps it for its first segment (growth segments always take the
-// sparse walk). The cover operations branch on that; nothing above this
-// package names a kernel except to count Kernel().
+// bitmap sweeps it in CoverNode. Anything else — growth, credit, a delta
+// capture — first turns the collection to the sparse walk for the rest of
+// its run (Collection.materialize), as it turns a lazy one eager (lazy.go).
+// Nothing above this package names a kernel except to count Kernel().
 //
 // Kernels differ only in how covered sets are *discovered*; sets are then
 // retired in ascending id order with identical per-member updates either
 // way, so heap evolution, tie-breaking — and therefore the final
 // allocation — are byte-identical across kernels (pinned by
 // FuzzKernelEquivalence and the golden tests).
-//
-// The walks here are the eager ones: they keep every node's residual
-// coverage current. A sparse warm-start collection over at least
-// LazyMinNodes nodes starts lazy instead (lazy.go): its cover walk only
-// marks sets, and counts are recounted when read. That is not a third
-// kernel — the bitset kernel is always eager — and it falls back to these
-// walks, exactly, whenever the full vector is needed.
 
 package rrset
 
@@ -296,82 +290,53 @@ func sparseCommitSegs(c *WeightedCollection, u int32, delta float64, firstID int
 	return total
 }
 
-// bitsetCover is the dense CoverNode sweep over the first segment: new
-// sets are row AND-NOT covered-words, four words per iteration; only a
-// word actually holding new sets takes the extraction branch. covw's
-// excess tail bits are pre-set on activation (UseKernel), so no per-word
-// masking is needed.
+// bitsetCover is the dense CoverNode sweep over the one segment: new sets
+// are row AND-NOT covered-words, four words per iteration; only a word
+// actually holding new sets takes the extraction branch. covered's bits past
+// the view's set count are pre-set while the sweep is active (UseKernel),
+// so no per-word masking is needed.
 func (c *Collection) bitsetCover(u int32) int {
 	row := c.bits.row(u)
-	covw := c.mask
+	cvd := c.covered
 	seg := &c.segs[0]
 	offs, mem := seg.view.offsets, seg.view.members
 	covered := 0
-	kw := len(covw)
+	kw := len(cvd)
 	w := 0
 	for ; w+4 <= kw; w += 4 {
-		n0 := row[w] &^ covw[w]
-		n1 := row[w+1] &^ covw[w+1]
-		n2 := row[w+2] &^ covw[w+2]
-		n3 := row[w+3] &^ covw[w+3]
+		n0 := row[w] &^ cvd[w]
+		n1 := row[w+1] &^ cvd[w+1]
+		n2 := row[w+2] &^ cvd[w+2]
+		n3 := row[w+3] &^ cvd[w+3]
 		if n0|n1|n2|n3 == 0 {
 			continue
 		}
 		if n0 != 0 {
-			covered += c.coverWord(w, n0, offs, mem, nil)
+			covered += c.coverWord(w, n0, offs, mem)
 		}
 		if n1 != 0 {
-			covered += c.coverWord(w+1, n1, offs, mem, nil)
+			covered += c.coverWord(w+1, n1, offs, mem)
 		}
 		if n2 != 0 {
-			covered += c.coverWord(w+2, n2, offs, mem, nil)
+			covered += c.coverWord(w+2, n2, offs, mem)
 		}
 		if n3 != 0 {
-			covered += c.coverWord(w+3, n3, offs, mem, nil)
+			covered += c.coverWord(w+3, n3, offs, mem)
 		}
 	}
 	for ; w < kw; w++ {
-		if nw := row[w] &^ covw[w]; nw != 0 {
-			covered += c.coverWord(w, nw, offs, mem, nil)
+		if nw := row[w] &^ cvd[w]; nw != 0 {
+			covered += c.coverWord(w, nw, offs, mem)
 		}
 	}
 	return covered
 }
 
-// bitsetDeltaFrom is bitsetCover restricted to sets with id ≥ firstID and
-// feeding the sink, if any (firstID 0 covers the CoverNodeDelta case): the
-// start word is masked once, the rest of the sweep is the plain loop (the
-// credit path is far off the per-iteration hot loop).
-func (c *Collection) bitsetDeltaFrom(u int32, firstID int, s *deltaSink) int {
-	covw := c.mask
-	kw := len(covw)
-	fw := firstID >> 6
-	if fw >= kw {
-		return 0
-	}
-	row := c.bits.row(u)
-	seg := &c.segs[0]
-	offs, mem := seg.view.offsets, seg.view.members
-	covered := 0
-	if nw := row[fw] &^ covw[fw] & (^uint64(0) << uint(firstID&63)); nw != 0 {
-		covered += c.coverWord(fw, nw, offs, mem, s)
-	}
-	for w := fw + 1; w < kw; w++ {
-		if nw := row[w] &^ covw[w]; nw != 0 {
-			covered += c.coverWord(w, nw, offs, mem, s)
-		}
-	}
-	return covered
-}
-
-// coverWord retires the sets in one word of new coverage: mark them
-// covered with one OR into the kernel's mask and one into the covered
-// bitmap (keeping the sparse walk's view truthful for growth segments and
-// credit passes), decrement their members' residual coverage, and stamp
-// each member into the sink when there is one. Bits extract in ascending
-// order, so sets retire ascending by id exactly as the sparse walk would.
-func (c *Collection) coverWord(w int, nw uint64, offs []uint32, mem []int32, s *deltaSink) int {
-	c.mask[w] |= nw
+// coverWord retires the sets in one word of new coverage: mark them covered
+// with one OR into the covered bitmap and decrement their members' residual
+// coverage. Bits extract in ascending order, so sets retire ascending by id
+// exactly as the sparse walk would.
+func (c *Collection) coverWord(w int, nw uint64, offs []uint32, mem []int32) int {
 	c.covered[w] |= nw
 	cov := c.cov
 	base := int32(w << 6)
@@ -380,9 +345,6 @@ func (c *Collection) coverWord(w int, nw uint64, offs []uint32, mem []int32, s *
 		id := base + int32(mbits.TrailingZeros64(nw))
 		nw &= nw - 1
 		for _, x := range mem[offs[id]:offs[id+1]] {
-			if s != nil {
-				s.record(x)
-			}
 			cov[x]--
 		}
 	}

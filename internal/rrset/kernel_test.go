@@ -57,15 +57,16 @@ func deltaOf(t testing.TB, nodes, decs []int32) map[int32]int32 {
 	return m
 }
 
-// kernelPair builds a sparse- and a bitset-kernel collection over the same
-// prepared family, failing the test if the bitset kernel does not
-// activate.
-func kernelPair(t testing.TB, n int, f *SetFamily) (sp, bt *Collection) {
+// kernelPair builds a sparse- and a bitset-kernel collection over the first
+// k sets of the same prepared family, failing the test if the bitset kernel
+// does not activate. Below the family's length, the bitmap's rows hold sets
+// past the view, which the sweep must never cover.
+func kernelPair(t testing.TB, n int, f *SetFamily, k int) (sp, bt *Collection) {
 	t.Helper()
-	v := f.View()
-	inv := BuildInverted(n, v, 0)
+	inv := BuildInverted(n, f.View(), 0)
 	inv.PrepareCover()
 	inv.PrepareCoverBits()
+	v := f.Prefix(k)
 	sp = NewCollectionFromFamily(n, v, inv)
 	bt = NewCollectionFromFamily(n, v, inv)
 	if got := bt.Kernel(); got != KernelBitset {
@@ -102,16 +103,17 @@ func compareCollections(t *testing.T, sp, bt *Collection, tag string) {
 }
 
 // TestKernelEquivalenceCover drives identical greedy cover sequences
-// through the sparse and bitset kernels — including credit passes and
-// post-activation growth segments — and requires byte-identical coverage
-// state and candidate ordering throughout.
+// through the sparse and bitset kernels — over an odd-length prefix of the
+// indexed family, including credit passes and post-activation growth
+// segments — and requires byte-identical coverage state and candidate
+// ordering throughout.
 func TestKernelEquivalenceCover(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		rng := xrand.New(seed)
 		n := 48 + rng.IntN(80)
 		k := 100 + rng.IntN(400)
 		f := randomKernelFamily(rng, n, k, 6)
-		sp, bt := kernelPair(t, n, f)
+		sp, bt := kernelPair(t, n, f, k-k/5|1)
 		compareCollections(t, sp, bt, "init")
 
 		for it := 0; it < 6; it++ {
@@ -159,18 +161,31 @@ func TestKernelEquivalenceCover(t *testing.T) {
 	}
 }
 
+// onSparse fails the test unless the bitset twin bt has turned to the
+// sparse walk and agrees with its sparse twin sp on every count.
+func onSparse(t *testing.T, tag string, sp, bt *Collection) {
+	t.Helper()
+	if got := bt.Kernel(); got != KernelSparse {
+		t.Fatalf("%s: the bitset twin reports %v, want sparse", tag, got)
+	}
+	compareCollections(t, sp, bt, tag)
+}
+
 // TestKernelEquivalenceDelta checks the sharded delta-capture path: both
 // kernels must emit the same covered counts and the same sparse decrement
 // vectors, as node → decrement maps. A second pair takes every step through
 // CountAndCoverFrom — the same walk with a nil sink — at firstID 0 and
-// mid-stream, and must end in the same cov / covered / NumCovered.
+// mid-stream, and must end in the same cov / covered / NumCovered. The
+// bitset sweep serves CoverNode only, so each bitset twin reports the
+// sparse kernel after its first delta, credit or growth, with the sparse
+// twin's counts.
 func TestKernelEquivalenceDelta(t *testing.T) {
 	rng := xrand.New(11)
 	n := 64
 	k := 300
 	f := randomKernelFamily(rng, n, k, 6)
-	sp, bt := kernelPair(t, n, f)
-	nsp, nbt := kernelPair(t, n, f)
+	sp, bt := kernelPair(t, n, f, k)
+	nsp, nbt := kernelPair(t, n, f, k)
 	nilSink := func(u int32, firstID, want int) {
 		t.Helper()
 		if s, b := nsp.CountAndCoverFrom(u, firstID), nbt.CountAndCoverFrom(u, firstID); s != want || b != want {
@@ -195,6 +210,10 @@ func TestKernelEquivalenceDelta(t *testing.T) {
 			t.Fatalf("CoverNodeDelta(%d): sparse=(%d, %v) bitset=(%d, %v)", u, sc, sm, bc, bm)
 		}
 		nilSink(u, 0, sc)
+		if it == 0 {
+			onSparse(t, "after the first delta", sp, bt)
+			onSparse(t, "after the first credit", nsp, nbt)
+		}
 		for _, c := range []*Collection{sp, bt, nsp, nbt} {
 			c.Drop(u)
 		}
@@ -216,6 +235,12 @@ func TestKernelEquivalenceDelta(t *testing.T) {
 		}
 	}
 	compareCollections(t, sp, bt, "delta")
+
+	gsp, gbt := kernelPair(t, n, f, k)
+	g := randomKernelFamily(rng, n, 40, 5)
+	gsp.AddFamily(g.View())
+	gbt.AddFamily(g.View())
+	onSparse(t, "after growth", gsp, gbt)
 }
 
 // TestKernelDensityHeuristic checks that PrepareCover builds the bitmap
@@ -230,7 +255,7 @@ func TestKernelDensityHeuristic(t *testing.T) {
 	dv := dense.View()
 	dinv := BuildInverted(32, dv, 0)
 	dinv.PrepareCover()
-	if !dinv.HasCoverBits() {
+	if dinv.bits.Load() == nil {
 		t.Fatal("dense sample: PrepareCover did not build the bitmap")
 	}
 
@@ -239,7 +264,7 @@ func TestKernelDensityHeuristic(t *testing.T) {
 	sv := sparse.View()
 	sinv := BuildInverted(2048, sv, 0)
 	sinv.PrepareCover()
-	if sinv.HasCoverBits() {
+	if sinv.bits.Load() != nil {
 		t.Fatal("sparse sample: PrepareCover built the bitmap against the density gate")
 	}
 	c := NewCollectionFromFamily(2048, sv, sinv)
@@ -272,11 +297,9 @@ func TestKernelDensityHeuristic(t *testing.T) {
 }
 
 // TestMemBytesIgnoresPooledKernelMasks pins that a reported footprint does
-// not depend on pool history: the bitset kernel's retired-set mask is
-// workspace-owned and survives Release, but belongs to a collection only
-// while the kernel sweeps it. A sparse collection recycled from a
-// workspace that last ran bitset must report what a fresh one does, and
-// so must a recycled soft collection.
+// not depend on pool history: a sparse collection recycled from a
+// workspace that last ran the bitset sweep must report what a fresh one
+// does, and so must a recycled soft collection.
 func TestMemBytesIgnoresPooledKernelMasks(t *testing.T) {
 	rng := xrand.New(3)
 	dense := randomKernelFamily(rng, 32, 200, 12)
@@ -379,7 +402,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 // FuzzDeltaCapture checks every captured delta vector against the coverage
 // change it stands for, on each kind of segment a shard walks: a joined
 // index (the cover-join record stream), id-row growth segments (AddFamily),
-// and the bitset kernel (PrepareCoverBits), each later grown by one more
+// and a collection opened on the bitset sweep (PrepareCoverBits), which its
+// first capture hands to the sparse walk, each later grown by one more
 // id-row segment. Every CoverNodeDelta / CountAndCoverFromDelta vector must
 // name each node once, give each node exactly its Coverage drop across the
 // call (and name no node whose coverage did not drop), and sum to the total

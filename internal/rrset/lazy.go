@@ -14,20 +14,19 @@
 // eager one.
 //
 // Laziness is not a kernel. It is the state of one run of a collection
-// that Reset opened over one shared segment on the sparse kernel, over at
-// least LazyMinNodes nodes; bitset, counter, hand-grown and smaller
-// collections are eager from the start. Anything that needs the full
-// vector turns a lazy collection eager for the rest of its run, exactly,
-// through materialize: growth (AddFamily), credit (CountAndCoverFrom), the
-// delta captures (CoverNodeDelta, CountAndCoverFromDelta — so a shard owner
-// pays one cut copy at its first commit) and UseKernel. Nothing else does:
-// no rule weighs recount words against skipped decrements, because no
+// that Reset opened over one shared cover-join segment on the sparse
+// kernel, over at least LazyMinNodes nodes; bitset, counter, hand-grown,
+// id-row and smaller collections are eager from the start. Like the bitset
+// sweep it serves CoverNode only: anything that needs the full vector
+// turns a lazy collection eager for the rest of its run, exactly, through
+// materialize — growth (AddFamily), credit (CountAndCoverFrom), the delta
+// captures (CoverNodeDelta, CountAndCoverFromDelta — so a shard owner pays
+// one cut copy at its first commit) and UseKernel. Nothing else does: no
+// rule weighs recount words against skipped decrements, because no
 // instance that starts lazy has been measured to lose by it
 // (EXPERIMENTS.md).
 
 package rrset
-
-import mbits "math/bits"
 
 // LazyMinNodes is the smallest node universe a collection starts lazy
 // over. What laziness saves is the eager walk's decrements, random writes
@@ -38,42 +37,31 @@ import mbits "math/bits"
 // allocation tails (EXPERIMENTS.md).
 const LazyMinNodes = 1 << 16
 
-// lazyCover is CoverNode on a lazy collection: it walks u's row in the one
-// shared segment and marks each set it newly covers, moving no count, then
-// ages every cached count. It returns the sets covered.
+// lazyCover is CoverNode on a lazy collection: it walks u's cover-join row
+// in the one shared segment and marks each set it newly covers, moving no
+// count, then ages every cached count. It returns the sets covered.
 func (c *Collection) lazyCover(u int32) int {
 	seg := &c.segs[0]
 	cvd := c.covered
 	covered := 0
-	if seg.inv.joined {
-		limit := int32(seg.end())
-		row := seg.inv.row(u)
-		for p := 0; p < len(row); {
-			id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
-			if id >= limit {
-				break
-			}
-			if sz == joinSpill {
-				p++
-			} else {
-				p += 1 + sz
-			}
-			bit := uint64(1) << (uint(id) & 63)
-			if cvd[id>>6]&bit != 0 {
-				continue
-			}
-			cvd[id>>6] |= bit
-			covered++
+	limit := int32(seg.end())
+	row := seg.inv.row(u)
+	for p := 0; p < len(row); {
+		id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
+		if id >= limit {
+			break
 		}
-	} else {
-		for _, id := range seg.idsOf(u) {
-			bit := uint64(1) << (uint(id) & 63)
-			if cvd[id>>6]&bit != 0 {
-				continue
-			}
-			cvd[id>>6] |= bit
-			covered++
+		if sz == joinSpill {
+			p++
+		} else {
+			p += 1 + sz
 		}
+		bit := uint64(1) << (uint(id) & 63)
+		if cvd[id>>6]&bit != 0 {
+			continue
+		}
+		cvd[id>>6] |= bit
+		covered++
 	}
 	c.ncov += covered
 	if covered > 0 {
@@ -89,8 +77,8 @@ func (c *Collection) lazyCover(u int32) int {
 	return covered
 }
 
-// startLazy makes a collection Reset has just opened on the sparse kernel
-// lazy: counts are the opening's cut until the first cover.
+// startLazy makes a collection Reset has just opened on the sparse kernel,
+// over a cover-join index, lazy: counts are the opening's cut until the first cover.
 func (c *Collection) startLazy() {
 	c.lazy = c
 	c.nextGen()
@@ -107,8 +95,8 @@ func (c *Collection) nextGen() {
 
 // recount makes cov[u] exact on a lazy collection. While nothing is
 // covered it is u's opening count; after that, unless u was recounted
-// since the last cover, it is the number of u's records below the segment
-// end whose set is not covered.
+// since the last cover, it is the number of u's cover-join records below
+// the segment end whose set is not covered.
 func (c *Collection) recount(u int32) {
 	seg := &c.segs[0]
 	if c.ncov == 0 {
@@ -121,25 +109,19 @@ func (c *Collection) recount(u int32) {
 	c.counted[u] = c.countGen
 	cvd := c.covered
 	left := int32(0)
-	if seg.inv.joined {
-		limit := int32(seg.end())
-		row := seg.inv.row(u)
-		for p := 0; p < len(row); {
-			id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
-			if id >= limit {
-				break
-			}
-			if sz == joinSpill {
-				p++
-			} else {
-				p += 1 + sz
-			}
-			left += int32(^cvd[id>>6] >> (uint(id) & 63) & 1)
+	limit := int32(seg.end())
+	row := seg.inv.row(u)
+	for p := 0; p < len(row); {
+		id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
+		if id >= limit {
+			break
 		}
-	} else {
-		for _, id := range seg.idsOf(u) {
-			left += int32(^cvd[id>>6] >> (uint(id) & 63) & 1)
+		if sz == joinSpill {
+			p++
+		} else {
+			p += 1 + sz
 		}
+		left += int32(^cvd[id>>6] >> (uint(id) & 63) & 1)
 	}
 	c.cov[u] = left
 }
@@ -149,32 +131,5 @@ func (c *Collection) recount(u int32) {
 func (c *Collection) recountAll() {
 	for u := range c.cov {
 		c.recount(int32(u))
-	}
-}
-
-// materialize turns a lazy collection eager for the rest of its run: cov
-// becomes the opening's cut minus one per member of every covered set,
-// read in id order from the view's arena — the vector the eager walks
-// would have kept — and every later cover decrements as they do. A no-op
-// on an eager collection.
-func (c *Collection) materialize() {
-	if c.lazy == nil {
-		return
-	}
-	c.lazy = nil
-	seg := &c.segs[0]
-	copy(c.cov, seg.cut)
-	if c.ncov == 0 {
-		return
-	}
-	cov, offs, mem := c.cov, seg.view.offsets, seg.view.members
-	for w, word := range c.covered {
-		for word != 0 {
-			id := w<<6 + mbits.TrailingZeros64(word)
-			word &= word - 1
-			for _, x := range mem[offs[id]:offs[id+1]] {
-				cov[x]--
-			}
-		}
 	}
 }

@@ -9,39 +9,48 @@ import (
 )
 
 // lazyPair opens two collections over the first k sets of the index's
-// family: one made lazy as Reset makes a large one, and one eager.
+// family: one made lazy as Reset makes a large one over a joined index,
+// and one eager. Over an id-row index Reset must leave both eager: lazy
+// counts read cover-join rows only.
 func lazyPair(t testing.TB, n int, v FamilyView, inv *Inverted) (lazy, eager *Collection) {
 	t.Helper()
 	lazy, eager = NewCollectionFromFamily(n, v, inv), NewCollectionFromFamily(n, v, inv)
-	if lazy.Kernel() != KernelSparse || eager.lazy != nil {
+	if lazy.Kernel() != KernelSparse || lazy.lazy != nil || eager.lazy != nil {
 		t.Fatalf("a warm-start collection over %d nodes and an index without a bitmap is not eager sparse", n)
 	}
-	lazy.startLazy()
+	if inv.joined {
+		lazy.startLazy()
+	}
 	return lazy, eager
 }
 
-// TestResetStartsLazyByNodeCount: Reset starts a sparse collection lazy
-// exactly when its node universe reaches LazyMinNodes, and a bitset one
-// never.
+// TestResetStartsLazyByNodeCount: Reset starts a sparse collection over a
+// cover-join index lazy exactly when its node universe reaches
+// LazyMinNodes, and a bitset one or one over id rows never.
 func TestResetStartsLazyByNodeCount(t *testing.T) {
 	fam := FamilyFromSets([][]int32{{0, 1}, {1, 2}, {2, 3, 4}})
 	for _, c := range []struct {
-		n      int
-		bitmap bool
-		lazy   bool
-	}{{LazyMinNodes - 1, false, false}, {LazyMinNodes, false, true}, {LazyMinNodes, true, false}} {
-		inv := buildInverted(c.n, fam.View(), 0, true)
+		n              int
+		joined, bitmap bool
+		lazy           bool
+	}{
+		{LazyMinNodes - 1, true, false, false},
+		{LazyMinNodes, true, false, true},
+		{LazyMinNodes, true, true, false},
+		{LazyMinNodes, false, false, false},
+	} {
+		inv := buildInverted(c.n, fam.View(), 0, c.joined)
 		if c.bitmap {
 			inv.PrepareCoverBits()
 		}
 		col := NewCollectionFromFamily(c.n, fam.View(), inv)
 		if lazy := col.lazy != nil; lazy != c.lazy {
-			t.Fatalf("n = %d, bitmap %v: lazy = %v, want %v", c.n, c.bitmap, lazy, c.lazy)
+			t.Fatalf("n = %d, joined %v, bitmap %v: lazy = %v, want %v", c.n, c.joined, c.bitmap, lazy, c.lazy)
 		}
 		col.CoverNode(2)
 		for u, want := range []int{1, 1, 0, 0, 0} {
 			if got := col.Coverage(int32(u)); got != want {
-				t.Fatalf("n = %d, bitmap %v: Coverage(%d) = %d after covering node 2, want %d", c.n, c.bitmap, u, got, want)
+				t.Fatalf("n = %d, joined %v, bitmap %v: Coverage(%d) = %d after covering node 2, want %d", c.n, c.joined, c.bitmap, u, got, want)
 			}
 		}
 	}
@@ -60,7 +69,8 @@ func sameLazyState(t *testing.T, tag string, lazy, eager *Collection) {
 }
 
 // FuzzLazyCoverage runs a lazy and an eager collection in lockstep over a
-// random family, on a joined or an id-row index, at a random view length,
+// random family, on a joined index (on an id-row one Reset leaves both
+// eager, and lazyPair checks that), at a random view length,
 // through a random sequence of top-k queries (k ∈ {1, 2, 3}, with random
 // ineligible nodes), covers, growth, credits and a forced fallback at a
 // random step: every answer, count, covered count and heap array must be

@@ -30,8 +30,9 @@ func sameHeap[S int32 | float64](t *testing.T, tag string, got, want MaxHeap[S])
 // an opening: NewCollection + AddFamily counts memberships with
 // Inverted.Count over an index of the prefix alone and builds its heap in
 // candidates.sync. Residual coverage — read through Coverage, which a
-// sparse collection made lazy answers from the cut, and again from the
-// counters after materialize — the borrowed cut vector and, after SyncHeap,
+// sparse collection over a joined index, made lazy, answers from the cut,
+// and again from the counters after materialize — the borrowed cut vector
+// and, after SyncHeap,
 // the heap array must agree element for element, for both collection
 // kinds.
 func checkOpening(t *testing.T, n int, fam *SetFamily, inv *Inverted, k int) {
@@ -50,7 +51,7 @@ func checkOpening(t *testing.T, n int, fam *SetFamily, inv *Inverted, k int) {
 		if hard.OpeningBuilt() != wantBuilt {
 			t.Fatalf("%s: OpeningBuilt = %v", tag, hard.OpeningBuilt())
 		}
-		if hard.Kernel() == KernelSparse {
+		if hard.Kernel() == KernelSparse && inv.joined {
 			hard.startLazy()
 		}
 		for u := 0; u < n; u++ {

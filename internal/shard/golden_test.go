@@ -208,6 +208,43 @@ func TestShardedLifecycleGolden(t *testing.T) {
 	}
 }
 
+// TestAddAdSamplesOnlyWhatTheCoordinatorWarms: a shard index samples
+// nothing on AddAd at any K — K = 1, where the one slot's partition is the
+// identity, included — so the coordinator's warm-up under the request
+// options is the new ad's only sampling, and its sets, summed over the
+// shards, are what a single node presamples on AddAd under those options.
+func TestAddAdSamplesOnlyWhatTheCoordinatorWarms(t *testing.T) {
+	inst, opts, ctx := testInstance(), testOpts(), context.Background()
+	const seed = 5
+	base := *inst
+	base.Ads = append([]core.Ad(nil), inst.Ads[:6]...)
+	idx, err := core.BuildIndex(&base, seed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, err := idx.AddAd(inst.Ads[6], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := idx.NumSets(pos)
+	for _, k := range []int{1, 2} {
+		coord, shards, err := NewLocalCluster(inst, 6, seed, k, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pos, err = coord.AddAdBase(ctx, 6, opts); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for _, s := range shards {
+			got += s.Index().NumSets(pos)
+		}
+		if got != want {
+			t.Fatalf("K = %d: the new ad holds %d sets over the shards, a single node presamples %d", k, got, want)
+		}
+	}
+}
+
 // TestShardedSoftCoverageRejected pins the documented limitation.
 func TestShardedSoftCoverageRejected(t *testing.T) {
 	inst := testInstance()
