@@ -14,7 +14,11 @@
 
 package core
 
-import "repro/internal/rrset"
+import (
+	"context"
+
+	"repro/internal/rrset"
+)
 
 // BatchResult is one item's outcome in an AllocateBatch call: exactly the
 // (result, error) pair the equivalent AllocateFromIndex call would return.
@@ -42,7 +46,7 @@ func AllocateBatch(idx *Index, reqs []Request) []BatchResult {
 	}
 	ep := idx.curr.Load()
 	rrset.ParallelFor(len(reqs), 0, func(i int) {
-		res, err := allocateEpoch(idx, ep, reqs[i])
+		res, err := allocateEpoch(context.Background(), idx, ep, reqs[i])
 		out[i] = BatchResult{Res: res, Err: err}
 	})
 	return out

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/rrset"
 )
 
 // joinInlineCap mirrors rrset's cap on the members a cover-join record
@@ -43,18 +44,55 @@ func TestIndexHoldsNoIDRows(t *testing.T) {
 			}
 			join += 4 * sz * rec
 		}
-		// The run's opening: the cut vector, and the heap of every node the
-		// opened sets hold.
-		live := make(map[int32]bool)
-		for _, set := range fam.Prefix(core.OpeningTheta(idx, j, opts)).Sets() {
-			for _, u := range set {
-				live[u] = true
-			}
-		}
-		opening := 4*int64(n) + 8*int64(len(live))
-		want += family + join + opening + 8*int64(len(widths))
+		want += family + join + openingBytes(idx, j, opts) + 8*int64(len(widths))
 	}
 	if got := idx.MemBytes(); got != want {
 		t.Fatalf("index holds %d bytes, family + join + openings + widths = %d (%+d)", got, want, got-want)
+	}
+}
+
+// openingBytes is the footprint of the opening one run under opts leaves
+// on ad j's index: the cut vector, and the heap of every node the opened
+// sets hold.
+func openingBytes(idx *core.Index, j int, opts core.TIRMOptions) int64 {
+	fam, _, _ := core.SampleParts(idx, j)
+	live := make(map[int32]bool)
+	for _, set := range fam.Prefix(core.OpeningTheta(idx, j, opts)).Sets() {
+		for _, u := range set {
+			live[u] = true
+		}
+	}
+	return 4*int64(idx.Inst().G.N()) + 8*int64(len(live))
+}
+
+// TestLargeIndexHoldsIDRows: on the DBLP analogue at a quarter of paper
+// scale (79 250 nodes, past rrset.LazyMinNodes), after a build and one
+// allocation, the index's footprint is exactly each ad's family, one 4-byte
+// id per membership of the indexed sets, one row offset per node + 1, the
+// opening and the pilot widths — no cover join, whose inline members no
+// lazy walk reads, and (the sample being sparse) no bitmap.
+func TestLargeIndexHoldsIDRows(t *testing.T) {
+	inst := gen.DBLP(gen.Options{Seed: 1, Scale: 0.25})
+	n := inst.G.N()
+	if n < rrset.LazyMinNodes {
+		t.Fatalf("the DBLP analogue has %d nodes, under rrset.LazyMinNodes", n)
+	}
+	opts := core.TIRMOptions{MaxTheta: 4096}
+	idx, err := core.BuildIndex(inst, 7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.AllocateFromIndex(idx, core.Request{Opts: opts}); err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for j := range inst.Ads {
+		fam, invLen, widths := core.SampleParts(idx, j)
+		family := 4*fam.NumMembers() + 4*int64(fam.Len()+1)
+		rows := 4*fam.Prefix(invLen).NumMembers() + 4*int64(n+1)
+		want += family + rows + openingBytes(idx, j, opts) + 8*int64(len(widths))
+	}
+	if got := idx.MemBytes(); got != want {
+		t.Fatalf("index holds %d bytes, family + id rows + openings + widths = %d (%+d)", got, want, got-want)
 	}
 }

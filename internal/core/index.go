@@ -88,11 +88,12 @@ var ErrInvalidRequest = errors.New("core: invalid request")
 // adSample holds one ad's growable prefix of its RR stream as a flat CSR
 // arena (rrset.SetFamily), together with the inverted index that coverage
 // collections borrow, so a warm selection run never rebuilds
-// per-membership state. The index is the cover join itself — per node, one
-// record per containing set with the set's id and, when small, its members
-// — built at construction, with no id rows beside it. The arena makes the
-// whole sample a handful of allocations — GC-quiet at tens of millions of
-// sets — and snapshots serialize it in bulk.
+// per-membership state. Over rrset.LazyMinNodes nodes or more the index is
+// plain id rows, the one row form its lazy collections read; below, it is
+// the cover join itself — per node, one record per containing set with the
+// set's id and, when small, its members — with no id rows beside it. The
+// arena makes the whole sample a handful of allocations — GC-quiet at tens
+// of millions of sets — and snapshots serialize it in bulk.
 type adSample struct {
 	stream  uint64        // stream id: the Split index of rng under the index seed
 	sampled *atomic.Int64 // the owning index's lifetime counter; ensure is its only writer
@@ -200,11 +201,11 @@ func (a *adSample) syncInv(want int) {
 	}
 }
 
-// restore installs a decoded arena and the cover join built over it (nil
-// for an empty arena) as the ad's sample — exactly the state sampling the
-// same sets and a syncInv would have left. Pilot widths and openings are
-// left to the first request that asks, as on a fresh build. For a sample no
-// other goroutine can reach yet (the snapshot's Bind).
+// restore installs a decoded arena and the inverted index built over it
+// (nil for an empty arena) as the ad's sample — exactly the state sampling
+// the same sets and a syncInv would have left. Pilot widths and openings
+// are left to the first request that asks, as on a fresh build. For a
+// sample no other goroutine can reach yet (the snapshot's Bind).
 func (a *adSample) restore(fam *rrset.SetFamily, inv *rrset.Inverted) {
 	a.fam = fam
 	if inv != nil {
@@ -272,8 +273,8 @@ func (a *adSample) size() int {
 
 // memBytes returns the exact data footprint of the stored sample: member
 // arena, offsets, the pilot widths computed so far, and the inverted index
-// (its cover-join rows) with what has been derived from it (bitmap,
-// openings). O(1) — flat arrays know their sizes.
+// (its rows) with what has been derived from it (bitmap, openings). O(1) —
+// flat arrays know their sizes.
 func (a *adSample) memBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -486,15 +487,16 @@ func (idx *Index) SetsSampled() int64 { return idx.sampled.Load() }
 
 // MemBytes reports the exact data footprint of the current epoch's stored
 // samples: member arenas, offsets, pilot widths, and inverted indexes with
-// their derived data. An inverted index is its cover join (a 4-byte header
-// per membership plus the members of each set small enough to inline, and
-// one row offset per node) with no id rows beside it; the derived data are
-// the bitmaps and the openings requests have left on the indexes, so the
-// figure rises by at most 12 bytes per node per distinct θ served, up to
-// rrset's cap. All of it is flat arrays, so the figure is
-// byte-accurate and O(1) per ad (no slice-header estimates). The transient
-// per-allocation coverage state is reported separately via
-// TIRMResult.MemBytes.
+// their derived data. An inverted index is one row offset per node plus
+// its rows: over rrset.LazyMinNodes nodes or more one 4-byte id per
+// membership, below that the cover join (a 4-byte header per membership
+// plus the members of each set small enough to inline) with no id rows
+// beside it; the derived data are the bitmaps and the openings requests
+// have left on the indexes, so the figure rises by at most 12 bytes per
+// node per distinct θ served, up to rrset's cap. All of it is flat arrays,
+// so the figure is byte-accurate and O(1) per ad (no slice-header
+// estimates). The transient per-allocation coverage state is reported
+// separately via TIRMResult.MemBytes.
 func (idx *Index) MemBytes() int64 {
 	var total int64
 	for _, a := range idx.curr.Load().ads {
@@ -635,14 +637,22 @@ func (req *Request) Resolve(inst *Instance) (adIDs []int, lambda float64, kappa 
 // AddAd/RemoveAd swap the campaign set mid-run; set Request.Epoch to refuse
 // a swapped epoch outright.
 func AllocateFromIndex(idx *Index, req Request) (*TIRMResult, error) {
-	return allocateEpoch(idx, idx.curr.Load(), req)
+	return AllocateFromIndexContext(context.Background(), idx, req)
 }
 
-// allocateEpoch is AllocateFromIndex pinned to one epoch — the consistent
-// view an allocation keeps for its whole run, no matter how many campaign
-// mutations land concurrently: the one loop (loop.go) over the local
-// backend (workspace.go).
-func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error) {
+// AllocateFromIndexContext is AllocateFromIndex under ctx: a run whose ctx
+// is done stops before its next round and returns ctx's error, so a
+// server whose client hung up does not pay for the rest of the run.
+// Cancellation never changes a run that completes.
+func AllocateFromIndexContext(ctx context.Context, idx *Index, req Request) (*TIRMResult, error) {
+	return allocateEpoch(ctx, idx, idx.curr.Load(), req)
+}
+
+// allocateEpoch is AllocateFromIndexContext pinned to one epoch — the
+// consistent view an allocation keeps for its whole run, no matter how many
+// campaign mutations land concurrently: the one loop (loop.go) over the
+// local backend (workspace.go).
+func allocateEpoch(ctx context.Context, idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error) {
 	if !idx.part.IsIdentity() {
 		return nil, fmt.Errorf("core: index holds shard %d of %d — selection over one shard's sample is meaningless; allocate through the shard coordinator",
 			idx.part.Shard, idx.part.NumShards)
@@ -654,7 +664,7 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 	ws := pool.get()
 	defer pool.put(ws)
 	ws.local = localBackend{ep: ep, ws: ws, soft: req.Opts.SoftCoverage}
-	res, err := ws.run(context.Background(), ep.inst, &ws.local, req)
+	res, err := ws.run(ctx, ep.inst, &ws.local, req)
 	if err != nil {
 		return nil, err
 	}
@@ -667,8 +677,8 @@ func allocateEpoch(idx *Index, ep *indexEpoch, req Request) (*TIRMResult, error)
 const (
 	indexMagic = uint32(0x41444958) // "ADIX"
 	// indexVersion 6: a CRC-guarded header — seed, instance fingerprint,
-	// node count (so a snapshot is read, and its cover joins built, before
-	// the instance exists), stream-partition manifest (shard count and shard
+	// node count (so a snapshot is read, and its inverted indexes built,
+	// before the instance exists), stream-partition manifest (shard count and shard
 	// id, so a load against the wrong slot fails instead of silently serving
 	// another slot's ads), per-ad stream ids — then one flat "RRS2" family
 	// section per ad, empty for an ad whose stream the slot does not own.
@@ -1039,9 +1049,9 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 }
 
 // IndexSnapshot is the half of a snapshot load that needs only the file:
-// the header, every ad's decoded sample and the cover join built over it.
-// ReadIndexSnapshot makes one; Bind checks it against an instance and turns
-// it into an Index. The split lets a host read a snapshot while it
+// the header, every ad's decoded sample and the inverted index built over
+// it. ReadIndexSnapshot makes one; Bind checks it against an instance and
+// turns it into an Index. The split lets a host read a snapshot while it
 // generates the instance (internal/serve does).
 type IndexSnapshot struct {
 	hdr   *indexHeader

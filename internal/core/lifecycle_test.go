@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -181,7 +182,7 @@ func TestAllocationPinnedAcrossEpochSwap(t *testing.T) {
 	}
 
 	// The captured epoch still serves the pre-mutation campaign set.
-	after, err := allocateEpoch(idx, pinned, req)
+	after, err := allocateEpoch(context.Background(), idx, pinned, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,9 @@ type covSegment struct {
 }
 
 // idsOf returns the (global, ascending) ids of this segment's sets that
-// contain u. Id-row indexes only: the walks read a joined row's records.
+// contain u. Id-row indexes only: the eager walks read a joined row's
+// records instead, and the lazy walks, which read ids and nothing else,
+// run over id rows alone.
 func (s *covSegment) idsOf(u int32) []int32 {
 	ids := s.inv.row(u)
 	if s.cut != nil {
@@ -170,8 +172,8 @@ func (s *segStore) release() {
 // collection (Reset, NewCollectionFromFamily) may start on one of two
 // faster cover paths, which serve CoverNode only: the bitset sweep, exactly
 // when the shared inverted index carries a membership bitmap
-// (Inverted.PrepareCover decides; Kernel reports it), or else, over a
-// cover-join index of at least LazyMinNodes nodes, lazy counts — covers
+// (Inverted.PrepareCover decides; Kernel reports it), or else, over an
+// id-row index of at least LazyMinNodes nodes, lazy counts — covers
 // only mark sets, and a node's residual coverage is recounted from its row
 // when it is read (lazy.go). Growth, credit, a delta capture or UseKernel
 // first hands the collection to the eager sparse walk for the rest of its
@@ -301,10 +303,11 @@ func (c *Collection) AddFamily(v FamilyView) {
 // single-segment collection meets every UseKernel precondition, so Reset
 // activates the bitset sweep exactly when inv carries a bitmap covering
 // the view; that collection copies the opening's cut into its counters, as
-// does a sparse one over fewer than LazyMinNodes nodes or over an id-row
-// index. A sparse collection over a cover-join index of more nodes starts
-// lazy and copies nothing: while no set is covered, a node's count is its
-// cut entry (see lazy.go).
+// does a sparse one over fewer than LazyMinNodes nodes or over a cover-join
+// index. A sparse collection over an id-row index of more nodes — the form
+// BuildInverted gives every index that large — starts lazy and copies
+// nothing: while no set is covered, a node's count is its cut entry (see
+// lazy.go).
 func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 	o := c.segStore.reset(n, v, inv)
 	c.candidates.reset(n, o)
@@ -314,7 +317,7 @@ func (c *Collection) Reset(n int, v FamilyView, inv *Inverted) {
 		c.cov = make([]int32, n)
 	}
 	c.cov = c.cov[:n]
-	if c.UseKernel(KernelBitset) == KernelBitset || n < LazyMinNodes || !inv.joined {
+	if c.UseKernel(KernelBitset) == KernelBitset || n < LazyMinNodes || inv.joined {
 		copy(c.cov, o.cut)
 		return
 	}
@@ -459,8 +462,9 @@ func (c *Collection) TopNodesInto(k int, eligible func(int32) bool, nodes []int3
 // cover paths serve. The eager sparse kernel (see kernel.go) walks a
 // joined index's cover-join rows (one sequential record stream per node,
 // members inlined; see joinInlineCap), hopping to the arena for spilled
-// sets and for id-row segments — per-request θ-growth segments and
-// hand-built collections, state too short-lived to amortize the records.
+// sets and for id-row segments — per-request θ-growth segments,
+// hand-built collections, and indexes over LazyMinNodes nodes or more once
+// materialize has turned their collection eager.
 // The bitset sweep reads packed membership words over the one segment it
 // runs on. A lazy collection only marks the sets (lazyCover): the other
 // members' counts are recounted when read, and come out as the decrements

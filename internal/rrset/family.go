@@ -197,17 +197,19 @@ func (v FamilyView) MemBytes() int64 {
 // the new sets, and it gives concurrent readers a stable snapshot for free).
 //
 // A row takes one of two forms, fixed at construction. Joined — every index
-// BuildInverted returns while each id fits a record header (below
-// joinIDLimit, 2^27) — the row is the cover join: one record per set, its id
-// and, up to joinInlineCap, its members other than the row's own node (see
-// the record layout below), so the cover walks stream ids and members
-// sequentially and the index keeps no separate id rows. Otherwise the row is
-// the plain ascending ids and walks hop id → offsets → arena: the form of
-// short-lived growth segments (segStore.grow) and of any index whose ids
-// reach 2^27. The optional membership bitmap (coverBits) and openings
-// (opening) are derived data, each built at most once behind a lock, so
-// concurrent readers stay race-free — and each dies with the Inverted it
-// describes.
+// BuildInverted returns over fewer than LazyMinNodes nodes while each id
+// fits a record header (below joinIDLimit, 2^27) — the row is the cover
+// join: one record per set, its id and, up to joinInlineCap, its members
+// other than the row's own node (see the record layout below), so the eager
+// cover walks stream ids and members sequentially and the index keeps no
+// separate id rows. Otherwise the row is the plain ascending ids, one word
+// per membership, and walks hop id → offsets → arena: the form of every
+// index over LazyMinNodes nodes or more, whose collections start lazy and
+// read ids only (lazy.go), of short-lived growth segments (segStore.grow)
+// and of any index whose ids reach 2^27. The optional membership bitmap
+// (coverBits) and openings (opening) are derived data, each built at most
+// once behind a lock, so concurrent readers stay race-free — and each dies
+// with the Inverted it describes.
 type Inverted struct {
 	off    []uint32 // len = n+1: node u's row is rows[off[u]:off[u+1]]
 	rows   []int32  // records when joined, set ids otherwise
@@ -224,10 +226,13 @@ type Inverted struct {
 
 // BuildInverted indexes v over an n-node universe. Set i of the view gets
 // id base+i, letting a segment's local view carry global stream ids. The
-// index is joined whenever its ids fit a record header, and it carries the
-// membership bitmap when PrepareCover's density rule asks for one.
+// index is joined below LazyMinNodes nodes whenever its ids fit a record
+// header, and holds id rows otherwise — the row form follows the line at
+// which Reset starts collections lazy, since a lazy walk reads set ids and
+// nothing else. It carries the membership bitmap when PrepareCover's
+// density rule asks for one.
 func BuildInverted(n int, v FamilyView, base int32) *Inverted {
-	ix := buildInverted(n, v, base, int64(base)+int64(v.Len()) <= joinIDLimit)
+	ix := buildInverted(n, v, base, n < LazyMinNodes && int64(base)+int64(v.Len()) <= joinIDLimit)
 	ix.PrepareCover()
 	return ix
 }

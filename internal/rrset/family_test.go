@@ -426,6 +426,51 @@ func TestCoverJoinIDLimit(t *testing.T) {
 	}
 }
 
+// TestRowFormFollowsLazyLine: BuildInverted joins an index below
+// LazyMinNodes nodes and writes id rows, one word per membership, at
+// LazyMinNodes and above — the line at which Reset starts a sparse
+// collection lazy, so a collection over the index starts lazy exactly when
+// the index holds id rows over that many nodes. Ids that reach 2^27 keep
+// id rows at any node count.
+func TestRowFormFollowsLazyLine(t *testing.T) {
+	fam := FamilyFromSets([][]int32{{0, 1}, {1, 2, 3}, {3}})
+	v := fam.View()
+	for _, c := range []struct {
+		n      int
+		base   int32
+		joined bool
+	}{
+		{LazyMinNodes - 1, 0, true},
+		{LazyMinNodes, 0, false},
+		{2 * LazyMinNodes, 0, false},
+		{4, joinIDLimit - 3, true},
+		{4, joinIDLimit - 2, false},
+		{LazyMinNodes - 1, joinIDLimit - 2, false},
+		{LazyMinNodes, joinIDLimit - 3, false},
+	} {
+		tag := fmt.Sprintf("n = %d, base %d", c.n, c.base)
+		inv := BuildInverted(c.n, v, c.base)
+		if inv.joined != c.joined {
+			t.Fatalf("%s: joined = %v, want %v", tag, inv.joined, c.joined)
+		}
+		if !c.joined {
+			if len(inv.rows) != int(fam.NumMembers()) {
+				t.Fatalf("%s: %d row words for %d memberships", tag, len(inv.rows), fam.NumMembers())
+			}
+			if got, want := inv.row(3), []int32{c.base + 1, c.base + 2}; !slices.Equal(got, want) {
+				t.Fatalf("%s: node 3's row %v, want ids %v", tag, got, want)
+			}
+		}
+		if c.base != 0 {
+			continue
+		}
+		lazy := NewCollectionFromFamily(c.n, v, inv).lazy != nil
+		if want := !c.joined && c.n >= LazyMinNodes; lazy != want {
+			t.Fatalf("%s: Reset started lazy = %v, want %v", tag, lazy, want)
+		}
+	}
+}
+
 // TestSampleRangeRRIntoWorkerInvariance: the sampler draws the exact same
 // stream for any worker cap and any split into grow calls.
 func TestSampleRangeRRIntoWorkerInvariance(t *testing.T) {

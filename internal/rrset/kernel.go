@@ -7,9 +7,10 @@
 // (sparseCommitSegs).
 //
 //   - sparse: the inverted-row scan — one cover-join record stream (or id
-//     row + arena hop) per node, cost proportional to the node's
-//     membership count. It is the eager walk every operation has: cover,
-//     delta capture and credit, over any segment.
+//     row + arena hop, the form of every index over LazyMinNodes nodes or
+//     more) per node, cost proportional to the node's membership count. It
+//     is the eager walk every operation has: cover, delta capture and
+//     credit, over any segment.
 //   - bitset: per-node RR-set membership packed as uint64 words (see
 //     coverBits), so discovering newly covered sets is a word-wise
 //     AND-NOT + popcount sweep with an unrolled 4-words-per-iteration

@@ -4,9 +4,9 @@
 // of the node at its top, yet the eager cover walk (sparseCoverSegs) keeps
 // every node's count current: each covered set decrements all its members.
 // A lazy collection instead treats cov as a cache of exact counts. Its
-// cover walk (lazyCoverWalk) only marks the covered sets, and a node's
-// count is recounted from its own row — its records below the segment end
-// whose covered bit is clear — when someone is about to read it: the
+// cover walk (lazyCover) only marks the covered sets, and a node's count
+// is recounted from its own row — its ids below the opening's cut whose
+// covered bit is clear — when someone is about to read it: the
 // heap's top in candidates.settle, every node before a rebuild from scores
 // in candidates.sync, and Coverage / TopNodesInto's returned counts. The
 // heap compares only exact counts either way, so it performs the same pops
@@ -14,14 +14,17 @@
 // eager one.
 //
 // Laziness is not a kernel. It is the state of one run of a collection
-// that Reset opened over one shared cover-join segment on the sparse
-// kernel, over at least LazyMinNodes nodes; bitset, counter, hand-grown,
-// id-row and smaller collections are eager from the start. Like the bitset
+// that Reset opened over one shared segment on the sparse kernel, over an
+// id-row index of at least LazyMinNodes nodes — the form BuildInverted
+// gives every index that large, because both lazy walks read set ids and
+// nothing else; bitset, counter, hand-grown, cover-join and smaller
+// collections are eager from the start. Like the bitset
 // sweep it serves CoverNode only: anything that needs the full vector
 // turns a lazy collection eager for the rest of its run, exactly, through
 // materialize — growth (AddFamily), credit (CountAndCoverFrom), the delta
 // captures (CoverNodeDelta, CountAndCoverFromDelta — so a shard owner pays
-// one cut copy at its first commit) and UseKernel. Nothing else does: no
+// one cut copy at its first commit) and UseKernel — and the eager walks
+// then hop id → arena over the same rows. Nothing else does: no
 // rule weighs recount words against skipped decrements, because no
 // instance that starts lazy has been measured to lose by it
 // (EXPERIMENTS.md).
@@ -37,25 +40,13 @@ package rrset
 // allocation tails (EXPERIMENTS.md).
 const LazyMinNodes = 1 << 16
 
-// lazyCover is CoverNode on a lazy collection: it walks u's cover-join row
-// in the one shared segment and marks each set it newly covers, moving no
-// count, then ages every cached count. It returns the sets covered.
+// lazyCover is CoverNode on a lazy collection: it walks u's ids in the
+// one shared segment and marks each set it newly covers, moving no count,
+// then ages every cached count. It returns the sets covered.
 func (c *Collection) lazyCover(u int32) int {
-	seg := &c.segs[0]
 	cvd := c.covered
 	covered := 0
-	limit := int32(seg.end())
-	row := seg.inv.row(u)
-	for p := 0; p < len(row); {
-		id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
-		if id >= limit {
-			break
-		}
-		if sz == joinSpill {
-			p++
-		} else {
-			p += 1 + sz
-		}
+	for _, id := range c.segs[0].idsOf(u) {
 		bit := uint64(1) << (uint(id) & 63)
 		if cvd[id>>6]&bit != 0 {
 			continue
@@ -78,7 +69,8 @@ func (c *Collection) lazyCover(u int32) int {
 }
 
 // startLazy makes a collection Reset has just opened on the sparse kernel,
-// over a cover-join index, lazy: counts are the opening's cut until the first cover.
+// over an id-row index, lazy: counts are the opening's cut until the first
+// cover.
 func (c *Collection) startLazy() {
 	c.lazy = c
 	c.nextGen()
@@ -95,8 +87,8 @@ func (c *Collection) nextGen() {
 
 // recount makes cov[u] exact on a lazy collection. While nothing is
 // covered it is u's opening count; after that, unless u was recounted
-// since the last cover, it is the number of u's cover-join records below
-// the segment end whose set is not covered.
+// since the last cover, it is the number of u's ids in the segment whose
+// set is not covered.
 func (c *Collection) recount(u int32) {
 	seg := &c.segs[0]
 	if c.ncov == 0 {
@@ -109,18 +101,7 @@ func (c *Collection) recount(u int32) {
 	c.counted[u] = c.countGen
 	cvd := c.covered
 	left := int32(0)
-	limit := int32(seg.end())
-	row := seg.inv.row(u)
-	for p := 0; p < len(row); {
-		id, sz := row[p]>>joinSizeBits, int(row[p]&joinSizeMask)
-		if id >= limit {
-			break
-		}
-		if sz == joinSpill {
-			p++
-		} else {
-			p += 1 + sz
-		}
+	for _, id := range seg.idsOf(u) {
 		left += int32(^cvd[id>>6] >> (uint(id) & 63) & 1)
 	}
 	c.cov[u] = left

@@ -8,25 +8,26 @@ import (
 	"repro/internal/xrand"
 )
 
-// lazyPair opens two collections over the first k sets of the index's
-// family: one made lazy as Reset makes a large one over a joined index,
-// and one eager. Over an id-row index Reset must leave both eager: lazy
-// counts read cover-join rows only.
-func lazyPair(t testing.TB, n int, v FamilyView, inv *Inverted) (lazy, eager *Collection) {
+// lazyPair opens two collections over view v: one over the id-row index
+// rows, made lazy as Reset makes a large one, and one eager over ref — the
+// same family's index in either row form. Under LazyMinNodes nodes Reset
+// must leave both eager.
+func lazyPair(t testing.TB, n int, v FamilyView, rows, ref *Inverted) (lazy, eager *Collection) {
 	t.Helper()
-	lazy, eager = NewCollectionFromFamily(n, v, inv), NewCollectionFromFamily(n, v, inv)
-	if lazy.Kernel() != KernelSparse || lazy.lazy != nil || eager.lazy != nil {
+	if rows.joined {
+		t.Fatal("lazy counts read id rows; the index is joined")
+	}
+	lazy, eager = NewCollectionFromFamily(n, v, rows), NewCollectionFromFamily(n, v, ref)
+	if lazy.Kernel() != KernelSparse || lazy.lazy != nil || eager.Kernel() != KernelSparse || eager.lazy != nil {
 		t.Fatalf("a warm-start collection over %d nodes and an index without a bitmap is not eager sparse", n)
 	}
-	if inv.joined {
-		lazy.startLazy()
-	}
+	lazy.startLazy()
 	return lazy, eager
 }
 
-// TestResetStartsLazyByNodeCount: Reset starts a sparse collection over a
-// cover-join index lazy exactly when its node universe reaches
-// LazyMinNodes, and a bitset one or one over id rows never.
+// TestResetStartsLazyByNodeCount: Reset starts a sparse collection over an
+// id-row index lazy exactly when its node universe reaches LazyMinNodes,
+// and a bitset one or one over a cover-join index never.
 func TestResetStartsLazyByNodeCount(t *testing.T) {
 	fam := FamilyFromSets([][]int32{{0, 1}, {1, 2}, {2, 3, 4}})
 	for _, c := range []struct {
@@ -34,10 +35,10 @@ func TestResetStartsLazyByNodeCount(t *testing.T) {
 		joined, bitmap bool
 		lazy           bool
 	}{
-		{LazyMinNodes - 1, true, false, false},
-		{LazyMinNodes, true, false, true},
-		{LazyMinNodes, true, true, false},
-		{LazyMinNodes, false, false, false},
+		{LazyMinNodes - 1, false, false, false},
+		{LazyMinNodes, false, false, true},
+		{LazyMinNodes, false, true, false},
+		{LazyMinNodes, true, false, false},
 	} {
 		inv := buildInverted(c.n, fam.View(), 0, c.joined)
 		if c.bitmap {
@@ -68,9 +69,9 @@ func sameLazyState(t *testing.T, tag string, lazy, eager *Collection) {
 	}
 }
 
-// FuzzLazyCoverage runs a lazy and an eager collection in lockstep over a
-// random family, on a joined index (on an id-row one Reset leaves both
-// eager, and lazyPair checks that), at a random view length,
+// FuzzLazyCoverage runs a lazy collection over a random family's id rows
+// and an eager one in lockstep — the eager one over the family's cover
+// join when joined, over the same id rows otherwise — at a random view length,
 // through a random sequence of top-k queries (k ∈ {1, 2, 3}, with random
 // ineligible nodes), covers, growth, credits and a forced fallback at a
 // random step: every answer, count, covered count and heap array must be
@@ -90,8 +91,12 @@ func FuzzLazyCoverage(f *testing.F) {
 			a = n - 1
 		}
 		fam := randomKernelFamily(rng, n, have, a)
-		inv := buildInverted(n, fam.View(), 0, joined)
-		lazy, eager := lazyPair(t, n, fam.Prefix(int(at)%(have+1)), inv)
+		rows := buildInverted(n, fam.View(), 0, false)
+		ref := rows
+		if joined {
+			ref = buildInverted(n, fam.View(), 0, true)
+		}
+		lazy, eager := lazyPair(t, n, fam.Prefix(int(at)%(have+1)), rows, ref)
 		const steps = 160
 		fallback := rng.IntN(2 * steps)
 		var ln, en []int32
@@ -161,9 +166,10 @@ func FuzzLazyCoverage(f *testing.F) {
 // TestLazyStaysLazyThroughCommits: a collection Reset opens lazy stays
 // lazy through any number of commits and queries — only growth, credit, a
 // delta capture or UseKernel turns it eager — and its counts stay the
-// eager walk's. The family is a star, sets {0, i}: the hub sits at the
-// heap's top and is recounted from its long row after every commit, the
-// case where recounting reads the most for the least it skips.
+// eager walk's. The family is a star, sets {0, i}, over the id rows
+// BuildInverted writes at LazyMinNodes nodes: the hub sits at the heap's
+// top and is recounted from its long row after every commit, the case
+// where recounting reads the most for the least it skips.
 func TestLazyStaysLazyThroughCommits(t *testing.T) {
 	const spokes = 400
 	sets := make([][]int32, spokes)
@@ -171,7 +177,10 @@ func TestLazyStaysLazyThroughCommits(t *testing.T) {
 		sets[i] = []int32{0, int32(1 + i)}
 	}
 	v := FamilyFromSets(sets).View()
-	inv := buildInverted(LazyMinNodes, v, 0, true)
+	inv := BuildInverted(LazyMinNodes, v, 0)
+	if inv.joined {
+		t.Fatal("BuildInverted joined an index over LazyMinNodes nodes")
+	}
 
 	hub := new(Collection)
 	hub.Reset(LazyMinNodes, v, inv)

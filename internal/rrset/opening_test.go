@@ -30,7 +30,7 @@ func sameHeap[S int32 | float64](t *testing.T, tag string, got, want MaxHeap[S])
 // an opening: NewCollection + AddFamily counts memberships with
 // Inverted.Count over an index of the prefix alone and builds its heap in
 // candidates.sync. Residual coverage — read through Coverage, which a
-// sparse collection over a joined index, made lazy, answers from the cut,
+// sparse collection over an id-row index, made lazy, answers from the cut,
 // and again from the counters after materialize — the borrowed cut vector
 // and, after SyncHeap,
 // the heap array must agree element for element, for both collection
@@ -51,7 +51,7 @@ func checkOpening(t *testing.T, n int, fam *SetFamily, inv *Inverted, k int) {
 		if hard.OpeningBuilt() != wantBuilt {
 			t.Fatalf("%s: OpeningBuilt = %v", tag, hard.OpeningBuilt())
 		}
-		if hard.Kernel() == KernelSparse && inv.joined {
+		if hard.Kernel() == KernelSparse && !inv.joined {
 			hard.startLazy()
 		}
 		for u := 0; u < n; u++ {
@@ -108,7 +108,8 @@ func openingLengths(have int) []int {
 }
 
 // openingIndex indexes fam at base 0 joined for even seeds and with id rows
-// — the form an index whose ids reach 2^27 keeps — for odd ones.
+// — the form of an index over LazyMinNodes nodes or more, or whose ids
+// reach 2^27 — for odd ones.
 func openingIndex(n int, fam *SetFamily, seed uint64) *Inverted {
 	if seed%2 == 0 {
 		return BuildInverted(n, fam.View(), 0)
@@ -120,7 +121,7 @@ func openingIndex(n int, fam *SetFamily, seed uint64) *Inverted {
 // the inverted index's opening is the state the from-scratch construction
 // computes, over random families and every interesting view length, over
 // a joined index (with its bitmap when the density rule builds one) and
-// over the id rows of an index whose ids reach 2^27.
+// over id rows, made lazy where sparse.
 func TestOpeningMatchesFromScratch(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		rng := xrand.New(seed)

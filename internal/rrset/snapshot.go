@@ -5,12 +5,13 @@
 // member arenas only; everything derived from them is rebuilt on load, and
 // that rebuild is most of the load. At DBLP scale (317K nodes, 5 × 500K
 // sets, 52 MB file; CPU profile of one core.ReadIndexSnapshot on 2 cores)
-// BuildInverted, which builds the cover join straight from the arena, is
+// BuildInverted, which builds the index straight from the arena, was
 // ~90 % — its scatter 78 %, its counting pass 12 % — and decoding the
-// sections ~6 %. Persisting the join instead would grow the file from 52
-// to ~210 MB, so the load derives it: one ad per worker of the bounded
-// fan-out (core/index.go), each join over one set range per worker, so the
-// last ad to decode does not build alone. The format is little-endian and
+// sections ~6 %, when that index was the cover join; over LazyMinNodes
+// nodes it is now id rows, one word per membership. Persisting the index
+// would grow the file, so the load derives it: one ad per worker of the
+// bounded fan-out (core/index.go), each index over one set range per
+// worker, so the last ad to decode does not build alone. The format is little-endian and
 // versioned; core.Index composes per-ad sections written with
 // EncodeSetFamily into one index file.
 //

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -327,6 +329,60 @@ func TestBatchCancelledRequest(t *testing.T) {
 		const canceled = `adserver_alloc_failures_total{reason="canceled"}`
 		if n := metric(t, ts.URL, canceled); n != uint64(len(items)) {
 			t.Errorf("%s = %d, want %d", canceled, n, len(items))
+		}
+	})
+}
+
+// roundCtx is a request context that cancels itself the second time its
+// error is asked for. The selection loop asks once before each round, so a
+// run under it is cancelled after its first round.
+type roundCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	asked  atomic.Int32
+}
+
+func (c *roundCtx) Err() error {
+	if c.asked.Add(1) == 2 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestAllocateCancelledMidRun: an /allocate whose client hangs up after the
+// run's first round stops there in both modes — the run ends with
+// context.Canceled, the request answers 499 and is counted under reason
+// canceled.
+func TestAllocateCancelledMidRun(t *testing.T) {
+	req := fig1Request()
+	bothModes(t, req.InstanceParams, func(t *testing.T, ts *httptest.Server, coordinator bool) {
+		if code := postJSON(t, ts.URL+"/allocate", req, nil); code != http.StatusOK {
+			t.Fatalf("warm-up allocate returned %d", code)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctx := &roundCtx{Context: inner, cancel: cancel}
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequestWithContext(ctx, http.MethodPost, "/allocate", bytes.NewReader(body)))
+		if rec.Code != statusClientClosed || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+			t.Fatalf("cancelled allocate returned %d: %s", rec.Code, rec.Body)
+		}
+		// Once before each of the two rounds; a coordinator asks once more,
+		// deciding not to rerun a cancelled run.
+		want := int32(2)
+		if coordinator {
+			want++
+		}
+		if n := ctx.asked.Load(); n != want {
+			t.Fatalf("the request's context was asked %d times, want %d", n, want)
+		}
+		const canceled = `adserver_alloc_failures_total{reason="canceled"}`
+		if n := metric(t, ts.URL, canceled); n != 1 {
+			t.Errorf("%s = %d, want 1", canceled, n)
 		}
 	})
 }

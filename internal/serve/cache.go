@@ -73,10 +73,11 @@ func (e *entry) EpochInst() (uint64, *core.Instance) {
 	return 0, e.inst
 }
 
-// Allocate implements engine on the entry's index and workspace pool.
-func (e *entry) Allocate(_ context.Context, req core.Request) (*core.TIRMResult, error) {
+// Allocate implements engine on the entry's index and workspace pool; a
+// cancelled ctx stops the run before its next round.
+func (e *entry) Allocate(ctx context.Context, req core.Request) (*core.TIRMResult, error) {
 	req.Pool = e.pool
-	return core.AllocateFromIndex(e.idx, req)
+	return core.AllocateFromIndexContext(ctx, e.idx, req)
 }
 
 // AddAd implements engine: only the new ad's stream is sampled.

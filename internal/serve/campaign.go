@@ -160,7 +160,7 @@ type engine interface {
 	// instance (mutations only exist once an index does).
 	EpochInst() (uint64, *core.Instance)
 	// Allocate runs one selection; ctx carries the request's trace span
-	// and, for a remote sample, its cancellation.
+	// and its cancellation, which stops the run before its next round.
 	Allocate(ctx context.Context, req core.Request) (*core.TIRMResult, error)
 	// AddAd appends ad — spec already cloned against the current instance
 	// by core.CloneAd — and returns its position. An engine whose sample

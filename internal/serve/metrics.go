@@ -127,7 +127,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Exploration share of each campaign ad's bandit index (index minus smoothed mean, clamped at 0) observed per feedback batch.",
 		explorationBuckets)
 	kernelVec := reg.CounterVec("adserver_kernel_selected_total",
-		"Per-ad coverage collections run on each cover kernel (sparse cover-join scan vs packed-bitset sweep), summed over successful allocations; in coordinator mode each shard-local collection counts.",
+		"Per-ad coverage collections run on each cover kernel (sparse inverted-row scan vs packed-bitset sweep), summed over successful allocations; in coordinator mode each shard-local collection counts.",
 		"kernel")
 	for id := rrset.KernelID(0); int(id) < rrset.NumKernels; id++ {
 		m.kernelSelected[id] = kernelVec.With(id.String())
