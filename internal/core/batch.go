@@ -40,13 +40,25 @@ type BatchResult struct {
 // AllocateFromIndex call with the same request against that epoch —
 // batching changes cost, never results.
 func AllocateBatch(idx *Index, reqs []Request) []BatchResult {
+	return AllocateBatchContext(context.Background(), idx, reqs)
+}
+
+// AllocateBatchContext is AllocateBatch under ctx: an item that has not
+// started when ctx is done fails with ctx's error, and a running one stops
+// before its next round (as AllocateFromIndexContext does). Items that
+// complete are unchanged by cancellation.
+func AllocateBatchContext(ctx context.Context, idx *Index, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
 		return out
 	}
 	ep := idx.curr.Load()
 	rrset.ParallelFor(len(reqs), 0, func(i int) {
-		res, err := allocateEpoch(context.Background(), idx, ep, reqs[i])
+		if err := ctx.Err(); err != nil {
+			out[i] = BatchResult{Err: err}
+			return
+		}
+		res, err := allocateEpoch(ctx, idx, ep, reqs[i])
 		out[i] = BatchResult{Res: res, Err: err}
 	})
 	return out

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rrset"
@@ -256,6 +257,70 @@ func TestAllocateBatchStaleEpoch(t *testing.T) {
 	for i := 1; i < 3; i++ {
 		if out[i].Err != nil {
 			t.Errorf("current-epoch item %d failed: %v", i, out[i].Err)
+		}
+	}
+}
+
+// askCtx is a context that cancels itself once its error has been asked for
+// more than after times. Selection asks once before each item and once
+// before each round, so a count taken from one run places the cancellation
+// at any item or round boundary of a later one.
+type askCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	after  int32
+	asked  atomic.Int32
+}
+
+func newAskCtx(after int32) *askCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &askCtx{Context: ctx, cancel: cancel, after: after}
+}
+
+func (c *askCtx) Err() error {
+	if c.asked.Add(1) > c.after {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestAllocateBatchContextCancels runs a batch on one worker, so items run
+// in order, and cancels it once the first item has finished: that item
+// returns what it returns alone, and the rest fail with context.Canceled —
+// before starting, or, when the cancellation lands after the second item's
+// start, before that item's next round.
+func TestAllocateBatchContextCancels(t *testing.T) {
+	defer rrset.SetMaxWorkers(0)
+	rrset.SetMaxWorkers(1)
+	inst := randomInstance(60, 50, 200, 3, 2, 0)
+	opts := TIRMOptions{MinTheta: 6000, MaxTheta: 40000}
+	idx, err := BuildIndex(inst, 5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []Request{{Opts: opts}, {Opts: opts, Budgets: []float64{1, 2, 3}}, {Opts: opts}}
+	want, err := AllocateFromIndex(idx, reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dry := newAskCtx(math.MaxInt32)
+	if out := AllocateBatchContext(dry, idx, reqs[:1]); out[0].Err != nil {
+		t.Fatal(out[0].Err)
+	}
+	first := dry.asked.Load()
+	for _, tc := range []struct {
+		name  string
+		after int32
+	}{{"before the second item", first}, {"inside the second item", first + 1}} {
+		out := AllocateBatchContext(newAskCtx(tc.after), idx, reqs)
+		if out[0].Err != nil {
+			t.Fatalf("%s: first item failed: %v", tc.name, out[0].Err)
+		}
+		sameTIRMResult(t, want, out[0].Res)
+		for i := 1; i < len(out); i++ {
+			if !errors.Is(out[i].Err, context.Canceled) || out[i].Res != nil {
+				t.Errorf("%s: item %d = (%v, %v), want context.Canceled", tc.name, i, out[i].Res, out[i].Err)
+			}
 		}
 	}
 }

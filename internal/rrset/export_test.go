@@ -11,3 +11,12 @@ func JoinRows(ix *Inverted) {
 
 // Joined reports whether ix's rows are the cover join.
 func Joined(ix *Inverted) bool { return ix.joined }
+
+// ForcePerEdge lays s's probabilities out per in-edge whatever they are —
+// the one layout every sampler used before per-node probabilities. For a
+// sampler that has not sampled yet.
+func ForcePerEdge(s *Sampler) { s.inOnce.Do(func() { s.inProbs = s.transposeProbs() }) }
+
+// HoldsPerEdge reports whether s, once it has sampled, holds the per-edge
+// probability vector.
+func HoldsPerEdge(s *Sampler) bool { return s.inProbs != nil }

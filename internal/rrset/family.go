@@ -89,7 +89,7 @@ func (f *SetFamily) Append(set []int32) {
 }
 
 // AppendFamily bulk-appends every set of g (two memmoves plus an offset
-// rebase — how per-block scratch arenas merge into the stream arena).
+// rebase — how a drawn block joins the stream arena).
 func (f *SetFamily) AppendFamily(g *SetFamily) {
 	checkArena(int64(len(f.members)) + g.NumMembers())
 	// Every base+off fits (checked above), so the uint32 sums are exact.

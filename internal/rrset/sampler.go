@@ -19,6 +19,7 @@
 package rrset
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -109,20 +110,26 @@ func ParallelFor(n, limit int, fn func(i int)) {
 // probability vector and optional CTPs) over a fixed graph. Safe for
 // concurrent use; per-call scratch is handled internally.
 //
-// The first sample transposes the probability vector to in-CSR order, once
-// (4 bytes per edge, held for the sampler's lifetime), so that the reverse
-// BFS reads a visited node's sources and their probabilities as two
-// sequential rows at the same positions instead of hopping through each
-// in-edge's EdgeID. A sampler that never samples — one rebuilt from a
-// snapshot and not yet grown — never pays for it. It is this sampler's
-// view of probs, not sample data, and is counted in no MemBytes.
+// The first sample lays the probability vector out for the reverse BFS,
+// once, held for the sampler's lifetime (buildInProbs): when every in-row
+// carries a single probability — weighted cascade, p(u,v) = 1/indeg(v),
+// every DBLP and LiveJournal ad — as one probability per node (4 B × n);
+// otherwise transposed to in-CSR order (4 B × m), so that the walk reads a
+// visited node's sources and their probabilities as two sequential rows at
+// the same positions instead of hopping through each in-edge's EdgeID.
+// Either way the walk flips the same coins in the same order. A sampler
+// that never samples — one rebuilt from a snapshot and not yet grown —
+// never pays for it. It is this sampler's view of probs, not sample data,
+// and is counted in no MemBytes.
 type Sampler struct {
 	g     *graph.Graph
 	probs []float32
 	ctps  topic.CTP // may be nil if only RR-sets are drawn
 
-	inOnce  sync.Once
-	inProbs []float32 // inProbs[k] = probs[EdgeID of the k-th in-edge], see graph.InRow
+	inOnce sync.Once
+	// Exactly one of the two is set by buildInProbs.
+	nodeProbs []float32 // nodeProbs[v] = the probability of every in-edge of v
+	inProbs   []float32 // inProbs[k] = probs[EdgeID of the k-th in-edge], see graph.InRow
 }
 
 // NewSampler builds a sampler. probs must have one entry per edge. ctps may
@@ -144,11 +151,45 @@ func (s *Sampler) Probs() []float32 { return s.probs }
 // Graph returns the sampler's graph.
 func (s *Sampler) Graph() *graph.Graph { return s.g }
 
-// buildInProbs transposes probs to in-CSR order, once, so that the sample
-// loop never hops through EdgeIDs: walking the out-rows in EdgeID order
-// meets each target's in-edges in the order graph.Builder laid its in-row
-// out, so edge j's probability goes to its target's next in-row position.
+// buildInProbs lays probs out for the walk, once: per node when every
+// in-row carries a single probability (rowProbs), else per in-edge
+// (transposeProbs). The choice follows the data alone: it is made here, at
+// first sample, and never revisited.
 func (s *Sampler) buildInProbs() {
+	if node := s.rowProbs(); node != nil {
+		s.nodeProbs = node
+		return
+	}
+	s.inProbs = s.transposeProbs()
+}
+
+// rowProbs returns each node's in-row probability, or nil as soon as one
+// in-edge's bits differ from its row's first. Walking the out-rows in
+// EdgeID order meets each target's in-edges in the order graph.Builder laid
+// its in-row out, so the first probability met for v is that of its first
+// in-edge.
+func (s *Sampler) rowProbs() []float32 {
+	n := int32(s.g.N())
+	node := make([]float32, n)
+	seen := make([]uint64, (n+63)/64)
+	for u := range n {
+		targets, first := s.g.OutEdges(u)
+		for i, v := range targets {
+			p := s.probs[first+int64(i)]
+			if word, bit := &seen[v>>6], uint64(1)<<(v&63); *word&bit == 0 {
+				*word |= bit
+				node[v] = p
+			} else if math.Float32bits(p) != math.Float32bits(node[v]) {
+				return nil
+			}
+		}
+	}
+	return node
+}
+
+// transposeProbs returns probs in in-CSR order: in the same walk, edge j's
+// probability goes to its target's next in-row position.
+func (s *Sampler) transposeProbs() []float32 {
 	n := int32(s.g.N())
 	in := make([]float32, len(s.probs))
 	next := make([]int64, n)
@@ -162,7 +203,7 @@ func (s *Sampler) buildInProbs() {
 			next[v]++
 		}
 	}
-	s.inProbs = in
+	return in
 }
 
 // scratch is reusable per-goroutine BFS state. The visit marks are a bitset
@@ -194,7 +235,7 @@ func (sc *scratch) reset() {
 // next sample from the same scratch. withCTP selects RRC semantics (node
 // coins gate membership but not propagation). RNG consumption depends only
 // on the graph walk, never on where the output lands: the stream copies
-// each set into its block's arena before the next sample reuses the buffer.
+// each set into its block's slot before the next sample reuses the buffer.
 // An in-edge whose source is already marked is skipped before its coin is
 // flipped: which draws a sample takes is part of the stream's definition
 // (referenceSample in the tests is the loop this one must match draw for
@@ -208,16 +249,26 @@ func (s *Sampler) sampleScratch(sc *scratch, rng *xrand.Rand, withCTP bool) []in
 	if !withCTP || rng.Bernoulli(s.ctps.At(root)) {
 		sc.out = append(sc.out, root)
 	}
+	perEdge := s.inProbs != nil
 	for qi := 0; qi < len(sc.queue); qi++ {
 		u := sc.queue[qi]
 		sources, first := s.g.InRow(u)
-		ps := s.inProbs[first:]
+		var ps []float32
+		var p float32
+		if perEdge {
+			ps = s.inProbs[first:]
+		} else {
+			p = s.nodeProbs[u]
+		}
 		for i, v := range sources {
 			word, bit := &sc.mark[v>>6], uint64(1)<<(v&63)
 			if *word&bit != 0 {
 				continue
 			}
-			if !rng.Bernoulli32(ps[i]) {
+			if perEdge {
+				p = ps[i]
+			}
+			if !rng.Bernoulli32(p) {
 				continue
 			}
 			*word |= bit

@@ -2,6 +2,8 @@ package rrset
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/xrand"
@@ -32,10 +34,10 @@ func StreamCeil(count int) int {
 // requests, or restart from a disk snapshot, and still produce
 // byte-identical samples.
 //
-// Blocks are sampled in parallel into per-block scratch arenas and merged
-// into fam in block order, so the arena layout is as deterministic as the
-// stream itself. from and to must be multiples of StreamBlockSize with
-// from ≤ to; the number of appended sets is to−from.
+// Blocks are sampled in parallel and appended to fam in block order as
+// soon as every earlier block is in, so the arena layout is as
+// deterministic as the stream itself. from and to must be multiples of
+// StreamBlockSize with from ≤ to; the number of appended sets is to−from.
 func (s *Sampler) SampleRangeRRInto(from, to int, rng *xrand.Rand, fam *SetFamily) {
 	s.sampleRange(from, to, rng, fam, false)
 }
@@ -50,10 +52,19 @@ func (s *Sampler) SampleRangeRRCInto(from, to int, rng *xrand.Rand, fam *SetFami
 	s.sampleRange(from, to, rng, fam, true)
 }
 
+// ringSlotsPerWorker is how many drawn-but-not-appended blocks a call holds
+// per worker. The ring imposes no barrier: a worker waits only when the
+// block it claimed is a whole ring ahead of the oldest unappended one, so a
+// slow block (a heavy-tailed set size) stalls nobody until the others
+// have drawn that far past it.
+const ringSlotsPerWorker = 16
+
 // sampleRange is the one body behind both stream forms: samplingWorkers
-// workers on ParallelFor, a scratch each, blocks claimed from an atomic
+// workers on ParallelFor, a BFS scratch each, blocks claimed from an atomic
 // counter. Which worker draws block b never matters: its rng derives from
-// b alone and it writes only blocks[b].
+// b alone. A block is drawn into a slot of a ring the workers share
+// (blockRing) and copied onto fam's tail once every block before it is
+// there, so the only arena a call allocates is fam's own, reserved once.
 func (s *Sampler) sampleRange(from, to int, rng *xrand.Rand, fam *SetFamily, withCTP bool) {
 	if from%StreamBlockSize != 0 || to%StreamBlockSize != 0 || from > to {
 		panic(fmt.Sprintf("rrset: SampleRangeRR range [%d,%d) not block-aligned", from, to))
@@ -63,28 +74,147 @@ func (s *Sampler) sampleRange(from, to int, rng *xrand.Rand, fam *SetFamily, wit
 	if numBlocks == 0 {
 		return
 	}
-	blocks := make([]*SetFamily, numBlocks)
+	workers := samplingWorkers(numBlocks)
+	ring := newBlockRing(fam, numBlocks, min(numBlocks, ringSlotsPerWorker*workers))
 	var next atomic.Int64
-	ParallelFor(samplingWorkers(numBlocks), 0, func(int) {
+	ParallelFor(workers, 0, func(int) {
 		sc := s.newScratch()
 		for b := int(next.Add(1)) - 1; b < numBlocks; b = int(next.Add(1)) - 1 {
-			bf := &SetFamily{
-				offsets: make([]uint32, 1, StreamBlockSize+1),
-				members: make([]int32, 0, 4*StreamBlockSize),
-			}
+			slot := ring.claim(b)
 			brng := rng.Split(uint64(firstBlock + b))
 			for i := 0; i < StreamBlockSize; i++ {
-				bf.Append(s.sampleScratch(sc, brng, withCTP))
+				slot.Append(s.sampleScratch(sc, brng, withCTP))
 			}
-			blocks[b] = bf
+			ring.finish(b)
 		}
 	})
-	var total int64
-	for _, bf := range blocks {
-		total += bf.NumMembers()
+}
+
+// blockRing carries one sampleRange call's drawn blocks to fam in block
+// order. It has at most numBlocks slots, and block b lives in
+// slots[b % len(slots)] from claim to its append;
+// a slot is reused only after its previous block is appended, so at most
+// len(slots) blocks are out at once. One finisher at a time (flushing)
+// appends the ready prefix, copying outside mu; fam is written by no one
+// else, and everything before the append point is never written again,
+// so readers of fam's earlier views see nothing move.
+type blockRing struct {
+	fam       *SetFamily
+	numBlocks int
+	slots     []*SetFamily
+
+	mu       sync.Mutex
+	free     sync.Cond // signalled when appended moves
+	ready    []bool    // ready[k]: slots[k] holds a drawn, unappended block
+	longest  int       // most members of a block drawn so far: a new slot's capacity
+	appended int       // blocks of this call already in fam
+	flushing bool      // a finisher is appending
+	reserved bool      // fam has been sized for the call
+}
+
+func newBlockRing(fam *SetFamily, numBlocks, slots int) *blockRing {
+	r := &blockRing{fam: fam, numBlocks: numBlocks, slots: make([]*SetFamily, slots), ready: make([]bool, slots)}
+	r.free.L = &r.mu
+	return r
+}
+
+// claim returns block b's slot, emptied, once the block a ring ahead of it
+// is appended.
+func (r *blockRing) claim(b int) *SetFamily {
+	k := b % len(r.slots)
+	r.mu.Lock()
+	for b >= r.appended+len(r.slots) {
+		r.free.Wait()
 	}
-	fam.Reserve(numBlocks*StreamBlockSize, total)
-	for _, bf := range blocks {
-		fam.AppendFamily(bf)
+	longest := r.longest
+	r.mu.Unlock()
+	slot := r.slots[k]
+	if slot == nil {
+		slot = &SetFamily{offsets: make([]uint32, 1, StreamBlockSize+1), members: make([]int32, 0, longest)}
+		r.slots[k] = slot
 	}
+	slot.offsets, slot.members = slot.offsets[:1], slot.members[:0]
+	return slot
+}
+
+// finish marks block b drawn and, unless another finisher is at it,
+// flushes.
+func (r *blockRing) finish(b int) {
+	k := b % len(r.slots)
+	r.mu.Lock()
+	r.ready[k] = true
+	r.longest = max(r.longest, len(r.slots[k].members))
+	if !r.flushing {
+		r.flushing = true
+		r.flush()
+		r.flushing = false
+	}
+	r.mu.Unlock()
+}
+
+// flush appends the ready blocks from the append point on, releasing mu
+// for each copy. The first append waits for the estimate's sample
+// (reserve) or a full ring. Caller holds mu.
+func (r *blockRing) flush() {
+	for r.appended < r.numBlocks {
+		k := r.appended % len(r.slots)
+		if !r.ready[k] {
+			break
+		}
+		if !r.reserved && !r.reserve() {
+			break
+		}
+		r.mu.Unlock()
+		r.fam.AppendFamily(r.slots[k])
+		r.mu.Lock()
+		r.ready[k] = false
+		r.appended++
+		r.free.Broadcast()
+	}
+}
+
+// reserve sizes fam once for the whole call from the sets drawn so far —
+// the family's last ones, topped up by the ready prefix of this call's
+// blocks — and reports false, reserving nothing, while that sample is
+// smaller than the ring's worth of sets and the ring could still take more.
+// The members reserved are the ready blocks' own plus, for the sets still
+// to come, their mean size and three standard errors of the projection, so
+// a short reservation (the tail then grows the arena by append) is rare
+// and an exact one is free once every block is in. Caller holds mu.
+func (r *blockRing) reserve() bool {
+	prefix := 0
+	for prefix < len(r.slots) && r.ready[prefix] {
+		prefix++
+	}
+	want := len(r.slots) * StreamBlockSize
+	tail := min(r.fam.Len(), want-prefix*StreamBlockSize)
+	if prefix < len(r.slots) && prefix*StreamBlockSize+tail < want {
+		return false
+	}
+	var obs, sum, sq float64
+	tally := func(offsets []uint32) {
+		for i := 1; i < len(offsets); i++ {
+			k := float64(offsets[i] - offsets[i-1])
+			obs, sum, sq = obs+1, sum+k, sq+k*k
+		}
+	}
+	var drawn int64
+	for _, slot := range r.slots[:prefix] {
+		tally(slot.offsets)
+		drawn += slot.NumMembers()
+	}
+	if tail > 0 {
+		tally(r.fam.offsets[r.fam.Len()-tail:])
+	}
+	rest := float64((r.numBlocks - prefix) * StreamBlockSize)
+	members := float64(drawn)
+	if rest > 0 && obs > 0 {
+		mean := sum / obs
+		sd := math.Sqrt(max(0, sq/obs-mean*mean))
+		members += rest*mean + 3*sd*rest/math.Sqrt(min(obs, rest))
+	}
+	room := float64(maxArena - r.fam.NumMembers())
+	r.fam.Reserve(r.numBlocks*StreamBlockSize, int64(math.Ceil(min(members, room))))
+	r.reserved = true
+	return true
 }

@@ -3,6 +3,10 @@ package rrset
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -272,4 +276,85 @@ func TestWeightedCollectionFromFamily(t *testing.T) {
 	if m2 := run(clone); m1 != m2 {
 		t.Fatalf("clone run claimed %v, want %v", m2, m1)
 	}
+}
+
+// TestStreamKeepsPrefixViews: a reader that holds a view of a family's
+// first sets while SampleRangeRRInto grows the family past them — and
+// reallocates its arena — reads the same offsets and members throughout
+// and after. core.Index serves allocations from such views while the
+// sample grows; under -race a write into the viewed prefix fails the test.
+func TestStreamKeepsPrefixViews(t *testing.T) {
+	s := streamTestSampler(t)
+	fam := NewSetFamily()
+	s.SampleRangeRRInto(0, 3*StreamBlockSize, xrand.New(4), fam)
+	view := fam.View()
+	offsets, members := slices.Clone(view.offsets), slices.Clone(view.members)
+	same := func() bool {
+		return slices.Equal(view.offsets, offsets) && slices.Equal(view.members, members)
+	}
+	var stop atomic.Bool
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if !same() {
+				t.Error("a prefix view changed while the family grew")
+				return
+			}
+			reads.Add(1)
+			runtime.Gosched()
+		}
+	}()
+	for to := 4; to <= 64; to *= 2 {
+		s.SampleRangeRRInto(fam.Len(), to*StreamBlockSize, xrand.New(4), fam)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if !same() {
+		t.Fatal("a prefix view changed after the family grew")
+	}
+	if reads.Load() == 0 {
+		t.Fatal("the reader never ran")
+	}
+	if whole := drawRange((*Sampler).SampleRangeRRInto, s, 0, 64*StreamBlockSize, 4); !reflect.DeepEqual(fam.Sets(), whole) {
+		t.Fatal("the grown family differs from the stream drawn in one call")
+	}
+}
+
+// TestStreamAllocatesArenaOnly pins what growing a non-empty family costs
+// in allocation: the arena it grows into, plus, per worker, one BFS scratch
+// and a ring of block buffers — nothing per block. With 1 024 blocks of
+// small sets, per-block arenas and a merge copy would pass the bound
+// several times over.
+func TestStreamAllocatesArenaOnly(t *testing.T) {
+	defer SetMaxWorkers(MaxWorkers())
+	const workers, blocks = 2, 1024
+	SetMaxWorkers(workers)
+	s := streamTestSampler(t)
+	fam := NewSetFamily()
+	s.SampleRangeRRInto(0, 4*StreamBlockSize, xrand.New(2), fam)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.SampleRangeRRInto(fam.Len(), (4+blocks)*StreamBlockSize, xrand.New(2), fam)
+	runtime.ReadMemStats(&after)
+	var maxBlock int64
+	for b := 0; b < fam.Len(); b += StreamBlockSize {
+		maxBlock = max(maxBlock, int64(fam.offsets[b+StreamBlockSize]-fam.offsets[b]))
+	}
+	arena := 4 * int64(cap(fam.offsets)+cap(fam.members))
+	n := int64(s.Graph().N())
+	// A slot's buffer grows by append, whose steps add up to about five
+	// times the longest block it holds.
+	ringBytes := ringSlotsPerWorker * (4*(StreamBlockSize+1) + 6*4*maxBlock)
+	scratchBytes := n/8 + 2*4*n + 2*4*n + 512
+	perWorker := ringBytes + scratchBytes
+	got := int64(after.TotalAlloc - before.TotalAlloc)
+	if bound := arena + workers*perWorker + 16<<10; got > bound {
+		t.Fatalf("growing by %d blocks allocated %d B; arena %d B + %d workers × %d B + 16 KiB = %d B",
+			blocks, got, arena, workers, perWorker, bound)
+	}
+	t.Logf("allocated %d B: arena %d B (%d members held, %d reserved), the rest %d B",
+		got, arena, fam.NumMembers(), cap(fam.members), got-arena)
 }
