@@ -296,9 +296,10 @@ func TestSampleScratchMatchesReference(t *testing.T) {
 // block by block from the reference loop and requires the same offsets and
 // the same member array: on the hub graph's per-edge probabilities, and on
 // a sparse random graph's weighted cascade under worker caps 1, 2, 3 and 8
-// with block counts below, at and above the ring's size, drawn onto an
-// empty family and onto one that already holds the stream's first blocks,
-// as growth makes.
+// with block counts below, at and above the reserve's sample, drawn onto
+// an empty family, and onto one that already holds the stream's first
+// blocks, as growth makes — past the ring's span under caps 1 and 2 (the
+// span's wait itself is TestStreamRingWaitsPastSpan's).
 func TestStreamArenasMatchReference(t *testing.T) {
 	defer SetMaxWorkers(MaxWorkers())
 	hub, probs, _ := hubGraph(t, 12)
@@ -346,11 +347,14 @@ func TestStreamArenasMatchReference(t *testing.T) {
 	check("per-edge", hub, probs, 7, false)
 	for _, workers := range []int{1, 2, 3, 8} {
 		SetMaxWorkers(workers)
-		ring := ringSlotsPerWorker * workers
-		for _, blocks := range []int{ring - 1, ring, ring + 3} {
+		for _, blocks := range []int{reserveSampleBlocks - 1, reserveSampleBlocks, reserveSampleBlocks + 3} {
 			check(fmt.Sprintf("weighted cascade, %d workers, %d blocks", workers, blocks), sparse, wc, blocks, false)
 		}
-		check(fmt.Sprintf("weighted cascade, %d workers, %d blocks onto a grown family", workers, ring+3), sparse, wc, ring+3, true)
+		blocks := reserveSampleBlocks + 3
+		if workers <= 2 {
+			blocks = ringSpanPerWorker*workers + 3
+		}
+		check(fmt.Sprintf("weighted cascade, %d workers, %d blocks onto a grown family", workers, blocks), sparse, wc, blocks, true)
 	}
 }
 

@@ -52,12 +52,21 @@ func (s *Sampler) SampleRangeRRCInto(from, to int, rng *xrand.Rand, fam *SetFami
 	s.sampleRange(from, to, rng, fam, true)
 }
 
-// ringSlotsPerWorker is how many drawn-but-not-appended blocks a call holds
-// per worker. The ring imposes no barrier: a worker waits only when the
-// block it claimed is a whole ring ahead of the oldest unappended one, so a
-// slow block (a heavy-tailed set size) stalls nobody until the others
-// have drawn that far past it.
-const ringSlotsPerWorker = 16
+// ringSpanPerWorker is how far, in blocks per worker, a worker may draw
+// ahead of the oldest block not yet appended. The ring imposes no barrier:
+// a worker waits only past the span, so a block whose worker is held up —
+// a heavy-tailed set, a thread the OS or the garbage collector takes away
+// for a millisecond or two — stalls nobody until the others have drawn
+// that far past it. The span bounds the buffers a call may hold, not the
+// ones it does: a buffer is taken at claim and handed back at its append,
+// so a call without a stall holds the reserve's sample and about one
+// buffer per worker.
+const ringSpanPerWorker = 128
+
+// reserveSampleBlocks is how many blocks' worth of sets, the family's last
+// ones topped up by the call's first blocks, the one Reserve of a call
+// projects its members from.
+const reserveSampleBlocks = 32
 
 // sampleRange is the one body behind both stream forms: samplingWorkers
 // workers on ParallelFor, a BFS scratch each, blocks claimed from an atomic
@@ -75,75 +84,75 @@ func (s *Sampler) sampleRange(from, to int, rng *xrand.Rand, fam *SetFamily, wit
 		return
 	}
 	workers := samplingWorkers(numBlocks)
-	ring := newBlockRing(fam, numBlocks, min(numBlocks, ringSlotsPerWorker*workers))
+	ring := newBlockRing(fam, numBlocks, min(numBlocks, ringSpanPerWorker*workers))
 	var next atomic.Int64
 	ParallelFor(workers, 0, func(int) {
 		sc := s.newScratch()
 		for b := int(next.Add(1)) - 1; b < numBlocks; b = int(next.Add(1)) - 1 {
-			slot := ring.claim(b)
+			buf := ring.claim(b)
 			brng := rng.Split(uint64(firstBlock + b))
 			for i := 0; i < StreamBlockSize; i++ {
-				slot.Append(s.sampleScratch(sc, brng, withCTP))
+				buf.Append(s.sampleScratch(sc, brng, withCTP))
 			}
-			ring.finish(b)
+			ring.finish(b, buf)
 		}
 	})
 }
 
 // blockRing carries one sampleRange call's drawn blocks to fam in block
-// order. It has at most numBlocks slots, and block b lives in
-// slots[b % len(slots)] from claim to its append;
-// a slot is reused only after its previous block is appended, so at most
-// len(slots) blocks are out at once. One finisher at a time (flushing)
-// appends the ready prefix, copying outside mu; fam is written by no one
-// else, and everything before the append point is never written again,
-// so readers of fam's earlier views see nothing move.
+// order. Block b is drawn into a buffer taken at claim — a spare one, or a
+// new one — and waits in drawn[b % len(drawn)] until its append hands the
+// buffer back, so at most len(drawn) blocks are out at once and the
+// buffers a call allocates are as many as it ever held out. One finisher at
+// a time (flushing) appends the ready prefix, copying outside mu; fam is
+// written by no one else, and everything before the append point is never
+// written again, so readers of fam's earlier views see nothing move.
 type blockRing struct {
 	fam       *SetFamily
 	numBlocks int
-	slots     []*SetFamily
 
 	mu       sync.Mutex
-	free     sync.Cond // signalled when appended moves
-	ready    []bool    // ready[k]: slots[k] holds a drawn, unappended block
-	longest  int       // most members of a block drawn so far: a new slot's capacity
-	appended int       // blocks of this call already in fam
-	flushing bool      // a finisher is appending
-	reserved bool      // fam has been sized for the call
+	free     sync.Cond    // signalled when appended moves
+	drawn    []*SetFamily // drawn[k]: a drawn, unappended block, or nil
+	spare    []*SetFamily // appended blocks' buffers, for the next claims
+	longest  int          // most members of a block drawn so far: a new buffer's capacity
+	appended int          // blocks of this call already in fam
+	flushing bool         // a finisher is appending
+	reserved bool         // fam has been sized for the call
 }
 
-func newBlockRing(fam *SetFamily, numBlocks, slots int) *blockRing {
-	r := &blockRing{fam: fam, numBlocks: numBlocks, slots: make([]*SetFamily, slots), ready: make([]bool, slots)}
+func newBlockRing(fam *SetFamily, numBlocks, span int) *blockRing {
+	r := &blockRing{fam: fam, numBlocks: numBlocks, drawn: make([]*SetFamily, span)}
 	r.free.L = &r.mu
 	return r
 }
 
-// claim returns block b's slot, emptied, once the block a ring ahead of it
-// is appended.
+// claim returns an empty buffer for block b once b is within the span of
+// the oldest unappended block.
 func (r *blockRing) claim(b int) *SetFamily {
-	k := b % len(r.slots)
 	r.mu.Lock()
-	for b >= r.appended+len(r.slots) {
+	for b >= r.appended+len(r.drawn) {
 		r.free.Wait()
+	}
+	var buf *SetFamily
+	if n := len(r.spare); n > 0 {
+		buf, r.spare = r.spare[n-1], r.spare[:n-1]
 	}
 	longest := r.longest
 	r.mu.Unlock()
-	slot := r.slots[k]
-	if slot == nil {
-		slot = &SetFamily{offsets: make([]uint32, 1, StreamBlockSize+1), members: make([]int32, 0, longest)}
-		r.slots[k] = slot
+	if buf == nil {
+		buf = &SetFamily{offsets: make([]uint32, 1, StreamBlockSize+1), members: make([]int32, 0, longest)}
 	}
-	slot.offsets, slot.members = slot.offsets[:1], slot.members[:0]
-	return slot
+	buf.offsets, buf.members = buf.offsets[:1], buf.members[:0]
+	return buf
 }
 
-// finish marks block b drawn and, unless another finisher is at it,
-// flushes.
-func (r *blockRing) finish(b int) {
-	k := b % len(r.slots)
+// finish files block b, drawn into buf, and, unless another finisher is at
+// it, flushes.
+func (r *blockRing) finish(b int, buf *SetFamily) {
 	r.mu.Lock()
-	r.ready[k] = true
-	r.longest = max(r.longest, len(r.slots[k].members))
+	r.drawn[b%len(r.drawn)] = buf
+	r.longest = max(r.longest, len(buf.members))
 	if !r.flushing {
 		r.flushing = true
 		r.flush()
@@ -153,43 +162,47 @@ func (r *blockRing) finish(b int) {
 }
 
 // flush appends the ready blocks from the append point on, releasing mu
-// for each copy. The first append waits for the estimate's sample
-// (reserve) or a full ring. Caller holds mu.
+// for each copy. The first append waits for the reserve's sample. Caller
+// holds mu.
 func (r *blockRing) flush() {
 	for r.appended < r.numBlocks {
-		k := r.appended % len(r.slots)
-		if !r.ready[k] {
+		k := r.appended % len(r.drawn)
+		buf := r.drawn[k]
+		if buf == nil {
 			break
 		}
 		if !r.reserved && !r.reserve() {
 			break
 		}
 		r.mu.Unlock()
-		r.fam.AppendFamily(r.slots[k])
+		r.fam.AppendFamily(buf)
 		r.mu.Lock()
-		r.ready[k] = false
+		r.drawn[k] = nil
+		r.spare = append(r.spare, buf)
 		r.appended++
 		r.free.Broadcast()
 	}
 }
 
-// reserve sizes fam once for the whole call from the sets drawn so far —
-// the family's last ones, topped up by the ready prefix of this call's
-// blocks — and reports false, reserving nothing, while that sample is
-// smaller than the ring's worth of sets and the ring could still take more.
-// The members reserved are the ready blocks' own plus, for the sets still
-// to come, their mean size and three standard errors of the projection, so
-// a short reservation (the tail then grows the arena by append) is rare
-// and an exact one is free once every block is in. Caller holds mu.
+// reserve sizes fam once for the whole call from a fixed sample of the
+// sets drawn so far — the family's last reserveSampleBlocks blocks' worth,
+// topped up by as many of the call's first blocks as that falls short, or
+// all the call's blocks when it has fewer — and reports false, reserving
+// nothing, while a block of that sample is still out. The sample is the
+// same whichever blocks happen to be ready, so the reservation is too.
+// The members reserved are the sampled blocks' own plus, for the sets
+// still to come, their mean size and three standard errors of the
+// projection, so a short reservation (the tail then grows the arena by
+// append) is rare and an exact one is free when the sample is the whole
+// call. Caller holds mu, and nothing is appended yet.
 func (r *blockRing) reserve() bool {
-	prefix := 0
-	for prefix < len(r.slots) && r.ready[prefix] {
-		prefix++
-	}
-	want := len(r.slots) * StreamBlockSize
-	tail := min(r.fam.Len(), want-prefix*StreamBlockSize)
-	if prefix < len(r.slots) && prefix*StreamBlockSize+tail < want {
-		return false
+	want := min(r.numBlocks, reserveSampleBlocks) * StreamBlockSize
+	tail := min(r.fam.Len(), want)
+	own := (want - tail + StreamBlockSize - 1) / StreamBlockSize
+	for _, buf := range r.drawn[:own] {
+		if buf == nil {
+			return false
+		}
 	}
 	var obs, sum, sq float64
 	tally := func(offsets []uint32) {
@@ -199,14 +212,14 @@ func (r *blockRing) reserve() bool {
 		}
 	}
 	var drawn int64
-	for _, slot := range r.slots[:prefix] {
-		tally(slot.offsets)
-		drawn += slot.NumMembers()
+	for _, buf := range r.drawn[:own] {
+		tally(buf.offsets)
+		drawn += buf.NumMembers()
 	}
 	if tail > 0 {
 		tally(r.fam.offsets[r.fam.Len()-tail:])
 	}
-	rest := float64((r.numBlocks - prefix) * StreamBlockSize)
+	rest := float64((r.numBlocks - own) * StreamBlockSize)
 	members := float64(drawn)
 	if rest > 0 && obs > 0 {
 		mean := sum / obs

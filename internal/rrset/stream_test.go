@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/topic"
@@ -323,14 +324,73 @@ func TestStreamKeepsPrefixViews(t *testing.T) {
 	}
 }
 
+// TestStreamRingWaitsPastSpan drives a ring of span 2 by hand: a claim a
+// whole span past the append point waits until the oldest block is
+// appended, and blocks finished out of order reach the family in block
+// order. The family already holds the reserve's sample, so the first
+// append waits for nothing else.
+func TestStreamRingWaitsPastSpan(t *testing.T) {
+	held := make([][]int32, reserveSampleBlocks*StreamBlockSize)
+	for i := range held {
+		held[i] = []int32{-1}
+	}
+	fam := FamilyFromSets(held)
+	r := newBlockRing(fam, 3, 2)
+	draw := func(b int) *SetFamily {
+		buf := r.claim(b)
+		buf.Append([]int32{int32(b)})
+		return buf
+	}
+	b0, b1 := draw(0), draw(1)
+	claimed := make(chan *SetFamily)
+	go func() { claimed <- draw(2) }()
+	select {
+	case <-claimed:
+		t.Fatal("block 2 was claimed while blocks 0 and 1 were out")
+	case <-time.After(20 * time.Millisecond):
+	}
+	r.finish(1, b1)
+	if fam.Len() != len(held) {
+		t.Fatalf("block 1 was appended before block 0: %d sets", fam.Len())
+	}
+	r.finish(0, b0)
+	r.finish(2, <-claimed)
+	if got, want := fam.Sets()[len(held):], [][]int32{{0}, {1}, {2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("appended %v, want %v", got, want)
+	}
+}
+
+// TestStreamReservesAlike: the one Reserve of a call projects from a fixed
+// sample, not from whichever blocks happen to be drawn when the first one
+// is ready, so a grown family's capacity is the same under every worker
+// cap and on every repeat.
+func TestStreamReservesAlike(t *testing.T) {
+	defer SetMaxWorkers(MaxWorkers())
+	s := streamTestSampler(t)
+	grow := func(workers int) (offsets, members int) {
+		SetMaxWorkers(workers)
+		fam := NewSetFamily()
+		s.SampleRangeRRInto(0, 4*StreamBlockSize, xrand.New(6), fam)
+		s.SampleRangeRRInto(fam.Len(), 200*StreamBlockSize, xrand.New(6), fam)
+		return cap(fam.offsets), cap(fam.members)
+	}
+	wantOffsets, wantMembers := grow(1)
+	for _, workers := range []int{2, 3, 8, 8, 8} {
+		if offsets, members := grow(workers); offsets != wantOffsets || members != wantMembers {
+			t.Fatalf("%d workers: capacity %d offsets / %d members, one worker %d / %d",
+				workers, offsets, members, wantOffsets, wantMembers)
+		}
+	}
+}
+
 // TestStreamAllocatesArenaOnly pins what growing a non-empty family costs
 // in allocation: the arena it grows into, plus, per worker, one BFS scratch
-// and a ring of block buffers — nothing per block. With 1 024 blocks of
-// small sets, per-block arenas and a merge copy would pass the bound
-// several times over.
+// and at most a ring span of block buffers — nothing per block. With 2 048
+// blocks of small sets, per-block arenas and a merge copy would pass the
+// bound about twice over.
 func TestStreamAllocatesArenaOnly(t *testing.T) {
 	defer SetMaxWorkers(MaxWorkers())
-	const workers, blocks = 2, 1024
+	const workers, blocks = 2, 2048
 	SetMaxWorkers(workers)
 	s := streamTestSampler(t)
 	fam := NewSetFamily()
@@ -345,9 +405,10 @@ func TestStreamAllocatesArenaOnly(t *testing.T) {
 	}
 	arena := 4 * int64(cap(fam.offsets)+cap(fam.members))
 	n := int64(s.Graph().N())
-	// A slot's buffer grows by append, whose steps add up to about five
-	// times the longest block it holds.
-	ringBytes := ringSlotsPerWorker * (4*(StreamBlockSize+1) + 6*4*maxBlock)
+	// A stall can hold out a whole span of buffers, and a buffer grows by
+	// append, whose steps add up to about five times the longest block it
+	// holds.
+	ringBytes := ringSpanPerWorker * (4*(StreamBlockSize+1) + 6*4*maxBlock)
 	scratchBytes := n/8 + 2*4*n + 2*4*n + 512
 	perWorker := ringBytes + scratchBytes
 	got := int64(after.TotalAlloc - before.TotalAlloc)
