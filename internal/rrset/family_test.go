@@ -359,8 +359,10 @@ func TestBuildInvertedAnyRangeCount(t *testing.T) {
 	}
 }
 
-// FuzzCoverJoinRecords runs the same checks on fuzzed shapes and bases, and
-// builds each view over a fuzzed number of set ranges (TestBuildInvertedAnyRangeCount).
+// FuzzCoverJoinRecords decodes the join of fuzzed shapes at fuzzed bases
+// record for record against the id rows (checkCoverJoin), and builds each
+// view over a fuzzed number of set ranges (TestBuildInvertedAnyRangeCount).
+// The walks over a join, and the opening clip, are FuzzCollectionModel's.
 func FuzzCoverJoinRecords(f *testing.F) {
 	f.Add(uint64(1), uint8(10), uint8(40), uint32(0), uint8(1))
 	f.Add(uint64(7), uint8(200), uint8(255), uint32(1<<27-1), uint8(3))
@@ -370,7 +372,7 @@ func FuzzCoverJoinRecords(f *testing.F) {
 		n, k := 1+int(nn), 1+int(kk)
 		fam := randomKernelFamily(rng, n, k, 10)
 		base := int32(b % uint32(joinIDLimit-k+1))
-		checkJoinMatchesIDRows(t, rng, n, fam, base)
+		checkCoverJoin(t, fam, BuildInverted(n, fam.View(), base), buildInverted(n, fam.View(), base, false))
 		for _, joined := range []bool{true, false} {
 			checkRangeCount(t, n, fam.View(), base, joined, 1+int(rr%16))
 		}

@@ -30,7 +30,7 @@
 // retired in ascending id order with identical per-member updates either
 // way, so heap evolution, tie-breaking — and therefore the final
 // allocation — are byte-identical across kernels (pinned by
-// FuzzKernelEquivalence and the golden tests).
+// FuzzCollectionModel and the golden tests).
 
 package rrset
 

@@ -1,10 +1,6 @@
 package rrset
 
 import (
-	"fmt"
-	"maps"
-	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -57,190 +53,41 @@ func deltaOf(t testing.TB, nodes, decs []int32) map[int32]int32 {
 	return m
 }
 
-// kernelPair builds a sparse- and a bitset-kernel collection over the first
-// k sets of the same prepared family, failing the test if the bitset kernel
-// does not activate. Below the family's length, the bitmap's rows hold sets
-// past the view, which the sweep must never cover.
-func kernelPair(t testing.TB, n int, f *SetFamily, k int) (sp, bt *Collection) {
-	t.Helper()
-	inv := BuildInverted(n, f.View(), 0)
-	inv.PrepareCover()
-	inv.PrepareCoverBits()
-	v := f.Prefix(k)
-	sp = NewCollectionFromFamily(n, v, inv)
-	bt = NewCollectionFromFamily(n, v, inv)
-	if got := bt.Kernel(); got != KernelBitset {
-		t.Fatalf("kernel over a bitmap-prepared index = %v, want bitset", got)
-	}
-	if got := sp.UseKernel(KernelSparse); got != KernelSparse || sp.Kernel() != KernelSparse {
-		t.Fatalf("UseKernel(sparse) = %v, Kernel() = %v, want sparse", got, sp.Kernel())
-	}
-	return sp, bt
-}
-
-// compareCollections verifies the two collections expose identical
-// observable coverage state.
-func compareCollections(t *testing.T, sp, bt *Collection, tag string) {
-	t.Helper()
-	if sp.NumCovered() != bt.NumCovered() {
-		t.Fatalf("%s: NumCovered sparse=%d bitset=%d", tag, sp.NumCovered(), bt.NumCovered())
-	}
-	for u := 0; u < sp.N(); u++ {
-		if sp.Coverage(int32(u)) != bt.Coverage(int32(u)) {
-			t.Fatalf("%s: Coverage(%d) sparse=%d bitset=%d", tag, u, sp.Coverage(int32(u)), bt.Coverage(int32(u)))
-		}
-	}
-	sn, sc := sp.TopNodes(8, nil)
-	bn, bc := bt.TopNodes(8, nil)
-	if len(sn) != len(bn) {
-		t.Fatalf("%s: TopNodes len sparse=%d bitset=%d", tag, len(sn), len(bn))
-	}
-	for i := range sn {
-		if sn[i] != bn[i] || sc[i] != bc[i] {
-			t.Fatalf("%s: TopNodes[%d] sparse=(%d,%d) bitset=(%d,%d)", tag, i, sn[i], sc[i], bn[i], bc[i])
-		}
-	}
-}
-
-// TestKernelEquivalenceCover drives identical greedy cover sequences
-// through the sparse and bitset kernels — over an odd-length prefix of the
-// indexed family, including credit passes and post-activation growth
-// segments — and requires byte-identical coverage state and candidate
-// ordering throughout.
+// TestKernelEquivalenceCover drives a greedy cover sequence — six
+// commits, a credit pass from a third of the sets on, growth and one more
+// commit — through the model's group (model_test.go) over an odd-length
+// prefix of the indexed family, so the bitset sweep's words hold sets past
+// the view it must never cover.
 func TestKernelEquivalenceCover(t *testing.T) {
+	var ops []byte
+	for range 6 {
+		ops = append(ops, opTop, 0, 0, opCover, greedy, 0, opDrop, greedy, 0)
+	}
+	for u := byte(0); u < 64; u += 7 {
+		ops = append(ops, opCredit, u, 85)
+	}
+	ops = append(ops, opGrow, 39, 0, opTop, 0, 0, opCover, greedy, 0)
 	for _, seed := range []uint64{1, 7, 42} {
-		rng := xrand.New(seed)
-		n := 48 + rng.IntN(80)
-		k := 100 + rng.IntN(400)
-		f := randomKernelFamily(rng, n, k, 6)
-		sp, bt := kernelPair(t, n, f, k-k/5|1)
-		compareCollections(t, sp, bt, "init")
-
-		for it := 0; it < 6; it++ {
-			u, cov, ok := sp.BestNode(nil)
-			bu, bcov, bok := bt.BestNode(nil)
-			if u != bu || cov != bcov || ok != bok {
-				t.Fatalf("BestNode sparse=(%d,%d,%v) bitset=(%d,%d,%v)", u, cov, ok, bu, bcov, bok)
-			}
-			if !ok {
-				break
-			}
-			if got, want := bt.CoverNode(u), sp.CoverNode(u); got != want {
-				t.Fatalf("CoverNode(%d) sparse=%d bitset=%d", u, want, got)
-			}
-			sp.Drop(u)
-			bt.Drop(u)
-			compareCollections(t, sp, bt, "cover")
-		}
-
-		// Credit pass over a mid-stream boundary.
-		boundary := k / 3
-		for u := 0; u < n; u += 7 {
-			if got, want := bt.CountAndCoverFrom(int32(u), boundary), sp.CountAndCoverFrom(int32(u), boundary); got != want {
-				t.Fatalf("CountAndCoverFrom(%d,%d) sparse=%d bitset=%d", u, boundary, want, got)
-			}
-		}
-		compareCollections(t, sp, bt, "credit")
-
-		// Growth after activation: the new segment takes the sparse walk
-		// in both collections.
-		g := randomKernelFamily(rng, n, 40, 5)
-		sp.AddFamily(g.View())
-		bt.AddFamily(g.View())
-		u, _, ok := sp.BestNode(nil)
-		bu, _, bok := bt.BestNode(nil)
-		if u != bu || ok != bok {
-			t.Fatalf("post-growth BestNode sparse=(%d,%v) bitset=(%d,%v)", u, ok, bu, bok)
-		}
-		if ok {
-			if got, want := bt.CoverNode(u), sp.CoverNode(u); got != want {
-				t.Fatalf("post-growth CoverNode(%d) sparse=%d bitset=%d", u, want, got)
-			}
-		}
-		compareCollections(t, sp, bt, "growth")
+		runModel(t, seed, 60, 200, 5, 51, 0, ops) // 64 nodes, 167 of 208 sets
 	}
 }
 
-// onSparse fails the test unless the bitset twin bt has turned to the
-// sparse walk and agrees with its sparse twin sp on every count.
-func onSparse(t *testing.T, tag string, sp, bt *Collection) {
-	t.Helper()
-	if got := bt.Kernel(); got != KernelSparse {
-		t.Fatalf("%s: the bitset twin reports %v, want sparse", tag, got)
-	}
-	compareCollections(t, sp, bt, tag)
-}
-
-// TestKernelEquivalenceDelta checks the sharded delta-capture path: both
-// kernels must emit the same covered counts and the same sparse decrement
-// vectors, as node → decrement maps. A second pair takes every step through
-// CountAndCoverFrom — the same walk with a nil sink — at firstID 0 and
-// mid-stream, and must end in the same cov / covered / NumCovered. The
-// bitset sweep serves CoverNode only, so each bitset twin reports the
-// sparse kernel after its first delta, credit or growth, with the sparse
-// twin's counts.
+// TestKernelEquivalenceDelta checks the sharded delta-capture path through
+// the model's group: five greedy CoverNodeDelta commits, then
+// CountAndCoverFromDelta from the middle set on beside the nil-sink walk
+// (CountAndCoverFrom) over every fifth node, then growth. Each capture must
+// be the model's node → decrement map, and the bitset and lazy members run
+// the eager walk from the first capture on.
 func TestKernelEquivalenceDelta(t *testing.T) {
-	rng := xrand.New(11)
-	n := 64
-	k := 300
-	f := randomKernelFamily(rng, n, k, 6)
-	sp, bt := kernelPair(t, n, f, k)
-	nsp, nbt := kernelPair(t, n, f, k)
-	nilSink := func(u int32, firstID, want int) {
-		t.Helper()
-		if s, b := nsp.CountAndCoverFrom(u, firstID), nbt.CountAndCoverFrom(u, firstID); s != want || b != want {
-			t.Fatalf("CountAndCoverFrom(%d, %d): sparse %d, bitset %d, delta walk %d", u, firstID, s, b, want)
-		}
+	var ops []byte
+	for range 5 {
+		ops = append(ops, opTop, 0, 0, opCoverDelta, greedy, 0, opDrop, greedy, 0)
 	}
-
-	var sn, sd, bn, bd []int32
-	for it := 0; it < 5; it++ {
-		u, cov, ok := sp.BestNode(nil)
-		bu, bcov, bok := bt.BestNode(nil)
-		if u != bu || cov != bcov || ok != bok {
-			t.Fatalf("BestNode sparse=(%d,%d,%v) bitset=(%d,%d,%v)", u, cov, ok, bu, bcov, bok)
-		}
-		if !ok {
-			break
-		}
-		var sc, bc int
-		sc, sn, sd = sp.CoverNodeDelta(u, sn, sd)
-		bc, bn, bd = bt.CoverNodeDelta(u, bn, bd)
-		if sm, bm := deltaOf(t, sn, sd), deltaOf(t, bn, bd); sc != bc || !maps.Equal(sm, bm) {
-			t.Fatalf("CoverNodeDelta(%d): sparse=(%d, %v) bitset=(%d, %v)", u, sc, sm, bc, bm)
-		}
-		nilSink(u, 0, sc)
-		if it == 0 {
-			onSparse(t, "after the first delta", sp, bt)
-			onSparse(t, "after the first credit", nsp, nbt)
-		}
-		for _, c := range []*Collection{sp, bt, nsp, nbt} {
-			c.Drop(u)
-		}
+	for u := byte(0); u < 64; u += 5 {
+		ops = append(ops, opCreditDelta, u, 127, opCredit, u+1, 127)
 	}
-
-	boundary := k / 2
-	for u := 0; u < n; u += 5 {
-		var sc, bc int
-		sc, sn, sd = sp.CountAndCoverFromDelta(int32(u), boundary, sn, sd)
-		bc, bn, bd = bt.CountAndCoverFromDelta(int32(u), boundary, bn, bd)
-		if sm, bm := deltaOf(t, sn, sd), deltaOf(t, bn, bd); sc != bc || !maps.Equal(sm, bm) {
-			t.Fatalf("CountAndCoverFromDelta(%d): sparse=(%d, %v) bitset=(%d, %v)", u, sc, sm, bc, bm)
-		}
-		nilSink(int32(u), boundary, sc)
-	}
-	for name, c := range map[string]*Collection{"bitset": bt, "nil-sink sparse": nsp, "nil-sink bitset": nbt} {
-		if !reflect.DeepEqual(c.cov, sp.cov) || !reflect.DeepEqual(c.covered, sp.covered) || c.NumCovered() != sp.NumCovered() {
-			t.Fatalf("%s: cov / covered / NumCovered differ from the sparse delta walk's", name)
-		}
-	}
-	compareCollections(t, sp, bt, "delta")
-
-	gsp, gbt := kernelPair(t, n, f, k)
-	g := randomKernelFamily(rng, n, 40, 5)
-	gsp.AddFamily(g.View())
-	gbt.AddFamily(g.View())
-	onSparse(t, "after growth", gsp, gbt)
+	ops = append(ops, opGrow, 39, 0, opTop, 1, 0)
+	runModel(t, 11, 60, 255, 5, 0, 0, ops) // 64 nodes, 263 sets
 }
 
 // TestKernelDensityHeuristic checks that PrepareCover builds the bitmap
@@ -325,185 +172,6 @@ func TestMemBytesIgnoresPooledKernelMasks(t *testing.T) {
 	if got, want := soft.MemBytes(), NewWeightedCollectionFromFamily(2048, sv, sinv).MemBytes(); got != want {
 		t.Errorf("recycled soft collection: MemBytes %d, fresh %d", got, want)
 	}
-}
-
-// FuzzKernelEquivalence fuzzes random families and cover sequences through
-// both kernels — hard coverage and counter-mode deltas — requiring
-// identical coverage counts, heap orders, and sparse decrement vectors (as
-// node → decrement maps).
-func FuzzKernelEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(8), uint8(16), uint8(3))
-	f.Add(uint64(99), uint8(32), uint8(200), uint8(7))
-	f.Add(uint64(123456), uint8(64), uint8(255), uint8(12))
-	f.Fuzz(func(t *testing.T, seed uint64, nn, kk, avg uint8) {
-		n := 4 + int(nn)%96
-		k := 8 + int(kk)
-		a := 1 + int(avg)%10
-		if a >= n {
-			a = n - 1
-		}
-		rng := xrand.New(seed)
-		fam := randomKernelFamily(rng, n, k, a)
-		v := fam.View()
-		inv := BuildInverted(n, v, 0)
-		inv.PrepareCover()
-		inv.PrepareCoverBits()
-
-		sp := NewCollectionFromFamily(n, v, inv)
-		bt := NewCollectionFromFamily(n, v, inv)
-		if bt.UseKernel(KernelBitset) != KernelBitset {
-			t.Skip("bitset kernel unavailable")
-		}
-		sp.UseKernel(KernelSparse)
-		var sn, sd, bn, bd []int32
-		for it := 0; it < 8; it++ {
-			u := int32(rng.IntN(n))
-			switch it % 3 {
-			case 0:
-				if got, want := bt.CoverNode(u), sp.CoverNode(u); got != want {
-					t.Fatalf("CoverNode(%d) sparse=%d bitset=%d", u, want, got)
-				}
-			case 1:
-				boundary := rng.IntN(k + 4)
-				if got, want := bt.CountAndCoverFrom(u, boundary), sp.CountAndCoverFrom(u, boundary); got != want {
-					t.Fatalf("CountAndCoverFrom(%d,%d) sparse=%d bitset=%d", u, boundary, want, got)
-				}
-			case 2:
-				boundary := rng.IntN(k + 4)
-				var sc, bc int
-				sc, sn, sd = sp.CountAndCoverFromDelta(u, boundary, sn, sd)
-				bc, bn, bd = bt.CountAndCoverFromDelta(u, boundary, bn, bd)
-				if sm, bm := deltaOf(t, sn, sd), deltaOf(t, bn, bd); sc != bc || !maps.Equal(sm, bm) {
-					t.Fatalf("delta(%d,%d): sparse=(%d, %v) bitset=(%d, %v)", u, boundary, sc, sm, bc, bm)
-				}
-			}
-		}
-		for u := 0; u < n; u++ {
-			if sp.Coverage(int32(u)) != bt.Coverage(int32(u)) {
-				t.Fatalf("Coverage(%d) sparse=%d bitset=%d", u, sp.Coverage(int32(u)), bt.Coverage(int32(u)))
-			}
-		}
-		if sp.NumCovered() != bt.NumCovered() {
-			t.Fatal("aggregate coverage mismatch")
-		}
-		sN, sC := sp.TopNodes(5, nil)
-		bN, bC := bt.TopNodes(5, nil)
-		if len(sN) != len(bN) {
-			t.Fatal("TopNodes length mismatch")
-		}
-		for i := range sN {
-			if sN[i] != bN[i] || sC[i] != bC[i] {
-				t.Fatal("TopNodes order mismatch")
-			}
-		}
-	})
-}
-
-// FuzzDeltaCapture checks every captured delta vector against the coverage
-// change it stands for, on each kind of segment a shard walks: a joined
-// index (the cover-join record stream), id-row growth segments (AddFamily),
-// and a collection opened on the bitset sweep (PrepareCoverBits), which its
-// first capture hands to the sparse walk, each later grown by one more
-// id-row segment. Every CoverNodeDelta / CountAndCoverFromDelta vector must
-// name each node once, give each node exactly its Coverage drop across the
-// call (and name no node whose coverage did not drop), and sum to the total
-// membership of the sets the call covered. The kernel-equivalence tests
-// compare captures with each other; this one compares each with the state
-// it describes, so a capture bug all walks share cannot pass.
-func FuzzDeltaCapture(f *testing.F) {
-	f.Add(uint64(1), uint8(8), uint8(16), uint8(3))
-	f.Add(uint64(99), uint8(32), uint8(200), uint8(7))
-	f.Add(uint64(123456), uint8(64), uint8(255), uint8(12))
-	f.Fuzz(func(t *testing.T, seed uint64, nn, kk, avg uint8) {
-		n := 4 + int(nn)%96
-		k := 8 + int(kk)
-		a := 1 + int(avg)%10
-		if a >= n {
-			a = n - 1
-		}
-		rng := xrand.New(seed)
-		fam := randomKernelFamily(rng, n, k, a)
-		v := fam.View()
-
-		joined := NewCollectionFromFamily(n, v, BuildInverted(n, v, 0))
-		if joined.UseKernel(KernelSparse) != KernelSparse || !joined.segs[0].inv.joined {
-			t.Fatal("no sparse walk over a joined index")
-		}
-		grown := NewCollection(n)
-		grown.AddFamily(fam.Window(0, k/2))
-		grown.AddFamily(fam.Window(k/2, k))
-		binv := BuildInverted(n, v, 0)
-		binv.PrepareCoverBits()
-		bitset := NewCollectionFromFamily(n, v, binv)
-		if bitset.UseKernel(KernelBitset) != KernelBitset {
-			t.Fatal("bitset kernel unavailable over a bitmap-prepared index")
-		}
-		cols := []struct {
-			name string
-			c    *Collection
-		}{{"joined", joined}, {"growth", grown}, {"bitset", bitset}}
-
-		var nodes, decs []int32
-		before := make([]int32, n)
-		for step := 0; step < 12; step++ {
-			if step == 6 {
-				g := randomKernelFamily(rng, n, 1+rng.IntN(80), a)
-				for _, col := range cols {
-					col.c.AddFamily(g.View())
-				}
-			}
-			u := int32(rng.IntN(n))
-			firstID := -1
-			if step%2 == 1 {
-				firstID = rng.IntN(joined.NumSets() + 4)
-			}
-			for _, col := range cols {
-				c := col.c
-				for w := range before {
-					before[w] = int32(c.Coverage(int32(w)))
-				}
-				was := slices.Clone(c.covered)
-				var covered int
-				op := fmt.Sprintf("%s: CoverNodeDelta(%d)", col.name, u)
-				if firstID < 0 {
-					covered, nodes, decs = c.CoverNodeDelta(u, nodes, decs)
-				} else {
-					op = fmt.Sprintf("%s: CountAndCoverFromDelta(%d, %d)", col.name, u, firstID)
-					covered, nodes, decs = c.CountAndCoverFromDelta(u, firstID, nodes, decs)
-				}
-				delta := deltaOf(t, nodes, decs)
-				var sum int
-				for w := range before {
-					drop := before[w] - int32(c.Coverage(int32(w)))
-					d, listed := delta[int32(w)]
-					if d != drop || listed != (drop != 0) {
-						t.Fatalf("step %d %s: node %d lost %d coverage, the vector says %d (listed %v)", step, op, w, drop, d, listed)
-					}
-					sum += int(d)
-				}
-				newly, membership := 0, 0
-				for id := 0; id < c.NumSets(); id++ {
-					if c.isCovered(id) && was[id>>6]>>(uint(id)&63)&1 == 0 {
-						newly++
-						membership += len(setOf(c, id))
-					}
-				}
-				if newly != covered || sum != membership {
-					t.Fatalf("step %d %s: covered %d sets, %d newly marked; decrements sum to %d, their membership is %d", step, op, covered, newly, sum, membership)
-				}
-			}
-		}
-	})
-}
-
-// setOf returns the members of the set with global id in c.
-func setOf(c *Collection, id int) []int32 {
-	for i := range c.segs {
-		if id < c.segs[i].end() {
-			return c.segs[i].set(int32(id))
-		}
-	}
-	panic(fmt.Sprintf("set %d past the collection's %d sets", id, c.NumSets()))
 }
 
 // BenchmarkKernels compares the cover kernels on a greedy commit loop

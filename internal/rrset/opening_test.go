@@ -24,77 +24,6 @@ func sameHeap[S int32 | float64](t *testing.T, tag string, got, want MaxHeap[S])
 	}
 }
 
-// checkOpening compares warm-start collections over the first k sets of
-// fam, opened through inv's stored opening (built on the first Reset,
-// borrowed and copied on the second), with hand-grown ones that never see
-// an opening: NewCollection + AddFamily counts memberships with
-// Inverted.Count over an index of the prefix alone and builds its heap in
-// candidates.sync. Residual coverage — read through Coverage, which a
-// sparse collection over an id-row index, made lazy, answers from the cut,
-// and again from the counters after materialize — the borrowed cut vector
-// and, after SyncHeap,
-// the heap array must agree element for element, for both collection
-// kinds.
-func checkOpening(t *testing.T, n int, fam *SetFamily, inv *Inverted, k int) {
-	t.Helper()
-	v := fam.Prefix(k)
-	ref := NewCollection(n)
-	ref.AddFamily(v)
-	ref.SyncHeap()
-	wref := NewWeightedCollection(n)
-	wref.AddFamily(v)
-	wref.SyncHeap()
-
-	for pass, wantBuilt := range []bool{true, false} {
-		tag := fmt.Sprintf("k=%d pass %d", k, pass)
-		hard := NewCollectionFromFamily(n, v, inv)
-		if hard.OpeningBuilt() != wantBuilt {
-			t.Fatalf("%s: OpeningBuilt = %v", tag, hard.OpeningBuilt())
-		}
-		if hard.Kernel() == KernelSparse && !inv.joined {
-			hard.startLazy()
-		}
-		for u := 0; u < n; u++ {
-			if got := hard.Coverage(int32(u)); got != ref.Coverage(int32(u)) || hard.segs[0].cut[u] != ref.cov[u] {
-				t.Fatalf("%s: node %d cov %d cut %d, from-scratch %d", tag, u, got, hard.segs[0].cut[u], ref.cov[u])
-			}
-		}
-		hard.SyncHeap()
-		sameHeap(t, tag+" hard", hard.pq, ref.pq)
-		hard.materialize()
-		for u := 0; u < n; u++ {
-			if hard.cov[u] != ref.cov[u] {
-				t.Fatalf("%s: node %d counter %d after materialize, from-scratch %d", tag, u, hard.cov[u], ref.cov[u])
-			}
-		}
-
-		soft := NewWeightedCollectionFromFamily(n, v, inv)
-		if soft.OpeningBuilt() {
-			t.Fatalf("%s: the soft collection rebuilt the opening the hard one left", tag)
-		}
-		for u := 0; u < n; u++ {
-			if soft.wcov[u] != wref.wcov[u] {
-				t.Fatalf("%s: node %d wcov %v, from-scratch %v", tag, u, soft.wcov[u], wref.wcov[u])
-			}
-		}
-		soft.SyncHeap()
-		sameHeap(t, tag+" soft", soft.pq, wref.pq)
-	}
-
-	// A node dropped before the first sync must be left out of the rebuild,
-	// exactly as a from-scratch build leaves it out.
-	if n > 0 {
-		u := int32(k % n)
-		hard, dropped := NewCollectionFromFamily(n, v, inv), NewCollection(n)
-		dropped.AddFamily(v)
-		hard.Drop(u)
-		dropped.Drop(u)
-		hard.SyncHeap()
-		dropped.SyncHeap()
-		sameHeap(t, fmt.Sprintf("k=%d drop-before-sync", k), hard.pq, dropped.pq)
-	}
-}
-
 // openingLengths is the view lengths worth opening an index of `have` sets
 // at: empty, one set, mid-block, all but one, all.
 func openingLengths(have int) []int {
@@ -107,51 +36,24 @@ func openingLengths(have int) []int {
 	return ks
 }
 
-// openingIndex indexes fam at base 0 joined for even seeds and with id rows
-// — the form of an index over LazyMinNodes nodes or more, or whose ids
-// reach 2^27 — for odd ones.
-func openingIndex(n int, fam *SetFamily, seed uint64) *Inverted {
-	if seed%2 == 0 {
-		return BuildInverted(n, fam.View(), 0)
-	}
-	return buildInverted(n, fam.View(), 0, false)
-}
-
 // TestOpeningMatchesFromScratch: the state a Reset borrows and copies from
-// the inverted index's opening is the state the from-scratch construction
-// computes, over random families and every interesting view length, over
-// a joined index (with its bitmap when the density rule builds one) and
-// over id rows, made lazy where sparse.
+// an index's opening is the state the from-scratch construction computes
+// (modelRun.reset), at every interesting view length of random families,
+// twice each — built, then borrowed — over each form of the model's group,
+// with a greedy commit between lengths.
 func TestOpeningMatchesFromScratch(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
-		rng := xrand.New(seed)
-		n := 4 + rng.IntN(200)
-		have := 1 + rng.IntN(3*StreamBlockSize/2)
-		fam := randomKernelFamily(rng, n, have, 1+rng.IntN(min(6, n-1)))
-		for _, k := range openingLengths(have) {
-			// A fresh index per length: the cap would otherwise evict the
-			// first lengths before their second pass.
-			checkOpening(t, n, fam, openingIndex(n, fam, seed), k)
+		r := newModelRun(t, seed, uint8(7*seed), uint8(21*seed), uint8(seed), 0)
+		for _, k := range openingLengths(r.fam.Len()) {
+			for range 2 {
+				r.tag = fmt.Sprintf("seed %d Reset(%d)", seed, k)
+				r.reset(k)
+				r.check()
+			}
+			r.run(opTop, 0, 0, opCover, greedy, 0, opDrop, greedy, 0)
 		}
+		r.finish()
 	}
-}
-
-// FuzzOpeningMatchesFromScratch runs the same comparison on fuzzed shapes
-// and view lengths.
-func FuzzOpeningMatchesFromScratch(f *testing.F) {
-	f.Add(uint64(1), uint8(8), uint8(16), uint8(3), uint8(5))
-	f.Add(uint64(99), uint8(32), uint8(200), uint8(7), uint8(200))
-	f.Add(uint64(123456), uint8(64), uint8(255), uint8(12), uint8(0))
-	f.Fuzz(func(t *testing.T, seed uint64, nn, kk, avg, at uint8) {
-		n := 4 + int(nn)%96
-		have := 1 + int(kk)
-		a := 1 + int(avg)%10
-		if a >= n {
-			a = n - 1
-		}
-		fam := randomKernelFamily(xrand.New(seed), n, have, a)
-		checkOpening(t, n, fam, openingIndex(n, fam, seed), int(at)%(have+1))
-	})
 }
 
 // TestDeltaOnlyCollectionBuildsNoHeap: a shard-side collection — ranked by

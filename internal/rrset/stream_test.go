@@ -310,6 +310,7 @@ func TestStreamKeepsPrefixViews(t *testing.T) {
 	}()
 	for to := 4; to <= 64; to *= 2 {
 		s.SampleRangeRRInto(fam.Len(), to*StreamBlockSize, xrand.New(4), fam)
+		runtime.Gosched() // on one core a one-worker draw never yields to the reader
 	}
 	stop.Store(true)
 	wg.Wait()
