@@ -459,3 +459,66 @@ func FuzzCollectionModel(f *testing.F) {
 		runModel(t, seed, nn, kk, avg, at, forms, ops[:min(len(ops), 3*200)])
 	})
 }
+
+// The four pairwise fuzzers the model replaced keep their names, input
+// shapes and seeds; each now drives the model with the operations it used
+// to pair two forms over.
+
+// FuzzKernelEquivalence: cover, credit, delta and top-k answers agree
+// across every form, the bitset sweep among them.
+func FuzzKernelEquivalence(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(16), uint8(3))
+	f.Add(uint64(99), uint8(32), uint8(200), uint8(7))
+	f.Add(uint64(123456), uint8(64), uint8(255), uint8(12))
+	f.Fuzz(func(t *testing.T, seed uint64, nn, kk, avg uint8) {
+		runModel(t, seed, nn, kk, avg, 0, 0, modelOps(seed, 24, 20))
+	})
+}
+
+// FuzzDeltaCapture: twelve delta captures, CoverNodeDelta and
+// CountAndCoverFromDelta in turn, with a growth segment landing halfway;
+// each vector must be the model's coverage drops.
+func FuzzDeltaCapture(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(16), uint8(3))
+	f.Add(uint64(99), uint8(32), uint8(200), uint8(7))
+	f.Add(uint64(123456), uint8(64), uint8(255), uint8(12))
+	f.Fuzz(func(t *testing.T, seed uint64, nn, kk, avg uint8) {
+		rng := xrand.New(seed ^ 0xde17a)
+		var ops []byte
+		for step := range 12 {
+			if step == 6 {
+				ops = append(ops, opGrow, byte(rng.IntN(80)), 0)
+			}
+			ops = append(ops, opCoverDelta+byte(step%2)*(opCreditDelta-opCoverDelta), byte(rng.IntN(256)), byte(rng.IntN(256)))
+		}
+		runModel(t, seed, nn, kk, avg, 0, 0, ops)
+	})
+}
+
+// FuzzLazyCoverage: a long greedy run opened at the view at, lazy in
+// lockstep with the eager forms; joined false leaves the cover join out of
+// the group.
+func FuzzLazyCoverage(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(16), uint8(3), uint8(16), true)
+	f.Add(uint64(99), uint8(60), uint8(200), uint8(7), uint8(150), false)
+	f.Add(uint64(123456), uint8(95), uint8(255), uint8(12), uint8(255), true)
+	f.Add(uint64(7), uint8(90), uint8(255), uint8(2), uint8(200), true)
+	f.Fuzz(func(t *testing.T, seed uint64, nn, kk, avg, at uint8, joined bool) {
+		var forms uint32
+		if !joined {
+			forms = 1 | 1<<3 // join → rows, bitset → bitset/rows
+		}
+		runModel(t, seed, nn, kk, avg, at, forms, modelOps(seed, 160, 1))
+	})
+}
+
+// FuzzOpeningMatchesFromScratch: openings at the view at, checked against
+// the from-scratch build on every Reset, then a short run.
+func FuzzOpeningMatchesFromScratch(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(16), uint8(3), uint8(5))
+	f.Add(uint64(99), uint8(32), uint8(200), uint8(7), uint8(200))
+	f.Add(uint64(123456), uint8(64), uint8(255), uint8(12), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, nn, kk, avg, at uint8) {
+		runModel(t, seed, nn, kk, avg, at, 0, modelOps(seed, 8, 4))
+	})
+}
