@@ -35,7 +35,10 @@ COVER_FLOORS = ./internal/bandit:85
 # prefix match and takes it in; neither reads -short, so bench-ci and a
 # -short bench-gate run the same code as the baseline). BENCH_index.json
 # captures the machine-readable (test2json) stream that bench-gate holds
-# allocs/op and the per-op counters to.
+# allocs/op and the per-op counters to. bench, bench-compare and bench-gate
+# run at -cpu 1 on any machine: an index build starts one sampling worker
+# per P, and its allocs/op moves with the worker count and with how the
+# workers overlap, but repeats exactly at one P.
 #
 # Bench artifacts: BENCH_index.json is the ONLY committed baseline —
 # re-record it whole with `make bench` after a reviewed change that moves a
@@ -112,7 +115,7 @@ bench-selftest:
 # whole file in one go on one machine — rows from different sessions are
 # not comparable.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=5 \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -cpu 1 -count=5 \
 	    -json $(BENCH_PKGS) > BENCH_index.json
 	@grep 'ns/op' BENCH_index.json | sed -e 's/.*"Test":"\([^"]*\)".*"Output":"/\1 /' -e 's/\\t/ /g' -e 's/\\n.*//'
 
@@ -126,18 +129,21 @@ bench-ci:
 # Benchmark HEAD once per benchmark into BENCH_head.json (.gitignore'd) and
 # diff it against the committed BENCH_index.json with cmd/benchdiff: every
 # metric side by side. allocs/op and the per-op counters (rpcs/op,
-# wireKB/op, openings/op, rounds) are gated at +2 %; ns/op, B/op and rates
-# are advisory, since they move with the machine. bench-compare prints the
-# table and never fails on a regression; bench-gate, which CI runs, fails
-# on a gated one. After a reviewed change that moves a gated counter,
+# wireKB/op, openings/op) are gated at +2 % of the baseline's median;
+# ns/op, B/op and rates are advisory, since they move with the machine.
+# bench-compare prints the table and fails only on unreadable input (a
+# gated regression, benchdiff's exit 3, passes; `go run` would turn every
+# exit code into 1, so it runs the built binary); bench-gate, which CI runs,
+# fails on a gated one. After a reviewed change that moves a gated counter,
 # re-record the whole baseline in one session with `make bench`.
 bench-compare:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -cpu 1 -count=1 \
 	    $(BENCH_FLAGS) -json $(BENCH_PKGS) > BENCH_head.json
-	-$(GO) run ./cmd/benchdiff BENCH_index.json BENCH_head.json
+	$(GO) build -o bin/benchdiff ./cmd/benchdiff
+	bin/benchdiff BENCH_index.json BENCH_head.json || [ $$? -eq 3 ]
 
 bench-gate:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -cpu 1 -count=1 \
 	    $(BENCH_FLAGS) -json $(BENCH_PKGS) > BENCH_head.json
 	$(GO) run ./cmd/benchdiff BENCH_index.json BENCH_head.json
 

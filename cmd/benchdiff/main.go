@@ -7,15 +7,17 @@
 //
 // For every benchmark present in either stream it prints each metric side
 // by side with the relative change; benchmarks missing from one side are
-// listed as added/removed. A benchmark recorded several times (`-count N`)
-// is represented by each metric's median. allocs/op and every other per-op
-// counter a benchmark reports (a unit ending in /op other than ns/op and
-// B/op, such as rpcs/op, wireKB/op or openings/op, and rounds) is gated:
-// one that passes OLD's largest run by more than gateSlack, plus the
-// spread of OLD's runs, fails the run with exit code 3 — `make bench-gate`,
-// which CI runs. Time, bytes and rates (ns/op, B/op, MB/s, ...) move with
-// the machine and the garbage collector, so they are printed as advisory
-// and never fail. Unreadable or unparseable inputs exit 1.
+// listed as added/removed. A benchmark is named as the run prints it, with
+// its "-N" GOMAXPROCS suffix, so runs at different core counts share no
+// benchmark and two streams that share none exit 1. A benchmark recorded
+// several times (`-count N`) is represented by each metric's median.
+// allocs/op and every other per-op counter a benchmark reports (a unit
+// ending in /op other than ns/op and B/op, such as rpcs/op, wireKB/op or
+// openings/op) is gated: a median more than gateSlack past OLD's fails the
+// run with exit code 3 — `make bench-gate`, which CI runs. Time, bytes and
+// rates (ns/op, B/op, MB/s, ...) move with the machine and the garbage
+// collector, so they are printed as advisory and never fail. Unreadable or
+// unparseable inputs exit 1.
 package main
 
 import (
@@ -30,35 +32,28 @@ import (
 	"strings"
 )
 
-// gateSlack is the relative growth a gated counter may show past the
-// baseline's largest run. Most counters repeat to within a pool refill or a
-// GC-timed allocation; the few whose work is split among goroutines as they
-// are scheduled (an index build's sampling ring hands out its buffers as
-// workers claim blocks: BenchmarkIndexBuild allocs/op spreads 4 % over four
-// runs at GOMAXPROCS=2 and 0.03 % at 1) also get the spread their own
-// recorded runs show.
+// gateSlack is the relative growth a gated counter's median may show past
+// the baseline's. The make recipes run at -cpu 1, where a counter repeats
+// to within a pool refill or a GC-timed allocation; with more Ps an index
+// build's sampling workers overlap as they are scheduled, and its
+// allocs/op spreads by several percent from run to run.
 const gateSlack = 0.02
 
 // gated reports whether a unit is a counter the gate holds.
 func gated(unit string) bool {
-	return unit == "rounds" || strings.HasSuffix(unit, "/op") && unit != "ns/op" && unit != "B/op"
+	return strings.HasSuffix(unit, "/op") && unit != "ns/op" && unit != "B/op"
 }
 
 // event is the subset of test2json's record shape benchdiff needs.
 type event struct {
 	Action  string `json:"Action"`
 	Package string `json:"Package"`
-	Test    string `json:"Test"`
 	Output  string `json:"Output"`
 }
 
-// gomaxprocsSuffix strips the "-N" GOMAXPROCS suffix from a benchmark
-// name (and only that — names like ".../v1" keep their digits).
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
-
 // nameOnly matches the first half of a result line that test2json split in
-// two ("BenchmarkFoo-8 \t", then the numbers). The repeats of a `-count N`
-// run arrive this way with no Test field on either half.
+// two ("BenchmarkFoo-8 \t", then the numbers), as the repeats of a
+// `-count N` run arrive.
 var nameOnly = regexp.MustCompile(`^(Benchmark\S+)$`)
 
 // benchLine matches a `testing.B` result line after test2json unescaping,
@@ -69,18 +64,10 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+\s+)?\d+\s+(.*ns/op.*)$`)
 // metric matches one "value unit" pair of a result line.
 var metric = regexp.MustCompile(`([-0-9.e+]+) (\S+)`)
 
-// stat is one metric over a benchmark's runs: the median (the upper median
-// of an even count), the smallest and the largest.
-type stat struct{ med, lo, hi float64 }
-
-// limit is the largest value a gated counter may take against the baseline
-// s: past its largest run by gateSlack, plus its runs' spread.
-func (s stat) limit() float64 { return s.hi*(1+gateSlack) + s.hi - s.lo }
-
 // parseStream extracts benchmark results from one test2json file: per
-// benchmark name, each metric over the benchmark's runs, and the units in
-// the order the runs print them.
-func parseStream(path string) (map[string]map[string]stat, map[string][]string, error) {
+// benchmark name, each metric's median over the benchmark's runs (the upper
+// median of an even count), and the units in the order the runs print them.
+func parseStream(path string) (map[string]map[string]float64, map[string][]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -104,24 +91,20 @@ func parseStream(path string) (map[string]map[string]stat, map[string][]string, 
 		if ev.Action != "output" {
 			continue
 		}
-		// A result line can arrive split across events ("BenchmarkFoo \t" then
-		// the numbers); the numbers' name is then in ev.Test or on the
-		// preceding name-only line.
+		// A result line can arrive split across events ("BenchmarkFoo-2 \t"
+		// then the numbers); the numbers' name is then on the preceding
+		// name-only line.
 		text := strings.TrimSpace(strings.ReplaceAll(ev.Output, "\t", " "))
 		if m := nameOnly.FindStringSubmatch(text); m != nil {
-			pending[ev.Package] = gomaxprocsSuffix.ReplaceAllString(m[1], "")
+			pending[ev.Package] = m[1]
 			continue
 		}
 		m := benchLine.FindStringSubmatch(text)
 		if m == nil {
 			continue
 		}
-		name := ev.Test
-		switch {
-		case name != "":
-		case m[1] != "":
-			name = gomaxprocsSuffix.ReplaceAllString(strings.TrimSpace(m[1]), "")
-		default:
+		name := strings.TrimSpace(m[1])
+		if name == "" {
 			name = pending[ev.Package]
 		}
 		if name == "" {
@@ -141,12 +124,12 @@ func parseStream(path string) (map[string]map[string]stat, map[string][]string, 
 			runs[name][kv[2]] = append(runs[name][kv[2]], v)
 		}
 	}
-	out := make(map[string]map[string]stat, len(runs))
+	out := make(map[string]map[string]float64, len(runs))
 	for name, byUnit := range runs {
-		out[name] = map[string]stat{}
+		out[name] = map[string]float64{}
 		for unit, vs := range byUnit {
 			slices.Sort(vs)
-			out[name][unit] = stat{med: vs[len(vs)/2], lo: vs[0], hi: vs[len(vs)-1]}
+			out[name][unit] = vs[len(vs)/2]
 		}
 	}
 	return out, units, sc.Err()
@@ -210,36 +193,42 @@ func main() {
 	}
 	sort.Strings(sorted)
 
-	fmt.Printf("benchdiff: %s vs %s (medians; gated: allocs/op and per-op counters, +%.0f%% past the largest old run plus its spread; advisory: the rest)\n", oldPath, newPath, 100*gateSlack)
+	fmt.Printf("benchdiff: %s vs %s (medians; gated: allocs/op and per-op counters at +%.0f%%; advisory: the rest)\n", oldPath, newPath, 100*gateSlack)
 	var regressed []string
+	shared := 0
 	for _, n := range sorted {
 		o, haveOld := oldRes[n]
 		nw, haveNew := newRes[n]
 		switch {
 		case !haveOld:
-			fmt.Printf("  %-55s added: %.0f ns/op\n", n, nw["ns/op"].med)
+			fmt.Printf("  %-55s added: %.0f ns/op\n", n, nw["ns/op"])
 		case !haveNew:
-			fmt.Printf("  %-55s removed (was %.0f ns/op)\n", n, o["ns/op"].med)
+			fmt.Printf("  %-55s removed (was %.0f ns/op)\n", n, o["ns/op"])
 		default:
+			shared++
 			var gate, advisory []string
 			for _, unit := range units[n] {
 				ov, ok := o[unit]
 				if !ok {
 					continue
 				}
-				d := delta(ov.med, nw[unit].med, unit)
+				d := delta(ov, nw[unit], unit)
 				if !gated(unit) {
 					advisory = append(advisory, d)
 					continue
 				}
 				gate = append(gate, d)
-				if nw[unit].med > ov.limit() {
-					regressed = append(regressed, fmt.Sprintf("%s: %s, limit %.1f", n, d, ov.limit()))
+				if limit := ov * (1 + gateSlack); nw[unit] > limit {
+					regressed = append(regressed, fmt.Sprintf("%s: %s, limit %.1f", n, d, limit))
 				}
 			}
 			fmt.Printf("  %-55s %s\n", n, strings.Join(gate, ", "))
 			fmt.Printf("  %-55s advisory: %s\n", "", strings.Join(advisory, ", "))
 		}
+	}
+	if shared == 0 {
+		fmt.Fprintln(os.Stderr, "benchdiff: the two runs share no benchmark (recorded at different -cpu?)")
+		os.Exit(1)
 	}
 	if len(regressed) > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d gated counter(s) grew past +%.0f%%:\n", len(regressed), 100*gateSlack)

@@ -128,14 +128,14 @@ type modelRun struct {
 	tag    string
 }
 
-// newModelRun builds the instance — a random family of 8 + kk sets over
-// 4 + nn%96 nodes, about 1 + avg%10 members each — and a group of
-// numForms members, member i of form i + forms>>(3i)&7 (mod numForms);
-// forms 0 opens one of each. Members of one form share their index.
-func newModelRun(t *testing.T, seed uint64, nn, kk, avg uint8, forms uint32) *modelRun {
-	r := &modelRun{t: t, n: 4 + int(nn)%96, opened: map[*Inverted][]int{}, rng: xrand.New(seed)}
-	r.a = min(1+int(avg)%10, r.n-1)
-	r.fam = randomKernelFamily(r.rng, r.n, 8+int(kk), r.a)
+// newModelRun builds the instance — a random family of sets sets over n
+// nodes, about a members each, drawn from rng, which then draws the growth
+// families — and a group of numForms members, member i of form
+// i + forms>>(3i)&7 (mod numForms); forms 0 opens one of each. Members of
+// one form share their index.
+func newModelRun(t *testing.T, rng *xrand.Rand, n, sets, a int, forms uint32) *modelRun {
+	r := &modelRun{t: t, n: n, a: a, opened: map[*Inverted][]int{}, rng: rng}
+	r.fam = randomKernelFamily(r.rng, r.n, sets, r.a)
 	var invs [numForms]*Inverted
 	for i := range numForms {
 		f := (i + form(forms>>(3*i)&7)) % numForms
@@ -150,13 +150,23 @@ func newModelRun(t *testing.T, seed uint64, nn, kk, avg uint8, forms uint32) *mo
 	return r
 }
 
-// runModel opens a modelRun's group over the view viewLen(at), runs ops on
-// it and finishes it.
+// runModel decodes the model's instance — 8 + kk sets over 4 + nn%96
+// nodes, about 1 + avg%10 members each — opens its group over the view
+// viewLen(at), runs ops on it and finishes it.
 func runModel(t *testing.T, seed uint64, nn, kk, avg, at uint8, forms uint32, ops []byte) {
-	r := newModelRun(t, seed, nn, kk, avg, forms)
-	r.run(opReset, at, 0)
+	n := 4 + int(nn)%96
+	r := newModelRun(t, xrand.New(seed), n, 8+int(kk), min(1+int(avg)%10, n-1), forms)
+	r.open(r.viewLen(at))
 	r.run(ops...)
 	r.finish()
+}
+
+// open opens the group over the first k sets and checks it.
+func (r *modelRun) open(k int) {
+	r.step++
+	r.tag = fmt.Sprintf("Reset(%d)", k)
+	r.reset(k)
+	r.check()
 }
 
 // viewLen maps a byte onto the view lengths have..0, byte 0 the whole family.
@@ -435,23 +445,21 @@ func FuzzCollectionModel(f *testing.F) {
 		forms           uint32
 		steps, other    int
 	}{
-		// The shapes of the kernel-equivalence and delta-capture seeds.
-		{1, 8, 16, 3, 0, 0, 24, 20},
-		{99, 32, 200, 7, 0, 0, 24, 20},
-		{123456, 64, 255, 12, 0, 0, 24, 20},
 		// The instance of the one corpus entry the kernel-equivalence
 		// fuzzer found (ffa1ae779914421d): 10 nodes, 221 sets of about 8.
 		{159, 6, 0xD5, 'C', 0, 0, 24, 20},
-		// Lazy runs: long greedy sequences at several view lengths, one
-		// with no cover join in the group.
-		{1, 8, 16, 3, 16, 0, 160, 1},
-		{99, 60, 200, 7, 150, 1 | 1<<3, 160, 1},
-		{123456, 95, 255, 12, 255, 0, 160, 1},
-		{7, 90, 255, 2, 200, 0, 160, 1},
-		// Openings at short, long and empty views.
-		{1, 8, 16, 3, 5, 0, 8, 4},
-		{99, 32, 200, 7, 200, 0, 8, 4},
-		{123456, 64, 255, 12, 0, 0, 8, 4},
+		// Any operation at all, over a group whose forms come in pairs on
+		// one index (join, join, lazy, lazy, bitset/rows, bitset/rows), so
+		// the second of each pair borrows the opening the first built.
+		{2, 40, 120, 5, 60, 0o505050, 60, 40},
+		// A long, mostly greedy run over a large instance, the group rows,
+		// rows, bitset/rows, bitset, rows, grown.
+		{31, 95, 255, 9, 30, 0o030201, 200, 12},
+		// A mid-sized instance with one of each form, and a 7-node one.
+		{5, 17, 64, 4, 90, 0, 120, 6},
+		{77, 3, 0, 1, 128, 0, 40, 30},
+		// The fuzzers below seed the shapes of the four pairwise fuzzers
+		// the model replaced; this table holds no copy of them.
 	} {
 		f.Add(s.seed, s.nn, s.kk, s.avg, s.at, s.forms, modelOps(s.seed, s.steps, s.other))
 	}
@@ -461,8 +469,8 @@ func FuzzCollectionModel(f *testing.F) {
 }
 
 // The four pairwise fuzzers the model replaced keep their names, input
-// shapes and seeds; each now drives the model with the operations it used
-// to pair two forms over.
+// shapes, decodings and seeds; each now drives the model with the
+// operations it used to pair two forms over.
 
 // FuzzKernelEquivalence: cover, credit, delta and top-k answers agree
 // across every form, the bitset sweep among them.
@@ -495,9 +503,10 @@ func FuzzDeltaCapture(f *testing.F) {
 	})
 }
 
-// FuzzLazyCoverage: a long greedy run opened at the view at, lazy in
-// lockstep with the eager forms; joined false leaves the cover join out of
-// the group.
+// FuzzLazyCoverage: a long greedy run over 1 + 2kk sets of about
+// 1 + avg%12 members, opened at the prefix at%(sets+1), lazy in lockstep
+// with the eager forms; joined false leaves the cover join out of the
+// group.
 func FuzzLazyCoverage(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(16), uint8(3), uint8(16), true)
 	f.Add(uint64(99), uint8(60), uint8(200), uint8(7), uint8(150), false)
@@ -508,17 +517,26 @@ func FuzzLazyCoverage(f *testing.F) {
 		if !joined {
 			forms = 1 | 1<<3 // join → rows, bitset → bitset/rows
 		}
-		runModel(t, seed, nn, kk, avg, at, forms, modelOps(seed, 160, 1))
+		n, sets := 4+int(nn)%96, 1+2*int(kk)
+		r := newModelRun(t, xrand.New(seed), n, sets, min(1+int(avg)%12, n-1), forms)
+		r.open(int(at) % (sets + 1))
+		r.run(modelOps(seed, 160, 1)...)
+		r.finish()
 	})
 }
 
-// FuzzOpeningMatchesFromScratch: openings at the view at, checked against
-// the from-scratch build on every Reset, then a short run.
+// FuzzOpeningMatchesFromScratch: openings of 1 + kk sets at the prefix
+// at%(sets+1), checked against the from-scratch build on every Reset,
+// then a short run.
 func FuzzOpeningMatchesFromScratch(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(16), uint8(3), uint8(5))
 	f.Add(uint64(99), uint8(32), uint8(200), uint8(7), uint8(200))
 	f.Add(uint64(123456), uint8(64), uint8(255), uint8(12), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, nn, kk, avg, at uint8) {
-		runModel(t, seed, nn, kk, avg, at, 0, modelOps(seed, 8, 4))
+		n, sets := 4+int(nn)%96, 1+int(kk)
+		r := newModelRun(t, xrand.New(seed), n, sets, min(1+int(avg)%10, n-1), 0)
+		r.open(int(at) % (sets + 1))
+		r.run(modelOps(seed, 8, 4)...)
+		r.finish()
 	})
 }

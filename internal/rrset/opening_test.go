@@ -43,7 +43,9 @@ func openingLengths(have int) []int {
 // with a greedy commit between lengths.
 func TestOpeningMatchesFromScratch(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
-		r := newModelRun(t, seed, uint8(7*seed), uint8(21*seed), uint8(seed), 0)
+		rng := xrand.New(seed)
+		n := 4 + rng.IntN(200)
+		r := newModelRun(t, rng, n, 1+rng.IntN(3*StreamBlockSize/2), 1+rng.IntN(min(6, n-1)), 0)
 		for _, k := range openingLengths(r.fam.Len()) {
 			for range 2 {
 				r.tag = fmt.Sprintf("seed %d Reset(%d)", seed, k)
