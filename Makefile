@@ -5,7 +5,7 @@ GO ?= go
 RACE_PKGS = ./internal/core/... ./internal/rrset/... ./internal/serve/... \
             ./internal/sim/... ./internal/shard/... ./internal/obs/... \
             ./internal/graph/... ./internal/xrand/... ./internal/topic/... \
-            ./internal/bandit/...
+            ./internal/bandit/... ./internal/gen/...
 
 # Packages whose exported API must stay fully documented (docs-check);
 # cmd/doccheck walks the ASTs, so the gate needs no external tooling.

@@ -361,8 +361,8 @@ func newIndexSkeleton(inst *Instance, seed uint64, part rrset.StreamPartition) *
 // newAdSample wires one ad's sampler and derived stream root — or, for a
 // stream another slot owns, the placeholder that keeps its place. An ad whose
 // probability vector is the very array a peer — an ad of the same epoch —
-// samples from (all of them under weighted cascade, where topic.Model.Mix
-// hands every ad Topic(0), and every clone of a template ad) shares that
+// samples from (all of them under weighted cascade, where the generator
+// hands every ad one vector, and every clone of a template ad) shares that
 // peer's sampler, and with it the sampler's in-CSR transpose of the vector,
 // instead of building its own. The peers are scanned, not mapped, so a
 // removed ad's sampler is dropped with its last sample.

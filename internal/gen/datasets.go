@@ -43,13 +43,13 @@ func Flixster(o Options) *core.Instance {
 	m := scaled(flixsterEdges, o.Scale, 8*n)
 	g := powerLawDigraph(n, m, 2.1, 2.2, r)
 
-	model := topicModelWithDominantTopics(g, QualityTopics, 0.15, 0.01, r.Split(10))
 	h := o.NumAds
 	if h <= 0 {
 		h = QualityAds
 	}
+	probs := dominantTopicProbs(g, h, QualityTopics, 0.15, 0.01, r.Split(10))
 	ctps := func(i int) topic.CTP { return uniformCTPs(g.N(), 0.01, 0.03, r.Split(20+uint64(i))) }
-	ads := makeAds(g, model, h, o, 200, 600, 5, 6, ctps, r.Split(30))
+	ads := makeAds(probs, o, 200, 600, 5, 6, ctps, r.Split(30))
 	return &core.Instance{G: g, Ads: ads, Kappa: core.ConstKappa(o.Kappa), Lambda: o.Lambda}
 }
 
@@ -65,19 +65,13 @@ func Epinions(o Options) *core.Instance {
 	m := scaled(epinionsEdges, o.Scale, 5*n)
 	g := powerLawDigraph(n, m, 2.0, 2.1, r)
 
-	model := topic.NewModel(QualityTopics, g.M())
-	pr := r.Split(11)
-	for z := 0; z < QualityTopics; z++ {
-		for e := int64(0); e < g.M(); e++ {
-			model.Set(z, e, float32(pr.ExponentialClamped(1.0/30, 1)))
-		}
-	}
 	h := o.NumAds
 	if h <= 0 {
 		h = QualityAds
 	}
+	probs := exponentialTopicProbs(g, h, QualityTopics, 1.0/30, r.Split(11))
 	ctps := func(i int) topic.CTP { return uniformCTPs(g.N(), 0.01, 0.03, r.Split(21+uint64(i))) }
-	ads := makeAds(g, model, h, o, 100, 350, 2.5, 6, ctps, r.Split(31))
+	ads := makeAds(probs, o, 100, 350, 2.5, 6, ctps, r.Split(31))
 	return &core.Instance{G: g, Ads: ads, Kappa: core.ConstKappa(o.Kappa), Lambda: o.Lambda}
 }
 
@@ -120,49 +114,23 @@ func LiveJournal(o Options) *core.Instance {
 // default ("a fully competitive case ... which will stress-test the
 // algorithms", §6.2).
 func wcInstance(g *graph.Graph, o Options, r *xrand.Rand) *core.Instance {
-	model := topic.NewSharedModel(weightedCascade(g))
 	h := o.NumAds
 	if h <= 0 {
 		h = ScalabilityAds
 	}
+	// One vector for every ad, so that through its identity the ads share
+	// one sampler-side transpose in core.Index.
+	wc := weightedCascade(g)
+	probs := make([][]float32, h)
+	for i := range probs {
+		probs[i] = wc
+	}
 	ctps := func(int) topic.CTP { return topic.ConstCTP{Nodes: g.N(), P: 1} }
-	ads := makeAds(g, model, h, o, o.BudgetOverride, o.BudgetOverride, 1, 1.0000001, ctps, r.Split(32))
+	ads := makeAds(probs, o, o.BudgetOverride, o.BudgetOverride, 1, 1.0000001, ctps, r.Split(32))
 	for i := range ads {
 		ads[i].CPE = 1
 	}
 	return &core.Instance{G: g, Ads: ads, Kappa: core.ConstKappa(o.Kappa), Lambda: o.Lambda}
-}
-
-// topicModelWithDominantTopics assigns each node a "home topic" and gives
-// each edge a high Exp(domMean) probability on its source's home topic
-// (with 30% random reassignment for noise) and low Exp(offMean) mass on the
-// others. This reproduces the topical coherence of learned TIC models:
-// influence lives in few topics per edge, so ads with different dominant
-// topics compete for different influencers.
-func topicModelWithDominantTopics(g *graph.Graph, k int, domMean, offMean float64, r *xrand.Rand) *topic.Model {
-	model := topic.NewModel(k, g.M())
-	home := make([]int, g.N())
-	for u := range home {
-		home[u] = r.IntN(k)
-	}
-	for u := int32(0); u < int32(g.N()); u++ {
-		targets, first := g.OutEdges(u)
-		for i := range targets {
-			e := first + int64(i)
-			dom := home[u]
-			if r.Bernoulli(0.3) {
-				dom = r.IntN(k)
-			}
-			for z := 0; z < k; z++ {
-				mean := offMean
-				if z == dom {
-					mean = domMean
-				}
-				model.Set(z, e, float32(r.ExponentialClamped(mean, 1)))
-			}
-		}
-	}
-	return model
 }
 
 // Fig1Instance builds the paper's running example (Figure 1): six users,

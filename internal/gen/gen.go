@@ -7,7 +7,8 @@
 // configurable scale. DESIGN.md §4 documents why each substitution
 // preserves the paper's behaviour.
 //
-// All generators are deterministic functions of (Options.Seed, scale).
+// All generators are deterministic functions of (Options.Seed, scale),
+// whatever the number of workers that draw them (topics.go).
 package gen
 
 import (
@@ -203,13 +204,12 @@ func uniformCTPs(n int, lo, hi float64, r *xrand.Rand) topic.VecCTP {
 	return v
 }
 
-// makeAds assembles h ads with concentrated topic distributions
-// (mass 0.91 on topic i mod K), randomized budgets/CPEs, and per-ad CTPs.
-func makeAds(g *graph.Graph, model *topic.Model, h int, o Options,
+// makeAds assembles one ad per probability vector (probs[i] is ad i's
+// mixed edge probabilities), with randomized budgets/CPEs and per-ad CTPs.
+func makeAds(probs [][]float32, o Options,
 	budgetLo, budgetHi, cpeLo, cpeHi float64, ctp func(i int) topic.CTP, r *xrand.Rand) []core.Ad {
-	ads := make([]core.Ad, h)
-	for i := 0; i < h; i++ {
-		gamma := topic.Concentrated(model.K(), i%model.K(), 0.91)
+	ads := make([]core.Ad, len(probs))
+	for i := range ads {
 		budget := r.Uniform(budgetLo, budgetHi) * o.Scale
 		if o.BudgetOverride > 0 {
 			budget = o.BudgetOverride * o.Scale
@@ -221,7 +221,7 @@ func makeAds(g *graph.Graph, model *topic.Model, h int, o Options,
 			Name:   fmt.Sprintf("ad%02d", i),
 			Budget: budget,
 			CPE:    r.Uniform(cpeLo, cpeHi),
-			Params: topic.ItemParams{Probs: model.MustMix(gamma), CTPs: ctp(i)},
+			Params: topic.ItemParams{Probs: probs[i], CTPs: ctp(i)},
 		}
 	}
 	return ads

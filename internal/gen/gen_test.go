@@ -2,13 +2,19 @@ package gen
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/diffusion"
+	"repro/internal/graph"
+	"repro/internal/rrset"
+	"repro/internal/topic"
+	"repro/internal/xrand"
 )
 
 func TestFig1InstanceMatchesPaper(t *testing.T) {
@@ -308,5 +314,175 @@ func TestLookup(t *testing.T) {
 	}
 	if fig1, _ := Lookup("fig1"); fig1.Build(Options{Lambda: 0.1}).Lambda != 0.1 {
 		t.Error("fig1 builder ignored Options.Lambda")
+	}
+}
+
+// referenceFlixster is Flixster as a serial drawer: the whole K×m topic
+// model first (referenceDominantTopics), then every ad's topic.Model.Mix
+// of it. It is the oracle the parallel draw is held to.
+func referenceFlixster(o Options) *core.Instance {
+	o = o.withDefaults()
+	r := xrand.New(o.Seed ^ 0xf11c)
+	n := scaled(flixsterNodes, o.Scale, 600)
+	m := scaled(flixsterEdges, o.Scale, 8*n)
+	g := powerLawDigraph(n, m, 2.1, 2.2, r)
+	model := referenceDominantTopics(g, QualityTopics, 0.15, 0.01, r.Split(10))
+	ctps := func(i int) topic.CTP { return uniformCTPs(g.N(), 0.01, 0.03, r.Split(20+uint64(i))) }
+	ads := makeAds(referenceMix(model, o.NumAds), o, 200, 600, 5, 6, ctps, r.Split(30))
+	return &core.Instance{G: g, Ads: ads, Kappa: core.ConstKappa(o.Kappa), Lambda: o.Lambda}
+}
+
+// referenceEpinions is Epinions as a serial drawer, topic by topic over
+// every edge into a topic.Model, then mixed per ad.
+func referenceEpinions(o Options) *core.Instance {
+	o = o.withDefaults()
+	r := xrand.New(o.Seed ^ 0xe919)
+	n := scaled(epinionsNodes, o.Scale, 600)
+	m := scaled(epinionsEdges, o.Scale, 5*n)
+	g := powerLawDigraph(n, m, 2.0, 2.1, r)
+	model := topic.NewModel(QualityTopics, g.M())
+	pr := r.Split(11)
+	for z := 0; z < QualityTopics; z++ {
+		for e := int64(0); e < g.M(); e++ {
+			model.Set(z, e, float32(pr.ExponentialClamped(1.0/30, 1)))
+		}
+	}
+	ctps := func(i int) topic.CTP { return uniformCTPs(g.N(), 0.01, 0.03, r.Split(21+uint64(i))) }
+	ads := makeAds(referenceMix(model, o.NumAds), o, 100, 350, 2.5, 6, ctps, r.Split(31))
+	return &core.Instance{G: g, Ads: ads, Kappa: core.ConstKappa(o.Kappa), Lambda: o.Lambda}
+}
+
+// referenceMix mixes h ads (QualityAds when h ≤ 0) out of model with the
+// concentrated distributions (mass 0.91 on topic i mod K).
+func referenceMix(model *topic.Model, h int) [][]float32 {
+	if h <= 0 {
+		h = QualityAds
+	}
+	probs := make([][]float32, h)
+	for i := range probs {
+		probs[i] = model.MustMix(topic.Concentrated(model.K(), i%model.K(), 0.91))
+	}
+	return probs
+}
+
+// referenceDominantTopics draws the FLIXSTER topic model serially, in the
+// stream order dominantTopicProbs replays: the home topics, then per edge
+// the coin, the reassigned topic and the k exponentials.
+func referenceDominantTopics(g *graph.Graph, k int, domMean, offMean float64, r *xrand.Rand) *topic.Model {
+	model := topic.NewModel(k, g.M())
+	home := make([]int, g.N())
+	for u := range home {
+		home[u] = r.IntN(k)
+	}
+	for u := int32(0); u < int32(g.N()); u++ {
+		targets, first := g.OutEdges(u)
+		for i := range targets {
+			e := first + int64(i)
+			dom := home[u]
+			if r.Bernoulli(0.3) {
+				dom = r.IntN(k)
+			}
+			for z := 0; z < k; z++ {
+				mean := offMean
+				if z == dom {
+					mean = domMean
+				}
+				model.Set(z, e, float32(r.ExponentialClamped(mean, 1)))
+			}
+		}
+	}
+	return model
+}
+
+// TestTopicDrawMatchesReference holds the parallel topic draw of Flixster
+// and Epinions to the serial oracle: the whole instance — graph, every
+// ad's name, budget, CPE, probability and CTP bits, κ and λ — at three
+// scales, four ad counts and four worker caps. Under the race detector the
+// paper-size case (seconds per instance there) is left to the plain run.
+func TestTopicDrawMatchesReference(t *testing.T) {
+	defer rrset.SetMaxWorkers(rrset.MaxWorkers())
+	scales := []float64{0.02, 0.3, 1}
+	if raceDetectorOn {
+		scales = scales[:2]
+	}
+	for _, tc := range []struct {
+		name      string
+		gen, want func(Options) *core.Instance
+	}{
+		{"flixster", Flixster, referenceFlixster},
+		{"epinions", Epinions, referenceEpinions},
+	} {
+		for _, scale := range scales {
+			for _, ads := range []int{1, 3, 10, 14} {
+				o := Options{Seed: 40 + uint64(ads), Scale: scale, NumAds: ads, Kappa: 2, Lambda: 0.25}
+				want := tc.want(o)
+				for _, workers := range []int{1, 2, 3, 8} {
+					rrset.SetMaxWorkers(workers)
+					where := fmt.Sprintf("%s scale %v, %d ads, %d workers", tc.name, scale, ads, workers)
+					sameInstance(t, where, tc.gen(o), want)
+				}
+			}
+		}
+	}
+}
+
+// sameInstance fails unless got and want are the same instance bit for bit.
+func sameInstance(t *testing.T, where string, got, want *core.Instance) {
+	t.Helper()
+	g, w := got.G, want.G
+	if g.N() != w.N() || g.M() != w.M() || !slices.Equal(g.OutTargets(), w.OutTargets()) {
+		t.Fatalf("%s: graphs differ", where)
+	}
+	for u := int32(0); u < int32(g.N()); u++ {
+		if _, a := g.OutEdges(u); func() bool { _, b := w.OutEdges(u); return a != b }() {
+			t.Fatalf("%s: node %d's out-row starts differ", where, u)
+		}
+	}
+	if len(got.Ads) != len(want.Ads) {
+		t.Fatalf("%s: %d ads, want %d", where, len(got.Ads), len(want.Ads))
+	}
+	for i, a := range got.Ads {
+		b := want.Ads[i]
+		if a.Name != b.Name || math.Float64bits(a.Budget) != math.Float64bits(b.Budget) ||
+			math.Float64bits(a.CPE) != math.Float64bits(b.CPE) {
+			t.Fatalf("%s: ad %d is %q/%v/%v, want %q/%v/%v", where, i, a.Name, a.Budget, a.CPE, b.Name, b.Budget, b.CPE)
+		}
+		if !slices.EqualFunc(a.Params.Probs, b.Params.Probs, func(x, y float32) bool {
+			return math.Float32bits(x) == math.Float32bits(y)
+		}) {
+			t.Fatalf("%s: ad %d's edge probabilities differ", where, i)
+		}
+		ca, cb := a.Params.CTPs, b.Params.CTPs
+		if ca.N() != cb.N() {
+			t.Fatalf("%s: ad %d's CTPs cover %d users, want %d", where, i, ca.N(), cb.N())
+		}
+		for u := int32(0); u < int32(ca.N()); u++ {
+			if math.Float64bits(ca.At(u)) != math.Float64bits(cb.At(u)) {
+				t.Fatalf("%s: ad %d's CTP of user %d differs", where, i, u)
+			}
+		}
+	}
+	if got.Kappa.At(0) != want.Kappa.At(0) || got.Lambda != want.Lambda {
+		t.Fatalf("%s: κ or λ differs", where)
+	}
+}
+
+// BenchmarkGenerate times one whole topic-aware instance at paper size —
+// graph, topic draw and mix, CTPs, budgets — the generation a FLIXSTER or
+// EPINIONS cold start or restart pays.
+func BenchmarkGenerate(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		gen  func(Options) *core.Instance
+	}{
+		{"flixster", Flixster},
+		{"epinions", Epinions},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.gen(Options{Seed: 1, Scale: 1})
+			}
+		})
 	}
 }

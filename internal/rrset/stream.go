@@ -71,7 +71,8 @@ const reserveSampleBlocks = 32
 // sampleRange is the one body behind both stream forms: samplingWorkers
 // workers on ParallelFor, a BFS scratch each, blocks claimed from an atomic
 // counter. Which worker draws block b never matters: its rng derives from
-// b alone. A block is drawn into a slot of a ring the workers share
+// b alone, rng.Split(b)'s stream, which the worker's one Rand is moved to
+// in place. A block is drawn into a slot of a ring the workers share
 // (blockRing) and copied onto fam's tail once every block before it is
 // there, so the only arena a call allocates is fam's own, reserved once.
 func (s *Sampler) sampleRange(from, to int, rng *xrand.Rand, fam *SetFamily, withCTP bool) {
@@ -88,9 +89,10 @@ func (s *Sampler) sampleRange(from, to int, rng *xrand.Rand, fam *SetFamily, wit
 	var next atomic.Int64
 	ParallelFor(workers, 0, func(int) {
 		sc := s.newScratch()
+		brng := xrand.New(0)
 		for b := int(next.Add(1)) - 1; b < numBlocks; b = int(next.Add(1)) - 1 {
 			buf := ring.claim(b)
-			brng := rng.Split(uint64(firstBlock + b))
+			brng.Restore(rng.SplitState(uint64(firstBlock + b)))
 			for i := 0; i < StreamBlockSize; i++ {
 				buf.Append(s.sampleScratch(sc, brng, withCTP))
 			}

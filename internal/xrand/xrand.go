@@ -52,7 +52,48 @@ func (r *Rand) Seed() uint64 { return r.seed }
 // consume state from the parent, so parallel workers can be seeded
 // deterministically regardless of scheduling order.
 func (r *Rand) Split(idx uint64) *Rand {
-	return New(splitmix64(r.seed ^ splitmix64(idx+0x9e3779b97f4a7c15)))
+	return New(r.splitSeed(idx))
+}
+
+func (r *Rand) splitSeed(idx uint64) uint64 {
+	return splitmix64(r.seed ^ splitmix64(idx+0x9e3779b97f4a7c15))
+}
+
+// State is a stream's position: its generator state and its seed, as a
+// value. Capture takes one and Restore puts it back, neither allocating, so
+// a stream can be replayed from a point it passed, or a caller can keep one
+// Rand and move it between streams (see SplitState).
+type State struct {
+	pcg  rand.PCG
+	seed uint64
+}
+
+// Capture returns the stream's current position.
+func (r *Rand) Capture() State { return State{pcg: *r.pcg, seed: r.seed} }
+
+// Restore moves the stream to s: every draw after it reads what the stream
+// s was captured from read after the capture, and Split derives from s's
+// seed.
+func (r *Rand) Restore(s State) {
+	*r.pcg = s.pcg
+	r.seed = s.seed
+}
+
+// SplitState is the starting position of Split(idx): Restore(SplitState(i))
+// turns any Rand into that child stream without allocating one.
+func (r *Rand) SplitState(idx uint64) State {
+	seed := r.splitSeed(idx)
+	s := State{seed: seed}
+	s.pcg.Seed(seed, splitmix64(seed))
+	return s
+}
+
+// Skip advances the stream by n raw generator steps: the position after n
+// Uint64 (or Float64) draws, discarding the values.
+func (r *Rand) Skip(n int) {
+	for ; n > 0; n-- {
+		r.pcg.Uint64()
+	}
 }
 
 // splitmix64 is the SplitMix64 mixing function, used to decorrelate seeds.
@@ -84,7 +125,9 @@ func (r *Rand) Exponential(mean float64) float64 {
 // ExponentialClamped samples Exponential(mean) clamped into [0, hi]. It is
 // used for influence probabilities, which must stay in [0, 1].
 func (r *Rand) ExponentialClamped(mean, hi float64) float64 {
-	return math.Min(r.Exponential(mean), hi)
+	// The builtin min is math.Min to the bit (NaN, ±0 and ±Inf alike),
+	// compiled inline.
+	return min(r.Exponential(mean), hi)
 }
 
 // Bernoulli returns true with probability p.

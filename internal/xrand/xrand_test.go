@@ -3,6 +3,7 @@ package xrand
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -271,6 +272,81 @@ func TestAliasUniformCase(t *testing.T) {
 	for i, c := range counts {
 		if math.Abs(float64(c)/n-0.2) > 0.01 {
 			t.Fatalf("uniform alias outcome %d rate %v", i, float64(c)/n)
+		}
+	}
+}
+
+// TestCaptureRestoreReplays captures a stream part-way, draws a mixed
+// sequence (IntN, Float64, Bernoulli, Perm, Skip), restores the capture into
+// the same and into another Rand, and reads the sequence again bit for bit.
+func TestCaptureRestoreReplays(t *testing.T) {
+	r := New(31)
+	for i := 0; i < 17; i++ {
+		r.Uint64()
+	}
+	st := r.Capture()
+	draw := func(r *Rand) []uint64 {
+		var out []uint64
+		for i := 0; i < 50; i++ {
+			out = append(out, uint64(r.IntN(7+i)), math.Float64bits(r.Float64()))
+			if r.Bernoulli(0.3) {
+				out = append(out, 1)
+			}
+			if i%10 == 0 {
+				for _, p := range r.Perm(5 + i) {
+					out = append(out, uint64(p))
+				}
+				r.Skip(i)
+			}
+		}
+		return append(out, r.Uint64(), r.Split(3).Uint64())
+	}
+	want := draw(r)
+	other := New(99)
+	for _, rr := range []*Rand{r, other} {
+		rr.Restore(st)
+		if got := draw(rr); !slices.Equal(got, want) {
+			t.Fatalf("replay from a restored capture diverged")
+		}
+	}
+}
+
+// TestSplitStateIsSplit holds Restore(SplitState(i)) to Split(i), and
+// Capture, Restore and SplitState to no allocation.
+func TestSplitStateIsSplit(t *testing.T) {
+	parent := New(5)
+	r := New(0)
+	for idx := uint64(0); idx < 20; idx++ {
+		r.Restore(parent.SplitState(idx))
+		c := parent.Split(idx)
+		if r.Seed() != c.Seed() {
+			t.Fatalf("split %d: seed %d, want %d", idx, r.Seed(), c.Seed())
+		}
+		for i := 0; i < 8; i++ {
+			if a, b := r.Uint64(), c.Uint64(); a != b {
+				t.Fatalf("split %d step %d: %d, want %d", idx, i, a, b)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		st := r.Capture()
+		r.Restore(parent.SplitState(7))
+		r.Restore(st)
+	}); n != 0 {
+		t.Fatalf("Capture/Restore/SplitState allocate %v objects per run", n)
+	}
+}
+
+// TestSkipIsDraws holds Skip(n) to n discarded Uint64 draws.
+func TestSkipIsDraws(t *testing.T) {
+	a, b := New(8), New(8)
+	for _, n := range []int{0, 1, 10, 333} {
+		a.Skip(n)
+		for i := 0; i < n; i++ {
+			b.Uint64()
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("Skip(%d) is not %d draws", n, n)
 		}
 	}
 }
