@@ -69,6 +69,8 @@ var softKernelFixture = struct {
 // sparse must produce byte-identical allocations and estimates — the
 // kernel changes cost, never results. A soft-coverage collection always
 // runs sparse, and its dense run must match softKernelFixture bit for bit.
+// The fixture was computed with one sample per ad, so each ad draws from its
+// own copy of the instance's vector.
 func TestKernelRequestGolden(t *testing.T) {
 	for _, cfg := range []struct {
 		name   string
@@ -79,7 +81,7 @@ func TestKernelRequestGolden(t *testing.T) {
 		{"soft", TIRMOptions{MinTheta: 6000, MaxTheta: 40000, SoftCoverage: true}, rrset.KernelSparse},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			inst := randomInstance(31, 50, 200, 3, 2, 0.01)
+			inst := ownVectors(randomInstance(31, 50, 200, 3, 2, 0.01))
 			idx, err := BuildIndex(inst, 11, cfg.opts)
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/rrset"
+import (
+	"slices"
+
+	"repro/internal/rrset"
+)
 
 // SampleParts exposes ad j's stored sample to the external tests: its
 // family, the number of sets its inverted index covers, and the pilot
@@ -23,4 +27,19 @@ func OpeningTheta(idx *Index, j int, opts TIRMOptions) int {
 	widths, _ := ep.ads[j].prefix(opts.MinTheta)
 	kpt := kptFromWidths(widths, 1, n, m, nil)
 	return rrset.Theta(int64(n), 1, opts.Eps, opts.Ell, kpt, opts.MinTheta, opts.MaxTheta)
+}
+
+// numSamples returns how many distinct samples the current epoch's ads
+// read: one per probability vector the ads draw from.
+func numSamples(idx *Index) int { return len(idx.curr.Load().samples()) }
+
+// ownVectors returns inst with every ad drawing from its own copy of its
+// probability vector: the same distributions, one sample per ad.
+func ownVectors(inst *Instance) *Instance {
+	out := *inst
+	out.Ads = slices.Clone(inst.Ads)
+	for j := range out.Ads {
+		out.Ads[j].Params.Probs = slices.Clone(out.Ads[j].Params.Probs)
+	}
+	return &out
 }

@@ -35,12 +35,18 @@ import (
 // in which order, and a snapshot reloaded from disk continues the very same
 // stream. Safe for concurrent use by multiple allocations.
 //
+// Ads that draw from one probability vector share one sample (see
+// newAdSample): an RR set's distribution depends only on the graph and the
+// vector, since CTPs and CPEs enter at gain time, so each such ad reads its
+// own prefix [0, θ_j) of one stream.
+//
 // The campaign set is mutable: AddAd samples a new advertiser's stream
-// without touching the existing ones, and RemoveAd drops an advertiser's
-// arena. Mutations swap an immutable epoch (instance + ad-sample list)
-// behind an atomic pointer, so every allocation runs start to finish on the
-// consistent view it captured, concurrent with any number of epoch swaps
-// (see Epoch).
+// without touching the existing ones (or joins the sample of a peer with
+// its vector, drawing nothing), and RemoveAd drops an advertiser's
+// reference to its sample. Mutations swap an immutable epoch (instance +
+// ad-sample list) behind an atomic pointer, so every allocation runs start
+// to finish on the consistent view it captured, concurrent with any number
+// of epoch swaps (see Epoch).
 type Index struct {
 	seed uint64
 	// part is the index's slot of a placement of ad streams. The identity
@@ -63,15 +69,28 @@ type Index struct {
 }
 
 // indexEpoch is one immutable version of the index's campaign set: the
-// instance and the per-ad samples, positionally aligned. Mutations build a
-// new epoch and swap the pointer; samples shared between epochs are the
-// same *adSample (their internal growth is independently synchronized), so
-// an in-flight allocation that captured an older epoch keeps a fully
-// consistent ad set while later requests see the new one.
+// instance and the per-ad samples, positionally aligned (ads that share a
+// vector hold the same *adSample). Mutations build a new epoch and swap the
+// pointer; samples shared between epochs are the same *adSample (their
+// internal growth is independently synchronized), so an in-flight
+// allocation that captured an older epoch keeps a fully consistent ad set
+// while later requests see the new one.
 type indexEpoch struct {
 	version uint64
 	inst    *Instance
 	ads     []*adSample
+}
+
+// samples returns the epoch's distinct samples in order of their first ad:
+// what is presampled, counted and written once however many ads share it.
+func (ep *indexEpoch) samples() []*adSample {
+	out := make([]*adSample, 0, len(ep.ads))
+	for _, a := range ep.ads {
+		if !slices.Contains(out, a) {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // ErrStaleEpoch is returned by AllocateFromIndex when Request.Epoch names
@@ -85,8 +104,9 @@ var ErrStaleEpoch = errors.New("core: index epoch changed since the request was 
 // the client's error in single-node and coordinator mode alike.
 var ErrInvalidRequest = errors.New("core: invalid request")
 
-// adSample holds one ad's growable prefix of its RR stream as a flat CSR
-// arena (rrset.SetFamily), together with the inverted index that coverage
+// adSample holds the growable prefix of one RR stream — the sample of
+// every ad of the epoch that draws from its probability vector — as a flat
+// CSR arena (rrset.SetFamily), together with the inverted index that coverage
 // collections borrow, so a warm selection run never rebuilds
 // per-membership state. Over rrset.LazyMinNodes nodes or more the index is
 // plain id rows, the one row form its lazy collections read; below, it is
@@ -95,7 +115,8 @@ var ErrInvalidRequest = errors.New("core: invalid request")
 // arena makes the whole sample a handful of allocations — GC-quiet at tens
 // of millions of sets — and snapshots serialize it in bulk.
 type adSample struct {
-	stream  uint64        // stream id: the Split index of rng under the index seed
+	stream  uint64        // stream id: the Split index of rng under the index seed, its first ad's id
+	probs   []float32     // the vector every ad of the sample draws from (the same array)
 	sampled *atomic.Int64 // the owning index's lifetime counter; ensure is its only writer
 	mu      sync.Mutex
 	// sampler is nil for an ad whose stream another slot owns: the sample
@@ -108,7 +129,8 @@ type adSample struct {
 	widths []int64
 	inv    *rrset.Inverted
 	invLen int // sets covered by inv; may lag fam until a view needs it
-	// kptCache serves KPT over this ad's pilot widths to every request.
+	// kptCache serves KPT over this sample's pilot widths to every request
+	// of every ad that shares it.
 	kptCache KPTCache
 }
 
@@ -300,7 +322,7 @@ func BuildIndex(inst *Instance, seed uint64, opts TIRMOptions) (*Index, error) {
 	idx := newIndexSkeleton(inst, seed, rrset.StreamPartition{})
 	ep := idx.curr.Load()
 	var wg sync.WaitGroup
-	for _, a := range ep.ads {
+	for _, a := range ep.samples() {
 		wg.Add(1)
 		go func(a *adSample) {
 			defer wg.Done()
@@ -347,7 +369,9 @@ func (idx *Index) presample(a *adSample, opts TIRMOptions) {
 // of the initial campaign set gets stream id j, which is what makes a fresh
 // build followed by AddAd calls byte-identical to a cold build over the
 // final ad set: stream ids always equal the positions a cold BuildIndex
-// would assign, as long as no ad was removed in between.
+// would assign, as long as no ad was removed in between. An ad that shares
+// a peer's sample reports the sample's stream id, but its own id is spent
+// all the same.
 func newIndexSkeleton(inst *Instance, seed uint64, part rrset.StreamPartition) *Index {
 	idx := &Index{seed: seed, part: part, next: uint64(len(inst.Ads))}
 	ads := make([]*adSample, len(inst.Ads))
@@ -358,42 +382,46 @@ func newIndexSkeleton(inst *Instance, seed uint64, part rrset.StreamPartition) *
 	return idx
 }
 
-// newAdSample wires one ad's sampler and derived stream root — or, for a
-// stream another slot owns, the placeholder that keeps its place. An ad whose
-// probability vector is the very array a peer — an ad of the same epoch —
-// samples from (all of them under weighted cascade, where the generator
-// hands every ad one vector, and every clone of a template ad) shares that
-// peer's sampler, and with it the sampler's in-CSR transpose of the vector,
-// instead of building its own. The peers are scanned, not mapped, so a
-// removed ad's sampler is dropped with its last sample.
+// newAdSample returns the sample an ad with vector probs and stream id
+// stream reads. An ad whose vector is the very array a peer's sample draws
+// from — a peer is an ad of the same epoch; every weighted-cascade ad (the
+// generator hands them one vector) and every clone of a template ad is
+// such an ad — gets that peer's sample whole: arena, inverted index,
+// openings, pilot widths, KPT cache and stream id. Its own stream id is
+// then unused. Otherwise it wires a fresh sampler and stream root — or,
+// for a stream another slot owns, the placeholder that keeps its place.
+// The peers are scanned, not mapped, so a sample is dropped with its last
+// ad.
 func (idx *Index) newAdSample(g *graph.Graph, probs []float32, stream uint64, peers []*adSample) *adSample {
-	a := &adSample{stream: stream, sampled: &idx.sampled, fam: rrset.NewSetFamily()}
+	for _, p := range peers {
+		if sameArray(p.probs, probs) {
+			return p
+		}
+	}
+	a := &adSample{stream: stream, probs: probs, sampled: &idx.sampled, fam: rrset.NewSetFamily()}
 	if !idx.part.Owns(stream) {
 		return a
 	}
-	for _, p := range peers {
-		if !p.owned() {
-			continue
-		}
-		if shared := p.sampler.Probs(); len(probs) > 0 && len(shared) == len(probs) && &shared[0] == &probs[0] {
-			a.sampler = p.sampler
-			break
-		}
-	}
-	if a.sampler == nil {
-		a.sampler = rrset.NewSampler(g, probs, nil)
-	}
+	a.sampler = rrset.NewSampler(g, probs, nil)
 	a.rng = xrand.New(idx.seed).Split(stream)
 	return a
 }
 
+// sameArray reports whether a and b are one non-empty vector: the same
+// backing array at the same length. Identity, not content, is the sharing
+// rule — cheap, and exactly what the generators and CloneAd produce.
+func sameArray(a, b []float32) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
 // AddAd appends a new advertiser to the campaign set, sampling only the new
 // ad's block stream (the existing samples are untouched, shared with every
-// earlier epoch). The new ad receives the next unused stream id, so on an
-// index whose history contains no removals the resulting samples — and
-// therefore every allocation — are byte-identical to a cold BuildIndex over
-// the same final ad set and seed. opts controls presampling depth only,
-// exactly as in BuildIndex; a shard index (BuildShardIndex,
+// earlier epoch) — or nothing at all when a peer already samples its
+// vector, whose sample it then joins. The new ad spends the next unused
+// stream id either way, so on an index whose history contains no removals
+// the resulting samples — and therefore every allocation — are
+// byte-identical to a cold BuildIndex over the same final ad set and seed.
+// opts controls presampling depth only, exactly as in BuildIndex; a shard index (BuildShardIndex,
 // LoadShardIndexSnapshot) samples nothing here at any partition size — its
 // coordinator warms the new ad on the owner. Returns the new ad's position
 // in the updated instance.
@@ -424,13 +452,14 @@ func (idx *Index) AddAd(ad Ad, opts TIRMOptions) (int, error) {
 }
 
 // RemoveAd removes the advertiser at position pos from the campaign set.
-// Its arena is dropped from the new epoch without disturbing the other
-// samples; allocations already in flight on an older epoch keep reading it
-// until they finish, after which the memory is reclaimed. The departed ad's
-// stream id is never reused, so the surviving ads' samples stay exactly the
-// streams they always were (removal therefore breaks positional equality
-// with a cold BuildIndex over the reduced ad set — determinism is preserved,
-// cold-build equality is not; see AddAd).
+// It drops the ad's reference to its sample; a sample no other ad shares
+// leaves the new epoch without disturbing the other samples, and
+// allocations already in flight on an older epoch keep reading it until
+// they finish, after which the memory is reclaimed. No stream id is ever
+// reused, so the surviving ads' samples stay exactly the streams they
+// always were (removal therefore breaks positional equality with a cold
+// BuildIndex over the reduced ad set — determinism is preserved, cold-build
+// equality is not; see AddAd).
 func (idx *Index) RemoveAd(pos int) error {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
@@ -477,7 +506,8 @@ func (idx *Index) EpochInst() (uint64, *Instance) {
 // NumAds returns the number of per-ad samples in the current epoch.
 func (idx *Index) NumAds() int { return len(idx.curr.Load().ads) }
 
-// NumSets returns the number of sets currently stored for ad j.
+// NumSets returns the number of sets currently stored for ad j (for all
+// the ads that share its sample).
 func (idx *Index) NumSets(j int) int { return idx.curr.Load().ads[j].size() }
 
 // SetsSampled returns the total number of RR-sets drawn from the graph over
@@ -494,12 +524,13 @@ func (idx *Index) SetsSampled() int64 { return idx.sampled.Load() }
 // beside it; the derived data are the bitmaps and the openings requests
 // have left on the indexes, so the figure rises by at most 12 bytes per
 // node per distinct θ served, up to rrset's cap. All of it is flat arrays,
-// so the figure is byte-accurate and O(1) per ad (no slice-header
-// estimates). The transient per-allocation coverage state is reported
-// separately via TIRMResult.MemBytes.
+// so the figure is byte-accurate and O(1) per sample (no slice-header
+// estimates). A sample that ads share is counted once. The transient
+// per-allocation coverage state is reported separately via
+// TIRMResult.MemBytes.
 func (idx *Index) MemBytes() int64 {
 	var total int64
-	for _, a := range idx.curr.Load().ads {
+	for _, a := range idx.curr.Load().samples() {
 		total += a.memBytes()
 	}
 	return total
@@ -676,18 +707,20 @@ func allocateEpoch(ctx context.Context, idx *Index, ep *indexEpoch, req Request)
 
 const (
 	indexMagic = uint32(0x41444958) // "ADIX"
-	// indexVersion 6: a CRC-guarded header — seed, instance fingerprint,
+	// indexVersion 7: a CRC-guarded header — seed, instance fingerprint,
 	// node count (so a snapshot is read, and its inverted indexes built,
 	// before the instance exists), stream-partition manifest (shard count and shard
 	// id, so a load against the wrong slot fails instead of silently serving
-	// another slot's ads), per-ad stream ids — then one flat "RRS2" family
-	// section per ad, empty for an ad whose stream the slot does not own.
-	// Version 5 had no node count and an FNV-1a fingerprint; version 4 held
-	// every ad's round-robin blocks on a shard. Both are refused rather than
+	// another slot's ads), per-ad stream ids, which repeat for ads that share
+	// a sample — then one flat "RRS2" family section per distinct stream id,
+	// in first-appearance order, empty for a stream the slot does not own.
+	// Version 6 wrote one section per ad, however many ads shared a sample;
+	// version 5 had no node count and an FNV-1a fingerprint; version 4 held
+	// every ad's round-robin blocks on a shard. All are refused rather than
 	// misread. Only the current version is read or written: an older file is
 	// rejected and its owner rebuilds (see the version policy in
 	// rrset/snapshot.go).
-	indexVersion = uint32(6)
+	indexVersion = uint32(7)
 )
 
 // fingerprintChunk is the most bytes the instance fingerprint feeds its
@@ -803,9 +836,7 @@ func indexFingerprint(inst *Instance) uint64 {
 	var seen []digest
 	for _, ad := range inst.Ads {
 		probs := ad.Params.Probs
-		d := slices.IndexFunc(seen, func(s digest) bool {
-			return len(s.probs) == len(probs) && len(probs) > 0 && &s.probs[0] == &probs[0]
-		})
+		d := slices.IndexFunc(seen, func(s digest) bool { return sameArray(s.probs, probs) })
 		if d < 0 {
 			var p crcPair
 			words(&p, probs)
@@ -831,7 +862,23 @@ type indexHeader struct {
 	nodes       uint32   // the instance's node count: every member is below it
 	numShards   uint32   // partition size (1 = identity)
 	shard       uint32   // this snapshot's slice
-	streams     []uint64 // one per ad, in position order
+	streams     []uint64 // one per ad, in position order; ads sharing a sample repeat its id
+}
+
+// samples returns the header's distinct stream ids in first-appearance
+// order — the order of the family sections — and per ad the position of
+// its stream in that list. The ids are scanned, not mapped, as
+// Index.newAdSample scans its peers.
+func (h *indexHeader) samples() (streams []uint64, of []int) {
+	streams, of = make([]uint64, 0, len(h.streams)), make([]int, len(h.streams))
+	for j, t := range h.streams {
+		k := slices.Index(streams, t)
+		if k < 0 {
+			k, streams = len(streams), append(streams, t)
+		}
+		of[j] = k
+	}
+	return streams, of
 }
 
 // marshal renders the header payload for writing and CRC computation:
@@ -882,6 +929,11 @@ func readIndexHeader(r io.Reader, part rrset.StreamPartition) (*indexHeader, err
 	if err := snapPart.Validate(); err != nil {
 		return nil, fmt.Errorf("core: index snapshot partition: %w", err)
 	}
+	if snapPart.NumShards == 0 {
+		// WriteSnapshot writes the identity as one shard; a zero would read
+		// as the identity too, and the header would not round-trip.
+		return nil, errors.New("core: index snapshot partition has zero shards")
+	}
 	if snapPart.Size() != part.Size() || (!snapPart.IsIdentity() && snapPart.Shard != part.Shard) {
 		return nil, fmt.Errorf("core: index snapshot holds stream slice %d/%d, caller expects %d/%d",
 			snapPart.Shard, snapPart.Size(), part.Shard, part.Size())
@@ -917,11 +969,12 @@ func readIndexHeader(r io.Reader, part rrset.StreamPartition) (*indexHeader, err
 }
 
 // WriteSnapshot persists the index's current epoch — stream seed, node
-// count, the stream-partition manifest, and every ad's stream id and stored
-// sets — in a versioned binary format (currently version 6: a CRC-guarded
-// header carrying the node count, partition and stream ids, then flat CSR
-// sections with CRC32 footers, written in bulk). A process restarted with
-// LoadIndexSnapshot (or LoadShardIndexSnapshot for a shard's slice) against
+// count, the stream-partition manifest, every ad's stream id and every
+// sample's stored sets — in a versioned binary format (currently version 7:
+// a CRC-guarded header carrying the node count, partition and stream ids,
+// then one flat CSR section with a CRC32 footer per sample, shared or not,
+// written in bulk). A process restarted with LoadIndexSnapshot (or
+// LoadShardIndexSnapshot for a shard's slice) against
 // the same instance resumes the identical streams: allocations after a
 // reload match allocations on the original index exactly, even when the
 // campaign set was mutated before the snapshot was taken.
@@ -960,7 +1013,7 @@ func (idx *Index) WriteSnapshot(w io.Writer) error {
 	if err := w32(crc32.ChecksumIEEE(payload)); err != nil {
 		return err
 	}
-	for _, a := range ep.ads {
+	for _, a := range ep.samples() {
 		a.mu.Lock()
 		v := a.fam.View()
 		a.mu.Unlock()
@@ -1049,17 +1102,21 @@ func loadIndexSnapshot(inst *Instance, src io.Reader, part rrset.StreamPartition
 }
 
 // IndexSnapshot is the half of a snapshot load that needs only the file:
-// the header, every ad's decoded sample and the inverted index built over
-// it. ReadIndexSnapshot makes one; Bind checks it against an instance and
+// the header, every sample's decoded sets and the inverted index built over
+// them. ReadIndexSnapshot makes one; Bind checks it against an instance and
 // turns it into an Index. The split lets a host read a snapshot while it
 // generates the instance (internal/serve does).
 type IndexSnapshot struct {
-	hdr   *indexHeader
-	part  rrset.StreamPartition
-	fams  []*rrset.SetFamily // per ad, nil past a corrupt section
-	invs  []*rrset.Inverted  // per ad, nil for an empty sample
-	err   error              // the first corrupt section, which Bind reports
-	bound bool
+	hdr  *indexHeader
+	part rrset.StreamPartition
+	// streams and of are hdr.samples(): the distinct stream ids and each
+	// ad's position among them.
+	streams []uint64
+	of      []int
+	fams    []*rrset.SetFamily // per distinct stream, nil past a corrupt section
+	invs    []*rrset.Inverted  // per distinct stream, nil for an empty sample
+	err     error              // the first corrupt section, which Bind reports
+	bound   bool
 }
 
 // ReadIndexSnapshot reads a snapshot written by WriteSnapshot for the slot
@@ -1070,12 +1127,13 @@ type IndexSnapshot struct {
 // another instance says so even when its sections are also unreadable
 // against this one.
 //
-// The header is read on the caller's goroutine, then the ads share rrset's
-// bounded fan-out: the section decodes, which read one sequential stream,
-// take turns in file order — decoded[j] closes once every section before j
-// is read — and a worker that has decoded its section builds the ad's cover
-// join (most of a load; the measured shares are in rrset/snapshot.go) while
-// the next section decodes. One worker runs the ads inline in order.
+// The header is read on the caller's goroutine, then the samples share
+// rrset's bounded fan-out: the section decodes, which read one sequential
+// stream, take turns in file order — decoded[k] closes once every section
+// before k is read — and a worker that has decoded its section builds the
+// sample's cover join (most of a load; the measured shares are in
+// rrset/snapshot.go) while the next section decodes. One worker runs the
+// samples inline in order.
 func ReadIndexSnapshot(src io.Reader, part rrset.StreamPartition) (*IndexSnapshot, error) {
 	if err := part.Validate(); err != nil {
 		return nil, err
@@ -1085,29 +1143,31 @@ func ReadIndexSnapshot(src io.Reader, part rrset.StreamPartition) (*IndexSnapsho
 	if err != nil {
 		return nil, err
 	}
-	n := len(hdr.streams)
-	s := &IndexSnapshot{hdr: hdr, part: part, fams: make([]*rrset.SetFamily, n), invs: make([]*rrset.Inverted, n)}
+	s := &IndexSnapshot{hdr: hdr, part: part}
+	s.streams, s.of = hdr.samples()
+	n := len(s.streams)
+	s.fams, s.invs = make([]*rrset.SetFamily, n), make([]*rrset.Inverted, n)
 	decoded := make([]chan struct{}, n+1)
-	for j := range decoded {
-		decoded[j] = make(chan struct{})
+	for k := range decoded {
+		decoded[k] = make(chan struct{})
 	}
 	close(decoded[0])
 	var failed atomic.Bool // set with the section error: no further section is decoded
-	rrset.ParallelFor(n, 0, func(j int) {
-		<-decoded[j]
+	rrset.ParallelFor(n, 0, func(k int) {
+		<-decoded[k]
 		var fam *rrset.SetFamily
 		if !failed.Load() {
 			var err error
-			if fam, err = decodeAdSection(r, int(hdr.nodes), j, part.Owns(hdr.streams[j])); err != nil {
+			if fam, err = decodeAdSection(r, int(hdr.nodes), slices.Index(s.of, k), part.Owns(s.streams[k])); err != nil {
 				s.err = err // handed down the decode turns
 				failed.Store(true)
 			}
 		}
-		close(decoded[j+1])
+		close(decoded[k+1])
 		if fam != nil {
-			s.fams[j] = fam
+			s.fams[k] = fam
 			if fam.Len() > 0 {
-				s.invs[j] = rrset.BuildInverted(int(hdr.nodes), fam.View(), 0)
+				s.invs[k] = rrset.BuildInverted(int(hdr.nodes), fam.View(), 0)
 			}
 		}
 	})
@@ -1116,9 +1176,10 @@ func ReadIndexSnapshot(src io.Reader, part rrset.StreamPartition) (*IndexSnapsho
 
 // Bind checks the snapshot against inst — the instance is valid, has the
 // snapshot's ad and node counts and its fingerprint — then reports the
-// first corrupt section, if Read met one; these errors come in that order,
+// first corrupt section, if Read met one, then any two ads that share a
+// stream id but not a probability vector; these errors come in that order,
 // so a snapshot of another instance says so first. On success it wires
-// each ad's sampler to the instance and returns the loaded index, which
+// each sample's sampler to the instance and returns the loaded index, which
 // starts a fresh epoch lineage at version 1 and owns the snapshot's
 // samples: a snapshot binds at most once.
 func (s *IndexSnapshot) Bind(inst *Instance) (*Index, error) {
@@ -1141,25 +1202,36 @@ func (s *IndexSnapshot) Bind(inst *Instance) (*Index, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
+	// A repeated id names the sample of the stream's first ad.
+	for j, k := range s.of {
+		if f := slices.Index(s.of, k); f < j && !sameArray(inst.Ads[j].Params.Probs, inst.Ads[f].Params.Probs) {
+			return nil, fmt.Errorf("core: index snapshot ad %d shares stream %d with ad %d, but not its probability vector", j, s.streams[k], f)
+		}
+	}
 	idx := &Index{seed: hdr.seed, part: s.part, next: uint64(len(hdr.streams))}
-	for _, stream := range hdr.streams {
+	for _, stream := range s.streams {
 		if stream+1 > idx.next {
 			idx.next = stream + 1
 		}
 	}
-	ads := make([]*adSample, len(hdr.streams))
-	for j, stream := range hdr.streams {
-		ads[j] = idx.newAdSample(inst.G, inst.Ads[j].Params.Probs, stream, ads[:j])
-		ads[j].restore(s.fams[j], s.invs[j])
+	ads := make([]*adSample, len(s.of))
+	for j, k := range s.of {
+		if f := slices.Index(s.of, k); f < j {
+			ads[j] = ads[f]
+			continue
+		}
+		ads[j] = idx.newAdSample(inst.G, inst.Ads[j].Params.Probs, s.streams[k], nil)
+		ads[j].restore(s.fams[k], s.invs[k])
 	}
 	s.bound, s.fams, s.invs = true, nil, nil
 	idx.curr.Store(&indexEpoch{version: 1, inst: inst, ads: ads})
 	return idx, nil
 }
 
-// decodeAdSection reads ad j's family section off the snapshot stream and
-// checks it holds whole stream blocks, and none at all when the loading
-// slot does not own the ad's stream; its errors name the ad.
+// decodeAdSection reads the family section of the sample whose first ad is
+// j off the snapshot stream and checks it holds whole stream blocks, and
+// none at all when the loading slot does not own the sample's stream; its
+// errors name the ad.
 func decodeAdSection(r io.Reader, n, j int, owned bool) (*rrset.SetFamily, error) {
 	fam, err := rrset.DecodeSetFamily(r, n)
 	if err != nil {

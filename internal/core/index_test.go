@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
@@ -254,7 +255,7 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRetiredSnapshotsFailCleanly: files written by builds before the
-// current format are refused with a plain error — a version-3 or version-4
+// current format are refused with a plain error — a version-3, -4 or -6
 // index header on its version field, a retired "RRS1" family section on its
 // magic — so
 // their owner rebuilds (serve's "snapshot unusable; rebuilding" path)
@@ -298,28 +299,34 @@ func TestRetiredSnapshotsFailCleanly(t *testing.T) {
 		t.Fatalf("RRS1 section: %v, want bad snapshot magic", err)
 	}
 
-	// Version 4 had today's layout, but a shard's slice held round-robin
-	// blocks of every ad, so a version-4 file of either kind — a single
-	// node's or a shard's — is refused on its version word.
+	// Version 4 had today's header, but a shard's slice held round-robin
+	// blocks of every ad; version 6 had it too, but one section per ad,
+	// however many ads shared a sample. A file of either version and either
+	// kind — a single node's or a shard's — is refused on its version word.
 	part := rrset.StreamPartition{NumShards: 2, Shard: 1}
 	slot, err := BuildShardIndex(inst, 21, part)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4 := func(idx *Index) []byte {
+	stamp := func(idx *Index, version uint32) []byte {
 		var buf bytes.Buffer
 		if err := idx.WriteSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		le.PutUint32(buf.Bytes()[4:], 4)
+		le.PutUint32(buf.Bytes()[4:], version)
 		return buf.Bytes()
 	}
-	for kind, load := range map[string]func() (*Index, error){
-		"single-node": func() (*Index, error) { return LoadIndexSnapshot(inst, bytes.NewReader(v4(idx))) },
-		"shard":       func() (*Index, error) { return LoadShardIndexSnapshot(inst, part, bytes.NewReader(v4(slot))) },
-	} {
-		if _, err := load(); err == nil || !strings.Contains(err.Error(), "unsupported index snapshot version 4") {
-			t.Fatalf("version-4 %s snapshot: %v, want unsupported index snapshot version", kind, err)
+	for _, version := range []uint32{4, 6} {
+		for kind, load := range map[string]func() (*Index, error){
+			"single-node": func() (*Index, error) { return LoadIndexSnapshot(inst, bytes.NewReader(stamp(idx, version))) },
+			"shard": func() (*Index, error) {
+				return LoadShardIndexSnapshot(inst, part, bytes.NewReader(stamp(slot, version)))
+			},
+		} {
+			want := fmt.Sprintf("unsupported index snapshot version %d", version)
+			if _, err := load(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("version-%d %s snapshot: %v, want %q", version, kind, err, want)
+			}
 		}
 	}
 }

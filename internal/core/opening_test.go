@@ -35,8 +35,8 @@ func TestOpeningsConcurrentAcrossThetas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.OpeningsBuilt != len(inst.Ads) {
-			t.Fatalf("eps %v: first request built %d openings, want one per ad — the two requests must size different θ for this test to mean anything", eps, res.OpeningsBuilt)
+		if res.OpeningsBuilt != numSamples(idx) {
+			t.Fatalf("eps %v: first request built %d openings, want one per sample — the two requests must size different θ for this test to mean anything", eps, res.OpeningsBuilt)
 		}
 		want[i] = snapshotOf(res)
 	}
@@ -68,7 +68,7 @@ func TestOpeningsConcurrentAcrossThetas(t *testing.T) {
 
 // TestIndexFootprintBoundedAcrossThetas: however many distinct θ are sent,
 // an index that needs no more sampling grows by the pilot widths and by at
-// most rrset.OpeningCap openings of 12 bytes a node per ad, and keeps
+// most rrset.OpeningCap openings of 12 bytes a node per sample, and keeps
 // answering each θ as it did the first time.
 func TestIndexFootprintBoundedAcrossThetas(t *testing.T) {
 	inst := randomInstance(42, 150, 700, 3, 2, 0.01)
@@ -106,7 +106,7 @@ func TestIndexFootprintBoundedAcrossThetas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, n := int64(len(inst.Ads)), int64(inst.G.N())
+	h, n := int64(numSamples(idx)), int64(inst.G.N())
 	limit := idx.MemBytes() + h*8*int64(base.MinTheta) + h*rrset.OpeningCap*12*n
 
 	builtTotal := 0
@@ -130,7 +130,7 @@ func TestIndexFootprintBoundedAcrossThetas(t *testing.T) {
 	}
 	// The ladder is longer than the cap, so cycling through it misses every
 	// time; were its θ not distinct the bound above would be untested.
-	if wantBuilt := 2 * len(ladder) * len(inst.Ads); builtTotal != wantBuilt {
+	if wantBuilt := 2 * len(ladder) * numSamples(idx); builtTotal != wantBuilt {
 		t.Fatalf("%d openings built over two rounds of %d θ, want %d: the ladder's θ are not distinct", builtTotal, len(ladder), wantBuilt)
 	}
 }

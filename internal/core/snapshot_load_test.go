@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,16 +18,16 @@ import (
 	"repro/internal/rrset"
 )
 
-// snapshotSections returns where each ad's family section begins in an
-// index snapshot, plus the file's length as a final entry, by walking the
-// layout: the header (magic, version, seed, fingerprint, node count,
-// partition, ad count, stream ids, CRC), then per ad a section of magic,
-// set count, member count, lengths, members and CRC.
-func snapshotSections(t *testing.T, snap []byte, numAds int) []int {
+// snapshotSections returns where each sample's family section begins in an
+// index snapshot of numAds ads, plus the file's length as a final entry, by
+// walking the layout: the header (magic, version, seed, fingerprint, node
+// count, partition, ad count, stream ids, CRC), then per sample a section of
+// magic, set count, member count, lengths, members and CRC.
+func snapshotSections(t *testing.T, snap []byte, numAds, numSamples int) []int {
 	t.Helper()
 	at := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 8*numAds + 4
-	starts := make([]int, 0, numAds+1)
-	for j := 0; j < numAds; j++ {
+	starts := make([]int, 0, numSamples+1)
+	for j := 0; j < numSamples; j++ {
 		starts = append(starts, at)
 		count := binary.LittleEndian.Uint32(snap[at+4:])
 		total := binary.LittleEndian.Uint64(snap[at+8:])
@@ -94,8 +95,8 @@ func TestLoadIndexSnapshotAtAnyWorkerCap(t *testing.T) {
 			if res.TotalSetsSampled != 0 {
 				t.Fatalf("allocation on the loaded index drew %d sets", res.TotalSetsSampled)
 			}
-			if res.OpeningsBuilt != idx.NumAds() {
-				t.Fatalf("first allocation on the loaded index built %d openings, want one per ad", res.OpeningsBuilt)
+			if res.OpeningsBuilt != numSamples(idx) {
+				t.Fatalf("first allocation on the loaded index built %d openings, want one per sample", res.OpeningsBuilt)
 			}
 			if loaded.MemBytes() != idx.MemBytes() {
 				t.Fatalf("after the same allocation the loaded index holds %d bytes, the built one %d",
@@ -117,12 +118,13 @@ func TestLoadIndexSnapshotAtAnyWorkerCap(t *testing.T) {
 // reports now that the fingerprint check and the sections are examined
 // concurrently: the first corrupt section in file order, by ad position; a
 // fingerprint mismatch ahead of any section error; and in every case no
-// worker left running.
+// worker left running. Each ad draws from its own vector, so each has a
+// section.
 func TestLoadIndexSnapshotErrorPrecedence(t *testing.T) {
 	defer rrset.SetMaxWorkers(0)
 	const numAds = 5
-	inst := randomInstance(77, 90, 400, numAds, 2, 0.01)
-	other := randomInstance(78, 90, 400, numAds, 2, 0.01)
+	inst := ownVectors(randomInstance(77, 90, 400, numAds, 2, 0.01))
+	other := ownVectors(randomInstance(78, 90, 400, numAds, 2, 0.01))
 	idx, err := BuildIndex(inst, 13, TIRMOptions{Eps: 0.3, MinTheta: 2000, MaxTheta: 16000})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +134,7 @@ func TestLoadIndexSnapshotErrorPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
-	sections := snapshotSections(t, snap, numAds)
+	sections := snapshotSections(t, snap, numAds, numAds)
 	// corrupt flips one bit in the middle of each named ad's section, which
 	// fails it whatever the bit was (a length or range check, or the CRC).
 	corrupt := func(ads ...int) []byte {
@@ -273,11 +275,12 @@ func TestWriteSnapshotFileIsAtomic(t *testing.T) {
 // input it accepts must be one it decoded completely — its prefix is
 // exactly the header it returned, rendered back with magic, version and
 // CRC, for the partition slot the caller expects. Seeds: the headers a
-// single node and a shard write, the same under version 5, truncations,
-// and a wrong magic.
+// single node and a shard write — over ads that share one sample, so their
+// stream ids repeat, and over ads with a stream each — the same under
+// version 5, truncations, and a wrong magic.
 func FuzzIndexHeader(f *testing.F) {
-	inst := randomInstance(5, 40, 120, 3, 1, 0)
-	header := func(part rrset.StreamPartition) []byte {
+	shared := randomInstance(5, 40, 120, 3, 1, 0)
+	header := func(inst *Instance, part rrset.StreamPartition) []byte {
 		idx, err := BuildShardIndex(inst, 9, part)
 		if err != nil {
 			f.Fatal(err)
@@ -288,17 +291,24 @@ func FuzzIndexHeader(f *testing.F) {
 		}
 		return buf.Bytes()[:4+4+32+8*len(inst.Ads)+4]
 	}
-	single, shard := header(rrset.StreamPartition{}), header(rrset.StreamPartition{NumShards: 4, Shard: 2})
-	for _, p := range []rrset.StreamPartition{{}, {NumShards: 4, Shard: 2}} {
-		h, err := readIndexHeader(bytes.NewReader(header(p)), p)
-		if err != nil {
-			f.Fatalf("the header slot %d/%d wrote: %v", p.Shard, p.Size(), err)
-		}
-		if len(h.streams) != len(inst.Ads) || int(h.nodes) != inst.G.N() {
-			f.Fatalf("the header slot %d/%d wrote reads back %d ads over %d nodes, want %d over %d",
-				p.Shard, p.Size(), len(h.streams), h.nodes, len(inst.Ads), inst.G.N())
+	for _, inst := range []*Instance{shared, ownVectors(shared)} {
+		for _, p := range []rrset.StreamPartition{{}, {NumShards: 4, Shard: 2}} {
+			h, err := readIndexHeader(bytes.NewReader(header(inst, p)), p)
+			if err != nil {
+				f.Fatalf("the header slot %d/%d wrote: %v", p.Shard, p.Size(), err)
+			}
+			if len(h.streams) != len(inst.Ads) || int(h.nodes) != inst.G.N() {
+				f.Fatalf("the header slot %d/%d wrote reads back %d ads over %d nodes, want %d over %d",
+					p.Shard, p.Size(), len(h.streams), h.nodes, len(inst.Ads), inst.G.N())
+			}
 		}
 	}
+	if h, _ := readIndexHeader(bytes.NewReader(header(shared, rrset.StreamPartition{})), rrset.StreamPartition{}); !slices.Equal(h.streams, []uint64{0, 0, 0}) {
+		f.Fatalf("three ads of one vector wrote stream ids %v, want [0 0 0]", h.streams)
+	}
+	single, shard := header(shared, rrset.StreamPartition{}), header(shared, rrset.StreamPartition{NumShards: 4, Shard: 2})
+	f.Add(header(ownVectors(shared), rrset.StreamPartition{}), uint8(1), uint8(0))
+	f.Add(header(ownVectors(shared), rrset.StreamPartition{NumShards: 2, Shard: 1}), uint8(2), uint8(1))
 	f.Add(single, uint8(1), uint8(0))
 	f.Add(shard, uint8(4), uint8(2))
 	f.Add(shard, uint8(4), uint8(1))

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -12,9 +13,10 @@ import (
 // produce byte-identical subsequent allocations — including post-reload
 // sample growth, which silently diverges if any stream id is wrong. A
 // re-save of the loaded index must reproduce the snapshot bytes exactly
-// (same header, same stream ids, same arenas).
+// (same header, same stream ids, same arenas). Every ad draws from its own
+// vector, so every ad has a stream of its own.
 func TestSnapshotAfterRemoveAdRoundTrip(t *testing.T) {
-	inst := randomInstance(77, 40, 160, 3, 1, 0)
+	inst := ownVectors(randomInstance(77, 40, 160, 3, 1, 0))
 	opts := TIRMOptions{MinTheta: 4096, MaxTheta: 8192}
 	idx, err := BuildIndex(inst, 9, opts)
 	if err != nil {
@@ -22,9 +24,7 @@ func TestSnapshotAfterRemoveAdRoundTrip(t *testing.T) {
 	}
 	// Mutate: add a fourth ad (stream id 3), remove the middle original
 	// (positions shift; stream ids now [0, 2, 3]).
-	extra := inst.Ads[0]
-	extra.Name = "late-arrival"
-	if _, err := idx.AddAd(extra, opts); err != nil {
+	if _, err := idx.AddAd(extraNamed(inst, "late-arrival"), opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.RemoveAd(1); err != nil {
@@ -105,9 +105,11 @@ func TestSnapshotAfterRemoveAdRoundTrip(t *testing.T) {
 	}
 }
 
-// extraNamed clones the instance's first ad under a new name.
+// extraNamed copies the instance's first ad under a new name, with a copy
+// of its vector: a new ad with a stream of its own.
 func extraNamed(inst *Instance, name string) Ad {
 	ad := inst.Ads[0]
 	ad.Name = name
+	ad.Params.Probs = slices.Clone(ad.Params.Probs)
 	return ad
 }

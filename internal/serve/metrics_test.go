@@ -102,7 +102,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"adserver_alloc_seconds_count 1",
 		"adserver_alloc_rounds_count 1",
 		`adserver_kernel_selected_total{kernel="bitset"} 4`, // the Fig. 1 toy is dense: all 4 ads
-		"adserver_openings_built_total 4",                   // a θ the index had not been opened at: one per ad
+		"adserver_openings_built_total 1",                   // a θ the index had not been opened at: one per sample, and the 4 ads share one
 		`adserver_alloc_phase_seconds_count{phase="scan"} 1`,
 		`adserver_alloc_phase_seconds_count{phase="commit"} 1`,
 		`adserver_http_requests_total{endpoint="allocate",code="200"} 1`,
@@ -122,7 +122,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("repeat allocate: %d", code)
 	}
 	body = scrapeMetrics(t, ts.URL)
-	for _, want := range []string{"adserver_allocations_total 2", "adserver_openings_built_total 4"} {
+	for _, want := range []string{"adserver_allocations_total 2", "adserver_openings_built_total 1"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics after a repeat request missing %q", want)
 		}
@@ -179,6 +179,11 @@ func (c *tracedCluster) logf(format string, args ...any) {
 	c.logs = append(c.logs, fmt.Sprintf(format, args...))
 }
 
+// spreadParams is a campaign whose four ads draw from vectors of their own,
+// so each slot of a 2-shard cluster owns two of them. The Fig. 1 toy's four
+// ads share one sample, which lives on slot 0 alone.
+var spreadParams = InstanceParams{Dataset: "flixster", Seed: 1, Scale: 0.01, NumAds: 4}
+
 func (c *tracedCluster) logged(substr string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -231,7 +236,7 @@ func newTracedCluster(t *testing.T, params InstanceParams, k int) *tracedCluster
 // shard-side work. The same run must also populate the fabric RPC metrics
 // on the coordinator and the daemon-side HTTP metrics on the shards.
 func TestShardedTracePropagation(t *testing.T) {
-	params := InstanceParams{Dataset: "fig1", Seed: 1, Scale: 1}
+	params := spreadParams
 	c := newTracedCluster(t, params, 2)
 
 	raw, err := json.Marshal(AllocateRequest{
@@ -307,7 +312,7 @@ func TestShardedTracePropagation(t *testing.T) {
 		}
 	}
 	rpcs := sumSamples(t, body, "adserver_shard_rpcs_total")
-	feedback := FeedbackRequest{InstanceParams: params, Events: feedbackEvents([]string{"a", "b", "c", "d"})}
+	feedback := FeedbackRequest{InstanceParams: params, Events: feedbackEvents([]string{"ad00", "ad01", "ad02", "ad03"})}
 	if code := postJSON(t, c.front.URL+"/feedback", feedback, nil); code != http.StatusOK {
 		t.Fatalf("feedback: %d", code)
 	}

@@ -248,7 +248,7 @@ func TestShardedMutationsDegraded(t *testing.T) {
 		t.Fatalf("foreign-instance spend returned %d, want 400", code)
 	}
 
-	c.shards[1].Close()
+	c.shards[0].Close() // the owner of the Fig. 1 toy's one shared sample
 	alloc := AllocateRequest{InstanceParams: params, Opts: TIRMParams{MinTheta: 1024, MaxTheta: 4096}}
 	if code := postJSON(t, c.front.URL+"/allocate", alloc, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("allocate on a degraded cluster returned %d, want 503", code)

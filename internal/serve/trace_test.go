@@ -178,7 +178,7 @@ var roundPhases = []string{"pilot", "start", "commit", "credit", "grow", "gains"
 // shard daemons retain their own server spans under the same trace id
 // with the coordinator's RPC span as remote parent.
 func TestShardedTraceTree(t *testing.T) {
-	params := InstanceParams{Dataset: "fig1", Seed: 1, Scale: 1}
+	params := spreadParams
 	c := newTracedCluster(t, params, 2)
 
 	tracedAllocate(t, c.front.URL, "sharded-trace", AllocateRequest{

@@ -15,7 +15,9 @@ import (
 // randomInstance builds a small random TIC-CTP instance (the shape of
 // core's test generator): uniform random edges with probabilities in
 // [0, 0.4), per-ad random CTP vectors, budgets and CPEs. Budgets are large
-// against one seed's revenue, so ads need many seeds and revise s_i.
+// against one seed's revenue, so ads need many seeds and revise s_i. Ads
+// 0 and 1 draw their own vectors and ad 2 shares ad 1's — two owners and a
+// shared sample — and so on in threes.
 func randomInstance(r *xrand.Rand, n, edges, h, kappa int, lambda float64) *core.Instance {
 	b := graph.NewBuilderHint(n, edges)
 	for i := 0; i < edges; i++ {
@@ -24,12 +26,15 @@ func randomInstance(r *xrand.Rand, n, edges, h, kappa int, lambda float64) *core
 		}
 	}
 	g := b.MustBuild()
-	probs := make([]float32, g.M())
-	for e := range probs {
-		probs[e] = float32(r.Uniform(0, 0.4))
-	}
+	var probs []float32
 	ads := make([]core.Ad, h)
 	for i := range ads {
+		if i%3 != 2 {
+			probs = make([]float32, g.M())
+			for e := range probs {
+				probs[e] = float32(r.Uniform(0, 0.4))
+			}
+		}
 		ctps := make([]float32, n)
 		for u := range ctps {
 			ctps[u] = float32(r.Uniform(0.05, 0.5))

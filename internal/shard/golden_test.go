@@ -2,6 +2,8 @@ package shard
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -205,6 +207,100 @@ func TestShardedLifecycleGolden(t *testing.T) {
 			t.Fatalf("mirror ad %d = %q/%g, single-node %q/%g",
 				i, mi.Ads[i].Name, mi.Ads[i].Budget, si.Ads[i].Name, si.Ads[i].Budget)
 		}
+	}
+}
+
+// TestShardedCloneGolden: a clone of a template ad joins the template's
+// sample on its owner — it reports the template's stream id, so the
+// coordinator places it on that slot, and no shard draws a set for it — and
+// at K ∈ {1, 2, 4} the cluster's allocations, before and after the
+// template is removed, equal a single node's under the same history.
+func TestShardedCloneGolden(t *testing.T) {
+	inst, opts, ctx := testInstance(), testOpts(), context.Background()
+	const seed = 11
+	specs := []AdSpec{
+		{Name: "clone-1", Budget: 6, CPE: 2, CTP: 0.05, Template: 1},
+		{Name: "clone-4", Budget: 9, CPE: 1.5, Template: 4},
+	}
+	// Single node: the ten ads, two clones, then template 1 removed.
+	idx, err := core.BuildIndex(inst, seed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		ad, err := core.CloneAd(idx.Inst(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := idx.AddAd(ad, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streams := func(v core.EpochView) []uint64 {
+		out := make([]uint64, v.NumAds())
+		for j := range out {
+			out[j] = v.AdStream(j)
+		}
+		return out
+	}
+	cloned := streams(idx.CurrentEpoch())
+	if want := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 4}; !slices.Equal(cloned, want) {
+		t.Fatalf("single node reports streams %v, want %v", cloned, want)
+	}
+	instCloned := idx.Inst()
+	wantCloned, err := core.AllocateFromIndex(idx, core.Request{Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.RemoveAd(1); err != nil {
+		t.Fatal(err)
+	}
+	wantRemoved, err := core.AllocateFromIndex(idx, core.Request{Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, k := range []int{1, 2, 4} {
+		label := fmt.Sprintf("K=%d", k)
+		coord, shards, err := NewLocalCluster(inst, 10, seed, k, Config{Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Warm(ctx, opts); err != nil {
+			t.Fatal(err)
+		}
+		sampled := func() (n int64) {
+			for _, s := range shards {
+				n += s.Index().SetsSampled()
+			}
+			return n
+		}
+		before := sampled()
+		for _, spec := range specs {
+			if _, err := coord.AddAdSpec(ctx, spec, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := sampled(); got != before {
+			t.Fatalf("%s: the clones drew %d sets over the shards, want 0", label, got-before)
+		}
+		for i, s := range shards {
+			if got := s.Info().Streams; !slices.Equal(got, cloned) {
+				t.Fatalf("%s: shard %d reports streams %v, want %v", label, i, got, cloned)
+			}
+		}
+		got, err := coord.Allocate(ctx, core.Request{Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualResults(t, label+" with clones", instCloned, core.Request{Opts: opts}, wantCloned, got)
+		if err := coord.RemoveAd(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = coord.Allocate(ctx, core.Request{Opts: opts}); err != nil {
+			t.Fatal(err)
+		}
+		mustEqualResults(t, label+" without template 1", idx.Inst(), core.Request{Opts: opts}, wantRemoved, got)
 	}
 }
 

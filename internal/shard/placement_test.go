@@ -88,9 +88,10 @@ func TestPerAdOpsReachOwnerOnly(t *testing.T) {
 	opts := core.TIRMOptions{Eps: 1, MinTheta: 256, MaxTheta: 20000}
 	req := core.Request{Opts: opts}
 	perAd := []op{opEnsure, opCommit, opCredit, opGrow, opGains}
-	// Stream ids by position: the first three roster ads, then, once
-	// position 0 is removed and roster ad 3 added, streams 1, 2 and 3.
-	phases := [][]uint64{{0, 1, 2}, {1, 2, 3}}
+	// Stream ids by position: the first three roster ads, the third of
+	// which shares the second's sample, then, once position 0 is removed and
+	// roster ad 3 (a vector of its own) added, streams 1, 1 and 3.
+	phases := [][]uint64{{0, 1, 1}, {1, 1, 3}}
 
 	var reference map[op]int
 	for _, k := range []int{1, 2, 4, 8} {

@@ -149,8 +149,9 @@ type ShardInfo struct {
 	Epoch uint64 `json:"epoch"`
 	// NumAds is the current campaign size.
 	NumAds int `json:"numAds"`
-	// Streams holds each campaign position's stream id, in position order.
-	// Position j lives whole on slot Streams[j] mod NumShards, which is how
+	// Streams holds each campaign position's stream id, in position order:
+	// its sample's, so ads that share a sample repeat it. Position j lives
+	// whole on slot Streams[j] mod NumShards, which is how
 	// a coordinator routes every per-ad op; all shards of a cluster report
 	// the same list.
 	Streams []uint64 `json:"streams"`
@@ -352,8 +353,8 @@ type MutateReply struct {
 	Position int `json:"position"`
 	// NumAds is the campaign size after the mutation.
 	NumAds int `json:"numAds"`
-	// Stream is the added ad's stream id (AddAd only): the ad lives on slot
-	// Stream mod K.
+	// Stream is the added ad's stream id (AddAd only) — its template's,
+	// whose sample a clone joins: the ad lives on slot Stream mod K.
 	Stream uint64 `json:"stream"`
 }
 

@@ -115,6 +115,14 @@ var structureRules = []struct {
 	pattern: `joinSizeBits|joinSizeMask|joinSpill|\.row\(`,
 	msg:     "lazy counts read id rows only",
 }, {
+	// Ads that draw from one probability vector share one whole sample —
+	// arena, inverted index, openings, pilot widths, KPT cache — so no ad
+	// borrows only a peer's sampler and draws a stream of its own from it.
+	name:    "ads of one vector share the sample, not just the sampler",
+	files:   []string{"internal/core/*.go"},
+	pattern: `\.sampler = \w+\.sampler`,
+	msg:     "return the peer's *adSample (Index.newAdSample)",
+}, {
 	// HTTPClient holds its own connections and writes its requests itself:
 	// one shard transport, so no net/http client may creep back in beside
 	// it.
