@@ -21,8 +21,8 @@
 // (instance fingerprints, K, and slot ids are all validated).
 //
 // With -snapshots set, the shard persists its slice in the index snapshot
-// format (v7, which carries the partition manifest, the stream ids and the
-// node count) and restarts warm; a snapshot taken for a different slot or
+// format (v8, which carries the partition manifest, the stream ids, the
+// next stream id and the node count) and restarts warm; a snapshot taken for a different slot or
 // instance, or by an older version, refuses to load and the shard
 // rebuilds.
 package main

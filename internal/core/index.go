@@ -707,20 +707,22 @@ func allocateEpoch(ctx context.Context, idx *Index, ep *indexEpoch, req Request)
 
 const (
 	indexMagic = uint32(0x41444958) // "ADIX"
-	// indexVersion 7: a CRC-guarded header — seed, instance fingerprint,
+	// indexVersion 8: a CRC-guarded header — seed, instance fingerprint,
 	// node count (so a snapshot is read, and its inverted indexes built,
 	// before the instance exists), stream-partition manifest (shard count and shard
 	// id, so a load against the wrong slot fails instead of silently serving
-	// another slot's ads), per-ad stream ids, which repeat for ads that share
-	// a sample — then one flat "RRS2" family section per distinct stream id,
-	// in first-appearance order, empty for a stream the slot does not own.
-	// Version 6 wrote one section per ad, however many ads shared a sample;
-	// version 5 had no node count and an FNV-1a fingerprint; version 4 held
-	// every ad's round-robin blocks on a shard. All are refused rather than
-	// misread. Only the current version is read or written: an older file is
-	// rejected and its owner rebuilds (see the version policy in
-	// rrset/snapshot.go).
-	indexVersion = uint32(7)
+	// another slot's ads), the next stream id to assign, per-ad stream ids,
+	// which repeat for ads that share a sample — then one flat "RRS2" family
+	// section per distinct stream id, in first-appearance order, empty for a
+	// stream the slot does not own. Version 7 had no next stream id: a load
+	// derived it from the live ids, so an ad added after a reload could take
+	// the id of one removed before the snapshot. Version 6 wrote one section
+	// per ad, however many ads shared a sample; version 5 had no node count
+	// and an FNV-1a fingerprint; version 4 held every ad's round-robin blocks
+	// on a shard. All are refused rather than misread. Only the current
+	// version is read or written: an older file is rejected and its owner
+	// rebuilds (see the version policy in rrset/snapshot.go).
+	indexVersion = uint32(8)
 )
 
 // fingerprintChunk is the most bytes the instance fingerprint feeds its
@@ -862,6 +864,7 @@ type indexHeader struct {
 	nodes       uint32   // the instance's node count: every member is below it
 	numShards   uint32   // partition size (1 = identity)
 	shard       uint32   // this snapshot's slice
+	next        uint64   // the index's next stream id: above every id it ever assigned
 	streams     []uint64 // one per ad, in position order; ads sharing a sample repeat its id
 }
 
@@ -882,16 +885,17 @@ func (h *indexHeader) samples() (streams []uint64, of []int) {
 }
 
 // marshal renders the header payload for writing and CRC computation:
-// seed, fingerprint, node count, the partition manifest, ad count, stream
-// ids.
+// seed, fingerprint, node count, the partition manifest, next stream id, ad
+// count, stream ids.
 func (h *indexHeader) marshal() []byte {
 	le := binary.LittleEndian
-	out := make([]byte, 0, 8+8+4+4+4+4+8*len(h.streams))
+	out := make([]byte, 0, 8+8+4+4+4+8+4+8*len(h.streams))
 	out = le.AppendUint64(out, h.seed)
 	out = le.AppendUint64(out, h.fingerprint)
 	out = le.AppendUint32(out, h.nodes)
 	out = le.AppendUint32(out, h.numShards)
 	out = le.AppendUint32(out, h.shard)
+	out = le.AppendUint64(out, h.next)
 	out = le.AppendUint32(out, uint32(len(h.streams)))
 	for _, s := range h.streams {
 		out = le.AppendUint64(out, s)
@@ -905,10 +909,12 @@ func (h *indexHeader) marshal() []byte {
 // read, and the CRC last, over the re-marshalled payload — so only a header
 // that round-trips is accepted. The ad count is the file's: stream ids are
 // read one by one, so a corrupt count costs no more than the bytes there
-// are.
+// are. The next stream id must be at least the ad count (the first ads took
+// ids 0 to count−1) and above every stream id, as on the index that wrote
+// it.
 func readIndexHeader(r io.Reader, part rrset.StreamPartition) (*indexHeader, error) {
 	le := binary.LittleEndian
-	var b [32]byte
+	var b [40]byte
 	if _, err := io.ReadFull(r, b[:8]); err != nil {
 		return nil, fmt.Errorf("core: index snapshot header: %w", err)
 	}
@@ -938,24 +944,29 @@ func readIndexHeader(r io.Reader, part rrset.StreamPartition) (*indexHeader, err
 		return nil, fmt.Errorf("core: index snapshot holds stream slice %d/%d, caller expects %d/%d",
 			snapPart.Shard, snapPart.Size(), part.Shard, part.Size())
 	}
-	numAds := int(le.Uint32(b[28:]))
+	numAds := int(le.Uint32(b[36:]))
 	h := &indexHeader{
 		seed:        le.Uint64(b[:]),
 		fingerprint: le.Uint64(b[8:]),
 		nodes:       nodes,
 		numShards:   uint32(snapPart.Size()),
 		shard:       uint32(snapPart.Shard),
+		next:        le.Uint64(b[28:]),
 		streams:     make([]uint64, 0, min(numAds, 1024)),
+	}
+	if h.next == math.MaxUint64 || h.next < uint64(numAds) {
+		// The sentinel would wrap the loader's next-stream counter; an id
+		// below the ad count went to one of the first ads.
+		return nil, fmt.Errorf("core: index snapshot next stream id %d is invalid for %d ads", h.next, numAds)
 	}
 	for j := 0; j < numAds; j++ {
 		if _, err := io.ReadFull(r, b[:8]); err != nil {
 			return nil, fmt.Errorf("core: index snapshot ad %d stream id: %w", j, err)
 		}
 		stream := le.Uint64(b[:])
-		if stream == math.MaxUint64 {
-			// The sentinel would wrap the loader's next-stream counter and
-			// let a later AddAd reuse a live stream id.
-			return nil, fmt.Errorf("core: index snapshot ad %d has invalid stream id", j)
+		if stream >= h.next {
+			// A later AddAd would reuse a live stream id.
+			return nil, fmt.Errorf("core: index snapshot ad %d has stream id %d, not below the next stream id %d", j, stream, h.next)
 		}
 		h.streams = append(h.streams, stream)
 	}
@@ -970,16 +981,18 @@ func readIndexHeader(r io.Reader, part rrset.StreamPartition) (*indexHeader, err
 
 // WriteSnapshot persists the index's current epoch — stream seed, node
 // count, the stream-partition manifest, every ad's stream id and every
-// sample's stored sets — in a versioned binary format (currently version 7:
-// a CRC-guarded header carrying the node count, partition and stream ids,
-// then one flat CSR section with a CRC32 footer per sample, shared or not,
-// written in bulk). A process restarted with LoadIndexSnapshot (or
+// sample's stored sets — in a versioned binary format (currently version 8:
+// a CRC-guarded header carrying the node count, partition, next stream id
+// and stream ids, then one flat CSR section with a CRC32 footer per sample,
+// shared or not, written in bulk). A process restarted with LoadIndexSnapshot (or
 // LoadShardIndexSnapshot for a shard's slice) against
 // the same instance resumes the identical streams: allocations after a
 // reload match allocations on the original index exactly, even when the
 // campaign set was mutated before the snapshot was taken.
 func (idx *Index) WriteSnapshot(w io.Writer) error {
-	ep := idx.curr.Load()
+	idx.mu.Lock() // the epoch and next stream id of one mutation
+	ep, next := idx.curr.Load(), idx.next
+	idx.mu.Unlock()
 	bw := bufio.NewWriter(w)
 	var buf [8]byte
 	w32 := func(v uint32) error {
@@ -999,6 +1012,7 @@ func (idx *Index) WriteSnapshot(w io.Writer) error {
 		nodes:       uint32(ep.inst.G.N()),
 		numShards:   uint32(idx.part.NumShards),
 		shard:       uint32(idx.part.Shard),
+		next:        next,
 	}
 	if idx.part.IsIdentity() {
 		hdr.numShards, hdr.shard = 1, 0
@@ -1208,12 +1222,7 @@ func (s *IndexSnapshot) Bind(inst *Instance) (*Index, error) {
 			return nil, fmt.Errorf("core: index snapshot ad %d shares stream %d with ad %d, but not its probability vector", j, s.streams[k], f)
 		}
 	}
-	idx := &Index{seed: hdr.seed, part: s.part, next: uint64(len(hdr.streams))}
-	for _, stream := range s.streams {
-		if stream+1 > idx.next {
-			idx.next = stream + 1
-		}
-	}
+	idx := &Index{seed: hdr.seed, part: s.part, next: hdr.next}
 	ads := make([]*adSample, len(s.of))
 	for j, k := range s.of {
 		if f := slices.Index(s.of, k); f < j {

@@ -255,8 +255,8 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRetiredSnapshotsFailCleanly: files written by builds before the
-// current format are refused with a plain error — a version-3, -4 or -6
-// index header on its version field, a retired "RRS1" family section on its
+// current format are refused with a plain error — a version-3, -4, -6 or
+// -7 index header on its version field, a retired "RRS1" family section on its
 // magic — so
 // their owner rebuilds (serve's "snapshot unusable; rebuilding" path)
 // instead of resuming streams from misread bytes.
@@ -292,7 +292,7 @@ func TestRetiredSnapshotsFailCleanly(t *testing.T) {
 	if err := idx.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	hdrLen := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 8*len(inst.Ads) + 4
+	hdrLen := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8 + 4 + 8*len(inst.Ads) + 4
 	mixed := append(append([]byte{}, buf.Bytes()[:hdrLen]...), rrs1...)
 	_, err = LoadIndexSnapshot(inst, bytes.NewReader(mixed))
 	if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
@@ -301,8 +301,9 @@ func TestRetiredSnapshotsFailCleanly(t *testing.T) {
 
 	// Version 4 had today's header, but a shard's slice held round-robin
 	// blocks of every ad; version 6 had it too, but one section per ad,
-	// however many ads shared a sample. A file of either version and either
-	// kind — a single node's or a shard's — is refused on its version word.
+	// however many ads shared a sample; version 7 had no next stream id. A
+	// file of any of these versions and either kind — a single node's or a
+	// shard's — is refused on its version word.
 	part := rrset.StreamPartition{NumShards: 2, Shard: 1}
 	slot, err := BuildShardIndex(inst, 21, part)
 	if err != nil {
@@ -316,7 +317,7 @@ func TestRetiredSnapshotsFailCleanly(t *testing.T) {
 		le.PutUint32(buf.Bytes()[4:], version)
 		return buf.Bytes()
 	}
-	for _, version := range []uint32{4, 6} {
+	for _, version := range []uint32{4, 6, 7} {
 		for kind, load := range map[string]func() (*Index, error){
 			"single-node": func() (*Index, error) { return LoadIndexSnapshot(inst, bytes.NewReader(stamp(idx, version))) },
 			"shard": func() (*Index, error) {

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -225,6 +228,97 @@ func TestBindRefusesSharedIDWithoutSharedVector(t *testing.T) {
 		err = bind(&split)
 		if err == nil || !strings.Contains(err.Error(), "ad 2 shares stream 0 with ad 0, but not its probability vector") {
 			t.Fatalf("slot %d/%d: Bind of a split vector: %v, want a refusal naming ad 2", part.Shard, part.Size(), err)
+		}
+	}
+}
+
+// TestReloadKeepsSpentStreamIDs: an ad added and removed before a snapshot
+// spent its stream id, and the reloaded index must not hand that id out
+// again. A fourth ad, added and removed, leaves three live ads over ids 0 to
+// 2 with id 3 spent; after the reload an AddAd on either index takes id 4
+// and both allocate alike, down to the new ad's sample.
+func TestReloadKeepsSpentStreamIDs(t *testing.T) {
+	inst := ownVectors(randomInstance(31, 60, 240, 3, 1, 0))
+	opts := TIRMOptions{Eps: 0.3, MinTheta: 2000, MaxTheta: 16000}
+	idx, err := BuildIndex(inst, 17, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, err := idx.AddAd(extraNamed(inst, "short-lived"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.RemoveAd(pos); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := idx.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadIndexSnapshot(idx.Inst(), bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := extraNamed(inst, "late")
+	for _, on := range []*Index{idx, loaded} {
+		pos, err := on.AddAd(late, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := on.curr.Load().ads[pos].stream; s != 4 {
+			t.Fatalf("AddAd after the removal took stream id %d, want 4: id 3 is spent", s)
+		}
+	}
+	want, err := AllocateFromIndex(idx, Request{Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AllocateFromIndex(loaded, Request{Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snapshotOf(got), snapshotOf(want)) {
+		t.Fatalf("reloaded index allocates %+v, the original %+v", snapshotOf(got), snapshotOf(want))
+	}
+}
+
+// TestReadRefusesNextBelowStreams: a header whose next stream id is below
+// the ad count, or not above every stream id, is refused on read, CRC
+// intact or not, so a later AddAd can never reuse a spent id.
+func TestReadRefusesNextBelowStreams(t *testing.T) {
+	inst := ownVectors(randomInstance(32, 40, 160, 3, 1, 0))
+	idx, err := BuildIndex(inst, 5, TIRMOptions{MinTheta: 512, MaxTheta: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.RemoveAd(0); err != nil { // live ids 1 and 2, next 3
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := idx.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	hdrLen := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8 + 4 + 8*2 + 4
+	for _, tc := range []struct {
+		next uint64
+		want string
+	}{
+		{1, "next stream id 1 is invalid for 2 ads"},
+		{2, "ad 1 has stream id 2, not below the next stream id 2"},
+		{math.MaxUint64, "is invalid for 2 ads"},
+	} {
+		h, err := readIndexHeader(bytes.NewReader(snap.Bytes()), rrset.StreamPartition{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.next = tc.next
+		payload := h.marshal()
+		file := le.AppendUint32(le.AppendUint32(nil, indexMagic), indexVersion)
+		file = le.AppendUint32(append(file, payload...), crc32.ChecksumIEEE(payload))
+		file = append(file, snap.Bytes()[hdrLen:]...)
+		if _, err := LoadIndexSnapshot(idx.Inst(), bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("next stream id %d: %v, want %q", tc.next, err, tc.want)
 		}
 	}
 }

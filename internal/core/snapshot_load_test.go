@@ -21,11 +21,12 @@ import (
 // snapshotSections returns where each sample's family section begins in an
 // index snapshot of numAds ads, plus the file's length as a final entry, by
 // walking the layout: the header (magic, version, seed, fingerprint, node
-// count, partition, ad count, stream ids, CRC), then per sample a section of
-// magic, set count, member count, lengths, members and CRC.
+// count, partition, next stream id, ad count, stream ids, CRC), then per
+// sample a section of magic, set count, member count, lengths, members and
+// CRC.
 func snapshotSections(t *testing.T, snap []byte, numAds, numSamples int) []int {
 	t.Helper()
-	at := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 8*numAds + 4
+	at := 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8 + 4 + 8*numAds + 4
 	starts := make([]int, 0, numSamples+1)
 	for j := 0; j < numSamples; j++ {
 		starts = append(starts, at)
@@ -277,7 +278,8 @@ func TestWriteSnapshotFileIsAtomic(t *testing.T) {
 // CRC, for the partition slot the caller expects. Seeds: the headers a
 // single node and a shard write — over ads that share one sample, so their
 // stream ids repeat, and over ads with a stream each — the same under
-// version 5, truncations, and a wrong magic.
+// versions 5 and 7, one whose next stream id is above its ad count and
+// every stream id, truncations, and a wrong magic.
 func FuzzIndexHeader(f *testing.F) {
 	shared := randomInstance(5, 40, 120, 3, 1, 0)
 	header := func(inst *Instance, part rrset.StreamPartition) []byte {
@@ -289,7 +291,7 @@ func FuzzIndexHeader(f *testing.F) {
 		if err := idx.WriteSnapshot(&buf); err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()[:4+4+32+8*len(inst.Ads)+4]
+		return buf.Bytes()[:4+4+40+8*len(inst.Ads)+4]
 	}
 	for _, inst := range []*Instance{shared, ownVectors(shared)} {
 		for _, p := range []rrset.StreamPartition{{}, {NumShards: 4, Shard: 2}} {
@@ -312,9 +314,31 @@ func FuzzIndexHeader(f *testing.F) {
 	f.Add(single, uint8(1), uint8(0))
 	f.Add(shard, uint8(4), uint8(2))
 	f.Add(shard, uint8(4), uint8(1))
-	v5 := bytes.Clone(shard)
-	binary.LittleEndian.PutUint32(v5[4:], 5)
-	f.Add(v5, uint8(4), uint8(2))
+	for _, version := range []uint32{5, 7} {
+		old := bytes.Clone(shard)
+		binary.LittleEndian.PutUint32(old[4:], version)
+		f.Add(old, uint8(4), uint8(2))
+	}
+	// Version 8's next stream id above both bounds: the fourth ad's id stays
+	// spent after it is removed.
+	mutated, err := BuildIndex(ownVectors(shared), 9, TIRMOptions{MinTheta: 512, MaxTheta: 1024})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := mutated.AddAd(extraNamed(shared, "spent"), TIRMOptions{}); err != nil {
+		f.Fatal(err)
+	}
+	if err := mutated.RemoveAd(3); err != nil {
+		f.Fatal(err)
+	}
+	var spent bytes.Buffer
+	if err := mutated.WriteSnapshot(&spent); err != nil {
+		f.Fatal(err)
+	}
+	if h, err := readIndexHeader(bytes.NewReader(spent.Bytes()), rrset.StreamPartition{}); err != nil || h.next != 4 || !slices.Equal(h.streams, []uint64{0, 1, 2}) {
+		f.Fatalf("the header after an add and a removal reads back %+v, %v; want next 4 over streams [0 1 2]", h, err)
+	}
+	f.Add(spent.Bytes()[:4+4+40+8*3+4], uint8(1), uint8(0))
 	for _, n := range []int{0, 3, 8, 20, 40, len(single) - 5, len(single) - 1} {
 		f.Add(single[:n], uint8(1), uint8(0))
 	}

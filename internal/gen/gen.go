@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/rrset"
 	"repro/internal/topic"
 	"repro/internal/xrand"
 )
@@ -70,10 +71,10 @@ func powerLawDigraph(n, targetM int, betaOut, betaIn float64, r *xrand.Rand) *gr
 	wIn := permuteWeights(xrand.PowerLawWeights(n, betaIn), r.Split(2))
 	aOut := xrand.NewAlias(wOut)
 	aIn := xrand.NewAlias(wIn)
-	b := graph.NewBuilderHint(n, targetM)
-	draw := r.Split(3)
 	// Oversample slightly to compensate for duplicates/self-loops.
 	attempts := targetM + targetM/8
+	b := graph.NewBuilderHint(n, attempts)
+	draw := r.Split(3)
 	for i := 0; i < attempts; i++ {
 		u := int32(aOut.Sample(draw))
 		v := int32(aIn.Sample(draw))
@@ -103,9 +104,9 @@ func communityGraph(n, targetUndirected, commSize int, pIntra float64, r *xrand.
 	if commSize < 2 {
 		commSize = 2
 	}
-	b := graph.NewBuilderHint(n, 2*targetUndirected)
-	draw := r.Split(5)
 	attempts := targetUndirected + targetUndirected/8
+	b := graph.NewBuilderPairHint(n, attempts)
+	draw := r.Split(5)
 	numComm := (n + commSize - 1) / commSize
 	for i := 0; i < attempts; i++ {
 		var u, v int32
@@ -141,9 +142,9 @@ func communityDigraph(n, targetM, commSize int, pIntra float64, r *xrand.Rand) *
 	}
 	wOut := permuteWeights(xrand.PowerLawWeights(n, 3.0), r.Split(6))
 	aOut := xrand.NewAlias(wOut)
-	b := graph.NewBuilderHint(n, targetM)
-	draw := r.Split(7)
 	attempts := targetM + targetM/8
+	b := graph.NewBuilderHint(n, attempts)
+	draw := r.Split(7)
 	numComm := (n + commSize - 1) / commSize
 	for i := 0; i < attempts; i++ {
 		var u, v int32
@@ -178,15 +179,19 @@ func permuteWeights(w []float64, r *xrand.Rand) []float64 {
 
 // weightedCascade returns the Weighted-Cascade probabilities of Chen et
 // al. [7] used by the scalability datasets: p_{u,v} = 1/indeg(v) for every
-// ad.
+// ad. Each value is a function of the graph alone, so the out-rows are
+// filled in topicChunks node ranges in parallel.
 func weightedCascade(g *graph.Graph) []float32 {
 	probs := make([]float32, g.M())
-	for u := int32(0); u < int32(g.N()); u++ {
-		targets, first := g.OutEdges(u)
-		for i, v := range targets {
-			probs[first+int64(i)] = float32(1) / float32(g.InDegree(v))
+	n := g.N()
+	rrset.ParallelFor(topicChunks, 0, func(c int) {
+		for u := int32(c * n / topicChunks); u < int32((c+1)*n/topicChunks); u++ {
+			targets, first := g.OutEdges(u)
+			for i, v := range targets {
+				probs[first+int64(i)] = float32(1) / float32(g.InDegree(v))
+			}
 		}
-	}
+	})
 	return probs
 }
 

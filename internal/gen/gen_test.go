@@ -352,6 +352,83 @@ func referenceEpinions(o Options) *core.Instance {
 	return &core.Instance{G: g, Ads: ads, Kappa: core.ConstKappa(o.Kappa), Lambda: o.Lambda}
 }
 
+// referenceDBLP is DBLP built the general way: communityGraph's draws,
+// each pair added with AddEdge in both orientations, so that
+// graph.Builder takes its directed path, and the Weighted-Cascade
+// probabilities filled serially.
+func referenceDBLP(o Options) *core.Instance {
+	o = o.withDefaults()
+	if o.BudgetOverride <= 0 {
+		o.BudgetOverride = DBLPBudget
+	}
+	r := xrand.New(o.Seed ^ 0xdb19)
+	n := scaled(dblpNodes, o.Scale, 600)
+	mu := scaled(dblpEdgesUndi, o.Scale, 3*n)
+	const commSize, pIntra = 20, 0.97
+	b := graph.NewBuilder(n)
+	draw := r.Split(5)
+	numComm := (n + commSize - 1) / commSize
+	for i := 0; i < mu+mu/8; i++ {
+		var u, v int32
+		if draw.Bernoulli(pIntra) {
+			lo := draw.IntN(numComm) * commSize
+			hi := min(lo+commSize, n)
+			u = int32(lo + draw.IntN(hi-lo))
+			v = int32(lo + draw.IntN(hi-lo))
+		} else {
+			u = int32(draw.IntN(n))
+			v = int32(draw.IntN(n))
+		}
+		if u != v {
+			b.AddEdge(u, v)
+			b.AddEdge(v, u)
+		}
+	}
+	g := b.MustBuild()
+	wc := make([]float32, g.M())
+	for u := int32(0); u < int32(g.N()); u++ {
+		targets, first := g.OutEdges(u)
+		for i, v := range targets {
+			wc[first+int64(i)] = float32(1) / float32(g.InDegree(v))
+		}
+	}
+	inst := wcInstance(g, o, r)
+	for i := range inst.Ads {
+		inst.Ads[i].Params.Probs = wc
+	}
+	return inst
+}
+
+// TestDBLPMatchesGeneralBuild holds the DBLP analogue, whose graph takes
+// graph.Builder's pairs-only path and whose probabilities are filled in
+// parallel, to referenceDBLP, array for array, in-rows included, under
+// three worker caps. Under the race detector the paper-size case is left
+// to the plain run.
+func TestDBLPMatchesGeneralBuild(t *testing.T) {
+	defer rrset.SetMaxWorkers(rrset.MaxWorkers())
+	scales := []float64{0.02, 1}
+	if raceDetectorOn {
+		scales = scales[:1]
+	}
+	for _, scale := range scales {
+		o := Options{Seed: 9, Scale: scale}
+		want := referenceDBLP(o)
+		for _, workers := range []int{1, 2, 8} {
+			rrset.SetMaxWorkers(workers)
+			where := fmt.Sprintf("dblp scale %v, %d workers", scale, workers)
+			got := DBLP(o)
+			sameInstance(t, where, got, want)
+			for v := int32(0); v < int32(got.G.N()); v++ {
+				a, afirst := got.G.InRow(v)
+				b, bfirst := want.G.InRow(v)
+				if !slices.Equal(a, b) || afirst != bfirst {
+					t.Fatalf("%s: node %d's in-rows differ", where, v)
+				}
+			}
+		}
+	}
+}
+
 // referenceMix mixes h ads (QualityAds when h ≤ 0) out of model with the
 // concentrated distributions (mass 0.91 on topic i mod K).
 func referenceMix(model *topic.Model, h int) [][]float32 {
@@ -467,9 +544,9 @@ func sameInstance(t *testing.T, where string, got, want *core.Instance) {
 	}
 }
 
-// BenchmarkGenerate times one whole topic-aware instance at paper size —
-// graph, topic draw and mix, CTPs, budgets — the generation a FLIXSTER or
-// EPINIONS cold start or restart pays.
+// BenchmarkGenerate times one whole instance at paper size — graph, topic
+// draw and mix or Weighted-Cascade probabilities, CTPs, budgets — the
+// generation a FLIXSTER, EPINIONS or DBLP cold start or restart pays.
 func BenchmarkGenerate(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -477,6 +554,7 @@ func BenchmarkGenerate(b *testing.B) {
 	}{
 		{"flixster", Flixster},
 		{"epinions", Epinions},
+		{"dblp", DBLP},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()

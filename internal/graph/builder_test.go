@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -172,11 +173,11 @@ func communityEdgeList(n, undirected int, r *xrand.Rand) []edge {
 	return edges
 }
 
-// BenchmarkGraphBuild measures Builder.Build on a 2 M-edge community edge
-// list over 300 K nodes — the DBLP analogue's shape, and what every
-// generator, ReadEdgeList and cold start pays before the first RR set is
-// drawn. Each iteration builds from a fresh copy of the list (a memcpy, a
-// few percent of the build).
+// BenchmarkGraphBuild measures Builder.Build's general path on a 2 M-edge
+// community edge list over 300 K nodes — the DBLP analogue's shape added as
+// directed edges, the path ReadEdgeList and the directed generators take
+// before the first RR set is drawn. Each iteration builds from a fresh copy
+// of the list (a memcpy, a few percent of the build).
 func BenchmarkGraphBuild(b *testing.B) {
 	const n = 300000
 	edges := communityEdgeList(n, 1000000, xrand.New(1))
@@ -189,4 +190,138 @@ func BenchmarkGraphBuild(b *testing.B) {
 		m = bld.MustBuild().M()
 	}
 	b.ReportMetric(float64(m), "edges")
+}
+
+// BenchmarkGraphBuildUndirected is BenchmarkGraphBuild's community graph
+// added as its 1 M pairs, the way gen's DBLP analogue adds it: Build's
+// pairs-only path, which builds one CSR for both directions.
+func BenchmarkGraphBuildUndirected(b *testing.B) {
+	const n = 300000
+	edges := communityEdgeList(n, 1000000, xrand.New(1))
+	pairs := make([]edge, len(edges)/2)
+	for i := range pairs {
+		pairs[i] = edges[2*i]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m int64
+	for i := 0; i < b.N; i++ {
+		bld := NewBuilder(n)
+		bld.pairs = slices.Clone(pairs)
+		m = bld.MustBuild().M()
+	}
+	b.ReportMetric(float64(m), "edges")
+}
+
+// sameCSR fails unless got and want hold equal CSR arrays in both
+// directions.
+func sameCSR(t *testing.T, where string, got, want *Graph) {
+	t.Helper()
+	if got.n != want.n || got.m != want.m ||
+		!slices.Equal(got.outStart, want.outStart) || !slices.Equal(got.outTo, want.outTo) ||
+		!slices.Equal(got.inStart, want.inStart) || !slices.Equal(got.inFrom, want.inFrom) {
+		t.Fatalf("%s: CSR arrays differ (n %d/%d, m %d/%d)", where, got.n, want.n, got.m, want.m)
+	}
+}
+
+// randomPairs draws k pairs over n nodes with duplicates, pairs repeated in
+// the other orientation and, when the nodes are few against k, plenty of
+// both.
+func randomPairs(r *xrand.Rand, n, k int) []edge {
+	var pairs []edge
+	for len(pairs) < k && n >= 2 {
+		u, v := int32(r.IntN(n)), int32(r.IntN(n))
+		if u == v {
+			continue
+		}
+		pairs = append(pairs, edge{u, v})
+		switch r.IntN(5) {
+		case 0:
+			pairs = append(pairs, edge{u, v})
+		case 1:
+			pairs = append(pairs, edge{v, u})
+		}
+	}
+	return pairs
+}
+
+// TestUndirectedMatchesDirected holds Build's pairs-only path to the
+// general one: the same pairs added with AddUndirected, and with AddEdge in
+// both orientations, give equal CSR arrays; the pairs-only graph's in-rows
+// are its out-rows, and the builder's pair list is left as it was.
+func TestUndirectedMatchesDirected(t *testing.T) {
+	r := xrand.New(57)
+	for _, n := range []int{0, 1, 2, 600, 30000} {
+		for _, k := range []int{0, 1, 3 * n, 8 * n} {
+			pairs := randomPairs(r, n, k)
+			where := fmt.Sprintf("n %d, %d pairs", n, len(pairs))
+			und, dir := NewBuilder(n), NewBuilder(n)
+			for _, p := range pairs {
+				und.AddUndirected(p.u, p.v)
+				dir.AddEdge(p.u, p.v)
+				dir.AddEdge(p.v, p.u)
+			}
+			g, err := und.Build()
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			if !slices.Equal(und.pairs, pairs) {
+				t.Fatalf("%s: Build changed the builder's pair list", where)
+			}
+			sameCSR(t, where, g, dir.MustBuild())
+			for v := int32(0); v < int32(n); v++ {
+				sources, at := g.InRow(v)
+				targets, first := g.OutEdges(v)
+				if !slices.Equal(sources, targets) || at != first {
+					t.Fatalf("%s: node %d's in-row %v at %d, out-row %v at %d", where, v, sources, at, targets, first)
+				}
+			}
+		}
+	}
+}
+
+// TestMixedBuilderMatchesReference builds a builder holding directed edges
+// and pairs, which expands its pairs and takes the general path, against
+// the build of the expanded list, itself held to the sorted reference.
+func TestMixedBuilderMatchesReference(t *testing.T) {
+	r := xrand.New(58)
+	const n = 300
+	pairs := randomPairs(r, n, 900)
+	b := NewBuilder(n)
+	var all []edge
+	for i, p := range pairs {
+		if i%3 == 0 {
+			b.AddEdge(p.u, p.v)
+			all = append(all, p)
+			continue
+		}
+		b.AddUndirected(p.u, p.v)
+		all = append(all, p, edge{p.v, p.u})
+	}
+	edges, und := slices.Clone(b.edges), slices.Clone(b.pairs)
+	g := b.MustBuild()
+	if !slices.Equal(b.edges, edges) || !slices.Equal(b.pairs, und) {
+		t.Fatal("Build changed the builder's lists")
+	}
+	sameCSR(t, "mixed builder", g, checkAgainstReference(t, "expanded list", n, all))
+}
+
+// TestUndirectedErrorsMatchDirected gives a bad pair, after good ones, to
+// AddUndirected and to AddEdge in both orientations: Build fails with the
+// same text either way.
+func TestUndirectedErrorsMatchDirected(t *testing.T) {
+	const n = 5
+	for _, bad := range []edge{{3, 3}, {0, 0}, {-1, 2}, {2, -1}, {n, 1}, {1, n}, {n, n}} {
+		und, dir := NewBuilder(n), NewBuilder(n)
+		for _, p := range []edge{{0, 1}, {1, 2}, bad, {3, 4}} {
+			und.AddUndirected(p.u, p.v)
+			dir.AddEdge(p.u, p.v)
+			dir.AddEdge(p.v, p.u)
+		}
+		_, uerr := und.Build()
+		_, derr := dir.Build()
+		if uerr == nil || derr == nil || uerr.Error() != derr.Error() {
+			t.Fatalf("pair %v: AddUndirected's error %v, AddEdge's %v", bad, uerr, derr)
+		}
+	}
 }

@@ -12,7 +12,9 @@
 // influence probabilities. The in-edge arrays hold sources only, with no
 // back-map to EdgeIDs: Build fills them by walking the out-rows in source
 // order, so a caller that needs per-edge data in in-CSR order scatters it
-// with the same walk (see InRow).
+// with the same walk (see InRow). A graph built from undirected pairs alone
+// (Builder.AddUndirected) is symmetric, so its in-CSR equals its out-CSR
+// element for element, and both directions share one pair of arrays.
 package graph
 
 import (
@@ -39,7 +41,8 @@ type Graph struct {
 	outTo    []int32
 
 	// In-direction CSR. inFrom[k] lists the in-neighbors of the unique v
-	// with inStart[v] <= k < inStart[v+1], ascending.
+	// with inStart[v] <= k < inStart[v+1], ascending. A graph built from
+	// undirected pairs alone holds the out-CSR's own arrays here.
 	inStart []uint32
 	inFrom  []int32
 }

@@ -148,7 +148,7 @@ func TestSnapshotRestartOverlapsGeneration(t *testing.T) {
 
 // TestSnapshotVersion5IsRebuilt: a file stamped version 5 is refused by
 // the read with the version error, and a restart on it answers from a
-// fresh build — the same allocation — and rewrites the file as version 7.
+// fresh build — the same allocation — and rewrites the file as version 8.
 func TestSnapshotVersion5IsRebuilt(t *testing.T) {
 	dir := t.TempDir()
 	req := snapshotRequest(1)
@@ -175,7 +175,7 @@ func TestSnapshotVersion5IsRebuilt(t *testing.T) {
 	if !bytes.Equal(allocationBytes(t, got), allocationBytes(t, cold)) {
 		t.Fatal("the rebuild answered another allocation")
 	}
-	if _, raw := snapshotFile(t, rs, req); binary.LittleEndian.Uint32(raw[4:]) != 7 {
+	if _, raw := snapshotFile(t, rs, req); binary.LittleEndian.Uint32(raw[4:]) != 8 {
 		t.Fatalf("the rebuild left a version-%d file", binary.LittleEndian.Uint32(raw[4:]))
 	}
 	again := newRestartServer(t, dir).allocate(t, req)
