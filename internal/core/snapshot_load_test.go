@@ -279,7 +279,8 @@ func TestWriteSnapshotFileIsAtomic(t *testing.T) {
 // single node and a shard write — over ads that share one sample, so their
 // stream ids repeat, and over ads with a stream each — the same under
 // versions 5 and 7, one whose next stream id is above its ad count and
-// every stream id, truncations, and a wrong magic.
+// every stream id, one whose shard count is zeroed under the one-shard
+// CRC, truncations, and a wrong magic.
 func FuzzIndexHeader(f *testing.F) {
 	shared := randomInstance(5, 40, 120, 3, 1, 0)
 	header := func(inst *Instance, part rrset.StreamPartition) []byte {
@@ -339,6 +340,16 @@ func FuzzIndexHeader(f *testing.F) {
 		f.Fatalf("the header after an add and a removal reads back %+v, %v; want next 4 over streams [0 1 2]", h, err)
 	}
 	f.Add(spent.Bytes()[:4+4+40+8*3+4], uint8(1), uint8(0))
+	// A shard count of zero under the CRC of the one-shard header it was
+	// written as: without the zero-shard check it reads as the identity,
+	// re-marshals as one shard and passes the CRC, and the accepted bytes
+	// would not render back.
+	zero := bytes.Clone(single)
+	binary.LittleEndian.PutUint32(zero[8+20:], 0)
+	if _, err := readIndexHeader(bytes.NewReader(zero), rrset.StreamPartition{}); err == nil || !strings.Contains(err.Error(), "zero shards") {
+		f.Fatalf("a header with zero shards reads back %v, want the zero-shard error", err)
+	}
+	f.Add(zero, uint8(1), uint8(0))
 	for _, n := range []int{0, 3, 8, 20, 40, len(single) - 5, len(single) - 1} {
 		f.Add(single[:n], uint8(1), uint8(0))
 	}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/rrset"
 	"repro/internal/topic"
 	"repro/internal/xrand"
 )
@@ -179,19 +178,15 @@ func permuteWeights(w []float64, r *xrand.Rand) []float64 {
 
 // weightedCascade returns the Weighted-Cascade probabilities of Chen et
 // al. [7] used by the scalability datasets: p_{u,v} = 1/indeg(v) for every
-// ad. Each value is a function of the graph alone, so the out-rows are
-// filled in topicChunks node ranges in parallel.
+// ad.
 func weightedCascade(g *graph.Graph) []float32 {
 	probs := make([]float32, g.M())
-	n := g.N()
-	rrset.ParallelFor(topicChunks, 0, func(c int) {
-		for u := int32(c * n / topicChunks); u < int32((c+1)*n/topicChunks); u++ {
-			targets, first := g.OutEdges(u)
-			for i, v := range targets {
-				probs[first+int64(i)] = float32(1) / float32(g.InDegree(v))
-			}
+	for u := int32(0); u < int32(g.N()); u++ {
+		targets, first := g.OutEdges(u)
+		for i, v := range targets {
+			probs[first+int64(i)] = float32(1) / float32(g.InDegree(v))
 		}
-	})
+	}
 	return probs
 }
 

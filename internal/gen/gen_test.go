@@ -354,8 +354,7 @@ func referenceEpinions(o Options) *core.Instance {
 
 // referenceDBLP is DBLP built the general way: communityGraph's draws,
 // each pair added with AddEdge in both orientations, so that
-// graph.Builder takes its directed path, and the Weighted-Cascade
-// probabilities filled serially.
+// graph.Builder takes its directed path.
 func referenceDBLP(o Options) *core.Instance {
 	o = o.withDefaults()
 	if o.BudgetOverride <= 0 {
@@ -385,13 +384,7 @@ func referenceDBLP(o Options) *core.Instance {
 		}
 	}
 	g := b.MustBuild()
-	wc := make([]float32, g.M())
-	for u := int32(0); u < int32(g.N()); u++ {
-		targets, first := g.OutEdges(u)
-		for i, v := range targets {
-			wc[first+int64(i)] = float32(1) / float32(g.InDegree(v))
-		}
-	}
+	wc := weightedCascade(g)
 	inst := wcInstance(g, o, r)
 	for i := range inst.Ads {
 		inst.Ads[i].Params.Probs = wc
@@ -400,30 +393,24 @@ func referenceDBLP(o Options) *core.Instance {
 }
 
 // TestDBLPMatchesGeneralBuild holds the DBLP analogue, whose graph takes
-// graph.Builder's pairs-only path and whose probabilities are filled in
-// parallel, to referenceDBLP, array for array, in-rows included, under
-// three worker caps. Under the race detector the paper-size case is left
+// graph.Builder's pairs-only path, to referenceDBLP, array for array,
+// in-rows included. Under the race detector the paper-size case is left
 // to the plain run.
 func TestDBLPMatchesGeneralBuild(t *testing.T) {
-	defer rrset.SetMaxWorkers(rrset.MaxWorkers())
 	scales := []float64{0.02, 1}
 	if raceDetectorOn {
 		scales = scales[:1]
 	}
 	for _, scale := range scales {
 		o := Options{Seed: 9, Scale: scale}
-		want := referenceDBLP(o)
-		for _, workers := range []int{1, 2, 8} {
-			rrset.SetMaxWorkers(workers)
-			where := fmt.Sprintf("dblp scale %v, %d workers", scale, workers)
-			got := DBLP(o)
-			sameInstance(t, where, got, want)
-			for v := int32(0); v < int32(got.G.N()); v++ {
-				a, afirst := got.G.InRow(v)
-				b, bfirst := want.G.InRow(v)
-				if !slices.Equal(a, b) || afirst != bfirst {
-					t.Fatalf("%s: node %d's in-rows differ", where, v)
-				}
+		where := fmt.Sprintf("dblp scale %v", scale)
+		got, want := DBLP(o), referenceDBLP(o)
+		sameInstance(t, where, got, want)
+		for v := int32(0); v < int32(got.G.N()); v++ {
+			a, afirst := got.G.InRow(v)
+			b, bfirst := want.G.InRow(v)
+			if !slices.Equal(a, b) || afirst != bfirst {
+				t.Fatalf("%s: node %d's in-rows differ", where, v)
 			}
 		}
 	}
